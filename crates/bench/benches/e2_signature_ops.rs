@@ -23,8 +23,7 @@ fn print_op_counts() {
     println!("\n=== E2: operation counts (instrumented) ===");
     println!("paper: sign ≈ 8 exp + 2 pairings; verify = 6 exp + (3+2|URL|) pairings\n");
 
-    // Hold one scope across the whole report: the counters are
-    // process-global, and the guard keeps concurrent measurers out.
+    // One scope across the whole report (it counts this thread's work).
     let scope = OpSnapshot::scope();
     let sig = sign(&gpk, &member, b"m", BasesMode::PerMessage, &mut rng);
     let s = scope.counts();

@@ -2,11 +2,13 @@
 //! computational overhead, "signature generation requires about 8
 //! exponentiations … and 2 bilinear map computations").
 //!
-//! The counters live in the process-wide `peace-telemetry` registry under
-//! `crypto.*`; this module is a thin compat shim so callers (and the
-//! groupsig/pairing layers above) keep their historical API. Handles are
-//! resolved once and cached — a record is one relaxed atomic add.
+//! Every record lands twice: in the process-wide `peace-telemetry`
+//! registry under `crypto.*` (what daemons export), and in a tally owned by
+//! the recording thread (what measurements read). A count taken around a
+//! region therefore holds exactly that region's operations, whatever other
+//! threads are doing; `peace_pairing::ops::OpScope` brackets such regions.
 
+use std::cell::Cell;
 use std::sync::{Arc, OnceLock};
 
 use peace_telemetry::{global, Counter};
@@ -19,19 +21,24 @@ fn g1_muls() -> &'static Arc<Counter> {
     C.get_or_init(|| global().counter(G1_MUL))
 }
 
+thread_local! {
+    static LOCAL_G1_MULS: Cell<u64> = const { Cell::new(0) };
+}
+
 /// Records one scalar multiplication in 𝔾₁/𝔾₂ (the paper's "exponentiation").
 #[inline]
 pub fn record_g1_mul() {
     g1_muls().inc();
+    absorb_g1_muls(1);
 }
 
-/// Current count of group exponentiations since the last reset.
+/// Group exponentiations recorded by (or absorbed into) this thread so far.
 pub fn g1_mul_count() -> u64 {
-    g1_muls().get()
+    LOCAL_G1_MULS.with(Cell::get)
 }
 
-/// Resets the exponentiation counter. Prefer bracketing measurements with
-/// `peace_pairing::ops::OpScope`, which serializes concurrent resetters.
-pub fn reset_g1_mul_count() {
-    g1_muls().reset();
+/// Adds `n` to this thread's tally only — for a thread that joins workers
+/// and takes over the counts they recorded on its behalf.
+pub fn absorb_g1_muls(n: u64) {
+    LOCAL_G1_MULS.with(|c| c.set(c.get() + n));
 }

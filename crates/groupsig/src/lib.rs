@@ -489,7 +489,8 @@ mod tests {
             "verify pairings: {verify_cost:?}"
         );
 
-        // Revocation sweep: |URL| + 1 Miller loops, one batched final
+        // Revocation sweep: |URL| + 1 Miller loops (|URL| of them
+        // evaluations against the lines prepared for û), one batched final
         // exponentiation, and zero full pairing evaluations.
         let url: Vec<_> = (0..4)
             .map(|_| f.issuer.issue(&f.grp_a, &mut f.rng).revocation_token())
@@ -500,6 +501,7 @@ mod tests {
         assert_eq!(rev_cost.miller_loops, url.len() as u64 + 1);
         assert_eq!(rev_cost.final_exps, 1);
         assert_eq!(rev_cost.pairings, 0);
+        assert_eq!(rev_cost.miller_prepares, 1, "û is prepared once");
 
         // The naive per-token scan the sweep replaces still costs 2 pairings
         // (one product evaluation) per token.
@@ -543,8 +545,8 @@ mod tests {
 
     #[test]
     fn parallel_sweep_matches_serial() {
-        // Above the thread fan-out threshold (32 tokens) the sweep must
-        // return the same index as below it.
+        // Above the thread fan-out threshold the sweep must return the
+        // same index as below it.
         let mut f = fixture();
         let gpk = *f.issuer.public_key();
         let mut url: Vec<_> = (0..33)
@@ -561,6 +563,122 @@ mod tests {
         let cost = scope.counts();
         assert_eq!(cost.miller_loops, url.len() as u64 + 1);
         assert_eq!(cost.final_exps, 1);
+    }
+
+    #[test]
+    fn degenerate_sweep_inputs_have_a_defined_outcome() {
+        // A hostile signature can put T₂ on the list (the evaluation point
+        // T₂ − Aᵢ is then the identity), and û may be the identity. Neither
+        // panics, neither matches, and neither runs a Miller loop.
+        let mut f = fixture();
+        let gpk = *f.issuer.public_key();
+        let url = vec![f.bob.revocation_token(), f.carol_b.revocation_token()];
+        let mut sig = sign(&gpk, &f.alice, b"m", BasesMode::PerMessage, &mut f.rng);
+        let (u_hat, v_hat) = h0_bases(&gpk, b"m", &sig.r, BasesMode::PerMessage);
+        sig.t2 = url[1].0;
+        let naive = |u_hat: &peace_curve::G2| {
+            url.iter()
+                .position(|t| token_matches(&sig, t, u_hat, &v_hat))
+        };
+        let scope = OpSnapshot::scope();
+        assert_eq!(revocation_sweep(&sig, &url, &u_hat, &v_hat), None);
+        let cost = scope.counts();
+        assert_eq!(cost.miller_loops, 2, "one token plus the shared factor");
+        drop(scope);
+        assert_eq!(naive(&u_hat), None);
+
+        let identity = peace_curve::G2::IDENTITY;
+        let scope = OpSnapshot::scope();
+        assert_eq!(revocation_sweep(&sig, &url, &identity, &v_hat), None);
+        let cost = scope.counts();
+        assert_eq!((cost.miller_loops, cost.miller_prepares), (1, 0));
+        drop(scope);
+        assert_eq!(naive(&identity), None);
+        assert_eq!(
+            revocation_sweep_grid(&[(&sig, identity, v_hat)], &url),
+            vec![None]
+        );
+    }
+
+    #[test]
+    fn grid_keeps_its_op_shape() {
+        // Grid: one line table and one shared factor per row, one Miller
+        // loop per cell, one final exponentiation for the whole grid.
+        let mut f = fixture();
+        let gpk = *f.issuer.public_key();
+        let url: Vec<_> = (0..5)
+            .map(|_| f.issuer.issue(&f.grp_a, &mut f.rng).revocation_token())
+            .collect();
+        let sigs: Vec<_> = (0..3)
+            .map(|_| sign(&gpk, &f.alice, b"g", BasesMode::PerMessage, &mut f.rng))
+            .collect();
+        let rows: Vec<_> = sigs
+            .iter()
+            .map(|s| {
+                let (u_hat, v_hat) = h0_bases(&gpk, b"g", &s.r, BasesMode::PerMessage);
+                (s, u_hat, v_hat)
+            })
+            .collect();
+        let scope = OpSnapshot::scope();
+        assert_eq!(revocation_sweep_grid(&rows, &url), vec![None; 3]);
+        let cost = scope.counts();
+        assert_eq!(cost.miller_prepares, 3);
+        assert_eq!(cost.miller_loops, 3 * (url.len() as u64 + 1));
+        assert_eq!(cost.final_exps, 1);
+        assert_eq!(cost.pairings, 0);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4))]
+
+        #[test]
+        fn prop_prepared_sweeps_match_naive_token_scan(
+            seed in proptest::prelude::any::<u64>(),
+            url_len in 1usize..20,
+            slot in proptest::prelude::any::<usize>(),
+        ) {
+            // The sweep, the grid and the batched opener all run on the one
+            // prepared-û loop; each must report exactly what the per-token
+            // `token_matches` oracle reports, for a revoked signer at a
+            // random index and for an unrevoked one, on either side of the
+            // thread fan-out threshold (8 tokens by default).
+            let mut rng = StdRng::seed_from_u64(seed);
+            let issuer = IssuerKey::generate(&mut rng);
+            let gpk = *issuer.public_key();
+            let grp = issuer.new_group_secret(&mut rng);
+            let revoked = issuer.issue(&grp, &mut rng);
+            let unrevoked = issuer.issue(&grp, &mut rng);
+            let mut url: Vec<_> = (0..url_len)
+                .map(|_| issuer.issue(&grp, &mut rng).revocation_token())
+                .collect();
+            let slot = slot % url_len;
+            url[slot] = revoked.revocation_token();
+
+            let mode = BasesMode::PerMessage;
+            let sigs = [
+                sign(&gpk, &revoked, b"prop", mode, &mut rng),
+                sign(&gpk, &unrevoked, b"prop", mode, &mut rng),
+            ];
+            let rows: Vec<_> = sigs
+                .iter()
+                .map(|s| {
+                    let (u_hat, v_hat) = h0_bases(&gpk, b"prop", &s.r, mode);
+                    (s, u_hat, v_hat)
+                })
+                .collect();
+            let naive: Vec<_> = rows
+                .iter()
+                .map(|(s, u_hat, v_hat)| url.iter().position(|t| token_matches(s, t, u_hat, v_hat)))
+                .collect();
+            proptest::prop_assert_eq!(&naive, &vec![Some(slot), None]);
+            for ((s, u_hat, v_hat), expect) in rows.iter().zip(&naive) {
+                proptest::prop_assert_eq!(revocation_sweep(s, &url, u_hat, v_hat), *expect);
+            }
+            proptest::prop_assert_eq!(&revocation_sweep_grid(&rows, &url), &naive);
+            let items: Vec<(&[u8], &GroupSignature)> =
+                sigs.iter().map(|s| (&b"prop"[..], s)).collect();
+            proptest::prop_assert_eq!(&open_batch(&gpk, &items, &url, mode), &naive);
+        }
     }
 
     #[test]

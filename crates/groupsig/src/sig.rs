@@ -3,10 +3,11 @@
 
 use core::fmt;
 
-use peace_curve::{psi, FixedBaseTable, G1, G2};
+use peace_curve::{psi, FixedBaseTable, ProjectivePoint, G1, G2};
 use peace_field::Fq;
 use peace_pairing::{
-    miller, pairing, pairing_pair, pairing_product, pairing_ratio, Gt, GtPowTable, MillerValue,
+    miller, ops, pairing, pairing_pair, pairing_product, pairing_ratio, Gt, GtPowTable,
+    MillerLines, MillerValue, OpSnapshot,
 };
 use peace_wire::{Decode, Encode, Reader, Writer};
 use rand::RngCore;
@@ -133,7 +134,8 @@ impl Decode for GroupSignature {
 pub enum VerifyError {
     /// The Fiat–Shamir challenge did not match (forged/corrupted signature).
     BadChallenge,
-    /// `T₁` or `T₂` is the identity (degenerate, never produced by `sign`).
+    /// `T₁` or `T₂` is the identity, or pairs to an undefined value
+    /// (degenerate, never produced by `sign`).
     DegenerateCommitment,
 }
 
@@ -455,6 +457,7 @@ impl PreparedGpk {
         let t2_side = self.mul_g2_w(&sig.s_x, &sig.c);
         let v_side = self.mul_w_g2(&sig.s_alpha, &sig.s_delta);
         let r2 = pairing_ratio(&sig.t2, &t2_side, &v, &v_side)
+            .ok_or(VerifyError::DegenerateCommitment)?
             .mul(&self.e_g1_g2_table.pow(&sig.c).invert());
         let neg_s_delta = sig.s_delta.neg();
         let r3 = sig.t1.mul_mul(&sig.s_x, &u, &neg_s_delta);
@@ -511,42 +514,19 @@ impl PreparedGpk {
         });
         let mut out: Vec<Result<Option<usize>, VerifyError>> =
             sigma.iter().map(|r| r.map(|()| None)).collect();
-        let live: Vec<usize> = (0..items.len()).filter(|&i| sigma[i].is_ok()).collect();
-        if live.is_empty() || url.is_empty() {
-            return out;
-        }
-        // Revocation grid: one row per valid signature, one column per URL
-        // token, every cell an independent Miller product — flattened into
-        // a single batched reduction. The row-shared factor f_{q,−T₁}(φ(v̂))
-        // is computed once per row, as in `revocation_sweep`.
-        let shared = fill_indexed(
-            live.len(),
-            PARALLEL_VERIFY_THRESHOLD,
-            MillerValue::ONE,
-            &|j| {
-                let SigmaLeg::Live { v_hat, .. } = &legs[live[j]] else {
-                    unreachable!("live indices point at live legs");
-                };
-                miller(&items[live[j]].1.t1.neg(), v_hat)
-            },
-        );
-        let n = url.len();
-        let cells = fill_indexed(
-            live.len() * n,
-            sweep_spawn_threshold(),
-            MillerValue::ONE,
-            &|k| {
-                let (row, col) = (k / n, k % n);
-                let i = live[row];
-                let SigmaLeg::Live { u_hat, .. } = &legs[i] else {
-                    unreachable!("live indices point at live legs");
-                };
-                miller(&items[i].1.t2.sub(&url[col].0), u_hat).mul(&shared[row])
-            },
-        );
-        let finals = MillerValue::finalize_batch(&cells);
-        for (row, &i) in live.iter().enumerate() {
-            out[i] = Ok(finals[row * n..(row + 1) * n].iter().position(Gt::is_one));
+        // Revocation grid over the signatures that passed, on the H₀ bases
+        // their Σ check derived.
+        let (live, rows): (Vec<usize>, Vec<(&GroupSignature, G2, G2)>) = legs
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| sigma[*i].is_ok())
+            .filter_map(|(i, leg)| match leg {
+                SigmaLeg::Live { u_hat, v_hat, .. } => Some((i, (items[i].1, *u_hat, *v_hat))),
+                SigmaLeg::Degenerate => None,
+            })
+            .unzip();
+        for (i, verdict) in live.into_iter().zip(revocation_sweep_grid(&rows, url)) {
+            out[i] = Ok(verdict);
         }
         out
     }
@@ -583,36 +563,31 @@ fn sigma_legs(
     mode: BasesMode,
     sides: &(dyn Fn(&GroupSignature) -> (G2, G2) + Sync),
 ) -> Vec<SigmaLeg> {
-    fill_indexed(
-        items.len(),
-        PARALLEL_VERIFY_THRESHOLD,
-        SigmaLeg::Degenerate,
-        &|i| {
-            let (msg, sig) = items[i];
-            if sig.t1.is_identity() || sig.t2.is_identity() {
-                return SigmaLeg::Degenerate;
-            }
-            let (u_hat, v_hat) = h0_bases(gpk, msg, &sig.r, mode);
-            let u = psi(&u_hat);
-            let v = psi(&v_hat);
-            let neg_c = sig.c.neg();
-            let r1 = u.mul_mul(&sig.s_alpha, &sig.t1, &neg_c);
-            let (t2_side, v_side) = sides(sig);
-            // Unreduced R̃₂ numerator: f(T₂, t2_side) · conj(f(v, v_side))
-            // — the quotient's final exponentiation is deferred to the
-            // batch-wide reduction.
-            let f = miller(&sig.t2, &t2_side).mul(&miller(&v, &v_side).conjugate());
-            let neg_s_delta = sig.s_delta.neg();
-            let r3 = sig.t1.mul_mul(&sig.s_x, &u, &neg_s_delta);
-            SigmaLeg::Live {
-                u_hat,
-                v_hat,
-                r1,
-                r3,
-                f,
-            }
-        },
-    )
+    fill_indexed(items.len(), PARALLEL_VERIFY_THRESHOLD, &|i| {
+        let (msg, sig) = items[i];
+        if sig.t1.is_identity() || sig.t2.is_identity() {
+            return SigmaLeg::Degenerate;
+        }
+        let (u_hat, v_hat) = h0_bases(gpk, msg, &sig.r, mode);
+        let u = psi(&u_hat);
+        let v = psi(&v_hat);
+        let neg_c = sig.c.neg();
+        let r1 = u.mul_mul(&sig.s_alpha, &sig.t1, &neg_c);
+        let (t2_side, v_side) = sides(sig);
+        // Unreduced R̃₂ numerator: f(T₂, t2_side) · conj(f(v, v_side))
+        // — the quotient's final exponentiation is deferred to the
+        // batch-wide reduction.
+        let f = miller(&sig.t2, &t2_side).mul(&miller(&v, &v_side).conjugate());
+        let neg_s_delta = sig.s_delta.neg();
+        let r3 = sig.t1.mul_mul(&sig.s_x, &u, &neg_s_delta);
+        SigmaLeg::Live {
+            u_hat,
+            v_hat,
+            r1,
+            r3,
+            f,
+        }
+    })
 }
 
 /// Reduces every leg's Miller value in one [`MillerValue::finalize_batch`]
@@ -637,7 +612,7 @@ fn finish_sigma_batch(
         .zip(legs)
         .zip(&finals)
         .map(|((&(msg, sig), leg), g)| {
-            let SigmaLeg::Live { r1, r3, .. } = leg else {
+            let (SigmaLeg::Live { r1, r3, .. }, Some(g)) = (leg, g) else {
                 return Err(VerifyError::DegenerateCommitment);
             };
             let r2 = g.mul(&eg_pow_inv(&sig.c));
@@ -714,7 +689,9 @@ pub fn verify(
     let t2_side = gpk.g2.mul_mul(&sig.s_x, &gpk.w, &sig.c);
     let v_side = gpk.w.mul_mul(&sig.s_alpha, &gpk.g2, &sig.s_delta);
     let e_g1_g2 = constant_pairing(gpk);
-    let r2 = pairing_ratio(&sig.t2, &t2_side, &v, &v_side).mul(&e_g1_g2.pow(&sig.c).invert());
+    let r2 = pairing_ratio(&sig.t2, &t2_side, &v, &v_side)
+        .ok_or(VerifyError::DegenerateCommitment)?
+        .mul(&e_g1_g2.pow(&sig.c).invert());
     let neg_s_delta = sig.s_delta.neg();
     let r3 = sig.t1.mul_mul(&sig.s_x, &u, &neg_s_delta);
     // 3.2.3
@@ -739,10 +716,15 @@ pub fn token_matches(
 }
 
 /// Default token count at and above which [`revocation_sweep`] fans the
-/// per-token Miller loops out across OS threads — the break-even measured
-/// on the reference box (a full scoped fan-out costs tens of microseconds;
-/// a Miller loop ~0.4 ms, so threading pays from a handful of tokens with
-/// headroom for slower spawn paths).
+/// per-token work out across OS threads. On the reference box a token
+/// costs ~0.3 ms (0.18 ms to evaluate it against the prepared lines,
+/// 0.13 ms of hard-part exponentiation) and a two-worker scoped fan-out
+/// 0.04 ms idle, budgeted at 0.1 ms under load (`FANOUT_SPAWN_OVERHEAD_NS`
+/// in `peace-revoke`, whose autotuner replaces this default once it has
+/// measured sweeps). Two workers halve the per-token work, so at eight
+/// tokens threading saves ~1.2 ms, twelve times the budget; below that the
+/// fixed part of a sweep (line table plus shared factor, ~0.8 ms, not
+/// parallel) dominates and the saving is not worth a thread.
 pub const DEFAULT_SWEEP_SPAWN_THRESHOLD: usize = 8;
 
 /// Process-wide sweep fan-out threshold (see
@@ -753,7 +735,7 @@ static SWEEP_SPAWN_THRESHOLD: std::sync::atomic::AtomicUsize =
     std::sync::atomic::AtomicUsize::new(DEFAULT_SWEEP_SPAWN_THRESHOLD);
 
 /// The current sweep fan-out threshold: URLs with at least this many
-/// tokens spread their Miller loops across OS threads.
+/// tokens spread their per-token work across OS threads.
 pub fn sweep_spawn_threshold() -> usize {
     SWEEP_SPAWN_THRESHOLD.load(std::sync::atomic::Ordering::Relaxed)
 }
@@ -762,7 +744,7 @@ pub fn sweep_spawn_threshold() -> usize {
 ///
 /// Values are clamped to at least 2 — a 1-element sweep never spawns
 /// (there is nothing to parallelize and the spawn overhead is pure loss),
-/// which [`fill_indexed`] additionally guarantees structurally.
+/// which [`fill_chunks`] additionally guarantees structurally.
 pub fn set_sweep_spawn_threshold(n: usize) -> usize {
     SWEEP_SPAWN_THRESHOLD.swap(n.max(2), std::sync::atomic::Ordering::Relaxed)
 }
@@ -773,54 +755,115 @@ pub fn set_sweep_spawn_threshold(n: usize) -> usize {
 /// pays for itself almost immediately.
 const PARALLEL_VERIFY_THRESHOLD: usize = 4;
 
-/// Computes `f(0..len)` positionally, fanning contiguous chunks out across
-/// OS threads once `len` reaches `threshold` (per-element work is at least
-/// one Miller loop). Single-threaded below the threshold — and always for
-/// `len <= 1`, whatever the threshold says: a single element has nothing to
-/// parallelize, so spawn overhead would be pure regression. Results are
-/// index-ordered either way.
-fn fill_indexed<T: Clone + Send>(
+/// Computes `f(range)` over `0..len` and concatenates the results: one
+/// range below `threshold` — and always for `len <= 1`, whatever the
+/// threshold says, since a single element has nothing to parallelize —
+/// otherwise one contiguous range per OS thread. Results are index-ordered
+/// either way. Handing a worker its whole range (rather than one index at a
+/// time) is what lets each sweep worker reduce its own Miller values.
+fn fill_chunks<T: Send>(
     len: usize,
     threshold: usize,
-    placeholder: T,
-    f: &(dyn Fn(usize) -> T + Sync),
+    f: &(dyn Fn(std::ops::Range<usize>) -> Vec<T> + Sync),
 ) -> Vec<T> {
     if len < threshold || len <= 1 {
-        return (0..len).map(f).collect();
+        return f(0..len);
     }
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
         .min(len);
     let chunk = len.div_ceil(workers);
-    let mut out = vec![placeholder; len];
     std::thread::scope(|s| {
-        for (ci, out_chunk) in out.chunks_mut(chunk).enumerate() {
-            s.spawn(move || {
-                for (off, slot) in out_chunk.iter_mut().enumerate() {
-                    *slot = f(ci * chunk + off);
-                }
-            });
+        let handles: Vec<_> = (0..len)
+            .step_by(chunk)
+            .map(|lo| {
+                s.spawn(move || {
+                    let ops = OpSnapshot::scope();
+                    (f(lo..(lo + chunk).min(len)), ops.counts())
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| {
+                // The workers' operations are this call's operations.
+                let (out, ops) = h.join().expect("fan-out worker panicked");
+                ops.absorb();
+                out
+            })
+            .collect()
+    })
+}
+
+/// [`fill_chunks`] for work that is independent per index.
+fn fill_indexed<T: Send>(len: usize, threshold: usize, f: &(dyn Fn(usize) -> T + Sync)) -> Vec<T> {
+    fill_chunks(len, threshold, &|range| range.map(f).collect())
+}
+
+/// One signature readied for Eq.3 checks against any number of tokens —
+/// the single per-token loop behind [`revocation_sweep`],
+/// [`revocation_sweep_grid`] and [`open_batch`].
+///
+/// The check for token `Aᵢ` is `ê(T₂−Aᵢ, û)·ê(−T₁, v̂) = 1`. The second
+/// factor is token-independent: its Miller value `f_{q,−T₁}(φ(v̂))` is
+/// computed once. The first has the *fixed* argument in the wrong slot for
+/// sharing Miller-loop work — but `ψ` is the identity on this Type-1
+/// pairing, so `ê(T₂−Aᵢ, û) = ê(û, T₂−Aᵢ)`, and with `û` first the
+/// double/add schedule runs once per signature ([`MillerLines`]) and each
+/// token costs only an evaluation against the stored lines.
+struct SweepRow {
+    t2: ProjectivePoint,
+    lines: MillerLines,
+    shared: MillerValue,
+}
+
+impl SweepRow {
+    /// One line table, one Miller loop.
+    fn new(sig: &GroupSignature, u_hat: &G2, v_hat: &G2) -> Self {
+        Self {
+            t2: sig.t2.point().to_projective(),
+            lines: MillerLines::new(&psi(u_hat)),
+            shared: miller(&sig.t1.neg(), v_hat),
         }
-    });
-    out
+    }
+
+    /// Whether each of `tokens` passes Eq.3 against this signature: one
+    /// evaluation per token, then one reduction of the whole slice (not
+    /// counted — the public entry points record one final exponentiation
+    /// per sweep, however many workers share it). `T₂ = Aᵢ` evaluates at
+    /// the identity, which contributes 1 and cannot match.
+    fn matches(&self, tokens: &[RevocationToken]) -> Vec<bool> {
+        let diffs: Vec<ProjectivePoint> = tokens
+            .iter()
+            .map(|t| self.t2.add_affine(&t.0.point().neg()))
+            .collect();
+        let values: Vec<MillerValue> = ProjectivePoint::batch_to_affine(&diffs)
+            .into_iter()
+            .map(|p| {
+                self.lines
+                    .eval(&G2::from_point_unchecked(p))
+                    .mul(&self.shared)
+            })
+            .collect();
+        MillerValue::finalize_part(&values)
+            .iter()
+            .map(|g| g.is_some_and(|g| g.is_one()))
+            .collect()
+    }
 }
 
 /// Shared-Miller revocation sweep over a whole URL (paper step 3.3,
-/// restructured).
+/// restructured; see [`SweepRow`]).
 ///
-/// The Eq.3 check for token `Aᵢ` is `ê(T₂−Aᵢ, û)·ê(−T₁, v̂) = 1`. The second
-/// factor is token-independent, so its Miller value `f_{q,−T₁}(φ(v̂))` is
-/// computed **once** and multiplied into each per-token value
-/// `f_{q,T₂−Aᵢ}(φ(û))`; the batch is then reduced by
-/// [`MillerValue::finalize_batch`], which shares one field inversion and one
-/// hard-part pass. Total cost for `n` tokens: `n + 1` Miller loops and `1`
-/// final exponentiation, versus `2n` of each for the naive
-/// [`token_matches`] scan.
+/// Total cost for `n` tokens: one line table, `n + 1` Miller loops (`n` of
+/// them evaluations against the table) and `1` final exponentiation,
+/// versus `2n` full pairings for the naive [`token_matches`] scan.
 ///
-/// Large URLs additionally fan the (independent) per-token Miller loops out
-/// across OS threads with `std::thread::scope`; results are positionally
-/// ordered, so the returned index is deterministic either way.
+/// Large URLs fan out across OS threads with `std::thread::scope`, each
+/// worker evaluating *and reducing* its own contiguous share of the tokens;
+/// results are positionally ordered, so the returned index is deterministic
+/// either way.
 pub fn revocation_sweep(
     sig: &GroupSignature,
     tokens: &[RevocationToken],
@@ -830,25 +873,20 @@ pub fn revocation_sweep(
     if tokens.is_empty() {
         return None;
     }
-    // Token-independent factor: f_{q,−T₁}(φ(v̂)), one Miller loop.
-    let shared = miller(&sig.t1.neg(), v_hat);
-    let values = fill_indexed(
-        tokens.len(),
-        sweep_spawn_threshold(),
-        MillerValue::ONE,
-        &|i| miller(&sig.t2.sub(&tokens[i].0), u_hat).mul(&shared),
-    );
-    MillerValue::finalize_batch(&values)
-        .iter()
-        .position(Gt::is_one)
+    let row = SweepRow::new(sig, u_hat, v_hat);
+    ops::record_final_exp();
+    fill_chunks(tokens.len(), sweep_spawn_threshold(), &|range| {
+        row.matches(&tokens[range])
+    })
+    .iter()
+    .position(|&hit| hit)
 }
 
 /// Shared-Miller revocation sweep over **many signatures at once** against
-/// one token list: the full signature×token grid of Eq.3 checks collapses
-/// into a single [`MillerValue::finalize_batch`] pass (one field inversion,
-/// one hard-part exponentiation for the whole grid), with each row's
-/// token-independent `f_{q,−T₁}(φ(v̂))` factor computed once. Rows carry
-/// their own H₀ bases — typically the ones
+/// one token list: the full signature×token grid of Eq.3 checks, one
+/// [`SweepRow`] per signature, the cells split across workers as in
+/// [`revocation_sweep`] and recorded as one final exponentiation for the
+/// whole grid. Rows carry their own H₀ bases — typically the ones
 /// [`PreparedGpk::verify_batch_bases`] returned.
 ///
 /// `out[i]` is the matching token index for `rows[i]`, or `None` when the
@@ -862,28 +900,26 @@ pub fn revocation_sweep_grid(
     if rows.is_empty() || n == 0 {
         return vec![None; rows.len()];
     }
-    let shared = fill_indexed(
-        rows.len(),
-        PARALLEL_VERIFY_THRESHOLD,
-        MillerValue::ONE,
-        &|j| {
-            let (sig, _, v_hat) = &rows[j];
-            miller(&sig.t1.neg(), v_hat)
-        },
-    );
-    let cells = fill_indexed(
-        rows.len() * n,
-        sweep_spawn_threshold(),
-        MillerValue::ONE,
-        &|k| {
+    let prepared = fill_indexed(rows.len(), PARALLEL_VERIFY_THRESHOLD, &|j| {
+        let (sig, u_hat, v_hat) = &rows[j];
+        SweepRow::new(sig, u_hat, v_hat)
+    });
+    ops::record_final_exp();
+    let cells = fill_chunks(rows.len() * n, sweep_spawn_threshold(), &|range| {
+        // A worker's range of the row-major grid, one row segment at a time.
+        let mut hits = Vec::with_capacity(range.len());
+        let mut k = range.start;
+        while k < range.end {
             let (row, col) = (k / n, k % n);
-            let (sig, u_hat, _) = &rows[row];
-            miller(&sig.t2.sub(&tokens[col].0), u_hat).mul(&shared[row])
-        },
-    );
-    let finals = MillerValue::finalize_batch(&cells);
-    (0..rows.len())
-        .map(|r| finals[r * n..(r + 1) * n].iter().position(Gt::is_one))
+            let end = (col + range.end - k).min(n);
+            hits.extend(prepared[row].matches(&tokens[col..end]));
+            k += end - col;
+        }
+        hits
+    });
+    cells
+        .chunks(n)
+        .map(|row| row.iter().position(|&hit| hit))
         .collect()
 }
 
@@ -917,69 +953,43 @@ pub fn open(
     revocation_index(gpk, msg, sig, grt, mode)
 }
 
+/// Tokens an [`open_batch`] record evaluates and reduces together: a block
+/// shares one field inversion, and evaluates at most three tokens past the
+/// one that matches.
+const OPEN_BLOCK: usize = 4;
+
 /// Batched Open over many records at once (the accountability ledger's
 /// audit sweep).
 ///
-/// The `R×n` record×token matrix is walked **column-major with early
-/// retirement**: token column `i` is evaluated only for records that no
-/// column `< i` resolved, and a record drops out of the sweep the moment
-/// its key share matches. Since an honest transcript matches exactly one
-/// `grt` row, a record whose signer sits at column `m` costs `m + 2`
-/// Miller loops (its token-independent `ê(−T₁, v̂)` factor plus columns
-/// `0..=m`) instead of the full `n + 1` a per-record [`open`] pays —
-/// about half the Miller loops *and* half the hard-part exponentiations
-/// on average, with the worst case (a forged record no token matches)
-/// identical to [`open`]. Each column is reduced by one shared
-/// [`MillerValue::finalize_batch`] pass across all still-live records,
-/// and wide columns fan out across OS threads. Output is positionally
-/// ordered: `out[k]` is the matching token index for `items[k]`, or
-/// `None` if no registry token matches.
+/// Each record is readied once ([`SweepRow`]) and walks `grt` in blocks of
+/// [`OPEN_BLOCK`] tokens, **stopping at the first block that matches**.
+/// Since an honest transcript matches exactly one `grt` row, a record whose
+/// signer sits at column `m` pays for `m + 1` tokens rounded up to a block
+/// instead of the full `n` a per-record [`open`] pays — about half on
+/// average, with the worst case (a forged record no token matches)
+/// identical to [`open`]. Records fan out across OS threads, each holding
+/// one line table at a time; every block is recorded as one final
+/// exponentiation. Output is positionally ordered: `out[k]` is the matching
+/// token index for `items[k]`, or `None` if no registry token matches.
 pub fn open_batch(
     gpk: &GroupPublicKey,
     items: &[(&[u8], &GroupSignature)],
     grt: &[RevocationToken],
     mode: BasesMode,
 ) -> Vec<Option<usize>> {
-    let n = grt.len();
-    let mut out = vec![None; items.len()];
-    if items.is_empty() || n == 0 {
-        return out;
+    if grt.is_empty() {
+        return vec![None; items.len()];
     }
-    // Per-record state reused by every token column: the H₀ bases û and
-    // the token-independent Miller factor f_{q,−T₁}(φ(v̂)).
-    let prep: Vec<(G2, MillerValue, G1)> = items
-        .iter()
-        .map(|(msg, sig)| {
-            let (u_hat, v_hat) = h0_bases(gpk, msg, &sig.r, mode);
-            (u_hat, miller(&sig.t1.neg(), &v_hat), sig.t2)
+    fill_indexed(items.len(), PARALLEL_VERIFY_THRESHOLD, &|k| {
+        let (msg, sig) = items[k];
+        let (u_hat, v_hat) = h0_bases(gpk, msg, &sig.r, mode);
+        let row = SweepRow::new(sig, &u_hat, &v_hat);
+        grt.chunks(OPEN_BLOCK).enumerate().find_map(|(b, block)| {
+            ops::record_final_exp();
+            let hit = row.matches(block).iter().position(|&hit| hit)?;
+            Some(b * OPEN_BLOCK + hit)
         })
-        .collect();
-    let mut live: Vec<usize> = (0..items.len()).collect();
-    for (col, token) in grt.iter().enumerate() {
-        if live.is_empty() {
-            break;
-        }
-        let vals = fill_indexed(
-            live.len(),
-            sweep_spawn_threshold(),
-            MillerValue::ONE,
-            &|j| {
-                let (u_hat, shared, t2) = &prep[live[j]];
-                miller(&t2.sub(&token.0), u_hat).mul(shared)
-            },
-        );
-        let finals = MillerValue::finalize_batch(&vals);
-        let mut still = Vec::with_capacity(live.len());
-        for (&k, g) in live.iter().zip(&finals) {
-            if g.is_one() {
-                out[k] = Some(col);
-            } else {
-                still.push(k);
-            }
-        }
-        live = still;
-    }
-    out
+    })
 }
 
 /// Precomputed revocation table for [`BasesMode::FixedBases`] (§V.C's
@@ -1064,13 +1074,12 @@ mod threshold_tests {
     fn one_element_fill_never_spawns() {
         let main_id = std::thread::current().id();
         for threshold in [0usize, 1, 2] {
-            let ids = fill_indexed(1, threshold, None, &|_| Some(std::thread::current().id()));
+            let ids = fill_indexed(1, threshold, &|_| Some(std::thread::current().id()));
             assert_eq!(ids, vec![Some(main_id)], "threshold {threshold} spawned");
         }
         // Zero elements: nothing runs, nothing spawns.
-        let empty = fill_indexed(0, 0, None::<std::thread::ThreadId>, &|_| {
-            unreachable!("no elements to fill")
-        });
+        let empty: Vec<std::thread::ThreadId> =
+            fill_indexed(0, 0, &|_| unreachable!("no elements to fill"));
         assert!(empty.is_empty());
     }
 
@@ -1079,7 +1088,7 @@ mod threshold_tests {
     #[test]
     fn two_elements_fan_out_at_low_threshold() {
         let main_id = std::thread::current().id();
-        let ids = fill_indexed(2, 2, None, &|_| Some(std::thread::current().id()));
+        let ids = fill_indexed(2, 2, &|_| Some(std::thread::current().id()));
         assert_eq!(ids.len(), 2);
         assert!(
             ids.iter().all(|id| id.is_some() && *id != Some(main_id)),

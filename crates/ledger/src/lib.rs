@@ -20,8 +20,8 @@
 //! * **indexed queries** — by epoch, router, time range, and (after an
 //!   audit sweep has appended attribution records) by user group;
 //! * **batch Open/Audit** ([`sweep`]) — replays a time range through the
-//!   shared-Miller `open_batch` machinery, amortizing the final
-//!   exponentiation across the whole record×token matrix.
+//!   shared-Miller `open_batch` machinery: û prepared once per record,
+//!   tokens evaluated until the record's row matches.
 //!
 //! The NO-only versus NO+GM boundary of the paper is preserved: ledger
 //! records never contain user identities — an audit sweep attributes a

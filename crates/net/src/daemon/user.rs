@@ -155,10 +155,12 @@ impl UserAgent {
             _ => return Err(NetError::Unexpected("expected a beacon")),
         };
         self.metrics.hs_beacon_us.record_since(leg_start);
-        let req = self
-            .user
-            .request_access(&beacon, wall_ms(), &mut self.rng)
-            .map_err(NetError::Protocol)?;
+        let (decoded, reused) = self.user.url_decode_counts();
+        let req = self.user.request_access(&beacon, wall_ms(), &mut self.rng);
+        let (decoded_now, reused_now) = self.user.url_decode_counts();
+        self.metrics.url_tokens_decoded.add(decoded_now - decoded);
+        self.metrics.url_sections_reused.add(reused_now - reused);
+        let req = req.map_err(NetError::Protocol)?;
         let leg_start = std::time::Instant::now();
         conn.send(&NodeMessage::AccessRequest(Box::new(req)))?;
         let session = match conn.recv()? {

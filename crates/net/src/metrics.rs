@@ -74,6 +74,12 @@ pub struct NetMetrics {
     /// Router delta refreshes that had to fall back to a full bulletin
     /// fetch (stale epoch, behind the diff log, or a chain refusal).
     pub url_delta_fallbacks: Arc<Counter>,
+    /// User side: URL tokens decoded (curve and subgroup checked) while
+    /// processing beacons. A count only: nothing about which list.
+    pub url_tokens_decoded: Arc<Counter>,
+    /// User side: beacons whose URL section was byte-identical to the list
+    /// already held, and so cost no decoding.
+    pub url_sections_reused: Arc<Counter>,
     /// User side: GetBeacon → Beacon leg of the handshake (µs).
     pub hs_beacon_us: Arc<Histogram>,
     /// User side: AccessRequest → AccessConfirm leg (µs).
@@ -117,6 +123,8 @@ impl NetMetrics {
             transcripts_dropped: c("net.transcripts_dropped"),
             url_deltas_out: c("net.url_deltas_out"),
             url_delta_fallbacks: c("net.url_delta_fallbacks"),
+            url_tokens_decoded: c("net.url_tokens_decoded"),
+            url_sections_reused: c("net.url_sections_reused"),
             hs_beacon_us: h("net.hs_beacon_us"),
             hs_confirm_us: h("net.hs_confirm_us"),
             hs_total_us: h("net.hs_total_us"),
@@ -164,6 +172,8 @@ impl NetMetrics {
             transcripts_dropped: self.transcripts_dropped.get(),
             url_deltas_out: self.url_deltas_out.get(),
             url_delta_fallbacks: self.url_delta_fallbacks.get(),
+            url_tokens_decoded: self.url_tokens_decoded.get(),
+            url_sections_reused: self.url_sections_reused.get(),
         }
     }
 
@@ -230,6 +240,10 @@ pub struct MetricsSnapshot {
     pub url_deltas_out: u64,
     /// Delta refreshes that fell back to a full bulletin fetch.
     pub url_delta_fallbacks: u64,
+    /// URL tokens decoded while processing beacons.
+    pub url_tokens_decoded: u64,
+    /// Beacons whose URL section was the list already held.
+    pub url_sections_reused: u64,
 }
 
 impl MetricsSnapshot {
@@ -261,6 +275,8 @@ impl MetricsSnapshot {
         self.transcripts_dropped += other.transcripts_dropped;
         self.url_deltas_out += other.url_deltas_out;
         self.url_delta_fallbacks += other.url_delta_fallbacks;
+        self.url_tokens_decoded += other.url_tokens_decoded;
+        self.url_sections_reused += other.url_sections_reused;
     }
 }
 

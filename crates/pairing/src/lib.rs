@@ -28,7 +28,7 @@ mod miller;
 pub mod ops;
 
 pub use gt::{Gt, GtPowTable};
-pub use miller::MillerValue;
+pub use miller::{MillerLines, MillerValue};
 pub use ops::{OpScope, OpSnapshot};
 
 use peace_curve::{G1, G2};
@@ -43,7 +43,10 @@ pub fn pairing(p: &G1, q: &G2) -> Gt {
 /// Miller values multiply in `F_p²` and are reduced to `𝔾_T` by
 /// [`MillerValue::finalize`] (or in bulk by [`MillerValue::finalize_batch`]).
 /// This is the building block of the shared-Miller revocation sweep:
-/// `miller(a, c).mul(&miller(b, d)).finalize() == ê(a,c)·ê(b,d)`.
+/// `miller(a, c).mul(&miller(b, d)).finalize() == Some(ê(a,c)·ê(b,d))`.
+/// A caller that pairs one `P` against many `Q` prepares `P` once instead
+/// ([`MillerLines`]); and because `ψ` is the identity on this Type-1
+/// pairing, `ê(P, Q) = ê(Q, P)`, so either argument can be the prepared one.
 pub fn miller(p: &G1, q: &G2) -> MillerValue {
     miller::miller(p.point(), q.point())
 }
@@ -65,8 +68,9 @@ pub fn pairing_product(pairs: &[(G1, G2)]) -> Gt {
 /// ([`MillerValue::conjugate`]), so the quotient reduces as one product —
 /// one field inversion and one hard-part pass instead of two of each plus a
 /// `𝔾_T` inversion. Counts as two logical bilinear-map evaluations (the
-/// paper's unit).
-pub fn pairing_ratio(p1: &G1, q1: &G2, p2: &G1, q2: &G2) -> Gt {
+/// paper's unit). `None` only for a zero Miller value
+/// ([`MillerValue::finalize`]) — the verify path turns that into a reject.
+pub fn pairing_ratio(p1: &G1, q1: &G2, p2: &G1, q2: &G2) -> Option<Gt> {
     ops::record_pairing();
     ops::record_pairing();
     miller(p1, q1).mul(&miller(p2, q2).conjugate()).finalize()
@@ -80,7 +84,8 @@ pub fn pairing_pair(p1: &G1, q1: &G2, p2: &G1, q2: &G2) -> (Gt, Gt) {
     ops::record_pairing();
     ops::record_pairing();
     let reduced = MillerValue::finalize_batch(&[miller(p1, q1), miller(p2, q2)]);
-    (reduced[0], reduced[1])
+    // Total like `pairing`: the arguments are subgroup points by type.
+    (reduced[0].unwrap_or(Gt::ONE), reduced[1].unwrap_or(Gt::ONE))
 }
 
 #[cfg(test)]
@@ -251,8 +256,6 @@ mod tests {
 
     #[test]
     fn op_counters_track_pairings() {
-        // OpScope serializes against the other counting test in this binary
-        // (the counters are process-global).
         let scope = OpSnapshot::scope();
         let _ = pairing(&g1(), &g2());
         let _ = pairing(&g1(), &g2());
@@ -267,9 +270,9 @@ mod tests {
         let mut r = rng();
         let p = G1::random(&mut r);
         let q = G2::random(&mut r);
-        assert_eq!(miller(&p, &q).finalize(), pairing(&p, &q));
-        assert!(miller(&G1::IDENTITY, &q).finalize().is_one());
-        assert!(MillerValue::ONE.finalize().is_one());
+        assert_eq!(miller(&p, &q).finalize(), Some(pairing(&p, &q)));
+        assert_eq!(miller(&G1::IDENTITY, &q).finalize(), Some(Gt::ONE));
+        assert_eq!(MillerValue::ONE.finalize(), Some(Gt::ONE));
     }
 
     #[test]
@@ -278,7 +281,7 @@ mod tests {
         let (p1, q1) = (G1::random(&mut r), G2::random(&mut r));
         let (p2, q2) = (G1::random(&mut r), G2::random(&mut r));
         let composed = miller(&p1, &q1).mul(&miller(&p2, &q2)).finalize();
-        assert_eq!(composed, pairing(&p1, &q1).mul(&pairing(&p2, &q2)));
+        assert_eq!(composed, Some(pairing(&p1, &q1).mul(&pairing(&p2, &q2))));
     }
 
     #[test]
@@ -296,7 +299,7 @@ mod tests {
         // with f = 1).
         let with_one = [values[0], MillerValue::ONE, values[1]];
         let batch = MillerValue::finalize_batch(&with_one);
-        assert!(batch[1].is_one());
+        assert_eq!(batch[1], Some(Gt::ONE));
         assert_eq!(batch[0], values[0].finalize());
         assert!(MillerValue::finalize_batch(&[]).is_empty());
     }
@@ -307,9 +310,9 @@ mod tests {
         let p = G1::random(&mut r);
         let q = G2::random(&mut r);
         let m = miller(&p, &q);
-        assert_eq!(m.conjugate().finalize(), pairing(&p, &q).invert());
-        assert!(m.mul(&m.conjugate()).finalize().is_one());
-        assert!(MillerValue::ONE.conjugate().finalize().is_one());
+        assert_eq!(m.conjugate().finalize(), Some(pairing(&p, &q).invert()));
+        assert_eq!(m.mul(&m.conjugate()).finalize(), Some(Gt::ONE));
+        assert_eq!(MillerValue::ONE.conjugate().finalize(), Some(Gt::ONE));
     }
 
     #[test]
@@ -321,18 +324,18 @@ mod tests {
         let scope = OpSnapshot::scope();
         let got = pairing_ratio(&p1, &q1, &p2, &q2);
         let cost = scope.counts();
-        assert_eq!(got, expect);
+        assert_eq!(got, Some(expect));
         assert_eq!(cost.pairings, 2, "two logical bilinear maps");
         assert_eq!(cost.miller_loops, 2);
         assert_eq!(cost.final_exps, 1, "shared reduction");
         // Identity slots collapse to the plain inverse / plain value.
         assert_eq!(
             pairing_ratio(&G1::IDENTITY, &q1, &p2, &q2),
-            pairing(&p2, &q2).invert()
+            Some(pairing(&p2, &q2).invert())
         );
         assert_eq!(
             pairing_ratio(&p1, &q1, &p2, &G2::IDENTITY),
-            pairing(&p1, &q1)
+            Some(pairing(&p1, &q1))
         );
     }
 
@@ -358,6 +361,95 @@ mod tests {
         assert_eq!(cost.final_exps, 1);
         assert_eq!(cost.miller_loops, 0);
         assert_eq!(cost.pairings, 0);
+    }
+
+    /// The same point seen from the other group (`ψ` is the identity).
+    fn as_g2(p: &G1) -> G2 {
+        G2::from_point_unchecked(*p.point())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
+
+        #[test]
+        fn prop_prepared_eval_matches_miller_with_swapped_arguments(seed in proptest::prelude::any::<u64>()) {
+            // What the revocation sweep relies on: ê(P, Q) = ê(Q, P) on
+            // random subgroup points, and evaluating P against the lines
+            // prepared for Q is exactly `miller(Q, P)` — the unreduced value,
+            // not merely its reduction.
+            let mut r = StdRng::seed_from_u64(seed);
+            let (p, q) = (G1::random(&mut r), G2::random(&mut r));
+            let (q_first, p_second) = (peace_curve::psi(&q), as_g2(&p));
+            proptest::prop_assert_eq!(pairing(&p, &q), pairing(&q_first, &p_second));
+            let lines = MillerLines::new(&q_first);
+            proptest::prop_assert_eq!(lines.eval(&p_second), miller(&q_first, &p_second));
+            proptest::prop_assert_eq!(lines.eval(&p_second).finalize(), Some(pairing(&p, &q)));
+            // One table serves any number of second arguments.
+            let other = G2::random(&mut r);
+            proptest::prop_assert_eq!(lines.eval(&other), miller(&q_first, &other));
+        }
+    }
+
+    #[test]
+    fn prepared_identity_slots_yield_one_uncounted() {
+        // A hostile signature with T₂ = Aᵢ makes the evaluation point the
+        // identity; û may be the identity too. Both mirror `miller`.
+        let mut r = rng();
+        let p = G1::random(&mut r);
+        let q = G2::random(&mut r);
+        let scope = OpSnapshot::scope();
+        let lines = MillerLines::new(&p);
+        assert_eq!(lines.eval(&G2::IDENTITY), MillerValue::ONE);
+        assert_eq!(MillerLines::new(&G1::IDENTITY).eval(&q), MillerValue::ONE);
+        let cost = scope.counts();
+        assert_eq!(cost.miller_loops, 0, "identity slots run no loop");
+        assert_eq!(cost.miller_prepares, 1, "the identity prepares no table");
+    }
+
+    #[test]
+    fn prepared_evaluations_count_as_miller_loops() {
+        let mut r = rng();
+        let p = G1::random(&mut r);
+        let qs: Vec<G2> = (0..3).map(|_| G2::random(&mut r)).collect();
+        let scope = OpSnapshot::scope();
+        let lines = MillerLines::new(&p);
+        for q in &qs {
+            let _ = lines.eval(q);
+        }
+        let cost = scope.counts();
+        assert_eq!(cost.miller_prepares, 1);
+        assert_eq!(cost.miller_loops, qs.len() as u64);
+        assert_eq!(cost.final_exps, 0);
+        assert_eq!(cost.pairings, 0);
+    }
+
+    #[test]
+    fn zero_miller_value_reduces_to_none_not_a_panic() {
+        // Unreachable through subgroup points, so built directly.
+        let zero = MillerValue(peace_field::Fp2::ZERO);
+        assert_eq!(zero.finalize(), None);
+        let mut r = rng();
+        let live = miller(&G1::random(&mut r), &G2::random(&mut r));
+        let batch = MillerValue::finalize_batch(&[live, zero, MillerValue::ONE]);
+        assert_eq!(batch, vec![live.finalize(), None, Some(Gt::ONE)]);
+        assert_eq!(MillerValue::finalize_batch(&[zero]), vec![None]);
+        assert_eq!(
+            MillerValue::finalize_part(&[zero, live])[1],
+            live.finalize()
+        );
+    }
+
+    #[test]
+    fn finalize_part_matches_batch_and_is_not_counted() {
+        let mut r = rng();
+        let values: Vec<MillerValue> = (0..3)
+            .map(|_| miller(&G1::random(&mut r), &G2::random(&mut r)))
+            .collect();
+        let scope = OpSnapshot::scope();
+        let part = MillerValue::finalize_part(&values);
+        assert_eq!(scope.counts().final_exps, 0);
+        assert_eq!(part, MillerValue::finalize_batch(&values));
+        assert_eq!(scope.counts().final_exps, 1);
     }
 
     #[test]

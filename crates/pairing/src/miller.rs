@@ -26,6 +26,11 @@
 //! hard-part sweep over the cached cofactor wNAF schedule. The revocation
 //! check over `n` tokens drops from `2n` full pairings to `n + 1` Miller
 //! loops and one final exponentiation this way.
+//!
+//! [`MillerLines`] splits the loop itself: the point arithmetic depends on
+//! the first argument only, so a caller that pairs one `P` against many
+//! `Q` runs the double/add schedule once, keeps each step's line as three
+//! `F_p` coefficients, and pays only the `F_p²` accumulation per `Q`.
 
 use std::sync::OnceLock;
 
@@ -106,7 +111,13 @@ impl MillerValue {
     }
 
     /// Applies the final exponentiation, producing a `𝔾_T` element.
-    pub fn finalize(&self) -> Gt {
+    ///
+    /// `None` for the zero value, where the pairing is undefined. Points
+    /// of the order-`q` subgroup never produce it (every line's imaginary
+    /// part is a nonzero multiple of `y_Q ≠ 0`); a wrapper built with
+    /// `from_point_unchecked` from a point outside the subgroup can.
+    pub fn finalize(&self) -> Option<Gt> {
+        ops::record_final_exp();
         final_exponentiation(&self.0)
     }
 
@@ -117,28 +128,43 @@ impl MillerValue {
     /// * the hard parts run in lock-step over the single cached cofactor
     ///   wNAF schedule (all accumulators advance digit by digit).
     ///
+    /// A zero value reduces to `None` in its own slot (see
+    /// [`Self::finalize`]) and leaves the rest of the batch intact.
+    ///
     /// The batch is recorded as **one** final exponentiation in the op
     /// counters, matching the paper-shape accounting of the revocation
     /// sweep (`n + 1` Miller loops, 1 final exponentiation).
-    pub fn finalize_batch(values: &[Self]) -> Vec<Gt> {
-        if values.is_empty() {
-            return Vec::new();
+    pub fn finalize_batch(values: &[Self]) -> Vec<Option<Gt>> {
+        if !values.is_empty() {
+            ops::record_final_exp();
         }
-        ops::record_final_exp();
+        Self::finalize_part(values)
+    }
+
+    /// [`Self::finalize_batch`] for one worker's share of a batch that is
+    /// split across threads: the same reduction, not counted. The caller
+    /// records the whole batch once with [`ops::record_final_exp`].
+    pub fn finalize_part(values: &[Self]) -> Vec<Option<Gt>> {
         let n = values.len();
-        // Montgomery batch inversion: prefix[i] = f₀·…·fᵢ₋₁.
+        // Montgomery batch inversion: prefix[i] = f₀·…·fᵢ₋₁, with 1 standing
+        // in for a zero so that it cannot poison its neighbours.
+        let factor = |v: &Self| if v.0.is_zero() { Fp2::ONE } else { v.0 };
         let mut prefix = Vec::with_capacity(n);
         let mut acc = Fp2::ONE;
         for v in values {
             prefix.push(acc);
-            acc = acc.mul(&v.0);
+            acc = acc.mul(&factor(v));
         }
-        let mut suffix_inv = acc.invert().expect("Miller values are nonzero");
+        let Some(mut suffix_inv) = acc.invert() else {
+            // Unreachable: a product of nonzero field elements.
+            return vec![None; n];
+        };
         let mut easy = vec![Fp2::ONE; n];
         for i in (0..n).rev() {
+            let f = factor(&values[i]);
             let f_inv = suffix_inv.mul(&prefix[i]);
-            easy[i] = values[i].0.conjugate().mul(&f_inv);
-            suffix_inv = suffix_inv.mul(&values[i].0);
+            easy[i] = f.conjugate().mul(&f_inv);
+            suffix_inv = suffix_inv.mul(&f);
         }
         // Shared hard part: every yᵢ is unitary after the easy part, so one
         // pass over the cofactor wNAF drives all accumulators together,
@@ -167,7 +193,11 @@ impl MillerValue {
                 }
             }
         }
-        accs.into_iter().map(Gt::from_fp2).collect()
+        values
+            .iter()
+            .zip(accs)
+            .map(|(v, a)| (!v.0.is_zero()).then(|| Gt::from_fp2(a)))
+            .collect()
     }
 }
 
@@ -195,7 +225,7 @@ pub fn tate_pairing(p: &peace_curve::AffinePoint, q: &peace_curve::AffinePoint) 
         return Gt::ONE;
     }
     let f = miller_loop(&Affine { x: p.x, y: p.y }, &Affine { x: q.x, y: q.y });
-    final_exponentiation(&f)
+    reduce_or_one(&f)
 }
 
 /// Computes `∏ ê(Pᵢ, Qᵢ)` sharing one final exponentiation.
@@ -214,19 +244,111 @@ pub fn tate_pairing_product(pairs: &[(peace_curve::AffinePoint, peace_curve::Aff
     if !any {
         return Gt::ONE;
     }
-    final_exponentiation(&f)
+    reduce_or_one(&f)
 }
 
-/// Miller loop computing `f_{q,P}(φ(Q))` over the cached NAF schedule of
-/// `q`, slope lines only.
-fn miller_loop(p: &Affine, q: &Affine) -> Fp2 {
-    ops::record_miller_loop();
+/// The form a Miller step hands its line out in: its value at one fixed
+/// `φ(Q)` ([`At`]), or its coefficients for evaluation at many points later
+/// ([`Coefficients`]). The point arithmetic of a step is the same for both.
+trait LineForm {
+    type Line;
+    /// A line whose value lies in `F_p` (vertical, or through `O`): the
+    /// final exponentiation kills it, so it stands for 1.
+    fn unit(&self) -> Self::Line;
+    /// The tangent at `T = (X, Y, Z)`, scaled by `2YZ³ ∈ F_p`:
+    /// `l = [M·(X + Z²·x_Q) − 2Y²] + [Z₃·Z²·y_Q]·i`.
+    fn tangent(&self, m: &Fp, x: &Fp, yy: &Fp, zz: &Fp, z3: &Fp) -> Self::Line;
+    /// The chord through `T` and affine `P` with slope `A/(Z·B)`, scaled by
+    /// `Z·B ∈ F_p`: `l = [A·(x_P + x_Q) − Z·B·y_P] + [Z·B·y_Q]·i`.
+    fn chord(&self, a: &Fp, zb: &Fp, p: &Affine) -> Self::Line;
+}
+
+/// Lines evaluated at `φ(Q)` as they are computed (the one-shot loop).
+struct At<'a>(&'a Affine);
+
+impl LineForm for At<'_> {
+    type Line = Fp2;
+
+    fn unit(&self) -> Fp2 {
+        Fp2::ONE
+    }
+
+    fn tangent(&self, m: &Fp, x: &Fp, yy: &Fp, zz: &Fp, z3: &Fp) -> Fp2 {
+        let q = self.0;
+        Fp2::new(
+            m.mul(&x.add(&zz.mul(&q.x))).sub(&yy.double()),
+            z3.mul(zz).mul(&q.y),
+        )
+    }
+
+    fn chord(&self, a: &Fp, zb: &Fp, p: &Affine) -> Fp2 {
+        let q = self.0;
+        Fp2::new(a.mul(&p.x.add(&q.x)).sub(&zb.mul(&p.y)), zb.mul(&q.y))
+    }
+}
+
+/// One stored line: `l(Q) = (c0 + c1·x_Q) + (c2·y_Q)·i`.
+#[derive(Clone, Copy, Debug)]
+struct Line {
+    c0: Fp,
+    c1: Fp,
+    c2: Fp,
+}
+
+/// One step of a prepared loop: its line, and whether the accumulator is
+/// squared before the line is multiplied in (a doubling step).
+#[derive(Clone, Copy, Debug)]
+struct Step {
+    doubling: bool,
+    line: Line,
+}
+
+impl Line {
+    fn at(&self, q: &Affine) -> Fp2 {
+        Fp2::new(self.c0.add(&self.c1.mul(&q.x)), self.c2.mul(&q.y))
+    }
+}
+
+/// Lines kept as coefficients (the prepared loop).
+struct Coefficients;
+
+impl LineForm for Coefficients {
+    type Line = Line;
+
+    fn unit(&self) -> Line {
+        Line {
+            c0: Fp::ONE,
+            c1: Fp::ZERO,
+            c2: Fp::ZERO,
+        }
+    }
+
+    fn tangent(&self, m: &Fp, x: &Fp, yy: &Fp, zz: &Fp, z3: &Fp) -> Line {
+        Line {
+            c0: m.mul(x).sub(&yy.double()),
+            c1: m.mul(zz),
+            c2: z3.mul(zz),
+        }
+    }
+
+    fn chord(&self, a: &Fp, zb: &Fp, p: &Affine) -> Line {
+        Line {
+            c0: a.mul(&p.x).sub(&zb.mul(&p.y)),
+            c1: *a,
+            c2: *zb,
+        }
+    }
+}
+
+/// Walks the cached NAF schedule of `q` over `P`, slope lines only, handing
+/// each step's line to `step(doubling, line)`: a doubling step contributes
+/// `f ← f²·l`, an addition step `f ← f·l`.
+fn walk<F: LineForm>(p: &Affine, form: &F, mut step: impl FnMut(bool, F::Line)) {
     let digits = loop_naf();
     let neg_p = Affine {
         x: p.x,
         y: p.y.neg(),
     };
-    let mut f = Fp2::ONE;
     let mut t = Jac {
         x: p.x,
         y: p.y,
@@ -234,30 +356,89 @@ fn miller_loop(p: &Affine, q: &Affine) -> Fp2 {
     };
     // The top digit is 1 (it seeds T = P, f = 1); walk the rest MSB-first.
     for &d in digits[..digits.len() - 1].iter().rev() {
-        let l = double_step(&mut t, q);
-        f = f.square().mul(&l);
+        step(true, double_step(&mut t, form));
         if d == 1 {
-            let l = add_step(&mut t, p, q);
-            f = f.mul(&l);
+            step(false, add_step(&mut t, p, form));
         } else if d == -1 {
-            let l = add_step(&mut t, &neg_p, q);
-            f = f.mul(&l);
+            step(false, add_step(&mut t, &neg_p, form));
         }
     }
+}
+
+/// Miller loop computing `f_{q,P}(φ(Q))`.
+fn miller_loop(p: &Affine, q: &Affine) -> Fp2 {
+    ops::record_miller_loop();
+    let mut f = Fp2::ONE;
+    walk(p, &At(q), |doubling, l| {
+        f = if doubling {
+            f.square().mul(&l)
+        } else {
+            f.mul(&l)
+        };
+    });
     f
 }
 
-/// Doubles `t` in place and returns the (scaled) tangent-line value at
-/// `φ(Q)`. The scaling factor lies in `F_p` and vanishes under the final
-/// exponentiation.
-fn double_step(t: &mut Jac, q: &Affine) -> Fp2 {
+/// The Miller loop of a fixed first argument `P`, run once and kept as
+/// line coefficients: [`Self::eval`] then yields `f_{q,P}(φ(Q))` for any
+/// `Q` at two `F_p` multiplications plus the `F_p²` accumulation per step,
+/// with no point arithmetic. Three `F_p` coefficients per step, ~41 KB.
+///
+/// `eval` returns exactly the value [`miller`] computes: the same line
+/// values, accumulated in the same order.
+#[derive(Clone, Debug)]
+pub struct MillerLines {
+    /// One entry per step of the schedule; empty when `P` is the identity.
+    steps: Vec<Step>,
+}
+
+impl MillerLines {
+    /// Runs the double/add schedule over `P`. The identity prepares to a
+    /// table every evaluation of which is [`MillerValue::ONE`].
+    pub fn new(p: &peace_curve::G1) -> Self {
+        let p = p.point();
+        if p.is_identity() {
+            return Self { steps: Vec::new() };
+        }
+        ops::record_miller_prepare();
+        let mut steps = Vec::with_capacity(loop_naf().len() * 3 / 2);
+        walk(
+            &Affine { x: p.x, y: p.y },
+            &Coefficients,
+            |doubling, line| steps.push(Step { doubling, line }),
+        );
+        Self { steps }
+    }
+
+    /// `f_{q,P}(φ(Q))`. Counts as one Miller loop; identity in either slot
+    /// yields [`MillerValue::ONE`] and is not counted, as in [`miller`].
+    pub fn eval(&self, q: &peace_curve::G2) -> MillerValue {
+        let q = q.point();
+        if self.steps.is_empty() || q.is_identity() {
+            return MillerValue::ONE;
+        }
+        ops::record_miller_loop();
+        let q = Affine { x: q.x, y: q.y };
+        let mut f = Fp2::ONE;
+        for step in &self.steps {
+            if step.doubling {
+                f = f.square();
+            }
+            f = f.mul(&step.line.at(&q));
+        }
+        MillerValue(f)
+    }
+}
+
+/// Doubles `t` in place and returns the tangent line.
+fn double_step<F: LineForm>(t: &mut Jac, form: &F) -> F::Line {
     if t.z.is_zero() {
-        return Fp2::ONE;
+        return form.unit();
     }
     // y = 0 cannot occur for points of odd prime order, but guard anyway.
     if t.y.is_zero() {
         t.z = Fp::ZERO;
-        return Fp2::ONE;
+        return form.unit();
     }
     let xx = t.x.square();
     let yy = t.y.square();
@@ -270,25 +451,21 @@ fn double_step(t: &mut Jac, q: &Affine) -> Fp2 {
     let x3 = m.square().sub(&s.double());
     let y3 = m.mul(&s.sub(&x3)).sub(&yyyy.double().double().double());
     let z3 = t.y.mul(&t.z).double();
-    // Line (scaled by 2YZ³ ∈ F_p):
-    //   l = [M·(X + Z²·x_Q) − 2Y²] + [Z3·Z²·y_Q]·i
-    let l_re = m.mul(&t.x.add(&zz.mul(&q.x))).sub(&yy.double());
-    let l_im = z3.mul(&zz).mul(&q.y);
+    let line = form.tangent(&m, &t.x, &yy, &zz, &z3);
     t.x = x3;
     t.y = y3;
     t.z = z3;
-    Fp2::new(l_re, l_im)
+    line
 }
 
-/// Adds affine `p` to `t` in place and returns the (scaled) chord-line value
-/// at `φ(Q)`.
-fn add_step(t: &mut Jac, p: &Affine, q: &Affine) -> Fp2 {
+/// Adds affine `p` to `t` in place and returns the chord line.
+fn add_step<F: LineForm>(t: &mut Jac, p: &Affine, form: &F) -> F::Line {
     if t.z.is_zero() {
         // T = O: "line" through O and P is vertical — value in F_p, skip.
         t.x = p.x;
         t.y = p.y;
         t.z = Fp::ONE;
-        return Fp2::ONE;
+        return form.unit();
     }
     let zz = t.z.square();
     let u2 = p.x.mul(&zz); // x_P·Z²
@@ -298,11 +475,11 @@ fn add_step(t: &mut Jac, p: &Affine, q: &Affine) -> Fp2 {
     if h.is_zero() {
         if r.is_zero() {
             // T == P: tangent line (degenerate chord) — double instead.
-            return double_step(t, q);
+            return double_step(t, form);
         }
         // T == −P: vertical line, value in F_p → eliminated; result is O.
         t.z = Fp::ZERO;
-        return Fp2::ONE;
+        return form.unit();
     }
     let hh = h.square();
     let hhh = h.mul(&hh);
@@ -311,25 +488,29 @@ fn add_step(t: &mut Jac, p: &Affine, q: &Affine) -> Fp2 {
     let y3 = r.mul(&v.sub(&x3)).sub(&t.y.mul(&hhh));
     // Z·B serves both as the new Z coordinate and the line scale factor.
     let zb = t.z.mul(&h);
-    // Line through P with slope r/(Z·B), scaled by Z·B ∈ F_p:
-    //   l = [A·(x_P + x_Q) − Z·B·y_P] + [Z·B·y_Q]·i
-    let l_re = r.mul(&p.x.add(&q.x)).sub(&zb.mul(&p.y));
-    let l_im = zb.mul(&q.y);
+    let line = form.chord(&r, &zb, p);
     t.x = x3;
     t.y = y3;
     t.z = zb;
-    Fp2::new(l_re, l_im)
+    line
 }
 
-/// Final exponentiation `f ↦ f^((p²−1)/q) = (f^(p−1))^((p+1)/q)`.
+/// Final exponentiation `f ↦ f^((p²−1)/q) = (f^(p−1))^((p+1)/q)`; `None`
+/// for `f = 0`.
 ///
 /// `f^(p−1) = conj(f)·f⁻¹` (Frobenius is conjugation in `F_p²`) lands in the
 /// norm-1 cyclotomic subgroup, so the 352-bit hard part runs as a unitary
 /// wNAF exponentiation over the cached cofactor schedule — conjugation
 /// replaces inversion on negative digits.
-fn final_exponentiation(f: &Fp2) -> Gt {
+fn final_exponentiation(f: &Fp2) -> Option<Gt> {
+    let easy = f.conjugate().mul(&f.invert()?);
+    Some(Gt::from_fp2(easy.pow_wnaf_unitary(cofactor_naf())))
+}
+
+/// The reduction behind the total [`tate_pairing`] entry points, whose
+/// arguments are subgroup points by type: a zero Miller value (see
+/// [`MillerValue::finalize`]) pairs to `Gt::ONE`, as the identity does.
+fn reduce_or_one(f: &Fp2) -> Gt {
     ops::record_final_exp();
-    let f_inv = f.invert().expect("Miller value is nonzero");
-    let easy = f.conjugate().mul(&f_inv);
-    Gt::from_fp2(easy.pow_wnaf_unitary(cofactor_naf()))
+    final_exponentiation(f).unwrap_or(Gt::ONE)
 }

@@ -1,17 +1,15 @@
 //! Operation counters for the pairing layer (experiment E2).
 //!
-//! The counters now live in the process-wide `peace-telemetry` registry
-//! under `crypto.*`; the functions here are thin compat shims over cached
-//! registry handles, so existing callers and the historical API keep
-//! working while `peace-noded --metrics-json` and the bench emitters can
-//! export the same numbers without a parallel counting path.
-//!
-//! For measurements, prefer [`OpScope`] over calling [`reset`] directly:
-//! the counters are process-global, so two test threads resetting and
-//! reading concurrently clobber each other. `OpScope` serializes bracketed
-//! regions behind one mutex and resets on entry.
+//! Every record lands twice: in the process-wide `peace-telemetry`
+//! registry under `crypto.*`, which `peace-noded --metrics-json` and the
+//! bench emitters export, and in a tally owned by the recording thread,
+//! which is what [`OpSnapshot`] and [`OpScope`] read. A measurement
+//! bracketed on one thread therefore counts that thread's operations and
+//! nothing else, with no lock and no reset; code that fans work out to
+//! worker threads hands their counts back with [`OpSnapshot::absorb`].
 
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::cell::Cell;
+use std::sync::{Arc, OnceLock};
 
 use peace_telemetry::{global, Counter};
 
@@ -23,118 +21,101 @@ pub const GT_EXP: &str = "crypto.gt_exp";
 pub const MILLER_LOOP: &str = "crypto.miller_loop";
 /// Registry name of the final-exponentiation counter.
 pub const FINAL_EXP: &str = "crypto.final_exp";
+/// Registry name of the prepared-line-table counter.
+pub const MILLER_PREPARE: &str = "crypto.miller_prepare";
 
-fn handle(name: &'static str, cell: &'static OnceLock<Arc<Counter>>) -> &'static Arc<Counter> {
-    cell.get_or_init(|| global().counter(name))
+/// One counted operation: its registry name and its slot in the
+/// per-thread tally.
+#[derive(Clone, Copy)]
+enum Op {
+    Pairing,
+    GtExp,
+    MillerLoop,
+    FinalExp,
+    MillerPrepare,
 }
 
-fn pairings() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    handle(PAIRING, &C)
+const OPS: usize = 5;
+
+thread_local! {
+    static LOCAL: Cell<[u64; OPS]> = const { Cell::new([0; OPS]) };
 }
 
-fn gt_exps() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    handle(GT_EXP, &C)
+fn local_add(op: Op, n: u64) {
+    LOCAL.with(|c| {
+        let mut tally = c.get();
+        tally[op as usize] += n;
+        c.set(tally);
+    });
 }
 
-fn miller_loops() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    handle(MILLER_LOOP, &C)
+fn local(op: Op) -> u64 {
+    LOCAL.with(|c| c.get()[op as usize])
 }
 
-fn final_exps() -> &'static Arc<Counter> {
-    static C: OnceLock<Arc<Counter>> = OnceLock::new();
-    handle(FINAL_EXP, &C)
+fn record(op: Op) {
+    static HANDLES: OnceLock<[Arc<Counter>; OPS]> = OnceLock::new();
+    let handles = HANDLES.get_or_init(|| {
+        [PAIRING, GT_EXP, MILLER_LOOP, FINAL_EXP, MILLER_PREPARE].map(|name| global().counter(name))
+    });
+    handles[op as usize].inc();
+    local_add(op, 1);
 }
 
 /// Records one bilinear-map evaluation.
 #[inline]
 pub fn record_pairing() {
-    pairings().inc();
+    record(Op::Pairing);
 }
 
 /// Records one exponentiation in `𝔾_T`.
 #[inline]
 pub fn record_gt_exp() {
-    gt_exps().inc();
+    record(Op::GtExp);
 }
 
 /// Records one Miller loop (the `f_{q,P}(φ(Q))` evaluation).
 #[inline]
 pub fn record_miller_loop() {
-    miller_loops().inc();
+    record(Op::MillerLoop);
 }
 
 /// Records one final exponentiation (one `f ↦ f^((p²−1)/q)` pass; a batch
 /// sharing a single hard-part sweep counts once).
 #[inline]
 pub fn record_final_exp() {
-    final_exps().inc();
+    record(Op::FinalExp);
 }
 
-/// Pairings evaluated since the last reset.
-pub fn pairing_count() -> u64 {
-    pairings().get()
+/// Records one line table prepared (the point-arithmetic half of a Miller
+/// loop, run once for a fixed first argument; see `MillerLines`). Each
+/// evaluation against the table counts as a Miller loop.
+#[inline]
+pub fn record_miller_prepare() {
+    record(Op::MillerPrepare);
 }
 
-/// 𝔾_T exponentiations since the last reset.
-pub fn gt_exp_count() -> u64 {
-    gt_exps().get()
-}
-
-/// Miller loops since the last reset.
-pub fn miller_loop_count() -> u64 {
-    miller_loops().get()
-}
-
-/// Final exponentiations since the last reset.
-pub fn final_exp_count() -> u64 {
-    final_exps().get()
-}
-
-/// Resets all pairing-layer counters. Prefer [`OpScope`], which also
-/// excludes concurrent measurement regions.
-pub fn reset() {
-    pairings().reset();
-    gt_exps().reset();
-    miller_loops().reset();
-    final_exps().reset();
-}
-
-/// RAII guard for a counted measurement region.
-///
-/// The op counters are process-global; parallel test binaries that call
-/// [`OpSnapshot::reset_all`] and then assert exact counts race with each
-/// other. An `OpScope` takes a process-wide lock for its lifetime and
-/// resets every counter (curve and pairing layers) on entry, so counts
-/// observed inside the scope belong to the scope alone — provided all
-/// measuring regions go through `OpScope`. Dropping the guard releases
-/// the lock; the counters keep their final values for later snapshots.
-#[must_use = "the scope guard serializes measurements for as long as it lives"]
+/// A counted measurement region on the current thread: remembers the
+/// thread's tallies on entry, and [`Self::counts`] reports what has been
+/// added since — this thread's operations plus whatever it absorbed from
+/// workers it joined. Regions on different threads never see each other.
+#[must_use = "a scope measures from where it was entered"]
 #[derive(Debug)]
 pub struct OpScope {
-    _guard: MutexGuard<'static, ()>,
+    start: OpSnapshot,
 }
 
 impl OpScope {
-    /// Acquires the measurement lock and zeroes all op counters.
+    /// Starts measuring from here.
     pub fn enter() -> Self {
-        static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
-        let guard = match LOCK.get_or_init(|| Mutex::new(())).lock() {
-            Ok(g) => g,
-            // A panic inside another scope only means its measurement was
-            // abandoned; the lock itself is still usable.
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        OpSnapshot::reset_all();
-        Self { _guard: guard }
+        Self {
+            start: OpSnapshot::capture(),
+        }
     }
 
-    /// Counts recorded since this scope was entered (or since the last
-    /// [`OpSnapshot::reset_all`] inside it).
+    /// Counts recorded since this scope was entered.
     pub fn counts(&self) -> OpSnapshot {
-        OpSnapshot::capture()
+        OpSnapshot::capture().since(&self.start)
     }
 }
 
@@ -145,8 +126,9 @@ impl OpScope {
 /// `pairings` counts *logical* bilinear-map evaluations (the paper's unit);
 /// `miller_loops`/`final_exps` break those down into their two phases, which
 /// is what the shared-Miller revocation sweep actually saves: a sweep over
-/// `n` tokens costs `n + 1` Miller loops and `1` final exponentiation
-/// instead of `2n` of each.
+/// `n` tokens costs `n + 1` Miller loops (`n` of them evaluations against
+/// one prepared line table) and `1` final exponentiation instead of `2n`
+/// of each.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct OpSnapshot {
     /// Scalar multiplications in 𝔾₁/𝔾₂ (the paper's group exponentiations).
@@ -159,29 +141,39 @@ pub struct OpSnapshot {
     pub miller_loops: u64,
     /// Final exponentiations (batched sweeps count once).
     pub final_exps: u64,
+    /// Line tables prepared (one per signature a sweep runs for).
+    pub miller_prepares: u64,
 }
 
 impl OpSnapshot {
-    /// Captures the current counter values.
+    /// This thread's tallies so far (monotone; compare two captures with
+    /// [`Self::since`]).
     pub fn capture() -> Self {
         Self {
             g1_muls: peace_curve::ops::g1_mul_count(),
-            gt_exps: gt_exp_count(),
-            pairings: pairing_count(),
-            miller_loops: miller_loop_count(),
-            final_exps: final_exp_count(),
+            gt_exps: local(Op::GtExp),
+            pairings: local(Op::Pairing),
+            miller_loops: local(Op::MillerLoop),
+            final_exps: local(Op::FinalExp),
+            miller_prepares: local(Op::MillerPrepare),
         }
     }
 
-    /// Enters a serialized, zeroed measurement region ([`OpScope::enter`]).
+    /// Starts a measurement region on this thread ([`OpScope::enter`]).
     pub fn scope() -> OpScope {
         OpScope::enter()
     }
 
-    /// Resets all counters (curve and pairing layers).
-    pub fn reset_all() {
-        peace_curve::ops::reset_g1_mul_count();
-        reset();
+    /// Adds these counts to the current thread's tallies (the registry
+    /// already has them): a thread that fans work out calls this with what
+    /// each worker recorded, so a scope around the fan-out sees the work.
+    pub fn absorb(&self) {
+        peace_curve::ops::absorb_g1_muls(self.g1_muls);
+        local_add(Op::GtExp, self.gt_exps);
+        local_add(Op::Pairing, self.pairings);
+        local_add(Op::MillerLoop, self.miller_loops);
+        local_add(Op::FinalExp, self.final_exps);
+        local_add(Op::MillerPrepare, self.miller_prepares);
     }
 
     /// Difference `self − earlier` (counts in a bracketed region).
@@ -192,6 +184,7 @@ impl OpSnapshot {
             pairings: self.pairings - earlier.pairings,
             miller_loops: self.miller_loops - earlier.miller_loops,
             final_exps: self.final_exps - earlier.final_exps,
+            miller_prepares: self.miller_prepares - earlier.miller_prepares,
         }
     }
 
@@ -206,7 +199,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scope_resets_and_counts() {
+    fn scope_starts_at_zero_and_counts() {
         let scope = OpScope::enter();
         assert_eq!(scope.counts(), OpSnapshot::default());
         record_pairing();
@@ -222,20 +215,42 @@ mod tests {
 
     #[test]
     fn scopes_do_not_interleave() {
-        // Two threads each bracket their own region; with the scope lock,
-        // each must observe exactly its own operations.
-        let mut handles = Vec::new();
-        for n in 1..=4u64 {
-            handles.push(std::thread::spawn(move || {
-                let scope = OpScope::enter();
-                for _ in 0..n {
-                    record_miller_loop();
-                }
-                scope.counts().miller_loops == n
-            }));
-        }
+        // Threads bracket their own regions at the same time; each must
+        // observe exactly its own operations.
+        let barrier = std::sync::Arc::new(std::sync::Barrier::new(4));
+        let handles: Vec<_> = (1..=4u64)
+            .map(|n| {
+                let barrier = std::sync::Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    let scope = OpScope::enter();
+                    barrier.wait();
+                    for _ in 0..n {
+                        record_miller_loop();
+                    }
+                    barrier.wait();
+                    scope.counts().miller_loops == n
+                })
+            })
+            .collect();
         for h in handles {
             assert!(h.join().unwrap_or(false));
         }
+    }
+
+    #[test]
+    fn absorbed_worker_counts_reach_the_parent_scope() {
+        let scope = OpScope::enter();
+        let worker = std::thread::spawn(|| {
+            let scope = OpScope::enter();
+            record_miller_loop();
+            record_final_exp();
+            scope.counts()
+        })
+        .join()
+        .unwrap();
+        assert_eq!(scope.counts(), OpSnapshot::default());
+        worker.absorb();
+        let got = scope.counts();
+        assert_eq!((got.miller_loops, got.final_exps), (1, 1));
     }
 }

@@ -400,8 +400,8 @@ impl NetworkOperator {
 
     /// Batch audit of many (payload, signature) pairs at once — the
     /// ledger's audit-sweep entry point. Runs [`peace_groupsig::open_batch`]
-    /// against the current `gpk` (amortizing the final exponentiation
-    /// across the whole record×token matrix and threading across records),
+    /// against the current `gpk` (one prepared line table per record, early
+    /// exit at the matching token, threading across records),
     /// then retries any unresolved records against archived epochs.
     /// `out[k]` is `None` when no `grt` token matches `items[k]` in any
     /// epoch (a signature from outside the registry).

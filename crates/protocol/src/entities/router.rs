@@ -17,7 +17,7 @@ use crate::error::{ProtocolError, Result};
 use crate::ids::{RouterId, SessionId};
 use crate::messages::{AccessConfirm, AccessRequest, Beacon};
 use crate::pending::PendingTable;
-use crate::revocation::{SignedCrl, SignedUrl, SignedUrlDelta};
+use crate::revocation::{SignedCrl, SignedUrl, SignedUrlDelta, UrlSection};
 use crate::session::{Role, Session};
 
 /// Per-beacon DH state retained until the beacon expires (the expiry clock
@@ -43,6 +43,9 @@ pub struct MeshRouter {
     /// against [`Self::revocation`], which deltas advance between full
     /// refreshes.
     url: SignedUrl,
+    /// [`Self::url`] encoded once, when it is installed: every beacon
+    /// carries a copy of these bytes.
+    url_section: UrlSection,
     /// The staged revocation engine: epoch-partitioned list, sweep cache,
     /// optional Bloom prefilter.
     revocation: RevocationEngine,
@@ -103,6 +106,7 @@ impl MeshRouter {
             npk,
             config,
             crl,
+            url_section: UrlSection::from(&url),
             url,
             revocation,
             active_beacons: PendingTable::new(config.max_active_beacons, config.beacon_lifetime),
@@ -185,6 +189,11 @@ impl MeshRouter {
         self.crl = crl;
         self.revocation
             .install_full(self.revocation.epoch(), url.version, &url.tokens);
+        self.set_url(url);
+    }
+
+    fn set_url(&mut self, url: SignedUrl) {
+        self.url_section = UrlSection::from(&url);
         self.url = url;
     }
 
@@ -231,7 +240,9 @@ impl MeshRouter {
             return Err(ProtocolError::UrlDeltaChain);
         }
         let url = restamp.into_signed_url(self.revocation.tokens());
-        url.validate(&self.npk, now, self.config.list_max_age)?;
+        let section = UrlSection::from(&url);
+        section.validate(&self.npk, now, self.config.list_max_age)?;
+        self.url_section = section;
         self.url = url;
         Ok(())
     }
@@ -281,7 +292,7 @@ impl MeshRouter {
         self.revocation.install_gpk(&gpk);
         self.revocation
             .install_full(epoch, url.version, &url.tokens);
-        self.url = url;
+        self.set_url(url);
         self.active_beacons.clear();
         self.recent_sessions.clear();
     }
@@ -328,7 +339,7 @@ impl MeshRouter {
             sig,
             cert: self.cert.clone(),
             crl: self.crl.clone(),
-            url: self.url.clone(),
+            url: self.url_section.clone(),
             puzzle,
         }
     }

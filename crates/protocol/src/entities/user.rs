@@ -15,7 +15,7 @@ use crate::error::{ProtocolError, Result};
 use crate::ids::{SessionId, ShareIndex, UserId};
 use crate::messages::{AccessConfirm, AccessRequest, Beacon, PeerConfirm, PeerHello, PeerResponse};
 use crate::pending::PendingTable;
-use crate::revocation::SignedUrl;
+use crate::revocation::{SignedUrl, UrlSection};
 use crate::session::{PendingSession, Role, Session};
 use crate::setup::{unblind_a, Receipt};
 
@@ -44,6 +44,15 @@ pub struct PeerResponderPending {
     pub resp_ts: u64,
 }
 
+/// The URL a client enforces, in both forms: the decoded tokens, and the
+/// bytes they were decoded from — an incoming beacon whose URL section
+/// equals `section` carries this very list and needs no decoding.
+#[derive(Clone, Debug)]
+struct HeldUrl {
+    url: SignedUrl,
+    section: UrlSection,
+}
+
 /// A network user client.
 pub struct UserClient {
     uid: UserId,
@@ -55,8 +64,13 @@ pub struct UserClient {
     config: ProtocolConfig,
     credentials: Vec<Credential>,
     active_role: usize,
-    /// Latest URL accepted from a beacon (used for peer revocation checks).
-    current_url: Option<SignedUrl>,
+    /// Latest URL accepted from a beacon or bulletin (used for peer
+    /// revocation checks).
+    current_url: Option<HeldUrl>,
+    /// URL tokens decoded from beacons, and beacons whose URL section was
+    /// the one already held (see [`Self::url_decode_counts`]).
+    url_tokens_decoded: u64,
+    url_sections_reused: u64,
     highest_crl_version: u64,
     highest_url_version: u64,
     /// Half-open user↔router handshakes awaiting M.3, keyed by session id.
@@ -102,6 +116,8 @@ impl UserClient {
             credentials: Vec::new(),
             active_role: 0,
             current_url: None,
+            url_tokens_decoded: 0,
+            url_sections_reused: 0,
             highest_crl_version: 0,
             highest_url_version: 0,
             pending_router: PendingTable::new(cap, ttl),
@@ -203,7 +219,15 @@ impl UserClient {
 
     /// The latest URL this client has accepted.
     pub fn current_url(&self) -> Option<&SignedUrl> {
-        self.current_url.as_ref()
+        self.current_url.as_ref().map(|held| &held.url)
+    }
+
+    /// `(tokens decoded, sections reused)` over this client's lifetime:
+    /// how many URL tokens beacon processing has decoded, and how many
+    /// beacons carried the list already held and so cost none. Counts
+    /// only — which list, or when, is not recorded.
+    pub fn url_decode_counts(&self) -> (u64, u64) {
+        (self.url_tokens_decoded, self.url_sections_reused)
     }
 
     /// The highest (CRL, URL) versions this client has accepted — the
@@ -237,13 +261,17 @@ impl UserClient {
         if crl.version < self.highest_crl_version {
             return Err(ProtocolError::StaleCrl);
         }
-        url.validate(&self.npk, now, self.config.list_max_age)?;
+        let section = UrlSection::from(url);
+        section.validate(&self.npk, now, self.config.list_max_age)?;
         if url.version < self.highest_url_version {
             return Err(ProtocolError::StaleUrl);
         }
         self.highest_crl_version = crl.version;
         self.highest_url_version = url.version;
-        self.current_url = Some(url.clone());
+        self.current_url = Some(HeldUrl {
+            url: url.clone(),
+            section,
+        });
         Ok(())
     }
 
@@ -282,10 +310,20 @@ impl UserClient {
         if beacon.crl.contains(beacon.cert.serial) {
             return Err(ProtocolError::CertificateRevoked);
         }
-        // URL: signed by NO and fresh
-        beacon
-            .url
-            .validate(&self.npk, now, self.config.list_max_age)?;
+        // URL: signed by NO and fresh. A section byte-identical to the one
+        // held (signature included) passed the signature check when it was
+        // adopted; only its age can have changed.
+        let url_held = self
+            .current_url
+            .as_ref()
+            .is_some_and(|held| held.section == beacon.url);
+        if url_held {
+            beacon.url.check_fresh(now, self.config.list_max_age)?;
+        } else {
+            beacon
+                .url
+                .validate(&self.npk, now, self.config.list_max_age)?;
+        }
         if beacon.url.version < self.highest_url_version {
             return Err(ProtocolError::StaleUrl);
         }
@@ -296,10 +334,22 @@ impl UserClient {
         ) {
             return Err(ProtocolError::BadRouterSignature);
         }
-        // Router is legitimate: adopt its lists.
+        // Router is legitimate: adopt its lists. A URL that differs from
+        // the held one is decoded first — every token checked for curve and
+        // subgroup membership — and a list with a bad token is refused
+        // whole, with the held lists still in force.
+        if url_held {
+            self.url_sections_reused += 1;
+        } else {
+            let url = beacon.url.open()?;
+            self.url_tokens_decoded += url.tokens.len() as u64;
+            self.current_url = Some(HeldUrl {
+                url,
+                section: beacon.url.clone(),
+            });
+        }
         self.highest_crl_version = beacon.crl.version;
         self.highest_url_version = beacon.url.version;
-        self.current_url = Some(beacon.url.clone());
 
         // 2.2: build M.2
         let r_j = Fq::random_nonzero(rng);
@@ -727,7 +777,7 @@ impl UserClient {
         let url: &[RevocationToken] = self
             .current_url
             .as_ref()
-            .map(|u| u.tokens.as_slice())
+            .map(|held| held.url.tokens.as_slice())
             .unwrap_or(&[]);
         match self
             .prepared_gpk

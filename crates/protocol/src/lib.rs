@@ -81,6 +81,6 @@ pub use ids::{GroupId, RouterId, SessionId, ShareIndex, UserId};
 pub use messages::{AccessConfirm, AccessRequest, Beacon, PeerConfirm, PeerHello, PeerResponse};
 pub use pending::PendingTable;
 pub use replica::ReplicaSet;
-pub use revocation::{SignedCrl, SignedUrl, SignedUrlDelta, UrlRestamp};
+pub use revocation::{SignedCrl, SignedUrl, SignedUrlDelta, UrlRestamp, UrlSection};
 pub use session::{PendingSession, Role, Session};
 pub use transport::{Channel, Delivery, FaultKind, FaultPlan, FaultStats, RetryPolicy};

@@ -7,7 +7,7 @@ use peace_groupsig::GroupSignature;
 use peace_puzzle::{Puzzle, Solution};
 use peace_wire::{Decode, Encode, Reader, Writer};
 
-use crate::revocation::{SignedCrl, SignedUrl};
+use crate::revocation::{SignedCrl, UrlSection};
 
 fn get_g1(r: &mut Reader<'_>, what: &'static str) -> peace_wire::Result<G1> {
     G1::from_bytes(r.get_fixed(G1::ENCODED_LEN)?).ok_or(peace_wire::WireError::Invalid(what))
@@ -29,8 +29,10 @@ pub struct Beacon {
     pub cert: Certificate,
     /// Signed certificate revocation list.
     pub crl: SignedCrl,
-    /// Signed user revocation list.
-    pub url: SignedUrl,
+    /// Signed user revocation list, as the bytes the operator signed: a
+    /// receiver decodes the tokens only when the list differs from the one
+    /// it already holds.
+    pub url: UrlSection,
     /// Client puzzle demanded under suspected DoS attack (§V.A).
     pub puzzle: Option<Puzzle>,
 }
@@ -75,7 +77,7 @@ impl Decode for Beacon {
             sig: Signature::decode(r)?,
             cert: Certificate::decode(r)?,
             crl: SignedCrl::decode(r)?,
-            url: SignedUrl::decode(r)?,
+            url: UrlSection::decode(r)?,
             puzzle: if r.get_bool()? {
                 Some(Puzzle::decode(r)?)
             } else {

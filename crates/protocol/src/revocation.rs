@@ -5,6 +5,12 @@
 //! `issued_at` timestamp. Clients enforce a maximum age — the paper's §V.A
 //! phishing analysis bounds the window in which a freshly revoked router
 //! can still phish by the CRL update period.
+//!
+//! The URL has two forms. [`SignedUrl`] holds decoded tokens, each checked
+//! to lie on the curve and in the subgroup: the form a list is enforced
+//! from. [`UrlSection`] holds the same list as the bytes the operator
+//! signed: the form a beacon carries, so that receiving a beacon costs no
+//! point decompression and a client decodes a list once, when it changes.
 
 use peace_ecdsa::{Signature, SigningKey, VerifyingKey};
 use peace_groupsig::RevocationToken;
@@ -102,16 +108,33 @@ pub struct SignedUrl {
     pub signature: Signature,
 }
 
-impl SignedUrl {
-    fn tbs(version: u64, issued_at: u64, tokens: &[RevocationToken]) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_str("peace-url-v1");
-        w.put_u64(version);
-        w.put_u64(issued_at);
-        w.put_seq(tokens);
-        w.into_bytes()
-    }
+/// Encoded size of one revocation token (a compressed 𝔾₁ point).
+const TOKEN_LEN: usize = peace_curve::G1::ENCODED_LEN;
 
+/// The concatenated 65-byte encodings of `tokens` — the body of the
+/// sequence as both wire forms and the signed transcript carry it.
+fn encode_tokens(tokens: &[RevocationToken]) -> Vec<u8> {
+    let mut w = Writer::with_capacity(tokens.len() * TOKEN_LEN);
+    for t in tokens {
+        t.encode(&mut w);
+    }
+    w.into_bytes()
+}
+
+/// The transcript the operator signs: the list's wire encoding (minus the
+/// signature) behind a domain label. `token_bytes` is a whole number of
+/// token encodings.
+fn url_tbs(version: u64, issued_at: u64, token_bytes: &[u8]) -> Vec<u8> {
+    let mut w = Writer::with_capacity(40 + token_bytes.len());
+    w.put_str("peace-url-v1");
+    w.put_u64(version);
+    w.put_u64(issued_at);
+    w.put_len(token_bytes.len() / TOKEN_LEN);
+    w.put_fixed(token_bytes);
+    w.into_bytes()
+}
+
+impl SignedUrl {
     /// Issues a signed URL.
     pub fn issue(
         signer: &SigningKey,
@@ -119,7 +142,7 @@ impl SignedUrl {
         issued_at: u64,
         tokens: Vec<RevocationToken>,
     ) -> Self {
-        let signature = signer.sign(&Self::tbs(version, issued_at, &tokens));
+        let signature = signer.sign(&url_tbs(version, issued_at, &encode_tokens(&tokens)));
         Self {
             version,
             issued_at,
@@ -130,16 +153,7 @@ impl SignedUrl {
 
     /// Validates signature and freshness.
     pub fn validate(&self, issuer: &VerifyingKey, now: u64, max_age: u64) -> Result<()> {
-        if !issuer.verify(
-            &Self::tbs(self.version, self.issued_at, &self.tokens),
-            &self.signature,
-        ) {
-            return Err(ProtocolError::BadUrlSignature);
-        }
-        if now > self.issued_at.saturating_add(max_age) {
-            return Err(ProtocolError::StaleUrl);
-        }
-        Ok(())
+        UrlSection::from(self).validate(issuer, now, max_age)
     }
 }
 
@@ -158,6 +172,115 @@ impl Decode for SignedUrl {
             version: r.get_u64()?,
             issued_at: r.get_u64()?,
             tokens: r.get_seq()?,
+            signature: Signature::decode(r)?,
+        })
+    }
+}
+
+/// A [`SignedUrl`] with its tokens left as the bytes the operator signed —
+/// byte for byte the same wire encoding. The operator's signature is
+/// checked over those bytes directly; [`Self::open`] is the only way to the
+/// tokens, and it checks every one.
+#[derive(Clone, PartialEq, Eq)]
+pub struct UrlSection {
+    /// Monotone version number.
+    pub version: u64,
+    /// Issue time (protocol ms).
+    pub issued_at: u64,
+    /// The token encodings, concatenated, undecoded.
+    token_bytes: Vec<u8>,
+    /// Operator signature.
+    pub signature: Signature,
+}
+
+impl UrlSection {
+    fn token_count(&self) -> usize {
+        self.token_bytes.len() / TOKEN_LEN
+    }
+
+    /// Whether the list is still within `max_age` at `now`.
+    pub(crate) fn check_fresh(&self, now: u64, max_age: u64) -> Result<()> {
+        if now > self.issued_at.saturating_add(max_age) {
+            return Err(ProtocolError::StaleUrl);
+        }
+        Ok(())
+    }
+
+    /// Validates signature and freshness. Decodes no token.
+    pub fn validate(&self, issuer: &VerifyingKey, now: u64, max_age: u64) -> Result<()> {
+        if !issuer.verify(
+            &url_tbs(self.version, self.issued_at, &self.token_bytes),
+            &self.signature,
+        ) {
+            return Err(ProtocolError::BadUrlSignature);
+        }
+        self.check_fresh(now, max_age)
+    }
+
+    /// Decodes the list, checking every token for canonical encoding, curve
+    /// and subgroup membership.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::Wire`] at the first token that fails.
+    pub fn open(&self) -> Result<SignedUrl> {
+        let tokens = self
+            .token_bytes
+            .chunks(TOKEN_LEN)
+            .map(RevocationToken::from_wire)
+            .collect::<peace_wire::Result<_>>()?;
+        Ok(SignedUrl {
+            version: self.version,
+            issued_at: self.issued_at,
+            tokens,
+            signature: self.signature,
+        })
+    }
+}
+
+impl From<&SignedUrl> for UrlSection {
+    fn from(url: &SignedUrl) -> Self {
+        Self {
+            version: url.version,
+            issued_at: url.issued_at,
+            token_bytes: encode_tokens(&url.tokens),
+            signature: url.signature,
+        }
+    }
+}
+
+impl std::fmt::Debug for UrlSection {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("UrlSection")
+            .field("version", &self.version)
+            .field("issued_at", &self.issued_at)
+            .field("tokens", &self.token_count())
+            .finish()
+    }
+}
+
+impl Encode for UrlSection {
+    fn encode(&self, w: &mut Writer) {
+        w.put_u64(self.version);
+        w.put_u64(self.issued_at);
+        w.put_len(self.token_count());
+        w.put_fixed(&self.token_bytes);
+        self.signature.encode(w);
+    }
+}
+
+impl Decode for UrlSection {
+    fn decode(r: &mut Reader<'_>) -> peace_wire::Result<Self> {
+        let version = r.get_u64()?;
+        let issued_at = r.get_u64()?;
+        let len = (r.get_u32()? as usize)
+            .checked_mul(TOKEN_LEN)
+            .filter(|&len| len <= r.remaining())
+            .ok_or(peace_wire::WireError::LengthOutOfRange)?;
+        Ok(Self {
+            version,
+            issued_at,
+            token_bytes: r.get_fixed(len)?.to_vec(),
             signature: Signature::decode(r)?,
         })
     }
@@ -261,10 +384,10 @@ impl UrlRestamp {
         issued_at: u64,
         tokens: &[RevocationToken],
     ) -> Self {
-        let signature = signer.sign(&SignedUrl::tbs(
+        let signature = signer.sign(&url_tbs(
             version,
             issued_at,
-            &canonical_tokens(tokens),
+            &encode_tokens(&canonical_tokens(tokens)),
         ));
         Self {
             version,

@@ -1,0 +1,291 @@
+//! The decode-once rule for the beacon's URL section: a client decodes the
+//! revocation tokens when the list changes, not when a beacon arrives, and
+//! never enforces — or signs against — a list one of whose tokens has not
+//! passed the curve and subgroup check.
+//!
+//! The fixture plays the operator itself (its own ECDSA key behind `npk`),
+//! so it can sign lists the real `NetworkOperator` would never publish.
+
+use peace_curve::{AffinePoint, G1};
+use peace_ecdsa::{Certificate, SigningKey};
+use peace_groupsig::{IssuerKey, MemberKey, RevocationToken};
+use peace_protocol::entities::{GmAssignment, TtpDelivery, UserClient};
+use peace_protocol::ids::{GroupId, UserId};
+use peace_protocol::setup::blind_a;
+use peace_protocol::{
+    Beacon, ProtocolConfig, ProtocolError, ShareIndex, SignedCrl, SignedUrl, UrlSection,
+};
+use peace_wire::{Decode, Encode, Writer};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+struct World {
+    operator: SigningKey,
+    router: SigningKey,
+    cert: Certificate,
+    issuer: IssuerKey,
+    grp: peace_groupsig::GroupSecret,
+    config: ProtocolConfig,
+    next_slot: u32,
+    rng: StdRng,
+}
+
+impl World {
+    fn new(seed: u64) -> Self {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let operator = SigningKey::random(&mut rng);
+        let router = SigningKey::random(&mut rng);
+        let cert = Certificate::issue(&operator, 7, "MR-1", *router.verifying_key(), u64::MAX);
+        let issuer = IssuerKey::generate(&mut rng);
+        let grp = issuer.new_group_secret(&mut rng);
+        Self {
+            operator,
+            router,
+            cert,
+            issuer,
+            grp,
+            config: ProtocolConfig::default(),
+            next_slot: 0,
+            rng,
+        }
+    }
+
+    /// A fresh member key and a client enrolled with it.
+    fn user(&mut self, name: &str) -> (UserClient, MemberKey) {
+        let key = self.issuer.issue(&self.grp, &mut self.rng);
+        let index = ShareIndex {
+            group: GroupId(1),
+            slot: self.next_slot,
+        };
+        self.next_slot += 1;
+        let mut user = UserClient::new(
+            UserId(name.to_owned()),
+            *self.issuer.public_key(),
+            *self.operator.verifying_key(),
+            self.config,
+            &mut self.rng,
+        );
+        user.enroll(
+            &GmAssignment {
+                index,
+                grp: key.grp,
+                x: key.x,
+            },
+            &TtpDelivery {
+                index,
+                blinded_a: blind_a(&key.a, &key.x),
+            },
+        )
+        .unwrap();
+        (user, key)
+    }
+
+    fn tokens(&mut self, n: usize) -> Vec<RevocationToken> {
+        (0..n)
+            .map(|_| {
+                self.issuer
+                    .issue(&self.grp, &mut self.rng)
+                    .revocation_token()
+            })
+            .collect()
+    }
+
+    fn url(&self, version: u64, now: u64, tokens: Vec<RevocationToken>) -> UrlSection {
+        UrlSection::from(&SignedUrl::issue(&self.operator, version, now, tokens))
+    }
+
+    /// An operator-signed URL section over arbitrary token bytes, built on
+    /// the wire: `version ‖ issued_at ‖ count ‖ tokens ‖ signature`, signed
+    /// behind the `peace-url-v1` label.
+    fn url_of_bytes(&self, version: u64, now: u64, token_bytes: &[u8]) -> UrlSection {
+        let mut body = Writer::new();
+        body.put_u64(version);
+        body.put_u64(now);
+        body.put_len(token_bytes.len() / G1::ENCODED_LEN);
+        body.put_fixed(token_bytes);
+        let mut tbs = Writer::new();
+        tbs.put_str("peace-url-v1");
+        tbs.put_fixed(body.as_bytes());
+        self.operator.sign(tbs.as_bytes()).encode(&mut body);
+        UrlSection::from_wire(body.as_bytes()).unwrap()
+    }
+
+    fn beacon(&mut self, now: u64, url: UrlSection) -> Beacon {
+        let g = G1::random(&mut self.rng);
+        let g_rr = G1::random(&mut self.rng);
+        Beacon {
+            g,
+            g_rr,
+            ts1: now,
+            sig: self.router.sign(&Beacon::signed_payload(&g, &g_rr, now)),
+            cert: self.cert.clone(),
+            crl: SignedCrl::issue(&self.operator, 0, now, vec![]),
+            url,
+            puzzle: None,
+        }
+    }
+}
+
+/// Compressed encodings the token decoder must refuse, by reason.
+fn bad_tokens() -> Vec<(&'static str, Vec<u8>)> {
+    let encode = |x: u64| {
+        let mut bytes = vec![0u8; G1::ENCODED_LEN];
+        bytes[0] = 2;
+        bytes[G1::ENCODED_LEN - 8..].copy_from_slice(&x.to_be_bytes());
+        bytes
+    };
+    let off_curve = (1..)
+        .map(encode)
+        .find(|b| AffinePoint::from_compressed(b).is_none())
+        .unwrap();
+    let out_of_subgroup = (1..)
+        .map(encode)
+        .find(|b| AffinePoint::from_compressed(b).is_some_and(|p| !p.is_in_subgroup()))
+        .unwrap();
+    let mut x_not_reduced = vec![0xFF; G1::ENCODED_LEN];
+    x_not_reduced[0] = 2;
+    let mut bad_tag = G1::generator().to_bytes();
+    bad_tag[0] = 7;
+    vec![
+        ("x not reduced", x_not_reduced),
+        ("unknown tag", bad_tag),
+        ("off curve", off_curve),
+        ("out of subgroup", out_of_subgroup),
+    ]
+}
+
+#[test]
+fn a_list_with_a_bad_token_is_refused_whole() {
+    let mut w = World::new(1);
+    let (mut alice, _) = w.user("alice");
+    let good = w.tokens(2);
+    let beacon = w.beacon(1_000, w.url(1, 1_000, good.clone()));
+    alice.request_access(&beacon, 1_000, &mut w.rng).unwrap();
+    let pending = alice.pending_handshakes();
+    let counts = alice.url_decode_counts();
+
+    for (why, bad) in bad_tokens() {
+        // Operator-signed, newer, and the bad token sits behind a good one.
+        let mut bytes = good[0].to_bytes();
+        bytes.extend_from_slice(&bad);
+        let beacon = w.beacon(1_100, w.url_of_bytes(2, 1_100, &bytes));
+        // The bytes survive the wire: nothing is decoded in transit.
+        let beacon = Beacon::from_wire(&beacon.to_wire()).unwrap();
+        let err = alice
+            .request_access(&beacon, 1_100, &mut w.rng)
+            .expect_err(why);
+        assert!(matches!(err, ProtocolError::Wire(_)), "{why}: {err:?}");
+        assert_eq!(err.code(), "wire", "{why}");
+        // No signature came out, no handshake is pending, nothing was
+        // adopted, and the half-decoded list was not counted.
+        assert_eq!(alice.pending_handshakes(), pending, "{why}");
+        assert_eq!(alice.list_versions(), (0, 1), "{why}");
+        assert_eq!(alice.current_url().unwrap().tokens, good, "{why}");
+        assert_eq!(alice.url_decode_counts(), counts, "{why}");
+    }
+}
+
+#[test]
+fn tampered_tokens_at_an_unchanged_version_fail_the_signature() {
+    let mut w = World::new(2);
+    let (mut alice, _) = w.user("alice");
+    let tokens = w.tokens(3);
+    let beacon = w.beacon(1_000, w.url(4, 1_000, tokens.clone()));
+    alice.request_access(&beacon, 1_000, &mut w.rng).unwrap();
+
+    // Same version, same stamp, same signature; one token swapped for
+    // another perfectly valid one.
+    let mut wire = beacon.url.to_wire();
+    let other = w.tokens(1)[0].to_bytes();
+    let first_token = 8 + 8 + 4;
+    wire[first_token..first_token + other.len()].copy_from_slice(&other);
+    let tampered = w.beacon(1_050, UrlSection::from_wire(&wire).unwrap());
+    assert_eq!(
+        alice.request_access(&tampered, 1_050, &mut w.rng),
+        Err(ProtocolError::BadUrlSignature)
+    );
+    assert_eq!(alice.current_url().unwrap().tokens, tokens);
+    // The held list is still the one a byte-identical section reuses.
+    let again = w.beacon(1_060, beacon.url.clone());
+    alice.request_access(&again, 1_060, &mut w.rng).unwrap();
+    assert_eq!(alice.url_decode_counts(), (3, 1));
+}
+
+#[test]
+fn an_unchanged_list_is_decoded_once() {
+    let mut w = World::new(3);
+    let (mut alice, _) = w.user("alice");
+    let tokens = w.tokens(5);
+    let url = w.url(1, 1_000, tokens);
+    for (i, now) in [1_000u64, 1_200, 1_400].into_iter().enumerate() {
+        // A fresh beacon each time (new DH share, new router signature)
+        // around the same operator-signed list.
+        let beacon = Beacon::from_wire(&w.beacon(now, url.clone()).to_wire()).unwrap();
+        alice.request_access(&beacon, now, &mut w.rng).unwrap();
+        assert_eq!(alice.url_decode_counts(), (5, i as u64));
+    }
+    // Reuse skips the decode, not the freshness bound.
+    let late = 1_000 + w.config.list_max_age + 1;
+    let beacon = w.beacon(late, url);
+    assert_eq!(
+        alice.request_access(&beacon, late, &mut w.rng),
+        Err(ProtocolError::StaleUrl)
+    );
+}
+
+#[test]
+fn a_list_adopted_from_the_bulletin_is_reused_by_beacons() {
+    let mut w = World::new(4);
+    let (mut alice, _) = w.user("alice");
+    let tokens = w.tokens(4);
+    let url = SignedUrl::issue(&w.operator, 2, 1_000, tokens);
+    let crl = SignedCrl::issue(&w.operator, 0, 1_000, vec![]);
+    alice.adopt_lists(&crl, &url, 1_000).unwrap();
+    let beacon = w.beacon(1_100, UrlSection::from(&url));
+    alice.request_access(&beacon, 1_100, &mut w.rng).unwrap();
+    assert_eq!(alice.url_decode_counts(), (0, 1));
+}
+
+#[test]
+fn a_version_bump_replaces_the_list_and_is_enforced_on_peers() {
+    let mut w = World::new(5);
+    let (mut alice, _) = w.user("alice");
+    let (mallory, mallory_key) = w.user("mallory");
+    let mut tokens = w.tokens(2);
+    let v1 = w.beacon(1_000, w.url(1, 1_000, tokens.clone()));
+    alice.request_access(&v1, 1_000, &mut w.rng).unwrap();
+
+    // Not yet revoked: mallory's hello is accepted.
+    let (hello, _) = mallory.peer_hello(&v1.g, 1_010, &mut w.rng).unwrap();
+    assert!(alice.process_peer_hello(&hello, 1_010, &mut w.rng).is_ok());
+
+    // The operator adds one token; the next beacon carries version 2.
+    tokens.push(mallory_key.revocation_token());
+    let v2 = w.beacon(1_100, w.url(2, 1_100, tokens.clone()));
+    alice.request_access(&v2, 1_100, &mut w.rng).unwrap();
+    assert_eq!(alice.list_versions(), (0, 2));
+    assert_eq!(alice.current_url().unwrap().tokens, tokens);
+    assert_eq!(alice.url_decode_counts(), (2 + 3, 0));
+    let (hello, _) = mallory.peer_hello(&v2.g, 1_110, &mut w.rng).unwrap();
+    assert_eq!(
+        alice
+            .process_peer_hello(&hello, 1_110, &mut w.rng)
+            .unwrap_err(),
+        ProtocolError::SignerRevoked
+    );
+
+    // A rollback to the (validly signed, still fresh) older list is
+    // refused, and the newer list stays in force.
+    let old = w.beacon(1_200, v1.url.clone());
+    assert_eq!(
+        alice.request_access(&old, 1_200, &mut w.rng),
+        Err(ProtocolError::StaleUrl)
+    );
+    assert_eq!(alice.current_url().unwrap().tokens, tokens);
+    assert_eq!(
+        alice
+            .process_peer_hello(&hello, 1_210, &mut w.rng)
+            .unwrap_err(),
+        ProtocolError::SignerRevoked
+    );
+}

@@ -14,7 +14,8 @@
 //!    `SHA-256(D)` misses the filter the signer is **provably** not on
 //!    the URL. Hits resolve through an exact fingerprint map (or the
 //!    sweep when the map is disabled to save memory).
-//! 3. **Shared-Miller sweep** — the `n + 1` Miller-loop fallback, with
+//! 3. **Shared-Miller sweep** — the `n + 1` Miller-loop fallback (`n` of
+//!    them evaluations against one line table prepared for `û`), with
 //!    its thread fan-out threshold retunable from the latency histograms
 //!    this engine records ([`RevocationEngine::autotune_spawn_threshold`])
 //!    instead of a hard-coded constant.
@@ -41,11 +42,14 @@ use crate::cache::{CacheKey, SweepCache};
 use crate::prefilter::TokenPrefilter;
 use crate::store::{DeltaError, DeltaOutcome, EpochUrlStore, UrlDelta};
 
-/// Measured cost of one full scoped thread fan-out (spawn + join across
-/// `available_parallelism` workers) on the reference box, in nanoseconds.
-/// The autotuner sizes the sweep threshold so threading only engages when
-/// the parallel saving clears this with 2x headroom.
-pub const FANOUT_SPAWN_OVERHEAD_NS: u64 = 200_000;
+/// Budget for one full scoped thread fan-out (spawn + join across
+/// `available_parallelism` workers), in nanoseconds: 40 µs measured for two
+/// workers on the idle reference box, allowed 100 µs because a router
+/// sweeps while its other cores verify. The autotuner sizes the sweep
+/// threshold so threading only engages when the parallel saving clears
+/// this with 2x headroom; at the ~0.3 ms a token costs since the sweep
+/// evaluates prepared lines, that is from two tokens up.
+pub const FANOUT_SPAWN_OVERHEAD_NS: u64 = 100_000;
 
 /// Engine configuration.
 #[derive(Clone, Copy, Debug)]
@@ -350,13 +354,18 @@ impl RevocationEngine {
         // (msg, sig) — per-message bases keep signers unlinkable, so only
         // literal retransmissions can hit, which is exactly what the
         // retry-heavy channel produces.
-        let (key, d_fp) = match (&self.prefilter, &self.fixed_bases) {
-            (Some(_), Some((u_hat, v_hat))) => {
-                let d = pairing_ratio(&sig.t2, u_hat, &sig.t1, v_hat);
+        // (A signature whose `D` is undefined — impossible once it has
+        // verified — takes the digest key and lets the sweep decide.)
+        let d = match (&self.prefilter, &self.fixed_bases) {
+            (Some(_), Some((u_hat, v_hat))) => pairing_ratio(&sig.t2, u_hat, &sig.t1, v_hat),
+            _ => None,
+        };
+        let (key, d_fp) = match d {
+            Some(d) => {
                 let fp = peace_hash::sha256(&d.to_bytes());
                 (fp, Some(fp))
             }
-            _ => {
+            None => {
                 let h = peace_hash::Sha256::new()
                     .chain(b"peace-revoke-cache-v1")
                     .chain(&(msg.len() as u64).to_be_bytes())

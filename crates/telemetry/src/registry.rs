@@ -12,9 +12,7 @@ use crate::json::ObjectWriter;
 /// `tools/check_bench.py` validates dumps against it.
 pub const SCHEMA: &str = "peace-telemetry-v1";
 
-/// A named, lock-free, monotone counter. `reset` exists solely for
-/// bracketed measurement scopes (see `peace_pairing::ops::OpScope`);
-/// runtime counters never go backwards.
+/// A named, lock-free, monotone counter: it never goes backwards.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
 
@@ -35,12 +33,6 @@ impl Counter {
     #[inline]
     pub fn get(&self) -> u64 {
         self.0.load(Ordering::Relaxed)
-    }
-
-    /// Stores zero (measurement scopes only).
-    #[inline]
-    pub fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
     }
 }
 

@@ -29,8 +29,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Times `f` over `iters` runs and returns (ops/sec, per-op cost). The
-/// op-counter scope guard serializes measured regions and restores a
-/// clean slate, so nesting or parallel harnesses cannot skew the counts.
+/// op-counter scope counts this thread's operations only, so parallel
+/// harnesses cannot skew the counts.
 fn measure<F: FnMut()>(iters: u32, mut f: F) -> (f64, OpSnapshot) {
     // Warm-up run (builds lazy tables, faults in code paths).
     f();
