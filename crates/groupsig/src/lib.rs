@@ -35,10 +35,9 @@ mod sig;
 
 pub use keys::{GroupPublicKey, GroupSecret, IssuerKey, MemberKey, RevocationToken};
 pub use sig::{
-    h0_bases, open, open_batch, revocation_index, revocation_sweep, revocation_sweep_grid,
-    set_sweep_spawn_threshold, sign, sweep_spawn_threshold, token_matches, verify, verify_batch,
-    BasesMode, GroupSignature, PreparedGpk, RevocationTable, VerifyError,
-    DEFAULT_SWEEP_SPAWN_THRESHOLD,
+    h0_bases, open, open_batch, revocation_index, revocation_sweep, set_sweep_spawn_threshold,
+    sign, sweep_spawn_threshold, token_matches, verify, BasesMode, GroupSignature, PreparedGpk,
+    RevocationTable, VerifyError, DEFAULT_SWEEP_SPAWN_THRESHOLD,
 };
 
 // Re-export the op-counter snapshot and scope guard for the E2 benchmark.
@@ -265,100 +264,6 @@ mod tests {
             .verify(b"other", &sig, BasesMode::PerMessage)
             .is_err());
         assert_eq!(prepared.gpk(), &gpk);
-    }
-
-    #[test]
-    fn verify_batch_matches_individual() {
-        let mut f = fixture();
-        let gpk = *f.issuer.public_key();
-        let prepared = PreparedGpk::new(&gpk);
-        // Five items crosses the thread fan-out threshold: three valid
-        // signatures from different signers, one tampered, one degenerate.
-        let msgs: Vec<&[u8]> = vec![b"m0", b"m1", b"m2", b"m3", b"m4"];
-        let mut sigs = vec![
-            sign(&gpk, &f.alice, msgs[0], BasesMode::PerMessage, &mut f.rng),
-            sign(&gpk, &f.bob, msgs[1], BasesMode::PerMessage, &mut f.rng),
-            sign(&gpk, &f.carol_b, msgs[2], BasesMode::PerMessage, &mut f.rng),
-            sign(&gpk, &f.alice, msgs[3], BasesMode::PerMessage, &mut f.rng),
-            sign(&gpk, &f.bob, msgs[4], BasesMode::PerMessage, &mut f.rng),
-        ];
-        sigs[3].s_x = sigs[3].s_x.add(&peace_field::Fq::ONE); // tampered
-        sigs[4].t1 = peace_curve::G1::IDENTITY; // degenerate
-        let items: Vec<(&[u8], &GroupSignature)> =
-            msgs.iter().zip(&sigs).map(|(m, s)| (*m, s)).collect();
-
-        let batch = verify_batch(&gpk, &items, BasesMode::PerMessage);
-        let prepared_batch = prepared.verify_batch(&items, BasesMode::PerMessage);
-        assert_eq!(batch.len(), items.len());
-        for (i, &(msg, sig)) in items.iter().enumerate() {
-            let individual = verify(&gpk, msg, sig, BasesMode::PerMessage);
-            assert_eq!(batch[i], individual, "item {i}");
-            assert_eq!(prepared_batch[i], individual, "prepared item {i}");
-        }
-        assert_eq!(batch[3], Err(VerifyError::BadChallenge));
-        assert_eq!(batch[4], Err(VerifyError::DegenerateCommitment));
-        assert!(verify_batch(&gpk, &[], BasesMode::PerMessage).is_empty());
-    }
-
-    #[test]
-    fn verify_batch_shares_one_final_exponentiation() {
-        let mut f = fixture();
-        let gpk = *f.issuer.public_key();
-        let prepared = PreparedGpk::new(&gpk);
-        let msgs: Vec<Vec<u8>> = (0..3).map(|i| vec![i as u8; 8]).collect();
-        let sigs: Vec<GroupSignature> = msgs
-            .iter()
-            .map(|m| prepared.sign(&f.alice, m, BasesMode::PerMessage, &mut f.rng))
-            .collect();
-        let items: Vec<(&[u8], &GroupSignature)> = msgs
-            .iter()
-            .zip(&sigs)
-            .map(|(m, s)| (m.as_slice(), s))
-            .collect();
-        let scope = OpSnapshot::scope();
-        let out = prepared.verify_batch(&items, BasesMode::PerMessage);
-        let cost = scope.counts();
-        assert!(out.iter().all(Result::is_ok));
-        assert_eq!(cost.miller_loops, 2 * items.len() as u64);
-        assert_eq!(cost.final_exps, 1, "whole batch reduces in one shared pass");
-    }
-
-    #[test]
-    fn verify_and_check_batch_matches_sequential() {
-        let mut f = fixture();
-        let gpk = *f.issuer.public_key();
-        let prepared = PreparedGpk::new(&gpk);
-        let url = vec![f.carol_b.revocation_token(), f.bob.revocation_token()];
-        let msgs: Vec<&[u8]> = vec![b"a", b"b", b"c", b"d"];
-        let mut sigs = vec![
-            sign(&gpk, &f.alice, msgs[0], BasesMode::PerMessage, &mut f.rng), // unrevoked
-            sign(&gpk, &f.bob, msgs[1], BasesMode::PerMessage, &mut f.rng),   // revoked @1
-            sign(&gpk, &f.carol_b, msgs[2], BasesMode::PerMessage, &mut f.rng), // revoked @0
-            sign(&gpk, &f.alice, msgs[3], BasesMode::PerMessage, &mut f.rng), // tampered
-        ];
-        sigs[3].c = sigs[3].c.add(&peace_field::Fq::ONE);
-        let items: Vec<(&[u8], &GroupSignature)> =
-            msgs.iter().zip(&sigs).map(|(m, s)| (*m, s)).collect();
-
-        let scope = OpSnapshot::scope();
-        let batch = prepared.verify_and_check_batch(&items, &url, BasesMode::PerMessage);
-        let cost = scope.counts();
-        for (i, &(msg, sig)) in items.iter().enumerate() {
-            let sequential = prepared.verify_and_check(msg, sig, &url, BasesMode::PerMessage);
-            assert_eq!(batch[i], sequential, "item {i}");
-        }
-        assert_eq!(batch[0], Ok(None));
-        assert_eq!(batch[1], Ok(Some(1)));
-        assert_eq!(batch[2], Ok(Some(0)));
-        assert_eq!(batch[3], Err(VerifyError::BadChallenge));
-        assert_eq!(
-            cost.final_exps, 2,
-            "one reduction for the Σ checks, one for the revocation grid"
-        );
-        // Empty URL: verdicts keep their Σ results, no revocation pass.
-        let no_url = prepared.verify_and_check_batch(&items, &[], BasesMode::PerMessage);
-        assert_eq!(no_url[0], Ok(None));
-        assert_eq!(no_url[3], Err(VerifyError::BadChallenge));
     }
 
     #[test]
@@ -594,38 +499,6 @@ mod tests {
         assert_eq!((cost.miller_loops, cost.miller_prepares), (1, 0));
         drop(scope);
         assert_eq!(naive(&identity), None);
-        assert_eq!(
-            revocation_sweep_grid(&[(&sig, identity, v_hat)], &url),
-            vec![None]
-        );
-    }
-
-    #[test]
-    fn grid_keeps_its_op_shape() {
-        // Grid: one line table and one shared factor per row, one Miller
-        // loop per cell, one final exponentiation for the whole grid.
-        let mut f = fixture();
-        let gpk = *f.issuer.public_key();
-        let url: Vec<_> = (0..5)
-            .map(|_| f.issuer.issue(&f.grp_a, &mut f.rng).revocation_token())
-            .collect();
-        let sigs: Vec<_> = (0..3)
-            .map(|_| sign(&gpk, &f.alice, b"g", BasesMode::PerMessage, &mut f.rng))
-            .collect();
-        let rows: Vec<_> = sigs
-            .iter()
-            .map(|s| {
-                let (u_hat, v_hat) = h0_bases(&gpk, b"g", &s.r, BasesMode::PerMessage);
-                (s, u_hat, v_hat)
-            })
-            .collect();
-        let scope = OpSnapshot::scope();
-        assert_eq!(revocation_sweep_grid(&rows, &url), vec![None; 3]);
-        let cost = scope.counts();
-        assert_eq!(cost.miller_prepares, 3);
-        assert_eq!(cost.miller_loops, 3 * (url.len() as u64 + 1));
-        assert_eq!(cost.final_exps, 1);
-        assert_eq!(cost.pairings, 0);
     }
 
     proptest::proptest! {
@@ -637,7 +510,7 @@ mod tests {
             url_len in 1usize..20,
             slot in proptest::prelude::any::<usize>(),
         ) {
-            // The sweep, the grid and the batched opener all run on the one
+            // The sweep and the batched opener both run on the one
             // prepared-û loop; each must report exactly what the per-token
             // `token_matches` oracle reports, for a revoked signer at a
             // random index and for an unrevoked one, on either side of the
@@ -674,7 +547,6 @@ mod tests {
             for ((s, u_hat, v_hat), expect) in rows.iter().zip(&naive) {
                 proptest::prop_assert_eq!(revocation_sweep(s, &url, u_hat, v_hat), *expect);
             }
-            proptest::prop_assert_eq!(&revocation_sweep_grid(&rows, &url), &naive);
             let items: Vec<(&[u8], &GroupSignature)> =
                 sigs.iter().map(|s| (&b"prop"[..], s)).collect();
             proptest::prop_assert_eq!(&open_batch(&gpk, &items, &url, mode), &naive);

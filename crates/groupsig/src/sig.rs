@@ -407,38 +407,6 @@ impl PreparedGpk {
         Ok((u_hat, v_hat))
     }
 
-    /// Batched [`Self::verify_bases`]: one shared final exponentiation for
-    /// the whole burst's Σ-protocol checks, each success carrying its H₀
-    /// bases out for an external revocation stage. `out[i]` is `Ok` exactly
-    /// when [`Self::verify`] would accept `items[i]`.
-    pub fn verify_batch_bases(
-        &self,
-        items: &[(&[u8], &GroupSignature)],
-        mode: BasesMode,
-    ) -> Vec<Result<(G2, G2), VerifyError>> {
-        let legs = sigma_legs(&self.gpk, items, mode, &|sig| {
-            (
-                self.mul_g2_w(&sig.s_x, &sig.c),
-                self.mul_w_g2(&sig.s_alpha, &sig.s_delta),
-            )
-        });
-        let sigma = finish_sigma_batch(&self.gpk, items, &legs, &|c| {
-            self.e_g1_g2_table.pow(c).invert()
-        });
-        sigma
-            .into_iter()
-            .zip(&legs)
-            .map(|(r, leg)| {
-                r.map(|()| {
-                    let SigmaLeg::Live { u_hat, v_hat, .. } = leg else {
-                        unreachable!("a degenerate leg never verifies");
-                    };
-                    (*u_hat, *v_hat)
-                })
-            })
-            .collect()
-    }
-
     fn verify_with_bases(
         &self,
         msg: &[u8],
@@ -468,196 +436,18 @@ impl PreparedGpk {
         }
     }
 
-    /// Batch verification of many `(msg, sig)` pairs with **one** final
-    /// exponentiation for the whole batch (see the free-standing
-    /// [`verify_batch`] for the construction). `out[i]` matches what
-    /// [`Self::verify`] would return for `items[i]`.
+    /// Verifies each `(msg, sig)` pair in turn: `out[i]` is what
+    /// [`Self::verify`] returns for `items[i]`.
     pub fn verify_batch(
         &self,
         items: &[(&[u8], &GroupSignature)],
         mode: BasesMode,
     ) -> Vec<Result<(), VerifyError>> {
-        let legs = sigma_legs(&self.gpk, items, mode, &|sig| {
-            (
-                self.mul_g2_w(&sig.s_x, &sig.c),
-                self.mul_w_g2(&sig.s_alpha, &sig.s_delta),
-            )
-        });
-        finish_sigma_batch(&self.gpk, items, &legs, &|c| {
-            self.e_g1_g2_table.pow(c).invert()
-        })
-    }
-
-    /// Batched [`Self::verify_and_check`]: one shared final exponentiation
-    /// for all the Σ-protocol checks, then one more for the revocation
-    /// sweep of every signature that passed — two hard-part passes for the
-    /// entire burst, however many requests and URL tokens it spans. The H₀
-    /// bases derived for the Σ check are reused by the sweep.
-    ///
-    /// `out[i]` matches what [`Self::verify_and_check`] would return for
-    /// `items[i]`: `Ok(None)` valid and unrevoked, `Ok(Some(t))` valid but
-    /// matching URL token `t`, `Err` invalid (URL not consulted).
-    pub fn verify_and_check_batch(
-        &self,
-        items: &[(&[u8], &GroupSignature)],
-        url: &[RevocationToken],
-        mode: BasesMode,
-    ) -> Vec<Result<Option<usize>, VerifyError>> {
-        let legs = sigma_legs(&self.gpk, items, mode, &|sig| {
-            (
-                self.mul_g2_w(&sig.s_x, &sig.c),
-                self.mul_w_g2(&sig.s_alpha, &sig.s_delta),
-            )
-        });
-        let sigma = finish_sigma_batch(&self.gpk, items, &legs, &|c| {
-            self.e_g1_g2_table.pow(c).invert()
-        });
-        let mut out: Vec<Result<Option<usize>, VerifyError>> =
-            sigma.iter().map(|r| r.map(|()| None)).collect();
-        // Revocation grid over the signatures that passed, on the H₀ bases
-        // their Σ check derived.
-        let (live, rows): (Vec<usize>, Vec<(&GroupSignature, G2, G2)>) = legs
+        items
             .iter()
-            .enumerate()
-            .filter(|(i, _)| sigma[*i].is_ok())
-            .filter_map(|(i, leg)| match leg {
-                SigmaLeg::Live { u_hat, v_hat, .. } => Some((i, (items[i].1, *u_hat, *v_hat))),
-                SigmaLeg::Degenerate => None,
-            })
-            .unzip();
-        for (i, verdict) in live.into_iter().zip(revocation_sweep_grid(&rows, url)) {
-            out[i] = Ok(verdict);
-        }
-        out
+            .map(|&(msg, sig)| self.verify(msg, sig, mode))
+            .collect()
     }
-}
-
-/// Per-item Σ-protocol legs computed before the batch's shared final
-/// exponentiation: the recomputed `R̃₁`, `R̃₃`, the merged unreduced pairing
-/// value for `R̃₂`, and the H₀ bases (kept for revocation reuse).
-// Almost every element of a batch is `Live` (`Degenerate` is the malformed-
-// signature path), so boxing the large variant would cost an allocation per
-// verified signature to shrink a vector that lives for one batch call.
-#[allow(clippy::large_enum_variant)]
-#[derive(Clone)]
-enum SigmaLeg {
-    /// `T₁` or `T₂` degenerate — rejected without any pairing work.
-    Degenerate,
-    /// All group-side work done; awaiting the shared reduction.
-    Live {
-        u_hat: G2,
-        v_hat: G2,
-        r1: G1,
-        r3: G1,
-        f: MillerValue,
-    },
-}
-
-/// Computes every item's Σ-protocol legs (bases, 𝔾₁ side, two Miller loops
-/// merged by conjugation), fanning out across OS threads for larger
-/// batches. `sides(sig)` supplies `(g₂^{s_x}·w^c, w^{s_α}·g₂^{s_δ})` — the
-/// only step that differs between the plain and table-driven verifiers.
-fn sigma_legs(
-    gpk: &GroupPublicKey,
-    items: &[(&[u8], &GroupSignature)],
-    mode: BasesMode,
-    sides: &(dyn Fn(&GroupSignature) -> (G2, G2) + Sync),
-) -> Vec<SigmaLeg> {
-    fill_indexed(items.len(), PARALLEL_VERIFY_THRESHOLD, &|i| {
-        let (msg, sig) = items[i];
-        if sig.t1.is_identity() || sig.t2.is_identity() {
-            return SigmaLeg::Degenerate;
-        }
-        let (u_hat, v_hat) = h0_bases(gpk, msg, &sig.r, mode);
-        let u = psi(&u_hat);
-        let v = psi(&v_hat);
-        let neg_c = sig.c.neg();
-        let r1 = u.mul_mul(&sig.s_alpha, &sig.t1, &neg_c);
-        let (t2_side, v_side) = sides(sig);
-        // Unreduced R̃₂ numerator: f(T₂, t2_side) · conj(f(v, v_side))
-        // — the quotient's final exponentiation is deferred to the
-        // batch-wide reduction.
-        let f = miller(&sig.t2, &t2_side).mul(&miller(&v, &v_side).conjugate());
-        let neg_s_delta = sig.s_delta.neg();
-        let r3 = sig.t1.mul_mul(&sig.s_x, &u, &neg_s_delta);
-        SigmaLeg::Live {
-            u_hat,
-            v_hat,
-            r1,
-            r3,
-            f,
-        }
-    })
-}
-
-/// Reduces every leg's Miller value in one [`MillerValue::finalize_batch`]
-/// pass, applies the per-item `ê(g₁,g₂)^{−c}` correction and recomputes the
-/// Fiat–Shamir challenge. `eg_pow_inv(c)` supplies `ê(g₁,g₂)^{−c}`.
-fn finish_sigma_batch(
-    gpk: &GroupPublicKey,
-    items: &[(&[u8], &GroupSignature)],
-    legs: &[SigmaLeg],
-    eg_pow_inv: &dyn Fn(&Fq) -> Gt,
-) -> Vec<Result<(), VerifyError>> {
-    let values: Vec<MillerValue> = legs
-        .iter()
-        .map(|leg| match leg {
-            SigmaLeg::Live { f, .. } => *f,
-            SigmaLeg::Degenerate => MillerValue::ONE,
-        })
-        .collect();
-    let finals = MillerValue::finalize_batch(&values);
-    items
-        .iter()
-        .zip(legs)
-        .zip(&finals)
-        .map(|((&(msg, sig), leg), g)| {
-            let (SigmaLeg::Live { r1, r3, .. }, Some(g)) = (leg, g) else {
-                return Err(VerifyError::DegenerateCommitment);
-            };
-            let r2 = g.mul(&eg_pow_inv(&sig.c));
-            if challenge(gpk, msg, &sig.r, &sig.t1, &sig.t2, r1, &r2, r3) == sig.c {
-                Ok(())
-            } else {
-                Err(VerifyError::BadChallenge)
-            }
-        })
-        .collect()
-}
-
-/// Batch verification (paper step 3.2 over a burst of access requests).
-///
-/// Each signature's Σ-protocol transcript must be recomputed individually —
-/// the Fiat–Shamir hash binds each `R̃₂` — so the batch cannot collapse into
-/// one aggregate equation. What *can* be shared is the expensive half of
-/// every pairing: per item the quotient
-/// `ê(T₂, g₂^{s_x}·w^c) · ê(v, w^{s_α}·g₂^{s_δ})⁻¹` stays an unreduced
-/// Miller value (the inverse becomes a conjugation,
-/// [`MillerValue::conjugate`]), and the whole batch is reduced by a single
-/// [`MillerValue::finalize_batch`] pass — one field inversion and one
-/// recorded final exponentiation for `k` signatures, where `k` separate
-/// verifications pay `2k`. Per-item Miller loops and hash-to-curve runs fan
-/// out across OS threads for batches of [`PARALLEL_VERIFY_THRESHOLD`] or
-/// more.
-///
-/// `out[i]` is exactly what [`verify`] would return for `items[i]` — the
-/// batch changes the schedule, not the decision.
-pub fn verify_batch(
-    gpk: &GroupPublicKey,
-    items: &[(&[u8], &GroupSignature)],
-    mode: BasesMode,
-) -> Vec<Result<(), VerifyError>> {
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let legs = sigma_legs(gpk, items, mode, &|sig| {
-        (
-            gpk.g2.mul_mul(&sig.s_x, &gpk.w, &sig.c),
-            gpk.w.mul_mul(&sig.s_alpha, &gpk.g2, &sig.s_delta),
-        )
-    });
-    let e_g1_g2 = constant_pairing(gpk);
-    finish_sigma_batch(gpk, items, &legs, &|c| e_g1_g2.pow(c).invert())
 }
 
 /// Verifies a signature against the group public key (paper step 3.2).
@@ -749,11 +539,11 @@ pub fn set_sweep_spawn_threshold(n: usize) -> usize {
     SWEEP_SPAWN_THRESHOLD.swap(n.max(2), std::sync::atomic::Ordering::Relaxed)
 }
 
-/// Batch size at and above which [`verify_batch`] fans per-signature work
-/// out across OS threads. Each item costs two hash-to-curve runs, six
-/// fixed-base sweeps and two Miller loops (milliseconds), so the fan-out
-/// pays for itself almost immediately.
-const PARALLEL_VERIFY_THRESHOLD: usize = 4;
+/// Record count at and above which [`open_batch`] fans records out across
+/// OS threads. Each record costs two hash-to-curve runs, a line table and
+/// a Miller loop per token walked (milliseconds), so the fan-out pays for
+/// itself almost immediately.
+const PARALLEL_OPEN_THRESHOLD: usize = 4;
 
 /// Computes `f(range)` over `0..len` and concatenates the results: one
 /// range below `threshold` — and always for `len <= 1`, whatever the
@@ -802,8 +592,8 @@ fn fill_indexed<T: Send>(len: usize, threshold: usize, f: &(dyn Fn(usize) -> T +
 }
 
 /// One signature readied for Eq.3 checks against any number of tokens —
-/// the single per-token loop behind [`revocation_sweep`],
-/// [`revocation_sweep_grid`] and [`open_batch`].
+/// the single per-token loop behind [`revocation_sweep`] and
+/// [`open_batch`].
 ///
 /// The check for token `Aᵢ` is `ê(T₂−Aᵢ, û)·ê(−T₁, v̂) = 1`. The second
 /// factor is token-independent: its Miller value `f_{q,−T₁}(φ(v̂))` is
@@ -882,47 +672,6 @@ pub fn revocation_sweep(
     .position(|&hit| hit)
 }
 
-/// Shared-Miller revocation sweep over **many signatures at once** against
-/// one token list: the full signature×token grid of Eq.3 checks, one
-/// [`SweepRow`] per signature, the cells split across workers as in
-/// [`revocation_sweep`] and recorded as one final exponentiation for the
-/// whole grid. Rows carry their own H₀ bases — typically the ones
-/// [`PreparedGpk::verify_batch_bases`] returned.
-///
-/// `out[i]` is the matching token index for `rows[i]`, or `None` when the
-/// signer is unrevoked — exactly what a per-row [`revocation_sweep`] would
-/// return.
-pub fn revocation_sweep_grid(
-    rows: &[(&GroupSignature, G2, G2)],
-    tokens: &[RevocationToken],
-) -> Vec<Option<usize>> {
-    let n = tokens.len();
-    if rows.is_empty() || n == 0 {
-        return vec![None; rows.len()];
-    }
-    let prepared = fill_indexed(rows.len(), PARALLEL_VERIFY_THRESHOLD, &|j| {
-        let (sig, u_hat, v_hat) = &rows[j];
-        SweepRow::new(sig, u_hat, v_hat)
-    });
-    ops::record_final_exp();
-    let cells = fill_chunks(rows.len() * n, sweep_spawn_threshold(), &|range| {
-        // A worker's range of the row-major grid, one row segment at a time.
-        let mut hits = Vec::with_capacity(range.len());
-        let mut k = range.start;
-        while k < range.end {
-            let (row, col) = (k / n, k % n);
-            let end = (col + range.end - k).min(n);
-            hits.extend(prepared[row].matches(&tokens[col..end]));
-            k += end - col;
-        }
-        hits
-    });
-    cells
-        .chunks(n)
-        .map(|row| row.iter().position(|&hit| hit))
-        .collect()
-}
-
 /// Scans the URL for a token encoded in `(T₁, T₂)` (paper step 3.3).
 /// Returns the index of the matching token, or `None` if the signer has not
 /// been revoked.
@@ -980,7 +729,7 @@ pub fn open_batch(
     if grt.is_empty() {
         return vec![None; items.len()];
     }
-    fill_indexed(items.len(), PARALLEL_VERIFY_THRESHOLD, &|k| {
+    fill_indexed(items.len(), PARALLEL_OPEN_THRESHOLD, &|k| {
         let (msg, sig) = items[k];
         let (u_hat, v_hat) = h0_bases(gpk, msg, &sig.r, mode);
         let row = SweepRow::new(sig, &u_hat, &v_hat);

@@ -7,7 +7,7 @@
 //! only supplies a transport to drive it. Two runtimes exist:
 //!
 //! * **blocking** (`cfg.shards == 0`): one handler thread per accepted
-//!   connection, synchronous offload to the shared verifier thread —
+//!   connection, which also verifies that connection's access request —
 //!   the original runtime, still the default for tests and small
 //!   deployments;
 //! * **event loop** (`cfg.shards >= 1`): `N` non-blocking I/O shard
@@ -15,15 +15,14 @@
 //!   metropolitan-scale held-session counts.
 //!
 //! Shared router state (beacon DH table, revocation lists, DoS detector)
-//! lives behind one mutex on the [`MeshRouter`] entity either way, and
-//! access-request bursts are verified as single batches
-//! ([`MeshRouter::process_access_requests`]) in both runtimes.
+//! lives behind one mutex on the [`MeshRouter`] entity either way; how
+//! an access request takes it is described in [`crate::session`].
 
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 
 use peace_protocol::entities::MeshRouter;
-use peace_protocol::{AccessConfirm, LoggedSession, ProtocolError, ReplicaSet, Session};
+use peace_protocol::{LoggedSession, ReplicaSet};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -35,31 +34,14 @@ use crate::metrics::{MetricsSnapshot, NetMetrics};
 use crate::reactor::EventLoop;
 use crate::server::Acceptor;
 use crate::session::{RouterShared, RouterSm, Service, Step};
-use peace_protocol::AccessRequest;
 use peace_telemetry::Snapshot;
 
 use super::{lock_recover, DaemonConfig};
 
-/// Most access requests drained from the verify queue into one batched
-/// verification pass. Bounds both latency (a huge backlog cannot starve the
-/// requests at its head forever) and the allocation for one batch.
-const VERIFY_BATCH_MAX: usize = 64;
-
-/// An access request in flight from a connection handler to the shared
-/// verifier thread, with the channel its M.3/rejection travels back on.
-struct VerifyJob {
-    req: Box<AccessRequest>,
-    reply: mpsc::Sender<std::result::Result<(AccessConfirm, Session), ProtocolError>>,
-}
-
 /// The transport serving this daemon's listener.
 enum Runtime {
-    /// Thread-per-connection with a shared batching verifier thread.
-    Blocking {
-        acceptor: Acceptor,
-        verify_tx: mpsc::Sender<VerifyJob>,
-        verifier: Option<std::thread::JoinHandle<()>>,
-    },
+    /// Thread-per-connection.
+    Blocking(Acceptor),
     /// The sharded non-blocking reactor with its own verify pool.
     Event(EventLoop),
 }
@@ -83,12 +65,6 @@ impl RouterDaemon {
     /// `cfg.shards` picks the runtime: `0` for blocking
     /// thread-per-connection, `n >= 1` for the sharded event loop.
     ///
-    /// Access requests (M.2) from all connections funnel into batched
-    /// verification ([`MeshRouter::process_access_requests`]) — under
-    /// concurrent load the whole burst shares two final exponentiations;
-    /// an idle daemon degenerates to batches of one with one queue hop
-    /// of overhead.
-    ///
     /// # Errors
     ///
     /// [`NetError::Io`] if the listener cannot bind.
@@ -102,25 +78,17 @@ impl RouterDaemon {
         };
 
         let runtime = if cfg.shards == 0 {
-            let (verify_tx, verify_rx) = mpsc::channel::<VerifyJob>();
-            let v_router = Arc::clone(&router);
-            let v_metrics = Arc::clone(&metrics);
-            let verifier =
-                std::thread::spawn(move || verify_batches(&verify_rx, &v_router, &v_metrics));
-
             let h_metrics = Arc::clone(&metrics);
-            let h_verify_tx = verify_tx.clone();
             let handler: Arc<dyn Fn(TcpStream, u64) + Send + Sync> =
                 Arc::new(move |stream, _conn_id| {
-                    serve(stream, &shared, &h_metrics, &h_verify_tx, cfg);
+                    serve(stream, &shared, &h_metrics, cfg);
                 });
-            let acceptor =
-                Acceptor::spawn(bind, cfg.max_connections, Arc::clone(&metrics), handler)?;
-            Runtime::Blocking {
-                acceptor,
-                verify_tx,
-                verifier: Some(verifier),
-            }
+            Runtime::Blocking(Acceptor::spawn(
+                bind,
+                cfg.max_connections,
+                Arc::clone(&metrics),
+                handler,
+            )?)
         } else {
             Runtime::Event(EventLoop::spawn(bind, cfg, Service::Router(shared))?)
         };
@@ -136,7 +104,7 @@ impl RouterDaemon {
     /// The daemon's bound address.
     pub fn addr(&self) -> SocketAddr {
         match &self.runtime {
-            Runtime::Blocking { acceptor, .. } => acceptor.addr(),
+            Runtime::Blocking(acceptor) => acceptor.addr(),
             Runtime::Event(el) => el.addr(),
         }
     }
@@ -165,7 +133,7 @@ impl RouterDaemon {
     /// Live connection count.
     pub fn live_connections(&self) -> usize {
         match &self.runtime {
-            Runtime::Blocking { acceptor, .. } => acceptor.live_connections(),
+            Runtime::Blocking(acceptor) => acceptor.live_connections(),
             Runtime::Event(el) => el.live_connections(),
         }
     }
@@ -408,20 +376,11 @@ impl RouterDaemon {
     /// happen through this API).
     pub fn shutdown(self) -> Result<MeshRouter> {
         match self.runtime {
-            Runtime::Blocking {
-                mut acceptor,
-                verify_tx,
-                mut verifier,
-            } => {
+            Runtime::Blocking(mut acceptor) => {
+                // Waits out the handler threads, whose closure holds the
+                // last other RouterShared.
                 acceptor.shutdown(self.cfg.drain);
                 drop(acceptor);
-                // All handler threads are gone, so every sender clone is
-                // dropped once ours is; the verifier drains, exits, and
-                // releases its router handle before the unwrap below.
-                drop(verify_tx);
-                if let Some(verifier) = verifier.take() {
-                    let _ = verifier.join();
-                }
             }
             Runtime::Event(mut el) => {
                 // Joins the accept thread, every shard, and the verify
@@ -440,91 +399,35 @@ impl RouterDaemon {
     }
 }
 
-/// The shared verifier loop: blocks for the first queued access request,
-/// drains whatever else has accumulated (up to [`VERIFY_BATCH_MAX`]), and
-/// verifies the burst as one batch under a single router-lock hold. Exits
-/// when every [`VerifyJob`] sender is gone.
-fn verify_batches(
-    rx: &mpsc::Receiver<VerifyJob>,
-    router: &Mutex<MeshRouter>,
-    metrics: &NetMetrics,
-) {
-    while let Ok(first) = rx.recv() {
-        let mut reqs = vec![*first.req];
-        let mut replies = vec![first.reply];
-        while reqs.len() < VERIFY_BATCH_MAX {
-            match rx.try_recv() {
-                Ok(job) => {
-                    reqs.push(*job.req);
-                    replies.push(job.reply);
-                }
-                Err(_) => break,
-            }
-        }
-        let verify_start = std::time::Instant::now();
-        let outcomes = lock_recover(router).process_access_requests(&reqs, wall_ms());
-        metrics.access_verify_us.record_since(verify_start);
-        for (reply, outcome) in replies.iter().zip(outcomes) {
-            // A handler that hung up mid-verify just discards its result.
-            let _ = reply.send(outcome);
-        }
-    }
-}
-
 /// Blocking per-connection driver for the shared [`RouterSm`]: recv one
 /// envelope, feed the machine, act on its [`Step`] — with the verify
-/// offload performed synchronously against the shared verifier thread.
-fn serve(
-    stream: TcpStream,
-    shared: &RouterShared,
-    metrics: &Arc<NetMetrics>,
-    verify_tx: &mpsc::Sender<VerifyJob>,
-    cfg: DaemonConfig,
-) {
+/// offload run in place on this handler thread.
+fn serve(stream: TcpStream, shared: &RouterShared, metrics: &Arc<NetMetrics>, cfg: DaemonConfig) {
     let Ok(mut conn) = Connection::new(stream, cfg.conn, Arc::clone(metrics)) else {
         return;
     };
     let mut sm = RouterSm::new(shared.clone());
     loop {
-        let step = match conn.recv() {
+        let mut step = match conn.recv() {
             Ok(msg) => sm.on_message(msg, metrics),
             Err(NetError::Malformed(_)) => sm.on_decode_error(),
             Err(_) => return,
         };
-        let step = match step {
-            Step::Offload(req) => {
-                // Synchronous offload: park this handler thread on the
-                // verifier's reply (bursts across handler threads still
-                // verify as one batch).
-                let (reply_tx, reply_rx) = mpsc::channel();
-                if verify_tx
-                    .send(VerifyJob {
-                        req,
-                        reply: reply_tx,
-                    })
-                    .is_err()
-                {
-                    return; // daemon shutting down
+        let keep = loop {
+            match step {
+                Step::Offload(req) => {
+                    step = sm.on_verify(shared.verify_access(&req, metrics), metrics);
                 }
-                let Ok(outcome) = reply_rx.recv() else {
-                    return; // verifier gone: daemon shutting down
-                };
-                sm.on_verify(outcome, metrics)
+                Step::Reply(m) => break conn.send(&m).is_ok(),
+                Step::ReplyClose(m) => {
+                    let _ = conn.send(&m);
+                    break false;
+                }
+                Step::Close => break false,
             }
-            other => other,
         };
-        match step {
-            Step::Reply(m) => {
-                if conn.send(&m).is_err() {
-                    return;
-                }
-            }
-            Step::ReplyClose(m) => {
-                let _ = conn.send(&m);
-                return;
-            }
-            Step::Close => return,
-            Step::Offload(_) => return, // unreachable: resolved above
+        if !keep {
+            return;
         }
     }
 }

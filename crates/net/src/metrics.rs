@@ -86,8 +86,9 @@ pub struct NetMetrics {
     pub hs_confirm_us: Arc<Histogram>,
     /// User side: whole handshake, connect to session key (µs).
     pub hs_total_us: Arc<Histogram>,
-    /// Router side: access-request verification (group signature, URL
-    /// sweep, puzzle) (µs).
+    /// Router side: one record per access request that reaches the
+    /// Σ-check — group-signature check, revocation stage and admission,
+    /// lock waits excluded (µs).
     pub access_verify_us: Arc<Histogram>,
     /// Application echo round-trip over an established session (µs).
     pub frame_rtt_us: Arc<Histogram>,

@@ -23,10 +23,9 @@
 //! worker pool ([`Step::Offload`] → [`VerifyTask`]); the shard parks
 //! the connection's inbound frames until the pool posts
 //! [`ShardMsg::Verified`] back to the owning shard's channel, so a slow
-//! pairing never stalls an I/O shard. The pool drains bursts into
-//! batches (one [`MeshRouter::process_access_requests`] call under one
-//! router-lock hold), keeping the two-final-exponentiations-per-burst
-//! batching the blocking runtime already had.
+//! pairing never stalls an I/O shard. Each worker takes one request at a
+//! time through [`RouterShared::verify_access`], so the pool verifies as
+//! many requests at once as it has workers.
 //!
 //! Backpressure is explicit at both ends: a full verify queue yields a
 //! transient `BUSY` reject (the client retries; counted as
@@ -36,8 +35,6 @@
 //! serviced *by the event loop itself* as [`Role::RejectBusy`]: read
 //! one frame (or wait out [`BUSY_DEADLINE`]), write the pre-framed
 //! `BUSY` reject, close — no thread is ever spawned per rejection.
-//!
-//! [`MeshRouter::process_access_requests`]: peace_protocol::entities::MeshRouter::process_access_requests
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -52,8 +49,7 @@ use peace_protocol::AccessRequest;
 use peace_telemetry::Snapshot;
 use peace_wire::{Decode as _, Encode as _};
 
-use crate::clock::wall_ms;
-use crate::daemon::{lock_recover, DaemonConfig};
+use crate::daemon::DaemonConfig;
 use crate::envelope::{reject_code, NodeMessage};
 use crate::error::{NetError, Result};
 use crate::frame::{FrameDecoder, FRAME_HEADER_LEN};
@@ -85,8 +81,6 @@ const BUSY_DEADLINE: Duration = Duration::from_millis(200);
 /// Verify-pool queue bound; `try_send` past this yields a transient
 /// `BUSY` reject instead of unbounded queueing.
 const VERIFY_QUEUE_CAP: usize = 4096;
-/// Largest burst verified as one batch under one router-lock hold.
-const VERIFY_BATCH_MAX: usize = 64;
 
 /// Work posted to a shard's channel.
 enum ShardMsg {
@@ -614,43 +608,22 @@ fn apply_step(
     }
 }
 
-/// The verify-pool worker: drain a burst, verify it as one batch under
-/// one router-lock hold, post outcomes back to the owning shards.
+/// The verify-pool worker: take one request, run it to its verdict, post
+/// the verdict back to the owning shard.
 fn verify_worker(
     rx: Receiver<VerifyTask>,
     shared: RouterShared,
     shard_txs: Vec<Sender<ShardMsg>>,
     metrics: Arc<NetMetrics>,
 ) {
-    loop {
-        let first = match rx.recv() {
-            Ok(t) => t,
-            Err(_) => return,
-        };
-        let mut batch = vec![first];
-        while batch.len() < VERIFY_BATCH_MAX {
-            match rx.try_recv() {
-                Ok(t) => batch.push(t),
-                Err(_) => break,
-            }
-        }
-        let mut meta = Vec::with_capacity(batch.len());
-        let mut reqs = Vec::with_capacity(batch.len());
-        for t in batch {
-            meta.push((t.shard, t.token));
-            reqs.push(*t.req);
-        }
-        let t0 = Instant::now();
-        let outcomes = lock_recover(&shared.router).process_access_requests(&reqs, wall_ms());
-        metrics.access_verify_us.record_since(t0);
-        for ((shard, token), outcome) in meta.into_iter().zip(outcomes) {
-            // A shard gone at shutdown just discards the outcome.
-            if let Some(tx) = shard_txs.get(shard) {
-                let _ = tx.send(ShardMsg::Verified {
-                    token,
-                    outcome: Box::new(outcome),
-                });
-            }
+    while let Ok(task) = rx.recv() {
+        let outcome = shared.verify_access(&task.req, &metrics);
+        // A shard gone at shutdown just discards the outcome.
+        if let Some(tx) = shard_txs.get(task.shard) {
+            let _ = tx.send(ShardMsg::Verified {
+                token: task.token,
+                outcome: Box::new(outcome),
+            });
         }
     }
 }

@@ -121,6 +121,9 @@ impl Acceptor {
                 let id = conn_id;
                 std::thread::spawn(move || {
                     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| h(stream, id)));
+                    // Before `live` says this thread is gone: a shutdown that
+                    // saw zero may unwrap state the handler captures.
+                    drop(h);
                     if outcome.is_err() {
                         h_metrics.handler_panics.inc();
                     }

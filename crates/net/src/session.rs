@@ -6,13 +6,20 @@
 //! drive the same machines:
 //!
 //! * the blocking thread-per-connection runtime calls
-//!   [`RouterSm::on_message`] after every `Connection::recv`, performing
-//!   the verify offload synchronously (send job, block on the reply);
+//!   [`RouterSm::on_message`] after every `Connection::recv` and resolves
+//!   [`Step::Offload`] in place, on the handler thread;
 //! * the sharded event loop feeds decoded frames from its
 //!   [`FrameDecoder`](crate::frame::FrameDecoder), hands
-//!   [`Step::Offload`] to the crossbeam worker pool, and resumes the
-//!   machine with [`RouterSm::on_verify`] when the deferred outcome
-//!   comes back.
+//!   [`Step::Offload`] to the crossbeam worker pool (one request per
+//!   task), and resumes the machine with [`RouterSm::on_verify`] when the
+//!   deferred outcome comes back.
+//!
+//! Either way the offload is one call to [`RouterShared::verify_access`],
+//! the only place the access path (M.2 → verdict) is driven from: the
+//! router mutex is held twice, briefly — for the §IV.B gates and for the
+//! revocation stage plus admission — and **not** across the Σ-protocol
+//! check between them, so concurrent requests verify in parallel on
+//! however many threads the runtime gives them.
 //!
 //! Because the machine is the single source of protocol behavior, the
 //! two runtimes cannot drift: the fault-proxy and loopback integration
@@ -32,7 +39,7 @@ use std::time::Instant;
 
 use peace_ledger::{AccessRecord, LedgerRecord, ReplicatedLedger};
 use peace_protocol::entities::{MeshRouter, NetworkOperator};
-use peace_protocol::{AccessConfirm, ProtocolError, Session};
+use peace_protocol::{AccessConfirm, AccessRequest, ProtocolError, Session};
 use rand::rngs::StdRng;
 
 use crate::clock::wall_ms;
@@ -52,13 +59,13 @@ pub(crate) enum Step {
     /// Hand the access request to the verify pool; the machine is now
     /// awaiting [`RouterSm::on_verify`] and must not be fed further
     /// messages until it fires.
-    Offload(Box<peace_protocol::AccessRequest>),
+    Offload(Box<AccessRequest>),
     /// Close the connection without sending anything.
     Close,
 }
 
-/// A deferred verification outcome, as produced by
-/// [`MeshRouter::process_access_requests`] for one request.
+/// The verdict on one access request, as produced by
+/// [`RouterShared::verify_access`].
 pub(crate) type VerifyOutcome = Result<(AccessConfirm, Session), ProtocolError>;
 
 /// Shared router-daemon state the machine needs: the entity behind its
@@ -67,6 +74,27 @@ pub(crate) type VerifyOutcome = Result<(AccessConfirm, Session), ProtocolError>;
 pub(crate) struct RouterShared {
     pub(crate) router: Arc<Mutex<MeshRouter>>,
     pub(crate) rng: Arc<Mutex<StdRng>>,
+}
+
+impl RouterShared {
+    /// Runs one access request (M.2) to its verdict on the calling thread
+    /// (see the module docs for the locking). `net.access_verify_us` gets
+    /// one record per request that reaches the Σ-check, covering that check
+    /// and the router-state step after it but not the wait for the lock.
+    pub(crate) fn verify_access(&self, req: &AccessRequest, metrics: &NetMetrics) -> VerifyOutcome {
+        let pending = lock_recover(&self.router).begin_access_request(req, wall_ms())?;
+        let t0 = Instant::now();
+        let checked = pending.verify();
+        let sigma = t0.elapsed();
+        let mut router = lock_recover(&self.router);
+        let t1 = Instant::now();
+        let outcome = router.finish_access_request(checked, wall_ms());
+        drop(router);
+        metrics
+            .access_verify_us
+            .record_duration(sigma + t1.elapsed());
+        outcome
+    }
 }
 
 /// Maps a protocol failure to the wire reject code the user agent keys

@@ -11,6 +11,6 @@ mod user;
 pub use gm::{GmAssignment, GroupManager};
 pub use law::{LawAuthority, TraceResult};
 pub use no::NetworkOperator;
-pub use router::MeshRouter;
+pub use router::{CheckedAccess, MeshRouter, PendingAccess};
 pub use ttp::{Ttp, TtpDelivery};
 pub use user::{Credential, PeerResponderPending, UserClient};

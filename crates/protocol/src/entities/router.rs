@@ -1,10 +1,12 @@
 //! Mesh routers (`MR_k`): beacon generation and the router side of the
 //! user↔router authentication and key agreement protocol (§IV.B).
 
-use peace_curve::G1;
+use std::sync::Arc;
+
+use peace_curve::{G1, G2};
 use peace_ecdsa::{Certificate, SigningKey, VerifyingKey};
 use peace_field::Fq;
-use peace_groupsig::{GroupPublicKey, GroupSignature, PreparedGpk};
+use peace_groupsig::{BasesMode, GroupPublicKey, PreparedGpk, VerifyError};
 use peace_puzzle::Puzzle;
 use peace_revoke::{DeltaOutcome, EngineConfig, RevocationEngine};
 use peace_symmetric::seal_oneshot;
@@ -28,13 +30,50 @@ struct BeaconState {
     puzzle: Option<Puzzle>,
 }
 
+/// An access request (M.2) that passed the cheap §IV.B 3.1 gates
+/// ([`MeshRouter::begin_access_request`]) and awaits its Σ-protocol check.
+/// It holds the router's prepared key by `Arc` and borrows nothing from the
+/// router, so [`Self::verify`] — the milliseconds of pairing work — runs
+/// while other requests begin and finish.
+pub struct PendingAccess<'a> {
+    req: &'a AccessRequest,
+    state: BeaconState,
+    payload: Vec<u8>,
+    prepared: Arc<PreparedGpk>,
+    mode: BasesMode,
+}
+
+impl<'a> PendingAccess<'a> {
+    /// §IV.B 3.2: verifies the group signature. Touches no router state.
+    pub fn verify(self) -> CheckedAccess<'a> {
+        let sigma = self
+            .prepared
+            .verify_bases(&self.payload, &self.req.gsig, self.mode);
+        CheckedAccess {
+            pending: self,
+            sigma,
+        }
+    }
+}
+
+/// A [`PendingAccess`] whose Σ-protocol check has run; redeemed by
+/// [`MeshRouter::finish_access_request`].
+pub struct CheckedAccess<'a> {
+    pending: PendingAccess<'a>,
+    /// The H₀ bases the check derived (reused by the revocation stage), or
+    /// why the signature was refused.
+    sigma: std::result::Result<(G2, G2), VerifyError>,
+}
+
 /// A mesh router.
 pub struct MeshRouter {
     id: RouterId,
     signing: SigningKey,
     cert: Certificate,
     gpk: GroupPublicKey,
-    prepared_gpk: PreparedGpk,
+    /// Shared with every in-flight [`PendingAccess`]; replaced, never
+    /// mutated, by [`Self::install_epoch`].
+    prepared_gpk: Arc<PreparedGpk>,
     npk: VerifyingKey,
     config: ProtocolConfig,
     crl: SignedCrl,
@@ -101,7 +140,7 @@ impl MeshRouter {
             id,
             signing,
             cert,
-            prepared_gpk: PreparedGpk::new(&gpk),
+            prepared_gpk: Arc::new(PreparedGpk::new(&gpk)),
             gpk,
             npk,
             config,
@@ -284,7 +323,7 @@ impl MeshRouter {
     /// the old epoch cannot complete against the new key.
     pub fn install_epoch(&mut self, gpk: GroupPublicKey, crl: SignedCrl, url: SignedUrl) {
         self.gpk = gpk;
-        self.prepared_gpk = PreparedGpk::new(&gpk);
+        self.prepared_gpk = Arc::new(PreparedGpk::new(&gpk));
         self.crl = crl;
         // New epoch partition: fixed bases, fingerprints, and cache all
         // derive from the gpk and reset with it.
@@ -353,9 +392,11 @@ impl MeshRouter {
     /// (§IV.B step 3). On success returns the confirmation (M.3) and the
     /// established session, and logs the request for NO's audit.
     ///
-    /// When the router is in DoS-defense mode, the puzzle solution is
-    /// checked *before* any pairing operation (the §V.A client-puzzle
-    /// ordering that makes floods cheap to shed).
+    /// This is [`Self::begin_access_request`] → [`PendingAccess::verify`] →
+    /// [`Self::finish_access_request`] in one call, for callers that own
+    /// the router outright. A caller sharing the router behind a lock takes
+    /// the three steps itself and holds the lock only for the first and
+    /// last.
     ///
     /// # Errors
     ///
@@ -365,92 +406,45 @@ impl MeshRouter {
         req: &AccessRequest,
         now: u64,
     ) -> Result<(AccessConfirm, Session)> {
-        let state = self.precheck_access_request(req, now)?;
-        // 3.2 + 3.3: group-signature verification and URL revocation sweep,
-        // sharing one H₀ base derivation.
-        let payload = AccessRequest::signed_payload(&req.g_rj, &req.g_rr, req.ts2);
-        match self
-            .revocation
-            .verify_and_check(&self.prepared_gpk, &payload, &req.gsig)
-        {
-            Err(_) => {
-                // Failed expensive verification: evidence for the §V.A flood
-                // detector.
-                self.record_failure(now);
-                Err(ProtocolError::BadGroupSignature)
-            }
-            Ok(Some(_)) => Err(ProtocolError::SignerRevoked),
-            Ok(None) => self.admit_access_request(req, &state, payload, now),
-        }
+        let checked = self.begin_access_request(req, now)?.verify();
+        self.finish_access_request(checked, now)
     }
 
-    /// Processes a burst of access requests (M.2) as **one batch**: the
-    /// cheap §IV.B gates (beacon correlation, freshness, idempotency,
-    /// puzzle) run per request, and all surviving requests share one
-    /// batched group-signature verification plus one batched revocation
-    /// sweep ([`PreparedGpk::verify_and_check_batch`]) — two final
-    /// exponentiations for the whole burst instead of two-plus per request.
-    ///
-    /// `out[i]` corresponds to `reqs[i]` and matches what
-    /// [`Self::process_access_request`] would have returned had the
-    /// requests arrived one at a time in the same order.
+    /// Processes a burst of access requests (M.2) that are in flight
+    /// together: all of them begin before any is verified, then each is
+    /// verified and finished in input order. `out[i]` corresponds to
+    /// `reqs[i]`. A copy of an earlier request in the burst thus passes the
+    /// replay gate and is refused at admission, exactly as when two
+    /// connections deliver the same M.2 at once.
     pub fn process_access_requests(
         &mut self,
         reqs: &[AccessRequest],
         now: u64,
     ) -> Vec<Result<(AccessConfirm, Session)>> {
-        // Phase 1: cheap gates, no pairing work.
-        let mut out: Vec<Result<(AccessConfirm, Session)>> = Vec::with_capacity(reqs.len());
-        let mut gated: Vec<Option<(BeaconState, Vec<u8>)>> = Vec::with_capacity(reqs.len());
-        for req in reqs {
-            match self.precheck_access_request(req, now) {
-                Ok(state) => {
-                    let payload = AccessRequest::signed_payload(&req.g_rj, &req.g_rr, req.ts2);
-                    gated.push(Some((state, payload)));
-                    // Placeholder; overwritten in phase 3.
-                    out.push(Err(ProtocolError::BadGroupSignature));
-                }
-                Err(e) => {
-                    gated.push(None);
-                    out.push(Err(e));
-                }
-            }
-        }
-        // Phase 2: one batched verify + revocation sweep over the survivors.
-        let mut survivors: Vec<usize> = Vec::with_capacity(reqs.len());
-        let mut items: Vec<(&[u8], &GroupSignature)> = Vec::with_capacity(reqs.len());
-        for (i, slot) in gated.iter().enumerate() {
-            if let Some((_, payload)) = slot {
-                survivors.push(i);
-                items.push((payload.as_slice(), &reqs[i].gsig));
-            }
-        }
-        let verdicts = self
-            .revocation
-            .verify_and_check_batch(&self.prepared_gpk, &items);
-        drop(items);
-        // Phase 3: mint confirmations in input order (idempotency re-checks
-        // catch duplicates *within* the burst, same as sequential arrival).
-        for (&i, verdict) in survivors.iter().zip(verdicts) {
-            // Survivor slots are `Some` by construction of `survivors`.
-            if let Some((state, payload)) = gated[i].take() {
-                out[i] = match verdict {
-                    Err(_) => {
-                        self.record_failure(now);
-                        Err(ProtocolError::BadGroupSignature)
-                    }
-                    Ok(Some(_)) => Err(ProtocolError::SignerRevoked),
-                    Ok(None) => self.admit_access_request(&reqs[i], &state, payload, now),
-                };
-            }
-        }
-        out
+        let begun: Vec<_> = reqs
+            .iter()
+            .map(|req| self.begin_access_request(req, now))
+            .collect();
+        begun
+            .into_iter()
+            .map(|pending| self.finish_access_request(pending?.verify(), now))
+            .collect()
     }
 
-    /// The cheap §IV.B 3.1 gates, run before any pairing work: beacon
-    /// correlation, timestamp freshness, replay idempotency, and (in
-    /// DoS-defense mode) the client puzzle.
-    fn precheck_access_request(&mut self, req: &AccessRequest, now: u64) -> Result<BeaconState> {
+    /// First router-state step of an access request: the cheap §IV.B 3.1
+    /// gates — beacon correlation, timestamp freshness, replay idempotency
+    /// and, in DoS-defense mode, the client puzzle, which is thereby checked
+    /// *before* any pairing operation (the §V.A ordering that makes floods
+    /// cheap to shed).
+    ///
+    /// # Errors
+    ///
+    /// The gate that refused the request.
+    pub fn begin_access_request<'a>(
+        &mut self,
+        req: &'a AccessRequest,
+        now: u64,
+    ) -> Result<PendingAccess<'a>> {
         // 3.1 freshness and beacon correlation
         let state = self
             .active_beacons
@@ -479,12 +473,54 @@ impl MeshRouter {
                 return Err(ProtocolError::PuzzleInvalid);
             }
         }
-        Ok(state)
+        Ok(PendingAccess {
+            req,
+            state,
+            payload: AccessRequest::signed_payload(&req.g_rj, &req.g_rr, req.ts2),
+            prepared: Arc::clone(&self.prepared_gpk),
+            mode: self.config.bases_mode,
+        })
+    }
+
+    /// Second router-state step: acts on the Σ-protocol verdict. A refused
+    /// signature is evidence for the §V.A flood detector; an accepted one
+    /// goes through the revocation stage (§IV.B 3.3) **against the list in
+    /// force now**, not the one in force at `begin`, and is then admitted
+    /// (3.4). Requests may finish in any order relative to how they began.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::BadGroupSignature`], [`ProtocolError::SignerRevoked`],
+    /// [`ProtocolError::DuplicateMessage`] if the same M.2 finished first,
+    /// and [`ProtocolError::UnknownBeacon`] if [`Self::install_epoch`] ran
+    /// since `begin`: it dropped the request's beacon state, so the request
+    /// gets what it would have got arriving after the rotation, and a
+    /// verdict reached under the retired key is never acted on.
+    pub fn finish_access_request(
+        &mut self,
+        checked: CheckedAccess<'_>,
+        now: u64,
+    ) -> Result<(AccessConfirm, Session)> {
+        let CheckedAccess { pending, sigma } = checked;
+        if !Arc::ptr_eq(&pending.prepared, &self.prepared_gpk) {
+            return Err(ProtocolError::UnknownBeacon);
+        }
+        let Ok((u_hat, v_hat)) = sigma else {
+            self.record_failure(now);
+            return Err(ProtocolError::BadGroupSignature);
+        };
+        let revoked =
+            self.revocation
+                .check_revocation(&pending.payload, &pending.req.gsig, &u_hat, &v_hat);
+        if revoked.is_some() {
+            return Err(ProtocolError::SignerRevoked);
+        }
+        self.admit_access_request(pending.req, &pending.state, pending.payload, now)
     }
 
     /// §IV.B 3.4 for an authenticated request: derives the session key,
     /// mints M.3, and logs the transcript for NO's audit. Re-checks the
-    /// idempotency table so duplicates inside one batch cannot mint two
+    /// idempotency table so the same M.2 begun twice cannot mint two
     /// sessions.
     fn admit_access_request(
         &mut self,

@@ -713,3 +713,148 @@ fn batched_access_requests_match_sequential_semantics() {
         ProtocolError::DuplicateMessage
     );
 }
+
+// ---- The two-hold access path: begin → verify → finish, interleaved ----
+//
+// A router shared behind a lock runs the Σ-check between `begin` and
+// `finish` with the lock released, so any router-state change can land in
+// that gap. These drive the gap by hand, one step at a time.
+
+#[test]
+fn access_requests_begun_together_finish_in_any_order() {
+    let mut w = World::new(43);
+    let gid = w.add_group("org", 2);
+    let mut alice = w.enroll_user("alice", gid);
+    let mut bob = w.enroll_user("bob", gid);
+    let mut router = w.router("MR-1");
+
+    let beacon = router.beacon(1_000, &mut w.rng);
+    let (req_a, pend_a) = alice.process_beacon(&beacon, 1_010, &mut w.rng).unwrap();
+    let (req_b, pend_b) = bob.process_beacon(&beacon, 1_011, &mut w.rng).unwrap();
+
+    // Both in flight before either finishes; B finishes first.
+    let a = router.begin_access_request(&req_a, 1_020).unwrap();
+    let b = router.begin_access_request(&req_b, 1_020).unwrap();
+    let (a, b) = (a.verify(), b.verify());
+    let (confirm_b, _) = router.finish_access_request(b, 1_030).unwrap();
+    let (confirm_a, _) = router.finish_access_request(a, 1_031).unwrap();
+
+    assert!(alice.finalize_router_session(&pend_a, &confirm_a).is_ok());
+    assert!(bob.finalize_router_session(&pend_b, &confirm_b).is_ok());
+    assert_eq!(router.drain_log().len(), 2, "each admission logged once");
+}
+
+#[test]
+fn same_request_begun_twice_mints_one_session() {
+    let mut w = World::new(44);
+    let gid = w.add_group("org", 1);
+    let mut alice = w.enroll_user("alice", gid);
+    let mut router = w.router("MR-1");
+
+    let beacon = router.beacon(1_000, &mut w.rng);
+    let (req, _) = alice.process_beacon(&beacon, 1_010, &mut w.rng).unwrap();
+    // Neither copy has been admitted yet, so both pass the replay gate.
+    let first = router.begin_access_request(&req, 1_020).unwrap().verify();
+    let second = router.begin_access_request(&req, 1_020).unwrap().verify();
+
+    assert!(router.finish_access_request(first, 1_030).is_ok());
+    assert_eq!(
+        router.finish_access_request(second, 1_031).unwrap_err(),
+        ProtocolError::DuplicateMessage
+    );
+    assert_eq!(router.drain_log().len(), 1);
+}
+
+#[test]
+fn revocation_landing_before_finish_is_enforced() {
+    let mut w = World::new(45);
+    let gid = w.add_group("org", 1);
+    let mut mallory = w.enroll_user("mallory", gid);
+    let mut router = w.router("MR-1");
+
+    // One admitted session gives NO a transcript to open.
+    let beacon = router.beacon(1_000, &mut w.rng);
+    let (req0, _) = mallory.process_beacon(&beacon, 1_010, &mut w.rng).unwrap();
+    router.process_access_request(&req0, 1_020).unwrap();
+    w.no.ingest_router_log(&mut router);
+    let sid = peace_protocol::SessionId::from_points(&req0.g_rr, &req0.g_rj);
+    let token = w.no.audit(&sid).unwrap().token;
+
+    // Her next request begins, and verifies, while she is still in good
+    // standing; the revocation reaches the router before it finishes.
+    let beacon = router.beacon(2_000, &mut w.rng);
+    let (req, _) = mallory.process_beacon(&beacon, 2_010, &mut w.rng).unwrap();
+    let checked = router.begin_access_request(&req, 2_020).unwrap().verify();
+    assert!(w.no.revoke_member(&token));
+    router.update_lists(w.no.publish_crl(2_025), w.no.publish_url(2_025));
+
+    assert_eq!(
+        router.finish_access_request(checked, 2_030).unwrap_err(),
+        ProtocolError::SignerRevoked
+    );
+    assert_eq!(router.pending_log_len(), 0, "no session was minted");
+}
+
+#[test]
+fn epoch_installed_before_finish_refuses_the_request() {
+    let mut w = World::new(46);
+    let gid = w.add_group("org", 1);
+    let mut alice = w.enroll_user("alice", gid);
+    let mut router = w.router("MR-1");
+
+    let beacon = router.beacon(1_000, &mut w.rng);
+    let (req, _) = alice.process_beacon(&beacon, 1_010, &mut w.rng).unwrap();
+    let checked = router.begin_access_request(&req, 1_020).unwrap().verify();
+
+    // The key the Σ-check ran under is retired mid-flight.
+    let new_gpk = w.no.rotate_system_key(&mut w.rng);
+    router.install_epoch(new_gpk, w.no.publish_crl(1_025), w.no.publish_url(1_025));
+
+    // Same verdict as the same request arriving after the rotation, which
+    // dropped its beacon state: coded, transient, nothing admitted, and not
+    // counted as a forgery.
+    assert_eq!(
+        router.finish_access_request(checked, 1_030).unwrap_err(),
+        ProtocolError::UnknownBeacon
+    );
+    assert_eq!(
+        router.process_access_request(&req, 1_031).unwrap_err(),
+        ProtocolError::UnknownBeacon
+    );
+    assert_eq!(router.pending_log_len(), 0);
+    assert!(!router.is_under_attack());
+}
+
+#[test]
+fn forgeries_finishing_out_of_line_still_arm_dos_defense() {
+    let mut w = World::new(47);
+    let gid = w.add_group("org", 1);
+    let mut alice = w.enroll_user("alice", gid);
+    let mut router = w.router("MR-1");
+    let threshold = w.no.config().dos_threshold;
+
+    let beacon = router.beacon(2_000, &mut w.rng);
+    let (template, _) = alice.process_beacon(&beacon, 2_010, &mut w.rng).unwrap();
+    let forged: Vec<_> = (0..threshold)
+        .map(|i| {
+            let mut bogus = template.clone();
+            bogus.ts2 = 2_011 + i as u64; // changed payload → signature fails
+            bogus
+        })
+        .collect();
+    // The whole flood is in flight at once; failures are only known, and
+    // only counted, as each one finishes.
+    let checked: Vec<_> = forged
+        .iter()
+        .map(|req| router.begin_access_request(req, 2_020).unwrap().verify())
+        .collect();
+    assert!(!router.is_under_attack());
+    for c in checked {
+        assert_eq!(
+            router.finish_access_request(c, 2_030).unwrap_err(),
+            ProtocolError::BadGroupSignature
+        );
+    }
+    assert!(router.is_under_attack());
+    assert!(router.beacon(2_500, &mut w.rng).puzzle.is_some());
+}

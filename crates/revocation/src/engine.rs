@@ -31,9 +31,8 @@ use std::time::Instant;
 use peace_curve::G2;
 use peace_field::Fq;
 use peace_groupsig::{
-    h0_bases, revocation_sweep, revocation_sweep_grid, set_sweep_spawn_threshold,
-    sweep_spawn_threshold, BasesMode, GroupPublicKey, GroupSignature, PreparedGpk, RevocationToken,
-    VerifyError,
+    h0_bases, revocation_sweep, set_sweep_spawn_threshold, sweep_spawn_threshold, BasesMode,
+    GroupPublicKey, GroupSignature, PreparedGpk, RevocationToken, VerifyError,
 };
 use peace_pairing::{pairing, pairing_ratio};
 use peace_telemetry::{Counter, Histogram};
@@ -277,48 +276,6 @@ impl RevocationEngine {
         Ok(self.check_revocation(msg, sig, &u_hat, &v_hat))
     }
 
-    /// Batched verification + staged revocation check — the drop-in
-    /// replacement for [`PreparedGpk::verify_and_check_batch`]. Cache and
-    /// prefilter stages run per item; every item that still needs a sweep
-    /// joins one signature×token grid with a single shared final
-    /// exponentiation.
-    pub fn verify_and_check_batch(
-        &mut self,
-        prepared: &PreparedGpk,
-        items: &[(&[u8], &GroupSignature)],
-    ) -> Vec<Result<Option<usize>, VerifyError>> {
-        let bases = prepared.verify_batch_bases(items, self.cfg.bases_mode);
-        let mut out: Vec<Result<Option<usize>, VerifyError>> =
-            bases.iter().map(|r| r.map(|_| None)).collect();
-        if self.store.is_empty() {
-            return out;
-        }
-        let version = self.store.version();
-        // Stage 1+2 per item; survivors queue for the shared grid sweep.
-        let mut pending: Vec<(usize, CacheKey, G2, G2)> = Vec::new();
-        for (i, (r, &(msg, sig))) in bases.iter().zip(items).enumerate() {
-            let Ok((u_hat, v_hat)) = r else { continue };
-            match self.staged_verdict(msg, sig, version) {
-                Staged::Settled(v) => out[i] = Ok(v),
-                Staged::NeedsSweep(key) => pending.push((i, key, *u_hat, *v_hat)),
-            }
-        }
-        if !pending.is_empty() {
-            let rows: Vec<(&GroupSignature, G2, G2)> = pending
-                .iter()
-                .map(|&(i, _, u, v)| (items[i].1, u, v))
-                .collect();
-            let t0 = Instant::now();
-            let verdicts = revocation_sweep_grid(&rows, self.store.tokens());
-            self.note_sweep(t0, rows.len() * self.store.len());
-            for (&(i, key, _, _), v) in pending.iter().zip(&verdicts) {
-                self.cache.insert(key, version, v.map(|x| x as u32));
-                out[i] = Ok(*v);
-            }
-        }
-        out
-    }
-
     /// The revocation stages alone, for callers that already verified the
     /// signature and hold its H₀ bases (e.g. via
     /// [`PreparedGpk::verify_bases`]).
@@ -333,21 +290,6 @@ impl RevocationEngine {
             return None;
         }
         let version = self.store.version();
-        match self.staged_verdict(msg, sig, version) {
-            Staged::Settled(v) => v,
-            Staged::NeedsSweep(key) => {
-                let t0 = Instant::now();
-                let verdict = revocation_sweep(sig, self.store.tokens(), u_hat, v_hat);
-                self.note_sweep(t0, self.store.len());
-                self.cache.insert(key, version, verdict.map(|x| x as u32));
-                verdict
-            }
-        }
-    }
-
-    /// Runs the cache and prefilter stages; returns either a settled
-    /// verdict or the cache key under which a sweep result should land.
-    fn staged_verdict(&mut self, msg: &[u8], sig: &GroupSignature, version: u64) -> Staged {
         // In fixed-bases mode with the prefilter armed, the cache key is
         // the linkable `ê(A, û)` fingerprint: repeat traffic from one key
         // share hits regardless of message. Otherwise it is a digest of
@@ -357,7 +299,7 @@ impl RevocationEngine {
         // (A signature whose `D` is undefined — impossible once it has
         // verified — takes the digest key and lets the sweep decide.)
         let d = match (&self.prefilter, &self.fixed_bases) {
-            (Some(_), Some((u_hat, v_hat))) => pairing_ratio(&sig.t2, u_hat, &sig.t1, v_hat),
+            (Some(_), Some((fu, fv))) => pairing_ratio(&sig.t2, fu, &sig.t1, fv),
             _ => None,
         };
         let (key, d_fp) = match d {
@@ -375,7 +317,7 @@ impl RevocationEngine {
         };
         if let Some(v) = self.cache.get(&key, version) {
             self.metrics.cache_hit.inc();
-            return Staged::Settled(v.map(|x| x as usize));
+            return v.map(|x| x as usize);
         }
         self.metrics.cache_miss.inc();
         if let (Some(fp), Some(pf)) = (d_fp, &self.prefilter) {
@@ -384,25 +326,25 @@ impl RevocationEngine {
                 // listed token's fingerprint equals this signature's.
                 self.metrics.prefilter_reject.inc();
                 self.cache.insert(key, version, None);
-                return Staged::Settled(None);
+                return None;
             }
             self.metrics.prefilter_suspect.inc();
             if self.cfg.exact_suspect_map {
                 let verdict = self.exact.get(&fp).map(|&i| i as usize);
                 self.cache.insert(key, version, verdict.map(|x| x as u32));
-                return Staged::Settled(verdict);
+                return verdict;
             }
         }
-        Staged::NeedsSweep(key)
-    }
-
-    fn note_sweep(&self, t0: Instant, cells: usize) {
+        let t0 = Instant::now();
+        let verdict = revocation_sweep(sig, self.store.tokens(), u_hat, v_hat);
         self.metrics.sweeps.inc();
         let ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
         self.metrics.sweep_us.record(ns / 1_000);
-        if cells > 0 {
-            self.metrics.sweep_token_ns.record(ns / cells as u64);
-        }
+        self.metrics
+            .sweep_token_ns
+            .record(ns / self.store.len() as u64);
+        self.cache.insert(key, version, verdict.map(|x| x as u32));
+        verdict
     }
 
     /// Retunes the process-wide sweep fan-out threshold from the measured
@@ -473,9 +415,4 @@ impl RevocationEngine {
     pub fn config(&self) -> &EngineConfig {
         &self.cfg
     }
-}
-
-enum Staged {
-    Settled(Option<usize>),
-    NeedsSweep(CacheKey),
 }

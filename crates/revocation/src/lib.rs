@@ -307,36 +307,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn engine_batch_matches_direct_batch() {
-        let mut w = world(5, 12);
-        let mode = BasesMode::PerMessage;
-        let url: Vec<RevocationToken> = vec![w.members[2].revocation_token()];
-        let mut eng = RevocationEngine::new(w.prepared.gpk(), engine_cfg(mode, false));
-        eng.install_full(0, 1, &url);
-        let msgs: Vec<Vec<u8>> = (0..5).map(|i| format!("burst-{i}").into_bytes()).collect();
-        let mut sigs: Vec<_> = w
-            .members
-            .iter()
-            .zip(&msgs)
-            .map(|(m, msg)| sign(w.prepared.gpk(), m, msg, mode, &mut w.rng))
-            .collect();
-        // Corrupt one signature: the batch must classify it Err like the
-        // direct path does.
-        sigs[4].c = sigs[4].c.add(&peace_field::Fq::ONE);
-        let items: Vec<(&[u8], &peace_groupsig::GroupSignature)> = msgs
-            .iter()
-            .zip(&sigs)
-            .map(|(m, s)| (m.as_slice(), s))
-            .collect();
-        let direct = w.prepared.verify_and_check_batch(&items, &url, mode);
-        let staged = eng.verify_and_check_batch(&w.prepared, &items);
-        assert_eq!(staged, direct);
-        // Second pass: everything valid is now cache-served, verdicts equal.
-        let staged2 = eng.verify_and_check_batch(&w.prepared, &items);
-        assert_eq!(staged2, direct);
-    }
-
     /// The cache-invalidation regression the ISSUE pins: a signer verified
     /// clean (verdict cached), *then revoked*, must be rejected when the
     /// same work unit is re-presented — the version bump from the delta

@@ -124,7 +124,7 @@ impl Default for CityConfig {
             auth_interval_ms: 5_000,
             move_step_m: 25.0,
             router_capacity: 64,
-            service_us: 3_700, // ≈ measured batched verify on the reference host
+            service_us: 3_700, // ≈ measured per-request access verify on the reference host
             url_scan_us: 2,
             seed: 0xC17F_5EED,
             scenario: Scenario::Steady,

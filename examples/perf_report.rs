@@ -21,7 +21,7 @@ use std::time::Instant;
 use peace::curve::G1;
 use peace::groupsig::{
     h0_bases, revocation_index, revocation_sweep, sign, token_matches, verify, BasesMode,
-    GroupSignature, IssuerKey, OpSnapshot, PreparedGpk, RevocationToken,
+    IssuerKey, OpSnapshot, PreparedGpk, RevocationToken,
 };
 use peace::revoke::{EngineConfig, RevocationEngine};
 use peace::telemetry::bench::BenchReport;
@@ -104,37 +104,6 @@ fn main() {
     });
     print_row("verify (prepared tables)", ops, &cost);
     report_row(&mut report, "verify_prepared", ops, &cost);
-
-    // Batch verification scaling: k queued signatures verified together,
-    // sharing one final exponentiation across the batch while keeping a
-    // per-item challenge check (no random linear combination exists for
-    // hash-bound Σ-protocol transcripts, so nothing is blended). Reported
-    // ops/s is per *signature*; per-op counts are per batch.
-    println!("\nbatch verify (one shared final exponentiation per batch):");
-    let batch_msgs: Vec<Vec<u8>> = (0..64)
-        .map(|i| format!("batch payload {i}").into_bytes())
-        .collect();
-    let batch_sigs: Vec<GroupSignature> = batch_msgs
-        .iter()
-        .map(|m| sign(&gpk, &member, m, mode, &mut rng))
-        .collect();
-    for k in [1usize, 4, 16, 64] {
-        let items: Vec<(&[u8], &GroupSignature)> = batch_msgs[..k]
-            .iter()
-            .map(Vec::as_slice)
-            .zip(&batch_sigs[..k])
-            .collect();
-        let iters = (64 / k as u32).max(2);
-        let (batches, cost) = measure(iters, || {
-            assert!(prepared
-                .verify_batch(&items, mode)
-                .iter()
-                .all(Result::is_ok));
-        });
-        let ops = batches * k as f64;
-        print_row(&format!("verify_batch  k={k}"), ops, &cost);
-        report_row(&mut report, &format!("verify_batch_k{k}"), ops, &cost);
-    }
 
     println!("\nrevocation check, |URL| = n (signer unrevoked — full scan):");
     let tokens: Vec<_> = (0..64)

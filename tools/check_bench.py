@@ -39,10 +39,6 @@ FLOORS = {
         "sign_prepared_ops_per_sec": 130.0,
         "verify_plain_ops_per_sec": 130.0,
         "verify_prepared_ops_per_sec": 140.0,
-        "verify_batch_k1_ops_per_sec": 140.0,
-        "verify_batch_k4_ops_per_sec": 140.0,
-        "verify_batch_k16_ops_per_sec": 140.0,
-        "verify_batch_k64_ops_per_sec": 140.0,
         # Staged revocation engine at metropolitan list sizes (measured
         # ~320 and ~220 ops/s): the floor catches losing the O(1) cache /
         # prefilter fast paths, which would collapse these to the cold
