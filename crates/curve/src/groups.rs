@@ -13,6 +13,7 @@ use peace_field::Fq;
 use rand::RngCore;
 
 use crate::point::{generator, AffinePoint};
+use crate::wire::G1Wire;
 
 /// An element of 𝔾₁ (order-`q` subgroup of `E(F_p)`).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -97,10 +98,12 @@ macro_rules! group_impl {
                 self.0.to_compressed()
             }
 
-            /// Decodes and validates (curve and subgroup membership).
+            /// Decodes and validates, eagerly: [`G1Wire::parse`] (canonical
+            /// form) then [`G1Wire::decompress`] (curve and subgroup
+            /// membership) — the one predicate, composed.
             pub fn from_bytes(bytes: &[u8]) -> Option<Self> {
-                let p = AffinePoint::from_compressed(bytes)?;
-                Self::from_point(p)
+                let point = G1Wire::parse(bytes)?.decompress().ok()?;
+                Some(Self(point.0))
             }
 
             /// Size of the compressed encoding in bytes.

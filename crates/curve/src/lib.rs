@@ -7,7 +7,8 @@
 //! * [`G1`] / [`G2`] — the paper's bilinear groups (order-`q` subgroup), with
 //!   the isomorphism [`psi`] (`ψ(g₂) = g₁`);
 //! * [`hash_to_g1`] / [`hash_to_g2`] — deterministic hash-to-subgroup;
-//! * compressed 65-byte point encodings.
+//! * compressed 65-byte point encodings, and [`G1Wire`] — that encoding
+//!   as a value, validated when the point is first needed.
 //!
 //! # Examples
 //!
@@ -29,10 +30,12 @@ mod fixed_base;
 mod groups;
 pub mod ops;
 mod point;
+mod wire;
 
 pub use fixed_base::{generator_table, mul_generator, FixedBaseTable};
 pub use groups::{hash_to_g1, hash_to_g2, psi, G1, G2};
 pub use point::{generator, AffinePoint, ProjectivePoint};
+pub use wire::{G1Encoded, G1Wire, PointError};
 
 #[cfg(test)]
 mod tests {
@@ -190,6 +193,107 @@ mod tests {
         let a = G1::random(&mut r);
         assert_eq!(G1::from_bytes(&a.to_bytes()).unwrap(), a);
         assert_eq!(G1::ENCODED_LEN, 65);
+    }
+
+    /// What `G1::from_bytes` computed before the compressed form became a
+    /// type: decompress, then wrap with the subgroup check. Kept here as
+    /// the reference the one predicate is differentially checked against.
+    fn reference_decode(bytes: &[u8]) -> Option<G1> {
+        AffinePoint::from_compressed(bytes).and_then(G1::from_point)
+    }
+
+    /// Both roads from bytes to a point agree with the reference, and an
+    /// accepted encoding re-encodes to the same bytes.
+    fn assert_one_predicate(bytes: &[u8]) {
+        let want = reference_decode(bytes);
+        assert_eq!(G1::from_bytes(bytes), want, "{bytes:02x?}");
+        let lazy = G1Wire::parse(bytes).and_then(|w| w.decompress().ok());
+        assert_eq!(lazy, want, "{bytes:02x?}");
+        if let Some(p) = want {
+            assert_eq!(p.to_bytes(), bytes);
+            assert_eq!(G1Wire::parse(bytes).unwrap().as_bytes()[..], *bytes);
+        }
+    }
+
+    #[test]
+    fn wire_form_edge_encodings() {
+        // Identity: canonical, decompresses to the identity.
+        let id = G1::IDENTITY.to_bytes();
+        assert_one_predicate(&id);
+        assert!(G1Wire::parse(&id).unwrap().is_identity());
+        // x = 0 is the 2-torsion point under either tag: refused as
+        // non-canonical, and by the reference through the subgroup check.
+        for tag in [2u8, 3] {
+            let mut zero_x = vec![0u8; 65];
+            zero_x[0] = tag;
+            assert!(G1Wire::parse(&zero_x).is_none());
+            assert_one_predicate(&zero_x);
+        }
+        // x = p, wrong length, unknown tag, identity tag with a body.
+        let mut x_is_p = vec![2u8];
+        x_is_p.extend_from_slice(&peace_field::base_modulus().to_be_bytes());
+        let mut inf_with_body = vec![0u8; 65];
+        inf_with_body[64] = 1;
+        for bad in [&x_is_p[..], &id[..64], &[4u8; 65], &inf_with_body] {
+            assert!(G1Wire::parse(bad).is_none());
+            assert_one_predicate(bad);
+        }
+    }
+
+    #[test]
+    fn wire_form_names_why_canonical_bytes_fail() {
+        let encode = |x: u64| {
+            let mut bytes = vec![0u8; 65];
+            bytes[0] = 2;
+            bytes[57..].copy_from_slice(&x.to_be_bytes());
+            bytes
+        };
+        let off_curve = (1..)
+            .map(encode)
+            .find(|b| AffinePoint::from_compressed(b).is_none())
+            .unwrap();
+        let out_of_subgroup = (1..)
+            .map(encode)
+            .find(|b| AffinePoint::from_compressed(b).is_some_and(|p| !p.is_in_subgroup()))
+            .unwrap();
+        for (bytes, why) in [
+            (off_curve, PointError::NotOnCurve),
+            (out_of_subgroup, PointError::NotInSubgroup),
+        ] {
+            let wire = G1Wire::parse(&bytes).expect("canonical");
+            assert_eq!(wire.decompress(), Err(why));
+            // The refusal is remembered like a success is.
+            let before = ops::g1_decompress_count();
+            assert_eq!(wire.clone().decompress(), Err(why));
+            assert_eq!(ops::g1_decompress_count(), before);
+            assert_one_predicate(&bytes);
+        }
+        assert_ne!(
+            PointError::NotOnCurve.code(),
+            PointError::NotInSubgroup.code()
+        );
+    }
+
+    #[test]
+    fn wire_form_decompresses_at_most_once() {
+        let mut r = rng();
+        let p = G1::random(&mut r);
+        let before = ops::g1_decompress_count();
+        // Built from a point: nothing to decompress, ever.
+        let own = G1Wire::from(p);
+        assert_eq!(own.decompress(), Ok(p));
+        assert_eq!(ops::g1_decompress_count(), before);
+        // Parsed: free until used, then paid once, clones included.
+        let parsed = G1Wire::parse(&p.to_bytes()).unwrap();
+        assert_eq!(parsed, own);
+        assert_eq!(parsed.g1_bytes(), p.g1_bytes());
+        assert_eq!(ops::g1_decompress_count(), before);
+        assert_eq!(parsed.decompress(), Ok(p));
+        assert_eq!(parsed.clone().decompress(), Ok(p));
+        assert_eq!(ops::g1_decompress_count(), before + 1);
+        // The eager decoder is the same work, counted the same way.
+        assert_eq!(G1::from_bytes(&p.to_bytes()), Some(p));
+        assert_eq!(ops::g1_decompress_count(), before + 2);
     }
 
     #[test]
@@ -402,6 +506,41 @@ mod tests {
                 expect = expect.add(&g);
             }
             prop_assert_eq!(g.mul_scalar(&Fq::from_u64(k)), expect);
+        }
+
+        #[test]
+        fn prop_one_predicate_on_random_bytes(
+            tag in 0u8..5,
+            body in proptest::collection::vec(any::<u8>(), 64..65),
+            top in 0u8..2,
+        ) {
+            // Random bodies are almost never below p in their top byte, so
+            // half the cases clear it to reach the square-root and subgroup
+            // branches.
+            let mut bytes = vec![tag];
+            bytes.extend_from_slice(&body);
+            if top == 0 {
+                bytes[1] = 0;
+            }
+            assert_one_predicate(&bytes);
+        }
+
+        #[test]
+        fn prop_one_predicate_on_mutated_encodings(
+            seed in any::<u64>(),
+            at in 0usize..65,
+            xor in 1u8..255,
+        ) {
+            let mut r = StdRng::seed_from_u64(seed);
+            let mut bytes = G1::random(&mut r).to_bytes();
+            assert_one_predicate(&bytes);
+            bytes[at] ^= xor;
+            assert_one_predicate(&bytes);
+            // Every tag value over an otherwise valid encoding.
+            for tag in 0..=255u8 {
+                bytes[0] = tag;
+                assert_one_predicate(&bytes);
+            }
         }
 
         #[test]

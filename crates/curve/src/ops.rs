@@ -15,14 +15,22 @@ use peace_telemetry::{global, Counter};
 
 /// Registry name of the 𝔾₁/𝔾₂ scalar-multiplication counter.
 pub const G1_MUL: &str = "crypto.g1_mul";
+/// Registry name of the point-decompression counter.
+pub const G1_DECOMPRESS: &str = "crypto.g1_decompress";
 
 fn g1_muls() -> &'static Arc<Counter> {
     static C: OnceLock<Arc<Counter>> = OnceLock::new();
     C.get_or_init(|| global().counter(G1_MUL))
 }
 
+fn g1_decompressions() -> &'static Arc<Counter> {
+    static C: OnceLock<Arc<Counter>> = OnceLock::new();
+    C.get_or_init(|| global().counter(G1_DECOMPRESS))
+}
+
 thread_local! {
     static LOCAL_G1_MULS: Cell<u64> = const { Cell::new(0) };
+    static LOCAL_G1_DECOMPRESSIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Records one scalar multiplication in 𝔾₁/𝔾₂ (the paper's "exponentiation").
@@ -41,4 +49,23 @@ pub fn g1_mul_count() -> u64 {
 /// and takes over the counts they recorded on its behalf.
 pub fn absorb_g1_muls(n: u64) {
     LOCAL_G1_MULS.with(|c| c.set(c.get() + n));
+}
+
+/// Records one point decompression: a compressed encoding lifted to a
+/// curve point by a field square root (the subgroup check that follows it
+/// counts as a scalar multiplication of its own).
+#[inline]
+pub fn record_g1_decompress() {
+    g1_decompressions().inc();
+    absorb_g1_decompressions(1);
+}
+
+/// Decompressions recorded by (or absorbed into) this thread so far.
+pub fn g1_decompress_count() -> u64 {
+    LOCAL_G1_DECOMPRESSIONS.with(Cell::get)
+}
+
+/// [`absorb_g1_muls`] for the decompression tally.
+pub fn absorb_g1_decompressions(n: u64) {
+    LOCAL_G1_DECOMPRESSIONS.with(|c| c.set(c.get() + n));
 }

@@ -187,6 +187,7 @@ impl AffinePoint {
             }
             tag @ (2 | 3) => {
                 let x = Fp::from_canonical_bytes(&bytes[1..])?;
+                ops::record_g1_decompress();
                 let rhs = x.square().mul(&x).add(&x);
                 let mut y = rhs.sqrt()?;
                 if y.is_odd() != (tag == 3) {

@@ -129,11 +129,11 @@ mod tests {
         let mut f = fixture();
         let gpk = *f.issuer.public_key();
         let sig = sign(&gpk, &f.alice, b"m", BasesMode::PerMessage, &mut f.rng);
-        let mut bad = sig;
+        let mut bad = sig.clone();
         bad.s_x = bad.s_x.add(&peace_field::Fq::ONE);
         assert!(verify(&gpk, b"m", &bad, BasesMode::PerMessage).is_err());
         let mut bad2 = sig;
-        bad2.t2 = bad2.t2.add(&gpk.g1);
+        bad2.t2 = bad2.t2.decompress().unwrap().add(&gpk.g1).into();
         assert!(verify(&gpk, b"m", &bad2, BasesMode::PerMessage).is_err());
     }
 
@@ -421,6 +421,109 @@ mod tests {
     }
 
     #[test]
+    fn a_decoded_signature_pays_for_its_points_once() {
+        // Off the wire, T₁ and T₂ are bytes. Verification decompresses
+        // them (2 square roots, 2 subgroup checks on top of the six §V.C
+        // exponentiations); the sweep over a 64-token URL, a second
+        // verification and the copy that goes to the log all reuse them.
+        let mut f = fixture();
+        let gpk = *f.issuer.public_key();
+        let prepared = PreparedGpk::new(&gpk);
+        let url: Vec<_> = (0..64)
+            .map(|_| f.issuer.issue(&f.grp_a, &mut f.rng).revocation_token())
+            .collect();
+        let signed = prepared.sign(&f.alice, b"m", BasesMode::PerMessage, &mut f.rng);
+
+        // As signed: the signer's own points, nothing to decompress.
+        let scope = OpSnapshot::scope();
+        prepared
+            .verify(b"m", &signed, BasesMode::PerMessage)
+            .unwrap();
+        let cost = scope.counts();
+        assert_eq!((cost.g1_muls, cost.g1_decompressions), (6, 0));
+        assert_eq!((cost.miller_loops, cost.final_exps), (2, 1));
+
+        let scope = OpSnapshot::scope();
+        let sig = GroupSignature::from_wire(&signed.to_wire()).unwrap();
+        assert_eq!(scope.counts(), OpSnapshot::default(), "decoding is free");
+        let (u_hat, v_hat) = prepared
+            .verify_bases(b"m", &sig, BasesMode::PerMessage)
+            .unwrap();
+        let cost = scope.counts();
+        assert_eq!((cost.g1_muls, cost.g1_decompressions), (6 + 2, 2));
+        assert_eq!((cost.miller_loops, cost.final_exps), (2, 1));
+
+        assert_eq!(revocation_sweep(&sig, &url, &u_hat, &v_hat), None);
+        let logged = sig.clone();
+        prepared
+            .verify(b"m", &logged, BasesMode::PerMessage)
+            .unwrap();
+        assert_eq!(open(&gpk, b"m", &logged, &url, BasesMode::PerMessage), None);
+        let cost = scope.counts();
+        assert_eq!(cost.g1_decompressions, 2, "not 4 or 6");
+        assert_eq!(cost.miller_loops, 2 + (64 + 1) + 2 + (64 + 1));
+    }
+
+    #[test]
+    fn a_commitment_outside_the_group_fails_everywhere_it_is_used() {
+        let encode = |x: u64| {
+            let mut bytes = vec![0u8; 65];
+            bytes[0] = 2;
+            bytes[57..].copy_from_slice(&x.to_be_bytes());
+            bytes
+        };
+        let lift = |bytes: &Vec<u8>| peace_curve::AffinePoint::from_compressed(bytes);
+        let off_curve = (1..).map(encode).find(|b| lift(b).is_none()).unwrap();
+        let out_of_subgroup = (1..)
+            .map(encode)
+            .find(|b| lift(b).is_some_and(|p| !p.is_in_subgroup()))
+            .unwrap();
+
+        let mut f = fixture();
+        let gpk = *f.issuer.public_key();
+        let prepared = PreparedGpk::new(&gpk);
+        let url = vec![f.alice.revocation_token(), f.bob.revocation_token()];
+        let good = sign(&gpk, &f.alice, b"m", BasesMode::PerMessage, &mut f.rng);
+        let (u_hat, v_hat) = h0_bases(&gpk, b"m", &good.r, BasesMode::PerMessage);
+        assert_eq!(revocation_sweep(&good, &url, &u_hat, &v_hat), Some(0));
+
+        for (bad, why) in [
+            (&off_curve, peace_curve::PointError::NotOnCurve),
+            (&out_of_subgroup, peace_curve::PointError::NotInSubgroup),
+        ] {
+            for slot in [20, 20 + 65] {
+                let mut bytes = good.to_bytes();
+                bytes[slot..slot + 65].copy_from_slice(bad);
+                // Canonical bytes: the decoder takes them, byte for byte.
+                let sig = GroupSignature::from_wire(&bytes).unwrap();
+                assert_eq!(sig.to_bytes(), bytes);
+                assert_eq!(sig.commitments(), Err(why));
+                let refused = Err(VerifyError::InvalidPoint(why));
+                assert_eq!(verify(&gpk, b"m", &sig, BasesMode::PerMessage), refused);
+                assert_eq!(prepared.verify(b"m", &sig, BasesMode::PerMessage), refused);
+                // It verifies under no key, so it matches no token.
+                assert!(!token_matches(&sig, &url[0], &u_hat, &v_hat));
+                assert_eq!(revocation_sweep(&sig, &url, &u_hat, &v_hat), None);
+                assert_eq!(open(&gpk, b"m", &sig, &url, BasesMode::PerMessage), None);
+                assert_eq!(
+                    open_batch(
+                        &gpk,
+                        &[(b"m", &sig), (b"m", &good)],
+                        &url,
+                        BasesMode::PerMessage
+                    ),
+                    vec![None, Some(0)]
+                );
+                assert_eq!(RevocationTable::build(&gpk, &url).lookup(&sig), None);
+            }
+        }
+        // Non-canonical bytes never become a signature at all.
+        let mut bytes = good.to_bytes();
+        bytes[21..85].fill(0xFF);
+        assert!(GroupSignature::from_wire(&bytes).is_err());
+    }
+
+    #[test]
     fn sweep_matches_naive_token_scan() {
         // Equivalence: the shared-Miller sweep must agree with a per-token
         // `token_matches` loop on every index — revoked signer at each
@@ -480,7 +583,7 @@ mod tests {
         let url = vec![f.bob.revocation_token(), f.carol_b.revocation_token()];
         let mut sig = sign(&gpk, &f.alice, b"m", BasesMode::PerMessage, &mut f.rng);
         let (u_hat, v_hat) = h0_bases(&gpk, b"m", &sig.r, BasesMode::PerMessage);
-        sig.t2 = url[1].0;
+        sig.t2 = url[1].0.into();
         let naive = |u_hat: &peace_curve::G2| {
             url.iter()
                 .position(|t| token_matches(&sig, t, u_hat, &v_hat))

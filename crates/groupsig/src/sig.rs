@@ -3,7 +3,7 @@
 
 use core::fmt;
 
-use peace_curve::{psi, FixedBaseTable, ProjectivePoint, G1, G2};
+use peace_curve::{psi, FixedBaseTable, G1Wire, PointError, ProjectivePoint, G1, G2};
 use peace_field::Fq;
 use peace_pairing::{
     miller, ops, pairing, pairing_pair, pairing_product, pairing_ratio, Gt, GtPowTable,
@@ -67,14 +67,19 @@ pub enum BasesMode {
 
 /// The group signature
 /// `SIG = (r, T₁, T₂, c, s_α, s_x, s_δ)` (paper step 2.2.4).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+///
+/// `T₁` and `T₂` are held as their encodings ([`G1Wire`]): a signature that
+/// is stored, forwarded, hashed or compared costs no curve arithmetic, and
+/// every function here that computes with them goes through
+/// [`Self::commitments`], which validates them once per signature value.
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub struct GroupSignature {
     /// Freshness scalar `r` mixed into the H₀ bases.
     pub r: Fq,
     /// `T₁ = u^α`.
-    pub t1: G1,
+    pub t1: G1Wire,
     /// `T₂ = A·v^α`.
-    pub t2: G1,
+    pub t2: G1Wire,
     /// Fiat–Shamir challenge `c`.
     pub c: Fq,
     /// Response `s_α = r_α + c·α`.
@@ -93,13 +98,24 @@ impl GroupSignature {
     pub fn to_bytes(&self) -> Vec<u8> {
         self.to_wire()
     }
+
+    /// `(T₁, T₂)` as group elements — decompressed and subgroup-checked the
+    /// first time this is called on a signature (or a clone of it), looked
+    /// up afterwards.
+    ///
+    /// # Errors
+    ///
+    /// [`PointError`] if either encoding names no element of 𝔾₁.
+    pub fn commitments(&self) -> Result<(G1, G1), PointError> {
+        Ok((self.t1.decompress()?, self.t2.decompress()?))
+    }
 }
 
 impl Encode for GroupSignature {
     fn encode(&self, w: &mut Writer) {
         w.put_fixed(&self.r.to_canonical_bytes());
-        w.put_fixed(&self.t1.to_bytes());
-        w.put_fixed(&self.t2.to_bytes());
+        w.put_fixed(self.t1.as_bytes());
+        w.put_fixed(self.t2.as_bytes());
         w.put_fixed(&self.c.to_canonical_bytes());
         w.put_fixed(&self.s_alpha.to_canonical_bytes());
         w.put_fixed(&self.s_x.to_canonical_bytes());
@@ -111,8 +127,8 @@ impl Decode for GroupSignature {
     fn decode(rd: &mut Reader<'_>) -> peace_wire::Result<Self> {
         let inv = peace_wire::WireError::Invalid("group signature");
         let r = Fq::from_canonical_bytes(rd.get_fixed(20)?).ok_or(inv)?;
-        let t1 = G1::from_bytes(rd.get_fixed(G1::ENCODED_LEN)?).ok_or(inv)?;
-        let t2 = G1::from_bytes(rd.get_fixed(G1::ENCODED_LEN)?).ok_or(inv)?;
+        let t1 = G1Wire::parse(rd.get_fixed(G1::ENCODED_LEN)?).ok_or(inv)?;
+        let t2 = G1Wire::parse(rd.get_fixed(G1::ENCODED_LEN)?).ok_or(inv)?;
         let c = Fq::from_canonical_bytes(rd.get_fixed(20)?).ok_or(inv)?;
         let s_alpha = Fq::from_canonical_bytes(rd.get_fixed(20)?).ok_or(inv)?;
         let s_x = Fq::from_canonical_bytes(rd.get_fixed(20)?).ok_or(inv)?;
@@ -137,6 +153,9 @@ pub enum VerifyError {
     /// `T₁` or `T₂` is the identity, or pairs to an undefined value
     /// (degenerate, never produced by `sign`).
     DegenerateCommitment,
+    /// `T₁` or `T₂` is canonically encoded but names no element of 𝔾₁
+    /// (off the curve, or outside the subgroup).
+    InvalidPoint(PointError),
 }
 
 impl fmt::Display for VerifyError {
@@ -144,6 +163,7 @@ impl fmt::Display for VerifyError {
         match self {
             VerifyError::BadChallenge => write!(f, "group signature challenge mismatch"),
             VerifyError::DegenerateCommitment => write!(f, "degenerate signature commitment"),
+            VerifyError::InvalidPoint(e) => write!(f, "signature commitment invalid: {e}"),
         }
     }
 }
@@ -168,8 +188,8 @@ fn challenge(
     gpk: &GroupPublicKey,
     msg: &[u8],
     r: &Fq,
-    t1: &G1,
-    t2: &G1,
+    t1: &G1Wire,
+    t2: &G1Wire,
     r1: &G1,
     r2: &Gt,
     r3: &G1,
@@ -178,8 +198,8 @@ fn challenge(
     w.put_bytes(&gpk.to_bytes());
     w.put_bytes(msg);
     w.put_fixed(&r.to_canonical_bytes());
-    w.put_fixed(&t1.to_bytes());
-    w.put_fixed(&t2.to_bytes());
+    w.put_fixed(t1.as_bytes());
+    w.put_fixed(t2.as_bytes());
     w.put_fixed(&r1.to_bytes());
     w.put_fixed(&r2.to_bytes());
     w.put_fixed(&r3.to_bytes());
@@ -218,6 +238,7 @@ pub fn sign(
     let (e_t2_g2, e_v_merged) = pairing_pair(&t2, &gpk.g2, &v, &merged);
     let r2 = e_t2_g2.pow(&r_x).mul(&e_v_merged.invert());
     let r3 = t1.mul_mul(&r_x, &u, &r_delta.neg());
+    let (t1, t2) = (G1Wire::from(t1), G1Wire::from(t2));
     let c = challenge(gpk, msg, &r, &t1, &t2, &r1, &r2, &r3);
 
     // 2.2.4 responses
@@ -329,6 +350,7 @@ impl PreparedGpk {
         let (e_t2_g2, e_v_merged) = pairing_pair(&t2, &self.gpk.g2, &v, &merged);
         let r2 = e_t2_g2.pow(&r_x).mul(&e_v_merged.invert());
         let r3 = t1.mul_mul(&r_x, &u, &r_delta.neg());
+        let (t1, t2) = (G1Wire::from(t1), G1Wire::from(t2));
         let c = challenge(&self.gpk, msg, &r, &t1, &t2, &r1, &r2, &r3);
 
         // 2.2.4 responses
@@ -414,21 +436,19 @@ impl PreparedGpk {
         u_hat: &G2,
         v_hat: &G2,
     ) -> Result<(), VerifyError> {
-        if sig.t1.is_identity() || sig.t2.is_identity() {
-            return Err(VerifyError::DegenerateCommitment);
-        }
+        let (t1, t2) = checked_commitments(sig)?;
         let u = psi(u_hat);
         let v = psi(v_hat);
         // Same equations as `verify_inner`, with table-driven fixed bases.
         let neg_c = sig.c.neg();
-        let r1 = u.mul_mul(&sig.s_alpha, &sig.t1, &neg_c);
+        let r1 = u.mul_mul(&sig.s_alpha, &t1, &neg_c);
         let t2_side = self.mul_g2_w(&sig.s_x, &sig.c);
         let v_side = self.mul_w_g2(&sig.s_alpha, &sig.s_delta);
-        let r2 = pairing_ratio(&sig.t2, &t2_side, &v, &v_side)
+        let r2 = pairing_ratio(&t2, &t2_side, &v, &v_side)
             .ok_or(VerifyError::DegenerateCommitment)?
             .mul(&self.e_g1_g2_table.pow(&sig.c).invert());
         let neg_s_delta = sig.s_delta.neg();
-        let r3 = sig.t1.mul_mul(&sig.s_x, &u, &neg_s_delta);
+        let r3 = t1.mul_mul(&sig.s_x, &u, &neg_s_delta);
         if challenge(&self.gpk, msg, &sig.r, &sig.t1, &sig.t2, &r1, &r2, &r3) == sig.c {
             Ok(())
         } else {
@@ -450,6 +470,15 @@ impl PreparedGpk {
     }
 }
 
+/// The commitments a verifier computes with: neither the identity (checked
+/// on the bytes, before any arithmetic), both in 𝔾₁.
+fn checked_commitments(sig: &GroupSignature) -> Result<(G1, G1), VerifyError> {
+    if sig.t1.is_identity() || sig.t2.is_identity() {
+        return Err(VerifyError::DegenerateCommitment);
+    }
+    sig.commitments().map_err(VerifyError::InvalidPoint)
+}
+
 /// Verifies a signature against the group public key (paper step 3.2).
 ///
 /// # Errors
@@ -462,9 +491,7 @@ pub fn verify(
     sig: &GroupSignature,
     mode: BasesMode,
 ) -> Result<(), VerifyError> {
-    if sig.t1.is_identity() || sig.t2.is_identity() {
-        return Err(VerifyError::DegenerateCommitment);
-    }
+    let (t1, t2) = checked_commitments(sig)?;
     // 3.2.1
     let (u_hat, v_hat) = h0_bases(gpk, msg, &sig.r, mode);
     let u = psi(&u_hat);
@@ -475,15 +502,15 @@ pub fn verify(
     // The quotient reduces with one shared final exponentiation
     // (see `pairing_ratio`).
     let neg_c = sig.c.neg();
-    let r1 = u.mul_mul(&sig.s_alpha, &sig.t1, &neg_c);
+    let r1 = u.mul_mul(&sig.s_alpha, &t1, &neg_c);
     let t2_side = gpk.g2.mul_mul(&sig.s_x, &gpk.w, &sig.c);
     let v_side = gpk.w.mul_mul(&sig.s_alpha, &gpk.g2, &sig.s_delta);
     let e_g1_g2 = constant_pairing(gpk);
-    let r2 = pairing_ratio(&sig.t2, &t2_side, &v, &v_side)
+    let r2 = pairing_ratio(&t2, &t2_side, &v, &v_side)
         .ok_or(VerifyError::DegenerateCommitment)?
         .mul(&e_g1_g2.pow(&sig.c).invert());
     let neg_s_delta = sig.s_delta.neg();
-    let r3 = sig.t1.mul_mul(&sig.s_x, &u, &neg_s_delta);
+    let r3 = t1.mul_mul(&sig.s_x, &u, &neg_s_delta);
     // 3.2.3
     if challenge(gpk, msg, &sig.r, &sig.t1, &sig.t2, &r1, &r2, &r3) == sig.c {
         Ok(())
@@ -493,16 +520,20 @@ pub fn verify(
 }
 
 /// Checks one revocation token against a signature (paper Eq.3):
-/// `ê(T₂/A, û) = ê(T₁, v̂)`.
+/// `ê(T₂/A, û) = ê(T₁, v̂)`. A signature whose commitments are not group
+/// elements verifies under no key and matches no token.
 pub fn token_matches(
     sig: &GroupSignature,
     token: &RevocationToken,
     u_hat: &G2,
     v_hat: &G2,
 ) -> bool {
+    let Ok((t1, t2)) = sig.commitments() else {
+        return false;
+    };
     // ê(T₂/A, û) · ê(T₁, v̂)⁻¹ = 1  — one product, shared final exponentiation.
-    let lhs = sig.t2.sub(&token.0);
-    pairing_product(&[(lhs, *u_hat), (sig.t1.neg(), *v_hat)]).is_one()
+    let lhs = t2.sub(&token.0);
+    pairing_product(&[(lhs, *u_hat), (t1.neg(), *v_hat)]).is_one()
 }
 
 /// Default token count at and above which [`revocation_sweep`] fans the
@@ -609,13 +640,15 @@ struct SweepRow {
 }
 
 impl SweepRow {
-    /// One line table, one Miller loop.
-    fn new(sig: &GroupSignature, u_hat: &G2, v_hat: &G2) -> Self {
-        Self {
-            t2: sig.t2.point().to_projective(),
+    /// One line table, one Miller loop. `None` for a signature whose
+    /// commitments are not group elements: it matches no token.
+    fn new(sig: &GroupSignature, u_hat: &G2, v_hat: &G2) -> Option<Self> {
+        let (t1, t2) = sig.commitments().ok()?;
+        Some(Self {
+            t2: t2.point().to_projective(),
             lines: MillerLines::new(&psi(u_hat)),
-            shared: miller(&sig.t1.neg(), v_hat),
-        }
+            shared: miller(&t1.neg(), v_hat),
+        })
     }
 
     /// Whether each of `tokens` passes Eq.3 against this signature: one
@@ -663,7 +696,7 @@ pub fn revocation_sweep(
     if tokens.is_empty() {
         return None;
     }
-    let row = SweepRow::new(sig, u_hat, v_hat);
+    let row = SweepRow::new(sig, u_hat, v_hat)?;
     ops::record_final_exp();
     fill_chunks(tokens.len(), sweep_spawn_threshold(), &|range| {
         row.matches(&tokens[range])
@@ -732,7 +765,7 @@ pub fn open_batch(
     fill_indexed(items.len(), PARALLEL_OPEN_THRESHOLD, &|k| {
         let (msg, sig) = items[k];
         let (u_hat, v_hat) = h0_bases(gpk, msg, &sig.r, mode);
-        let row = SweepRow::new(sig, &u_hat, &v_hat);
+        let row = SweepRow::new(sig, &u_hat, &v_hat)?;
         grt.chunks(OPEN_BLOCK).enumerate().find_map(|(b, block)| {
             ops::record_final_exp();
             let hit = row.matches(block).iter().position(|&hit| hit)?;
@@ -807,7 +840,8 @@ impl RevocationTable {
     /// Only sound for signatures produced with [`BasesMode::FixedBases`].
     pub fn lookup(&self, sig: &GroupSignature) -> Option<usize> {
         let (u_hat, v_hat) = self.u_hat.as_ref()?;
-        let d = pairing(&sig.t2, u_hat).div(&pairing(&sig.t1, v_hat));
+        let (t1, t2) = sig.commitments().ok()?;
+        let d = pairing(&t2, u_hat).div(&pairing(&t1, v_hat));
         self.entries.get(&d.to_bytes()).copied()
     }
 }

@@ -13,17 +13,17 @@ use peace_wire::{Decode, Encode, Reader, WireError, Writer};
 
 use crate::checkpoint::Checkpoint;
 
-/// The index-relevant facts of one record, extracted without
-/// deserializing any group elements.
+/// The index-relevant facts of one record, extracted without reading the
+/// record body.
 ///
-/// Recovery builds its in-memory indexes from these. The expensive parts
-/// of a record — curve points inside group signatures and revocation
-/// tokens, each costing a field square root plus a subgroup check to
-/// decode — stay on disk until [`get`](crate::Ledger::get) actually
-/// needs them. The frame CRC and the hash chain still cover every byte,
-/// so a shallow scan keeps the full crash-recovery and tamper-evidence
-/// guarantees; only the structural validation of group elements moves
-/// from open-time to read-time.
+/// Recovery builds its in-memory indexes from these; the body stays on
+/// disk until [`get`](crate::Ledger::get) reads it. The frame CRC and the
+/// hash chain still cover every byte, so a shallow scan keeps the full
+/// crash-recovery and tamper-evidence guarantees. What it does not do is
+/// decode the body: that happens at read time (structure, canonical point
+/// encodings, revocation tokens in full), and the points of a group
+/// signature are validated later still — when an audit opens the
+/// signature, or when [`verify_chain`](crate::verify_chain) walks the log.
 #[derive(Clone, Debug, PartialEq)]
 pub enum IndexFacts {
     /// An access transcript: reporting router + canonical session-id

@@ -475,6 +475,13 @@ impl ReplicatedLedger {
     /// A chain conflict (3) or overlap divergence (4) is equivocation
     /// evidence: the writer is quarantined and the range refused.
     /// Returns the number of records newly appended.
+    ///
+    /// Check 2 is structural: a group signature's `T₁`/`T₂` must be
+    /// canonically encoded, but are not decompressed here — the bytes are
+    /// what the chain and the writer's checkpoint attest, and a mirror is a
+    /// copy of them. Whether they name group elements is established where
+    /// someone computes with them (an audit sweep reports such a record
+    /// unresolved) and by [`verify_replica`], which checks every one.
     pub fn ingest_range(
         &mut self,
         range: &RangeData,

@@ -12,7 +12,7 @@ use peace_wire::{Decode, Encode, Reader, Writer};
 use crate::checkpoint::Checkpoint;
 use crate::record::{Entry, IndexFacts, LedgerRecord, RecordKind, ShallowEntry};
 use crate::segment::{
-    extend_chain, frame, genesis_chain, scan, scan_shallow, ChainMode, SegmentHeader,
+    extend_chain, frame, genesis_chain, scan, scan_shallow, ChainMode, ScanFlaw, SegmentHeader,
     ShallowScanResult, FRAME_OVERHEAD, SEGMENT_HEADER_LEN,
 };
 use crate::{LedgerError, Result};
@@ -525,11 +525,7 @@ impl Ledger {
             }
             if let Some(flaw) = res.flaw {
                 if i + 1 != count {
-                    return Err(LedgerError::Corrupt {
-                        segment: seg.base_seq,
-                        offset: res.valid_len as u64,
-                        what: flaw.describe(),
-                    });
+                    return Err(stopped_at(seg, res.valid_len, flaw));
                 }
                 // Torn tail of the live segment: truncate it away.
                 report.torn_bytes += file_len - res.valid_len as u64;
@@ -934,6 +930,13 @@ impl Ledger {
 
     /// Reads every retained entry in order (exports, sweeps over the full
     /// log). Streams segment-by-segment rather than seeking per record.
+    ///
+    /// # Errors
+    ///
+    /// [`LedgerError::Corrupt`], naming segment and offset, at the first
+    /// record the full decoder refuses. [`Ledger::open`] admits records on
+    /// their frame and index facts alone, so this is where a body that does
+    /// not decode surfaces — as an error, never as a shorter view.
     pub fn iter_all(&self) -> Result<Vec<Entry>> {
         let mut out = Vec::with_capacity(self.locs.len());
         for (i, seg) in self.segments.iter().enumerate() {
@@ -955,6 +958,9 @@ impl Ledger {
                 header.prev_chain,
                 self.cfg.max_record_bytes,
             );
+            if let Some(flaw) = res.flaw {
+                return Err(stopped_at(seg, res.valid_len, flaw));
+            }
             out.extend(res.entries.into_iter().map(|s| s.entry));
         }
         Ok(out)
@@ -967,6 +973,15 @@ impl Drop for Ledger {
     /// truncates whatever tail tore.)
     fn drop(&mut self) {
         let _ = self.flush();
+    }
+}
+
+/// The error for a full scan of `seg` that stopped at byte `offset`.
+fn stopped_at(seg: &SegmentMeta, offset: usize, flaw: ScanFlaw) -> LedgerError {
+    LedgerError::Corrupt {
+        segment: seg.base_seq,
+        offset: offset as u64,
+        what: flaw.describe(),
     }
 }
 
@@ -1015,12 +1030,15 @@ pub struct ChainReport {
 }
 
 /// Walks a ledger directory read-only: replays the hash chain across all
-/// segments, validates every frame, and verifies every checkpoint
-/// signature via `resolve` (mapping a signer name to its verifying key).
+/// segments, validates every frame, verifies every checkpoint signature
+/// via `resolve` (mapping a signer name to its verifying key), and
+/// decompresses every group element of every record — the one reader that
+/// promises the whole log is well-formed, since the write, recovery and
+/// replication paths carry signatures as bytes.
 ///
-/// Interior damage, broken chains, and bad checkpoints are errors; a torn
-/// tail in the last segment is reported but tolerated, matching what
-/// [`Ledger::open`] would repair.
+/// Interior damage, broken chains, bad checkpoints and records carrying a
+/// point outside the group are errors; a torn tail in the last segment is
+/// reported but tolerated, matching what [`Ledger::open`] would repair.
 pub fn verify_chain(
     dir: impl AsRef<Path>,
     resolve: impl Fn(&str) -> Option<VerifyingKey>,
@@ -1059,18 +1077,17 @@ pub fn verify_chain(
             header.prev_chain,
             max_record,
         );
-        if let Some(flaw) = res.flaw {
-            if i + 1 != count {
-                return Err(LedgerError::Corrupt {
-                    segment: seg.base_seq,
-                    offset: res.valid_len as u64,
-                    what: flaw.describe(),
-                });
-            }
-            torn_bytes = bytes.len() as u64 - res.valid_len as u64;
-        }
         for se in &res.entries {
-            if let LedgerRecord::Checkpoint(ck) = &se.entry.record {
+            if let LedgerRecord::Access(a) = &se.entry.record {
+                // The one reader that needs no point still checks them all.
+                if a.session.gsig.commitments().is_err() {
+                    return Err(LedgerError::Corrupt {
+                        segment: seg.base_seq,
+                        offset: se.offset as u64,
+                        what: "access record carries a point outside the group",
+                    });
+                }
+            } else if let LedgerRecord::Checkpoint(ck) = &se.entry.record {
                 // scan() already matched (seq, chain); here we verify the
                 // signature against the claimed signer's key.
                 let Some(key) = resolve(&ck.signer) else {
@@ -1088,6 +1105,17 @@ pub fn verify_chain(
                 checkpoints_verified += 1;
                 last_ck_seq = Some(se.entry.seq);
             }
+        }
+        // Every accepted entry has been checked; what stopped the scan, if
+        // anything, comes after them all.
+        if let Some(flaw) = res.flaw {
+            // A crash tears the tail of the last segment. It does not leave
+            // a complete frame with a good CRC whose body fails to decode:
+            // that is a bad record wherever it sits.
+            if i + 1 != count || flaw == ScanFlaw::Undecodable {
+                return Err(stopped_at(seg, res.valid_len, flaw));
+            }
+            torn_bytes = bytes.len() as u64 - res.valid_len as u64;
         }
         records += res.entries.len() as u64;
         chain = res.chain;

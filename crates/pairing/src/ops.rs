@@ -143,6 +143,9 @@ pub struct OpSnapshot {
     pub final_exps: u64,
     /// Line tables prepared (one per signature a sweep runs for).
     pub miller_prepares: u64,
+    /// Compressed points lifted to the curve (one square root each; the
+    /// subgroup check that follows is one of `g1_muls`).
+    pub g1_decompressions: u64,
 }
 
 impl OpSnapshot {
@@ -156,6 +159,7 @@ impl OpSnapshot {
             miller_loops: local(Op::MillerLoop),
             final_exps: local(Op::FinalExp),
             miller_prepares: local(Op::MillerPrepare),
+            g1_decompressions: peace_curve::ops::g1_decompress_count(),
         }
     }
 
@@ -174,6 +178,7 @@ impl OpSnapshot {
         local_add(Op::MillerLoop, self.miller_loops);
         local_add(Op::FinalExp, self.final_exps);
         local_add(Op::MillerPrepare, self.miller_prepares);
+        peace_curve::ops::absorb_g1_decompressions(self.g1_decompressions);
     }
 
     /// Difference `self − earlier` (counts in a bracketed region).
@@ -185,6 +190,7 @@ impl OpSnapshot {
             miller_loops: self.miller_loops - earlier.miller_loops,
             final_exps: self.final_exps - earlier.final_exps,
             miller_prepares: self.miller_prepares - earlier.miller_prepares,
+            g1_decompressions: self.g1_decompressions - earlier.g1_decompressions,
         }
     }
 

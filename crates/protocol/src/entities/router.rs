@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use peace_curve::{G1, G2};
+use peace_curve::{G1Encoded, G1Wire, G1, G2};
 use peace_ecdsa::{Certificate, SigningKey, VerifyingKey};
 use peace_field::Fq;
 use peace_groupsig::{BasesMode, GroupPublicKey, PreparedGpk, VerifyError};
@@ -45,14 +45,28 @@ pub struct PendingAccess<'a> {
 
 impl<'a> PendingAccess<'a> {
     /// §IV.B 3.2: verifies the group signature. Touches no router state.
+    ///
+    /// This is also where the request's points are validated — `g^{r_j}`,
+    /// then `T₁` and `T₂` inside the Σ-check — after every gate that could
+    /// refuse the request on its bytes alone. A point that is not a group
+    /// element fails the check like any forgery.
     pub fn verify(self) -> CheckedAccess<'a> {
-        let sigma = self
-            .prepared
-            .verify_bases(&self.payload, &self.req.gsig, self.mode);
         CheckedAccess {
+            sigma: self.sigma(),
             pending: self,
-            sigma,
         }
+    }
+
+    fn sigma(&self) -> std::result::Result<(G1, G2, G2), VerifyError> {
+        let g_rj = self
+            .req
+            .g_rj
+            .decompress()
+            .map_err(VerifyError::InvalidPoint)?;
+        let (u_hat, v_hat) =
+            self.prepared
+                .verify_bases(&self.payload, &self.req.gsig, self.mode)?;
+        Ok((g_rj, u_hat, v_hat))
     }
 }
 
@@ -60,9 +74,9 @@ impl<'a> PendingAccess<'a> {
 /// [`MeshRouter::finish_access_request`].
 pub struct CheckedAccess<'a> {
     pending: PendingAccess<'a>,
-    /// The H₀ bases the check derived (reused by the revocation stage), or
-    /// why the signature was refused.
-    sigma: std::result::Result<(G2, G2), VerifyError>,
+    /// The user's DH share and the H₀ bases the check derived (reused by
+    /// admission and the revocation stage), or why the request was refused.
+    sigma: std::result::Result<(G1, G2, G2), VerifyError>,
 }
 
 /// A mesh router.
@@ -354,7 +368,7 @@ impl MeshRouter {
             let mut seed = Writer::new();
             seed.put_str(&self.id.0);
             seed.put_u64(now);
-            seed.put_fixed(&g_rr.to_bytes());
+            seed.put_fixed(&g_rr.g1_bytes());
             Some(Puzzle::new(
                 seed.as_bytes(),
                 self.config.puzzle_params.0,
@@ -372,8 +386,8 @@ impl MeshRouter {
             now,
         );
         Beacon {
-            g,
-            g_rr,
+            g: g.into(),
+            g_rr: g_rr.into(),
             ts1: now,
             sig,
             cert: self.cert.clone(),
@@ -435,7 +449,9 @@ impl MeshRouter {
     /// gates — beacon correlation, timestamp freshness, replay idempotency
     /// and, in DoS-defense mode, the client puzzle, which is thereby checked
     /// *before* any pairing operation (the §V.A ordering that makes floods
-    /// cheap to shed).
+    /// cheap to shed). Every gate here reads bytes: no point of the request
+    /// is decompressed, and no group operation runs, until
+    /// [`PendingAccess::verify`].
     ///
     /// # Errors
     ///
@@ -505,7 +521,7 @@ impl MeshRouter {
         if !Arc::ptr_eq(&pending.prepared, &self.prepared_gpk) {
             return Err(ProtocolError::UnknownBeacon);
         }
-        let Ok((u_hat, v_hat)) = sigma else {
+        let Ok((g_rj, u_hat, v_hat)) = sigma else {
             self.record_failure(now);
             return Err(ProtocolError::BadGroupSignature);
         };
@@ -515,7 +531,7 @@ impl MeshRouter {
         if revoked.is_some() {
             return Err(ProtocolError::SignerRevoked);
         }
-        self.admit_access_request(pending.req, &pending.state, pending.payload, now)
+        self.admit_access_request(pending.req, &g_rj, &pending.state, pending.payload, now)
     }
 
     /// §IV.B 3.4 for an authenticated request: derives the session key,
@@ -525,6 +541,7 @@ impl MeshRouter {
     fn admit_access_request(
         &mut self,
         req: &AccessRequest,
+        g_rj: &G1,
         state: &BeaconState,
         payload: Vec<u8>,
         now: u64,
@@ -535,13 +552,13 @@ impl MeshRouter {
             return Err(ProtocolError::DuplicateMessage);
         }
         // 3.4 session key and confirmation
-        let dh_secret = req.g_rj.mul(&state.r_r);
+        let dh_secret = g_rj.mul(&state.r_r);
         let session = Session::establish(&dh_secret, session_id.clone(), Role::Responder);
         self.recent_sessions.insert(session_key, (), now);
         let mut confirm_payload = Writer::new();
         confirm_payload.put_str(&self.id.0);
-        confirm_payload.put_fixed(&req.g_rj.to_bytes());
-        confirm_payload.put_fixed(&req.g_rr.to_bytes());
+        confirm_payload.put_fixed(req.g_rj.as_bytes());
+        confirm_payload.put_fixed(req.g_rr.as_bytes());
         let ciphertext = seal_oneshot(
             &dh_secret.to_bytes(),
             &session_id.to_bytes(),
@@ -551,13 +568,13 @@ impl MeshRouter {
         self.log_outbox.push(LoggedSession {
             session_id,
             signed_payload: payload,
-            gsig: req.gsig,
+            gsig: req.gsig.clone(),
             established_at: now,
         });
         Ok((
             AccessConfirm {
-                g_rj: req.g_rj,
-                g_rr: req.g_rr,
+                g_rj: req.g_rj.clone(),
+                g_rr: req.g_rr.clone(),
                 ciphertext,
             },
             session,
@@ -606,7 +623,7 @@ impl MeshRouter {
 
     /// Test/simulation helper: forget the DH state of a beacon, as if it
     /// expired early.
-    pub fn forget_beacon(&mut self, g_rr: &G1) {
+    pub fn forget_beacon(&mut self, g_rr: &G1Wire) {
         self.active_beacons.remove(&g_rr.to_bytes());
     }
 

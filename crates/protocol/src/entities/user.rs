@@ -2,7 +2,7 @@
 //! user↔router protocol (§IV.B), and both sides of the user↔user protocol
 //! (§IV.C).
 
-use peace_curve::G1;
+use peace_curve::{G1Wire, G1};
 use peace_ecdsa::{SigningKey, VerifyingKey};
 use peace_field::Fq;
 use peace_groupsig::{GroupPublicKey, MemberKey, PreparedGpk, RevocationToken};
@@ -13,7 +13,9 @@ use rand::RngCore;
 use crate::config::ProtocolConfig;
 use crate::error::{ProtocolError, Result};
 use crate::ids::{SessionId, ShareIndex, UserId};
-use crate::messages::{AccessConfirm, AccessRequest, Beacon, PeerConfirm, PeerHello, PeerResponse};
+use crate::messages::{
+    point, AccessConfirm, AccessRequest, Beacon, PeerConfirm, PeerHello, PeerResponse,
+};
 use crate::pending::PendingTable;
 use crate::revocation::{SignedUrl, UrlSection};
 use crate::session::{PendingSession, Role, Session};
@@ -67,8 +69,8 @@ pub struct UserClient {
     /// Latest URL accepted from a beacon or bulletin (used for peer
     /// revocation checks).
     current_url: Option<HeldUrl>,
-    /// URL tokens decoded from beacons, and beacons whose URL section was
-    /// the one already held (see [`Self::url_decode_counts`]).
+    /// URL tokens decoded from beacons, and beacons whose URL section
+    /// listed the tokens already held (see [`Self::url_decode_counts`]).
     url_tokens_decoded: u64,
     url_sections_reused: u64,
     highest_crl_version: u64,
@@ -224,8 +226,9 @@ impl UserClient {
 
     /// `(tokens decoded, sections reused)` over this client's lifetime:
     /// how many URL tokens beacon processing has decoded, and how many
-    /// beacons carried the list already held and so cost none. Counts
-    /// only — which list, or when, is not recorded.
+    /// beacons carried the tokens already held (the same section, or a
+    /// restamp of it) and so cost none. Counts only — which list, or when,
+    /// is not recorded.
     pub fn url_decode_counts(&self) -> (u64, u64) {
         (self.url_tokens_decoded, self.url_sections_reused)
     }
@@ -312,11 +315,12 @@ impl UserClient {
         }
         // URL: signed by NO and fresh. A section byte-identical to the one
         // held (signature included) passed the signature check when it was
-        // adopted; only its age can have changed.
-        let url_held = self
-            .current_url
-            .as_ref()
-            .is_some_and(|held| held.section == beacon.url);
+        // adopted; only its age can have changed. One that lists the same
+        // token bytes under a new stamp (an operator restamp) needs its
+        // signature checked but none of its tokens decoded again.
+        let held = self.current_url.as_ref();
+        let same_tokens = held.is_some_and(|held| held.section.same_tokens(&beacon.url));
+        let url_held = held.is_some_and(|held| held.section == beacon.url);
         if url_held {
             beacon.url.check_fresh(now, self.config.list_max_age)?;
         } else {
@@ -334,26 +338,37 @@ impl UserClient {
         ) {
             return Err(ProtocolError::BadRouterSignature);
         }
-        // Router is legitimate: adopt its lists. A URL that differs from
-        // the held one is decoded first — every token checked for curve and
-        // subgroup membership — and a list with a bad token is refused
-        // whole, with the held lists still in force.
-        if url_held {
-            self.url_sections_reused += 1;
-        } else {
-            let url = beacon.url.open()?;
-            self.url_tokens_decoded += url.tokens.len() as u64;
+        // Only now are the beacon's points needed as points. A share that
+        // is not a group element refuses the beacon with nothing adopted.
+        let g = point(&beacon.g, "beacon.g")?;
+        let g_rr = point(&beacon.g_rr, "beacon.g_rr")?;
+        // Router is legitimate: adopt its lists. A URL whose tokens differ
+        // from the held one's is decoded first — every token checked for
+        // curve and subgroup membership — and a list with a bad token is
+        // refused whole, with the held lists still in force.
+        if !url_held {
+            let tokens = match &self.current_url {
+                Some(held) if same_tokens => held.url.tokens.clone(),
+                _ => {
+                    let tokens = beacon.url.open_tokens()?;
+                    self.url_tokens_decoded += tokens.len() as u64;
+                    tokens
+                }
+            };
             self.current_url = Some(HeldUrl {
-                url,
+                url: beacon.url.with_tokens(tokens),
                 section: beacon.url.clone(),
             });
+        }
+        if same_tokens {
+            self.url_sections_reused += 1;
         }
         self.highest_crl_version = beacon.crl.version;
         self.highest_url_version = beacon.url.version;
 
         // 2.2: build M.2
         let r_j = Fq::random_nonzero(rng);
-        let g_rj = beacon.g.mul(&r_j);
+        let g_rj = G1Wire::from(g.mul(&r_j));
         let ts2 = now;
         let payload = AccessRequest::signed_payload(&g_rj, &beacon.g_rr, ts2);
         let gsig = self
@@ -361,12 +376,12 @@ impl UserClient {
             .sign(&cred.key, &payload, self.config.bases_mode, rng);
         let puzzle_solution = beacon.puzzle.as_ref().map(|p| p.solve());
         // 2.2.5: session key K = (g^{r_R})^{r_j}
-        let dh_secret = beacon.g_rr.mul(&r_j);
+        let dh_secret = g_rr.mul(&r_j);
         let id = SessionId::from_points(&beacon.g_rr, &g_rj);
         Ok((
             AccessRequest {
                 g_rj,
-                g_rr: beacon.g_rr,
+                g_rr: beacon.g_rr.clone(),
                 ts2,
                 gsig,
                 puzzle_solution,
@@ -426,30 +441,31 @@ impl UserClient {
     /// current service beacon.
     pub fn peer_hello(
         &self,
-        g: &G1,
+        g: &G1Wire,
         now: u64,
         rng: &mut impl RngCore,
     ) -> Result<(PeerHello, PendingSession)> {
         let cred = self.active_credential()?.clone();
         let r_j = Fq::random_nonzero(rng);
-        let g_rj = g.mul(&r_j);
+        let g_rj = G1Wire::from(point(g, "peer1.g")?.mul(&r_j));
         let payload = PeerHello::signed_payload(g, &g_rj, now);
         let gsig = self
             .prepared_gpk
             .sign(&cred.key, &payload, self.config.bases_mode, rng);
+        let pending = PendingSession {
+            local_secret: r_j,
+            dh_secret: G1::IDENTITY, // filled in on M̃.2
+            id: SessionId::from_points(&g_rj, &G1::IDENTITY),
+            started_at: now,
+        };
         Ok((
             PeerHello {
-                g: *g,
+                g: g.clone(),
                 g_rj,
                 ts1: now,
                 gsig,
             },
-            PendingSession {
-                local_secret: r_j,
-                dh_secret: G1::IDENTITY, // filled in on M̃.2
-                id: SessionId::from_points(&g_rj, &G1::IDENTITY),
-                started_at: now,
-            },
+            pending,
         ))
     }
 
@@ -475,16 +491,16 @@ impl UserClient {
         self.verify_and_check_peer(&payload, &hello.gsig)?;
 
         let r_l = Fq::random_nonzero(rng);
-        let g_rl = hello.g.mul(&r_l);
+        let g_rl = G1Wire::from(point(&hello.g, "peer1.g")?.mul(&r_l));
         let resp_payload = PeerResponse::signed_payload(&hello.g_rj, &g_rl, now);
         let gsig = self
             .prepared_gpk
             .sign(&cred.key, &resp_payload, self.config.bases_mode, rng);
-        let dh_secret = hello.g_rj.mul(&r_l);
+        let dh_secret = point(&hello.g_rj, "peer1.g_rj")?.mul(&r_l);
         let id = SessionId::from_points(&hello.g_rj, &g_rl);
         Ok((
             PeerResponse {
-                g_rj: hello.g_rj,
+                g_rj: hello.g_rj.clone(),
                 g_rl,
                 ts2: now,
                 gsig,
@@ -519,12 +535,12 @@ impl UserClient {
         let payload = PeerResponse::signed_payload(&resp.g_rj, &resp.g_rl, resp.ts2);
         self.verify_and_check_peer(&payload, &resp.gsig)?;
 
-        let dh_secret = resp.g_rl.mul(&pending.local_secret);
+        let dh_secret = point(&resp.g_rl, "peer2.g_rl")?.mul(&pending.local_secret);
         let id = SessionId::from_points(&resp.g_rj, &resp.g_rl);
         let session = Session::establish(&dh_secret, id.clone(), Role::Initiator);
         let mut confirm_payload = Writer::new();
-        confirm_payload.put_fixed(&resp.g_rj.to_bytes());
-        confirm_payload.put_fixed(&resp.g_rl.to_bytes());
+        confirm_payload.put_fixed(resp.g_rj.as_bytes());
+        confirm_payload.put_fixed(resp.g_rl.as_bytes());
         confirm_payload.put_u64(pending.started_at);
         confirm_payload.put_u64(resp.ts2);
         let ciphertext = seal_oneshot(
@@ -534,8 +550,8 @@ impl UserClient {
         );
         Ok((
             PeerConfirm {
-                g_rj: resp.g_rj,
-                g_rl: resp.g_rl,
+                g_rj: resp.g_rj.clone(),
+                g_rl: resp.g_rl.clone(),
                 ciphertext,
             },
             session,
@@ -648,7 +664,7 @@ impl UserClient {
     /// As [`Self::peer_hello`].
     pub fn start_peer_handshake(
         &mut self,
-        g: &G1,
+        g: &G1Wire,
         now: u64,
         rng: &mut impl RngCore,
     ) -> Result<PeerHello> {

@@ -2,7 +2,7 @@
 
 use core::fmt;
 
-use peace_curve::G1;
+use peace_curve::G1Encoded;
 use peace_wire::{Decode, Encode, Reader, Writer};
 
 /// A user's essential attribute information (`uid_j`). Never transmitted in
@@ -83,11 +83,12 @@ pub struct SessionId {
 }
 
 impl SessionId {
-    /// Builds the identifier from the two DH share points.
-    pub fn from_points(responder: &G1, initiator: &G1) -> Self {
+    /// Builds the identifier from the two DH shares, in either form: only
+    /// their encodings enter it.
+    pub fn from_points(responder: &impl G1Encoded, initiator: &impl G1Encoded) -> Self {
         Self {
-            responder_share: responder.to_bytes(),
-            initiator_share: initiator.to_bytes(),
+            responder_share: responder.g1_bytes().to_vec(),
+            initiator_share: initiator.g1_bytes().to_vec(),
         }
     }
 

@@ -1,7 +1,7 @@
 //! Wire messages of the PEACE authentication and key-agreement protocols
 //! (paper §IV.B and §IV.C).
 
-use peace_curve::G1;
+use peace_curve::{G1Encoded, G1Wire, G1};
 use peace_ecdsa::{Certificate, Signature};
 use peace_groupsig::GroupSignature;
 use peace_puzzle::{Puzzle, Solution};
@@ -9,8 +9,29 @@ use peace_wire::{Decode, Encode, Reader, Writer};
 
 use crate::revocation::{SignedCrl, UrlSection};
 
-fn get_g1(r: &mut Reader<'_>, what: &'static str) -> peace_wire::Result<G1> {
-    G1::from_bytes(r.get_fixed(G1::ENCODED_LEN)?).ok_or(peace_wire::WireError::Invalid(what))
+/// Reads one point field: canonical form is checked here, curve and
+/// subgroup membership when (and if) the receiver needs the point.
+fn get_g1(r: &mut Reader<'_>, what: &'static str) -> peace_wire::Result<G1Wire> {
+    G1Wire::parse(r.get_fixed(G1Wire::ENCODED_LEN)?).ok_or(peace_wire::WireError::Invalid(what))
+}
+
+/// The group element behind a message field, validated now if it has not
+/// been already. A field that fails gets the error its decoder gave when
+/// decoders validated eagerly.
+pub(crate) fn point(field: &G1Wire, what: &'static str) -> crate::Result<G1> {
+    field
+        .decompress()
+        .map_err(|_| peace_wire::WireError::Invalid(what).into())
+}
+
+/// `label ‖ a ‖ b ‖ ts` — the shape of every signed handshake payload.
+fn payload(label: &str, a: &impl G1Encoded, b: &impl G1Encoded, ts: u64) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.put_str(label);
+    w.put_fixed(&a.g1_bytes());
+    w.put_fixed(&b.g1_bytes());
+    w.put_u64(ts);
+    w.into_bytes()
 }
 
 /// Beacon message (M.1): `g, g^{r_R}, ts₁, Sig_RSK, Cert_k, CRL, URL`
@@ -18,9 +39,9 @@ fn get_g1(r: &mut Reader<'_>, what: &'static str) -> peace_wire::Result<G1> {
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Beacon {
     /// The session generator `g` picked by the router.
-    pub g: G1,
+    pub g: G1Wire,
     /// The router's DH share `g^{r_R}`.
-    pub g_rr: G1,
+    pub g_rr: G1Wire,
     /// Beacon timestamp `ts₁`.
     pub ts1: u64,
     /// ECDSA signature by the router over `(g, g^{r_R}, ts₁)`.
@@ -39,20 +60,15 @@ pub struct Beacon {
 
 impl Beacon {
     /// The byte string covered by the router's beacon signature.
-    pub fn signed_payload(g: &G1, g_rr: &G1, ts1: u64) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_str("peace-beacon-v1");
-        w.put_fixed(&g.to_bytes());
-        w.put_fixed(&g_rr.to_bytes());
-        w.put_u64(ts1);
-        w.into_bytes()
+    pub fn signed_payload(g: &impl G1Encoded, g_rr: &impl G1Encoded, ts1: u64) -> Vec<u8> {
+        payload("peace-beacon-v1", g, g_rr, ts1)
     }
 }
 
 impl Encode for Beacon {
     fn encode(&self, w: &mut Writer) {
-        w.put_fixed(&self.g.to_bytes());
-        w.put_fixed(&self.g_rr.to_bytes());
+        w.put_fixed(self.g.as_bytes());
+        w.put_fixed(self.g_rr.as_bytes());
         w.put_u64(self.ts1);
         self.sig.encode(w);
         self.cert.encode(w);
@@ -91,9 +107,9 @@ impl Decode for Beacon {
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct AccessRequest {
     /// The user's DH share `g^{r_j}`.
-    pub g_rj: G1,
+    pub g_rj: G1Wire,
     /// Echo of the router's DH share (beacon correlation).
-    pub g_rr: G1,
+    pub g_rr: G1Wire,
     /// Request timestamp `ts₂`.
     pub ts2: u64,
     /// Anonymous group signature over `(g^{r_j}, g^{r_R}, ts₂)`.
@@ -105,20 +121,15 @@ pub struct AccessRequest {
 impl AccessRequest {
     /// The byte string covered by the group signature
     /// (`{g^{r_j}, g^{r_R}, ts₂}` per step 2.2.4).
-    pub fn signed_payload(g_rj: &G1, g_rr: &G1, ts2: u64) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_str("peace-m2-v1");
-        w.put_fixed(&g_rj.to_bytes());
-        w.put_fixed(&g_rr.to_bytes());
-        w.put_u64(ts2);
-        w.into_bytes()
+    pub fn signed_payload(g_rj: &impl G1Encoded, g_rr: &impl G1Encoded, ts2: u64) -> Vec<u8> {
+        payload("peace-m2-v1", g_rj, g_rr, ts2)
     }
 }
 
 impl Encode for AccessRequest {
     fn encode(&self, w: &mut Writer) {
-        w.put_fixed(&self.g_rj.to_bytes());
-        w.put_fixed(&self.g_rr.to_bytes());
+        w.put_fixed(self.g_rj.as_bytes());
+        w.put_fixed(self.g_rr.as_bytes());
         w.put_u64(self.ts2);
         self.gsig.encode(w);
         match &self.puzzle_solution {
@@ -152,17 +163,17 @@ impl Decode for AccessRequest {
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct AccessConfirm {
     /// Echo of the user's DH share.
-    pub g_rj: G1,
+    pub g_rj: G1Wire,
     /// Echo of the router's DH share.
-    pub g_rr: G1,
+    pub g_rr: G1Wire,
     /// Ciphertext under the fresh session key.
     pub ciphertext: Vec<u8>,
 }
 
 impl Encode for AccessConfirm {
     fn encode(&self, w: &mut Writer) {
-        w.put_fixed(&self.g_rj.to_bytes());
-        w.put_fixed(&self.g_rr.to_bytes());
+        w.put_fixed(self.g_rj.as_bytes());
+        w.put_fixed(self.g_rr.as_bytes());
         w.put_bytes(&self.ciphertext);
     }
 }
@@ -181,9 +192,9 @@ impl Decode for AccessConfirm {
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct PeerHello {
     /// The generator obtained from the current beacon.
-    pub g: G1,
+    pub g: G1Wire,
     /// The initiator's DH share `g^{r_j}`.
-    pub g_rj: G1,
+    pub g_rj: G1Wire,
     /// Hello timestamp `ts₁`.
     pub ts1: u64,
     /// Group signature over `(g, g^{r_j}, ts₁)`.
@@ -192,20 +203,15 @@ pub struct PeerHello {
 
 impl PeerHello {
     /// Signed payload of M̃.1.
-    pub fn signed_payload(g: &G1, g_rj: &G1, ts1: u64) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_str("peace-peer1-v1");
-        w.put_fixed(&g.to_bytes());
-        w.put_fixed(&g_rj.to_bytes());
-        w.put_u64(ts1);
-        w.into_bytes()
+    pub fn signed_payload(g: &impl G1Encoded, g_rj: &impl G1Encoded, ts1: u64) -> Vec<u8> {
+        payload("peace-peer1-v1", g, g_rj, ts1)
     }
 }
 
 impl Encode for PeerHello {
     fn encode(&self, w: &mut Writer) {
-        w.put_fixed(&self.g.to_bytes());
-        w.put_fixed(&self.g_rj.to_bytes());
+        w.put_fixed(self.g.as_bytes());
+        w.put_fixed(self.g_rj.as_bytes());
         w.put_u64(self.ts1);
         self.gsig.encode(w);
     }
@@ -226,9 +232,9 @@ impl Decode for PeerHello {
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct PeerResponse {
     /// Echo of the initiator's share.
-    pub g_rj: G1,
+    pub g_rj: G1Wire,
     /// The responder's DH share `g^{r_l}`.
-    pub g_rl: G1,
+    pub g_rl: G1Wire,
     /// Response timestamp `ts₂`.
     pub ts2: u64,
     /// Group signature over `(g^{r_j}, g^{r_l}, ts₂)`.
@@ -237,20 +243,15 @@ pub struct PeerResponse {
 
 impl PeerResponse {
     /// Signed payload of M̃.2.
-    pub fn signed_payload(g_rj: &G1, g_rl: &G1, ts2: u64) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_str("peace-peer2-v1");
-        w.put_fixed(&g_rj.to_bytes());
-        w.put_fixed(&g_rl.to_bytes());
-        w.put_u64(ts2);
-        w.into_bytes()
+    pub fn signed_payload(g_rj: &impl G1Encoded, g_rl: &impl G1Encoded, ts2: u64) -> Vec<u8> {
+        payload("peace-peer2-v1", g_rj, g_rl, ts2)
     }
 }
 
 impl Encode for PeerResponse {
     fn encode(&self, w: &mut Writer) {
-        w.put_fixed(&self.g_rj.to_bytes());
-        w.put_fixed(&self.g_rl.to_bytes());
+        w.put_fixed(self.g_rj.as_bytes());
+        w.put_fixed(self.g_rl.as_bytes());
         w.put_u64(self.ts2);
         self.gsig.encode(w);
     }
@@ -272,17 +273,17 @@ impl Decode for PeerResponse {
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct PeerConfirm {
     /// Echo of the initiator's share.
-    pub g_rj: G1,
+    pub g_rj: G1Wire,
     /// Echo of the responder's share.
-    pub g_rl: G1,
+    pub g_rl: G1Wire,
     /// Ciphertext under the fresh pairwise key.
     pub ciphertext: Vec<u8>,
 }
 
 impl Encode for PeerConfirm {
     fn encode(&self, w: &mut Writer) {
-        w.put_fixed(&self.g_rj.to_bytes());
-        w.put_fixed(&self.g_rl.to_bytes());
+        w.put_fixed(self.g_rj.as_bytes());
+        w.put_fixed(self.g_rl.as_bytes());
         w.put_bytes(&self.ciphertext);
     }
 }

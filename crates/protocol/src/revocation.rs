@@ -224,17 +224,34 @@ impl UrlSection {
     ///
     /// [`ProtocolError::Wire`] at the first token that fails.
     pub fn open(&self) -> Result<SignedUrl> {
-        let tokens = self
+        Ok(self.with_tokens(self.open_tokens()?))
+    }
+
+    /// The decoding half of [`Self::open`].
+    pub(crate) fn open_tokens(&self) -> Result<Vec<RevocationToken>> {
+        Ok(self
             .token_bytes
             .chunks(TOKEN_LEN)
             .map(RevocationToken::from_wire)
-            .collect::<peace_wire::Result<_>>()?;
-        Ok(SignedUrl {
+            .collect::<peace_wire::Result<_>>()?)
+    }
+
+    /// Whether `other` lists the same tokens byte for byte, whatever its
+    /// version, issue time and signature say.
+    pub(crate) fn same_tokens(&self, other: &Self) -> bool {
+        self.token_bytes == other.token_bytes
+    }
+
+    /// This section over `tokens`, which must be what its bytes decode to:
+    /// freshly decoded, or kept from a section with the
+    /// [same token bytes](Self::same_tokens).
+    pub(crate) fn with_tokens(&self, tokens: Vec<RevocationToken>) -> SignedUrl {
+        SignedUrl {
             version: self.version,
             issued_at: self.issued_at,
             tokens,
             signature: self.signature,
-        })
+        }
     }
 }
 

@@ -3,9 +3,11 @@
 
 use std::collections::HashMap;
 
+use peace_groupsig::OpSnapshot;
 use peace_protocol::entities::*;
 use peace_protocol::ids::{GroupId, UserId};
-use peace_protocol::{ProtocolConfig, ProtocolError};
+use peace_protocol::{AccessConfirm, AccessRequest, Beacon, ProtocolConfig, ProtocolError};
+use peace_wire::{Decode, Encode};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -128,7 +130,7 @@ fn outsider_without_credentials_cannot_authenticate() {
         let mut rng = StdRng::seed_from_u64(1234);
         let cred = outsider.active_credential().unwrap().clone();
         let r_j = peace_field::Fq::random_nonzero(&mut rng);
-        let g_rj = beacon.g.mul(&r_j);
+        let g_rj: peace_curve::G1Wire = beacon.g.decompress().unwrap().mul(&r_j).into();
         let payload = peace_protocol::AccessRequest::signed_payload(&g_rj, &beacon.g_rr, 1_010);
         let gsig = peace_groupsig::sign(
             other.no.gpk(),
@@ -139,7 +141,7 @@ fn outsider_without_credentials_cannot_authenticate() {
         );
         let req = peace_protocol::AccessRequest {
             g_rj,
-            g_rr: beacon.g_rr,
+            g_rr: beacon.g_rr.clone(),
             ts2: 1_010,
             gsig,
             puzzle_solution: None,
@@ -557,13 +559,9 @@ fn compromised_router_cannot_identify_or_frame_users() {
         &req_a.gsig.r,
         peace_groupsig::BasesMode::PerMessage,
     );
-    for guess in [
-        req_a.gsig.t1,
-        req_a.gsig.t2,
-        req_b.gsig.t1,
-        req_b.gsig.t2,
-        w.no.gpk().g1,
-    ] {
+    let (a_t1, a_t2) = req_a.gsig.commitments().unwrap();
+    let (b_t1, b_t2) = req_b.gsig.commitments().unwrap();
+    for guess in [a_t1, a_t2, b_t1, b_t2, w.no.gpk().g1] {
         assert!(!peace_groupsig::token_matches(
             &req_a.gsig,
             &peace_groupsig::RevocationToken(guess),
@@ -857,4 +855,138 @@ fn forgeries_finishing_out_of_line_still_arm_dos_defense() {
     }
     assert!(router.is_under_attack());
     assert!(router.beacon(2_500, &mut w.rng).puzzle.is_some());
+}
+
+// ---------------------------------------------------------------------
+// Where a handshake pays for its points. Messages cross the "wire"
+// (encode, decode) between the endpoints, as they do between daemons: a
+// decoded point is bytes until someone computes with it.
+// ---------------------------------------------------------------------
+
+fn over_the_wire<M: Encode + Decode>(msg: &M) -> M {
+    M::from_wire(&msg.to_wire()).unwrap()
+}
+
+#[test]
+fn an_accepted_handshake_decompresses_five_points() {
+    let mut w = World::new(61);
+    let gid = w.add_group("org", 1);
+    let mut alice = w.enroll_user("alice", gid);
+    let mut router = w.router("MR-1");
+    let sent = router.beacon(1_000, &mut w.rng);
+
+    // Decoding M.1 validates the certificate's ECDSA key and nothing else.
+    let scope = OpSnapshot::scope();
+    let beacon = over_the_wire(&sent);
+    assert_eq!(scope.counts().g1_decompressions, 1, "the certificate key");
+
+    // Client: g (for g^{r_j}) and g^{r_R} (for the session key).
+    let scope = OpSnapshot::scope();
+    let req = alice.request_access(&beacon, 1_010, &mut w.rng).unwrap();
+    assert_eq!(scope.counts().g1_decompressions, 2);
+
+    // Decoding M.2 costs no curve arithmetic at all.
+    let scope = OpSnapshot::scope();
+    let req = over_the_wire(&req);
+    assert_eq!(scope.counts(), OpSnapshot::default());
+
+    // Router: g^{r_j}, T₁, T₂ — once each across the Σ-check, the
+    // revocation stage, the DH derivation and the logged transcript. The
+    // echoed g^{r_R} is only ever compared.
+    let scope = OpSnapshot::scope();
+    let (confirm, _) = router.process_access_request(&req, 1_020).unwrap();
+    let logged = router.drain_log().remove(0);
+    assert!(logged.gsig.commitments().is_ok());
+    let cost = scope.counts();
+    assert_eq!(cost.g1_decompressions, 3);
+    // §V.C: six exponentiations to verify, one for the session key, and a
+    // subgroup check per decompressed point.
+    assert_eq!(cost.g1_muls, 6 + 1 + 3);
+    assert_eq!((cost.miller_loops, cost.final_exps), (2, 1));
+
+    // M.3 carries two echoes: decoded, compared, never decompressed.
+    let scope = OpSnapshot::scope();
+    let confirm: AccessConfirm = over_the_wire(&confirm);
+    alice.handle_access_confirm(&confirm, 1_030).unwrap();
+    assert_eq!(scope.counts().g1_decompressions, 0);
+}
+
+#[test]
+fn a_request_refused_at_a_gate_costs_no_curve_arithmetic() {
+    let mut w = World::new(62);
+    let gid = w.add_group("org", 1);
+    let mut alice = w.enroll_user("alice", gid);
+    let mut router = w.router("MR-1");
+    let window = w.no.config().timestamp_window;
+
+    let refused = |router: &mut MeshRouter, req: &AccessRequest, now: u64| {
+        // A fresh decode each time: nothing remembered from an earlier look.
+        let req = over_the_wire(req);
+        let scope = OpSnapshot::scope();
+        let err = router.process_access_request(&req, now).unwrap_err();
+        assert_eq!(scope.counts(), OpSnapshot::default(), "{err:?}");
+        err
+    };
+
+    let beacon = router.beacon(1_000, &mut w.rng);
+    let req = alice.request_access(&beacon, 1_010, &mut w.rng).unwrap();
+    assert_eq!(
+        refused(&mut router, &req, 1_010 + window + 1),
+        ProtocolError::StaleTimestamp
+    );
+    router.process_access_request(&req, 1_020).unwrap();
+    assert_eq!(
+        refused(&mut router, &req, 1_030),
+        ProtocolError::DuplicateMessage
+    );
+    let other = router.beacon(1_100, &mut w.rng);
+    let req = alice.request_access(&other, 1_110, &mut w.rng).unwrap();
+    router.forget_beacon(&req.g_rr);
+    assert_eq!(
+        refused(&mut router, &req, 1_120),
+        ProtocolError::UnknownBeacon
+    );
+
+    router.set_under_attack(true);
+    let defended = router.beacon(2_000, &mut w.rng);
+    let solved = alice.request_access(&defended, 2_010, &mut w.rng).unwrap();
+    let mut stripped = solved.clone();
+    stripped.puzzle_solution = None;
+    assert_eq!(
+        refused(&mut router, &stripped, 2_020),
+        ProtocolError::PuzzleRequired
+    );
+    let mut wrong = solved.clone();
+    let solution = wrong.puzzle_solution.as_mut().unwrap();
+    solution.counters[0] = solution.counters[0].wrapping_add(1);
+    assert_eq!(
+        refused(&mut router, &wrong, 2_020),
+        ProtocolError::PuzzleInvalid
+    );
+    // The request itself was fine all along.
+    router.process_access_request(&solved, 2_030).unwrap();
+}
+
+#[test]
+fn a_beacon_refused_on_its_envelope_decompresses_neither_share() {
+    let mut w = World::new(63);
+    let gid = w.add_group("org", 1);
+    let mut alice = w.enroll_user("alice", gid);
+    let mut router = w.router("MR-1");
+    let window = w.no.config().timestamp_window;
+    let beacon: Beacon = over_the_wire(&router.beacon(1_000, &mut w.rng));
+
+    let scope = OpSnapshot::scope();
+    assert_eq!(
+        alice.request_access(&beacon, 1_000 + window + 1, &mut w.rng),
+        Err(ProtocolError::StaleTimestamp)
+    );
+    let mut forged = beacon.clone();
+    forged.cert.serial += 1;
+    assert_eq!(
+        alice.request_access(&forged, 1_010, &mut w.rng),
+        Err(ProtocolError::CertificateInvalid)
+    );
+    assert_eq!(scope.counts().g1_decompressions, 0);
+    assert_eq!(alice.pending_handshakes(), 0);
 }

@@ -114,8 +114,8 @@ impl World {
         let g = G1::random(&mut self.rng);
         let g_rr = G1::random(&mut self.rng);
         Beacon {
-            g,
-            g_rr,
+            g: g.into(),
+            g_rr: g_rr.into(),
             ts1: now,
             sig: self.router.sign(&Beacon::signed_payload(&g, &g_rr, now)),
             cert: self.cert.clone(),
@@ -288,4 +288,78 @@ fn a_version_bump_replaces_the_list_and_is_enforced_on_peers() {
             .unwrap_err(),
         ProtocolError::SignerRevoked
     );
+}
+
+#[test]
+fn a_restamp_of_the_held_tokens_is_checked_but_not_decoded_again() {
+    let mut w = World::new(6);
+    let (mut alice, _) = w.user("alice");
+    let tokens = w.tokens(5);
+    let beacon = w.beacon(1_000, w.url(3, 1_000, tokens.clone()));
+    alice.request_access(&beacon, 1_000, &mut w.rng).unwrap();
+    assert_eq!(alice.url_decode_counts(), (5, 0));
+
+    // The operator re-signs the same list later (new `issued_at`, new
+    // signature; the version may or may not move). The signature is
+    // checked, the stamp and version are adopted, no token is decoded.
+    let late = 1_000 + w.config.list_max_age;
+    for (i, (version, stamp)) in [(3, late), (4, late + 10)].into_iter().enumerate() {
+        let restamp = w.url(version, stamp, tokens.clone());
+        assert_ne!(restamp, beacon.url);
+        let now = stamp + 1;
+        let fresh = Beacon::from_wire(&w.beacon(now, restamp).to_wire()).unwrap();
+        alice.request_access(&fresh, now, &mut w.rng).unwrap();
+        assert_eq!(alice.url_decode_counts(), (5, 1 + i as u64));
+        assert_eq!(alice.list_versions(), (0, version));
+        let held = alice.current_url().unwrap();
+        assert_eq!((held.version, held.issued_at), (version, stamp));
+        assert_eq!(held.tokens, tokens);
+    }
+    // The first stamp has expired by now; the restamp is what keeps the
+    // list usable.
+    let stale = w.beacon(late + 11, beacon.url.clone());
+    assert_eq!(
+        alice.request_access(&stale, late + 11, &mut w.rng),
+        Err(ProtocolError::StaleUrl)
+    );
+
+    // A restamp nobody signed is still refused on its signature, with the
+    // held list untouched.
+    let mut wire = w.url(5, late + 20, tokens.clone()).to_wire();
+    let last = wire.len() - 1;
+    wire[last] ^= 1;
+    let forged = w.beacon(late + 21, UrlSection::from_wire(&wire).unwrap());
+    assert_eq!(
+        alice.request_access(&forged, late + 21, &mut w.rng),
+        Err(ProtocolError::BadUrlSignature)
+    );
+    assert_eq!(alice.list_versions(), (0, 4));
+    assert_eq!(alice.url_decode_counts(), (5, 2));
+}
+
+#[test]
+fn a_restamp_with_one_changed_token_byte_is_decoded_and_refused_whole() {
+    let mut w = World::new(7);
+    let (mut alice, _) = w.user("alice");
+    let tokens = w.tokens(3);
+    let beacon = w.beacon(1_000, w.url(1, 1_000, tokens.clone()));
+    alice.request_access(&beacon, 1_000, &mut w.rng).unwrap();
+    let pending = alice.pending_handshakes();
+
+    // Operator-signed, newer, and identical but for one byte of the last
+    // token — which no longer names a group element (flipping a bit of x
+    // lands in the order-q subgroup with negligible probability).
+    let mut bytes: Vec<u8> = tokens.iter().flat_map(RevocationToken::to_bytes).collect();
+    let last = bytes.len() - 1;
+    bytes[last] ^= 1;
+    assert!(RevocationToken::from_bytes(&bytes[2 * G1::ENCODED_LEN..]).is_none());
+    let beacon = w.beacon(1_100, w.url_of_bytes(2, 1_100, &bytes));
+    let err = alice
+        .request_access(&beacon, 1_100, &mut w.rng)
+        .unwrap_err();
+    assert!(matches!(err, ProtocolError::Wire(_)), "{err:?}");
+    assert_eq!(alice.pending_handshakes(), pending);
+    assert_eq!(alice.list_versions(), (0, 1));
+    assert_eq!(alice.current_url().unwrap().tokens, tokens);
+    assert_eq!(alice.url_decode_counts(), (3, 0));
 }

@@ -299,7 +299,10 @@ impl RevocationEngine {
         // (A signature whose `D` is undefined — impossible once it has
         // verified — takes the digest key and lets the sweep decide.)
         let d = match (&self.prefilter, &self.fixed_bases) {
-            (Some(_), Some((fu, fv))) => pairing_ratio(&sig.t2, fu, &sig.t1, fv),
+            (Some(_), Some((fu, fv))) => sig
+                .commitments()
+                .ok()
+                .and_then(|(t1, t2)| pairing_ratio(&t2, fu, &t1, fv)),
             _ => None,
         };
         let (key, d_fp) = match d {

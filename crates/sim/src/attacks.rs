@@ -395,7 +395,7 @@ pub fn run_injection_matrix(seed: u64) -> Vec<InjectionOutcome> {
         // Craft an M.2 signed under the foreign gpk.
         let cred = outsider.active_credential().expect("cred").clone();
         let r_j = peace_field::Fq::random_nonzero(&mut rng);
-        let g_rj = beacon.g.mul(&r_j);
+        let g_rj: peace_curve::G1Wire = beacon.g.decompress().expect("router's g").mul(&r_j).into();
         let payload = peace_protocol::AccessRequest::signed_payload(&g_rj, &beacon.g_rr, now + 10);
         let gsig = peace_groupsig::sign(
             foreign_no.gpk(),
@@ -406,7 +406,7 @@ pub fn run_injection_matrix(seed: u64) -> Vec<InjectionOutcome> {
         );
         let req = peace_protocol::AccessRequest {
             g_rj,
-            g_rr: beacon.g_rr,
+            g_rr: beacon.g_rr.clone(),
             ts2: now + 10,
             gsig,
             puzzle_solution: None,

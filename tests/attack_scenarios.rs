@@ -101,7 +101,8 @@ fn intercepted_confirmation_useless_without_dh_secret() {
     use peace::protocol::{Role, Session, SessionId};
     let sid = SessionId::from_points(&req.g_rr, &req.g_rj);
     for public_guess in [&req.g_rj, &req.g_rr, &beacon.g] {
-        let mut fake = Session::establish(public_guess, sid.clone(), Role::Responder);
+        let guess = public_guess.decompress().unwrap();
+        let mut fake = Session::establish(&guess, sid.clone(), Role::Responder);
         assert!(fake.open_data(&captured_data).is_err());
     }
     // the genuine endpoint still can
@@ -202,7 +203,7 @@ fn beacon_signature_covers_dh_share() {
     let mut router = no.provision_router("MR-1", u64::MAX / 2, &mut rng);
 
     let mut beacon = router.beacon(1_000, &mut rng);
-    beacon.g_rr = peace::curve::G1::random(&mut rng); // MITM swap
+    beacon.g_rr = peace::curve::G1::random(&mut rng).into(); // MITM swap
     assert_eq!(
         alice.process_beacon(&beacon, 1_010, &mut rng).unwrap_err(),
         ProtocolError::BadRouterSignature
@@ -237,10 +238,10 @@ fn cross_protocol_signature_replay_rejected() {
     // Adversary splices the peer-hello signature into an access request
     // over the same DH share and timestamp.
     let forged = peace::protocol::AccessRequest {
-        g_rj: hello.g_rj,
-        g_rr: beacon.g_rr,
+        g_rj: hello.g_rj.clone(),
+        g_rr: beacon.g_rr.clone(),
         ts2: hello.ts1,
-        gsig: hello.gsig,
+        gsig: hello.gsig.clone(),
         puzzle_solution: None,
     };
     assert_eq!(
