@@ -219,74 +219,6 @@ impl<const N: usize> Uint<N> {
         (Self { limbs: lo }, Self { limbs: hi })
     }
 
-    /// Widening squaring: returns `(lo, hi)` with `self² = hi·2^(64N) + lo`.
-    ///
-    /// Computes each off-diagonal product `aᵢ·aⱼ` (i < j) once, doubles the
-    /// partial sum with a single-bit shift, then folds in the `N` diagonal
-    /// squares — `N(N+1)/2` limb products instead of `mul_wide`'s `N²`.
-    pub fn square_wide(&self) -> (Self, Self) {
-        #[inline(always)]
-        fn get<const N: usize>(lo: &[u64; N], hi: &[u64; N], k: usize) -> u64 {
-            if k < N {
-                lo[k]
-            } else {
-                hi[k - N]
-            }
-        }
-        #[inline(always)]
-        fn set<const N: usize>(lo: &mut [u64; N], hi: &mut [u64; N], k: usize, v: u64) {
-            if k < N {
-                lo[k] = v;
-            } else {
-                hi[k - N] = v;
-            }
-        }
-        let a = &self.limbs;
-        let mut lo = [0u64; N];
-        let mut hi = [0u64; N];
-        // Off-diagonal half-products into w[2..2N-1]. Like `mul_wide`, each
-        // row's inner loop is split at the lo/hi boundary (`k = i + j`
-        // crosses N at `j = N − i`) so the hot mac chain carries no per-limb
-        // branch. Row `i` assigns its carry at `k = N + i` directly: earlier
-        // rows never reach past `N + i − 1`.
-        for i in 0..N {
-            let ai = a[i];
-            let mut carry = 0u64;
-            let split = (N - i).max(i + 1);
-            for j in i + 1..split {
-                let (v, c) = mac(lo[i + j], ai, a[j], carry);
-                lo[i + j] = v;
-                carry = c;
-            }
-            for j in split..N {
-                let (v, c) = mac(hi[i + j - N], ai, a[j], carry);
-                hi[i + j - N] = v;
-                carry = c;
-            }
-            hi[i] = carry;
-        }
-        // Double the off-diagonal sum (top bit cannot be lost: the sum is
-        // strictly below 2^(128N−1)).
-        let mut top = 0u64;
-        for v in lo.iter_mut().chain(hi.iter_mut()) {
-            let w = *v;
-            *v = (w << 1) | top;
-            top = w >> 63;
-        }
-        // Fold in the diagonal squares aᵢ² at positions 2i, 2i+1 (a cold
-        // N-step pass; the boundary-straddling accessors are fine here).
-        let mut carry = 0u64;
-        for i in 0..N {
-            let (v, c) = mac(get(&lo, &hi, 2 * i), a[i], a[i], carry);
-            set(&mut lo, &mut hi, 2 * i, v);
-            let (v2, c2) = adc(get(&lo, &hi, 2 * i + 1), c, 0);
-            set(&mut lo, &mut hi, 2 * i + 1, v2);
-            carry = c2;
-        }
-        debug_assert_eq!(carry, 0, "square cannot overflow 2N limbs");
-        (Self { limbs: lo }, Self { limbs: hi })
-    }
-
     /// Shift left by one bit, discarding the top bit.
     #[inline]
     pub fn shl1(&self) -> Self {
@@ -622,20 +554,6 @@ mod tests {
     }
 
     #[test]
-    fn square_wide_matches_mul_wide_edges() {
-        for v in [
-            U256::ZERO,
-            U256::ONE,
-            U256::MAX,
-            U256::from_u64(u64::MAX),
-            U256::from_limbs([u64::MAX, u64::MAX, 0, 0]),
-            U256::from_limbs([0, 0, 0, u64::MAX]),
-        ] {
-            assert_eq!(v.square_wide(), v.mul_wide(&v), "{v:?}");
-        }
-    }
-
-    #[test]
     fn shifts() {
         let a = U256::from_u64(1);
         let mut x = a;
@@ -779,17 +697,6 @@ mod tests {
             proptest::prop_assert_eq!(digits_of(&lo, &hi), reference_mul(&a, &b));
             // commutativity
             let (lo2, hi2) = b.mul_wide(&a);
-            proptest::prop_assert_eq!(lo, lo2);
-            proptest::prop_assert_eq!(hi, hi2);
-        }
-
-        #[test]
-        fn prop_square_wide_matches_mul_wide(
-            a in proptest::array::uniform4(proptest::prelude::any::<u64>()),
-        ) {
-            let a = U256::from_limbs(a);
-            let (lo, hi) = a.square_wide();
-            let (lo2, hi2) = a.mul_wide(&a);
             proptest::prop_assert_eq!(lo, lo2);
             proptest::prop_assert_eq!(hi, hi2);
         }

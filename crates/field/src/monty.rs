@@ -162,28 +162,6 @@ impl<P: FieldParams<N>, const N: usize> Fe<P, N> {
         res
     }
 
-    /// Dedicated Montgomery squaring: symmetric widening square
-    /// (`N(N+1)/2` limb products instead of `N²`) followed by one wide
-    /// Montgomery reduction. `a² < p² < p·R` satisfies the reduction
-    /// contract.
-    ///
-    /// Measured *slower* than the interleaved CIOS multiply on this
-    /// portable backend (the split widening-then-reduce pass spills the
-    /// 2N-limb accumulator to memory), so [`Self::square`] does not use
-    /// it; retained as the equivalence oracle for the widening-square
-    /// primitive that backs the lazy-reduction `F_p²` kernels.
-    fn mont_sqr(a: &Uint<N>) -> Uint<N> {
-        let (lo, hi) = a.square_wide();
-        Self::mont_reduce_wide(&lo, &hi)
-    }
-
-    /// Squaring through [`Self::mont_sqr`] — oracle entry point for the
-    /// equivalence proptests; not on the hot path.
-    #[doc(hidden)]
-    pub fn square_via_wide(&self) -> Self {
-        Self::from_mont(Self::mont_sqr(&self.mont))
-    }
-
     /// Montgomery reduction of a double-width value `T = hi·2^(64N) + lo`.
     ///
     /// **Contract:** `T < MODULUS·2^(64N)`. The reduced accumulator is then
@@ -308,12 +286,11 @@ impl<P: FieldParams<N>, const N: usize> Fe<P, N> {
         Self::from_mont(Self::mont_mul(&self.mont, &rhs.mont))
     }
 
-    /// Squaring. The interleaved CIOS multiply beats the symmetric
-    /// widening square + separate wide reduction ([`Self::mont_sqr`]) on
-    /// this portable backend — the fused reduction keeps the accumulator
-    /// in registers, which outweighs halving the limb products — so the
-    /// dedicated kernel stays reserved for the lazy-reduction `F_p²` paths
-    /// where the wide form is what enables deferring reductions.
+    /// Squaring, as a multiplication: a symmetric widening square with a
+    /// separate wide reduction was built and measured slower than the
+    /// interleaved CIOS multiply on this portable backend — the fused
+    /// reduction keeps the accumulator in registers, which outweighs
+    /// halving the limb products — so squaring has no kernel of its own.
     pub fn square(&self) -> Self {
         Self::from_mont(Self::mont_mul(&self.mont, &self.mont))
     }

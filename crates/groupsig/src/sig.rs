@@ -14,41 +14,6 @@ use rand::RngCore;
 
 use crate::keys::{GroupPublicKey, MemberKey, RevocationToken};
 
-/// Process-wide memo of the constant pairing `ê(g₁, g₂)` for recently seen
-/// group public keys.
-///
-/// The stateless [`verify`] path recomputes this gpk *constant* with a full
-/// pairing on every call — a third of its pairing budget. Deployments
-/// verify against a handful of groups at a time, so a tiny move-to-front
-/// list captures effectively every call after the first without changing
-/// the stateless API. [`PreparedGpk`] keeps its own copy (plus a power
-/// table) and never consults this.
-static E_G1_G2_MEMO: std::sync::Mutex<Vec<(G1, G2, Gt)>> = std::sync::Mutex::new(Vec::new());
-const E_G1_G2_MEMO_CAP: usize = 8;
-
-/// `ê(g₁, g₂)` for this gpk, memoized across calls.
-fn constant_pairing(gpk: &GroupPublicKey) -> Gt {
-    if let Ok(mut memo) = E_G1_G2_MEMO.lock() {
-        if let Some(i) = memo
-            .iter()
-            .position(|(a, b, _)| *a == gpk.g1 && *b == gpk.g2)
-        {
-            let hit = memo.remove(i);
-            let value = hit.2;
-            memo.insert(0, hit);
-            return value;
-        }
-    }
-    let value = pairing(&gpk.g1, &gpk.g2);
-    if let Ok(mut memo) = E_G1_G2_MEMO.lock() {
-        if !memo.iter().any(|(a, b, _)| *a == gpk.g1 && *b == gpk.g2) {
-            memo.insert(0, (gpk.g1, gpk.g2, value));
-            memo.truncate(E_G1_G2_MEMO_CAP);
-        }
-    }
-    value
-}
-
 /// How the per-signature bases `(û, v̂)` are derived.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum BasesMode {
@@ -265,7 +230,6 @@ pub fn sign(
 #[derive(Clone, Debug)]
 pub struct PreparedGpk {
     gpk: GroupPublicKey,
-    e_g1_g2: Gt,
     e_g1_g2_table: GtPowTable,
     g1_table: FixedBaseTable,
     g2_table: FixedBaseTable,
@@ -276,11 +240,9 @@ impl PreparedGpk {
     /// Precomputes the constant pairing and the fixed-base tables
     /// (one-time cost per gpk).
     pub fn new(gpk: &GroupPublicKey) -> Self {
-        let e_g1_g2 = pairing(&gpk.g1, &gpk.g2);
         Self {
             gpk: *gpk,
-            e_g1_g2_table: GtPowTable::new(&e_g1_g2, Fq::NUM_BITS),
-            e_g1_g2,
+            e_g1_g2_table: GtPowTable::new(&pairing(&gpk.g1, &gpk.g2), Fq::NUM_BITS),
             g1_table: FixedBaseTable::new(gpk.g1.point(), Fq::NUM_BITS),
             g2_table: FixedBaseTable::new(gpk.g2.point(), Fq::NUM_BITS),
             w_table: FixedBaseTable::new(gpk.w.point(), Fq::NUM_BITS),
@@ -290,11 +252,6 @@ impl PreparedGpk {
     /// The underlying public key.
     pub fn gpk(&self) -> &GroupPublicKey {
         &self.gpk
-    }
-
-    /// The cached constant pairing `ê(g₁, g₂)`.
-    pub fn e_g1_g2(&self) -> &Gt {
-        &self.e_g1_g2
     }
 
     /// `g₁^k` from the comb table.
@@ -505,10 +462,9 @@ pub fn verify(
     let r1 = u.mul_mul(&sig.s_alpha, &t1, &neg_c);
     let t2_side = gpk.g2.mul_mul(&sig.s_x, &gpk.w, &sig.c);
     let v_side = gpk.w.mul_mul(&sig.s_alpha, &gpk.g2, &sig.s_delta);
-    let e_g1_g2 = constant_pairing(gpk);
     let r2 = pairing_ratio(&t2, &t2_side, &v, &v_side)
         .ok_or(VerifyError::DegenerateCommitment)?
-        .mul(&e_g1_g2.pow(&sig.c).invert());
+        .mul(&pairing(&gpk.g1, &gpk.g2).pow(&sig.c).invert());
     let neg_s_delta = sig.s_delta.neg();
     let r3 = t1.mul_mul(&sig.s_x, &u, &neg_s_delta);
     // 3.2.3
@@ -536,39 +492,15 @@ pub fn token_matches(
     pairing_product(&[(lhs, *u_hat), (t1.neg(), *v_hat)]).is_one()
 }
 
-/// Default token count at and above which [`revocation_sweep`] fans the
-/// per-token work out across OS threads. On the reference box a token
-/// costs ~0.3 ms (0.18 ms to evaluate it against the prepared lines,
-/// 0.13 ms of hard-part exponentiation) and a two-worker scoped fan-out
-/// 0.04 ms idle, budgeted at 0.1 ms under load (`FANOUT_SPAWN_OVERHEAD_NS`
-/// in `peace-revoke`, whose autotuner replaces this default once it has
-/// measured sweeps). Two workers halve the per-token work, so at eight
-/// tokens threading saves ~1.2 ms, twelve times the budget; below that the
-/// fixed part of a sweep (line table plus shared factor, ~0.8 ms, not
-/// parallel) dominates and the saving is not worth a thread.
-pub const DEFAULT_SWEEP_SPAWN_THRESHOLD: usize = 8;
-
-/// Process-wide sweep fan-out threshold (see
-/// [`set_sweep_spawn_threshold`]). Stored as an atomic so long-lived
-/// verifiers (router daemons) can retune it from telemetry without a lock
-/// on the hot path.
-static SWEEP_SPAWN_THRESHOLD: std::sync::atomic::AtomicUsize =
-    std::sync::atomic::AtomicUsize::new(DEFAULT_SWEEP_SPAWN_THRESHOLD);
-
-/// The current sweep fan-out threshold: URLs with at least this many
-/// tokens spread their per-token work across OS threads.
-pub fn sweep_spawn_threshold() -> usize {
-    SWEEP_SPAWN_THRESHOLD.load(std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Sets the sweep fan-out threshold, returning the previous value.
-///
-/// Values are clamped to at least 2 — a 1-element sweep never spawns
-/// (there is nothing to parallelize and the spawn overhead is pure loss),
-/// which [`fill_chunks`] additionally guarantees structurally.
-pub fn set_sweep_spawn_threshold(n: usize) -> usize {
-    SWEEP_SPAWN_THRESHOLD.swap(n.max(2), std::sync::atomic::Ordering::Relaxed)
-}
+/// Token count at and above which [`revocation_sweep`] fans the per-token
+/// work out across OS threads. On the reference box a token costs ~0.3 ms
+/// (0.18 ms to evaluate it against the prepared lines, 0.13 ms of
+/// hard-part exponentiation) and a two-worker scoped fan-out 0.04 ms idle,
+/// budgeted at 0.1 ms under load. Two workers halve the per-token work, so
+/// at eight tokens threading saves ~1.2 ms, twelve times the budget; below
+/// that the fixed part of a sweep (line table plus shared factor, ~0.8 ms,
+/// not parallel) dominates and the saving is not worth a thread.
+const SWEEP_SPAWN_THRESHOLD: usize = 8;
 
 /// Record count at and above which [`open_batch`] fans records out across
 /// OS threads. Each record costs two hash-to-curve runs, a line table and
@@ -698,7 +630,7 @@ pub fn revocation_sweep(
     }
     let row = SweepRow::new(sig, u_hat, v_hat)?;
     ops::record_final_exp();
-    fill_chunks(tokens.len(), sweep_spawn_threshold(), &|range| {
+    fill_chunks(tokens.len(), SWEEP_SPAWN_THRESHOLD, &|range| {
         row.matches(&tokens[range])
     })
     .iter()
@@ -877,16 +809,5 @@ mod threshold_tests {
             ids.iter().all(|id| id.is_some() && *id != Some(main_id)),
             "a met threshold must spawn workers"
         );
-    }
-
-    #[test]
-    fn threshold_setter_clamps_and_roundtrips() {
-        let prior = sweep_spawn_threshold();
-        let returned = set_sweep_spawn_threshold(1);
-        assert_eq!(returned, prior);
-        assert_eq!(sweep_spawn_threshold(), 2, "clamped to the minimum of 2");
-        set_sweep_spawn_threshold(64);
-        assert_eq!(sweep_spawn_threshold(), 64);
-        set_sweep_spawn_threshold(prior);
     }
 }

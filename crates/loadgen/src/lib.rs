@@ -25,7 +25,7 @@
 //! two runs offer the identical arrival sequence.
 //!
 //! Results render as one `peace-bench-v1` artifact (`BENCH_load.json`,
-//! [`report`]) validated by `tools/check_bench.py` in CI.
+//! [`report`]); a gating run judges itself ([`LoadOutcome::check`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -36,7 +36,8 @@ pub mod report;
 pub mod schedule;
 
 pub use openloop::{
-    ramp_search, run_open_loop, LoadConfig, LoadOutcome, RampConfig, RampOutcome, RampProbe,
+    ramp_search, run_open_loop, Latencies, LoadConfig, LoadOutcome, RampConfig, RampOutcome,
+    RampProbe,
 };
 pub use report::{append_ramp, build_report, RampRunSummary, SimRunSummary, TcpRunSummary};
 pub use schedule::{build_schedule, ArrivalProcess};

@@ -12,16 +12,21 @@
 //! arrivals are served late and the lateness is measured, not forgiven —
 //! `session_us` latency counts from the **scheduled** arrival instant,
 //! so queueing delay lands in p99 where an operator would see it.
+//!
+//! Every session's latency is kept ([`Latencies`]): the percentiles a
+//! run reports, and the p99 a ramp probe is judged on, are observed
+//! values, not reconstructions from the telemetry histograms' 2×-wide
+//! buckets.
 
 use std::collections::VecDeque;
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use peace_net::{UserAgent, UserSession};
 use peace_protocol::RetryPolicy;
-use peace_telemetry::{Histogram, HistogramSnapshot, Snapshot};
+use peace_telemetry::Snapshot;
 
 use crate::schedule::{build_schedule, ArrivalProcess};
 
@@ -63,8 +68,37 @@ impl Default for LoadConfig {
     }
 }
 
+/// The latencies a run observed, one per session, ascending.
+#[derive(Clone, Debug, Default)]
+pub struct Latencies(Vec<u64>);
+
+impl Latencies {
+    /// Takes the samples in any order.
+    pub fn new(mut samples: Vec<u64>) -> Self {
+        samples.sort_unstable();
+        Self(samples)
+    }
+
+    /// How many sessions were timed.
+    pub fn count(&self) -> u64 {
+        self.0.len() as u64
+    }
+
+    /// The nearest-rank `q`-quantile (`q` in `[0, 1]`): the smallest
+    /// sample with at least `q · count` samples at or below it, so always
+    /// a latency some session actually saw. Zero when empty.
+    pub fn percentile(&self, q: f64) -> u64 {
+        let n = self.0.len();
+        if n == 0 {
+            return 0;
+        }
+        let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as usize).clamp(1, n);
+        self.0[rank - 1]
+    }
+}
+
 /// What one open-loop run measured.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct LoadOutcome {
     /// Arrivals in the schedule.
     pub offered: u64,
@@ -77,18 +111,50 @@ pub struct LoadOutcome {
     pub conn_rejected: u64,
     /// Successful AEAD echo round-trips.
     pub echoes: u64,
-    /// Peak simultaneously-held session count (meaningful with
-    /// `hold_sessions`).
+    /// Sessions open at once when the schedule had drained: with
+    /// `hold_sessions` every established session, otherwise zero.
     pub peak_concurrent: u64,
+    /// Of those, how many still answered an echo at that point — a held
+    /// session the daemon evicted or dropped is missing here.
+    pub held_live: u64,
     /// Wall time from first arrival to last completion (ms).
     pub elapsed_ms: u64,
-    /// Handshake latency (dial → session key), merged over workers.
-    pub hs_total_us: HistogramSnapshot,
+    /// First dial → session key, per session: the handshake, plus the
+    /// refused attempts and backoff before it when there were any.
+    pub hs_total_us: Latencies,
     /// Scheduled-arrival → session-established latency: includes queue
     /// wait and retries, the open-loop headline number.
-    pub session_us: HistogramSnapshot,
+    pub session_us: Latencies,
     /// Merged worker telemetry (counters + histograms; events dropped).
     pub telemetry: Snapshot,
+}
+
+impl LoadOutcome {
+    /// What a gating run (`smoke`, `full`, `tcp`) requires of itself:
+    /// arrivals were offered, every one became a session, and every held
+    /// session was still live at the end.
+    ///
+    /// # Errors
+    ///
+    /// The first requirement the run missed, as a message.
+    pub fn check(&self) -> Result<(), String> {
+        if self.offered == 0 {
+            return Err("the schedule offered no arrival".into());
+        }
+        if self.failed > 0 || self.completed < self.offered {
+            return Err(format!(
+                "{} of {} arrivals completed, {} failed",
+                self.completed, self.offered, self.failed
+            ));
+        }
+        if self.held_live < self.peak_concurrent {
+            return Err(format!(
+                "{} of {} held sessions were still live",
+                self.held_live, self.peak_concurrent
+            ));
+        }
+        Ok(())
+    }
 }
 
 /// Merges `src` into `dst` without prefixing: counters add, histograms
@@ -135,6 +201,14 @@ impl Default for RampConfig {
             max_rate: 2_000.0,
             probes: 5,
         }
+    }
+}
+
+impl RampConfig {
+    /// Whether a probe's outcome meets the SLO and the success floor.
+    pub fn passed_by(&self, outcome: &LoadOutcome) -> bool {
+        let floor = (outcome.offered as f64 * self.min_success).ceil() as u64;
+        outcome.session_us.percentile(0.99) <= self.slo_p99_us && outcome.completed >= floor
     }
 }
 
@@ -204,16 +278,14 @@ pub fn ramp_search(
             ..cfg.base
         };
         let (outcome, back) = run_open_loop(agents, routers, &run_cfg);
-        let p99 = outcome.session_us.percentile(0.99);
-        let floor = (outcome.offered as f64 * cfg.min_success).ceil() as u64;
-        let passed = p99 <= cfg.slo_p99_us && outcome.completed >= floor;
+        let passed = cfg.passed_by(&outcome);
         probes.push(RampProbe {
             rate_per_sec: rate,
             passed,
             offered: outcome.offered,
             completed: outcome.completed,
             failed: outcome.failed,
-            session_p99_us: p99,
+            session_p99_us: outcome.session_us.percentile(0.99),
             achieved_per_sec: if outcome.elapsed_ms == 0 {
                 0.0
             } else {
@@ -290,27 +362,23 @@ pub fn run_open_loop(
             .map(|(i, at)| (i as u64, at))
             .collect(),
     );
-    let session_us = Arc::new(Histogram::default());
-    let completed = AtomicU64::new(0);
     let failed = AtomicU64::new(0);
     let echoes = AtomicU64::new(0);
-    let held_now = AtomicU64::new(0);
-    let peak = AtomicU64::new(0);
     let start = Instant::now();
 
-    let agents_back: Vec<UserAgent> = std::thread::scope(|s| {
+    // Per worker: its agent, the sessions it holds, and a (first dial →
+    // established, scheduled → established) pair per session.
+    type Worked = (UserAgent, Vec<UserSession>, Vec<(u64, u64)>);
+    let worked: Vec<Worked> = std::thread::scope(|s| {
         let handles: Vec<_> = agents
             .into_iter()
             .map(|mut agent| {
                 let queue = &queue;
-                let completed = &completed;
                 let failed = &failed;
                 let echoes = &echoes;
-                let held_now = &held_now;
-                let peak = &peak;
-                let session_us = Arc::clone(&session_us);
                 s.spawn(move || {
                     let mut held: Vec<UserSession> = Vec::new();
+                    let mut latencies: Vec<(u64, u64)> = Vec::new();
                     loop {
                         let next = {
                             #[allow(clippy::unwrap_used)]
@@ -323,18 +391,19 @@ pub fn run_open_loop(
                         if now < target {
                             std::thread::sleep(target - now);
                         }
+                        let dialed = start.elapsed();
                         let addr = routers[idx as usize % routers.len()];
                         match agent.connect_with_retry(addr, &cfg.retry) {
                             Ok(mut sess) => {
-                                completed.fetch_add(1, Ordering::Relaxed);
                                 let established = start.elapsed();
-                                session_us.record(
+                                let us = |since: Duration| {
                                     established
-                                        .saturating_sub(target)
+                                        .saturating_sub(since)
                                         .as_micros()
                                         .min(u128::from(u64::MAX))
-                                        as u64,
-                                );
+                                        as u64
+                                };
+                                latencies.push((us(dialed), us(target)));
                                 for round in 0..cfg.echo_per_session {
                                     let payload = format!("load-{idx}-{round}");
                                     if sess.echo(payload.as_bytes()).is_ok() {
@@ -343,8 +412,6 @@ pub fn run_open_loop(
                                 }
                                 if cfg.hold_sessions {
                                     held.push(sess);
-                                    let cur = held_now.fetch_add(1, Ordering::Relaxed) + 1;
-                                    peak.fetch_max(cur, Ordering::Relaxed);
                                 } else {
                                     sess.close();
                                 }
@@ -354,24 +421,58 @@ pub fn run_open_loop(
                             }
                         }
                     }
-                    let n = held.len() as u64;
-                    for sess in held {
-                        sess.close();
-                    }
-                    held_now.fetch_sub(n, Ordering::Relaxed);
-                    agent
+                    (agent, held, latencies)
                 })
             })
             .collect();
         handles
             .into_iter()
             .map(|h| match h.join() {
-                Ok(agent) => agent,
+                Ok(worked) => worked,
                 Err(p) => std::panic::resume_unwind(p),
             })
             .collect()
     });
     let elapsed_ms = start.elapsed().as_millis().min(u128::from(u64::MAX)) as u64;
+
+    let mut agents_back = Vec::with_capacity(worked.len());
+    let mut held_by_worker = Vec::with_capacity(worked.len());
+    let mut latencies = Vec::new();
+    for (agent, held, timed) in worked {
+        agents_back.push(agent);
+        held_by_worker.push(held);
+        latencies.extend(timed);
+    }
+    let (hs_us, session_us): (Vec<u64>, Vec<u64>) = latencies.into_iter().unzip();
+
+    // Every worker is done and nothing has been closed: the held sessions
+    // are all open now. One echo on each says whether the daemon still
+    // holds its end — a worker's share per thread, because the event loop
+    // answers a parked connection only at its next slow sweep.
+    let peak_concurrent = held_by_worker.iter().map(|h| h.len() as u64).sum();
+    let held_live: u64 = std::thread::scope(|s| {
+        let handles: Vec<_> = held_by_worker
+            .into_iter()
+            .filter(|held| !held.is_empty())
+            .map(|held| {
+                s.spawn(move || {
+                    let mut live = 0u64;
+                    for mut sess in held {
+                        live += u64::from(sess.echo(b"held").is_ok());
+                        sess.close();
+                    }
+                    live
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| match h.join() {
+                Ok(live) => live,
+                Err(p) => std::panic::resume_unwind(p),
+            })
+            .sum()
+    });
 
     let mut telemetry = Snapshot::default();
     let mut conn_rejected = 0u64;
@@ -379,23 +480,19 @@ pub fn run_open_loop(
         merge_unprefixed(&mut telemetry, &a.telemetry());
         conn_rejected += a.metrics().conn_rejected;
     }
-    let hs_total_us = telemetry
-        .histograms
-        .get("net.hs_total_us")
-        .cloned()
-        .unwrap_or_default();
 
     (
         LoadOutcome {
             offered,
-            completed: completed.load(Ordering::Relaxed),
+            completed: session_us.len() as u64,
             failed: failed.load(Ordering::Relaxed),
             conn_rejected,
             echoes: echoes.load(Ordering::Relaxed),
-            peak_concurrent: peak.load(Ordering::Relaxed),
+            peak_concurrent,
+            held_live,
             elapsed_ms,
-            hs_total_us,
-            session_us: session_us.snapshot(),
+            hs_total_us: Latencies::new(hs_us),
+            session_us: Latencies::new(session_us),
             telemetry,
         },
         agents_back,

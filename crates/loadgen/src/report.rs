@@ -137,6 +137,7 @@ pub fn build_report(sim: Option<SimRunSummary<'_>>, tcp: Option<TcpRunSummary<'_
             .uint("tcp_conn_rejected", o.conn_rejected)
             .uint("tcp_echoes", o.echoes)
             .uint("tcp_peak_concurrent", o.peak_concurrent)
+            .uint("tcp_held_live", o.held_live)
             .uint("tcp_elapsed_ms", o.elapsed_ms)
             .float(
                 "tcp_handshakes_per_sec",

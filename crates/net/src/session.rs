@@ -30,8 +30,6 @@
 //! `net.hs_total_us`): beacon service time, access-verify turnaround
 //! (request receipt → confirm ready, queueing included), and the whole
 //! router-observed handshake (beacon request receipt → confirm ready).
-//! Before this refactor only the *user* agent recorded these, so the
-//! router document in `BENCH_net.json` carried empty histograms.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};

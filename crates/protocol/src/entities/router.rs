@@ -324,13 +324,6 @@ impl MeshRouter {
         &self.revocation
     }
 
-    /// Retunes the process-wide sweep fan-out threshold from this router's
-    /// measured sweep latency histograms; returns the threshold now in
-    /// force (see [`RevocationEngine::autotune_spawn_threshold`]).
-    pub fn autotune_sweep_threshold(&self) -> usize {
-        self.revocation.autotune_spawn_threshold()
-    }
-
     /// Installs a new-epoch group public key (after
     /// [`NetworkOperator::rotate_system_key`](super::NetworkOperator::rotate_system_key)).
     /// All pending beacon DH state is dropped: in-flight handshakes from

@@ -15,14 +15,12 @@
 //!    the URL. Hits resolve through an exact fingerprint map (or the
 //!    sweep when the map is disabled to save memory).
 //! 3. **Shared-Miller sweep** — the `n + 1` Miller-loop fallback (`n` of
-//!    them evaluations against one line table prepared for `û`), with
-//!    its thread fan-out threshold retunable from the latency histograms
-//!    this engine records ([`RevocationEngine::autotune_spawn_threshold`])
-//!    instead of a hard-coded constant.
+//!    them evaluations against one line table prepared for `û`).
 //!
 //! The engine's verdicts are byte-for-byte what
-//! [`PreparedGpk::verify_and_check`] returns — the layers change the
-//! schedule, never the decision (the equivalence tests pin this).
+//! [`PreparedGpk::verify_and_check`](peace_groupsig::PreparedGpk::verify_and_check)
+//! returns — the layers change the schedule, never the decision (the
+//! equivalence tests pin this).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -31,8 +29,7 @@ use std::time::Instant;
 use peace_curve::G2;
 use peace_field::Fq;
 use peace_groupsig::{
-    h0_bases, revocation_sweep, set_sweep_spawn_threshold, sweep_spawn_threshold, BasesMode,
-    GroupPublicKey, GroupSignature, PreparedGpk, RevocationToken, VerifyError,
+    h0_bases, revocation_sweep, BasesMode, GroupPublicKey, GroupSignature, RevocationToken,
 };
 use peace_pairing::{pairing, pairing_ratio};
 use peace_telemetry::{Counter, Histogram};
@@ -40,15 +37,6 @@ use peace_telemetry::{Counter, Histogram};
 use crate::cache::{CacheKey, SweepCache};
 use crate::prefilter::TokenPrefilter;
 use crate::store::{DeltaError, DeltaOutcome, EpochUrlStore, UrlDelta};
-
-/// Budget for one full scoped thread fan-out (spawn + join across
-/// `available_parallelism` workers), in nanoseconds: 40 µs measured for two
-/// workers on the idle reference box, allowed 100 µs because a router
-/// sweeps while its other cores verify. The autotuner sizes the sweep
-/// threshold so threading only engages when the parallel saving clears
-/// this with 2x headroom; at the ~0.3 ms a token costs since the sweep
-/// evaluates prepared lines, that is from two tokens up.
-pub const FANOUT_SPAWN_OVERHEAD_NS: u64 = 100_000;
 
 /// Engine configuration.
 #[derive(Clone, Copy, Debug)]
@@ -69,9 +57,6 @@ pub struct EngineConfig {
     pub exact_suspect_map: bool,
     /// Sweep-cache capacity in entries (0 disables the cache).
     pub cache_capacity: usize,
-    /// Pin the process-wide sweep fan-out threshold instead of the
-    /// measured default / telemetry autotune.
-    pub spawn_threshold: Option<usize>,
 }
 
 impl Default for EngineConfig {
@@ -83,7 +68,6 @@ impl Default for EngineConfig {
             prefilter_seed: 0x9E3C_E17E_5EED,
             exact_suspect_map: true,
             cache_capacity: 4096,
-            spawn_threshold: None,
         }
     }
 }
@@ -150,9 +134,6 @@ impl std::fmt::Debug for RevocationEngine {
 impl RevocationEngine {
     /// Builds an engine for `gpk` with an empty URL at epoch 0.
     pub fn new(gpk: &GroupPublicKey, cfg: EngineConfig) -> Self {
-        if let Some(t) = cfg.spawn_threshold {
-            set_sweep_spawn_threshold(t);
-        }
         let fixed_bases = (cfg.bases_mode == BasesMode::FixedBases)
             .then(|| h0_bases(gpk, &[], &Fq::ZERO, BasesMode::FixedBases));
         Self {
@@ -258,27 +239,9 @@ impl RevocationEngine {
         }
     }
 
-    /// Full verification + staged revocation check — the drop-in
-    /// replacement for [`PreparedGpk::verify_and_check`], with identical
-    /// verdicts against this engine's list.
-    ///
-    /// # Errors
-    ///
-    /// [`VerifyError`] if the Σ-protocol check fails (the revocation
-    /// stages never run in that case).
-    pub fn verify_and_check(
-        &mut self,
-        prepared: &PreparedGpk,
-        msg: &[u8],
-        sig: &GroupSignature,
-    ) -> Result<Option<usize>, VerifyError> {
-        let (u_hat, v_hat) = prepared.verify_bases(msg, sig, self.cfg.bases_mode)?;
-        Ok(self.check_revocation(msg, sig, &u_hat, &v_hat))
-    }
-
     /// The revocation stages alone, for callers that already verified the
     /// signature and hold its H₀ bases (e.g. via
-    /// [`PreparedGpk::verify_bases`]).
+    /// [`PreparedGpk::verify_bases`](peace_groupsig::PreparedGpk::verify_bases)).
     pub fn check_revocation(
         &mut self,
         msg: &[u8],
@@ -348,27 +311,6 @@ impl RevocationEngine {
             .record(ns / self.store.len() as u64);
         self.cache.insert(key, version, verdict.map(|x| x as u32));
         verdict
-    }
-
-    /// Retunes the process-wide sweep fan-out threshold from the measured
-    /// per-token sweep cost: threading engages where the parallel saving
-    /// clears [`FANOUT_SPAWN_OVERHEAD_NS`] with 2x headroom. Falls back to
-    /// the current threshold until enough sweeps have been observed, and
-    /// honors a [`EngineConfig::spawn_threshold`] pin. Returns the
-    /// threshold now in force.
-    pub fn autotune_spawn_threshold(&self) -> usize {
-        if let Some(t) = self.cfg.spawn_threshold {
-            set_sweep_spawn_threshold(t);
-            return sweep_spawn_threshold();
-        }
-        let snap = self.metrics.sweep_token_ns.snapshot();
-        if snap.count < 16 {
-            return sweep_spawn_threshold();
-        }
-        let per_token_ns = snap.mean().max(1);
-        let t = ((2 * FANOUT_SPAWN_OVERHEAD_NS) / per_token_ns).clamp(2, 4096) as usize;
-        set_sweep_spawn_threshold(t);
-        t
     }
 
     /// Current URL version.

@@ -18,8 +18,7 @@
 //! * [`RevocationEngine`] — the staged pipeline (cache → prefilter →
 //!   shared-Miller sweep) that replaces
 //!   [`PreparedGpk::verify_and_check`](peace_groupsig::PreparedGpk)
-//!   verdict-for-verdict, plus telemetry-driven retuning of the sweep's
-//!   thread fan-out threshold.
+//!   verdict-for-verdict.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -31,7 +30,7 @@ mod prefilter;
 mod store;
 
 pub use cache::{CacheKey, SweepCache, Verdict};
-pub use engine::{EngineConfig, RevocationEngine, FANOUT_SPAWN_OVERHEAD_NS};
+pub use engine::{EngineConfig, RevocationEngine};
 pub use prefilter::TokenPrefilter;
 pub use store::{
     digest_of, DeltaError, DeltaOutcome, DeltaPlan, EpochUrlStore, UrlDelta, DEFAULT_DELTA_LOG_CAP,
@@ -267,10 +266,11 @@ mod tests {
             let msg = format!("access-{i}").into_bytes();
             let sig = sign(w.prepared.gpk(), m, &msg, mode, &mut w.rng);
             let direct = w.prepared.verify_and_check(&msg, &sig, &url, mode).unwrap();
-            let staged = eng.verify_and_check(&w.prepared, &msg, &sig).unwrap();
+            let (u, v) = w.prepared.verify_bases(&msg, &sig, mode).unwrap();
+            let staged = eng.check_revocation(&msg, &sig, &u, &v);
             assert_eq!(staged, direct, "member {i}");
             // Repeat: served from the cache, same verdict.
-            let again = eng.verify_and_check(&w.prepared, &msg, &sig).unwrap();
+            let again = eng.check_revocation(&msg, &sig, &u, &v);
             assert_eq!(again, direct, "cached verdict diverged for member {i}");
         }
         assert!(eng.cache_len() > 0);
@@ -288,7 +288,8 @@ mod tests {
             let msg = format!("fb-{i}").into_bytes();
             let sig = sign(w.prepared.gpk(), m, &msg, mode, &mut w.rng);
             let direct = w.prepared.verify_and_check(&msg, &sig, &url, mode).unwrap();
-            let staged = eng.verify_and_check(&w.prepared, &msg, &sig).unwrap();
+            let (u, v) = w.prepared.verify_bases(&msg, &sig, mode).unwrap();
+            let staged = eng.check_revocation(&msg, &sig, &u, &v);
             assert_eq!(staged, direct, "member {i}");
         }
         // Linkable cache: a *different* message from the same revoked key
@@ -296,10 +297,8 @@ mod tests {
         let before = eng.cache_len();
         let msg2 = b"fb-0-second-session".to_vec();
         let sig2 = sign(w.prepared.gpk(), &w.members[0], &msg2, mode, &mut w.rng);
-        assert_eq!(
-            eng.verify_and_check(&w.prepared, &msg2, &sig2).unwrap(),
-            Some(0)
-        );
+        let (u2, v2) = w.prepared.verify_bases(&msg2, &sig2, mode).unwrap();
+        assert_eq!(eng.check_revocation(&msg2, &sig2, &u2, &v2), Some(0));
         assert_eq!(
             eng.cache_len(),
             before,
@@ -319,8 +318,9 @@ mod tests {
         eng.install_full(0, 0, &[]);
         let msg = b"session-establishment".to_vec();
         let sig = sign(w.prepared.gpk(), &w.members[0], &msg, mode, &mut w.rng);
-        assert_eq!(eng.verify_and_check(&w.prepared, &msg, &sig).unwrap(), None);
-        assert_eq!(eng.verify_and_check(&w.prepared, &msg, &sig).unwrap(), None);
+        let (u, v) = w.prepared.verify_bases(&msg, &sig, mode).unwrap();
+        assert_eq!(eng.check_revocation(&msg, &sig, &u, &v), None);
+        assert_eq!(eng.check_revocation(&msg, &sig, &u, &v), None);
         // Operator revokes member 0 and ships the delta.
         let mut op = EpochUrlStore::new(0);
         op.record_add(&w.members[0].revocation_token());
@@ -331,21 +331,59 @@ mod tests {
         assert_eq!(eng.cache_len(), 0, "version bump must flush the cache");
         // The very same (msg, sig) — a replayed/retried frame — must now
         // be flagged revoked, not served from a stale cache entry.
-        assert_eq!(
-            eng.verify_and_check(&w.prepared, &msg, &sig).unwrap(),
-            Some(0)
-        );
+        assert_eq!(eng.check_revocation(&msg, &sig, &u, &v), Some(0));
     }
 
+    /// The fast paths do not scale with |URL|, stated as operation counts
+    /// (thread-scoped, so exact under the parallel harness): per-message
+    /// mode pays the |URL| + 1 sweep once per work unit and nothing on a
+    /// repeat; fixed-bases mode with the prefilter pays the two Miller
+    /// loops of `D = ê(T₂,û)/ê(T₁,v̂)` per check and never sweeps — for a
+    /// listed signer or a clean one, first sight or repeat.
     #[test]
-    fn engine_autotune_respects_pin_and_data() {
-        let w = world(1, 14);
-        let mut cfg = engine_cfg(BasesMode::PerMessage, false);
-        cfg.spawn_threshold = Some(17);
-        let eng = RevocationEngine::new(w.prepared.gpk(), cfg);
-        assert_eq!(eng.autotune_spawn_threshold(), 17);
-        assert_eq!(peace_groupsig::sweep_spawn_threshold(), 17);
-        peace_groupsig::set_sweep_spawn_threshold(peace_groupsig::DEFAULT_SWEEP_SPAWN_THRESHOLD);
+    fn fast_paths_cost_the_same_at_any_url_size() {
+        use peace_groupsig::OpSnapshot;
+        for n in [4usize, 64] {
+            let mut w = world(2, 20 + n as u64);
+            let mut url = tokens(n - 1, 30 + n as u64);
+            url.push(w.members[0].revocation_token());
+
+            let mode = BasesMode::PerMessage;
+            let mut eng = RevocationEngine::new(w.prepared.gpk(), engine_cfg(mode, false));
+            eng.install_full(0, 1, &url);
+            let sig = sign(w.prepared.gpk(), &w.members[1], b"m", mode, &mut w.rng);
+            let (u, v) = w.prepared.verify_bases(b"m", &sig, mode).unwrap();
+            let scope = OpSnapshot::scope();
+            assert_eq!(eng.check_revocation(b"m", &sig, &u, &v), None);
+            let cold = scope.counts();
+            assert_eq!(cold.miller_loops, n as u64 + 1, "|URL| = {n}: {cold:?}");
+            assert_eq!((cold.final_exps, cold.miller_prepares), (1, 1), "{cold:?}");
+            assert_eq!(cold.pairings, 0, "{cold:?}");
+            let scope = OpSnapshot::scope();
+            assert_eq!(eng.check_revocation(b"m", &sig, &u, &v), None);
+            let hit = scope.counts();
+            assert_eq!(hit, OpSnapshot::default(), "|URL| = {n}: cache hit");
+
+            let mode = BasesMode::FixedBases;
+            let mut eng = RevocationEngine::new(w.prepared.gpk(), engine_cfg(mode, true));
+            eng.install_full(0, 1, &url);
+            for (member, verdict) in [(0, Some(n - 1)), (1, None)] {
+                let sig = sign(w.prepared.gpk(), &w.members[member], b"m", mode, &mut w.rng);
+                let (u, v) = w.prepared.verify_bases(b"m", &sig, mode).unwrap();
+                for sight in ["first", "repeat"] {
+                    let scope = OpSnapshot::scope();
+                    assert_eq!(eng.check_revocation(b"m", &sig, &u, &v), verdict);
+                    let cost = scope.counts();
+                    let want = OpSnapshot {
+                        pairings: 2,
+                        miller_loops: 2,
+                        final_exps: 1,
+                        ..OpSnapshot::default()
+                    };
+                    assert_eq!(cost, want, "|URL| = {n}, member {member}, {sight}");
+                }
+            }
+        }
     }
 
     // ---- proptests ----

@@ -1,13 +1,11 @@
 //! The shared `BENCH_*.json` emitter.
 //!
-//! Every benchmark example (`perf_report`, `ledger_report`,
-//! `net_loopback`) used to hand-roll its own `format!` JSON. They now all
-//! build a [`BenchReport`]: a schema-versioned (`peace-bench-v1`),
+//! A [`BenchReport`] is a schema-versioned (`peace-bench-v1`),
 //! insertion-ordered set of fields with a stable header (`schema`,
 //! `bench`, `when_ms`), printed to stdout and written to
-//! `BENCH_<tag>.json` in one call. `tools/check_bench.py` validates the
-//! artifacts in CI, including any embedded `peace-telemetry-v1`
-//! snapshots.
+//! `BENCH_<tag>.json` in one call. `peace-loadgen` writes
+//! `BENCH_load.json` through it, embedded `peace-telemetry-v1` snapshots
+//! included.
 
 use std::path::{Path, PathBuf};
 

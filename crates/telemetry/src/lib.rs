@@ -23,9 +23,8 @@
 //!   field set, integers only, byte-identical across runs for identical
 //!   inputs. Snapshots merge under a prefix so a node can publish global +
 //!   per-daemon metrics as one document;
-//! * [`bench::BenchReport`] — the shared emitter behind every
-//!   `BENCH_*.json` artifact (`peace-bench-v1`), validated in CI by
-//!   `tools/check_bench.py`.
+//! * [`bench::BenchReport`] — the emitter behind `BENCH_load.json`
+//!   (`peace-bench-v1`).
 //!
 //! # Quickstart
 //!

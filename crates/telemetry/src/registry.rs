@@ -8,8 +8,8 @@ use crate::events::{Event, EventRing};
 use crate::hist::{Histogram, HistogramSnapshot, Timer};
 use crate::json::ObjectWriter;
 
-/// Snapshot schema identifier. Bump only with a format change; CI's
-/// `tools/check_bench.py` validates dumps against it.
+/// Snapshot schema identifier. Bump only with a format change:
+/// `tests/golden_schema.rs` pins the bytes a snapshot renders to.
 pub const SCHEMA: &str = "peace-telemetry-v1";
 
 /// A named, lock-free, monotone counter: it never goes backwards.

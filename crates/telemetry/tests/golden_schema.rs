@@ -1,7 +1,7 @@
 //! Golden-schema test: the snapshot JSON export is byte-deterministic and
 //! matches the `peace-telemetry-v1` schema exactly. Any change to key
 //! order, field set, or rendering breaks this test on purpose — dashboards
-//! and `tools/check_bench.py` parse these bytes.
+//! parse these bytes.
 
 use peace_telemetry::{Registry, SCHEMA};
 

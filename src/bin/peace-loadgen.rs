@@ -14,6 +14,12 @@
 //! peace-loadgen full  [--ramp]   # acceptance: 10^5 sim users + held TCP sessions
 //! ```
 //!
+//! `tcp`, `smoke` and `full` judge themselves ([`LoadOutcome::check`]):
+//! they exit non-zero unless every offered arrival became a session and
+//! every held session still answered an echo once the schedule had
+//! drained. `tcp --hold` is the held-session check: the rate times the
+//! duration is how many sessions it holds, for at least the duration.
+//!
 //! Scenarios: `steady`, `crowd`, `revoke`, `rollover`, `partition`.
 //! Simulation halves verify their own determinism by re-running the
 //! scenario with a different shard count and asserting digest equality.
@@ -23,10 +29,11 @@ use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
 use peace::loadgen::{
-    append_ramp, build_report, ramp_search, run_open_loop, ArrivalProcess, LoadConfig, RampConfig,
-    RampRunSummary, SimRunSummary, TcpRunSummary,
+    append_ramp, build_report, ramp_search, run_open_loop, ArrivalProcess, LoadConfig, LoadOutcome,
+    RampConfig, RampRunSummary, SimRunSummary, TcpRunSummary,
 };
-use peace::net::{build_world, ConnConfig, DaemonConfig, RouterDaemon, UserAgent, WorldSpec};
+use peace::net::{build_world_with, ConnConfig, DaemonConfig, RouterDaemon, UserAgent, WorldSpec};
+use peace::protocol::ProtocolConfig;
 use peace::sim::{run_city, CityConfig, CityReport, Scenario};
 
 fn main() -> ExitCode {
@@ -184,11 +191,15 @@ fn cmd_sim(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn daemon_cfg(max_connections: usize, io_shards: usize) -> DaemonConfig {
+/// The deadline both ends of a connection run under, unless the run holds
+/// sessions (see [`Fleet::spawn`]).
+const IO_TIMEOUT: Duration = Duration::from_secs(20);
+
+fn daemon_cfg(max_connections: usize, io_shards: usize, read_timeout: Duration) -> DaemonConfig {
     DaemonConfig {
         conn: ConnConfig {
-            read_timeout: Some(Duration::from_secs(20)),
-            write_timeout: Some(Duration::from_secs(20)),
+            read_timeout: Some(read_timeout),
+            write_timeout: Some(IO_TIMEOUT),
             ..ConnConfig::default()
         },
         max_connections,
@@ -209,14 +220,22 @@ struct Fleet {
 impl Fleet {
     /// Builds the deterministic world, spawns loopback router daemons
     /// (pre-loaded with the NO's lists) unless `targets` is given, and
-    /// enrolls one agent per worker.
+    /// enrolls one agent per worker. `load` is the heaviest run the fleet
+    /// will see: it sizes the connection cap and seeds the agents.
+    ///
+    /// A held session sits silent from its handshake until the final echo
+    /// pass reaches it, and nothing refreshes a loopback router's start-up
+    /// CRL/URL. So when `load` holds sessions, loopback daemons keep an
+    /// idle connection — and the world accepts those lists — for four
+    /// times the schedule and a margin, rather than [`IO_TIMEOUT`] and the
+    /// default 60 s: room for the schedule, arrivals served late, and an
+    /// echo pass in which every echo waits out a parked-connection sweep.
     fn spawn(
         workers: usize,
         router_count: usize,
         targets: &[SocketAddr],
         world_seed: u64,
-        agent_seed: u64,
-        cap: usize,
+        load: &LoadConfig,
         io_shards: usize,
     ) -> Self {
         let spec = WorldSpec {
@@ -232,8 +251,18 @@ impl Fleet {
             "tcp: enrolling {} worker agents (world seed {:#x})...",
             workers, world_seed
         );
-        let w = build_world(&spec).expect("world setup ceremony");
-        let cfg = daemon_cfg(cap, io_shards);
+        let hold = (load.hold_sessions && targets.is_empty())
+            .then(|| Duration::from_millis(4 * load.duration_ms) + IO_TIMEOUT);
+        let mut protocol = ProtocolConfig::default();
+        if let Some(hold) = hold {
+            protocol.list_max_age = protocol.list_max_age.max(hold.as_millis() as u64);
+        }
+        let w = build_world_with(&spec, protocol).expect("world setup ceremony");
+        // Every offered arrival may be open at once in hold mode.
+        let expected = (load.rate_per_sec * load.duration_ms as f64 / 1_000.0) as usize;
+        let cap = (expected * 2 + workers + 64).max(256);
+        let cfg = daemon_cfg(cap, io_shards, IO_TIMEOUT);
+        let server_cfg = daemon_cfg(cap, io_shards, hold.unwrap_or(IO_TIMEOUT));
 
         let mut daemons = Vec::new();
         let addrs: Vec<SocketAddr> = if targets.is_empty() {
@@ -243,7 +272,7 @@ impl Fleet {
             for (i, mut r) in w.routers.into_iter().enumerate() {
                 r.update_lists(crl.clone(), url.clone());
                 daemons.push(
-                    RouterDaemon::spawn(r, world_seed ^ (i as u64 + 1), "127.0.0.1:0", cfg)
+                    RouterDaemon::spawn(r, world_seed ^ (i as u64 + 1), "127.0.0.1:0", server_cfg)
                         .expect("router daemon spawn"),
                 );
             }
@@ -256,7 +285,7 @@ impl Fleet {
             .users
             .into_iter()
             .enumerate()
-            .map(|(i, u)| UserAgent::new(u, agent_seed ^ (0xA6E57 + i as u64), cfg))
+            .map(|(i, u)| UserAgent::new(u, load.seed ^ (0xA6E57 + i as u64), cfg))
             .collect();
         Fleet {
             daemons,
@@ -275,7 +304,7 @@ impl Fleet {
 
 struct TcpRun {
     cfg: LoadConfig,
-    outcome: peace::loadgen::LoadOutcome,
+    outcome: LoadOutcome,
     workers: u64,
     routers: u64,
 }
@@ -291,19 +320,7 @@ fn run_tcp(
     load: LoadConfig,
     io_shards: usize,
 ) -> TcpRun {
-    // Size the cap for held sessions: every offered arrival may be open
-    // at once in hold mode.
-    let expected = (load.rate_per_sec * load.duration_ms as f64 / 1_000.0) as usize;
-    let cap = (expected * 2 + workers + 64).max(256);
-    let mut fleet = Fleet::spawn(
-        workers,
-        router_count,
-        targets,
-        world_seed,
-        load.seed,
-        cap,
-        io_shards,
-    );
+    let mut fleet = Fleet::spawn(workers, router_count, targets, world_seed, &load, io_shards);
     let router_addrs = fleet.addrs.clone();
 
     eprintln!(
@@ -319,12 +336,13 @@ fn run_tcp(
     let (outcome, _) = run_open_loop(agents, &router_addrs, &load);
     fleet.teardown();
     println!(
-        "tcp: offered={} completed={} failed={} conn_rejected={} peak_concurrent={} in {}ms",
+        "tcp: offered={} completed={} failed={} conn_rejected={} peak_concurrent={} held_live={} in {}ms",
         outcome.offered,
         outcome.completed,
         outcome.failed,
         outcome.conn_rejected,
         outcome.peak_concurrent,
+        outcome.held_live,
         outcome.elapsed_ms
     );
     println!(
@@ -360,15 +378,16 @@ fn run_ramp(
     ramp: RampConfig,
     io_shards: usize,
 ) -> RampRun {
-    let expected = (ramp.max_rate * ramp.base.duration_ms as f64 / 1_000.0) as usize;
-    let cap = (expected * 2 + workers + 64).max(256);
+    let ceiling = LoadConfig {
+        rate_per_sec: ramp.max_rate,
+        ..ramp.base
+    };
     let mut fleet = Fleet::spawn(
         workers,
         router_count,
         targets,
         world_seed,
-        ramp.base.seed,
-        cap,
+        &ceiling,
         io_shards,
     );
     let addrs = fleet.addrs.clone();
@@ -405,6 +424,8 @@ fn run_ramp(
         shards: io_shards as u64,
     }
 }
+
+const NO_SUSTAINABLE_RATE: &str = "even the floor rate violated the SLO";
 
 fn ramp_cfg(args: &[String]) -> RampConfig {
     RampConfig {
@@ -452,7 +473,7 @@ fn cmd_ramp(args: &[String]) -> ExitCode {
             if run.outcome.max_sustainable_rate > 0.0 {
                 ExitCode::SUCCESS
             } else {
-                eprintln!("even the floor rate violated the SLO");
+                eprintln!("{NO_SUSTAINABLE_RATE}");
                 ExitCode::FAILURE
             }
         }
@@ -497,11 +518,13 @@ fn cmd_tcp(args: &[String]) -> ExitCode {
         load,
         flag(args, "--io-shards", 2) as usize,
     );
-    if run.outcome.completed == 0 {
-        eprintln!("no session completed");
-        return ExitCode::FAILURE;
+    match run.outcome.check() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("tcp: {e}");
+            ExitCode::FAILURE
+        }
     }
-    ExitCode::SUCCESS
 }
 
 /// The combined pass behind `smoke` (CI) and `full` (acceptance): one
@@ -557,6 +580,7 @@ fn cmd_combined(args: &[String], full: bool) -> ExitCode {
             routers: run.routers,
         }),
     );
+    let mut failures: Vec<String> = run.outcome.check().err().into_iter().collect();
     if has(args, "--ramp") {
         let ramp = run_ramp(
             workers,
@@ -575,15 +599,21 @@ fn cmd_combined(args: &[String], full: bool) -> ExitCode {
                 shards: ramp.shards,
             },
         );
+        if ramp.outcome.max_sustainable_rate == 0.0 {
+            failures.push(NO_SUSTAINABLE_RATE.into());
+        }
     }
+    // The report is written either way: a failed run is diagnosed from it.
     match report.emit("load") {
-        Ok(path) => {
-            eprintln!("wrote {}", path.display());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("failed to write BENCH_load.json: {e}");
-            ExitCode::FAILURE
-        }
+        Ok(path) => eprintln!("wrote {}", path.display()),
+        Err(e) => failures.push(format!("failed to write BENCH_load.json: {e}")),
+    }
+    for failure in &failures {
+        eprintln!("{}: {failure}", if full { "full" } else { "smoke" });
+    }
+    if failures.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }

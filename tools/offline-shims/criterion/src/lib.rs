@@ -1,12 +1,14 @@
 //! Offline stand-in for `criterion` 0.5, used only when building without a
 //! crates.io index (see `tools/offline-shims/README.md`).
 //!
-//! Implements the harness subset the `peace-bench` benches use
-//! (`criterion_group!`/`criterion_main!`, `bench_function`,
-//! `benchmark_group`, `bench_with_input`, `iter`, `iter_batched`). It runs
-//! each closure a small, fixed number of timed iterations and prints a
-//! median time — enough to smoke-run the benches offline; real statistics
-//! come from the real crate when an index is available.
+//! No crate in the repository depends on it any more; it is kept because
+//! the frozen `benchmark/Cargo.toml` patches it in by path and does not
+//! load without the directory.
+//!
+//! Implements a harness subset (`criterion_group!`/`criterion_main!`,
+//! `bench_function`, `benchmark_group`, `bench_with_input`, `iter`,
+//! `iter_batched`): each closure runs a small, fixed number of timed
+//! iterations and a median time is printed.
 
 use std::time::{Duration, Instant};
 
