@@ -447,8 +447,7 @@ pub fn run_open_loop(
 
     // Every worker is done and nothing has been closed: the held sessions
     // are all open now. One echo on each says whether the daemon still
-    // holds its end — a worker's share per thread, because the event loop
-    // answers a parked connection only at its next slow sweep.
+    // holds its end — a worker's share per thread.
     let peak_concurrent = held_by_worker.iter().map(|h| h.len() as u64).sum();
     let held_live: u64 = std::thread::scope(|s| {
         let handles: Vec<_> = held_by_worker

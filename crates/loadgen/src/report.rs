@@ -40,7 +40,8 @@ pub struct RampRunSummary<'a> {
     pub outcome: &'a RampOutcome,
     /// Worker (agent) count.
     pub workers: u64,
-    /// I/O shards the target daemons ran with (0 = blocking runtime).
+    /// I/O shard threads the target daemons ran with (0 = one per
+    /// available processor).
     pub shards: u64,
 }
 

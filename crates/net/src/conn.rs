@@ -1,8 +1,7 @@
-//! Connection management: framed, deadline-bounded TCP connections with a
-//! bounded outbound queue (backpressure) and per-connection statistics.
+//! The client side of a connection: a framed, deadline-bounded blocking
+//! TCP stream with per-connection statistics. (The server side of every
+//! connection is owned by a shard of `crate::reactor`.)
 
-use std::collections::VecDeque;
-use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
@@ -19,14 +18,16 @@ use crate::metrics::{ConnStats, NetMetrics};
 pub struct ConnConfig {
     /// Maximum frame payload accepted or produced.
     pub max_frame: usize,
-    /// Read deadline; `None` blocks forever (daemons should never use
-    /// `None` — a stalled peer would pin the handler thread).
+    /// Read deadline of a client connection and idle-eviction deadline
+    /// of a served one; `None` waits forever (daemons should never use
+    /// `None` — a silent peer would pin its slot).
     pub read_timeout: Option<Duration>,
-    /// Write deadline.
+    /// Write deadline of a client connection.
     pub write_timeout: Option<Duration>,
-    /// Maximum queued-but-unflushed outbound frames.
+    /// Maximum reply frames a shard queues for a peer that is not
+    /// reading; past either bound the connection is closed.
     pub max_queue_frames: usize,
-    /// Maximum queued-but-unflushed outbound payload bytes.
+    /// Maximum queued-but-unwritten reply bytes.
     pub max_queue_bytes: usize,
 }
 
@@ -42,87 +43,16 @@ impl Default for ConnConfig {
     }
 }
 
-/// A bounded queue of encoded-but-unsent frames.
-///
-/// Enqueueing past either bound fails with [`NetError::Backpressure`]
-/// instead of buffering without limit: a receiver that stops draining can
-/// stall *its own* connection but cannot balloon the sender's memory.
-#[derive(Debug)]
-pub struct OutboundQueue {
-    frames: VecDeque<Vec<u8>>,
-    queued_bytes: usize,
-    max_frames: usize,
-    max_bytes: usize,
-}
-
-impl OutboundQueue {
-    /// Creates a queue with the given bounds (each clamped to ≥ 1).
-    pub fn new(max_frames: usize, max_bytes: usize) -> Self {
-        Self {
-            frames: VecDeque::new(),
-            queued_bytes: 0,
-            max_frames: max_frames.max(1),
-            max_bytes: max_bytes.max(1),
-        }
-    }
-
-    /// Enqueues one encoded payload.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Backpressure`] if either bound would be exceeded.
-    pub fn push(&mut self, payload: Vec<u8>) -> Result<()> {
-        if self.frames.len() >= self.max_frames
-            || self.queued_bytes.saturating_add(payload.len()) > self.max_bytes
-        {
-            return Err(NetError::Backpressure);
-        }
-        self.queued_bytes += payload.len();
-        self.frames.push_back(payload);
-        Ok(())
-    }
-
-    /// Writes every queued frame to `w` in FIFO order, returning the number
-    /// of frames flushed. On error the unwritten tail stays queued.
-    pub fn flush_into(&mut self, w: &mut impl Write, max_frame: usize) -> Result<usize> {
-        let mut flushed = 0;
-        while let Some(payload) = self.frames.front() {
-            write_frame(w, payload, max_frame)?;
-            self.queued_bytes -= payload.len();
-            self.frames.pop_front();
-            flushed += 1;
-        }
-        Ok(flushed)
-    }
-
-    /// Queued frame count.
-    pub fn len(&self) -> usize {
-        self.frames.len()
-    }
-
-    /// Whether nothing is queued.
-    pub fn is_empty(&self) -> bool {
-        self.frames.is_empty()
-    }
-
-    /// Queued payload bytes.
-    pub fn queued_bytes(&self) -> usize {
-        self.queued_bytes
-    }
-}
-
 /// One framed TCP connection carrying [`NodeMessage`] envelopes.
 ///
 /// Inbound framing runs through the same incremental [`FrameDecoder`]
-/// the event-loop runtime uses: the socket is read in chunks, fragments
-/// accumulate in the decoder, and whole frames come out — so the
-/// blocking and non-blocking runtimes share one protocol core and the
-/// kernel's fragmentation of the stream is invisible to both.
+/// the event loop uses: the socket is read in chunks, fragments
+/// accumulate in the decoder, and whole frames come out, so the kernel's
+/// fragmentation of the stream is invisible.
 #[derive(Debug)]
 pub struct Connection {
     stream: TcpStream,
     cfg: ConnConfig,
-    queue: OutboundQueue,
     decoder: FrameDecoder,
     stats: ConnStats,
     metrics: Arc<NetMetrics>,
@@ -140,7 +70,6 @@ impl Connection {
         Ok(Self {
             stream,
             cfg,
-            queue: OutboundQueue::new(cfg.max_queue_frames, cfg.max_queue_bytes),
             decoder: FrameDecoder::new(cfg.max_frame),
             stats: ConnStats::default(),
             metrics,
@@ -174,50 +103,26 @@ impl Connection {
         &self.metrics
     }
 
-    /// Encodes `msg` into the bounded outbound queue without writing.
+    /// Encodes `msg` and writes it as one frame.
     ///
     /// # Errors
     ///
     /// [`NetError::Encode`] on a length-prefix overflow,
     /// [`NetError::FrameTooLarge`] when the encoding exceeds the frame
-    /// bound, [`NetError::Backpressure`] when the queue is full.
-    pub fn queue(&mut self, msg: &NodeMessage) -> Result<()> {
-        let payload = msg.try_to_wire().map_err(NetError::Encode)?;
-        if payload.len() > self.cfg.max_frame {
-            return Err(NetError::FrameTooLarge {
-                declared: payload.len() as u64,
-                max: self.cfg.max_frame as u64,
-            });
-        }
-        self.queue.push(payload).inspect_err(|_| {
-            self.metrics.backpressure_events.inc();
-        })
-    }
-
-    /// Flushes every queued frame to the socket.
-    pub fn flush(&mut self) -> Result<()> {
-        let before_bytes = self.queue.queued_bytes();
-        let flushed = self
-            .queue
-            .flush_into(&mut self.stream, self.cfg.max_frame)
-            .inspect_err(|e| {
-                if matches!(e, NetError::Timeout) {
-                    self.stats.timeouts += 1;
-                    self.metrics.timeouts.inc();
-                }
-            })?;
-        let written = (before_bytes - self.queue.queued_bytes()) as u64;
-        self.stats.frames_out += flushed as u64;
-        self.stats.bytes_out += written;
-        self.metrics.frames_out.add(flushed as u64);
-        self.metrics.bytes_out.add(written);
-        Ok(())
-    }
-
-    /// Queues and flushes in one call.
+    /// bound (nothing is written), transport errors from the write.
     pub fn send(&mut self, msg: &NodeMessage) -> Result<()> {
-        self.queue(msg)?;
-        self.flush()
+        let payload = msg.try_to_wire().map_err(NetError::Encode)?;
+        write_frame(&mut self.stream, &payload, self.cfg.max_frame).inspect_err(|e| {
+            if matches!(e, NetError::Timeout) {
+                self.stats.timeouts += 1;
+                self.metrics.timeouts.inc();
+            }
+        })?;
+        self.stats.frames_out += 1;
+        self.stats.bytes_out += payload.len() as u64;
+        self.metrics.frames_out.inc();
+        self.metrics.bytes_out.add(payload.len() as u64);
+        Ok(())
     }
 
     /// Pulls the next whole frame through the shared decoder, reading
@@ -266,7 +171,7 @@ impl Connection {
         })
     }
 
-    /// Best-effort graceful close: queue a `Bye`, flush, shut the socket.
+    /// Best-effort graceful close: send a `Bye`, shut the socket.
     pub fn close(mut self) {
         let _ = self.send(&NodeMessage::Bye);
         let _ = self.stream.shutdown(std::net::Shutdown::Both);
@@ -276,36 +181,6 @@ impl Connection {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::frame::read_frame;
-
-    #[test]
-    fn queue_bounds_enforced() {
-        let mut q = OutboundQueue::new(2, 1000);
-        q.push(vec![0; 10]).unwrap();
-        q.push(vec![0; 10]).unwrap();
-        assert_eq!(q.push(vec![0; 10]), Err(NetError::Backpressure));
-        assert_eq!(q.len(), 2);
-        assert_eq!(q.queued_bytes(), 20);
-
-        let mut q = OutboundQueue::new(100, 25);
-        q.push(vec![0; 20]).unwrap();
-        assert_eq!(q.push(vec![0; 10]), Err(NetError::Backpressure));
-        q.push(vec![0; 5]).unwrap();
-    }
-
-    #[test]
-    fn queue_flush_drains_fifo() {
-        let mut q = OutboundQueue::new(8, 1 << 16);
-        q.push(b"one".to_vec()).unwrap();
-        q.push(b"two".to_vec()).unwrap();
-        let mut out = Vec::new();
-        assert_eq!(q.flush_into(&mut out, DEFAULT_MAX_FRAME).unwrap(), 2);
-        assert!(q.is_empty());
-        assert_eq!(q.queued_bytes(), 0);
-        let mut cur = std::io::Cursor::new(out);
-        assert_eq!(read_frame(&mut cur, DEFAULT_MAX_FRAME).unwrap(), b"one");
-        assert_eq!(read_frame(&mut cur, DEFAULT_MAX_FRAME).unwrap(), b"two");
-    }
 
     #[test]
     fn loopback_send_recv() {
@@ -371,8 +246,9 @@ mod tests {
         let mut conn = Connection::dial(addr, Duration::from_secs(2), cfg, metrics).unwrap();
         let big = NodeMessage::Data(vec![0u8; 4096]);
         assert!(matches!(
-            conn.queue(&big),
+            conn.send(&big),
             Err(NetError::FrameTooLarge { .. })
         ));
+        assert_eq!(conn.stats().frames_out, 0);
     }
 }

@@ -1,8 +1,9 @@
 //! The three node roles of the PEACE runtime: the network-operator
 //! bulletin daemon, the mesh-router daemon, and the user agent.
 //!
-//! Daemons share the accept-loop machinery of [`crate::server`] and speak
-//! [`NodeMessage`](crate::NodeMessage) envelopes over framed TCP. All
+//! The two server daemons run on the one event loop of `crate::reactor`
+//! and speak [`NodeMessage`](crate::NodeMessage) envelopes over framed
+//! TCP; the user agent is a blocking client. All
 //! protocol state lives in the `peace-protocol` entities; the daemons are
 //! a thin transport shell that maps envelopes onto entity calls and
 //! protocol errors onto reject codes.
@@ -35,10 +36,9 @@ pub struct DaemonConfig {
     /// requeue, the oldest overflow is dropped (and counted) so a long NO
     /// outage cannot grow router memory without limit.
     pub max_pending_transcripts: usize,
-    /// I/O shard threads for the event-loop runtime. `0` (the default)
-    /// selects the blocking thread-per-connection runtime; `n >= 1` runs
-    /// the non-blocking sharded reactor with `n` I/O threads plus a
-    /// crypto verify pool (see `crate::reactor`).
+    /// I/O shard threads of the event loop (see `crate::reactor`). `0`
+    /// (the default) means one per available processor, as the verify
+    /// pool is sized.
     pub shards: usize,
 }
 
@@ -56,8 +56,8 @@ impl Default for DaemonConfig {
 }
 
 /// Locks a mutex, recovering the data on poisoning: daemon state must stay
-/// reachable even if some handler thread panicked mid-update (the panic is
-/// already counted by the acceptor; the entities keep their own invariants).
+/// reachable even if a handler panicked mid-update (the panic is already
+/// counted by the event loop; the entities keep their own invariants).
 pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     match m.lock() {
         Ok(g) => g,

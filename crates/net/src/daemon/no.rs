@@ -7,7 +7,7 @@
 //! `Bulletin`) so that propagation latency is explicit and measurable —
 //! see the revocation-latency discussion in DESIGN.md.
 
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -23,8 +23,7 @@ use crate::envelope::NodeMessage;
 use crate::error::{NetError, Result};
 use crate::metrics::{MetricsSnapshot, NetMetrics};
 use crate::reactor::EventLoop;
-use crate::server::Acceptor;
-use crate::session::{NoShared, NoSm, Service, Step};
+use crate::session::{NoShared, Service};
 
 use super::{lock_recover, DaemonConfig};
 
@@ -38,14 +37,6 @@ struct GossipLoop {
     handle: std::thread::JoinHandle<()>,
 }
 
-/// The transport serving this daemon's listener.
-enum Runtime {
-    /// Thread-per-connection (the default, `cfg.shards == 0`).
-    Blocking(Acceptor),
-    /// The sharded non-blocking reactor (`cfg.shards >= 1`).
-    Event(EventLoop),
-}
-
 /// A running NO bulletin server.
 pub struct NoDaemon {
     no: Arc<Mutex<NetworkOperator>>,
@@ -56,7 +47,7 @@ pub struct NoDaemon {
     /// travel up to a signed checkpoint).
     auto_checkpoint: Arc<AtomicBool>,
     gossip: Mutex<Option<GossipLoop>>,
-    runtime: Runtime,
+    runtime: EventLoop,
     metrics: Arc<NetMetrics>,
     cfg: DaemonConfig,
 }
@@ -71,75 +62,48 @@ impl NoDaemon {
     pub fn spawn(no: NetworkOperator, bind: &str, cfg: DaemonConfig) -> Result<Self> {
         let no = Arc::new(Mutex::new(no));
         let ledger: Arc<Mutex<Option<ReplicatedLedger>>> = Arc::new(Mutex::new(None));
-        let metrics = Arc::new(NetMetrics::default());
         let auto_checkpoint = Arc::new(AtomicBool::new(false));
         let shared = NoShared {
             no: Arc::clone(&no),
             ledger: Arc::clone(&ledger),
             auto_checkpoint: Arc::clone(&auto_checkpoint),
         };
-
-        let runtime = if cfg.shards == 0 {
-            let h_metrics = Arc::clone(&metrics);
-            let handler: Arc<dyn Fn(TcpStream, u64) + Send + Sync> =
-                Arc::new(move |stream, _conn_id| {
-                    serve(stream, &shared, &h_metrics, cfg);
-                });
-            Runtime::Blocking(Acceptor::spawn(
-                bind,
-                cfg.max_connections,
-                Arc::clone(&metrics),
-                handler,
-            )?)
-        } else {
-            Runtime::Event(EventLoop::spawn(bind, cfg, Service::No(shared))?)
-        };
         Ok(Self {
+            runtime: EventLoop::spawn(bind, cfg, Service::No(shared))?,
             no,
             ledger,
             resolver: Arc::new(Mutex::new(None)),
             auto_checkpoint,
             gossip: Mutex::new(None),
-            runtime,
-            metrics,
+            metrics: Arc::new(NetMetrics::default()),
             cfg,
         })
     }
 
     /// The daemon's bound address.
-    pub fn addr(&self) -> std::net::SocketAddr {
-        match &self.runtime {
-            Runtime::Blocking(acceptor) => acceptor.addr(),
-            Runtime::Event(el) => el.addr(),
-        }
+    pub fn addr(&self) -> SocketAddr {
+        self.runtime.addr()
     }
 
     /// A point-in-time copy of the daemon counters (summed across every
-    /// shard under the event-loop runtime).
+    /// shard).
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = self.metrics.snapshot();
-        if let Runtime::Event(el) = &self.runtime {
-            snap.merge(&el.metrics());
-        }
+        snap.merge(&self.runtime.metrics());
         snap
     }
 
     /// Full telemetry export: counters and ledger-failure events —
-    /// merged across shards under the event-loop runtime.
+    /// merged across shards.
     pub fn telemetry(&self) -> peace_telemetry::Snapshot {
         let mut snap = self.metrics.telemetry();
-        if let Runtime::Event(el) = &self.runtime {
-            snap.merge(&el.telemetry());
-        }
+        snap.merge(&self.runtime.telemetry());
         snap
     }
 
     /// Live connection count.
     pub fn live_connections(&self) -> usize {
-        match &self.runtime {
-            Runtime::Blocking(acceptor) => acceptor.live_connections(),
-            Runtime::Event(el) => el.live_connections(),
-        }
+        self.runtime.live_connections()
     }
 
     /// Revokes a member key at runtime; subsequent bulletins carry the
@@ -343,18 +307,9 @@ impl NoDaemon {
     ///
     /// [`NetError::Unexpected`] if another handle still holds the operator
     /// (cannot happen through this API).
-    pub fn shutdown(self) -> Result<NetworkOperator> {
+    pub fn shutdown(mut self) -> Result<NetworkOperator> {
         self.stop_gossip();
-        match self.runtime {
-            Runtime::Blocking(mut acceptor) => {
-                acceptor.shutdown(self.cfg.drain);
-                drop(acceptor);
-            }
-            Runtime::Event(mut el) => {
-                el.shutdown(self.cfg.drain);
-                drop(el);
-            }
-        }
+        self.runtime.shutdown(self.cfg.drain);
         // In-flight handlers have drained: make their appends durable
         // before the daemon disappears.
         if let Some(rl) = lock_recover(&self.ledger).as_mut() {
@@ -368,41 +323,6 @@ impl NoDaemon {
                 Ok(no) => no,
                 Err(p) => p.into_inner(),
             })
-    }
-}
-
-/// Blocking per-connection driver for the shared
-/// [`NoSm`](crate::session::NoSm): recv one envelope, feed the machine,
-/// act on its [`Step`] — until the peer says `Bye`, closes, goes quiet
-/// past the deadline, or misbehaves.
-fn serve(stream: TcpStream, shared: &NoShared, metrics: &Arc<NetMetrics>, cfg: DaemonConfig) {
-    let Ok(mut conn) = Connection::new(stream, cfg.conn, Arc::clone(metrics)) else {
-        return;
-    };
-    let mut sm = NoSm::new(shared.clone());
-    loop {
-        let step = match conn.recv() {
-            Ok(msg) => sm.on_message(msg, metrics),
-            // A mangled frame drops the peer (pre-refactor behavior);
-            // timeouts included — an idle bulletin poller gives up its
-            // slot rather than pinning a handler thread.
-            Err(NetError::Malformed(_)) => sm.on_decode_error(),
-            Err(_) => return,
-        };
-        match step {
-            Step::Reply(m) => {
-                if conn.send(&m).is_err() {
-                    return;
-                }
-            }
-            Step::ReplyClose(m) => {
-                let _ = conn.send(&m);
-                return;
-            }
-            // The NO machine never offloads; treat a stray offload as a
-            // close so the invariant is locally obvious.
-            Step::Close | Step::Offload(_) => return,
-        }
     }
 }
 

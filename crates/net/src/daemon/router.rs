@@ -2,23 +2,14 @@
 //! the anonymous access protocol (M.2 → M.3), and echoes AEAD traffic on
 //! established sessions.
 //!
-//! All per-connection protocol behavior lives in the shared
-//! [`RouterSm`](crate::session::RouterSm) state machine; this module
-//! only supplies a transport to drive it. Two runtimes exist:
-//!
-//! * **blocking** (`cfg.shards == 0`): one handler thread per accepted
-//!   connection, which also verifies that connection's access request —
-//!   the original runtime, still the default for tests and small
-//!   deployments;
-//! * **event loop** (`cfg.shards >= 1`): `N` non-blocking I/O shard
-//!   threads plus a verify pool (see [`crate::reactor`]), for
-//!   metropolitan-scale held-session counts.
-//!
+//! All per-connection protocol behavior lives in the
+//! [`RouterSm`](crate::session::RouterSm) state machine, driven by the
+//! event loop ([`crate::reactor`]): I/O shard threads plus a verify pool.
 //! Shared router state (beacon DH table, revocation lists, DoS detector)
-//! lives behind one mutex on the [`MeshRouter`] entity either way; how
-//! an access request takes it is described in [`crate::session`].
+//! lives behind one mutex on the [`MeshRouter`] entity; how an access
+//! request takes it is described in [`crate::session`].
 
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
 
 use peace_protocol::entities::MeshRouter;
@@ -32,110 +23,70 @@ use crate::envelope::NodeMessage;
 use crate::error::{NetError, Result};
 use crate::metrics::{MetricsSnapshot, NetMetrics};
 use crate::reactor::EventLoop;
-use crate::server::Acceptor;
-use crate::session::{RouterShared, RouterSm, Service, Step};
+use crate::session::{RouterShared, Service};
 use peace_telemetry::Snapshot;
 
 use super::{lock_recover, DaemonConfig};
 
-/// The transport serving this daemon's listener.
-enum Runtime {
-    /// Thread-per-connection.
-    Blocking(Acceptor),
-    /// The sharded non-blocking reactor with its own verify pool.
-    Event(EventLoop),
-}
-
 /// A running mesh-router daemon.
 pub struct RouterDaemon {
     router: Arc<Mutex<MeshRouter>>,
-    rng: Arc<Mutex<StdRng>>,
     /// Daemon-initiated outbound connections (bulletin refresh, session
-    /// reports) record here; the listener side records into the runtime's
-    /// registries (same `Arc` for the blocking runtime, per-shard for the
-    /// event loop, merged at export).
+    /// reports) record here; the listener side records into the event
+    /// loop's per-shard registries, merged at export.
     metrics: Arc<NetMetrics>,
     cfg: DaemonConfig,
-    runtime: Runtime,
+    runtime: EventLoop,
 }
 
 impl RouterDaemon {
     /// Takes ownership of the router entity and starts serving on `bind`.
     /// `rng_seed` feeds the daemon's beacon/nonce randomness.
-    /// `cfg.shards` picks the runtime: `0` for blocking
-    /// thread-per-connection, `n >= 1` for the sharded event loop.
     ///
     /// # Errors
     ///
     /// [`NetError::Io`] if the listener cannot bind.
     pub fn spawn(router: MeshRouter, rng_seed: u64, bind: &str, cfg: DaemonConfig) -> Result<Self> {
         let router = Arc::new(Mutex::new(router));
-        let rng = Arc::new(Mutex::new(StdRng::seed_from_u64(rng_seed)));
-        let metrics = Arc::new(NetMetrics::default());
         let shared = RouterShared {
             router: Arc::clone(&router),
-            rng: Arc::clone(&rng),
-        };
-
-        let runtime = if cfg.shards == 0 {
-            let h_metrics = Arc::clone(&metrics);
-            let handler: Arc<dyn Fn(TcpStream, u64) + Send + Sync> =
-                Arc::new(move |stream, _conn_id| {
-                    serve(stream, &shared, &h_metrics, cfg);
-                });
-            Runtime::Blocking(Acceptor::spawn(
-                bind,
-                cfg.max_connections,
-                Arc::clone(&metrics),
-                handler,
-            )?)
-        } else {
-            Runtime::Event(EventLoop::spawn(bind, cfg, Service::Router(shared))?)
+            rng: Arc::new(Mutex::new(StdRng::seed_from_u64(rng_seed))),
+            #[cfg(test)]
+            panic_at: Arc::default(),
         };
         Ok(Self {
+            runtime: EventLoop::spawn(bind, cfg, Service::Router(shared))?,
             router,
-            rng,
-            metrics,
+            metrics: Arc::new(NetMetrics::default()),
             cfg,
-            runtime,
         })
     }
 
     /// The daemon's bound address.
     pub fn addr(&self) -> SocketAddr {
-        match &self.runtime {
-            Runtime::Blocking(acceptor) => acceptor.addr(),
-            Runtime::Event(el) => el.addr(),
-        }
+        self.runtime.addr()
     }
 
     /// A point-in-time copy of the daemon counters (summed across every
-    /// shard under the event-loop runtime).
+    /// shard).
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = self.metrics.snapshot();
-        if let Runtime::Event(el) = &self.runtime {
-            snap.merge(&el.metrics());
-        }
+        snap.merge(&self.runtime.metrics());
         snap
     }
 
     /// Full telemetry export: counters, the handshake-leg and
     /// `net.access_verify_us` histograms, and failure events — merged
-    /// across shards under the event-loop runtime.
+    /// across shards.
     pub fn telemetry(&self) -> Snapshot {
         let mut snap = self.metrics.telemetry();
-        if let Runtime::Event(el) = &self.runtime {
-            snap.merge(&el.telemetry());
-        }
+        snap.merge(&self.runtime.telemetry());
         snap
     }
 
     /// Live connection count.
     pub fn live_connections(&self) -> usize {
-        match &self.runtime {
-            Runtime::Blocking(acceptor) => acceptor.live_connections(),
-            Runtime::Event(el) => el.live_connections(),
-        }
+        self.runtime.live_connections()
     }
 
     /// Polls the NO bulletin server once and installs the served lists,
@@ -374,60 +325,15 @@ impl RouterDaemon {
     ///
     /// [`NetError::Unexpected`] if the entity is still shared (cannot
     /// happen through this API).
-    pub fn shutdown(self) -> Result<MeshRouter> {
-        match self.runtime {
-            Runtime::Blocking(mut acceptor) => {
-                // Waits out the handler threads, whose closure holds the
-                // last other RouterShared.
-                acceptor.shutdown(self.cfg.drain);
-                drop(acceptor);
-            }
-            Runtime::Event(mut el) => {
-                // Joins the accept thread, every shard, and the verify
-                // pool — after which no shard-held RouterShared survives.
-                el.shutdown(self.cfg.drain);
-                drop(el);
-            }
-        }
-        drop(self.rng);
+    pub fn shutdown(mut self) -> Result<MeshRouter> {
+        // Joins the accept thread, every shard, and the verify pool —
+        // after which no shard-held RouterShared survives.
+        self.runtime.shutdown(self.cfg.drain);
         Arc::try_unwrap(self.router)
             .map_err(|_| NetError::Unexpected("router still shared at shutdown"))
             .map(|m| match m.into_inner() {
                 Ok(r) => r,
                 Err(p) => p.into_inner(),
             })
-    }
-}
-
-/// Blocking per-connection driver for the shared [`RouterSm`]: recv one
-/// envelope, feed the machine, act on its [`Step`] — with the verify
-/// offload run in place on this handler thread.
-fn serve(stream: TcpStream, shared: &RouterShared, metrics: &Arc<NetMetrics>, cfg: DaemonConfig) {
-    let Ok(mut conn) = Connection::new(stream, cfg.conn, Arc::clone(metrics)) else {
-        return;
-    };
-    let mut sm = RouterSm::new(shared.clone());
-    loop {
-        let mut step = match conn.recv() {
-            Ok(msg) => sm.on_message(msg, metrics),
-            Err(NetError::Malformed(_)) => sm.on_decode_error(),
-            Err(_) => return,
-        };
-        let keep = loop {
-            match step {
-                Step::Offload(req) => {
-                    step = sm.on_verify(shared.verify_access(&req, metrics), metrics);
-                }
-                Step::Reply(m) => break conn.send(&m).is_ok(),
-                Step::ReplyClose(m) => {
-                    let _ = conn.send(&m);
-                    break false;
-                }
-                Step::Close => break false,
-            }
-        };
-        if !keep {
-            return;
-        }
     }
 }

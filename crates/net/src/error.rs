@@ -32,8 +32,6 @@ pub enum NetError {
     Malformed(WireError),
     /// Encoding an outbound message overflowed a length prefix.
     Encode(WireError),
-    /// The bounded outbound queue is full (receiver not draining).
-    Backpressure,
     /// The daemon is at its connection-count limit.
     ConnLimit,
     /// The peer answered with an explicit `Reject` envelope.
@@ -74,7 +72,6 @@ impl NetError {
             NetError::FrameTooLarge { .. } => "frame_too_large",
             NetError::Malformed(_) => "malformed",
             NetError::Encode(_) => "encode_failed",
-            NetError::Backpressure => "backpressure",
             NetError::ConnLimit => "conn_limit",
             NetError::Rejected { .. } => "rejected",
             NetError::Protocol(e) => e.code(),
@@ -102,7 +99,6 @@ impl Transient for NetError {
             | NetError::Closed
             | NetError::FrameTooLarge { .. }
             | NetError::Malformed(_)
-            | NetError::Backpressure
             | NetError::ConnLimit
             | NetError::Unexpected(_) => true,
             NetError::Encode(_) => false,
@@ -132,7 +128,6 @@ impl fmt::Display for NetError {
             }
             NetError::Malformed(e) => write!(f, "malformed envelope: {e}"),
             NetError::Encode(e) => write!(f, "envelope encoding failed: {e}"),
-            NetError::Backpressure => write!(f, "outbound queue full"),
             NetError::ConnLimit => write!(f, "connection limit reached"),
             NetError::Rejected { code, detail } => {
                 write!(f, "peer rejected (code {code}): {detail}")
@@ -213,7 +208,6 @@ mod tests {
         for e in [
             NetError::Timeout,
             NetError::Closed,
-            NetError::Backpressure,
             NetError::ConnLimit,
             NetError::FrameTooLarge {
                 declared: 9,

@@ -1,29 +1,18 @@
 //! Transport-agnostic session state machines for the server roles.
 //!
-//! The protocol logic that used to live inline in the blocking
-//! per-connection `serve` loops of `daemon/{router,no}.rs` is factored
-//! here as pure message-in / [`Step`]-out state machines. Both runtimes
-//! drive the same machines:
+//! Per-connection protocol behavior is factored here as pure message-in /
+//! [`Step`]-out state machines. The event loop ([`crate::reactor`]) feeds
+//! them decoded frames from its
+//! [`FrameDecoder`](crate::frame::FrameDecoder), hands [`Step::Offload`]
+//! to the worker pool (one request per task), and resumes the machine
+//! with [`RouterSm::on_verify`] when the deferred outcome comes back.
 //!
-//! * the blocking thread-per-connection runtime calls
-//!   [`RouterSm::on_message`] after every `Connection::recv` and resolves
-//!   [`Step::Offload`] in place, on the handler thread;
-//! * the sharded event loop feeds decoded frames from its
-//!   [`FrameDecoder`](crate::frame::FrameDecoder), hands
-//!   [`Step::Offload`] to the crossbeam worker pool (one request per
-//!   task), and resumes the machine with [`RouterSm::on_verify`] when the
-//!   deferred outcome comes back.
-//!
-//! Either way the offload is one call to [`RouterShared::verify_access`],
-//! the only place the access path (M.2 → verdict) is driven from: the
-//! router mutex is held twice, briefly — for the §IV.B gates and for the
-//! revocation stage plus admission — and **not** across the Σ-protocol
-//! check between them, so concurrent requests verify in parallel on
-//! however many threads the runtime gives them.
-//!
-//! Because the machine is the single source of protocol behavior, the
-//! two runtimes cannot drift: the fault-proxy and loopback integration
-//! suites exercise the same decisions regardless of runtime.
+//! The offload is one call to [`RouterShared::verify_access`], the only
+//! place the access path (M.2 → verdict) is driven from: the router mutex
+//! is held twice, briefly — for the §IV.B gates and for the revocation
+//! stage plus admission — and **not** across the Σ-protocol check between
+//! them, so concurrent requests verify in parallel on however many
+//! workers the pool has.
 //!
 //! The machines also own the **router-side per-leg handshake
 //! histograms** (`net.hs_beacon_us`, `net.hs_confirm_us`,
@@ -72,6 +61,23 @@ pub(crate) type VerifyOutcome = Result<(AccessConfirm, Session), ProtocolError>;
 pub(crate) struct RouterShared {
     pub(crate) router: Arc<Mutex<MeshRouter>>,
     pub(crate) rng: Arc<Mutex<StdRng>>,
+    /// Test hook for panic containment: the next call at the armed
+    /// [`trip`](Self::trip) point panics, once.
+    #[cfg(test)]
+    pub(crate) panic_at: Arc<std::sync::atomic::AtomicU8>,
+}
+
+#[cfg(test)]
+impl RouterShared {
+    pub(crate) const PANIC_ON_MESSAGE: u8 = 1;
+    pub(crate) const PANIC_ON_VERIFY: u8 = 2;
+
+    fn trip(&self, point: u8) {
+        let armed = self
+            .panic_at
+            .compare_exchange(point, 0, Ordering::SeqCst, Ordering::SeqCst);
+        assert!(armed.is_err(), "injected panic at point {point}");
+    }
 }
 
 impl RouterShared {
@@ -80,6 +86,8 @@ impl RouterShared {
     /// one record per request that reaches the Σ-check, covering that check
     /// and the router-state step after it but not the wait for the lock.
     pub(crate) fn verify_access(&self, req: &AccessRequest, metrics: &NetMetrics) -> VerifyOutcome {
+        #[cfg(test)]
+        self.trip(Self::PANIC_ON_VERIFY);
         let pending = lock_recover(&self.router).begin_access_request(req, wall_ms())?;
         let t0 = Instant::now();
         let checked = pending.verify();
@@ -131,7 +139,7 @@ impl RouterSm {
     }
 
     /// True while an offloaded verification is in flight: the runtime
-    /// must park inbound frames until [`Self::on_verify`] resolves it.
+    /// must hold inbound frames until [`Self::on_verify`] resolves it.
     pub(crate) fn awaiting_verify(&self) -> bool {
         self.verify_sent.is_some()
     }
@@ -145,15 +153,6 @@ impl RouterSm {
         self.hs_started = None;
     }
 
-    /// True once the anonymous-access handshake has produced a session
-    /// key. Mid-handshake connections must never leave the fast sweep:
-    /// the next protocol leg arrives within the client's crypto time
-    /// (single-digit ms), and deferring it to the slow parked scan would
-    /// graft the park period onto every handshake's tail.
-    pub(crate) fn established(&self) -> bool {
-        self.session.is_some()
-    }
-
     /// An undecodable frame before/after any message: not worth killing
     /// the connection over before authentication (fault proxy, hostile
     /// peer); tell the peer and keep listening.
@@ -165,6 +164,8 @@ impl RouterSm {
     }
 
     pub(crate) fn on_message(&mut self, msg: NodeMessage, metrics: &NetMetrics) -> Step {
+        #[cfg(test)]
+        self.shared.trip(RouterShared::PANIC_ON_MESSAGE);
         match msg {
             NodeMessage::GetBeacon => {
                 let t0 = Instant::now();
@@ -256,8 +257,7 @@ impl NoSm {
         Self { shared }
     }
 
-    /// NO drops peers that send garbage (the pre-refactor behavior: a
-    /// mangled frame ended the handler loop).
+    /// NO drops peers that send garbage.
     pub(crate) fn on_decode_error(&self) -> Step {
         Step::Close
     }
@@ -430,18 +430,6 @@ impl SessionSm {
     pub(crate) fn abort_verify(&mut self) {
         if let SessionSm::Router(sm) = self {
             sm.abort_verify();
-        }
-    }
-
-    /// Whether the connection may be parked onto the slow sweep when
-    /// quiet. Router connections only after the handshake completes
-    /// (see [`RouterSm::established`]); NO connections always — their
-    /// traffic is periodic background sync where the added park-scan
-    /// latency is immaterial.
-    pub(crate) fn parkable(&self) -> bool {
-        match self {
-            SessionSm::Router(sm) => sm.established(),
-            SessionSm::No(_) => true,
         }
     }
 

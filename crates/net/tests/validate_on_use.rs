@@ -18,14 +18,13 @@ use peace_net::{
 use peace_protocol::{AccessRequest, LoggedSession};
 use peace_wire::{Decode, Encode};
 
-fn cfg(shards: usize) -> DaemonConfig {
+fn cfg() -> DaemonConfig {
     DaemonConfig {
         conn: ConnConfig {
             read_timeout: Some(Duration::from_secs(10)),
             write_timeout: Some(Duration::from_secs(10)),
             ..ConnConfig::default()
         },
-        shards,
         ..DaemonConfig::default()
     }
 }
@@ -52,9 +51,10 @@ fn exchange(stream: &mut TcpStream, msg: &NodeMessage) -> NodeMessage {
     NodeMessage::from_wire(&read_frame(stream, DEFAULT_MAX_FRAME).unwrap()).unwrap()
 }
 
-fn router_refuses_a_bad_commitment_at_the_sigma_check(shards: usize) {
+#[test]
+fn event_loop_router_refuses_a_bad_commitment_at_the_sigma_check() {
     let spec = WorldSpec {
-        seed: 0x0B5E_0001 + shards as u64,
+        seed: 0x0B5E_0002,
         users: 1,
         routers: 1,
     };
@@ -63,7 +63,7 @@ fn router_refuses_a_bad_commitment_at_the_sigma_check(shards: usize) {
     let mut router = w.routers.remove(0);
     let now = peace_net::clock::wall_ms();
     router.update_lists(w.no.publish_crl(now), w.no.publish_url(now));
-    let daemon = RouterDaemon::spawn(router, 1, "127.0.0.1:0", cfg(shards)).unwrap();
+    let daemon = RouterDaemon::spawn(router, 1, "127.0.0.1:0", cfg()).unwrap();
 
     let mut stream = TcpStream::connect(daemon.addr()).unwrap();
     stream
@@ -118,16 +118,6 @@ fn router_refuses_a_bad_commitment_at_the_sigma_check(shards: usize) {
 }
 
 #[test]
-fn blocking_router_refuses_a_bad_commitment_at_the_sigma_check() {
-    router_refuses_a_bad_commitment_at_the_sigma_check(0);
-}
-
-#[test]
-fn event_loop_router_refuses_a_bad_commitment_at_the_sigma_check() {
-    router_refuses_a_bad_commitment_at_the_sigma_check(1);
-}
-
-#[test]
 fn a_reported_transcript_with_a_bad_point_is_stored_and_never_opens() {
     let spec = WorldSpec {
         seed: 0x0B5E_0010,
@@ -148,7 +138,7 @@ fn a_reported_transcript_with_a_bad_point_is_stored_and_never_opens() {
         ..honest.clone()
     };
 
-    let no = NoDaemon::spawn(w.no, "127.0.0.1:0", cfg(0)).unwrap();
+    let no = NoDaemon::spawn(w.no, "127.0.0.1:0", cfg()).unwrap();
     let mut stream = TcpStream::connect(no.addr()).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))

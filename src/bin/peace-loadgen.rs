@@ -70,8 +70,8 @@ fn print_help() {
     println!("         binary-search the max sustainable arrival rate under a p99 SLO");
     println!("  smoke  [--ramp] short CI pass: sim + TCP smoke -> BENCH_load.json");
     println!("  full   [--ramp] acceptance pass: 10^5 sim users + held TCP sessions");
-    println!("\n--io-shards S: run target daemons on the sharded event-loop runtime");
-    println!("               (S I/O threads + a verify pool); 0 = blocking runtime");
+    println!("\n--io-shards S: I/O threads of each target daemon's event loop");
+    println!("               (default 2; 0 = one per available processor)");
     println!("\nscenarios: steady | crowd | revoke | rollover | partition");
 }
 
@@ -228,8 +228,8 @@ impl Fleet {
     /// CRL/URL. So when `load` holds sessions, loopback daemons keep an
     /// idle connection — and the world accepts those lists — for four
     /// times the schedule and a margin, rather than [`IO_TIMEOUT`] and the
-    /// default 60 s: room for the schedule, arrivals served late, and an
-    /// echo pass in which every echo waits out a parked-connection sweep.
+    /// default 60 s: room for the schedule, arrivals served late, and the
+    /// echo pass.
     fn spawn(
         workers: usize,
         router_count: usize,

@@ -4,7 +4,7 @@
 //! peace-noded no     --bind 127.0.0.1:7100 [--seed N --users U --routers R --ledger DIR]
 //!                    [--no-id NO-0 --peers ADDR,ADDR --gossip-ms N]
 //! peace-noded router --bind 127.0.0.1:7200 --no ADDR[,ADDR...] --index K [--seed N ...]
-//!                    [--shards S]   # sharded event-loop runtime (0 = blocking)
+//!                    [--shards S]   # I/O threads (no/router/demo; 0 = one per processor)
 //! peace-noded user   --no ADDR --router ADDR --index J [--seed N ...]
 //! peace-noded demo   [--users U --rounds N --ledger DIR]
 //! ```
@@ -141,8 +141,8 @@ fn print_help() {
     println!("  user   --no A --router A         poll bulletin, authenticate, echo");
     println!("  demo   [--users U --rounds N]    full deployment on loopback");
     println!("\nshared flags: --seed N --users U --routers R (world replay spec)");
-    println!("              --shards S   no/router/demo: serve on the sharded event-loop");
-    println!("                           runtime with S I/O threads (0 = blocking, default)");
+    println!("              --shards S   no/router/demo: I/O threads of the event loop");
+    println!("                           (default 0 = one per available processor)");
     println!("              --prefilter  fixed-bases signing + router-side Bloom");
     println!("              prefilter: O(1) revocation checks at metropolitan URL");
     println!("              sizes, at the cost of linkability for *listed* members.");
