@@ -90,6 +90,16 @@ impl Certificate {
         if !issuer.verify(&tbs, &self.signature) {
             return Err(CertificateError::BadSignature);
         }
+        self.check_unexpired(now)
+    }
+
+    /// The half of [`Self::validate`] that time can change — all that needs
+    /// re-checking on a certificate whose signature has been verified.
+    ///
+    /// # Errors
+    ///
+    /// [`CertificateError::Expired`] if `now > expires_at`.
+    pub fn check_unexpired(&self, now: u64) -> Result<(), CertificateError> {
         if now > self.expires_at {
             return Err(CertificateError::Expired);
         }

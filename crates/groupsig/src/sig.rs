@@ -2,6 +2,7 @@
 //! (paper §IV.B steps 2.2 and 3.2–3.3, §IV.D audit protocol).
 
 use core::fmt;
+use std::sync::Arc;
 
 use peace_curve::{psi, FixedBaseTable, G1Wire, PointError, ProjectivePoint, G1, G2};
 use peace_field::Fq;
@@ -224,10 +225,11 @@ pub fn sign(
 /// whose base is a key member runs as table lookups (mixed additions only,
 /// no doublings).
 ///
-/// Long-lived signers and verifiers (mesh routers, user devices) build one
-/// of these per gpk epoch; the table cost amortizes within a handful of
-/// signatures.
-#[derive(Clone, Debug)]
+/// One table set (≈ 308 KB, ≈ 4.7 ms to build) serves every signer and
+/// verifier of a gpk epoch in a process: whoever mints the key builds it
+/// once and hands out `Arc<PreparedGpk>` clones. It is deliberately not
+/// `Clone` — a second copy of the tables is never what a caller wants.
+#[derive(Debug)]
 pub struct PreparedGpk {
     gpk: GroupPublicKey,
     e_g1_g2_table: GtPowTable,
@@ -424,6 +426,14 @@ impl PreparedGpk {
             .iter()
             .map(|&(msg, sig)| self.verify(msg, sig, mode))
             .collect()
+    }
+}
+
+/// A key that arrives bare is prepared on the spot: a function taking
+/// `impl Into<Arc<PreparedGpk>>` accepts the shared handle or the key.
+impl From<GroupPublicKey> for Arc<PreparedGpk> {
+    fn from(gpk: GroupPublicKey) -> Self {
+        Arc::new(PreparedGpk::new(&gpk))
     }
 }
 

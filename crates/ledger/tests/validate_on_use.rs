@@ -51,7 +51,13 @@ fn real_sessions(n: usize) -> (Vec<LoggedSession>, NetworkOperator) {
     let mut ttp = Ttp::new();
     ttp.receive_bundle(&ttp_bundle, no.npk()).unwrap();
     let uid = UserId("alice".into());
-    let mut alice = UserClient::new(uid.clone(), *no.gpk(), *no.npk(), *no.config(), &mut rng);
+    let mut alice = UserClient::new(
+        uid.clone(),
+        no.prepared_gpk(),
+        *no.npk(),
+        *no.config(),
+        &mut rng,
+    );
     let assignment = gm.assign(&uid).unwrap();
     let delivery = ttp.deliver(assignment.index, &uid).unwrap();
     alice.enroll(&assignment, &delivery).unwrap();

@@ -97,7 +97,13 @@ pub fn build_world_with(spec: &WorldSpec, config: ProtocolConfig) -> Result<Buil
     let mut tokens = Vec::with_capacity(spec.users);
     for n in 0..spec.users {
         let uid = UserId(format!("user-{n}"));
-        let mut user = UserClient::new(uid.clone(), *no.gpk(), *no.npk(), *no.config(), &mut rng);
+        let mut user = UserClient::new(
+            uid.clone(),
+            no.prepared_gpk(),
+            *no.npk(),
+            *no.config(),
+            &mut rng,
+        );
         let assignment = gm
             .assign(&uid)
             .map_err(|_| NetError::Unexpected("GM out of shares"))?;
@@ -135,6 +141,8 @@ pub fn build_world_with(spec: &WorldSpec, config: ProtocolConfig) -> Result<Buil
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
 
     #[test]
@@ -149,6 +157,19 @@ mod tests {
             a.routers[1].cert().public_key.to_bytes(),
             b.routers[1].cert().public_key.to_bytes()
         );
+    }
+
+    #[test]
+    fn one_table_set_serves_the_whole_world() {
+        let w = build_world(&WorldSpec::default()).unwrap();
+        let set = w.no.prepared_gpk();
+        assert!(w.users.iter().all(|u| Arc::ptr_eq(u.prepared_gpk(), &set)));
+        assert!(w
+            .routers
+            .iter()
+            .all(|r| Arc::ptr_eq(r.prepared_gpk(), &set)));
+        // The operator, its handle here, four users, two routers.
+        assert_eq!(Arc::strong_count(&set), 2 + 4 + 2);
     }
 
     #[test]

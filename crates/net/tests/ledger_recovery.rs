@@ -70,8 +70,13 @@ fn build_two_groups(seed: u64) -> TwoGroupWorld {
         ttp.receive_bundle(&ttp_bundle, no.npk()).unwrap();
         for n in 0..2 {
             let uid = UserId(format!("{tag}-{n}"));
-            let mut user =
-                UserClient::new(uid.clone(), *no.gpk(), *no.npk(), *no.config(), &mut rng);
+            let mut user = UserClient::new(
+                uid.clone(),
+                no.prepared_gpk(),
+                *no.npk(),
+                *no.config(),
+                &mut rng,
+            );
             let assignment = gm.assign(&uid).unwrap();
             let delivery = ttp.deliver(assignment.index, &uid).unwrap();
             let receipt = user.enroll(&assignment, &delivery).unwrap();

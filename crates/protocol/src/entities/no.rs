@@ -3,9 +3,12 @@
 //! privacy-preserving audit.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use peace_ecdsa::{Certificate, SigningKey, VerifyingKey};
-use peace_groupsig::{open, GroupPublicKey, GroupSecret, IssuerKey, MemberKey, RevocationToken};
+use peace_groupsig::{
+    open, GroupPublicKey, GroupSecret, IssuerKey, MemberKey, PreparedGpk, RevocationToken,
+};
 use peace_revoke::{DeltaPlan, EpochUrlStore};
 use rand::RngCore;
 
@@ -25,6 +28,9 @@ use super::router::MeshRouter;
 /// `token → [i,j] → group` mapping, and the session log used for audits.
 pub struct NetworkOperator {
     issuer: IssuerKey,
+    /// The current epoch's gpk with its tables, built when the key is
+    /// minted and shared by every entity this process hands it to.
+    prepared_gpk: Arc<PreparedGpk>,
     signing: SigningKey,
     config: ProtocolConfig,
     groups: HashMap<GroupId, GroupSecret>,
@@ -58,8 +64,10 @@ impl NetworkOperator {
     /// Creates a new operator: generates `γ`, `gpk`, and the ECDSA key pair
     /// `(NPK, NSK)`.
     pub fn new(config: ProtocolConfig, rng: &mut impl RngCore) -> Self {
+        let issuer = IssuerKey::generate(rng);
         Self {
-            issuer: IssuerKey::generate(rng),
+            prepared_gpk: Arc::new(PreparedGpk::new(issuer.public_key())),
+            issuer,
             signing: SigningKey::random(rng),
             config,
             groups: HashMap::new(),
@@ -81,6 +89,14 @@ impl NetworkOperator {
     /// The group public key `gpk`.
     pub fn gpk(&self) -> &GroupPublicKey {
         self.issuer.public_key()
+    }
+
+    /// The current epoch's prepared gpk: the handle to give
+    /// [`UserClient::new`](super::UserClient::new) and the `install_epoch`s
+    /// so that a process holding many entities holds one table set. A new
+    /// allocation per epoch, the same one within it.
+    pub fn prepared_gpk(&self) -> Arc<PreparedGpk> {
+        Arc::clone(&self.prepared_gpk)
     }
 
     /// The operator's signature-verification key `NPK`.
@@ -174,7 +190,7 @@ impl NetworkOperator {
             RouterId(id.to_owned()),
             router_key,
             cert,
-            *self.gpk(),
+            self.prepared_gpk(),
             *self.npk(),
             self.config,
             self.epoch,
@@ -364,7 +380,8 @@ impl NetworkOperator {
     /// URL entries — the URL resets to empty, which is the paper's
     /// mechanism for proactively controlling |URL|.
     ///
-    /// After rotation the operator must push the new `gpk` to routers
+    /// After rotation the operator must push the new `gpk` (in process:
+    /// [`Self::prepared_gpk`], a new table set) to routers
     /// ([`MeshRouter::install_epoch`](super::MeshRouter::install_epoch))
     /// and user groups must re-run the share-issuance and enrollment flow.
     /// The session log is retained: disputes from the previous epoch can
@@ -376,6 +393,7 @@ impl NetworkOperator {
         // signature depend on the gpk that was current when it was made).
         self.gpk_history.push(*self.gpk());
         self.issuer = IssuerKey::generate(rng);
+        self.prepared_gpk = Arc::new(PreparedGpk::new(self.issuer.public_key()));
         // All registered groups get fresh secrets in the new epoch.
         let group_ids: Vec<GroupId> = self.groups.keys().copied().collect();
         for gid in group_ids {

@@ -6,7 +6,7 @@ use std::sync::Arc;
 use peace_curve::{G1Encoded, G1Wire, G1, G2};
 use peace_ecdsa::{Certificate, SigningKey, VerifyingKey};
 use peace_field::Fq;
-use peace_groupsig::{BasesMode, GroupPublicKey, PreparedGpk, VerifyError};
+use peace_groupsig::{BasesMode, PreparedGpk, VerifyError};
 use peace_puzzle::Puzzle;
 use peace_revoke::{DeltaOutcome, EngineConfig, RevocationEngine};
 use peace_symmetric::seal_oneshot;
@@ -84,9 +84,9 @@ pub struct MeshRouter {
     id: RouterId,
     signing: SigningKey,
     cert: Certificate,
-    gpk: GroupPublicKey,
-    /// Shared with every in-flight [`PendingAccess`]; replaced, never
-    /// mutated, by [`Self::install_epoch`].
+    /// The epoch's gpk and its tables: the operator's handle, shared with
+    /// every entity it was given to and every in-flight [`PendingAccess`];
+    /// replaced, never mutated, by [`Self::install_epoch`].
     prepared_gpk: Arc<PreparedGpk>,
     npk: VerifyingKey,
     config: ProtocolConfig,
@@ -133,7 +133,7 @@ impl MeshRouter {
         id: RouterId,
         signing: SigningKey,
         cert: Certificate,
-        gpk: GroupPublicKey,
+        prepared_gpk: Arc<PreparedGpk>,
         npk: VerifyingKey,
         config: ProtocolConfig,
         epoch: u64,
@@ -141,7 +141,7 @@ impl MeshRouter {
         url: SignedUrl,
     ) -> Self {
         let mut revocation = RevocationEngine::new(
-            &gpk,
+            prepared_gpk.gpk(),
             EngineConfig {
                 bases_mode: config.bases_mode,
                 prefilter: config.revoke_prefilter,
@@ -154,8 +154,7 @@ impl MeshRouter {
             id,
             signing,
             cert,
-            prepared_gpk: Arc::new(PreparedGpk::new(&gpk)),
-            gpk,
+            prepared_gpk,
             npk,
             config,
             crl,
@@ -325,17 +324,23 @@ impl MeshRouter {
     }
 
     /// Installs a new-epoch group public key (after
-    /// [`NetworkOperator::rotate_system_key`](super::NetworkOperator::rotate_system_key)).
+    /// [`NetworkOperator::rotate_system_key`](super::NetworkOperator::rotate_system_key)):
+    /// the operator's [`prepared_gpk`](super::NetworkOperator::prepared_gpk)
+    /// handle, or the bare key, which is then prepared here.
     /// All pending beacon DH state is dropped: in-flight handshakes from
     /// the old epoch cannot complete against the new key.
-    pub fn install_epoch(&mut self, gpk: GroupPublicKey, crl: SignedCrl, url: SignedUrl) {
-        self.gpk = gpk;
-        self.prepared_gpk = Arc::new(PreparedGpk::new(&gpk));
+    pub fn install_epoch(
+        &mut self,
+        gpk: impl Into<Arc<PreparedGpk>>,
+        crl: SignedCrl,
+        url: SignedUrl,
+    ) {
+        self.prepared_gpk = gpk.into();
         self.crl = crl;
         // New epoch partition: fixed bases, fingerprints, and cache all
         // derive from the gpk and reset with it.
         let epoch = self.revocation.epoch() + 1;
-        self.revocation.install_gpk(&gpk);
+        self.revocation.install_gpk(self.prepared_gpk.gpk());
         self.revocation
             .install_full(epoch, url.version, &url.tokens);
         self.set_url(url);
@@ -631,6 +636,11 @@ impl MeshRouter {
     /// LRU evictions across the router's bounded pending-state tables.
     pub fn pending_evictions(&self) -> u64 {
         self.active_beacons.evictions() + self.recent_sessions.evictions()
+    }
+
+    /// The prepared gpk this router verifies under.
+    pub fn prepared_gpk(&self) -> &Arc<PreparedGpk> {
+        &self.prepared_gpk
     }
 
     /// Verification key of NO as known to this router.

@@ -2,10 +2,12 @@
 //! user↔router protocol (§IV.B), and both sides of the user↔user protocol
 //! (§IV.C).
 
+use std::sync::Arc;
+
 use peace_curve::{G1Wire, G1};
-use peace_ecdsa::{SigningKey, VerifyingKey};
+use peace_ecdsa::{Certificate, SigningKey, VerifyingKey};
 use peace_field::Fq;
-use peace_groupsig::{GroupPublicKey, MemberKey, PreparedGpk, RevocationToken};
+use peace_groupsig::{MemberKey, PreparedGpk, RevocationToken};
 use peace_symmetric::{open_oneshot, seal_oneshot};
 use peace_wire::{Reader, Writer};
 use rand::RngCore;
@@ -17,7 +19,7 @@ use crate::messages::{
     point, AccessConfirm, AccessRequest, Beacon, PeerConfirm, PeerHello, PeerResponse,
 };
 use crate::pending::PendingTable;
-use crate::revocation::{SignedUrl, UrlSection};
+use crate::revocation::{SignedCrl, SignedUrl, UrlSection};
 use crate::session::{PendingSession, Role, Session};
 use crate::setup::{unblind_a, Receipt};
 
@@ -59,9 +61,9 @@ struct HeldUrl {
 pub struct UserClient {
     uid: UserId,
     receipt_key: SigningKey,
-    gpk: GroupPublicKey,
-    /// Table-accelerated gpk for the hot sign/verify/revocation paths.
-    prepared_gpk: PreparedGpk,
+    /// The epoch's gpk and its tables: the operator's handle in a populated
+    /// world, this client's own for a lone one.
+    prepared_gpk: Arc<PreparedGpk>,
     npk: VerifyingKey,
     config: ProtocolConfig,
     credentials: Vec<Credential>,
@@ -73,6 +75,12 @@ pub struct UserClient {
     /// listed the tokens already held (see [`Self::url_decode_counts`]).
     url_tokens_decoded: u64,
     url_sections_reused: u64,
+    /// The certificate and CRL of the last accepted beacon, signatures
+    /// included. NO's signature on a beacon's copy that equals one of them
+    /// was verified when it was accepted; only what time changes (expiry,
+    /// age, and whether the serial is listed) is checked again.
+    held_cert: Option<Certificate>,
+    held_crl: Option<SignedCrl>,
     highest_crl_version: u64,
     highest_url_version: u64,
     /// Half-open user↔router handshakes awaiting M.3, keyed by session id.
@@ -98,10 +106,12 @@ impl std::fmt::Debug for UserClient {
 }
 
 impl UserClient {
-    /// Creates a client with no credentials yet.
+    /// Creates a client with no credentials yet. `gpk` is the operator's
+    /// [`prepared_gpk`](super::NetworkOperator::prepared_gpk) handle, or
+    /// the bare key, which is then prepared here for this client alone.
     pub fn new(
         uid: UserId,
-        gpk: GroupPublicKey,
+        gpk: impl Into<Arc<PreparedGpk>>,
         npk: VerifyingKey,
         config: ProtocolConfig,
         rng: &mut impl RngCore,
@@ -111,8 +121,7 @@ impl UserClient {
         Self {
             uid,
             receipt_key: SigningKey::random(rng),
-            prepared_gpk: PreparedGpk::new(&gpk),
-            gpk,
+            prepared_gpk: gpk.into(),
             npk,
             config,
             credentials: Vec::new(),
@@ -120,6 +129,8 @@ impl UserClient {
             current_url: None,
             url_tokens_decoded: 0,
             url_sections_reused: 0,
+            held_cert: None,
+            held_crl: None,
             highest_crl_version: 0,
             highest_url_version: 0,
             pending_router: PendingTable::new(cap, ttl),
@@ -132,6 +143,11 @@ impl UserClient {
     /// The user's essential identifier (never transmitted).
     pub fn uid(&self) -> &UserId {
         &self.uid
+    }
+
+    /// The prepared gpk this client signs and verifies under.
+    pub fn prepared_gpk(&self) -> &Arc<PreparedGpk> {
+        &self.prepared_gpk
     }
 
     /// The user's receipt-signing public key.
@@ -158,7 +174,7 @@ impl UserClient {
             grp: gm.grp,
             x: gm.x,
         };
-        if !key.is_valid_for(&self.gpk) {
+        if !key.is_valid_for(self.prepared_gpk.gpk()) {
             return Err(ProtocolError::Setup("assembled gsk fails SDH check"));
         }
         self.credentials.push(Credential {
@@ -185,10 +201,10 @@ impl UserClient {
 
     /// Adopts a new key epoch: every old credential is dropped (the system
     /// secret rotated, so they can no longer produce valid signatures) and
-    /// the client must re-enroll through its group managers.
-    pub fn install_epoch(&mut self, gpk: GroupPublicKey) {
-        self.prepared_gpk = PreparedGpk::new(&gpk);
-        self.gpk = gpk;
+    /// the client must re-enroll through its group managers. `gpk` as for
+    /// [`Self::new`].
+    pub fn install_epoch(&mut self, gpk: impl Into<Arc<PreparedGpk>>) {
+        self.prepared_gpk = gpk.into();
         self.credentials.clear();
         self.active_role = 0;
         self.current_url = None;
@@ -298,15 +314,23 @@ impl UserClient {
         {
             return Err(ProtocolError::StaleTimestamp);
         }
-        // certificate validity
-        beacon
-            .cert
-            .validate(&self.npk, now)
-            .map_err(|_| ProtocolError::CertificateInvalid)?;
+        // certificate validity (see `held_cert` for the short path)
+        let cert_held = self.held_cert.as_ref() == Some(&beacon.cert);
+        if cert_held {
+            beacon.cert.check_unexpired(now)
+        } else {
+            beacon.cert.validate(&self.npk, now)
+        }
+        .map_err(|_| ProtocolError::CertificateInvalid)?;
         // CRL: signed by NO, fresh, and not listing this cert
-        beacon
-            .crl
-            .validate(&self.npk, now, self.config.list_max_age)?;
+        let crl_held = self.held_crl.as_ref() == Some(&beacon.crl);
+        if crl_held {
+            beacon.crl.check_fresh(now, self.config.list_max_age)?;
+        } else {
+            beacon
+                .crl
+                .validate(&self.npk, now, self.config.list_max_age)?;
+        }
         if beacon.crl.version < self.highest_crl_version {
             return Err(ProtocolError::StaleCrl);
         }
@@ -362,6 +386,12 @@ impl UserClient {
         }
         if same_tokens {
             self.url_sections_reused += 1;
+        }
+        if !cert_held {
+            self.held_cert = Some(beacon.cert.clone());
+        }
+        if !crl_held {
+            self.held_crl = Some(beacon.crl.clone());
         }
         self.highest_crl_version = beacon.crl.version;
         self.highest_url_version = beacon.url.version;

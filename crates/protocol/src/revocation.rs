@@ -62,6 +62,11 @@ impl SignedCrl {
         ) {
             return Err(ProtocolError::BadCrlSignature);
         }
+        self.check_fresh(now, max_age)
+    }
+
+    /// Whether the list is still within `max_age` at `now`.
+    pub(crate) fn check_fresh(&self, now: u64, max_age: u64) -> Result<()> {
         if now > self.issued_at.saturating_add(max_age) {
             return Err(ProtocolError::StaleCrl);
         }

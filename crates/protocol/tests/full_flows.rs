@@ -44,7 +44,7 @@ impl World {
         let uid = UserId(name.to_owned());
         let mut user = UserClient::new(
             uid.clone(),
-            *self.no.gpk(),
+            self.no.prepared_gpk(),
             *self.no.npk(),
             *self.no.config(),
             &mut self.rng,
@@ -398,7 +398,7 @@ fn multi_role_user_audits_to_different_groups() {
     let uid = UserId("dave".into());
     let mut dave = UserClient::new(
         uid.clone(),
-        *w.no.gpk(),
+        w.no.prepared_gpk(),
         *w.no.npk(),
         *w.no.config(),
         &mut w.rng,

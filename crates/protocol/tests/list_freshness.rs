@@ -45,7 +45,7 @@ impl World {
         let uid = UserId(name.to_owned());
         let mut user = UserClient::new(
             uid.clone(),
-            *self.no.gpk(),
+            self.no.prepared_gpk(),
             *self.no.npk(),
             *self.no.config(),
             &mut self.rng,

@@ -3,6 +3,7 @@
 //! control, cross-epoch audit, and session key ratcheting.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use peace_protocol::entities::*;
 use peace_protocol::ids::{GroupId, UserId};
@@ -59,7 +60,13 @@ fn epoch_rotation_invalidates_all_old_credentials() {
     let mut w = World::new(1);
     let gid = w.add_group("org", 3);
     let uid = UserId("alice".into());
-    let mut alice = UserClient::new(uid, *w.no.gpk(), *w.no.npk(), *w.no.config(), &mut w.rng);
+    let mut alice = UserClient::new(
+        uid,
+        w.no.prepared_gpk(),
+        *w.no.npk(),
+        *w.no.config(),
+        &mut w.rng,
+    );
     w.enroll(&mut alice, gid);
     let mut router = w.no.provision_router("MR-1", u64::MAX / 2, &mut w.rng);
 
@@ -101,7 +108,13 @@ fn rotation_empties_url() {
     let mut w = World::new(2);
     let gid = w.add_group("org", 3);
     let uid = UserId("mallory".into());
-    let mut mallory = UserClient::new(uid, *w.no.gpk(), *w.no.npk(), *w.no.config(), &mut w.rng);
+    let mut mallory = UserClient::new(
+        uid,
+        w.no.prepared_gpk(),
+        *w.no.npk(),
+        *w.no.config(),
+        &mut w.rng,
+    );
     w.enroll(&mut mallory, gid);
     let mut router = w.no.provision_router("MR-1", u64::MAX / 2, &mut w.rng);
 
@@ -128,7 +141,13 @@ fn old_epoch_sessions_remain_auditable() {
     let mut w = World::new(3);
     let gid = w.add_group("Company XYZ", 2);
     let uid = UserId("alice".into());
-    let mut alice = UserClient::new(uid, *w.no.gpk(), *w.no.npk(), *w.no.config(), &mut w.rng);
+    let mut alice = UserClient::new(
+        uid,
+        w.no.prepared_gpk(),
+        *w.no.npk(),
+        *w.no.config(),
+        &mut w.rng,
+    );
     w.enroll(&mut alice, gid);
     let mut router = w.no.provision_router("MR-1", u64::MAX / 2, &mut w.rng);
 
@@ -192,7 +211,13 @@ fn renewal_cycle_stress() {
     let mut w = World::new(5);
     let gid = w.add_group("org", 4);
     let uid = UserId("bob".into());
-    let mut bob = UserClient::new(uid, *w.no.gpk(), *w.no.npk(), *w.no.config(), &mut w.rng);
+    let mut bob = UserClient::new(
+        uid,
+        w.no.prepared_gpk(),
+        *w.no.npk(),
+        *w.no.config(),
+        &mut w.rng,
+    );
     w.enroll(&mut bob, gid);
     let mut router = w.no.provision_router("MR-1", u64::MAX / 2, &mut w.rng);
 
@@ -207,16 +232,95 @@ fn renewal_cycle_stress() {
         assert_eq!(w.no.audit(&sid).unwrap().group, gid);
 
         // renew
-        let new_gpk = w.no.rotate_system_key(&mut w.rng);
+        w.no.rotate_system_key(&mut w.rng);
         assert_eq!(w.no.epoch(), epoch + 1);
         router.install_epoch(
-            new_gpk,
+            w.no.prepared_gpk(),
             w.no.publish_crl(t + 100),
             w.no.publish_url(t + 100),
         );
-        bob.install_epoch(new_gpk);
+        bob.install_epoch(w.no.prepared_gpk());
         w.refill_group(gid, 2);
         w.enroll(&mut bob, gid);
         t += 1_000;
     }
+}
+
+#[test]
+fn a_rotated_epoch_is_one_new_table_set_for_the_whole_world() {
+    let mut w = World::new(6);
+    let gid = w.add_group("org", 4);
+    let mut users: Vec<UserClient> = ["alice", "bob"]
+        .into_iter()
+        .map(|name| {
+            let mut user = UserClient::new(
+                UserId(name.into()),
+                w.no.prepared_gpk(),
+                *w.no.npk(),
+                *w.no.config(),
+                &mut w.rng,
+            );
+            w.enroll(&mut user, gid);
+            user
+        })
+        .collect();
+    let mut routers: Vec<MeshRouter> = ["MR-1", "MR-2"]
+        .into_iter()
+        .map(|id| w.no.provision_router(id, u64::MAX / 2, &mut w.rng))
+        .collect();
+    let shares = |w: &World, users: &[UserClient], routers: &[MeshRouter]| {
+        let set = w.no.prepared_gpk();
+        users.iter().all(|u| Arc::ptr_eq(u.prepared_gpk(), &set))
+            && routers.iter().all(|r| Arc::ptr_eq(r.prepared_gpk(), &set))
+    };
+    assert!(shares(&w, &users, &routers));
+    let old_set = Arc::downgrade(&w.no.prepared_gpk());
+
+    // A request is begun, and verified, under the old epoch.
+    let beacon = routers[0].beacon(1_000, &mut w.rng);
+    let (req, _) = users[0].process_beacon(&beacon, 1_010, &mut w.rng).unwrap();
+    let checked = routers[0]
+        .begin_access_request(&req, 1_020)
+        .unwrap()
+        .verify();
+
+    // Rotation mints a new key, so a new table set; the operator lets go
+    // of the old one, which the entities and the pending request still hold.
+    w.no.rotate_system_key(&mut w.rng);
+    assert!(!shares(&w, &users, &routers));
+    let held = old_set.upgrade().expect("entities still hold the old set");
+    assert!(!Arc::ptr_eq(&held, &w.no.prepared_gpk()));
+    assert_ne!(held.gpk(), w.no.gpk());
+    drop(held);
+
+    for router in &mut routers {
+        router.install_epoch(
+            w.no.prepared_gpk(),
+            w.no.publish_crl(1_025),
+            w.no.publish_url(1_025),
+        );
+    }
+    w.refill_group(gid, 2);
+    for user in &mut users {
+        user.install_epoch(w.no.prepared_gpk());
+        w.enroll(user, gid);
+    }
+    assert!(shares(&w, &users, &routers));
+
+    // The request begun before the install is its old set's last holder,
+    // and is still refused.
+    assert!(old_set.upgrade().is_some());
+    assert_eq!(
+        routers[0]
+            .finish_access_request(checked, 1_030)
+            .unwrap_err(),
+        ProtocolError::UnknownBeacon
+    );
+    assert!(old_set.upgrade().is_none(), "the old tables are freed");
+
+    // The new epoch works end to end on the shared set.
+    let beacon = routers[1].beacon(2_000, &mut w.rng);
+    let (req, pending) = users[1].process_beacon(&beacon, 2_010, &mut w.rng).unwrap();
+    let (confirm, _) = routers[1].process_access_request(&req, 2_020).unwrap();
+    assert!(users[1].finalize_router_session(&pending, &confirm).is_ok());
 }

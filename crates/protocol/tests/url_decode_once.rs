@@ -3,12 +3,16 @@
 //! never enforces — or signs against — a list one of whose tokens has not
 //! passed the curve and subgroup check.
 //!
+//! The same rule for the operator's signatures: the certificate and CRL of
+//! an accepted beacon are held, and a later beacon carrying either byte for
+//! byte has only its expiry, age and serial re-checked (the last section).
+//!
 //! The fixture plays the operator itself (its own ECDSA key behind `npk`),
 //! so it can sign lists the real `NetworkOperator` would never publish.
 
 use peace_curve::{AffinePoint, G1};
 use peace_ecdsa::{Certificate, SigningKey};
-use peace_groupsig::{IssuerKey, MemberKey, RevocationToken};
+use peace_groupsig::{IssuerKey, MemberKey, OpSnapshot, RevocationToken};
 use peace_protocol::entities::{GmAssignment, TtpDelivery, UserClient};
 use peace_protocol::ids::{GroupId, UserId};
 use peace_protocol::setup::blind_a;
@@ -362,4 +366,166 @@ fn a_restamp_with_one_changed_token_byte_is_decoded_and_refused_whole() {
     assert_eq!(alice.list_versions(), (0, 1));
     assert_eq!(alice.current_url().unwrap().tokens, tokens);
     assert_eq!(alice.url_decode_counts(), (3, 0));
+}
+
+// ---------------------------------------------------------------------
+// Verified once is verified: the certificate and the CRL. What a beacon
+// cost is read off the 𝔾₁ multiplications its ECDSA verifications perform.
+// ---------------------------------------------------------------------
+
+/// One signature byte flipped, on the wire.
+fn flip_signature<M: Encode + Decode>(msg: &M) -> M {
+    let mut wire = msg.to_wire();
+    let last = wire.len() - 1;
+    wire[last] ^= 1;
+    M::from_wire(&wire).unwrap()
+}
+
+/// 𝔾₁ multiplications `alice` spends accepting `beacon` off the wire.
+fn muls_to_accept(alice: &mut UserClient, beacon: &Beacon, w: &mut World) -> u64 {
+    let beacon = Beacon::from_wire(&beacon.to_wire()).unwrap();
+    let scope = OpSnapshot::scope();
+    alice
+        .request_access(&beacon, beacon.ts1, &mut w.rng)
+        .unwrap();
+    scope.counts().g1_muls
+}
+
+#[test]
+fn a_second_beacon_from_the_same_router_skips_the_operator_signatures() {
+    let mut w = World::new(8);
+    let (mut alice, _) = w.user("alice");
+    let per_verify = {
+        let sig = w.operator.sign(b"m");
+        let scope = OpSnapshot::scope();
+        assert!(w.operator.verifying_key().verify(b"m", &sig));
+        scope.counts().g1_muls
+    };
+    assert!(per_verify > 0);
+
+    // First contact: certificate, CRL, URL and the beacon itself.
+    let first = w.beacon(1_000, w.url(1, 1_000, vec![]));
+    let rest = muls_to_accept(&mut alice, &first, &mut w) - 4 * per_verify;
+    // 7 to sign, g^{r_j}, the session key, and off the wire a subgroup
+    // check for each of g and g^{r_R}.
+    assert_eq!(rest, 7 + 2 + 2);
+
+    // The same router again, same lists: only the beacon's own signature.
+    let mut second = w.beacon(1_100, first.url.clone());
+    second.crl = first.crl.clone();
+    assert_eq!(
+        muls_to_accept(&mut alice, &second, &mut w),
+        rest + per_verify
+    );
+
+    // A re-issued CRL is verified in full, and then held in turn.
+    let reissued = w.beacon(1_200, first.url.clone());
+    assert_ne!(reissued.crl, first.crl);
+    assert_eq!(
+        muls_to_accept(&mut alice, &reissued, &mut w),
+        rest + 2 * per_verify
+    );
+    let mut again = w.beacon(1_300, first.url.clone());
+    again.crl = reissued.crl.clone();
+    assert_eq!(
+        muls_to_accept(&mut alice, &again, &mut w),
+        rest + per_verify
+    );
+
+    // A different router under the same lists: its certificate only.
+    let other = SigningKey::random(&mut w.rng);
+    w.cert = Certificate::issue(&w.operator, 8, "MR-2", *other.verifying_key(), u64::MAX);
+    w.router = other;
+    let mut elsewhere = w.beacon(1_400, first.url.clone());
+    elsewhere.crl = reissued.crl.clone();
+    assert_eq!(
+        muls_to_accept(&mut alice, &elsewhere, &mut w),
+        rest + 2 * per_verify
+    );
+}
+
+#[test]
+fn a_held_certificate_or_crl_is_still_checked_against_the_clock_and_the_bytes() {
+    let mut w = World::new(9);
+    let (mut alice, _) = w.user("alice");
+    let max_age = w.config.list_max_age;
+    let expires = 1_000 + 2 * max_age;
+    w.cert = Certificate::issue(&w.operator, 7, "MR-1", *w.router.verifying_key(), expires);
+    let per_verify = {
+        let scope = OpSnapshot::scope();
+        w.cert.validate(w.operator.verifying_key(), 0).unwrap();
+        scope.counts().g1_muls
+    };
+    let url = |w: &World, now| w.url(1, now, vec![]);
+    let first = w.beacon(1_000, url(&w, 1_000));
+    let full = muls_to_accept(&mut alice, &first, &mut w);
+    // What `first` left held is what a repeat of it is checked against.
+    let still_held = |alice: &mut UserClient, w: &mut World, now| {
+        let mut repeat = w.beacon(now, first.url.clone());
+        repeat.crl = first.crl.clone();
+        assert_eq!(
+            muls_to_accept(alice, &repeat, w),
+            full - 3 * per_verify,
+            "at {now}"
+        );
+    };
+    still_held(&mut alice, &mut w, 1_010);
+
+    // One signature byte off: the full path, which refuses it.
+    let mut forged = w.beacon(1_020, first.url.clone());
+    forged.crl = first.crl.clone();
+    forged.cert = flip_signature(&first.cert);
+    assert_eq!(
+        alice.request_access(&forged, 1_020, &mut w.rng),
+        Err(ProtocolError::CertificateInvalid)
+    );
+    still_held(&mut alice, &mut w, 1_021);
+    let mut forged = w.beacon(1_030, first.url.clone());
+    forged.crl = flip_signature(&first.crl);
+    assert_eq!(
+        alice.request_access(&forged, 1_030, &mut w.rng),
+        Err(ProtocolError::BadCrlSignature)
+    );
+    still_held(&mut alice, &mut w, 1_031);
+
+    // A beacon refused after its certificate and CRL passed leaves nothing
+    // behind: the next router's certificate is verified when it is accepted.
+    let (mr1, mr1_cert) = (w.router.clone(), w.cert.clone());
+    w.router = SigningKey::random(&mut w.rng);
+    w.cert = Certificate::issue(&w.operator, 8, "MR-2", *w.router.verifying_key(), expires);
+    let mut unsigned = w.beacon(1_040, first.url.clone());
+    unsigned.crl = first.crl.clone();
+    unsigned.sig = flip_signature(&unsigned.sig);
+    assert_eq!(
+        alice.request_access(&unsigned, 1_040, &mut w.rng),
+        Err(ProtocolError::BadRouterSignature)
+    );
+    (w.router, w.cert) = (mr1, mr1_cert);
+    still_held(&mut alice, &mut w, 1_041);
+
+    // The held CRL ages out like any other...
+    let late = 1_000 + max_age + 1;
+    let mut aged = w.beacon(late, url(&w, late));
+    aged.crl = first.crl.clone();
+    assert_eq!(
+        alice.request_access(&aged, late, &mut w.rng),
+        Err(ProtocolError::StaleCrl)
+    );
+    // ...a serial that a newer CRL lists is refused under the held
+    // certificate...
+    let mut revoked = w.beacon(late, url(&w, late));
+    revoked.crl = SignedCrl::issue(&w.operator, 1, late, vec![7]);
+    assert_eq!(
+        alice.request_access(&revoked, late, &mut w.rng),
+        Err(ProtocolError::CertificateRevoked)
+    );
+    // ...and the held certificate expires on time.
+    let fresh = w.beacon(expires, url(&w, expires));
+    alice.request_access(&fresh, expires, &mut w.rng).unwrap();
+    let expired = w.beacon(expires + 1, url(&w, expires + 1));
+    assert_eq!(expired.cert, first.cert);
+    assert_eq!(
+        alice.request_access(&expired, expires + 1, &mut w.rng),
+        Err(ProtocolError::CertificateInvalid)
+    );
 }

@@ -71,7 +71,7 @@ fn world(seed: u64) -> World {
     ttp.receive_bundle(&ttp_bundle, no.npk()).unwrap();
     let mut enroll = |name: &str, rng: &mut StdRng| {
         let uid = UserId(name.into());
-        let mut c = UserClient::new(uid.clone(), *no.gpk(), *no.npk(), *no.config(), rng);
+        let mut c = UserClient::new(uid.clone(), no.prepared_gpk(), *no.npk(), *no.config(), rng);
         let assignment = gm.assign(&uid).unwrap();
         let delivery = ttp.deliver(assignment.index, &uid).unwrap();
         c.enroll(&assignment, &delivery).unwrap();

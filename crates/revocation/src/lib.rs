@@ -225,7 +225,7 @@ mod tests {
     // ---- engine ----
 
     struct World {
-        prepared: PreparedGpk,
+        prepared: std::sync::Arc<PreparedGpk>,
         members: Vec<MemberKey>,
         rng: StdRng,
     }
@@ -238,7 +238,7 @@ mod tests {
             .map(|_| issuer.issue(&grp, &mut rng))
             .collect();
         World {
-            prepared: PreparedGpk::new(issuer.public_key()),
+            prepared: (*issuer.public_key()).into(),
             members,
             rng,
         }

@@ -343,7 +343,7 @@ pub fn run_injection_matrix(seed: u64) -> Vec<InjectionOutcome> {
                   no: &NetworkOperator,
                   rng: &mut StdRng| {
         let uid = UserId(name.to_owned());
-        let mut u = UserClient::new(uid.clone(), *no.gpk(), *no.npk(), *no.config(), rng);
+        let mut u = UserClient::new(uid.clone(), no.prepared_gpk(), *no.npk(), *no.config(), rng);
         let a = gm.assign(&uid).expect("share");
         let d = ttp.deliver(a.index, &uid).expect("delivery");
         u.enroll(&a, &d).expect("enroll");
@@ -501,7 +501,7 @@ pub fn run_linking_game(trials: u32, seed: u64) -> LinkingReport {
 
     let enroll = |name: &str, gm: &mut GroupManager, ttp: &mut Ttp, rng: &mut StdRng| {
         let uid = UserId(name.to_owned());
-        let mut u = UserClient::new(uid.clone(), *no.gpk(), *no.npk(), *no.config(), rng);
+        let mut u = UserClient::new(uid.clone(), no.prepared_gpk(), *no.npk(), *no.config(), rng);
         let a = gm.assign(&uid).expect("share");
         let d = ttp.deliver(a.index, &uid).expect("delivery");
         u.enroll(&a, &d).expect("enroll");
@@ -670,7 +670,8 @@ fn revoke_fresh_members(
     ttp.receive_bundle(&ttp_bundle, no.npk()).expect("bundle");
     for i in 0..count {
         let uid = UserId(format!("churn-{i}"));
-        let mut user = UserClient::new(uid.clone(), *no.gpk(), *no.npk(), *no.config(), rng);
+        let mut user =
+            UserClient::new(uid.clone(), no.prepared_gpk(), *no.npk(), *no.config(), rng);
         let a = gm.assign(&uid).expect("share");
         let d = ttp.deliver(a.index, &uid).expect("delivery");
         user.enroll(&a, &d).expect("enroll");

@@ -193,8 +193,13 @@ impl SimWorld {
         let mut users = Vec::with_capacity(config.users);
         for ui in 0..config.users {
             let uid = UserId(format!("user-{ui}"));
-            let mut client =
-                UserClient::new(uid.clone(), *no.gpk(), *no.npk(), *no.config(), &mut rng);
+            let mut client = UserClient::new(
+                uid.clone(),
+                no.prepared_gpk(),
+                *no.npk(),
+                *no.config(),
+                &mut rng,
+            );
             let gid = group_ids[ui % group_ids.len()];
             let gm = gms.get_mut(&gid).expect("group exists");
             let assignment = gm.assign(&uid).expect("share available");

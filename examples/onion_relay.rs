@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ttp.receive_bundle(&ttp_b, no.npk())?;
     let enroll = |name: &str, gm: &mut GroupManager, ttp: &mut Ttp, rng: &mut StdRng| {
         let uid = UserId(name.to_owned());
-        let mut u = UserClient::new(uid.clone(), *no.gpk(), *no.npk(), *no.config(), rng);
+        let mut u = UserClient::new(uid.clone(), no.prepared_gpk(), *no.npk(), *no.config(), rng);
         let a = gm.assign(&uid).expect("share");
         let d = ttp.deliver(a.index, &uid).expect("delivery");
         u.enroll(&a, &d).expect("enroll");

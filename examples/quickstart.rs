@@ -28,7 +28,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // --- User enrollment (three-party key assembly) --------------------
     let enroll = |name: &str, gm: &mut GroupManager, ttp: &mut Ttp, rng: &mut StdRng| {
         let uid = UserId(name.to_owned());
-        let mut user = UserClient::new(uid.clone(), *no.gpk(), *no.npk(), *no.config(), rng);
+        let mut user =
+            UserClient::new(uid.clone(), no.prepared_gpk(), *no.npk(), *no.config(), rng);
         let assignment = gm.assign(&uid).expect("share available");
         let delivery = ttp.deliver(assignment.index, &uid).expect("ttp delivery");
         let receipt = user

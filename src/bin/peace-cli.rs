@@ -82,7 +82,7 @@ fn enroll(net: &mut Net, name: &str) -> UserClient {
     let uid = UserId(name.to_owned());
     let mut user = UserClient::new(
         uid.clone(),
-        *net.no.gpk(),
+        net.no.prepared_gpk(),
         *net.no.npk(),
         *net.no.config(),
         &mut net.rng,

@@ -43,7 +43,7 @@
 //! ttp.receive_bundle(&ttp_bundle, no.npk())?;
 //!
 //! let uid = UserId("alice".into());
-//! let mut alice = UserClient::new(uid.clone(), *no.gpk(), *no.npk(), *no.config(), &mut rng);
+//! let mut alice = UserClient::new(uid.clone(), no.prepared_gpk(), *no.npk(), *no.config(), &mut rng);
 //! let assignment = gm.assign(&uid)?;
 //! let delivery = ttp.deliver(assignment.index, &uid)?;
 //! alice.enroll(&assignment, &delivery)?;

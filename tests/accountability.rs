@@ -35,7 +35,7 @@ fn enroll(net: &mut Net, name: &str, gid: GroupId) -> UserClient {
     let uid = UserId(name.to_owned());
     let mut user = UserClient::new(
         uid.clone(),
-        *net.no.gpk(),
+        net.no.prepared_gpk(),
         *net.no.npk(),
         *net.no.config(),
         &mut net.rng,

@@ -73,7 +73,13 @@ fn two_sessions_by_same_user_share_no_observable_state() {
     let mut ttp = Ttp::new();
     ttp.receive_bundle(&ttp_b, no.npk()).unwrap();
     let uid = UserId("alice".into());
-    let mut alice = UserClient::new(uid.clone(), *no.gpk(), *no.npk(), *no.config(), &mut rng);
+    let mut alice = UserClient::new(
+        uid.clone(),
+        no.prepared_gpk(),
+        *no.npk(),
+        *no.config(),
+        &mut rng,
+    );
     let a = gm.assign(&uid).unwrap();
     let d = ttp.deliver(a.index, &uid).unwrap();
     alice.enroll(&a, &d).unwrap();
@@ -168,7 +174,13 @@ fn operator_audit_stops_at_group_boundary() {
     let mut ttp = Ttp::new();
     ttp.receive_bundle(&ttp_b, no.npk()).unwrap();
     let uid = UserId("alice".into());
-    let mut alice = UserClient::new(uid.clone(), *no.gpk(), *no.npk(), *no.config(), &mut rng);
+    let mut alice = UserClient::new(
+        uid.clone(),
+        no.prepared_gpk(),
+        *no.npk(),
+        *no.config(),
+        &mut rng,
+    );
     let assign = gm.assign(&uid).unwrap();
     let deliver = ttp.deliver(assign.index, &uid).unwrap();
     alice.enroll(&assign, &deliver).unwrap();
