@@ -477,6 +477,31 @@ mod tests {
     }
 
     #[test]
+    fn batch_to_xy_ratios_matches_affine_division() {
+        let mut r = rng();
+        let two_torsion = AffinePoint::new(Fp::ZERO, Fp::ZERO).expect("(0, 0) is on the curve");
+        let mut points = vec![ProjectivePoint::IDENTITY, two_torsion.to_projective()];
+        for _ in 0..4 {
+            let a = AffinePoint::random_subgroup(&mut r).to_projective();
+            points.push(a.add_affine(&AffinePoint::random_subgroup(&mut r)));
+            points.push(ProjectivePoint::IDENTITY);
+        }
+        let ratios = ProjectivePoint::batch_to_xy_ratios(&points);
+        assert_eq!(ratios.len(), points.len());
+        for (p, ratio) in points.iter().zip(&ratios) {
+            let a = p.to_affine();
+            let expect =
+                a.y.invert()
+                    .filter(|_| !a.is_identity())
+                    .map(|yinv| (a.x.mul(&yinv), yinv));
+            assert_eq!(*ratio, expect);
+        }
+        assert_eq!(ratios[0], None, "identity");
+        assert_eq!(ratios[1], None, "y = 0");
+        assert!(ProjectivePoint::batch_to_xy_ratios(&[]).is_empty());
+    }
+
+    #[test]
     fn mixed_addition_cases() {
         let mut r = rng();
         let a = AffinePoint::random_subgroup(&mut r);

@@ -352,36 +352,51 @@ impl ProjectivePoint {
     /// construction, where normalizing hundreds of entries one inversion at
     /// a time would dominate the setup cost.
     pub fn batch_to_affine(points: &[Self]) -> Vec<AffinePoint> {
-        // Prefix products of the nonzero z's.
-        let mut prefix = Vec::with_capacity(points.len());
-        let mut acc = Fp::ONE;
-        for p in points {
-            prefix.push(acc);
-            if !p.is_identity() {
-                acc = acc.mul(&p.z);
-            }
-        }
-        let mut inv = match acc.invert() {
-            Some(v) => v,
-            // All points are at infinity.
-            None => return vec![AffinePoint::IDENTITY; points.len()],
-        };
-        let mut out = vec![AffinePoint::IDENTITY; points.len()];
-        for (i, p) in points.iter().enumerate().rev() {
-            if p.is_identity() {
-                continue;
-            }
-            // zinv = (∏_{j<i, nonzero} z_j)⁻¹ · ∏_{j<i, nonzero} z_j … = z_i⁻¹
-            let zinv = inv.mul(&prefix[i]);
-            inv = inv.mul(&p.z);
-            let zinv2 = zinv.square();
-            out[i] = AffinePoint {
-                x: p.x.mul(&zinv2),
-                y: p.y.mul(&zinv2.mul(&zinv)),
-                infinity: false,
-            };
-        }
-        out
+        // The identity has z = 0, which the batch inversion leaves alone.
+        let mut zinv: Vec<Fp> = points.iter().map(|p| p.z).collect();
+        Fp::batch_invert(&mut zinv);
+        points
+            .iter()
+            .zip(&zinv)
+            .map(|(p, zinv)| {
+                if p.is_identity() {
+                    return AffinePoint::IDENTITY;
+                }
+                let zinv2 = zinv.square();
+                AffinePoint {
+                    x: p.x.mul(&zinv2),
+                    y: p.y.mul(&zinv2.mul(zinv)),
+                    infinity: false,
+                }
+            })
+            .collect()
+    }
+
+    /// `(x/y, 1/y)` of each point's affine form, with a single field
+    /// inversion for the batch: the coordinates a pairing line scaled to
+    /// unit imaginary part is evaluated at (`peace_pairing::MillerLines`).
+    /// In Jacobian terms `x/y = X·Z/Y` and `1/y = Z³/Y`, so it is the `Y`s
+    /// that are inverted and the affine form is never built.
+    ///
+    /// `None` for the identity and for a point with `y = 0` (the 2-torsion
+    /// point, which no odd-order subgroup contains).
+    pub fn batch_to_xy_ratios(points: &[Self]) -> Vec<Option<(Fp, Fp)>> {
+        let mut yinv: Vec<Fp> = points
+            .iter()
+            .map(|p| if p.is_identity() { Fp::ZERO } else { p.y })
+            .collect();
+        Fp::batch_invert(&mut yinv);
+        points
+            .iter()
+            .zip(&yinv)
+            .map(|(p, yinv)| {
+                if yinv.is_zero() {
+                    return None;
+                }
+                let z_yinv = p.z.mul(yinv);
+                Some((p.x.mul(&z_yinv), p.z.square().mul(&z_yinv)))
+            })
+            .collect()
     }
 
     /// Negation.

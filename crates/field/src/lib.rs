@@ -394,6 +394,54 @@ mod tests {
         }
 
         #[test]
+        fn prop_lucas_v_is_the_trace_of_a_power(
+            a0 in proptest::array::uniform8(any::<u64>()),
+            a1 in proptest::array::uniform8(any::<u64>()),
+            n in proptest::array::uniform8(any::<u64>()),
+            shift in 0u32..70,
+        ) {
+            // V_n(y + y⁻¹) = yⁿ + y⁻ⁿ for a norm-1 y (y⁻¹ = conj y, so both
+            // sides are twice a real part), at exponents with and without
+            // trailing zeros, and at the ladder's corner cases.
+            let f = Fp2::new(
+                Fp::from_uint(&Uint::from_limbs(a0)),
+                Fp::from_uint(&Uint::from_limbs(a1)),
+            );
+            let y = f.conjugate().mul(&f.invert().unwrap_or(Fp2::ONE));
+            prop_assert!(y.is_unitary());
+            let t = y.c0.double();
+            let mut n = Uint::<8>::from_limbs(n);
+            for _ in 0..shift {
+                n = n.shl1();
+            }
+            prop_assert_eq!(t.lucas_v(&n), y.pow(&n).c0.double());
+            for small in [0u64, 1, 2, 3, 4, 6, 8] {
+                let n = Uint::<1>::from_u64(small);
+                prop_assert_eq!(t.lucas_v(&n), y.pow(&n).c0.double(), "n = {}", small);
+            }
+        }
+
+        #[test]
+        fn prop_batch_invert_matches_invert_and_skips_zeros(
+            vals in proptest::collection::vec(proptest::array::uniform8(any::<u64>()), 0..6),
+            zero_at in 0usize..8,
+        ) {
+            let mut vals: Vec<Fp> = vals
+                .iter()
+                .map(|l| Fp::from_uint(&Uint::from_limbs(*l)))
+                .collect();
+            if zero_at < vals.len() {
+                vals[zero_at] = Fp::ZERO;
+            }
+            let expect: Vec<Fp> = vals
+                .iter()
+                .map(|v| v.invert().unwrap_or(Fp::ZERO))
+                .collect();
+            Fp::batch_invert(&mut vals);
+            prop_assert_eq!(vals, expect);
+        }
+
+        #[test]
         fn prop_fq_pow_small(a in 1u64..1000, e in 0u32..16) {
             let base = Fq::from_u64(a);
             let mut expect = Fq::ONE;

@@ -356,6 +356,70 @@ impl<P: FieldParams<N>, const N: usize> Fe<P, N> {
         self.pow_limbs(exp.as_limbs())
     }
 
+    /// The Lucas function `V_n(t)`: `V₀ = 2`, `V₁ = t`,
+    /// `V_{k+1} = t·V_k − V_{k−1}`, so that `V_n(y + y⁻¹) = yⁿ + y⁻ⁿ` for
+    /// `y` in any extension. A ladder over `(V_k, V_{k+1})` with
+    /// `V_{2k} = V_k² − 2` and `V_{2k+1} = V_k·V_{k+1} − t`: two
+    /// multiplications per bit of `n` down to its lowest set bit, one per
+    /// trailing zero.
+    ///
+    /// This is how an exponentiation of a norm-1 element of the quadratic
+    /// extension is *tested* without being carried out: `yⁿ = 1` exactly
+    /// when `V_n(y + y⁻¹) = 2`.
+    pub fn lucas_v<const M: usize>(&self, n: &Uint<M>) -> Self {
+        let two = Self::ONE.double();
+        if n.is_zero() {
+            return two;
+        }
+        let top = n.bits() - 1;
+        let low = (0..=top).find(|&i| n.bit(i)).unwrap_or(top);
+        // (V_k, V_{k+1}) for k the bits of n consumed so far: the top one.
+        let (mut lo, mut hi) = (*self, self.square().sub(&two));
+        for i in (low + 1..top).rev() {
+            let cross = lo.mul(&hi).sub(self);
+            if n.bit(i) {
+                lo = cross;
+                hi = hi.square().sub(&two);
+            } else {
+                hi = cross;
+                lo = lo.square().sub(&two);
+            }
+        }
+        if top > low {
+            // The lowest set bit: V_{2k+1}, and V_{2k+2} is never needed.
+            lo = lo.mul(&hi).sub(self);
+        }
+        for _ in 0..low {
+            lo = lo.square().sub(&two);
+        }
+        lo
+    }
+
+    /// Replaces every nonzero element of `values` by its inverse at the
+    /// price of one field inversion and three multiplications per element
+    /// (Montgomery's trick). Zeros stay zero and disturb nothing else.
+    pub fn batch_invert(values: &mut [Self]) {
+        // prefix[i] = product of the nonzero values before i.
+        let mut prefix = Vec::with_capacity(values.len());
+        let mut acc = Self::ONE;
+        for v in values.iter() {
+            prefix.push(acc);
+            if !v.is_zero() {
+                acc = acc.mul(v);
+            }
+        }
+        let Some(mut inv) = acc.invert() else {
+            return; // unreachable: a product of nonzero field elements
+        };
+        for (v, before) in values.iter_mut().zip(&prefix).rev() {
+            if !v.is_zero() {
+                let rest = inv.mul(v);
+                *v = inv.mul(before);
+                inv = rest;
+            }
+        }
+    }
+
     /// Multiplicative inverse via the binary extended Euclidean algorithm
     /// (~10× faster than the Fermat exponentiation it replaced; retained as
     /// [`Self::invert_fermat`] for the equivalence proptests).

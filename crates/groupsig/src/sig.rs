@@ -503,13 +503,19 @@ pub fn token_matches(
 }
 
 /// Token count at and above which [`revocation_sweep`] fans the per-token
-/// work out across OS threads. On the reference box a token costs ~0.3 ms
-/// (0.18 ms to evaluate it against the prepared lines, 0.13 ms of
-/// hard-part exponentiation) and a two-worker scoped fan-out 0.04 ms idle,
-/// budgeted at 0.1 ms under load. Two workers halve the per-token work, so
-/// at eight tokens threading saves ~1.2 ms, twelve times the budget; below
-/// that the fixed part of a sweep (line table plus shared factor, ~0.8 ms,
-/// not parallel) dominates and the saving is not worth a thread.
+/// work out across OS threads. Two figures describe a token and they are
+/// not interchangeable. *One thread's CPU per token* is ≈ 0.16 ms on the
+/// reference box: 0.10 ms to walk the prepared lines, 0.06 ms for the
+/// is-it-1 reduction (0.26 = 0.15 + 0.11 when the lines had three
+/// coefficients and the reduction was an exponentiation). *Wall time per
+/// token of a two-worker sweep* is what the benchmark's
+/// `groupsig.sweep64_us_per_token` reports: ≈ 0.10 ms (≈ 0.17 before), and
+/// no less than the CPU figure when the workers have to share a processor.
+/// A two-worker scoped fan-out costs 0.04 ms idle, budgeted at 0.1 ms under
+/// load. Two workers halve the per-token work, so at eight tokens
+/// threading saves up to ≈ 0.65 ms, six times the budget; below that the
+/// fixed part of a sweep (line table plus shared factor, ≈ 0.7 ms, not
+/// parallel) dominates and the saving is not worth a thread.
 const SWEEP_SPAWN_THRESHOLD: usize = 8;
 
 /// Record count at and above which [`open_batch`] fans records out across
@@ -594,27 +600,21 @@ impl SweepRow {
     }
 
     /// Whether each of `tokens` passes Eq.3 against this signature: one
-    /// evaluation per token, then one reduction of the whole slice (not
-    /// counted — the public entry points record one final exponentiation
-    /// per sweep, however many workers share it). `T₂ = Aᵢ` evaluates at
-    /// the identity, which contributes 1 and cannot match.
+    /// table evaluation per token at `(x/y, 1/y)` of `T₂ − Aᵢ` (one field
+    /// inversion for the slice), then one is-it-1 reduction per token (one
+    /// more; not counted — the public entry points record one final
+    /// exponentiation per sweep, however many workers share it). `T₂ = Aᵢ`
+    /// evaluates at the identity, which contributes 1 and cannot match.
     fn matches(&self, tokens: &[RevocationToken]) -> Vec<bool> {
         let diffs: Vec<ProjectivePoint> = tokens
             .iter()
             .map(|t| self.t2.add_affine(&t.0.point().neg()))
             .collect();
-        let values: Vec<MillerValue> = ProjectivePoint::batch_to_affine(&diffs)
-            .into_iter()
-            .map(|p| {
-                self.lines
-                    .eval(&G2::from_point_unchecked(p))
-                    .mul(&self.shared)
-            })
-            .collect();
-        MillerValue::finalize_part(&values)
+        let values: Vec<MillerValue> = ProjectivePoint::batch_to_xy_ratios(&diffs)
             .iter()
-            .map(|g| g.is_some_and(|g| g.is_one()))
-            .collect()
+            .map(|at| self.lines.eval_at(at.as_ref()).mul(&self.shared))
+            .collect();
+        MillerValue::reduces_to_one(&values)
     }
 }
 
@@ -819,5 +819,86 @@ mod threshold_tests {
             ids.iter().all(|id| id.is_some() && *id != Some(main_id)),
             "a met threshold must spawn workers"
         );
+    }
+}
+
+#[cfg(test)]
+mod sweep_soundness {
+    use super::*;
+    use crate::keys::IssuerKey;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// |URL| on both sides of the fan-out threshold (8), of an
+    /// [`OPEN_BLOCK`] boundary (4), and of the two-worker split of the
+    /// benchmark's list (64).
+    const URL_SIZES: [usize; 9] = [1, 3, 4, 5, 7, 8, 9, 64, 65];
+
+    /// Where the signer's token sits: first, last, either side of the
+    /// two-worker chunk edge and of the first block edge — or nowhere.
+    fn signer_slots(n: usize) -> Vec<Option<usize>> {
+        let half = n.div_ceil(2);
+        let mut slots: Vec<usize> = [0, n - 1, half - 1, half, OPEN_BLOCK - 1, OPEN_BLOCK]
+            .into_iter()
+            .filter(|&slot| slot < n)
+            .collect();
+        slots.sort_unstable();
+        slots.dedup();
+        slots.into_iter().map(Some).chain([None]).collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2))]
+
+        /// No false negative, and no false positive, through the prepared
+        /// loop: per token, [`SweepRow::matches`] says what the naive
+        /// two-pairing [`token_matches`] says, and the three entry points
+        /// built on it report the oracle's index — in both bases modes.
+        #[test]
+        fn prop_sweep_row_agrees_with_the_oracle_token_by_token(
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let issuer = IssuerKey::generate(&mut rng);
+            let gpk = *issuer.public_key();
+            let grp = issuer.new_group_secret(&mut rng);
+            let signer = issuer.issue(&grp, &mut rng);
+            let pool: Vec<RevocationToken> = (0..*URL_SIZES.iter().max().unwrap())
+                .map(|_| issuer.issue(&grp, &mut rng).revocation_token())
+                .collect();
+            for mode in [BasesMode::PerMessage, BasesMode::FixedBases] {
+                let msg: &[u8] = b"soundness";
+                let sig = sign(&gpk, &signer, msg, mode, &mut rng);
+                let (u_hat, v_hat) = h0_bases(&gpk, msg, &sig.r, mode);
+                // The oracle, once per token: a verdict does not depend on
+                // where in a list the token sits.
+                let oracle =
+                    |token: &RevocationToken| token_matches(&sig, token, &u_hat, &v_hat);
+                proptest::prop_assert!(oracle(&signer.revocation_token()));
+                let others: Vec<bool> = pool.iter().map(oracle).collect();
+                proptest::prop_assert!(others.iter().all(|&hit| !hit));
+
+                let row = SweepRow::new(&sig, &u_hat, &v_hat).expect("signed commitments");
+                for n in URL_SIZES {
+                    for slot in signer_slots(n) {
+                        let mut url = pool[..n].to_vec();
+                        let mut expect = others[..n].to_vec();
+                        if let Some(slot) = slot {
+                            url[slot] = signer.revocation_token();
+                            expect[slot] = true;
+                        }
+                        let at = format!("{mode:?}, |URL| = {n}, signer at {slot:?}");
+                        proptest::prop_assert_eq!(&row.matches(&url), &expect, "{}", at);
+                        proptest::prop_assert_eq!(
+                            revocation_sweep(&sig, &url, &u_hat, &v_hat), slot, "{}", at
+                        );
+                        proptest::prop_assert_eq!(open(&gpk, msg, &sig, &url, mode), slot, "{}", at);
+                        proptest::prop_assert_eq!(
+                            open_batch(&gpk, &[(msg, &sig)], &url, mode), vec![slot], "{}", at
+                        );
+                    }
+                }
+            }
+        }
     }
 }

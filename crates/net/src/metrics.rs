@@ -87,9 +87,16 @@ pub struct NetMetrics {
     /// User side: whole handshake, connect to session key (µs).
     pub hs_total_us: Arc<Histogram>,
     /// Router side: one record per access request that reaches the
-    /// Σ-check — group-signature check, revocation stage and admission,
-    /// lock waits excluded (µs).
+    /// Σ-check — the group-signature check and the revocation stage, both
+    /// with the router unlocked, then the hold that acts on them
+    /// (admission; the revocation stage again if the list changed
+    /// meanwhile). Lock waits excluded (µs).
     pub access_verify_us: Arc<Histogram>,
+    /// Router side: how long one access request held the router lock —
+    /// one record for the §IV.B gates before its checks, one for the step
+    /// after them (µs). Neither runs a pairing unless a list update landed
+    /// between them, so this is what one request costs every other.
+    pub router_hold_us: Arc<Histogram>,
     /// Application echo round-trip over an established session (µs).
     pub frame_rtt_us: Arc<Histogram>,
 }
@@ -130,6 +137,7 @@ impl NetMetrics {
             hs_confirm_us: h("net.hs_confirm_us"),
             hs_total_us: h("net.hs_total_us"),
             access_verify_us: h("net.access_verify_us"),
+            router_hold_us: h("net.router_hold_us"),
             frame_rtt_us: h("net.frame_rtt_us"),
             registry,
         }

@@ -9,10 +9,11 @@
 //!
 //! The offload is one call to [`RouterShared::verify_access`], the only
 //! place the access path (M.2 → verdict) is driven from: the router mutex
-//! is held twice, briefly — for the §IV.B gates and for the revocation
-//! stage plus admission — and **not** across the Σ-protocol check between
-//! them, so concurrent requests verify in parallel on however many
-//! workers the pool has.
+//! is held twice, briefly — for the §IV.B gates and for admission — and
+//! **not** across the Σ-protocol check and the revocation sweep between
+//! them, so concurrent requests run all of their pairings in parallel on
+//! however many workers the pool has, and a beacon is never served behind
+//! someone's sweep (`net.router_hold_us` is the two holds).
 //!
 //! The machines also own the **router-side per-leg handshake
 //! histograms** (`net.hs_beacon_us`, `net.hs_confirm_us`,
@@ -83,22 +84,27 @@ impl RouterShared {
 impl RouterShared {
     /// Runs one access request (M.2) to its verdict on the calling thread
     /// (see the module docs for the locking). `net.access_verify_us` gets
-    /// one record per request that reaches the Σ-check, covering that check
-    /// and the router-state step after it but not the wait for the lock.
+    /// one record per request that reaches the Σ-check, covering that
+    /// check, the revocation stage after it and the router-state step that
+    /// acts on both, but not the wait for the lock.
     pub(crate) fn verify_access(&self, req: &AccessRequest, metrics: &NetMetrics) -> VerifyOutcome {
         #[cfg(test)]
         self.trip(Self::PANIC_ON_VERIFY);
-        let pending = lock_recover(&self.router).begin_access_request(req, wall_ms())?;
+        let mut router = lock_recover(&self.router);
         let t0 = Instant::now();
-        let checked = pending.verify();
-        let sigma = t0.elapsed();
+        let pending = router.begin_access_request(req, wall_ms());
+        drop(router);
+        metrics.router_hold_us.record_since(t0);
+        let t0 = Instant::now();
+        let checked = pending?.verify();
+        let unlocked = t0.elapsed();
         let mut router = lock_recover(&self.router);
         let t1 = Instant::now();
         let outcome = router.finish_access_request(checked, wall_ms());
         drop(router);
-        metrics
-            .access_verify_us
-            .record_duration(sigma + t1.elapsed());
+        let hold = t1.elapsed();
+        metrics.router_hold_us.record_duration(hold);
+        metrics.access_verify_us.record_duration(unlocked + hold);
         outcome
     }
 }

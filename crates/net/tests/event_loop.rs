@@ -2,7 +2,8 @@
 //! handshakes and AEAD echo across shards, deferred verify replies, the
 //! router-side per-leg handshake histograms, connection-cap BUSY rejects
 //! serviced by the loop itself, malformed frames, idle-timeout eviction,
-//! an NO daemon served by the loop — and the readiness contract: a quiet
+//! an NO daemon served by the loop, the revocation sweep off the router
+//! lock — and the readiness contract: a quiet
 //! session's first byte wakes its shard, and a peer that hangs up while
 //! its verify is in flight frees its slot.
 
@@ -344,6 +345,80 @@ fn a_quiet_session_is_answered_promptly() {
         "quiet-session echo median {median:?}, all {round_trips:?}"
     );
     sess.close();
+    daemon.shutdown().unwrap();
+}
+
+/// On a 64-token URL every fresh handshake pays a 65-Miller-loop sweep —
+/// with the router unlocked: what one request holds the router lock for
+/// (`net.router_hold_us`: the gates, then admission) is a small fraction
+/// of what it costs (`net.access_verify_us`), so a sweep stalls neither
+/// the other worker's request nor a shard thread serving a beacon. Both
+/// histograms are the daemon's own; their 2× buckets leave the margin.
+#[test]
+fn a_sweep_holds_the_router_for_a_fraction_of_its_own_time() {
+    const URL: usize = 64;
+    const CLIENTS: usize = 2;
+    const ROUNDS: usize = 8;
+    let spec = WorldSpec {
+        seed: 0xE7E2B,
+        users: CLIENTS + URL,
+        routers: 1,
+    };
+    let mut w = build_world(&spec).unwrap();
+    for token in &w.tokens[CLIENTS..] {
+        assert!(w.no.revoke_member(token), "token must be in grt");
+    }
+    let cfg = event_cfg(2);
+    let mut router = w.routers.remove(0);
+    let now = peace_net::clock::wall_ms();
+    router.update_lists(w.no.publish_crl(now), w.no.publish_url(now));
+    assert_eq!(router.revocation().url_len(), URL);
+    let daemon = RouterDaemon::spawn(router, 1, "127.0.0.1:0", cfg).unwrap();
+    let addr = daemon.addr();
+
+    let mut users = w.users.into_iter();
+    let threads: Vec<_> = (0..CLIENTS)
+        .map(|i| {
+            let mut agent = UserAgent::new(users.next().unwrap(), 51 + i as u64, cfg);
+            std::thread::spawn(move || {
+                for round in 0..ROUNDS {
+                    let mut sess = agent.connect(addr).expect("unrevoked user admitted");
+                    assert_eq!(
+                        sess.echo(&[round as u8; 64]).expect("echo"),
+                        [round as u8; 64]
+                    );
+                    sess.close();
+                }
+            })
+        })
+        .collect();
+    for t in threads {
+        t.join().unwrap();
+    }
+    let mut probe = UserAgent::new(users.next().unwrap(), 59, cfg);
+    match probe.connect(addr) {
+        Err(NetError::Rejected { code, .. }) => assert_eq!(code, reject_code::REVOKED),
+        Err(other) => panic!("expected Rejected{{REVOKED}}, got {other:?}"),
+        Ok(_) => panic!("revoked user must be rejected"),
+    }
+
+    let m = daemon.metrics();
+    assert_eq!(m.handshakes_ok, (CLIENTS * ROUNDS) as u64);
+    assert_eq!((m.handshakes_fail, m.handler_panics), (1, 0));
+    let t = daemon.telemetry();
+    let (hold, verify) = (
+        &t.histograms["net.router_hold_us"],
+        &t.histograms["net.access_verify_us"],
+    );
+    // The probe's signature is good: it reaches the sweep like the rest.
+    assert_eq!(verify.count, (CLIENTS * ROUNDS + 1) as u64);
+    assert_eq!(hold.count, 2 * verify.count, "two holds per request");
+    assert!(
+        4 * hold.percentile(0.5) < verify.percentile(0.5),
+        "router held for {} us (median) by requests costing {} us",
+        hold.percentile(0.5),
+        verify.percentile(0.5)
+    );
     daemon.shutdown().unwrap();
 }
 

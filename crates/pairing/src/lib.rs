@@ -375,18 +375,52 @@ mod tests {
         fn prop_prepared_eval_matches_miller_with_swapped_arguments(seed in proptest::prelude::any::<u64>()) {
             // What the revocation sweep relies on: ê(P, Q) = ê(Q, P) on
             // random subgroup points, and evaluating P against the lines
-            // prepared for Q is exactly `miller(Q, P)` — the unreduced value,
-            // not merely its reduction.
+            // prepared for Q reduces to what `miller(Q, P)` reduces to. The
+            // unreduced values differ — by the product of the factors the
+            // lines were scaled by, which lies in F_p* — and that is the
+            // point of the table.
             let mut r = StdRng::seed_from_u64(seed);
             let (p, q) = (G1::random(&mut r), G2::random(&mut r));
             let (q_first, p_second) = (peace_curve::psi(&q), as_g2(&p));
             proptest::prop_assert_eq!(pairing(&p, &q), pairing(&q_first, &p_second));
             let lines = MillerLines::new(&q_first);
-            proptest::prop_assert_eq!(lines.eval(&p_second), miller(&q_first, &p_second));
-            proptest::prop_assert_eq!(lines.eval(&p_second).finalize(), Some(pairing(&p, &q)));
+            let (prepared, direct) = (lines.eval(&p_second), miller(&q_first, &p_second));
+            proptest::prop_assert_eq!(prepared.finalize(), direct.finalize());
+            proptest::prop_assert_eq!(prepared.finalize(), Some(pairing(&p, &q)));
+            let ratio = prepared.0.mul(&direct.0.invert().unwrap());
+            proptest::prop_assert!(ratio.is_in_base_field() && !ratio.is_zero());
             // One table serves any number of second arguments.
             let other = G2::random(&mut r);
-            proptest::prop_assert_eq!(lines.eval(&other), miller(&q_first, &other));
+            proptest::prop_assert_eq!(lines.eval(&other).finalize(), miller(&q_first, &other).finalize());
+        }
+
+        #[test]
+        fn prop_reduces_to_one_is_final_exponentiation_equal_to_one(seed in proptest::prelude::any::<u64>()) {
+            // The trace test is an equivalence over all of F_p², not only
+            // over Miller values: on q-th powers (exactly the values the
+            // final exponentiation sends to 1), on F_p* multiples of them,
+            // and on arbitrary values.
+            let mut r = StdRng::seed_from_u64(seed);
+            let g = peace_field::Fp2::random(&mut r);
+            let power = g.pow(&peace_field::subgroup_order());
+            let scaled = power.mul(&peace_field::Fp2::from_base(peace_field::Fp::random_nonzero(&mut r)));
+            let values = [
+                MillerValue(power),
+                MillerValue(g),
+                MillerValue(scaled),
+                MillerValue(peace_field::Fp2::random(&mut r)),
+                MillerValue(peace_field::Fp2::ZERO),
+                MillerValue::ONE,
+            ];
+            let scope = OpSnapshot::scope();
+            let fast = MillerValue::reduces_to_one(&values);
+            proptest::prop_assert_eq!(scope.counts(), OpSnapshot::default(), "not counted");
+            let slow: Vec<bool> = values
+                .iter()
+                .map(|v| v.finalize().is_some_and(|g| g.is_one()))
+                .collect();
+            proptest::prop_assert_eq!(&fast, &slow);
+            proptest::prop_assert!(fast[0] && fast[2] && !fast[4] && fast[5]);
         }
     }
 
@@ -433,23 +467,14 @@ mod tests {
         let batch = MillerValue::finalize_batch(&[live, zero, MillerValue::ONE]);
         assert_eq!(batch, vec![live.finalize(), None, Some(Gt::ONE)]);
         assert_eq!(MillerValue::finalize_batch(&[zero]), vec![None]);
+        // The is-it-1 reduction gives the zero its own `false` too.
+        let one = MillerValue::ONE;
         assert_eq!(
-            MillerValue::finalize_part(&[zero, live])[1],
-            live.finalize()
+            MillerValue::reduces_to_one(&[one, zero, live, one]),
+            vec![true, false, false, true]
         );
-    }
-
-    #[test]
-    fn finalize_part_matches_batch_and_is_not_counted() {
-        let mut r = rng();
-        let values: Vec<MillerValue> = (0..3)
-            .map(|_| miller(&G1::random(&mut r), &G2::random(&mut r)))
-            .collect();
-        let scope = OpSnapshot::scope();
-        let part = MillerValue::finalize_part(&values);
-        assert_eq!(scope.counts().final_exps, 0);
-        assert_eq!(part, MillerValue::finalize_batch(&values));
-        assert_eq!(scope.counts().final_exps, 1);
+        assert_eq!(MillerValue::reduces_to_one(&[zero]), vec![false]);
+        assert!(MillerValue::reduces_to_one(&[]).is_empty());
     }
 
     #[test]

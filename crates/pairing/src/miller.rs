@@ -23,17 +23,28 @@
 //! evaluations: products of Miller values multiply in `F_p²`, and
 //! [`MillerValue::finalize_batch`] reduces a whole batch with one field
 //! inversion (Montgomery's trick for the easy parts) and a single shared
-//! hard-part sweep over the cached cofactor wNAF schedule. The revocation
-//! check over `n` tokens drops from `2n` full pairings to `n + 1` Miller
-//! loops and one final exponentiation this way.
+//! hard-part sweep over the cached cofactor wNAF schedule.
 //!
 //! [`MillerLines`] splits the loop itself: the point arithmetic depends on
 //! the first argument only, so a caller that pairs one `P` against many
-//! `Q` runs the double/add schedule once, keeps each step's line as three
-//! `F_p` coefficients, and pays only the `F_p²` accumulation per `Q`.
+//! `Q` runs the double/add schedule once and pays only the `F_p²`
+//! accumulation per `Q`. The stored lines are scaled to **unit imaginary
+//! part**: a line `(c₀ + c₁·x_Q) + (c₂·y_Q)·i` divided by `c₂·y_Q ∈ F_p*`
+//! is `(c₀/c₂)·(1/y_Q) + (c₁/c₂)·(x_Q/y_Q) + i`, and the factor is free for
+//! the same reason denominators are — the final exponentiation kills it.
+//! Two coefficients per step instead of three, and multiplying by `b + i`
+//! costs two `F_p` multiplications instead of a general one in `F_p²`.
+//!
+//! A caller that only asks *whether* a value reduces to 1 — the revocation
+//! check — never runs the hard part: for a norm-1 `y`, `y^c = 1` exactly
+//! when `V_c(y + y⁻¹) = 2` ([`MillerValue::reduces_to_one`]), a Lucas
+//! ladder in `F_p` on the trace alone. The revocation check over `n` tokens
+//! is `n + 1` Miller loops (`n` of them table evaluations) and `n` such
+//! ladders, against `2n` full pairings.
 
 use std::sync::OnceLock;
 
+use peace_curve::ProjectivePoint;
 use peace_field::{cofactor, subgroup_order, Fp, Fp2};
 
 use crate::gt::Gt;
@@ -79,13 +90,15 @@ fn cofactor_naf() -> &'static [i8] {
     NAF.get_or_init(|| cofactor().wnaf(5))
 }
 
-/// An unreduced pairing value `f_{q,P}(φ(Q)) ∈ F_p²` — the output of a
-/// Miller loop *before* the final exponentiation.
+/// An unreduced pairing value: `f_{q,P}(φ(Q)) ∈ F_p²` up to a factor in
+/// `F_p*` — the output of a Miller loop *before* the final exponentiation,
+/// which sends that factor to 1.
 ///
 /// Miller values compose multiplicatively: `miller(P₁,Q₁).mul(&miller(P₂,Q₂))
 /// .finalize() == ê(P₁,Q₁)·ê(P₂,Q₂)`. This is what lets the revocation sweep
 /// compute the shared factor `f_{q,−T₁}(φ(v̂))` once and reuse it across
-/// every token.
+/// every token. Two values that reduce alike need not be equal: compare
+/// reductions ([`Self::finalize`]), never the values.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MillerValue(pub(crate) Fp2);
 
@@ -132,19 +145,11 @@ impl MillerValue {
     /// [`Self::finalize`]) and leaves the rest of the batch intact.
     ///
     /// The batch is recorded as **one** final exponentiation in the op
-    /// counters, matching the paper-shape accounting of the revocation
-    /// sweep (`n + 1` Miller loops, 1 final exponentiation).
+    /// counters.
     pub fn finalize_batch(values: &[Self]) -> Vec<Option<Gt>> {
         if !values.is_empty() {
             ops::record_final_exp();
         }
-        Self::finalize_part(values)
-    }
-
-    /// [`Self::finalize_batch`] for one worker's share of a batch that is
-    /// split across threads: the same reduction, not counted. The caller
-    /// records the whole batch once with [`ops::record_final_exp`].
-    pub fn finalize_part(values: &[Self]) -> Vec<Option<Gt>> {
         let n = values.len();
         // Montgomery batch inversion: prefix[i] = f₀·…·fᵢ₋₁, with 1 standing
         // in for a zero so that it cannot poison its neighbours.
@@ -197,6 +202,41 @@ impl MillerValue {
             .iter()
             .zip(accs)
             .map(|(v, a)| (!v.0.is_zero()).then(|| Gt::from_fp2(a)))
+            .collect()
+    }
+
+    /// Whether each value reduces to `𝔾_T`'s identity — what
+    /// `v.finalize().is_some_and(|g| g.is_one())` answers, without the
+    /// exponentiation. The zero value, whose reduction is undefined, is
+    /// `false` in its own slot and disturbs no other.
+    ///
+    /// The easy part of `f = a + b·i` is `y = conj(f)/f`, of norm 1 and
+    /// trace `2(a² − b²)/(a² + b²)` — one inversion for the whole batch, in
+    /// `F_p`. The hard part `y^c` is 1 exactly when its trace
+    /// `y^c + y^{−c} = V_c(y + y⁻¹)` is 2 (a norm-1 element of real part 1
+    /// has imaginary part 0), and `V_c` is a ladder of two `F_p`
+    /// multiplications per bit of the 352-bit cofactor
+    /// ([`Fp::lucas_v`]). An equivalence, not a filter: a hit needs no
+    /// confirmation and a miss is final.
+    ///
+    /// Not counted: a caller that splits one logical batch across threads
+    /// records it once with [`ops::record_final_exp`].
+    pub fn reduces_to_one(values: &[Self]) -> Vec<bool> {
+        let (mut norm_inv, diff): (Vec<Fp>, Vec<Fp>) = values
+            .iter()
+            .map(|v| {
+                let (aa, bb) = (v.0.c0.square(), v.0.c1.square());
+                (aa.add(&bb), aa.sub(&bb))
+            })
+            .unzip();
+        Fp::batch_invert(&mut norm_inv);
+        let two = Fp::ONE.double();
+        norm_inv
+            .iter()
+            .zip(&diff)
+            .map(|(norm_inv, diff)| {
+                !norm_inv.is_zero() && diff.mul(norm_inv).double().lucas_v(&cofactor()) == two
+            })
             .collect()
     }
 }
@@ -287,57 +327,44 @@ impl LineForm for At<'_> {
     }
 }
 
-/// One stored line: `l(Q) = (c0 + c1·x_Q) + (c2·y_Q)·i`.
-#[derive(Clone, Copy, Debug)]
-struct Line {
-    c0: Fp,
-    c1: Fp,
-    c2: Fp,
-}
-
-/// One step of a prepared loop: its line, and whether the accumulator is
-/// squared before the line is multiplied in (a doubling step).
-#[derive(Clone, Copy, Debug)]
-struct Step {
-    doubling: bool,
-    line: Line,
-}
-
-impl Line {
-    fn at(&self, q: &Affine) -> Fp2 {
-        Fp2::new(self.c0.add(&self.c1.mul(&q.x)), self.c2.mul(&q.y))
-    }
-}
-
-/// Lines kept as coefficients (the prepared loop).
+/// Lines kept as coefficients (the prepared loop): `(c₀, c₁, c₂)` of
+/// `l(Q) = (c₀ + c₁·x_Q) + (c₂·y_Q)·i` with `c₂ ≠ 0`, or `None` for a line
+/// whose value lies in `F_p`.
 struct Coefficients;
 
 impl LineForm for Coefficients {
-    type Line = Line;
+    type Line = Option<(Fp, Fp, Fp)>;
 
-    fn unit(&self) -> Line {
-        Line {
-            c0: Fp::ONE,
-            c1: Fp::ZERO,
-            c2: Fp::ZERO,
-        }
+    fn unit(&self) -> Self::Line {
+        None
     }
 
-    fn tangent(&self, m: &Fp, x: &Fp, yy: &Fp, zz: &Fp, z3: &Fp) -> Line {
-        Line {
-            c0: m.mul(x).sub(&yy.double()),
-            c1: m.mul(zz),
-            c2: z3.mul(zz),
-        }
+    fn tangent(&self, m: &Fp, x: &Fp, yy: &Fp, zz: &Fp, z3: &Fp) -> Self::Line {
+        Some((m.mul(x).sub(&yy.double()), m.mul(zz), z3.mul(zz)))
     }
 
-    fn chord(&self, a: &Fp, zb: &Fp, p: &Affine) -> Line {
-        Line {
-            c0: a.mul(&p.x).sub(&zb.mul(&p.y)),
-            c1: *a,
-            c2: *zb,
-        }
+    fn chord(&self, a: &Fp, zb: &Fp, p: &Affine) -> Self::Line {
+        Some((a.mul(&p.x).sub(&zb.mul(&p.y)), *a, *zb))
     }
+}
+
+/// One stored line, scaled by `1/(c₂·y_Q)` to unit imaginary part:
+/// `(c0·(1/y_Q) + c1·(x_Q/y_Q)) + i`.
+#[derive(Clone, Copy, Debug)]
+struct UnitLine {
+    c0: Fp,
+    c1: Fp,
+}
+
+/// One step of a prepared loop: a doubling step squares the accumulator
+/// and multiplies its line in, an addition step only multiplies. Where a
+/// doubling step's line lies in `F_p` it is a bare squaring; an addition
+/// step with such a line is no step at all.
+#[derive(Clone, Copy, Debug)]
+enum Step {
+    Square,
+    SquareMul(UnitLine),
+    Mul(UnitLine),
 }
 
 /// Walks the cached NAF schedule of `q` over `P`, slope lines only, handing
@@ -380,15 +407,16 @@ fn miller_loop(p: &Affine, q: &Affine) -> Fp2 {
 }
 
 /// The Miller loop of a fixed first argument `P`, run once and kept as
-/// line coefficients: [`Self::eval`] then yields `f_{q,P}(φ(Q))` for any
-/// `Q` at two `F_p` multiplications plus the `F_p²` accumulation per step,
-/// with no point arithmetic. Three `F_p` coefficients per step, ~41 KB.
+/// unit-imaginary lines (see the module docs): an evaluation at `Q` then
+/// costs four `F_p` multiplications per line and two per squaring, with no
+/// point arithmetic. Two `F_p` coefficients per step, ~29 KB; building the
+/// table costs one loop's point arithmetic and one field inversion.
 ///
-/// `eval` returns exactly the value [`miller`] computes: the same line
-/// values, accumulated in the same order.
+/// An evaluation reduces to what [`miller`] reduces to. The unreduced
+/// values differ by the product of the scale factors, which lies in `F_p*`.
 #[derive(Clone, Debug)]
 pub struct MillerLines {
-    /// One entry per step of the schedule; empty when `P` is the identity.
+    /// Empty when `P` is the identity.
     steps: Vec<Step>,
 }
 
@@ -402,31 +430,79 @@ impl MillerLines {
         }
         ops::record_miller_prepare();
         let mut steps = Vec::with_capacity(loop_naf().len() * 3 / 2);
+        let mut scales = Vec::with_capacity(steps.capacity());
         walk(
             &Affine { x: p.x, y: p.y },
             &Coefficients,
-            |doubling, line| steps.push(Step { doubling, line }),
+            |doubling, line| {
+                let line = line.map(|(c0, c1, c2)| {
+                    scales.push(c2);
+                    UnitLine { c0, c1 }
+                });
+                match (doubling, line) {
+                    (true, Some(line)) => steps.push(Step::SquareMul(line)),
+                    (true, None) => steps.push(Step::Square),
+                    (false, Some(line)) => steps.push(Step::Mul(line)),
+                    (false, None) => {}
+                }
+            },
         );
+        Fp::batch_invert(&mut scales);
+        let lines = steps.iter_mut().filter_map(|step| match step {
+            Step::SquareMul(line) | Step::Mul(line) => Some(line),
+            Step::Square => None,
+        });
+        for (line, scale) in lines.zip(&scales) {
+            line.c0 = line.c0.mul(scale);
+            line.c1 = line.c1.mul(scale);
+        }
         Self { steps }
     }
 
-    /// `f_{q,P}(φ(Q))`. Counts as one Miller loop; identity in either slot
-    /// yields [`MillerValue::ONE`] and is not counted, as in [`miller`].
+    /// The table evaluated at `Q`, paying one field inversion for
+    /// `(x_Q/y_Q, 1/y_Q)`; a caller with many points batches that
+    /// ([`ProjectivePoint::batch_to_xy_ratios`]) and calls
+    /// [`Self::eval_at`].
     pub fn eval(&self, q: &peace_curve::G2) -> MillerValue {
-        let q = q.point();
-        if self.steps.is_empty() || q.is_identity() {
+        let at = ProjectivePoint::batch_to_xy_ratios(&[q.point().to_projective()]);
+        self.eval_at(at[0].as_ref())
+    }
+
+    /// The table evaluated at the point given as `(x/y, 1/y)`; `None` is a
+    /// point that has no such form — the identity — where every line's
+    /// value lies in `F_p`. Counts as one Miller loop; the identity in
+    /// either slot yields [`MillerValue::ONE`] and is not counted, as in
+    /// [`miller`].
+    pub fn eval_at(&self, at: Option<&(Fp, Fp)>) -> MillerValue {
+        let Some((x_over_y, inv_y)) = at else {
+            return MillerValue::ONE;
+        };
+        if self.steps.is_empty() {
             return MillerValue::ONE;
         }
         ops::record_miller_loop();
-        let q = Affine { x: q.x, y: q.y };
-        let mut f = Fp2::ONE;
+        // f = re + im·i, kept as its two coordinates: every operation of
+        // the walk is written in F_p multiplications — two for a squaring,
+        // `(re + im)(re − im) + (2·re·im)·i`, and four for a line,
+        // `f·(b + i) = (re·b − im) + (im·b + re)·i` with
+        // `b = c0·(1/y) + c1·(x/y)`.
+        let square = |re: &Fp, im: &Fp| (re.add(im).mul(&re.sub(im)), re.mul(im).double());
+        let mul = |re: &Fp, im: &Fp, line: &UnitLine| {
+            let b = line.c0.mul(inv_y).add(&line.c1.mul(x_over_y));
+            (re.mul(&b).sub(im), im.mul(&b).add(re))
+        };
+        let (mut re, mut im) = (Fp::ONE, Fp::ZERO);
         for step in &self.steps {
-            if step.doubling {
-                f = f.square();
-            }
-            f = f.mul(&step.line.at(&q));
+            (re, im) = match step {
+                Step::Square => square(&re, &im),
+                Step::SquareMul(line) => {
+                    let (re, im) = square(&re, &im);
+                    mul(&re, &im, line)
+                }
+                Step::Mul(line) => mul(&re, &im, line),
+            };
         }
-        MillerValue(f)
+        MillerValue(Fp2::new(re, im))
     }
 }
 

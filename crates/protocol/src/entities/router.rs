@@ -8,7 +8,7 @@ use peace_ecdsa::{Certificate, SigningKey, VerifyingKey};
 use peace_field::Fq;
 use peace_groupsig::{BasesMode, PreparedGpk, VerifyError};
 use peace_puzzle::Puzzle;
-use peace_revoke::{DeltaOutcome, EngineConfig, RevocationEngine};
+use peace_revoke::{DeltaOutcome, EngineConfig, ListChanged, RevocationCheck, RevocationEngine};
 use peace_symmetric::seal_oneshot;
 use peace_wire::Writer;
 use rand::RngCore;
@@ -31,28 +31,37 @@ struct BeaconState {
 }
 
 /// An access request (M.2) that passed the cheap §IV.B 3.1 gates
-/// ([`MeshRouter::begin_access_request`]) and awaits its Σ-protocol check.
-/// It holds the router's prepared key by `Arc` and borrows nothing from the
-/// router, so [`Self::verify`] — the milliseconds of pairing work — runs
-/// while other requests begin and finish.
+/// ([`MeshRouter::begin_access_request`]) and awaits its Σ-protocol check
+/// and its revocation check. It holds the router's prepared key and the
+/// revocation list in force by `Arc` and borrows nothing from the router,
+/// so [`Self::verify`] — all of the request's pairing work — runs while
+/// other requests begin and finish.
 pub struct PendingAccess<'a> {
     req: &'a AccessRequest,
     state: BeaconState,
     payload: Vec<u8>,
     prepared: Arc<PreparedGpk>,
     mode: BasesMode,
+    revocation: RevocationCheck,
 }
 
 impl<'a> PendingAccess<'a> {
-    /// §IV.B 3.2: verifies the group signature. Touches no router state.
+    /// §IV.B 3.2 and 3.3: verifies the group signature, then checks an
+    /// accepted signer against the revocation list that was in force at
+    /// `begin`. Touches no router state.
     ///
     /// This is also where the request's points are validated — `g^{r_j}`,
     /// then `T₁` and `T₂` inside the Σ-check — after every gate that could
     /// refuse the request on its bytes alone. A point that is not a group
     /// element fails the check like any forgery.
-    pub fn verify(self) -> CheckedAccess<'a> {
+    pub fn verify(mut self) -> CheckedAccess<'a> {
+        let sigma = self.sigma();
+        if let Ok((_, u_hat, v_hat)) = &sigma {
+            self.revocation
+                .run(&self.payload, &self.req.gsig, u_hat, v_hat);
+        }
         CheckedAccess {
-            sigma: self.sigma(),
+            sigma,
             pending: self,
         }
     }
@@ -70,12 +79,13 @@ impl<'a> PendingAccess<'a> {
     }
 }
 
-/// A [`PendingAccess`] whose Σ-protocol check has run; redeemed by
+/// A [`PendingAccess`] whose checks have run; redeemed by
 /// [`MeshRouter::finish_access_request`].
 pub struct CheckedAccess<'a> {
     pending: PendingAccess<'a>,
     /// The user's DH share and the H₀ bases the check derived (reused by
-    /// admission and the revocation stage), or why the request was refused.
+    /// admission and, if the list changed meanwhile, by the revocation
+    /// stage), or why the request was refused.
     sigma: std::result::Result<(G1, G2, G2), VerifyError>,
 }
 
@@ -408,7 +418,7 @@ impl MeshRouter {
     /// [`Self::finish_access_request`] in one call, for callers that own
     /// the router outright. A caller sharing the router behind a lock takes
     /// the three steps itself and holds the lock only for the first and
-    /// last.
+    /// last, neither of which runs a pairing.
     ///
     /// # Errors
     ///
@@ -447,9 +457,10 @@ impl MeshRouter {
     /// gates — beacon correlation, timestamp freshness, replay idempotency
     /// and, in DoS-defense mode, the client puzzle, which is thereby checked
     /// *before* any pairing operation (the §V.A ordering that makes floods
-    /// cheap to shed). Every gate here reads bytes: no point of the request
-    /// is decompressed, and no group operation runs, until
-    /// [`PendingAccess::verify`].
+    /// cheap to shed) — then takes the revocation list in force by handle
+    /// and asks the sweep cache about this request's bytes. Every step here
+    /// reads bytes: no point of the request is decompressed, and no group
+    /// operation runs, until [`PendingAccess::verify`].
     ///
     /// # Errors
     ///
@@ -487,20 +498,25 @@ impl MeshRouter {
                 return Err(ProtocolError::PuzzleInvalid);
             }
         }
+        let payload = AccessRequest::signed_payload(&req.g_rj, &req.g_rr, req.ts2);
         Ok(PendingAccess {
             req,
             state,
-            payload: AccessRequest::signed_payload(&req.g_rj, &req.g_rr, req.ts2),
+            revocation: self.revocation.begin_check(&payload, &req.gsig),
+            payload,
             prepared: Arc::clone(&self.prepared_gpk),
             mode: self.config.bases_mode,
         })
     }
 
-    /// Second router-state step: acts on the Σ-protocol verdict. A refused
-    /// signature is evidence for the §V.A flood detector; an accepted one
-    /// goes through the revocation stage (§IV.B 3.3) **against the list in
-    /// force now**, not the one in force at `begin`, and is then admitted
-    /// (3.4). Requests may finish in any order relative to how they began.
+    /// Second router-state step: acts on the verdicts. A refused signature
+    /// is evidence for the §V.A flood detector; an accepted one is admitted
+    /// (3.4) unless its signer is revoked (§IV.B 3.3) **on the list in
+    /// force now**. That is the revocation verdict `verify` reached if the
+    /// list is still the one it was reached against; if a list update
+    /// landed in between — minutes apart in deployment — the request is
+    /// checked again here, against the new list. Requests may finish in any
+    /// order relative to how they began.
     ///
     /// # Errors
     ///
@@ -523,9 +539,15 @@ impl MeshRouter {
             self.record_failure(now);
             return Err(ProtocolError::BadGroupSignature);
         };
-        let revoked =
-            self.revocation
-                .check_revocation(&pending.payload, &pending.req.gsig, &u_hat, &v_hat);
+        let revoked = match self.revocation.accept(pending.revocation) {
+            Ok(verdict) => verdict,
+            Err(ListChanged) => self.revocation.check_revocation(
+                &pending.payload,
+                &pending.req.gsig,
+                &u_hat,
+                &v_hat,
+            ),
+        };
         if revoked.is_some() {
             return Err(ProtocolError::SignerRevoked);
         }

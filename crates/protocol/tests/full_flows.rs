@@ -857,6 +857,147 @@ fn forgeries_finishing_out_of_line_still_arm_dos_defense() {
     assert!(router.beacon(2_500, &mut w.rng).puzzle.is_some());
 }
 
+// The revocation check runs in the gap too (§IV.B 3.3 after 3.2), against
+// the list `begin` took; `finish` takes its verdict only while that list is
+// still the one in force.
+
+/// The token NO would learn by auditing one of `user`'s sessions.
+fn token_of(user: &UserClient) -> peace_groupsig::RevocationToken {
+    user.active_credential().unwrap().key.revocation_token()
+}
+
+/// A router enforcing a URL of `bystanders` revoked members (so that every
+/// check is a sweep), and one more enrolled user in good standing; the
+/// group has a share to spare.
+fn world_with_url(seed: u64, bystanders: usize) -> (World, UserClient, MeshRouter) {
+    let mut w = World::new(seed);
+    let gid = w.add_group("org", bystanders + 2);
+    for i in 0..bystanders {
+        let revoked = w.enroll_user(&format!("revoked-{i}"), gid);
+        assert!(w.no.revoke_member(&token_of(&revoked)));
+    }
+    let user = w.enroll_user("mallory", gid);
+    let mut router = w.router("MR-1");
+    router.update_lists(w.no.publish_crl(500), w.no.publish_url(500));
+    assert_eq!(router.revocation().url_len(), bystanders);
+    (w, user, router)
+}
+
+#[test]
+fn the_pairings_of_a_handshake_all_run_between_begin_and_finish() {
+    const URL: u64 = 8;
+    let (mut w, mut mallory, mut router) = world_with_url(48, URL as usize);
+    let beacon = router.beacon(1_000, &mut w.rng);
+    let (req, _) = mallory.process_beacon(&beacon, 1_010, &mut w.rng).unwrap();
+    let pairing_work = |c: OpSnapshot| (c.miller_loops, c.miller_prepares, c.final_exps);
+
+    // The gates, the list handle and the cache lookup: bytes only.
+    let scope = OpSnapshot::scope();
+    let pending = router.begin_access_request(&req, 1_020).unwrap();
+    assert_eq!(scope.counts(), OpSnapshot::default());
+
+    // §V.C's 3 + 2|URL| bilinear maps, restructured: the Σ-check's pairing
+    // ratio (2 Miller loops, 1 final exponentiation), then the sweep
+    // (|URL| + 1 Miller loops, 1 line table, 1 final exponentiation).
+    let scope = OpSnapshot::scope();
+    let checked = pending.verify();
+    assert_eq!(pairing_work(scope.counts()), (2 + URL + 1, 1, 1 + 1));
+
+    // Admission: one exponentiation for the session key, no pairing.
+    let scope = OpSnapshot::scope();
+    router.finish_access_request(checked, 1_030).unwrap();
+    assert_eq!(pairing_work(scope.counts()), (0, 0, 0));
+
+    // Unless the list changed in the gap: then, and only then, `finish`
+    // sweeps — the list now in force.
+    let beacon = router.beacon(2_000, &mut w.rng);
+    let (req, _) = mallory.process_beacon(&beacon, 2_010, &mut w.rng).unwrap();
+    let checked = router.begin_access_request(&req, 2_020).unwrap().verify();
+    router.update_lists(w.no.publish_crl(2_025), w.no.publish_url(2_025));
+    let scope = OpSnapshot::scope();
+    router.finish_access_request(checked, 2_030).unwrap();
+    assert_eq!(pairing_work(scope.counts()), (URL + 1, 1, 1));
+}
+
+#[test]
+fn a_delta_listing_the_signer_before_finish_is_enforced() {
+    let (mut w, mut mallory, mut router) = world_with_url(49, 2);
+    let beacon = router.beacon(1_000, &mut w.rng);
+    let (req, _) = mallory.process_beacon(&beacon, 1_010, &mut w.rng).unwrap();
+    // Verified, and swept clean, while she is still in good standing.
+    let checked = router.begin_access_request(&req, 1_020).unwrap().verify();
+
+    let (epoch, have) = (
+        router.revocation().epoch(),
+        router.revocation().url_version(),
+    );
+    assert!(w.no.revoke_member(&token_of(&mallory)));
+    let delta = w.no.publish_url_delta(epoch, have, 1_025).unwrap();
+    assert_eq!(delta.delta.added.len(), 1);
+    router.apply_url_delta(&delta, 1_026).unwrap();
+
+    assert_eq!(
+        router.finish_access_request(checked, 1_030).unwrap_err(),
+        ProtocolError::SignerRevoked
+    );
+    assert_eq!(router.pending_log_len(), 0, "nothing was logged");
+}
+
+#[test]
+fn a_delta_reinstating_the_signer_before_finish_admits_her() {
+    let (mut w, mut mallory, mut router) = world_with_url(50, 2);
+    assert!(w.no.revoke_member(&token_of(&mallory)));
+    router.update_lists(w.no.publish_crl(900), w.no.publish_url(900));
+    let beacon = router.beacon(1_000, &mut w.rng);
+    let (req, pending) = mallory.process_beacon(&beacon, 1_010, &mut w.rng).unwrap();
+    // Swept against the list that names her.
+    let checked = router.begin_access_request(&req, 1_020).unwrap().verify();
+
+    let (epoch, have) = (
+        router.revocation().epoch(),
+        router.revocation().url_version(),
+    );
+    assert!(w.no.reinstate_member(&token_of(&mallory)));
+    let delta = w.no.publish_url_delta(epoch, have, 1_025).unwrap();
+    assert_eq!(delta.delta.removed.len(), 1);
+    router.apply_url_delta(&delta, 1_026).unwrap();
+
+    let (confirm, _) = router.finish_access_request(checked, 1_030).unwrap();
+    assert!(mallory.finalize_router_session(&pending, &confirm).is_ok());
+    assert_eq!(router.pending_log_len(), 1);
+}
+
+#[test]
+fn a_restamp_before_finish_leaves_the_verdict_as_it_was() {
+    let (mut w, mut alice, mut router) = world_with_url(51, 3);
+    let gid = *w.gms.keys().next().unwrap();
+    let mut mallory = w.enroll_user("on-the-list", gid);
+    assert!(w.no.revoke_member(&token_of(&mallory)));
+    router.update_lists(w.no.publish_crl(900), w.no.publish_url(900));
+
+    let beacon = router.beacon(1_000, &mut w.rng);
+    let (req_a, _) = alice.process_beacon(&beacon, 1_010, &mut w.rng).unwrap();
+    let (req_m, _) = mallory.process_beacon(&beacon, 1_011, &mut w.rng).unwrap();
+    let clean = router.begin_access_request(&req_a, 1_020).unwrap().verify();
+    let listed = router.begin_access_request(&req_m, 1_020).unwrap().verify();
+
+    // The operator's list moves two versions on and back to the same
+    // tokens; the router installs it as a new list all the same.
+    let listed_before = router.revocation().digest();
+    let bystander = router.revocation().tokens()[0];
+    assert!(w.no.reinstate_member(&bystander) && w.no.revoke_member(&bystander));
+    router.update_lists(w.no.publish_crl(1_025), w.no.publish_url(1_025));
+    assert_ne!(router.revocation().digest(), listed_before, "a new version");
+    assert_eq!(router.revocation().url_len(), 4);
+
+    assert!(router.finish_access_request(clean, 1_030).is_ok());
+    assert_eq!(
+        router.finish_access_request(listed, 1_031).unwrap_err(),
+        ProtocolError::SignerRevoked
+    );
+    assert_eq!(router.pending_log_len(), 1);
+}
+
 // ---------------------------------------------------------------------
 // Where a handshake pays for its points. Messages cross the "wire"
 // (encode, decode) between the endpoints, as they do between daemons: a

@@ -17,6 +17,19 @@
 //! 3. **Shared-Miller sweep** — the `n + 1` Miller-loop fallback (`n` of
 //!    them evaluations against one line table prepared for `û`).
 //!
+//! The pairing stages read nothing that changes between list updates, so
+//! the engine publishes them as an immutable view — the list at one
+//! version, with the prefilter built over it — behind an `Arc` that is
+//! replaced, never mutated, by [`RevocationEngine::install_full`],
+//! [`RevocationEngine::apply_delta`] and [`RevocationEngine::install_gpk`].
+//! A verifier shared behind a lock takes a [`RevocationCheck`] under it
+//! ([`RevocationEngine::begin_check`]: the handle and the cache lookup),
+//! runs the check with the lock released ([`RevocationCheck::run`]) and
+//! hands it back ([`RevocationEngine::accept`]), where it counts only if
+//! the view it ran against is, by `Arc` identity, still the one in force.
+//! [`RevocationEngine::check_revocation`] is the same three steps in one
+//! call for a caller that owns the engine.
+//!
 //! The engine's verdicts are byte-for-byte what
 //! [`PreparedGpk::verify_and_check`](peace_groupsig::PreparedGpk::verify_and_check)
 //! returns — the layers change the schedule, never the decision (the
@@ -105,6 +118,148 @@ impl Metrics {
     }
 }
 
+/// The prefilter stage of a [`UrlView`]: present in fixed-bases mode with
+/// the prefilter configured on.
+#[derive(Clone)]
+struct Prefilter {
+    /// `H₀(gpk)` — the system-wide bases.
+    bases: (G2, G2),
+    filter: TokenPrefilter,
+    /// Exact suspect resolution (token fingerprint → URL index), when
+    /// [`EngineConfig::exact_suspect_map`] is on.
+    exact: Option<HashMap<CacheKey, u32>>,
+}
+
+impl Prefilter {
+    fn index(&mut self, token: &RevocationToken, idx: u32) {
+        let fp = peace_hash::sha256(&pairing(&token.0, &self.bases.0).to_bytes());
+        self.filter.insert(&fp);
+        if let Some(exact) = &mut self.exact {
+            exact.insert(fp, idx);
+        }
+    }
+}
+
+/// What identifies a work unit to the cache, and to the prefilter when it
+/// is the linkable fingerprint.
+#[derive(Clone, Copy)]
+struct WorkKey {
+    key: CacheKey,
+    /// Whether `key` is `SHA-256(D)`, which the prefilter can test.
+    is_fingerprint: bool,
+}
+
+/// The list an engine enforces at one version, and everything the pairing
+/// stages read: immutable once published, shared by `Arc`, so a check runs
+/// against it without the engine. Its identity (`Arc::ptr_eq`) stands for
+/// "(gpk, epoch, version, tokens) unchanged".
+struct UrlView {
+    version: u64,
+    tokens: Vec<RevocationToken>,
+    prefilter: Option<Prefilter>,
+    metrics: Arc<Metrics>,
+}
+
+impl UrlView {
+    fn of(
+        store: &EpochUrlStore,
+        prefilter: Option<Prefilter>,
+        metrics: &Arc<Metrics>,
+    ) -> Arc<Self> {
+        Arc::new(Self {
+            version: store.version(),
+            tokens: store.tokens().to_vec(),
+            prefilter,
+            metrics: Arc::clone(metrics),
+        })
+    }
+
+    /// In fixed-bases mode with the prefilter armed, the key is the
+    /// linkable `ê(A, û)` fingerprint (two Miller loops): repeat traffic
+    /// from one key share hits regardless of message. Otherwise it is a
+    /// digest of (msg, sig) — per-message bases keep signers unlinkable,
+    /// so only literal retransmissions can hit, which is exactly what the
+    /// retry-heavy channel produces.
+    /// (A signature whose `D` is undefined — impossible once it has
+    /// verified — takes the digest key and lets the sweep decide.)
+    fn key(&self, msg: &[u8], sig: &GroupSignature) -> WorkKey {
+        let d = self.prefilter.as_ref().and_then(|pf| {
+            let (t1, t2) = sig.commitments().ok()?;
+            pairing_ratio(&t2, &pf.bases.0, &t1, &pf.bases.1)
+        });
+        match d {
+            Some(d) => WorkKey {
+                key: peace_hash::sha256(&d.to_bytes()),
+                is_fingerprint: true,
+            },
+            None => {
+                let h = peace_hash::Sha256::new()
+                    .chain(b"peace-revoke-cache-v1")
+                    .chain(&(msg.len() as u64).to_be_bytes())
+                    .chain(msg);
+                WorkKey {
+                    key: h.chain(&sig.to_bytes()).finalize(),
+                    is_fingerprint: false,
+                }
+            }
+        }
+    }
+
+    /// Prefilter → sweep for a work unit the cache does not know.
+    fn decide(&self, key: &WorkKey, sig: &GroupSignature, u_hat: &G2, v_hat: &G2) -> Option<usize> {
+        if let (true, Some(pf)) = (key.is_fingerprint, &self.prefilter) {
+            if !pf.filter.contains(&key.key) {
+                // Definitive: Bloom filters have no false negatives, so no
+                // listed token's fingerprint equals this signature's.
+                self.metrics.prefilter_reject.inc();
+                return None;
+            }
+            self.metrics.prefilter_suspect.inc();
+            if let Some(exact) = &pf.exact {
+                return exact.get(&key.key).map(|&i| i as usize);
+            }
+        }
+        let t0 = Instant::now();
+        let verdict = revocation_sweep(sig, &self.tokens, u_hat, v_hat);
+        self.metrics.sweeps.inc();
+        let ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+        self.metrics.sweep_us.record(ns / 1_000);
+        self.metrics
+            .sweep_token_ns
+            .record(ns / self.tokens.len() as u64);
+        verdict
+    }
+}
+
+/// One work unit's passage through the revocation stage, in three steps of
+/// which only the first and last need the engine (see the module docs).
+pub struct RevocationCheck {
+    view: Arc<UrlView>,
+    /// The work unit's key, where [`RevocationEngine::begin_check`] derived
+    /// it (a digest) and asked the cache under it.
+    key: Option<WorkKey>,
+    /// `Some` once decided — by the cache, an empty list, or [`Self::run`].
+    verdict: Option<Option<usize>>,
+}
+
+impl RevocationCheck {
+    /// Prefilter → sweep against the view taken at `begin`, unless the
+    /// cache already answered. Needs the bases the Σ-check derived, and no
+    /// engine.
+    pub fn run(&mut self, msg: &[u8], sig: &GroupSignature, u_hat: &G2, v_hat: &G2) {
+        if self.verdict.is_none() {
+            let key = self.key.unwrap_or_else(|| self.view.key(msg, sig));
+            self.verdict = Some(self.view.decide(&key, sig, u_hat, v_hat));
+        }
+    }
+}
+
+/// The list changed between [`RevocationEngine::begin_check`] and
+/// [`RevocationEngine::accept`]: the check's verdict says nothing about
+/// the list now in force.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ListChanged;
+
 /// The staged revocation engine (see module docs).
 pub struct RevocationEngine {
     cfg: EngineConfig,
@@ -113,10 +268,9 @@ pub struct RevocationEngine {
     cache: SweepCache,
     /// `H₀(gpk)` — the system-wide bases; `Some` iff fixed-bases mode.
     fixed_bases: Option<(G2, G2)>,
-    prefilter: Option<TokenPrefilter>,
-    /// Exact suspect resolution: token fingerprint → URL index.
-    exact: HashMap<CacheKey, u32>,
-    metrics: Metrics,
+    /// What [`Self::store`] holds, as the pairing stages read it.
+    view: Arc<UrlView>,
+    metrics: Arc<Metrics>,
 }
 
 impl std::fmt::Debug for RevocationEngine {
@@ -125,7 +279,7 @@ impl std::fmt::Debug for RevocationEngine {
             .field("epoch", &self.store.epoch())
             .field("version", &self.store.version())
             .field("url_len", &self.store.len())
-            .field("prefilter", &self.prefilter.is_some())
+            .field("prefilter", &self.view.prefilter.is_some())
             .field("cache_len", &self.cache.len())
             .finish()
     }
@@ -134,31 +288,30 @@ impl std::fmt::Debug for RevocationEngine {
 impl RevocationEngine {
     /// Builds an engine for `gpk` with an empty URL at epoch 0.
     pub fn new(gpk: &GroupPublicKey, cfg: EngineConfig) -> Self {
-        let fixed_bases = (cfg.bases_mode == BasesMode::FixedBases)
-            .then(|| h0_bases(gpk, &[], &Fq::ZERO, BasesMode::FixedBases));
+        let store = EpochUrlStore::new(0);
+        let metrics = Arc::new(Metrics::resolve());
         Self {
             cfg,
             gpk: *gpk,
-            store: EpochUrlStore::new(0),
             cache: SweepCache::new(cfg.cache_capacity),
-            fixed_bases,
-            prefilter: None,
-            exact: HashMap::new(),
-            metrics: Metrics::resolve(),
+            fixed_bases: (cfg.bases_mode == BasesMode::FixedBases)
+                .then(|| h0_bases(gpk, &[], &Fq::ZERO, BasesMode::FixedBases)),
+            view: UrlView::of(&store, None, &metrics),
+            store,
+            metrics,
         }
     }
 
     /// Installs a new group public key (epoch rotation): the fixed bases,
     /// every fingerprint, and the whole cache are derived from `gpk`, so
     /// all of them reset. Follow with [`Self::install_full`] for the new
-    /// epoch's (empty) list.
+    /// epoch's (empty) list, which is also what rebuilds the prefilter.
     pub fn install_gpk(&mut self, gpk: &GroupPublicKey) {
         self.gpk = *gpk;
         self.fixed_bases = (self.cfg.bases_mode == BasesMode::FixedBases)
             .then(|| h0_bases(gpk, &[], &Fq::ZERO, BasesMode::FixedBases));
-        self.prefilter = None;
-        self.exact.clear();
         self.cache.clear();
+        self.publish(None);
     }
 
     /// Replaces the full list (a bulletin fetch landing). Rebuilds the
@@ -167,8 +320,7 @@ impl RevocationEngine {
     pub fn install_full(&mut self, epoch: u64, version: u64, tokens: &[RevocationToken]) {
         self.store.install_full(epoch, version, tokens);
         self.metrics.full_sync.inc();
-        self.rebuild_prefilter();
-        self.cache.note_version(self.store.version());
+        self.publish(self.fresh_prefilter());
     }
 
     /// Applies a delta-compressed diff. On success, added tokens join the
@@ -186,17 +338,20 @@ impl RevocationEngine {
             DeltaOutcome::AlreadyCurrent => self.metrics.delta_dup.inc(),
             DeltaOutcome::Applied => {
                 self.metrics.delta_applied.inc();
-                if !d.removed.is_empty() {
-                    self.rebuild_prefilter();
-                } else if self.armed() {
-                    // Index of each appended token = position in the store.
-                    for t in &d.added {
-                        if let Some(i) = self.store.tokens().iter().position(|x| x == t) {
-                            self.index_token(t, i as u32);
+                let prefilter = match &self.view.prefilter {
+                    Some(current) if d.removed.is_empty() => {
+                        let mut grown = current.clone();
+                        // Index of each appended token = position in the store.
+                        for t in &d.added {
+                            if let Some(i) = self.store.tokens().iter().position(|x| x == t) {
+                                grown.index(t, i as u32);
+                            }
                         }
+                        Some(grown)
                     }
-                }
-                self.cache.note_version(self.store.version());
+                    _ => self.fresh_prefilter(),
+                };
+                self.publish(prefilter);
             }
         }
         Ok(outcome)
@@ -208,40 +363,90 @@ impl RevocationEngine {
         self.cfg.prefilter && self.fixed_bases.is_some()
     }
 
-    fn index_token(&mut self, token: &RevocationToken, idx: u32) {
-        let Some((u_hat, _)) = &self.fixed_bases else {
-            return;
+    /// A prefilter over the store's list, if the stage is armed.
+    fn fresh_prefilter(&self) -> Option<Prefilter> {
+        let mut prefilter = Prefilter {
+            bases: self.fixed_bases.filter(|_| self.cfg.prefilter)?,
+            filter: TokenPrefilter::new(
+                (self.store.len() * 2).max(64),
+                self.cfg.prefilter_fp_target,
+                self.cfg.prefilter_seed,
+            ),
+            exact: self.cfg.exact_suspect_map.then(HashMap::new),
         };
-        let fp = peace_hash::sha256(&pairing(&token.0, u_hat).to_bytes());
-        if let Some(pf) = &mut self.prefilter {
-            pf.insert(&fp);
+        for (i, t) in self.store.tokens().iter().enumerate() {
+            prefilter.index(t, i as u32);
         }
-        if self.cfg.exact_suspect_map {
-            self.exact.insert(fp, idx);
-        }
+        Some(prefilter)
     }
 
-    fn rebuild_prefilter(&mut self) {
-        self.exact.clear();
-        if !self.armed() {
-            self.prefilter = None;
-            return;
+    /// Puts the store's list in force as a new view: every check begun
+    /// against the old one is from here on a check against a list that is
+    /// no longer enforced.
+    fn publish(&mut self, prefilter: Option<Prefilter>) {
+        self.view = UrlView::of(&self.store, prefilter, &self.metrics);
+        self.cache.note_version(self.store.version());
+    }
+
+    /// What the cache remembers for `key` against the list in force.
+    fn lookup(&self, key: &WorkKey) -> Option<Option<usize>> {
+        let cached = self.cache.get(&key.key, self.view.version);
+        match cached {
+            Some(_) => self.metrics.cache_hit.inc(),
+            None => self.metrics.cache_miss.inc(),
         }
-        let expected = (self.store.len() * 2).max(64);
-        self.prefilter = Some(TokenPrefilter::new(
-            expected,
-            self.cfg.prefilter_fp_target,
-            self.cfg.prefilter_seed,
-        ));
-        let tokens: Vec<RevocationToken> = self.store.tokens().to_vec();
-        for (i, t) in tokens.iter().enumerate() {
-            self.index_token(t, i as u32);
+        cached.map(|v| v.map(|x| x as usize))
+    }
+
+    fn remember(&mut self, key: &WorkKey, verdict: Option<usize>) {
+        self.cache
+            .insert(key.key, self.view.version, verdict.map(|x| x as u32));
+    }
+
+    /// First step of a check, for a caller that will run it elsewhere:
+    /// takes the view in force and, where the work unit's key is a digest,
+    /// asks the cache. With the prefilter armed the key costs two Miller
+    /// loops, so [`RevocationCheck::run`] derives it and goes straight to
+    /// the prefilter; a check taken in steps then leaves the cache alone.
+    pub fn begin_check(&self, msg: &[u8], sig: &GroupSignature) -> RevocationCheck {
+        let mut check = RevocationCheck {
+            view: Arc::clone(&self.view),
+            key: None,
+            verdict: None,
+        };
+        if self.view.tokens.is_empty() {
+            check.verdict = Some(None);
+        } else if self.view.prefilter.is_none() {
+            let key = self.view.key(msg, sig);
+            check.verdict = self.lookup(&key);
+            check.key = Some(key);
         }
+        check
+    }
+
+    /// Last step: the verdict of a check that ran against the view still in
+    /// force, remembered for the next copy of the same work unit.
+    ///
+    /// # Errors
+    ///
+    /// [`ListChanged`] if the list (or the key it is checked under) was
+    /// replaced since [`Self::begin_check`] — or the check never ran:
+    /// decide against the list in force with [`Self::check_revocation`].
+    pub fn accept(&mut self, check: RevocationCheck) -> Result<Option<usize>, ListChanged> {
+        if !Arc::ptr_eq(&check.view, &self.view) {
+            return Err(ListChanged);
+        }
+        let verdict = check.verdict.ok_or(ListChanged)?;
+        if let Some(key) = &check.key {
+            self.remember(key, verdict);
+        }
+        Ok(verdict)
     }
 
     /// The revocation stages alone, for callers that already verified the
     /// signature and hold its H₀ bases (e.g. via
-    /// [`PreparedGpk::verify_bases`](peace_groupsig::PreparedGpk::verify_bases)).
+    /// [`PreparedGpk::verify_bases`](peace_groupsig::PreparedGpk::verify_bases)),
+    /// against the list in force: cache → prefilter → sweep.
     pub fn check_revocation(
         &mut self,
         msg: &[u8],
@@ -249,67 +454,15 @@ impl RevocationEngine {
         u_hat: &G2,
         v_hat: &G2,
     ) -> Option<usize> {
-        if self.store.is_empty() {
+        if self.view.tokens.is_empty() {
             return None;
         }
-        let version = self.store.version();
-        // In fixed-bases mode with the prefilter armed, the cache key is
-        // the linkable `ê(A, û)` fingerprint: repeat traffic from one key
-        // share hits regardless of message. Otherwise it is a digest of
-        // (msg, sig) — per-message bases keep signers unlinkable, so only
-        // literal retransmissions can hit, which is exactly what the
-        // retry-heavy channel produces.
-        // (A signature whose `D` is undefined — impossible once it has
-        // verified — takes the digest key and lets the sweep decide.)
-        let d = match (&self.prefilter, &self.fixed_bases) {
-            (Some(_), Some((fu, fv))) => sig
-                .commitments()
-                .ok()
-                .and_then(|(t1, t2)| pairing_ratio(&t2, fu, &t1, fv)),
-            _ => None,
-        };
-        let (key, d_fp) = match d {
-            Some(d) => {
-                let fp = peace_hash::sha256(&d.to_bytes());
-                (fp, Some(fp))
-            }
-            None => {
-                let h = peace_hash::Sha256::new()
-                    .chain(b"peace-revoke-cache-v1")
-                    .chain(&(msg.len() as u64).to_be_bytes())
-                    .chain(msg);
-                (h.chain(&sig.to_bytes()).finalize(), None)
-            }
-        };
-        if let Some(v) = self.cache.get(&key, version) {
-            self.metrics.cache_hit.inc();
-            return v.map(|x| x as usize);
+        let key = self.view.key(msg, sig);
+        if let Some(verdict) = self.lookup(&key) {
+            return verdict;
         }
-        self.metrics.cache_miss.inc();
-        if let (Some(fp), Some(pf)) = (d_fp, &self.prefilter) {
-            if !pf.contains(&fp) {
-                // Definitive: Bloom filters have no false negatives, so no
-                // listed token's fingerprint equals this signature's.
-                self.metrics.prefilter_reject.inc();
-                self.cache.insert(key, version, None);
-                return None;
-            }
-            self.metrics.prefilter_suspect.inc();
-            if self.cfg.exact_suspect_map {
-                let verdict = self.exact.get(&fp).map(|&i| i as usize);
-                self.cache.insert(key, version, verdict.map(|x| x as u32));
-                return verdict;
-            }
-        }
-        let t0 = Instant::now();
-        let verdict = revocation_sweep(sig, self.store.tokens(), u_hat, v_hat);
-        self.metrics.sweeps.inc();
-        let ns = t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.metrics.sweep_us.record(ns / 1_000);
-        self.metrics
-            .sweep_token_ns
-            .record(ns / self.store.len() as u64);
-        self.cache.insert(key, version, verdict.map(|x| x as u32));
+        let verdict = self.view.decide(&key, sig, u_hat, v_hat);
+        self.remember(&key, verdict);
         verdict
     }
 
@@ -351,9 +504,10 @@ impl RevocationEngine {
 
     /// Estimated prefilter false-positive rate, if armed.
     pub fn prefilter_fp_rate(&self) -> Option<f64> {
-        self.prefilter
+        self.view
+            .prefilter
             .as_ref()
-            .map(TokenPrefilter::estimated_fp_rate)
+            .map(|pf| pf.filter.estimated_fp_rate())
     }
 
     /// The engine's configuration.

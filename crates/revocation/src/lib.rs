@@ -30,7 +30,7 @@ mod prefilter;
 mod store;
 
 pub use cache::{CacheKey, SweepCache, Verdict};
-pub use engine::{EngineConfig, RevocationEngine};
+pub use engine::{EngineConfig, ListChanged, RevocationCheck, RevocationEngine};
 pub use prefilter::TokenPrefilter;
 pub use store::{
     digest_of, DeltaError, DeltaOutcome, DeltaPlan, EpochUrlStore, UrlDelta, DEFAULT_DELTA_LOG_CAP,
@@ -445,6 +445,58 @@ mod tests {
                     }
                 }
                 prop_assert_eq!(consumer.digest(), operator.digest());
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2))]
+
+            /// No false negative — and no false positive — through the
+            /// staged engine: with the cache on, and with the prefilter
+            /// armed (exact map on and off), the verdict is the index the
+            /// naive `token_matches` scan gives, whether the check is
+            /// taken in one call, in three steps, or served again from the
+            /// cache; at list sizes on both sides of the sweep's fan-out
+            /// and block boundaries, with the signer first, in the middle,
+            /// last, or not listed.
+            #[test]
+            fn engine_verdicts_match_the_naive_scan(seed in any::<u64>()) {
+                use peace_groupsig::{h0_bases, token_matches};
+                let mut w = world(1, seed);
+                let pool = tokens(65, seed ^ 0x7001);
+                let signer = w.members[0].revocation_token();
+                for (mode, prefilter, exact_suspect_map) in [
+                    (BasesMode::PerMessage, false, true),
+                    (BasesMode::FixedBases, true, true),
+                    (BasesMode::FixedBases, true, false),
+                ] {
+                    let cfg = EngineConfig { exact_suspect_map, ..engine_cfg(mode, prefilter) };
+                    let mut eng = RevocationEngine::new(w.prepared.gpk(), cfg);
+                    let msg = b"engine-soundness";
+                    let sig = sign(w.prepared.gpk(), &w.members[0], msg, mode, &mut w.rng);
+                    let (u, v) = h0_bases(w.prepared.gpk(), msg, &sig.r, mode);
+                    prop_assert!(token_matches(&sig, &signer, &u, &v));
+                    prop_assert!(pool.iter().all(|t| !token_matches(&sig, t, &u, &v)));
+                    let mut version = 0;
+                    for n in [1usize, 3, 4, 5, 7, 8, 9, 64, 65] {
+                        for slot in [Some(0), Some(n / 2), Some(n - 1), None] {
+                            let mut url = pool[..n].to_vec();
+                            if let Some(slot) = slot {
+                                url[slot] = signer;
+                            }
+                            version += 1;
+                            eng.install_full(0, version, &url);
+                            prop_assert_eq!(eng.armed(), prefilter);
+                            let at = format!("{mode:?}/{prefilter}/{exact_suspect_map}, |URL| = {n}, signer at {slot:?}");
+                            let mut check = eng.begin_check(msg, &sig);
+                            check.run(msg, &sig, &u, &v);
+                            prop_assert_eq!(eng.accept(check), Ok(slot), "in steps: {}", at);
+                            prop_assert_eq!(eng.check_revocation(msg, &sig, &u, &v), slot, "in one call: {}", at);
+                            prop_assert_eq!(eng.check_revocation(msg, &sig, &u, &v), slot, "repeated: {}", at);
+                            prop_assert!(eng.cache_len() > 0, "{}", at);
+                        }
+                    }
+                }
             }
         }
     }
