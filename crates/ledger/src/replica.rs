@@ -627,6 +627,49 @@ impl ReplicatedLedger {
         Ok(appended)
     }
 
+    /// One in-process pull round: for every writer `src` holds a signed
+    /// checkpoint for, pulls checkpoint-bounded ranges until this replica
+    /// reaches that checkpoint, each range verified by
+    /// [`Self::ingest_range`] before it lands. Mirrors re-serve, so
+    /// knowledge spreads transitively. A writer quarantined on either side
+    /// is skipped; a refusal (to serve or to ingest) ends that writer's
+    /// pull and is returned, the other writers still sync. Returns the
+    /// records newly appended and the refusals.
+    pub fn pull_from(
+        &mut self,
+        src: &ReplicatedLedger,
+        resolve: WriterKeyResolver<'_>,
+    ) -> (u64, Vec<LedgerError>) {
+        let mut total = 0;
+        let mut refused = Vec::new();
+        for d in src.digests() {
+            if d.writer == self.local_id || d.quarantined || self.is_quarantined(&d.writer) {
+                continue;
+            }
+            // Only attested history travels.
+            let Some(target) = d.ckpt_seq else { continue };
+            loop {
+                let from = self.shard_next_seq(&d.writer);
+                if from > target {
+                    break;
+                }
+                let pulled = match src.serve_range(&d.writer, from) {
+                    Ok(Some(range)) => self.ingest_range(&range, resolve),
+                    Ok(None) => break,
+                    Err(e) => Err(e),
+                };
+                match pulled {
+                    Ok(n) => total += n,
+                    Err(e) => {
+                        refused.push(e);
+                        break;
+                    }
+                }
+            }
+        }
+        (total, refused)
+    }
+
     /// The deterministic merged view: every non-quarantined shard's
     /// entries in `(writer_id, seq)` order, with duplicate access
     /// transcripts (same session id seen earlier in that order) dropped.
@@ -885,6 +928,48 @@ mod tests {
         // Operator override lifts it.
         assert!(follower.clear_quarantine("NO-0"));
         assert_eq!(follower.ingest_range(&honest, &resolve).unwrap(), 4);
+    }
+
+    #[test]
+    fn pull_round_syncs_every_writer_and_reports_refusals() {
+        let (ka, kb) = (key(30), key(31));
+        let resolve = |s: &str| match s {
+            "NO-0" => Some(*ka.verifying_key()),
+            "NO-1" => Some(*kb.verifying_key()),
+            _ => None,
+        };
+        /// A round that appended `n` records and met no refusal.
+        fn clean(round: (u64, Vec<LedgerError>), n: u64) {
+            assert!(round.1.is_empty(), "refused: {:?}", round.1);
+            assert_eq!(round.0, n);
+        }
+        // `hub` writes NO-0 and mirrors NO-1, so one pull carries both.
+        let mut hub = writer_replica("pull-hub", "NO-0", &ka, 3);
+        let other = writer_replica("pull-other", "NO-1", &kb, 2);
+        clean(hub.pull_from(&other, &resolve), 3);
+
+        // A puller that trusts no key for NO-1 is refused that writer,
+        // hears why, and still gets the rest.
+        let only_a = |s: &str| (s == "NO-0").then(|| *ka.verifying_key());
+        let (mut c, _) =
+            ReplicatedLedger::open(tmp("pull-c"), "NO-2", LedgerConfig::default(), &only_a)
+                .unwrap();
+        let (n, refused) = c.pull_from(&hub, &only_a);
+        assert_eq!(n, 4);
+        assert_eq!(refused.len(), 1);
+        assert_eq!(refused[0].code(), "replication");
+        assert_eq!((c.shard_next_seq("NO-0"), c.shard_next_seq("NO-1")), (4, 0));
+        // With the key, the next round completes it; a third is a no-op.
+        clean(c.pull_from(&hub, &resolve), 3);
+        clean(c.pull_from(&hub, &resolve), 0);
+
+        // A writer quarantined at the puller is skipped, not reported.
+        let (mut d, _) =
+            ReplicatedLedger::open(tmp("pull-d"), "NO-3", LedgerConfig::default(), &resolve)
+                .unwrap();
+        d.quarantined.insert("NO-1".into());
+        clean(d.pull_from(&hub, &resolve), 4);
+        assert_eq!(d.shard_next_seq("NO-1"), 0);
     }
 
     #[test]

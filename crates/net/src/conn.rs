@@ -8,6 +8,7 @@ use std::time::Duration;
 
 use peace_wire::{Decode, Encode};
 
+use crate::daemon::DaemonConfig;
 use crate::envelope::NodeMessage;
 use crate::error::{NetError, Result};
 use crate::frame::{write_frame, FrameDecoder, DEFAULT_MAX_FRAME};
@@ -56,7 +57,6 @@ pub struct Connection {
     decoder: FrameDecoder,
     stats: ConnStats,
     metrics: Arc<NetMetrics>,
-    peer: Option<SocketAddr>,
 }
 
 impl Connection {
@@ -66,14 +66,12 @@ impl Connection {
         stream.set_read_timeout(cfg.read_timeout)?;
         stream.set_write_timeout(cfg.write_timeout)?;
         stream.set_nodelay(true)?;
-        let peer = stream.peer_addr().ok();
         Ok(Self {
             stream,
             cfg,
             decoder: FrameDecoder::new(cfg.max_frame),
             stats: ConnStats::default(),
             metrics,
-            peer,
         })
     }
 
@@ -88,9 +86,19 @@ impl Connection {
         Self::new(stream, cfg, metrics)
     }
 
-    /// The peer's socket address, if still known.
-    pub fn peer(&self) -> Option<SocketAddr> {
-        self.peer
+    /// One request on a connection of its own: dial, send `msg`, take the
+    /// reply through [`NodeMessage::into_reply`], close.
+    pub(crate) fn ask(
+        addr: SocketAddr,
+        cfg: &DaemonConfig,
+        metrics: &Arc<NetMetrics>,
+        msg: &NodeMessage,
+    ) -> Result<NodeMessage> {
+        let mut conn = Self::dial(addr, cfg.connect_timeout, cfg.conn, Arc::clone(metrics))?;
+        conn.send(msg)?;
+        let reply = conn.recv()?.into_reply(metrics);
+        conn.close();
+        reply
     }
 
     /// Per-connection statistics so far.

@@ -333,7 +333,9 @@ impl NoDaemon {
 /// state reaches the advertised checkpoint. The ledger mutex is held only
 /// in short scopes (digest snapshot, head read, ingest) — never across
 /// network I/O — so two replicas gossiping at each other concurrently
-/// cannot deadlock.
+/// cannot deadlock. That is also why this loop is not
+/// [`ReplicatedLedger::pull_from`], the same walk between two ledgers in
+/// one process: that one holds both for the whole round.
 fn sync_with_peer(
     ledger: &Mutex<Option<ReplicatedLedger>>,
     resolver: &Mutex<Option<PeerKeyResolver>>,
@@ -357,10 +359,12 @@ fn sync_with_peer(
         from_no: local_id.clone(),
         digests: my_digests,
     })?;
-    let peer_digests = match conn.recv()? {
-        NodeMessage::CkptGossip { digests, .. } => digests,
-        NodeMessage::Reject { code, detail } => return Err(NetError::Rejected { code, detail }),
-        _ => return Err(NetError::Unexpected("expected CkptGossip reply")),
+    let NodeMessage::CkptGossip {
+        digests: peer_digests,
+        ..
+    } = conn.recv()?.into_reply(metrics)?
+    else {
+        return Err(NetError::Unexpected("expected CkptGossip reply"));
     };
 
     let mut total: u64 = 0;

@@ -96,19 +96,13 @@ impl RouterDaemon {
     ///
     /// # Errors
     ///
-    /// Transport errors from the poll; [`NetError::Protocol`] if either
-    /// list fails validation; [`NetError::Unexpected`] on a non-bulletin
-    /// reply.
+    /// Transport errors from the poll; [`NetError::ConnLimit`] (transient)
+    /// when the NO is at its connection cap and [`NetError::Rejected`] for
+    /// any other refusal — here and in every other exchange with the NO
+    /// below; [`NetError::Protocol`] if either list fails validation;
+    /// [`NetError::Unexpected`] on a non-bulletin reply.
     pub fn refresh_lists(&self, no_addr: SocketAddr) -> Result<u64> {
-        let mut conn = Connection::dial(
-            no_addr,
-            self.cfg.connect_timeout,
-            self.cfg.conn,
-            Arc::clone(&self.metrics),
-        )?;
-        conn.send(&NodeMessage::GetBulletin)?;
-        let reply = conn.recv()?;
-        conn.close();
+        let reply = Connection::ask(no_addr, &self.cfg, &self.metrics, &NodeMessage::GetBulletin)?;
         let NodeMessage::Bulletin(b) = reply else {
             return Err(NetError::Unexpected("NO replied with a non-bulletin"));
         };
@@ -147,23 +141,15 @@ impl RouterDaemon {
                 router.revocation().url_version(),
             )
         };
-        let mut conn = Connection::dial(
-            no_addr,
-            self.cfg.connect_timeout,
-            self.cfg.conn,
-            Arc::clone(&self.metrics),
-        )?;
-        conn.send(&NodeMessage::GetUrlDelta {
+        let ask = NodeMessage::GetUrlDelta {
             epoch,
             have_version,
-        })?;
-        let reply = conn.recv()?;
-        conn.close();
+        };
         let NodeMessage::UrlDelta {
             crl,
             restamp,
             delta,
-        } = reply
+        } = Connection::ask(no_addr, &self.cfg, &self.metrics, &ask)?
         else {
             return Err(NetError::Unexpected("NO replied with a non-delta"));
         };
@@ -283,19 +269,11 @@ impl RouterDaemon {
         router_name: &str,
         sessions: &[LoggedSession],
     ) -> Result<u32> {
-        let mut conn = Connection::dial(
-            no_addr,
-            self.cfg.connect_timeout,
-            self.cfg.conn,
-            Arc::clone(&self.metrics),
-        )?;
-        conn.send(&NodeMessage::ReportSessions {
+        let report = NodeMessage::ReportSessions {
             router: router_name.to_owned(),
             sessions: sessions.to_vec(),
-        })?;
-        let reply = conn.recv()?;
-        conn.close();
-        match reply {
+        };
+        match Connection::ask(no_addr, &self.cfg, &self.metrics, &report)? {
             NodeMessage::ReportAck { accepted } => Ok(accepted),
             _ => Err(NetError::Unexpected("NO replied with a non-ack")),
         }

@@ -13,9 +13,10 @@ use rand::SeedableRng;
 
 use crate::clock::wall_ms;
 use crate::conn::Connection;
-use crate::envelope::{reject_code, NodeMessage};
+use crate::envelope::NodeMessage;
 use crate::error::{NetError, Result};
 use crate::metrics::{MetricsSnapshot, NetMetrics};
+use crate::session::{UserSm, UserStep};
 use peace_telemetry::Snapshot;
 
 use super::DaemonConfig;
@@ -81,19 +82,12 @@ impl UserAgent {
     ///
     /// # Errors
     ///
-    /// Transport errors from the poll; [`NetError::Protocol`] when the
-    /// lists fail validation; [`NetError::Unexpected`] on a non-bulletin
-    /// reply.
+    /// Transport errors from the poll; [`NetError::ConnLimit`] (transient)
+    /// when the NO is at its connection cap; [`NetError::Protocol`] when
+    /// the lists fail validation; [`NetError::Unexpected`] on a
+    /// non-bulletin reply.
     pub fn poll_bulletin(&mut self, no_addr: SocketAddr) -> Result<u64> {
-        let mut conn = Connection::dial(
-            no_addr,
-            self.cfg.connect_timeout,
-            self.cfg.conn,
-            Arc::clone(&self.metrics),
-        )?;
-        conn.send(&NodeMessage::GetBulletin)?;
-        let reply = conn.recv()?;
-        conn.close();
+        let reply = Connection::ask(no_addr, &self.cfg, &self.metrics, &NodeMessage::GetBulletin)?;
         let NodeMessage::Bulletin(b) = reply else {
             return Err(NetError::Unexpected("NO replied with a non-bulletin"));
         };
@@ -120,9 +114,6 @@ impl UserAgent {
                 Ok(s)
             }
             Err(e) => {
-                if matches!(e, NetError::ConnLimit) {
-                    self.metrics.conn_rejected.inc();
-                }
                 self.metrics.handshakes_fail.inc();
                 self.metrics.event("handshake_fail", e.code());
                 Err(e)
@@ -130,56 +121,28 @@ impl UserAgent {
         }
     }
 
+    /// Dial, then send what [`UserSm`] says and feed it what comes back.
     fn try_connect(&mut self, router_addr: SocketAddr) -> Result<UserSession> {
-        let hs_start = std::time::Instant::now();
+        let began = std::time::Instant::now();
+        let Self {
+            user, rng, metrics, ..
+        } = self;
         let mut conn = Connection::dial(
             router_addr,
             self.cfg.connect_timeout,
             self.cfg.conn,
-            Arc::clone(&self.metrics),
+            Arc::clone(metrics),
         )?;
-        let leg_start = std::time::Instant::now();
-        conn.send(&NodeMessage::GetBeacon)?;
-        let beacon = match conn.recv()? {
-            NodeMessage::Beacon(b) => *b,
-            // A BUSY reject is the daemon's explicit connection-cap
-            // refusal: surface it as the dedicated transient variant so
-            // retry policies and load workers treat it as backpressure.
-            NodeMessage::Reject {
-                code: reject_code::BUSY,
-                ..
-            } => return Err(NetError::ConnLimit),
-            NodeMessage::Reject { code, detail } => {
-                return Err(NetError::Rejected { code, detail })
+        let mut sm = UserSm::default();
+        let mut out = sm.start(began);
+        loop {
+            conn.send(&out)?;
+            match sm.on_message(conn.recv()?, user, rng, wall_ms(), metrics) {
+                UserStep::Send(msg) => out = msg,
+                UserStep::Established(session) => return Ok(UserSession { conn, session }),
+                UserStep::Failed(e) => return Err(e),
             }
-            _ => return Err(NetError::Unexpected("expected a beacon")),
-        };
-        self.metrics.hs_beacon_us.record_since(leg_start);
-        let (decoded, reused) = self.user.url_decode_counts();
-        let req = self.user.request_access(&beacon, wall_ms(), &mut self.rng);
-        let (decoded_now, reused_now) = self.user.url_decode_counts();
-        self.metrics.url_tokens_decoded.add(decoded_now - decoded);
-        self.metrics.url_sections_reused.add(reused_now - reused);
-        let req = req.map_err(NetError::Protocol)?;
-        let leg_start = std::time::Instant::now();
-        conn.send(&NodeMessage::AccessRequest(Box::new(req)))?;
-        let session = match conn.recv()? {
-            NodeMessage::AccessConfirm(c) => self
-                .user
-                .handle_access_confirm(&c, wall_ms())
-                .map_err(NetError::Protocol)?,
-            NodeMessage::Reject {
-                code: reject_code::BUSY,
-                ..
-            } => return Err(NetError::ConnLimit),
-            NodeMessage::Reject { code, detail } => {
-                return Err(NetError::Rejected { code, detail })
-            }
-            _ => return Err(NetError::Unexpected("expected an access confirm")),
-        };
-        self.metrics.hs_confirm_us.record_since(leg_start);
-        self.metrics.hs_total_us.record_since(hs_start);
-        Ok(UserSession { conn, session })
+        }
     }
 
     /// [`Self::connect`] under a [`RetryPolicy`]: transient failures
@@ -224,15 +187,12 @@ impl UserSession {
         let rtt_start = std::time::Instant::now();
         let ct = self.session.seal_data(payload);
         self.conn.send(&NodeMessage::Data(ct))?;
-        let reply = match self.conn.recv()? {
-            NodeMessage::Data(ct2) => self.session.open_data(&ct2).map_err(NetError::Protocol),
-            NodeMessage::Reject { code, detail } => Err(NetError::Rejected { code, detail }),
-            _ => Err(NetError::Unexpected("expected an echoed data record")),
+        let NodeMessage::Data(ct2) = self.conn.recv()?.into_reply(self.conn.metrics())? else {
+            return Err(NetError::Unexpected("expected an echoed data record"));
         };
-        if reply.is_ok() {
-            self.conn.metrics().frame_rtt_us.record_since(rtt_start);
-        }
-        reply
+        let plain = self.session.open_data(&ct2)?;
+        self.conn.metrics().frame_rtt_us.record_since(rtt_start);
+        Ok(plain)
     }
 
     /// Per-connection transport statistics.

@@ -13,6 +13,9 @@ use peace_protocol::{
 };
 use peace_wire::{Decode, Encode, Reader, WireError, Writer};
 
+use crate::error::{NetError, Result};
+use crate::metrics::NetMetrics;
+
 /// Envelope magic: "PCN" + format revision.
 pub const MAGIC: [u8; 4] = *b"PCN1";
 
@@ -199,6 +202,26 @@ impl NodeMessage {
             NodeMessage::RangePush { .. } => "range-push",
             NodeMessage::GetUrlDelta { .. } => "get-url-delta",
             NodeMessage::UrlDelta { .. } => "url-delta",
+        }
+    }
+
+    /// What a reply means to the client that was waiting for it, and the
+    /// only place that is decided: a [`reject_code::BUSY`] refusal is the
+    /// transient [`NetError::ConnLimit`] (counted in `net.conn_rejected`,
+    /// so retry policies and load workers read it as backpressure), any
+    /// other `Reject` is [`NetError::Rejected`], and everything else is
+    /// handed back for the caller to match the one variant it asked for.
+    pub(crate) fn into_reply(self, metrics: &NetMetrics) -> Result<Self> {
+        match self {
+            NodeMessage::Reject {
+                code: reject_code::BUSY,
+                ..
+            } => {
+                metrics.conn_rejected.inc();
+                Err(NetError::ConnLimit)
+            }
+            NodeMessage::Reject { code, detail } => Err(NetError::Rejected { code, detail }),
+            reply => Ok(reply),
         }
     }
 }

@@ -56,5 +56,5 @@ pub use error::{NetError, Result};
 pub use frame::{read_frame, write_frame, FrameDecoder, DEFAULT_MAX_FRAME, FRAME_HEADER_LEN};
 pub use metrics::{ConnStats, MetricsSnapshot, NetMetrics};
 pub use peace_protocol::Transient;
-pub use proxy::{FaultProxy, ProxyConfig, ProxyStats};
+pub use proxy::{FaultProxy, ProxyConfig};
 pub use world::{build_world, build_world_with, BuiltWorld, WorldSpec};

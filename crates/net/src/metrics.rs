@@ -50,7 +50,12 @@ pub struct NetMetrics {
     /// outcome — open-loop load workers back off and retry instead of
     /// counting a hard failure.
     pub conn_rejected: Arc<Counter>,
-    /// Sends refused because the bounded outbound queue was full.
+    /// Work refused at a full bounded queue, at either of two sites: a
+    /// reply past a connection's outbound bound (`max_queue_frames` /
+    /// `max_queue_bytes` — the peer is not reading, and is dropped; pinned
+    /// by `tests/event_loop.rs`), and an M.2 arriving at a full verify
+    /// queue (answered BUSY; no recorded run has reached it, and a test of
+    /// it stays with ROADMAP item 6, defined behaviour under overload).
     pub backpressure_events: Arc<Counter>,
     /// Handler threads that panicked (must stay 0; asserted by tests).
     pub handler_panics: Arc<Counter>,

@@ -1,136 +1,68 @@
-//! A TCP fault proxy: the adversarial channel of
-//! [`peace_protocol::transport`] adapted to real streams.
+//! A TCP fault proxy: the adversarial [`Channel`] of
+//! [`peace_protocol::transport`] with a socket on either side.
 //!
-//! The proxy sits between a client and an upstream daemon, re-framing the
-//! byte stream and applying the same seeded [`FaultPlan`] semantics the
-//! simulator uses — per *frame*, which is the stream analogue of the
-//! simulator's per-message faults:
+//! The proxy sits between a client and an upstream daemon and re-frames
+//! the byte stream. It decides no fault itself: every frame read is one
+//! [`Channel::transmit`], and whatever the channel delivers — nothing
+//! (drop), a mangled copy (truncate, bit-flip), two copies (duplicate),
+//! an earlier frame released behind this one (reorder) — is written on,
+//! so a [`FaultPlan`] and a seed mean on a socket what they mean on the
+//! simulator's radio: the same draws, the same [`FaultStats`].
 //!
-//! * **drop** — the frame is never forwarded (the receiver sees silence
-//!   and must time out);
-//! * **delay** — forwarding sleeps for a bounded real interval;
-//! * **truncate** — the payload is cut at a random boundary and re-framed
-//!   (the length prefix stays consistent, so the stream survives but the
-//!   envelope fails to decode — exactly how a mangled radio frame that
-//!   still passes the MAC-layer CRC looks to PEACE);
-//! * **bit-flip** — one payload bit is flipped;
-//! * **duplicate** — the frame is forwarded twice;
-//! * **reorder** — the frame is held back and released after the next one.
+//! Faults apply to frame *payloads*: a truncated payload is re-framed
+//! with a consistent length prefix, so the stream survives and the
+//! envelope fails to decode — how a mangled radio frame that still passes
+//! the MAC-layer CRC looks to PEACE. A flipped bit *in the prefix* would
+//! desynchronize framing for good, which no retry heals; its radio
+//! analogue (a frame that fails CRC) is a **drop**.
 //!
-//! Flipping bits *in the length prefix* would desynchronize framing
-//! forever, which no retry could heal — the radio analogue is a frame that
-//! fails CRC and is dropped, already modelled by **drop** — so faults are
-//! applied to payloads only.
+//! The one thing a socket adds is real time. A frame is transmitted at
+//! channel time 0, so a [`Delivery::at`](peace_protocol::Delivery) reads
+//! as *milliseconds after the frame was read*: each delivery is written
+//! no sooner than that, capped at 300 ms (a duplicate trails its original
+//! by the channel's one tick, 1 ms).
 
-use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use peace_protocol::FaultPlan;
+use peace_protocol::{Channel, FaultPlan, FaultStats};
 
+use crate::daemon::lock_recover;
 use crate::error::Result;
 use crate::frame::{read_frame, write_frame, DEFAULT_MAX_FRAME};
 
+/// Real-time cap on how long any one delivery is held back (ms).
+const DELAY_CAP_MS: u64 = 300;
+
 /// Proxy tunables.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Default)]
 pub struct ProxyConfig {
-    /// The fault plan applied independently to every forwarded frame.
+    /// The fault plan every forwarded frame crosses.
     pub plan: FaultPlan,
     /// Seed for the deterministic fault stream.
     pub seed: u64,
-    /// Frame-size bound while re-framing.
-    pub max_frame: usize,
-    /// Real-time cap on any injected delay (ms); the plan's `max_delay`
-    /// is interpreted in ms and additionally clamped to this.
-    pub delay_cap_ms: u64,
 }
 
-impl Default for ProxyConfig {
-    fn default() -> Self {
-        Self {
-            plan: FaultPlan::NONE,
-            seed: 0,
-            max_frame: DEFAULT_MAX_FRAME,
-            delay_cap_ms: 300,
-        }
-    }
-}
-
-/// Counters of faults the proxy has injected (stream-side mirror of the
-/// simulator's `FaultStats`).
-#[derive(Debug, Default)]
-pub struct ProxyStats {
-    /// Frames forwarded (before fault decisions).
-    pub forwarded: AtomicU64,
-    /// Frames dropped.
-    pub dropped: AtomicU64,
-    /// Frames forwarded twice.
-    pub duplicated: AtomicU64,
-    /// Frames held back behind a later frame.
-    pub reordered: AtomicU64,
-    /// Frames delayed.
-    pub delayed: AtomicU64,
-    /// Frames truncated.
-    pub truncated: AtomicU64,
-    /// Frames with one bit flipped.
-    pub bit_flipped: AtomicU64,
-}
-
-impl ProxyStats {
-    /// Total fault events injected.
-    pub fn total_faults(&self) -> u64 {
-        let ld = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        ld(&self.dropped)
-            + ld(&self.duplicated)
-            + ld(&self.reordered)
-            + ld(&self.delayed)
-            + ld(&self.truncated)
-            + ld(&self.bit_flipped)
-    }
-}
-
-/// Deterministic splitmix64 (the proxy's private noise source; independent
-/// of the simulator RNG draw order, same recurrence as `transport`).
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn chance(&mut self, p: f64) -> bool {
-        if p <= 0.0 {
-            return false;
-        }
-        if p >= 1.0 {
-            return true;
-        }
-        let u = (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
-        u < p
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        if n == 0 {
-            0
-        } else {
-            self.next_u64() % n
-        }
-    }
-}
+/// One [`FaultStats`] per forwarder, each overwriting its own slot.
+type StatSlots = Arc<Mutex<Vec<FaultStats>>>;
 
 /// A running fault proxy in front of one upstream address.
 pub struct FaultProxy {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    stats: Arc<ProxyStats>,
+    stats: StatSlots,
     accept_thread: Option<JoinHandle<()>>,
+}
+
+/// The channel seed of one direction (0 is client → upstream) of the
+/// `conn`-th accepted connection, so runs replay exactly per
+/// `(seed, conn#, direction)`.
+fn direction_seed(seed: u64, conn: u64, dir: u64) -> u64 {
+    seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(conn * 2 + dir)
 }
 
 impl FaultProxy {
@@ -139,7 +71,7 @@ impl FaultProxy {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let stats = Arc::new(ProxyStats::default());
+        let stats = StatSlots::default();
 
         let t_shutdown = Arc::clone(&shutdown);
         let t_stats = Arc::clone(&stats);
@@ -161,8 +93,7 @@ impl FaultProxy {
                         continue;
                     }
                 };
-                // One forwarder per direction, each with its own seeded
-                // fault stream so runs replay exactly per (seed, conn#).
+                // One forwarder, with a channel of its own, per direction.
                 for (dir, from, to) in [
                     (0u64, client.try_clone(), up.try_clone()),
                     (1u64, up.try_clone(), client.try_clone()),
@@ -170,14 +101,9 @@ impl FaultProxy {
                     let (Ok(from), Ok(to)) = (from, to) else {
                         continue;
                     };
-                    let seed = cfg
-                        .seed
-                        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                        .wrapping_add(conn_seq * 2 + dir);
+                    let channel = Channel::new(direction_seed(cfg.seed, conn_seq, dir), cfg.plan);
                     let f_stats = Arc::clone(&t_stats);
-                    std::thread::spawn(move || {
-                        forward(from, to, cfg, seed, &f_stats);
-                    });
+                    std::thread::spawn(move || forward(from, to, channel, &f_stats));
                 }
             }
         });
@@ -195,9 +121,13 @@ impl FaultProxy {
         self.addr
     }
 
-    /// Injected-fault counters.
-    pub fn stats(&self) -> &ProxyStats {
-        &self.stats
+    /// Injected-fault counters, summed over every forwarder so far.
+    pub fn stats(&self) -> FaultStats {
+        let mut sum = FaultStats::default();
+        for s in lock_recover(&self.stats).iter() {
+            sum += *s;
+        }
+        sum
     }
 
     /// Stops accepting and tears the proxy down. In-flight forwarders exit
@@ -219,80 +149,35 @@ impl Drop for FaultProxy {
     }
 }
 
-/// Forwards frames in one direction, applying fault decisions per frame.
-fn forward(
-    mut from: TcpStream,
-    mut to: TcpStream,
-    cfg: ProxyConfig,
-    seed: u64,
-    stats: &ProxyStats,
-) {
+/// Forwards frames in one direction through `channel` (see the module
+/// docs for what a delivery's `at` means here).
+fn forward(mut from: TcpStream, mut to: TcpStream, mut channel: Channel, stats: &StatSlots) {
     let _ = from.set_read_timeout(None);
-    let mut rng = SplitMix64(seed ^ 0xC0FF_EE00_D00D_F00D);
-    let mut holdback: Option<Vec<u8>> = None;
-    while let Ok(mut payload) = read_frame(&mut from, cfg.max_frame) {
-        stats.forwarded.fetch_add(1, Ordering::Relaxed);
-        let plan = &cfg.plan;
-
-        if rng.chance(plan.drop_prob) {
-            stats.dropped.fetch_add(1, Ordering::Relaxed);
-            // Still release anything held back behind the dropped frame.
-            if let Some(held) = holdback.take() {
-                if emit(&mut to, &held, cfg.max_frame).is_err() {
-                    break;
-                }
-            }
-            continue;
-        }
-        if !payload.is_empty() && rng.chance(plan.truncate_prob) {
-            let cut = rng.below(payload.len() as u64) as usize;
-            payload.truncate(cut);
-            stats.truncated.fetch_add(1, Ordering::Relaxed);
-        }
-        if !payload.is_empty() && rng.chance(plan.bit_flip_prob) {
-            let bit = rng.below(payload.len() as u64 * 8);
-            payload[(bit / 8) as usize] ^= 1 << (bit % 8);
-            stats.bit_flipped.fetch_add(1, Ordering::Relaxed);
-        }
-        if plan.max_delay > 0 && rng.chance(plan.delay_prob) {
-            let ms = (1 + rng.below(plan.max_delay)).min(cfg.delay_cap_ms);
-            stats.delayed.fetch_add(1, Ordering::Relaxed);
-            std::thread::sleep(Duration::from_millis(ms));
-        }
-        let duplicated = rng.chance(plan.duplicate_prob);
-        let reordered = rng.chance(plan.reorder_prob);
-
-        if reordered && holdback.is_none() {
-            stats.reordered.fetch_add(1, Ordering::Relaxed);
-            holdback = Some(payload);
-            continue;
-        }
-        if emit(&mut to, &payload, cfg.max_frame).is_err() {
-            break;
-        }
-        if duplicated {
-            stats.duplicated.fetch_add(1, Ordering::Relaxed);
-            if emit(&mut to, &payload, cfg.max_frame).is_err() {
-                break;
-            }
-        }
-        if let Some(held) = holdback.take() {
-            if emit(&mut to, &held, cfg.max_frame).is_err() {
-                break;
+    let slot = {
+        let mut slots = lock_recover(stats);
+        slots.push(FaultStats::default());
+        slots.len() - 1
+    };
+    'stream: while let Ok(payload) = read_frame(&mut from, DEFAULT_MAX_FRAME) {
+        let deliveries = channel.transmit(&payload, 0);
+        lock_recover(stats)[slot] = *channel.stats();
+        let mut waited = 0;
+        for d in deliveries {
+            let due = d.at.min(DELAY_CAP_MS);
+            std::thread::sleep(Duration::from_millis(due.saturating_sub(waited)));
+            waited = waited.max(due);
+            if write_frame(&mut to, &d.bytes, DEFAULT_MAX_FRAME).is_err() {
+                break 'stream;
             }
         }
     }
     // Stream over: release any parked frame, then close both halves so the
     // peer observes EOF promptly.
-    if let Some(held) = holdback.take() {
-        let _ = emit(&mut to, &held, cfg.max_frame);
+    for d in channel.flush(0) {
+        let _ = write_frame(&mut to, &d.bytes, DEFAULT_MAX_FRAME);
     }
     let _ = to.shutdown(Shutdown::Write);
     let _ = from.shutdown(Shutdown::Read);
-}
-
-fn emit(to: &mut (impl Write + Read), payload: &[u8], max_frame: usize) -> Result<()> {
-    write_frame(to, payload, max_frame)
 }
 
 #[cfg(test)]
@@ -354,7 +239,6 @@ mod tests {
                 ..FaultPlan::NONE
             },
             seed: 7,
-            ..ProxyConfig::default()
         };
         let mut proxy = FaultProxy::spawn(upstream, cfg).unwrap();
         let mut c = TcpStream::connect(proxy.addr()).unwrap();
@@ -373,11 +257,67 @@ mod tests {
         }
         assert!(received > 20, "some echoes must get through: {received}");
         assert!(proxy.stats().total_faults() > 10);
-        assert!(proxy.stats().dropped.load(Ordering::Relaxed) > 0);
-        assert!(proxy.stats().bit_flipped.load(Ordering::Relaxed) > 0);
+        assert!(proxy.stats().dropped > 0);
+        assert!(proxy.stats().bit_flipped > 0);
         write_frame(&mut c, b"quit", DEFAULT_MAX_FRAME).ok();
         drop(c);
         proxy.shutdown();
         let _ = server.join();
+    }
+
+    /// One injector: for one seed and one plan, a proxy direction and a
+    /// bare [`Channel`] fed the same frames deliver the same bytes in the
+    /// same order and count the same faults.
+    #[test]
+    fn proxy_direction_is_the_channel() {
+        let cfg = ProxyConfig {
+            plan: FaultPlan::uniform(0.15, 4),
+            seed: 0x1_1EC7,
+        };
+        let frames: Vec<Vec<u8>> = (0..240u32)
+            .map(|i| (0..16 + i % 40).map(|j| (i * 7 + j) as u8).collect())
+            .collect();
+
+        let mut channel = Channel::new(direction_seed(cfg.seed, 1, 0), cfg.plan);
+        let mut expected = Vec::new();
+        for f in &frames {
+            expected.extend(channel.transmit(f, 0).into_iter().map(|d| d.bytes));
+        }
+        expected.extend(channel.flush(0).into_iter().map(|d| d.bytes));
+
+        // A sink that only records: the return direction carries nothing,
+        // so the proxy's sum is the one direction under test.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let upstream = listener.local_addr().unwrap();
+        let sink = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            let mut got = Vec::new();
+            while let Ok(p) = read_frame(&mut s, DEFAULT_MAX_FRAME) {
+                got.push(p);
+            }
+            got
+        });
+        let mut proxy = FaultProxy::spawn(upstream, cfg).unwrap();
+        let mut c = TcpStream::connect(proxy.addr()).unwrap();
+        for f in &frames {
+            write_frame(&mut c, f, DEFAULT_MAX_FRAME).unwrap();
+        }
+        c.shutdown(Shutdown::Write).unwrap();
+        let got = sink.join().unwrap();
+
+        assert_eq!(got, expected);
+        assert_eq!(proxy.stats(), *channel.stats());
+        let s = proxy.stats();
+        for fired in [
+            s.dropped,
+            s.duplicated,
+            s.reordered,
+            s.delayed,
+            s.truncated,
+            s.bit_flipped,
+        ] {
+            assert!(fired > 0, "all six classes must be armed: {s:?}");
+        }
+        proxy.shutdown();
     }
 }

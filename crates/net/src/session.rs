@@ -1,11 +1,15 @@
-//! Transport-agnostic session state machines for the server roles.
+//! Transport-agnostic session state machines: message in, step out.
 //!
-//! Per-connection protocol behavior is factored here as pure message-in /
-//! [`Step`]-out state machines. The event loop ([`crate::reactor`]) feeds
-//! them decoded frames from its
-//! [`FrameDecoder`](crate::frame::FrameDecoder), hands [`Step::Offload`]
-//! to the worker pool (one request per task), and resumes the machine
-//! with [`RouterSm::on_verify`] when the deferred outcome comes back.
+//! Per-connection protocol behavior is factored here as pure state
+//! machines that touch no socket. The server roles ([`RouterSm`],
+//! [`NoSm`]) are fed decoded frames by the event loop
+//! ([`crate::reactor`]) from its
+//! [`FrameDecoder`](crate::frame::FrameDecoder), which hands
+//! [`Step::Offload`] to the worker pool (one request per task) and resumes
+//! the machine with [`RouterSm::on_verify`] when the deferred outcome
+//! comes back. The client role ([`UserSm`]) is fed by whoever holds the
+//! connection — today the blocking loop in
+//! [`UserAgent`](crate::UserAgent).
 //!
 //! The offload is one call to [`RouterShared::verify_access`], the only
 //! place the access path (M.2 → verdict) is driven from: the router mutex
@@ -15,23 +19,28 @@
 //! however many workers the pool has, and a beacon is never served behind
 //! someone's sweep (`net.router_hold_us` is the two holds).
 //!
-//! The machines also own the **router-side per-leg handshake
-//! histograms** (`net.hs_beacon_us`, `net.hs_confirm_us`,
-//! `net.hs_total_us`): beacon service time, access-verify turnaround
-//! (request receipt → confirm ready, queueing included), and the whole
-//! router-observed handshake (beacon request receipt → confirm ready).
+//! The machines also own the **per-leg handshake histograms**
+//! (`net.hs_beacon_us`, `net.hs_confirm_us`, `net.hs_total_us`), each
+//! side recording into its own registry. Router side: beacon service
+//! time, access-verify turnaround (request receipt → confirm ready,
+//! queueing included), and the whole router-observed handshake (beacon
+//! request receipt → confirm ready). Client side: `GetBeacon` out →
+//! beacon in, M.2 out → M.3 accepted, and attempt begun (before the dial)
+//! → session established.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use peace_ledger::{AccessRecord, LedgerRecord, ReplicatedLedger};
-use peace_protocol::entities::{MeshRouter, NetworkOperator};
+use peace_protocol::entities::{MeshRouter, NetworkOperator, UserClient};
 use peace_protocol::{AccessConfirm, AccessRequest, ProtocolError, Session};
 use rand::rngs::StdRng;
+use rand::RngCore;
 
 use crate::clock::wall_ms;
 use crate::envelope::{reject_code, Bulletin, NodeMessage};
+use crate::error::NetError;
 use crate::metrics::NetMetrics;
 
 use crate::daemon::lock_recover;
@@ -239,6 +248,98 @@ impl RouterSm {
                 })
             }
         }
+    }
+}
+
+/// What whoever drives a [`UserSm`] must do next.
+#[derive(Debug)]
+pub(crate) enum UserStep {
+    /// Send this and feed the machine the reply.
+    Send(NodeMessage),
+    /// The handshake is complete; the connection now carries this session.
+    Established(Session),
+    /// The attempt is over. The machine is at rest again and
+    /// [`UserSm::start`] begins a fresh one (on a fresh connection).
+    Failed(NetError),
+}
+
+/// Where a [`UserSm`] is in M.1 → M.2 → M.3, i.e. which reply it expects.
+/// `since` anchors `net.hs_total_us`; `sent` is when the outstanding
+/// message was handed out for sending.
+#[derive(Debug, Default)]
+enum Awaiting {
+    /// At rest: not started, established, or failed.
+    #[default]
+    Nothing,
+    /// `GetBeacon` is out; M.1 is due.
+    Beacon { since: Instant, sent: Instant },
+    /// M.2 is out; M.3 is due.
+    Confirm { since: Instant, sent: Instant },
+}
+
+/// Client-side per-connection machine, the mirror of [`RouterSm`]: one
+/// M.1 → M.2 → M.3 handshake against the [`UserClient`] it is lent.
+///
+/// Protocol time is an input (`now_ms`), never read here: the blocking
+/// driver passes the wall clock, a driver that signs ahead of schedule or
+/// relays for someone else passes the time that applies, and a test
+/// passes whatever the case needs. (The `Instant`s only feed the leg
+/// histograms.)
+#[derive(Debug, Default)]
+pub(crate) struct UserSm {
+    awaiting: Awaiting,
+}
+
+impl UserSm {
+    /// Begins a handshake: returns the `GetBeacon` to send. `since` is
+    /// when the caller began the attempt (before dialing, if it dials).
+    pub(crate) fn start(&mut self, since: Instant) -> NodeMessage {
+        self.awaiting = Awaiting::Beacon {
+            since,
+            sent: Instant::now(),
+        };
+        NodeMessage::GetBeacon
+    }
+
+    /// Feeds the machine the reply to what it last sent.
+    pub(crate) fn on_message(
+        &mut self,
+        msg: NodeMessage,
+        user: &mut UserClient,
+        rng: &mut impl RngCore,
+        now_ms: u64,
+        metrics: &NetMetrics,
+    ) -> UserStep {
+        // At rest again unless the step below says otherwise.
+        let awaiting = std::mem::take(&mut self.awaiting);
+        let step = msg
+            .into_reply(metrics)
+            .and_then(|reply| match (awaiting, reply) {
+                (Awaiting::Beacon { since, sent }, NodeMessage::Beacon(beacon)) => {
+                    metrics.hs_beacon_us.record_since(sent);
+                    let (decoded, reused) = user.url_decode_counts();
+                    let req = user.request_access(&beacon, now_ms, rng);
+                    let (decoded_now, reused_now) = user.url_decode_counts();
+                    metrics.url_tokens_decoded.add(decoded_now - decoded);
+                    metrics.url_sections_reused.add(reused_now - reused);
+                    let req = NodeMessage::AccessRequest(Box::new(req?));
+                    let sent = Instant::now();
+                    self.awaiting = Awaiting::Confirm { since, sent };
+                    Ok(UserStep::Send(req))
+                }
+                (Awaiting::Confirm { since, sent }, NodeMessage::AccessConfirm(confirm)) => {
+                    let session = user.handle_access_confirm(&confirm, now_ms)?;
+                    metrics.hs_confirm_us.record_since(sent);
+                    metrics.hs_total_us.record_since(since);
+                    Ok(UserStep::Established(session))
+                }
+                (Awaiting::Beacon { .. }, _) => Err(NetError::Unexpected("expected a beacon")),
+                (Awaiting::Confirm { .. }, _) => {
+                    Err(NetError::Unexpected("expected an access confirm"))
+                }
+                (Awaiting::Nothing, _) => Err(NetError::Unexpected("no handshake in progress")),
+            });
+        step.unwrap_or_else(UserStep::Failed)
     }
 }
 
@@ -478,3 +579,6 @@ impl Service {
         }
     }
 }
+
+#[cfg(test)]
+mod tests;

@@ -13,7 +13,7 @@ use std::time::Duration;
 
 use peace_net::{
     build_world, read_frame, reject_code, write_frame, ConnConfig, DaemonConfig, NetError,
-    NodeMessage, RouterDaemon, Transient, UserAgent, WorldSpec, DEFAULT_MAX_FRAME,
+    NoDaemon, NodeMessage, RouterDaemon, Transient, UserAgent, WorldSpec, DEFAULT_MAX_FRAME,
 };
 use peace_protocol::RetryPolicy;
 use peace_wire::{Decode, Encode};
@@ -93,6 +93,55 @@ fn conn_cap_rejection_is_transient_and_counted() {
 
     assert_eq!(daemon.metrics().handler_panics, 0);
     daemon.shutdown().unwrap();
+}
+
+/// The daemons' own one-shot exchanges read a cap refusal the way a user
+/// agent does: a NO at its connection cap is `ConnLimit` — transient,
+/// counted — not "a non-bulletin".
+#[test]
+fn a_router_refreshing_from_a_no_at_its_cap_is_told_conn_limit() {
+    let w = build_world(&WorldSpec {
+        seed: 0xCAD,
+        users: 1,
+        routers: 1,
+    })
+    .unwrap();
+    let cfg = test_cfg();
+    let no = NoDaemon::spawn(w.no, "127.0.0.1:0", cfg).unwrap();
+    let router = w.routers.into_iter().next().unwrap();
+    let daemon = RouterDaemon::spawn(router, 1, "127.0.0.1:0", cfg).unwrap();
+
+    // Someone else holds the NO's single slot.
+    let holder = TcpStream::connect(no.addr()).unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while no.live_connections() < 1 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert_eq!(no.live_connections(), 1);
+
+    let err = daemon.refresh_lists(no.addr()).unwrap_err();
+    assert!(
+        matches!(err, NetError::ConnLimit),
+        "expected ConnLimit, got {err:?}"
+    );
+    assert!(err.is_transient());
+    assert_eq!(daemon.metrics().conn_rejected, 1);
+    assert!(no.metrics().connections_rejected >= 1);
+
+    // The slot frees; the same call goes through.
+    drop(holder);
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while no.live_connections() > 0 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    daemon
+        .refresh_lists(no.addr())
+        .expect("refresh once the slot is free");
+    assert_eq!(daemon.metrics().conn_rejected, 1);
+
+    assert_eq!(no.metrics().handler_panics, 0);
+    daemon.shutdown().unwrap();
+    no.shutdown().unwrap();
 }
 
 #[test]

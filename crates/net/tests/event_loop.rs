@@ -5,7 +5,8 @@
 //! an NO daemon served by the loop, the revocation sweep off the router
 //! lock — and the readiness contract: a quiet
 //! session's first byte wakes its shard, and a peer that hangs up while
-//! its verify is in flight frees its slot.
+//! its verify is in flight frees its slot — and the outbound queue bound: a
+//! peer that never reads is dropped and counted, not queued for.
 
 use std::io::Read;
 use std::net::TcpStream;
@@ -192,6 +193,55 @@ fn malformed_frame_gets_reject_and_connection_survives() {
         NodeMessage::Beacon(_)
     ));
     assert_eq!(daemon.metrics().decode_failures, 1);
+    daemon.shutdown().unwrap();
+}
+
+/// A peer that asks and never reads: once its unread replies pass
+/// `max_queue_bytes` the daemon counts a backpressure event and drops
+/// that connection rather than queue for it without bound — and goes on
+/// serving everyone else.
+#[test]
+fn a_peer_that_never_reads_is_dropped_at_the_queue_bound() {
+    let spec = WorldSpec {
+        seed: 0xE7E2F,
+        users: 1,
+        routers: 1,
+    };
+    let w = build_world(&spec).unwrap();
+    let mut cfg = event_cfg(1);
+    cfg.conn.max_queue_bytes = 2048; // a beacon or two
+    let mut router = w.routers.into_iter().next().unwrap();
+    let now = peace_net::clock::wall_ms();
+    router.update_lists(w.no.publish_crl(now), w.no.publish_url(now));
+    let daemon = RouterDaemon::spawn(router, 1, "127.0.0.1:0", cfg).unwrap();
+
+    // Sixty-four beacon requests per write, so a single read hands the
+    // daemon far more replies to queue than the bound allows.
+    let get_beacon = NodeMessage::GetBeacon.try_to_wire().unwrap();
+    let mut burst = Vec::new();
+    for _ in 0..64 {
+        write_frame(&mut burst, &get_beacon, DEFAULT_MAX_FRAME).unwrap();
+    }
+    let mut deaf = TcpStream::connect(daemon.addr()).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while daemon.metrics().backpressure_events == 0 && Instant::now() < deadline {
+        // Once the daemon has hung up, writes fail; that is the point.
+        let _ = std::io::Write::write_all(&mut deaf, &burst);
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(daemon.metrics().backpressure_events >= 1);
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while daemon.live_connections() > 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(daemon.live_connections(), 0, "the deaf peer was dropped");
+
+    // The daemon is none the worse: a well-behaved client is served.
+    let mut agent = UserAgent::new(w.users.into_iter().next().unwrap(), 31, cfg);
+    let mut sess = agent.connect(daemon.addr()).expect("handshake after");
+    assert_eq!(sess.echo(b"still here").unwrap(), b"still here");
+    sess.close();
+    assert_eq!(daemon.metrics().handler_panics, 0);
     daemon.shutdown().unwrap();
 }
 

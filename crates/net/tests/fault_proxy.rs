@@ -59,7 +59,6 @@ fn handshake_converges_through_drops_and_bitflips() {
                 ..FaultPlan::NONE
             },
             seed: 0xBADCAB1E,
-            ..ProxyConfig::default()
         },
     )
     .unwrap();
@@ -159,7 +158,6 @@ fn url_delta_sync_converges_through_lossy_channel() {
                 ..FaultPlan::NONE
             },
             seed: 0x0DE17A5EED,
-            ..ProxyConfig::default()
         },
     )
     .unwrap();
@@ -217,7 +215,6 @@ fn retry_gives_up_cleanly_under_total_blackout() {
                 ..FaultPlan::NONE
             },
             seed: 1,
-            ..ProxyConfig::default()
         },
     )
     .unwrap();
@@ -239,13 +236,7 @@ fn retry_gives_up_cleanly_under_total_blackout() {
     // Initial attempt + max_attempts retries, then a clean give-up.
     assert_eq!(agent.metrics().handshakes_fail, 4);
     assert_eq!(agent.metrics().handshakes_ok, 0);
-    assert!(
-        proxy
-            .stats()
-            .dropped
-            .load(std::sync::atomic::Ordering::Relaxed)
-            > 0
-    );
+    assert!(proxy.stats().dropped > 0);
     assert_eq!(daemon.metrics().handler_panics, 0);
 
     proxy.shutdown();

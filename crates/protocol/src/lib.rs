@@ -83,4 +83,4 @@ pub use pending::PendingTable;
 pub use replica::ReplicaSet;
 pub use revocation::{SignedCrl, SignedUrl, SignedUrlDelta, UrlRestamp, UrlSection};
 pub use session::{PendingSession, Role, Session};
-pub use transport::{Channel, Delivery, FaultKind, FaultPlan, FaultStats, RetryPolicy};
+pub use transport::{Channel, Delivery, FaultPlan, FaultStats, RetryPolicy};

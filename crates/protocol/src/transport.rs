@@ -12,24 +12,6 @@
 //! backoff with deterministic jitter, driven entirely by simulation time so
 //! every run is replayable from its seed.
 
-/// The fault classes a channel can inject (the fault taxonomy of
-/// DESIGN.md's "Failure model" section).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum FaultKind {
-    /// The message never arrives.
-    Drop,
-    /// The message arrives twice.
-    Duplicate,
-    /// The message is held back and released after a later message.
-    Reorder,
-    /// The message arrives late (possibly outside freshness windows).
-    Delay,
-    /// The message arrives cut short at an arbitrary byte boundary.
-    Truncate,
-    /// One bit of the message is flipped in flight.
-    BitFlip,
-}
-
 /// Per-transmission fault probabilities. All probabilities are independent
 /// per message; `0.0` everywhere ([`FaultPlan::NONE`]) is a perfect wire.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -74,30 +56,6 @@ impl FaultPlan {
             bit_flip_prob: p,
         }
     }
-
-    /// Whether the plan injects no faults at all.
-    pub fn is_clean(&self) -> bool {
-        self.drop_prob <= 0.0
-            && self.duplicate_prob <= 0.0
-            && self.reorder_prob <= 0.0
-            && self.delay_prob <= 0.0
-            && self.truncate_prob <= 0.0
-            && self.bit_flip_prob <= 0.0
-    }
-
-    /// Pointwise sum of two plans (probabilities capped at 1.0); used to
-    /// stack a baseline radio-loss model under a chaos plan.
-    pub fn stacked_with(&self, other: &FaultPlan) -> FaultPlan {
-        FaultPlan {
-            drop_prob: (self.drop_prob + other.drop_prob).min(1.0),
-            duplicate_prob: (self.duplicate_prob + other.duplicate_prob).min(1.0),
-            reorder_prob: (self.reorder_prob + other.reorder_prob).min(1.0),
-            delay_prob: (self.delay_prob + other.delay_prob).min(1.0),
-            max_delay: self.max_delay.max(other.max_delay),
-            truncate_prob: (self.truncate_prob + other.truncate_prob).min(1.0),
-            bit_flip_prob: (self.bit_flip_prob + other.bit_flip_prob).min(1.0),
-        }
-    }
 }
 
 impl Default for FaultPlan {
@@ -135,6 +93,19 @@ impl FaultStats {
             + self.delayed
             + self.truncated
             + self.bit_flipped
+    }
+}
+
+impl core::ops::AddAssign for FaultStats {
+    /// Counter-wise sum (several channels reported as one).
+    fn add_assign(&mut self, o: Self) {
+        self.transmitted += o.transmitted;
+        self.dropped += o.dropped;
+        self.duplicated += o.duplicated;
+        self.reordered += o.reordered;
+        self.delayed += o.delayed;
+        self.truncated += o.truncated;
+        self.bit_flipped += o.bit_flipped;
     }
 }
 
@@ -211,11 +182,6 @@ impl Channel {
     /// Replaces the fault plan (e.g. clearing faults mid-run).
     pub fn set_plan(&mut self, plan: FaultPlan) {
         self.plan = plan;
-    }
-
-    /// The active fault plan.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// Counters of injected faults so far.
@@ -464,16 +430,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn stacking_plans_caps_probabilities() {
-        let a = FaultPlan::uniform(0.7, 10);
-        let b = FaultPlan::uniform(0.6, 30);
-        let s = a.stacked_with(&b);
-        assert!((s.drop_prob - 1.0).abs() < 1e-12);
-        assert_eq!(s.max_delay, 30);
-        assert!(FaultPlan::NONE.stacked_with(&FaultPlan::NONE).is_clean());
     }
 
     #[test]

@@ -73,38 +73,6 @@ fn ledger_cfg() -> LedgerConfig {
     }
 }
 
-/// Direct (in-process) pull gossip: `dst` pulls every writer `src` holds
-/// a signed checkpoint for, in checkpoint-bounded ranges, each verified
-/// before it lands. Mirrors re-serve, so knowledge spreads transitively.
-fn gossip_pull(
-    dst: &mut ReplicatedLedger,
-    src: &ReplicatedLedger,
-    resolve: &dyn Fn(&str) -> Option<peace_ecdsa::VerifyingKey>,
-) -> u64 {
-    let mut total = 0;
-    for d in src.digests() {
-        if d.writer == dst.local_id() || d.quarantined || dst.is_quarantined(&d.writer) {
-            continue;
-        }
-        let Some(target) = d.ckpt_seq else { continue };
-        loop {
-            let from = dst.shard_next_seq(&d.writer);
-            if from > target {
-                break;
-            }
-            match src.serve_range(&d.writer, from) {
-                Ok(Some(range)) => match dst.ingest_range(&range, resolve) {
-                    Ok(n) => total += n,
-                    // Refusal/quarantine: skip the writer, keep the rest.
-                    Err(_) => break,
-                },
-                Ok(None) | Err(_) => break,
-            }
-        }
-    }
-    total
-}
-
 /// Runs the soak. `dir` holds one `replica-<i>` subdirectory per replica
 /// and must outlive the call (pass a test temp dir).
 ///
@@ -216,7 +184,7 @@ pub fn run_federation_soak(cfg: &FederationConfig, dir: &Path) -> FederationRepo
         .filter(|(_, r)| r.resumed_from.is_some())
         .count();
     for src in replicas.iter().flatten() {
-        gossip_pull(&mut rejoined, src, &resolve);
+        rejoined.pull_from(src, &resolve);
     }
     rejoined.flush().expect("flush");
     replicas[cfg.kill] = Some(rejoined);
@@ -257,28 +225,20 @@ pub fn run_federation_soak(cfg: &FederationConfig, dir: &Path) -> FederationRepo
     }
 }
 
-/// One all-pairs gossip round among the alive replicas.
+/// One all-pairs gossip round among the alive replicas: each in turn
+/// steps out of the slice and pulls from everyone left in it. A refused
+/// writer is skipped; the rest still sync.
 fn gossip_all(
     replicas: &mut [Option<ReplicatedLedger>],
-    resolve: &(impl Fn(&str) -> Option<peace_ecdsa::VerifyingKey> + Copy),
+    resolve: &dyn Fn(&str) -> Option<peace_ecdsa::VerifyingKey>,
 ) {
-    let n = replicas.len();
-    for dst in 0..n {
-        for src in 0..n {
-            if src == dst {
-                continue;
-            }
-            // Split-borrow the pair out of the slice.
-            let (a, b) = if dst < src {
-                let (l, r) = replicas.split_at_mut(src);
-                (l[dst].as_mut(), r[0].as_ref())
-            } else {
-                let (l, r) = replicas.split_at_mut(dst);
-                (r[0].as_mut(), l[src].as_ref())
-            };
-            if let (Some(d), Some(s)) = (a, b) {
-                gossip_pull(d, s, resolve);
-            }
+    for dst in 0..replicas.len() {
+        let Some(mut d) = replicas[dst].take() else {
+            continue;
+        };
+        for src in replicas.iter().flatten() {
+            d.pull_from(src, resolve);
         }
+        replicas[dst] = Some(d);
     }
 }

@@ -47,6 +47,7 @@ pub use world::{Event, SimConfig, SimWorld};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use peace_protocol::FaultPlan;
 
     #[test]
     fn small_city_runs_and_authenticates() {
@@ -159,13 +160,22 @@ mod tests {
         let lossy = SimWorld::new(SimConfig {
             users: 8,
             end_time: 8_000,
-            loss_prob: 0.3,
+            fault: FaultPlan {
+                drop_prob: 0.3,
+                ..FaultPlan::NONE
+            },
             ..SimConfig::default()
         })
         .run_owned();
-        assert!(lossy.radio_losses > 0, "losses must occur: {lossy:?}");
         assert!(
-            lossy.auth_fail.contains_key(metrics::reasons::RADIO_LOSS),
+            lossy.fault_stats.dropped > 0,
+            "losses must occur: {lossy:?}"
+        );
+        assert!(
+            lossy
+                .auth_fail
+                .keys()
+                .any(|k| k.starts_with("channel_loss_")),
             "lost handshakes recorded: {lossy:?}"
         );
         // With three messages at 30% loss each, success ≈ 0.7³ ≈ 34%; the
@@ -174,12 +184,11 @@ mod tests {
         let clean = SimWorld::new(SimConfig {
             users: 8,
             end_time: 8_000,
-            loss_prob: 0.0,
             ..SimConfig::default()
         })
         .run_owned();
         assert!(clean.auth_success_rate() > lossy.auth_success_rate());
-        assert_eq!(clean.radio_losses, 0);
+        assert_eq!(clean.fault_stats.dropped, 0);
     }
 
     #[test]

@@ -9,8 +9,6 @@ use peace_protocol::FaultStats;
 /// [`peace_protocol::ProtocolError::code`]). Same contract: snake_case,
 /// stable once released, shared by every map in [`SimMetrics`].
 pub mod reasons {
-    /// A handshake message was lost to the per-message radio model.
-    pub const RADIO_LOSS: &str = "radio_loss";
     /// A relay on the uplink path failed its pairwise handshake.
     pub const RELAY_CHAIN_FAILED: &str = "relay_chain_failed";
     /// Every delivery of the beacon (M.1) was dropped or undecodable.
@@ -60,8 +58,6 @@ pub struct SimMetrics {
     pub attacker_cpu_ms: f64,
     /// Successful authentications per router (load distribution).
     pub auths_by_router: BTreeMap<String, u64>,
-    /// Handshake messages lost to the radio model.
-    pub radio_losses: u64,
     /// Duplicated/replayed handshake messages rejected idempotently
     /// (exactly-one-session guarantee held).
     pub duplicate_rejects: u64,

@@ -8,7 +8,7 @@ use peace_protocol::entities::{GroupManager, MeshRouter, NetworkOperator, Ttp, U
 use peace_protocol::ids::{GroupId, UserId};
 use peace_protocol::{
     AccessConfirm, AccessRequest, Beacon, Channel, FaultPlan, PeerConfirm, PeerHello, PeerResponse,
-    ProtocolConfig, ProtocolError, Session, Transient,
+    ProtocolConfig, ProtocolError, Transient,
 };
 use peace_wire::{Decode, Encode};
 use rand::rngs::StdRng;
@@ -89,10 +89,6 @@ pub struct SimConfig {
     pub peer_chat_prob: f64,
     /// Simulation end time (ms).
     pub end_time: u64,
-    /// Probability that any single over-the-air handshake message is lost
-    /// (simple radio impairment model; lost handshakes are retried at the
-    /// next auth cycle).
-    pub loss_prob: f64,
     /// Adversarial-channel fault plan applied to every wire-encoded
     /// handshake message (M.1–M.3, M̃.1–M̃.3). [`FaultPlan::NONE`] is a
     /// perfect wire.
@@ -117,7 +113,6 @@ impl Default for SimConfig {
             move_step: 60.0,
             peer_chat_prob: 0.25,
             end_time: 30_000,
-            loss_prob: 0.0,
             fault: FaultPlan::NONE,
             fault_until: u64::MAX,
             seed: 20080605,
@@ -289,7 +284,7 @@ impl SimWorld {
                 break;
             };
             self.now = at;
-            if at >= self.config.fault_until && !self.channel.plan().is_clean() {
+            if at >= self.config.fault_until {
                 self.channel.set_plan(FaultPlan::NONE);
             }
             self.metrics.events_processed += 1;
@@ -388,19 +383,6 @@ impl SimWorld {
         }
     }
 
-    /// Draws the radio for one over-the-air message; records a loss.
-    fn radio_delivers(&mut self) -> bool {
-        if self.config.loss_prob <= 0.0 {
-            return true;
-        }
-        if self.rng.gen_bool(self.config.loss_prob.min(1.0)) {
-            self.metrics.radio_losses += 1;
-            false
-        } else {
-            true
-        }
-    }
-
     /// One full uplink authentication attempt with every wire-encoded
     /// message (M.1, M.2, M.3 and the relay chain's M̃.1–M̃.3) crossing the
     /// adversarial channel. Reports how the attempt ended so the caller can
@@ -413,40 +395,19 @@ impl SimWorld {
         let Some(beacon) = self.last_beacon[router_idx].clone() else {
             return AttemptOutcome::Skipped; // router has not beaconed yet
         };
-        // Radio: the beacon, M.2, and M.3 must each survive the air.
-        if !self.radio_delivers() || !self.radio_delivers() || !self.radio_delivers() {
-            self.metrics.record_auth_fail(reasons::RADIO_LOSS);
-            return AttemptOutcome::Transient;
-        }
         // Relay chain: each consecutive pair runs the peer handshake.
-        let mut chain_ok = true;
         let mut hops = 0u64;
         let mut prev = user;
         for &relay in &relay_chain {
-            if self.do_peer_handshake(prev, relay, &beacon) {
-                hops += 1;
-                prev = relay;
-            } else {
-                chain_ok = false;
-                break;
+            if !self.do_peer_handshake(prev, relay, &beacon) {
+                self.metrics.record_auth_fail(reasons::RELAY_CHAIN_FAILED);
+                return AttemptOutcome::Transient;
             }
-        }
-        if !chain_ok {
-            self.metrics.record_auth_fail(reasons::RELAY_CHAIN_FAILED);
-            return AttemptOutcome::Transient;
+            hops += 1;
+            prev = relay;
         }
         // M.1 over the wire: the user only sees what the channel delivers.
-        let mut heard: Option<(Beacon, u64)> = None;
-        for d in self.channel.transmit(&beacon.to_wire(), self.now) {
-            match Beacon::from_wire(&d.bytes) {
-                Ok(b) => {
-                    if heard.is_none() {
-                        heard = Some((b, d.at));
-                    }
-                }
-                Err(e) => self.metrics.record_decode_fail("M1", &e),
-            }
-        }
+        let (heard, _) = self.deliver("M1", &beacon.to_wire(), |_, b: Beacon, at| Ok((b, at)));
         let Some((beacon, m1_at)) = heard else {
             self.metrics.record_auth_fail(reasons::CHANNEL_LOSS_M1);
             return AttemptOutcome::Transient;
@@ -464,58 +425,17 @@ impl SimWorld {
         };
         // M.2 over the wire: the router processes every delivery — mangled
         // copies fail checks, replayed copies are rejected idempotently.
-        let mut established: Option<(AccessConfirm, Session)> = None;
-        let mut first_err: Option<ProtocolError> = None;
-        for d in self.channel.transmit(&req.to_wire(), self.now) {
-            let r = match AccessRequest::from_wire(&d.bytes) {
-                Ok(r) => r,
-                Err(e) => {
-                    self.metrics.record_decode_fail("M2", &e);
-                    continue;
-                }
-            };
-            match self.routers[router_idx].process_access_request(&r, d.at) {
-                Ok(pair) => {
-                    if established.is_none() {
-                        established = Some(pair);
-                    }
-                }
-                Err(ProtocolError::DuplicateMessage) => self.metrics.duplicate_rejects += 1,
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
+        let (established, errs) = self.deliver("M2", &req.to_wire(), |w, r: AccessRequest, at| {
+            w.routers[router_idx].process_access_request(&r, at)
+        });
         let Some((confirm, mut router_sess)) = established else {
-            return self.record_leg_failure(first_err, reasons::CHANNEL_LOSS_M2);
+            return self.record_leg_failure(errs, reasons::CHANNEL_LOSS_M2);
         };
         // M.3 back over the wire to the user.
-        let mut user_sess: Option<Session> = None;
-        let mut first_err: Option<ProtocolError> = None;
-        for d in self.channel.transmit(&confirm.to_wire(), self.now) {
-            let c = match AccessConfirm::from_wire(&d.bytes) {
-                Ok(c) => c,
-                Err(e) => {
-                    self.metrics.record_decode_fail("M3", &e);
-                    continue;
-                }
-            };
-            match self.users[user].handle_access_confirm(&c, d.at) {
-                Ok(s) => {
-                    if user_sess.is_none() {
-                        user_sess = Some(s);
-                    }
-                }
-                Err(ProtocolError::DuplicateMessage) => self.metrics.duplicate_rejects += 1,
-                Err(e) => {
-                    if first_err.is_none() {
-                        first_err = Some(e);
-                    }
-                }
-            }
-        }
+        let (user_sess, errs) =
+            self.deliver("M3", &confirm.to_wire(), |w, c: AccessConfirm, at| {
+                w.users[user].handle_access_confirm(&c, at)
+            });
         let outcome = match user_sess {
             Some(mut user_sess) => {
                 self.metrics.auth_success += 1;
@@ -533,7 +453,7 @@ impl SimWorld {
                 }
                 AttemptOutcome::Success
             }
-            None => self.record_leg_failure(first_err, reasons::CHANNEL_LOSS_M3),
+            None => self.record_leg_failure(errs, reasons::CHANNEL_LOSS_M3),
         };
         // Routers report their logs to NO opportunistically (unless an
         // outer harness owns transcript reporting).
@@ -558,10 +478,10 @@ impl SimWorld {
     /// delivery was dropped or undecodable).
     fn record_leg_failure(
         &mut self,
-        first_err: Option<ProtocolError>,
+        errs: Vec<ProtocolError>,
         loss_reason: &str,
     ) -> AttemptOutcome {
-        match first_err {
+        match errs.into_iter().next() {
             Some(e) => {
                 let out = Self::outcome_of(&e);
                 self.metrics.record_auth_fail(e.code());
@@ -588,87 +508,89 @@ impl SimWorld {
         };
         // M̃.1: a duplicated hello makes the responder answer twice (two
         // half-open states, each bounded by its table); we carry the first.
-        let mut resp: Option<PeerResponse> = None;
-        for d in self.channel.transmit(&hello.to_wire(), self.now) {
-            let h = match PeerHello::from_wire(&d.bytes) {
-                Ok(h) => h,
-                Err(e) => {
-                    self.metrics.record_decode_fail("Mt1", &e);
-                    continue;
-                }
-            };
-            match self.users[b].handle_peer_hello(&h, d.at, &mut self.rng) {
-                Ok(r) => {
-                    if resp.is_none() {
-                        resp = Some(r);
-                    }
-                }
-                Err(e) => self.metrics.record_peer_fail(e.code()),
-            }
-        }
-        let Some(resp) = resp else {
-            self.metrics.record_peer_fail(reasons::CHANNEL_LOSS_MT1);
+        let lost = reasons::CHANNEL_LOSS_MT1;
+        let Some(resp) = self.peer_leg("Mt1", lost, &hello.to_wire(), |w, h: PeerHello, at| {
+            w.users[b].handle_peer_hello(&h, at, &mut w.rng)
+        }) else {
             return false;
         };
         // M̃.2 back to the initiator; replays are rejected idempotently.
-        let mut done: Option<(PeerConfirm, Session)> = None;
-        for d in self.channel.transmit(&resp.to_wire(), self.now) {
-            let r = match PeerResponse::from_wire(&d.bytes) {
-                Ok(r) => r,
-                Err(e) => {
-                    self.metrics.record_decode_fail("Mt2", &e);
-                    continue;
-                }
-            };
-            match self.users[a].handle_peer_response(&r, d.at) {
-                Ok(pair) => {
-                    if done.is_none() {
-                        done = Some(pair);
-                    }
-                }
-                Err(ProtocolError::DuplicateMessage) => self.metrics.duplicate_rejects += 1,
-                Err(e) => self.metrics.record_peer_fail(e.code()),
-            }
-        }
-        let Some((confirm, mut a_sess)) = done else {
-            self.metrics.record_peer_fail(reasons::CHANNEL_LOSS_MT2);
+        let lost = reasons::CHANNEL_LOSS_MT2;
+        let Some((confirm, mut a_sess)) =
+            self.peer_leg("Mt2", lost, &resp.to_wire(), |w, r: PeerResponse, at| {
+                w.users[a].handle_peer_response(&r, at)
+            })
+        else {
             return false;
         };
         // M̃.3 to the responder.
-        let mut b_sess: Option<Session> = None;
-        for d in self.channel.transmit(&confirm.to_wire(), self.now) {
-            let c = match PeerConfirm::from_wire(&d.bytes) {
-                Ok(c) => c,
+        let lost = reasons::CHANNEL_LOSS_MT3;
+        let Some(mut b_sess) =
+            self.peer_leg("Mt3", lost, &confirm.to_wire(), |w, c: PeerConfirm, at| {
+                w.users[b].handle_peer_confirm(&c, at)
+            })
+        else {
+            return false;
+        };
+        // exchange one payload to prove the channel works
+        let m = a_sess.seal_data(b"relay-setup");
+        let ok = b_sess.open_data(&m).is_ok();
+        if ok {
+            self.metrics.peer_success += 1;
+        }
+        ok
+    }
+
+    /// One peer-handshake leg over the channel: every refusal a delivery
+    /// met counts as a peer failure, and so does a leg nothing came out of.
+    fn peer_leg<M: Decode, T>(
+        &mut self,
+        kind: &str,
+        loss_reason: &str,
+        wire: &[u8],
+        on_msg: impl FnMut(&mut Self, M, u64) -> Result<T, ProtocolError>,
+    ) -> Option<T> {
+        let (got, errs) = self.deliver(kind, wire, on_msg);
+        for e in errs {
+            self.metrics.record_peer_fail(e.code());
+        }
+        if got.is_none() {
+            self.metrics.record_peer_fail(loss_reason);
+        }
+        got
+    }
+
+    /// Carries one wire-encoded handshake message across the adversarial
+    /// channel and hands every arrival to its receiver: a delivery that
+    /// does not decode is counted under `kind` and skipped, the rest go to
+    /// `on_msg` with their arrival time. The first success wins; a replay
+    /// the receiver refuses as [`ProtocolError::DuplicateMessage`] is
+    /// counted as such; every other refusal is returned, in arrival order.
+    fn deliver<M: Decode, T>(
+        &mut self,
+        kind: &str,
+        wire: &[u8],
+        mut on_msg: impl FnMut(&mut Self, M, u64) -> Result<T, ProtocolError>,
+    ) -> (Option<T>, Vec<ProtocolError>) {
+        let mut first = None;
+        let mut errs = Vec::new();
+        for d in self.channel.transmit(wire, self.now) {
+            let msg = match M::from_wire(&d.bytes) {
+                Ok(msg) => msg,
                 Err(e) => {
-                    self.metrics.record_decode_fail("Mt3", &e);
+                    self.metrics.record_decode_fail(kind, &e);
                     continue;
                 }
             };
-            match self.users[b].handle_peer_confirm(&c, d.at) {
-                Ok(s) => {
-                    if b_sess.is_none() {
-                        b_sess = Some(s);
-                    }
+            match on_msg(self, msg, d.at) {
+                Ok(out) => {
+                    first.get_or_insert(out);
                 }
                 Err(ProtocolError::DuplicateMessage) => self.metrics.duplicate_rejects += 1,
-                Err(e) => self.metrics.record_peer_fail(e.code()),
+                Err(e) => errs.push(e),
             }
         }
-        match b_sess {
-            Some(mut b_sess) => {
-                // exchange one payload to prove the channel works
-                let m = a_sess.seal_data(b"relay-setup");
-                let ok = b_sess.open_data(&m).is_ok();
-                if ok {
-                    self.metrics.peer_success += 1;
-                }
-                ok
-            }
-            None => {
-                self.metrics.record_peer_fail(reasons::CHANNEL_LOSS_MT3);
-                false
-            }
-        }
+        (first, errs)
     }
 
     fn do_peer_chat(&mut self, a: usize, b: usize) {

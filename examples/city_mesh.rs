@@ -29,10 +29,13 @@ fn main() {
         move_step: 80.0,
         peer_chat_prob: 0.3,
         end_time: 60_000,
-        loss_prob: 0.02,
         // A mildly hostile wire for the first 30 s: every fault class at
-        // 5%, then the channel goes clean and the city heals.
-        fault: FaultPlan::uniform(0.05, 400),
+        // 5% (drops at 7%: 2% of plain radio loss on top), then the channel
+        // goes clean and the city heals.
+        fault: FaultPlan {
+            drop_prob: 0.07,
+            ..FaultPlan::uniform(0.05, 400)
+        },
         fault_until: 30_000,
         seed: 20080605,
     };

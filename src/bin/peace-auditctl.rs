@@ -443,40 +443,18 @@ fn gen_replicated_fixture(
         rl.flush().map_err(|e| e.to_string())?;
     }
 
-    // All-pairs pull gossip: each replica mirrors every peer writer's
-    // checkpoint-attested ranges, verifying the signature on each.
+    // All-pairs pull gossip: each replica in turn steps out of the list
+    // and mirrors every peer writer's checkpoint-attested ranges,
+    // verifying the signature on each.
     for dst in 0..replicate {
-        for src in 0..replicate {
-            if src == dst {
-                continue;
-            }
-            let (a, b) = if dst < src {
-                let (l, r) = replicas.split_at_mut(src);
-                (&mut l[dst], &r[0])
-            } else {
-                let (l, r) = replicas.split_at_mut(dst);
-                (&mut r[0], &l[src])
-            };
-            for d in b.digests() {
-                if d.writer == a.local_id() {
-                    continue;
-                }
-                let Some(target) = d.ckpt_seq else { continue };
-                loop {
-                    let from = a.shard_next_seq(&d.writer);
-                    if from > target {
-                        break;
-                    }
-                    match b.serve_range(&d.writer, from).map_err(|e| e.to_string())? {
-                        Some(range) => {
-                            a.ingest_range(&range, &resolve)
-                                .map_err(|e| e.to_string())?;
-                        }
-                        None => break,
-                    }
-                }
+        let mut puller = replicas.remove(dst);
+        for src in &replicas {
+            let (_, refused) = puller.pull_from(src, &resolve);
+            if let Some(e) = refused.first() {
+                return Err(e.to_string());
             }
         }
+        replicas.insert(dst, puller);
     }
 
     let mut digests = Vec::new();
