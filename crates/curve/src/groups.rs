@@ -88,7 +88,23 @@ macro_rules! group_impl {
                 Self(self.0.double_mul_scalar(a, &other.0, b))
             }
 
-            /// A uniformly random non-identity element.
+            /// `self^k` for every `k` in `scalars` over one shared doubling
+            /// chain and one normalization — cheaper than `scalars.len()`
+            /// separate exponentiations from the second scalar on, and
+            /// counted as that many.
+            pub fn mul_many(&self, scalars: &[Fq]) -> Vec<Self> {
+                let powers = self.0.to_projective().mul_many(scalars);
+                powers.into_iter().map(Self).collect()
+            }
+
+            /// `g^k` for the fixed generator `g`, from the process-wide
+            /// comb table (additions only, no doublings).
+            pub fn mul_generator(k: &Fq) -> Self {
+                Self(crate::fixed_base::mul_generator(k))
+            }
+
+            /// A uniformly random non-identity element:
+            /// [`Self::mul_generator`] of one `Fq::random_nonzero` draw.
             pub fn random(rng: &mut impl RngCore) -> Self {
                 Self(AffinePoint::random_subgroup(rng))
             }

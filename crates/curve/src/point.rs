@@ -542,6 +542,46 @@ impl ProjectivePoint {
         acc
     }
 
+    /// `k·self` for every `k` in `scalars`, over **one** doubling chain of
+    /// `self` — the shape of a signer's `T₁ = u^α`, `R₁ = u^{r_α}`,
+    /// `R₃ = u^{α·r_x − r_δ}`, three powers of one fresh base.
+    ///
+    /// Right to left: the running base `2ⁱ·self` is doubled once per bit
+    /// whatever the number of scalars, and each scalar's width-4 signed
+    /// digit at position `i` adds `±2ⁱ·self` into that scalar's bucket for
+    /// `|digit|` (four buckets: 1, 3, 5, 7); a scalar's result is the
+    /// weighted sum of its buckets. Per scalar that is ≈ 32 + 9 additions
+    /// and no doublings of its own. The results are normalized together
+    /// (one field inversion), and each is recorded as one 𝔾₁ exponentiation
+    /// — it replaces one.
+    pub fn mul_many(&self, scalars: &[Fq]) -> Vec<AffinePoint> {
+        let digits: Vec<Vec<i8>> = scalars
+            .iter()
+            .map(|k| {
+                ops::record_g1_mul();
+                k.to_uint().wnaf(MUL_MANY_WIDTH)
+            })
+            .collect();
+        let len = digits.iter().map(Vec::len).max().unwrap_or(0);
+        let mut buckets = vec![[Self::IDENTITY; MUL_MANY_BUCKETS]; scalars.len()];
+        let mut base = *self;
+        for i in 0..len {
+            if i > 0 {
+                base = base.double();
+            }
+            for (digits, buckets) in digits.iter().zip(&mut buckets) {
+                let d = digits.get(i).copied().unwrap_or(0);
+                if d != 0 {
+                    let signed = if d > 0 { base } else { base.neg() };
+                    let bucket = &mut buckets[(d.unsigned_abs() as usize) >> 1];
+                    *bucket = bucket.add(&signed);
+                }
+            }
+        }
+        let sums: Vec<Self> = buckets.iter().map(odd_weighted_sum).collect();
+        Self::batch_to_affine(&sums)
+    }
+
     /// Binary Shamir ladder (reference/ablation implementation; compare
     /// against [`Self::double_mul`]).
     pub fn double_mul_binary<const M: usize>(p: &Self, a: &Uint<M>, q: &Self, b: &Uint<M>) -> Self {
@@ -587,6 +627,24 @@ fn cofactor_wnaf() -> &'static [i8] {
 /// wNAF window width per scalar in interleaved double-mul (smaller: two
 /// tables are built per call).
 const DOUBLE_MUL_WIDTH: u32 = 4;
+
+/// wNAF window width per scalar in [`ProjectivePoint::mul_many`], and the
+/// buckets it needs (one per odd digit magnitude). Width 4 is where the
+/// digit additions (≈ bits/5) and the bucket sum (≈ 2 per bucket) balance.
+const MUL_MANY_WIDTH: u32 = 4;
+const MUL_MANY_BUCKETS: usize = 1 << (MUL_MANY_WIDTH - 2);
+
+/// `Σⱼ (2j+1)·buckets[j]` by running sums: `2·Σⱼ j·buckets[j]` comes from
+/// adding the suffix sums, the rest is the sum of all buckets.
+fn odd_weighted_sum(buckets: &[ProjectivePoint; MUL_MANY_BUCKETS]) -> ProjectivePoint {
+    let mut suffix = ProjectivePoint::IDENTITY;
+    let mut weighted = ProjectivePoint::IDENTITY;
+    for bucket in buckets[1..].iter().rev() {
+        suffix = suffix.add(bucket);
+        weighted = weighted.add(&suffix);
+    }
+    weighted.double().add(&suffix).add(&buckets[0])
+}
 
 /// Adds the table entry for a signed wNAF digit (`d` odd, `|d| < 2T`);
 /// zero digits are a no-op.

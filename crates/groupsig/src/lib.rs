@@ -81,17 +81,52 @@ mod tests {
     #[test]
     fn member_keys_satisfy_sdh_relation() {
         let f = fixture();
+        let gpk = f.issuer.public_key();
+        let prepared = PreparedGpk::new(gpk);
         for k in [&f.alice, &f.bob, &f.carol_b] {
-            assert!(k.is_valid_for(f.issuer.public_key()));
+            assert!(k.is_valid_for(gpk));
+            // The prepared check agrees, and hands back ê(A, g₂).
+            let e_a_g2 = peace_pairing::pairing(&k.a, &gpk.g2);
+            assert_eq!(prepared.member_pairing(k), Some(e_a_g2));
         }
     }
 
     #[test]
     fn corrupted_member_key_detected() {
         let mut f = fixture();
-        let mut bad = f.alice;
-        bad.x = peace_field::Fq::random(&mut f.rng);
-        assert!(!bad.is_valid_for(f.issuer.public_key()));
+        let gpk = *f.issuer.public_key();
+        let prepared = PreparedGpk::new(&gpk);
+        let wrong_x = MemberKey {
+            x: peace_field::Fq::random(&mut f.rng),
+            ..f.alice
+        };
+        let wrong_grp = MemberKey {
+            grp: f.carol_b.grp,
+            ..f.alice
+        };
+        let wrong_a = MemberKey {
+            a: f.bob.a,
+            ..f.alice
+        };
+        let no_a = MemberKey {
+            a: peace_curve::G1::IDENTITY,
+            ..f.alice
+        };
+        let other_issuer = IssuerKey::generate(&mut f.rng);
+        let foreign = other_issuer.issue(&f.grp_a, &mut f.rng);
+        for bad in [wrong_x, wrong_grp, wrong_a, no_a, foreign] {
+            assert!(!bad.is_valid_for(&gpk));
+            assert_eq!(prepared.member_pairing(&bad), None);
+        }
+        // The same check costs no more pairing work than the plain one.
+        let scope = OpSnapshot::scope();
+        assert!(prepared.member_pairing(&f.alice).is_some());
+        let cost = scope.counts();
+        assert_eq!(
+            (cost.pairings, cost.miller_loops, cost.final_exps),
+            (2, 2, 1)
+        );
+        assert_eq!(cost.g1_muls, 0);
     }
 
     #[test]
@@ -388,6 +423,22 @@ mod tests {
         assert_eq!(sign_cost.pairings, 2, "sign: {sign_cost:?}");
         assert_eq!(sign_cost.g1_muls, 7, "sign: {sign_cost:?}");
 
+        // The product signer, handed ê(A, g₂): one pairing and one 𝔾_T
+        // power; still seven multiplications on the books, three of them
+        // sharing the doubling chain of u and one a fused table lookup.
+        let prepared = PreparedGpk::new(&gpk);
+        let e_a_g2 = prepared.member_pairing(&f.alice).unwrap();
+        let scope = OpSnapshot::scope();
+        let fast = prepared.sign_as(&f.alice, &e_a_g2, b"m", BasesMode::PerMessage, &mut f.rng);
+        let fast_cost = scope.counts();
+        assert_eq!(
+            (fast_cost.pairings, fast_cost.gt_exps),
+            (1, 1),
+            "{fast_cost:?}"
+        );
+        assert_eq!(fast_cost.g1_muls, 7, "{fast_cost:?}");
+        verify(&gpk, b"m", &fast, BasesMode::PerMessage).unwrap();
+
         let before_v = OpSnapshot::capture();
         verify(&gpk, b"m", &sig, BasesMode::PerMessage).unwrap();
         let verify_cost = OpSnapshot::capture().since(&before_v);
@@ -670,6 +721,40 @@ mod tests {
             let plain = sign(&gpk, &f.alice, b"same bytes", mode, &mut r1);
             let fast = prepared.sign(&f.alice, b"same bytes", mode, &mut r2);
             assert_eq!(plain.to_bytes(), fast.to_bytes());
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
+
+        /// The signer's three identities are exact: over random issuers,
+        /// member keys and messages, and in both bases modes, the product
+        /// signer — given ê(A, g₂) or computing it — emits the bytes the
+        /// paper-shaped `sign` emits from the same RNG state, and leaves
+        /// the RNG where `sign` leaves it.
+        #[test]
+        fn prop_product_signer_is_the_free_sign_byte_for_byte(
+            seed in proptest::prelude::any::<u64>(),
+            msg in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..200),
+        ) {
+            use rand::RngCore;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let issuer = IssuerKey::generate(&mut rng);
+            let gpk = *issuer.public_key();
+            let member = issuer.issue(&issuer.new_group_secret(&mut rng), &mut rng);
+            let prepared = PreparedGpk::new(&gpk);
+            let e_a_g2 = prepared.member_pairing(&member).expect("issued key");
+            for mode in [BasesMode::PerMessage, BasesMode::FixedBases] {
+                let mut rngs = [rng.clone(), rng.clone(), rng.clone()];
+                let plain = sign(&gpk, &member, &msg, mode, &mut rngs[0]);
+                let cached = prepared.sign_as(&member, &e_a_g2, &msg, mode, &mut rngs[1]);
+                let uncached = prepared.sign(&member, &msg, mode, &mut rngs[2]);
+                proptest::prop_assert_eq!(&cached.to_bytes(), &plain.to_bytes());
+                proptest::prop_assert_eq!(&uncached.to_bytes(), &plain.to_bytes());
+                let next = rngs.map(|mut r| r.next_u64());
+                proptest::prop_assert!(next[1] == next[0] && next[2] == next[0]);
+                proptest::prop_assert!(prepared.verify(&msg, &cached, mode).is_ok());
+            }
         }
     }
 

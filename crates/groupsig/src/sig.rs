@@ -273,8 +273,21 @@ impl PreparedGpk {
         G2::from_point_unchecked(self.w_table.mul2(a, &self.g2_table, b))
     }
 
-    /// Signs `msg` under `gsk` using the precomputed tables for the
-    /// fixed-base factor `w^{r_α}·g₂^{r_δ}`.
+    /// Checks the SDH relation of a freshly assembled member key
+    /// ([`MemberKey::sdh_pairing`], against this key's `ê(g₁, g₂)` table)
+    /// and, if it holds, returns `ê(A, g₂)` — the one value of a
+    /// signature's `R₂` that depends on the signer alone, which
+    /// [`Self::sign_as`] takes instead of a second pairing per signature.
+    ///
+    /// The value identifies the member exactly as `A` does; whoever keeps
+    /// it keeps it as secret as the key.
+    pub fn member_pairing(&self, gsk: &MemberKey) -> Option<Gt> {
+        gsk.sdh_pairing(&self.gpk, &self.e_g1_g2_table.base())
+    }
+
+    /// Signs `msg` under `gsk`, paying for `ê(A, g₂)` here: what a caller
+    /// without the value from [`Self::member_pairing`] uses. Two bilinear
+    /// maps, as the paper counts them.
     ///
     /// Draws from `rng` in exactly the same order as the free-standing
     /// [`sign`] and computes identical values, so the produced signature is
@@ -287,6 +300,29 @@ impl PreparedGpk {
         mode: BasesMode,
         rng: &mut impl RngCore,
     ) -> GroupSignature {
+        self.sign_as(gsk, &pairing(&gsk.a, &self.gpk.g2), msg, mode, rng)
+    }
+
+    /// Signs `msg` under `gsk`, given `e_a_g2 = ê(A, g₂)` for that key
+    /// ([`Self::member_pairing`]; any other value yields a signature that
+    /// does not verify). The signature is the one [`sign`] produces, by
+    /// three identities the signer alone can use, knowing `α`:
+    ///
+    /// * `T₂ = A·v^α`, so `ê(T₂, g₂)^{r_x} = ê(A, g₂)^{r_x}·ê(v, g₂)^{α·r_x}`
+    ///   and `R₂ = ê(A, g₂)^{r_x} · ê(v, g₂^{α·r_x − r_δ}·w^{−r_α})` — one
+    ///   pairing, not two;
+    /// * `T₁ = u^α`, so `R₃ = T₁^{r_x}·u^{−r_δ} = u^{α·r_x − r_δ}` — one
+    ///   exponentiation, not a double one;
+    /// * `T₁`, `R₁ = u^{r_α}` and `R₃` are then three powers of `u`, and
+    ///   share its doubling chain ([`G1::mul_many`]).
+    pub fn sign_as(
+        &self,
+        gsk: &MemberKey,
+        e_a_g2: &Gt,
+        msg: &[u8],
+        mode: BasesMode,
+        rng: &mut impl RngCore,
+    ) -> GroupSignature {
         let r = Fq::random(rng);
         let (u_hat, v_hat) = h0_bases(&self.gpk, msg, &r, mode);
         let u = psi(&u_hat);
@@ -294,21 +330,19 @@ impl PreparedGpk {
 
         // 2.2.2
         let alpha = Fq::random(rng);
-        let t1 = u.mul(&alpha);
-        let t2 = gsk.a.add(&v.mul(&alpha));
         let x_eff = gsk.exponent();
         let delta = x_eff.mul(&alpha);
         let r_alpha = Fq::random(rng);
         let r_x = Fq::random(rng);
         let r_delta = Fq::random(rng);
 
-        // 2.2.3 — identical formulas to `sign`, with the fixed-base factor
-        // from the tables.
-        let r1 = u.mul(&r_alpha);
-        let merged = self.mul_w_g2(&r_alpha, &r_delta);
-        let (e_t2_g2, e_v_merged) = pairing_pair(&t2, &self.gpk.g2, &v, &merged);
-        let r2 = e_t2_g2.pow(&r_x).mul(&e_v_merged.invert());
-        let r3 = t1.mul_mul(&r_x, &u, &r_delta.neg());
+        // 2.2.2–2.2.3, with every exponent of u and of ê(v, ·) collected.
+        let e = alpha.mul(&r_x).sub(&r_delta);
+        let powers = u.mul_many(&[alpha, r_alpha, e]);
+        let (t1, r1, r3) = (powers[0], powers[1], powers[2]);
+        let t2 = gsk.a.add(&v.mul(&alpha));
+        let merged = self.mul_g2_w(&e, &r_alpha.neg());
+        let r2 = e_a_g2.pow(&r_x).mul(&pairing(&v, &merged));
         let (t1, t2) = (G1Wire::from(t1), G1Wire::from(t2));
         let c = challenge(&self.gpk, msg, &r, &t1, &t2, &r1, &r2, &r3);
 

@@ -21,7 +21,7 @@
 //! written with a single `write_all` — is therefore skipped
 //! deterministically, byte-for-byte identically on every open.
 
-use peace_hash::sha256;
+use peace_hash::{sha256, Sha256};
 use peace_wire::Decode;
 
 use crate::crc::crc32;
@@ -46,10 +46,7 @@ pub fn genesis_chain() -> [u8; 32] {
 
 /// Extends the running chain with one frame payload.
 pub fn extend_chain(chain: &[u8; 32], payload: &[u8]) -> [u8; 32] {
-    let mut buf = Vec::with_capacity(32 + payload.len());
-    buf.extend_from_slice(chain);
-    buf.extend_from_slice(payload);
-    sha256(&buf)
+    Sha256::new().chain(chain).chain(payload).finalize()
 }
 
 /// A parsed segment header.
@@ -405,6 +402,17 @@ mod tests {
             seq,
             at_ms: 100 + seq,
             record: LedgerRecord::EpochRollover { epoch: seq },
+        }
+    }
+
+    #[test]
+    fn the_chain_is_the_hash_of_chain_then_payload() {
+        // Streamed, never copied — on either side of a block boundary.
+        let chain = genesis_chain();
+        for len in [0usize, 1, 31, 32, 33, 95, 96, 97, 543] {
+            let payload = vec![0xA5u8; len];
+            let joined = [&chain[..], &payload].concat();
+            assert_eq!(extend_chain(&chain, &payload), sha256(&joined), "{len}");
         }
     }
 

@@ -132,6 +132,11 @@ impl GtPowTable {
         self.windows.len() as u32 * 4
     }
 
+    /// The base the table was built for (its first entry).
+    pub fn base(&self) -> Gt {
+        Gt::from_fp2(self.windows[0][0])
+    }
+
     /// `base^k` by table lookup — multiplications only.
     ///
     /// Counts as one 𝔾_T exponentiation (it replaces one).

@@ -483,6 +483,7 @@ mod tests {
         let e = pairing(&G1::random(&mut r), &g2());
         let table = GtPowTable::new(&e, 160);
         assert_eq!(table.max_bits(), 160);
+        assert_eq!(table.base(), e);
         for _ in 0..4 {
             let k = Fq::random(&mut r);
             assert_eq!(table.pow(&k), e.pow(&k));

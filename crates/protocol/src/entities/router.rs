@@ -368,9 +368,12 @@ impl MeshRouter {
         self.prune_beacons(now);
         self.refresh_attack_state(now);
         self.beacons_sent += 1;
-        let g = G1::random(rng);
+        // g = G^k as `G1::random` draws it, and g^{r_R} = G^{k·r_R}: both
+        // from the generator's comb table, no ladder over a fresh base.
+        let k = Fq::random_nonzero(rng);
         let r_r = Fq::random_nonzero(rng);
-        let g_rr = g.mul(&r_r);
+        let g = G1::mul_generator(&k);
+        let g_rr = G1::mul_generator(&k.mul(&r_r));
         let sig = self.signing.sign(&Beacon::signed_payload(&g, &g_rr, now));
         let puzzle = if self.under_attack {
             let mut seed = Writer::new();

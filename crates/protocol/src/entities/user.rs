@@ -8,6 +8,7 @@ use peace_curve::{G1Wire, G1};
 use peace_ecdsa::{Certificate, SigningKey, VerifyingKey};
 use peace_field::Fq;
 use peace_groupsig::{MemberKey, PreparedGpk, RevocationToken};
+use peace_pairing::Gt;
 use peace_symmetric::{open_oneshot, seal_oneshot};
 use peace_wire::{Reader, Writer};
 use rand::RngCore;
@@ -27,12 +28,27 @@ use super::gm::GmAssignment;
 use super::ttp::TtpDelivery;
 
 /// One enrolled credential: a group private key plus its share index.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct Credential {
     /// The share index `[i, j]` (user-private bookkeeping).
     pub index: ShareIndex,
     /// The assembled group private key `gsk[i,j]`.
     pub key: MemberKey,
+    /// `ê(A, g₂)` for `key`, as the enrolment check computed it: the
+    /// signer's half of every `R₂`, so a signature costs one pairing. Key
+    /// material — it names the member as `A` does — and it lives and dies
+    /// with the credential.
+    e_a_g2: Gt,
+}
+
+impl std::fmt::Debug for Credential {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // `ê(A, g₂)` is never printed; the key prints as `MemberKey(..)`.
+        f.debug_struct("Credential")
+            .field("index", &self.index)
+            .field("key", &self.key)
+            .finish_non_exhaustive()
+    }
 }
 
 /// Responder-side state between sending M̃.2 and receiving M̃.3.
@@ -174,12 +190,14 @@ impl UserClient {
             grp: gm.grp,
             x: gm.x,
         };
-        if !key.is_valid_for(self.prepared_gpk.gpk()) {
-            return Err(ProtocolError::Setup("assembled gsk fails SDH check"));
-        }
+        let e_a_g2 = self
+            .prepared_gpk
+            .member_pairing(&key)
+            .ok_or(ProtocolError::Setup("assembled gsk fails SDH check"))?;
         self.credentials.push(Credential {
             index: gm.index,
             key,
+            e_a_g2,
         });
         // Receipt covers both received parts.
         let mut payload = Writer::new();
@@ -401,9 +419,13 @@ impl UserClient {
         let g_rj = G1Wire::from(g.mul(&r_j));
         let ts2 = now;
         let payload = AccessRequest::signed_payload(&g_rj, &beacon.g_rr, ts2);
-        let gsig = self
-            .prepared_gpk
-            .sign(&cred.key, &payload, self.config.bases_mode, rng);
+        let gsig = self.prepared_gpk.sign_as(
+            &cred.key,
+            &cred.e_a_g2,
+            &payload,
+            self.config.bases_mode,
+            rng,
+        );
         let puzzle_solution = beacon.puzzle.as_ref().map(|p| p.solve());
         // 2.2.5: session key K = (g^{r_R})^{r_j}
         let dh_secret = g_rr.mul(&r_j);
@@ -479,9 +501,13 @@ impl UserClient {
         let r_j = Fq::random_nonzero(rng);
         let g_rj = G1Wire::from(point(g, "peer1.g")?.mul(&r_j));
         let payload = PeerHello::signed_payload(g, &g_rj, now);
-        let gsig = self
-            .prepared_gpk
-            .sign(&cred.key, &payload, self.config.bases_mode, rng);
+        let gsig = self.prepared_gpk.sign_as(
+            &cred.key,
+            &cred.e_a_g2,
+            &payload,
+            self.config.bases_mode,
+            rng,
+        );
         let pending = PendingSession {
             local_secret: r_j,
             dh_secret: G1::IDENTITY, // filled in on M̃.2
@@ -523,9 +549,13 @@ impl UserClient {
         let r_l = Fq::random_nonzero(rng);
         let g_rl = G1Wire::from(point(&hello.g, "peer1.g")?.mul(&r_l));
         let resp_payload = PeerResponse::signed_payload(&hello.g_rj, &g_rl, now);
-        let gsig = self
-            .prepared_gpk
-            .sign(&cred.key, &resp_payload, self.config.bases_mode, rng);
+        let gsig = self.prepared_gpk.sign_as(
+            &cred.key,
+            &cred.e_a_g2,
+            &resp_payload,
+            self.config.bases_mode,
+            rng,
+        );
         let dh_secret = point(&hello.g_rj, "peer1.g_rj")?.mul(&r_l);
         let id = SessionId::from_points(&hello.g_rj, &g_rl);
         Ok((
@@ -846,5 +876,75 @@ impl EncodeInto for ShareIndex {
     fn encode_into(&self, w: &mut Writer) {
         use peace_wire::Encode;
         self.encode(w);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ids::GroupId;
+    use crate::setup::blind_a;
+    use peace_groupsig::IssuerKey;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// The two parts a user is handed for `key`, as GM and TTP would.
+    fn parts(key: &MemberKey) -> (GmAssignment, TtpDelivery) {
+        let index = ShareIndex {
+            group: GroupId(1),
+            slot: 0,
+        };
+        let gm = GmAssignment {
+            index,
+            grp: key.grp,
+            x: key.x,
+        };
+        let ttp = TtpDelivery {
+            index,
+            blinded_a: blind_a(&key.a, &key.x),
+        };
+        (gm, ttp)
+    }
+
+    #[test]
+    fn enroll_keeps_the_pairing_of_a_valid_key_and_refuses_any_other() {
+        let mut rng = StdRng::seed_from_u64(24);
+        let issuer = IssuerKey::generate(&mut rng);
+        let gpk = *issuer.public_key();
+        let grp = issuer.new_group_secret(&mut rng);
+        let key = issuer.issue(&grp, &mut rng);
+        let other = issuer.issue(&grp, &mut rng);
+        let foreign_issuer = IssuerKey::generate(&mut rng);
+        let foreign = foreign_issuer.issue(&grp, &mut rng);
+        let npk = *SigningKey::random(&mut rng).verifying_key();
+        let mut user = UserClient::new(
+            UserId("alice".into()),
+            gpk,
+            npk,
+            ProtocolConfig::default(),
+            &mut rng,
+        );
+
+        let wrong_x = MemberKey { x: other.x, ..key };
+        let wrong_a = MemberKey { a: other.a, ..key };
+        for bad in [wrong_x, wrong_a, foreign] {
+            assert!(!bad.is_valid_for(&gpk));
+            let (gm, ttp) = parts(&bad);
+            assert_eq!(
+                user.enroll(&gm, &ttp),
+                Err(ProtocolError::Setup("assembled gsk fails SDH check"))
+            );
+        }
+        assert_eq!(user.credential_count(), 0);
+
+        let (gm, ttp) = parts(&key);
+        user.enroll(&gm, &ttp).unwrap();
+        let cred = user.active_credential().unwrap();
+        assert_eq!(cred.key, key);
+        assert_eq!(cred.e_a_g2, peace_pairing::pairing(&key.a, &gpk.g2));
+
+        // A new epoch drops the value with the credential it belongs to.
+        user.install_epoch(*foreign_issuer.public_key());
+        assert!(user.credentials.is_empty());
     }
 }

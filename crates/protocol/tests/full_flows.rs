@@ -9,7 +9,7 @@ use peace_protocol::ids::{GroupId, UserId};
 use peace_protocol::{AccessConfirm, AccessRequest, Beacon, ProtocolConfig, ProtocolError};
 use peace_wire::{Decode, Encode};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 struct World {
     no: NetworkOperator,
@@ -1050,6 +1050,83 @@ fn an_accepted_handshake_decompresses_five_points() {
     let confirm: AccessConfirm = over_the_wire(&confirm);
     alice.handle_access_confirm(&confirm, 1_030).unwrap();
     assert_eq!(scope.counts().g1_decompressions, 0);
+}
+
+/// What one thread spent on the bilinear map, whole or in parts.
+fn pairing_work(cost: &OpSnapshot) -> (u64, u64, u64, u64) {
+    (
+        cost.pairings,
+        cost.miller_loops,
+        cost.final_exps,
+        cost.gt_exps,
+    )
+}
+
+#[test]
+fn an_accepted_beacon_costs_the_client_one_pairing_and_a_refused_one_none() {
+    let mut w = World::new(64);
+    let gid = w.add_group("org", 1);
+    let mut alice = w.enroll_user("alice", gid);
+    let mut router = w.router("MR-1");
+    let window = w.no.config().timestamp_window;
+    let beacon: Beacon = over_the_wire(&router.beacon(1_000, &mut w.rng));
+
+    // Accepted: ê(A, g₂) came with the credential, so M.2's signature is
+    // one Miller loop and one final exponentiation (ê(v, ·)) and one 𝔾_T
+    // power. Seven multiplications sign — two of them cofactor clearings,
+    // three on one doubling chain — two make g^{r_j} and the session key,
+    // two are the subgroup checks of g and g^{r_R}, and a first beacon
+    // is four ECDSA verifications (certificate, CRL, URL, beacon).
+    let scope = OpSnapshot::scope();
+    alice.request_access(&beacon, 1_010, &mut w.rng).unwrap();
+    let cost = scope.counts();
+    assert_eq!(pairing_work(&cost), (1, 1, 1, 1));
+    assert_eq!(cost.g1_muls, 7 + 2 + 2 + 4);
+
+    // Refused, for each reason a beacon can be: no pairing work at all.
+    let mut revoked = w.router("MR-rogue");
+    w.no.revoke_router(revoked.cert().serial);
+    revoked.update_lists(w.no.publish_crl(1_000), w.no.publish_url(1_000));
+    let listed = revoked.beacon(1_000, &mut w.rng);
+    let mut resigned = beacon.clone();
+    resigned.ts1 += 1;
+    let scope = OpSnapshot::scope();
+    for (beacon, now, err) in [
+        (&beacon, 1_000 + window + 1, ProtocolError::StaleTimestamp),
+        (&resigned, 1_010, ProtocolError::BadRouterSignature),
+        (&listed, 1_010, ProtocolError::CertificateRevoked),
+    ] {
+        assert_eq!(alice.request_access(beacon, now, &mut w.rng), Err(err));
+    }
+    assert_eq!(pairing_work(&scope.counts()), (0, 0, 0, 0));
+}
+
+#[test]
+fn a_beacon_is_byte_for_byte_what_a_ladder_over_g_produced() {
+    use peace_curve::G1;
+    use peace_field::Fq;
+
+    let mut w = World::new(65);
+    let mut router = w.router("MR-1");
+    for now in [1_000, 1_001] {
+        // The formula `beacon` used before both shares came from the
+        // generator table: same draws, in the same order.
+        let mut rng = w.rng.clone();
+        let g = G1::random(&mut rng);
+        let g_rr = g.mul(&Fq::random_nonzero(&mut rng));
+
+        let scope = OpSnapshot::scope();
+        let beacon = router.beacon(now, &mut w.rng);
+        // Two table lookups and the ECDSA nonce's: three multiplications.
+        assert_eq!(scope.counts().g1_muls, 3);
+        assert_eq!(beacon.g.as_bytes()[..], g.to_bytes()[..]);
+        assert_eq!(beacon.g_rr.as_bytes()[..], g_rr.to_bytes()[..]);
+        assert!(beacon.cert.public_key.verify(
+            &Beacon::signed_payload(&beacon.g, &beacon.g_rr, now),
+            &beacon.sig
+        ));
+        assert_eq!(w.rng.clone().next_u64(), rng.next_u64(), "same draws");
+    }
 }
 
 #[test]

@@ -248,3 +248,80 @@ fn per_message_bases_defeat_precomputed_linking() {
         Some(0)
     );
 }
+
+#[test]
+fn the_signers_cached_pairing_never_leaves_the_credential() {
+    // ê(A, g₂) is kept beside the member key so that a signature costs one
+    // pairing. It names the member exactly as A does, so it is key
+    // material: it must be in no message the client sends, no Debug
+    // rendering, and no telemetry — after the client has signed with it.
+    use peace::wire::Encode;
+    let mut rng = StdRng::seed_from_u64(89);
+    let mut no = NetworkOperator::new(ProtocolConfig::default(), &mut rng);
+    let gid = no.register_group("org", &mut rng);
+    let (gm_b, ttp_b) = no.issue_shares(gid, 2, &mut rng).unwrap();
+    let mut gm = GroupManager::new(gid);
+    gm.receive_bundle(&gm_b, no.npk()).unwrap();
+    let mut ttp = Ttp::new();
+    ttp.receive_bundle(&ttp_b, no.npk()).unwrap();
+    let mut enroll = |name: &str, rng: &mut StdRng| {
+        let uid = UserId(name.into());
+        let mut user =
+            UserClient::new(uid.clone(), no.prepared_gpk(), *no.npk(), *no.config(), rng);
+        let a = gm.assign(&uid).unwrap();
+        let d = ttp.deliver(a.index, &uid).unwrap();
+        user.enroll(&a, &d).unwrap();
+        user
+    };
+    let mut alice = enroll("alice", &mut rng);
+    let mut bob = enroll("bob", &mut rng);
+    let mut router = no.provision_router("MR-1", u64::MAX / 2, &mut rng);
+
+    // One M.2, and both signing sides of M̃.1–M̃.3.
+    let beacon = router.beacon(1_000, &mut rng);
+    let req = alice.request_access(&beacon, 1_010, &mut rng).unwrap();
+    bob.request_access(&beacon, 1_010, &mut rng).unwrap();
+    let hello = alice
+        .start_peer_handshake(&beacon.g, 1_020, &mut rng)
+        .unwrap();
+    let resp = bob.handle_peer_hello(&hello, 1_030, &mut rng).unwrap();
+    let (confirm, _) = alice.handle_peer_response(&resp, 1_040).unwrap();
+    let sent = [
+        req.to_wire(),
+        hello.to_wire(),
+        resp.to_wire(),
+        confirm.to_wire(),
+    ];
+    let rendered = [
+        format!("{alice:?}"),
+        format!("{bob:?}"),
+        format!("{:?}", alice.active_credential().unwrap()),
+        format!("{:?}", bob.active_credential().unwrap()),
+        peace::telemetry::global().snapshot().to_json(),
+    ];
+
+    for user in [&alice, &bob] {
+        let key = user.active_credential().unwrap().key;
+        let e_a_g2 = peace::pairing::pairing(&key.a, &no.gpk().g2);
+        let printed = format!("{e_a_g2:?}");
+        let e_a_g2 = e_a_g2.to_bytes();
+        // Either coordinate, less its ends: however a rendering treats
+        // leading zeros or splits the value, the middle would be in it.
+        for coordinate in e_a_g2.chunks(64) {
+            let middle = &coordinate[8..56];
+            let hex: String = middle.iter().map(|b| format!("{b:02x}")).collect();
+            assert!(
+                printed.contains(&hex),
+                "the needle a derived Debug would drop"
+            );
+            for bytes in &sent {
+                assert!(!bytes.windows(middle.len()).any(|w| w == middle));
+            }
+            for text in &rendered {
+                assert!(!text.to_lowercase().contains(&hex), "{text}");
+            }
+        }
+    }
+    // The renderings are not trivially empty of the credential.
+    assert!(rendered[2].contains("Credential") && rendered[2].contains("MemberKey(..)"));
+}
