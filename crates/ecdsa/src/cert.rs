@@ -8,7 +8,7 @@ use core::fmt;
 
 use peace_wire::{Decode, Encode, Reader, Writer};
 
-use crate::{Signature, SigningKey, VerifyingKey};
+use crate::{Signature, SigningKey, VerifyingKey, VerifyingKeyWire};
 
 /// Why certificate validation failed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,8 +37,11 @@ pub struct Certificate {
     pub serial: u64,
     /// Subject identifier (`MR_k`).
     pub subject: String,
-    /// The router's public key (`RPK_k`).
-    pub public_key: VerifyingKey,
+    /// The router's public key (`RPK_k`), as the bytes the operator
+    /// signed: decoding a certificate costs no curve arithmetic, and a
+    /// client that holds this certificate verifies under the key it has
+    /// already decompressed.
+    pub public_key: VerifyingKeyWire,
     /// Expiration time (`ExpT`), in protocol time units (ms).
     pub expires_at: u64,
     /// Operator signature (`Sig_NSK`) over the fields above.
@@ -46,7 +49,7 @@ pub struct Certificate {
 }
 
 impl Certificate {
-    fn tbs(serial: u64, subject: &str, public_key: &VerifyingKey, expires_at: u64) -> Vec<u8> {
+    fn tbs(serial: u64, subject: &str, public_key: &VerifyingKeyWire, expires_at: u64) -> Vec<u8> {
         let mut w = Writer::new();
         w.put_str("peace-cert-v1");
         w.put_u64(serial);
@@ -61,9 +64,10 @@ impl Certificate {
         issuer: &SigningKey,
         serial: u64,
         subject: &str,
-        public_key: VerifyingKey,
+        public_key: impl Into<VerifyingKeyWire>,
         expires_at: u64,
     ) -> Self {
+        let public_key = public_key.into();
         let signature = issuer.sign(&Self::tbs(serial, subject, &public_key, expires_at));
         Self {
             serial,
@@ -122,7 +126,7 @@ impl Decode for Certificate {
         Ok(Self {
             serial: r.get_u64()?,
             subject: r.get_str()?,
-            public_key: VerifyingKey::decode(r)?,
+            public_key: VerifyingKeyWire::decode(r)?,
             expires_at: r.get_u64()?,
             signature: Signature::decode(r)?,
         })

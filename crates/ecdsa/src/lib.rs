@@ -33,7 +33,7 @@ pub use cert::{Certificate, CertificateError};
 
 use core::fmt;
 
-use peace_curve::{generator, AffinePoint};
+use peace_curve::{generator, AffinePoint, G1Wire, PointError, G1};
 use peace_field::Fq;
 use peace_hash::xof;
 use peace_wire::{Decode, Encode, Reader, Writer};
@@ -221,6 +221,73 @@ impl Decode for VerifyingKey {
     }
 }
 
+/// A [`VerifyingKey`] as its canonical compressed encoding, validated on
+/// use — the [`G1Wire`] rule for a key that arrives in a router's
+/// certificate with every beacon, and is compared far more often than it
+/// verifies anything. Decoding checks the form (canonical, not the
+/// identity); the square root and subgroup check run in [`Self::key`] the
+/// first time the key is needed, once per value (clones carry the result).
+/// Equality, hashing and encoding are by the bytes.
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct VerifyingKeyWire {
+    point: G1Wire,
+}
+
+impl VerifyingKeyWire {
+    /// Accepts `bytes` if they are the canonical compressed encoding of a
+    /// point other than the identity. No curve arithmetic happens here.
+    pub fn parse(bytes: &[u8]) -> Option<Self> {
+        G1Wire::parse(bytes)
+            .filter(|point| !point.is_identity())
+            .map(|point| Self { point })
+    }
+
+    /// The key these bytes name.
+    ///
+    /// # Errors
+    ///
+    /// [`PointError`] if the bytes, though canonical, name no element of
+    /// the order-`q` subgroup.
+    pub fn key(&self) -> Result<VerifyingKey, PointError> {
+        self.point
+            .decompress()
+            .map(|p| VerifyingKey { point: *p.point() })
+    }
+
+    /// Compressed 65-byte encoding.
+    pub fn to_bytes(&self) -> Vec<u8> {
+        self.point.to_bytes()
+    }
+}
+
+impl From<VerifyingKey> for VerifyingKeyWire {
+    /// Starts out decompressed.
+    fn from(key: VerifyingKey) -> Self {
+        Self {
+            point: G1::from_point_unchecked(key.point).into(),
+        }
+    }
+}
+
+impl fmt::Debug for VerifyingKeyWire {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "VerifyingKeyWire({:?})", self.point)
+    }
+}
+
+impl Encode for VerifyingKeyWire {
+    fn encode(&self, w: &mut Writer) {
+        w.put_fixed(self.point.as_bytes());
+    }
+}
+
+impl Decode for VerifyingKeyWire {
+    fn decode(r: &mut Reader<'_>) -> peace_wire::Result<Self> {
+        let b = r.get_fixed(VerifyingKey::ENCODED_LEN)?;
+        Self::parse(b).ok_or(peace_wire::WireError::Invalid("ecdsa public key"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,6 +347,54 @@ mod tests {
         let bytes = vk.to_bytes();
         assert_eq!(VerifyingKey::from_bytes(&bytes).unwrap(), vk);
         assert!(VerifyingKey::from_bytes(&AffinePoint::IDENTITY.to_compressed()).is_none());
+    }
+
+    #[test]
+    fn a_key_on_the_wire_is_checked_by_form_and_decompressed_on_use() {
+        let sk = key();
+        let wire = VerifyingKeyWire::from_wire(&sk.verifying_key().to_wire()).unwrap();
+        assert_eq!(wire, VerifyingKeyWire::from(*sk.verifying_key()));
+        assert_eq!(wire.key(), Ok(*sk.verifying_key()));
+        assert_eq!(wire.to_wire(), sk.verifying_key().to_wire());
+
+        // Canonical, but no subgroup element: parsed, never a key.
+        let encode = |x: u64| {
+            let mut bytes = vec![0u8; VerifyingKey::ENCODED_LEN];
+            bytes[0] = 2;
+            bytes[VerifyingKey::ENCODED_LEN - 8..].copy_from_slice(&x.to_be_bytes());
+            bytes
+        };
+        let off_curve = (1..)
+            .map(encode)
+            .find(|b| AffinePoint::from_compressed(b).is_none())
+            .unwrap();
+        let outside = (1..)
+            .map(encode)
+            .find(|b| AffinePoint::from_compressed(b).is_some_and(|p| !p.is_in_subgroup()))
+            .unwrap();
+        for (bytes, err) in [
+            (off_curve, PointError::NotOnCurve),
+            (outside, PointError::NotInSubgroup),
+        ] {
+            let wire = VerifyingKeyWire::parse(&bytes).expect("canonical");
+            assert_eq!(wire.key(), Err(err));
+            assert!(VerifyingKey::from_bytes(&bytes).is_none());
+        }
+        // Not canonical, or the identity: refused by the decoder.
+        let mut bad_tag = sk.verifying_key().to_bytes();
+        bad_tag[0] = 7;
+        let mut x_not_reduced = vec![0xFF; VerifyingKey::ENCODED_LEN];
+        x_not_reduced[0] = 2;
+        for bytes in [
+            bad_tag,
+            x_not_reduced,
+            AffinePoint::IDENTITY.to_compressed(),
+        ] {
+            assert!(VerifyingKeyWire::parse(&bytes).is_none());
+            let mut w = Writer::new();
+            w.put_fixed(&bytes);
+            assert!(VerifyingKeyWire::from_wire(w.as_bytes()).is_err());
+        }
     }
 
     #[test]

@@ -9,35 +9,7 @@ use core::fmt;
 use peace_bigint::Uint;
 use rand::RngCore;
 
-use crate::{base_modulus, Fp};
-
-/// A double-width (16-limb) accumulator holding an unreduced product sum,
-/// split across two 8-limb halves.
-type Wide = (Uint<8>, Uint<8>);
-
-/// `a − b` over double-width accumulators, with `p·2^512` (≡ 0 mod p) added
-/// back on borrow.
-///
-/// **Invariant:** both inputs are below `p·R` (`R = 2^512`) and the true
-/// difference is above `−p²`. Since `p·R ≥ p²`, a single conditional
-/// addition of `p·R` — `p` folded into the high half, wrapping mod `2^1024`
-/// exactly cancels the borrow — restores a representative in `[0, p·R)`,
-/// which is the contract of the wide Montgomery reduction.
-#[inline]
-fn wide_sub(a: &Wide, b: &Wide) -> Wide {
-    let (lo, borrow_lo) = a.0.overflowing_sub(&b.0);
-    let (hi, b1) = a.1.overflowing_sub(&b.1);
-    let (hi, b2) = if borrow_lo {
-        hi.overflowing_sub(&Uint::ONE)
-    } else {
-        (hi, false)
-    };
-    if b1 || b2 {
-        (lo, hi.wrapping_add(&base_modulus()))
-    } else {
-        (lo, hi)
-    }
-}
+use crate::Fp;
 
 /// An element `c0 + c1·i` of `F_p²`.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -105,9 +77,7 @@ impl Fp2 {
         }
     }
 
-    /// Multiplication: Karatsuba over *wide* (double-width) products with
-    /// lazy reduction — three widening multiplies and only **two** Montgomery
-    /// reductions, instead of three full CIOS passes.
+    /// Multiplication: Karatsuba over three Montgomery multiplications.
     ///
     /// With `i² = −1`:
     ///
@@ -116,31 +86,10 @@ impl Fp2 {
     /// c1 = (a0+a1)·(b0+b1) − a0·b0 − a1·b1
     /// ```
     ///
-    /// The subtractions run on the unreduced 16-limb accumulators;
-    /// negative intermediates are fixed by conditionally adding `p·2^512`
-    /// (see [`wide_sub`]), keeping every accumulator below `p·R` — the
-    /// contract of the wide reduction, which then needs a single final
-    /// conditional subtraction.
+    /// Each product is a full CIOS pass. Deferring the reductions (three
+    /// widening multiplies and two wide reductions) measured slower than
+    /// this once the CIOS skipped the modulus's zero limbs (EXPERIMENTS.md).
     pub fn mul(&self, rhs: &Self) -> Self {
-        let v00 = self.c0.mont_repr().mul_wide(rhs.c0.mont_repr());
-        let v11 = self.c1.mont_repr().mul_wide(rhs.c1.mont_repr());
-        // Reduced sums (< p) keep the cross product below p².
-        let s = self.c0.add(&self.c1);
-        let t = rhs.c0.add(&rhs.c1);
-        let v01 = s.mont_repr().mul_wide(t.mont_repr());
-        let r0 = wide_sub(&v00, &v11);
-        let r1 = wide_sub(&wide_sub(&v01, &v00), &v11);
-        Self {
-            c0: Fp::from_mont(Fp::mont_reduce_wide(&r0.0, &r0.1)),
-            c1: Fp::from_mont(Fp::mont_reduce_wide(&r1.0, &r1.1)),
-        }
-    }
-
-    /// Schoolbook reference multiplication (three full CIOS multiplies) —
-    /// the oracle for the lazy-reduction equivalence proptests; not on the
-    /// hot path.
-    #[doc(hidden)]
-    pub fn mul_schoolbook(&self, rhs: &Self) -> Self {
         let aa = self.c0.mul(&rhs.c0);
         let bb = self.c1.mul(&rhs.c1);
         let sum = self.c0.add(&self.c1).mul(&rhs.c0.add(&rhs.c1));
@@ -150,30 +99,11 @@ impl Fp2 {
         }
     }
 
-    /// Squaring: complex squaring over wide products.
-    ///
-    /// `(a + bi)² = (a+b)(a−b) + 2ab·i` — both products are of reduced
-    /// operands (< p²), so each reduces directly; `c1` doubles *after*
-    /// reduction because `2ab` can reach `2p²`, which may exceed the `p·R`
-    /// reduction bound for this near-`2^511` modulus.
+    /// Squaring: complex squaring, two Montgomery multiplications —
+    /// `(a + bi)² = (a+b)(a−b) + 2ab·i`.
     pub fn square(&self) -> Self {
         let a = self.c0;
         let b = self.c1;
-        let v0 = a.add(&b).mont_repr().mul_wide(a.sub(&b).mont_repr());
-        let v1 = a.mont_repr().mul_wide(b.mont_repr());
-        Self {
-            c0: Fp::from_mont(Fp::mont_reduce_wide(&v0.0, &v0.1)),
-            c1: Fp::from_mont(Fp::mont_reduce_wide(&v1.0, &v1.1)).double(),
-        }
-    }
-
-    /// Schoolbook reference squaring (two full CIOS multiplies) — oracle
-    /// for the equivalence proptests.
-    #[doc(hidden)]
-    pub fn square_schoolbook(&self) -> Self {
-        let a = self.c0;
-        let b = self.c1;
-        // (a + bi)² = (a+b)(a−b) + 2ab·i
         Self {
             c0: a.add(&b).mul(&a.sub(&b)),
             c1: a.mul(&b).double(),

@@ -374,7 +374,7 @@ mod tests {
         }
 
         #[test]
-        fn prop_fp2_lazy_mul_matches_schoolbook(
+        fn prop_fp2_mul_matches_the_textbook_product(
             a0 in proptest::array::uniform8(any::<u64>()),
             a1 in proptest::array::uniform8(any::<u64>()),
             b0 in proptest::array::uniform8(any::<u64>()),
@@ -388,9 +388,15 @@ mod tests {
                 Fp::from_uint(&Uint::from_limbs(b0)),
                 Fp::from_uint(&Uint::from_limbs(b1)),
             );
-            prop_assert_eq!(a.mul(&b), a.mul_schoolbook(&b));
-            prop_assert_eq!(a.square(), a.square_schoolbook());
-            prop_assert_eq!(a.square(), a.mul(&a));
+            // (x0 + x1·i)(y0 + y1·i) with i² = −1, four products.
+            let textbook = |x: &Fp2, y: &Fp2| Fp2::new(
+                x.c0.mul(&y.c0).sub(&x.c1.mul(&y.c1)),
+                x.c0.mul(&y.c1).add(&x.c1.mul(&y.c0)),
+            );
+            prop_assert_eq!(a.mul(&b), textbook(&a, &b));
+            prop_assert_eq!(b.mul(&a), textbook(&a, &b));
+            prop_assert_eq!(a.square(), textbook(&a, &a));
+            prop_assert_eq!(Fp2::ZERO.square(), Fp2::ZERO);
         }
 
         #[test]

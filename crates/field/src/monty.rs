@@ -63,9 +63,9 @@ impl<P: FieldParams<N>, const N: usize> Fe<P, N> {
         }
     }
 
-    /// The raw Montgomery representation (for the lazy-reduction `F_p²`
-    /// kernels, which operate on unreduced wide products of these limbs).
-    #[inline]
+    /// The raw Montgomery representation (for the tests that hold the CIOS
+    /// kernel to [`Self::mont_mul_generic`]).
+    #[cfg(test)]
     pub(crate) const fn mont_repr(&self) -> &Uint<N> {
         &self.mont
     }
@@ -157,65 +157,6 @@ impl<P: FieldParams<N>, const N: usize> Fe<P, N> {
         let mut res = Uint::from_limbs(t);
         let (sub, borrow) = res.overflowing_sub(&P::MODULUS);
         if t_n != 0 || !borrow {
-            res = sub;
-        }
-        res
-    }
-
-    /// Montgomery reduction of a double-width value `T = hi·2^(64N) + lo`.
-    ///
-    /// **Contract:** `T < MODULUS·2^(64N)`. The reduced accumulator is then
-    /// below `2·MODULUS`, so a single conditional subtraction (driven by the
-    /// overflow bit plus a comparison) canonicalizes the result. This is the
-    /// primitive behind the lazy-reduction `F_p²` kernels: sums and
-    /// differences of wide products are reduced *once*, after the additions,
-    /// instead of once per product.
-    ///
-    /// Zero modulus limbs skip their multiply exactly as in [`mont_mul`].
-    #[allow(clippy::needless_range_loop)]
-    pub(crate) fn mont_reduce_wide(lo: &Uint<N>, hi: &Uint<N>) -> Uint<N> {
-        #[inline(always)]
-        fn get<const N: usize>(lo: &[u64; N], hi: &[u64; N], k: usize) -> u64 {
-            if k < N {
-                lo[k]
-            } else {
-                hi[k - N]
-            }
-        }
-        #[inline(always)]
-        fn set<const N: usize>(lo: &mut [u64; N], hi: &mut [u64; N], k: usize, v: u64) {
-            if k < N {
-                lo[k] = v;
-            } else {
-                hi[k - N] = v;
-            }
-        }
-        let ml = P::MODULUS.as_limbs();
-        let mut tl = *lo.as_limbs();
-        let mut th = *hi.as_limbs();
-        // Deferred carry flowing into position i+N of the next round: each
-        // round's carry-out lands one position later, so a single rolling
-        // limb suffices.
-        let mut deferred = 0u64;
-        for i in 0..N {
-            let m = get(&tl, &th, i).wrapping_mul(P::INV);
-            let (_, mut carry) = mac(get(&tl, &th, i), m, ml[0], 0);
-            for j in 1..N {
-                let (v, c) = if ml[j] == 0 {
-                    adc(get(&tl, &th, i + j), carry, 0)
-                } else {
-                    mac(get(&tl, &th, i + j), m, ml[j], carry)
-                };
-                set(&mut tl, &mut th, i + j, v);
-                carry = c;
-            }
-            let (v, c) = adc(get(&tl, &th, i + N), carry, deferred);
-            set(&mut tl, &mut th, i + N, v);
-            deferred = c;
-        }
-        let mut res = Uint::from_limbs(th);
-        let (sub, borrow) = res.overflowing_sub(&P::MODULUS);
-        if deferred != 0 || !borrow {
             res = sub;
         }
         res

@@ -2,6 +2,7 @@
 //! (paper §IV.B steps 2.2 and 3.2–3.3, §IV.D audit protocol).
 
 use core::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use peace_curve::{psi, FixedBaseTable, G1Wire, PointError, ProjectivePoint, G1, G2};
@@ -547,9 +548,11 @@ pub fn token_matches(
 /// no less than the CPU figure when the workers have to share a processor.
 /// A two-worker scoped fan-out costs 0.04 ms idle, budgeted at 0.1 ms under
 /// load. Two workers halve the per-token work, so at eight tokens
-/// threading saves up to ≈ 0.65 ms, six times the budget; below that the
-/// fixed part of a sweep (line table plus shared factor, ≈ 0.7 ms, not
-/// parallel) dominates and the saving is not worth a thread.
+/// threading saves up to ≈ 0.65 ms, six times the budget, less ≈ 0.1 ms
+/// for the block inversions [`fill_chunks`] adds at that size (blocks of
+/// one token); below that the fixed part of a sweep (line table plus
+/// shared factor, ≈ 0.7 ms, not parallel) dominates and the saving is not
+/// worth a thread.
 const SWEEP_SPAWN_THRESHOLD: usize = 8;
 
 /// Record count at and above which [`open_batch`] fans records out across
@@ -558,12 +561,22 @@ const SWEEP_SPAWN_THRESHOLD: usize = 8;
 /// itself almost immediately.
 const PARALLEL_OPEN_THRESHOLD: usize = 4;
 
-/// Computes `f(range)` over `0..len` and concatenates the results: one
-/// range below `threshold` — and always for `len <= 1`, whatever the
-/// threshold says, since a single element has nothing to parallelize —
-/// otherwise one contiguous range per OS thread. Results are index-ordered
-/// either way. Handing a worker its whole range (rather than one index at a
-/// time) is what lets each sweep worker reduce its own Miller values.
+/// Computes `f(range)` over `0..len` and concatenates the results in index
+/// order. Below `threshold` — and always for `len <= 1`, whatever the
+/// threshold says, since a single element has nothing to parallelize — that
+/// is one call on the calling thread. Otherwise one OS thread per processor
+/// (at most `len`) claims blocks of ⌈len / 4·workers⌉ contiguous indices
+/// from a shared cursor until none are left, so a worker whose indices came
+/// cheap takes more of them: where cost grows along the range (an
+/// [`open_batch`] record pays per `grt` block walked to its match, and a
+/// time-ordered ledger clusters signers) no core idles while another
+/// finishes the dear half. The block size is the trade: `f` pays its fixed
+/// part once per block — for the sweep, one field inversion to normalise
+/// the block's points and one to reduce its values — so on two workers
+/// eight blocks pay twelve inversions (≈ 0.1 ms) more than two halves did,
+/// against a straggler's tail of at most one block. Blocks are put back in
+/// order of their first index, so the output is positional and
+/// deterministic however the claims fell.
 fn fill_chunks<T: Send>(
     len: usize,
     threshold: usize,
@@ -576,14 +589,26 @@ fn fill_chunks<T: Send>(
         .map(|n| n.get())
         .unwrap_or(1)
         .min(len);
-    let chunk = len.div_ceil(workers);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..len)
-            .step_by(chunk)
-            .map(|lo| {
-                s.spawn(move || {
+    let block = len.div_ceil(4 * workers);
+    let cursor = AtomicUsize::new(0);
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            // `Relaxed`: the cursor only hands out disjoint ranges and
+            // publishes nothing; results travel back through `join`.
+            let lo = cursor.fetch_add(block, Ordering::Relaxed);
+            if lo >= len {
+                return done;
+            }
+            done.push((lo, f(lo..(lo + block).min(len))));
+        }
+    };
+    let mut blocks: Vec<(usize, Vec<T>)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                s.spawn(|| {
                     let ops = OpSnapshot::scope();
-                    (f(lo..(lo + chunk).min(len)), ops.counts())
+                    (claim(), ops.counts())
                 })
             })
             .collect();
@@ -591,12 +616,14 @@ fn fill_chunks<T: Send>(
             .into_iter()
             .flat_map(|h| {
                 // The workers' operations are this call's operations.
-                let (out, ops) = h.join().expect("fan-out worker panicked");
+                let (done, ops) = h.join().expect("fan-out worker panicked");
                 ops.absorb();
-                out
+                done
             })
             .collect()
-    })
+    });
+    blocks.sort_unstable_by_key(|&(lo, _)| lo);
+    blocks.into_iter().flat_map(|(_, out)| out).collect()
 }
 
 /// [`fill_chunks`] for work that is independent per index.
@@ -659,10 +686,10 @@ impl SweepRow {
 /// them evaluations against the table) and `1` final exponentiation,
 /// versus `2n` full pairings for the naive [`token_matches`] scan.
 ///
-/// Large URLs fan out across OS threads with `std::thread::scope`, each
-/// worker evaluating *and reducing* its own contiguous share of the tokens;
-/// results are positionally ordered, so the returned index is deterministic
-/// either way.
+/// Large URLs fan out across OS threads ([`fill_chunks`]), each worker
+/// claiming contiguous blocks of tokens and evaluating *and reducing* each
+/// block it claims; results are positionally ordered, so the returned index
+/// is deterministic either way.
 pub fn revocation_sweep(
     sig: &GroupSignature,
     tokens: &[RevocationToken],
@@ -725,10 +752,13 @@ const OPEN_BLOCK: usize = 4;
 /// signer sits at column `m` pays for `m + 1` tokens rounded up to a block
 /// instead of the full `n` a per-record [`open`] pays — about half on
 /// average, with the worst case (a forged record no token matches)
-/// identical to [`open`]. Records fan out across OS threads, each holding
-/// one line table at a time; every block is recorded as one final
-/// exponentiation. Output is positionally ordered: `out[k]` is the matching
-/// token index for `items[k]`, or `None` if no registry token matches.
+/// identical to [`open`]. Nothing is shared across records but the cores:
+/// workers claim records a few at a time ([`fill_chunks`]), so a ledger
+/// whose later records walk further still keeps every core busy, and each
+/// worker holds one line table at a time; every block is recorded as one
+/// final exponentiation. Output is positionally ordered: `out[k]` is the
+/// matching token index for `items[k]`, or `None` if no registry token
+/// matches.
 pub fn open_batch(
     gpk: &GroupPublicKey,
     items: &[(&[u8], &GroupSignature)],
@@ -854,6 +884,76 @@ mod threshold_tests {
             "a met threshold must spawn workers"
         );
     }
+
+    /// However the claims fall, the output is the sequential map, position
+    /// by position: every length to 200, on both sides of the threshold.
+    #[test]
+    fn claimed_blocks_reassemble_the_sequential_map() {
+        let g = |i: usize| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ (i >> 3);
+        for len in 0..=200 {
+            let expect: Vec<usize> = (0..len).map(g).collect();
+            for threshold in [0, 1, 8, len + 1] {
+                assert_eq!(
+                    fill_indexed(len, threshold, &g),
+                    expect,
+                    "len {len}, threshold {threshold}"
+                );
+            }
+        }
+    }
+
+    /// No block is claimed twice and none is skipped.
+    #[test]
+    fn every_index_is_evaluated_exactly_once() {
+        for len in [2, 3, 7, 8, 9, 16, 17, 64, 65, 200] {
+            let hits: Vec<AtomicUsize> = (0..len).map(|_| AtomicUsize::new(0)).collect();
+            let before = fill_indexed(len, 0, &|i| hits[i].fetch_add(1, Ordering::Relaxed));
+            assert!(before.iter().all(|&n| n == 0), "len {len}");
+            assert!(
+                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                "len {len}"
+            );
+        }
+    }
+
+    /// What the workers counted is the caller's, to the operation: the
+    /// same tallies as the sequential run.
+    #[test]
+    fn the_workers_operations_are_the_callers() {
+        let f = |i: usize| {
+            for _ in 0..=i % 3 {
+                ops::record_final_exp();
+            }
+            i
+        };
+        for len in [2, 16, 65] {
+            let scope = OpSnapshot::scope();
+            fill_indexed(len, len + 1, &f);
+            let sequential = scope.counts();
+            assert!(sequential.final_exps >= len as u64);
+            let scope = OpSnapshot::scope();
+            fill_indexed(len, 0, &f);
+            assert_eq!(scope.counts(), sequential, "len {len}");
+        }
+    }
+
+    /// A worker that panics takes the call down with it, under the one
+    /// message the fan-out gives.
+    #[test]
+    fn a_panicking_worker_surfaces_as_the_fan_out_panic() {
+        let caught = std::panic::catch_unwind(|| {
+            fill_indexed(64, 0, &|i| {
+                assert_ne!(i, 37, "a worker fault");
+                i
+            })
+        });
+        let payload = caught.expect_err("the worker's panic must reach the caller");
+        let msg = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .unwrap_or_default();
+        assert!(msg.starts_with("fan-out worker panicked"), "{msg}");
+    }
 }
 
 #[cfg(test)]
@@ -864,12 +964,13 @@ mod sweep_soundness {
     use rand::SeedableRng;
 
     /// |URL| on both sides of the fan-out threshold (8), of an
-    /// [`OPEN_BLOCK`] boundary (4), and of the two-worker split of the
+    /// [`OPEN_BLOCK`] boundary (4), and of the fan-out's blocks over the
     /// benchmark's list (64).
     const URL_SIZES: [usize; 9] = [1, 3, 4, 5, 7, 8, 9, 64, 65];
 
     /// Where the signer's token sits: first, last, either side of the
-    /// two-worker chunk edge and of the first block edge — or nowhere.
+    /// midpoint (a fan-out block edge) and of the first block edge — or
+    /// nowhere.
     fn signer_slots(n: usize) -> Vec<Option<usize>> {
         let half = n.div_ceil(2);
         let mut slots: Vec<usize> = [0, n - 1, half - 1, half, OPEN_BLOCK - 1, OPEN_BLOCK]
@@ -932,6 +1033,44 @@ mod sweep_soundness {
                         );
                     }
                 }
+            }
+        }
+
+        /// The skew that left a core idle under two fixed halves: record
+        /// `k` is signed by the member at `grt` column `k`, so each record
+        /// walks further than the one before, and the last is signed by
+        /// someone `grt` does not list. Over twice the fan-out threshold,
+        /// the batch reports what a per-record [`open`] does.
+        #[test]
+        fn prop_open_batch_with_ascending_signers_matches_open(
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let issuer = IssuerKey::generate(&mut rng);
+            let gpk = *issuer.public_key();
+            let grp = issuer.new_group_secret(&mut rng);
+            let n = 2 * PARALLEL_OPEN_THRESHOLD + 3;
+            let members: Vec<_> = (0..n).map(|_| issuer.issue(&grp, &mut rng)).collect();
+            let grt: Vec<RevocationToken> =
+                members.iter().map(|m| m.revocation_token()).collect();
+            let stranger = issuer.issue(&grp, &mut rng);
+            let msgs: Vec<Vec<u8>> = (0..=n).map(|k| format!("record {k}").into_bytes()).collect();
+            for mode in [BasesMode::PerMessage, BasesMode::FixedBases] {
+                let sigs: Vec<GroupSignature> = members
+                    .iter()
+                    .chain([&stranger])
+                    .zip(&msgs)
+                    .map(|(signer, msg)| sign(&gpk, signer, msg, mode, &mut rng))
+                    .collect();
+                let items: Vec<(&[u8], &GroupSignature)> =
+                    msgs.iter().map(Vec::as_slice).zip(&sigs).collect();
+                let per_record: Vec<Option<usize>> = items
+                    .iter()
+                    .map(|&(msg, sig)| open(&gpk, msg, sig, &grt, mode))
+                    .collect();
+                let expect: Vec<Option<usize>> = (0..n).map(Some).chain([None]).collect();
+                proptest::prop_assert_eq!(&per_record, &expect, "{:?}", mode);
+                proptest::prop_assert_eq!(open_batch(&gpk, &items, &grt, mode), expect, "{:?}", mode);
             }
         }
     }

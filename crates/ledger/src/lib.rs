@@ -19,9 +19,9 @@
 //!   a later signed checkpoint anchors the retained suffix;
 //! * **indexed queries** — by epoch, router, time range, and (after an
 //!   audit sweep has appended attribution records) by user group;
-//! * **batch Open/Audit** ([`sweep`]) — replays a time range through the
-//!   shared-Miller `open_batch` machinery: û prepared once per record,
-//!   tokens evaluated until the record's row matches.
+//! * **batch Open/Audit** ([`sweep`]) — replays a time range through
+//!   `open_batch`: û prepared once per record, tokens evaluated until the
+//!   record's row matches; nothing is shared across records but the cores.
 //!
 //! The NO-only versus NO+GM boundary of the paper is preserved: ledger
 //! records never contain user identities — an audit sweep attributes a

@@ -564,9 +564,11 @@ impl ReplicatedLedger {
         }
 
         // Decode + canonicality + chain replay over the genuinely new
-        // suffix; byte-compare the overlap.
+        // suffix; byte-compare the overlap. Each new entry is staged with
+        // its payload and the chain after it, which is what the mirror
+        // writes: validation's encoding and hash are not redone.
         let mut chain = head.chain;
-        let mut staged: Vec<Entry> = Vec::new();
+        let mut staged: Vec<(Entry, &[u8], [u8; 32])> = Vec::new();
         for (i, payload) in range.payloads.iter().enumerate() {
             let seq = range.from_seq + i as u64;
             if seq < head.next_seq {
@@ -611,15 +613,13 @@ impl ReplicatedLedger {
                 }
             }
             chain = extend_chain(&chain, payload);
-            staged.push(entry);
+            staged.push((entry, payload, chain));
         }
 
         // All checks passed: make the range durable.
         let appended = staged.len() as u64;
-        for entry in staged {
-            let at_ms = entry.at_ms;
-            let seq = mirror.append(entry.record, at_ms)?;
-            debug_assert_eq!(seq, entry.seq);
+        for (entry, payload, chain) in staged {
+            mirror.append_encoded(&entry, payload, chain, std::time::Instant::now())?;
         }
         mirror.flush()?;
         crate::timing::catchup_records().add(appended);
@@ -1006,6 +1006,123 @@ mod tests {
                 ("NO-1".into(), 1),
             ]
         );
+    }
+
+    /// Segment files of `dir` and their bytes, by name.
+    fn segment_files(dir: &Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "pls"))
+            .map(|p| {
+                (
+                    p.file_name().unwrap().to_owned(),
+                    std::fs::read(&p).unwrap(),
+                )
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// Catch-up writes what validation staged — each payload and the chain
+    /// after it — and the mirror is, file for file and byte for byte, the
+    /// ledger its writer built by `append`: over segment rotations and
+    /// across two attested ranges.
+    #[test]
+    fn an_ingested_mirror_is_the_appended_ledger_byte_for_byte() {
+        let k = key(40);
+        let cfg = LedgerConfig {
+            segment_max_bytes: 256,
+            ..LedgerConfig::default()
+        };
+        let resolve = |s: &str| (s == "NO-0").then(|| *k.verifying_key());
+        let (mut writer, _) =
+            ReplicatedLedger::open(tmp("bytes-src"), "NO-0", cfg, &|_| None).unwrap();
+        let (mut follower, _) =
+            ReplicatedLedger::open(tmp("bytes-dst"), "NO-1", cfg, &resolve).unwrap();
+        for round in 0..2u64 {
+            for e in 0..6 {
+                let record = if e % 2 == 0 {
+                    LedgerRecord::EpochRollover { epoch: e }
+                } else {
+                    LedgerRecord::RouterRevocation {
+                        serial: e,
+                        crl_version: round,
+                    }
+                };
+                writer.local_mut().append(record, 100 * round + e).unwrap();
+            }
+            writer
+                .local_mut()
+                .checkpoint(&k, "NO-0", 1_000 + round)
+                .unwrap();
+            let from = follower.shard_next_seq("NO-0");
+            let range = writer.serve_range("NO-0", from).unwrap().unwrap();
+            assert_eq!(follower.ingest_range(&range, &resolve).unwrap(), 7);
+        }
+        let (src, dst) = (writer.local(), follower.shard("NO-0").unwrap());
+        assert!(src.head().segments > 2, "the ranges cross rotations");
+        assert_eq!(dst.head(), src.head());
+        assert_eq!(segment_files(dst.dir()), segment_files(src.dir()));
+    }
+
+    /// Validation ends before the first write: a range refused at its last
+    /// record before the checkpoint leaves the mirror empty, whether that
+    /// record is not an entry's canonical encoding or the chain through it
+    /// is not the one the checkpoint signed.
+    #[test]
+    fn a_range_refused_at_its_last_record_appends_nothing() {
+        let k = key(41);
+        let writer = writer_replica("late-src", "NO-0", &k, 6);
+        let honest = writer.serve_range("NO-0", 0).unwrap().unwrap();
+        let resolve = |s: &str| (s == "NO-0").then(|| *k.verifying_key());
+        // The writer's own key attests whatever the payloads say.
+        let attested = |mut payloads: Vec<Vec<u8>>| {
+            let last = payloads.len() - 1;
+            let chain = payloads[..last]
+                .iter()
+                .fold(crate::segment::genesis_chain(), |c, p| extend_chain(&c, p));
+            let ck = Checkpoint::sign(&k, "NO-0", last as u64, chain, 1_000);
+            payloads[last] = Entry {
+                seq: last as u64,
+                at_ms: 1_000,
+                record: LedgerRecord::Checkpoint(ck.clone()),
+            }
+            .try_to_wire()
+            .unwrap();
+            RangeData {
+                payloads,
+                ck,
+                ..honest.clone()
+            }
+        };
+        let mut trailing = honest.payloads.clone();
+        trailing[5].push(0);
+        let mut conflicting = honest.clone();
+        conflicting.payloads[5] = Entry {
+            seq: 5,
+            at_ms: 105,
+            record: LedgerRecord::EpochRollover { epoch: 99 },
+        }
+        .try_to_wire()
+        .unwrap();
+        for (why, range, code) in [
+            ("one byte past the entry", attested(trailing), "wire"),
+            ("chain not the signed one", conflicting, "quarantined"),
+        ] {
+            let (mut follower, _) = ReplicatedLedger::open(
+                tmp(&format!("late-dst-{code}")),
+                "NO-1",
+                LedgerConfig::default(),
+                &resolve,
+            )
+            .unwrap();
+            let err = follower.ingest_range(&range, &resolve).unwrap_err();
+            assert_eq!(err.code(), code, "{why}");
+            assert_eq!(follower.shard_next_seq("NO-0"), 0, "{why}");
+            assert_eq!(follower.shard("NO-0").map(Ledger::len), Some(0), "{why}");
+        }
     }
 
     #[test]

@@ -629,14 +629,33 @@ impl Ledger {
             record,
         };
         let payload = entry.try_to_wire()?;
+        let chain = extend_chain(&self.chain, &payload);
+        self.append_encoded(&entry, &payload, chain, append_start)
+    }
+
+    /// [`Self::append`] of an entry already encoded and chained, as a
+    /// mirror's catch-up has them once it has validated a range
+    /// ([`crate::ReplicatedLedger::ingest_range`]): `entry.seq` is the next
+    /// sequence number, `payload` its canonical encoding and `chain` the
+    /// head after it, so neither the encoding nor the hash is computed
+    /// twice. `append_start` is where `ledger.append_us` starts timing.
+    pub(crate) fn append_encoded(
+        &mut self,
+        entry: &Entry,
+        payload: &[u8],
+        chain: [u8; 32],
+        append_start: std::time::Instant,
+    ) -> Result<u64> {
+        debug_assert_eq!(entry.seq, self.next_seq);
+        debug_assert_eq!(chain, extend_chain(&self.chain, payload));
         if payload.len() > self.cfg.max_record_bytes as usize {
             return Err(LedgerError::RecordTooLarge { len: payload.len() });
         }
-        let framed = frame(&payload);
+        let framed = frame(payload);
         if self.seg_bytes > SEGMENT_HEADER_LEN as u64
             && self.seg_bytes + framed.len() as u64 > self.cfg.segment_max_bytes
         {
-            self.rotate(at_ms)?;
+            self.rotate(entry.at_ms)?;
         }
         self.file.write_all(&framed)?;
         match self.cfg.sync {
@@ -658,13 +677,13 @@ impl Ledger {
             &mut self.last_checkpoint,
         );
         self.locs.push(EntryMeta {
-            at_ms,
+            at_ms: entry.at_ms,
             kind: entry.record.kind(),
             seg: self.segments.len() - 1,
             offset: self.seg_bytes,
             frame_len: framed.len(),
         });
-        self.chain = extend_chain(&self.chain, &payload);
+        self.chain = chain;
         self.seg_bytes += framed.len() as u64;
         self.next_seq += 1;
         crate::timing::append_us().record_since(append_start);

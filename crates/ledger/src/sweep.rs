@@ -2,8 +2,9 @@
 //!
 //! An audit sweep collects every access transcript in a time window,
 //! replays all their group signatures through NO's batched opener
-//! ([`NetworkOperator::audit_batch`], which shares Miller-loop and
-//! final-exponentiation work across records), and appends one
+//! ([`NetworkOperator::audit_batch`]: one line table and one Miller loop
+//! per record, `grt` walked only to the record's match; what the records
+//! share is the cores, claimed a few records at a time), and appends one
 //! [`LedgerRecord::Attribution`] per resolved transcript. Attribution
 //! rides the same append-only chain as everything else, so the audit
 //! trail of *who audited what* is itself tamper-evident.

@@ -119,7 +119,7 @@ fn kill_recover_verify_and_batch_audit() {
     let router_keys: Vec<(String, peace_ecdsa::VerifyingKey)> = w
         .routers
         .iter()
-        .map(|r| (r.id().0.clone(), r.cert().public_key))
+        .map(|r| (r.id().0.clone(), *r.signing_key().verifying_key()))
         .collect();
     let resolver = |signer: &str| {
         if signer == "NO" {

@@ -10,7 +10,7 @@ use peace_field::Fq;
 use peace_groupsig::{MemberKey, PreparedGpk, RevocationToken};
 use peace_pairing::Gt;
 use peace_symmetric::{open_oneshot, seal_oneshot};
-use peace_wire::{Reader, Writer};
+use peace_wire::{Reader, WireError, Writer};
 use rand::RngCore;
 
 use crate::config::ProtocolConfig;
@@ -373,8 +373,17 @@ impl UserClient {
         if beacon.url.version < self.highest_url_version {
             return Err(ProtocolError::StaleUrl);
         }
-        // beacon signature
-        if !beacon.cert.public_key.verify(
+        // beacon signature, under the router key — the held certificate's,
+        // decompressed when it was first used, if this is that certificate.
+        // Bytes that name no key refuse the beacon as its decoder did when
+        // certificates were decoded eagerly.
+        let router_key = match &self.held_cert {
+            Some(held) if cert_held => &held.public_key,
+            _ => &beacon.cert.public_key,
+        }
+        .key()
+        .map_err(|_| WireError::Invalid("ecdsa public key"))?;
+        if !router_key.verify(
             &Beacon::signed_payload(&beacon.g, &beacon.g_rr, beacon.ts1),
             &beacon.sig,
         ) {

@@ -6,6 +6,9 @@
 //! The same rule for the operator's signatures: the certificate and CRL of
 //! an accepted beacon are held, and a later beacon carrying either byte for
 //! byte has only its expiry, age and serial re-checked (the last section).
+//! The certificate's key travels as bytes: decompressed where the beacon
+//! signature needs it, once per held certificate, and a key that names no
+//! point refuses the beacon before any pairing.
 //!
 //! The fixture plays the operator itself (its own ECDSA key behind `npk`),
 //! so it can sign lists the real `NetworkOperator` would never publish.
@@ -19,7 +22,7 @@ use peace_protocol::setup::blind_a;
 use peace_protocol::{
     Beacon, ProtocolConfig, ProtocolError, ShareIndex, SignedCrl, SignedUrl, UrlSection,
 };
-use peace_wire::{Decode, Encode, Writer};
+use peace_wire::{Decode, Encode, WireError, Writer};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -403,14 +406,16 @@ fn a_second_beacon_from_the_same_router_skips_the_operator_signatures() {
     };
     assert!(per_verify > 0);
 
-    // First contact: certificate, CRL, URL and the beacon itself.
+    // First contact: certificate, CRL, URL and the beacon itself, and the
+    // subgroup check of the certificate's key.
     let first = w.beacon(1_000, w.url(1, 1_000, vec![]));
-    let rest = muls_to_accept(&mut alice, &first, &mut w) - 4 * per_verify;
+    let rest = muls_to_accept(&mut alice, &first, &mut w) - 4 * per_verify - 1;
     // 7 to sign, g^{r_j}, the session key, and off the wire a subgroup
     // check for each of g and g^{r_R}.
     assert_eq!(rest, 7 + 2 + 2);
 
-    // The same router again, same lists: only the beacon's own signature.
+    // The same router again, same lists: only the beacon's own signature,
+    // under the held certificate's key.
     let mut second = w.beacon(1_100, first.url.clone());
     second.crl = first.crl.clone();
     assert_eq!(
@@ -432,7 +437,7 @@ fn a_second_beacon_from_the_same_router_skips_the_operator_signatures() {
         rest + per_verify
     );
 
-    // A different router under the same lists: its certificate only.
+    // A different router under the same lists: its certificate and key.
     let other = SigningKey::random(&mut w.rng);
     w.cert = Certificate::issue(&w.operator, 8, "MR-2", *other.verifying_key(), u64::MAX);
     w.router = other;
@@ -440,7 +445,7 @@ fn a_second_beacon_from_the_same_router_skips_the_operator_signatures() {
     elsewhere.crl = reissued.crl.clone();
     assert_eq!(
         muls_to_accept(&mut alice, &elsewhere, &mut w),
-        rest + 2 * per_verify
+        rest + 1 + 2 * per_verify
     );
 }
 
@@ -459,13 +464,15 @@ fn a_held_certificate_or_crl_is_still_checked_against_the_clock_and_the_bytes() 
     let url = |w: &World, now| w.url(1, now, vec![]);
     let first = w.beacon(1_000, url(&w, 1_000));
     let full = muls_to_accept(&mut alice, &first, &mut w);
-    // What `first` left held is what a repeat of it is checked against.
+    // What `first` left held is what a repeat of it is checked against:
+    // three operator signatures and the certificate key's subgroup check
+    // fewer.
     let still_held = |alice: &mut UserClient, w: &mut World, now| {
         let mut repeat = w.beacon(now, first.url.clone());
         repeat.crl = first.crl.clone();
         assert_eq!(
             muls_to_accept(alice, &repeat, w),
-            full - 3 * per_verify,
+            full - 3 * per_verify - 1,
             "at {now}"
         );
     };
@@ -527,5 +534,88 @@ fn a_held_certificate_or_crl_is_still_checked_against_the_clock_and_the_bytes() 
     assert_eq!(
         alice.request_access(&expired, expires + 1, &mut w.rng),
         Err(ProtocolError::CertificateInvalid)
+    );
+}
+
+/// An operator-signed certificate over arbitrary key bytes, on the wire:
+/// `serial ‖ subject ‖ key ‖ expiry ‖ signature`, signed behind the
+/// `peace-cert-v1` label.
+fn cert_of_key_bytes(operator: &SigningKey, serial: u64, key: &[u8]) -> Vec<u8> {
+    let mut body = Writer::new();
+    body.put_u64(serial);
+    body.put_str("MR-bad");
+    body.put_fixed(key);
+    body.put_u64(u64::MAX);
+    let mut tbs = Writer::new();
+    tbs.put_str("peace-cert-v1");
+    tbs.put_fixed(body.as_bytes());
+    operator.sign(tbs.as_bytes()).encode(&mut body);
+    body.into_bytes()
+}
+
+#[test]
+fn a_certificate_key_that_names_no_point_refuses_the_beacon() {
+    let mut w = World::new(10);
+    let (mut alice, _) = w.user("alice");
+    let per_verify = {
+        let scope = OpSnapshot::scope();
+        w.cert.validate(w.operator.verifying_key(), 0).unwrap();
+        scope.counts().g1_muls
+    };
+    let first = w.beacon(1_000, w.url(1, 1_000, vec![]));
+    let full = muls_to_accept(&mut alice, &first, &mut w);
+    let pending = alice.pending_handshakes();
+    let good_cert = w.cert.clone();
+
+    let mut bad_keys = bad_tokens();
+    bad_keys.push(("the identity", vec![0u8; G1::ENCODED_LEN]));
+    for (why, key) in bad_keys {
+        // The operator certified exactly these bytes, and the beacon
+        // carries a newer CRL and URL that acceptance would adopt.
+        let err = match Certificate::from_wire(&cert_of_key_bytes(&w.operator, 9, &key)) {
+            // Not the canonical form of a point: the decoder refuses it.
+            Err(e) => ProtocolError::from(e),
+            // Canonical: refused where the key is first needed — after the
+            // operator's signatures, before the beacon's and any pairing.
+            Ok(cert) => {
+                w.cert = cert;
+                let mut beacon = w.beacon(1_100, w.url(2, 1_100, vec![]));
+                beacon.crl = SignedCrl::issue(&w.operator, 1, 1_100, vec![]);
+                let beacon = Beacon::from_wire(&beacon.to_wire()).unwrap();
+                let scope = OpSnapshot::scope();
+                let err = alice
+                    .request_access(&beacon, 1_100, &mut w.rng)
+                    .expect_err(why);
+                let cost = scope.counts();
+                assert_eq!(
+                    (
+                        cost.pairings,
+                        cost.miller_loops,
+                        cost.final_exps,
+                        cost.gt_exps
+                    ),
+                    (0, 0, 0, 0),
+                    "{why}"
+                );
+                err
+            }
+        };
+        assert_eq!(
+            err,
+            ProtocolError::Wire(WireError::Invalid("ecdsa public key")),
+            "{why}"
+        );
+        assert_eq!(err.code(), "wire", "{why}");
+        assert_eq!(alice.pending_handshakes(), pending, "{why}");
+        assert_eq!(alice.list_versions(), (0, 1), "{why}");
+    }
+    // Nothing was adopted: the first beacon's certificate is still held,
+    // and a repeat of it is checked against it.
+    w.cert = good_cert;
+    let mut repeat = w.beacon(1_200, first.url.clone());
+    repeat.crl = first.crl.clone();
+    assert_eq!(
+        muls_to_accept(&mut alice, &repeat, &mut w),
+        full - 3 * per_verify - 1
     );
 }

@@ -170,7 +170,7 @@ fn cmd_verify(spec: &WorldSpec, dir: Option<&str>) -> Result<(), String> {
     let router_keys: Vec<(String, peace::ecdsa::VerifyingKey)> = w
         .routers
         .iter()
-        .map(|r| (r.id().0.clone(), r.cert().public_key))
+        .map(|r| (r.id().0.clone(), *r.signing_key().verifying_key()))
         .collect();
     let report = verify_chain(dir, |signer| {
         if signer == "NO" {
