@@ -5,7 +5,7 @@
 //! the bulk of `sign`/`verify`'s 𝔾₁ cost. A [`FixedBaseTable`] precomputes
 //! every multiple `d·2^{4j}·P` (`d ∈ 1..16`) once, after which a 160-bit
 //! scalar multiplication is ≈40 *mixed additions* and zero doublings,
-//! roughly 5× cheaper than the generic wNAF ladder.
+//! roughly 3× cheaper than the variable-base Montgomery ladder.
 //!
 //! Table entries are normalized to affine in one batched inversion
 //! ([`ProjectivePoint::batch_to_affine`]), so building a table costs about

@@ -146,7 +146,7 @@ pub fn psi(q: &G2) -> G1 {
 }
 
 /// Hashes a message to a 𝔾₁ element (try-and-increment, then cofactor
-/// clearing). Deterministic in `(label, msg)`.
+/// clearing by the x-only ladder). Deterministic in `(label, msg)`.
 pub fn hash_to_g1(label: &[u8], msg: &[u8]) -> G1 {
     G1(hash_to_point(label, msg))
 }
@@ -168,7 +168,14 @@ fn hash_to_point(label: &[u8], msg: &[u8]) -> AffinePoint {
         let x = Fp::from_wide_bytes(&wide[..96]);
         let sign_bit = wide[96] & 1 == 1;
         let rhs = x.square().mul(&x).add(&x);
-        if let Some(mut y) = rhs.sqrt() {
+        // Half the candidates are non-residues: the Jacobi symbol refuses
+        // them at a tenth of the price of a failed square root.
+        let root = if rhs.legendre() == -1 {
+            None
+        } else {
+            rhs.sqrt()
+        };
+        if let Some(mut y) = root {
             if y.is_odd() != sign_bit {
                 y = y.neg();
             }

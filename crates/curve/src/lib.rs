@@ -196,10 +196,14 @@ mod tests {
     }
 
     /// What `G1::from_bytes` computed before the compressed form became a
-    /// type: decompress, then wrap with the subgroup check. Kept here as
-    /// the reference the one predicate is differentially checked against.
+    /// type: decompress, then the subgroup check — here by binary
+    /// double-and-add, so the ladder behind the decoder is not checking
+    /// itself. The reference the one predicate is differentially checked
+    /// against.
     fn reference_decode(bytes: &[u8]) -> Option<G1> {
-        AffinePoint::from_compressed(bytes).and_then(G1::from_point)
+        AffinePoint::from_compressed(bytes)
+            .filter(|p| binary_mul(p, &subgroup_order()).is_identity())
+            .map(G1::from_point_unchecked)
     }
 
     /// Both roads from bytes to a point agree with the reference, and an
@@ -334,25 +338,132 @@ mod tests {
         assert_eq!(ops::g1_mul_count() - before, 2);
     }
 
+    /// `[k]P` by plain double-and-add: the oracle the ladder answers to.
+    fn binary_mul<const M: usize>(p: &AffinePoint, k: &Uint<M>) -> AffinePoint {
+        p.to_projective().mul_uint_binary(k).to_affine()
+    }
+
+    /// Curve points outside the order-`q` subgroup: try-and-increment with
+    /// no cofactor clearing.
+    fn non_subgroup_points(n: usize) -> Vec<AffinePoint> {
+        (0u64..)
+            .filter_map(|ctr| {
+                let x = Fp::from_wide_bytes(&peace_hash::xof(b"nsg", &ctr.to_be_bytes(), 96));
+                let y = x.square().mul(&x).add(&x).sqrt()?;
+                let p = AffinePoint::new_unchecked(x, y);
+                (!binary_mul(&p, &subgroup_order()).is_identity()).then_some(p)
+            })
+            .take(n)
+            .collect()
+    }
+
+    /// (0, 0): the 2-torsion point, the one x-coordinate the ladder's
+    /// differential addition cannot take as its difference.
+    fn two_torsion() -> AffinePoint {
+        AffinePoint::new(Fp::ZERO, Fp::ZERO).expect("(0, 0) is on the curve")
+    }
+
     #[test]
-    fn windowed_matches_binary_mul() {
+    fn ladder_matches_binary_mul() {
         let mut r = rng();
         let g = generator();
         for _ in 0..6 {
             let k = Fq::random(&mut r).to_uint();
-            assert_eq!(
-                g.to_projective().mul_uint(&k).to_affine(),
-                g.to_projective().mul_uint_binary(&k).to_affine()
-            );
+            assert_eq!(g.mul_uint(&k), binary_mul(&g, &k));
         }
-        // edge scalars
-        for k in [0u64, 1, 2, 15, 16, 17] {
-            let k = Uint::<3>::from_u64(k);
-            assert_eq!(
-                g.to_projective().mul_uint(&k).to_affine(),
-                g.to_projective().mul_uint_binary(&k).to_affine()
-            );
+        // Edge scalars: 0, 1, 2, q − 1 (where [k+1]P = O), q, q + 1, and
+        // the 352-bit cofactor c and c + 1, at full width.
+        let mut q = [0u64; 6];
+        q[..3].copy_from_slice(subgroup_order().as_limbs());
+        let (q, c, one) = (Uint::from_limbs(q), peace_field::cofactor(), Uint::ONE);
+        let scalars = [
+            Uint::ZERO,
+            one,
+            Uint::from_u64(2),
+            q.wrapping_sub(&one),
+            q,
+            q.wrapping_add(&one),
+            c,
+            c.wrapping_add(&one),
+        ];
+        let p = AffinePoint::random_subgroup(&mut r);
+        let odd = non_subgroup_points(1)[0];
+        // (0, 0) is kept out of the ladder, and still multiplies right.
+        let bases = [
+            g,
+            g.neg(),
+            p,
+            p.neg(),
+            odd,
+            odd.neg(),
+            AffinePoint::IDENTITY,
+            two_torsion(),
+        ];
+        for base in bases {
+            for k in &scalars {
+                assert_eq!(base.mul_uint(k), binary_mul(&base, k), "{base:?} · {k:?}");
+            }
         }
+        // A result that is (0, 0) itself: [q]((0, 0) + P) for P in the subgroup.
+        let shifted = two_torsion().add(&p);
+        assert_eq!(shifted.mul_uint(&subgroup_order()), two_torsion());
+    }
+
+    #[test]
+    fn clear_cofactor_matches_binary_on_points_outside_the_subgroup() {
+        let c = peace_field::cofactor();
+        for p in non_subgroup_points(4) {
+            let cleared = p.clear_cofactor();
+            assert_eq!(cleared, binary_mul(&p, &c));
+            assert!(binary_mul(&cleared, &subgroup_order()).is_identity());
+        }
+        assert!(two_torsion().clear_cofactor().is_identity());
+        assert!(AffinePoint::IDENTITY.clear_cofactor().is_identity());
+    }
+
+    #[test]
+    fn is_in_subgroup_agrees_with_binary_order_check() {
+        let mut r = rng();
+        let q = subgroup_order();
+        let mut points: Vec<AffinePoint> = (0..4)
+            .map(|_| AffinePoint::random_subgroup(&mut r))
+            .collect();
+        points.extend(non_subgroup_points(4));
+        points.extend([two_torsion(), two_torsion().add(&points[0])]);
+        points.push(AffinePoint::IDENTITY);
+        for p in points {
+            let expect = binary_mul(&p, &q).is_identity();
+            let before = ops::g1_mul_count();
+            assert_eq!(p.is_in_subgroup(), expect, "{p:?}");
+            // One ladder, one exponentiation on the E2 counter (none for O).
+            assert_eq!(ops::g1_mul_count() - before, u64::from(!p.is_identity()));
+        }
+        assert!(!two_torsion().is_in_subgroup());
+    }
+
+    #[test]
+    fn hash_to_curve_output_is_pinned() {
+        // Bytes recorded before the ladder and the Jacobi pre-check: both
+        // must leave H₀ unchanged. Type-1, so 𝔾₁ and 𝔾₂ hash alike.
+        // "two-counters-0" is found by searching "two-counters-{i}": its
+        // counter-0 candidate is a non-residue, so it needs two counters.
+        let pinned: [(&[u8], &[u8], &str); 4] = [
+            (b"test", b"message", "030d0885142ba942359704d36623172db4567d945a7e9674f29288c1fbb214fd8597f7ca18b9d2fe3bb4a32d2909a40e45b4785e06003a6ce271929687e37aca26"),
+            (b"bench", b"payload", "02393088d611c3ee53a061edb86da924c09b280b2fe19009e2e8fba75fd0520dc0ef449117fff59952e2030464f11f28ff07bef89b5689f3af9a2b9b46b3c74f10"),
+            (b"PEACE-H0", b"", "0325a62915d8c62698a5a09a0eb8743714a8a58163f2edbb90eead78e452d2354dc9ed0111aeb5d55e06968bc808c31a2d5220c00dfa84db85c1d6f3be5f949874"),
+            (b"test", b"two-counters-0", "034c52fd1d00551e94ee9a21a6b8a6598db347fe52f0870445a5920aeaa55bcdade798f003186753428359a428667d3f70b6ab285f8b6d5e474f8fa909a46833fc"),
+        ];
+        let hex = |bytes: &[u8]| -> String { bytes.iter().map(|b| format!("{b:02x}")).collect() };
+        for (label, msg, want) in pinned {
+            assert_eq!(hex(&hash_to_g1(label, msg).to_bytes()), want);
+            assert_eq!(hex(&hash_to_g2(label, msg).to_bytes()), want);
+        }
+        // The two-counter input's first candidate really is refused.
+        let wide = peace_hash::xof(b"test", b"\0\0\0\0two-counters-0", 97);
+        let x = Fp::from_wide_bytes(&wide[..96]);
+        let rhs = x.square().mul(&x).add(&x);
+        assert_eq!(rhs.legendre(), -1);
+        assert!(rhs.sqrt().is_none());
     }
 
     #[test]
@@ -598,11 +709,12 @@ mod tests {
         }
 
         #[test]
-        fn prop_wnaf_mul_matches_binary(seed in any::<u64>()) {
+        fn prop_ladder_mul_matches_binary(seed in any::<u64>()) {
             let mut r = StdRng::seed_from_u64(seed);
-            let p = AffinePoint::random_subgroup(&mut r).to_projective();
+            let p = AffinePoint::random_subgroup(&mut r);
             let k = Fq::random(&mut r).to_uint();
-            prop_assert_eq!(p.mul_uint(&k).to_affine(), p.mul_uint_binary(&k).to_affine());
+            prop_assert_eq!(p.mul_uint(&k), binary_mul(&p, &k));
+            prop_assert_eq!(p.neg().mul_uint(&k), binary_mul(&p, &k).neg());
         }
 
         #[test]

@@ -1,8 +1,9 @@
 //! Point arithmetic on the supersingular curve `E: y² = x³ + x` over `F_p`.
 //!
 //! Affine and Jacobian-projective representations with complete-by-case
-//! addition, doubling, and double-and-add scalar multiplication. The curve
-//! coefficient is `a = 1, b = 0`.
+//! addition and doubling. One scalar times a variable base is an x-only
+//! Montgomery ladder; two scalars, or several powers of one base, are wNAF
+//! over Jacobian points. The curve coefficient is `a = 1, b = 0`.
 
 use core::fmt;
 
@@ -118,12 +119,50 @@ impl AffinePoint {
 
     /// Scalar multiplication by a field scalar (mod q).
     pub fn mul_scalar(&self, k: &Fq) -> Self {
-        self.to_projective().mul_uint(&k.to_uint()).to_affine()
+        self.mul_uint(&k.to_uint())
     }
 
-    /// Scalar multiplication by an arbitrary-width integer.
+    /// Scalar multiplication by an arbitrary-width integer: the x-only
+    /// Montgomery ladder (`x_ladder`) ends on `[k]P` and `[k+1]P`, and
+    /// Okeya–Sakurai recovers `y` of the first from them — 9 field
+    /// multiplications per bit and one inversion, where a Jacobian wNAF
+    /// pays about 11.7 per bit. Takes a point on the curve.
+    ///
+    /// Increments the global 𝔾₁-exponentiation counter used by the E2
+    /// experiment (`ops::g1_mul_count`).
     pub fn mul_uint<const M: usize>(&self, k: &Uint<M>) -> Self {
-        self.to_projective().mul_uint(k).to_affine()
+        ops::record_g1_mul();
+        if self.infinity {
+            return Self::IDENTITY;
+        }
+        if self.x.is_zero() {
+            // The 2-torsion point (0, 0): a ladder whose difference has
+            // x = 0 degenerates to (0 : 0).
+            return if k.is_odd() { *self } else { Self::IDENTITY };
+        }
+        let (kp, next) = x_ladder(&self.x, k);
+        if kp.z.is_zero() {
+            return Self::IDENTITY;
+        }
+        if next.z.is_zero() {
+            // [k+1]P = O, where the recovery below would divide by zero.
+            return self.neg();
+        }
+        // y of Q = [k]P from x_P, y_P, x_Q and x_{Q+P} (A = 0, B = 1):
+        // y_Q = ((x_P·x_Q + 1)(x_P + x_Q) − (x_P − x_Q)²·x_{Q+P}) / 2y_P,
+        // over the denominators Z_Q² and Z_{Q+P}.
+        let xz = self.x.mul(&kp.z);
+        let cross = kp.x.sub(&xz).square().mul(&next.x);
+        let sum = kp.x.add(&xz).mul(&self.x.mul(&kp.x).add(&kp.z));
+        let y_num = sum.mul(&next.z).sub(&cross);
+        // d = 2·y_P·Z_Q·Z_{Q+P}; x_Q = X_Q·d / (d·Z_Q), y_Q = y_num / (d·Z_Q).
+        let d = self.y.double().mul(&kp.z).mul(&next.z);
+        let inv = d.mul(&kp.z).invert().expect("y_P and both Z nonzero");
+        Self {
+            x: kp.x.mul(&d).mul(&inv),
+            y: y_num.mul(&inv),
+            infinity: false,
+        }
     }
 
     /// Simultaneous `a·self + b·other` (Shamir's trick; see
@@ -139,21 +178,27 @@ impl AffinePoint {
     }
 
     /// Multiplies by the curve cofactor `c = (p+1)/q`, mapping any curve
-    /// point into the order-`q` subgroup. The 352-bit cofactor is fixed for
-    /// the lifetime of the process, so its wNAF recoding is computed once
-    /// and shared by every hash-to-curve call.
+    /// point into the order-`q` subgroup.
     pub fn clear_cofactor(&self) -> Self {
-        self.to_projective()
-            .mul_wnaf_digits(cofactor_wnaf())
-            .to_affine()
+        self.mul_uint(&cofactor())
     }
 
-    /// Whether the point lies in the order-`q` subgroup.
+    /// Whether the point — which must be on the curve: `G1::from_point`
+    /// checks that first — lies in the order-`q` subgroup.
+    ///
+    /// `[q]P = O` read off the x-only ladder's `Z`: no y-recovery, no
+    /// inversion. Counted as one 𝔾₁ exponentiation.
     pub fn is_in_subgroup(&self) -> bool {
         if self.infinity {
             return true;
         }
-        self.mul_uint(&peace_field::subgroup_order()).is_identity()
+        ops::record_g1_mul();
+        if self.x.is_zero() {
+            // (0, 0) has order 2, and x = 0 would degenerate the ladder.
+            return false;
+        }
+        let (qp, _) = x_ladder(&self.x, &peace_field::subgroup_order());
+        qp.z.is_zero()
     }
 
     /// Compressed encoding: 1 tag byte (`0` infinity, `2` even y, `3` odd y)
@@ -408,47 +453,6 @@ impl ProjectivePoint {
         }
     }
 
-    /// Scalar multiplication by an arbitrary-width integer using width-5
-    /// wNAF (signed digits exploit the free negation `(x, −y)`: 8 odd
-    /// multiples replace a 15-entry window table, and nonzero-digit density
-    /// drops from 15/16 per window to ≈1/6 per bit).
-    ///
-    /// Increments the global 𝔾₁-exponentiation counter used by the E2
-    /// experiment (`ops::g1_mul_count`).
-    pub fn mul_uint<const M: usize>(&self, k: &Uint<M>) -> Self {
-        ops::record_g1_mul();
-        let bits = k.bits();
-        if bits == 0 {
-            return Self::IDENTITY;
-        }
-        if bits + WNAF_WIDTH > Uint::<M>::BITS {
-            // Not enough headroom for signed-digit recoding at full width
-            // (never hit by the ≤352-bit scalars the scheme uses).
-            return self.mul_uint_fixed_window(k);
-        }
-        let table = self.odd_multiples::<8>();
-        let digits = k.wnaf(WNAF_WIDTH);
-        let mut acc = Self::IDENTITY;
-        for &d in digits.iter().rev() {
-            acc = acc.double();
-            acc = add_digit(&acc, &table, d);
-        }
-        acc
-    }
-
-    /// Scalar multiplication driven by a precomputed width-5 wNAF digit
-    /// schedule — lets fixed scalars (the cofactor) share one recoding.
-    fn mul_wnaf_digits(&self, digits: &[i8]) -> Self {
-        ops::record_g1_mul();
-        let table = self.odd_multiples::<8>();
-        let mut acc = Self::IDENTITY;
-        for &d in digits.iter().rev() {
-            acc = acc.double();
-            acc = add_digit(&acc, &table, d);
-        }
-        acc
-    }
-
     /// The odd multiples `P, 3P, 5P, …, (2T−1)P` (wNAF lookup table).
     fn odd_multiples<const T: usize>(&self) -> [Self; T] {
         let twice = self.double();
@@ -459,40 +463,8 @@ impl ProjectivePoint {
         table
     }
 
-    /// 4-bit fixed-window ladder (fallback for scalars with no wNAF
-    /// headroom; also the reference the wNAF equivalence test pins against).
-    fn mul_uint_fixed_window<const M: usize>(&self, k: &Uint<M>) -> Self {
-        let bits = k.bits();
-        // Precompute 1·P … 15·P.
-        let mut table = [Self::IDENTITY; 16];
-        table[1] = *self;
-        for i in 2..16 {
-            table[i] = table[i - 1].add(self);
-        }
-        let mut acc = Self::IDENTITY;
-        // Process the scalar in 4-bit windows, most significant first.
-        let windows = bits.div_ceil(4);
-        for w in (0..windows).rev() {
-            for _ in 0..4 {
-                acc = acc.double();
-            }
-            let mut digit = 0usize;
-            for b in 0..4 {
-                let bit_index = w * 4 + (3 - b);
-                digit <<= 1;
-                if k.bit(bit_index) {
-                    digit |= 1;
-                }
-            }
-            if digit != 0 {
-                acc = acc.add(&table[digit]);
-            }
-        }
-        acc
-    }
-
     /// Plain double-and-add scalar multiplication (reference/ablation
-    /// implementation; compare against [`Self::mul_uint`]).
+    /// implementation; compare against [`AffinePoint::mul_uint`]).
     pub fn mul_uint_binary<const M: usize>(&self, k: &Uint<M>) -> Self {
         ops::record_g1_mul();
         let bits = k.bits();
@@ -614,14 +586,47 @@ impl ProjectivePoint {
     }
 }
 
-/// wNAF window width for single-scalar multiplication.
-const WNAF_WIDTH: u32 = 5;
+/// A curve point by its x-coordinate alone, projectively: `x = X/Z`, with
+/// `Z = 0` the identity. `P` and `−P` share one.
+struct XOnly {
+    x: Fp,
+    z: Fp,
+}
 
-/// Width-5 wNAF digit schedule of the fixed curve cofactor, recoded once
-/// per process (hash-to-curve clears the cofactor on every call).
-fn cofactor_wnaf() -> &'static [i8] {
-    static DIGITS: std::sync::OnceLock<Vec<i8>> = std::sync::OnceLock::new();
-    DIGITS.get_or_init(|| cofactor().wnaf(WNAF_WIDTH))
+/// `([k]P, [k+1]P)` in x-only form, for `P = (x, ·)` on the curve with
+/// `x ≠ 0`: the Montgomery ladder on `E`, a Montgomery curve with `A = 0`.
+///
+/// Each bit maps `(R₀, R₁)` with `R₁ − R₀ = P` to `(2R₀, R₀ + R₁)` or
+/// `(R₀ + R₁, 2R₁)`: a doubling (2M + 2S) and a differential addition
+/// whose difference is `x` (3M + 2S). The pair is exchanged by masked
+/// [`Fp::conditional_swap`]s rather than a branch, and the ladder runs over
+/// at least [`Fq::NUM_BITS`] bits, so for every ℤ_q scalar the sequence of
+/// field operations is the same. The field operations themselves remain
+/// variable-time.
+fn x_ladder<const M: usize>(x: &Fp, k: &Uint<M>) -> (XOnly, XOnly) {
+    let (mut x0, mut z0) = (Fp::ONE, Fp::ZERO);
+    let (mut x1, mut z1) = (*x, Fp::ONE);
+    let mut swapped = false;
+    for i in (0..k.bits().max(Fq::NUM_BITS)).rev() {
+        let bit = k.bit(i);
+        Fp::conditional_swap(&mut x0, &mut x1, swapped ^ bit);
+        Fp::conditional_swap(&mut z0, &mut z1, swapped ^ bit);
+        swapped = bit;
+        let (a, b) = (x0.add(&z0), x0.sub(&z0));
+        let (aa, bb) = (a.square(), b.square());
+        // R₀ + R₁: X = 4(X₀X₁ − Z₀Z₁)², Z = 4x(X₁Z₀ − X₀Z₁)².
+        let da = x1.sub(&z1).mul(&a);
+        let cb = x1.add(&z1).mul(&b);
+        x1 = da.add(&cb).square();
+        z1 = da.sub(&cb).square().mul(x);
+        // 2R₀, scaled by 2 so that (A + 2)/4 = 1/2 costs nothing:
+        // X = 2·AA·BB, Z = (AA − BB)(AA + BB).
+        x0 = aa.mul(&bb).double();
+        z0 = aa.sub(&bb).mul(&aa.add(&bb));
+    }
+    Fp::conditional_swap(&mut x0, &mut x1, swapped);
+    Fp::conditional_swap(&mut z0, &mut z1, swapped);
+    (XOnly { x: x0, z: z0 }, XOnly { x: x1, z: z1 })
 }
 
 /// wNAF window width per scalar in interleaved double-mul (smaller: two

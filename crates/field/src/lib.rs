@@ -448,6 +448,47 @@ mod tests {
         }
 
         #[test]
+        fn prop_legendre_matches_the_euler_criterion(
+            a in proptest::array::uniform8(any::<u64>()),
+            b in proptest::array::uniform3(any::<u64>()),
+        ) {
+            // a^((m−1)/2) is 1, m − 1 or 0 as a is a residue, a non-residue
+            // or zero: the oracle the binary Jacobi symbol must agree with,
+            // over both moduli, at random values, their squares and the
+            // edges 0, 1 and m − 1.
+            fn euler<P: FieldParams<N>, const N: usize>(a: &Fe<P, N>) -> i8 {
+                let r = a.pow(&P::MODULUS.wrapping_sub(&Uint::ONE).shr1());
+                if r == Fe::ONE {
+                    1
+                } else if r.is_zero() {
+                    0
+                } else {
+                    -1
+                }
+            }
+            let a = Fp::from_uint(&Uint::from_limbs(a));
+            for v in [a, a.square(), Fp::ZERO, Fp::ONE, Fp::ONE.neg()] {
+                prop_assert_eq!(v.legendre(), euler(&v), "{:?}", v);
+            }
+            let b = Fq::from_uint(&Uint::from_limbs(b));
+            for v in [b, b.square(), Fq::ZERO, Fq::ONE, Fq::ONE.neg()] {
+                prop_assert_eq!(v.legendre(), euler(&v), "{:?}", v);
+            }
+        }
+
+        #[test]
+        fn prop_conditional_swap_swaps_exactly_when_chosen(
+            a in proptest::array::uniform8(any::<u64>()),
+            b in proptest::array::uniform8(any::<u64>()),
+            choice in any::<bool>(),
+        ) {
+            let (a, b) = (Fp::from_uint(&Uint::from_limbs(a)), Fp::from_uint(&Uint::from_limbs(b)));
+            let (mut x, mut y) = (a, b);
+            Fp::conditional_swap(&mut x, &mut y, choice);
+            prop_assert_eq!((x, y), if choice { (b, a) } else { (a, b) });
+        }
+
+        #[test]
         fn prop_fq_pow_small(a in 1u64..1000, e in 0u32..16) {
             let base = Fq::from_u64(a);
             let mut expect = Fq::ONE;

@@ -441,18 +441,52 @@ impl<P: FieldParams<N>, const N: usize> Fe<P, N> {
 
     /// Legendre symbol: `1` for quadratic residues, `-1` for non-residues,
     /// `0` for zero.
+    ///
+    /// The binary Jacobi algorithm on the canonical integers: halvings,
+    /// subtractions and quadratic reciprocity, no field multiplication —
+    /// about a tenth of the Euler exponentiation `a^((p−1)/2)` it replaced
+    /// (the tests keep that as the oracle). Runs in time dependent on the
+    /// value, like [`Self::invert`].
     pub fn legendre(&self) -> i8 {
-        if self.is_zero() {
-            return 0;
+        let mut a = self.to_uint();
+        let mut n = P::MODULUS;
+        // The answer is `sign · (a / n)`, `n` odd throughout.
+        let mut sign = 1i8;
+        while !a.is_zero() {
+            // (2 / n) = −1 exactly when n ≡ 3, 5 (mod 8).
+            let n_mod_8 = n.as_limbs()[0] & 7;
+            while a.is_even() {
+                a = a.shr1();
+                if n_mod_8 == 3 || n_mod_8 == 5 {
+                    sign = -sign;
+                }
+            }
+            // Both odd: reciprocity puts the larger on top, and the
+            // difference is even (zero once a = n = gcd).
+            if a < n {
+                if a.as_limbs()[0] & n.as_limbs()[0] & 3 == 3 {
+                    sign = -sign;
+                }
+                core::mem::swap(&mut a, &mut n);
+            }
+            a = a.wrapping_sub(&n);
         }
-        // (p-1)/2
-        let exp = P::MODULUS.wrapping_sub(&Uint::ONE).shr1();
-        let r = self.pow(&exp);
-        if r == Self::ONE {
-            1
+        if n == Uint::ONE {
+            sign
         } else {
-            -1
+            0
         }
+    }
+
+    /// Swaps `a` and `b` when `choice` is set, by masking every limb rather
+    /// than branching on `choice` (a Montgomery ladder's conditional swap).
+    pub fn conditional_swap(a: &mut Self, b: &mut Self, choice: bool) {
+        let (x, y) = (
+            Uint::select(&a.mont, &b.mont, choice),
+            Uint::select(&b.mont, &a.mont, choice),
+        );
+        a.mont = x;
+        b.mont = y;
     }
 
     /// Square root for moduli `≡ 3 (mod 4)`: `self^((p+1)/4)`, verified.

@@ -1032,7 +1032,12 @@ fn an_accepted_handshake_decompresses_five_points() {
     let repeat = over_the_wire(&router.beacon(1_015, &mut w.rng));
     let scope = OpSnapshot::scope();
     alice.request_access(&repeat, 1_016, &mut w.rng).unwrap();
-    assert_eq!(scope.counts().g1_decompressions, 2);
+    let cost = scope.counts();
+    assert_eq!(cost.g1_decompressions, 2);
+    // §V.C on the client leg: seven exponentiations to sign, two DH
+    // multiplications (g^{r_j} and the session key), a subgroup check per
+    // decompressed share, and the beacon's one ECDSA verification.
+    assert_eq!(cost.g1_muls, 7 + 2 + 2 + 1);
 
     // Decoding M.2 costs no curve arithmetic at all.
     let scope = OpSnapshot::scope();
