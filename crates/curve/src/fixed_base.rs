@@ -1,16 +1,16 @@
-//! Fixed-base scalar-multiplication tables (windowed precomputation).
+//! The fixed-base scalar-multiplication table of the subgroup generator
+//! (windowed precomputation).
 //!
-//! Exponentiations with a base that is fixed for the lifetime of a key —
-//! the subgroup generator, the group public key members `g₁, g₂, w` — are
-//! the bulk of `sign`/`verify`'s 𝔾₁ cost. A [`FixedBaseTable`] precomputes
-//! every multiple `d·2^{4j}·P` (`d ∈ 1..16`) once, after which a 160-bit
-//! scalar multiplication is ≈40 *mixed additions* and zero doublings,
-//! roughly 3× cheaper than the variable-base Montgomery ladder.
+//! `k·G` for a fresh scalar — random subgroup points, beacon shares, ECDSA
+//! keys and nonces, member keys — is the one exponentiation whose base is
+//! fixed for the life of the process. A [`FixedBaseTable`] precomputes every
+//! multiple `d·2^{4j}·G` (`d ∈ 1..16`) once, after which a 160-bit scalar
+//! multiplication is ≈40 *mixed additions* and zero doublings, roughly 3×
+//! cheaper than the variable-base Montgomery ladder.
 //!
 //! Table entries are normalized to affine in one batched inversion
-//! ([`ProjectivePoint::batch_to_affine`]), so building a table costs about
-//! as much as three generic scalar multiplications and pays for itself
-//! within a handful of signatures.
+//! ([`ProjectivePoint::batch_to_affine`]), so building the table costs about
+//! as much as three generic scalar multiplications.
 
 use std::sync::OnceLock;
 
@@ -31,7 +31,7 @@ const DIGITS_PER_WINDOW: usize = 15; // 1..=15 (0 contributes nothing)
 /// `kⱼ` is the j-th radix-16 digit of `k` — a sum of at most
 /// `⌈bits/4⌉` mixed additions.
 #[derive(Clone, Debug)]
-pub struct FixedBaseTable {
+pub(crate) struct FixedBaseTable {
     windows: Vec<[AffinePoint; DIGITS_PER_WINDOW]>,
 }
 
@@ -98,46 +98,10 @@ impl FixedBaseTable {
     pub fn mul(&self, k: &Fq) -> AffinePoint {
         self.mul_uint(&k.to_uint())
     }
-
-    /// Fused two-table multiply: `k·P + l·Q` where `Q` is `other`'s base.
-    ///
-    /// Both lookup sweeps feed a single projective accumulator, so the sum
-    /// costs one normalization (field inversion) instead of two and no
-    /// intermediate affine round-trip. Recorded as **one** 𝔾₁
-    /// exponentiation: it replaces one Shamir double-mul, and keeps the
-    /// prepared verifier's op count at parity with the plain one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either scalar needs more bits than its table holds.
-    pub fn mul_uint2<const M: usize>(&self, k: &Uint<M>, other: &Self, l: &Uint<M>) -> AffinePoint {
-        ops::record_g1_mul();
-        assert!(
-            k.bits() <= self.max_bits() && l.bits() <= other.max_bits(),
-            "scalar exceeds fixed-base table capacity"
-        );
-        let mut acc = ProjectivePoint::IDENTITY;
-        for (table, scalar) in [(self, k), (other, l)] {
-            let limbs = scalar.as_limbs();
-            for (j, row) in table.windows.iter().enumerate() {
-                let bit = j as u32 * WINDOW_BITS;
-                let digit = (limbs[(bit / 64) as usize] >> (bit % 64)) & 0xF;
-                if digit != 0 {
-                    acc = acc.add_affine(&row[digit as usize - 1]);
-                }
-            }
-        }
-        acc.to_affine()
-    }
-
-    /// `k·P + l·Q` for scalar-field exponents (see [`Self::mul_uint2`]).
-    pub fn mul2(&self, k: &Fq, other: &Self, l: &Fq) -> AffinePoint {
-        self.mul_uint2(&k.to_uint(), other, &l.to_uint())
-    }
 }
 
 /// The process-wide table for the subgroup generator, built on first use.
-pub fn generator_table() -> &'static FixedBaseTable {
+pub(crate) fn generator_table() -> &'static FixedBaseTable {
     static TABLE: OnceLock<FixedBaseTable> = OnceLock::new();
     TABLE.get_or_init(|| FixedBaseTable::new(&generator(), Fq::NUM_BITS))
 }

@@ -32,7 +32,7 @@ pub mod ops;
 mod point;
 mod wire;
 
-pub use fixed_base::{generator_table, mul_generator, FixedBaseTable};
+pub use fixed_base::mul_generator;
 pub use groups::{hash_to_g1, hash_to_g2, psi, G1, G2};
 pub use point::{generator, AffinePoint, ProjectivePoint};
 pub use wire::{G1Encoded, G1Wire, PointError};
@@ -40,6 +40,7 @@ pub use wire::{G1Encoded, G1Wire, PointError};
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fixed_base::{generator_table, FixedBaseTable};
     use peace_bigint::Uint;
     use peace_field::{params, subgroup_order, Fp, Fq};
     use proptest::prelude::*;

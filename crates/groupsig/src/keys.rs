@@ -17,7 +17,6 @@ use core::fmt;
 
 use peace_curve::{psi, G1, G2};
 use peace_field::Fq;
-use peace_pairing::{pairing_pair, Gt};
 use peace_wire::{Decode, Encode, Reader, Writer};
 use rand::RngCore;
 
@@ -121,16 +120,6 @@ impl MemberKey {
         let rhs = peace_pairing::pairing(&gpk.g1, &gpk.g2);
         let wx = gpk.w.add(&gpk.g2.mul(&self.exponent()));
         peace_pairing::pairing(&self.a, &wx) == rhs
-    }
-
-    /// The same relation, checked as `ê(A, w)·ê(A, g₂)^(grp+x) = ê(g₁, g₂)`
-    /// with the right-hand side supplied by a caller that holds it: two
-    /// Miller loops reduced together and one `𝔾_T` power — no dearer than
-    /// [`Self::is_valid_for`], and `ê(A, g₂)` is left over. Returns it if
-    /// the relation holds, `None` otherwise.
-    pub fn sdh_pairing(&self, gpk: &GroupPublicKey, e_g1_g2: &Gt) -> Option<Gt> {
-        let (e_a_w, e_a_g2) = pairing_pair(&self.a, &gpk.w, &self.a, &gpk.g2);
-        (e_a_w.mul(&e_a_g2.pow(&self.exponent())) == *e_g1_g2).then_some(e_a_g2)
     }
 }
 

@@ -292,6 +292,13 @@ mod tests {
         prepared.verify(b"m", &sig, BasesMode::PerMessage).unwrap();
         let cost = scope.counts();
         assert_eq!(cost.pairings, 2, "prepared verify uses 2 pairings");
+        // R₂ is four table evaluations and one reduction of their powers;
+        // §V.C's shape is unchanged: seven exponentiations, one final
+        // exponentiation.
+        assert_eq!((cost.miller_loops, cost.final_exps), (4, 1), "{cost:?}");
+        assert_eq!((cost.g1_muls, cost.gt_exps), (4, 3), "{cost:?}");
+        assert_eq!(cost.total_exps(), 7, "{cost:?}");
+        assert_eq!(cost.miller_prepares, 0, "the key's tables are built once");
 
         // Same acceptance/rejection behaviour as the plain verifier.
         assert!(prepared
@@ -423,21 +430,49 @@ mod tests {
         assert_eq!(sign_cost.pairings, 2, "sign: {sign_cost:?}");
         assert_eq!(sign_cost.g1_muls, 7, "sign: {sign_cost:?}");
 
-        // The product signer, handed ê(A, g₂): one pairing and one 𝔾_T
-        // power; still seven multiplications on the books, three of them
-        // sharing the doubling chain of u and one a fused table lookup.
+        // The key's two line tables, built once.
+        let scope = OpSnapshot::scope();
         let prepared = PreparedGpk::new(&gpk);
+        assert_eq!(scope.counts().miller_prepares, 2);
+
+        // The product signer, handed ê(A, g₂): one bilinear map on the
+        // books, paid as two table evaluations at v and one reduction of
+        // their powers (one 𝔾_T exponentiation for the pair), and the 𝔾_T
+        // power of ê(A, g₂). Six 𝔾₁ multiplications, three of them sharing
+        // the doubling chain of u: eight exponentiations, as §V.C counts.
         let e_a_g2 = prepared.member_pairing(&f.alice).unwrap();
         let scope = OpSnapshot::scope();
         let fast = prepared.sign_as(&f.alice, &e_a_g2, b"m", BasesMode::PerMessage, &mut f.rng);
         let fast_cost = scope.counts();
         assert_eq!(
             (fast_cost.pairings, fast_cost.gt_exps),
-            (1, 1),
+            (1, 2),
             "{fast_cost:?}"
         );
-        assert_eq!(fast_cost.g1_muls, 7, "{fast_cost:?}");
+        assert_eq!(fast_cost.g1_muls, 6, "{fast_cost:?}");
+        assert_eq!(fast_cost.total_exps(), 8, "{fast_cost:?}");
+        assert_eq!(
+            (fast_cost.miller_loops, fast_cost.final_exps),
+            (2, 1),
+            "{fast_cost:?}"
+        );
         verify(&gpk, b"m", &fast, BasesMode::PerMessage).unwrap();
+
+        // Without ê(A, g₂) the prepared signer pays for it: the paper's two
+        // bilinear maps.
+        let scope = OpSnapshot::scope();
+        let _ = prepared.sign(&f.alice, b"m", BasesMode::PerMessage, &mut f.rng);
+        let cost = scope.counts();
+        assert_eq!((cost.pairings, cost.final_exps), (2, 2), "{cost:?}");
+        assert_eq!((cost.miller_loops, cost.g1_muls), (3, 6), "{cost:?}");
+
+        // The prepared verifier: two bilinear maps and seven
+        // exponentiations, as the plain one below less its third pairing.
+        let scope = OpSnapshot::scope();
+        prepared.verify(b"m", &fast, BasesMode::PerMessage).unwrap();
+        let cost = scope.counts();
+        assert_eq!((cost.pairings, cost.final_exps), (2, 1), "{cost:?}");
+        assert_eq!(cost.total_exps(), 7, "{cost:?}");
 
         let before_v = OpSnapshot::capture();
         verify(&gpk, b"m", &sig, BasesMode::PerMessage).unwrap();
@@ -474,8 +509,8 @@ mod tests {
     #[test]
     fn a_decoded_signature_pays_for_its_points_once() {
         // Off the wire, T₁ and T₂ are bytes. Verification decompresses
-        // them (2 square roots, 2 subgroup checks on top of the six §V.C
-        // exponentiations); the sweep over a 64-token URL, a second
+        // them (2 square roots, 2 subgroup checks on top of the verifier's
+        // four 𝔾₁ exponentiations); the sweep over a 64-token URL, a second
         // verification and the copy that goes to the log all reuse them.
         let mut f = fixture();
         let gpk = *f.issuer.public_key();
@@ -491,8 +526,8 @@ mod tests {
             .verify(b"m", &signed, BasesMode::PerMessage)
             .unwrap();
         let cost = scope.counts();
-        assert_eq!((cost.g1_muls, cost.g1_decompressions), (6, 0));
-        assert_eq!((cost.miller_loops, cost.final_exps), (2, 1));
+        assert_eq!((cost.g1_muls, cost.g1_decompressions), (4, 0));
+        assert_eq!((cost.miller_loops, cost.final_exps), (4, 1));
 
         let scope = OpSnapshot::scope();
         let sig = GroupSignature::from_wire(&signed.to_wire()).unwrap();
@@ -501,8 +536,8 @@ mod tests {
             .verify_bases(b"m", &sig, BasesMode::PerMessage)
             .unwrap();
         let cost = scope.counts();
-        assert_eq!((cost.g1_muls, cost.g1_decompressions), (6 + 2, 2));
-        assert_eq!((cost.miller_loops, cost.final_exps), (2, 1));
+        assert_eq!((cost.g1_muls, cost.g1_decompressions), (4 + 2, 2));
+        assert_eq!((cost.miller_loops, cost.final_exps), (4, 1));
 
         assert_eq!(revocation_sweep(&sig, &url, &u_hat, &v_hat), None);
         let logged = sig.clone();
@@ -512,7 +547,7 @@ mod tests {
         assert_eq!(open(&gpk, b"m", &logged, &url, BasesMode::PerMessage), None);
         let cost = scope.counts();
         assert_eq!(cost.g1_decompressions, 2, "not 4 or 6");
-        assert_eq!(cost.miller_loops, 2 + (64 + 1) + 2 + (64 + 1));
+        assert_eq!(cost.miller_loops, 4 + (64 + 1) + 4 + (64 + 1));
     }
 
     #[test]

@@ -5,8 +5,8 @@ use core::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use peace_curve::{psi, FixedBaseTable, G1Wire, PointError, ProjectivePoint, G1, G2};
-use peace_field::Fq;
+use peace_curve::{psi, G1Wire, PointError, ProjectivePoint, G1, G2};
+use peace_field::{Fp, Fq};
 use peace_pairing::{
     miller, ops, pairing, pairing_pair, pairing_product, pairing_ratio, Gt, GtPowTable,
     MillerLines, MillerValue, OpSnapshot,
@@ -220,13 +220,21 @@ pub fn sign(
     }
 }
 
-/// A group public key prepared for the hot path: the system-constant
-/// pairing `ê(g₁, g₂)` with a fixed-base power table in `𝔾_T`, plus
-/// fixed-base comb tables for `g₁`, `g₂` and `w` — every exponentiation
-/// whose base is a key member runs as table lookups (mixed additions only,
-/// no doublings).
+/// A group public key prepared for the hot path: the key members `g₂`
+/// and `w` as Miller-line tables ([`MillerLines`]), and the
+/// system-constant pairing `ê(g₁, g₂)` with a fixed-base power table in
+/// `𝔾_T`.
 ///
-/// One table set (≈ 308 KB, ≈ 4.7 ms to build) serves every signer and
+/// Every bilinear map of a signature's `R₂`, and both of a member key's
+/// SDH check, has `g₂` or `w` in one slot. `ψ` is the identity on this
+/// Type-1 pairing, so `ê(P, g₂) = ê(g₂, P)`: the key member goes first,
+/// its double/add schedule is stored once per epoch, and a pairing with it
+/// is one evaluation of the table at `P` — no point arithmetic. `R₂` is
+/// written by bilinearity as a product of powers of such evaluations and
+/// reduced once ([`MillerValue::reduce_powers`]).
+///
+/// One table set (≈ 142 KB: the 77 KB `𝔾_T` table and two ≈ 33 KB line
+/// tables; ≈ 1.2 ms to build on the reference box) serves every signer and
 /// verifier of a gpk epoch in a process: whoever mints the key builds it
 /// once and hands out `Arc<PreparedGpk>` clones. It is deliberately not
 /// `Clone` — a second copy of the tables is never what a caller wants.
@@ -234,21 +242,21 @@ pub fn sign(
 pub struct PreparedGpk {
     gpk: GroupPublicKey,
     e_g1_g2_table: GtPowTable,
-    g1_table: FixedBaseTable,
-    g2_table: FixedBaseTable,
-    w_table: FixedBaseTable,
+    g2_lines: MillerLines,
+    w_lines: MillerLines,
 }
 
 impl PreparedGpk {
-    /// Precomputes the constant pairing and the fixed-base tables
-    /// (one-time cost per gpk).
+    /// Prepares `g₂` and `w` and tabulates `ê(g₁, g₂)` (one-time cost per
+    /// gpk).
     pub fn new(gpk: &GroupPublicKey) -> Self {
+        let g2_lines = MillerLines::new(&psi(&gpk.g2));
+        let e_g1_g2 = pairing_with(&g2_lines, &gpk.g1);
         Self {
             gpk: *gpk,
-            e_g1_g2_table: GtPowTable::new(&pairing(&gpk.g1, &gpk.g2), Fq::NUM_BITS),
-            g1_table: FixedBaseTable::new(gpk.g1.point(), Fq::NUM_BITS),
-            g2_table: FixedBaseTable::new(gpk.g2.point(), Fq::NUM_BITS),
-            w_table: FixedBaseTable::new(gpk.w.point(), Fq::NUM_BITS),
+            e_g1_g2_table: GtPowTable::new(&e_g1_g2, Fq::NUM_BITS),
+            g2_lines,
+            w_lines: MillerLines::new(&psi(&gpk.w)),
         }
     }
 
@@ -257,38 +265,35 @@ impl PreparedGpk {
         &self.gpk
     }
 
-    /// `g₁^k` from the comb table.
-    pub fn mul_g1(&self, k: &Fq) -> G1 {
-        G1::from_point_unchecked(self.g1_table.mul(k))
+    /// `ê(P, g₂)` and `ê(P, w)` unreduced, for `P` given as its `(x/y, 1/y)`
+    /// ([`xy_ratios`]): one evaluation of each table.
+    fn key_values(&self, at: Option<&(Fp, Fp)>) -> (MillerValue, MillerValue) {
+        (self.g2_lines.eval_at(at), self.w_lines.eval_at(at))
     }
 
-    /// `g₂^a · w^b` — one fused two-table sweep: a single accumulator,
-    /// a single normalization, one recorded exponentiation (keeping the
-    /// prepared verifier at op-count parity with the plain one).
-    fn mul_g2_w(&self, a: &Fq, b: &Fq) -> G2 {
-        G2::from_point_unchecked(self.g2_table.mul2(a, &self.w_table, b))
-    }
-
-    /// `w^a · g₂^b` from the fused comb-table sweep.
-    fn mul_w_g2(&self, a: &Fq, b: &Fq) -> G2 {
-        G2::from_point_unchecked(self.w_table.mul2(a, &self.g2_table, b))
-    }
-
-    /// Checks the SDH relation of a freshly assembled member key
-    /// ([`MemberKey::sdh_pairing`], against this key's `ê(g₁, g₂)` table)
-    /// and, if it holds, returns `ê(A, g₂)` — the one value of a
+    /// Checks the SDH relation `ê(A, w)·ê(A, g₂)^(grp+x) = ê(g₁, g₂)` of a
+    /// freshly assembled member key (what [`MemberKey::is_valid_for`]
+    /// checks) and, if it holds, returns `ê(A, g₂)` — the one value of a
     /// signature's `R₂` that depends on the signer alone, which
-    /// [`Self::sign_as`] takes instead of a second pairing per signature.
+    /// [`Self::sign_as`] takes instead of a pairing per signature. Two
+    /// table evaluations at `A` reduced together, and one `𝔾_T` power.
     ///
     /// The value identifies the member exactly as `A` does; whoever keeps
     /// it keeps it as secret as the key.
     pub fn member_pairing(&self, gsk: &MemberKey) -> Option<Gt> {
-        gsk.sdh_pairing(&self.gpk, &self.e_g1_g2_table.base())
+        ops::record_pairing();
+        ops::record_pairing();
+        let (a_g2, a_w) = self.key_values(xy_ratios(&[&gsk.a])[0].as_ref());
+        let reduced = MillerValue::finalize_batch(&[a_g2, a_w]);
+        let (e_a_g2, e_a_w) = (reduced[0]?, reduced[1]?);
+        let lhs = e_a_w.mul(&e_a_g2.pow(&gsk.exponent()));
+        (lhs == self.e_g1_g2_table.base()).then_some(e_a_g2)
     }
 
-    /// Signs `msg` under `gsk`, paying for `ê(A, g₂)` here: what a caller
-    /// without the value from [`Self::member_pairing`] uses. Two bilinear
-    /// maps, as the paper counts them.
+    /// Signs `msg` under `gsk`, paying for `ê(A, g₂)` here (one table
+    /// evaluation and its reduction): what a caller without the value from
+    /// [`Self::member_pairing`] uses. Two bilinear maps, as the paper
+    /// counts them.
     ///
     /// Draws from `rng` in exactly the same order as the free-standing
     /// [`sign`] and computes identical values, so the produced signature is
@@ -301,7 +306,7 @@ impl PreparedGpk {
         mode: BasesMode,
         rng: &mut impl RngCore,
     ) -> GroupSignature {
-        self.sign_as(gsk, &pairing(&gsk.a, &self.gpk.g2), msg, mode, rng)
+        self.sign_as(gsk, &pairing_with(&self.g2_lines, &gsk.a), msg, mode, rng)
     }
 
     /// Signs `msg` under `gsk`, given `e_a_g2 = ê(A, g₂)` for that key
@@ -310,8 +315,9 @@ impl PreparedGpk {
     /// three identities the signer alone can use, knowing `α`:
     ///
     /// * `T₂ = A·v^α`, so `ê(T₂, g₂)^{r_x} = ê(A, g₂)^{r_x}·ê(v, g₂)^{α·r_x}`
-    ///   and `R₂ = ê(A, g₂)^{r_x} · ê(v, g₂^{α·r_x − r_δ}·w^{−r_α})` — one
-    ///   pairing, not two;
+    ///   and `R₂ = ê(A, g₂)^{r_x} · ê(g₂, v)^{e} · ê(w, v)^{−r_α}` with
+    ///   `e = α·r_x − r_δ` — one bilinear map on the books, paid as two
+    ///   table evaluations at `v` and one reduction, not two pairings;
     /// * `T₁ = u^α`, so `R₃ = T₁^{r_x}·u^{−r_δ} = u^{α·r_x − r_δ}` — one
     ///   exponentiation, not a double one;
     /// * `T₁`, `R₁ = u^{r_α}` and `R₃` are then three powers of `u`, and
@@ -342,8 +348,12 @@ impl PreparedGpk {
         let powers = u.mul_many(&[alpha, r_alpha, e]);
         let (t1, r1, r3) = (powers[0], powers[1], powers[2]);
         let t2 = gsk.a.add(&v.mul(&alpha));
-        let merged = self.mul_g2_w(&e, &r_alpha.neg());
-        let r2 = e_a_g2.pow(&r_x).mul(&pairing(&v, &merged));
+        ops::record_pairing();
+        let (g2_v, w_v) = self.key_values(xy_ratios(&[&v])[0].as_ref());
+        // v is a subgroup point, so no value is zero (see `pairing_with`).
+        let r2 = MillerValue::reduce_powers(&[(g2_v, e, false), (w_v, r_alpha, true)])
+            .unwrap_or(Gt::ONE);
+        let r2 = e_a_g2.pow(&r_x).mul(&r2);
         let (t1, t2) = (G1Wire::from(t1), G1Wire::from(t2));
         let c = challenge(&self.gpk, msg, &r, &t1, &t2, &r1, &r2, &r3);
 
@@ -359,9 +369,9 @@ impl PreparedGpk {
         }
     }
 
-    /// Verifies a signature using the cached constant pairing (2 pairings
-    /// instead of 3) and the fixed-base tables for every gpk-based
-    /// exponentiation.
+    /// Verifies a signature with `R₂` from the key members' line tables
+    /// and the cached constant pairing: 2 bilinear maps instead of 3, four
+    /// table evaluations and one reduction for `R₂`.
     ///
     /// # Errors
     ///
@@ -433,14 +443,10 @@ impl PreparedGpk {
         let (t1, t2) = checked_commitments(sig)?;
         let u = psi(u_hat);
         let v = psi(v_hat);
-        // Same equations as `verify_inner`, with table-driven fixed bases.
+        // Same equations as the free `verify`, with R₂ from the tables.
         let neg_c = sig.c.neg();
         let r1 = u.mul_mul(&sig.s_alpha, &t1, &neg_c);
-        let t2_side = self.mul_g2_w(&sig.s_x, &sig.c);
-        let v_side = self.mul_w_g2(&sig.s_alpha, &sig.s_delta);
-        let r2 = pairing_ratio(&t2, &t2_side, &v, &v_side)
-            .ok_or(VerifyError::DegenerateCommitment)?
-            .mul(&self.e_g1_g2_table.pow(&sig.c).invert());
+        let r2 = self.r2(sig, &t2, &v)?;
         let neg_s_delta = sig.s_delta.neg();
         let r3 = t1.mul_mul(&sig.s_x, &u, &neg_s_delta);
         if challenge(&self.gpk, msg, &sig.r, &sig.t1, &sig.t2, &r1, &r2, &r3) == sig.c {
@@ -448,6 +454,31 @@ impl PreparedGpk {
         } else {
             Err(VerifyError::BadChallenge)
         }
+    }
+
+    /// The verifier's `R̃₂`, which the free [`verify`] computes as
+    /// `ê(T₂, g₂^{s_x}·w^{c}) · ê(v, w^{s_α}·g₂^{s_δ})⁻¹ · ê(g₁,g₂)^{−c}`,
+    /// rewritten by bilinearity so that `g₂` and `w` sit in the tables:
+    ///
+    /// `R̃₂ = ê(g₂,T₂)^{s_x} · ê(w,T₂)^{c} · ê(w,v)^{−s_α} · ê(g₂,v)^{−s_δ} · ê(g₁,g₂)^{−c}`
+    ///
+    /// Four evaluations at `(x/y, 1/y)` of `T₂` and of `v` (one field
+    /// inversion), one reduction of their powers, one lookup in the `𝔾_T`
+    /// table. Two bilinear maps on the books, as the ratio it replaces.
+    fn r2(&self, sig: &GroupSignature, t2: &G1, v: &G1) -> Result<Gt, VerifyError> {
+        ops::record_pairing();
+        ops::record_pairing();
+        let at = xy_ratios(&[t2, v]);
+        let (g2_t2, w_t2) = self.key_values(at[0].as_ref());
+        let (g2_v, w_v) = self.key_values(at[1].as_ref());
+        let r2 = MillerValue::reduce_powers(&[
+            (g2_t2, sig.s_x, false),
+            (w_t2, sig.c, false),
+            (w_v, sig.s_alpha, true),
+            (g2_v, sig.s_delta, true),
+        ])
+        .ok_or(VerifyError::DegenerateCommitment)?;
+        Ok(r2.mul(&self.e_g1_g2_table.pow(&sig.c).invert()))
     }
 
     /// Verifies each `(msg, sig)` pair in turn: `out[i]` is what
@@ -470,6 +501,24 @@ impl From<GroupPublicKey> for Arc<PreparedGpk> {
     fn from(gpk: GroupPublicKey) -> Self {
         Arc::new(PreparedGpk::new(&gpk))
     }
+}
+
+/// `(x/y, 1/y)` of each point, with one field inversion for all of them:
+/// where a [`MillerLines`] table is evaluated (`None` for the identity).
+fn xy_ratios(points: &[&G1]) -> Vec<Option<(Fp, Fp)>> {
+    let points: Vec<ProjectivePoint> = points.iter().map(|p| p.point().to_projective()).collect();
+    ProjectivePoint::batch_to_xy_ratios(&points)
+}
+
+/// `ê(P, Q)` for the `Q` a table was prepared for: one evaluation, one final
+/// exponentiation, one bilinear map on the books. Total like [`pairing`]:
+/// `P` is a subgroup point by type, which no evaluation sends to zero.
+fn pairing_with(lines: &MillerLines, p: &G1) -> Gt {
+    ops::record_pairing();
+    lines
+        .eval(&G2::from_point_unchecked(*p.point()))
+        .finalize()
+        .unwrap_or(Gt::ONE)
 }
 
 /// The commitments a verifier computes with: neither the identity (checked
@@ -505,11 +554,7 @@ pub fn verify(
     // (see `pairing_ratio`).
     let neg_c = sig.c.neg();
     let r1 = u.mul_mul(&sig.s_alpha, &t1, &neg_c);
-    let t2_side = gpk.g2.mul_mul(&sig.s_x, &gpk.w, &sig.c);
-    let v_side = gpk.w.mul_mul(&sig.s_alpha, &gpk.g2, &sig.s_delta);
-    let r2 = pairing_ratio(&t2, &t2_side, &v, &v_side)
-        .ok_or(VerifyError::DegenerateCommitment)?
-        .mul(&pairing(&gpk.g1, &gpk.g2).pow(&sig.c).invert());
+    let r2 = paper_r2(gpk, sig, &t2, &v)?;
     let neg_s_delta = sig.s_delta.neg();
     let r3 = t1.mul_mul(&sig.s_x, &u, &neg_s_delta);
     // 3.2.3
@@ -518,6 +563,21 @@ pub fn verify(
     } else {
         Err(VerifyError::BadChallenge)
     }
+}
+
+/// `R̃₂` as §V.C prices it: two double exponentiations in 𝔾₂ and a pairing
+/// ratio with one shared final exponentiation ([`pairing_ratio`]).
+fn paper_r2(
+    gpk: &GroupPublicKey,
+    sig: &GroupSignature,
+    t2: &G1,
+    v: &G1,
+) -> Result<Gt, VerifyError> {
+    let t2_side = gpk.g2.mul_mul(&sig.s_x, &gpk.w, &sig.c);
+    let v_side = gpk.w.mul_mul(&sig.s_alpha, &gpk.g2, &sig.s_delta);
+    Ok(pairing_ratio(t2, &t2_side, v, &v_side)
+        .ok_or(VerifyError::DegenerateCommitment)?
+        .mul(&pairing(&gpk.g1, &gpk.g2).pow(&sig.c).invert()))
 }
 
 /// Checks one revocation token against a signature (paper Eq.3):
@@ -1071,6 +1131,65 @@ mod sweep_soundness {
                 let expect: Vec<Option<usize>> = (0..n).map(Some).chain([None]).collect();
                 proptest::prop_assert_eq!(&per_record, &expect, "{:?}", mode);
                 proptest::prop_assert_eq!(open_batch(&gpk, &items, &grt, mode), expect, "{:?}", mode);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod r2_pins {
+    use super::*;
+    use crate::keys::IssuerKey;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(3))]
+
+        /// The one R₂ path against the paper's shape, in both bases modes:
+        /// the prepared verifier's R̃₂ (four table evaluations, one
+        /// reduction) is the `pairing_ratio` R̃₂ byte for byte, on the honest
+        /// signature and with each response or T₂ tampered; the product
+        /// signer emits the free `sign`'s bytes; and both verifiers refuse
+        /// every tampering with the same error.
+        #[test]
+        fn prop_prepared_r2_is_the_paper_r2(
+            seed in any::<u64>(),
+            msg in proptest::collection::vec(any::<u8>(), 0..64),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let issuer = IssuerKey::generate(&mut rng);
+            let gpk = *issuer.public_key();
+            let member = issuer.issue(&issuer.new_group_secret(&mut rng), &mut rng);
+            let prepared = PreparedGpk::new(&gpk);
+            let e_a_g2 = prepared.member_pairing(&member).expect("issued key");
+            let bump = |x: &Fq| x.add(&Fq::ONE);
+            for mode in [BasesMode::PerMessage, BasesMode::FixedBases] {
+                let mut product_rng = rng.clone();
+                let sig = sign(&gpk, &member, &msg, mode, &mut rng);
+                let fast = prepared.sign_as(&member, &e_a_g2, &msg, mode, &mut product_rng);
+                prop_assert_eq!(fast.to_bytes(), sig.to_bytes(), "{:?}", mode);
+
+                let moved_t2 = sig.t2.decompress().unwrap().add(&gpk.g1).into();
+                let cases = [
+                    ("honest", sig.clone()),
+                    ("s_x", GroupSignature { s_x: bump(&sig.s_x), ..sig.clone() }),
+                    ("c", GroupSignature { c: bump(&sig.c), ..sig.clone() }),
+                    ("s_alpha", GroupSignature { s_alpha: bump(&sig.s_alpha), ..sig.clone() }),
+                    ("s_delta", GroupSignature { s_delta: bump(&sig.s_delta), ..sig.clone() }),
+                    ("T2", GroupSignature { t2: moved_t2, ..sig.clone() }),
+                ];
+                let v = psi(&h0_bases(&gpk, &msg, &sig.r, mode).1);
+                for (what, s) in cases {
+                    let (_, t2) = s.commitments().unwrap();
+                    let prepared_r2 = prepared.r2(&s, &t2, &v).map(|g| g.to_bytes());
+                    let paper = paper_r2(&gpk, &s, &t2, &v).map(|g| g.to_bytes());
+                    prop_assert_eq!(prepared_r2, paper, "{:?} {}", mode, what);
+                    let want = if what == "honest" { Ok(()) } else { Err(VerifyError::BadChallenge) };
+                    prop_assert_eq!(verify(&gpk, &msg, &s, mode), want, "{:?} {}", mode, what);
+                    prop_assert_eq!(prepared.verify(&msg, &s, mode), want, "{:?} {}", mode, what);
+                }
             }
         }
     }

@@ -83,9 +83,10 @@ fn second_beacon_of_an_unchanged_list_decodes_no_token() {
         "no per-version, per-digest or per-session key"
     );
     assert_eq!(agent.metrics().handshakes_ok, 5);
-    // The router prepared one line table per signature it swept — counted
-    // in the process registry its metrics dump carries.
+    // The router prepared one line table per signature it swept, on top of
+    // the two (g₂ and w) of the world's one prepared gpk — counted in the
+    // process registry its metrics dump carries.
     let process = peace_telemetry::global().snapshot();
-    assert_eq!(process.counters["crypto.miller_prepare"], 5);
+    assert_eq!(process.counters["crypto.miller_prepare"], 5 + 2);
     assert_eq!(router.metrics().handler_panics, 0);
 }

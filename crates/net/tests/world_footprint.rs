@@ -24,8 +24,8 @@ fn sixty_four_more_users_cost_under_three_mib() {
     let after_small = resident_kib();
     let large = world(68);
     let after_large = resident_kib();
-    // One prepared gpk is ≈ 308 KiB; a copy per user would put 64 users
-    // near 20 MiB.
+    // One prepared gpk is ≈ 139 KiB; a copy per user would put 64 users
+    // near 9 MiB.
     let grown = after_large.saturating_sub(after_small);
     assert!(grown < 3 * 1024, "68 users after 4: +{grown} KiB resident");
     assert_eq!((small.users.len(), large.users.len()), (4, 68));

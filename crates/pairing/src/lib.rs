@@ -477,6 +477,123 @@ mod tests {
         assert!(MillerValue::reduces_to_one(&[]).is_empty());
     }
 
+    /// `Π finalize(mᵢ).pow(eᵢ)`, inverted for negated terms, term by term.
+    fn powers_one_by_one(terms: &[(MillerValue, Fq, bool)]) -> Option<Gt> {
+        terms.iter().try_fold(Gt::ONE, |acc, (m, e, negate)| {
+            let power = m.finalize()?.pow(e);
+            Some(acc.mul(&if *negate { power.invert() } else { power }))
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
+
+        #[test]
+        fn prop_reduce_powers_is_the_product_of_finalized_powers(
+            seed in proptest::prelude::any::<u64>(),
+            k in 1usize..5,
+            exponents in proptest::array::uniform4(0u8..4),
+            values in proptest::array::uniform4(0u8..4),
+            negate in proptest::array::uniform4(proptest::prelude::any::<bool>()),
+        ) {
+            // Exponents 0, 1, q − 1 or random; a quarter of the values are
+            // the neutral one.
+            let mut r = StdRng::seed_from_u64(seed);
+            let terms: Vec<(MillerValue, Fq, bool)> = (0..k)
+                .map(|i| {
+                    let m = match values[i] {
+                        0 => MillerValue::ONE,
+                        _ => miller(&G1::random(&mut r), &G2::random(&mut r)),
+                    };
+                    let e = match exponents[i] {
+                        0 => Fq::ZERO,
+                        1 => Fq::ONE,
+                        2 => Fq::ZERO.sub(&Fq::ONE),
+                        _ => Fq::random(&mut r),
+                    };
+                    (m, e, negate[i])
+                })
+                .collect();
+            let expect = powers_one_by_one(&terms);
+            let scope = OpSnapshot::scope();
+            let got = MillerValue::reduce_powers(&terms);
+            let cost = scope.counts();
+            proptest::prop_assert!(expect.is_some());
+            proptest::prop_assert_eq!(got, expect);
+            proptest::prop_assert_eq!(
+                (cost.final_exps, cost.gt_exps, cost.miller_loops, cost.pairings),
+                (1, k.div_ceil(2) as u64, 0, 0)
+            );
+        }
+
+        #[test]
+        fn prop_key_member_tables_reduce_to_the_pairing(seed in proptest::prelude::any::<u64>()) {
+            // A group key's g₂ and w = g₂^γ prepared first (ψ is the
+            // identity, so ê(P, g₂) = ê(g₂, P)), evaluated at random
+            // subgroup points and at a member's A = g₁^{1/(γ+x)}.
+            let mut r = StdRng::seed_from_u64(seed);
+            let gamma = Fq::random_nonzero(&mut r);
+            let w = g2().mul(&gamma);
+            let a = g1().mul(&gamma.add(&Fq::random(&mut r)).invert().unwrap());
+            let (g2_lines, w_lines) = (
+                MillerLines::new(&peace_curve::psi(&g2())),
+                MillerLines::new(&peace_curve::psi(&w)),
+            );
+            for p in [G1::random(&mut r), G1::random(&mut r), a] {
+                proptest::prop_assert_eq!(g2_lines.eval(&as_g2(&p)).finalize(), Some(pairing(&p, &g2())));
+                proptest::prop_assert_eq!(w_lines.eval(&as_g2(&p)).finalize(), Some(pairing(&p, &w)));
+            }
+        }
+    }
+
+    #[test]
+    fn reduce_powers_covers_every_exponent_kind_and_sign() {
+        let mut r = rng();
+        let m = miller(&G1::random(&mut r), &G2::random(&mut r));
+        let top = Fq::ZERO.sub(&Fq::ONE);
+        for e in [Fq::ZERO, Fq::ONE, top, Fq::random(&mut r)] {
+            for negate in [false, true] {
+                let terms = [(m, e, negate), (MillerValue::ONE, e, !negate)];
+                assert_eq!(
+                    MillerValue::reduce_powers(&terms),
+                    powers_one_by_one(&terms),
+                    "e = {e:?}, negate = {negate}"
+                );
+            }
+        }
+        // q − 1 ≡ −1: the power is the inverse, and cancels its negation.
+        assert_eq!(
+            MillerValue::reduce_powers(&[(m, top, false), (m, Fq::ONE, false)]),
+            Some(Gt::ONE)
+        );
+        assert_eq!(MillerValue::reduce_powers(&[]), Some(Gt::ONE));
+    }
+
+    #[test]
+    fn reduce_powers_of_a_zero_value_is_none_not_a_panic() {
+        let zero = MillerValue(peace_field::Fp2::ZERO);
+        let mut r = rng();
+        let live = miller(&G1::random(&mut r), &G2::random(&mut r));
+        for negate in [false, true] {
+            for e in [Fq::ZERO, Fq::ONE, Fq::random(&mut r)] {
+                assert_eq!(MillerValue::reduce_powers(&[(zero, e, negate)]), None);
+                let mixed = [
+                    (live, e, false),
+                    (zero, e, negate),
+                    (MillerValue::ONE, e, true),
+                ];
+                let scope = OpSnapshot::scope();
+                assert_eq!(MillerValue::reduce_powers(&mixed), None);
+                let cost = scope.counts();
+                assert_eq!(
+                    (cost.final_exps, cost.gt_exps),
+                    (1, 2),
+                    "counted all the same"
+                );
+            }
+        }
+    }
+
     #[test]
     fn gt_pow_table_matches_pow() {
         let mut r = rng();

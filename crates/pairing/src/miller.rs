@@ -24,6 +24,9 @@
 //! [`MillerValue::finalize_batch`] reduces a whole batch with one field
 //! inversion (Montgomery's trick for the easy parts) and a single shared
 //! hard-part sweep over the cached cofactor wNAF schedule.
+//! [`MillerValue::reduce_powers`] reduces a product of *powers* of Miller
+//! values the same way: one inversion, one shared squaring chain for the
+//! exponents, one hard part.
 //!
 //! [`MillerLines`] splits the loop itself: the point arithmetic depends on
 //! the first argument only, so a caller that pairs one `P` against many
@@ -45,7 +48,7 @@
 use std::sync::OnceLock;
 
 use peace_curve::ProjectivePoint;
-use peace_field::{cofactor, subgroup_order, Fp, Fp2};
+use peace_field::{cofactor, subgroup_order, Fp, Fp2, Fq};
 
 use crate::gt::Gt;
 use crate::ops;
@@ -136,8 +139,8 @@ impl MillerValue {
 
     /// Finalizes a batch of Miller values, sharing the expensive pieces:
     ///
-    /// * the easy parts `yᵢ = conj(fᵢ)·fᵢ⁻¹` use Montgomery's trick, so the
-    ///   whole batch costs **one** field inversion;
+    /// * the easy parts `yᵢ = f̄ᵢ/fᵢ = f̄ᵢ²/N(fᵢ)` cost **one** field
+    ///   inversion for the whole batch;
     /// * the hard parts run in lock-step over the single cached cofactor
     ///   wNAF schedule (all accumulators advance digit by digit).
     ///
@@ -150,59 +153,71 @@ impl MillerValue {
         if !values.is_empty() {
             ops::record_final_exp();
         }
-        let n = values.len();
-        // Montgomery batch inversion: prefix[i] = f₀·…·fᵢ₋₁, with 1 standing
-        // in for a zero so that it cannot poison its neighbours.
-        let factor = |v: &Self| if v.0.is_zero() { Fp2::ONE } else { v.0 };
-        let mut prefix = Vec::with_capacity(n);
-        let mut acc = Fp2::ONE;
-        for v in values {
-            prefix.push(acc);
-            acc = acc.mul(&factor(v));
-        }
-        let Some(mut suffix_inv) = acc.invert() else {
-            // Unreachable: a product of nonzero field elements.
-            return vec![None; n];
-        };
-        let mut easy = vec![Fp2::ONE; n];
-        for i in (0..n).rev() {
-            let f = factor(&values[i]);
-            let f_inv = suffix_inv.mul(&prefix[i]);
-            easy[i] = f.conjugate().mul(&f_inv);
-            suffix_inv = suffix_inv.mul(&f);
-        }
-        // Shared hard part: every yᵢ is unitary after the easy part, so one
-        // pass over the cofactor wNAF drives all accumulators together,
-        // with conjugation standing in for inversion on negative digits.
-        let mut tables = Vec::with_capacity(n);
-        for y in &easy {
-            let y2 = y.square();
-            let mut table = [*y; 8];
-            for i in 1..8 {
-                table[i] = table[i - 1].mul(&y2);
-            }
-            tables.push(table);
-        }
-        let mut accs = vec![Fp2::ONE; n];
-        for &d in cofactor_naf().iter().rev() {
-            for a in accs.iter_mut() {
-                *a = a.square();
-            }
-            if d > 0 {
-                for (a, t) in accs.iter_mut().zip(&tables) {
-                    *a = a.mul(&t[(d >> 1) as usize]);
-                }
-            } else if d < 0 {
-                for (a, t) in accs.iter_mut().zip(&tables) {
-                    *a = a.mul(&t[((-d) >> 1) as usize].conjugate());
-                }
-            }
-        }
-        values
+        let easy = easy_parts(values.iter().map(|v| &v.0));
+        // A zero's slot runs on 1 and is dropped at the end.
+        let tables: Vec<[Fp2; 8]> = easy
             .iter()
+            .map(|y| odd_powers(&y.unwrap_or(Fp2::ONE)))
+            .collect();
+        let mut accs = vec![Fp2::ONE; values.len()];
+        for &d in cofactor_naf().iter().rev() {
+            for (a, odd) in accs.iter_mut().zip(&tables) {
+                *a = mul_digit(&a.square(), odd, d);
+            }
+        }
+        easy.iter()
             .zip(accs)
-            .map(|(v, a)| (!v.0.is_zero()).then(|| Gt::from_fp2(a)))
+            .map(|(y, a)| y.map(|_| Gt::from_fp2(a)))
             .collect()
+    }
+
+    /// `Π finalize(mᵢ)^{±eᵢ}` — each term `(mᵢ, eᵢ, negate)` raised to
+    /// `eᵢ`, inverted where `negate` is set — with one reduction for all of
+    /// them:
+    ///
+    /// 1. the easy parts `yᵢ = f̄ᵢ/fᵢ = f̄ᵢ²/N(fᵢ)`, with one `F_p`
+    ///    inversion for the batch; a negated term takes `ȳᵢ = yᵢ⁻¹` instead;
+    /// 2. one interleaved width-5 wNAF multi-exponentiation over those
+    ///    norm-1 values — one shared squaring chain, conjugation standing in
+    ///    for inversion on negative digits;
+    /// 3. one hard part.
+    ///
+    /// The order is sound because the hard part is a homomorphism into
+    /// `μ_q`: `(Π yᵢ^{eᵢ})^c = Π (yᵢ^c)^{eᵢ}`, so an exponent is only ever
+    /// taken as its canonical residue mod `q`. Before the hard part `yᵢ`
+    /// has order dividing `p + 1`, which is why negation is conjugation and
+    /// never `q − e` of anything else.
+    ///
+    /// `None` if any value is zero (see [`Self::finalize`]). Recorded as one
+    /// final exponentiation and `⌈k/2⌉` `𝔾_T` exponentiations for `k` terms —
+    /// a fused pair counts once, as a two-table 𝔾₁ sweep did.
+    pub fn reduce_powers(terms: &[(Self, Fq, bool)]) -> Option<Gt> {
+        const W: u32 = 5;
+        ops::record_final_exp();
+        for _ in 0..terms.len().div_ceil(2) {
+            ops::record_gt_exp();
+        }
+        let easy: Option<Vec<Fp2>> = easy_parts(terms.iter().map(|(m, _, _)| &m.0))
+            .into_iter()
+            .collect();
+        // Per term: its odd-power table and its exponent's digits, LSB first.
+        let rows: Vec<([Fp2; 8], Vec<i8>)> = easy?
+            .iter()
+            .zip(terms)
+            .map(|(y, (_, e, negate))| {
+                let y = if *negate { y.conjugate() } else { *y };
+                (odd_powers(&y), e.to_uint().wnaf(W))
+            })
+            .collect();
+        let len = rows.iter().map(|(_, d)| d.len()).max().unwrap_or(0);
+        let mut acc = Fp2::ONE;
+        for i in (0..len).rev() {
+            acc = acc.square();
+            for (odd, digits) in &rows {
+                acc = mul_digit(&acc, odd, digits.get(i).copied().unwrap_or(0));
+            }
+        }
+        Some(Gt::from_fp2(acc.pow_wnaf_unitary(cofactor_naf())))
     }
 
     /// Whether each value reduces to `𝔾_T`'s identity — what
@@ -238,6 +253,42 @@ impl MillerValue {
                 !norm_inv.is_zero() && diff.mul(norm_inv).double().lucas_v(&cofactor()) == two
             })
             .collect()
+    }
+}
+
+/// The easy parts `f̄/f = f̄²/N(f)` of a batch of Miller values, norm 1,
+/// with one `F_p` inversion for every norm; `None` in the slot of a zero
+/// value (the only one of norm 0, since `−1` is a non-residue).
+fn easy_parts<'a>(values: impl Iterator<Item = &'a Fp2> + Clone) -> Vec<Option<Fp2>> {
+    let mut norm_inv: Vec<Fp> = values.clone().map(Fp2::norm).collect();
+    Fp::batch_invert(&mut norm_inv);
+    values
+        .zip(&norm_inv)
+        .map(|(f, n)| {
+            let ff = f.conjugate().square();
+            (!n.is_zero()).then(|| Fp2::new(ff.c0.mul(n), ff.c1.mul(n)))
+        })
+        .collect()
+}
+
+/// The odd powers `y¹, y³, …, y¹⁵` of a norm-1 `y`, indexed by `d >> 1`
+/// for a width-5 wNAF digit `d`.
+fn odd_powers(y: &Fp2) -> [Fp2; 8] {
+    let y2 = y.square();
+    let mut odd = [*y; 8];
+    for i in 1..8 {
+        odd[i] = odd[i - 1].mul(&y2);
+    }
+    odd
+}
+
+/// `acc · y^d` for a signed digit `d` over `y`'s [`odd_powers`]: the
+/// conjugate of a norm-1 value is its inverse.
+fn mul_digit(acc: &Fp2, odd: &[Fp2; 8], d: i8) -> Fp2 {
+    match d {
+        0 => *acc,
+        d if d > 0 => acc.mul(&odd[(d >> 1) as usize]),
+        d => acc.mul(&odd[((-d) >> 1) as usize].conjugate()),
     }
 }
 

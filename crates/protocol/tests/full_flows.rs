@@ -896,12 +896,13 @@ fn the_pairings_of_a_handshake_all_run_between_begin_and_finish() {
     let pending = router.begin_access_request(&req, 1_020).unwrap();
     assert_eq!(scope.counts(), OpSnapshot::default());
 
-    // §V.C's 3 + 2|URL| bilinear maps, restructured: the Σ-check's pairing
-    // ratio (2 Miller loops, 1 final exponentiation), then the sweep
-    // (|URL| + 1 Miller loops, 1 line table, 1 final exponentiation).
+    // §V.C's 3 + 2|URL| bilinear maps, restructured: the Σ-check's R₂
+    // (4 evaluations of the key's line tables, 1 final exponentiation),
+    // then the sweep (|URL| + 1 Miller loops, 1 line table, 1 final
+    // exponentiation).
     let scope = OpSnapshot::scope();
     let checked = pending.verify();
-    assert_eq!(pairing_work(scope.counts()), (2 + URL + 1, 1, 1 + 1));
+    assert_eq!(pairing_work(scope.counts()), (4 + URL + 1, 1, 1 + 1));
 
     // Admission: one exponentiation for the session key, no pairing.
     let scope = OpSnapshot::scope();
@@ -1034,10 +1035,10 @@ fn an_accepted_handshake_decompresses_five_points() {
     alice.request_access(&repeat, 1_016, &mut w.rng).unwrap();
     let cost = scope.counts();
     assert_eq!(cost.g1_decompressions, 2);
-    // §V.C on the client leg: seven exponentiations to sign, two DH
+    // §V.C on the client leg: six 𝔾₁ exponentiations to sign, two DH
     // multiplications (g^{r_j} and the session key), a subgroup check per
     // decompressed share, and the beacon's one ECDSA verification.
-    assert_eq!(cost.g1_muls, 7 + 2 + 2 + 1);
+    assert_eq!(cost.g1_muls, 6 + 2 + 2 + 1);
 
     // Decoding M.2 costs no curve arithmetic at all.
     let scope = OpSnapshot::scope();
@@ -1053,10 +1054,10 @@ fn an_accepted_handshake_decompresses_five_points() {
     assert!(logged.gsig.commitments().is_ok());
     let cost = scope.counts();
     assert_eq!(cost.g1_decompressions, 3);
-    // §V.C: six exponentiations to verify, one for the session key, and a
-    // subgroup check per decompressed point.
-    assert_eq!(cost.g1_muls, 6 + 1 + 3);
-    assert_eq!((cost.miller_loops, cost.final_exps), (2, 1));
+    // §V.C: four 𝔾₁ exponentiations to verify (R₂ is table evaluations),
+    // one for the session key, and a subgroup check per decompressed point.
+    assert_eq!(cost.g1_muls, 4 + 1 + 3);
+    assert_eq!((cost.miller_loops, cost.final_exps), (4, 1));
 
     // M.3 carries two echoes: decoded, compared, never decompressed.
     let scope = OpSnapshot::scope();
@@ -1085,8 +1086,9 @@ fn an_accepted_beacon_costs_the_client_one_pairing_and_a_refused_one_none() {
     let beacon: Beacon = over_the_wire(&router.beacon(1_000, &mut w.rng));
 
     // Accepted: ê(A, g₂) came with the credential, so M.2's signature is
-    // one Miller loop and one final exponentiation (ê(v, ·)) and one 𝔾_T
-    // power. Seven multiplications sign — two of them cofactor clearings,
+    // one bilinear map: two evaluations of the key's line tables at v, one
+    // final exponentiation and one 𝔾_T power for the pair, and the power of
+    // ê(A, g₂). Six multiplications sign — two of them cofactor clearings,
     // three on one doubling chain — two make g^{r_j} and the session key,
     // three are the subgroup checks of g, g^{r_R} and the certificate key,
     // and a first beacon is four ECDSA verifications (certificate, CRL,
@@ -1094,8 +1096,8 @@ fn an_accepted_beacon_costs_the_client_one_pairing_and_a_refused_one_none() {
     let scope = OpSnapshot::scope();
     alice.request_access(&beacon, 1_010, &mut w.rng).unwrap();
     let cost = scope.counts();
-    assert_eq!(pairing_work(&cost), (1, 1, 1, 1));
-    assert_eq!(cost.g1_muls, 7 + 2 + 3 + 4);
+    assert_eq!(pairing_work(&cost), (1, 2, 1, 2));
+    assert_eq!(cost.g1_muls, 6 + 2 + 3 + 4);
 
     // Refused, for each reason a beacon can be: no pairing work at all.
     let mut revoked = w.router("MR-rogue");

@@ -410,9 +410,9 @@ fn a_second_beacon_from_the_same_router_skips_the_operator_signatures() {
     // subgroup check of the certificate's key.
     let first = w.beacon(1_000, w.url(1, 1_000, vec![]));
     let rest = muls_to_accept(&mut alice, &first, &mut w) - 4 * per_verify - 1;
-    // 7 to sign, g^{r_j}, the session key, and off the wire a subgroup
+    // 6 to sign, g^{r_j}, the session key, and off the wire a subgroup
     // check for each of g and g^{r_R}.
-    assert_eq!(rest, 7 + 2 + 2);
+    assert_eq!(rest, 6 + 2 + 2);
 
     // The same router again, same lists: only the beacon's own signature,
     // under the held certificate's key.
