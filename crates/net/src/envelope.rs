@@ -96,8 +96,9 @@ pub enum NodeMessage {
     GetBulletin,
     /// The NO daemon's bulletin response.
     Bulletin(Bulletin),
-    /// Ask a router daemon for a fresh beacon (M.1). On radio this is a
-    /// broadcast; over TCP the poll stands in for tuning to the channel.
+    /// Ask a router daemon for its current beacon (M.1). On radio this is a
+    /// broadcast; over TCP the poll stands in for tuning to the channel,
+    /// and every poll inside half a timestamp window hears the same one.
     GetBeacon,
     /// A router beacon (M.1).
     Beacon(Box<Beacon>),

@@ -188,7 +188,7 @@ impl RouterSm {
                 let beacon = {
                     let mut r = lock_recover(&self.shared.router);
                     let mut g = lock_recover(&self.shared.rng);
-                    r.beacon(wall_ms(), &mut *g)
+                    r.current_beacon(wall_ms(), &mut *g)
                 };
                 metrics.hs_beacon_us.record_since(t0);
                 Step::Reply(NodeMessage::Beacon(Box::new(beacon)))

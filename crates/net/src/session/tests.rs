@@ -48,8 +48,8 @@ fn fixture(seed: u64) -> Fixture {
 }
 
 impl Fixture {
-    fn beacon(&mut self) -> NodeMessage {
-        NodeMessage::Beacon(Box::new(self.router.beacon(T0, &mut self.rng)))
+    fn poll_beacon(&mut self) -> NodeMessage {
+        NodeMessage::Beacon(Box::new(self.router.current_beacon(T0, &mut self.rng)))
     }
 
     fn feed(&mut self, sm: &mut UserSm, user: usize, msg: NodeMessage, now_ms: u64) -> UserStep {
@@ -116,7 +116,7 @@ fn state_by_message_table() {
             assert_eq!(sm.start(Instant::now()), NodeMessage::GetBeacon);
             let mut confirm = None;
             if row >= 1 {
-                let beacon = f.beacon();
+                let beacon = f.poll_beacon();
                 let m2 = f.feed(&mut sm, 0, beacon, T0 + 10);
                 confirm = Some(f.confirm(m2));
             }
@@ -125,13 +125,13 @@ fn state_by_message_table() {
                 assert_eq!(outcome(&step), "established");
             }
             let msg = match *input {
-                "beacon" => f.beacon(),
+                "beacon" => f.poll_beacon(),
                 // Awaiting the beacon there is no M.3 of ours yet: any
                 // well-formed one is as unexpected as the next.
                 "confirm" => confirm.unwrap_or_else(|| {
                     let mut other = UserSm::default();
                     other.start(Instant::now());
-                    let beacon = f.beacon();
+                    let beacon = f.poll_beacon();
                     let m2 = f.feed(&mut other, 1, beacon, T0 + 10);
                     f.confirm(m2)
                 }),
@@ -170,7 +170,7 @@ fn forged_and_misdirected_messages_fail_as_protocol_and_leave_the_machine_reusab
 
     // A beacon whose CRL the NO did not sign as it stands.
     sm.start(Instant::now());
-    let NodeMessage::Beacon(mut forged) = f.beacon() else {
+    let NodeMessage::Beacon(mut forged) = f.poll_beacon() else {
         unreachable!()
     };
     forged.crl.version += 1;
@@ -185,12 +185,12 @@ fn forged_and_misdirected_messages_fail_as_protocol_and_leave_the_machine_reusab
 
     // Someone else's M.3: a confirm for a g^{r_j} this user never sent.
     sm.start(Instant::now());
-    let beacon = f.beacon();
+    let beacon = f.poll_beacon();
     let mine = f.feed(&mut sm, 0, beacon, T0 + 10);
     assert_eq!(outcome(&mine), "send_m2");
     let mut other = UserSm::default();
     other.start(Instant::now());
-    let beacon = f.beacon();
+    let beacon = f.poll_beacon();
     let theirs = f.feed(&mut other, 1, beacon, T0 + 10);
     let their_confirm = f.confirm(theirs);
     let step = f.feed(&mut sm, 0, their_confirm, T0 + 30);
@@ -204,7 +204,7 @@ fn forged_and_misdirected_messages_fail_as_protocol_and_leave_the_machine_reusab
 
     // The same machine, a fresh start, a clean run.
     assert_eq!(sm.start(Instant::now()), NodeMessage::GetBeacon);
-    let beacon = f.beacon();
+    let beacon = f.poll_beacon();
     let m2 = f.feed(&mut sm, 0, beacon, T0 + 10);
     let confirm = f.confirm(m2);
     let step = f.feed(&mut sm, 0, confirm, T0 + 30);
@@ -223,7 +223,7 @@ fn protocol_time_is_an_input() {
     // The beacon is stamped T0; a reader whose clock says it is already
     // past the window refuses it — and no one slept.
     sm.start(Instant::now());
-    let beacon = f.beacon();
+    let beacon = f.poll_beacon();
     let step = f.feed(&mut sm, 0, beacon, T0 + window + 1);
     assert!(
         matches!(
@@ -234,7 +234,7 @@ fn protocol_time_is_an_input() {
     );
     // At the window's edge it is still good.
     sm.start(Instant::now());
-    let beacon = f.beacon();
+    let beacon = f.poll_beacon();
     let step = f.feed(&mut sm, 0, beacon, T0 + window);
     assert_eq!(outcome(&step), "send_m2");
     let confirm = f.confirm(step);

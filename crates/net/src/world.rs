@@ -193,7 +193,7 @@ mod tests {
         let mut wb = build_world(&spec).unwrap();
         let router = &mut wa.routers[0];
         let user = &mut wb.users[0];
-        let beacon = router.beacon(10_000, &mut wa.rng);
+        let beacon = router.current_beacon(10_000, &mut wa.rng);
         let req = user.request_access(&beacon, 10_050, &mut wb.rng).unwrap();
         let (confirm, mut r_sess) = router.process_access_request(&req, 10_100).unwrap();
         let mut u_sess = user.handle_access_confirm(&confirm, 10_150).unwrap();

@@ -10,9 +10,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use peace_net::{
-    build_world, reject_code, ConnConfig, DaemonConfig, NetError, NoDaemon, RouterDaemon,
-    Transient, UserAgent, WorldSpec,
+    build_world, build_world_with, reject_code, ConnConfig, DaemonConfig, NetError, NoDaemon,
+    NodeMessage, RouterDaemon, Transient, UserAgent, WorldSpec, DEFAULT_MAX_FRAME,
 };
+use peace_protocol::ProtocolConfig;
+use peace_wire::{Decode, Encode};
 
 fn test_cfg() -> DaemonConfig {
     DaemonConfig {
@@ -147,6 +149,66 @@ fn full_mesh_on_loopback_with_revocation() {
     assert_eq!(sessions_logged, 6, "5 initial + 1 survivor session logged");
     let operator = no.shutdown().expect("NO shutdown");
     assert_eq!(operator.revoked_member_count(), 1);
+}
+
+/// M.1 is a broadcast: inside half a timestamp window every connection to
+/// a router hears the one beacon it minted, and every handshake answering
+/// that beacon establishes.
+#[test]
+fn sequential_connections_inside_one_window_share_one_beacon() {
+    // A 40 s window, so the whole test fits in half of one on any box.
+    let config = ProtocolConfig {
+        timestamp_window: 40_000,
+        ..ProtocolConfig::default()
+    };
+    let spec = WorldSpec {
+        seed: 0xB0CA57,
+        users: 2,
+        routers: 1,
+    };
+    let w = build_world_with(&spec, config).unwrap();
+    let cfg = test_cfg();
+    let mut router = w.routers.into_iter().next().unwrap();
+    let now = peace_net::clock::wall_ms();
+    router.update_lists(w.no.publish_crl(now), w.no.publish_url(now));
+    let daemon = RouterDaemon::spawn(router, 11, "127.0.0.1:0", cfg).unwrap();
+    let addr = daemon.addr();
+
+    // A bare `GetBeacon` on a connection of its own: the bytes served.
+    let heard = || {
+        let mut stream = std::net::TcpStream::connect(addr).unwrap();
+        peace_net::write_frame(
+            &mut stream,
+            &NodeMessage::GetBeacon.to_wire(),
+            DEFAULT_MAX_FRAME,
+        )
+        .unwrap();
+        let reply = peace_net::read_frame(&mut stream, DEFAULT_MAX_FRAME).unwrap();
+        match NodeMessage::from_wire(&reply).unwrap() {
+            NodeMessage::Beacon(beacon) => beacon.to_wire(),
+            other => panic!("expected a beacon, got {other:?}"),
+        }
+    };
+
+    let first = heard();
+    let mut agents: Vec<_> = w
+        .users
+        .into_iter()
+        .enumerate()
+        .map(|(i, user)| UserAgent::new(user, 0xA6E_0000 + i as u64, cfg))
+        .collect();
+    for round in 0..3 {
+        for (i, agent) in agents.iter_mut().enumerate() {
+            let mut sess = agent.connect(addr).expect("handshake");
+            assert_eq!(sess.echo(b"on air").unwrap(), b"on air");
+            sess.close();
+            assert_eq!(heard(), first, "round {round}, user {i}");
+        }
+    }
+    assert_eq!(daemon.metrics().handshakes_ok, 6);
+    assert_eq!(daemon.metrics().handshakes_fail, 0);
+    let router = daemon.shutdown().unwrap();
+    assert_eq!(router.beacons_sent(), 1, "one beacon for every connection");
 }
 
 #[test]

@@ -14,7 +14,8 @@ pub struct ProtocolConfig {
     pub list_max_age: u64,
     /// Maximum delay between M̃.1 and M̃.2 (`ts₂ − ts₁` window, ms).
     pub handshake_window: u64,
-    /// How long a router keeps beacon DH state before pruning (ms).
+    /// How long a router keeps beacon DH state before pruning (ms). A
+    /// broadcast beacon is served for at most half of this.
     pub beacon_lifetime: u64,
     /// Group-signature bases mode (per-message = paper default).
     pub bases_mode: BasesMode,
@@ -77,6 +78,8 @@ mod tests {
         let c = ProtocolConfig::default();
         assert!(c.timestamp_window > 0);
         assert!(c.list_max_age >= c.timestamp_window);
+        // A broadcast beacon is held for half of the shorter of the two.
+        assert!(c.beacon_lifetime >= c.timestamp_window);
         assert_eq!(c.bases_mode, BasesMode::PerMessage);
         assert!(c.max_pending_handshakes > 0);
         assert!(c.max_active_beacons > 0);

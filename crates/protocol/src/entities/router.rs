@@ -89,6 +89,13 @@ pub struct CheckedAccess<'a> {
     sigma: std::result::Result<(G1, G2, G2), VerifyError>,
 }
 
+/// The broadcast [`MeshRouter::current_beacon`] serves, and how many
+/// sessions it has admitted.
+struct HeldBeacon {
+    beacon: Beacon,
+    sessions: usize,
+}
+
 /// A mesh router.
 pub struct MeshRouter {
     id: RouterId,
@@ -115,9 +122,14 @@ pub struct MeshRouter {
     /// Per-beacon DH state, bounded by `config.max_active_beacons` (LRU)
     /// and expired after `config.beacon_lifetime`.
     active_beacons: PendingTable<BeaconState>,
-    /// Recently established session ids: a replayed M.2 must not mint a
-    /// second session (idempotency under duplication/replay).
-    recent_sessions: PendingTable<()>,
+    /// The beacon [`Self::current_beacon`] broadcasts until it ages out:
+    /// never one with a puzzle, and dropped whenever the CRL or URL it
+    /// carries is replaced.
+    held_beacon: Option<HeldBeacon>,
+    /// Recently established session ids, each with the key of the beacon
+    /// it was admitted on: a replayed M.2 must not mint a second session
+    /// (idempotency under duplication/replay).
+    recent_sessions: PendingTable<Vec<u8>>,
     under_attack: bool,
     manual_attack_mode: Option<bool>,
     recent_failures: std::collections::VecDeque<u64>,
@@ -172,6 +184,7 @@ impl MeshRouter {
             url,
             revocation,
             active_beacons: PendingTable::new(config.max_active_beacons, config.beacon_lifetime),
+            held_beacon: None,
             recent_sessions: PendingTable::new(
                 config.max_active_beacons.saturating_mul(2),
                 config.beacon_lifetime,
@@ -254,9 +267,13 @@ impl MeshRouter {
         self.set_url(url);
     }
 
+    /// Installs the URL beacons carry. Like every list change (see
+    /// [`Self::update_crl`]), it ends the held beacon, so the next poll
+    /// carries the new list.
     fn set_url(&mut self, url: SignedUrl) {
         self.url_section = UrlSection::from(&url);
         self.url = url;
+        self.held_beacon = None;
     }
 
     /// Installs a freshly-signed CRL alone, validating signature and
@@ -276,6 +293,7 @@ impl MeshRouter {
             return Err(ProtocolError::StaleCrl);
         }
         self.crl = crl;
+        self.held_beacon = None;
         Ok(())
     }
 
@@ -302,10 +320,8 @@ impl MeshRouter {
             return Err(ProtocolError::UrlDeltaChain);
         }
         let url = restamp.into_signed_url(self.revocation.tokens());
-        let section = UrlSection::from(&url);
-        section.validate(&self.npk, now, self.config.list_max_age)?;
-        self.url_section = section;
-        self.url = url;
+        UrlSection::from(&url).validate(&self.npk, now, self.config.list_max_age)?;
+        self.set_url(url);
         Ok(())
     }
 
@@ -363,7 +379,48 @@ impl MeshRouter {
         &self.url
     }
 
-    /// Emits a beacon (M.1) at time `now`, creating fresh DH state.
+    /// The beacon (M.1) to broadcast at `now` (§IV.B: one beacon, answered
+    /// by every user in range). That is the last one this method minted
+    /// while:
+    ///
+    /// * it is younger than half the timestamp window — so a user still
+    ///   has the other half for clock skew — and than half the beacon
+    ///   lifetime, so its DH state outlives the M.2 round trip;
+    /// * its DH state is live;
+    /// * it has admitted fewer than `max_active_beacons` sessions, so the
+    ///   replay records of its sessions and its predecessor's all fit in
+    ///   the idempotency table (see [`Self::finish_access_request`]);
+    /// * the router is not under attack, and its CRL and URL are the ones
+    ///   in force.
+    ///
+    /// Otherwise a fresh one from [`Self::beacon`]. Under attack every poll
+    /// mints, each beacon with its own puzzle, and none is held.
+    pub fn current_beacon(&mut self, now: u64, rng: &mut impl RngCore) -> Beacon {
+        self.prune_beacons(now);
+        self.refresh_attack_state(now);
+        let hold_for = self
+            .config
+            .timestamp_window
+            .min(self.config.beacon_lifetime)
+            / 2;
+        if let Some(held) = &self.held_beacon {
+            if !self.under_attack
+                && now.abs_diff(held.beacon.ts1) < hold_for
+                && held.sessions < self.config.max_active_beacons
+                && self.active_beacons.contains(held.beacon.g_rr.as_bytes())
+            {
+                return held.beacon.clone();
+            }
+        }
+        let beacon = self.beacon(now, rng);
+        self.held_beacon = beacon.puzzle.is_none().then(|| HeldBeacon {
+            beacon: beacon.clone(),
+            sessions: 0,
+        });
+        beacon
+    }
+
+    /// Mints a beacon (M.1) at time `now`, creating fresh DH state.
     pub fn beacon(&mut self, now: u64, rng: &mut impl RngCore) -> Beacon {
         self.prune_beacons(now);
         self.refresh_attack_state(now);
@@ -491,15 +548,22 @@ impl MeshRouter {
         if self.recent_sessions.contains(&session_key) {
             return Err(ProtocolError::DuplicateMessage);
         }
-        // DoS defense: cheap check first.
-        if let Some(puzzle) = &state.puzzle {
-            let solution = req
-                .puzzle_solution
-                .as_ref()
-                .ok_or(ProtocolError::PuzzleRequired)?;
-            if !puzzle.verify(solution) {
-                return Err(ProtocolError::PuzzleInvalid);
+        // DoS defense: cheap check first. Under attack, a beacon minted
+        // before the attack (it has no puzzle) admits no one: its holder
+        // polls again and gets a puzzle.
+        self.refresh_attack_state(now);
+        match &state.puzzle {
+            Some(puzzle) => {
+                let solution = req
+                    .puzzle_solution
+                    .as_ref()
+                    .ok_or(ProtocolError::PuzzleRequired)?;
+                if !puzzle.verify(solution) {
+                    return Err(ProtocolError::PuzzleInvalid);
+                }
             }
+            None if self.under_attack => return Err(ProtocolError::PuzzleRequired),
+            None => {}
         }
         let payload = AccessRequest::signed_payload(&req.g_rj, &req.g_rr, req.ts2);
         Ok(PendingAccess {
@@ -577,7 +641,24 @@ impl MeshRouter {
         // 3.4 session key and confirmation
         let dh_secret = g_rj.mul(&state.r_r);
         let session = Session::establish(&dh_secret, session_id.clone(), Role::Responder);
-        self.recent_sessions.insert(session_key, (), now);
+        // A replay record must live as long as its beacon's DH state, or a
+        // replayed M.2 would pass the gate and be verified and admitted
+        // again. So when the table sheds a record, the beacon goes with
+        // it, and the replay is `UnknownBeacon`. A held beacon is retired
+        // after `max_active_beacons` sessions, half the table, so unless
+        // sessions pile up on older beacons, what this drops is a beacon
+        // no longer broadcast.
+        let beacon_key = req.g_rr.to_bytes();
+        if let Some((_, evicted)) = self.recent_sessions.insert(session_key, beacon_key, now) {
+            self.active_beacons.remove(&evicted);
+        }
+        if let Some(held) = self
+            .held_beacon
+            .as_mut()
+            .filter(|held| held.beacon.g_rr == req.g_rr)
+        {
+            held.sessions += 1;
+        }
         let mut confirm_payload = Writer::new();
         confirm_payload.put_str(&self.id.0);
         confirm_payload.put_fixed(req.g_rj.as_bytes());
@@ -634,7 +715,7 @@ impl MeshRouter {
         self.log_outbox.len()
     }
 
-    /// Total beacons emitted.
+    /// Total beacons minted (serving the held beacon again mints none).
     pub fn beacons_sent(&self) -> u64 {
         self.beacons_sent
     }

@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use peace_curve::{G1Wire, G1};
-use peace_ecdsa::{Certificate, SigningKey, VerifyingKey};
+use peace_ecdsa::{Certificate, Signature, SigningKey, VerifyingKey};
 use peace_field::Fq;
 use peace_groupsig::{MemberKey, PreparedGpk, RevocationToken};
 use peace_pairing::Gt;
@@ -73,6 +73,28 @@ struct HeldUrl {
     section: UrlSection,
 }
 
+/// The signed part of the last accepted beacon — `(g, g^{r_R}, ts₁)` and the
+/// router's signature over it, which verified under the held certificate —
+/// and the points `g` and `g^{r_R}` name. A beacon whose signed part is
+/// these bytes needs neither the signature check nor the decodes again.
+#[derive(Clone, Debug)]
+struct HeldBeacon {
+    g: G1Wire,
+    g_rr: G1Wire,
+    ts1: u64,
+    sig: Signature,
+    points: (G1, G1),
+}
+
+impl HeldBeacon {
+    fn signed_part_of(&self, beacon: &Beacon) -> bool {
+        self.ts1 == beacon.ts1
+            && self.sig == beacon.sig
+            && self.g == beacon.g
+            && self.g_rr == beacon.g_rr
+    }
+}
+
 /// A network user client.
 pub struct UserClient {
     uid: UserId,
@@ -97,6 +119,10 @@ pub struct UserClient {
     /// age, and whether the serial is listed) is checked again.
     held_cert: Option<Certificate>,
     held_crl: Option<SignedCrl>,
+    /// The last accepted beacon, verified under `held_cert`: routers
+    /// broadcast one beacon for half a timestamp window, so a repeat is
+    /// common (every check that time can change still runs on it).
+    held_beacon: Option<HeldBeacon>,
     highest_crl_version: u64,
     highest_url_version: u64,
     /// Half-open user↔router handshakes awaiting M.3, keyed by session id.
@@ -147,6 +173,7 @@ impl UserClient {
             url_sections_reused: 0,
             held_cert: None,
             held_crl: None,
+            held_beacon: None,
             highest_crl_version: 0,
             highest_url_version: 0,
             pending_router: PendingTable::new(cap, ttl),
@@ -373,26 +400,18 @@ impl UserClient {
         if beacon.url.version < self.highest_url_version {
             return Err(ProtocolError::StaleUrl);
         }
-        // beacon signature, under the router key — the held certificate's,
-        // decompressed when it was first used, if this is that certificate.
-        // Bytes that name no key refuse the beacon as its decoder did when
-        // certificates were decoded eagerly.
-        let router_key = match &self.held_cert {
-            Some(held) if cert_held => &held.public_key,
-            _ => &beacon.cert.public_key,
-        }
-        .key()
-        .map_err(|_| WireError::Invalid("ecdsa public key"))?;
-        if !router_key.verify(
-            &Beacon::signed_payload(&beacon.g, &beacon.g_rr, beacon.ts1),
-            &beacon.sig,
-        ) {
-            return Err(ProtocolError::BadRouterSignature);
-        }
-        // Only now are the beacon's points needed as points. A share that
-        // is not a group element refuses the beacon with nothing adopted.
-        let g = point(&beacon.g, "beacon.g")?;
-        let g_rr = point(&beacon.g_rr, "beacon.g_rr")?;
+        // beacon signature and points: those of the held beacon if this one
+        // is the same broadcast under the same certificate (see
+        // `held_beacon`), else checked now.
+        let held_beacon = self
+            .held_beacon
+            .as_ref()
+            .filter(|held| cert_held && held.signed_part_of(beacon));
+        let beacon_held = held_beacon.is_some();
+        let (g, g_rr) = match held_beacon {
+            Some(held) => held.points,
+            None => self.check_beacon_signature(beacon, cert_held)?,
+        };
         // Router is legitimate: adopt its lists. A URL whose tokens differ
         // from the held one's is decoded first — every token checked for
         // curve and subgroup membership — and a list with a bad token is
@@ -419,6 +438,15 @@ impl UserClient {
         }
         if !crl_held {
             self.held_crl = Some(beacon.crl.clone());
+        }
+        if !beacon_held {
+            self.held_beacon = Some(HeldBeacon {
+                g: beacon.g.clone(),
+                g_rr: beacon.g_rr.clone(),
+                ts1: beacon.ts1,
+                sig: beacon.sig,
+                points: (g, g_rr),
+            });
         }
         self.highest_crl_version = beacon.crl.version;
         self.highest_url_version = beacon.url.version;
@@ -453,6 +481,31 @@ impl UserClient {
                 id,
                 started_at: now,
             },
+        ))
+    }
+
+    /// Verifies the router's signature on `beacon`, under the held
+    /// certificate's key (decompressed when it was first used) if
+    /// `cert_held`, and decodes `g` and `g^{r_R}`. Key bytes that name no
+    /// key refuse the beacon as its decoder did when certificates were
+    /// decoded eagerly; a share that is not a group element refuses it too.
+    fn check_beacon_signature(&self, beacon: &Beacon, cert_held: bool) -> Result<(G1, G1)> {
+        let router_key = match &self.held_cert {
+            Some(held) if cert_held => &held.public_key,
+            _ => &beacon.cert.public_key,
+        }
+        .key()
+        .map_err(|_| WireError::Invalid("ecdsa public key"))?;
+        if !router_key.verify(
+            &Beacon::signed_payload(&beacon.g, &beacon.g_rr, beacon.ts1),
+            &beacon.sig,
+        ) {
+            return Err(ProtocolError::BadRouterSignature);
+        }
+        // Only now are the beacon's points needed as points.
+        Ok((
+            point(&beacon.g, "beacon.g")?,
+            point(&beacon.g_rr, "beacon.g_rr")?,
         ))
     }
 

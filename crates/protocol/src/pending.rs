@@ -50,9 +50,11 @@ impl<V> PendingTable<V> {
     }
 
     /// Inserts (or replaces) an entry, expiring stale entries first and
-    /// evicting the least-recently-used one if the table is full.
-    pub fn insert(&mut self, key: Vec<u8>, value: V, now: u64) {
+    /// evicting the least-recently-used one if the table is full. Returns
+    /// the evicted entry, if any.
+    pub fn insert(&mut self, key: Vec<u8>, value: V, now: u64) -> Option<(Vec<u8>, V)> {
         self.expire(now);
+        let mut evicted = None;
         if !self.map.contains_key(&key) && self.map.len() >= self.capacity {
             // Evict the least-recently-touched entry.
             if let Some(victim) = self
@@ -61,7 +63,7 @@ impl<V> PendingTable<V> {
                 .min_by_key(|(_, s)| s.lru)
                 .map(|(k, _)| k.clone())
             {
-                self.map.remove(&victim);
+                evicted = self.map.remove_entry(&victim).map(|(k, s)| (k, s.value));
                 self.evictions += 1;
             }
         }
@@ -75,6 +77,7 @@ impl<V> PendingTable<V> {
             },
         );
         self.high_water = self.high_water.max(self.map.len());
+        evicted
     }
 
     /// Looks up an entry without touching its LRU position.
@@ -158,7 +161,8 @@ mod tests {
     fn capacity_bound_enforced_by_lru_eviction() {
         let mut t = PendingTable::new(3, 1_000);
         for i in 0u8..10 {
-            t.insert(vec![i], i, u64::from(i));
+            let evicted = t.insert(vec![i], i, u64::from(i));
+            assert_eq!(evicted, i.checked_sub(3).map(|v| (vec![v], v)));
             assert!(t.len() <= 3);
         }
         assert_eq!(t.high_water(), 3);

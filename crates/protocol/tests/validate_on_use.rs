@@ -130,8 +130,18 @@ fn a_bad_point_in_m2_is_a_failed_verification() {
     }
     assert!(threshold >= forgeries.len(), "every forgery was tried");
     assert!(w.router.is_under_attack());
-    // And the genuine request still completes.
-    w.router.process_access_request(&req, 1_030).unwrap();
+    // The genuine request's beacon predates the attack and has no puzzle,
+    // so it is sent for one; answered on a fresh beacon, it completes.
+    assert_eq!(
+        w.router.process_access_request(&req, 1_030).unwrap_err(),
+        ProtocolError::PuzzleRequired
+    );
+    let defended = w.router.current_beacon(1_040, &mut w.rng);
+    let req = w
+        .alice
+        .request_access(&defended, 1_050, &mut w.rng)
+        .unwrap();
+    w.router.process_access_request(&req, 1_060).unwrap();
 }
 
 /// A beacon the router really signed, over whatever bytes sit in `g` and
