@@ -414,8 +414,8 @@ impl PreparedGpk {
     }
 
     /// Σ-protocol verification that **returns the derived H₀ bases** on
-    /// success, so a staged revocation pipeline (prefilter → cache →
-    /// sweep; see `peace-revoke`) can reuse them without re-running the
+    /// success, so a staged revocation pipeline (cache → sweep; see
+    /// `peace-revoke`) can reuse them without re-running the
     /// two hash-to-curve derivations [`Self::verify_and_check`] shares
     /// internally.
     ///
@@ -842,52 +842,47 @@ pub fn open_batch(
 
 /// Precomputed revocation table for [`BasesMode::FixedBases`] (§V.C's
 /// "far more efficient revocation check algorithm, whose running time is
-/// independent of |URL|").
-#[derive(Clone, Debug, Default)]
+/// independent of |URL|"): `SHA-256(ê(Aᵢ, û)) → i`.
+#[derive(Clone, Debug)]
 pub struct RevocationTable {
-    entries: std::collections::HashMap<Vec<u8>, usize>,
-    u_hat: Option<(G2, G2)>,
+    entries: std::collections::HashMap<[u8; 32], usize>,
+    /// The fixed bases `(û, v̂) = H₀(gpk)`.
+    bases: (G2, G2),
     next_index: usize,
 }
 
 impl RevocationTable {
-    /// Builds the table `{ê(Aᵢ, û) → i}` for fixed bases.
+    /// Builds the table over `tokens`, indexed by position.
     pub fn build(gpk: &GroupPublicKey, tokens: &[RevocationToken]) -> Self {
-        let (u_hat, v_hat) = h0_bases(gpk, &[], &Fq::ZERO, BasesMode::FixedBases);
-        let entries: std::collections::HashMap<Vec<u8>, usize> = tokens
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (pairing(&t.0, &u_hat).to_bytes(), i))
-            .collect();
-        Self {
-            next_index: tokens.len(),
-            entries,
-            u_hat: Some((u_hat, v_hat)),
+        let mut table = Self {
+            entries: std::collections::HashMap::with_capacity(tokens.len()),
+            bases: h0_bases(gpk, &[], &Fq::ZERO, BasesMode::FixedBases),
+            next_index: 0,
+        };
+        for t in tokens {
+            table.insert(t);
         }
+        table
+    }
+
+    fn key(&self, token: &RevocationToken) -> [u8; 32] {
+        peace_hash::sha256(&pairing(&token.0, &self.bases.0).to_bytes())
     }
 
     /// Adds one token incrementally (one pairing) — the operator's URL
     /// grows by single revocations, so rebuilding the whole table per
     /// update would waste |URL| pairings. Returns the token's index.
     pub fn insert(&mut self, token: &RevocationToken) -> usize {
-        let (u_hat, _) = self.u_hat.expect("table built before inserts");
         let idx = self.next_index;
         self.next_index += 1;
-        self.entries
-            .insert(pairing(&token.0, &u_hat).to_bytes(), idx);
+        self.entries.insert(self.key(token), idx);
         idx
     }
 
-    /// Removes a token (e.g. after an epoch rotation re-admits nobody, or
-    /// a revocation is lifted by dispute resolution). Returns whether it
-    /// was present.
+    /// Removes a token (e.g. a revocation lifted by dispute resolution).
+    /// Returns whether it was present.
     pub fn remove(&mut self, token: &RevocationToken) -> bool {
-        let Some((u_hat, _)) = self.u_hat else {
-            return false;
-        };
-        self.entries
-            .remove(&pairing(&token.0, &u_hat).to_bytes())
-            .is_some()
+        self.entries.remove(&self.key(token)).is_some()
     }
 
     /// Number of tokens in the table.
@@ -900,15 +895,18 @@ impl RevocationTable {
         self.entries.is_empty()
     }
 
-    /// O(1)-pairings revocation check: computes
-    /// `D = ê(T₂, û) / ê(T₁, v̂) = ê(A, û)` and looks it up.
+    /// O(1)-in-|URL| revocation check: computes
+    /// `D = ê(T₂, û) / ê(T₁, v̂) = ê(A, û)` (two Miller loops, one final
+    /// exponentiation) and looks it up.
     ///
     /// Only sound for signatures produced with [`BasesMode::FixedBases`].
     pub fn lookup(&self, sig: &GroupSignature) -> Option<usize> {
-        let (u_hat, v_hat) = self.u_hat.as_ref()?;
+        let (u_hat, v_hat) = &self.bases;
         let (t1, t2) = sig.commitments().ok()?;
-        let d = pairing(&t2, u_hat).div(&pairing(&t1, v_hat));
-        self.entries.get(&d.to_bytes()).copied()
+        let d = pairing_ratio(&t2, u_hat, &t1, v_hat)?;
+        self.entries
+            .get(&peace_hash::sha256(&d.to_bytes()))
+            .copied()
     }
 }
 

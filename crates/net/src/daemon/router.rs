@@ -203,11 +203,9 @@ impl RouterDaemon {
     /// Transport errors from the dial/send/recv; [`NetError::Unexpected`]
     /// if NO replies with something other than an ack.
     pub fn report_sessions(&self, no_addr: SocketAddr) -> Result<u32> {
-        let sessions = lock_recover(&self.router).drain_log();
-        if sessions.is_empty() {
+        let Some((router_name, sessions)) = self.drain_report() else {
             return Ok(0);
-        }
-        let router_name = lock_recover(&self.router).id().0.clone();
+        };
         let attempt = self.ship(no_addr, &router_name, &sessions);
         if attempt.is_err() {
             self.requeue_bounded(sessions);
@@ -231,11 +229,9 @@ impl RouterDaemon {
         if set.is_empty() {
             return Err(NetError::Unexpected("empty NO replica set"));
         }
-        let sessions = lock_recover(&self.router).drain_log();
-        if sessions.is_empty() {
+        let Some((router_name, sessions)) = self.drain_report() else {
             return Ok(0);
-        }
-        let router_name = lock_recover(&self.router).id().0.clone();
+        };
         let mut last_err = NetError::Unexpected("empty NO replica set");
         for (i, addr) in set.candidates(wall_ms()) {
             match self.ship(addr, &router_name, &sessions) {
@@ -259,6 +255,14 @@ impl RouterDaemon {
         }
         self.requeue_bounded(sessions);
         Err(last_err)
+    }
+
+    /// The router's name and the transcripts logged since the last report,
+    /// drained from the outbox; `None` when there are none to ship.
+    fn drain_report(&self) -> Option<(String, Vec<LoggedSession>)> {
+        let mut router = lock_recover(&self.router);
+        let sessions = router.drain_log();
+        (!sessions.is_empty()).then(|| (router.id().0.clone(), sessions))
     }
 
     /// One report exchange with one NO replica: dial, send the batch, wait

@@ -392,28 +392,33 @@ impl NoSm {
                     let mut op = lock_recover(&self.shared.no);
                     let mut slot = lock_recover(&self.shared.ledger);
                     for session in sessions {
-                        if let Some(rl) = slot.as_mut() {
-                            // Idempotent ingestion: a router that retries a
-                            // report after a lost ack — or fails over to
-                            // this replica with a batch another replica
-                            // already mirrored here — must not duplicate
-                            // transcripts. Checked across every shard.
-                            let sid = session.session_id.to_bytes();
-                            if rl.find_session(&sid).is_some() {
-                                continue;
-                            }
-                            let rec = LedgerRecord::Access(AccessRecord {
-                                router: router.clone(),
-                                session: session.clone(),
-                            });
-                            if let Err(e) = rl.local_mut().append(rec, now) {
-                                metrics.ledger_errors.inc();
-                                metrics.event("ledger_error", e.code());
-                                continue;
-                            }
-                            metrics.ledger_sessions.inc();
+                        // With a ledger attached it is the one session
+                        // store (audit by `find_session` → `audit_raw`);
+                        // the operator's in-memory log serves only a NO
+                        // without one.
+                        let Some(rl) = slot.as_mut() else {
+                            op.record_session(session);
+                            accepted += 1;
+                            continue;
+                        };
+                        // Idempotent ingestion: a router that retries a
+                        // report after a lost ack — or fails over to this
+                        // replica with a batch another replica already
+                        // mirrored here — must not duplicate transcripts.
+                        // Checked across every shard.
+                        if rl.find_session(&session.session_id.to_bytes()).is_some() {
+                            continue;
                         }
-                        op.record_session(session);
+                        let rec = LedgerRecord::Access(AccessRecord {
+                            router: router.clone(),
+                            session,
+                        });
+                        if let Err(e) = rl.local_mut().append(rec, now) {
+                            metrics.ledger_errors.inc();
+                            metrics.event("ledger_error", e.code());
+                            continue;
+                        }
+                        metrics.ledger_sessions.inc();
                         accepted += 1;
                     }
                     if let Some(rl) = slot.as_mut() {

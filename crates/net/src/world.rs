@@ -70,8 +70,8 @@ pub fn build_world(spec: &WorldSpec) -> Result<BuiltWorld> {
 }
 
 /// [`build_world`] with an explicit protocol configuration — e.g.
-/// fixed-bases mode with the router-side revocation prefilter armed
-/// (`peace-noded --prefilter`). The config does not feed the RNG, but
+/// fixed-bases mode, where routers check revocation by table lookup
+/// (`peace-noded --fixed-bases`). The config does not feed the RNG, but
 /// every process in a deployment must pass the same one so signers and
 /// verifiers agree on the bases mode.
 ///

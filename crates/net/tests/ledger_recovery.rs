@@ -306,3 +306,55 @@ fn kill_recover_verify_and_batch_audit() {
     assert!(chain.anchored, "final checkpoint anchors the head");
     assert_eq!(chain.torn_bytes, 0, "recovery already shed the torn tail");
 }
+
+/// With a ledger attached it is the NO daemon's one session store: reported
+/// transcripts go to the ledger and not to the operator's in-memory log,
+/// and each one is found by session id and audits to its signer's group.
+#[test]
+fn an_attached_ledger_is_the_one_session_store() {
+    let mut w = build_two_groups(0x0E5_5709);
+    let mut router = w.routers.remove(0);
+    let mut groups = Vec::new();
+    for (user, gid) in &mut w.users {
+        for round in 0..2u64 {
+            let now = 1_000 + round;
+            let beacon = router.beacon(now, &mut w.rng);
+            let req = user.request_access(&beacon, now, &mut w.rng).unwrap();
+            router.process_access_request(&req, now).unwrap();
+            groups.push(*gid);
+        }
+    }
+    let sessions = router.drain_log();
+    assert_eq!(sessions.len(), groups.len());
+    router.requeue_log(sessions.clone());
+
+    let (ledger, _) = Ledger::open(tmpdir("ledger-one-store"), LedgerConfig::default()).unwrap();
+    let no = NoDaemon::spawn(w.no, "127.0.0.1:0", test_cfg()).unwrap();
+    no.attach_ledger(ledger);
+    let daemon = RouterDaemon::spawn(router, 0x5E55, "127.0.0.1:0", test_cfg()).unwrap();
+    assert_eq!(
+        daemon.report_sessions(no.addr()).unwrap() as usize,
+        sessions.len()
+    );
+    daemon.shutdown().unwrap();
+
+    assert_eq!(no.with_operator(|op| op.logged_session_count()), 0);
+    for (session, gid) in sessions.iter().zip(&groups) {
+        let entry = no
+            .with_ledger(|l| {
+                let seq = l.find_session(&session.session_id.to_bytes())?;
+                l.get(seq).unwrap()
+            })
+            .expect("ledger attached")
+            .expect("every reported session is in the ledger");
+        let LedgerRecord::Access(access) = entry.record else {
+            panic!("session id found on a non-access record");
+        };
+        let finding = no
+            .with_operator(|op| op.audit_raw(&access.session.signed_payload, &access.session.gsig))
+            .unwrap();
+        assert_eq!(finding.group, *gid);
+    }
+    drop(no.detach_ledger());
+    no.shutdown().unwrap();
+}

@@ -9,6 +9,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use peace_groupsig::BasesMode;
 use peace_net::{
     build_world, build_world_with, reject_code, ConnConfig, DaemonConfig, NetError, NoDaemon,
     NodeMessage, RouterDaemon, Transient, UserAgent, WorldSpec, DEFAULT_MAX_FRAME,
@@ -32,12 +33,22 @@ fn test_cfg() -> DaemonConfig {
 
 #[test]
 fn full_mesh_on_loopback_with_revocation() {
+    for mode in [BasesMode::PerMessage, BasesMode::FixedBases] {
+        full_mesh_with_revocation(mode);
+    }
+}
+
+fn full_mesh_with_revocation(mode: BasesMode) {
     let spec = WorldSpec {
         seed: 0xB00B1E5,
         users: 5,
         routers: 2,
     };
-    let w = build_world(&spec).unwrap();
+    let config = ProtocolConfig {
+        bases_mode: mode,
+        ..ProtocolConfig::default()
+    };
+    let w = build_world_with(&spec, config).unwrap();
     let tokens = w.tokens.clone();
     let cfg = test_cfg();
 
@@ -94,26 +105,39 @@ fn full_mesh_on_loopback_with_revocation() {
 
     // ------------------------------------------------------------------
     // Phase 2: NO revokes user 0 at runtime; both routers refresh their
-    // lists from the bulletin; the revoked user is rejected with the
-    // terminal REVOKED code while an unrevoked user still gets in — and
-    // adopts the bumped URL version from the refreshed beacon.
+    // lists (under fixed bases router 1 by delta, which grows its
+    // revocation table, and router 0 by a full fetch, which rebuilds it);
+    // the revoked user is rejected by each with the terminal REVOKED code
+    // while an unrevoked user still gets in — and adopts the bumped URL
+    // version from the refreshed beacon.
     // ------------------------------------------------------------------
     assert!(no.revoke_user(&tokens[0]), "token must be in grt");
-    for r in &routers {
-        let v = r.refresh_lists(no_addr).expect("router list refresh");
-        assert_eq!(v, 1, "post-revocation URL version");
+    for (i, r) in routers.iter().enumerate() {
+        let v = if mode == BasesMode::FixedBases && i == 1 {
+            r.refresh_lists_delta(no_addr)
+        } else {
+            r.refresh_lists(no_addr)
+        };
+        assert_eq!(
+            v.expect("router list refresh"),
+            1,
+            "post-revocation URL version"
+        );
     }
+    assert_eq!(routers[1].metrics().url_delta_fallbacks, 0);
 
     let mut revoked = agents_back.remove(0); // user 0
-    let err = match revoked.connect(router_addrs[0]) {
-        Ok(_) => panic!("revoked user must be rejected"),
-        Err(e) => e,
-    };
-    match &err {
-        NetError::Rejected { code, .. } => assert_eq!(*code, reject_code::REVOKED),
-        other => panic!("expected Rejected{{REVOKED}}, got {other:?}"),
+    for &addr in &router_addrs {
+        let err = match revoked.connect(addr) {
+            Ok(_) => panic!("{mode:?}: revoked user must be rejected"),
+            Err(e) => e,
+        };
+        match &err {
+            NetError::Rejected { code, .. } => assert_eq!(*code, reject_code::REVOKED),
+            other => panic!("{mode:?}: expected Rejected{{REVOKED}}, got {other:?}"),
+        }
+        assert!(!err.is_transient(), "revocation is terminal — no retry");
     }
-    assert!(!err.is_transient(), "revocation is terminal — no retry");
 
     let mut survivor = agents_back.remove(0); // user 1
     assert_eq!(survivor.user().list_versions().1, 0, "before refresh");
@@ -130,12 +154,12 @@ fn full_mesh_on_loopback_with_revocation() {
 
     // ------------------------------------------------------------------
     // Phase 3: teardown. No handler panicked anywhere, the routers saw
-    // exactly one failed handshake (the revoked attempt), and shutdown
+    // exactly two failed handshakes (the revoked attempts), and shutdown
     // returns the entities with their audit logs intact.
     // ------------------------------------------------------------------
     assert_eq!(no.metrics().handler_panics, 0);
     let fails: u64 = routers.iter().map(|r| r.metrics().handshakes_fail).sum();
-    assert_eq!(fails, 1, "only the revoked user failed");
+    assert_eq!(fails, 2, "only the revoked user failed, once per router");
     for r in &routers {
         assert_eq!(r.metrics().handler_panics, 0);
         assert_eq!(r.metrics().decode_failures, 0);

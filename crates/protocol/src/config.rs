@@ -38,14 +38,6 @@ pub struct ProtocolConfig {
     pub max_active_beacons: usize,
     /// Retry/backoff policy for handshakes lost to the channel.
     pub retry: RetryPolicy,
-    /// Arm the router-side Bloom prefilter over revocation-token
-    /// fingerprints. Only sound (and only honored) in
-    /// [`BasesMode::FixedBases`]; ignored under per-message bases, where
-    /// signatures are unlinkable to tokens by design.
-    pub revoke_prefilter: bool,
-    /// Capacity of the router's revocation sweep cache, in verdicts
-    /// (0 disables caching).
-    pub revoke_cache_capacity: usize,
 }
 
 impl Default for ProtocolConfig {
@@ -63,8 +55,6 @@ impl Default for ProtocolConfig {
             max_pending_handshakes: 64,
             max_active_beacons: 128,
             retry: RetryPolicy::default(),
-            revoke_prefilter: false,
-            revoke_cache_capacity: 4096,
         }
     }
 }

@@ -57,8 +57,7 @@ impl<'a> PendingAccess<'a> {
     pub fn verify(mut self) -> CheckedAccess<'a> {
         let sigma = self.sigma();
         if let Ok((_, u_hat, v_hat)) = &sigma {
-            self.revocation
-                .run(&self.payload, &self.req.gsig, u_hat, v_hat);
+            self.revocation.run(&self.req.gsig, u_hat, v_hat);
         }
         CheckedAccess {
             sigma,
@@ -116,8 +115,8 @@ pub struct MeshRouter {
     /// [`Self::url`] encoded once, when it is installed: every beacon
     /// carries a copy of these bytes.
     url_section: UrlSection,
-    /// The staged revocation engine: epoch-partitioned list, sweep cache,
-    /// optional Bloom prefilter.
+    /// The staged revocation engine: epoch-partitioned list, and a sweep
+    /// cache or (fixed bases) a revocation table.
     revocation: RevocationEngine,
     /// Per-beacon DH state, bounded by `config.max_active_beacons` (LRU)
     /// and expired after `config.beacon_lifetime`.
@@ -166,8 +165,6 @@ impl MeshRouter {
             prepared_gpk.gpk(),
             EngineConfig {
                 bases_mode: config.bases_mode,
-                prefilter: config.revoke_prefilter,
-                cache_capacity: config.revoke_cache_capacity,
                 ..EngineConfig::default()
             },
         );
@@ -344,7 +341,7 @@ impl MeshRouter {
     }
 
     /// The staged revocation engine (observability: URL version, cache
-    /// fill, prefilter state).
+    /// fill).
     pub fn revocation(&self) -> &RevocationEngine {
         &self.revocation
     }
@@ -363,8 +360,8 @@ impl MeshRouter {
     ) {
         self.prepared_gpk = gpk.into();
         self.crl = crl;
-        // New epoch partition: fixed bases, fingerprints, and cache all
-        // derive from the gpk and reset with it.
+        // New epoch partition: fixed bases, table, and cache all derive
+        // from the gpk and reset with it.
         let epoch = self.revocation.epoch() + 1;
         self.revocation.install_gpk(self.prepared_gpk.gpk());
         self.revocation

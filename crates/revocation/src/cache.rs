@@ -2,9 +2,9 @@
 //! version.
 //!
 //! A router under load re-verifies the same bytes more often than the URL
-//! changes: retransmitted frames, duplicated M.2s from the fault-prone
-//! channel, and (in fixed-bases mode) repeat traffic from the same key
-//! share. The cache remembers the revocation verdict each key received
+//! changes: retransmitted frames and duplicated M.2s from the fault-prone
+//! channel. (Fixed-bases mode does not use it: its table lookup costs what
+//! deriving a key would.) The cache remembers the revocation verdict each key received
 //! *against the current URL version*; any version bump — one more
 //! revocation, a lifted one, an epoch rotation — **invalidates the whole
 //! cache**, never entry-by-entry (a stale "unrevoked" entry surviving a
@@ -19,8 +19,7 @@
 use std::collections::HashMap;
 
 /// Cache key: a 32-byte digest of whatever identifies the work unit (the
-/// engine uses the signature encoding in per-message mode and the linkable
-/// `ê(A, û)` fingerprint in fixed-bases mode).
+/// engine digests the signed message and the signature encoding).
 pub type CacheKey = [u8; 32];
 
 /// A verdict: `None` = unrevoked, `Some(i)` = matched URL token `i`.

@@ -1,25 +1,22 @@
-//! The staged revocation engine: cache → prefilter → shared-Miller sweep.
+//! The staged revocation engine: cache → table | sweep.
 //!
-//! One engine lives inside each verifier (mesh router) and owns the three
-//! scalability layers over the paper's Eq.3 check:
+//! One engine lives inside each verifier (mesh router) and runs the
+//! paper's Eq.3 check in one of two shapes, fixed by the bases mode:
 //!
-//! 1. **Sweep cache** ([`SweepCache`]) — a repeat work unit at an
-//!    unchanged URL version returns its remembered verdict without any
-//!    pairing work. Any version bump clears the cache wholesale.
-//! 2. **Bloom prefilter** ([`TokenPrefilter`]) — fixed-bases mode only
-//!    (per-message bases make signatures *unlinkable* to tokens without
-//!    pairing against each one, which is the paper's privacy point; no
-//!    sound sub-O(|URL|) prefilter can exist there). A signature exposes
-//!    `D = ê(T₂, û)/ê(T₁, v̂) = ê(A, û)` in two Miller loops; if
-//!    `SHA-256(D)` misses the filter the signer is **provably** not on
-//!    the URL. Hits resolve through an exact fingerprint map (or the
-//!    sweep when the map is disabled to save memory).
-//! 3. **Shared-Miller sweep** — the `n + 1` Miller-loop fallback (`n` of
-//!    them evaluations against one line table prepared for `û`).
+//! * **Per-message bases** (the paper's default): a signature links to a
+//!   token only by pairing against it, so a new work unit pays the
+//!   shared-Miller sweep — `n + 1` Miller loops, `n` of them evaluations
+//!   against one line table prepared for `û`. The [`SweepCache`] in front
+//!   of it returns a repeat work unit's remembered verdict at an unchanged
+//!   URL version without any pairing work; any version bump clears it.
+//! * **Fixed bases** (§V.C): every check is one lookup in a
+//!   [`RevocationTable`] — `D = ê(T₂, û)/ê(T₁, v̂) = ê(A, û)` in two Miller
+//!   loops and one final exponentiation, whatever |URL|. The cache is
+//!   not consulted: its key would cost the same two Miller loops.
 //!
 //! The pairing stages read nothing that changes between list updates, so
 //! the engine publishes them as an immutable view — the list at one
-//! version, with the prefilter built over it — behind an `Arc` that is
+//! version, with its table in fixed-bases mode — behind an `Arc` that is
 //! replaced, never mutated, by [`RevocationEngine::install_full`],
 //! [`RevocationEngine::apply_delta`] and [`RevocationEngine::install_gpk`].
 //! A verifier shared behind a lock takes a [`RevocationCheck`] under it
@@ -32,42 +29,27 @@
 //!
 //! The engine's verdicts are byte-for-byte what
 //! [`PreparedGpk::verify_and_check`](peace_groupsig::PreparedGpk::verify_and_check)
-//! returns — the layers change the schedule, never the decision (the
+//! returns — the stages change the schedule, never the decision (the
 //! equivalence tests pin this).
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
 
 use peace_curve::G2;
-use peace_field::Fq;
 use peace_groupsig::{
-    h0_bases, revocation_sweep, BasesMode, GroupPublicKey, GroupSignature, RevocationToken,
+    revocation_sweep, BasesMode, GroupPublicKey, GroupSignature, RevocationTable, RevocationToken,
 };
-use peace_pairing::{pairing, pairing_ratio};
 use peace_telemetry::{Counter, Histogram};
 
 use crate::cache::{CacheKey, SweepCache};
-use crate::prefilter::TokenPrefilter;
 use crate::store::{DeltaError, DeltaOutcome, EpochUrlStore, UrlDelta};
 
 /// Engine configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct EngineConfig {
-    /// Bases mode the verifier runs in. The prefilter only arms in
-    /// [`BasesMode::FixedBases`].
+    /// Bases mode the verifier runs in: [`BasesMode::FixedBases`] checks
+    /// through a [`RevocationTable`], per-message bases through the sweep.
     pub bases_mode: BasesMode,
-    /// Arm the Bloom prefilter (fixed-bases mode only; ignored in
-    /// per-message mode, where it would be unsound).
-    pub prefilter: bool,
-    /// Target false-positive rate the filter is sized for.
-    pub prefilter_fp_target: f64,
-    /// Seed for the filter's keyed index derivation (per-deployment, so
-    /// adversaries cannot precompute colliding fingerprints).
-    pub prefilter_seed: u64,
-    /// Keep an exact `fingerprint → index` map so prefilter hits resolve
-    /// in O(1) instead of a sweep. Costs 36 bytes per URL token.
-    pub exact_suspect_map: bool,
     /// Sweep-cache capacity in entries (0 disables the cache).
     pub cache_capacity: usize,
 }
@@ -76,10 +58,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             bases_mode: BasesMode::PerMessage,
-            prefilter: false,
-            prefilter_fp_target: 1e-3,
-            prefilter_seed: 0x9E3C_E17E_5EED,
-            exact_suspect_map: true,
             cache_capacity: 4096,
         }
     }
@@ -90,8 +68,6 @@ impl Default for EngineConfig {
 struct Metrics {
     cache_hit: Arc<Counter>,
     cache_miss: Arc<Counter>,
-    prefilter_reject: Arc<Counter>,
-    prefilter_suspect: Arc<Counter>,
     sweeps: Arc<Counter>,
     delta_applied: Arc<Counter>,
     delta_dup: Arc<Counter>,
@@ -106,8 +82,6 @@ impl Metrics {
         Self {
             cache_hit: r.counter("revoke.cache_hit"),
             cache_miss: r.counter("revoke.cache_miss"),
-            prefilter_reject: r.counter("revoke.prefilter_reject"),
-            prefilter_suspect: r.counter("revoke.prefilter_suspect"),
             sweeps: r.counter("revoke.sweeps"),
             delta_applied: r.counter("revoke.delta_applied"),
             delta_dup: r.counter("revoke.delta_dup"),
@@ -118,37 +92,6 @@ impl Metrics {
     }
 }
 
-/// The prefilter stage of a [`UrlView`]: present in fixed-bases mode with
-/// the prefilter configured on.
-#[derive(Clone)]
-struct Prefilter {
-    /// `H₀(gpk)` — the system-wide bases.
-    bases: (G2, G2),
-    filter: TokenPrefilter,
-    /// Exact suspect resolution (token fingerprint → URL index), when
-    /// [`EngineConfig::exact_suspect_map`] is on.
-    exact: Option<HashMap<CacheKey, u32>>,
-}
-
-impl Prefilter {
-    fn index(&mut self, token: &RevocationToken, idx: u32) {
-        let fp = peace_hash::sha256(&pairing(&token.0, &self.bases.0).to_bytes());
-        self.filter.insert(&fp);
-        if let Some(exact) = &mut self.exact {
-            exact.insert(fp, idx);
-        }
-    }
-}
-
-/// What identifies a work unit to the cache, and to the prefilter when it
-/// is the linkable fingerprint.
-#[derive(Clone, Copy)]
-struct WorkKey {
-    key: CacheKey,
-    /// Whether `key` is `SHA-256(D)`, which the prefilter can test.
-    is_fingerprint: bool,
-}
-
 /// The list an engine enforces at one version, and everything the pairing
 /// stages read: immutable once published, shared by `Arc`, so a check runs
 /// against it without the engine. Its identity (`Arc::ptr_eq`) stands for
@@ -156,68 +99,42 @@ struct WorkKey {
 struct UrlView {
     version: u64,
     tokens: Vec<RevocationToken>,
-    prefilter: Option<Prefilter>,
+    /// The list as a `ê(A, û)` table: `Some` iff fixed-bases mode.
+    table: Option<RevocationTable>,
     metrics: Arc<Metrics>,
 }
 
 impl UrlView {
     fn of(
         store: &EpochUrlStore,
-        prefilter: Option<Prefilter>,
+        table: Option<RevocationTable>,
         metrics: &Arc<Metrics>,
     ) -> Arc<Self> {
         Arc::new(Self {
             version: store.version(),
             tokens: store.tokens().to_vec(),
-            prefilter,
+            table,
             metrics: Arc::clone(metrics),
         })
     }
 
-    /// In fixed-bases mode with the prefilter armed, the key is the
-    /// linkable `ê(A, û)` fingerprint (two Miller loops): repeat traffic
-    /// from one key share hits regardless of message. Otherwise it is a
-    /// digest of (msg, sig) — per-message bases keep signers unlinkable,
-    /// so only literal retransmissions can hit, which is exactly what the
-    /// retry-heavy channel produces.
-    /// (A signature whose `D` is undefined — impossible once it has
-    /// verified — takes the digest key and lets the sweep decide.)
-    fn key(&self, msg: &[u8], sig: &GroupSignature) -> WorkKey {
-        let d = self.prefilter.as_ref().and_then(|pf| {
-            let (t1, t2) = sig.commitments().ok()?;
-            pairing_ratio(&t2, &pf.bases.0, &t1, &pf.bases.1)
-        });
-        match d {
-            Some(d) => WorkKey {
-                key: peace_hash::sha256(&d.to_bytes()),
-                is_fingerprint: true,
-            },
-            None => {
-                let h = peace_hash::Sha256::new()
-                    .chain(b"peace-revoke-cache-v1")
-                    .chain(&(msg.len() as u64).to_be_bytes())
-                    .chain(msg);
-                WorkKey {
-                    key: h.chain(&sig.to_bytes()).finalize(),
-                    is_fingerprint: false,
-                }
-            }
-        }
+    /// The cache key of a per-message work unit: a digest of (msg, sig).
+    /// Per-message bases keep signers unlinkable, so only literal
+    /// retransmissions can hit, which is exactly what the retry-heavy
+    /// channel produces.
+    fn key(msg: &[u8], sig: &GroupSignature) -> CacheKey {
+        peace_hash::Sha256::new()
+            .chain(b"peace-revoke-cache-v1")
+            .chain(&(msg.len() as u64).to_be_bytes())
+            .chain(msg)
+            .chain(&sig.to_bytes())
+            .finalize()
     }
 
-    /// Prefilter → sweep for a work unit the cache does not know.
-    fn decide(&self, key: &WorkKey, sig: &GroupSignature, u_hat: &G2, v_hat: &G2) -> Option<usize> {
-        if let (true, Some(pf)) = (key.is_fingerprint, &self.prefilter) {
-            if !pf.filter.contains(&key.key) {
-                // Definitive: Bloom filters have no false negatives, so no
-                // listed token's fingerprint equals this signature's.
-                self.metrics.prefilter_reject.inc();
-                return None;
-            }
-            self.metrics.prefilter_suspect.inc();
-            if let Some(exact) = &pf.exact {
-                return exact.get(&key.key).map(|&i| i as usize);
-            }
+    /// Table lookup in fixed-bases mode, else the sweep.
+    fn decide(&self, sig: &GroupSignature, u_hat: &G2, v_hat: &G2) -> Option<usize> {
+        if let Some(table) = &self.table {
+            return table.lookup(sig);
         }
         let t0 = Instant::now();
         let verdict = revocation_sweep(sig, &self.tokens, u_hat, v_hat);
@@ -235,21 +152,20 @@ impl UrlView {
 /// which only the first and last need the engine (see the module docs).
 pub struct RevocationCheck {
     view: Arc<UrlView>,
-    /// The work unit's key, where [`RevocationEngine::begin_check`] derived
-    /// it (a digest) and asked the cache under it.
-    key: Option<WorkKey>,
+    /// The work unit's cache key, where [`RevocationEngine::begin_check`]
+    /// asked the cache under it (per-message mode).
+    key: Option<CacheKey>,
     /// `Some` once decided — by the cache, an empty list, or [`Self::run`].
     verdict: Option<Option<usize>>,
 }
 
 impl RevocationCheck {
-    /// Prefilter → sweep against the view taken at `begin`, unless the
+    /// Table lookup or sweep against the view taken at `begin`, unless the
     /// cache already answered. Needs the bases the Σ-check derived, and no
     /// engine.
-    pub fn run(&mut self, msg: &[u8], sig: &GroupSignature, u_hat: &G2, v_hat: &G2) {
+    pub fn run(&mut self, sig: &GroupSignature, u_hat: &G2, v_hat: &G2) {
         if self.verdict.is_none() {
-            let key = self.key.unwrap_or_else(|| self.view.key(msg, sig));
-            self.verdict = Some(self.view.decide(&key, sig, u_hat, v_hat));
+            self.verdict = Some(self.view.decide(sig, u_hat, v_hat));
         }
     }
 }
@@ -266,8 +182,6 @@ pub struct RevocationEngine {
     gpk: GroupPublicKey,
     store: EpochUrlStore,
     cache: SweepCache,
-    /// `H₀(gpk)` — the system-wide bases; `Some` iff fixed-bases mode.
-    fixed_bases: Option<(G2, G2)>,
     /// What [`Self::store`] holds, as the pairing stages read it.
     view: Arc<UrlView>,
     metrics: Arc<Metrics>,
@@ -279,7 +193,7 @@ impl std::fmt::Debug for RevocationEngine {
             .field("epoch", &self.store.epoch())
             .field("version", &self.store.version())
             .field("url_len", &self.store.len())
-            .field("prefilter", &self.view.prefilter.is_some())
+            .field("bases_mode", &self.cfg.bases_mode)
             .field("cache_len", &self.cache.len())
             .finish()
     }
@@ -290,107 +204,88 @@ impl RevocationEngine {
     pub fn new(gpk: &GroupPublicKey, cfg: EngineConfig) -> Self {
         let store = EpochUrlStore::new(0);
         let metrics = Arc::new(Metrics::resolve());
-        Self {
+        let mut engine = Self {
             cfg,
             gpk: *gpk,
             cache: SweepCache::new(cfg.cache_capacity),
-            fixed_bases: (cfg.bases_mode == BasesMode::FixedBases)
-                .then(|| h0_bases(gpk, &[], &Fq::ZERO, BasesMode::FixedBases)),
             view: UrlView::of(&store, None, &metrics),
             store,
             metrics,
-        }
+        };
+        engine.publish(engine.fresh_table());
+        engine
     }
 
     /// Installs a new group public key (epoch rotation): the fixed bases,
-    /// every fingerprint, and the whole cache are derived from `gpk`, so
-    /// all of them reset. Follow with [`Self::install_full`] for the new
-    /// epoch's (empty) list, which is also what rebuilds the prefilter.
+    /// the table, and the whole cache are derived from `gpk`, so all of
+    /// them reset. Follow with [`Self::install_full`] for the new epoch's
+    /// (empty) list.
     pub fn install_gpk(&mut self, gpk: &GroupPublicKey) {
         self.gpk = *gpk;
-        self.fixed_bases = (self.cfg.bases_mode == BasesMode::FixedBases)
-            .then(|| h0_bases(gpk, &[], &Fq::ZERO, BasesMode::FixedBases));
         self.cache.clear();
-        self.publish(None);
+        self.publish(self.fresh_table());
     }
 
     /// Replaces the full list (a bulletin fetch landing). Rebuilds the
-    /// prefilter (one pairing per token — this is the expensive path the
-    /// delta flow exists to avoid) and invalidates the cache.
+    /// table in fixed-bases mode (one pairing per token — this is the
+    /// expensive path the delta flow exists to avoid) and invalidates the
+    /// cache.
     pub fn install_full(&mut self, epoch: u64, version: u64, tokens: &[RevocationToken]) {
         self.store.install_full(epoch, version, tokens);
         self.metrics.full_sync.inc();
-        self.publish(self.fresh_prefilter());
+        self.publish(self.fresh_table());
     }
 
-    /// Applies a delta-compressed diff. On success, added tokens join the
-    /// prefilter incrementally (one pairing each); removals force a filter
-    /// rebuild (Bloom bits cannot be cleared). The cache invalidates on
-    /// any version advance.
+    /// Applies a delta-compressed diff. On success, a delta that only adds
+    /// tokens grows the table (one pairing each); one that removes tokens
+    /// rebuilds it. The cache invalidates on any version advance.
     ///
     /// # Errors
     ///
     /// [`DeltaError`] when the diff does not chain — the caller falls back
     /// to a full fetch; the engine state is unchanged.
     pub fn apply_delta(&mut self, d: &UrlDelta) -> Result<DeltaOutcome, DeltaError> {
+        let old_len = self.store.len();
         let outcome = self.store.apply_delta(d)?;
         match outcome {
             DeltaOutcome::AlreadyCurrent => self.metrics.delta_dup.inc(),
             DeltaOutcome::Applied => {
                 self.metrics.delta_applied.inc();
-                let prefilter = match &self.view.prefilter {
+                let table = match &self.view.table {
+                    // Adds only: the store appended the new tokens, so
+                    // their table indices follow on from the old list's.
                     Some(current) if d.removed.is_empty() => {
                         let mut grown = current.clone();
-                        // Index of each appended token = position in the store.
-                        for t in &d.added {
-                            if let Some(i) = self.store.tokens().iter().position(|x| x == t) {
-                                grown.index(t, i as u32);
-                            }
+                        for t in &self.store.tokens()[old_len..] {
+                            grown.insert(t);
                         }
                         Some(grown)
                     }
-                    _ => self.fresh_prefilter(),
+                    _ => self.fresh_table(),
                 };
-                self.publish(prefilter);
+                self.publish(table);
             }
         }
         Ok(outcome)
     }
 
-    /// Whether the prefilter stage is armed (configured on *and* sound in
-    /// the current bases mode).
-    pub fn armed(&self) -> bool {
-        self.cfg.prefilter && self.fixed_bases.is_some()
-    }
-
-    /// A prefilter over the store's list, if the stage is armed.
-    fn fresh_prefilter(&self) -> Option<Prefilter> {
-        let mut prefilter = Prefilter {
-            bases: self.fixed_bases.filter(|_| self.cfg.prefilter)?,
-            filter: TokenPrefilter::new(
-                (self.store.len() * 2).max(64),
-                self.cfg.prefilter_fp_target,
-                self.cfg.prefilter_seed,
-            ),
-            exact: self.cfg.exact_suspect_map.then(HashMap::new),
-        };
-        for (i, t) in self.store.tokens().iter().enumerate() {
-            prefilter.index(t, i as u32);
-        }
-        Some(prefilter)
+    /// The table over the store's list, in fixed-bases mode.
+    fn fresh_table(&self) -> Option<RevocationTable> {
+        (self.cfg.bases_mode == BasesMode::FixedBases)
+            .then(|| RevocationTable::build(&self.gpk, self.store.tokens()))
     }
 
     /// Puts the store's list in force as a new view: every check begun
     /// against the old one is from here on a check against a list that is
     /// no longer enforced.
-    fn publish(&mut self, prefilter: Option<Prefilter>) {
-        self.view = UrlView::of(&self.store, prefilter, &self.metrics);
+    fn publish(&mut self, table: Option<RevocationTable>) {
+        self.view = UrlView::of(&self.store, table, &self.metrics);
         self.cache.note_version(self.store.version());
     }
 
     /// What the cache remembers for `key` against the list in force.
-    fn lookup(&self, key: &WorkKey) -> Option<Option<usize>> {
-        let cached = self.cache.get(&key.key, self.view.version);
+    fn lookup(&self, key: &CacheKey) -> Option<Option<usize>> {
+        let cached = self.cache.get(key, self.view.version);
         match cached {
             Some(_) => self.metrics.cache_hit.inc(),
             None => self.metrics.cache_miss.inc(),
@@ -398,16 +293,13 @@ impl RevocationEngine {
         cached.map(|v| v.map(|x| x as usize))
     }
 
-    fn remember(&mut self, key: &WorkKey, verdict: Option<usize>) {
+    fn remember(&mut self, key: CacheKey, verdict: Option<usize>) {
         self.cache
-            .insert(key.key, self.view.version, verdict.map(|x| x as u32));
+            .insert(key, self.view.version, verdict.map(|x| x as u32));
     }
 
     /// First step of a check, for a caller that will run it elsewhere:
-    /// takes the view in force and, where the work unit's key is a digest,
-    /// asks the cache. With the prefilter armed the key costs two Miller
-    /// loops, so [`RevocationCheck::run`] derives it and goes straight to
-    /// the prefilter; a check taken in steps then leaves the cache alone.
+    /// takes the view in force and, in per-message mode, asks the cache.
     pub fn begin_check(&self, msg: &[u8], sig: &GroupSignature) -> RevocationCheck {
         let mut check = RevocationCheck {
             view: Arc::clone(&self.view),
@@ -416,8 +308,8 @@ impl RevocationEngine {
         };
         if self.view.tokens.is_empty() {
             check.verdict = Some(None);
-        } else if self.view.prefilter.is_none() {
-            let key = self.view.key(msg, sig);
+        } else if self.view.table.is_none() {
+            let key = UrlView::key(msg, sig);
             check.verdict = self.lookup(&key);
             check.key = Some(key);
         }
@@ -437,7 +329,7 @@ impl RevocationEngine {
             return Err(ListChanged);
         }
         let verdict = check.verdict.ok_or(ListChanged)?;
-        if let Some(key) = &check.key {
+        if let Some(key) = check.key {
             self.remember(key, verdict);
         }
         Ok(verdict)
@@ -446,7 +338,8 @@ impl RevocationEngine {
     /// The revocation stages alone, for callers that already verified the
     /// signature and hold its H₀ bases (e.g. via
     /// [`PreparedGpk::verify_bases`](peace_groupsig::PreparedGpk::verify_bases)),
-    /// against the list in force: cache → prefilter → sweep.
+    /// against the list in force: the table in fixed-bases mode, else
+    /// cache → sweep.
     pub fn check_revocation(
         &mut self,
         msg: &[u8],
@@ -457,12 +350,15 @@ impl RevocationEngine {
         if self.view.tokens.is_empty() {
             return None;
         }
-        let key = self.view.key(msg, sig);
+        if let Some(table) = &self.view.table {
+            return table.lookup(sig);
+        }
+        let key = UrlView::key(msg, sig);
         if let Some(verdict) = self.lookup(&key) {
             return verdict;
         }
-        let verdict = self.view.decide(&key, sig, u_hat, v_hat);
-        self.remember(&key, verdict);
+        let verdict = self.view.decide(sig, u_hat, v_hat);
+        self.remember(key, verdict);
         verdict
     }
 
@@ -495,19 +391,6 @@ impl RevocationEngine {
     /// Live sweep-cache entries (observability).
     pub fn cache_len(&self) -> usize {
         self.cache.len()
-    }
-
-    /// The URL version the sweep cache is valid against.
-    pub fn cache_version(&self) -> u64 {
-        self.cache.version()
-    }
-
-    /// Estimated prefilter false-positive rate, if armed.
-    pub fn prefilter_fp_rate(&self) -> Option<f64> {
-        self.view
-            .prefilter
-            .as_ref()
-            .map(|pf| pf.filter.estimated_fp_rate())
     }
 
     /// The engine's configuration.

@@ -9,14 +9,12 @@
 //!   delta-compressed diffs ([`UrlDelta`]): consumers fetch O(churn)
 //!   bytes instead of O(|URL|), under the same exact version-chaining
 //!   discipline the full-list path enforces.
-//! * [`TokenPrefilter`] — a seeded Bloom filter over revocation-token
-//!   fingerprints with **no false negatives** (a miss proves the signer
-//!   is unrevoked); sound in fixed-bases mode, where a signature links to
-//!   its token in two Miller loops.
 //! * [`SweepCache`] — a bounded `work unit → verdict` cache, wholesale-
 //!   invalidated on every URL version bump.
-//! * [`RevocationEngine`] — the staged pipeline (cache → prefilter →
-//!   shared-Miller sweep) that replaces
+//! * [`RevocationEngine`] — the staged pipeline (cache → shared-Miller
+//!   sweep under per-message bases; one
+//!   [`RevocationTable`](peace_groupsig::RevocationTable) lookup under
+//!   fixed bases) that replaces
 //!   [`PreparedGpk::verify_and_check`](peace_groupsig::PreparedGpk)
 //!   verdict-for-verdict.
 
@@ -26,12 +24,10 @@
 
 mod cache;
 mod engine;
-mod prefilter;
 mod store;
 
 pub use cache::{CacheKey, SweepCache, Verdict};
 pub use engine::{EngineConfig, ListChanged, RevocationCheck, RevocationEngine};
-pub use prefilter::TokenPrefilter;
 pub use store::{
     digest_of, DeltaError, DeltaOutcome, DeltaPlan, EpochUrlStore, UrlDelta, DEFAULT_DELTA_LOG_CAP,
 };
@@ -163,34 +159,6 @@ mod tests {
         assert_ne!(digest_of(2, 9, &toks), digest_of(1, 9, &toks));
     }
 
-    // ---- prefilter ----
-
-    #[test]
-    fn prefilter_basic_membership() {
-        let mut pf = TokenPrefilter::new(128, 1e-3, 42);
-        let keys: Vec<[u8; 32]> = (0u8..100).map(|i| [i; 32]).collect();
-        for k in &keys {
-            pf.insert(k);
-        }
-        for k in &keys {
-            assert!(pf.contains(k), "inserted key must always hit");
-        }
-        assert!(pf.estimated_fp_rate() < 0.01);
-        assert!(pf.bit_len() >= 512);
-        assert!(pf.hash_count() >= 1);
-    }
-
-    #[test]
-    fn prefilter_seed_changes_layout() {
-        let mut a = TokenPrefilter::new(64, 1e-3, 1);
-        let mut b = TokenPrefilter::new(64, 1e-3, 2);
-        a.insert(b"the same key");
-        b.insert(b"the same key");
-        // Different seeds, same guarantees — both must contain the key.
-        assert!(a.contains(b"the same key"));
-        assert!(b.contains(b"the same key"));
-    }
-
     // ---- cache ----
 
     #[test]
@@ -244,10 +212,9 @@ mod tests {
         }
     }
 
-    fn engine_cfg(mode: BasesMode, prefilter: bool) -> EngineConfig {
+    fn engine_cfg(mode: BasesMode) -> EngineConfig {
         EngineConfig {
             bases_mode: mode,
-            prefilter,
             ..EngineConfig::default()
         }
     }
@@ -260,7 +227,7 @@ mod tests {
             w.members[1].revocation_token(),
             w.members[3].revocation_token(),
         ];
-        let mut eng = RevocationEngine::new(w.prepared.gpk(), engine_cfg(mode, false));
+        let mut eng = RevocationEngine::new(w.prepared.gpk(), engine_cfg(mode));
         eng.install_full(0, 2, &url);
         for (i, m) in w.members.iter().enumerate() {
             let msg = format!("access-{i}").into_bytes();
@@ -281,9 +248,8 @@ mod tests {
         let mut w = world(4, 11);
         let mode = BasesMode::FixedBases;
         let url: Vec<RevocationToken> = vec![w.members[0].revocation_token()];
-        let mut eng = RevocationEngine::new(w.prepared.gpk(), engine_cfg(mode, true));
+        let mut eng = RevocationEngine::new(w.prepared.gpk(), engine_cfg(mode));
         eng.install_full(0, 1, &url);
-        assert!(eng.armed());
         for (i, m) in w.members.iter().enumerate() {
             let msg = format!("fb-{i}").into_bytes();
             let sig = sign(w.prepared.gpk(), m, &msg, mode, &mut w.rng);
@@ -292,18 +258,62 @@ mod tests {
             let staged = eng.check_revocation(&msg, &sig, &u, &v);
             assert_eq!(staged, direct, "member {i}");
         }
-        // Linkable cache: a *different* message from the same revoked key
-        // still hits (fingerprint key, not message key).
-        let before = eng.cache_len();
+        // The table links: a *different* message from the same revoked key
+        // is found, and no fixed-bases check consults the cache.
         let msg2 = b"fb-0-second-session".to_vec();
         let sig2 = sign(w.prepared.gpk(), &w.members[0], &msg2, mode, &mut w.rng);
         let (u2, v2) = w.prepared.verify_bases(&msg2, &sig2, mode).unwrap();
         assert_eq!(eng.check_revocation(&msg2, &sig2, &u2, &v2), Some(0));
+        assert_eq!(eng.cache_len(), 0, "fixed bases never fill the cache");
+    }
+
+    /// A fixed-bases engine's table follows the list through deltas: grown
+    /// in place by one that only adds, rebuilt by one that removes, and
+    /// every index it answers is the signer's position in the list in
+    /// force.
+    #[test]
+    fn fixed_bases_table_follows_deltas() {
+        let mut w = world(3, 12);
+        let mode = BasesMode::FixedBases;
+        let tok: Vec<_> = w.members.iter().map(|m| m.revocation_token()).collect();
+        let mut op = EpochUrlStore::new(0);
+        let mut eng = RevocationEngine::new(w.prepared.gpk(), engine_cfg(mode));
+        let sigs: Vec<_> = w
+            .members
+            .iter()
+            .map(|m| sign(w.prepared.gpk(), m, b"d", mode, &mut w.rng))
+            .collect();
+        let sync = |op: &mut EpochUrlStore, eng: &mut RevocationEngine| {
+            let DeltaPlan::Delta(d) = op.delta_since(0, eng.url_version()) else {
+                panic!("expected a delta");
+            };
+            assert_eq!(eng.apply_delta(&d).unwrap(), DeltaOutcome::Applied);
+        };
+        let check = |eng: &mut RevocationEngine, sig: &peace_groupsig::GroupSignature| {
+            let (u, v) = w.prepared.verify_bases(b"d", sig, mode).unwrap();
+            let naive = w
+                .prepared
+                .verify_and_check(b"d", sig, eng.tokens(), mode)
+                .unwrap();
+            let staged = eng.check_revocation(b"d", sig, &u, &v);
+            assert_eq!(staged, naive, "list {:?}", eng.tokens());
+            staged
+        };
+        op.record_add(&tok[0]);
+        op.record_add(&tok[1]);
+        sync(&mut op, &mut eng);
+        op.record_add(&tok[2]);
+        sync(&mut op, &mut eng);
         assert_eq!(
-            eng.cache_len(),
-            before,
-            "same-signer traffic reuses its entry"
+            check(&mut eng, &sigs[2]),
+            Some(2),
+            "grown by an add-only delta"
         );
+        op.record_remove(&tok[0]);
+        sync(&mut op, &mut eng);
+        assert_eq!(check(&mut eng, &sigs[0]), None, "rebuilt after a removal");
+        assert!(check(&mut eng, &sigs[1]).is_some());
+        assert!(check(&mut eng, &sigs[2]).is_some());
     }
 
     /// The cache-invalidation regression the ISSUE pins: a signer verified
@@ -314,7 +324,7 @@ mod tests {
     fn revoked_then_reused_is_rejected_not_cache_served() {
         let mut w = world(2, 13);
         let mode = BasesMode::PerMessage;
-        let mut eng = RevocationEngine::new(w.prepared.gpk(), engine_cfg(mode, false));
+        let mut eng = RevocationEngine::new(w.prepared.gpk(), engine_cfg(mode));
         eng.install_full(0, 0, &[]);
         let msg = b"session-establishment".to_vec();
         let sig = sign(w.prepared.gpk(), &w.members[0], &msg, mode, &mut w.rng);
@@ -337,8 +347,8 @@ mod tests {
     /// The fast paths do not scale with |URL|, stated as operation counts
     /// (thread-scoped, so exact under the parallel harness): per-message
     /// mode pays the |URL| + 1 sweep once per work unit and nothing on a
-    /// repeat; fixed-bases mode with the prefilter pays the two Miller
-    /// loops of `D = ê(T₂,û)/ê(T₁,v̂)` per check and never sweeps — for a
+    /// repeat; fixed-bases mode pays the table lookup's two Miller loops
+    /// of `D = ê(T₂,û)/ê(T₁,v̂)` per check and never sweeps — for a
     /// listed signer or a clean one, first sight or repeat.
     #[test]
     fn fast_paths_cost_the_same_at_any_url_size() {
@@ -349,7 +359,7 @@ mod tests {
             url.push(w.members[0].revocation_token());
 
             let mode = BasesMode::PerMessage;
-            let mut eng = RevocationEngine::new(w.prepared.gpk(), engine_cfg(mode, false));
+            let mut eng = RevocationEngine::new(w.prepared.gpk(), engine_cfg(mode));
             eng.install_full(0, 1, &url);
             let sig = sign(w.prepared.gpk(), &w.members[1], b"m", mode, &mut w.rng);
             let (u, v) = w.prepared.verify_bases(b"m", &sig, mode).unwrap();
@@ -365,7 +375,7 @@ mod tests {
             assert_eq!(hit, OpSnapshot::default(), "|URL| = {n}: cache hit");
 
             let mode = BasesMode::FixedBases;
-            let mut eng = RevocationEngine::new(w.prepared.gpk(), engine_cfg(mode, true));
+            let mut eng = RevocationEngine::new(w.prepared.gpk(), engine_cfg(mode));
             eng.install_full(0, 1, &url);
             for (member, verdict) in [(0, Some(n - 1)), (1, None)] {
                 let sig = sign(w.prepared.gpk(), &w.members[member], b"m", mode, &mut w.rng);
@@ -393,28 +403,6 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
-            /// The load-bearing guarantee: whatever was inserted is always
-            /// found — the prefilter admits **zero false negatives**, so a
-            /// miss may definitively skip the revocation sweep.
-            #[test]
-            fn prefilter_has_no_false_negatives(
-                keys in proptest::collection::vec(
-                    proptest::collection::vec(any::<u8>(), 1..64),
-                    1..128,
-                ),
-                expected in 1usize..256,
-                fp in 1e-4f64..0.3,
-                seed in any::<u64>(),
-            ) {
-                let mut pf = TokenPrefilter::new(expected, fp, seed);
-                for k in &keys {
-                    pf.insert(k);
-                }
-                for k in &keys {
-                    prop_assert!(pf.contains(k), "false negative for {k:?}");
-                }
-            }
-
             /// Delta application converges to the operator state (same
             /// digest) for any add/remove interleaving.
             #[test]
@@ -452,8 +440,8 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(2))]
 
             /// No false negative — and no false positive — through the
-            /// staged engine: with the cache on, and with the prefilter
-            /// armed (exact map on and off), the verdict is the index the
+            /// staged engine: in both bases modes — the cache and the sweep,
+            /// or the table — the verdict is the index the
             /// naive `token_matches` scan gives, whether the check is
             /// taken in one call, in three steps, or served again from the
             /// cache; at list sizes on both sides of the sweep's fan-out
@@ -465,13 +453,8 @@ mod tests {
                 let mut w = world(1, seed);
                 let pool = tokens(65, seed ^ 0x7001);
                 let signer = w.members[0].revocation_token();
-                for (mode, prefilter, exact_suspect_map) in [
-                    (BasesMode::PerMessage, false, true),
-                    (BasesMode::FixedBases, true, true),
-                    (BasesMode::FixedBases, true, false),
-                ] {
-                    let cfg = EngineConfig { exact_suspect_map, ..engine_cfg(mode, prefilter) };
-                    let mut eng = RevocationEngine::new(w.prepared.gpk(), cfg);
+                for mode in [BasesMode::PerMessage, BasesMode::FixedBases] {
+                    let mut eng = RevocationEngine::new(w.prepared.gpk(), engine_cfg(mode));
                     let msg = b"engine-soundness";
                     let sig = sign(w.prepared.gpk(), &w.members[0], msg, mode, &mut w.rng);
                     let (u, v) = h0_bases(w.prepared.gpk(), msg, &sig.r, mode);
@@ -486,14 +469,15 @@ mod tests {
                             }
                             version += 1;
                             eng.install_full(0, version, &url);
-                            prop_assert_eq!(eng.armed(), prefilter);
-                            let at = format!("{mode:?}/{prefilter}/{exact_suspect_map}, |URL| = {n}, signer at {slot:?}");
+                            let at = format!("{mode:?}, |URL| = {n}, signer at {slot:?}");
                             let mut check = eng.begin_check(msg, &sig);
-                            check.run(msg, &sig, &u, &v);
+                            check.run(&sig, &u, &v);
                             prop_assert_eq!(eng.accept(check), Ok(slot), "in steps: {}", at);
                             prop_assert_eq!(eng.check_revocation(msg, &sig, &u, &v), slot, "in one call: {}", at);
                             prop_assert_eq!(eng.check_revocation(msg, &sig, &u, &v), slot, "repeated: {}", at);
-                            prop_assert!(eng.cache_len() > 0, "{}", at);
+                            if mode == BasesMode::PerMessage {
+                                prop_assert!(eng.cache_len() > 0, "{}", at);
+                            }
                         }
                     }
                 }

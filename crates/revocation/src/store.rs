@@ -43,7 +43,7 @@ pub struct UrlDelta {
     /// Tokens added to the URL.
     pub added: Vec<RevocationToken>,
     /// Tokens removed from the URL (dispute resolution lifting a
-    /// revocation) — rare, but they force prefilter rebuilds downstream,
+    /// revocation) — rare, but they force table rebuilds downstream,
     /// so they are carried explicitly rather than synthesized.
     pub removed: Vec<RevocationToken>,
 }

@@ -7,13 +7,15 @@
 //!                    [--shards S]   # I/O threads (no/router/demo; 0 = one per processor)
 //! peace-noded user   --no ADDR --router ADDR --index J [--seed N ...]
 //! peace-noded demo   [--users U --rounds N --ledger DIR]
+//! # every role also takes --fixed-bases (§V.C), which all must agree on
 //! ```
 //!
 //! All roles replay the same deterministic setup ceremony from `--seed`,
 //! so daemons started in separate processes share trust material without
 //! any key ever crossing a socket (see `peace::net::world`). `demo` runs
 //! the whole deployment — NO, two routers, `U` users — inside one process
-//! on loopback and publishes the merged telemetry of every daemon.
+//! on loopback, revokes the last user and checks its router refuses it,
+//! and publishes the merged telemetry of every daemon.
 //!
 //! With `--peers`, the NO role joins a replica federation: its ledger
 //! becomes a per-writer shard store (`--no-id` names the local shard),
@@ -36,7 +38,7 @@ use std::time::Duration;
 use peace::groupsig::BasesMode;
 use peace::ledger::{Ledger, LedgerConfig, ReplicatedLedger};
 use peace::net::{
-    build_world_with, clock::wall_ms, ConnConfig, DaemonConfig, NetError, NoDaemon,
+    build_world_with, clock::wall_ms, reject_code, ConnConfig, DaemonConfig, NetError, NoDaemon,
     PeerKeyResolver, RouterDaemon, UserAgent, WorldSpec,
 };
 use peace::protocol::{ProtocolConfig, ReplicaSet, RetryPolicy};
@@ -64,15 +66,13 @@ fn main() -> ExitCode {
         users: flag("--users", 4) as usize,
         routers: flag("--routers", 2) as usize,
     };
-    // --prefilter arms the staged revocation fast path: fixed-bases mode
-    // (required for a sound prefilter) plus the router-side Bloom filter.
-    // Trade-off per the paper §V.C: revocation checks become O(1), but
-    // *listed* members become linkable. Every role in a deployment must
-    // agree on this flag, since it changes the signing bases.
+    // --fixed-bases selects §V.C's fixed-bases mode: routers check
+    // revocation by one table lookup, O(1) in |URL|, but *listed* members
+    // become linkable. Every role in a deployment must agree on this flag,
+    // since it changes the signing bases.
     let mut config = ProtocolConfig::default();
-    if args.iter().any(|a| a == "--prefilter") {
+    if args.iter().any(|a| a == "--fixed-bases") {
         config.bases_mode = BasesMode::FixedBases;
-        config.revoke_prefilter = true;
     }
 
     let metrics_json = opt("--metrics-json");
@@ -143,9 +143,9 @@ fn print_help() {
     println!("\nshared flags: --seed N --users U --routers R (world replay spec)");
     println!("              --shards S   no/router/demo: I/O threads of the event loop");
     println!("                           (default 0 = one per available processor)");
-    println!("              --prefilter  fixed-bases signing + router-side Bloom");
-    println!("              prefilter: O(1) revocation checks at metropolitan URL");
-    println!("              sizes, at the cost of linkability for *listed* members.");
+    println!("              --fixed-bases  fixed-bases signing: O(1) revocation table");
+    println!("              lookups at metropolitan URL sizes, at the cost of");
+    println!("              linkability for *listed* members.");
     println!("              Every role in a deployment must pass the same flag.");
     println!("ledger flags: --ledger DIR (no/demo: durable accountability ledger)");
     println!("replica flags (no): --no-id NO-k --peers A,A --gossip-ms N");
@@ -450,6 +450,7 @@ fn run_demo(
     }
 
     let mut user_metrics: Vec<(String, Snapshot)> = Vec::new();
+    let mut last_agent = None;
     for (i, user) in w.users.into_iter().enumerate() {
         let addr = routers[i % routers.len()].addr();
         let mut agent = UserAgent::new(user, spec.seed ^ 0xA6E0 ^ i as u64, cfg);
@@ -466,6 +467,7 @@ fn run_demo(
         }
         sess.close();
         user_metrics.push((format!("user-{i}"), agent.telemetry()));
+        last_agent = Some((i, agent));
     }
 
     // Routers hand their session transcripts to NO (§IV.D step 1); with a
@@ -473,6 +475,21 @@ fn run_demo(
     for (i, r) in routers.iter().enumerate() {
         let accepted = r.report_sessions(no.addr()).map_err(|e| e.to_string())?;
         println!("router MR-{i}: reported {accepted} session transcript(s) to NO");
+    }
+    // Runtime revocation: NO revokes the last user, its router refreshes,
+    // and the user's next handshake must be refused by the router's
+    // revocation check (a table lookup under --fixed-bases).
+    if let Some((i, mut agent)) = last_agent {
+        let router = &routers[i % routers.len()];
+        no.revoke_user(&w.tokens[i]);
+        router.refresh_lists(no.addr()).map_err(|e| e.to_string())?;
+        match agent.connect(router.addr()) {
+            Err(NetError::Rejected { code, .. }) if code == reject_code::REVOKED => {
+                println!("user-{i} revoked: refused by MR-{}", i % routers.len());
+            }
+            Ok(_) => return Err(format!("revoked user-{i} was admitted")),
+            Err(e) => return Err(e.to_string()),
+        }
     }
     if ledger_dir.is_some() {
         if let Some(ck) = no.checkpoint_now() {
