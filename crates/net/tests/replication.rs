@@ -11,7 +11,9 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Duration;
 
-use peace_ledger::{verify_replica, LedgerConfig, LedgerRecord, ReplicatedLedger, SyncPolicy};
+use peace_ledger::{
+    verify_replica, LedgerConfig, LedgerRecord, ReplicaRecovery, ReplicatedLedger, SyncPolicy,
+};
 use peace_net::{
     build_world, ConnConfig, DaemonConfig, NoDaemon, PeerKeyResolver, RouterDaemon, UserAgent,
     WorldSpec,
@@ -54,14 +56,16 @@ const SPEC: WorldSpec = WorldSpec {
 /// Spawns NO replica `idx` over `dir`: the operator is replayed from the
 /// shared world seed (all replicas hold the same NSK — the paper's single
 /// logical NO, made crash-tolerant), the replica store is opened with
-/// O(tail) resume, and federation is enabled.
-fn spawn_replica(idx: usize, dir: &Path, resolve: PeerKeyResolver) -> NoDaemon {
+/// O(tail) resume, and federation is enabled. Returns what the open
+/// recovered per shard alongside the daemon.
+fn spawn_replica(idx: usize, dir: &Path, resolve: PeerKeyResolver) -> (NoDaemon, ReplicaRecovery) {
     let no = build_world(&SPEC).unwrap().no;
     let id = format!("NO-{idx}");
-    let (replica, _) = ReplicatedLedger::open(dir, &id, ledger_cfg(), &|s| resolve(s)).unwrap();
+    let (replica, recovery) =
+        ReplicatedLedger::open(dir, &id, ledger_cfg(), &|s| resolve(s)).unwrap();
     let daemon = NoDaemon::spawn(no, "127.0.0.1:0", test_cfg()).unwrap();
     daemon.attach_replica(replica, resolve);
-    daemon
+    (daemon, recovery)
 }
 
 fn merged_digest(d: &NoDaemon) -> [u8; 32] {
@@ -91,7 +95,7 @@ fn kill_one_of_three_replicas_loses_nothing() {
     let mut nos: Vec<Option<NoDaemon>> = dirs
         .iter()
         .enumerate()
-        .map(|(i, d)| Some(spawn_replica(i, d, Arc::clone(&resolve))))
+        .map(|(i, d)| Some(spawn_replica(i, d, Arc::clone(&resolve)).0))
         .collect();
     let addrs: Vec<_> = nos.iter().map(|d| d.as_ref().unwrap().addr()).collect();
 
@@ -178,7 +182,14 @@ fn kill_one_of_three_replicas_loses_nothing() {
 
     // Phase 3: the killed replica rejoins from its old directory (O(tail)
     // resume, then idempotent catch-up) and converges byte-identically.
-    let rejoined = spawn_replica(0, &dirs[0], Arc::clone(&resolve));
+    let (rejoined, recovery) = spawn_replica(0, &dirs[0], Arc::clone(&resolve));
+    assert!(
+        recovery
+            .shards
+            .iter()
+            .any(|(_, r)| r.resumed_from.is_some()),
+        "rejoin resumed from a signed checkpoint, not a full replay: {recovery:?}"
+    );
     let caught_up = rejoined.sync_once(n1.addr()).expect("catch-up");
     assert!(caught_up > 0, "rejoined replica pulled what it missed");
     // A second round is a no-op: catch-up is idempotent.

@@ -27,7 +27,6 @@
 pub mod attacks;
 pub mod chaos;
 pub mod city;
-pub mod federation;
 pub mod metrics;
 pub mod topology;
 pub mod world;
@@ -39,7 +38,6 @@ pub use attacks::{
 };
 pub use chaos::{run_chaos_soak, ChaosConfig, ChaosReport};
 pub use city::{run_city, CityConfig, CityReport, CityTotals, Scenario};
-pub use federation::{run_federation_soak, FederationConfig, FederationReport};
 pub use metrics::SimMetrics;
 pub use topology::{Position, Topology, TopologyConfig};
 pub use world::{Event, SimConfig, SimWorld};

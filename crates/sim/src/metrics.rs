@@ -36,26 +36,13 @@ pub struct SimMetrics {
     pub peer_success: u64,
     /// Failed peer handshakes by reason.
     pub peer_fail: BTreeMap<String, u64>,
-    /// Sessions a phishing router managed to establish with honest users.
-    pub phished_sessions: u64,
-    /// Beacons accepted from rogue routers by honest users.
-    pub phish_beacons_accepted: u64,
-    /// Beacons from rogue routers rejected by honest users.
-    pub phish_beacons_rejected: u64,
-    /// Bogus access requests the router spent full verification effort on.
-    pub flood_requests_verified: u64,
-    /// Bogus access requests shed cheaply (puzzle check failed/missing).
-    pub flood_requests_shed: u64,
     /// Application payloads delivered end-to-end.
     pub data_delivered: u64,
     /// Total relay hops used by delivered uplink traffic.
     pub relay_hops: u64,
-    /// Users that could not reach any router.
+    /// Authentication attempts skipped because the user had no uplink
+    /// path to any router (one per attempt, not per user).
     pub disconnected_users: u64,
-    /// Virtual router CPU time (ms) spent on verification work.
-    pub router_cpu_ms: f64,
-    /// Virtual attacker CPU time (ms) spent solving puzzles.
-    pub attacker_cpu_ms: f64,
     /// Successful authentications per router (load distribution).
     pub auths_by_router: BTreeMap<String, u64>,
     /// Duplicated/replayed handshake messages rejected idempotently

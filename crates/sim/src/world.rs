@@ -147,12 +147,6 @@ pub struct SimWorld {
     pub channel: Channel,
     /// Per-user time of the most recent successful authentication.
     pub last_auth_success: Vec<Option<u64>>,
-    /// Whether the in-sim NO opportunistically ingests router transcript
-    /// logs after each authentication (the default). An outer harness
-    /// that models transcript reporting itself — e.g. the federated-NO
-    /// soak, where routers ship to replicated ledgers — turns this off
-    /// and drains [`MeshRouter::drain_log`] at its own cadence.
-    pub auto_report: bool,
     queue: BinaryHeap<Reverse<(u64, u64, Event)>>,
     seq: u64,
     rng: StdRng,
@@ -224,7 +218,6 @@ impl SimWorld {
             now: 0,
             channel: Channel::new(config.seed, config.fault),
             last_auth_success: vec![None; user_count],
-            auto_report: true,
             queue: BinaryHeap::new(),
             seq: 0,
             rng,
@@ -264,25 +257,11 @@ impl SimWorld {
 
     /// Runs until the configured end time. Returns the metrics.
     pub fn run(&mut self) -> &SimMetrics {
-        self.run_until(self.config.end_time);
-        self.finalize_metrics();
-        &self.metrics
-    }
-
-    /// Runs events up to and including time `until` (capped at the
-    /// configured end time), leaving later events queued. Lets an outer
-    /// harness interleave the simulation with its own epoch actions
-    /// (transcript reporting, replica failure injection) at exact
-    /// simulation times; call [`run`](Self::run) afterwards to finish.
-    pub fn run_until(&mut self, until: u64) {
-        let until = until.min(self.config.end_time);
-        while let Some(Reverse((at, _, _))) = self.queue.peek() {
-            if *at > until {
+        while let Some(&Reverse((at, _, event))) = self.queue.peek() {
+            if at > self.config.end_time {
                 break;
             }
-            let Some(Reverse((at, _, event))) = self.queue.pop() else {
-                break;
-            };
+            self.queue.pop();
             self.now = at;
             if at >= self.config.fault_until {
                 self.channel.set_plan(FaultPlan::NONE);
@@ -290,6 +269,8 @@ impl SimWorld {
             self.metrics.events_processed += 1;
             self.handle(event);
         }
+        self.finalize_metrics();
+        &self.metrics
     }
 
     /// Copies end-of-run observability (channel fault counters, pending
@@ -455,12 +436,8 @@ impl SimWorld {
             }
             None => self.record_leg_failure(errs, reasons::CHANNEL_LOSS_M3),
         };
-        // Routers report their logs to NO opportunistically (unless an
-        // outer harness owns transcript reporting).
-        if self.auto_report {
-            let router = &mut self.routers[router_idx];
-            self.no.ingest_router_log(router);
-        }
+        // Routers report their logs to NO opportunistically.
+        self.no.ingest_router_log(&mut self.routers[router_idx]);
         outcome
     }
 
