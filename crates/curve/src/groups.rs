@@ -8,6 +8,7 @@
 //! code reads exactly like §IV.
 
 use core::fmt;
+use std::sync::OnceLock;
 
 use peace_field::Fq;
 use rand::RngCore;
@@ -156,9 +157,54 @@ pub fn hash_to_g2(label: &[u8], msg: &[u8]) -> G2 {
     G2(hash_to_point(label, msg))
 }
 
+/// A point of `E(F_p)` that [`hash_to_g2_preimage`] found and whose
+/// cofactor is never cleared: it stands for the 𝔾₂ element `[c]Q` that
+/// [`hash_to_g2`] returns for the same input. Not a `G2` — it lies outside
+/// the order-`q` subgroup — so it can only be handed to what takes it: a
+/// pairing's second argument, where by bilinearity
+/// `ê(P, [c]Q) = ê(P, Q)^c̄` with `c̄ = c mod q` ([`Self::exponent`]).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct G2Preimage(AffinePoint);
+
+impl G2Preimage {
+    /// The curve point `Q`.
+    pub fn point(&self) -> &AffinePoint {
+        &self.0
+    }
+
+    /// `c̄ = c mod q`, the exponent that carries the uncleared cofactor
+    /// through a pairing (reduced pairing values lie in `μ_q`).
+    pub fn exponent() -> &'static Fq {
+        static C_MOD_Q: OnceLock<Fq> = OnceLock::new();
+        C_MOD_Q.get_or_init(|| Fq::from_wide_bytes(&peace_field::cofactor().to_be_bytes()))
+    }
+}
+
+/// H₀ stopped before its cofactor clearing: the first try-and-increment
+/// candidate on the curve, whose multiple by `c` is [`hash_to_g2`]'s output.
+///
+/// The two differ only where [`hash_to_g2`] skips a candidate whose
+/// cleared point is the identity — a point of order dividing `c`, found
+/// with probability about `1/q`.
+pub fn hash_to_g2_preimage(label: &[u8], msg: &[u8]) -> G2Preimage {
+    G2Preimage(try_and_increment(label, msg, 0).0)
+}
+
 fn hash_to_point(label: &[u8], msg: &[u8]) -> AffinePoint {
+    let mut ctr = 0;
+    loop {
+        let (candidate, at) = try_and_increment(label, msg, ctr);
+        let p = candidate.clear_cofactor();
+        if !p.is_identity() {
+            return p;
+        }
+        ctr = at + 1;
+    }
+}
+
+/// The first curve point H₀ finds from counter `ctr` on, and its counter.
+fn try_and_increment(label: &[u8], msg: &[u8], mut ctr: u32) -> (AffinePoint, u32) {
     use peace_field::Fp;
-    let mut ctr: u32 = 0;
     loop {
         let mut input = Vec::with_capacity(msg.len() + 4);
         input.extend_from_slice(&ctr.to_be_bytes());
@@ -179,10 +225,7 @@ fn hash_to_point(label: &[u8], msg: &[u8]) -> AffinePoint {
             if y.is_odd() != sign_bit {
                 y = y.neg();
             }
-            let p = AffinePoint::new_unchecked(x, y).clear_cofactor();
-            if !p.is_identity() {
-                return p;
-            }
+            return (AffinePoint::new_unchecked(x, y), ctr);
         }
         ctr += 1;
     }

@@ -6,7 +6,8 @@
 //! * [`AffinePoint`] / [`ProjectivePoint`] — raw curve arithmetic;
 //! * [`G1`] / [`G2`] — the paper's bilinear groups (order-`q` subgroup), with
 //!   the isomorphism [`psi`] (`ψ(g₂) = g₁`);
-//! * [`hash_to_g1`] / [`hash_to_g2`] — deterministic hash-to-subgroup;
+//! * [`hash_to_g1`] / [`hash_to_g2`] — deterministic hash-to-subgroup, and
+//!   [`hash_to_g2_preimage`] — the same hash before its cofactor clearing;
 //! * compressed 65-byte point encodings, and [`G1Wire`] — that encoding
 //!   as a value, validated when the point is first needed.
 //!
@@ -33,7 +34,7 @@ mod point;
 mod wire;
 
 pub use fixed_base::mul_generator;
-pub use groups::{hash_to_g1, hash_to_g2, psi, G1, G2};
+pub use groups::{hash_to_g1, hash_to_g2, hash_to_g2_preimage, psi, G2Preimage, G1, G2};
 pub use point::{generator, AffinePoint, ProjectivePoint};
 pub use wire::{G1Encoded, G1Wire, PointError};
 
@@ -440,6 +441,31 @@ mod tests {
             assert_eq!(ops::g1_mul_count() - before, u64::from(!p.is_identity()));
         }
         assert!(!two_torsion().is_in_subgroup());
+    }
+
+    #[test]
+    fn the_preimage_is_h0_before_its_cofactor_clearing() {
+        // The pinned inputs, the two-counter one among them: the pre-image
+        // lies on the curve, off the subgroup, and clears to H₀'s output.
+        let inputs: [(&[u8], &[u8]); 4] = [
+            (b"test", b"message"),
+            (b"bench", b"payload"),
+            (b"PEACE-H0", b""),
+            (b"test", b"two-counters-0"),
+        ];
+        for (label, msg) in inputs {
+            let pre = hash_to_g2_preimage(label, msg);
+            assert!(pre.point().is_on_curve() && !pre.point().is_in_subgroup());
+            assert_eq!(
+                pre.point().clear_cofactor(),
+                *hash_to_g2(label, msg).point()
+            );
+        }
+        // c̄ = c mod q acts on the subgroup as c does.
+        let p = AffinePoint::random_subgroup(&mut rng());
+        let c_bar = G2Preimage::exponent();
+        assert_eq!(p.mul_scalar(c_bar), p.mul_uint(&peace_field::cofactor()));
+        assert!(!c_bar.is_zero());
     }
 
     #[test]

@@ -35,8 +35,8 @@ mod sig;
 
 pub use keys::{GroupPublicKey, GroupSecret, IssuerKey, MemberKey, RevocationToken};
 pub use sig::{
-    h0_bases, open, open_batch, revocation_index, revocation_sweep, sign, token_matches, verify,
-    BasesMode, GroupSignature, PreparedGpk, RevocationTable, VerifyError,
+    h0_bases, h0_verify_bases, open, open_batch, revocation_index, revocation_sweep, sign,
+    token_matches, verify, BasesMode, GroupSignature, PreparedGpk, RevocationTable, VerifyError,
 };
 
 // Re-export the op-counter snapshot and scope guard for the E2 benchmark.
@@ -293,11 +293,11 @@ mod tests {
         let cost = scope.counts();
         assert_eq!(cost.pairings, 2, "prepared verify uses 2 pairings");
         // R₂ is four table evaluations and one reduction of their powers;
-        // §V.C's shape is unchanged: seven exponentiations, one final
-        // exponentiation.
+        // v̂'s cofactor rides in two of those exponents, so §V.C's six
+        // exponentiations, and one final exponentiation.
         assert_eq!((cost.miller_loops, cost.final_exps), (4, 1), "{cost:?}");
-        assert_eq!((cost.g1_muls, cost.gt_exps), (4, 3), "{cost:?}");
-        assert_eq!(cost.total_exps(), 7, "{cost:?}");
+        assert_eq!((cost.g1_muls, cost.gt_exps), (3, 3), "{cost:?}");
+        assert_eq!(cost.total_exps(), 6, "{cost:?}");
         assert_eq!(cost.miller_prepares, 0, "the key's tables are built once");
 
         // Same acceptance/rejection behaviour as the plain verifier.
@@ -466,13 +466,17 @@ mod tests {
         assert_eq!((cost.pairings, cost.final_exps), (2, 2), "{cost:?}");
         assert_eq!((cost.miller_loops, cost.g1_muls), (3, 6), "{cost:?}");
 
-        // The prepared verifier: two bilinear maps and seven
-        // exponentiations, as the plain one below less its third pairing.
+        // The prepared verifier: "verification takes 6 exponentiations"
+        // (§V.C), and two bilinear maps, the plain one's three less the
+        // cached ê(g₁, g₂). Three 𝔾₁ multiplications: û's cofactor
+        // ladder, R₁ and R₃ — v̂ enters R₂ as its uncleared H₀ pre-image,
+        // its cofactor folded into two exponents — and three 𝔾_T powers.
         let scope = OpSnapshot::scope();
         prepared.verify(b"m", &fast, BasesMode::PerMessage).unwrap();
         let cost = scope.counts();
         assert_eq!((cost.pairings, cost.final_exps), (2, 1), "{cost:?}");
-        assert_eq!(cost.total_exps(), 7, "{cost:?}");
+        assert_eq!(cost.g1_muls, 3, "{cost:?}");
+        assert_eq!(cost.total_exps(), 6, "{cost:?}");
 
         let before_v = OpSnapshot::capture();
         verify(&gpk, b"m", &sig, BasesMode::PerMessage).unwrap();
@@ -510,7 +514,7 @@ mod tests {
     fn a_decoded_signature_pays_for_its_points_once() {
         // Off the wire, T₁ and T₂ are bytes. Verification decompresses
         // them (2 square roots, 2 subgroup checks on top of the verifier's
-        // four 𝔾₁ exponentiations); the sweep over a 64-token URL, a second
+        // three 𝔾₁ exponentiations); the sweep over a 64-token URL, a second
         // verification and the copy that goes to the log all reuse them.
         let mut f = fixture();
         let gpk = *f.issuer.public_key();
@@ -526,7 +530,7 @@ mod tests {
             .verify(b"m", &signed, BasesMode::PerMessage)
             .unwrap();
         let cost = scope.counts();
-        assert_eq!((cost.g1_muls, cost.g1_decompressions), (4, 0));
+        assert_eq!((cost.g1_muls, cost.g1_decompressions), (3, 0));
         assert_eq!((cost.miller_loops, cost.final_exps), (4, 1));
 
         let scope = OpSnapshot::scope();
@@ -536,7 +540,7 @@ mod tests {
             .verify_bases(b"m", &sig, BasesMode::PerMessage)
             .unwrap();
         let cost = scope.counts();
-        assert_eq!((cost.g1_muls, cost.g1_decompressions), (4 + 2, 2));
+        assert_eq!((cost.g1_muls, cost.g1_decompressions), (3 + 2, 2));
         assert_eq!((cost.miller_loops, cost.final_exps), (4, 1));
 
         assert_eq!(revocation_sweep(&sig, &url, &u_hat, &v_hat), None);

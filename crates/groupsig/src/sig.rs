@@ -5,10 +5,10 @@ use core::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use peace_curve::{psi, G1Wire, PointError, ProjectivePoint, G1, G2};
+use peace_curve::{psi, AffinePoint, G1Wire, G2Preimage, PointError, ProjectivePoint, G1, G2};
 use peace_field::{Fp, Fq};
 use peace_pairing::{
-    miller, ops, pairing, pairing_pair, pairing_product, pairing_ratio, Gt, GtPowTable,
+    miller, ops, pairing, pairing_pair, pairing_product, pairing_ratio, G2Arg, Gt, GtPowTable,
     MillerLines, MillerValue, OpSnapshot,
 };
 use peace_wire::{Decode, Encode, Reader, Writer};
@@ -27,8 +27,10 @@ pub enum BasesMode {
     /// BS04's speed-up mentioned in §V.C: fixed system-wide bases
     /// `(û, v̂) ← H₀(gpk)`, enabling a precomputed revocation table with
     /// `O(1)` pairings per check "with a little bit sacrifice on user
-    /// privacy" (signatures by one key share `ê(A, û)`, so a *revoked* key
-    /// becomes linkable across sessions; unrevoked keys remain anonymous).
+    /// privacy": signatures by one key share `ê(A, û)`, which anyone
+    /// holding gpk computes from a signature, so *every* member's sessions
+    /// link within an epoch — revoked or not (BS04's caveat for fixed
+    /// bases); the table only adds identification of listed keys.
     FixedBases,
 }
 
@@ -137,16 +139,40 @@ impl fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
-/// Derives the bases `(û, v̂) ∈ 𝔾₂²` per Eq.1 (or the fixed variant).
+/// Derives the bases `(û, v̂) ∈ 𝔾₂²` per Eq.1 (or the fixed variant): what
+/// a signer uses, since `T₂ = A·v^α` needs `v` as a point.
 pub fn h0_bases(gpk: &GroupPublicKey, msg: &[u8], r: &Fq, mode: BasesMode) -> (G2, G2) {
+    let input = h0_input(gpk, msg, r, mode);
+    let u_hat = peace_curve::hash_to_g2(b"peace-H0-u", &input);
+    let v_hat = peace_curve::hash_to_g2(b"peace-H0-v", &input);
+    (u_hat, v_hat)
+}
+
+/// The same bases as a verifier takes them: `û` as the 𝔾₂ point (`R₁`,
+/// `R₃` and the sweep's line table use it as one) and `v̂` as its H₀
+/// pre-image, whose cofactor is never cleared — every verifier path uses
+/// `v̂` only as a pairing's second argument, where the cofactor rides in an
+/// exponent ([`G2Preimage`]). One cofactor ladder instead of two.
+pub fn h0_verify_bases(
+    gpk: &GroupPublicKey,
+    msg: &[u8],
+    r: &Fq,
+    mode: BasesMode,
+) -> (G2, G2Preimage) {
+    let input = h0_input(gpk, msg, r, mode);
+    let u_hat = peace_curve::hash_to_g2(b"peace-H0-u", &input);
+    let v_pre = peace_curve::hash_to_g2_preimage(b"peace-H0-v", &input);
+    (u_hat, v_pre)
+}
+
+/// H₀'s input: `gpk`, and `(msg, r)` for per-message bases.
+fn h0_input(gpk: &GroupPublicKey, msg: &[u8], r: &Fq, mode: BasesMode) -> Vec<u8> {
     let mut input = gpk.to_bytes();
     if mode == BasesMode::PerMessage {
         input.extend_from_slice(msg);
         input.extend_from_slice(&r.to_canonical_bytes());
     }
-    let u_hat = peace_curve::hash_to_g2(b"peace-H0-u", &input);
-    let v_hat = peace_curve::hash_to_g2(b"peace-H0-v", &input);
-    (u_hat, v_hat)
+    input
 }
 
 /// The challenge hash `H : … → ℤ_q` (paper step 2.2.3).
@@ -283,7 +309,7 @@ impl PreparedGpk {
     pub fn member_pairing(&self, gsk: &MemberKey) -> Option<Gt> {
         ops::record_pairing();
         ops::record_pairing();
-        let (a_g2, a_w) = self.key_values(xy_ratios(&[&gsk.a])[0].as_ref());
+        let (a_g2, a_w) = self.key_values(xy_ratios(&[gsk.a.point()])[0].as_ref());
         let reduced = MillerValue::finalize_batch(&[a_g2, a_w]);
         let (e_a_g2, e_a_w) = (reduced[0]?, reduced[1]?);
         let lhs = e_a_w.mul(&e_a_g2.pow(&gsk.exponent()));
@@ -349,7 +375,7 @@ impl PreparedGpk {
         let (t1, r1, r3) = (powers[0], powers[1], powers[2]);
         let t2 = gsk.a.add(&v.mul(&alpha));
         ops::record_pairing();
-        let (g2_v, w_v) = self.key_values(xy_ratios(&[&v])[0].as_ref());
+        let (g2_v, w_v) = self.key_values(xy_ratios(&[v.point()])[0].as_ref());
         // v is a subgroup point, so no value is zero (see `pairing_with`).
         let r2 = MillerValue::reduce_powers(&[(g2_v, e, false), (w_v, r_alpha, true)])
             .unwrap_or(Gt::ONE);
@@ -382,17 +408,13 @@ impl PreparedGpk {
         sig: &GroupSignature,
         mode: BasesMode,
     ) -> Result<(), VerifyError> {
-        let (u_hat, v_hat) = h0_bases(&self.gpk, msg, &sig.r, mode);
-        self.verify_with_bases(msg, sig, &u_hat, &v_hat)
+        let (u_hat, v_pre) = h0_verify_bases(&self.gpk, msg, &sig.r, mode);
+        self.verify_with_bases(msg, sig, &u_hat, &v_pre)
     }
 
-    /// Verification + revocation check with one shared `(û, v̂)` derivation.
-    ///
-    /// [`verify`] and [`revocation_index`] each re-derive the H₀ bases from
-    /// `(gpk, msg, r)` — two hash-to-curve runs (try-and-increment plus
-    /// cofactor clearing) per access request. This entry point derives them
-    /// once and feeds both the Σ-protocol check and the shared-Miller
-    /// revocation sweep.
+    /// Verification + revocation check with one shared `(û, v̂)` derivation
+    /// ([`h0_verify_bases`]) feeding both the Σ-protocol check and the
+    /// shared-Miller revocation sweep.
     ///
     /// Returns `Ok(None)` if the signature is valid and unrevoked,
     /// `Ok(Some(i))` if valid but matching URL token `i`.
@@ -408,16 +430,15 @@ impl PreparedGpk {
         url: &[RevocationToken],
         mode: BasesMode,
     ) -> Result<Option<usize>, VerifyError> {
-        let (u_hat, v_hat) = h0_bases(&self.gpk, msg, &sig.r, mode);
-        self.verify_with_bases(msg, sig, &u_hat, &v_hat)?;
-        Ok(revocation_sweep(sig, url, &u_hat, &v_hat))
+        let (u_hat, v_pre) = h0_verify_bases(&self.gpk, msg, &sig.r, mode);
+        self.verify_with_bases(msg, sig, &u_hat, &v_pre)?;
+        Ok(revocation_sweep(sig, url, &u_hat, &v_pre))
     }
 
-    /// Σ-protocol verification that **returns the derived H₀ bases** on
-    /// success, so a staged revocation pipeline (cache → sweep; see
-    /// `peace-revoke`) can reuse them without re-running the
-    /// two hash-to-curve derivations [`Self::verify_and_check`] shares
-    /// internally.
+    /// Σ-protocol verification that **returns the derived H₀ bases**
+    /// ([`h0_verify_bases`]) on success, so a staged revocation pipeline
+    /// (cache → sweep; see `peace-revoke`) can reuse them without hashing
+    /// again, as [`Self::verify_and_check`] does internally.
     ///
     /// # Errors
     ///
@@ -427,10 +448,10 @@ impl PreparedGpk {
         msg: &[u8],
         sig: &GroupSignature,
         mode: BasesMode,
-    ) -> Result<(G2, G2), VerifyError> {
-        let (u_hat, v_hat) = h0_bases(&self.gpk, msg, &sig.r, mode);
-        self.verify_with_bases(msg, sig, &u_hat, &v_hat)?;
-        Ok((u_hat, v_hat))
+    ) -> Result<(G2, G2Preimage), VerifyError> {
+        let (u_hat, v_pre) = h0_verify_bases(&self.gpk, msg, &sig.r, mode);
+        self.verify_with_bases(msg, sig, &u_hat, &v_pre)?;
+        Ok((u_hat, v_pre))
     }
 
     fn verify_with_bases(
@@ -438,15 +459,14 @@ impl PreparedGpk {
         msg: &[u8],
         sig: &GroupSignature,
         u_hat: &G2,
-        v_hat: &G2,
+        v_pre: &G2Preimage,
     ) -> Result<(), VerifyError> {
         let (t1, t2) = checked_commitments(sig)?;
         let u = psi(u_hat);
-        let v = psi(v_hat);
         // Same equations as the free `verify`, with R₂ from the tables.
         let neg_c = sig.c.neg();
         let r1 = u.mul_mul(&sig.s_alpha, &t1, &neg_c);
-        let r2 = self.r2(sig, &t2, &v)?;
+        let r2 = self.r2(sig, &t2, v_pre)?;
         let neg_s_delta = sig.s_delta.neg();
         let r3 = t1.mul_mul(&sig.s_x, &u, &neg_s_delta);
         if challenge(&self.gpk, msg, &sig.r, &sig.t1, &sig.t2, &r1, &r2, &r3) == sig.c {
@@ -462,20 +482,25 @@ impl PreparedGpk {
     ///
     /// `R̃₂ = ê(g₂,T₂)^{s_x} · ê(w,T₂)^{c} · ê(w,v)^{−s_α} · ê(g₂,v)^{−s_δ} · ê(g₁,g₂)^{−c}`
     ///
-    /// Four evaluations at `(x/y, 1/y)` of `T₂` and of `v` (one field
+    /// `v` enters as its H₀ pre-image `Q_v` with `v = [c]Q_v`, and always
+    /// second: `ê(w, v) = ê(w, Q_v)^c̄`, so its exponents are `s_α·c̄` and
+    /// `s_δ·c̄`, and the cofactor costs two scalar multiplications.
+    ///
+    /// Four evaluations at `(x/y, 1/y)` of `T₂` and of `Q_v` (one field
     /// inversion), one reduction of their powers, one lookup in the `𝔾_T`
     /// table. Two bilinear maps on the books, as the ratio it replaces.
-    fn r2(&self, sig: &GroupSignature, t2: &G1, v: &G1) -> Result<Gt, VerifyError> {
+    fn r2(&self, sig: &GroupSignature, t2: &G1, v_pre: &G2Preimage) -> Result<Gt, VerifyError> {
         ops::record_pairing();
         ops::record_pairing();
-        let at = xy_ratios(&[t2, v]);
+        let at = xy_ratios(&[t2.point(), v_pre.point()]);
         let (g2_t2, w_t2) = self.key_values(at[0].as_ref());
         let (g2_v, w_v) = self.key_values(at[1].as_ref());
+        let c_bar = G2Preimage::exponent();
         let r2 = MillerValue::reduce_powers(&[
             (g2_t2, sig.s_x, false),
             (w_t2, sig.c, false),
-            (w_v, sig.s_alpha, true),
-            (g2_v, sig.s_delta, true),
+            (w_v, sig.s_alpha.mul(c_bar), true),
+            (g2_v, sig.s_delta.mul(c_bar), true),
         ])
         .ok_or(VerifyError::DegenerateCommitment)?;
         Ok(r2.mul(&self.e_g1_g2_table.pow(&sig.c).invert()))
@@ -505,8 +530,8 @@ impl From<GroupPublicKey> for Arc<PreparedGpk> {
 
 /// `(x/y, 1/y)` of each point, with one field inversion for all of them:
 /// where a [`MillerLines`] table is evaluated (`None` for the identity).
-fn xy_ratios(points: &[&G1]) -> Vec<Option<(Fp, Fp)>> {
-    let points: Vec<ProjectivePoint> = points.iter().map(|p| p.point().to_projective()).collect();
+fn xy_ratios(points: &[&AffinePoint]) -> Vec<Option<(Fp, Fp)>> {
+    let points: Vec<ProjectivePoint> = points.iter().map(|p| p.to_projective()).collect();
     ProjectivePoint::batch_to_xy_ratios(&points)
 }
 
@@ -616,9 +641,9 @@ pub fn token_matches(
 const SWEEP_SPAWN_THRESHOLD: usize = 8;
 
 /// Record count at and above which [`open_batch`] fans records out across
-/// OS threads. Each record costs two hash-to-curve runs, a line table and
-/// a Miller loop per token walked (milliseconds), so the fan-out pays for
-/// itself almost immediately.
+/// OS threads. Each record costs two hash-to-curve runs (one cofactor
+/// ladder), a line table and a Miller loop per token walked
+/// (milliseconds), so the fan-out pays for itself almost immediately.
 const PARALLEL_OPEN_THRESHOLD: usize = 4;
 
 /// Computes `f(range)` over `0..len` and concatenates the results in index
@@ -696,8 +721,9 @@ fn fill_indexed<T: Send>(len: usize, threshold: usize, f: &(dyn Fn(usize) -> T +
 /// [`open_batch`].
 ///
 /// The check for token `Aᵢ` is `ê(T₂−Aᵢ, û)·ê(−T₁, v̂) = 1`. The second
-/// factor is token-independent: its Miller value `f_{q,−T₁}(φ(v̂))` is
-/// computed once. The first has the *fixed* argument in the wrong slot for
+/// factor is token-independent: its Miller value is computed once —
+/// `f_{q,−T₁}(φ(v̂))`, or `f_{q,−T₁}(φ(Q_v))^c̄` for `v̂`'s H₀ pre-image
+/// ([`G2Arg`]). The first has the *fixed* argument in the wrong slot for
 /// sharing Miller-loop work — but `ψ` is the identity on this Type-1
 /// pairing, so `ê(T₂−Aᵢ, û) = ê(û, T₂−Aᵢ)`, and with `û` first the
 /// double/add schedule runs once per signature ([`MillerLines`]) and each
@@ -711,7 +737,7 @@ struct SweepRow {
 impl SweepRow {
     /// One line table, one Miller loop. `None` for a signature whose
     /// commitments are not group elements: it matches no token.
-    fn new(sig: &GroupSignature, u_hat: &G2, v_hat: &G2) -> Option<Self> {
+    fn new(sig: &GroupSignature, u_hat: &G2, v_hat: &impl G2Arg) -> Option<Self> {
         let (t1, t2) = sig.commitments().ok()?;
         Some(Self {
             t2: t2.point().to_projective(),
@@ -740,7 +766,8 @@ impl SweepRow {
 }
 
 /// Shared-Miller revocation sweep over a whole URL (paper step 3.3,
-/// restructured; see [`SweepRow`]).
+/// restructured; see [`SweepRow`]). `v_hat` is `v̂` or, as every verifier
+/// derives it ([`h0_verify_bases`]), its pre-image.
 ///
 /// Total cost for `n` tokens: one line table, `n + 1` Miller loops (`n` of
 /// them evaluations against the table) and `1` final exponentiation,
@@ -754,7 +781,7 @@ pub fn revocation_sweep(
     sig: &GroupSignature,
     tokens: &[RevocationToken],
     u_hat: &G2,
-    v_hat: &G2,
+    v_hat: &impl G2Arg,
 ) -> Option<usize> {
     if tokens.is_empty() {
         return None;
@@ -781,8 +808,8 @@ pub fn revocation_index(
     url: &[RevocationToken],
     mode: BasesMode,
 ) -> Option<usize> {
-    let (u_hat, v_hat) = h0_bases(gpk, msg, &sig.r, mode);
-    revocation_sweep(sig, url, &u_hat, &v_hat)
+    let (u_hat, v_pre) = h0_verify_bases(gpk, msg, &sig.r, mode);
+    revocation_sweep(sig, url, &u_hat, &v_pre)
 }
 
 /// The NO's audit (paper §IV.D): identical mechanics to the revocation scan
@@ -830,8 +857,8 @@ pub fn open_batch(
     }
     fill_indexed(items.len(), PARALLEL_OPEN_THRESHOLD, &|k| {
         let (msg, sig) = items[k];
-        let (u_hat, v_hat) = h0_bases(gpk, msg, &sig.r, mode);
-        let row = SweepRow::new(sig, &u_hat, &v_hat)?;
+        let (u_hat, v_pre) = h0_verify_bases(gpk, msg, &sig.r, mode);
+        let row = SweepRow::new(sig, &u_hat, &v_pre)?;
         grt.chunks(OPEN_BLOCK).enumerate().find_map(|(b, block)| {
             ops::record_final_exp();
             let hit = row.matches(block).iter().position(|&hit| hit)?;
@@ -1044,9 +1071,12 @@ mod sweep_soundness {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2))]
 
         /// No false negative, and no false positive, through the prepared
-        /// loop: per token, [`SweepRow::matches`] says what the naive
-        /// two-pairing [`token_matches`] says, and the three entry points
-        /// built on it report the oracle's index — in both bases modes.
+        /// loop on the verifier's bases ([`h0_verify_bases`]: `v̂` as its
+        /// uncleared pre-image): per token, [`SweepRow::matches`] says what
+        /// the naive two-pairing [`token_matches`] says on the signer's
+        /// cleared bases, and the entry points built on it report the
+        /// oracle's index — in both bases modes, and with the sweep handed
+        /// either form of `v̂`.
         #[test]
         fn prop_sweep_row_agrees_with_the_oracle_token_by_token(
             seed in proptest::prelude::any::<u64>(),
@@ -1063,6 +1093,8 @@ mod sweep_soundness {
                 let msg: &[u8] = b"soundness";
                 let sig = sign(&gpk, &signer, msg, mode, &mut rng);
                 let (u_hat, v_hat) = h0_bases(&gpk, msg, &sig.r, mode);
+                let (verifier_u, v_pre) = h0_verify_bases(&gpk, msg, &sig.r, mode);
+                proptest::prop_assert_eq!(verifier_u, u_hat);
                 // The oracle, once per token: a verdict does not depend on
                 // where in a list the token sits.
                 let oracle =
@@ -1071,7 +1103,7 @@ mod sweep_soundness {
                 let others: Vec<bool> = pool.iter().map(oracle).collect();
                 proptest::prop_assert!(others.iter().all(|&hit| !hit));
 
-                let row = SweepRow::new(&sig, &u_hat, &v_hat).expect("signed commitments");
+                let row = SweepRow::new(&sig, &u_hat, &v_pre).expect("signed commitments");
                 for n in URL_SIZES {
                     for slot in signer_slots(n) {
                         let mut url = pool[..n].to_vec();
@@ -1082,6 +1114,9 @@ mod sweep_soundness {
                         }
                         let at = format!("{mode:?}, |URL| = {n}, signer at {slot:?}");
                         proptest::prop_assert_eq!(&row.matches(&url), &expect, "{}", at);
+                        proptest::prop_assert_eq!(
+                            revocation_sweep(&sig, &url, &u_hat, &v_pre), slot, "{}", at
+                        );
                         proptest::prop_assert_eq!(
                             revocation_sweep(&sig, &url, &u_hat, &v_hat), slot, "{}", at
                         );
@@ -1146,11 +1181,12 @@ mod r2_pins {
         #![proptest_config(ProptestConfig::with_cases(3))]
 
         /// The one R₂ path against the paper's shape, in both bases modes:
-        /// the prepared verifier's R̃₂ (four table evaluations, one
-        /// reduction) is the `pairing_ratio` R̃₂ byte for byte, on the honest
-        /// signature and with each response or T₂ tampered; the product
-        /// signer emits the free `sign`'s bytes; and both verifiers refuse
-        /// every tampering with the same error.
+        /// the prepared verifier's R̃₂ (four table evaluations at `T₂` and
+        /// at `v̂`'s uncleared pre-image, one reduction) is the
+        /// `pairing_ratio` R̃₂ on the cleared `v` byte for byte, on the
+        /// honest signature and with each response or T₂ tampered; the
+        /// product signer emits the free `sign`'s bytes; and both verifiers
+        /// refuse every tampering with the same error.
         #[test]
         fn prop_prepared_r2_is_the_paper_r2(
             seed in any::<u64>(),
@@ -1179,9 +1215,10 @@ mod r2_pins {
                     ("T2", GroupSignature { t2: moved_t2, ..sig.clone() }),
                 ];
                 let v = psi(&h0_bases(&gpk, &msg, &sig.r, mode).1);
+                let v_pre = h0_verify_bases(&gpk, &msg, &sig.r, mode).1;
                 for (what, s) in cases {
                     let (_, t2) = s.commitments().unwrap();
-                    let prepared_r2 = prepared.r2(&s, &t2, &v).map(|g| g.to_bytes());
+                    let prepared_r2 = prepared.r2(&s, &t2, &v_pre).map(|g| g.to_bytes());
                     let paper = paper_r2(&gpk, &s, &t2, &v).map(|g| g.to_bytes());
                     prop_assert_eq!(prepared_r2, paper, "{:?} {}", mode, what);
                     let want = if what == "honest" { Ok(()) } else { Err(VerifyError::BadChallenge) };

@@ -91,19 +91,21 @@ impl Sha256 {
     }
 
     /// Finalizes and returns the 32-byte digest.
+    ///
+    /// Padding is written in place: `0x80`, zeros to byte 56 of a block,
+    /// the 8-byte big-endian bit length — one compression, or two when the
+    /// pending bytes leave no room for `0x80` and the length (`≥ 56`).
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
         let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        self.update(&[0x80]);
-        // self.update changed total_len but bit_len is already captured.
-        while self.buf_len != 56 {
-            self.update(&[0]);
+        let n = self.buf_len;
+        self.buf[n] = 0x80;
+        self.buf[n + 1..].fill(0);
+        if n >= 56 {
+            let block = self.buf;
+            self.compress(&block);
+            self.buf = [0u8; 64];
         }
-        self.total_len = 0; // no longer meaningful
-        let mut len_block = [0u8; 8];
-        len_block.copy_from_slice(&bit_len.to_be_bytes());
-        // Manually place the length: buffer has exactly 56 bytes pending.
-        self.buf[56..64].copy_from_slice(&len_block);
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
         let block = self.buf;
         self.compress(&block);
 
@@ -167,4 +169,59 @@ impl Sha256 {
 /// One-shot SHA-256.
 pub fn sha256(data: &[u8]) -> [u8; DIGEST_LEN] {
     Sha256::new().chain(data).finalize()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// FIPS 180-4 padding spelled out byte by byte — `0x80`, zeros until
+    /// the length is 56 mod 64, the bit length — and the padded message
+    /// compressed block by block.
+    fn bytewise_reference(msg: &[u8]) -> [u8; DIGEST_LEN] {
+        let mut padded = msg.to_vec();
+        padded.push(0x80);
+        while padded.len() % 64 != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(msg.len() as u64 * 8).to_be_bytes());
+        let mut h = Sha256::new();
+        for block in padded.chunks_exact(64) {
+            h.compress(block.try_into().expect("64-byte block"));
+        }
+        let mut out = [0u8; DIGEST_LEN];
+        for (i, word) in h.state.iter().enumerate() {
+            out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
+        }
+        out
+    }
+
+    /// In-place padding is the bytewise padding at every length to 200 —
+    /// through 55/56 (the one-block limit), 63/64, 119/120 and the rest —
+    /// whether the message arrives whole or a byte at a time; and the
+    /// reference itself gives FIPS 180-4's one-block and 56-byte examples.
+    #[test]
+    fn one_pass_padding_matches_bytewise_padding_at_every_length() {
+        let hex = |b: &[u8]| -> String { b.iter().map(|x| format!("{x:02x}")).collect() };
+        let two_blocks = b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq";
+        assert_eq!(
+            hex(&bytewise_reference(b"abc")),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        );
+        assert_eq!(
+            hex(&bytewise_reference(two_blocks)),
+            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
+        );
+        let data: Vec<u8> = (0..=200u32).map(|i| (i * 37 % 256) as u8).collect();
+        for len in 0..=200 {
+            let msg = &data[..len];
+            let want = bytewise_reference(msg);
+            assert_eq!(sha256(msg), want, "len {len}");
+            let mut h = Sha256::new();
+            for b in msg {
+                h.update(core::slice::from_ref(b));
+            }
+            assert_eq!(h.finalize(), want, "len {len}, bytewise updates");
+        }
+    }
 }

@@ -31,7 +31,33 @@ pub use gt::{Gt, GtPowTable};
 pub use miller::{MillerLines, MillerValue};
 pub use ops::{OpScope, OpSnapshot};
 
-use peace_curve::{G1, G2};
+use peace_curve::{G2Preimage, G1, G2};
+
+/// What a pairing's second slot takes: an element of 𝔾₂, or an H₀
+/// pre-image ([`G2Preimage`]) standing for the 𝔾₂ element that is its
+/// cofactor multiple.
+pub trait G2Arg {
+    /// A Miller value that reduces to `ê(P, Q)` for the 𝔾₂ element `Q`
+    /// that `self` is or stands for.
+    fn miller_from(&self, p: &G1) -> MillerValue;
+}
+
+impl G2Arg for G2 {
+    fn miller_from(&self, p: &G1) -> MillerValue {
+        miller::miller(p.point(), self.point())
+    }
+}
+
+/// `f_{q,P}(φ(Q))^c̄`, one Miller loop and one unreduced 160-bit power in
+/// place of the 352-bit cofactor ladder. Exact: `φ` is a homomorphism, the
+/// reduced Tate pairing is bilinear in its second argument on all of
+/// `E(F_p)` (denominator elimination needs only `x(φ(Q)) ∈ F_p`), so
+/// `ê(P, [c]Q) = ê(P, Q)^c`, and reduced values lie in `μ_q`.
+impl G2Arg for G2Preimage {
+    fn miller_from(&self, p: &G1) -> MillerValue {
+        miller::miller(p.point(), self.point()).pow(G2Preimage::exponent())
+    }
+}
 
 /// The bilinear pairing `ê(P, Q)`.
 pub fn pairing(p: &G1, q: &G2) -> Gt {
@@ -46,9 +72,10 @@ pub fn pairing(p: &G1, q: &G2) -> Gt {
 /// `miller(a, c).mul(&miller(b, d)).finalize() == Some(ê(a,c)·ê(b,d))`.
 /// A caller that pairs one `P` against many `Q` prepares `P` once instead
 /// ([`MillerLines`]); and because `ψ` is the identity on this Type-1
-/// pairing, `ê(P, Q) = ê(Q, P)`, so either argument can be the prepared one.
-pub fn miller(p: &G1, q: &G2) -> MillerValue {
-    miller::miller(p.point(), q.point())
+/// pairing, `ê(P, Q) = ê(Q, P)`, so either argument can be the prepared one
+/// — when both are 𝔾₂ elements: an H₀ pre-image only ever goes second.
+pub fn miller(p: &G1, q: &impl G2Arg) -> MillerValue {
+    q.miller_from(p)
 }
 
 /// Product of pairings `∏ ê(Pᵢ, Qᵢ)` with a single shared final
@@ -421,6 +448,59 @@ mod tests {
                 .collect();
             proptest::prop_assert_eq!(&fast, &slow);
             proptest::prop_assert!(fast[0] && fast[2] && !fast[4] && fast[5]);
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4))]
+
+        /// What every verifier path relies on: for `P ∈ 𝔾₁` and H₀'s
+        /// pre-image `Q` (off the subgroup), `ê(P, Q)^c̄ = ê(P, [c]Q)` —
+        /// the power taken after the reduction, before it
+        /// ([`MillerValue::pow`]), through [`miller`], and folded into a
+        /// table evaluation's exponent.
+        #[test]
+        fn prop_a_preimage_pairs_as_its_cleared_point(
+            seed in proptest::prelude::any::<u64>(),
+            msg in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..48),
+        ) {
+            let mut r = StdRng::seed_from_u64(seed);
+            let p = G1::random(&mut r);
+            let pre = peace_curve::hash_to_g2_preimage(b"prop-H0", &msg);
+            let want = pairing(&p, &peace_curve::hash_to_g2(b"prop-H0", &msg));
+            proptest::prop_assert!(!pre.point().is_in_subgroup());
+            let c_bar = G2Preimage::exponent();
+            let raw = miller::miller(p.point(), pre.point());
+            proptest::prop_assert_eq!(raw.finalize().map(|g| g.pow(c_bar)), Some(want));
+            proptest::prop_assert_eq!(raw.pow(c_bar).finalize(), Some(want));
+            proptest::prop_assert_eq!(miller(&p, &pre).finalize(), Some(want));
+            let at = peace_curve::ProjectivePoint::batch_to_xy_ratios(&[pre.point().to_projective()]);
+            let value = MillerLines::new(&p).eval_at(at[0].as_ref());
+            let e = Fq::random(&mut r);
+            proptest::prop_assert_eq!(
+                MillerValue::reduce_powers(&[(value, e.mul(c_bar), true)]),
+                Some(want.pow(&e).invert())
+            );
+        }
+
+        /// An unreduced power reduces to the power of the reduction, for
+        /// any exponent (negative wNAF digits included) and any nonzero
+        /// value, Miller value or not; it counts as one 𝔾_T exponentiation.
+        #[test]
+        fn prop_unreduced_power_reduces_to_the_power(seed in proptest::prelude::any::<u64>()) {
+            let mut r = StdRng::seed_from_u64(seed);
+            let values = [
+                miller(&G1::random(&mut r), &G2::random(&mut r)),
+                MillerValue(peace_field::Fp2::random(&mut r)),
+            ];
+            for m in values {
+                for e in [Fq::random(&mut r), Fq::ZERO, Fq::ONE, Fq::ONE.neg()] {
+                    let scope = OpSnapshot::scope();
+                    let powered = m.pow(&e);
+                    proptest::prop_assert_eq!(scope.counts().gt_exps, 1);
+                    proptest::prop_assert_eq!(powered.finalize(), m.finalize().map(|g| g.pow(&e)));
+                }
+            }
         }
     }
 

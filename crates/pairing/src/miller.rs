@@ -126,6 +126,23 @@ impl MillerValue {
         Self(self.0.conjugate())
     }
 
+    /// Raises the unreduced value to `e`: `m.pow(e).finalize() ==
+    /// m.finalize().map(|g| g.pow(e))`, the exponent taken as its residue
+    /// mod `q`. A width-5 wNAF chain whose negative digits multiply by a
+    /// conjugate — an inverse up to a factor in `F_p*`, which the
+    /// reduction kills ([`Self::conjugate`]) — so no field inversion is
+    /// paid: 160 `F_p²` squarings and about 35 multiplications. Recorded
+    /// as one `𝔾_T` exponentiation.
+    pub fn pow(&self, e: &Fq) -> Self {
+        ops::record_gt_exp();
+        let odd = odd_powers(&self.0);
+        let mut acc = Fp2::ONE;
+        for &d in e.to_uint().wnaf(5).iter().rev() {
+            acc = mul_digit(&acc.square(), &odd, d);
+        }
+        Self(acc)
+    }
+
     /// Applies the final exponentiation, producing a `𝔾_T` element.
     ///
     /// `None` for the zero value, where the pairing is undefined. Points
@@ -271,8 +288,8 @@ fn easy_parts<'a>(values: impl Iterator<Item = &'a Fp2> + Clone) -> Vec<Option<F
         .collect()
 }
 
-/// The odd powers `y¹, y³, …, y¹⁵` of a norm-1 `y`, indexed by `d >> 1`
-/// for a width-5 wNAF digit `d`.
+/// The odd powers `y¹, y³, …, y¹⁵` of `y`, indexed by `d >> 1` for a
+/// width-5 wNAF digit `d`.
 fn odd_powers(y: &Fp2) -> [Fp2; 8] {
     let y2 = y.square();
     let mut odd = [*y; 8];
@@ -283,7 +300,8 @@ fn odd_powers(y: &Fp2) -> [Fp2; 8] {
 }
 
 /// `acc · y^d` for a signed digit `d` over `y`'s [`odd_powers`]: the
-/// conjugate of a norm-1 value is its inverse.
+/// conjugate of a norm-1 value is its inverse, and of any other nonzero
+/// value its inverse times the norm, a factor in `F_p*`.
 fn mul_digit(acc: &Fp2, odd: &[Fp2; 8], d: i8) -> Fp2 {
     match d {
         0 => *acc,

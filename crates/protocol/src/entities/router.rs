@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use peace_curve::{G1Encoded, G1Wire, G1, G2};
+use peace_curve::{G1Encoded, G1Wire, G2Preimage, G1, G2};
 use peace_ecdsa::{Certificate, SigningKey, VerifyingKey};
 use peace_field::Fq;
 use peace_groupsig::{BasesMode, PreparedGpk, VerifyError};
@@ -65,7 +65,7 @@ impl<'a> PendingAccess<'a> {
         }
     }
 
-    fn sigma(&self) -> std::result::Result<(G1, G2, G2), VerifyError> {
+    fn sigma(&self) -> std::result::Result<(G1, G2, G2Preimage), VerifyError> {
         let g_rj = self
             .req
             .g_rj
@@ -85,7 +85,7 @@ pub struct CheckedAccess<'a> {
     /// The user's DH share and the H₀ bases the check derived (reused by
     /// admission and, if the list changed meanwhile, by the revocation
     /// stage), or why the request was refused.
-    sigma: std::result::Result<(G1, G2, G2), VerifyError>,
+    sigma: std::result::Result<(G1, G2, G2Preimage), VerifyError>,
 }
 
 /// The broadcast [`MeshRouter::current_beacon`] serves, and how many

@@ -1054,9 +1054,10 @@ fn an_accepted_handshake_decompresses_five_points() {
     assert!(logged.gsig.commitments().is_ok());
     let cost = scope.counts();
     assert_eq!(cost.g1_decompressions, 3);
-    // §V.C: four 𝔾₁ exponentiations to verify (R₂ is table evaluations),
-    // one for the session key, and a subgroup check per decompressed point.
-    assert_eq!(cost.g1_muls, 4 + 1 + 3);
+    // §V.C: three 𝔾₁ exponentiations to verify (R₂ is table evaluations,
+    // and v̂ enters them uncleared), one for the session key, and a
+    // subgroup check per decompressed point.
+    assert_eq!(cost.g1_muls, 3 + 1 + 3);
     assert_eq!((cost.miller_loops, cost.final_exps), (4, 1));
 
     // M.3 carries two echoes: decoded, compared, never decompressed.

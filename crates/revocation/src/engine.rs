@@ -39,6 +39,7 @@ use peace_curve::G2;
 use peace_groupsig::{
     revocation_sweep, BasesMode, GroupPublicKey, GroupSignature, RevocationTable, RevocationToken,
 };
+use peace_pairing::G2Arg;
 use peace_telemetry::{Counter, Histogram};
 
 use crate::cache::{CacheKey, SweepCache};
@@ -132,7 +133,7 @@ impl UrlView {
     }
 
     /// Table lookup in fixed-bases mode, else the sweep.
-    fn decide(&self, sig: &GroupSignature, u_hat: &G2, v_hat: &G2) -> Option<usize> {
+    fn decide(&self, sig: &GroupSignature, u_hat: &G2, v_hat: &impl G2Arg) -> Option<usize> {
         if let Some(table) = &self.table {
             return table.lookup(sig);
         }
@@ -161,9 +162,9 @@ pub struct RevocationCheck {
 
 impl RevocationCheck {
     /// Table lookup or sweep against the view taken at `begin`, unless the
-    /// cache already answered. Needs the bases the Σ-check derived, and no
-    /// engine.
-    pub fn run(&mut self, sig: &GroupSignature, u_hat: &G2, v_hat: &G2) {
+    /// cache already answered. Needs the bases the Σ-check derived
+    /// ([`peace_groupsig::h0_verify_bases`]), and no engine.
+    pub fn run(&mut self, sig: &GroupSignature, u_hat: &G2, v_hat: &impl G2Arg) {
         if self.verdict.is_none() {
             self.verdict = Some(self.view.decide(sig, u_hat, v_hat));
         }
@@ -345,7 +346,7 @@ impl RevocationEngine {
         msg: &[u8],
         sig: &GroupSignature,
         u_hat: &G2,
-        v_hat: &G2,
+        v_hat: &impl G2Arg,
     ) -> Option<usize> {
         if self.view.tokens.is_empty() {
             return None;

@@ -482,6 +482,70 @@ mod tests {
                     }
                 }
             }
+
+            /// Every verifier path reaches the paper oracles' verdict on
+            /// `v̂`'s uncleared pre-image ([`peace_groupsig::h0_verify_bases`]):
+            /// per bases mode, over an unlisted honest signature, two
+            /// tamperings, a foreign key's signature and a listed signer at
+            /// URL positions 0, middle and last, `PreparedGpk::verify` is
+            /// the free `verify`, and `verify_and_check`, the engine's
+            /// check (one call and in steps) and `open_batch` report the
+            /// index the `token_matches` scan gives on the cleared bases.
+            #[test]
+            fn verifier_paths_match_the_paper_oracles(seed in any::<u64>()) {
+                use peace_groupsig::{h0_bases, open_batch, token_matches, verify, GroupSignature};
+                let mut w = world(4, seed);
+                let gpk = *w.prepared.gpk();
+                let stranger = world(1, seed ^ 0x5eed).members.remove(0);
+                let n = 9;
+                let mut url = tokens(n, seed ^ 0x7002);
+                for (member, slot) in [(1, 0), (2, n / 2), (3, n - 1)] {
+                    url[slot] = w.members[member].revocation_token();
+                }
+                for mode in [BasesMode::PerMessage, BasesMode::FixedBases] {
+                    let mut eng = RevocationEngine::new(&gpk, engine_cfg(mode));
+                    eng.install_full(0, 1, &url);
+                    let msgs: Vec<Vec<u8>> = (0..7).map(|k| format!("path-{k}").into_bytes()).collect();
+                    let honest = sign(&gpk, &w.members[0], &msgs[0], mode, &mut w.rng);
+                    let bump_c = GroupSignature { c: honest.c.add(&peace_field::Fq::ONE), ..honest.clone() };
+                    let moved = honest.t2.decompress().unwrap().add(&gpk.g1).into();
+                    let bump_t2 = GroupSignature { t2: moved, ..honest.clone() };
+                    let sigs = [
+                        honest,
+                        bump_c,
+                        bump_t2,
+                        sign(&gpk, &stranger, &msgs[3], mode, &mut w.rng),
+                        sign(&gpk, &w.members[1], &msgs[4], mode, &mut w.rng),
+                        sign(&gpk, &w.members[2], &msgs[5], mode, &mut w.rng),
+                        sign(&gpk, &w.members[3], &msgs[6], mode, &mut w.rng),
+                    ];
+                    let msg_of = |k: usize| if k < 3 { &msgs[0] } else { &msgs[k] };
+                    let mut listed = Vec::new();
+                    for (k, sig) in sigs.iter().enumerate() {
+                        let msg = msg_of(k);
+                        let at = format!("{mode:?}, signature {k}");
+                        let (u, v) = h0_bases(&gpk, msg, &sig.r, mode);
+                        let scan = url.iter().position(|t| token_matches(sig, t, &u, &v));
+                        listed.push(scan);
+                        let oracle = verify(&gpk, msg, sig, mode);
+                        prop_assert_eq!(oracle.is_ok(), k == 0 || k >= 4, "{}", at);
+                        prop_assert_eq!(w.prepared.verify(msg, sig, mode), oracle, "{}", at);
+                        let want = oracle.map(|()| scan);
+                        prop_assert_eq!(w.prepared.verify_and_check(msg, sig, &url, mode), want, "{}", at);
+                        let staged = w.prepared.verify_bases(msg, sig, mode).map(|(u, v_pre)| {
+                            let mut check = eng.begin_check(msg, sig);
+                            check.run(sig, &u, &v_pre);
+                            let in_steps = eng.accept(check).expect("list unchanged");
+                            (in_steps, eng.check_revocation(msg, sig, &u, &v_pre))
+                        });
+                        prop_assert_eq!(staged, want.map(|i| (i, i)), "{}", at);
+                    }
+                    prop_assert_eq!(&listed, &vec![None, None, None, None, Some(0), Some(n / 2), Some(n - 1)]);
+                    let items: Vec<(&[u8], &GroupSignature)> =
+                        sigs.iter().enumerate().map(|(k, s)| (msg_of(k).as_slice(), s)).collect();
+                    prop_assert_eq!(open_batch(&gpk, &items, &url, mode), listed, "{:?}", mode);
+                }
+            }
         }
     }
 }

@@ -67,9 +67,9 @@ fn main() -> ExitCode {
         routers: flag("--routers", 2) as usize,
     };
     // --fixed-bases selects §V.C's fixed-bases mode: routers check
-    // revocation by one table lookup, O(1) in |URL|, but *listed* members
-    // become linkable. Every role in a deployment must agree on this flag,
-    // since it changes the signing bases.
+    // revocation by one table lookup, O(1) in |URL|, but every member's
+    // sessions become linkable within an epoch. Every role in a deployment
+    // must agree on this flag, since it changes the signing bases.
     let mut config = ProtocolConfig::default();
     if args.iter().any(|a| a == "--fixed-bases") {
         config.bases_mode = BasesMode::FixedBases;
@@ -145,7 +145,7 @@ fn print_help() {
     println!("                           (default 0 = one per available processor)");
     println!("              --fixed-bases  fixed-bases signing: O(1) revocation table");
     println!("              lookups at metropolitan URL sizes, at the cost of");
-    println!("              linkability for *listed* members.");
+    println!("              linkability of every member's sessions in an epoch.");
     println!("              Every role in a deployment must pass the same flag.");
     println!("ledger flags: --ledger DIR (no/demo: durable accountability ledger)");
     println!("replica flags (no): --no-id NO-k --peers A,A --gossip-ms N");

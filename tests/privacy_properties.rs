@@ -9,8 +9,9 @@
 
 use peace::field::Fq;
 use peace::groupsig::{
-    h0_bases, revocation_index, sign, token_matches, verify, BasesMode, IssuerKey,
+    h0_bases, revocation_index, sign, token_matches, verify, BasesMode, GroupSignature, IssuerKey,
 };
+use peace::pairing::pairing_ratio;
 use peace::protocol::{entities::*, ids::UserId, ProtocolConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -203,9 +204,10 @@ fn operator_audit_stops_at_group_boundary() {
 
 #[test]
 fn fixed_bases_mode_links_only_revoked_members() {
-    // The §V.C fast-revocation trade-off: under FixedBases, a token allows
-    // linking that member's signatures — but members NOT in the table stay
-    // anonymous.
+    // What the table adds under FixedBases: a listed member's signatures
+    // are *identified* as that token's, and an unlisted member's are not.
+    // Unlisted is not unlinkable — every member's sessions link within an
+    // epoch without any table (fixed_bases_links_every_member_within_an_epoch).
     let mut rng = StdRng::seed_from_u64(86);
     let issuer = IssuerKey::generate(&mut rng);
     let grp = issuer.new_group_secret(&mut rng);
@@ -217,11 +219,42 @@ fn fixed_bases_mode_links_only_revoked_members() {
     let sa1 = sign(&gpk, &alice, b"m1", BasesMode::FixedBases, &mut rng);
     let sa2 = sign(&gpk, &alice, b"m2", BasesMode::FixedBases, &mut rng);
     let sb = sign(&gpk, &bob, b"m3", BasesMode::FixedBases, &mut rng);
-    // Alice (revoked) is linkable across sessions via the table…
+    // Alice (revoked) is identified in every session by the table…
     assert_eq!(table.lookup(&sa1), Some(0));
     assert_eq!(table.lookup(&sa2), Some(0));
-    // …Bob is not in the table: anonymous.
+    // …Bob is not in the table: not identified.
     assert_eq!(table.lookup(&sb), None);
+}
+
+#[test]
+fn fixed_bases_links_every_member_within_an_epoch() {
+    // BS04's caveat for fixed bases: (û, v̂) = H₀(gpk) is public, so anyone
+    // holding gpk computes D = ê(T₂,û)/ê(T₁,v̂) = ê(A,û) from one signature
+    // — a per-member tag, no token and no table needed. Public API only.
+    let mut rng = StdRng::seed_from_u64(88);
+    let issuer = IssuerKey::generate(&mut rng);
+    let grp = issuer.new_group_secret(&mut rng);
+    let alice = issuer.issue(&grp, &mut rng);
+    let bob = issuer.issue(&grp, &mut rng);
+    let gpk = *issuer.public_key();
+    let tag = |msg: &[u8], sig: &GroupSignature, mode| {
+        let (u_hat, v_hat) = h0_bases(&gpk, msg, &sig.r, mode);
+        let (t1, t2) = sig.commitments().unwrap();
+        pairing_ratio(&t2, &u_hat, &t1, &v_hat).unwrap()
+    };
+    let fixed = BasesMode::FixedBases;
+    let sa1 = sign(&gpk, &alice, b"m1", fixed, &mut rng);
+    let sa2 = sign(&gpk, &alice, b"m2", fixed, &mut rng);
+    let sb = sign(&gpk, &bob, b"m3", fixed, &mut rng);
+    // Alice is on no list, and her two sessions carry one tag…
+    assert_eq!(tag(b"m1", &sa1, fixed), tag(b"m2", &sa2, fixed));
+    // …which is hers, not the group's.
+    assert_ne!(tag(b"m1", &sa1, fixed), tag(b"m3", &sb, fixed));
+    // Control: per-message bases give the same member a fresh tag.
+    let per = BasesMode::PerMessage;
+    let pa1 = sign(&gpk, &alice, b"m1", per, &mut rng);
+    let pa2 = sign(&gpk, &alice, b"m2", per, &mut rng);
+    assert_ne!(tag(b"m1", &pa1, per), tag(b"m2", &pa2, per));
 }
 
 #[test]
