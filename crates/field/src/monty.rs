@@ -165,7 +165,7 @@ impl<P: FieldParams<N>, const N: usize> Fe<P, N> {
     /// Constructs a field element from an integer, reducing mod the modulus.
     ///
     /// No long division: CIOS against `R²` accepts a full-width (unreduced)
-    /// multiplicand directly — see [`mont_mul`]'s relaxed input bound.
+    /// multiplicand directly — see `mont_mul`'s relaxed input bound.
     pub fn from_uint(v: &Uint<N>) -> Self {
         Self::from_mont(Self::mont_mul(v, &P::R2))
     }

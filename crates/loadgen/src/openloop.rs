@@ -157,18 +157,6 @@ impl LoadOutcome {
     }
 }
 
-/// Merges `src` into `dst` without prefixing: counters add, histograms
-/// merge on the shared grid. Events are dropped (their interleaving is
-/// not deterministic across workers).
-fn merge_unprefixed(dst: &mut Snapshot, src: &Snapshot) {
-    for (k, v) in &src.counters {
-        *dst.counters.entry(k.clone()).or_insert(0) += v;
-    }
-    for (k, h) in &src.histograms {
-        dst.histograms.entry(k.clone()).or_default().merge(h);
-    }
-}
-
 /// Configuration for a ramp search: find the highest offered rate the
 /// target sustains while honoring a p99 latency SLO.
 #[derive(Clone, Copy, Debug)]
@@ -473,12 +461,14 @@ pub fn run_open_loop(
             .sum()
     });
 
+    // Events are dropped: their interleaving is not deterministic across
+    // workers.
     let mut telemetry = Snapshot::default();
-    let mut conn_rejected = 0u64;
     for a in &agents_back {
-        merge_unprefixed(&mut telemetry, &a.telemetry());
-        conn_rejected += a.metrics().conn_rejected;
+        telemetry.merge(&a.telemetry());
     }
+    telemetry.events.clear();
+    let conn_rejected = telemetry.counters["net.conn_rejected"];
 
     (
         LoadOutcome {

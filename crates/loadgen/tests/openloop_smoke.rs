@@ -83,7 +83,7 @@ fn open_loop_drives_real_daemon() {
     );
     assert_eq!(agents_back.len(), 3, "agents returned for reuse");
 
-    assert_eq!(daemon.metrics().handler_panics, 0);
+    assert_eq!(daemon.telemetry().counters["net.handler_panics"], 0);
     daemon.shutdown().unwrap();
 }
 

@@ -219,9 +219,9 @@ mod tests {
         assert_eq!(stats.frames_out, 1);
         assert_eq!(stats.frames_in, 1);
         assert!(stats.bytes_in > 0);
-        let snap = metrics.snapshot();
-        assert_eq!(snap.frames_in, 2);
-        assert_eq!(snap.frames_out, 2);
+        let snap = metrics.telemetry().counters;
+        assert_eq!(snap["net.frames_in"], 2);
+        assert_eq!(snap["net.frames_out"], 2);
     }
 
     #[test]
@@ -239,7 +239,7 @@ mod tests {
         let (_held, _) = listener.accept().unwrap();
         assert_eq!(conn.recv(), Err(NetError::Timeout));
         assert_eq!(conn.stats().timeouts, 1);
-        assert_eq!(metrics.snapshot().timeouts, 1);
+        assert_eq!(metrics.telemetry().counters["net.timeouts"], 1);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::clock::wall_ms;
 use crate::conn::Connection;
 use crate::envelope::NodeMessage;
 use crate::error::{NetError, Result};
-use crate::metrics::{MetricsSnapshot, NetMetrics};
+use crate::metrics::NetMetrics;
 use crate::reactor::EventLoop;
 use crate::session::{NoShared, Service};
 
@@ -68,14 +68,15 @@ impl NoDaemon {
             ledger: Arc::clone(&ledger),
             auto_checkpoint: Arc::clone(&auto_checkpoint),
         };
+        let metrics = Arc::new(NetMetrics::default());
         Ok(Self {
-            runtime: EventLoop::spawn(bind, cfg, Service::No(shared))?,
+            runtime: EventLoop::spawn(bind, cfg, Service::No(shared), Arc::clone(&metrics))?,
             no,
             ledger,
             resolver: Arc::new(Mutex::new(None)),
             auto_checkpoint,
             gossip: Mutex::new(None),
-            metrics: Arc::new(NetMetrics::default()),
+            metrics,
             cfg,
         })
     }
@@ -85,20 +86,10 @@ impl NoDaemon {
         self.runtime.addr()
     }
 
-    /// A point-in-time copy of the daemon counters (summed across every
-    /// shard).
-    pub fn metrics(&self) -> MetricsSnapshot {
-        let mut snap = self.metrics.snapshot();
-        snap.merge(&self.runtime.metrics());
-        snap
-    }
-
     /// Full telemetry export: counters and ledger-failure events —
     /// merged across shards.
     pub fn telemetry(&self) -> peace_telemetry::Snapshot {
-        let mut snap = self.metrics.telemetry();
-        snap.merge(&self.runtime.telemetry());
-        snap
+        self.runtime.telemetry()
     }
 
     /// Live connection count.

@@ -21,7 +21,7 @@ use crate::clock::wall_ms;
 use crate::conn::Connection;
 use crate::envelope::NodeMessage;
 use crate::error::{NetError, Result};
-use crate::metrics::{MetricsSnapshot, NetMetrics};
+use crate::metrics::NetMetrics;
 use crate::reactor::EventLoop;
 use crate::session::{RouterShared, Service};
 use peace_telemetry::Snapshot;
@@ -32,8 +32,9 @@ use super::{lock_recover, DaemonConfig};
 pub struct RouterDaemon {
     router: Arc<Mutex<MeshRouter>>,
     /// Daemon-initiated outbound connections (bulletin refresh, session
-    /// reports) record here; the listener side records into the event
-    /// loop's per-shard registries, merged at export.
+    /// reports) and the verify pool record here; the listener side
+    /// records into the event loop's per-shard registries, merged at
+    /// export.
     metrics: Arc<NetMetrics>,
     cfg: DaemonConfig,
     runtime: EventLoop,
@@ -54,10 +55,11 @@ impl RouterDaemon {
             #[cfg(test)]
             panic_at: Arc::default(),
         };
+        let metrics = Arc::new(NetMetrics::default());
         Ok(Self {
-            runtime: EventLoop::spawn(bind, cfg, Service::Router(shared))?,
+            runtime: EventLoop::spawn(bind, cfg, Service::Router(shared), Arc::clone(&metrics))?,
             router,
-            metrics: Arc::new(NetMetrics::default()),
+            metrics,
             cfg,
         })
     }
@@ -67,21 +69,11 @@ impl RouterDaemon {
         self.runtime.addr()
     }
 
-    /// A point-in-time copy of the daemon counters (summed across every
-    /// shard).
-    pub fn metrics(&self) -> MetricsSnapshot {
-        let mut snap = self.metrics.snapshot();
-        snap.merge(&self.runtime.metrics());
-        snap
-    }
-
     /// Full telemetry export: counters, the handshake-leg and
     /// `net.access_verify_us` histograms, and failure events — merged
     /// across shards.
     pub fn telemetry(&self) -> Snapshot {
-        let mut snap = self.metrics.telemetry();
-        snap.merge(&self.runtime.telemetry());
-        snap
+        self.runtime.telemetry()
     }
 
     /// Live connection count.

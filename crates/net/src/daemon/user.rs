@@ -15,7 +15,7 @@ use crate::clock::wall_ms;
 use crate::conn::Connection;
 use crate::envelope::NodeMessage;
 use crate::error::{NetError, Result};
-use crate::metrics::{MetricsSnapshot, NetMetrics};
+use crate::metrics::NetMetrics;
 use crate::session::{UserSm, UserStep};
 use peace_telemetry::Snapshot;
 
@@ -49,11 +49,6 @@ impl UserAgent {
             metrics: Arc::new(NetMetrics::default()),
             last_epoch: 0,
         }
-    }
-
-    /// A point-in-time copy of the agent counters.
-    pub fn metrics(&self) -> MetricsSnapshot {
-        self.metrics.snapshot()
     }
 
     /// Full telemetry export: counters, handshake-leg histograms

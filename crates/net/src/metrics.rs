@@ -7,11 +7,13 @@
 //! The hot path holds pre-resolved `Arc` handles: an increment is one
 //! relaxed atomic add, exactly as cheap as the bare `AtomicU64` fields
 //! this module used to carry. [`NetMetrics::telemetry`] exports the whole
-//! registry as a schema-versioned [`Snapshot`] for `--metrics-json`.
+//! registry as a schema-versioned [`Snapshot`]; it is the one way to read
+//! a counter (`snap.counters["net.handshakes_ok"]`), for tests and
+//! `--metrics-json` alike.
 
 use std::sync::Arc;
 
-use peace_telemetry::{Counter, Histogram, Registry, Snapshot, Timer};
+use peace_telemetry::{Counter, Histogram, Registry, Snapshot};
 
 use crate::clock::wall_ms;
 
@@ -54,8 +56,8 @@ pub struct NetMetrics {
     /// reply past a connection's outbound bound (`max_queue_frames` /
     /// `max_queue_bytes` — the peer is not reading, and is dropped; pinned
     /// by `tests/event_loop.rs`), and an M.2 arriving at a full verify
-    /// queue (answered BUSY; no recorded run has reached it, and a test of
-    /// it stays with ROADMAP item 6, defined behaviour under overload).
+    /// queue (answered BUSY; no recorded run has reached it, and its test
+    /// belongs with defined behaviour under overload).
     pub backpressure_events: Arc<Counter>,
     /// Handler threads that panicked (must stay 0; asserted by tests).
     pub handler_panics: Arc<Counter>,
@@ -148,47 +150,10 @@ impl NetMetrics {
         }
     }
 
-    /// Starts a RAII timer that records into `hist` (one of this
-    /// view's histograms) when dropped.
-    pub fn start_timer(&self, hist: &Arc<Histogram>) -> Timer {
-        Registry::start_timer(hist)
-    }
-
     /// Records a structured event (wall-clock stamped) into the bounded
     /// ring, e.g. `handshake_fail` with the error's stable code.
     pub fn event(&self, code: &str, detail: &str) {
         self.registry.event(code, detail, wall_ms());
-    }
-
-    /// Takes a consistent-enough snapshot (counters are independent).
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            frames_in: self.frames_in.get(),
-            frames_out: self.frames_out.get(),
-            bytes_in: self.bytes_in.get(),
-            bytes_out: self.bytes_out.get(),
-            handshakes_ok: self.handshakes_ok.get(),
-            handshakes_fail: self.handshakes_fail.get(),
-            timeouts: self.timeouts.get(),
-            oversize_rejected: self.oversize_rejected.get(),
-            decode_failures: self.decode_failures.get(),
-            connections_accepted: self.connections_accepted.get(),
-            connections_rejected: self.connections_rejected.get(),
-            conn_rejected: self.conn_rejected.get(),
-            backpressure_events: self.backpressure_events.get(),
-            handler_panics: self.handler_panics.get(),
-            ledger_errors: self.ledger_errors.get(),
-            ledger_sessions: self.ledger_sessions.get(),
-            repl_rounds: self.repl_rounds.get(),
-            repl_ranges_out: self.repl_ranges_out.get(),
-            repl_records_in: self.repl_records_in.get(),
-            failovers: self.failovers.get(),
-            transcripts_dropped: self.transcripts_dropped.get(),
-            url_deltas_out: self.url_deltas_out.get(),
-            url_delta_fallbacks: self.url_delta_fallbacks.get(),
-            url_tokens_decoded: self.url_tokens_decoded.get(),
-            url_sections_reused: self.url_sections_reused.get(),
-        }
     }
 
     /// Exports everything this daemon recorded — counters, histograms,
@@ -201,96 +166,6 @@ impl NetMetrics {
 impl Default for NetMetrics {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-/// A point-in-time copy of the [`NetMetrics`] counters (histograms and
-/// events live in [`NetMetrics::telemetry`] snapshots).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// Frames successfully read.
-    pub frames_in: u64,
-    /// Frames successfully written.
-    pub frames_out: u64,
-    /// Payload bytes read.
-    pub bytes_in: u64,
-    /// Payload bytes written.
-    pub bytes_out: u64,
-    /// Handshakes completed.
-    pub handshakes_ok: u64,
-    /// Handshakes rejected or failed.
-    pub handshakes_fail: u64,
-    /// Deadline misses.
-    pub timeouts: u64,
-    /// Oversize frames rejected.
-    pub oversize_rejected: u64,
-    /// Envelope decode failures.
-    pub decode_failures: u64,
-    /// Connections accepted.
-    pub connections_accepted: u64,
-    /// Connections rejected at the limit.
-    pub connections_rejected: u64,
-    /// Client side: dials the peer turned away at its connection cap.
-    pub conn_rejected: u64,
-    /// Backpressure refusals.
-    pub backpressure_events: u64,
-    /// Handler panics (must be 0).
-    pub handler_panics: u64,
-    /// Failed ledger appends/flushes.
-    pub ledger_errors: u64,
-    /// Session transcripts durably appended.
-    pub ledger_sessions: u64,
-    /// Completed gossip sync rounds.
-    pub repl_rounds: u64,
-    /// Replication ranges served to peers.
-    pub repl_ranges_out: u64,
-    /// Records ingested from peer replicas.
-    pub repl_records_in: u64,
-    /// Reports that failed over to a non-primary replica.
-    pub failovers: u64,
-    /// Transcripts dropped at the bounded outbox cap.
-    pub transcripts_dropped: u64,
-    /// Signed URL deltas served/applied.
-    pub url_deltas_out: u64,
-    /// Delta refreshes that fell back to a full bulletin fetch.
-    pub url_delta_fallbacks: u64,
-    /// URL tokens decoded while processing beacons.
-    pub url_tokens_decoded: u64,
-    /// Beacons whose URL section was the list already held.
-    pub url_sections_reused: u64,
-}
-
-impl MetricsSnapshot {
-    /// Sums `other` into `self`, field by field. The sharded event-loop
-    /// runtime keeps one [`NetMetrics`] per I/O shard (plus one for the
-    /// verify pool and one for daemon-initiated outbound dials) and
-    /// presents their sum as the daemon's counter view.
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        self.frames_in += other.frames_in;
-        self.frames_out += other.frames_out;
-        self.bytes_in += other.bytes_in;
-        self.bytes_out += other.bytes_out;
-        self.handshakes_ok += other.handshakes_ok;
-        self.handshakes_fail += other.handshakes_fail;
-        self.timeouts += other.timeouts;
-        self.oversize_rejected += other.oversize_rejected;
-        self.decode_failures += other.decode_failures;
-        self.connections_accepted += other.connections_accepted;
-        self.connections_rejected += other.connections_rejected;
-        self.conn_rejected += other.conn_rejected;
-        self.backpressure_events += other.backpressure_events;
-        self.handler_panics += other.handler_panics;
-        self.ledger_errors += other.ledger_errors;
-        self.ledger_sessions += other.ledger_sessions;
-        self.repl_rounds += other.repl_rounds;
-        self.repl_ranges_out += other.repl_ranges_out;
-        self.repl_records_in += other.repl_records_in;
-        self.failovers += other.failovers;
-        self.transcripts_dropped += other.transcripts_dropped;
-        self.url_deltas_out += other.url_deltas_out;
-        self.url_delta_fallbacks += other.url_delta_fallbacks;
-        self.url_tokens_decoded += other.url_tokens_decoded;
-        self.url_sections_reused += other.url_sections_reused;
     }
 }
 
@@ -334,17 +209,55 @@ impl ConnStats {
 mod tests {
     use super::*;
 
+    /// Every counter a daemon exports. `NetMetrics::new` registers them
+    /// all, so a reader indexing `counters["net.…"]` never misses.
+    const COUNTERS: [&str; 25] = [
+        "net.backpressure_events",
+        "net.bytes_in",
+        "net.bytes_out",
+        "net.conn_rejected",
+        "net.connections_accepted",
+        "net.connections_rejected",
+        "net.decode_failures",
+        "net.failovers",
+        "net.frames_in",
+        "net.frames_out",
+        "net.handler_panics",
+        "net.handshakes_fail",
+        "net.handshakes_ok",
+        "net.ledger_errors",
+        "net.ledger_sessions",
+        "net.oversize_rejected",
+        "net.repl_ranges_out",
+        "net.repl_records_in",
+        "net.repl_rounds",
+        "net.timeouts",
+        "net.transcripts_dropped",
+        "net.url_delta_fallbacks",
+        "net.url_deltas_out",
+        "net.url_sections_reused",
+        "net.url_tokens_decoded",
+    ];
+
+    #[test]
+    fn exports_exactly_the_net_counters_at_zero() {
+        let snap = NetMetrics::new().telemetry();
+        let names: Vec<&str> = snap.counters.keys().map(String::as_str).collect();
+        assert_eq!(names, COUNTERS);
+        assert!(snap.counters.values().all(|&v| v == 0));
+    }
+
     #[test]
     fn snapshot_reflects_increments() {
         let m = NetMetrics::default();
         m.frames_in.inc();
         m.bytes_in.add(100);
         m.handshakes_ok.inc();
-        let s = m.snapshot();
-        assert_eq!(s.frames_in, 1);
-        assert_eq!(s.bytes_in, 100);
-        assert_eq!(s.handshakes_ok, 1);
-        assert_eq!(s.handler_panics, 0);
+        let s = m.telemetry().counters;
+        assert_eq!(s["net.frames_in"], 1);
+        assert_eq!(s["net.bytes_in"], 100);
+        assert_eq!(s["net.handshakes_ok"], 1);
+        assert_eq!(s["net.handler_panics"], 0);
     }
 
     #[test]
@@ -368,8 +281,8 @@ mod tests {
         let a = NetMetrics::new();
         let b = NetMetrics::new();
         a.frames_in.inc();
-        assert_eq!(a.snapshot().frames_in, 1);
-        assert_eq!(b.snapshot().frames_in, 0);
+        assert_eq!(a.telemetry().counters["net.frames_in"], 1);
+        assert_eq!(b.telemetry().counters["net.frames_in"], 0);
 
         let c = ConnStats::default().to_json();
         assert!(c.contains("\"frames_in\":0"));

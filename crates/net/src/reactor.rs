@@ -57,7 +57,7 @@ use crate::daemon::DaemonConfig;
 use crate::envelope::{reject_code, NodeMessage};
 use crate::error::{NetError, Result};
 use crate::frame::{FrameDecoder, FRAME_HEADER_LEN};
-use crate::metrics::{MetricsSnapshot, NetMetrics};
+use crate::metrics::NetMetrics;
 use crate::poller::{Event, Interest, Poller, Waker, ADD, MODIFY};
 use crate::session::{RouterShared, Service, SessionSm, Step, VerifyOutcome};
 
@@ -570,20 +570,27 @@ pub(crate) struct EventLoop {
     shard_metrics: Vec<Arc<NetMetrics>>,
     verify_tx: Option<Sender<VerifyTask>>,
     workers: Vec<JoinHandle<()>>,
-    pool_metrics: Arc<NetMetrics>,
+    /// The owning daemon's registry, which the verify pool records into.
+    metrics: Arc<NetMetrics>,
     drain: Duration,
 }
 
 impl EventLoop {
     /// Binds `bind` and spawns the runtime: `cfg.shards` I/O threads
     /// (`0`: one per available processor), one accept thread, and — for
-    /// the router role — a verify pool sized the same way.
+    /// the router role — a verify pool sized the same way, recording into
+    /// the daemon's `metrics`.
     ///
     /// # Errors
     ///
     /// [`NetError::Io`] if the listener cannot bind or a shard cannot
     /// create its poller.
-    pub(crate) fn spawn(bind: &str, cfg: DaemonConfig, service: Service) -> Result<Self> {
+    pub(crate) fn spawn(
+        bind: &str,
+        cfg: DaemonConfig,
+        service: Service,
+        metrics: Arc<NetMetrics>,
+    ) -> Result<Self> {
         let listener = TcpListener::bind(bind)?;
         let addr = listener.local_addr()?;
         let processors = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -596,7 +603,6 @@ impl EventLoop {
         let quit = Arc::new(AtomicBool::new(false));
         let live = Arc::new(AtomicUsize::new(0));
         let rejecting = Arc::new(AtomicUsize::new(0));
-        let pool_metrics = Arc::new(NetMetrics::default());
 
         let mut shards = Vec::with_capacity(nshards);
         let mut shard_ends = Vec::with_capacity(nshards);
@@ -616,7 +622,7 @@ impl EventLoop {
                         let rx = rx.clone();
                         let shared = shared.clone();
                         let shards = shards.clone();
-                        let m = Arc::clone(&pool_metrics);
+                        let m = Arc::clone(&metrics);
                         std::thread::spawn(move || verify_worker(rx, shared, shards, m))
                     })
                     .collect();
@@ -628,14 +634,14 @@ impl EventLoop {
         let mut shard_metrics = Vec::with_capacity(nshards);
         let mut shard_threads = Vec::with_capacity(nshards);
         for (idx, (rx, poller)) in shard_ends.into_iter().enumerate() {
-            let metrics = Arc::new(NetMetrics::default());
-            shard_metrics.push(Arc::clone(&metrics));
+            let own = Arc::new(NetMetrics::default());
+            shard_metrics.push(Arc::clone(&own));
             let state = ShardState {
                 idx,
                 cfg,
                 service: service.clone(),
                 verify_tx: verify_tx.clone(),
-                metrics,
+                metrics: own,
                 live: Arc::clone(&live),
                 rejecting: Arc::clone(&rejecting),
                 poller,
@@ -689,7 +695,7 @@ impl EventLoop {
             shard_metrics,
             verify_tx,
             workers,
-            pool_metrics,
+            metrics,
             drain: cfg.drain,
         })
     }
@@ -704,18 +710,10 @@ impl EventLoop {
         self.live.load(Ordering::SeqCst)
     }
 
-    /// Counter view summed across every shard and the verify pool.
-    pub(crate) fn metrics(&self) -> MetricsSnapshot {
-        let mut total = self.pool_metrics.snapshot();
-        for m in &self.shard_metrics {
-            total.merge(&m.snapshot());
-        }
-        total
-    }
-
-    /// Full telemetry merged across every shard and the verify pool.
+    /// The daemon's telemetry: its own registry (outbound dials, the
+    /// verify pool) merged with every shard's.
     pub(crate) fn telemetry(&self) -> Snapshot {
-        let mut total = self.pool_metrics.telemetry();
+        let mut total = self.metrics.telemetry();
         for m in &self.shard_metrics {
             total.merge(&m.telemetry());
         }
@@ -815,7 +813,14 @@ mod tests {
             shards: 1,
             ..DaemonConfig::default()
         };
-        let mut el = EventLoop::spawn("127.0.0.1:0", cfg, Service::Router(shared)).unwrap();
+        let mut el = EventLoop::spawn(
+            "127.0.0.1:0",
+            cfg,
+            Service::Router(shared),
+            Arc::new(NetMetrics::default()),
+        )
+        .unwrap();
+        let panics = |el: &EventLoop| el.telemetry().counters["net.handler_panics"];
         let mut bystander = dial(el.addr());
         beacon(&mut bystander);
 
@@ -827,7 +832,7 @@ mod tests {
             Err(NetError::Closed),
             "the panicking connection is dropped"
         );
-        assert_eq!(el.metrics().handler_panics, 1);
+        assert_eq!(panics(&el), 1);
         assert_eq!(el.live_connections(), 1, "only the bystander is left");
 
         // The verify task of the bystander's request panics.
@@ -839,7 +844,7 @@ mod tests {
             Err(NetError::Closed),
             "its connection is dropped, not left waiting for a verdict"
         );
-        assert_eq!(el.metrics().handler_panics, 2);
+        assert_eq!(panics(&el), 2);
         assert_eq!(el.live_connections(), 0);
 
         // Same shard, same pool: a whole handshake still goes through.
@@ -850,7 +855,7 @@ mod tests {
             exchange(&mut third, &NodeMessage::AccessRequest(Box::new(req))),
             Ok(NodeMessage::AccessConfirm(_))
         ));
-        assert_eq!(el.metrics().handler_panics, 2);
+        assert_eq!(panics(&el), 2);
 
         drop(third);
         el.shutdown(Duration::from_secs(2));

@@ -160,7 +160,7 @@ fn state_by_message_table() {
         }
     }
     // One BUSY per row, counted where it is classified.
-    assert_eq!(f.metrics.snapshot().conn_rejected, 3);
+    assert_eq!(f.metrics.telemetry().counters["net.conn_rejected"], 3);
 }
 
 #[test]
@@ -271,18 +271,22 @@ fn blocking_driver_records_the_same_legs_and_counts() {
         let mut sess = agent.connect(daemon.addr()).expect("handshake");
         assert_eq!(sess.echo(b"ping").unwrap(), b"ping");
         sess.close();
-        let m = agent.metrics();
-        assert_eq!(m.handshakes_ok, round);
-        assert_eq!(m.handshakes_fail, 0);
-        assert_eq!(m.url_tokens_decoded, 0, "an empty list has no token");
-        assert_eq!(m.url_sections_reused, round - 1, "held from the first");
-        assert_eq!(m.conn_rejected, 0);
+        let m = agent.telemetry().counters;
+        assert_eq!(m["net.handshakes_ok"], round);
+        assert_eq!(m["net.handshakes_fail"], 0);
+        assert_eq!(m["net.url_tokens_decoded"], 0, "an empty list has no token");
+        assert_eq!(
+            m["net.url_sections_reused"],
+            round - 1,
+            "held from the first"
+        );
+        assert_eq!(m["net.conn_rejected"], 0);
         let t = agent.telemetry();
         for leg in ["net.hs_beacon_us", "net.hs_confirm_us", "net.hs_total_us"] {
             assert_eq!(t.histograms[leg].count, round, "{leg}");
         }
         assert_eq!(t.histograms["net.frame_rtt_us"].count, round);
     }
-    assert_eq!(daemon.metrics().handshakes_ok, 2);
+    assert_eq!(daemon.telemetry().counters["net.handshakes_ok"], 2);
     daemon.shutdown().unwrap();
 }

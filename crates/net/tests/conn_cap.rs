@@ -65,9 +65,9 @@ fn conn_cap_rejection_is_transient_and_counted() {
         "expected ConnLimit, got {err:?}"
     );
     assert!(err.is_transient(), "cap rejection must invite a retry");
-    assert_eq!(second.metrics().conn_rejected, 1);
-    assert_eq!(second.metrics().handshakes_ok, 0);
-    assert!(daemon.metrics().connections_rejected >= 1);
+    assert_eq!(second.telemetry().counters["net.conn_rejected"], 1);
+    assert_eq!(second.telemetry().counters["net.handshakes_ok"], 0);
+    assert!(daemon.telemetry().counters["net.connections_rejected"] >= 1);
 
     // Release the slot in the background; a retrying connect backs off
     // through the BUSY rejections and lands once capacity returns.
@@ -84,14 +84,14 @@ fn conn_cap_rejection_is_transient_and_counted() {
         .connect_with_retry(addr, &policy)
         .expect("retry must succeed once the slot frees");
     releaser.join().unwrap();
-    assert_eq!(second.metrics().handshakes_ok, 1);
+    assert_eq!(second.telemetry().counters["net.handshakes_ok"], 1);
     assert!(
-        second.metrics().conn_rejected >= 1,
+        second.telemetry().counters["net.conn_rejected"] >= 1,
         "at least the initial rejection was counted"
     );
     sess2.close();
 
-    assert_eq!(daemon.metrics().handler_panics, 0);
+    assert_eq!(daemon.telemetry().counters["net.handler_panics"], 0);
     daemon.shutdown().unwrap();
 }
 
@@ -125,8 +125,8 @@ fn a_router_refreshing_from_a_no_at_its_cap_is_told_conn_limit() {
         "expected ConnLimit, got {err:?}"
     );
     assert!(err.is_transient());
-    assert_eq!(daemon.metrics().conn_rejected, 1);
-    assert!(no.metrics().connections_rejected >= 1);
+    assert_eq!(daemon.telemetry().counters["net.conn_rejected"], 1);
+    assert!(no.telemetry().counters["net.connections_rejected"] >= 1);
 
     // The slot frees; the same call goes through.
     drop(holder);
@@ -137,9 +137,9 @@ fn a_router_refreshing_from_a_no_at_its_cap_is_told_conn_limit() {
     daemon
         .refresh_lists(no.addr())
         .expect("refresh once the slot is free");
-    assert_eq!(daemon.metrics().conn_rejected, 1);
+    assert_eq!(daemon.telemetry().counters["net.conn_rejected"], 1);
 
-    assert_eq!(no.metrics().handler_panics, 0);
+    assert_eq!(no.telemetry().counters["net.handler_panics"], 0);
     daemon.shutdown().unwrap();
     no.shutdown().unwrap();
 }
@@ -165,10 +165,16 @@ fn reject_storm_is_bounded() {
         .map(|_| TcpStream::connect(daemon.addr()).unwrap())
         .collect();
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while daemon.metrics().connections_rejected < 150 && std::time::Instant::now() < deadline {
+    while daemon.telemetry().counters["net.connections_rejected"] < 150
+        && std::time::Instant::now() < deadline
+    {
         std::thread::sleep(Duration::from_millis(1));
     }
-    assert_eq!(daemon.metrics().connections_rejected, 150, "all counted");
+    assert_eq!(
+        daemon.telemetry().counters["net.connections_rejected"],
+        150,
+        "all counted"
+    );
     assert_eq!(daemon.live_connections(), 1);
     std::thread::sleep(Duration::from_millis(50));
 
@@ -204,7 +210,7 @@ fn reject_storm_is_bounded() {
         "{serviced} of 150 held for a reject; the bound is 64"
     );
     assert_eq!(daemon.live_connections(), 1);
-    assert_eq!(daemon.metrics().handler_panics, 0);
+    assert_eq!(daemon.telemetry().counters["net.handler_panics"], 0);
     sess.close();
     daemon.shutdown().unwrap();
 }

@@ -77,11 +77,11 @@ fn concurrent_handshakes_and_echo_across_shards() {
     }
     assert_eq!(ok.load(Ordering::SeqCst), 5);
 
-    let m = daemon.metrics();
-    assert_eq!(m.handshakes_ok, 5);
-    assert_eq!(m.handshakes_fail, 0);
-    assert_eq!(m.handler_panics, 0);
-    assert!(m.connections_accepted >= 5);
+    let m = daemon.telemetry().counters;
+    assert_eq!(m["net.handshakes_ok"], 5);
+    assert_eq!(m["net.handshakes_fail"], 0);
+    assert_eq!(m["net.handler_panics"], 0);
+    assert!(m["net.connections_accepted"] >= 5);
 
     // The router-side per-leg handshake histograms are recorded by the
     // session machine, so the daemon exports non-empty latency legs.
@@ -140,7 +140,7 @@ fn over_cap_rejected_with_busy_by_the_loop() {
         "expected ConnLimit, got {err:?}"
     );
     assert!(err.is_transient(), "cap rejection is retryable");
-    assert_eq!(daemon.metrics().connections_rejected, 1);
+    assert_eq!(daemon.telemetry().counters["net.connections_rejected"], 1);
 
     sess.close();
     drop(holder);
@@ -192,7 +192,7 @@ fn malformed_frame_gets_reject_and_connection_survives() {
         NodeMessage::from_wire(&payload).unwrap(),
         NodeMessage::Beacon(_)
     ));
-    assert_eq!(daemon.metrics().decode_failures, 1);
+    assert_eq!(daemon.telemetry().counters["net.decode_failures"], 1);
     daemon.shutdown().unwrap();
 }
 
@@ -224,12 +224,12 @@ fn a_peer_that_never_reads_is_dropped_at_the_queue_bound() {
     }
     let mut deaf = TcpStream::connect(daemon.addr()).unwrap();
     let deadline = Instant::now() + Duration::from_secs(5);
-    while daemon.metrics().backpressure_events == 0 && Instant::now() < deadline {
+    while daemon.telemetry().counters["net.backpressure_events"] == 0 && Instant::now() < deadline {
         // Once the daemon has hung up, writes fail; that is the point.
         let _ = std::io::Write::write_all(&mut deaf, &burst);
         std::thread::sleep(Duration::from_millis(5));
     }
-    assert!(daemon.metrics().backpressure_events >= 1);
+    assert!(daemon.telemetry().counters["net.backpressure_events"] >= 1);
     let deadline = Instant::now() + Duration::from_secs(5);
     while daemon.live_connections() > 0 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
@@ -241,7 +241,7 @@ fn a_peer_that_never_reads_is_dropped_at_the_queue_bound() {
     let mut sess = agent.connect(daemon.addr()).expect("handshake after");
     assert_eq!(sess.echo(b"still here").unwrap(), b"still here");
     sess.close();
-    assert_eq!(daemon.metrics().handler_panics, 0);
+    assert_eq!(daemon.telemetry().counters["net.handler_panics"], 0);
     daemon.shutdown().unwrap();
 }
 
@@ -273,7 +273,7 @@ fn idle_connection_evicted_on_timeout() {
         std::thread::sleep(Duration::from_millis(20));
     }
     assert_eq!(daemon.live_connections(), 0, "idle conn evicted");
-    assert_eq!(daemon.metrics().timeouts, 1);
+    assert_eq!(daemon.telemetry().counters["net.timeouts"], 1);
 
     // The socket was really closed under the client.
     stream
@@ -452,9 +452,9 @@ fn a_sweep_holds_the_router_for_a_fraction_of_its_own_time() {
         Ok(_) => panic!("revoked user must be rejected"),
     }
 
-    let m = daemon.metrics();
-    assert_eq!(m.handshakes_ok, (CLIENTS * ROUNDS) as u64);
-    assert_eq!((m.handshakes_fail, m.handler_panics), (1, 0));
+    let m = daemon.telemetry().counters;
+    assert_eq!(m["net.handshakes_ok"], (CLIENTS * ROUNDS) as u64);
+    assert_eq!((m["net.handshakes_fail"], m["net.handler_panics"]), (1, 0));
     let t = daemon.telemetry();
     let (hold, verify) = (
         &t.histograms["net.router_hold_us"],
@@ -522,10 +522,14 @@ fn peer_hangup_mid_verify_frees_the_slot() {
     daemon.with_router(|_held| {
         write_frame(&mut stream, &msg, DEFAULT_MAX_FRAME).unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
-        while daemon.metrics().frames_in < 2 && Instant::now() < deadline {
+        while daemon.telemetry().counters["net.frames_in"] < 2 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(1));
         }
-        assert_eq!(daemon.metrics().frames_in, 2, "request offloaded");
+        assert_eq!(
+            daemon.telemetry().counters["net.frames_in"],
+            2,
+            "request offloaded"
+        );
         assert_eq!(daemon.live_connections(), 1);
         drop(stream);
 
@@ -541,8 +545,11 @@ fn peer_hangup_mid_verify_frees_the_slot() {
     let mut sess = agent.connect(daemon.addr()).expect("shard still serving");
     assert_eq!(sess.echo(b"after").unwrap(), b"after");
     sess.close();
-    let m = daemon.metrics();
-    assert_eq!(m.handler_panics, 0);
-    assert_eq!(m.timeouts, 0, "freed by the hang-up, not by eviction");
+    let m = daemon.telemetry().counters;
+    assert_eq!(m["net.handler_panics"], 0);
+    assert_eq!(
+        m["net.timeouts"], 0,
+        "freed by the hang-up, not by eviction"
+    );
     daemon.shutdown().unwrap();
 }

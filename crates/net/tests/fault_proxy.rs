@@ -96,10 +96,10 @@ fn handshake_converges_through_drops_and_bitflips() {
 
     // The channel really was hostile, and nothing panicked anywhere.
     assert!(proxy.stats().total_faults() > 0, "plan must have fired");
-    assert_eq!(daemon.metrics().handler_panics, 0);
-    assert_eq!(agent.metrics().handler_panics, 0);
+    assert_eq!(daemon.telemetry().counters["net.handler_panics"], 0);
+    assert_eq!(agent.telemetry().counters["net.handler_panics"], 0);
     assert!(
-        agent.metrics().handshakes_ok >= 1,
+        agent.telemetry().counters["net.handshakes_ok"] >= 1,
         "at least the converged handshake"
     );
 
@@ -193,11 +193,11 @@ fn url_delta_sync_converges_through_lossy_channel() {
     // least one signed diff must have chained), and nothing panicked.
     assert!(proxy.stats().total_faults() > 0, "plan must have fired");
     assert!(
-        daemon.metrics().url_deltas_out >= 1,
+        daemon.telemetry().counters["net.url_deltas_out"] >= 1,
         "at least one delta must have chained onto the engine"
     );
-    assert_eq!(daemon.metrics().handler_panics, 0);
-    assert_eq!(no_daemon.metrics().handler_panics, 0);
+    assert_eq!(daemon.telemetry().counters["net.handler_panics"], 0);
+    assert_eq!(no_daemon.telemetry().counters["net.handler_panics"], 0);
 
     proxy.shutdown();
     daemon.shutdown().unwrap();
@@ -234,10 +234,10 @@ fn retry_gives_up_cleanly_under_total_blackout() {
         "blackout surfaces as deadline misses"
     );
     // Initial attempt + max_attempts retries, then a clean give-up.
-    assert_eq!(agent.metrics().handshakes_fail, 4);
-    assert_eq!(agent.metrics().handshakes_ok, 0);
+    assert_eq!(agent.telemetry().counters["net.handshakes_fail"], 4);
+    assert_eq!(agent.telemetry().counters["net.handshakes_ok"], 0);
     assert!(proxy.stats().dropped > 0);
-    assert_eq!(daemon.metrics().handler_panics, 0);
+    assert_eq!(daemon.telemetry().counters["net.handler_panics"], 0);
 
     proxy.shutdown();
     daemon.shutdown().unwrap();

@@ -100,7 +100,10 @@ fn full_mesh_with_revocation(mode: BasesMode) {
     }
     assert_eq!(ok_sessions.load(Ordering::SeqCst), 5);
 
-    let handshakes: u64 = routers.iter().map(|r| r.metrics().handshakes_ok).sum();
+    let handshakes: u64 = routers
+        .iter()
+        .map(|r| r.telemetry().counters["net.handshakes_ok"])
+        .sum();
     assert_eq!(handshakes, 5, "each user authenticated exactly once");
 
     // ------------------------------------------------------------------
@@ -124,7 +127,10 @@ fn full_mesh_with_revocation(mode: BasesMode) {
             "post-revocation URL version"
         );
     }
-    assert_eq!(routers[1].metrics().url_delta_fallbacks, 0);
+    assert_eq!(
+        routers[1].telemetry().counters["net.url_delta_fallbacks"],
+        0
+    );
 
     let mut revoked = agents_back.remove(0); // user 0
     for &addr in &router_addrs {
@@ -157,12 +163,15 @@ fn full_mesh_with_revocation(mode: BasesMode) {
     // exactly two failed handshakes (the revoked attempts), and shutdown
     // returns the entities with their audit logs intact.
     // ------------------------------------------------------------------
-    assert_eq!(no.metrics().handler_panics, 0);
-    let fails: u64 = routers.iter().map(|r| r.metrics().handshakes_fail).sum();
+    assert_eq!(no.telemetry().counters["net.handler_panics"], 0);
+    let fails: u64 = routers
+        .iter()
+        .map(|r| r.telemetry().counters["net.handshakes_fail"])
+        .sum();
     assert_eq!(fails, 2, "only the revoked user failed, once per router");
     for r in &routers {
-        assert_eq!(r.metrics().handler_panics, 0);
-        assert_eq!(r.metrics().decode_failures, 0);
+        assert_eq!(r.telemetry().counters["net.handler_panics"], 0);
+        assert_eq!(r.telemetry().counters["net.decode_failures"], 0);
     }
 
     let mut sessions_logged = 0;
@@ -229,8 +238,8 @@ fn sequential_connections_inside_one_window_share_one_beacon() {
             assert_eq!(heard(), first, "round {round}, user {i}");
         }
     }
-    assert_eq!(daemon.metrics().handshakes_ok, 6);
-    assert_eq!(daemon.metrics().handshakes_fail, 0);
+    assert_eq!(daemon.telemetry().counters["net.handshakes_ok"], 6);
+    assert_eq!(daemon.telemetry().counters["net.handshakes_fail"], 0);
     let router = daemon.shutdown().unwrap();
     assert_eq!(router.beacons_sent(), 1, "one beacon for every connection");
 }
@@ -278,7 +287,7 @@ fn connection_limit_and_oversize_frames_policed() {
         0,
         "over-limit connection closed after the reject"
     );
-    assert!(daemon.metrics().connections_rejected >= 1);
+    assert!(daemon.telemetry().counters["net.connections_rejected"] >= 1);
 
     sess.close();
     // Wait for the handler to release the slot, then an oversize frame on
@@ -299,7 +308,7 @@ fn connection_limit_and_oversize_frames_policed() {
         .unwrap();
     let mut end = Vec::new();
     let _ = stream.read_to_end(&mut end); // daemon drops the connection
-    assert_eq!(daemon.metrics().handler_panics, 0);
-    assert!(daemon.metrics().oversize_rejected >= 1);
+    assert_eq!(daemon.telemetry().counters["net.handler_panics"], 0);
+    assert!(daemon.telemetry().counters["net.oversize_rejected"] >= 1);
     daemon.shutdown().unwrap();
 }

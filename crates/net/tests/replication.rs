@@ -132,7 +132,7 @@ fn kill_one_of_three_replicas_loses_nothing() {
         .sum();
     assert_eq!(reported, 4);
     assert_eq!(
-        router_daemons[0].metrics().failovers,
+        router_daemons[0].telemetry().counters["net.failovers"],
         0,
         "primary alive: no failover yet"
     );
@@ -168,7 +168,10 @@ fn kill_one_of_three_replicas_loses_nothing() {
         })
         .sum();
     assert_eq!(reported, 2, "no transcript lost with the primary dead");
-    let failovers: u64 = router_daemons.iter().map(|r| r.metrics().failovers).sum();
+    let failovers: u64 = router_daemons
+        .iter()
+        .map(|r| r.telemetry().counters["net.failovers"])
+        .sum();
     assert!(failovers >= 1, "success came from a backup replica");
 
     // The survivors converge on everything: NO-2 pulls the failover

@@ -46,15 +46,18 @@ fn second_beacon_of_an_unchanged_list_decodes_no_token() {
         .connect(router.addr())
         .expect("first handshake")
         .close();
-    let first = agent.metrics();
-    assert_eq!(first.url_tokens_decoded, 2);
-    assert_eq!(first.url_sections_reused, 0);
+    let first = agent.telemetry().counters;
+    assert_eq!(first["net.url_tokens_decoded"], 2);
+    assert_eq!(first["net.url_sections_reused"], 0);
 
     for round in 1..=2 {
         agent.connect(router.addr()).expect("handshake").close();
-        let now = agent.metrics();
-        assert_eq!(now.url_tokens_decoded, 2, "round {round}: no new decode");
-        assert_eq!(now.url_sections_reused, round);
+        let now = agent.telemetry().counters;
+        assert_eq!(
+            now["net.url_tokens_decoded"], 2,
+            "round {round}: no new decode"
+        );
+        assert_eq!(now["net.url_sections_reused"], round);
     }
     assert_eq!(agent.user().current_url().unwrap().tokens.len(), 2);
 
@@ -64,9 +67,9 @@ fn second_beacon_of_an_unchanged_list_decodes_no_token() {
     assert_eq!(router.refresh_lists(no.addr()).unwrap(), 3);
     agent.connect(router.addr()).expect("handshake").close();
     agent.connect(router.addr()).expect("handshake").close();
-    let last = agent.metrics();
-    assert_eq!(last.url_tokens_decoded, 2 + 3);
-    assert_eq!(last.url_sections_reused, 3);
+    let last = agent.telemetry().counters;
+    assert_eq!(last["net.url_tokens_decoded"], 2 + 3);
+    assert_eq!(last["net.url_sections_reused"], 3);
 
     // Privacy surface: the two counters are plain counts under fixed names.
     let telemetry = agent.telemetry();
@@ -82,11 +85,11 @@ fn second_beacon_of_an_unchanged_list_decodes_no_token() {
         ["net.url_sections_reused", "net.url_tokens_decoded"],
         "no per-version, per-digest or per-session key"
     );
-    assert_eq!(agent.metrics().handshakes_ok, 5);
+    assert_eq!(agent.telemetry().counters["net.handshakes_ok"], 5);
     // The router prepared one line table per signature it swept, on top of
     // the two (g₂ and w) of the world's one prepared gpk — counted in the
     // process registry its metrics dump carries.
     let process = peace_telemetry::global().snapshot();
     assert_eq!(process.counters["crypto.miller_prepare"], 5 + 2);
-    assert_eq!(router.metrics().handler_panics, 0);
+    assert_eq!(router.telemetry().counters["net.handler_panics"], 0);
 }

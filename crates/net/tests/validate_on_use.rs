@@ -84,7 +84,7 @@ fn event_loop_router_refuses_a_bad_commitment_at_the_sigma_check() {
         NodeMessage::Reject { code, .. } => assert_eq!(code, reject_code::AUTH_FAILED),
         other => panic!("expected AUTH_FAILED, got {other:?}"),
     }
-    assert_eq!(daemon.metrics().decode_failures, 0);
+    assert_eq!(daemon.telemetry().counters["net.decode_failures"], 0);
     assert_eq!(
         daemon.telemetry().histograms["net.access_verify_us"].count,
         1
@@ -102,7 +102,7 @@ fn event_loop_router_refuses_a_bad_commitment_at_the_sigma_check() {
         NodeMessage::Reject { code, .. } => assert_eq!(code, reject_code::MALFORMED),
         other => panic!("expected MALFORMED, got {other:?}"),
     }
-    assert_eq!(daemon.metrics().decode_failures, 1);
+    assert_eq!(daemon.telemetry().counters["net.decode_failures"], 1);
 
     // The genuine request, on the same connection, is admitted.
     assert!(matches!(
@@ -151,7 +151,7 @@ fn a_reported_transcript_with_a_bad_point_is_stored_and_never_opens() {
         NodeMessage::ReportAck { accepted } => assert_eq!(accepted, 1),
         other => panic!("expected an ack, got {other:?}"),
     }
-    assert_eq!(no.metrics().decode_failures, 0);
+    assert_eq!(no.telemetry().counters["net.decode_failures"], 0);
     drop(stream);
     // The operator holds the transcript as reported; auditing it finds
     // nobody (no key verifies it, so no token matches) and does not panic.

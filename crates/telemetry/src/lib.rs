@@ -29,7 +29,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use peace_telemetry::{global, Registry};
+//! use peace_telemetry::{global, Registry, Timer};
 //!
 //! // Process-wide metrics (crypto op counts, ledger timings):
 //! global().counter("crypto.pairing").inc();
@@ -38,7 +38,7 @@
 //! let reg = Registry::new();
 //! let hist = reg.histogram("net.handshake_total_us");
 //! {
-//!     let _t = Registry::start_timer(&hist); // records on drop
+//!     let _t = Timer::new(hist); // records on drop
 //! }
 //! reg.event("handshake_fail", "bad_group_signature", 1_234);
 //!

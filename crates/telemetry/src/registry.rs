@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 
 use crate::events::{Event, EventRing};
-use crate::hist::{Histogram, HistogramSnapshot, Timer};
+use crate::hist::{Histogram, HistogramSnapshot};
 use crate::json::ObjectWriter;
 
 /// Snapshot schema identifier. Bump only with a format change:
@@ -93,11 +93,6 @@ impl Registry {
             map.entry(name.to_owned())
                 .or_insert_with(|| Arc::new(Histogram::default())),
         )
-    }
-
-    /// Starts an RAII timer against a histogram handle.
-    pub fn start_timer(hist: &Arc<Histogram>) -> Timer {
-        Timer::new(Arc::clone(hist))
     }
 
     /// Records one structured event in the ring.
@@ -296,7 +291,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_unprefixed_adds_in_place() {
+    fn merge_adds_in_place() {
         let a = Registry::new();
         a.counter("frames").add(5);
         a.histogram("rtt_us").record(10);

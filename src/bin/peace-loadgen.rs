@@ -296,7 +296,11 @@ impl Fleet {
 
     fn teardown(self) {
         for d in self.daemons {
-            assert_eq!(d.metrics().handler_panics, 0, "daemon handler panicked");
+            assert_eq!(
+                d.telemetry().counters["net.handler_panics"],
+                0,
+                "daemon handler panicked"
+            );
             let _ = d.shutdown();
         }
     }
