@@ -9,9 +9,11 @@
 //!   records (access transcripts, user/router revocations, epoch
 //!   rollovers, audit attributions) in CRC-guarded frames, hash-chained
 //!   record to record and segment to segment;
-//! * **crash recovery** — on open, a torn tail (half-written frame from a
-//!   crash or power loss) is detected by the CRC/length guards and
-//!   truncated away deterministically; the longest valid prefix survives;
+//! * **crash recovery** — one frame walker ([`segment`]) reads every
+//!   segment for recovery, full reads and offline verification. On open, a
+//!   torn tail (a half-written or zero-filled end of the live segment with
+//!   no whole frame after the flaw) is truncated away deterministically;
+//!   any other flaw refuses to open and leaves the files as they were;
 //! * **signed checkpoints** ([`checkpoint::Checkpoint`]) — periodic ECDSA
 //!   signatures over `(seq, chain)` by NO or a router key, so an auditor
 //!   can verify ledger integrity fully offline ([`store::verify_chain`]);

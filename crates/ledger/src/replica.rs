@@ -434,16 +434,19 @@ impl ReplicatedLedger {
         let Some(ck_seq) = shard.next_checkpoint_at_or_after(from_seq) else {
             return Ok(None);
         };
-        let Some(entry) = shard.get(ck_seq)? else {
-            return Err(LedgerError::NoSuchRecord(ck_seq));
-        };
-        let LedgerRecord::Checkpoint(ck) = entry.record else {
+        let payloads = shard.payloads_range(from_seq, ck_seq)?;
+        // The range ends on the checkpoint it was cut at: decode it from
+        // the payload already read rather than reading the frame twice.
+        let Some(Ok(Entry {
+            record: LedgerRecord::Checkpoint(ck),
+            ..
+        })) = payloads.last().map(|p| Entry::from_wire(p))
+        else {
             return Err(LedgerError::Replication {
                 writer: writer.to_owned(),
                 what: "checkpoint index out of sync",
             });
         };
-        let payloads = shard.payloads_range(from_seq, ck_seq)?;
         let bytes: usize = payloads.iter().map(|p| p.len() + 8).sum();
         if bytes > MAX_RANGE_BYTES {
             return Err(LedgerError::Replication {

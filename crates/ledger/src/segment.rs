@@ -1,4 +1,4 @@
-//! Segment file format: header, frames, and the recovery scanner.
+//! Segment file format: header, frames, and the one frame walker.
 //!
 //! ```text
 //! segment  := header frame*
@@ -10,22 +10,32 @@
 //!
 //! The running chain is `chainᵢ = SHA-256(chainᵢ₋₁ ‖ payloadᵢ)`; it is not
 //! stored per frame — each segment header pins the chain value at its
-//! start, and signed [`Checkpoint`](crate::Checkpoint) records pin it at
+//! start, and signed [`Checkpoint`] records pin it at
 //! arbitrary points, so any mutation of any byte of any payload is caught
 //! when the chain is replayed.
 //!
-//! The scanner implements crash recovery: it accepts frames until the
-//! first one that is short, oversized, CRC-damaged, undecodable, or
-//! out-of-sequence, and reports the byte length of the valid prefix. A
-//! torn tail — the only damage a crash can cause, because frames are
-//! written with a single `write_all` — is therefore skipped
-//! deterministically, byte-for-byte identically on every open.
+//! `walk` is the one reader of a segment's frames: recovery, the full
+//! read of [`iter_all`](crate::Ledger::iter_all) and the offline
+//! [`verify_chain`](crate::verify_chain) all run it, differing only in the
+//! payload decoding (`Framed`: shallow index facts or the full
+//! [`Entry`]) and in how much of the chain they replay (`ChainMode`). It accepts frames until the first one that
+//! is short, oversized, CRC-damaged, undecodable, out-of-sequence or
+//! disagrees with the replayed chain, and reports the valid prefix.
+//!
+//! Torn-tail rule: frames are written with a single `write_all`, so a
+//! crash can only leave a partial frame (or a zero-filled stretch) at the
+//! end of the live segment. A flaw is therefore a torn tail — truncated
+//! on open, byte-for-byte identically every time — only if no complete
+//! frame that passes its CRC and decodes starts anywhere after it.
+//! Otherwise it is damage to records that were written whole, and the
+//! ledger refuses to open rather than cut them away.
 
 use peace_hash::{sha256, Sha256};
 use peace_wire::Decode;
 
+use crate::checkpoint::Checkpoint;
 use crate::crc::crc32;
-use crate::record::{Entry, IndexFacts, ShallowEntry};
+use crate::record::{Entry, IndexFacts, LedgerRecord, ShallowEntry};
 
 /// Segment file magic.
 pub const SEG_MAGIC: [u8; 4] = *b"PLG1";
@@ -79,13 +89,8 @@ impl SegmentHeader {
         if bytes.len() < SEGMENT_HEADER_LEN {
             return None;
         }
-        let body = &bytes[..SEGMENT_HEADER_LEN - 4];
-        let crc = u32::from_be_bytes([
-            bytes[SEGMENT_HEADER_LEN - 4],
-            bytes[SEGMENT_HEADER_LEN - 3],
-            bytes[SEGMENT_HEADER_LEN - 2],
-            bytes[SEGMENT_HEADER_LEN - 1],
-        ]);
+        let (body, crc) = bytes[..SEGMENT_HEADER_LEN].split_at(SEGMENT_HEADER_LEN - 4);
+        let crc = u32::from_be_bytes(crc.try_into().ok()?);
         if crc32(body) != crc || body[..4] != SEG_MAGIC {
             return None;
         }
@@ -121,9 +126,9 @@ pub fn frame(payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Why a scan stopped before the end of the segment bytes.
+/// Why a walk stopped before the end of the segment bytes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ScanFlaw {
+pub(crate) enum ScanFlaw {
     /// The remaining bytes are shorter than a frame header, or the frame's
     /// claimed length runs past the end of the file (torn write).
     TornFrame,
@@ -153,113 +158,13 @@ impl ScanFlaw {
     }
 }
 
-/// One accepted entry plus its frame location within the segment.
-#[derive(Clone, Debug)]
-pub struct ScannedEntry {
-    /// The decoded entry.
-    pub entry: Entry,
-    /// Byte offset of the frame (its length prefix) within the segment.
-    pub offset: usize,
-    /// Total frame length including the 8-byte overhead.
-    pub frame_len: usize,
-}
-
-/// The outcome of scanning a segment's frame region.
-#[derive(Clone, Debug)]
-pub struct ScanResult {
-    /// Entries accepted, in order.
-    pub entries: Vec<ScannedEntry>,
-    /// Byte length of the valid prefix (header included).
-    pub valid_len: usize,
-    /// The running chain value after the last accepted entry.
-    pub chain: [u8; 32],
-    /// Why the scan stopped early, if it did.
-    pub flaw: Option<ScanFlaw>,
-}
-
-/// Scans the frames of one segment (bytes *after* the header), starting
-/// from `base_seq` / `prev_chain`, accepting at most `max_record` payload
-/// bytes per frame. Checkpoint records are structurally validated against
-/// the replayed chain as they are encountered (their signatures are
-/// checked separately, where keys are available).
-pub fn scan(
-    bytes: &[u8],
-    header_len: usize,
-    base_seq: u64,
-    prev_chain: [u8; 32],
-    max_record: u32,
-) -> ScanResult {
-    let mut entries = Vec::new();
-    let mut chain = prev_chain;
-    let mut seq = base_seq;
-    let mut pos = header_len;
-    let mut flaw = None;
-    while pos < bytes.len() {
-        let remaining = bytes.len() - pos;
-        if remaining < FRAME_OVERHEAD {
-            flaw = Some(ScanFlaw::TornFrame);
-            break;
-        }
-        let len = u32::from_be_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]])
-            as usize;
-        if len > max_record as usize {
-            flaw = Some(ScanFlaw::Oversized);
-            break;
-        }
-        if remaining < FRAME_OVERHEAD + len {
-            flaw = Some(ScanFlaw::TornFrame);
-            break;
-        }
-        let crc = u32::from_be_bytes([
-            bytes[pos + 4],
-            bytes[pos + 5],
-            bytes[pos + 6],
-            bytes[pos + 7],
-        ]);
-        let payload = &bytes[pos + FRAME_OVERHEAD..pos + FRAME_OVERHEAD + len];
-        if crc32(payload) != crc {
-            flaw = Some(ScanFlaw::CrcMismatch);
-            break;
-        }
-        let Ok(entry) = Entry::from_wire(payload) else {
-            flaw = Some(ScanFlaw::Undecodable);
-            break;
-        };
-        if entry.seq != seq {
-            flaw = Some(ScanFlaw::SequenceBreak);
-            break;
-        }
-        if let crate::record::LedgerRecord::Checkpoint(ck) = &entry.record {
-            // A checkpoint at seq S must attest to exactly the chain state
-            // reached after the S records before it.
-            if ck.seq != seq || ck.chain != chain {
-                flaw = Some(ScanFlaw::CheckpointMismatch);
-                break;
-            }
-        }
-        chain = extend_chain(&chain, payload);
-        entries.push(ScannedEntry {
-            entry,
-            offset: pos,
-            frame_len: FRAME_OVERHEAD + len,
-        });
-        seq += 1;
-        pos += FRAME_OVERHEAD + len;
-    }
-    ScanResult {
-        entries,
-        valid_len: pos,
-        chain,
-        flaw,
-    }
-}
-
-/// How [`scan_shallow`] treats the SHA-256 record chain.
+/// How [`walk`] treats the SHA-256 record chain: the per-segment plan
+/// recovery decides before the (possibly parallel) fan-out.
 #[derive(Clone, Copy, Debug)]
-pub enum ChainMode {
-    /// Replay the chain from this seed (the segment header's
-    /// `prev_chain`) and pin every checkpoint record against it.
-    Replay([u8; 32]),
+pub(crate) enum ChainMode {
+    /// Replay the chain from the segment header's `prev_chain` and pin
+    /// every checkpoint record against it.
+    Replay,
     /// Skip hashing entirely — a later ECDSA-signed checkpoint attests
     /// this segment. The result's `chain` is dead (`chain_live` false).
     Skip,
@@ -274,22 +179,62 @@ pub enum ChainMode {
     },
 }
 
-/// One shallowly-decoded entry plus its frame location.
-#[derive(Clone, Debug)]
-pub struct ShallowScanned {
-    /// Envelope + index facts (no group elements decoded).
-    pub entry: ShallowEntry,
+/// A payload decoding [`walk`] can check: the dense sequence number, and
+/// the checkpoint (if the entry is one) that pins the replayed chain.
+/// [`ShallowEntry`] serves recovery, [`Entry`] the full readers.
+pub(crate) trait Framed: Sized {
+    /// Decodes one frame payload.
+    fn parse(payload: &[u8]) -> peace_wire::Result<Self>;
+    /// The entry's sequence number.
+    fn seq(&self) -> u64;
+    /// The checkpoint the entry carries, if it is one.
+    fn checkpoint(&self) -> Option<&Checkpoint>;
+}
+
+impl Framed for ShallowEntry {
+    fn parse(payload: &[u8]) -> peace_wire::Result<Self> {
+        ShallowEntry::parse(payload)
+    }
+    fn seq(&self) -> u64 {
+        self.seq
+    }
+    fn checkpoint(&self) -> Option<&Checkpoint> {
+        match &self.facts {
+            IndexFacts::Checkpoint(ck) => Some(ck),
+            _ => None,
+        }
+    }
+}
+
+impl Framed for Entry {
+    fn parse(payload: &[u8]) -> peace_wire::Result<Self> {
+        Entry::from_wire(payload)
+    }
+    fn seq(&self) -> u64 {
+        self.seq
+    }
+    fn checkpoint(&self) -> Option<&Checkpoint> {
+        match &self.record {
+            LedgerRecord::Checkpoint(ck) => Some(ck),
+            _ => None,
+        }
+    }
+}
+
+/// One accepted entry plus its frame location.
+pub(crate) struct Walked<E> {
+    /// The decoded entry.
+    pub entry: E,
     /// Byte offset of the frame (its length prefix) within the segment.
     pub offset: usize,
     /// Total frame length including the 8-byte overhead.
     pub frame_len: usize,
 }
 
-/// The outcome of a shallow scan.
-#[derive(Clone, Debug)]
-pub struct ShallowScanResult {
+/// The outcome of [`walk`].
+pub(crate) struct Walk<E> {
     /// Entries accepted, in order.
-    pub entries: Vec<ShallowScanned>,
+    pub entries: Vec<Walked<E>>,
     /// Byte length of the valid prefix (header included).
     pub valid_len: usize,
     /// The running chain value after the last accepted entry; only
@@ -299,65 +244,68 @@ pub struct ShallowScanResult {
     /// [`ChainMode::Replay`]; for [`ChainMode::Resume`] only once the
     /// resume frame was reached; never for [`ChainMode::Skip`]).
     pub chain_live: bool,
-    /// Why the scan stopped early, if it did.
+    /// Why the walk stopped early, if it did.
     pub flaw: Option<ScanFlaw>,
+    /// Whether a complete frame that passes its CRC and decodes starts
+    /// somewhere after the flaw. A crash only tears the end of the file,
+    /// so such a flaw is no torn tail.
+    pub valid_after: bool,
 }
 
-/// The recovery scanner: identical frame validation to [`scan`] (length,
-/// CRC, dense sequence numbers, torn-tail detection) but decodes only the
-/// entry envelope and index facts — no curve points — and can resume the
-/// SHA-256 chain replay from a signed checkpoint instead of the segment
-/// head (see [`ChainMode`]).
-pub fn scan_shallow(
+/// The payload of the frame at `pos`, if the frame is complete, its
+/// length within `max_record` and its CRC good.
+fn frame_at(bytes: &[u8], pos: usize, max_record: u32) -> Result<&[u8], ScanFlaw> {
+    let rest = &bytes[pos..];
+    if rest.len() < FRAME_OVERHEAD {
+        return Err(ScanFlaw::TornFrame);
+    }
+    let word = |i: usize| u32::from_be_bytes([rest[i], rest[i + 1], rest[i + 2], rest[i + 3]]);
+    let len = word(0) as usize;
+    if len > max_record as usize {
+        return Err(ScanFlaw::Oversized);
+    }
+    let Some(payload) = rest.get(FRAME_OVERHEAD..FRAME_OVERHEAD + len) else {
+        return Err(ScanFlaw::TornFrame);
+    };
+    if crc32(payload) != word(4) {
+        return Err(ScanFlaw::CrcMismatch);
+    }
+    Ok(payload)
+}
+
+/// The one frame walker: checks the frames of a segment (`bytes` holds
+/// the whole file, `header` its parsed header) for length, CRC, decoding
+/// as `E` and dense sequence numbers, replays the SHA-256 chain as `mode`
+/// says and pins every checkpoint met on the replayed stretch. It stops
+/// at the first flaw and reports the valid prefix, and whether anything
+/// valid follows the flaw (see [`Walk::valid_after`]).
+pub(crate) fn walk<E: Framed>(
     bytes: &[u8],
-    header_len: usize,
-    base_seq: u64,
+    header: &SegmentHeader,
     mode: ChainMode,
     max_record: u32,
-) -> ShallowScanResult {
-    let mut entries = Vec::new();
+) -> Walk<E> {
     let (mut live, mut chain, resume_at) = match mode {
-        ChainMode::Replay(c) => (true, c, None),
+        ChainMode::Replay => (true, header.prev_chain, None),
         ChainMode::Skip => (false, [0u8; 32], None),
         ChainMode::Resume { offset, chain } => (false, chain, Some(offset)),
     };
-    let mut seq = base_seq;
-    let mut pos = header_len;
-    let mut flaw = None;
-    while pos < bytes.len() {
-        let remaining = bytes.len() - pos;
-        if remaining < FRAME_OVERHEAD {
-            flaw = Some(ScanFlaw::TornFrame);
-            break;
+    let mut entries = Vec::new();
+    let mut pos = SEGMENT_HEADER_LEN;
+    let flaw = loop {
+        if pos >= bytes.len() {
+            break None;
         }
-        let len = u32::from_be_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]])
-            as usize;
-        if len > max_record as usize {
-            flaw = Some(ScanFlaw::Oversized);
-            break;
-        }
-        if remaining < FRAME_OVERHEAD + len {
-            flaw = Some(ScanFlaw::TornFrame);
-            break;
-        }
-        let crc = u32::from_be_bytes([
-            bytes[pos + 4],
-            bytes[pos + 5],
-            bytes[pos + 6],
-            bytes[pos + 7],
-        ]);
-        let payload = &bytes[pos + FRAME_OVERHEAD..pos + FRAME_OVERHEAD + len];
-        if crc32(payload) != crc {
-            flaw = Some(ScanFlaw::CrcMismatch);
-            break;
-        }
-        let Ok(entry) = ShallowEntry::parse(payload) else {
-            flaw = Some(ScanFlaw::Undecodable);
-            break;
+        let payload = match frame_at(bytes, pos, max_record) {
+            Ok(payload) => payload,
+            Err(flaw) => break Some(flaw),
         };
-        if entry.seq != seq {
-            flaw = Some(ScanFlaw::SequenceBreak);
-            break;
+        let Ok(entry) = E::parse(payload) else {
+            break Some(ScanFlaw::Undecodable);
+        };
+        let seq = header.base_seq + entries.len() as u64;
+        if entry.seq() != seq {
+            break Some(ScanFlaw::SequenceBreak);
         }
         if resume_at == Some(pos) {
             // `chain` already holds the checkpoint's attested value; the
@@ -366,28 +314,34 @@ pub fn scan_shallow(
             live = true;
         }
         if live {
-            if let IndexFacts::Checkpoint(ck) = &entry.facts {
-                if ck.seq != seq || ck.chain != chain {
-                    flaw = Some(ScanFlaw::CheckpointMismatch);
-                    break;
-                }
+            // A checkpoint at seq S must attest to exactly the chain state
+            // reached after the S records before it.
+            if entry
+                .checkpoint()
+                .is_some_and(|ck| ck.seq != seq || ck.chain != chain)
+            {
+                break Some(ScanFlaw::CheckpointMismatch);
             }
             chain = extend_chain(&chain, payload);
         }
-        entries.push(ShallowScanned {
+        let frame_len = FRAME_OVERHEAD + payload.len();
+        entries.push(Walked {
             entry,
             offset: pos,
-            frame_len: FRAME_OVERHEAD + len,
+            frame_len,
         });
-        seq += 1;
-        pos += FRAME_OVERHEAD + len;
-    }
-    ShallowScanResult {
+        pos += frame_len;
+    };
+    let valid_after = flaw.is_some()
+        && (pos + 1..bytes.len())
+            .any(|at| frame_at(bytes, at, max_record).is_ok_and(|p| E::parse(p).is_ok()));
+    Walk {
         entries,
         valid_len: pos,
         chain,
         chain_live: live,
         flaw,
+        valid_after,
     }
 }
 
@@ -450,61 +404,119 @@ mod tests {
         assert_eq!(SegmentHeader::parse(&bytes[..bytes.len() - 1]), None);
     }
 
+    /// The three chain plans over a segment holding no checkpoint: full
+    /// replay, no hashing, and a resume seeded at the first frame with the
+    /// header's chain (which must replay exactly like `Replay`).
+    fn modes() -> [ChainMode; 3] {
+        [
+            ChainMode::Replay,
+            ChainMode::Skip,
+            ChainMode::Resume {
+                offset: SEGMENT_HEADER_LEN,
+                chain: genesis_chain(),
+            },
+        ]
+    }
+
+    fn walk_all(bytes: &[u8], mode: ChainMode) -> Walk<Entry> {
+        let header = SegmentHeader::parse(bytes).unwrap();
+        walk(bytes, &header, mode, 1 << 20)
+    }
+
     #[test]
     fn clean_scan_accepts_everything() {
         let (bytes, chain) = build_segment(5);
-        let res = scan(&bytes, SEGMENT_HEADER_LEN, 0, genesis_chain(), 1 << 20);
-        assert_eq!(res.entries.len(), 5);
-        assert_eq!(res.valid_len, bytes.len());
-        assert_eq!(res.chain, chain);
-        assert_eq!(res.flaw, None);
+        for mode in modes() {
+            let res = walk_all(&bytes, mode);
+            assert_eq!(res.entries.len(), 5);
+            assert_eq!(res.valid_len, bytes.len());
+            if res.chain_live {
+                assert_eq!(res.chain, chain);
+            } else {
+                assert!(matches!(mode, ChainMode::Skip));
+            }
+            assert_eq!(res.flaw, None);
+        }
     }
 
     #[test]
     fn torn_tail_is_skipped_at_every_truncation_point() {
         let (bytes, _) = build_segment(3);
-        let res = scan(&bytes, SEGMENT_HEADER_LEN, 0, genesis_chain(), 1 << 20);
-        let frame_ends: Vec<usize> = res.entries.iter().map(|e| e.offset + e.frame_len).collect();
-        for cut in SEGMENT_HEADER_LEN..bytes.len() {
-            let r = scan(
-                &bytes[..cut],
-                SEGMENT_HEADER_LEN,
-                0,
-                genesis_chain(),
-                1 << 20,
-            );
-            let expect = frame_ends.iter().filter(|&&b| b <= cut).count();
-            assert_eq!(r.entries.len(), expect, "cut at {cut}");
-            // A cut at the bare header or on a frame end is clean; anything
-            // else is a torn frame.
-            if cut == SEGMENT_HEADER_LEN || frame_ends.contains(&cut) {
-                assert_eq!(r.flaw, None, "cut at {cut}");
-            } else {
-                assert_eq!(r.flaw, Some(ScanFlaw::TornFrame), "cut at {cut}");
+        for mode in modes() {
+            let res = walk_all(&bytes, mode);
+            let frame_ends: Vec<usize> =
+                res.entries.iter().map(|e| e.offset + e.frame_len).collect();
+            for cut in SEGMENT_HEADER_LEN..bytes.len() {
+                let r = walk_all(&bytes[..cut], mode);
+                let expect = frame_ends.iter().filter(|&&b| b <= cut).count();
+                assert_eq!(r.entries.len(), expect, "cut at {cut}");
+                // A cut at the bare header or on a frame end is clean;
+                // anything else is a torn frame.
+                if cut == SEGMENT_HEADER_LEN || frame_ends.contains(&cut) {
+                    assert_eq!(r.flaw, None, "cut at {cut}");
+                } else {
+                    assert_eq!(r.flaw, Some(ScanFlaw::TornFrame), "cut at {cut}");
+                }
             }
         }
     }
 
     #[test]
     fn crc_damage_stops_the_scan() {
-        let (mut bytes, _) = build_segment(3);
-        // Flip a payload byte of the second frame.
-        let res = scan(&bytes, SEGMENT_HEADER_LEN, 0, genesis_chain(), 1 << 20);
-        let second = res.entries[1].offset + FRAME_OVERHEAD;
-        bytes[second] ^= 0x40;
-        let r = scan(&bytes, SEGMENT_HEADER_LEN, 0, genesis_chain(), 1 << 20);
-        assert_eq!(r.entries.len(), 1);
-        assert_eq!(r.flaw, Some(ScanFlaw::CrcMismatch));
+        for mode in modes() {
+            let (mut bytes, _) = build_segment(3);
+            // Flip a payload byte of the second frame.
+            let res = walk_all(&bytes, mode);
+            let second = res.entries[1].offset + FRAME_OVERHEAD;
+            bytes[second] ^= 0x40;
+            let r = walk_all(&bytes, mode);
+            assert_eq!(r.entries.len(), 1);
+            assert_eq!(r.flaw, Some(ScanFlaw::CrcMismatch));
+        }
     }
 
     #[test]
     fn oversized_length_stops_the_scan() {
-        let (mut bytes, _) = build_segment(2);
-        let res = scan(&bytes, SEGMENT_HEADER_LEN, 0, genesis_chain(), 1 << 20);
-        let first = res.entries[0].offset;
-        bytes[first] = 0xFF; // claimed length now huge
-        let r = scan(&bytes, SEGMENT_HEADER_LEN, 0, genesis_chain(), 1 << 20);
-        assert_eq!(r.entries.len(), 0);
-        assert_eq!(r.flaw, Some(ScanFlaw::Oversized));
+        for mode in modes() {
+            let (mut bytes, _) = build_segment(2);
+            let res = walk_all(&bytes, mode);
+            let first = res.entries[0].offset;
+            bytes[first] = 0xFF; // claimed length now huge
+            let r = walk_all(&bytes, mode);
+            assert_eq!(r.entries.len(), 0);
+            assert_eq!(r.flaw, Some(ScanFlaw::Oversized));
+        }
+    }
+
+    #[test]
+    fn only_a_flaw_with_nothing_whole_after_it_is_a_torn_tail() {
+        let (bytes, _) = build_segment(3);
+        let frames = walk_all(&bytes, ChainMode::Replay).entries;
+        for mode in modes() {
+            // Damage in the first or second frame: a whole frame follows.
+            for victim in &frames[..2] {
+                let mut m = bytes.clone();
+                m[victim.offset + FRAME_OVERHEAD] ^= 0x40;
+                let r = walk_all(&m, mode);
+                assert_eq!(r.flaw, Some(ScanFlaw::CrcMismatch));
+                assert!(r.valid_after, "flaw at {}", victim.offset);
+            }
+            // Damage in the last frame, a cut, or a zero-filled stretch
+            // (a zero frame passes its CRC but does not decode): nothing
+            // whole follows.
+            let mut last = bytes.clone();
+            last[frames[2].offset + FRAME_OVERHEAD] ^= 0x40;
+            let mut zeros = bytes.clone();
+            zeros.extend_from_slice(&[0u8; 64]);
+            for (m, flaw) in [
+                (last, ScanFlaw::CrcMismatch),
+                (bytes[..bytes.len() - 1].to_vec(), ScanFlaw::TornFrame),
+                (zeros, ScanFlaw::Undecodable),
+            ] {
+                let r = walk_all(&m, mode);
+                assert_eq!(r.flaw, Some(flaw));
+                assert!(!r.valid_after, "{flaw:?}");
+            }
+        }
     }
 }

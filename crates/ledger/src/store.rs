@@ -12,8 +12,8 @@ use peace_wire::{Decode, Encode, Reader, Writer};
 use crate::checkpoint::Checkpoint;
 use crate::record::{Entry, IndexFacts, LedgerRecord, RecordKind, ShallowEntry};
 use crate::segment::{
-    extend_chain, frame, genesis_chain, scan, scan_shallow, ChainMode, ScanFlaw, SegmentHeader,
-    ShallowScanResult, FRAME_OVERHEAD, SEGMENT_HEADER_LEN,
+    extend_chain, frame, genesis_chain, walk, ChainMode, Framed, ScanFlaw, SegmentHeader, Walk,
+    FRAME_OVERHEAD, SEGMENT_HEADER_LEN,
 };
 use crate::{LedgerError, Result};
 
@@ -181,35 +181,21 @@ fn list_segments(dir: &Path) -> Result<Vec<SegmentMeta>> {
     Ok(out)
 }
 
-fn read_file(path: &Path) -> Result<Vec<u8>> {
-    let mut buf = Vec::new();
-    File::open(path)?.read_to_end(&mut buf)?;
-    Ok(buf)
-}
-
-/// Per-segment recovery plan, decided before the (possibly parallel)
-/// scan fan-out.
-#[derive(Clone, Copy)]
-enum ScanPlan {
-    /// Replay and verify the SHA-256 chain from the segment header.
-    Verify,
-    /// Prefix segment attested by a later signed checkpoint: CRC + index
-    /// facts only, no chain replay.
-    Trusted,
-    /// The segment holding the signed checkpoint: skip hashing up to its
-    /// frame, then seed the chain from the attested value and replay on.
-    Resume { offset: usize, chain: [u8; 32] },
-}
-
-/// One scanned segment: parsed header, shallow scan outcome, file size.
-struct SegScan {
+/// One segment read: parsed header, the walk of its frames, file size.
+struct SegScan<E> {
     header: SegmentHeader,
-    res: ShallowScanResult,
+    walk: Walk<E>,
     file_len: u64,
 }
 
-fn scan_segment(seg: &SegmentMeta, plan: ScanPlan, max_record: u32) -> Result<SegScan> {
-    let bytes = read_file(&seg.path)?;
+/// The one per-segment read: the header (which must name the file's base)
+/// and a [`walk`] of the frames after it.
+fn scan_segment<E: Framed>(
+    seg: &SegmentMeta,
+    mode: ChainMode,
+    max_record: u32,
+) -> Result<SegScan<E>> {
+    let bytes = std::fs::read(&seg.path)?;
     let header = SegmentHeader::parse(&bytes).ok_or(LedgerError::Corrupt {
         segment: seg.base_seq,
         offset: 0,
@@ -222,23 +208,68 @@ fn scan_segment(seg: &SegmentMeta, plan: ScanPlan, max_record: u32) -> Result<Se
             what: "segment header/filename base mismatch",
         });
     }
-    let mode = match plan {
-        ScanPlan::Verify => ChainMode::Replay(header.prev_chain),
-        ScanPlan::Trusted => ChainMode::Skip,
-        ScanPlan::Resume { offset, chain } => ChainMode::Resume { offset, chain },
-    };
-    let res = scan_shallow(
-        &bytes,
-        SEGMENT_HEADER_LEN,
-        header.base_seq,
-        mode,
-        max_record,
-    );
     Ok(SegScan {
+        walk: walk(&bytes, &header, mode, max_record),
         header,
-        res,
         file_len: bytes.len() as u64,
     })
+}
+
+/// The cross-segment stitch: each segment must start at the sequence
+/// number where the one before it ended and, while the chain is replayed,
+/// at its chain value; and only the live segment may end in a torn tail.
+struct Stitch {
+    next_seq: Option<u64>,
+    chain: [u8; 32],
+    chain_live: bool,
+}
+
+impl Stitch {
+    fn new() -> Self {
+        Self {
+            next_seq: None,
+            chain: genesis_chain(),
+            chain_live: true,
+        }
+    }
+
+    /// Checks that the segment's header continues the segments stitched
+    /// so far.
+    fn start<E>(&self, scan: &SegScan<E>) -> Result<()> {
+        let header = &scan.header;
+        let broken = match self.next_seq {
+            None => header.base_seq == 0 && header.prev_chain != genesis_chain(),
+            Some(next) => {
+                header.base_seq != next || (self.chain_live && header.prev_chain != self.chain)
+            }
+        };
+        if broken {
+            return Err(LedgerError::ChainBroken {
+                segment: header.base_seq,
+            });
+        }
+        Ok(())
+    }
+
+    /// Takes the segment's walk into the stitch. Its flaw is fatal unless
+    /// `tail` (this is the live segment, where a crash may tear the end)
+    /// and nothing whole follows it; the tolerated flaw is returned.
+    fn end<E>(&mut self, scan: &SegScan<E>, tail: bool) -> Result<Option<ScanFlaw>> {
+        let walk = &scan.walk;
+        if let Some(flaw) = walk.flaw {
+            if !tail || walk.valid_after {
+                return Err(LedgerError::Corrupt {
+                    segment: scan.header.base_seq,
+                    offset: walk.valid_len as u64,
+                    what: flaw.describe(),
+                });
+            }
+        }
+        self.next_seq = Some(scan.header.base_seq + walk.entries.len() as u64);
+        self.chain = walk.chain;
+        self.chain_live = walk.chain_live;
+        Ok(walk.flaw)
+    }
 }
 
 /// Scans every segment, fanning the independent per-segment work
@@ -248,9 +279,9 @@ fn scan_segment(seg: &SegmentMeta, plan: ScanPlan, max_record: u32) -> Result<Se
 /// sequence order.
 fn scan_segments(
     segments: &[SegmentMeta],
-    plans: &[ScanPlan],
+    modes: &[ChainMode],
     max_record: u32,
-) -> Vec<Result<SegScan>> {
+) -> Vec<Result<SegScan<ShallowEntry>>> {
     let n = segments.len();
     let workers = std::thread::available_parallelism()
         .map(|p| p.get())
@@ -259,11 +290,11 @@ fn scan_segments(
     if workers <= 1 || n < 2 {
         return segments
             .iter()
-            .zip(plans)
-            .map(|(s, p)| scan_segment(s, *p, max_record))
+            .zip(modes)
+            .map(|(s, m)| scan_segment(s, *m, max_record))
             .collect();
     }
-    let mut out: Vec<Result<SegScan>> = (0..n)
+    let mut out: Vec<Result<SegScan<ShallowEntry>>> = (0..n)
         .map(|_| {
             Err(LedgerError::Corrupt {
                 segment: 0,
@@ -278,7 +309,7 @@ fn scan_segments(
             sc.spawn(move || {
                 for (off, slot) in out_chunk.iter_mut().enumerate() {
                     let i = ci * chunk + off;
-                    *slot = scan_segment(&segments[i], plans[i], max_record);
+                    *slot = scan_segment(&segments[i], modes[i], max_record);
                 }
             });
         }
@@ -366,9 +397,11 @@ impl Ledger {
     /// Opens (or creates) the ledger in `dir`, running crash recovery:
     /// segments are validated in order, the chain is replayed across
     /// segment boundaries, and a torn tail in the *last* segment is
-    /// truncated away. Damage anywhere else is refused with
-    /// [`LedgerError::Corrupt`] / [`LedgerError::ChainBroken`] — a crash
-    /// can only tear the end of the log, so interior damage is tampering.
+    /// truncated away — if nothing whole follows the flaw (see
+    /// [`crate::segment`]). Damage anywhere else is refused with
+    /// [`LedgerError::Corrupt`] / [`LedgerError::ChainBroken`] and the
+    /// files are left as they were — a crash can only tear the end of the
+    /// log, so any other damage is tampering or media corruption.
     pub fn open(dir: impl AsRef<Path>, cfg: LedgerConfig) -> Result<(Self, RecoveryReport)> {
         Self::open_inner(dir.as_ref(), cfg, None)
     }
@@ -407,9 +440,9 @@ impl Ledger {
         // fails its CRC is damage, not a crash artifact — that case falls
         // through to the strict pass below and errors.
         if let Some(last) = segments.last() {
-            let bytes = read_file(&last.path)?;
-            if bytes.len() < SEGMENT_HEADER_LEN {
-                report.torn_bytes += bytes.len() as u64;
+            let len = std::fs::metadata(&last.path)?.len();
+            if len < SEGMENT_HEADER_LEN as u64 {
+                report.torn_bytes += len;
                 report.tail_flaw = Some("partial segment header");
                 std::fs::remove_file(&last.path)?;
                 segments.pop();
@@ -455,35 +488,29 @@ impl Ledger {
             },
             None => None,
         };
-        let plans: Vec<ScanPlan> = segments
+        let modes: Vec<ChainMode> = segments
             .iter()
             .map(|s| match &hint {
-                Some(h) if s.base_seq < h.base_seq => ScanPlan::Trusted,
-                Some(h) if s.base_seq == h.base_seq => ScanPlan::Resume {
+                Some(h) if s.base_seq < h.base_seq => ChainMode::Skip,
+                Some(h) if s.base_seq == h.base_seq => ChainMode::Resume {
                     offset: h.offset as usize,
                     chain: h.ck.chain,
                 },
-                _ => ScanPlan::Verify,
+                _ => ChainMode::Replay,
             })
             .collect();
-        let scans = scan_segments(&segments, &plans, cfg.max_record_bytes);
+        let scans = scan_segments(&segments, &modes, cfg.max_record_bytes);
 
         // The hint is advisory: if the scan did not find the exact
         // checkpoint frame it names (stale sidecar, torn tail before
         // it, compacted-away segment contents), redo a full replay.
         if let Some(h) = &hint {
-            let found = segments
+            let found = scans
                 .iter()
-                .zip(&scans)
-                .filter(|(seg, _)| seg.base_seq == h.base_seq)
-                .any(|(_, scan)| match scan {
-                    Ok(s) => s.res.entries.iter().any(|se| {
-                        se.offset as u64 == h.offset
-                            && matches!(&se.entry.facts,
-                                        IndexFacts::Checkpoint(ck) if *ck == h.ck)
-                    }),
-                    Err(_) => false,
-                });
+                .flatten()
+                .filter(|s| s.header.base_seq == h.base_seq)
+                .flat_map(|s| &s.walk.entries)
+                .any(|se| se.offset as u64 == h.offset && se.entry.checkpoint() == Some(&h.ck));
             if !found {
                 note_resume_fallback("hint_frame_not_found");
                 let (ledger, mut rep) = Self::open_inner(&dir, cfg, None)?;
@@ -493,10 +520,7 @@ impl Ledger {
             report.resumed_from = Some(h.ck.seq);
         }
 
-        let mut chain = [0u8; 32];
-        let mut chain_live = false;
-        let mut next_seq = 0u64;
-        let mut first_seq = 0u64;
+        let mut stitch = Stitch::new();
         let mut locs: Vec<EntryMeta> = Vec::new();
         let mut by_router: HashMap<String, Vec<u64>> = HashMap::new();
         let mut by_group: HashMap<u32, Vec<u64>> = HashMap::new();
@@ -508,33 +532,17 @@ impl Ledger {
 
         let count = segments.len();
         for (i, (seg, scan)) in segments.iter().zip(scans).enumerate() {
-            let SegScan {
-                header,
-                res,
-                file_len,
-            } = scan?;
-            if i == 0 {
-                first_seq = header.base_seq;
-                if header.base_seq == 0 && header.prev_chain != genesis_chain() {
-                    return Err(LedgerError::ChainBroken { segment: 0 });
-                }
-            } else if header.base_seq != next_seq || (chain_live && header.prev_chain != chain) {
-                return Err(LedgerError::ChainBroken {
-                    segment: seg.base_seq,
-                });
-            }
-            if let Some(flaw) = res.flaw {
-                if i + 1 != count {
-                    return Err(stopped_at(seg, res.valid_len, flaw));
-                }
+            let scan = scan?;
+            stitch.start(&scan)?;
+            if let Some(flaw) = stitch.end(&scan, i + 1 == count)? {
                 // Torn tail of the live segment: truncate it away.
-                report.torn_bytes += file_len - res.valid_len as u64;
+                report.torn_bytes += scan.file_len - scan.walk.valid_len as u64;
                 report.tail_flaw = Some(flaw.describe());
                 let f = OpenOptions::new().write(true).open(&seg.path)?;
-                f.set_len(res.valid_len as u64)?;
+                f.set_len(scan.walk.valid_len as u64)?;
                 f.sync_data()?;
             }
-            for se in &res.entries {
+            for se in &scan.walk.entries {
                 index_shallow(
                     &se.entry,
                     &mut by_router,
@@ -552,13 +560,12 @@ impl Ledger {
                     frame_len: se.frame_len,
                 });
             }
-            chain = res.chain;
-            chain_live = res.chain_live;
-            next_seq = header.base_seq + res.entries.len() as u64;
             if i + 1 == count {
-                seg_bytes = res.valid_len as u64;
+                seg_bytes = scan.walk.valid_len as u64;
             }
         }
+        let first_seq = segments[0].base_seq;
+        let next_seq = stitch.next_seq.unwrap_or(first_seq);
 
         let last_path = segments
             .last()
@@ -579,7 +586,7 @@ impl Ledger {
                 seg_bytes,
                 first_seq,
                 next_seq,
-                chain,
+                chain: stitch.chain,
                 locs,
                 by_router,
                 by_group,
@@ -827,21 +834,26 @@ impl Ledger {
             return Ok(None);
         }
         let meta = &self.locs[(seq - self.first_seq) as usize];
-        let seg = &self.segments[meta.seg];
-        let mut f = File::open(&seg.path)?;
+        let f = File::open(&self.segments[meta.seg].path)?;
+        Ok(Some(Entry::from_wire(&self.read_back(&f, meta)?)?))
+    }
+
+    /// The one frame read-back: the payload of the frame `meta` names,
+    /// read from `f` (its segment file) with the frame CRC re-checked.
+    fn read_back(&self, mut f: &File, meta: &EntryMeta) -> Result<Vec<u8>> {
         f.seek(SeekFrom::Start(meta.offset))?;
         let mut buf = vec![0u8; meta.frame_len];
         f.read_exact(&mut buf)?;
-        let payload = &buf[FRAME_OVERHEAD..];
         let stored = u32::from_be_bytes([buf[4], buf[5], buf[6], buf[7]]);
-        if crate::crc::crc32(payload) != stored {
+        buf.drain(..FRAME_OVERHEAD);
+        if crate::crc::crc32(&buf) != stored {
             return Err(LedgerError::Corrupt {
-                segment: seg.base_seq,
+                segment: self.segments[meta.seg].base_seq,
                 offset: meta.offset,
                 what: "frame CRC mismatch on read-back",
             });
         }
-        Ok(Some(Entry::from_wire(payload)?))
+        Ok(buf)
     }
 
     /// First retained checkpoint record at or after `seq`, if any.
@@ -859,8 +871,8 @@ impl Ledger {
     }
 
     /// Reads the raw (CRC-checked) entry payload bytes for the inclusive
-    /// sequence range, segment-file handles reused across consecutive
-    /// records. These are the exact bytes the hash chain covers, so a
+    /// sequence range, one segment-file handle per run of records in the
+    /// same segment. These are the exact bytes the hash chain covers, so a
     /// replica can replay the chain over them without re-encoding.
     pub fn payloads_range(&self, from: u64, to_incl: u64) -> Result<Vec<Vec<u8>>> {
         if from > to_incl {
@@ -873,29 +885,13 @@ impl Ledger {
             return Err(LedgerError::NoSuchRecord(to_incl));
         }
         let mut out = Vec::with_capacity((to_incl - from + 1) as usize);
-        let mut open: Option<(usize, File)> = None;
-        for seq in from..=to_incl {
-            let meta = &self.locs[(seq - self.first_seq) as usize];
-            let seg = &self.segments[meta.seg];
-            if open.as_ref().map(|(i, _)| *i) != Some(meta.seg) {
-                open = Some((meta.seg, File::open(&seg.path)?));
+        let lo = (from - self.first_seq) as usize;
+        let hi = (to_incl - self.first_seq) as usize;
+        for run in self.locs[lo..=hi].chunk_by(|a, b| a.seg == b.seg) {
+            let f = File::open(&self.segments[run[0].seg].path)?;
+            for meta in run {
+                out.push(self.read_back(&f, meta)?);
             }
-            let Some((_, f)) = open.as_mut() else {
-                return Err(LedgerError::NoSuchRecord(seq));
-            };
-            f.seek(SeekFrom::Start(meta.offset))?;
-            let mut buf = vec![0u8; meta.frame_len];
-            f.read_exact(&mut buf)?;
-            let stored = u32::from_be_bytes([buf[4], buf[5], buf[6], buf[7]]);
-            let payload = buf.split_off(FRAME_OVERHEAD);
-            if crate::crc::crc32(&payload) != stored {
-                return Err(LedgerError::Corrupt {
-                    segment: seg.base_seq,
-                    offset: meta.offset,
-                    what: "frame CRC mismatch on range read",
-                });
-            }
-            out.push(payload);
         }
         Ok(out)
     }
@@ -953,34 +949,18 @@ impl Ledger {
     /// # Errors
     ///
     /// [`LedgerError::Corrupt`], naming segment and offset, at the first
-    /// record the full decoder refuses. [`Ledger::open`] admits records on
+    /// frame the walk refuses, torn or not; a record the full decoder
+    /// refuses among them. [`Ledger::open`] admits records on
     /// their frame and index facts alone, so this is where a body that does
     /// not decode surfaces — as an error, never as a shorter view.
     pub fn iter_all(&self) -> Result<Vec<Entry>> {
         let mut out = Vec::with_capacity(self.locs.len());
-        for (i, seg) in self.segments.iter().enumerate() {
-            let bytes = read_file(&seg.path)?;
-            let take = if i + 1 == self.segments.len() {
-                self.seg_bytes as usize
-            } else {
-                bytes.len()
-            };
-            let header = SegmentHeader::parse(&bytes).ok_or(LedgerError::Corrupt {
-                segment: seg.base_seq,
-                offset: 0,
-                what: "segment header unreadable",
-            })?;
-            let res = scan(
-                &bytes[..take.min(bytes.len())],
-                SEGMENT_HEADER_LEN,
-                header.base_seq,
-                header.prev_chain,
-                self.cfg.max_record_bytes,
-            );
-            if let Some(flaw) = res.flaw {
-                return Err(stopped_at(seg, res.valid_len, flaw));
-            }
-            out.extend(res.entries.into_iter().map(|s| s.entry));
+        let mut stitch = Stitch::new();
+        for seg in &self.segments {
+            let scan = scan_segment::<Entry>(seg, ChainMode::Replay, self.cfg.max_record_bytes)?;
+            stitch.start(&scan)?;
+            stitch.end(&scan, false)?;
+            out.extend(scan.walk.entries.into_iter().map(|s| s.entry));
         }
         Ok(out)
     }
@@ -992,15 +972,6 @@ impl Drop for Ledger {
     /// truncates whatever tail tore.)
     fn drop(&mut self) {
         let _ = self.flush();
-    }
-}
-
-/// The error for a full scan of `seg` that stopped at byte `offset`.
-fn stopped_at(seg: &SegmentMeta, offset: usize, flaw: ScanFlaw) -> LedgerError {
-    LedgerError::Corrupt {
-        segment: seg.base_seq,
-        offset: offset as u64,
-        what: flaw.describe(),
     }
 }
 
@@ -1056,8 +1027,10 @@ pub struct ChainReport {
 /// replication paths carry signatures as bytes.
 ///
 /// Interior damage, broken chains, bad checkpoints and records carrying a
-/// point outside the group are errors; a torn tail in the last segment is
-/// reported but tolerated, matching what [`Ledger::open`] would repair.
+/// point outside the group are errors; so is a flaw in the last segment
+/// that a whole frame follows, which [`Ledger::open`] refuses too. A torn
+/// tail there is reported but tolerated, unless it is a frame that passes
+/// its CRC and does not decode.
 pub fn verify_chain(
     dir: impl AsRef<Path>,
     resolve: impl Fn(&str) -> Option<VerifyingKey>,
@@ -1065,38 +1038,16 @@ pub fn verify_chain(
     let dir = dir.as_ref();
     let segments = list_segments(dir)?;
     let max_record = LedgerConfig::default().max_record_bytes;
-    let mut chain = genesis_chain();
-    let mut next_seq = 0u64;
+    let mut stitch = Stitch::new();
     let mut records = 0u64;
     let mut checkpoints_verified = 0usize;
     let mut torn_bytes = 0u64;
     let mut last_ck_seq = None;
     let count = segments.len();
     for (i, seg) in segments.iter().enumerate() {
-        let bytes = read_file(&seg.path)?;
-        let header = SegmentHeader::parse(&bytes).ok_or(LedgerError::Corrupt {
-            segment: seg.base_seq,
-            offset: 0,
-            what: "segment header unreadable",
-        })?;
-        if i == 0 {
-            chain = header.prev_chain;
-            if header.base_seq == 0 && chain != genesis_chain() {
-                return Err(LedgerError::ChainBroken { segment: 0 });
-            }
-        } else if header.base_seq != next_seq || header.prev_chain != chain {
-            return Err(LedgerError::ChainBroken {
-                segment: seg.base_seq,
-            });
-        }
-        let res = scan(
-            &bytes,
-            SEGMENT_HEADER_LEN,
-            header.base_seq,
-            header.prev_chain,
-            max_record,
-        );
-        for se in &res.entries {
+        let scan = scan_segment::<Entry>(seg, ChainMode::Replay, max_record)?;
+        stitch.start(&scan)?;
+        for se in &scan.walk.entries {
             if let LedgerRecord::Access(a) = &se.entry.record {
                 // The one reader that needs no point still checks them all.
                 if a.session.gsig.commitments().is_err() {
@@ -1107,7 +1058,7 @@ pub fn verify_chain(
                     });
                 }
             } else if let LedgerRecord::Checkpoint(ck) = &se.entry.record {
-                // scan() already matched (seq, chain); here we verify the
+                // The walk already matched (seq, chain); here we verify the
                 // signature against the claimed signer's key.
                 let Some(key) = resolve(&ck.signer) else {
                     return Err(LedgerError::CheckpointInvalid {
@@ -1125,27 +1076,24 @@ pub fn verify_chain(
                 last_ck_seq = Some(se.entry.seq);
             }
         }
-        // Every accepted entry has been checked; what stopped the scan, if
-        // anything, comes after them all.
-        if let Some(flaw) = res.flaw {
-            // A crash tears the tail of the last segment. It does not leave
-            // a complete frame with a good CRC whose body fails to decode:
-            // that is a bad record wherever it sits.
-            if i + 1 != count || flaw == ScanFlaw::Undecodable {
-                return Err(stopped_at(seg, res.valid_len, flaw));
-            }
-            torn_bytes = bytes.len() as u64 - res.valid_len as u64;
+        // Every accepted entry has been checked; what stopped the walk, if
+        // anything, comes after them all. A frame that passes its CRC and
+        // does not decode is an error here even at the tail (a zero-filled
+        // one included, which `open` truncates): the verifier vouches for
+        // every frame whose CRC holds.
+        let tail = i + 1 == count && scan.walk.flaw != Some(ScanFlaw::Undecodable);
+        if stitch.end(&scan, tail)?.is_some() {
+            torn_bytes = scan.file_len - scan.walk.valid_len as u64;
         }
-        records += res.entries.len() as u64;
-        chain = res.chain;
-        next_seq = header.base_seq + res.entries.len() as u64;
+        records += scan.walk.entries.len() as u64;
     }
+    let next_seq = stitch.next_seq.unwrap_or(0);
     Ok(ChainReport {
         segments: count,
         records,
         checkpoints_verified,
         next_seq,
-        chain,
+        chain: stitch.chain,
         torn_bytes,
         anchored: last_ck_seq.is_some_and(|s| s + 1 == next_seq),
     })

@@ -1,14 +1,16 @@
 //! Crash-recovery contract: truncating the log at *every* byte offset of
 //! the final records must recover the longest valid prefix,
 //! deterministically, and leave the ledger appendable; damage anywhere
-//! except the tail of the last segment must refuse to open.
+//! except the tail of the last segment must refuse to open, and so must
+//! damage in the last segment that a whole frame follows.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use peace_ecdsa::SigningKey;
+use peace_ecdsa::{SigningKey, VerifyingKey};
 use peace_ledger::{
-    verify_chain, Ledger, LedgerConfig, LedgerError, LedgerRecord, SyncPolicy, SEGMENT_HEADER_LEN,
+    verify_chain, Ledger, LedgerConfig, LedgerError, LedgerRecord, SyncPolicy, FRAME_OVERHEAD,
+    SEGMENT_HEADER_LEN,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -223,4 +225,86 @@ fn rotation_compaction_and_queries_survive_reopen() {
     let chain = verify_chain(&dir, |s| (s == "NO").then_some(vk)).unwrap();
     assert_eq!(chain.next_seq, ledger.head().next_seq);
     assert_eq!(chain.checkpoints_verified, 1);
+}
+
+/// A single-segment ledger synced record by record: six records, a signed
+/// checkpoint, two more. Returns the key and each frame's start offset.
+fn fsynced_log_with_checkpoint(dir: &Path) -> (SigningKey, Vec<usize>) {
+    let key = SigningKey::random(&mut StdRng::seed_from_u64(0xF11B));
+    let (mut ledger, _) = Ledger::open(dir, cfg()).unwrap();
+    let end = || fs::metadata(seg0(dir)).unwrap().len() as usize;
+    let mut starts = Vec::new();
+    for i in 0..6 {
+        starts.push(end());
+        ledger.append(rollover(i), 8_000 + i).unwrap();
+    }
+    starts.push(end());
+    ledger.checkpoint(&key, "NO", 8_100).unwrap();
+    for i in 6..8 {
+        starts.push(end());
+        ledger.append(rollover(i), 8_200 + i).unwrap();
+    }
+    assert_eq!(ledger.len(), 9);
+    (key, starts)
+}
+
+#[test]
+fn a_flipped_bit_before_whole_frames_refuses_and_leaves_the_file() {
+    let dir = tmpdir("crash-flip-live");
+    let (key, starts) = fsynced_log_with_checkpoint(&dir);
+    let vk: VerifyingKey = *key.verifying_key();
+    let pristine = fs::read(seg0(&dir)).unwrap();
+    // Record 2 (before the checkpoint) and record 7 (after it, before the
+    // last): every frame was synced, so no crash can leave either flip.
+    for victim in [2usize, 7] {
+        let mut image = pristine.clone();
+        // A byte of the entry's `seq` field, as in a flipped disk bit.
+        image[starts[victim] + FRAME_OVERHEAD + 4] ^= 0xff;
+        fs::write(seg0(&dir), &image).unwrap();
+        let refused = |r: peace_ledger::Result<()>, who: &str| match r {
+            Err(LedgerError::Corrupt {
+                segment, offset, ..
+            }) => {
+                assert_eq!(
+                    (segment, offset),
+                    (0, starts[victim] as u64),
+                    "{who} at {victim}"
+                )
+            }
+            other => panic!("{who} at {victim}: want Corrupt, got {other:?}"),
+        };
+        refused(Ledger::open(&dir, cfg()).map(drop), "open");
+        refused(
+            Ledger::open_resumed(&dir, cfg(), |s| (s == "NO").then_some(vk)).map(drop),
+            "open_resumed",
+        );
+        refused(
+            verify_chain(&dir, |s| (s == "NO").then_some(vk)).map(drop),
+            "verify_chain",
+        );
+        assert_eq!(
+            fs::read(seg0(&dir)).unwrap(),
+            image,
+            "the file is left as it was"
+        );
+    }
+}
+
+#[test]
+fn zero_filled_tail_is_a_torn_tail() {
+    let dir = tmpdir("crash-zero-tail");
+    fsynced_log_with_checkpoint(&dir);
+    // A crash can leave the file extended over blocks never written: a
+    // zero frame passes its CRC (CRC-32 of nothing is 0) but does not
+    // decode.
+    let mut image = fs::read(seg0(&dir)).unwrap();
+    let intact = image.len();
+    image.resize(intact + 4096, 0);
+    fs::write(seg0(&dir), &image).unwrap();
+
+    let (ledger, report) = Ledger::open(&dir, cfg()).unwrap();
+    assert_eq!(ledger.len(), 9, "every record survives");
+    assert_eq!(report.torn_bytes, 4096);
+    assert!(report.tail_flaw.is_some());
+    assert_eq!(fs::metadata(seg0(&dir)).unwrap().len(), intact as u64);
 }
