@@ -13,4 +13,4 @@ pub use law::{LawAuthority, TraceResult};
 pub use no::NetworkOperator;
 pub use router::{CheckedAccess, MeshRouter, PendingAccess};
 pub use ttp::{Ttp, TtpDelivery};
-pub use user::{Credential, PeerResponderPending, UserClient};
+pub use user::{Credential, UserClient};

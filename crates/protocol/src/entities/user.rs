@@ -10,7 +10,7 @@ use peace_field::Fq;
 use peace_groupsig::{MemberKey, PreparedGpk, RevocationToken};
 use peace_pairing::Gt;
 use peace_symmetric::{open_oneshot, seal_oneshot};
-use peace_wire::{Reader, WireError, Writer};
+use peace_wire::{Encode, Reader, WireError, Writer};
 use rand::RngCore;
 
 use crate::config::ProtocolConfig;
@@ -21,7 +21,7 @@ use crate::messages::{
 };
 use crate::pending::PendingTable;
 use crate::revocation::{SignedCrl, SignedUrl, UrlSection};
-use crate::session::{PendingSession, Role, Session};
+use crate::session::{Role, Session};
 use crate::setup::{unblind_a, Receipt};
 
 use super::gm::GmAssignment;
@@ -51,17 +51,24 @@ impl std::fmt::Debug for Credential {
     }
 }
 
+/// Initiator-side state between sending M.2 and receiving M.3.
+struct PendingSession {
+    /// The computed DH secret `g^{r_R r_j}`.
+    dh_secret: G1,
+    /// The session identifier.
+    id: SessionId,
+}
+
 /// Responder-side state between sending M̃.2 and receiving M̃.3.
-#[derive(Clone, Debug)]
-pub struct PeerResponderPending {
+struct PeerResponderPending {
     /// The computed pairwise DH secret.
-    pub dh_secret: G1,
+    dh_secret: G1,
     /// The session identifier `(g^{r_j}, g^{r_l})`.
-    pub id: SessionId,
+    id: SessionId,
     /// `ts₁` from M̃.1 (echoed inside M̃.3).
-    pub hello_ts: u64,
+    hello_ts: u64,
     /// `ts₂` of our M̃.2 (echoed inside M̃.3).
-    pub resp_ts: u64,
+    resp_ts: u64,
 }
 
 /// The URL a client enforces, in both forms: the decoded tokens, and the
@@ -127,9 +134,10 @@ pub struct UserClient {
     highest_url_version: u64,
     /// Half-open user↔router handshakes awaiting M.3, keyed by session id.
     pending_router: PendingTable<PendingSession>,
-    /// Half-open peer handshakes we initiated (awaiting M̃.2), keyed by our
-    /// DH share `g^{r_j}`.
-    pending_peer_init: PendingTable<PendingSession>,
+    /// Half-open peer handshakes we initiated (awaiting M̃.2): our exponent
+    /// `r_j` and `ts₁` (for the delay-window check), keyed by our DH share
+    /// `g^{r_j}`.
+    pending_peer_init: PendingTable<(Fq, u64)>,
     /// Half-open peer handshakes we answered (awaiting M̃.3), keyed by
     /// session id.
     pending_peer_resp: PendingTable<PeerResponderPending>,
@@ -228,7 +236,7 @@ impl UserClient {
         });
         // Receipt covers both received parts.
         let mut payload = Writer::new();
-        gm.index.encode_into(&mut payload);
+        gm.index.encode(&mut payload);
         payload.put_fixed(&gm.grp.to_canonical_bytes());
         payload.put_fixed(&gm.x.to_canonical_bytes());
         payload.put_bytes(&ttp.blinded_a);
@@ -339,19 +347,20 @@ impl UserClient {
         Ok(())
     }
 
-    /// Validates a beacon (M.1) per §IV.B step 2.1 and, on success, builds
-    /// the access request (M.2) per step 2.2.
+    /// Validates a beacon (M.1) per §IV.B step 2.1 and, on success, answers
+    /// it with the access request (M.2) per step 2.2, retaining the
+    /// half-open handshake until [`Self::handle_access_confirm`] or expiry.
     ///
     /// # Errors
     ///
     /// Each check failure maps to its [`ProtocolError`] variant; the beacon
     /// is rejected *before* any group-signature work.
-    pub fn process_beacon(
+    pub fn request_access(
         &mut self,
         beacon: &Beacon,
         now: u64,
         rng: &mut impl RngCore,
-    ) -> Result<(AccessRequest, PendingSession)> {
+    ) -> Result<AccessRequest> {
         let cred = self.active_credential()?.clone();
         // 2.1: timestamp freshness
         if now.saturating_sub(beacon.ts1) > self.config.timestamp_window
@@ -467,21 +476,15 @@ impl UserClient {
         // 2.2.5: session key K = (g^{r_R})^{r_j}
         let dh_secret = g_rr.mul(&r_j);
         let id = SessionId::from_points(&beacon.g_rr, &g_rj);
-        Ok((
-            AccessRequest {
-                g_rj,
-                g_rr: beacon.g_rr.clone(),
-                ts2,
-                gsig,
-                puzzle_solution,
-            },
-            PendingSession {
-                local_secret: r_j,
-                dh_secret,
-                id,
-                started_at: now,
-            },
-        ))
+        self.pending_router
+            .insert(id.to_bytes(), PendingSession { dh_secret, id }, now);
+        Ok(AccessRequest {
+            g_rj,
+            g_rr: beacon.g_rr.clone(),
+            ts2,
+            gsig,
+            puzzle_solution,
+        })
     }
 
     /// Verifies the router's signature on `beacon`, under the held
@@ -509,27 +512,34 @@ impl UserClient {
         ))
     }
 
-    /// Completes the user↔router handshake by validating M.3.
+    /// Completes a handshake opened by [`Self::request_access`] by
+    /// validating M.3, idempotently: a duplicated confirmation of an
+    /// already-established session is rejected with
+    /// [`ProtocolError::DuplicateMessage`] and does not mint a second
+    /// session.
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::DecryptFailed`] / [`ProtocolError::SessionMismatch`]
-    /// when the confirmation is not from the expected router session.
-    pub fn finalize_router_session(
-        &self,
-        pending: &PendingSession,
-        confirm: &AccessConfirm,
-    ) -> Result<Session> {
-        let expect_id = SessionId::from_points(&confirm.g_rr, &confirm.g_rj);
-        if expect_id != pending.id {
-            return Err(ProtocolError::SessionMismatch);
+    /// [`ProtocolError::SessionMismatch`] when no matching half-open
+    /// handshake exists (expired, evicted, or never started) or M.3 does not
+    /// echo its shares; [`ProtocolError::DuplicateMessage`] on replay;
+    /// [`ProtocolError::DecryptFailed`] when M.3 does not open under the
+    /// session key. A corrupt confirmation leaves the pending state in place
+    /// so an intact copy can still complete.
+    pub fn handle_access_confirm(&mut self, confirm: &AccessConfirm, now: u64) -> Result<Session> {
+        // The session id keys the table, so a hit is this session's state.
+        let key = SessionId::from_points(&confirm.g_rr, &confirm.g_rj).to_bytes();
+        self.completed_recent.expire(now);
+        if self.completed_recent.contains(&key) {
+            return Err(ProtocolError::DuplicateMessage);
         }
-        let plain = open_oneshot(
-            &pending.dh_secret.to_bytes(),
-            &pending.id.to_bytes(),
-            &confirm.ciphertext,
-        )
-        .map_err(|_| ProtocolError::DecryptFailed)?;
+        self.pending_router.expire(now);
+        let pending = self
+            .pending_router
+            .get(&key)
+            .ok_or(ProtocolError::SessionMismatch)?;
+        let plain = open_oneshot(&pending.dh_secret.to_bytes(), &key, &confirm.ciphertext)
+            .map_err(|_| ProtocolError::DecryptFailed)?;
         // M.3 must echo (MR_k, g^{r_j}, g^{r_R}).
         let mut rd = Reader::new(&plain);
         let _router_id = rd.get_str()?;
@@ -540,11 +550,10 @@ impl UserClient {
         {
             return Err(ProtocolError::SessionMismatch);
         }
-        Ok(Session::establish(
-            &pending.dh_secret,
-            pending.id.clone(),
-            Role::Initiator,
-        ))
+        let session = Session::establish(&pending.dh_secret, pending.id.clone(), Role::Initiator);
+        self.pending_router.remove(&key);
+        self.completed_recent.insert(key, (), now);
+        Ok(session)
     }
 
     // ------------------------------------------------------------------
@@ -552,14 +561,20 @@ impl UserClient {
     // ------------------------------------------------------------------
 
     /// Initiates a peer handshake (M̃.1) using the generator `g` from the
-    /// current service beacon.
-    pub fn peer_hello(
-        &self,
+    /// current service beacon, retaining the half-open state until
+    /// [`Self::handle_peer_response`] or expiry.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::MissingCredential`] without a credential; a wire
+    /// error when `g` is not a group element.
+    pub fn start_peer_handshake(
+        &mut self,
         g: &G1Wire,
         now: u64,
         rng: &mut impl RngCore,
-    ) -> Result<(PeerHello, PendingSession)> {
-        let cred = self.active_credential()?.clone();
+    ) -> Result<PeerHello> {
+        let cred = self.active_credential()?;
         let r_j = Fq::random_nonzero(rng);
         let g_rj = G1Wire::from(point(g, "peer1.g")?.mul(&r_j));
         let payload = PeerHello::signed_payload(g, &g_rj, now);
@@ -570,36 +585,29 @@ impl UserClient {
             self.config.bases_mode,
             rng,
         );
-        let pending = PendingSession {
-            local_secret: r_j,
-            dh_secret: G1::IDENTITY, // filled in on M̃.2
-            id: SessionId::from_points(&g_rj, &G1::IDENTITY),
-            started_at: now,
-        };
-        Ok((
-            PeerHello {
-                g: g.clone(),
-                g_rj,
-                ts1: now,
-                gsig,
-            },
-            pending,
-        ))
+        self.pending_peer_init
+            .insert(g_rj.to_bytes(), (r_j, now), now);
+        Ok(PeerHello {
+            g: g.clone(),
+            g_rj,
+            ts1: now,
+            gsig,
+        })
     }
 
-    /// Responder side: verifies M̃.1 and answers with M̃.2. The session is
-    /// finalized once M̃.3 arrives ([`Self::process_peer_confirm`]).
+    /// Responder side: verifies M̃.1 and answers with M̃.2, retaining the
+    /// half-open state until [`Self::handle_peer_confirm`] or expiry.
     ///
     /// # Errors
     ///
     /// Per §IV.C step 2: timestamp, group-signature, and URL checks.
-    pub fn process_peer_hello(
-        &self,
+    pub fn handle_peer_hello(
+        &mut self,
         hello: &PeerHello,
         now: u64,
         rng: &mut impl RngCore,
-    ) -> Result<(PeerResponse, PeerResponderPending)> {
-        let cred = self.active_credential()?.clone();
+    ) -> Result<PeerResponse> {
+        let cred = self.active_credential()?;
         if now.saturating_sub(hello.ts1) > self.config.timestamp_window
             || hello.ts1.saturating_sub(now) > self.config.timestamp_window
         {
@@ -620,35 +628,54 @@ impl UserClient {
         );
         let dh_secret = point(&hello.g_rj, "peer1.g_rj")?.mul(&r_l);
         let id = SessionId::from_points(&hello.g_rj, &g_rl);
-        Ok((
-            PeerResponse {
-                g_rj: hello.g_rj.clone(),
-                g_rl,
-                ts2: now,
-                gsig,
-            },
-            PeerResponderPending {
-                dh_secret,
-                id,
-                hello_ts: hello.ts1,
-                resp_ts: now,
-            },
-        ))
+        let pending = PeerResponderPending {
+            dh_secret,
+            id,
+            hello_ts: hello.ts1,
+            resp_ts: now,
+        };
+        self.pending_peer_resp
+            .insert(pending.id.to_bytes(), pending, now);
+        Ok(PeerResponse {
+            g_rj: hello.g_rj.clone(),
+            g_rl,
+            ts2: now,
+            gsig,
+        })
     }
 
-    /// Initiator side: verifies M̃.2 and produces the confirmation M̃.3 plus
-    /// its copy of the session.
+    /// Initiator side: verifies M̃.2 against the retained half-open state
+    /// and produces the confirmation M̃.3 plus the established session,
+    /// idempotently (a replayed M̃.2 for an established session is
+    /// rejected).
     ///
     /// # Errors
     ///
-    /// Per §IV.C step 3, including the `ts₂ − ts₁` delay-window check.
-    pub fn process_peer_response(
-        &self,
-        pending: &PendingSession,
+    /// [`ProtocolError::DuplicateMessage`] on replay;
+    /// [`ProtocolError::SessionMismatch`] when no matching half-open
+    /// handshake exists — the state expires with the delay window, so this
+    /// is also the answer once `handshake_window` has passed; otherwise per
+    /// §IV.C step 3: the `ts₂ − ts₁` delay-window check
+    /// ([`ProtocolError::HandshakeTimeout`]), `ts₂`'s age, then the
+    /// group-signature and URL checks.
+    pub fn handle_peer_response(
+        &mut self,
         resp: &PeerResponse,
         now: u64,
     ) -> Result<(PeerConfirm, Session)> {
-        if resp.ts2.saturating_sub(pending.started_at) > self.config.handshake_window {
+        let id = SessionId::from_points(&resp.g_rj, &resp.g_rl);
+        let done_key = id.to_bytes();
+        self.completed_recent.expire(now);
+        if self.completed_recent.contains(&done_key) {
+            return Err(ProtocolError::DuplicateMessage);
+        }
+        let key = resp.g_rj.to_bytes();
+        self.pending_peer_init.expire(now);
+        let &(r_j, ts1) = self
+            .pending_peer_init
+            .get(&key)
+            .ok_or(ProtocolError::SessionMismatch)?;
+        if resp.ts2.saturating_sub(ts1) > self.config.handshake_window {
             return Err(ProtocolError::HandshakeTimeout);
         }
         if now.saturating_sub(resp.ts2) > self.config.timestamp_window {
@@ -657,19 +684,16 @@ impl UserClient {
         let payload = PeerResponse::signed_payload(&resp.g_rj, &resp.g_rl, resp.ts2);
         self.verify_and_check_peer(&payload, &resp.gsig)?;
 
-        let dh_secret = point(&resp.g_rl, "peer2.g_rl")?.mul(&pending.local_secret);
-        let id = SessionId::from_points(&resp.g_rj, &resp.g_rl);
-        let session = Session::establish(&dh_secret, id.clone(), Role::Initiator);
+        let dh_secret = point(&resp.g_rl, "peer2.g_rl")?.mul(&r_j);
         let mut confirm_payload = Writer::new();
         confirm_payload.put_fixed(resp.g_rj.as_bytes());
         confirm_payload.put_fixed(resp.g_rl.as_bytes());
-        confirm_payload.put_u64(pending.started_at);
+        confirm_payload.put_u64(ts1);
         confirm_payload.put_u64(resp.ts2);
-        let ciphertext = seal_oneshot(
-            &dh_secret.to_bytes(),
-            &id.to_bytes(),
-            confirm_payload.as_bytes(),
-        );
+        let ciphertext = seal_oneshot(&dh_secret.to_bytes(), &done_key, confirm_payload.as_bytes());
+        let session = Session::establish(&dh_secret, id, Role::Initiator);
+        self.pending_peer_init.remove(&key);
+        self.completed_recent.insert(done_key, (), now);
         Ok((
             PeerConfirm {
                 g_rj: resp.g_rj.clone(),
@@ -680,24 +704,30 @@ impl UserClient {
         ))
     }
 
-    /// Responder side: validates the confirmation M̃.3 and finalizes the
-    /// pairwise session.
+    /// Responder side: validates M̃.3 against the retained half-open state
+    /// and finalizes the pairwise session, idempotently (a replayed M̃.3 is
+    /// rejected with [`ProtocolError::DuplicateMessage`]).
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::DecryptFailed`] / [`ProtocolError::SessionMismatch`]
-    /// when M̃.3 is not a valid confirmation of this handshake.
-    pub fn process_peer_confirm(
-        &self,
-        pending: &PeerResponderPending,
-        confirm: &PeerConfirm,
-    ) -> Result<Session> {
-        let plain = open_oneshot(
-            &pending.dh_secret.to_bytes(),
-            &pending.id.to_bytes(),
-            &confirm.ciphertext,
-        )
-        .map_err(|_| ProtocolError::DecryptFailed)?;
+    /// [`ProtocolError::DuplicateMessage`] on replay;
+    /// [`ProtocolError::SessionMismatch`] when no matching half-open
+    /// handshake exists or M̃.3 does not echo its shares and timestamps;
+    /// [`ProtocolError::DecryptFailed`] when it does not open under the
+    /// session key. A corrupt M̃.3 leaves the pending state in place.
+    pub fn handle_peer_confirm(&mut self, confirm: &PeerConfirm, now: u64) -> Result<Session> {
+        let key = SessionId::from_points(&confirm.g_rj, &confirm.g_rl).to_bytes();
+        self.completed_recent.expire(now);
+        if self.completed_recent.contains(&key) {
+            return Err(ProtocolError::DuplicateMessage);
+        }
+        self.pending_peer_resp.expire(now);
+        let pending = self
+            .pending_peer_resp
+            .get(&key)
+            .ok_or(ProtocolError::SessionMismatch)?;
+        let plain = open_oneshot(&pending.dh_secret.to_bytes(), &key, &confirm.ciphertext)
+            .map_err(|_| ProtocolError::DecryptFailed)?;
         let mut rd = Reader::new(&plain);
         let g_rj = rd.get_fixed(G1::ENCODED_LEN)?;
         let g_rl = rd.get_fixed(G1::ENCODED_LEN)?;
@@ -710,167 +740,7 @@ impl UserClient {
         {
             return Err(ProtocolError::SessionMismatch);
         }
-        Ok(Session::establish(
-            &pending.dh_secret,
-            pending.id.clone(),
-            Role::Responder,
-        ))
-    }
-
-    // ------------------------------------------------------------------
-    // Stateful resilience layer: bounded pending tables, idempotent
-    // confirmation handling, loss-tolerant lifecycle.
-    //
-    // The stateless methods above compute one protocol step and hand the
-    // half-open state back to the caller; these wrappers keep that state in
-    // bounded LRU+TTL tables instead, so a lossy or adversarial channel
-    // (dropped M.3, replayed M̃.2, beacon floods) can neither strand DH
-    // state forever nor mint two sessions from one exchange.
-    // ------------------------------------------------------------------
-
-    /// Validates a beacon and sends M.2, retaining the half-open handshake
-    /// internally until [`Self::handle_access_confirm`] or expiry.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::process_beacon`].
-    pub fn request_access(
-        &mut self,
-        beacon: &Beacon,
-        now: u64,
-        rng: &mut impl RngCore,
-    ) -> Result<AccessRequest> {
-        let (req, pending) = self.process_beacon(beacon, now, rng)?;
-        self.pending_router
-            .insert(pending.id.to_bytes(), pending, now);
-        Ok(req)
-    }
-
-    /// Completes a handshake opened by [`Self::request_access`] from an
-    /// incoming M.3, idempotently: a duplicated confirmation of an
-    /// already-established session is rejected with
-    /// [`ProtocolError::DuplicateMessage`] and does not mint a second
-    /// session.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::SessionMismatch`] when no matching half-open
-    /// handshake exists (expired, evicted, or never started);
-    /// [`ProtocolError::DuplicateMessage`] on replay; otherwise as
-    /// [`Self::finalize_router_session`]. A corrupt confirmation leaves the
-    /// pending state in place so an intact copy can still complete.
-    pub fn handle_access_confirm(&mut self, confirm: &AccessConfirm, now: u64) -> Result<Session> {
-        let key = SessionId::from_points(&confirm.g_rr, &confirm.g_rj).to_bytes();
-        self.completed_recent.expire(now);
-        if self.completed_recent.contains(&key) {
-            return Err(ProtocolError::DuplicateMessage);
-        }
-        self.pending_router.expire(now);
-        let session = {
-            let pending = self
-                .pending_router
-                .get(&key)
-                .ok_or(ProtocolError::SessionMismatch)?;
-            self.finalize_router_session(pending, confirm)?
-        };
-        self.pending_router.remove(&key);
-        self.completed_recent.insert(key, (), now);
-        Ok(session)
-    }
-
-    /// Initiates a peer handshake (M̃.1), retaining the half-open state
-    /// internally until [`Self::handle_peer_response`] or expiry.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::peer_hello`].
-    pub fn start_peer_handshake(
-        &mut self,
-        g: &G1Wire,
-        now: u64,
-        rng: &mut impl RngCore,
-    ) -> Result<PeerHello> {
-        let (hello, pending) = self.peer_hello(g, now, rng)?;
-        self.pending_peer_init
-            .insert(hello.g_rj.to_bytes(), pending, now);
-        Ok(hello)
-    }
-
-    /// Responder side: verifies M̃.1 and answers M̃.2, retaining the
-    /// half-open state internally until [`Self::handle_peer_confirm`] or
-    /// expiry.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::process_peer_hello`].
-    pub fn handle_peer_hello(
-        &mut self,
-        hello: &PeerHello,
-        now: u64,
-        rng: &mut impl RngCore,
-    ) -> Result<PeerResponse> {
-        let (resp, pending) = self.process_peer_hello(hello, now, rng)?;
-        self.pending_peer_resp
-            .insert(pending.id.to_bytes(), pending, now);
-        Ok(resp)
-    }
-
-    /// Initiator side: verifies M̃.2 against the retained half-open state
-    /// and produces M̃.3 plus the established session, idempotently (a
-    /// replayed M̃.2 for an established session is rejected).
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::DuplicateMessage`] on replay;
-    /// [`ProtocolError::SessionMismatch`] when no matching half-open
-    /// handshake exists; otherwise as [`Self::process_peer_response`].
-    pub fn handle_peer_response(
-        &mut self,
-        resp: &PeerResponse,
-        now: u64,
-    ) -> Result<(PeerConfirm, Session)> {
-        let done_key = SessionId::from_points(&resp.g_rj, &resp.g_rl).to_bytes();
-        self.completed_recent.expire(now);
-        if self.completed_recent.contains(&done_key) {
-            return Err(ProtocolError::DuplicateMessage);
-        }
-        let key = resp.g_rj.to_bytes();
-        self.pending_peer_init.expire(now);
-        let out = {
-            let pending = self
-                .pending_peer_init
-                .get(&key)
-                .ok_or(ProtocolError::SessionMismatch)?;
-            self.process_peer_response(pending, resp, now)?
-        };
-        self.pending_peer_init.remove(&key);
-        self.completed_recent.insert(done_key, (), now);
-        Ok(out)
-    }
-
-    /// Responder side: validates M̃.3 against the retained half-open state
-    /// and finalizes the session, idempotently (a replayed M̃.3 is rejected
-    /// with [`ProtocolError::DuplicateMessage`]).
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::DuplicateMessage`] on replay;
-    /// [`ProtocolError::SessionMismatch`] when no matching half-open
-    /// handshake exists; otherwise as [`Self::process_peer_confirm`].
-    pub fn handle_peer_confirm(&mut self, confirm: &PeerConfirm, now: u64) -> Result<Session> {
-        let key = SessionId::from_points(&confirm.g_rj, &confirm.g_rl).to_bytes();
-        self.completed_recent.expire(now);
-        if self.completed_recent.contains(&key) {
-            return Err(ProtocolError::DuplicateMessage);
-        }
-        self.pending_peer_resp.expire(now);
-        let session = {
-            let pending = self
-                .pending_peer_resp
-                .get(&key)
-                .ok_or(ProtocolError::SessionMismatch)?;
-            self.process_peer_confirm(pending, confirm)?
-        };
+        let session = Session::establish(&pending.dh_secret, pending.id.clone(), Role::Responder);
         self.pending_peer_resp.remove(&key);
         self.completed_recent.insert(key, (), now);
         Ok(session)
@@ -925,19 +795,6 @@ impl UserClient {
             Ok(Some(_)) => Err(ProtocolError::SignerRevoked),
             Ok(None) => Ok(()),
         }
-    }
-}
-
-// Small helper so `enroll` can encode a ShareIndex without importing Encode
-// at the call site.
-trait EncodeInto {
-    fn encode_into(&self, w: &mut Writer);
-}
-
-impl EncodeInto for ShareIndex {
-    fn encode_into(&self, w: &mut Writer) {
-        use peace_wire::Encode;
-        self.encode(w);
     }
 }
 

@@ -46,9 +46,9 @@
 //! // Authenticate to a router and exchange data.
 //! let mut router = no.provision_router("MR-1", 1_000_000, &mut rng);
 //! let beacon = router.beacon(1_000, &mut rng);
-//! let (req, pending) = alice.process_beacon(&beacon, 1_050, &mut rng)?;
+//! let req = alice.request_access(&beacon, 1_050, &mut rng)?;
 //! let (confirm, mut router_sess) = router.process_access_request(&req, 1_100)?;
-//! let mut alice_sess = alice.finalize_router_session(&pending, &confirm)?;
+//! let mut alice_sess = alice.handle_access_confirm(&confirm, 1_100)?;
 //!
 //! let packet = alice_sess.seal_data(b"hello metro mesh");
 //! assert_eq!(router_sess.open_data(&packet)?, b"hello metro mesh");
@@ -82,5 +82,5 @@ pub use messages::{AccessConfirm, AccessRequest, Beacon, PeerConfirm, PeerHello,
 pub use pending::PendingTable;
 pub use replica::ReplicaSet;
 pub use revocation::{SignedCrl, SignedUrl, SignedUrlDelta, UrlRestamp, UrlSection};
-pub use session::{PendingSession, Role, Session};
+pub use session::{Role, Session};
 pub use transport::{Channel, Delivery, FaultPlan, FaultStats, RetryPolicy};

@@ -6,7 +6,6 @@
 //! symmetric primitives keyed from the DH secret.
 
 use peace_curve::G1;
-use peace_field::Fq;
 use peace_symmetric::{SessionCipher, SessionMac};
 
 use crate::error::{ProtocolError, Result};
@@ -141,20 +140,6 @@ impl Session {
     pub fn received_count(&self) -> u64 {
         self.recv_seq
     }
-}
-
-/// Client-side state between sending M.2 (or M̃.1) and receiving the
-/// confirmation.
-#[derive(Clone, Debug)]
-pub struct PendingSession {
-    /// The local ephemeral exponent.
-    pub local_secret: Fq,
-    /// The computed DH secret `g^{r_a r_b}`.
-    pub dh_secret: G1,
-    /// The session identifier.
-    pub id: SessionId,
-    /// When the handshake started (for the delay-window check of M̃.3).
-    pub started_at: u64,
 }
 
 #[cfg(test)]

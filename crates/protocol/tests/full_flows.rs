@@ -70,9 +70,9 @@ fn user_router_full_handshake_and_data() {
     let mut router = w.router("MR-1");
 
     let beacon = router.beacon(10_000, &mut w.rng);
-    let (req, pending) = alice.process_beacon(&beacon, 10_100, &mut w.rng).unwrap();
+    let req = alice.request_access(&beacon, 10_100, &mut w.rng).unwrap();
     let (confirm, mut r_sess) = router.process_access_request(&req, 10_200).unwrap();
-    let mut a_sess = alice.finalize_router_session(&pending, &confirm).unwrap();
+    let mut a_sess = alice.handle_access_confirm(&confirm, 10_200).unwrap();
 
     // bidirectional traffic
     let up = a_sess.seal_data(b"uplink");
@@ -88,19 +88,19 @@ fn user_router_full_handshake_and_data() {
 fn user_user_full_handshake() {
     let mut w = World::new(2);
     let gid = w.add_group("University Z", 4);
-    let alice = w.enroll_user("alice", gid);
-    let bob = w.enroll_user("bob", gid);
+    let mut alice = w.enroll_user("alice", gid);
+    let mut bob = w.enroll_user("bob", gid);
     let mut router = w.router("MR-1");
 
     // both get the current beacon (they need g and the URL)
     let beacon = router.beacon(5_000, &mut w.rng);
 
-    let (hello, a_pending) = alice.peer_hello(&beacon.g, 5_010, &mut w.rng).unwrap();
-    let (resp, b_pending) = bob.process_peer_hello(&hello, 5_020, &mut w.rng).unwrap();
-    let (confirm, mut a_sess) = alice
-        .process_peer_response(&a_pending, &resp, 5_030)
+    let hello = alice
+        .start_peer_handshake(&beacon.g, 5_010, &mut w.rng)
         .unwrap();
-    let mut b_sess = bob.process_peer_confirm(&b_pending, &confirm).unwrap();
+    let resp = bob.handle_peer_hello(&hello, 5_020, &mut w.rng).unwrap();
+    let (confirm, mut a_sess) = alice.handle_peer_response(&resp, 5_030).unwrap();
+    let mut b_sess = bob.handle_peer_confirm(&confirm, 5_030).unwrap();
 
     let m = a_sess.seal_data(b"hi bob");
     assert_eq!(b_sess.open_data(&m).unwrap(), b"hi bob");
@@ -122,7 +122,7 @@ fn outsider_without_credentials_cannot_authenticate() {
     let beacon = router.beacon(1_000, &mut w.rng);
     // The outsider's client refuses the foreign beacon (NPK mismatch) —
     // and even a hand-crafted request is rejected by the router.
-    assert!(outsider.process_beacon(&beacon, 1_010, &mut w.rng).is_err());
+    assert!(outsider.request_access(&beacon, 1_010, &mut w.rng).is_err());
 
     // Force the outsider to sign anyway against its own gpk:
     let other_beacon_err = {
@@ -161,7 +161,7 @@ fn revoked_user_rejected_by_router_and_peers() {
 
     // Alice misbehaves; NO audits a session and revokes her key.
     let beacon0 = router.beacon(1_000, &mut w.rng);
-    let (req, _) = alice.process_beacon(&beacon0, 1_010, &mut w.rng).unwrap();
+    let req = alice.request_access(&beacon0, 1_010, &mut w.rng).unwrap();
     let _ = router.process_access_request(&req, 1_020).unwrap();
     w.no.ingest_router_log(&mut router);
     let session_id = peace_protocol::SessionId::from_points(&req.g_rr, &req.g_rj);
@@ -173,7 +173,7 @@ fn revoked_user_rejected_by_router_and_peers() {
     let beacon = router.beacon(2_000, &mut w.rng);
 
     // Alice can still *build* a request, but the router rejects it.
-    let (req2, _) = alice.process_beacon(&beacon, 2_010, &mut w.rng).unwrap();
+    let req2 = alice.request_access(&beacon, 2_010, &mut w.rng).unwrap();
     assert_eq!(
         router.process_access_request(&req2, 2_020).unwrap_err(),
         ProtocolError::SignerRevoked
@@ -181,18 +181,20 @@ fn revoked_user_rejected_by_router_and_peers() {
 
     // Bob (who saw the fresh URL from the beacon) also rejects Alice's
     // peer hello.
-    let (_, _) = bob.process_beacon(&beacon, 2_010, &mut w.rng).unwrap();
-    let (hello, _) = alice.peer_hello(&beacon.g, 2_030, &mut w.rng).unwrap();
+    let _ = bob.request_access(&beacon, 2_010, &mut w.rng).unwrap();
+    let hello = alice
+        .start_peer_handshake(&beacon.g, 2_030, &mut w.rng)
+        .unwrap();
     assert_eq!(
-        bob.process_peer_hello(&hello, 2_040, &mut w.rng)
+        bob.handle_peer_hello(&hello, 2_040, &mut w.rng)
             .unwrap_err(),
         ProtocolError::SignerRevoked
     );
 
     // Bob himself still authenticates fine.
-    let (req3, pending3) = bob.process_beacon(&beacon, 2_050, &mut w.rng).unwrap();
+    let req3 = bob.request_access(&beacon, 2_050, &mut w.rng).unwrap();
     let (confirm3, _) = router.process_access_request(&req3, 2_060).unwrap();
-    assert!(bob.finalize_router_session(&pending3, &confirm3).is_ok());
+    assert!(bob.handle_access_confirm(&confirm3, 2_060).is_ok());
 }
 
 #[test]
@@ -214,7 +216,7 @@ fn revoked_router_rejected_via_crl() {
     let beacon = bad_router.beacon(3_010, &mut w.rng);
     assert_eq!(
         alice
-            .process_beacon(&beacon, 3_020, &mut w.rng)
+            .request_access(&beacon, 3_020, &mut w.rng)
             .unwrap_err(),
         ProtocolError::CertificateRevoked
     );
@@ -237,7 +239,7 @@ fn phishing_with_stale_crl_bounded_by_list_age() {
     // Within the list_max_age window the phish SUCCEEDS — this is exactly
     // the §V.A exposure window.
     let beacon = rogue.beacon(1_500, &mut w.rng);
-    assert!(alice.process_beacon(&beacon, 1_510, &mut w.rng).is_ok());
+    assert!(alice.request_access(&beacon, 1_510, &mut w.rng).is_ok());
 
     // After the window, the stale CRL is rejected.
     let max_age = w.no.config().list_max_age;
@@ -245,7 +247,7 @@ fn phishing_with_stale_crl_bounded_by_list_age() {
     let beacon2 = rogue.beacon(late, &mut w.rng);
     assert_eq!(
         alice
-            .process_beacon(&beacon2, late + 10, &mut w.rng)
+            .request_access(&beacon2, late + 10, &mut w.rng)
             .unwrap_err(),
         ProtocolError::StaleCrl
     );
@@ -264,14 +266,14 @@ fn fake_router_without_certificate_rejected() {
     let beacon = fake.beacon(1_000, &mut adv.rng);
     assert_eq!(
         alice
-            .process_beacon(&beacon, 1_010, &mut w.rng)
+            .request_access(&beacon, 1_010, &mut w.rng)
             .unwrap_err(),
         ProtocolError::CertificateInvalid
     );
 
     // Sanity: the real router is accepted at the same instant.
     let good = real_router.beacon(1_000, &mut w.rng);
-    assert!(alice.process_beacon(&good, 1_010, &mut w.rng).is_ok());
+    assert!(alice.request_access(&good, 1_010, &mut w.rng).is_ok());
 }
 
 #[test]
@@ -286,13 +288,13 @@ fn replayed_beacon_and_request_rejected() {
     let window = w.no.config().timestamp_window;
     assert_eq!(
         alice
-            .process_beacon(&beacon, 1_000 + window + 1, &mut w.rng)
+            .request_access(&beacon, 1_000 + window + 1, &mut w.rng)
             .unwrap_err(),
         ProtocolError::StaleTimestamp
     );
 
     // A valid request replayed past the window also fails.
-    let (req, _) = alice.process_beacon(&beacon, 1_010, &mut w.rng).unwrap();
+    let req = alice.request_access(&beacon, 1_010, &mut w.rng).unwrap();
     assert_eq!(
         router
             .process_access_request(&req, 1_010 + window + 1)
@@ -320,14 +322,14 @@ fn dos_puzzles_gate_requests() {
     assert!(beacon.puzzle.is_some());
 
     // Honest client solves the puzzle and gets in.
-    let (req, pending) = alice.process_beacon(&beacon, 1_010, &mut w.rng).unwrap();
+    let req = alice.request_access(&beacon, 1_010, &mut w.rng).unwrap();
     assert!(req.puzzle_solution.is_some());
     let (confirm, _) = router.process_access_request(&req, 1_020).unwrap();
-    assert!(alice.finalize_router_session(&pending, &confirm).is_ok());
+    assert!(alice.handle_access_confirm(&confirm, 1_020).is_ok());
 
     // A request with the solution stripped is rejected cheaply.
     let beacon2 = router.beacon(2_000, &mut w.rng);
-    let (mut req2, _) = alice.process_beacon(&beacon2, 2_010, &mut w.rng).unwrap();
+    let mut req2 = alice.request_access(&beacon2, 2_010, &mut w.rng).unwrap();
     req2.puzzle_solution = None;
     assert_eq!(
         router.process_access_request(&req2, 2_020).unwrap_err(),
@@ -336,7 +338,7 @@ fn dos_puzzles_gate_requests() {
 
     // A wrong solution is rejected too.
     let beacon3 = router.beacon(3_000, &mut w.rng);
-    let (mut req3, _) = alice.process_beacon(&beacon3, 3_010, &mut w.rng).unwrap();
+    let mut req3 = alice.request_access(&beacon3, 3_010, &mut w.rng).unwrap();
     req3.puzzle_solution = Some(peace_puzzle::Solution {
         counters: vec![0; beacon3.puzzle.as_ref().unwrap().sub_puzzles as usize],
     });
@@ -358,10 +360,10 @@ fn audit_reveals_group_only_and_trace_reveals_user() {
 
     // Two sessions from different groups.
     let b1 = router.beacon(1_000, &mut w.rng);
-    let (req_a, _) = alice.process_beacon(&b1, 1_010, &mut w.rng).unwrap();
+    let req_a = alice.request_access(&b1, 1_010, &mut w.rng).unwrap();
     router.process_access_request(&req_a, 1_020).unwrap();
     let b2 = router.beacon(1_100, &mut w.rng);
-    let (req_c, _) = carol.process_beacon(&b2, 1_110, &mut w.rng).unwrap();
+    let req_c = carol.request_access(&b2, 1_110, &mut w.rng).unwrap();
     router.process_access_request(&req_c, 1_120).unwrap();
     w.no.ingest_router_log(&mut router);
     assert_eq!(w.no.logged_session_count(), 2);
@@ -416,8 +418,8 @@ fn multi_role_user_audits_to_different_groups() {
     for role in 0..2 {
         dave.set_active_role(role).unwrap();
         let b = router.beacon(1_000 + role as u64 * 100, &mut w.rng);
-        let (req, _) = dave
-            .process_beacon(&b, 1_010 + role as u64 * 100, &mut w.rng)
+        let req = dave
+            .request_access(&b, 1_010 + role as u64 * 100, &mut w.rng)
             .unwrap();
         router
             .process_access_request(&req, 1_020 + role as u64 * 100)
@@ -447,14 +449,12 @@ fn tampered_confirmation_rejected() {
     let mut router = w.router("MR-1");
 
     let beacon = router.beacon(1_000, &mut w.rng);
-    let (req, pending) = alice.process_beacon(&beacon, 1_010, &mut w.rng).unwrap();
+    let req = alice.request_access(&beacon, 1_010, &mut w.rng).unwrap();
     let (mut confirm, _) = router.process_access_request(&req, 1_020).unwrap();
     let n = confirm.ciphertext.len();
     confirm.ciphertext[n / 2] ^= 0xff;
     assert_eq!(
-        alice
-            .finalize_router_session(&pending, &confirm)
-            .unwrap_err(),
+        alice.handle_access_confirm(&confirm, 1_020).unwrap_err(),
         ProtocolError::DecryptFailed
     );
 }
@@ -473,30 +473,27 @@ fn gm_share_pool_exhaustion() {
 fn peer_handshake_window_enforced() {
     let mut w = World::new(14);
     let gid = w.add_group("Company", 2);
-    let alice = w.enroll_user("alice", gid);
-    let bob = w.enroll_user("bob", gid);
+    let mut alice = w.enroll_user("alice", gid);
+    let mut bob = w.enroll_user("bob", gid);
     let mut router = w.router("MR-1");
     let beacon = router.beacon(1_000, &mut w.rng);
 
-    let (hello, a_pending) = alice.peer_hello(&beacon.g, 1_000, &mut w.rng).unwrap();
+    let hello = alice
+        .start_peer_handshake(&beacon.g, 1_000, &mut w.rng)
+        .unwrap();
     // Bob answers absurdly late (forged ts2 far in the future).
     let hw = w.no.config().handshake_window;
     let late_ts = 1_000 + hw + 5_000;
-    let (resp, _) = bob
-        .process_peer_hello(&hello, 1_010, &mut w.rng)
-        .map(|(mut r, p)| {
-            r.ts2 = late_ts; // tamper: claim a late ts2
-            (r, p)
-        })
-        .unwrap();
-    let err = alice
-        .process_peer_response(&a_pending, &resp, late_ts)
-        .unwrap_err();
-    // Either the handshake window or the signature over ts2 catches it.
-    assert!(matches!(
-        err,
-        ProtocolError::HandshakeTimeout | ProtocolError::BadGroupSignature
-    ));
+    let mut resp = bob.handle_peer_hello(&hello, 1_010, &mut w.rng).unwrap();
+    resp.ts2 = late_ts; // tamper: claim a late ts2
+                        // Delivered inside the window, the delay check refuses it before the
+                        // signature over ts2 is looked at.
+    let err = alice.handle_peer_response(&resp, 1_020).unwrap_err();
+    assert_eq!(err, ProtocolError::HandshakeTimeout);
+    // Delivered at ts2 itself, the half-open state expired with the window.
+    let err = alice.handle_peer_response(&resp, late_ts).unwrap_err();
+    assert_eq!(err, ProtocolError::SessionMismatch);
+    assert_eq!(alice.pending_handshakes(), 0);
 }
 
 #[test]
@@ -513,9 +510,9 @@ fn roaming_across_routers() {
     let mut sids = Vec::new();
     for router in routers.iter_mut() {
         let beacon = router.beacon(t, &mut w.rng);
-        let (req, pending) = alice.process_beacon(&beacon, t + 5, &mut w.rng).unwrap();
+        let req = alice.request_access(&beacon, t + 5, &mut w.rng).unwrap();
         let (confirm, mut r_sess) = router.process_access_request(&req, t + 10).unwrap();
-        let mut a_sess = alice.finalize_router_session(&pending, &confirm).unwrap();
+        let mut a_sess = alice.handle_access_confirm(&confirm, t + 10).unwrap();
         let pkt = a_sess.seal_data(b"roam");
         assert!(r_sess.open_data(&pkt).is_ok());
         w.no.ingest_router_log(router);
@@ -544,8 +541,8 @@ fn compromised_router_cannot_identify_or_frame_users() {
     let mut rogue = w.router("MR-compromised");
 
     let beacon = rogue.beacon(1_000, &mut w.rng);
-    let (req_a, _) = alice.process_beacon(&beacon, 1_010, &mut w.rng).unwrap();
-    let (req_b, _) = bob.process_beacon(&beacon, 1_020, &mut w.rng).unwrap();
+    let req_a = alice.request_access(&beacon, 1_010, &mut w.rng).unwrap();
+    let req_b = bob.request_access(&beacon, 1_020, &mut w.rng).unwrap();
     rogue.process_access_request(&req_a, 1_015).unwrap();
     rogue.process_access_request(&req_b, 1_025).unwrap();
 
@@ -606,7 +603,7 @@ fn automatic_dos_detection_toggles_puzzles() {
     // Flood: bogus requests with garbage signatures referencing a real
     // beacon (each one fails expensive verification).
     let beacon = router.beacon(2_000, &mut w.rng);
-    let (template, _) = alice.process_beacon(&beacon, 2_010, &mut w.rng).unwrap();
+    let template = alice.request_access(&beacon, 2_010, &mut w.rng).unwrap();
     for i in 0..threshold {
         let mut bogus = template.clone();
         bogus.ts2 = 2_011 + i as u64; // changed payload → signature fails
@@ -618,10 +615,10 @@ fn automatic_dos_detection_toggles_puzzles() {
     assert!(defended.puzzle.is_some());
 
     // Legitimate users still get in (they solve the puzzle).
-    let (req, pending) = alice.process_beacon(&defended, 2_510, &mut w.rng).unwrap();
+    let req = alice.request_access(&defended, 2_510, &mut w.rng).unwrap();
     assert!(req.puzzle_solution.is_some());
     let (confirm, _) = router.process_access_request(&req, 2_520).unwrap();
-    assert!(alice.finalize_router_session(&pending, &confirm).is_ok());
+    assert!(alice.handle_access_confirm(&confirm, 2_520).is_ok());
 
     // After a quiet window the router relaxes automatically.
     let later = 2_500 + window + 1_000;
@@ -650,7 +647,7 @@ fn batched_access_requests_match_sequential_semantics() {
 
     // Mallory misbehaves once; NO revokes her so her token lands in the URL.
     let beacon0 = router.beacon(1_000, &mut w.rng);
-    let (req0, _) = mallory.process_beacon(&beacon0, 1_010, &mut w.rng).unwrap();
+    let req0 = mallory.request_access(&beacon0, 1_010, &mut w.rng).unwrap();
     let _ = router.process_access_request(&req0, 1_020).unwrap();
     w.no.ingest_router_log(&mut router);
     let sid = peace_protocol::SessionId::from_points(&req0.g_rr, &req0.g_rj);
@@ -661,20 +658,18 @@ fn batched_access_requests_match_sequential_semantics() {
     // One beacon serves the whole burst.
     let beacon = router.beacon(2_000, &mut w.rng);
     let mut reqs = Vec::new();
-    let mut pendings = Vec::new();
     for (i, u) in users.iter_mut().enumerate() {
-        let (req, pending) = u
-            .process_beacon(&beacon, 2_010 + i as u64, &mut w.rng)
+        let req = u
+            .request_access(&beacon, 2_010 + i as u64, &mut w.rng)
             .unwrap();
         reqs.push(req);
-        pendings.push(pending);
     }
     // A tampered request: payload changed after signing → challenge mismatch.
     let mut forged = reqs[1].clone();
     forged.ts2 += 1;
     reqs.push(forged);
     // The revoked signer's request: valid Σ-proof, but token is on the URL.
-    let (req_rev, _) = mallory.process_beacon(&beacon, 2_020, &mut w.rng).unwrap();
+    let req_rev = mallory.request_access(&beacon, 2_020, &mut w.rng).unwrap();
     reqs.push(req_rev);
     // An exact duplicate inside the same burst.
     reqs.push(reqs[0].clone());
@@ -685,9 +680,7 @@ fn batched_access_requests_match_sequential_semantics() {
     // The four honest users all get sessions they can finalize.
     for i in 0..4 {
         let (confirm, _) = outcomes[i].as_ref().expect("honest request admitted");
-        assert!(users[i]
-            .finalize_router_session(&pendings[i], confirm)
-            .is_ok());
+        assert!(users[i].handle_access_confirm(confirm, 2_030).is_ok());
     }
     assert_eq!(
         *outcomes[4].as_ref().unwrap_err(),
@@ -727,8 +720,8 @@ fn access_requests_begun_together_finish_in_any_order() {
     let mut router = w.router("MR-1");
 
     let beacon = router.beacon(1_000, &mut w.rng);
-    let (req_a, pend_a) = alice.process_beacon(&beacon, 1_010, &mut w.rng).unwrap();
-    let (req_b, pend_b) = bob.process_beacon(&beacon, 1_011, &mut w.rng).unwrap();
+    let req_a = alice.request_access(&beacon, 1_010, &mut w.rng).unwrap();
+    let req_b = bob.request_access(&beacon, 1_011, &mut w.rng).unwrap();
 
     // Both in flight before either finishes; B finishes first.
     let a = router.begin_access_request(&req_a, 1_020).unwrap();
@@ -737,8 +730,8 @@ fn access_requests_begun_together_finish_in_any_order() {
     let (confirm_b, _) = router.finish_access_request(b, 1_030).unwrap();
     let (confirm_a, _) = router.finish_access_request(a, 1_031).unwrap();
 
-    assert!(alice.finalize_router_session(&pend_a, &confirm_a).is_ok());
-    assert!(bob.finalize_router_session(&pend_b, &confirm_b).is_ok());
+    assert!(alice.handle_access_confirm(&confirm_a, 1_031).is_ok());
+    assert!(bob.handle_access_confirm(&confirm_b, 1_031).is_ok());
     assert_eq!(router.drain_log().len(), 2, "each admission logged once");
 }
 
@@ -750,7 +743,7 @@ fn same_request_begun_twice_mints_one_session() {
     let mut router = w.router("MR-1");
 
     let beacon = router.beacon(1_000, &mut w.rng);
-    let (req, _) = alice.process_beacon(&beacon, 1_010, &mut w.rng).unwrap();
+    let req = alice.request_access(&beacon, 1_010, &mut w.rng).unwrap();
     // Neither copy has been admitted yet, so both pass the replay gate.
     let first = router.begin_access_request(&req, 1_020).unwrap().verify();
     let second = router.begin_access_request(&req, 1_020).unwrap().verify();
@@ -772,7 +765,7 @@ fn revocation_landing_before_finish_is_enforced() {
 
     // One admitted session gives NO a transcript to open.
     let beacon = router.beacon(1_000, &mut w.rng);
-    let (req0, _) = mallory.process_beacon(&beacon, 1_010, &mut w.rng).unwrap();
+    let req0 = mallory.request_access(&beacon, 1_010, &mut w.rng).unwrap();
     router.process_access_request(&req0, 1_020).unwrap();
     w.no.ingest_router_log(&mut router);
     let sid = peace_protocol::SessionId::from_points(&req0.g_rr, &req0.g_rj);
@@ -781,7 +774,7 @@ fn revocation_landing_before_finish_is_enforced() {
     // Her next request begins, and verifies, while she is still in good
     // standing; the revocation reaches the router before it finishes.
     let beacon = router.beacon(2_000, &mut w.rng);
-    let (req, _) = mallory.process_beacon(&beacon, 2_010, &mut w.rng).unwrap();
+    let req = mallory.request_access(&beacon, 2_010, &mut w.rng).unwrap();
     let checked = router.begin_access_request(&req, 2_020).unwrap().verify();
     assert!(w.no.revoke_member(&token));
     router.update_lists(w.no.publish_crl(2_025), w.no.publish_url(2_025));
@@ -801,7 +794,7 @@ fn epoch_installed_before_finish_refuses_the_request() {
     let mut router = w.router("MR-1");
 
     let beacon = router.beacon(1_000, &mut w.rng);
-    let (req, _) = alice.process_beacon(&beacon, 1_010, &mut w.rng).unwrap();
+    let req = alice.request_access(&beacon, 1_010, &mut w.rng).unwrap();
     let checked = router.begin_access_request(&req, 1_020).unwrap().verify();
 
     // The key the Σ-check ran under is retired mid-flight.
@@ -832,7 +825,7 @@ fn forgeries_finishing_out_of_line_still_arm_dos_defense() {
     let threshold = w.no.config().dos_threshold;
 
     let beacon = router.beacon(2_000, &mut w.rng);
-    let (template, _) = alice.process_beacon(&beacon, 2_010, &mut w.rng).unwrap();
+    let template = alice.request_access(&beacon, 2_010, &mut w.rng).unwrap();
     let forged: Vec<_> = (0..threshold)
         .map(|i| {
             let mut bogus = template.clone();
@@ -888,7 +881,7 @@ fn the_pairings_of_a_handshake_all_run_between_begin_and_finish() {
     const URL: u64 = 8;
     let (mut w, mut mallory, mut router) = world_with_url(48, URL as usize);
     let beacon = router.beacon(1_000, &mut w.rng);
-    let (req, _) = mallory.process_beacon(&beacon, 1_010, &mut w.rng).unwrap();
+    let req = mallory.request_access(&beacon, 1_010, &mut w.rng).unwrap();
     let pairing_work = |c: OpSnapshot| (c.miller_loops, c.miller_prepares, c.final_exps);
 
     // The gates, the list handle and the cache lookup: bytes only.
@@ -912,7 +905,7 @@ fn the_pairings_of_a_handshake_all_run_between_begin_and_finish() {
     // Unless the list changed in the gap: then, and only then, `finish`
     // sweeps — the list now in force.
     let beacon = router.beacon(2_000, &mut w.rng);
-    let (req, _) = mallory.process_beacon(&beacon, 2_010, &mut w.rng).unwrap();
+    let req = mallory.request_access(&beacon, 2_010, &mut w.rng).unwrap();
     let checked = router.begin_access_request(&req, 2_020).unwrap().verify();
     router.update_lists(w.no.publish_crl(2_025), w.no.publish_url(2_025));
     let scope = OpSnapshot::scope();
@@ -924,7 +917,7 @@ fn the_pairings_of_a_handshake_all_run_between_begin_and_finish() {
 fn a_delta_listing_the_signer_before_finish_is_enforced() {
     let (mut w, mut mallory, mut router) = world_with_url(49, 2);
     let beacon = router.beacon(1_000, &mut w.rng);
-    let (req, _) = mallory.process_beacon(&beacon, 1_010, &mut w.rng).unwrap();
+    let req = mallory.request_access(&beacon, 1_010, &mut w.rng).unwrap();
     // Verified, and swept clean, while she is still in good standing.
     let checked = router.begin_access_request(&req, 1_020).unwrap().verify();
 
@@ -950,7 +943,7 @@ fn a_delta_reinstating_the_signer_before_finish_admits_her() {
     assert!(w.no.revoke_member(&token_of(&mallory)));
     router.update_lists(w.no.publish_crl(900), w.no.publish_url(900));
     let beacon = router.beacon(1_000, &mut w.rng);
-    let (req, pending) = mallory.process_beacon(&beacon, 1_010, &mut w.rng).unwrap();
+    let req = mallory.request_access(&beacon, 1_010, &mut w.rng).unwrap();
     // Swept against the list that names her.
     let checked = router.begin_access_request(&req, 1_020).unwrap().verify();
 
@@ -964,7 +957,7 @@ fn a_delta_reinstating_the_signer_before_finish_admits_her() {
     router.apply_url_delta(&delta, 1_026).unwrap();
 
     let (confirm, _) = router.finish_access_request(checked, 1_030).unwrap();
-    assert!(mallory.finalize_router_session(&pending, &confirm).is_ok());
+    assert!(mallory.handle_access_confirm(&confirm, 1_030).is_ok());
     assert_eq!(router.pending_log_len(), 1);
 }
 
@@ -977,8 +970,8 @@ fn a_restamp_before_finish_leaves_the_verdict_as_it_was() {
     router.update_lists(w.no.publish_crl(900), w.no.publish_url(900));
 
     let beacon = router.beacon(1_000, &mut w.rng);
-    let (req_a, _) = alice.process_beacon(&beacon, 1_010, &mut w.rng).unwrap();
-    let (req_m, _) = mallory.process_beacon(&beacon, 1_011, &mut w.rng).unwrap();
+    let req_a = alice.request_access(&beacon, 1_010, &mut w.rng).unwrap();
+    let req_m = mallory.request_access(&beacon, 1_011, &mut w.rng).unwrap();
     let clean = router.begin_access_request(&req_a, 1_020).unwrap().verify();
     let listed = router.begin_access_request(&req_m, 1_020).unwrap().verify();
 

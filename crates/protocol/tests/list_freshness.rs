@@ -193,12 +193,12 @@ fn beacon_and_bulletin_paths_share_the_version_floor() {
     let beacon = router.beacon(50_200, &mut w.rng);
     assert_eq!(beacon.url.version, 0);
     let err = alice
-        .process_beacon(&beacon, 50_250, &mut w.rng)
+        .request_access(&beacon, 50_250, &mut w.rng)
         .unwrap_err();
     assert_eq!(err, ProtocolError::StaleUrl);
 
     // Once the router refreshes its lists, the beacon is accepted again.
     router.update_lists(w.no.publish_crl(50_300), w.no.publish_url(50_300));
     let beacon = router.beacon(50_400, &mut w.rng);
-    assert!(alice.process_beacon(&beacon, 50_450, &mut w.rng).is_ok());
+    assert!(alice.request_access(&beacon, 50_450, &mut w.rng).is_ok());
 }

@@ -72,7 +72,7 @@ fn epoch_rotation_invalidates_all_old_credentials() {
 
     // Works before rotation.
     let b = router.beacon(1_000, &mut w.rng);
-    let (req, _) = alice.process_beacon(&b, 1_010, &mut w.rng).unwrap();
+    let req = alice.request_access(&b, 1_010, &mut w.rng).unwrap();
     assert!(router.process_access_request(&req, 1_020).is_ok());
 
     // Rotate. Router learns the new gpk; Alice has NOT re-enrolled.
@@ -84,7 +84,7 @@ fn epoch_rotation_invalidates_all_old_credentials() {
     // Alice's stale credential signs against the OLD gpk: the router (new
     // gpk) rejects the signature.
     let b2 = router.beacon(2_000, &mut w.rng);
-    let (stale_req, _) = alice.process_beacon(&b2, 2_010, &mut w.rng).unwrap();
+    let stale_req = alice.request_access(&b2, 2_010, &mut w.rng).unwrap();
     assert_eq!(
         router
             .process_access_request(&stale_req, 2_020)
@@ -98,9 +98,9 @@ fn epoch_rotation_invalidates_all_old_credentials() {
     w.refill_group(gid, 2);
     w.enroll(&mut alice, gid);
     let b3 = router.beacon(3_000, &mut w.rng);
-    let (req3, pending3) = alice.process_beacon(&b3, 3_010, &mut w.rng).unwrap();
+    let req3 = alice.request_access(&b3, 3_010, &mut w.rng).unwrap();
     let (confirm3, _) = router.process_access_request(&req3, 3_020).unwrap();
-    assert!(alice.finalize_router_session(&pending3, &confirm3).is_ok());
+    assert!(alice.handle_access_confirm(&confirm3, 3_020).is_ok());
 }
 
 #[test]
@@ -120,7 +120,7 @@ fn rotation_empties_url() {
 
     // Mallory gets revoked the hard way (audit → URL entry).
     let b = router.beacon(1_000, &mut w.rng);
-    let (req, _) = mallory.process_beacon(&b, 1_010, &mut w.rng).unwrap();
+    let req = mallory.request_access(&b, 1_010, &mut w.rng).unwrap();
     router.process_access_request(&req, 1_020).unwrap();
     w.no.ingest_router_log(&mut router);
     let sid = SessionId::from_points(&req.g_rr, &req.g_rj);
@@ -152,7 +152,7 @@ fn old_epoch_sessions_remain_auditable() {
     let mut router = w.no.provision_router("MR-1", u64::MAX / 2, &mut w.rng);
 
     let b = router.beacon(1_000, &mut w.rng);
-    let (req, _) = alice.process_beacon(&b, 1_010, &mut w.rng).unwrap();
+    let req = alice.request_access(&b, 1_010, &mut w.rng).unwrap();
     router.process_access_request(&req, 1_020).unwrap();
     w.no.ingest_router_log(&mut router);
     let sid = SessionId::from_points(&req.g_rr, &req.g_rj);
@@ -224,9 +224,9 @@ fn renewal_cycle_stress() {
     let mut t = 1_000u64;
     for epoch in 0..3 {
         let b = router.beacon(t, &mut w.rng);
-        let (req, pending) = bob.process_beacon(&b, t + 10, &mut w.rng).unwrap();
+        let req = bob.request_access(&b, t + 10, &mut w.rng).unwrap();
         let (confirm, _) = router.process_access_request(&req, t + 20).unwrap();
-        assert!(bob.finalize_router_session(&pending, &confirm).is_ok());
+        assert!(bob.handle_access_confirm(&confirm, t + 20).is_ok());
         w.no.ingest_router_log(&mut router);
         let sid = SessionId::from_points(&req.g_rr, &req.g_rj);
         assert_eq!(w.no.audit(&sid).unwrap().group, gid);
@@ -278,7 +278,7 @@ fn a_rotated_epoch_is_one_new_table_set_for_the_whole_world() {
 
     // A request is begun, and verified, under the old epoch.
     let beacon = routers[0].beacon(1_000, &mut w.rng);
-    let (req, _) = users[0].process_beacon(&beacon, 1_010, &mut w.rng).unwrap();
+    let req = users[0].request_access(&beacon, 1_010, &mut w.rng).unwrap();
     let checked = routers[0]
         .begin_access_request(&req, 1_020)
         .unwrap()
@@ -320,7 +320,7 @@ fn a_rotated_epoch_is_one_new_table_set_for_the_whole_world() {
 
     // The new epoch works end to end on the shared set.
     let beacon = routers[1].beacon(2_000, &mut w.rng);
-    let (req, pending) = users[1].process_beacon(&beacon, 2_010, &mut w.rng).unwrap();
+    let req = users[1].request_access(&beacon, 2_010, &mut w.rng).unwrap();
     let (confirm, _) = routers[1].process_access_request(&req, 2_020).unwrap();
-    assert!(users[1].finalize_router_session(&pending, &confirm).is_ok());
+    assert!(users[1].handle_access_confirm(&confirm, 2_020).is_ok());
 }

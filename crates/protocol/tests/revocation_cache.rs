@@ -69,9 +69,9 @@ fn authenticate(
     rng: &mut StdRng,
 ) -> Result<SessionId, ProtocolError> {
     let beacon = router.beacon(t, rng);
-    let (req, pending) = user.process_beacon(&beacon, t + 50, rng)?;
+    let req = user.request_access(&beacon, t + 50, rng)?;
     let (confirm, router_sess) = router.process_access_request(&req, t + 100)?;
-    user.finalize_router_session(&pending, &confirm)?;
+    user.handle_access_confirm(&confirm, t + 100)?;
     Ok(router_sess.id().clone())
 }
 

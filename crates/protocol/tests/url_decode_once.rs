@@ -257,14 +257,16 @@ fn a_list_adopted_from_the_bulletin_is_reused_by_beacons() {
 fn a_version_bump_replaces_the_list_and_is_enforced_on_peers() {
     let mut w = World::new(5);
     let (mut alice, _) = w.user("alice");
-    let (mallory, mallory_key) = w.user("mallory");
+    let (mut mallory, mallory_key) = w.user("mallory");
     let mut tokens = w.tokens(2);
     let v1 = w.beacon(1_000, w.url(1, 1_000, tokens.clone()));
     alice.request_access(&v1, 1_000, &mut w.rng).unwrap();
 
     // Not yet revoked: mallory's hello is accepted.
-    let (hello, _) = mallory.peer_hello(&v1.g, 1_010, &mut w.rng).unwrap();
-    assert!(alice.process_peer_hello(&hello, 1_010, &mut w.rng).is_ok());
+    let hello = mallory
+        .start_peer_handshake(&v1.g, 1_010, &mut w.rng)
+        .unwrap();
+    assert!(alice.handle_peer_hello(&hello, 1_010, &mut w.rng).is_ok());
 
     // The operator adds one token; the next beacon carries version 2.
     tokens.push(mallory_key.revocation_token());
@@ -273,10 +275,12 @@ fn a_version_bump_replaces_the_list_and_is_enforced_on_peers() {
     assert_eq!(alice.list_versions(), (0, 2));
     assert_eq!(alice.current_url().unwrap().tokens, tokens);
     assert_eq!(alice.url_decode_counts(), (2 + 3, 0));
-    let (hello, _) = mallory.peer_hello(&v2.g, 1_110, &mut w.rng).unwrap();
+    let hello = mallory
+        .start_peer_handshake(&v2.g, 1_110, &mut w.rng)
+        .unwrap();
     assert_eq!(
         alice
-            .process_peer_hello(&hello, 1_110, &mut w.rng)
+            .handle_peer_hello(&hello, 1_110, &mut w.rng)
             .unwrap_err(),
         ProtocolError::SignerRevoked
     );
@@ -291,7 +295,7 @@ fn a_version_bump_replaces_the_list_and_is_enforced_on_peers() {
     assert_eq!(alice.current_url().unwrap().tokens, tokens);
     assert_eq!(
         alice
-            .process_peer_hello(&hello, 1_210, &mut w.rng)
+            .handle_peer_hello(&hello, 1_210, &mut w.rng)
             .unwrap_err(),
         ProtocolError::SignerRevoked
     );

@@ -296,7 +296,7 @@ pub fn run_phishing_experiment(
     let mut t = revoked_at + attempt_interval;
     while t <= end_time {
         let beacon = rogue.beacon(t, &mut rng);
-        let ok = user.process_beacon(&beacon, t, &mut rng).is_ok();
+        let ok = user.request_access(&beacon, t, &mut rng).is_ok();
         if ok {
             last_success = Some(t);
         }
@@ -358,8 +358,8 @@ pub fn run_injection_matrix(seed: u64) -> Vec<InjectionOutcome> {
     // Revoke the second user's key: NO learns the token by auditing a
     // session it observed (realistic flow).
     let b0 = router.beacon(500, &mut rng);
-    let (req0, _) = revoked_user
-        .process_beacon(&b0, 510, &mut rng)
+    let req0 = revoked_user
+        .request_access(&b0, 510, &mut rng)
         .expect("pre-revocation auth");
     router
         .process_access_request(&req0, 520)
@@ -423,8 +423,8 @@ pub fn run_injection_matrix(seed: u64) -> Vec<InjectionOutcome> {
     // 2. Revoked user.
     {
         let res = revoked_user
-            .process_beacon(&beacon, now + 10, &mut rng)
-            .and_then(|(req, _)| router.process_access_request(&req, now + 20));
+            .request_access(&beacon, now + 10, &mut rng)
+            .and_then(|req| router.process_access_request(&req, now + 20));
         outcomes.push(InjectionOutcome {
             attacker: "revoked-user",
             accepted: res.is_ok(),
@@ -438,7 +438,7 @@ pub fn run_injection_matrix(seed: u64) -> Vec<InjectionOutcome> {
         no.revoke_router(bad_router.cert().serial);
         bad_router.update_lists(no.publish_crl(now + 30), no.publish_url(now + 30));
         let bb = bad_router.beacon(now + 40, &mut rng);
-        let res = honest.process_beacon(&bb, now + 50, &mut rng);
+        let res = honest.request_access(&bb, now + 50, &mut rng);
         outcomes.push(InjectionOutcome {
             attacker: "revoked-router",
             accepted: res.is_ok(),
@@ -452,8 +452,8 @@ pub fn run_injection_matrix(seed: u64) -> Vec<InjectionOutcome> {
         router.update_lists(no.publish_crl(now + 60), no.publish_url(now + 60));
         let fresh = router.beacon(now + 70, &mut rng);
         let res = honest
-            .process_beacon(&fresh, now + 80, &mut rng)
-            .and_then(|(req, _)| router.process_access_request(&req, now + 90));
+            .request_access(&fresh, now + 80, &mut rng)
+            .and_then(|req| router.process_access_request(&req, now + 90));
         outcomes.push(InjectionOutcome {
             attacker: "honest-control",
             accepted: res.is_ok(),
@@ -520,7 +520,7 @@ pub fn run_linking_game(trials: u32, seed: u64) -> LinkingReport {
     for trial in 0..trials {
         let mut request = |user: &mut UserClient, t: u64, rng: &mut StdRng| {
             let beacon = router.beacon(t, rng);
-            let (req, _) = user.process_beacon(&beacon, t + 1, rng).expect("auth ok");
+            let req = user.request_access(&beacon, t + 1, rng).expect("auth ok");
             req.to_wire()
         };
         let labelled = request(&mut alice, t, &mut rng);

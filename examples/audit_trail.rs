@@ -50,9 +50,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         dave.set_active_role(role)?;
         let now = 1_000 + role as u64 * 500;
         let beacon = router.beacon(now, &mut rng);
-        let (req, pending) = dave.process_beacon(&beacon, now + 10, &mut rng)?;
+        let req = dave.request_access(&beacon, now + 10, &mut rng)?;
         let (confirm, _) = router.process_access_request(&req, now + 20)?;
-        dave.finalize_router_session(&pending, &confirm)?;
+        dave.handle_access_confirm(&confirm, now + 20)?;
         let sid = SessionId::from_points(&req.g_rr, &req.g_rj);
         println!("session {} opened {label}", sid);
         session_ids.push(sid);
@@ -98,13 +98,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     router.update_lists(no.publish_crl(5_000), no.publish_url(5_000));
     dave.set_active_role(0)?;
     let beacon = router.beacon(5_100, &mut rng);
-    let (req, _) = dave.process_beacon(&beacon, 5_110, &mut rng)?;
+    let req = dave.request_access(&beacon, 5_110, &mut rng)?;
     let err = router.process_access_request(&req, 5_120).unwrap_err();
     println!("\nafter revocation, dave's office credential is refused: {err}");
 
     dave.set_active_role(1)?;
     let beacon = router.beacon(5_200, &mut rng);
-    let (req, _) = dave.process_beacon(&beacon, 5_210, &mut rng)?;
+    let req = dave.request_access(&beacon, 5_210, &mut rng)?;
     assert!(router.process_access_request(&req, 5_220).is_ok());
     println!("his golf-club credential (a different role) still works — revocation is per-key");
 

@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let t = std::time::Instant::now();
-    let (req, pending) = alice.process_beacon(&beacon, 1_010, &mut rng)?;
+    let req = alice.request_access(&beacon, 1_010, &mut rng)?;
     let solve_time = t.elapsed();
     let (solution_work, _) = {
         let (s, w) = puzzle.solve_counting();
@@ -75,12 +75,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("honest client solved it in {solve_time:.2?} ({solution_work} hashes)");
 
     let (confirm, _) = router.process_access_request(&req, 1_020)?;
-    alice.finalize_router_session(&pending, &confirm)?;
+    alice.handle_access_confirm(&confirm, 1_020)?;
     println!("…and was admitted normally");
 
     // a flood request without a solution is shed before any pairing work
     let beacon2 = router.beacon(2_000, &mut rng);
-    let (mut bogus, _) = alice.process_beacon(&beacon2, 2_010, &mut rng)?;
+    let mut bogus = alice.request_access(&beacon2, 2_010, &mut rng)?;
     bogus.puzzle_solution = None;
     let t = std::time::Instant::now();
     let err = router.process_access_request(&bogus, 2_020).unwrap_err();

@@ -35,23 +35,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         u
     };
     let mut alice = enroll("alice", &mut gm, &mut ttp, &mut rng);
-    let bob = enroll("bob", &mut gm, &mut ttp, &mut rng);
+    let mut bob = enroll("bob", &mut gm, &mut ttp, &mut rng);
     let mut router = no.provision_router("MR-9", u64::MAX / 2, &mut rng);
 
     // Layer 1 (inner): Alice ↔ router end-to-end session. Out of radio
     // range she would bootstrap this through the relay; the handshake
     // messages themselves carry no identity, so relaying them is safe.
     let beacon = router.beacon(1_000, &mut rng);
-    let (req, pending) = alice.process_beacon(&beacon, 1_010, &mut rng)?;
+    let req = alice.request_access(&beacon, 1_010, &mut rng)?;
     let (confirm, mut router_sess) = router.process_access_request(&req, 1_020)?;
-    let mut alice_router = alice.finalize_router_session(&pending, &confirm)?;
+    let mut alice_router = alice.handle_access_confirm(&confirm, 1_020)?;
     println!("inner layer: alice ↔ router session established (anonymous)");
 
     // Layer 2 (outer): Alice ↔ Bob pairwise session (M̃.1–M̃.3).
-    let (hello, ap) = alice.peer_hello(&beacon.g, 2_000, &mut rng)?;
-    let (resp, bp) = bob.process_peer_hello(&hello, 2_010, &mut rng)?;
-    let (pconfirm, mut alice_bob) = alice.process_peer_response(&ap, &resp, 2_020)?;
-    let mut bob_alice = bob.process_peer_confirm(&bp, &pconfirm)?;
+    let hello = alice.start_peer_handshake(&beacon.g, 2_000, &mut rng)?;
+    let resp = bob.handle_peer_hello(&hello, 2_010, &mut rng)?;
+    let (pconfirm, mut alice_bob) = alice.handle_peer_response(&resp, 2_020)?;
+    let mut bob_alice = bob.handle_peer_confirm(&pconfirm, 2_020)?;
     println!("outer layer: alice ↔ bob relay session established (bilateral anonymous)\n");
 
     // Alice wraps her router-bound ciphertext for the relay.

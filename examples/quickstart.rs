@@ -39,15 +39,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         user
     };
     let mut alice = enroll("alice", &mut gm, &mut ttp, &mut rng);
-    let bob = enroll("bob", &mut gm, &mut ttp, &mut rng);
+    let mut bob = enroll("bob", &mut gm, &mut ttp, &mut rng);
     println!("enrolled: alice, bob (group manager never saw their A_ij points)");
 
     // --- User ↔ router handshake (paper §IV.B) -------------------------
     let mut router = no.provision_router("MR-17", u64::MAX / 2, &mut rng);
     let beacon = router.beacon(1_000, &mut rng);
-    let (request, pending) = alice.process_beacon(&beacon, 1_010, &mut rng)?;
+    let request = alice.request_access(&beacon, 1_010, &mut rng)?;
     let (confirm, mut router_sess) = router.process_access_request(&request, 1_020)?;
-    let mut alice_sess = alice.finalize_router_session(&pending, &confirm)?;
+    let mut alice_sess = alice.handle_access_confirm(&confirm, 1_020)?;
     println!("\nuser↔router: 3-way handshake complete (router learned only 'a legitimate user')");
 
     let up = alice_sess.seal_data(b"GET /news HTTP/1.1");
@@ -63,10 +63,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // --- User ↔ user handshake (paper §IV.C) ---------------------------
-    let (hello, a_pending) = alice.peer_hello(&beacon.g, 2_000, &mut rng)?;
-    let (resp, b_pending) = bob.process_peer_hello(&hello, 2_010, &mut rng)?;
-    let (peer_confirm, mut a_peer) = alice.process_peer_response(&a_pending, &resp, 2_020)?;
-    let mut b_peer = bob.process_peer_confirm(&b_pending, &peer_confirm)?;
+    let hello = alice.start_peer_handshake(&beacon.g, 2_000, &mut rng)?;
+    let resp = bob.handle_peer_hello(&hello, 2_010, &mut rng)?;
+    let (peer_confirm, mut a_peer) = alice.handle_peer_response(&resp, 2_020)?;
+    let mut b_peer = bob.handle_peer_confirm(&peer_confirm, 2_020)?;
     let relay = a_peer.seal_data(b"relay this packet please");
     b_peer.open_data(&relay)?;
     println!("user↔user: bilateral anonymous handshake complete, relay channel keyed");

@@ -100,8 +100,8 @@ fn sizes() {
     let mut alice = enroll(&mut net, "alice");
     let mut router = net.no.provision_router("MR-1", u64::MAX / 2, &mut net.rng);
     let beacon = router.beacon(1_000, &mut net.rng);
-    let (req, _) = alice
-        .process_beacon(&beacon, 1_010, &mut net.rng)
+    let req = alice
+        .request_access(&beacon, 1_010, &mut net.rng)
         .expect("beacon ok");
     let (confirm, _) = router
         .process_access_request(&req, 1_020)
@@ -140,14 +140,14 @@ fn handshake(count: u64) {
         let t = 1_000 + i * 100;
         let start = Instant::now();
         let beacon = router.beacon(t, &mut net.rng);
-        let (req, pending) = alice
-            .process_beacon(&beacon, t + 1, &mut net.rng)
+        let req = alice
+            .request_access(&beacon, t + 1, &mut net.rng)
             .expect("beacon ok");
         let (confirm, mut r_sess) = router
             .process_access_request(&req, t + 2)
             .expect("request ok");
         let mut a_sess = alice
-            .finalize_router_session(&pending, &confirm)
+            .handle_access_confirm(&confirm, t + 2)
             .expect("confirm ok");
         let elapsed = start.elapsed();
         total += elapsed;
@@ -163,8 +163,8 @@ fn audit() {
     let mut alice = enroll(&mut net, "alice");
     let mut router = net.no.provision_router("MR-1", u64::MAX / 2, &mut net.rng);
     let beacon = router.beacon(1_000, &mut net.rng);
-    let (req, _) = alice
-        .process_beacon(&beacon, 1_010, &mut net.rng)
+    let req = alice
+        .request_access(&beacon, 1_010, &mut net.rng)
         .expect("beacon ok");
     router
         .process_access_request(&req, 1_020)

@@ -5,6 +5,7 @@
 use std::collections::HashMap;
 
 use peace::protocol::{entities::*, ids::*, ProtocolConfig};
+use peace::wire::{Encode, Writer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -71,7 +72,7 @@ fn bulk_audit_attributes_every_session_correctly() {
     for _round in 0..3 {
         for (user, gid) in users.iter_mut() {
             let beacon = router.beacon(t, &mut net.rng);
-            let (req, _) = user.process_beacon(&beacon, t + 5, &mut net.rng).unwrap();
+            let req = user.request_access(&beacon, t + 5, &mut net.rng).unwrap();
             router.process_access_request(&req, t + 10).unwrap();
             truth.push((
                 SessionId::from_points(&req.g_rr, &req.g_rj),
@@ -106,7 +107,7 @@ fn audit_never_frames_an_uninvolved_group() {
     let mut alice = enroll(&mut net, "alice", gids[0]);
     let mut router = net.no.provision_router("MR-1", u64::MAX / 2, &mut net.rng);
     let beacon = router.beacon(1_000, &mut net.rng);
-    let (req, _) = alice.process_beacon(&beacon, 1_005, &mut net.rng).unwrap();
+    let req = alice.request_access(&beacon, 1_005, &mut net.rng).unwrap();
     router.process_access_request(&req, 1_010).unwrap();
     net.no.ingest_router_log(&mut router);
     let sid = SessionId::from_points(&req.g_rr, &req.g_rj);
@@ -120,20 +121,40 @@ fn audit_never_frames_an_uninvolved_group() {
 fn receipts_provide_non_repudiation() {
     let mut net = build_net(62, 1, 2);
     let gid = *net.gms.keys().next().unwrap();
-    let alice = enroll(&mut net, "alice", gid);
-    let gm = net.gms.get(&gid).unwrap();
+    let uid = UserId("alice".into());
+    let mut alice = UserClient::new(
+        uid.clone(),
+        net.no.prepared_gpk(),
+        *net.no.npk(),
+        *net.no.config(),
+        &mut net.rng,
+    );
+    let gm = net.gms.get_mut(&gid).unwrap();
+    let assignment = gm.assign(&uid).unwrap();
+    let delivery = net.ttp.deliver(assignment.index, &uid).unwrap();
+    let receipt = alice.enroll(&assignment, &delivery).unwrap();
+    gm.store_receipt(&uid, receipt);
 
-    // The GM holds a receipt that verifies under Alice's receipt key —
-    // she cannot deny having received the credential.
-    let receipts = gm.receipts_for(&UserId("alice".into()));
+    // The GM holds a receipt that verifies under Alice's receipt key over
+    // the parts she was handed — she cannot deny having received the
+    // credential.
+    let receipts = gm.receipts_for(&uid);
     assert_eq!(receipts.len(), 1);
-    // The receipt binds Alice's receipt-signing key.
-    // (Payload re-verification happens at dispute time with the archived
-    // payload; here we check the signature binds her key and not another's.)
+    // The payload as enrollment signs it: index ‖ grp ‖ x ‖ blinded A.
+    let mut w = Writer::new();
+    assignment.index.encode(&mut w);
+    w.put_fixed(&assignment.grp.to_canonical_bytes());
+    w.put_fixed(&assignment.x.to_canonical_bytes());
+    w.put_bytes(&delivery.blinded_a);
+    let payload = w.into_bytes();
+    assert!(receipts[0].verify(alice.receipt_vk(), &payload));
+    // Another key does not verify it over the same payload, nor does her
+    // key over a payload with one byte changed.
     let other_key = peace::ecdsa::SigningKey::from_scalar(peace::field::Fq::from_u64(7));
-    let digest_payload = b"not the payload";
-    assert!(!receipts[0].verify(other_key.verifying_key(), digest_payload));
-    let _ = alice;
+    assert!(!receipts[0].verify(other_key.verifying_key(), &payload));
+    let mut changed = payload.clone();
+    changed[0] ^= 1;
+    assert!(!receipts[0].verify(alice.receipt_vk(), &changed));
 }
 
 #[test]
@@ -167,7 +188,7 @@ fn revocation_is_per_credential_and_complete() {
     let mut t = 1_000;
     for user in users.iter_mut() {
         let beacon = router.beacon(t, &mut net.rng);
-        let (req, _) = user.process_beacon(&beacon, t + 5, &mut net.rng).unwrap();
+        let req = user.request_access(&beacon, t + 5, &mut net.rng).unwrap();
         router.process_access_request(&req, t + 10).unwrap();
         sids.push(SessionId::from_points(&req.g_rr, &req.g_rj));
         t += 50;
@@ -187,8 +208,8 @@ fn revocation_is_per_credential_and_complete() {
     for (i, user) in users.iter_mut().enumerate() {
         let beacon = router.beacon(t, &mut net.rng);
         let result = user
-            .process_beacon(&beacon, t + 5, &mut net.rng)
-            .and_then(|(req, _)| router.process_access_request(&req, t + 10));
+            .request_access(&beacon, t + 5, &mut net.rng)
+            .and_then(|req| router.process_access_request(&req, t + 10));
         if revoked_set.contains(&i) {
             assert!(result.is_err(), "user {i} should be blocked");
         } else {
@@ -205,7 +226,7 @@ fn double_revocation_is_idempotent() {
     let mut alice = enroll(&mut net, "alice", gid);
     let mut router = net.no.provision_router("MR-1", u64::MAX / 2, &mut net.rng);
     let beacon = router.beacon(1_000, &mut net.rng);
-    let (req, _) = alice.process_beacon(&beacon, 1_005, &mut net.rng).unwrap();
+    let req = alice.request_access(&beacon, 1_005, &mut net.rng).unwrap();
     router.process_access_request(&req, 1_010).unwrap();
     net.no.ingest_router_log(&mut router);
     let sid = SessionId::from_points(&req.g_rr, &req.g_rj);
@@ -236,7 +257,7 @@ fn randomized_group_assignment_audits_correctly() {
         let gid = gids[net.rng.gen_range(0..gids.len())];
         let mut user = enroll(&mut net, &format!("rnd-{trial}"), gid);
         let beacon = router.beacon(t, &mut net.rng);
-        let (req, _) = user.process_beacon(&beacon, t + 5, &mut net.rng).unwrap();
+        let req = user.request_access(&beacon, t + 5, &mut net.rng).unwrap();
         router.process_access_request(&req, t + 10).unwrap();
         net.no.ingest_router_log(&mut router);
         let sid = SessionId::from_points(&req.g_rr, &req.g_rj);
@@ -298,7 +319,7 @@ fn baseline_plain_bs04_reveals_the_user_at_the_operator() {
     let mut bob = enroll(&mut net, "bob", gids[0]);
     let mut router = net.no.provision_router("MR-1", u64::MAX / 2, &mut net.rng);
     let beacon = router.beacon(1_000, &mut net.rng);
-    let (req, _) = bob.process_beacon(&beacon, 1_005, &mut net.rng).unwrap();
+    let req = bob.request_access(&beacon, 1_005, &mut net.rng).unwrap();
     router.process_access_request(&req, 1_010).unwrap();
     net.no.ingest_router_log(&mut router);
     let sid = SessionId::from_points(&req.g_rr, &req.g_rj);

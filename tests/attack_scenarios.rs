@@ -88,9 +88,9 @@ fn intercepted_confirmation_useless_without_dh_secret() {
     let mut router = no.provision_router("MR-1", u64::MAX / 2, &mut rng);
 
     let beacon = router.beacon(1_000, &mut rng);
-    let (req, pending) = alice.process_beacon(&beacon, 1_010, &mut rng).unwrap();
+    let req = alice.request_access(&beacon, 1_010, &mut rng).unwrap();
     let (confirm, mut r_sess) = router.process_access_request(&req, 1_020).unwrap();
-    let mut a_sess = alice.finalize_router_session(&pending, &confirm).unwrap();
+    let mut a_sess = alice.handle_access_confirm(&confirm, 1_020).unwrap();
 
     // Eavesdropper captures everything on the air: beacon, M.2, M.3, data.
     let captured_data = a_sess.seal_data(b"secret browsing");
@@ -139,7 +139,7 @@ fn message_malleability_rejected_at_decode_or_verify() {
     let mut router = no.provision_router("MR-1", u64::MAX / 2, &mut rng);
 
     let beacon = router.beacon(1_000, &mut rng);
-    let (req, _) = alice.process_beacon(&beacon, 1_010, &mut rng).unwrap();
+    let req = alice.request_access(&beacon, 1_010, &mut rng).unwrap();
     let wire = req.to_wire();
 
     let mut flips = 0;
@@ -212,7 +212,7 @@ fn beacon_signature_covers_dh_share() {
     let mut beacon = router.beacon(1_000, &mut rng);
     beacon.g_rr = peace::curve::G1::random(&mut rng).into(); // MITM swap
     assert_eq!(
-        alice.process_beacon(&beacon, 1_010, &mut rng).unwrap_err(),
+        alice.request_access(&beacon, 1_010, &mut rng).unwrap_err(),
         ProtocolError::BadRouterSignature
     );
 }
@@ -239,8 +239,10 @@ fn cross_protocol_signature_replay_rejected() {
 
     let beacon = router.beacon(1_000, &mut rng);
     // Alice must see the beacon once so peer_hello has URL context.
-    let (_legit, _) = alice.process_beacon(&beacon, 1_005, &mut rng).unwrap();
-    let (hello, _) = alice.peer_hello(&beacon.g, 1_010, &mut rng).unwrap();
+    let _legit = alice.request_access(&beacon, 1_005, &mut rng).unwrap();
+    let hello = alice
+        .start_peer_handshake(&beacon.g, 1_010, &mut rng)
+        .unwrap();
 
     // Adversary splices the peer-hello signature into an access request
     // over the same DH share and timestamp.

@@ -87,9 +87,9 @@ fn two_sessions_by_same_user_share_no_observable_state() {
     let mut router = no.provision_router("MR-1", u64::MAX / 2, &mut rng);
 
     let b1 = router.beacon(1_000, &mut rng);
-    let (r1, _) = alice.process_beacon(&b1, 1_010, &mut rng).unwrap();
+    let r1 = alice.request_access(&b1, 1_010, &mut rng).unwrap();
     let b2 = router.beacon(1_100, &mut rng);
-    let (r2, _) = alice.process_beacon(&b2, 1_110, &mut rng).unwrap();
+    let r2 = alice.request_access(&b2, 1_110, &mut rng).unwrap();
 
     assert_ne!(r1.g_rj, r2.g_rj, "fresh DH share per session");
     assert_ne!(r1.gsig.t1, r2.gsig.t1);
@@ -188,7 +188,7 @@ fn operator_audit_stops_at_group_boundary() {
 
     let mut router = no.provision_router("MR-1", u64::MAX / 2, &mut rng);
     let beacon = router.beacon(1_000, &mut rng);
-    let (req, _) = alice.process_beacon(&beacon, 1_010, &mut rng).unwrap();
+    let req = alice.request_access(&beacon, 1_010, &mut rng).unwrap();
     router.process_access_request(&req, 1_020).unwrap();
     no.ingest_router_log(&mut router);
 
