@@ -639,6 +639,51 @@ mod tests {
         let (u_hat, v_hat) = h0_bases(&gpk, b"sweep", &sig.r, BasesMode::PerMessage);
         assert_eq!(revocation_sweep(&sig, &url, &u_hat, &v_hat), None);
         assert_eq!(revocation_sweep(&sig, &[], &u_hat, &v_hat), None);
+
+        // URL lengths around the lane width (`MillerLines::LANES` tokens per
+        // group where the CPU has AVX-512 IFMA), the signer listed last: in
+        // a partly filled last group for 7 and 9, alone for 1 and 17 (the
+        // fan-out's last block, walked scalar), in a full group for 8 and
+        // 64. The counts are the same on either path.
+        let sig = sign(&gpk, &f.alice, b"lanes", BasesMode::PerMessage, &mut f.rng);
+        let (u_hat, v_hat) = h0_bases(&gpk, b"lanes", &sig.r, BasesMode::PerMessage);
+        let pool: Vec<_> = (0..64)
+            .map(|_| f.issuer.issue(&f.grp_a, &mut f.rng).revocation_token())
+            .collect();
+        for len in [1, 7, 8, 9, 17, 64] {
+            let mut url = pool[..len].to_vec();
+            url[len - 1] = f.alice.revocation_token();
+            let naive = url
+                .iter()
+                .position(|t| token_matches(&sig, t, &u_hat, &v_hat));
+            assert_eq!(naive, Some(len - 1), "len {len}");
+            let scope = OpSnapshot::scope();
+            assert_eq!(revocation_sweep(&sig, &url, &u_hat, &v_hat), naive);
+            let cost = scope.counts();
+            assert_eq!((cost.miller_loops, cost.final_exps), (len as u64 + 1, 1));
+            drop(scope);
+            assert_eq!(
+                revocation_sweep(&sig, &url[..len - 1], &u_hat, &v_hat),
+                None
+            );
+        }
+        // A token equal to T₂ evaluates at the identity: 1 in its lane,
+        // never a hit, no loop, and the lanes beside it unharmed.
+        let t2 = sig.commitments().unwrap().1;
+        let mut url = pool[..9].to_vec();
+        url[2] = RevocationToken(t2);
+        url[5] = f.alice.revocation_token();
+        assert!(!token_matches(&sig, &url[2], &u_hat, &v_hat));
+        let scope = OpSnapshot::scope();
+        assert_eq!(revocation_sweep(&sig, &url, &u_hat, &v_hat), Some(5));
+        assert_eq!(
+            scope.counts().miller_loops,
+            9,
+            "eight tokens and the shared factor"
+        );
+        drop(scope);
+        url[5] = pool[5];
+        assert_eq!(revocation_sweep(&sig, &url, &u_hat, &v_hat), None);
     }
 
     #[test]

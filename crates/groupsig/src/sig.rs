@@ -623,22 +623,23 @@ pub fn token_matches(
 }
 
 /// Token count at and above which [`revocation_sweep`] fans the per-token
-/// work out across OS threads. Two figures describe a token and they are
-/// not interchangeable. *One thread's CPU per token* is ≈ 0.16 ms on the
-/// reference box: 0.10 ms to walk the prepared lines, 0.06 ms for the
-/// is-it-1 reduction (0.26 = 0.15 + 0.11 when the lines had three
-/// coefficients and the reduction was an exponentiation). *Wall time per
-/// token of a two-worker sweep* is what the benchmark's
-/// `groupsig.sweep64_us_per_token` reports: ≈ 0.10 ms (≈ 0.17 before), and
-/// no less than the CPU figure when the workers have to share a processor.
-/// A two-worker scoped fan-out costs 0.04 ms idle, budgeted at 0.1 ms under
-/// load. Two workers halve the per-token work, so at eight tokens
-/// threading saves up to ≈ 0.65 ms, six times the budget, less ≈ 0.1 ms
-/// for the block inversions [`fill_chunks`] adds at that size (blocks of
-/// one token); below that the fixed part of a sweep (line table plus
-/// shared factor, ≈ 0.7 ms, not parallel) dominates and the saving is not
-/// worth a thread.
-const SWEEP_SPAWN_THRESHOLD: usize = 8;
+/// work out across OS threads: two full lane groups
+/// ([`MillerLines::LANES`]). Two figures describe a token and they are not
+/// interchangeable. *One thread's CPU per token* is ≈ 0.025 ms on a
+/// 2-vCPU Xeon with AVX-512 IFMA: ≈ 0.016 ms to walk the prepared lines
+/// in eight lanes, ≈ 0.009 ms for the is-it-1 reduction (0.16 = 0.10 +
+/// 0.06 on the scalar path, which a CPU without IFMA takes). *Wall time
+/// per token of a two-worker sweep* is what the benchmark's
+/// `groupsig.sweep64_us_per_token` reports: ≈ 0.035 ms (≈ 0.11 scalar),
+/// the fixed part included, and no less than the CPU figure when the
+/// workers have to share a processor. A two-worker scoped fan-out costs
+/// 0.04 ms idle, budgeted at 0.1 ms under load. A lane group costs as much
+/// padded as full, ≈ 0.2 ms, and a tail token walked alone ≈ 0.16 ms.
+/// From two full groups on, a second worker takes at least a group off
+/// the first, twice the budget; below that it takes a partial group or a
+/// tail token at most, and the fixed part of a sweep (line table plus
+/// shared factor, ≈ 0.8 ms, not parallel) dominates anyway.
+const SWEEP_SPAWN_THRESHOLD: usize = 2 * MillerLines::LANES;
 
 /// Record count at and above which [`open_batch`] fans records out across
 /// OS threads. Each record costs two hash-to-curve runs (one cofactor
@@ -647,12 +648,13 @@ const SWEEP_SPAWN_THRESHOLD: usize = 8;
 const PARALLEL_OPEN_THRESHOLD: usize = 4;
 
 /// Computes `f(range)` over `0..len` and concatenates the results in index
-/// order. Below `threshold` — and always for `len <= 1`, whatever the
-/// threshold says, since a single element has nothing to parallelize — that
+/// order. Below `threshold` — and always for `len <= granule`, whatever the
+/// threshold says, since a single granule has nothing to parallelize — that
 /// is one call on the calling thread. Otherwise one OS thread per processor
-/// (at most `len`) claims blocks of ⌈len / 4·workers⌉ contiguous indices
-/// from a shared cursor until none are left, so a worker whose indices came
-/// cheap takes more of them: where cost grows along the range (an
+/// (at most one per granule) claims blocks of ⌈len / 4·workers⌉ contiguous
+/// indices, rounded up to whole granules (the sweep's are lane groups, see
+/// [`MillerLines::LANES`]), from a shared cursor until none are left, so a
+/// worker whose indices came cheap takes more of them: where cost grows along the range (an
 /// [`open_batch`] record pays per `grt` block walked to its match, and a
 /// time-ordered ledger clusters signers) no core idles while another
 /// finishes the dear half. The block size is the trade: `f` pays its fixed
@@ -665,16 +667,17 @@ const PARALLEL_OPEN_THRESHOLD: usize = 4;
 fn fill_chunks<T: Send>(
     len: usize,
     threshold: usize,
+    granule: usize,
     f: &(dyn Fn(std::ops::Range<usize>) -> Vec<T> + Sync),
 ) -> Vec<T> {
-    if len < threshold || len <= 1 {
+    if len < threshold || len <= granule {
         return f(0..len);
     }
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-        .min(len);
-    let block = len.div_ceil(4 * workers);
+        .min(len.div_ceil(granule));
+    let block = len.div_ceil(4 * workers).next_multiple_of(granule);
     let cursor = AtomicUsize::new(0);
     let claim = || {
         let mut done = Vec::new();
@@ -713,7 +716,7 @@ fn fill_chunks<T: Send>(
 
 /// [`fill_chunks`] for work that is independent per index.
 fn fill_indexed<T: Send>(len: usize, threshold: usize, f: &(dyn Fn(usize) -> T + Sync)) -> Vec<T> {
-    fill_chunks(len, threshold, &|range| range.map(f).collect())
+    fill_chunks(len, threshold, 1, &|range| range.map(f).collect())
 }
 
 /// One signature readied for Eq.3 checks against any number of tokens —
@@ -757,11 +760,8 @@ impl SweepRow {
             .iter()
             .map(|t| self.t2.add_affine(&t.0.point().neg()))
             .collect();
-        let values: Vec<MillerValue> = ProjectivePoint::batch_to_xy_ratios(&diffs)
-            .iter()
-            .map(|at| self.lines.eval_at(at.as_ref()).mul(&self.shared))
-            .collect();
-        MillerValue::reduces_to_one(&values)
+        self.lines
+            .reduces_to_one_at(&ProjectivePoint::batch_to_xy_ratios(&diffs), &self.shared)
     }
 }
 
@@ -788,9 +788,12 @@ pub fn revocation_sweep(
     }
     let row = SweepRow::new(sig, u_hat, v_hat)?;
     ops::record_final_exp();
-    fill_chunks(tokens.len(), SWEEP_SPAWN_THRESHOLD, &|range| {
-        row.matches(&tokens[range])
-    })
+    fill_chunks(
+        tokens.len(),
+        SWEEP_SPAWN_THRESHOLD,
+        MillerLines::LANES,
+        &|range| row.matches(&tokens[range]),
+    )
     .iter()
     .position(|&hit| hit)
 }

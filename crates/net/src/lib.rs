@@ -27,7 +27,7 @@
 //! caught and counted rather than unwound across a daemon.
 //!
 //! Linux only: readiness is `epoll`, declared by hand in the one module
-//! of the workspace that contains `unsafe`.
+//! of the workspace that makes foreign calls.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,7 +1,8 @@
 //! Readiness for the shard loop: Linux `epoll`, declared by hand because
 //! `std` has no readiness wait and the dependency set is frozen. The only
-//! `unsafe` in the workspace: three foreign calls, each on a descriptor
-//! or buffer this module owns or borrows for the call.
+//! foreign calls in the workspace, and its only `unsafe` besides the
+//! pairing crate's one call into its AVX-512 lane kernel: three calls,
+//! each on a descriptor or buffer this module owns or borrows for the call.
 //!
 //! Level-triggered: a descriptor is reported for as long as it is ready
 //! for something its [`Interest`] names; error and hang-up are reported

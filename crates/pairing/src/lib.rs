@@ -20,10 +20,14 @@
 //! assert_eq!(lhs, rhs);
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: the one call into the AVX-512 IFMA lane kernel
+// (`MillerLines::reduces_to_one_in_lanes`) opts out, with its SAFETY note.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod gt;
+#[cfg(target_arch = "x86_64")]
+mod lanes;
 mod miller;
 pub mod ops;
 
@@ -502,6 +506,80 @@ mod tests {
                 }
             }
         }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        /// The lane kernel, where the CPU has one, against the scalar
+        /// composition it replaces: same verdict for every point, same
+        /// count. Random tables and points (on the curve or not), identity
+        /// points, a zero shared value, and hits forced by sharing the
+        /// conjugate of one point's evaluation, copied into several lanes.
+        #[test]
+        fn prop_lane_verdicts_match_the_scalar_composition(
+            seed in proptest::prelude::any::<u64>(),
+            len in 0usize..41,
+            identities in proptest::collection::vec(0usize..41, 0..4),
+            copies in proptest::collection::vec(0usize..41, 0..4),
+            shared_kind in 0u8..4,
+        ) {
+            use peace_field::{Fp, Fp2};
+            let lanes = lanes_available() && len >= 2;
+            println!(
+                "reduces_to_one_at over {len} points: {}",
+                if lanes { "avx512ifma lanes" } else { "scalar" }
+            );
+            let mut r = StdRng::seed_from_u64(seed);
+            let lines = MillerLines::new(&G1::random(&mut r));
+            let curve: Vec<_> = (0..len).map(|_| G2::random(&mut r).point().to_projective()).collect();
+            let mut at = peace_curve::ProjectivePoint::batch_to_xy_ratios(&curve);
+            for (k, a) in at.iter_mut().enumerate() {
+                if k % 3 == 1 {
+                    *a = Some((Fp::random(&mut r), Fp::random(&mut r)));
+                }
+            }
+            for &k in identities.iter().filter(|&&k| k < len) {
+                at[k] = None;
+            }
+            let forced = copies.first().filter(|&&k| k < len).copied();
+            for &k in copies.iter().filter(|&&k| k < len) {
+                at[k] = forced.and_then(|f| at[f]);
+            }
+            let shared = match (shared_kind, forced) {
+                (0, _) => MillerValue(Fp2::ZERO),
+                (1, _) => MillerValue::ONE,
+                (_, Some(f)) => lines.eval_at(at[f].as_ref()).conjugate(),
+                (_, None) => MillerValue(Fp2::random(&mut r)),
+            };
+            let scope = OpSnapshot::scope();
+            let got = lines.reduces_to_one_at(&at, &shared);
+            let lane_cost = scope.counts();
+            drop(scope);
+            let scope = OpSnapshot::scope();
+            let values: Vec<MillerValue> = at.iter().map(|a| lines.eval_at(a.as_ref()).mul(&shared)).collect();
+            let want = MillerValue::reduces_to_one(&values);
+            proptest::prop_assert_eq!(lane_cost, scope.counts());
+            proptest::prop_assert_eq!(&got, &want);
+            // The empty slice and a lone point, whatever `len` came up.
+            for n in 0..len.min(2) {
+                proptest::prop_assert_eq!(lines.reduces_to_one_at(&at[..n], &shared), &want[..n]);
+            }
+            if let (2.., Some(f)) = (shared_kind, forced) {
+                proptest::prop_assert!(got[f], "a forced hit is a hit");
+            }
+            if shared_kind == 0 {
+                proptest::prop_assert!(got.iter().all(|&hit| !hit));
+            }
+        }
+    }
+
+    /// Whether the CPU runs [`MillerLines::reduces_to_one_at`] in lanes.
+    fn lanes_available() -> bool {
+        #[cfg(target_arch = "x86_64")]
+        return miller::lanes_available();
+        #[cfg(not(target_arch = "x86_64"))]
+        false
     }
 
     #[test]

@@ -420,9 +420,9 @@ impl LineForm for Coefficients {
 /// One stored line, scaled by `1/(c₂·y_Q)` to unit imaginary part:
 /// `(c0·(1/y_Q) + c1·(x_Q/y_Q)) + i`.
 #[derive(Clone, Copy, Debug)]
-struct UnitLine {
-    c0: Fp,
-    c1: Fp,
+pub(crate) struct UnitLine {
+    pub(crate) c0: Fp,
+    pub(crate) c1: Fp,
 }
 
 /// One step of a prepared loop: a doubling step squares the accumulator
@@ -430,7 +430,7 @@ struct UnitLine {
 /// doubling step's line lies in `F_p` it is a bare squaring; an addition
 /// step with such a line is no step at all.
 #[derive(Clone, Copy, Debug)]
-enum Step {
+pub(crate) enum Step {
     Square,
     SquareMul(UnitLine),
     Mul(UnitLine),
@@ -487,6 +487,10 @@ fn miller_loop(p: &Affine, q: &Affine) -> Fp2 {
 pub struct MillerLines {
     /// Empty when `P` is the identity.
     steps: Vec<Step>,
+    /// The lines in the lane kernel's form where the CPU has one, else
+    /// empty.
+    #[cfg(target_arch = "x86_64")]
+    lanes: Vec<crate::lanes::LaneLine>,
 }
 
 impl MillerLines {
@@ -495,7 +499,7 @@ impl MillerLines {
     pub fn new(p: &peace_curve::G1) -> Self {
         let p = p.point();
         if p.is_identity() {
-            return Self { steps: Vec::new() };
+            return Self::from_steps(Vec::new());
         }
         ops::record_miller_prepare();
         let mut steps = Vec::with_capacity(loop_naf().len() * 3 / 2);
@@ -525,7 +529,19 @@ impl MillerLines {
             line.c0 = line.c0.mul(scale);
             line.c1 = line.c1.mul(scale);
         }
-        Self { steps }
+        Self::from_steps(steps)
+    }
+
+    fn from_steps(steps: Vec<Step>) -> Self {
+        Self {
+            #[cfg(target_arch = "x86_64")]
+            lanes: if lanes_available() {
+                crate::lanes::lane_lines(&steps)
+            } else {
+                Vec::new()
+            },
+            steps,
+        }
     }
 
     /// The table evaluated at `Q`, paying one field inversion for
@@ -573,6 +589,60 @@ impl MillerLines {
         }
         MillerValue(Fp2::new(re, im))
     }
+
+    /// Points [`Self::reduces_to_one_at`] evaluates per instruction on a CPU
+    /// with AVX-512 IFMA. A caller that splits a batch rounds its blocks to
+    /// whole groups of this many: a short group costs as much as a full one.
+    pub const LANES: usize = 8;
+
+    /// Whether `eval_at(p)·shared` reduces to 1, for each point `p` of `at`:
+    /// what [`MillerValue::reduces_to_one`] says of those values. Counted
+    /// as those calls count: a Miller loop per point other than the
+    /// identity, and no final exponentiation.
+    ///
+    /// On an x86-64 CPU with AVX-512 IFMA the walk, the product and the
+    /// trace test run in eight lanes of radix-2^52 arithmetic, and the last
+    /// group is padded; the norms' inversion is one scalar batch inversion
+    /// either way. Elsewhere, and for a lone point (a padded group costs
+    /// about one and a half scalar walks), the values are composed one by
+    /// one, and that composition is what the lanes are tested against.
+    pub fn reduces_to_one_at(&self, at: &[Option<(Fp, Fp)>], shared: &MillerValue) -> Vec<bool> {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(hits) = self.reduces_to_one_in_lanes(at, shared) {
+            return hits;
+        }
+        let values: Vec<MillerValue> = at
+            .iter()
+            .map(|at| self.eval_at(at.as_ref()).mul(shared))
+            .collect();
+        MillerValue::reduces_to_one(&values)
+    }
+
+    /// The lane kernel, where the CPU has it and the table has lines.
+    #[cfg(target_arch = "x86_64")]
+    #[allow(unsafe_code)]
+    fn reduces_to_one_in_lanes(
+        &self,
+        at: &[Option<(Fp, Fp)>],
+        shared: &MillerValue,
+    ) -> Option<Vec<bool>> {
+        if !lanes_available() || self.lanes.is_empty() || at.len() < 2 {
+            return None;
+        }
+        for _ in at.iter().flatten() {
+            ops::record_miller_loop();
+        }
+        // SAFETY: the callee's only requirement is the target features it
+        // enables, avx512ifma and the avx512f it implies, and the CPU has
+        // just been found to have both.
+        Some(unsafe { crate::lanes::reduces_to_one_at(&self.steps, &self.lanes, at, &shared.0) })
+    }
+}
+
+/// Whether this CPU runs [`MillerLines::reduces_to_one_at`] in lanes.
+#[cfg(target_arch = "x86_64")]
+pub(crate) fn lanes_available() -> bool {
+    std::is_x86_feature_detected!("avx512f") && std::is_x86_feature_detected!("avx512ifma")
 }
 
 /// Doubles `t` in place and returns the tangent line.
