@@ -642,8 +642,8 @@ mod tests {
 
         // URL lengths around the lane width (`MillerLines::LANES` tokens per
         // group where the CPU has AVX-512 IFMA), the signer listed last: in
-        // a partly filled last group for 7 and 9, alone for 1 and 17 (the
-        // fan-out's last block, walked scalar), in a full group for 8 and
+        // a partly filled last group for 7 and 9, alone for 1 (walked
+        // scalar) and 17 (a padded third group), in a full group for 8 and
         // 64. The counts are the same on either path.
         let sig = sign(&gpk, &f.alice, b"lanes", BasesMode::PerMessage, &mut f.rng);
         let (u_hat, v_hat) = h0_bases(&gpk, b"lanes", &sig.r, BasesMode::PerMessage);
@@ -687,9 +687,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_sweep_matches_serial() {
-        // Above the thread fan-out threshold the sweep must return the
-        // same index as below it.
+    fn sweep_across_lane_groups_finds_the_signer() {
+        // Five lane groups, the last padded, with the signer in the third
+        // at its second lane: the sweep reports its index and the prefix
+        // that stops short of it reports none.
         let mut f = fixture();
         let gpk = *f.issuer.public_key();
         let mut url: Vec<_> = (0..33)
@@ -700,7 +701,8 @@ mod tests {
         let (u_hat, v_hat) = h0_bases(&gpk, b"par", &sig.r, BasesMode::PerMessage);
         assert_eq!(revocation_sweep(&sig, &url, &u_hat, &v_hat), Some(17));
         assert_eq!(revocation_sweep(&sig, &url[..17], &u_hat, &v_hat), None);
-        // Counter shape holds through the threaded path too.
+        // One line table's worth of loops and one final exponentiation,
+        // however many groups the URL spans.
         let scope = OpSnapshot::scope();
         let _ = revocation_sweep(&sig, &url, &u_hat, &v_hat);
         let cost = scope.counts();
@@ -751,8 +753,9 @@ mod tests {
             // The sweep and the batched opener both run on the one
             // prepared-û loop; each must report exactly what the per-token
             // `token_matches` oracle reports, for a revoked signer at a
-            // random index and for an unrevoked one, on either side of the
-            // thread fan-out threshold (8 tokens by default).
+            // random index and for an unrevoked one, on either side of a
+            // lane group (`MillerLines::LANES`, 8) and an `open_batch` block
+            // (8) and across two of them.
             let mut rng = StdRng::seed_from_u64(seed);
             let issuer = IssuerKey::generate(&mut rng);
             let gpk = *issuer.public_key();

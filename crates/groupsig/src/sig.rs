@@ -622,62 +622,34 @@ pub fn token_matches(
     pairing_product(&[(lhs, *u_hat), (t1.neg(), *v_hat)]).is_one()
 }
 
-/// Token count at and above which [`revocation_sweep`] fans the per-token
-/// work out across OS threads: two full lane groups
-/// ([`MillerLines::LANES`]). Two figures describe a token and they are not
-/// interchangeable. *One thread's CPU per token* is ≈ 0.025 ms on a
-/// 2-vCPU Xeon with AVX-512 IFMA: ≈ 0.016 ms to walk the prepared lines
-/// in eight lanes, ≈ 0.009 ms for the is-it-1 reduction (0.16 = 0.10 +
-/// 0.06 on the scalar path, which a CPU without IFMA takes). *Wall time
-/// per token of a two-worker sweep* is what the benchmark's
-/// `groupsig.sweep64_us_per_token` reports: ≈ 0.035 ms (≈ 0.11 scalar),
-/// the fixed part included, and no less than the CPU figure when the
-/// workers have to share a processor. A two-worker scoped fan-out costs
-/// 0.04 ms idle, budgeted at 0.1 ms under load. A lane group costs as much
-/// padded as full, ≈ 0.2 ms, and a tail token walked alone ≈ 0.16 ms.
-/// From two full groups on, a second worker takes at least a group off
-/// the first, twice the budget; below that it takes a partial group or a
-/// tail token at most, and the fixed part of a sweep (line table plus
-/// shared factor, ≈ 0.8 ms, not parallel) dominates anyway.
-const SWEEP_SPAWN_THRESHOLD: usize = 2 * MillerLines::LANES;
-
 /// Record count at and above which [`open_batch`] fans records out across
 /// OS threads. Each record costs two hash-to-curve runs (one cofactor
 /// ladder), a line table and a Miller loop per token walked
 /// (milliseconds), so the fan-out pays for itself almost immediately.
 const PARALLEL_OPEN_THRESHOLD: usize = 4;
 
-/// Computes `f(range)` over `0..len` and concatenates the results in index
-/// order. Below `threshold` — and always for `len <= granule`, whatever the
-/// threshold says, since a single granule has nothing to parallelize — that
-/// is one call on the calling thread. Otherwise one OS thread per processor
-/// (at most one per granule) claims blocks of ⌈len / 4·workers⌉ contiguous
-/// indices, rounded up to whole granules (the sweep's are lane groups, see
-/// [`MillerLines::LANES`]), from a shared cursor until none are left, so a
-/// worker whose indices came cheap takes more of them: where cost grows along the range (an
-/// [`open_batch`] record pays per `grt` block walked to its match, and a
-/// time-ordered ledger clusters signers) no core idles while another
-/// finishes the dear half. The block size is the trade: `f` pays its fixed
-/// part once per block — for the sweep, one field inversion to normalise
-/// the block's points and one to reduce its values — so on two workers
-/// eight blocks pay twelve inversions (≈ 0.1 ms) more than two halves did,
-/// against a straggler's tail of at most one block. Blocks are put back in
-/// order of their first index, so the output is positional and
+/// Computes `f(i)` over `0..len`, in index order. Below `threshold`, and
+/// always for a single index, that is a loop on the calling thread.
+/// Otherwise one OS thread per processor (at most one per index) claims
+/// blocks of ⌈len / 4·workers⌉ contiguous indices from a shared cursor
+/// until none are left, so a worker whose indices came cheap takes more of
+/// them: where cost grows along the range (an [`open_batch`] record pays
+/// per `grt` block walked to its match, and a time-ordered ledger clusters
+/// signers) no core idles while another finishes the dear half. Blocks are
+/// put back in order of their first index, so the output is positional and
 /// deterministic however the claims fell.
-fn fill_chunks<T: Send>(
-    len: usize,
-    threshold: usize,
-    granule: usize,
-    f: &(dyn Fn(std::ops::Range<usize>) -> Vec<T> + Sync),
-) -> Vec<T> {
-    if len < threshold || len <= granule {
-        return f(0..len);
+///
+/// Its one caller is [`open_batch`]: the NO's audit has no pool of its own,
+/// where a router's verify pool already runs a request per processor.
+fn fill_indexed<T: Send>(len: usize, threshold: usize, f: &(dyn Fn(usize) -> T + Sync)) -> Vec<T> {
+    if len < threshold || len <= 1 {
+        return (0..len).map(f).collect();
     }
     let workers = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-        .min(len.div_ceil(granule));
-    let block = len.div_ceil(4 * workers).next_multiple_of(granule);
+        .min(len);
+    let block = len.div_ceil(4 * workers);
     let cursor = AtomicUsize::new(0);
     let claim = || {
         let mut done = Vec::new();
@@ -688,7 +660,7 @@ fn fill_chunks<T: Send>(
             if lo >= len {
                 return done;
             }
-            done.push((lo, f(lo..(lo + block).min(len))));
+            done.push((lo, (lo..(lo + block).min(len)).map(f).collect::<Vec<T>>()));
         }
     };
     let mut blocks: Vec<(usize, Vec<T>)> = std::thread::scope(|s| {
@@ -712,11 +684,6 @@ fn fill_chunks<T: Send>(
     });
     blocks.sort_unstable_by_key(|&(lo, _)| lo);
     blocks.into_iter().flat_map(|(_, out)| out).collect()
-}
-
-/// [`fill_chunks`] for work that is independent per index.
-fn fill_indexed<T: Send>(len: usize, threshold: usize, f: &(dyn Fn(usize) -> T + Sync)) -> Vec<T> {
-    fill_chunks(len, threshold, 1, &|range| range.map(f).collect())
 }
 
 /// One signature readied for Eq.3 checks against any number of tokens —
@@ -753,8 +720,8 @@ impl SweepRow {
     /// table evaluation per token at `(x/y, 1/y)` of `T₂ − Aᵢ` (one field
     /// inversion for the slice), then one is-it-1 reduction per token (one
     /// more; not counted — the public entry points record one final
-    /// exponentiation per sweep, however many workers share it). `T₂ = Aᵢ`
-    /// evaluates at the identity, which contributes 1 and cannot match.
+    /// exponentiation per call). `T₂ = Aᵢ` evaluates at the identity, which
+    /// contributes 1 and cannot match.
     fn matches(&self, tokens: &[RevocationToken]) -> Vec<bool> {
         let diffs: Vec<ProjectivePoint> = tokens
             .iter()
@@ -773,10 +740,10 @@ impl SweepRow {
 /// them evaluations against the table) and `1` final exponentiation,
 /// versus `2n` full pairings for the naive [`token_matches`] scan.
 ///
-/// Large URLs fan out across OS threads ([`fill_chunks`]), each worker
-/// claiming contiguous blocks of tokens and evaluating *and reducing* each
-/// block it claims; results are positionally ordered, so the returned index
-/// is deterministic either way.
+/// The whole URL is one `SweepRow::matches` call on the calling thread,
+/// so one inversion normalises every token's point and one reduces every
+/// value. A router runs one request per verify-pool worker, and that pool
+/// is where its parallelism is set; a sweep spawns nothing.
 pub fn revocation_sweep(
     sig: &GroupSignature,
     tokens: &[RevocationToken],
@@ -788,14 +755,7 @@ pub fn revocation_sweep(
     }
     let row = SweepRow::new(sig, u_hat, v_hat)?;
     ops::record_final_exp();
-    fill_chunks(
-        tokens.len(),
-        SWEEP_SPAWN_THRESHOLD,
-        MillerLines::LANES,
-        &|range| row.matches(&tokens[range]),
-    )
-    .iter()
-    .position(|&hit| hit)
+    row.matches(tokens).iter().position(|&hit| hit)
 }
 
 /// Scans the URL for a token encoded in `(T₁, T₂)` (paper step 3.3).
@@ -828,10 +788,11 @@ pub fn open(
     revocation_index(gpk, msg, sig, grt, mode)
 }
 
-/// Tokens an [`open_batch`] record evaluates and reduces together: a block
-/// shares one field inversion, and evaluates at most three tokens past the
-/// one that matches.
-const OPEN_BLOCK: usize = 4;
+/// Tokens an [`open_batch`] record evaluates and reduces together: one lane
+/// group ([`MillerLines::LANES`]), which costs as much padded as full. A
+/// block shares one field inversion, and evaluates at most seven tokens
+/// past the one that matches.
+const OPEN_BLOCK: usize = MillerLines::LANES;
 
 /// Batched Open over many records at once (the accountability ledger's
 /// audit sweep).
@@ -843,7 +804,7 @@ const OPEN_BLOCK: usize = 4;
 /// instead of the full `n` a per-record [`open`] pays — about half on
 /// average, with the worst case (a forged record no token matches)
 /// identical to [`open`]. Nothing is shared across records but the cores:
-/// workers claim records a few at a time ([`fill_chunks`]), so a ledger
+/// workers claim records a few at a time ([`fill_indexed`]), so a ledger
 /// whose later records walk further still keeps every core busy, and each
 /// worker holds one line table at a time; every block is recorded as one
 /// final exponentiation. Output is positionally ordered: `out[k]` is the
@@ -944,9 +905,8 @@ impl RevocationTable {
 mod threshold_tests {
     use super::*;
 
-    /// Regression (scalable-revocation satellite): a 1-element URL must
-    /// never spawn threads, no matter how aggressive the fan-out threshold
-    /// is — the spawn overhead cannot be repaid by a single Miller loop.
+    /// A one-record batch never spawns threads, however low the fan-out
+    /// threshold: there is nothing to share out.
     #[test]
     fn one_element_fill_never_spawns() {
         let main_id = std::thread::current().id();
@@ -1051,18 +1011,24 @@ mod sweep_soundness {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// |URL| on both sides of the fan-out threshold (8), of an
-    /// [`OPEN_BLOCK`] boundary (4), and of the fan-out's blocks over the
-    /// benchmark's list (64).
-    const URL_SIZES: [usize; 9] = [1, 3, 4, 5, 7, 8, 9, 64, 65];
+    /// |URL| on both sides of a lane group's edge ([`MillerLines::LANES`],
+    /// which is also [`OPEN_BLOCK`]) at 8, 16 and the benchmark's list
+    /// (64), and of half a group.
+    const URL_SIZES: [usize; 12] = [1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 64, 65];
 
     /// Where the signer's token sits: first, last, either side of the
-    /// midpoint (a fan-out block edge) and of the first block edge — or
-    /// nowhere.
+    /// midpoint and of the first two [`OPEN_BLOCK`] edges — or nowhere.
     fn signer_slots(n: usize) -> Vec<Option<usize>> {
         let half = n.div_ceil(2);
-        let mut slots: Vec<usize> = [0, n - 1, half - 1, half, OPEN_BLOCK - 1, OPEN_BLOCK]
+        let edges = [
+            OPEN_BLOCK - 1,
+            OPEN_BLOCK,
+            2 * OPEN_BLOCK - 1,
+            2 * OPEN_BLOCK,
+        ];
+        let mut slots: Vec<usize> = [0, n - 1, half - 1, half]
             .into_iter()
+            .chain(edges)
             .filter(|&slot| slot < n)
             .collect();
         slots.sort_unstable();

@@ -436,19 +436,23 @@ pub(crate) fn reduces_to_one_at(
     let two = canonical(&add(&one, &one));
     let shared = (from_fps(&[shared.c0; LANES]), from_fps(&[shared.c1; LANES]));
 
+    // Held as plain limbs, like the table's lines: a `Vec<Fe>` is a
+    // 64-byte-aligned allocation, and one per sweep on a long-lived thread
+    // fragments its malloc arena (EXPERIMENTS.md E3).
     let mut diffs = Vec::with_capacity(at.len().div_ceil(LANES));
     let mut norms = Vec::with_capacity(at.len());
     for group in at.chunks(LANES) {
         let (a, b) = group_values(steps, table, group, &shared, &one);
         let (aa, bb) = (mul(&a, &a), mul(&b, &b));
         norms.extend_from_slice(&to_fps(&add(&aa, &bb))[..group.len()]);
-        diffs.push(sub(&aa, &bb));
+        diffs.push(unpack(&sub(&aa, &bb)));
     }
     Fp::batch_invert(&mut norms);
 
     let mut hits = Vec::with_capacity(at.len());
     for (diff, norm_inv) in diffs.iter().zip(norms.chunks(LANES)) {
-        let t = mul(&add(diff, diff), &from_fps(norm_inv));
+        let diff = pack(diff);
+        let t = mul(&add(&diff, &diff), &from_fps(norm_inv));
         let one_mask = eq(&canonical(&lucas_v(&t, &two)), &two);
         hits.extend(
             norm_inv

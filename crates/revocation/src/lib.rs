@@ -444,9 +444,9 @@ mod tests {
             /// or the table — the verdict is the index the
             /// naive `token_matches` scan gives, whether the check is
             /// taken in one call, in three steps, or served again from the
-            /// cache; at list sizes on both sides of the sweep's fan-out
-            /// and block boundaries, with the signer first, in the middle,
-            /// last, or not listed.
+            /// cache; at list sizes on both sides of the sweep's lane-group
+            /// edges (7, 8, 9, 15, 16, 17, 64, 65), with the signer first,
+            /// in the middle, last, or not listed.
             #[test]
             fn engine_verdicts_match_the_naive_scan(seed in any::<u64>()) {
                 use peace_groupsig::{h0_bases, token_matches};
@@ -461,7 +461,7 @@ mod tests {
                     prop_assert!(token_matches(&sig, &signer, &u, &v));
                     prop_assert!(pool.iter().all(|t| !token_matches(&sig, t, &u, &v)));
                     let mut version = 0;
-                    for n in [1usize, 3, 4, 5, 7, 8, 9, 64, 65] {
+                    for n in [1usize, 3, 4, 5, 7, 8, 9, 15, 16, 17, 64, 65] {
                         for slot in [Some(0), Some(n / 2), Some(n - 1), None] {
                             let mut url = pool[..n].to_vec();
                             if let Some(slot) = slot {
