@@ -190,7 +190,7 @@ pub fn hash_to_g2_preimage(label: &[u8], msg: &[u8]) -> G2Preimage {
     G2Preimage(try_and_increment(label, msg, 0).0)
 }
 
-fn hash_to_point(label: &[u8], msg: &[u8]) -> AffinePoint {
+pub(crate) fn hash_to_point(label: &[u8], msg: &[u8]) -> AffinePoint {
     let mut ctr = 0;
     loop {
         let (candidate, at) = try_and_increment(label, msg, ctr);
@@ -203,30 +203,79 @@ fn hash_to_point(label: &[u8], msg: &[u8]) -> AffinePoint {
 }
 
 /// The first curve point H₀ finds from counter `ctr` on, and its counter.
-fn try_and_increment(label: &[u8], msg: &[u8], mut ctr: u32) -> (AffinePoint, u32) {
-    use peace_field::Fp;
-    loop {
-        let mut input = Vec::with_capacity(msg.len() + 4);
-        input.extend_from_slice(&ctr.to_be_bytes());
-        input.extend_from_slice(msg);
-        // 96 bytes -> negligible bias after reduction mod the 64-byte prime.
-        let wide = peace_hash::xof(label, &input, 97);
-        let x = Fp::from_wide_bytes(&wide[..96]);
-        let sign_bit = wide[96] & 1 == 1;
-        let rhs = x.square().mul(&x).add(&x);
-        // Half the candidates are non-residues: the Jacobi symbol refuses
-        // them at a tenth of the price of a failed square root.
-        let root = if rhs.legendre() == -1 {
-            None
-        } else {
-            rhs.sqrt()
-        };
-        if let Some(mut y) = root {
-            if y.is_odd() != sign_bit {
-                y = y.neg();
+fn try_and_increment(label: &[u8], msg: &[u8], ctr: u32) -> (AffinePoint, u32) {
+    let c = Candidate::first(label, msg, ctr);
+    let root = c.rhs.sqrt().expect("the Jacobi symbol is not −1");
+    (c.point(&root), c.ctr)
+}
+
+/// H₀'s first candidate on the curve: its counter, `x`, `x³ + x` (a
+/// residue or zero) and the sign bit its `y` takes.
+pub(crate) struct Candidate {
+    pub(crate) ctr: u32,
+    pub(crate) x: peace_field::Fp,
+    pub(crate) rhs: peace_field::Fp,
+    sign_bit: bool,
+}
+
+impl Candidate {
+    /// The first candidate from counter `ctr` on whose `x³ + x` is not a
+    /// non-residue: the square root is what remains to be paid.
+    pub(crate) fn first(label: &[u8], msg: &[u8], mut ctr: u32) -> Self {
+        use peace_field::Fp;
+        loop {
+            let mut input = Vec::with_capacity(msg.len() + 4);
+            input.extend_from_slice(&ctr.to_be_bytes());
+            input.extend_from_slice(msg);
+            // 96 bytes -> negligible bias after reduction mod the 64-byte prime.
+            let wide = peace_hash::xof(label, &input, 97);
+            let x = Fp::from_wide_bytes(&wide[..96]);
+            let rhs = x.square().mul(&x).add(&x);
+            // Half the candidates are non-residues: the Jacobi symbol refuses
+            // them at a tenth of the price of a failed square root.
+            if rhs.legendre() != -1 {
+                return Self {
+                    ctr,
+                    x,
+                    rhs,
+                    sign_bit: wide[96] & 1 == 1,
+                };
             }
-            return (AffinePoint::new_unchecked(x, y), ctr);
+            ctr += 1;
         }
-        ctr += 1;
     }
+
+    /// The point, given a square root of `rhs`.
+    pub(crate) fn point(&self, root: &peace_field::Fp) -> AffinePoint {
+        let y = if root.is_odd() != self.sign_bit {
+            root.neg()
+        } else {
+            *root
+        };
+        AffinePoint::new_unchecked(self.x, y)
+    }
+}
+
+/// [`hash_to_g2`] of each message under one label: what a batch of
+/// signatures' H₀ bases `û` cost. With AVX-512 IFMA, eight square roots
+/// and eight cofactor ladders run at once; elsewhere, and for a lone
+/// message, one by one. Byte for byte the same points, counted the same.
+pub fn hash_to_g2_many(label: &[u8], msgs: &[&[u8]]) -> Vec<G2> {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(points) = crate::lanes::hash_to_points(label, msgs) {
+        return points.into_iter().map(G2).collect();
+    }
+    msgs.iter().map(|msg| hash_to_g2(label, msg)).collect()
+}
+
+/// [`hash_to_g2_preimage`] of each message under one label, its square
+/// roots eight at a time as in [`hash_to_g2_many`].
+pub fn hash_to_g2_preimage_many(label: &[u8], msgs: &[&[u8]]) -> Vec<G2Preimage> {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(points) = crate::lanes::preimages(label, msgs) {
+        return points.into_iter().map(G2Preimage).collect();
+    }
+    msgs.iter()
+        .map(|msg| hash_to_g2_preimage(label, msg))
+        .collect()
 }

@@ -24,17 +24,24 @@
 //! assert_eq!(g.mul(&a).mul(&b), g.mul(&a.mul(&b)));
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: the one call into the AVX-512 IFMA lane kernels
+// (`lanes::in_lanes`) opts out, with its SAFETY note.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 mod fixed_base;
 mod groups;
+#[cfg(target_arch = "x86_64")]
+mod lanes;
 pub mod ops;
 mod point;
 mod wire;
 
 pub use fixed_base::mul_generator;
-pub use groups::{hash_to_g1, hash_to_g2, hash_to_g2_preimage, psi, G2Preimage, G1, G2};
+pub use groups::{
+    hash_to_g1, hash_to_g2, hash_to_g2_many, hash_to_g2_preimage, hash_to_g2_preimage_many, psi,
+    G2Preimage, G1, G2,
+};
 pub use point::{generator, AffinePoint, ProjectivePoint};
 pub use wire::{G1Encoded, G1Wire, PointError};
 
@@ -685,6 +692,113 @@ mod tests {
         // Identity operands.
         assert_eq!(acc.add_affine(&AffinePoint::IDENTITY), acc);
         assert_eq!(ProjectivePoint::IDENTITY.add_affine(&a).to_affine(), a);
+    }
+
+    /// Which path a batch of `n` takes here, printed by the tests that hold
+    /// the lanes to the scalar path (a CPU without IFMA runs both sides on
+    /// the scalar one).
+    fn batch_path(n: usize) -> &'static str {
+        #[cfg(target_arch = "x86_64")]
+        if n >= 2 && peace_field::lanes::Ifma::detect().is_some() {
+            return "avx512ifma lanes";
+        }
+        "scalar"
+    }
+
+    /// The batch sizes around a lane group's edges.
+    const BATCH_SIZES: [usize; 8] = [1, 2, 7, 8, 9, 15, 16, 17];
+
+    /// Canonical encodings of every kind, cycled: subgroup points (either
+    /// sign), an x with no curve point, a curve point outside the
+    /// subgroup, and the identity.
+    fn mixed_encodings(n: usize, r: &mut StdRng) -> Vec<Vec<u8>> {
+        let encode = |x: u64, tag: u8| {
+            let mut bytes = vec![0u8; 65];
+            bytes[0] = tag;
+            bytes[57..].copy_from_slice(&x.to_be_bytes());
+            bytes
+        };
+        let off_curve = (1..)
+            .map(|x| encode(x, 2))
+            .find(|b| AffinePoint::from_compressed(b).is_none())
+            .unwrap();
+        let outside: Vec<Vec<u8>> = non_subgroup_points(2)
+            .iter()
+            .map(AffinePoint::to_compressed)
+            .collect();
+        (0..n)
+            .map(|k| match k % 6 {
+                0 | 1 => G1::random(r).to_bytes(),
+                2 => off_curve.clone(),
+                3 => outside[k % 2].clone(),
+                4 => G1::IDENTITY.to_bytes(),
+                _ => G1::random(r).neg().to_bytes(),
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        /// Batch decompression says what `decompress` says of each
+        /// encoding, error codes included, with the same counts; and the
+        /// wires it filled answer without another decompression.
+        #[test]
+        fn prop_batch_decompression_is_decompress(seed in any::<u64>()) {
+            let mut r = StdRng::seed_from_u64(seed);
+            for n in BATCH_SIZES {
+                let mut bytes = mixed_encodings(n, &mut r);
+                bytes.rotate_left(n % 6);
+                let pending = bytes.iter().filter(|b| b[0] != 0).count();
+                println!("decompress_all over {pending}: {}", batch_path(pending));
+                let parse = || -> Vec<G1Wire> { bytes.iter().map(|b| G1Wire::parse(b).unwrap()).collect() };
+                let (one_by_one, batch) = (parse(), parse());
+                let counts = || (ops::g1_decompress_count(), ops::g1_mul_count());
+                let before = counts();
+                let want: Vec<_> = one_by_one.iter().map(G1Wire::decompress).collect();
+                let scalar_cost = (counts().0 - before.0, counts().1 - before.1);
+                let before = counts();
+                G1Wire::decompress_all(&batch.iter().collect::<Vec<_>>());
+                let batch_cost = (counts().0 - before.0, counts().1 - before.1);
+                prop_assert_eq!(batch_cost, scalar_cost, "n = {}", n);
+                let got: Vec<_> = batch.iter().map(G1Wire::decompress).collect();
+                prop_assert_eq!(counts(), (before.0 + batch_cost.0, before.1 + batch_cost.1));
+                prop_assert_eq!(&got, &want, "n = {}", n);
+                // Already decided: a second batch does nothing.
+                G1Wire::decompress_all(&batch.iter().collect::<Vec<_>>());
+                prop_assert_eq!(counts(), (before.0 + batch_cost.0, before.1 + batch_cost.1));
+            }
+        }
+
+        /// Batch H₀ is `hash_to_g2` and `hash_to_g2_preimage`, message by
+        /// message, byte for byte and count for count; the two-counter
+        /// input among them.
+        #[test]
+        fn prop_batch_h0_is_h0(
+            seed in any::<u64>(),
+            lens in proptest::collection::vec(0usize..48, 17..18),
+        ) {
+            let mut r = StdRng::seed_from_u64(seed);
+            let mut msgs: Vec<Vec<u8>> = lens
+                .iter()
+                .map(|&len| (0..len).map(|_| rand::Rng::gen::<u8>(&mut r)).collect())
+                .collect();
+            msgs[3] = b"two-counters-0".to_vec();
+            for n in BATCH_SIZES {
+                println!("hash_to_g2_many over {n}: {}", batch_path(n));
+                let batch: Vec<&[u8]> = msgs[..n].iter().map(Vec::as_slice).collect();
+                let before = ops::g1_mul_count();
+                let want: Vec<G2> = batch.iter().map(|m| hash_to_g2(b"test", m)).collect();
+                let scalar_muls = ops::g1_mul_count() - before;
+                let before = ops::g1_mul_count();
+                let got = hash_to_g2_many(b"test", &batch);
+                prop_assert_eq!(ops::g1_mul_count() - before, scalar_muls);
+                let bytes = |v: &[G2]| -> Vec<Vec<u8>> { v.iter().map(G2::to_bytes).collect() };
+                prop_assert_eq!(bytes(&got), bytes(&want), "n = {}", n);
+                let pre: Vec<G2Preimage> = batch.iter().map(|m| hash_to_g2_preimage(b"test", m)).collect();
+                prop_assert_eq!(hash_to_g2_preimage_many(b"test", &batch), pre, "n = {}", n);
+            }
+        }
     }
 
     proptest! {

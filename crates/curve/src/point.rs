@@ -141,27 +141,12 @@ impl AffinePoint {
             return if k.is_odd() { *self } else { Self::IDENTITY };
         }
         let (kp, next) = x_ladder(&self.x, k);
-        if kp.z.is_zero() {
-            return Self::IDENTITY;
-        }
-        if next.z.is_zero() {
-            // [k+1]P = O, where the recovery below would divide by zero.
-            return self.neg();
-        }
-        // y of Q = [k]P from x_P, y_P, x_Q and x_{Q+P} (A = 0, B = 1):
-        // y_Q = ((x_P·x_Q + 1)(x_P + x_Q) − (x_P − x_Q)²·x_{Q+P}) / 2y_P,
-        // over the denominators Z_Q² and Z_{Q+P}.
-        let xz = self.x.mul(&kp.z);
-        let cross = kp.x.sub(&xz).square().mul(&next.x);
-        let sum = kp.x.add(&xz).mul(&self.x.mul(&kp.x).add(&kp.z));
-        let y_num = sum.mul(&next.z).sub(&cross);
-        // d = 2·y_P·Z_Q·Z_{Q+P}; x_Q = X_Q·d / (d·Z_Q), y_Q = y_num / (d·Z_Q).
-        let d = self.y.double().mul(&kp.z).mul(&next.z);
-        let inv = d.mul(&kp.z).invert().expect("y_P and both Z nonzero");
-        Self {
-            x: kp.x.mul(&d).mul(&inv),
-            y: y_num.mul(&inv),
-            infinity: false,
+        match LadderEnd::of(self, &kp, &next) {
+            LadderEnd::Point(p) => p,
+            LadderEnd::Scaled { x, y, den } => {
+                let inv = den.invert().expect("y_P and both Z nonzero");
+                LadderEnd::finish(&x, &y, &inv)
+            }
         }
     }
 
@@ -463,9 +448,10 @@ impl ProjectivePoint {
         table
     }
 
-    /// Plain double-and-add scalar multiplication (reference/ablation
-    /// implementation; compare against [`AffinePoint::mul_uint`]).
-    pub fn mul_uint_binary<const M: usize>(&self, k: &Uint<M>) -> Self {
+    /// Plain double-and-add scalar multiplication: the oracle the ladder
+    /// ([`AffinePoint::mul_uint`]) is tested against, built for tests only.
+    #[cfg(test)]
+    pub(crate) fn mul_uint_binary<const M: usize>(&self, k: &Uint<M>) -> Self {
         ops::record_g1_mul();
         let bits = k.bits();
         if bits == 0 {
@@ -554,9 +540,15 @@ impl ProjectivePoint {
         Self::batch_to_affine(&sums)
     }
 
-    /// Binary Shamir ladder (reference/ablation implementation; compare
-    /// against [`Self::double_mul`]).
-    pub fn double_mul_binary<const M: usize>(p: &Self, a: &Uint<M>, q: &Self, b: &Uint<M>) -> Self {
+    /// Binary Shamir ladder: the oracle [`Self::double_mul`] is tested
+    /// against, built for tests only.
+    #[cfg(test)]
+    pub(crate) fn double_mul_binary<const M: usize>(
+        p: &Self,
+        a: &Uint<M>,
+        q: &Self,
+        b: &Uint<M>,
+    ) -> Self {
         ops::record_g1_mul();
         Self::double_mul_binary_inner(p, a, q, b)
     }
@@ -588,9 +580,54 @@ impl ProjectivePoint {
 
 /// A curve point by its x-coordinate alone, projectively: `x = X/Z`, with
 /// `Z = 0` the identity. `P` and `−P` share one.
-struct XOnly {
-    x: Fp,
-    z: Fp,
+pub(crate) struct XOnly {
+    pub(crate) x: Fp,
+    pub(crate) z: Fp,
+}
+
+/// `[k]P` from `P` and the ladder's ends `[k]P`, `[k+1]P` in x-only form.
+pub(crate) enum LadderEnd {
+    /// `[k]P` is `O` or `−P`, read off a zero `Z`.
+    Point(AffinePoint),
+    /// `[k]P = (x/den, y/den)`: one inversion from affine, which a batch
+    /// of ladders shares.
+    Scaled { x: Fp, y: Fp, den: Fp },
+}
+
+impl LadderEnd {
+    /// Okeya–Sakurai recovery of `y` for `P = (x_P, y_P)` with `x_P ≠ 0`.
+    pub(crate) fn of(p: &AffinePoint, kp: &XOnly, next: &XOnly) -> Self {
+        if kp.z.is_zero() {
+            return Self::Point(AffinePoint::IDENTITY);
+        }
+        if next.z.is_zero() {
+            // [k+1]P = O, where the recovery below would divide by zero.
+            return Self::Point(p.neg());
+        }
+        // y of Q = [k]P from x_P, y_P, x_Q and x_{Q+P} (A = 0, B = 1):
+        // y_Q = ((x_P·x_Q + 1)(x_P + x_Q) − (x_P − x_Q)²·x_{Q+P}) / 2y_P,
+        // over the denominators Z_Q² and Z_{Q+P}.
+        let xz = p.x.mul(&kp.z);
+        let cross = kp.x.sub(&xz).square().mul(&next.x);
+        let sum = kp.x.add(&xz).mul(&p.x.mul(&kp.x).add(&kp.z));
+        let y_num = sum.mul(&next.z).sub(&cross);
+        // d = 2·y_P·Z_Q·Z_{Q+P}; x_Q = X_Q·d / (d·Z_Q), y_Q = y_num / (d·Z_Q).
+        let d = p.y.double().mul(&kp.z).mul(&next.z);
+        Self::Scaled {
+            x: kp.x.mul(&d),
+            y: y_num,
+            den: d.mul(&kp.z),
+        }
+    }
+
+    /// The point of a [`Self::Scaled`] end, given `1/den`.
+    pub(crate) fn finish(x: &Fp, y: &Fp, den_inv: &Fp) -> AffinePoint {
+        AffinePoint {
+            x: x.mul(den_inv),
+            y: y.mul(den_inv),
+            infinity: false,
+        }
+    }
 }
 
 /// `([k]P, [k+1]P)` in x-only form, for `P = (x, ·)` on the curve with
@@ -603,7 +640,7 @@ struct XOnly {
 /// at least [`Fq::NUM_BITS`] bits, so for every ℤ_q scalar the sequence of
 /// field operations is the same. The field operations themselves remain
 /// variable-time.
-fn x_ladder<const M: usize>(x: &Fp, k: &Uint<M>) -> (XOnly, XOnly) {
+pub(crate) fn x_ladder<const M: usize>(x: &Fp, k: &Uint<M>) -> (XOnly, XOnly) {
     let (mut x0, mut z0) = (Fp::ONE, Fp::ZERO);
     let (mut x1, mut z1) = (*x, Fp::ONE);
     let mut swapped = false;

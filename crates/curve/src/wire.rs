@@ -120,6 +120,33 @@ impl G1Wire {
         *self.point.get_or_init(|| decompress(&self.bytes).map(G1))
     }
 
+    /// Decompresses every encoding not yet decompressed, so that each
+    /// later [`Self::decompress`] is a lookup giving what it would have
+    /// computed, counted as it would have counted. With AVX-512 IFMA the
+    /// square roots and subgroup checks run eight at a time; elsewhere, and
+    /// for a lone encoding, one by one.
+    pub fn decompress_all(wires: &[&G1Wire]) {
+        let pending: Vec<&G1Wire> = wires
+            .iter()
+            .copied()
+            .filter(|w| w.point.get().is_none() && !w.is_identity())
+            .collect();
+        #[cfg(target_arch = "x86_64")]
+        {
+            let encodings: Vec<&[u8; G1::ENCODED_LEN]> = pending.iter().map(|w| &w.bytes).collect();
+            if let Some(points) = crate::lanes::decompress(&encodings) {
+                for (w, point) in pending.iter().zip(points) {
+                    // Another thread may have decided first: same answer.
+                    let _ = w.point.set(point);
+                }
+                return;
+            }
+        }
+        for w in pending {
+            let _ = w.decompress();
+        }
+    }
+
     /// The encoding.
     pub fn as_bytes(&self) -> &[u8; G1::ENCODED_LEN] {
         &self.bytes

@@ -8,6 +8,8 @@
 //!   this is the paper's `ℤ_p` exponent ring.
 //! * [`Fp2`] — the quadratic extension, target field of the Tate pairing.
 //!
+//! On x86-64, [`lanes`] holds `F_p` in eight AVX-512 IFMA lanes.
+//!
 //! All arithmetic is Montgomery-form with CIOS multiplication, built on
 //! [`peace_bigint::Uint`]. Parameters are generated deterministically by
 //! `tools/genparams.py` and committed in [`params`].
@@ -22,10 +24,15 @@
 //! assert_eq!(a.mul(&inv), Fq::ONE);
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: the lane kernels' bound test enters them at one
+// dispatch site, with its SAFETY note.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod params;
+
+#[cfg(target_arch = "x86_64")]
+pub mod lanes;
 
 mod fp2;
 mod monty;

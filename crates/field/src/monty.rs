@@ -124,11 +124,11 @@ impl<P: FieldParams<N>, const N: usize> Fe<P, N> {
         res
     }
 
-    /// Reference CIOS without the zero-limb skip — retained verbatim as the
-    /// oracle for the kernel-equivalence proptests, never on the hot path.
-    #[doc(hidden)]
+    /// Reference CIOS without the zero-limb skip: the oracle for the
+    /// kernel-equivalence proptests, built for tests only.
+    #[cfg(test)]
     #[allow(clippy::needless_range_loop)]
-    pub fn mont_mul_generic(a: &Uint<N>, b: &Uint<N>) -> Uint<N> {
+    pub(crate) fn mont_mul_generic(a: &Uint<N>, b: &Uint<N>) -> Uint<N> {
         let al = a.as_limbs();
         let bl = b.as_limbs();
         let ml = P::MODULUS.as_limbs();
@@ -362,8 +362,8 @@ impl<P: FieldParams<N>, const N: usize> Fe<P, N> {
     }
 
     /// Multiplicative inverse via the binary extended Euclidean algorithm
-    /// (~10× faster than the Fermat exponentiation it replaced; retained as
-    /// [`Self::invert_fermat`] for the equivalence proptests).
+    /// (~10× faster than the Fermat exponentiation it replaced, which the
+    /// equivalence proptests keep as their oracle).
     ///
     /// Runs in time dependent on the value (fine here: inversions touch
     /// projective z-coordinates and pairing values, never long-term keys).
@@ -381,10 +381,10 @@ impl<P: FieldParams<N>, const N: usize> Fe<P, N> {
         Some(Self::from_mont(Self::mont_mul(&t, &P::R2)))
     }
 
-    /// Reference Fermat-exponentiation inverse (`self^(p−2)`), kept as the
-    /// oracle for the binary-GCD kernel. Returns `None` for zero.
-    #[doc(hidden)]
-    pub fn invert_fermat(&self) -> Option<Self> {
+    /// Reference Fermat-exponentiation inverse (`self^(p−2)`): the oracle
+    /// for the binary-GCD kernel, built for tests only. `None` for zero.
+    #[cfg(test)]
+    pub(crate) fn invert_fermat(&self) -> Option<Self> {
         if self.is_zero() {
             return None;
         }

@@ -143,8 +143,8 @@ impl std::error::Error for VerifyError {}
 /// a signer uses, since `T₂ = A·v^α` needs `v` as a point.
 pub fn h0_bases(gpk: &GroupPublicKey, msg: &[u8], r: &Fq, mode: BasesMode) -> (G2, G2) {
     let input = h0_input(gpk, msg, r, mode);
-    let u_hat = peace_curve::hash_to_g2(b"peace-H0-u", &input);
-    let v_hat = peace_curve::hash_to_g2(b"peace-H0-v", &input);
+    let u_hat = peace_curve::hash_to_g2(H0_U, &input);
+    let v_hat = peace_curve::hash_to_g2(H0_V, &input);
     (u_hat, v_hat)
 }
 
@@ -160,10 +160,14 @@ pub fn h0_verify_bases(
     mode: BasesMode,
 ) -> (G2, G2Preimage) {
     let input = h0_input(gpk, msg, r, mode);
-    let u_hat = peace_curve::hash_to_g2(b"peace-H0-u", &input);
-    let v_pre = peace_curve::hash_to_g2_preimage(b"peace-H0-v", &input);
+    let u_hat = peace_curve::hash_to_g2(H0_U, &input);
+    let v_pre = peace_curve::hash_to_g2_preimage(H0_V, &input);
     (u_hat, v_pre)
 }
+
+/// H₀'s domain labels for `û` and `v̂`.
+const H0_U: &[u8] = b"peace-H0-u";
+const H0_V: &[u8] = b"peace-H0-v";
 
 /// H₀'s input: `gpk`, and `(msg, r)` for per-message bases.
 fn h0_input(gpk: &GroupPublicKey, msg: &[u8], r: &Fq, mode: BasesMode) -> Vec<u8> {
@@ -622,20 +626,18 @@ pub fn token_matches(
     pairing_product(&[(lhs, *u_hat), (t1.neg(), *v_hat)]).is_one()
 }
 
-/// Record count at and above which [`open_batch`] fans records out across
-/// OS threads. Each record costs two hash-to-curve runs (one cofactor
-/// ladder), a line table and a Miller loop per token walked
-/// (milliseconds), so the fan-out pays for itself almost immediately.
-const PARALLEL_OPEN_THRESHOLD: usize = 4;
+/// Lane groups at and above which [`open_batch`] fans them out across OS
+/// threads. A group's records cost milliseconds each (two hash-to-curve
+/// runs, two decompressions, a line table, a Miller loop and a walk of
+/// `grt`), so the fan-out pays for itself as soon as there are two.
+const PARALLEL_OPEN_THRESHOLD: usize = 2;
 
 /// Computes `f(i)` over `0..len`, in index order. Below `threshold`, and
 /// always for a single index, that is a loop on the calling thread.
 /// Otherwise one OS thread per processor (at most one per index) claims
 /// blocks of ⌈len / 4·workers⌉ contiguous indices from a shared cursor
 /// until none are left, so a worker whose indices came cheap takes more of
-/// them: where cost grows along the range (an [`open_batch`] record pays
-/// per `grt` block walked to its match, and a time-ordered ledger clusters
-/// signers) no core idles while another finishes the dear half. Blocks are
+/// them and no core idles while another finishes a dear block. Blocks are
 /// put back in order of their first index, so the output is positional and
 /// deterministic however the claims fell.
 ///
@@ -730,6 +732,16 @@ impl SweepRow {
         self.lines
             .reduces_to_one_at(&ProjectivePoint::batch_to_xy_ratios(&diffs), &self.shared)
     }
+
+    /// The first of `grt` that matches, walked in blocks of [`OPEN_BLOCK`]
+    /// tokens, each recorded as one final exponentiation.
+    fn first_match(&self, grt: &[RevocationToken]) -> Option<usize> {
+        grt.chunks(OPEN_BLOCK).enumerate().find_map(|(b, block)| {
+            ops::record_final_exp();
+            let hit = self.matches(block).iter().position(|&hit| hit)?;
+            Some(b * OPEN_BLOCK + hit)
+        })
+    }
 }
 
 /// Shared-Miller revocation sweep over a whole URL (paper step 3.3,
@@ -797,16 +809,24 @@ const OPEN_BLOCK: usize = MillerLines::LANES;
 /// Batched Open over many records at once (the accountability ledger's
 /// audit sweep).
 ///
-/// Each record is readied once ([`SweepRow`]) and walks `grt` in blocks of
-/// [`OPEN_BLOCK`] tokens, **stopping at the first block that matches**.
-/// Since an honest transcript matches exactly one `grt` row, a record whose
-/// signer sits at column `m` pays for `m + 1` tokens rounded up to a block
-/// instead of the full `n` a per-record [`open`] pays — about half on
-/// average, with the worst case (a forged record no token matches)
-/// identical to [`open`]. Nothing is shared across records but the cores:
-/// workers claim records a few at a time ([`fill_indexed`]), so a ledger
-/// whose later records walk further still keeps every core busy, and each
-/// worker holds one line table at a time; every block is recorded as one
+/// Records are readied a lane group ([`MillerLines::LANES`]) at a time
+/// ([`sweep_rows`]): for eight records, H₀'s bases cost one square-root
+/// chain per base and one cofactor ladder, the commitments one chain and
+/// one subgroup ladder per eight, and the line tables and shared values
+/// eight Miller loops each — in AVX-512 IFMA lanes where the CPU has them,
+/// one record at a time elsewhere. Each record then walks `grt` in blocks
+/// of [`OPEN_BLOCK`] tokens, **stopping at the first block that matches**.
+/// Since an honest transcript matches exactly one `grt` row, a record
+/// whose signer sits at column `m` pays for `m + 1` tokens rounded up to a
+/// block instead of the full `n` a per-record [`open`] pays — about half
+/// on average, with the worst case (a forged record no token matches)
+/// identical to [`open`].
+///
+/// With `G` groups, group `g` holds records `g, g + G, g + 2G, …`, so a
+/// time-ordered ledger, whose later records walk further, spreads its dear
+/// records over every group; workers claim whole groups ([`fill_indexed`])
+/// and each holds one group's tables at a time. Verdicts and op tallies
+/// are per record those of [`open`]'s path, every block recorded as one
 /// final exponentiation. Output is positionally ordered: `out[k]` is the
 /// matching token index for `items[k]`, or `None` if no registry token
 /// matches.
@@ -819,16 +839,72 @@ pub fn open_batch(
     if grt.is_empty() {
         return vec![None; items.len()];
     }
-    fill_indexed(items.len(), PARALLEL_OPEN_THRESHOLD, &|k| {
-        let (msg, sig) = items[k];
-        let (u_hat, v_pre) = h0_verify_bases(gpk, msg, &sig.r, mode);
-        let row = SweepRow::new(sig, &u_hat, &v_pre)?;
-        grt.chunks(OPEN_BLOCK).enumerate().find_map(|(b, block)| {
-            ops::record_final_exp();
-            let hit = row.matches(block).iter().position(|&hit| hit)?;
-            Some(b * OPEN_BLOCK + hit)
+    let groups = items.len().div_ceil(MillerLines::LANES);
+    let found = fill_indexed(groups, PARALLEL_OPEN_THRESHOLD, &|g| {
+        let group: Vec<(&[u8], &GroupSignature)> =
+            items.iter().skip(g).step_by(groups).copied().collect();
+        sweep_rows(gpk, &group, mode)
+            .into_iter()
+            .map(|row| row?.first_match(grt))
+            .collect::<Vec<_>>()
+    });
+    (0..items.len())
+        .map(|k| found[k % groups][k / groups])
+        .collect()
+}
+
+/// [`SweepRow::new`] on the verifier's bases ([`h0_verify_bases`]) for
+/// each record of one lane group, eight of a kind at once: `û` and `Q_v`;
+/// the `T₁`s, then the `T₂`s of records whose `T₁` is a group element (as
+/// [`GroupSignature::commitments`] stops at the first failure); then the
+/// line tables and shared values of records whose commitments both are.
+/// `None` for a record that matches no token.
+fn sweep_rows(
+    gpk: &GroupPublicKey,
+    group: &[(&[u8], &GroupSignature)],
+    mode: BasesMode,
+) -> Vec<Option<SweepRow>> {
+    let inputs: Vec<Vec<u8>> = group
+        .iter()
+        .map(|(msg, sig)| h0_input(gpk, msg, &sig.r, mode))
+        .collect();
+    let inputs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
+    let u_hats = peace_curve::hash_to_g2_many(H0_U, &inputs);
+    let v_pres = peace_curve::hash_to_g2_preimage_many(H0_V, &inputs);
+    G1Wire::decompress_all(&group.iter().map(|(_, sig)| &sig.t1).collect::<Vec<_>>());
+    let t2s: Vec<&G1Wire> = group
+        .iter()
+        .filter(|(_, sig)| sig.t1.decompress().is_ok())
+        .map(|(_, sig)| &sig.t2)
+        .collect();
+    G1Wire::decompress_all(&t2s);
+    let admitted: Vec<(G1, G1, G2, G2Preimage)> = group
+        .iter()
+        .zip(u_hats.iter().zip(&v_pres))
+        .filter_map(|((_, sig), (u_hat, v_pre))| {
+            let (t1, t2) = sig.commitments().ok()?;
+            Some((t1, t2, *u_hat, *v_pre))
         })
-    })
+        .collect();
+    let u_points: Vec<G1> = admitted.iter().map(|(_, _, u_hat, _)| psi(u_hat)).collect();
+    let pairs: Vec<(G1, G2Preimage)> = admitted
+        .iter()
+        .map(|(t1, _, _, v_pre)| (t1.neg(), *v_pre))
+        .collect();
+    let shared = peace_pairing::miller_preimages(&pairs);
+    let mut rows = admitted
+        .iter()
+        .zip(MillerLines::new_many(&u_points))
+        .zip(shared)
+        .map(|((&(_, t2, _, _), lines), shared)| SweepRow {
+            t2: t2.point().to_projective(),
+            lines,
+            shared,
+        });
+    group
+        .iter()
+        .map(|(_, sig)| sig.commitments().ok().and_then(|_| rows.next()))
+        .collect()
 }
 
 /// Precomputed revocation table for [`BasesMode::FixedBases`] (§V.C's
@@ -1101,8 +1177,8 @@ mod sweep_soundness {
         /// The skew that left a core idle under two fixed halves: record
         /// `k` is signed by the member at `grt` column `k`, so each record
         /// walks further than the one before, and the last is signed by
-        /// someone `grt` does not list. Over twice the fan-out threshold,
-        /// the batch reports what a per-record [`open`] does.
+        /// someone `grt` does not list. Over the fan-out threshold, the
+        /// batch reports what a per-record [`open`] does.
         #[test]
         fn prop_open_batch_with_ascending_signers_matches_open(
             seed in proptest::prelude::any::<u64>(),
@@ -1111,7 +1187,7 @@ mod sweep_soundness {
             let issuer = IssuerKey::generate(&mut rng);
             let gpk = *issuer.public_key();
             let grp = issuer.new_group_secret(&mut rng);
-            let n = 2 * PARALLEL_OPEN_THRESHOLD + 3;
+            let n = PARALLEL_OPEN_THRESHOLD * OPEN_BLOCK + 3;
             let members: Vec<_> = (0..n).map(|_| issuer.issue(&grp, &mut rng)).collect();
             let grt: Vec<RevocationToken> =
                 members.iter().map(|m| m.revocation_token()).collect();
@@ -1133,6 +1209,133 @@ mod sweep_soundness {
                 let expect: Vec<Option<usize>> = (0..n).map(Some).chain([None]).collect();
                 proptest::prop_assert_eq!(&per_record, &expect, "{:?}", mode);
                 proptest::prop_assert_eq!(open_batch(&gpk, &items, &grt, mode), expect, "{:?}", mode);
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod lane_open {
+    use super::*;
+    use crate::keys::IssuerKey;
+    use peace_curve::AffinePoint;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// What [`open_batch`] computed before records were readied a lane
+    /// group at a time, and what it still computes on a CPU without IFMA:
+    /// one record after another, on the calling thread.
+    fn open_one_by_one(
+        gpk: &GroupPublicKey,
+        items: &[(&[u8], &GroupSignature)],
+        grt: &[RevocationToken],
+        mode: BasesMode,
+    ) -> Vec<Option<usize>> {
+        items
+            .iter()
+            .map(|&(msg, sig)| {
+                let (u_hat, v_pre) = h0_verify_bases(gpk, msg, &sig.r, mode);
+                SweepRow::new(sig, &u_hat, &v_pre)?.first_match(grt)
+            })
+            .collect()
+    }
+
+    /// A signature's bytes with `T₁` (`slot` 0) or `T₂` (1) replaced.
+    fn with_commitment(sig: &GroupSignature, slot: usize, encoding: &[u8]) -> Vec<u8> {
+        let mut bytes = sig.to_bytes();
+        let at = 20 + slot * G1::ENCODED_LEN;
+        bytes[at..at + G1::ENCODED_LEN].copy_from_slice(encoding);
+        bytes
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2))]
+
+        /// The lane-group path against the one-by-one path, on freshly
+        /// decoded signatures (so both pay every decompression): the same
+        /// index per record and the same op tallies. A batch mixes signers
+        /// at every `grt` column (both blocks), a stranger, a token's
+        /// forgery, and commitments off the curve, outside the subgroup and
+        /// at the identity, in either slot, shuffled; it is cut at sizes
+        /// around a lane group's edges.
+        #[test]
+        fn prop_lane_open_batch_is_the_one_by_one_open(
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let issuer = IssuerKey::generate(&mut rng);
+            let gpk = *issuer.public_key();
+            let grp = issuer.new_group_secret(&mut rng);
+            let members: Vec<_> = (0..OPEN_BLOCK + 1).map(|_| issuer.issue(&grp, &mut rng)).collect();
+            let grt: Vec<RevocationToken> = members.iter().map(|m| m.revocation_token()).collect();
+            let stranger = issuer.issue(&grp, &mut rng);
+            let off_curve = (1u8..)
+                .map(|x| {
+                    let mut bytes = [0u8; G1::ENCODED_LEN];
+                    (bytes[0], bytes[64]) = (2, x);
+                    bytes
+                })
+                .find(|b| AffinePoint::from_compressed(b).is_none())
+                .unwrap();
+            let outside = peace_curve::hash_to_g2_preimage(b"outside", &seed.to_be_bytes())
+                .point()
+                .to_compressed();
+            let identity = G1::IDENTITY.to_bytes();
+            let msgs: Vec<Vec<u8>> = (0..17).map(|k| format!("record {k}").into_bytes()).collect();
+            for mode in [BasesMode::PerMessage, BasesMode::FixedBases] {
+                let mut sign_as = |k: usize, signer: &MemberKey| sign(&gpk, signer, &msgs[k], mode, &mut rng);
+                let mut records: Vec<(usize, Vec<u8>)> = members
+                    .iter()
+                    .enumerate()
+                    .map(|(k, m)| (k, sign_as(k, m).to_bytes()))
+                    .collect();
+                let bad = [&off_curve[..], &outside, &identity];
+                for (j, encoding) in bad.iter().enumerate() {
+                    for slot in 0..2 {
+                        let k = records.len();
+                        let sig = sign_as(k, &members[(j + slot) % members.len()]);
+                        records.push((k, with_commitment(&sig, slot, encoding)));
+                    }
+                }
+                let k = records.len();
+                records.push((k, sign_as(k, &stranger).to_bytes()));
+                // A token's forgery (Eq.3 holds, the Σ-proof does not).
+                let k = records.len();
+                let template = sign_as(k, &stranger);
+                let (u_hat, v_hat) = h0_bases(&gpk, &msgs[k], &template.r, mode);
+                let alpha = template.s_x;
+                let forged = GroupSignature {
+                    t1: psi(&u_hat).mul(&alpha).into(),
+                    t2: grt[3].0.add(&psi(&v_hat).mul(&alpha)).into(),
+                    ..template
+                };
+                records.push((k, forged.to_bytes()));
+                for i in (1..records.len()).rev() {
+                    records.swap(i, (rng.next_u64() % (i as u64 + 1)) as usize);
+                }
+                let decode = || -> Vec<GroupSignature> {
+                    records.iter().map(|(_, b)| GroupSignature::from_wire(b).unwrap()).collect()
+                };
+                let (lane_sigs, scalar_sigs) = (decode(), decode());
+                let mut got = Vec::new();
+                for n in [1, 2, 7, 8, 9, 15, 16, 17] {
+                    let items = |sigs| -> Vec<(&[u8], &GroupSignature)> {
+                        records[..n].iter().zip(sigs).map(|((k, _), s)| (msgs[*k].as_slice(), s)).collect()
+                    };
+                    let lanes = peace_field::lanes::Ifma::detect().is_some() && n >= 2;
+                    println!("open_batch over {n}: {}", if lanes { "avx512ifma lanes" } else { "scalar" });
+                    let scope = OpSnapshot::scope();
+                    got = open_batch(&gpk, &items(lane_sigs.iter()), &grt, mode);
+                    let lane_cost = scope.counts();
+                    drop(scope);
+                    let scope = OpSnapshot::scope();
+                    let want = open_one_by_one(&gpk, &items(scalar_sigs.iter()), &grt, mode);
+                    proptest::prop_assert_eq!(&got, &want, "{:?}, n = {}", mode, n);
+                    proptest::prop_assert_eq!(lane_cost, scope.counts(), "{:?}, n = {}", mode, n);
+                }
+                // The whole batch found a signer at every column.
+                let columns: Vec<usize> = got.iter().flatten().copied().collect();
+                proptest::prop_assert!((0..grt.len()).all(|c| columns.contains(&c)), "{:?}", columns);
             }
         }
     }

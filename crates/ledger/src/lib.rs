@@ -22,8 +22,8 @@
 //! * **indexed queries** — by epoch, router, time range, and (after an
 //!   audit sweep has appended attribution records) by user group;
 //! * **batch Open/Audit** ([`sweep`]) — replays a time range through
-//!   `open_batch`: û prepared once per record, tokens evaluated until the
-//!   record's row matches; nothing is shared across records but the cores.
+//!   `open_batch`: records readied eight at a time in IFMA lanes, tokens
+//!   evaluated until each record's row matches.
 //!
 //! The NO-only versus NO+GM boundary of the paper is preserved: ledger
 //! records never contain user identities — an audit sweep attributes a

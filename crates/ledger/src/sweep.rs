@@ -2,12 +2,18 @@
 //!
 //! An audit sweep collects every access transcript in a time window,
 //! replays all their group signatures through NO's batched opener
-//! ([`NetworkOperator::audit_batch`]: one line table and one Miller loop
-//! per record, `grt` walked only to the record's match; what the records
-//! share is the cores, claimed a few records at a time), and appends one
-//! [`LedgerRecord::Attribution`] per resolved transcript. Attribution
+//! ([`NetworkOperator::audit_batch`]: records readied eight at a time,
+//! their H₀ bases, decompressions, line tables and shared Miller values
+//! in AVX-512 IFMA lanes where the CPU has them, then `grt` walked only to
+//! each record's match, lane groups claimed by the cores), and appends
+//! one [`LedgerRecord::Attribution`] per resolved transcript. Attribution
 //! rides the same append-only chain as everything else, so the audit
 //! trail of *who audited what* is itself tamper-evident.
+//!
+//! The sweep verifies no signature: it opens what the ledger logged, and
+//! a transcript a router reported is taken as verified. One that does not
+//! verify but matches a published token is attributed here, where the
+//! single-session [`NetworkOperator::audit`] refuses it.
 
 use peace_protocol::audit::AuditFinding;
 use peace_protocol::entities::NetworkOperator;

@@ -154,7 +154,8 @@ fn a_reported_transcript_with_a_bad_point_is_stored_and_never_opens() {
     assert_eq!(no.telemetry().counters["net.decode_failures"], 0);
     drop(stream);
     // The operator holds the transcript as reported; auditing it finds
-    // nobody (no key verifies it, so no token matches) and does not panic.
+    // nobody (its T₁ names no curve point, so it opens against no token)
+    // and does not panic.
     no.with_operator(|op| {
         assert_eq!(op.logged_session_count(), 1);
         assert!(op.audit(&forged.session_id).is_err());

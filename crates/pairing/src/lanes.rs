@@ -1,329 +1,88 @@
-//! `F_p` in eight AVX-512 IFMA lanes, and the per-token work of the
-//! revocation check on it: a [`MillerLines`](crate::MillerLines) walk at
-//! eight points at once, the product with the shared value, and the Lucas
-//! trace test of [`MillerValue::reduces_to_one`](crate::MillerValue::reduces_to_one).
+//! Pairing work in eight AVX-512 IFMA lanes ([`peace_field::lanes`]):
 //!
-//! An element is ten 52-bit limbs, limb `k` of all eight lanes in one
-//! 512-bit register, in Montgomery form with `R = 2^520`. `vpmadd52luq` and
-//! `vpmadd52huq` add the low and the high 52 bits of a 104-bit product to a
-//! 64-bit accumulator, so a product is a 10×10 schoolbook of 200 of them
-//! with no carry handling until the end. The reduction adds `m·p` limb by
-//! limb per row and skips `p`'s five zero limbs (4 to 8), as the scalar
-//! CIOS kernel skips its zero words.
+//! * the per-token work of the revocation check — a
+//!   [`MillerLines`](crate::MillerLines) walk at eight points at once, the
+//!   product with the shared value, and the Lucas trace test of
+//!   [`MillerValue::reduces_to_one`](crate::MillerValue::reduces_to_one);
+//! * eight Miller loops `f_{q,P}(φ(Q))` at once, each raised to one
+//!   exponent — an Open's shared values `f_{q,−T₁}(φ(Q_v))^c̄`;
+//! * eight prepared tables at once, their lines scaled in lanes and kept
+//!   in lane form — an Open's `û` tables.
 //!
-//! Bounds. A product of two inputs below `16p` is below `2p` with no final
-//! subtraction: `p < 2^512`, so `R > 256p` and the result `a·b/R + m·p/R`
-//! is below `p + p`. Every value handed from one step to the next is below
-//! `2p`; the sums and differences inside a step stay below `8p`. Limbs are
-//! normalised (below `2^52`) after every operation, since the multiplier
-//! reads only the low 52 bits of each.
+//! The loops and tables run one schedule for every lane, which is exact
+//! for first arguments of order `q`: a lane that leaves it is reported,
+//! and its caller redoes that one on the scalar path.
 //!
-//! Every function here that touches a register is a safe
-//! `#[target_feature]` function. The one call from code compiled without
-//! the feature is the dispatch in
-//! [`MillerLines::reduces_to_one_at`](crate::MillerLines::reduces_to_one_at),
-//! made after `is_x86_feature_detected!`.
+//! Every function here is a safe `#[target_feature]` function. The one
+//! call from code compiled without the feature is the crate's dispatch
+//! site (`miller::in_lanes`), made with an
+//! [`Ifma`](peace_field::lanes::Ifma) in hand.
 
-use core::arch::x86_64::{
-    __m512i, __mmask8, _mm256_extract_epi64, _mm512_add_epi64, _mm512_and_si512,
-    _mm512_cmpeq_epi64_mask, _mm512_cmplt_epi64_mask, _mm512_extracti64x4_epi64,
-    _mm512_madd52hi_epu64, _mm512_madd52lo_epu64, _mm512_mask_blend_epi64, _mm512_set1_epi64,
-    _mm512_set_epi64, _mm512_setzero_si512, _mm512_srai_epi64, _mm512_srli_epi64, _mm512_sub_epi64,
+use peace_field::lanes::{
+    add, canonical, dot, eq, from_fps, from_limbs, invert, is_zero, limbs, mul, mul2, one, pack,
+    reduce, select, splat, square2, sub, tidy, to_fps, unpack, zero, Fp8, Limbs, Mask, LANES,
+    LIMBS, P2,
 };
-
-use peace_bigint::Uint;
 use peace_field::{cofactor, Fp, Fp2};
 
-use crate::miller::Step;
+use crate::miller::{Step, UnitLine};
 
-/// Elements per register.
-const LANES: usize = crate::MillerLines::LANES;
+/// A lane kernel and its inputs: what the crate's one dispatch site runs.
+pub(crate) enum Kernel<'a> {
+    /// [`reduces_to_one_at`].
+    Sweep {
+        steps: &'a [Step],
+        table: &'a [LaneLine],
+        at: &'a [Option<(Fp, Fp)>],
+        shared: &'a Fp2,
+    },
+    /// [`miller_powers`].
+    MillerPowers {
+        ps: &'a [(Fp, Fp)],
+        qs: &'a [(Fp, Fp)],
+        naf: &'a [i8],
+        e: &'a [i8],
+    },
+    /// [`line_tables`].
+    LineTables { ps: &'a [(Fp, Fp)], naf: &'a [i8] },
+}
 
-const LIMBS: usize = 10;
-const MASK: u64 = (1 << 52) - 1;
+/// What a [`Kernel`] returns.
+pub(crate) enum Output {
+    Hits(Vec<bool>),
+    Values(Vec<Option<Fp2>>),
+    /// The steps every table takes, and each table's lines.
+    Tables {
+        steps: Vec<Step>,
+        tables: Vec<Option<Vec<LaneLine>>>,
+    },
+}
 
-/// `p` in radix 2^52.
-const P: [u64; LIMBS] = [
-    0x799a340e3d293,
-    0xa6c50b9a21f5b,
-    0x583da26addcf6,
-    0x2016,
-    0,
-    0,
-    0,
-    0,
-    0,
-    0x80000000000,
-];
-/// The limbs of `p` the reduction multiplies by; the others are zero.
-const P_NONZERO: [usize; 5] = [0, 1, 2, 3, 9];
-/// `−p⁻¹ mod 2^52`.
-const INV: u64 = 0xef8042401e465;
-/// `R² mod p`: a product with it enters Montgomery form.
-const R2: [u64; LIMBS] = [
-    0xa779e01a40000,
-    0x1a2159c1ba44e,
-    0xa74eaf318daa2,
-    0xbb90abf891f8,
-    0x8cb27641bee5c,
-    0x414902e46899a,
-    0x1016600ac674,
-    0,
-    0,
-    0,
-];
-/// `R mod p`: one in Montgomery form.
-const ONE: [u64; LIMBS] = [
-    0x45321793eac93,
-    0x1cadd75636868,
-    0xdcf8ccaf3efa9,
-    0xfffffffbff365,
-    0xfffffffffffff,
-    0xfffffffffffff,
-    0xfffffffffffff,
-    0xfffffffffffff,
-    0xfffffffffffff,
-    0x7ffffffffff,
-];
-/// The integer 1: a product with it leaves Montgomery form.
-const UNIT: [u64; LIMBS] = [1, 0, 0, 0, 0, 0, 0, 0, 0, 0];
-const P2: [u64; LIMBS] = p_times(2);
-
-/// `k·p` in normalised radix-2^52 limbs.
-const fn p_times(k: u64) -> [u64; LIMBS] {
-    let mut out = [0; LIMBS];
-    let mut carry = 0;
-    let mut i = 0;
-    while i < LIMBS {
-        let v = P[i] * k + carry;
-        out[i] = v & MASK;
-        carry = v >> 52;
-        i += 1;
+/// Runs `kernel`.
+#[target_feature(enable = "avx512ifma")]
+pub(crate) fn run(kernel: Kernel<'_>) -> Output {
+    match kernel {
+        Kernel::Sweep {
+            steps,
+            table,
+            at,
+            shared,
+        } => Output::Hits(reduces_to_one_at(steps, table, at, shared)),
+        Kernel::MillerPowers { ps, qs, naf, e } => Output::Values(miller_powers(ps, qs, naf, e)),
+        Kernel::LineTables { ps, naf } => {
+            let (steps, tables) = line_tables(ps, naf);
+            Output::Tables { steps, tables }
+        }
     }
-    out
 }
 
 /// One table line `(c0, c1)` in lane Montgomery form, the same in every
 /// lane, kept as plain limbs and broadcast when walked.
-pub(crate) type LaneLine = [[u64; LIMBS]; 2];
-
-/// Eight elements of `F_p`, one per lane.
-#[derive(Clone, Copy)]
-struct Fe([__m512i; LIMBS]);
-
-#[target_feature(enable = "avx512ifma")]
-fn splat(limbs: &[u64; LIMBS]) -> Fe {
-    let mut out = [_mm512_setzero_si512(); LIMBS];
-    for (o, &l) in out.iter_mut().zip(limbs) {
-        *o = _mm512_set1_epi64(l as i64);
-    }
-    Fe(out)
-}
-
-/// Lane `k` of the register is `lanes[k][limb]`, for every limb.
-#[target_feature(enable = "avx512ifma")]
-fn pack(lanes: &[[u64; LIMBS]; LANES]) -> Fe {
-    let mut out = [_mm512_setzero_si512(); LIMBS];
-    for (limb, o) in out.iter_mut().enumerate() {
-        let l = |k: usize| lanes[k][limb] as i64;
-        *o = _mm512_set_epi64(l(7), l(6), l(5), l(4), l(3), l(2), l(1), l(0));
-    }
-    Fe(out)
-}
-
-/// The inverse of [`pack`].
-#[target_feature(enable = "avx512ifma")]
-fn unpack(x: &Fe) -> [[u64; LIMBS]; LANES] {
-    let mut out = [[0; LIMBS]; LANES];
-    for (limb, v) in x.0.iter().enumerate() {
-        let (lo, hi) = (
-            _mm512_extracti64x4_epi64::<0>(*v),
-            _mm512_extracti64x4_epi64::<1>(*v),
-        );
-        let words = [
-            _mm256_extract_epi64::<0>(lo),
-            _mm256_extract_epi64::<1>(lo),
-            _mm256_extract_epi64::<2>(lo),
-            _mm256_extract_epi64::<3>(lo),
-            _mm256_extract_epi64::<0>(hi),
-            _mm256_extract_epi64::<1>(hi),
-            _mm256_extract_epi64::<2>(hi),
-            _mm256_extract_epi64::<3>(hi),
-        ];
-        for (lane, w) in out.iter_mut().zip(words) {
-            lane[limb] = w as u64;
-        }
-    }
-    out
-}
-
-/// Bits `52k .. 52k + 52` of `x`, for each `k`.
-fn radix52(x: &Uint<8>) -> [u64; LIMBS] {
-    let w = x.as_limbs();
-    let mut out = [0; LIMBS];
-    for (k, limb) in out.iter_mut().enumerate() {
-        let (i, s) = (52 * k / 64, 52 * k % 64);
-        let mut v = w[i] >> s;
-        if s > 12 && i + 1 < w.len() {
-            v |= w[i + 1] << (64 - s);
-        }
-        *limb = v & MASK;
-    }
-    out
-}
-
-/// The inverse of [`radix52`], for a value below `2^512`.
-fn radix64(limbs: &[u64; LIMBS]) -> Uint<8> {
-    let mut w = [0u64; 8];
-    for (k, &limb) in limbs.iter().enumerate() {
-        let (i, s) = (52 * k / 64, 52 * k % 64);
-        w[i] |= limb << s;
-        if s > 12 && i + 1 < w.len() {
-            w[i + 1] |= limb >> (64 - s);
-        }
-    }
-    Uint::from_limbs(w)
-}
-
-/// Up to eight field elements in lane Montgomery form; missing lanes are 0.
-#[target_feature(enable = "avx512ifma")]
-fn from_fps(xs: &[Fp]) -> Fe {
-    let mut lanes = [[0; LIMBS]; LANES];
-    for (lane, x) in lanes.iter_mut().zip(xs) {
-        *lane = radix52(&x.to_uint());
-    }
-    mul(&pack(&lanes), &splat(&R2))
-}
-
-/// The eight lanes as field elements.
-#[target_feature(enable = "avx512ifma")]
-fn to_fps(x: &Fe) -> [Fp; LANES] {
-    // Below `p + 1`: at most `p`, which `from_uint` reduces to 0.
-    unpack(&mul(x, &splat(&UNIT))).map(|limbs| Fp::from_uint(&radix64(&limbs)))
-}
-
-/// Propagates carries (and borrows: the shift is arithmetic) from each limb
-/// into the next, leaving limbs 0 to 8 in `[0, 2^52)` and the sign in 9.
-#[target_feature(enable = "avx512ifma")]
-fn carry(mut t: [__m512i; LIMBS]) -> Fe {
-    let mask = _mm512_set1_epi64(MASK as i64);
-    for j in 0..LIMBS - 1 {
-        let c = _mm512_srai_epi64::<52>(t[j]);
-        t[j] = _mm512_and_si512(t[j], mask);
-        t[j + 1] = _mm512_add_epi64(t[j + 1], c);
-    }
-    Fe(t)
-}
-
-#[target_feature(enable = "avx512ifma")]
-fn add(a: &Fe, b: &Fe) -> Fe {
-    let mut t = a.0;
-    for (t, b) in t.iter_mut().zip(&b.0) {
-        *t = _mm512_add_epi64(*t, *b);
-    }
-    carry(t)
-}
-
-/// `a − b + 2p`, for `b < 2p`: below `a + 2p`.
-#[target_feature(enable = "avx512ifma")]
-fn sub(a: &Fe, b: &Fe) -> Fe {
-    let mut t = a.0;
-    for ((t, b), &k) in t.iter_mut().zip(&b.0).zip(&P2) {
-        *t = _mm512_sub_epi64(_mm512_add_epi64(*t, _mm512_set1_epi64(k as i64)), *b);
-    }
-    carry(t)
-}
-
-/// `x − k` where that is not negative, else `x`: for `x < 2k`, below `k`.
-#[target_feature(enable = "avx512ifma")]
-fn reduce(x: &Fe, k: &[u64; LIMBS]) -> Fe {
-    let mut t = x.0;
-    for (t, &k) in t.iter_mut().zip(k) {
-        *t = _mm512_sub_epi64(*t, _mm512_set1_epi64(k as i64));
-    }
-    let d = carry(t);
-    let negative = _mm512_cmplt_epi64_mask(d.0[LIMBS - 1], _mm512_setzero_si512());
-    select(negative, x, &d)
-}
-
-/// `if_set` in the lanes of `mask`, `otherwise` in the rest.
-#[target_feature(enable = "avx512ifma")]
-fn select(mask: __mmask8, if_set: &Fe, otherwise: &Fe) -> Fe {
-    let mut out = otherwise.0;
-    for (o, s) in out.iter_mut().zip(&if_set.0) {
-        *o = _mm512_mask_blend_epi64(mask, *o, *s);
-    }
-    Fe(out)
-}
-
-/// The lanes where `a` and `b`, both canonical, are equal.
-#[target_feature(enable = "avx512ifma")]
-fn eq(a: &Fe, b: &Fe) -> __mmask8 {
-    a.0.iter()
-        .zip(&b.0)
-        .fold(0xff, |m, (a, b)| m & _mm512_cmpeq_epi64_mask(*a, *b))
-}
-
-/// The canonical form of `x < 4p`.
-#[target_feature(enable = "avx512ifma")]
-fn canonical(x: &Fe) -> Fe {
-    reduce(&reduce(x, &P2), &P)
-}
-
-/// Montgomery product `a·b/R mod p` of inputs below `16p`: below `2p`.
-#[target_feature(enable = "avx512ifma")]
-fn mul(a: &Fe, b: &Fe) -> Fe {
-    dot([(a, b)])
-}
-
-/// `Σ aₖ·bₖ/R mod p`, one reduction for all the products, below `2p` when
-/// `Σ aₖ·bₖ < 256p²` (so for two products of inputs below `8p`).
-///
-/// Row `i` adds every `aₖ·bₖ[i]` at limb `i` and then `m·p` to clear limb
-/// `i`, whose high bits carry into limb `i + 1`; the result is limbs 10 to
-/// 19. A limb receives at most `11·(2N + 2)` halves of products, below
-/// `2^59` for `N ≤ 2`.
-#[target_feature(enable = "avx512ifma")]
-fn dot<const N: usize>(terms: [(&Fe, &Fe); N]) -> Fe {
-    let zero = _mm512_setzero_si512();
-    let inv = _mm512_set1_epi64(INV as i64);
-    let p = splat(&P).0;
-    let mut t = [zero; 2 * LIMBS];
-    // Rows spelled out: with every index a constant, `t` stays in registers
-    // (a loop over rows kept it on the stack, at 1.7× the time).
-    macro_rules! rows {
-        ($($i:literal)*) => {$(
-            for (a, b) in terms {
-                let bi = b.0[$i];
-                for (j, &aj) in a.0.iter().enumerate() {
-                    t[$i + j] = _mm512_madd52lo_epu64(t[$i + j], aj, bi);
-                    t[$i + j + 1] = _mm512_madd52hi_epu64(t[$i + j + 1], aj, bi);
-                }
-            }
-            let m = _mm512_madd52lo_epu64(zero, t[$i], inv);
-            for j in P_NONZERO {
-                t[$i + j] = _mm512_madd52lo_epu64(t[$i + j], m, p[j]);
-                t[$i + j + 1] = _mm512_madd52hi_epu64(t[$i + j + 1], m, p[j]);
-            }
-            t[$i + 1] = _mm512_add_epi64(t[$i + 1], _mm512_srli_epi64::<52>(t[$i]));
-        )*};
-    }
-    rows!(0 1 2 3 4 5 6 7 8 9);
-    let mut out = [zero; LIMBS];
-    out.copy_from_slice(&t[LIMBS..]);
-    carry(out)
-}
-
-/// `f ← f²`, as [`MillerLines::eval_at`](crate::MillerLines::eval_at)
-/// writes it: `(re + im)(re − im) + (2·re·im)·i`.
-#[target_feature(enable = "avx512ifma")]
-fn square(re: &Fe, im: &Fe) -> (Fe, Fe) {
-    (mul(&add(re, im), &sub(re, im)), mul(&add(re, re), im))
-}
+pub(crate) type LaneLine = [Limbs; 2];
 
 /// `f ← f·(b + i) = (re·b − im) + (im·b + re)·i`, `b = c0·(1/y) + c1·(x/y)`.
 #[target_feature(enable = "avx512ifma")]
-fn line(re: &Fe, im: &Fe, l: &LaneLine, x_over_y: &Fe, inv_y: &Fe) -> (Fe, Fe) {
+fn line(re: &Fp8, im: &Fp8, l: &LaneLine, x_over_y: &Fp8, inv_y: &Fp8) -> (Fp8, Fp8) {
     let b = dot([(&splat(&l[0]), inv_y), (&splat(&l[1]), x_over_y)]);
     (
         reduce(&sub(&mul(re, &b), im), &P2),
@@ -333,14 +92,14 @@ fn line(re: &Fe, im: &Fe, l: &LaneLine, x_over_y: &Fe, inv_y: &Fe) -> (Fe, Fe) {
 
 /// The table at eight points, step for step the arithmetic of `eval_at`.
 #[target_feature(enable = "avx512ifma")]
-fn walk(steps: &[Step], table: &[LaneLine], x_over_y: &Fe, inv_y: &Fe, one: &Fe) -> (Fe, Fe) {
+fn walk(steps: &[Step], table: &[LaneLine], x_over_y: &Fp8, inv_y: &Fp8) -> (Fp8, Fp8) {
     let mut lines = table.iter();
-    let (mut re, mut im) = (*one, splat(&[0; LIMBS]));
+    let (mut re, mut im) = (one(), zero());
     for step in steps {
-        if !matches!(step, Step::Mul(_)) {
-            (re, im) = square(&re, &im);
+        if *step != Step::Mul {
+            (re, im) = square2(&re, &im);
         }
-        if !matches!(step, Step::Square) {
+        if *step != Step::Square {
             let l = lines.next().expect("one lane line per table line");
             (re, im) = line(&re, &im, l, x_over_y, inv_y);
         }
@@ -351,7 +110,7 @@ fn walk(steps: &[Step], table: &[LaneLine], x_over_y: &Fe, inv_y: &Fe, one: &Fe)
 /// `V_c(t)` over the cofactor `c`, the ladder of [`Fp::lucas_v`] with the
 /// same steps: the bits of `c` are the same in every lane.
 #[target_feature(enable = "avx512ifma")]
-fn lucas_v(t: &Fe, two: &Fe) -> Fe {
+fn lucas_v(t: &Fp8, two: &Fp8) -> Fp8 {
     let c = cofactor();
     let top = c.bits() - 1;
     let low = (0..=top).find(|&i| c.bit(i)).unwrap_or(top);
@@ -375,17 +134,20 @@ fn lucas_v(t: &Fe, two: &Fe) -> Fe {
     lo
 }
 
-/// The table's lines in lane form, in step order: each coefficient `c` as
-/// the limbs of `c·R mod p`. Scalar code, so the table is built, and its
-/// memory taken, where the scalar one is, by the thread that owns both.
-pub(crate) fn lane_lines(steps: &[Step]) -> Vec<LaneLine> {
-    let r = Fp::from_uint(&radix64(&ONE));
-    let limbs = |c: &Fp| radix52(&c.mul(&r).to_uint());
-    steps
+/// Lines in lane form: each coefficient `c` as the limbs of `c·R mod p`.
+/// Scalar code, so the table is built, and its memory taken, where the
+/// scalar one is, by the thread that owns both.
+pub(crate) fn lane_lines(lines: &[UnitLine]) -> Vec<LaneLine> {
+    lines.iter().map(|l| [limbs(&l.c0), limbs(&l.c1)]).collect()
+}
+
+/// The inverse of [`lane_lines`].
+pub(crate) fn unit_lines(lines: &[LaneLine]) -> Vec<UnitLine> {
+    lines
         .iter()
-        .filter_map(|step| match step {
-            Step::Square => None,
-            Step::SquareMul(l) | Step::Mul(l) => Some([limbs(&l.c0), limbs(&l.c1)]),
+        .map(|[c0, c1]| UnitLine {
+            c0: from_limbs(c0),
+            c1: from_limbs(c1),
         })
         .collect()
 }
@@ -397,27 +159,19 @@ fn group_values(
     steps: &[Step],
     table: &[LaneLine],
     group: &[Option<(Fp, Fp)>],
-    shared: &(Fe, Fe),
-    one: &Fe,
-) -> (Fe, Fe) {
+    shared: &(Fp8, Fp8),
+) -> (Fp8, Fp8) {
     let (mut x_over_y, mut inv_y) = ([Fp::ZERO; LANES], [Fp::ZERO; LANES]);
-    let mut live: __mmask8 = 0;
+    let mut live: Mask = 0;
     for (k, at) in group.iter().enumerate() {
         if let Some((x, y)) = at {
             (x_over_y[k], inv_y[k]) = (*x, *y);
             live |= 1 << k;
         }
     }
-    let (re, im) = walk(steps, table, &from_fps(&x_over_y), &from_fps(&inv_y), one);
-    let (re, im) = (
-        select(live, &re, one),
-        select(live, &im, &splat(&[0; LIMBS])),
-    );
-    let (sr, si) = shared;
-    (
-        sub(&mul(&re, sr), &mul(&im, si)),
-        add(&mul(&re, si), &mul(&im, sr)),
-    )
+    let (re, im) = walk(steps, table, &from_fps(&x_over_y), &from_fps(&inv_y));
+    let value = (select(live, &re, &one()), select(live, &im, &zero()));
+    mul2(&value, shared)
 }
 
 /// What `reduces_to_one` says of `eval_at(p)·shared` for each point `p`:
@@ -426,23 +180,22 @@ fn group_values(
 /// The last group is padded with the identity. `table` is
 /// [`lane_lines`] of `steps`.
 #[target_feature(enable = "avx512ifma")]
-pub(crate) fn reduces_to_one_at(
+fn reduces_to_one_at(
     steps: &[Step],
     table: &[LaneLine],
     at: &[Option<(Fp, Fp)>],
     shared: &Fp2,
 ) -> Vec<bool> {
-    let one = splat(&ONE);
-    let two = canonical(&add(&one, &one));
+    let two = canonical(&add(&one(), &one()));
     let shared = (from_fps(&[shared.c0; LANES]), from_fps(&[shared.c1; LANES]));
 
-    // Held as plain limbs, like the table's lines: a `Vec<Fe>` is a
+    // Held as plain limbs, like the table's lines: a `Vec<Fp8>` is a
     // 64-byte-aligned allocation, and one per sweep on a long-lived thread
     // fragments its malloc arena (EXPERIMENTS.md E3).
     let mut diffs = Vec::with_capacity(at.len().div_ceil(LANES));
     let mut norms = Vec::with_capacity(at.len());
     for group in at.chunks(LANES) {
-        let (a, b) = group_values(steps, table, group, &shared, &one);
+        let (a, b) = group_values(steps, table, group, &shared);
         let (aa, bb) = (mul(&a, &a), mul(&b, &b));
         norms.extend_from_slice(&to_fps(&add(&aa, &bb))[..group.len()]);
         diffs.push(unpack(&sub(&aa, &bb)));
@@ -464,23 +217,256 @@ pub(crate) fn reduces_to_one_at(
     hits
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+/// A Jacobian point `(X : Y : Z)` in each lane, every coordinate below `2p`.
+struct Jac8 {
+    x: Fp8,
+    y: Fp8,
+    z: Fp8,
+}
 
-    // The kernel itself is held to the scalar arithmetic through the
-    // dispatch, by `prop_lane_verdicts_match_the_scalar_composition`.
-    #[test]
-    fn constants_are_the_field_s() {
-        let p = peace_field::base_modulus();
-        assert_eq!(radix52(&p), P);
-        assert_eq!(radix64(&P), p);
-        assert!(P_NONZERO.iter().all(|&j| P[j] != 0));
-        assert_eq!(P.iter().filter(|&&l| l != 0).count(), P_NONZERO.len());
-        assert_eq!(P[0].wrapping_mul(INV) & MASK, MASK, "p·INV ≡ −1 mod 2^52");
-        let r = Fp::from_u64(2).pow(&Uint::<1>::from_u64(520));
-        assert_eq!(radix64(&ONE), r.to_uint());
-        assert_eq!(radix64(&R2), r.square().to_uint());
-        assert_eq!(radix64(&P2), p.shl1());
+/// A line as the prepared loop keeps it, `(c₀ + c₁·x_Q) + (c₂·y_Q)·i`:
+/// `c₀ < 6p`, `c₁ < 4p`, `c₂ < 2p`.
+type Coefficients = [Fp8; 3];
+
+/// The miller module's `double_step` where `T` is not `O` and `y ≠ 0`:
+/// doubles `t` and returns the tangent, and the lanes where `2T = O`
+/// after all (`Z₃ ≡ 0`), whose results are void.
+#[target_feature(enable = "avx512ifma")]
+fn double_step(t: &mut Jac8) -> (Coefficients, Mask) {
+    let xx = mul(&t.x, &t.x);
+    let yy = mul(&t.y, &t.y);
+    let zz = mul(&t.z, &t.z);
+    // M = 3·X² + Z⁴, below 8p.
+    let m = add(&add(&add(&xx, &xx), &xx), &mul(&zz, &zz));
+    // S = 4·X·Y², and 8·Y⁴ as Y²·8Y².
+    let x2 = add(&t.x, &t.x);
+    let s = mul(&add(&x2, &x2), &yy);
+    let yy2 = add(&yy, &yy);
+    let yy4 = add(&yy2, &yy2);
+    let yyyy8 = mul(&yy, &add(&yy4, &yy4));
+    let x3 = tidy(&sub(&sub(&mul(&m, &m), &s), &s));
+    let y3 = reduce(&sub(&mul(&m, &sub(&s, &x3)), &yyyy8), &P2);
+    let z3 = mul(&add(&t.y, &t.y), &t.z);
+    let line = [
+        sub(&sub(&mul(&m, &t.x), &yy), &yy),
+        mul(&m, &zz),
+        mul(&z3, &zz),
+    ];
+    let degenerate = is_zero(&z3);
+    *t = Jac8 {
+        x: x3,
+        y: y3,
+        z: z3,
+    };
+    (line, degenerate)
+}
+
+/// The miller module's `add_step` of affine `(px, py)` where `T ≠ ±P`:
+/// adds it to `t` and returns the chord, and the lanes where `T = ±P`
+/// after all (`H ≡ 0`), whose results are void.
+#[target_feature(enable = "avx512ifma")]
+fn add_step(t: &mut Jac8, px: &Fp8, py: &Fp8) -> (Coefficients, Mask) {
+    let zz = mul(&t.z, &t.z);
+    let u2 = mul(px, &zz);
+    let s2 = mul(&mul(py, &t.z), &zz);
+    let h = sub(&u2, &t.x);
+    let r = sub(&s2, &t.y);
+    let hh = mul(&h, &h);
+    let hhh = mul(&h, &hh);
+    let v = mul(&t.x, &hh);
+    let x3 = tidy(&sub(&sub(&sub(&mul(&r, &r), &hhh), &v), &v));
+    let y3 = reduce(&sub(&mul(&r, &sub(&v, &x3)), &mul(&t.y, &hhh)), &P2);
+    let zb = mul(&t.z, &h);
+    let line = [sub(&mul(&r, px), &mul(&zb, py)), r, zb];
+    let degenerate = is_zero(&h);
+    *t = Jac8 {
+        x: x3,
+        y: y3,
+        z: zb,
+    };
+    (line, degenerate)
+}
+
+/// Eight `(x, y)` in lane form, the group padded with its first point so
+/// every lane stays regular.
+#[target_feature(enable = "avx512ifma")]
+fn coords(xs: &[(Fp, Fp)]) -> (Fp8, Fp8) {
+    let all: [(Fp, Fp); LANES] = core::array::from_fn(|k| *xs.get(k).unwrap_or(&xs[0]));
+    (from_fps(&all.map(|c| c.0)), from_fps(&all.map(|c| c.1)))
+}
+
+/// The prepared loop over eight `P = (px, py)`: hands each line to
+/// `line(doubling, coefficients)` in step order, and returns the lanes
+/// that left the shape every `P` of order `q` has (see [`miller_powers`]):
+/// `T = O` before the end, `T = ±P` at an addition but the last, or no
+/// vertical line at the last.
+#[target_feature(enable = "avx512ifma")]
+fn walk_lines(px: &Fp8, py: &Fp8, naf: &[i8], mut line: impl FnMut(bool, &Coefficients)) -> Mask {
+    let neg_py = reduce(&sub(&zero(), py), &P2);
+    let mut t = Jac8 {
+        x: *px,
+        y: *py,
+        z: one(),
+    };
+    let mut void: Mask = 0;
+    for (i, &d) in naf[..naf.len() - 1].iter().enumerate().rev() {
+        let (l, at_infinity) = double_step(&mut t);
+        void |= at_infinity;
+        line(true, &l);
+        if d != 0 {
+            let (l, vertical) = add_step(&mut t, px, if d == 1 { py } else { &neg_py });
+            if i == 0 {
+                void |= !vertical;
+            } else {
+                void |= vertical;
+                line(false, &l);
+            }
+        }
     }
+    void
+}
+
+/// Lines a [`line_tables`] segment scales with one inversion: a table's
+/// 212 in two segments.
+const SEGMENT: usize = 108;
+
+/// The [`MillerLines`](crate::MillerLines) table of each `P` of order
+/// `q`, eight at once, with the steps they all take: the loop of
+/// [`walk_lines`], and every line scaled to unit imaginary part,
+/// `(c₀/c₂, c₁/c₂)`, with one lane inversion per [`SEGMENT`] lines. That
+/// is Montgomery's trick, run forward as the products `cᵢ·Π` with `Π` the
+/// product of the segment's earlier `c₂`, which wait in the tables' own
+/// slots, so the backward pass holds only the `c₂`. `None` for a `P` off
+/// the shape, which its caller prepares on the scalar path.
+#[target_feature(enable = "avx512ifma")]
+fn line_tables(ps: &[(Fp, Fp)], naf: &[i8]) -> (Vec<Step>, Vec<Option<Vec<LaneLine>>>) {
+    let count: usize = naf[..naf.len() - 1]
+        .iter()
+        .enumerate()
+        .map(|(i, &d)| 1 + usize::from(d != 0 && i != 0))
+        .sum();
+    let mut steps = Vec::with_capacity(count);
+    let mut out = Vec::with_capacity(ps.len());
+    // Each segment's c₂, as plain limbs (see `reduces_to_one_at`).
+    let mut scales: Vec<[Limbs; LANES]> = Vec::with_capacity(SEGMENT);
+    for (g, group) in ps.chunks(LANES).enumerate() {
+        let (px, py) = coords(group);
+        let mut tables = vec![vec![[[0; LIMBS]; 2]; count]; group.len()];
+        let mut prefix = one();
+        let mut done = 0;
+        let void = walk_lines(&px, &py, naf, |doubling, [c0, c1, c2]| {
+            if g == 0 {
+                steps.push(if doubling { Step::SquareMul } else { Step::Mul });
+            }
+            let slot = done + scales.len();
+            let (a0, a1) = (unpack(&mul(c0, &prefix)), unpack(&mul(c1, &prefix)));
+            for ((table, a0), a1) in tables.iter_mut().zip(a0).zip(a1) {
+                table[slot] = [a0, a1];
+            }
+            scales.push(unpack(c2));
+            prefix = mul(&prefix, c2);
+            if scales.len() == SEGMENT {
+                scale_segment(&mut tables, &mut scales, &mut prefix, &mut done);
+            }
+        });
+        if !scales.is_empty() {
+            scale_segment(&mut tables, &mut scales, &mut prefix, &mut done);
+        }
+        out.extend(
+            tables
+                .into_iter()
+                .enumerate()
+                .map(|(k, table)| (void >> k & 1 == 0).then_some(table)),
+        );
+    }
+    (steps, out)
+}
+
+/// The backward pass of one [`line_tables`] segment, whose lines start at
+/// `done`: each slot's `cᵢ·Π` becomes `cᵢ/c₂` in canonical lane form.
+#[target_feature(enable = "avx512ifma")]
+fn scale_segment(
+    tables: &mut [Vec<LaneLine>],
+    scales: &mut Vec<[Limbs; LANES]>,
+    prefix: &mut Fp8,
+    done: &mut usize,
+) {
+    let mut inv = invert(prefix);
+    for (j, c2) in scales.iter().enumerate().rev() {
+        let slot = *done + j;
+        for c in 0..2 {
+            let mut held = [[0; LIMBS]; LANES];
+            for (h, table) in held.iter_mut().zip(tables.iter()) {
+                *h = table[slot][c];
+            }
+            let scaled = unpack(&canonical(&mul(&pack(&held), &inv)));
+            for (table, line) in tables.iter_mut().zip(scaled) {
+                table[slot][c] = line;
+            }
+        }
+        inv = mul(&inv, &pack(c2));
+    }
+    *done += scales.len();
+    scales.clear();
+    *prefix = one();
+}
+
+/// `f ← f·l` for the line at `φ(Q)`, `l = (c₀ + c₁·x_Q) + (c₂·y_Q)·i`.
+#[target_feature(enable = "avx512ifma")]
+fn times_line(f: &(Fp8, Fp8), l: &Coefficients, qx: &Fp8, qy: &Fp8) -> (Fp8, Fp8) {
+    let at = (add(&l[0], &mul(&l[1], qx)), mul(&l[2], qy));
+    let (re, im) = mul2(f, &at);
+    (reduce(&re, &P2), reduce(&im, &P2))
+}
+
+/// `x^e` of a unitary-or-not `F_p²` value by the signed digits `e` (least
+/// significant first) of [`MillerValue::pow`](crate::MillerValue::pow):
+/// a negative digit multiplies by a conjugate.
+#[target_feature(enable = "avx512ifma")]
+fn pow2(x: &(Fp8, Fp8), e: &[i8]) -> (Fp8, Fp8) {
+    let times = |a: &(Fp8, Fp8), b: &(Fp8, Fp8)| {
+        let (re, im) = mul2(a, b);
+        (reduce(&re, &P2), reduce(&im, &P2))
+    };
+    let x2 = square2(&x.0, &x.1);
+    let mut odd = [*x; 8];
+    for i in 1..8 {
+        odd[i] = times(&odd[i - 1], &x2);
+    }
+    let mut acc = (one(), zero());
+    for &d in e.iter().rev() {
+        acc = square2(&acc.0, &acc.1);
+        if d > 0 {
+            acc = times(&acc, &odd[(d >> 1) as usize]);
+        } else if d < 0 {
+            let (re, im) = odd[((-d) >> 1) as usize];
+            acc = times(&acc, &(re, reduce(&sub(&zero(), &im), &P2)));
+        }
+    }
+    acc
+}
+
+/// `f_{q,P}(φ(Q))^e` for each `(P, Q)`, eight Miller loops at once: the
+/// schedule `naf` of `q` (least significant digit first, top digit 1) is
+/// the same in every lane, and for `P` of order `q` so is the shape of
+/// every step — the last addition is the vertical line through `−P` and
+/// `P`, whose value lies in `F_p` and is dropped. `None` for a `P` that
+/// leaves that shape, which its caller recomputes on the scalar path.
+#[target_feature(enable = "avx512ifma")]
+fn miller_powers(ps: &[(Fp, Fp)], qs: &[(Fp, Fp)], naf: &[i8], e: &[i8]) -> Vec<Option<Fp2>> {
+    let mut out = Vec::with_capacity(ps.len());
+    for (group, qs) in ps.chunks(LANES).zip(qs.chunks(LANES)) {
+        let ((px, py), (qx, qy)) = (coords(group), coords(qs));
+        let mut f = (one(), zero());
+        let void = walk_lines(&px, &py, naf, |doubling, l| {
+            if doubling {
+                f = square2(&f.0, &f.1);
+            }
+            f = times_line(&f, l, &qx, &qy);
+        });
+        let (re, im) = pow2(&f, e);
+        let (re, im) = (to_fps(&re), to_fps(&im));
+        out.extend((0..group.len()).map(|k| (void >> k & 1 == 0).then(|| Fp2::new(re[k], im[k]))));
+    }
+    out
 }

@@ -20,8 +20,8 @@
 //! assert_eq!(lhs, rhs);
 //! ```
 
-// `deny`, not `forbid`: the one call into the AVX-512 IFMA lane kernel
-// (`MillerLines::reduces_to_one_in_lanes`) opts out, with its SAFETY note.
+// `deny`, not `forbid`: the one call into the AVX-512 IFMA lane kernels
+// (`miller::in_lanes`) opts out, with its SAFETY note.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -80,6 +80,23 @@ pub fn pairing(p: &G1, q: &G2) -> Gt {
 /// — when both are 𝔾₂ elements: an H₀ pre-image only ever goes second.
 pub fn miller(p: &G1, q: &impl G2Arg) -> MillerValue {
     q.miller_from(p)
+}
+
+/// [`miller`] of each `(P, Q)` with an H₀ pre-image second: an Open's
+/// shared values `f_{q,−T₁}(φ(Q_v))^c̄`, a batch of records at a time.
+/// With AVX-512 IFMA, eight Miller loops and eight powers run at once (a
+/// `P` outside the subgroup, which only an unchecked constructor makes,
+/// is redone alone); elsewhere, and for a lone pair, one by one. The same
+/// values, counted the same.
+pub fn miller_preimages(pairs: &[(G1, G2Preimage)]) -> Vec<MillerValue> {
+    #[cfg(target_arch = "x86_64")]
+    {
+        let points: Vec<_> = pairs.iter().map(|(p, q)| (p.point(), q.point())).collect();
+        if let Some(values) = miller::miller_powers_in_lanes(&points, G2Preimage::exponent()) {
+            return values;
+        }
+    }
+    pairs.iter().map(|(p, q)| miller(p, q)).collect()
 }
 
 /// Product of pairings `∏ ê(Pᵢ, Qᵢ)` with a single shared final
@@ -574,10 +591,95 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(3))]
+
+        /// Batched Miller values against one call per pair: byte for byte
+        /// and count for count, over subgroup points, the identity and
+        /// points off the subgroup in the first slot and H₀ pre-images in
+        /// the second, at batch sizes around a lane group's edges.
+        #[test]
+        fn prop_lane_miller_preimages_match_one_by_one(
+            seed in proptest::prelude::any::<u64>(),
+            identities in proptest::collection::vec(0usize..17, 0..3),
+        ) {
+            let mut r = StdRng::seed_from_u64(seed);
+            let mut pairs: Vec<(G1, G2Preimage)> = (0..17u8)
+                .map(|k| {
+                    let p = if identities.contains(&(k as usize)) { G1::IDENTITY } else { G1::random(&mut r) };
+                    (p, peace_curve::hash_to_g2_preimage(b"prop-lanes", &[k, seed as u8]))
+                })
+                .collect();
+            (pairs[5].0, pairs[12].0) = strays(seed);
+            for n in [1, 2, 7, 8, 9, 15, 16, 17] {
+                let live = pairs[..n].iter().filter(|(p, _)| !p.is_identity()).count();
+                let lanes = lanes_available() && live >= 2;
+                println!("miller_preimages over {n}: {}", if lanes { "avx512ifma lanes" } else { "scalar" });
+                let scope = OpSnapshot::scope();
+                let got = miller_preimages(&pairs[..n]);
+                let lane_cost = scope.counts();
+                drop(scope);
+                let scope = OpSnapshot::scope();
+                let want: Vec<MillerValue> = pairs[..n].iter().map(|(p, q)| miller(p, q)).collect();
+                proptest::prop_assert_eq!(lane_cost, scope.counts(), "n = {}", n);
+                proptest::prop_assert_eq!(got, want, "n = {}", n);
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2))]
+
+        /// Tables built eight at a time are [`MillerLines::new`]'s, line
+        /// for line in both forms and count for count, over subgroup points,
+        /// the identity and points off the subgroup, at batch sizes around
+        /// a lane group's edges.
+        #[test]
+        fn prop_lane_line_tables_are_the_scalar_tables(
+            seed in proptest::prelude::any::<u64>(),
+            identities in proptest::collection::vec(0usize..17, 0..3),
+        ) {
+            let mut r = StdRng::seed_from_u64(seed);
+            let mut ps: Vec<G1> = (0..17)
+                .map(|k| if identities.contains(&k) { G1::IDENTITY } else { G1::random(&mut r) })
+                .collect();
+            // Points no checked constructor makes, which leave the lanes'
+            // schedule and are prepared on the scalar path.
+            (ps[5], ps[12]) = strays(seed);
+            for n in [1, 2, 7, 8, 9, 15, 16, 17] {
+                let live = ps[..n].iter().filter(|p| !p.is_identity()).count();
+                let lanes = lanes_available() && live >= 2;
+                println!("MillerLines::new_many over {n}: {}", if lanes { "avx512ifma lanes" } else { "scalar" });
+                let scope = OpSnapshot::scope();
+                let got = MillerLines::new_many(&ps[..n]);
+                let lane_cost = scope.counts();
+                drop(scope);
+                let scope = OpSnapshot::scope();
+                let want: Vec<MillerLines> = ps[..n].iter().map(MillerLines::new).collect();
+                proptest::prop_assert_eq!(lane_cost, scope.counts(), "n = {}", n);
+                proptest::prop_assert!(got == want, "n = {}", n);
+            }
+        }
+    }
+
+    /// A curve point outside the order-`q` subgroup and the 2-torsion
+    /// point `(0, 0)`, wrapped unchecked: a first argument of either leaves
+    /// the schedule every lane shares.
+    fn strays(seed: u64) -> (G1, G1) {
+        let outside = *peace_curve::hash_to_g2_preimage(b"prop-stray", &seed.to_be_bytes()).point();
+        let zero = peace_field::Fp::ZERO;
+        let two_torsion =
+            peace_curve::AffinePoint::new(zero, zero).expect("(0, 0) is on the curve");
+        (
+            G1::from_point_unchecked(outside),
+            G1::from_point_unchecked(two_torsion),
+        )
+    }
+
     /// Whether the CPU runs [`MillerLines::reduces_to_one_at`] in lanes.
     fn lanes_available() -> bool {
         #[cfg(target_arch = "x86_64")]
-        return miller::lanes_available();
+        return peace_field::lanes::Ifma::detect().is_some();
         #[cfg(not(target_arch = "x86_64"))]
         false
     }

@@ -48,6 +48,8 @@
 use std::sync::OnceLock;
 
 use peace_curve::ProjectivePoint;
+#[cfg(target_arch = "x86_64")]
+use peace_field::lanes::Ifma;
 use peace_field::{cofactor, subgroup_order, Fp, Fp2, Fq};
 
 use crate::gt::Gt;
@@ -77,7 +79,7 @@ struct Jac {
 /// the extra vertical factors introduced by the subtraction lie in `F_p`,
 /// where the final exponentiation kills them — the same denominator
 /// elimination that discards vertical lines in the doubling steps.
-fn loop_naf() -> &'static [i8] {
+pub(crate) fn loop_naf() -> &'static [i8] {
     static SCHEDULE: OnceLock<Vec<i8>> = OnceLock::new();
     SCHEDULE.get_or_init(|| {
         let digits = subgroup_order().wnaf(2);
@@ -419,7 +421,7 @@ impl LineForm for Coefficients {
 
 /// One stored line, scaled by `1/(c₂·y_Q)` to unit imaginary part:
 /// `(c0·(1/y_Q) + c1·(x_Q/y_Q)) + i`.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) struct UnitLine {
     pub(crate) c0: Fp,
     pub(crate) c1: Fp,
@@ -428,12 +430,13 @@ pub(crate) struct UnitLine {
 /// One step of a prepared loop: a doubling step squares the accumulator
 /// and multiplies its line in, an addition step only multiplies. Where a
 /// doubling step's line lies in `F_p` it is a bare squaring; an addition
-/// step with such a line is no step at all.
-#[derive(Clone, Copy, Debug)]
+/// step with such a line is no step at all. The lines themselves are kept
+/// apart, one per step but a bare squaring, in step order.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub(crate) enum Step {
     Square,
-    SquareMul(UnitLine),
-    Mul(UnitLine),
+    SquareMul,
+    Mul,
 }
 
 /// Walks the cached NAF schedule of `q` over `P`, slope lines only, handing
@@ -487,10 +490,26 @@ fn miller_loop(p: &Affine, q: &Affine) -> Fp2 {
 pub struct MillerLines {
     /// Empty when `P` is the identity.
     steps: Vec<Step>,
+    /// The lines as field elements. A table built on its own keeps them; one
+    /// built eight at a time ([`Self::new_many`]) derives them from `lanes`
+    /// on its first scalar walk (`eval_at`, or a lone point), if any.
+    lines: OnceLock<Vec<UnitLine>>,
     /// The lines in the lane kernel's form where the CPU has one, else
     /// empty.
     #[cfg(target_arch = "x86_64")]
     lanes: Vec<crate::lanes::LaneLine>,
+}
+
+/// Two tables are equal when they take the same steps with the same lines.
+#[cfg(test)]
+impl PartialEq for MillerLines {
+    fn eq(&self, other: &Self) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        if self.lanes != other.lanes {
+            return false;
+        }
+        self.steps == other.steps && self.unit_lines() == other.unit_lines()
+    }
 }
 
 impl MillerLines {
@@ -499,49 +518,57 @@ impl MillerLines {
     pub fn new(p: &peace_curve::G1) -> Self {
         let p = p.point();
         if p.is_identity() {
-            return Self::from_steps(Vec::new());
+            return Self::from_lines(Vec::new(), Vec::new());
         }
         ops::record_miller_prepare();
         let mut steps = Vec::with_capacity(loop_naf().len() * 3 / 2);
+        let mut lines = Vec::with_capacity(steps.capacity());
         let mut scales = Vec::with_capacity(steps.capacity());
         walk(
             &Affine { x: p.x, y: p.y },
             &Coefficients,
             |doubling, line| {
-                let line = line.map(|(c0, c1, c2)| {
+                if let Some((c0, c1, c2)) = line {
                     scales.push(c2);
-                    UnitLine { c0, c1 }
-                });
-                match (doubling, line) {
-                    (true, Some(line)) => steps.push(Step::SquareMul(line)),
-                    (true, None) => steps.push(Step::Square),
-                    (false, Some(line)) => steps.push(Step::Mul(line)),
-                    (false, None) => {}
+                    lines.push(UnitLine { c0, c1 });
+                }
+                match (doubling, line.is_some()) {
+                    (true, true) => steps.push(Step::SquareMul),
+                    (true, false) => steps.push(Step::Square),
+                    (false, true) => steps.push(Step::Mul),
+                    (false, false) => {}
                 }
             },
         );
         Fp::batch_invert(&mut scales);
-        let lines = steps.iter_mut().filter_map(|step| match step {
-            Step::SquareMul(line) | Step::Mul(line) => Some(line),
-            Step::Square => None,
-        });
-        for (line, scale) in lines.zip(&scales) {
+        for (line, scale) in lines.iter_mut().zip(&scales) {
             line.c0 = line.c0.mul(scale);
             line.c1 = line.c1.mul(scale);
         }
-        Self::from_steps(steps)
+        Self::from_lines(steps, lines)
     }
 
-    fn from_steps(steps: Vec<Step>) -> Self {
+    fn from_lines(steps: Vec<Step>, lines: Vec<UnitLine>) -> Self {
         Self {
             #[cfg(target_arch = "x86_64")]
-            lanes: if lanes_available() {
-                crate::lanes::lane_lines(&steps)
+            lanes: if Ifma::detect().is_some() {
+                crate::lanes::lane_lines(&lines)
             } else {
                 Vec::new()
             },
+            lines: OnceLock::from(lines),
             steps,
         }
+    }
+
+    /// The lines as field elements, in step order.
+    fn unit_lines(&self) -> &[UnitLine] {
+        #[cfg(target_arch = "x86_64")]
+        return self
+            .lines
+            .get_or_init(|| crate::lanes::unit_lines(&self.lanes));
+        #[cfg(not(target_arch = "x86_64"))]
+        self.lines.get().expect("built with its lines")
     }
 
     /// The table evaluated at `Q`, paying one field inversion for
@@ -577,14 +604,16 @@ impl MillerLines {
             (re.mul(&b).sub(im), im.mul(&b).add(re))
         };
         let (mut re, mut im) = (Fp::ONE, Fp::ZERO);
+        let mut lines = self.unit_lines().iter();
+        let mut line = || lines.next().expect("a line per step but a bare squaring");
         for step in &self.steps {
             (re, im) = match step {
                 Step::Square => square(&re, &im),
-                Step::SquareMul(line) => {
+                Step::SquareMul => {
                     let (re, im) = square(&re, &im);
-                    mul(&re, &im, line)
+                    mul(&re, &im, line())
                 }
-                Step::Mul(line) => mul(&re, &im, line),
+                Step::Mul => mul(&re, &im, line()),
             };
         }
         MillerValue(Fp2::new(re, im))
@@ -620,29 +649,140 @@ impl MillerLines {
 
     /// The lane kernel, where the CPU has it and the table has lines.
     #[cfg(target_arch = "x86_64")]
-    #[allow(unsafe_code)]
     fn reduces_to_one_in_lanes(
         &self,
         at: &[Option<(Fp, Fp)>],
         shared: &MillerValue,
     ) -> Option<Vec<bool>> {
-        if !lanes_available() || self.lanes.is_empty() || at.len() < 2 {
+        let cap = Ifma::detect()?;
+        if self.lanes.is_empty() || at.len() < 2 {
             return None;
         }
         for _ in at.iter().flatten() {
             ops::record_miller_loop();
         }
-        // SAFETY: the callee's only requirement is the target features it
-        // enables, avx512ifma and the avx512f it implies, and the CPU has
-        // just been found to have both.
-        Some(unsafe { crate::lanes::reduces_to_one_at(&self.steps, &self.lanes, at, &shared.0) })
+        let kernel = crate::lanes::Kernel::Sweep {
+            steps: &self.steps,
+            table: &self.lanes,
+            at,
+            shared: &shared.0,
+        };
+        let crate::lanes::Output::Hits(hits) = in_lanes(cap, kernel) else {
+            unreachable!("a sweep returns hits");
+        };
+        Some(hits)
+    }
+
+    /// [`Self::new`] of each point. With AVX-512 IFMA, eight tables are
+    /// built at once, each line computed and scaled in lanes and kept in
+    /// lane form only (the field-element form follows on first use);
+    /// elsewhere, and for a lone point, one by one. The same tables,
+    /// counted the same.
+    pub fn new_many(ps: &[peace_curve::G1]) -> Vec<Self> {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(tables) = Self::new_many_in_lanes(ps) {
+            return tables;
+        }
+        ps.iter().map(Self::new).collect()
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    fn new_many_in_lanes(ps: &[peace_curve::G1]) -> Option<Vec<Self>> {
+        let cap = Ifma::detect()?;
+        let live: Vec<(Fp, Fp)> = ps
+            .iter()
+            .filter(|p| !p.is_identity())
+            .map(|p| (p.point().x, p.point().y))
+            .collect();
+        if live.len() < 2 {
+            return None;
+        }
+        let kernel = crate::lanes::Kernel::LineTables {
+            ps: &live,
+            naf: loop_naf(),
+        };
+        let crate::lanes::Output::Tables { steps, tables } = in_lanes(cap, kernel) else {
+            unreachable!("line tables return tables");
+        };
+        let mut tables = tables.into_iter();
+        Some(
+            ps.iter()
+                .map(|p| {
+                    let lanes = if p.is_identity() {
+                        None
+                    } else {
+                        tables.next().expect("one table per live point")
+                    };
+                    let Some(lanes) = lanes else {
+                        return Self::new(p);
+                    };
+                    ops::record_miller_prepare();
+                    Self {
+                        steps: steps.clone(),
+                        lines: OnceLock::new(),
+                        lanes,
+                    }
+                })
+                .collect(),
+        )
     }
 }
 
-/// Whether this CPU runs [`MillerLines::reduces_to_one_at`] in lanes.
+/// [`miller`]`(P, Q).pow(e)` for each `(P, Q)` with `P` in 𝔾₁ and `Q` any
+/// curve point: eight Miller loops and eight powers at once, counted as
+/// the scalar calls count. `None` where the lanes do not pay — no IFMA,
+/// or fewer than two loops to run.
 #[cfg(target_arch = "x86_64")]
-pub(crate) fn lanes_available() -> bool {
-    std::is_x86_feature_detected!("avx512f") && std::is_x86_feature_detected!("avx512ifma")
+pub(crate) fn miller_powers_in_lanes(
+    pairs: &[(&peace_curve::AffinePoint, &peace_curve::AffinePoint)],
+    e: &Fq,
+) -> Option<Vec<MillerValue>> {
+    let cap = Ifma::detect()?;
+    let live: Vec<usize> = (0..pairs.len())
+        .filter(|&k| !pairs[k].0.is_identity() && !pairs[k].1.is_identity())
+        .collect();
+    if live.len() < 2 {
+        return None;
+    }
+    let coords = |pick: fn(&(&peace_curve::AffinePoint, &peace_curve::AffinePoint)) -> (Fp, Fp)| {
+        live.iter().map(|&k| pick(&pairs[k])).collect::<Vec<_>>()
+    };
+    let (ps, qs) = (coords(|(p, _)| (p.x, p.y)), coords(|(_, q)| (q.x, q.y)));
+    let e_digits = e.to_uint().wnaf(5);
+    let kernel = crate::lanes::Kernel::MillerPowers {
+        ps: &ps,
+        qs: &qs,
+        naf: loop_naf(),
+        e: &e_digits,
+    };
+    let crate::lanes::Output::Values(values) = in_lanes(cap, kernel) else {
+        unreachable!("Miller powers return values");
+    };
+    let mut out = Vec::with_capacity(pairs.len());
+    let mut values = live.iter().zip(values).peekable();
+    for (k, (p, q)) in pairs.iter().enumerate() {
+        let lane = values.next_if(|(&at, _)| at == k).and_then(|(_, v)| v);
+        out.push(match lane {
+            Some(f) => {
+                ops::record_miller_loop();
+                ops::record_gt_exp();
+                MillerValue(f)
+            }
+            None => miller(p, q).pow(e),
+        });
+    }
+    Some(out)
+}
+
+/// The one entry from ordinary code into this crate's lane kernels.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+fn in_lanes(cap: Ifma, kernel: crate::lanes::Kernel<'_>) -> crate::lanes::Output {
+    let _ = cap;
+    // SAFETY: the callee's only requirement is the target features it
+    // enables, avx512ifma and the avx512f it implies, and `cap` exists
+    // only where `Ifma::detect` found both.
+    unsafe { crate::lanes::run(kernel) }
 }
 
 /// Doubles `t` in place and returns the tangent line.

@@ -324,7 +324,9 @@ impl NetworkOperator {
     ///
     /// [`ProtocolError::Setup`] if the session is not in the log or no
     /// token matches (signature from outside the registry — impossible for
-    /// sessions that passed verification).
+    /// sessions that passed verification);
+    /// [`ProtocolError::BadGroupSignature`] if a token matches a signature
+    /// that does not verify, which is attributed to nobody.
     pub fn audit(&self, session: &SessionId) -> Result<AuditFinding> {
         let entry = self
             .log
@@ -333,23 +335,33 @@ impl NetworkOperator {
         self.open_against_all_epochs(&entry.signed_payload, &entry.gsig)
     }
 
+    /// Opens `gsig` under the first epoch key (current, then archived,
+    /// newest first) whose `grt` holds a matching token, and attributes it
+    /// only if it verifies under that key. A match alone proves nothing:
+    /// `T₁ = ψ(û)^α, T₂ = A·ψ(v̂)^α` with every other field random matches
+    /// the token `A`, and a URL publishes exactly such tokens.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::Setup`] if no token matches in any epoch,
+    /// [`ProtocolError::BadGroupSignature`] if the signature that matched
+    /// does not verify under the key it was opened with.
     fn open_against_all_epochs(
         &self,
         signed_payload: &[u8],
         gsig: &peace_groupsig::GroupSignature,
     ) -> Result<AuditFinding> {
-        let idx = std::iter::once(self.gpk())
+        let mode = self.config.bases_mode;
+        let (gpk, idx) = std::iter::once(self.gpk())
             .chain(self.gpk_history.iter().rev())
-            .find_map(|gpk| {
-                open(
-                    gpk,
-                    signed_payload,
-                    gsig,
-                    &self.grt_order,
-                    self.config.bases_mode,
-                )
-            })
+            .find_map(|gpk| Some((gpk, open(gpk, signed_payload, gsig, &self.grt_order, mode)?)))
             .ok_or(ProtocolError::Setup("no grt token matches session"))?;
+        let verified = if gpk == self.gpk() {
+            self.prepared_gpk.verify(signed_payload, gsig, mode)
+        } else {
+            peace_groupsig::verify(gpk, signed_payload, gsig, mode)
+        };
+        verified.map_err(|_| ProtocolError::BadGroupSignature)?;
         let token = self.grt_order[idx];
         let index = self.grt[&token.to_bytes()];
         Ok(AuditFinding {
@@ -408,6 +420,10 @@ impl NetworkOperator {
 
     /// Direct audit of a raw (payload, signature) pair — used when the
     /// disputed message is available but was never logged.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::audit`], but for the log lookup.
     pub fn audit_raw(
         &self,
         signed_payload: &[u8],
@@ -418,11 +434,16 @@ impl NetworkOperator {
 
     /// Batch audit of many (payload, signature) pairs at once — the
     /// ledger's audit-sweep entry point. Runs [`peace_groupsig::open_batch`]
-    /// against the current `gpk` (one prepared line table per record, early
-    /// exit at the matching token, threading across records),
+    /// against the current `gpk` (records readied a lane group at a time,
+    /// early exit at the matching token, threading across groups),
     /// then retries any unresolved records against archived epochs.
     /// `out[k]` is `None` when no `grt` token matches `items[k]` in any
     /// epoch (a signature from outside the registry).
+    ///
+    /// Unlike [`Self::audit`] it verifies nothing: its records are taken to
+    /// have been verified before they were logged. A transcript reported by
+    /// a router is not yet checked at ingest, so a forged one that matches
+    /// a published token is attributed here.
     pub fn audit_batch(
         &self,
         items: &[(&[u8], &peace_groupsig::GroupSignature)],

@@ -4,7 +4,7 @@
 
 use std::collections::HashMap;
 
-use peace::protocol::{entities::*, ids::*, ProtocolConfig};
+use peace::protocol::{entities::*, ids::*, ProtocolConfig, ProtocolError};
 use peace::wire::{Encode, Writer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -331,4 +331,60 @@ fn baseline_plain_bs04_reveals_the_user_at_the_operator() {
         net.gms[&gids[0]].identify(finding.index),
         Some(&UserId("bob".into()))
     );
+}
+
+/// A token match is not a signature: anyone holding `gpk` and one published
+/// URL token `A` builds `T₁ = ψ(û)^α, T₂ = A·ψ(v̂)^α` on H₀'s bases with the
+/// other fields random, and Eq.3 matches `A`. The single-session audit
+/// verifies before it attributes, so it refuses the forgery with a code
+/// and frames no one; the honest session still opens.
+#[test]
+fn a_forgery_from_a_published_token_is_refused_not_attributed() {
+    use peace::curve::psi;
+    use peace::field::Fq;
+    use peace::groupsig::{h0_bases, open, GroupSignature, VerifyError};
+
+    let mut net = build_net(67, 1, 2);
+    let gid = *net.gms.keys().next().unwrap();
+    let mut alice = enroll(&mut net, "alice", gid);
+    let mut router = net.no.provision_router("MR-1", u64::MAX / 2, &mut net.rng);
+    let beacon = router.beacon(1_000, &mut net.rng);
+    let req = alice.request_access(&beacon, 1_005, &mut net.rng).unwrap();
+    router.process_access_request(&req, 1_010).unwrap();
+    net.no.ingest_router_log(&mut router);
+    let sid = SessionId::from_points(&req.g_rr, &req.g_rj);
+    let finding = net.no.audit(&sid).unwrap();
+    assert!(net.no.revoke_member(&finding.token));
+    let url = net.no.publish_url(2_000);
+    assert_eq!(url.tokens, vec![finding.token]);
+
+    let gpk = *net.no.gpk();
+    let mode = net.no.config().bases_mode;
+    let msg: &[u8] = b"a transcript alice never signed";
+    let rng = &mut net.rng;
+    let r = Fq::random(rng);
+    let (u_hat, v_hat) = h0_bases(&gpk, msg, &r, mode);
+    let alpha = Fq::random(rng);
+    let forged = GroupSignature {
+        r,
+        t1: psi(&u_hat).mul(&alpha).into(),
+        t2: url.tokens[0].0.add(&psi(&v_hat).mul(&alpha)).into(),
+        c: Fq::random(rng),
+        s_alpha: Fq::random(rng),
+        s_x: Fq::random(rng),
+        s_delta: Fq::random(rng),
+    };
+    assert_eq!(
+        net.no.prepared_gpk().verify(msg, &forged, mode),
+        Err(VerifyError::BadChallenge)
+    );
+    // The primitive matches the published token, as Eq.3 says it must...
+    let grt_index = open(&gpk, msg, &forged, &url.tokens, mode);
+    assert_eq!(grt_index, Some(0));
+    // ...and the audit refuses to attribute what does not verify.
+    let refused = net.no.audit_raw(msg, &forged).unwrap_err();
+    assert_eq!(refused, ProtocolError::BadGroupSignature);
+    assert_eq!(refused.code(), "bad_group_signature");
+    let honest = net.no.audit(&sid).unwrap();
+    assert_eq!((honest.group, honest.token), (finding.group, finding.token));
 }
