@@ -1339,6 +1339,44 @@ mod lane_open {
             }
         }
     }
+
+    /// Only a table walked in lanes holds the lane form: the group key's
+    /// g₂ and w tables, which sign and verify evaluate one point at a
+    /// time, never build it, and a sweep row's û table builds it on its
+    /// first lane walk.
+    #[test]
+    fn only_lane_walked_tables_hold_the_lane_form() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let issuer = IssuerKey::generate(&mut rng);
+        let gpk = *issuer.public_key();
+        let grp = issuer.new_group_secret(&mut rng);
+        let member = issuer.issue(&grp, &mut rng);
+        let url: Vec<RevocationToken> = (0..4)
+            .map(|_| issuer.issue(&grp, &mut rng).revocation_token())
+            .collect();
+        let prepared = PreparedGpk::new(&gpk);
+        let lanes = peace_field::lanes::Ifma::detect().is_some();
+        println!(
+            "sweep over {}: {}",
+            url.len(),
+            if lanes { "avx512ifma lanes" } else { "scalar" }
+        );
+        for mode in [BasesMode::PerMessage, BasesMode::FixedBases] {
+            let sig = prepared.sign(&member, b"msg", mode, &mut rng);
+            prepared.verify(b"msg", &sig, mode).unwrap();
+            assert_eq!(
+                prepared.verify_and_check(b"msg", &sig, &url, mode),
+                Ok(None)
+            );
+            let (u_hat, v_pre) = h0_verify_bases(&gpk, b"msg", &sig.r, mode);
+            let row = SweepRow::new(&sig, &u_hat, &v_pre).unwrap();
+            assert!(!row.lines.holds_lane_form(), "{mode:?}");
+            assert_eq!(row.matches(&url), vec![false; url.len()]);
+            assert_eq!(row.lines.holds_lane_form(), lanes, "{mode:?}");
+        }
+        assert!(!prepared.g2_lines.holds_lane_form());
+        assert!(!prepared.w_lines.holds_lane_form());
+    }
 }
 
 #[cfg(test)]

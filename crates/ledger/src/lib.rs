@@ -51,7 +51,7 @@ pub use replica::{
     valid_writer_id, verify_replica, MergedEntry, RangeData, ReplicaRecovery, ReplicaVerifyReport,
     ReplicatedLedger, WriterDigest, MAX_RANGE_BYTES,
 };
-pub use segment::{SegmentHeader, FRAME_OVERHEAD, SEGMENT_HEADER_LEN};
+pub use segment::{SegmentHeader, FRAME_OVERHEAD, MAX_RECORD_BYTES, SEGMENT_HEADER_LEN};
 pub use store::{
     verify_chain, ChainReport, CompactReport, Ledger, LedgerConfig, LedgerHead, LedgerQuery,
     RecoveryReport, SyncPolicy,

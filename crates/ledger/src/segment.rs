@@ -49,6 +49,9 @@ pub const SEGMENT_HEADER_LEN: usize = 4 + 2 + 8 + 8 + 32 + 4;
 /// Per-frame overhead (length prefix + CRC).
 pub const FRAME_OVERHEAD: usize = 8;
 
+/// Reject records whose encoded payload exceeds this.
+pub const MAX_RECORD_BYTES: u32 = 1 << 20;
+
 /// The chain value before the first record of a fresh ledger.
 pub fn genesis_chain() -> [u8; 32] {
     sha256(b"PEACE-LEDGER-GENESIS-v1")
@@ -253,15 +256,15 @@ pub(crate) struct Walk<E> {
 }
 
 /// The payload of the frame at `pos`, if the frame is complete, its
-/// length within `max_record` and its CRC good.
-fn frame_at(bytes: &[u8], pos: usize, max_record: u32) -> Result<&[u8], ScanFlaw> {
+/// length within [`MAX_RECORD_BYTES`] and its CRC good.
+fn frame_at(bytes: &[u8], pos: usize) -> Result<&[u8], ScanFlaw> {
     let rest = &bytes[pos..];
     if rest.len() < FRAME_OVERHEAD {
         return Err(ScanFlaw::TornFrame);
     }
     let word = |i: usize| u32::from_be_bytes([rest[i], rest[i + 1], rest[i + 2], rest[i + 3]]);
     let len = word(0) as usize;
-    if len > max_record as usize {
+    if len > MAX_RECORD_BYTES as usize {
         return Err(ScanFlaw::Oversized);
     }
     let Some(payload) = rest.get(FRAME_OVERHEAD..FRAME_OVERHEAD + len) else {
@@ -279,12 +282,7 @@ fn frame_at(bytes: &[u8], pos: usize, max_record: u32) -> Result<&[u8], ScanFlaw
 /// says and pins every checkpoint met on the replayed stretch. It stops
 /// at the first flaw and reports the valid prefix, and whether anything
 /// valid follows the flaw (see [`Walk::valid_after`]).
-pub(crate) fn walk<E: Framed>(
-    bytes: &[u8],
-    header: &SegmentHeader,
-    mode: ChainMode,
-    max_record: u32,
-) -> Walk<E> {
+pub(crate) fn walk<E: Framed>(bytes: &[u8], header: &SegmentHeader, mode: ChainMode) -> Walk<E> {
     let (mut live, mut chain, resume_at) = match mode {
         ChainMode::Replay => (true, header.prev_chain, None),
         ChainMode::Skip => (false, [0u8; 32], None),
@@ -296,7 +294,7 @@ pub(crate) fn walk<E: Framed>(
         if pos >= bytes.len() {
             break None;
         }
-        let payload = match frame_at(bytes, pos, max_record) {
+        let payload = match frame_at(bytes, pos) {
             Ok(payload) => payload,
             Err(flaw) => break Some(flaw),
         };
@@ -333,8 +331,7 @@ pub(crate) fn walk<E: Framed>(
         pos += frame_len;
     };
     let valid_after = flaw.is_some()
-        && (pos + 1..bytes.len())
-            .any(|at| frame_at(bytes, at, max_record).is_ok_and(|p| E::parse(p).is_ok()));
+        && (pos + 1..bytes.len()).any(|at| frame_at(bytes, at).is_ok_and(|p| E::parse(p).is_ok()));
     Walk {
         entries,
         valid_len: pos,
@@ -420,7 +417,7 @@ mod tests {
 
     fn walk_all(bytes: &[u8], mode: ChainMode) -> Walk<Entry> {
         let header = SegmentHeader::parse(bytes).unwrap();
-        walk(bytes, &header, mode, 1 << 20)
+        walk(bytes, &header, mode)
     }
 
     #[test]

@@ -13,7 +13,7 @@ use crate::checkpoint::Checkpoint;
 use crate::record::{Entry, IndexFacts, LedgerRecord, RecordKind, ShallowEntry};
 use crate::segment::{
     extend_chain, frame, genesis_chain, walk, ChainMode, Framed, ScanFlaw, SegmentHeader, Walk,
-    FRAME_OVERHEAD, SEGMENT_HEADER_LEN,
+    FRAME_OVERHEAD, MAX_RECORD_BYTES, SEGMENT_HEADER_LEN,
 };
 use crate::{LedgerError, Result};
 
@@ -36,8 +36,6 @@ pub enum SyncPolicy {
 pub struct LedgerConfig {
     /// Rotate to a fresh segment once the current file would exceed this.
     pub segment_max_bytes: u64,
-    /// Reject records whose encoded payload exceeds this.
-    pub max_record_bytes: u32,
     /// Durability policy for appends.
     pub sync: SyncPolicy,
 }
@@ -46,7 +44,6 @@ impl Default for LedgerConfig {
     fn default() -> Self {
         Self {
             segment_max_bytes: 256 * 1024,
-            max_record_bytes: 1 << 20,
             sync: SyncPolicy::OnFlush,
         }
     }
@@ -190,11 +187,7 @@ struct SegScan<E> {
 
 /// The one per-segment read: the header (which must name the file's base)
 /// and a [`walk`] of the frames after it.
-fn scan_segment<E: Framed>(
-    seg: &SegmentMeta,
-    mode: ChainMode,
-    max_record: u32,
-) -> Result<SegScan<E>> {
+fn scan_segment<E: Framed>(seg: &SegmentMeta, mode: ChainMode) -> Result<SegScan<E>> {
     let bytes = std::fs::read(&seg.path)?;
     let header = SegmentHeader::parse(&bytes).ok_or(LedgerError::Corrupt {
         segment: seg.base_seq,
@@ -209,7 +202,7 @@ fn scan_segment<E: Framed>(
         });
     }
     Ok(SegScan {
-        walk: walk(&bytes, &header, mode, max_record),
+        walk: walk(&bytes, &header, mode),
         header,
         file_len: bytes.len() as u64,
     })
@@ -280,7 +273,6 @@ impl Stitch {
 fn scan_segments(
     segments: &[SegmentMeta],
     modes: &[ChainMode],
-    max_record: u32,
 ) -> Vec<Result<SegScan<ShallowEntry>>> {
     let n = segments.len();
     let workers = std::thread::available_parallelism()
@@ -291,7 +283,7 @@ fn scan_segments(
         return segments
             .iter()
             .zip(modes)
-            .map(|(s, m)| scan_segment(s, *m, max_record))
+            .map(|(s, m)| scan_segment(s, *m))
             .collect();
     }
     let mut out: Vec<Result<SegScan<ShallowEntry>>> = (0..n)
@@ -309,7 +301,7 @@ fn scan_segments(
             sc.spawn(move || {
                 for (off, slot) in out_chunk.iter_mut().enumerate() {
                     let i = ci * chunk + off;
-                    *slot = scan_segment(&segments[i], modes[i], max_record);
+                    *slot = scan_segment(&segments[i], modes[i]);
                 }
             });
         }
@@ -499,7 +491,7 @@ impl Ledger {
                 _ => ChainMode::Replay,
             })
             .collect();
-        let scans = scan_segments(&segments, &modes, cfg.max_record_bytes);
+        let scans = scan_segments(&segments, &modes);
 
         // The hint is advisory: if the scan did not find the exact
         // checkpoint frame it names (stale sidecar, torn tail before
@@ -655,7 +647,7 @@ impl Ledger {
     ) -> Result<u64> {
         debug_assert_eq!(entry.seq, self.next_seq);
         debug_assert_eq!(chain, extend_chain(&self.chain, payload));
-        if payload.len() > self.cfg.max_record_bytes as usize {
+        if payload.len() > MAX_RECORD_BYTES as usize {
             return Err(LedgerError::RecordTooLarge { len: payload.len() });
         }
         let framed = frame(payload);
@@ -957,7 +949,7 @@ impl Ledger {
         let mut out = Vec::with_capacity(self.locs.len());
         let mut stitch = Stitch::new();
         for seg in &self.segments {
-            let scan = scan_segment::<Entry>(seg, ChainMode::Replay, self.cfg.max_record_bytes)?;
+            let scan = scan_segment::<Entry>(seg, ChainMode::Replay)?;
             stitch.start(&scan)?;
             stitch.end(&scan, false)?;
             out.extend(scan.walk.entries.into_iter().map(|s| s.entry));
@@ -1029,15 +1021,14 @@ pub struct ChainReport {
 /// Interior damage, broken chains, bad checkpoints and records carrying a
 /// point outside the group are errors; so is a flaw in the last segment
 /// that a whole frame follows, which [`Ledger::open`] refuses too. A torn
-/// tail there is reported but tolerated, unless it is a frame that passes
-/// its CRC and does not decode.
+/// tail there, a zero-filled one included, is reported but tolerated, as
+/// [`Ledger::open`] truncates it.
 pub fn verify_chain(
     dir: impl AsRef<Path>,
     resolve: impl Fn(&str) -> Option<VerifyingKey>,
 ) -> Result<ChainReport> {
     let dir = dir.as_ref();
     let segments = list_segments(dir)?;
-    let max_record = LedgerConfig::default().max_record_bytes;
     let mut stitch = Stitch::new();
     let mut records = 0u64;
     let mut checkpoints_verified = 0usize;
@@ -1045,7 +1036,7 @@ pub fn verify_chain(
     let mut last_ck_seq = None;
     let count = segments.len();
     for (i, seg) in segments.iter().enumerate() {
-        let scan = scan_segment::<Entry>(seg, ChainMode::Replay, max_record)?;
+        let scan = scan_segment::<Entry>(seg, ChainMode::Replay)?;
         stitch.start(&scan)?;
         for se in &scan.walk.entries {
             if let LedgerRecord::Access(a) = &se.entry.record {
@@ -1077,12 +1068,8 @@ pub fn verify_chain(
             }
         }
         // Every accepted entry has been checked; what stopped the walk, if
-        // anything, comes after them all. A frame that passes its CRC and
-        // does not decode is an error here even at the tail (a zero-filled
-        // one included, which `open` truncates): the verifier vouches for
-        // every frame whose CRC holds.
-        let tail = i + 1 == count && scan.walk.flaw != Some(ScanFlaw::Undecodable);
-        if stitch.end(&scan, tail)?.is_some() {
+        // anything, comes after them all.
+        if stitch.end(&scan, i + 1 == count)?.is_some() {
             torn_bytes = scan.file_len - scan.walk.valid_len as u64;
         }
         records += scan.walk.entries.len() as u64;

@@ -121,7 +121,6 @@ fn interior_damage_refuses_to_open() {
     let small = LedgerConfig {
         segment_max_bytes: 128,
         sync: SyncPolicy::Always,
-        ..LedgerConfig::default()
     };
     {
         let (mut ledger, _) = Ledger::open(&dir, small).unwrap();
@@ -169,7 +168,6 @@ fn partial_header_segment_is_discarded() {
     let small = LedgerConfig {
         segment_max_bytes: 128,
         sync: SyncPolicy::Always,
-        ..LedgerConfig::default()
     };
     let (records, next_base) = {
         let (mut ledger, _) = Ledger::open(&dir, small).unwrap();
@@ -195,7 +193,6 @@ fn rotation_compaction_and_queries_survive_reopen() {
     let small = LedgerConfig {
         segment_max_bytes: 160,
         sync: SyncPolicy::Always,
-        ..LedgerConfig::default()
     };
     let mut rng = StdRng::seed_from_u64(7);
     let key = SigningKey::random(&mut rng);
@@ -307,4 +304,91 @@ fn zero_filled_tail_is_a_torn_tail() {
     assert_eq!(report.torn_bytes, 4096);
     assert!(report.tail_flaw.is_some());
     assert_eq!(fs::metadata(seg0(&dir)).unwrap().len(), intact as u64);
+}
+
+/// How a reader took a damaged log: the records it kept past a torn tail,
+/// or where it found the log corrupt.
+#[derive(Debug, PartialEq, Eq)]
+enum Verdict {
+    Torn { records: u64 },
+    Corrupt { segment: u64, offset: u64 },
+}
+
+fn verdict<T>(r: peace_ledger::Result<T>, records: impl Fn(&T) -> u64, who: &str) -> Verdict {
+    match r {
+        Ok(t) => Verdict::Torn {
+            records: records(&t),
+        },
+        Err(LedgerError::Corrupt {
+            segment, offset, ..
+        }) => Verdict::Corrupt { segment, offset },
+        Err(e) => panic!("{who}: want a torn tail or Corrupt, got {e:?}"),
+    }
+}
+
+/// One torn-tail rule for every reader. At each offset of the live
+/// segment's frames, a cut, a zero-fill to the file's length, a zero-fill
+/// to the next 4 KiB boundary and a flipped byte, each on a fresh copy:
+/// `open`, `open_resumed` and `verify_chain` give the same verdict. A
+/// crash state (cut or zeros) is a torn tail that keeps every record
+/// whose bytes it left as they were, so every one ending at or before the
+/// offset; a flipped byte is `Corrupt` at its frame, unless that frame is
+/// the last.
+#[test]
+fn every_reader_takes_each_damaged_tail_the_same_way() {
+    let dir = tmpdir("crash-matrix");
+    let (key, starts) = fsynced_log_with_checkpoint(&dir);
+    let vk: VerifyingKey = *key.verifying_key();
+    let resolve = |s: &str| (s == "NO").then_some(vk);
+    let pristine = fs::read(seg0(&dir)).unwrap();
+    let ends: Vec<usize> = starts[1..]
+        .iter()
+        .copied()
+        .chain([pristine.len()])
+        .collect();
+    let kinds = ["cut", "zero-fill", "zero-fill to 4 KiB", "flipped byte"];
+    for at in SEGMENT_HEADER_LEN..=pristine.len() {
+        for kind in kinds {
+            let mut image = pristine.clone();
+            match kind {
+                "cut" => image.truncate(at),
+                "zero-fill" => image[at..].fill(0),
+                "zero-fill to 4 KiB" => {
+                    image.truncate(at);
+                    image.resize((at / 4096 + 1) * 4096, 0);
+                }
+                _ if at == pristine.len() => continue,
+                _ => image[at] ^= 0x5a,
+            }
+            let survivors = ends
+                .iter()
+                .take_while(|&&e| image.get(..e) == Some(&pristine[..e]))
+                .count();
+            assert!(survivors >= ends.iter().filter(|&&e| e <= at).count());
+            let want = match starts.iter().rposition(|&s| s <= at) {
+                Some(frame) if kind == "flipped byte" && frame + 1 < starts.len() => {
+                    Verdict::Corrupt {
+                        segment: 0,
+                        offset: starts[frame] as u64,
+                    }
+                }
+                _ => Verdict::Torn {
+                    records: survivors as u64,
+                },
+            };
+            let case = format!("{kind} at {at}");
+            fs::write(seg0(&dir), &image).unwrap();
+            let chain = verdict(verify_chain(&dir, resolve), |r| r.records, &case);
+            let opened = verdict(Ledger::open(&dir, cfg()), |(l, _)| l.len(), &case);
+            fs::write(seg0(&dir), &image).unwrap();
+            let resumed = verdict(
+                Ledger::open_resumed(&dir, cfg(), resolve),
+                |(l, _)| l.len(),
+                &case,
+            );
+            assert_eq!(chain, want, "verify_chain, {case}");
+            assert_eq!(opened, want, "open, {case}");
+            assert_eq!(resumed, want, "open_resumed, {case}");
+        }
+    }
 }

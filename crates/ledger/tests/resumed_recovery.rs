@@ -25,7 +25,6 @@ fn cfg() -> LedgerConfig {
         // replayed ones after.
         segment_max_bytes: 256,
         sync: SyncPolicy::Always,
-        ..LedgerConfig::default()
     }
 }
 

@@ -23,7 +23,6 @@ fn cfg() -> LedgerConfig {
     LedgerConfig {
         segment_max_bytes: 256,
         sync: SyncPolicy::Always,
-        ..LedgerConfig::default()
     }
 }
 

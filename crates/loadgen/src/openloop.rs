@@ -157,6 +157,10 @@ impl LoadOutcome {
     }
 }
 
+/// Fraction of offered arrivals that must complete for a ramp probe to
+/// pass (terminal failures and exhausted retries count against it).
+pub const RAMP_MIN_SUCCESS: f64 = 0.99;
+
 /// Configuration for a ramp search: find the highest offered rate the
 /// target sustains while honoring a p99 latency SLO.
 #[derive(Clone, Copy, Debug)]
@@ -167,9 +171,6 @@ pub struct RampConfig {
     /// Scheduled-arrival → session-established p99 budget (µs). A probe
     /// whose `session_us` p99 exceeds this fails.
     pub slo_p99_us: u64,
-    /// Fraction of offered arrivals that must complete for a probe to
-    /// pass (terminal failures and exhausted retries count against it).
-    pub min_success: f64,
     /// Search floor (sessions/s). If even this rate fails, the search
     /// reports `max_sustainable_rate = 0`.
     pub min_rate: f64,
@@ -184,7 +185,6 @@ impl Default for RampConfig {
         Self {
             base: LoadConfig::default(),
             slo_p99_us: 500_000,
-            min_success: 0.99,
             min_rate: 10.0,
             max_rate: 2_000.0,
             probes: 5,
@@ -195,7 +195,7 @@ impl Default for RampConfig {
 impl RampConfig {
     /// Whether a probe's outcome meets the SLO and the success floor.
     pub fn passed_by(&self, outcome: &LoadOutcome) -> bool {
-        let floor = (outcome.offered as f64 * self.min_success).ceil() as u64;
+        let floor = (outcome.offered as f64 * RAMP_MIN_SUCCESS).ceil() as u64;
         outcome.session_us.percentile(0.99) <= self.slo_p99_us && outcome.completed >= floor
     }
 }

@@ -4,7 +4,7 @@ use peace_sim::{CityConfig, CityReport};
 use peace_telemetry::bench::BenchReport;
 use peace_telemetry::Snapshot;
 
-use crate::openloop::{LoadConfig, LoadOutcome, RampConfig, RampOutcome};
+use crate::openloop::{LoadConfig, LoadOutcome, RampConfig, RampOutcome, RAMP_MIN_SUCCESS};
 
 /// A completed city-simulation run plus its wall-clock cost.
 #[derive(Debug)]
@@ -54,7 +54,7 @@ pub fn append_ramp(r: &mut BenchReport, ramp: &RampRunSummary<'_>) {
     r.uint("ramp_workers", ramp.workers)
         .uint("ramp_shards", ramp.shards)
         .uint("ramp_slo_p99_us", ramp.cfg.slo_p99_us)
-        .float("ramp_min_success", ramp.cfg.min_success, 3)
+        .float("ramp_min_success", RAMP_MIN_SUCCESS, 3)
         .float("ramp_floor_rate_per_sec", ramp.cfg.min_rate, 1)
         .float("ramp_ceiling_rate_per_sec", ramp.cfg.max_rate, 1)
         .uint("ramp_probe_count", o.probes.len() as u64)

@@ -14,6 +14,10 @@ use crate::error::{NetError, Result};
 use crate::frame::{write_frame, FrameDecoder, DEFAULT_MAX_FRAME};
 use crate::metrics::{ConnStats, NetMetrics};
 
+/// Maximum reply frames a shard queues for a peer that is not reading;
+/// past it or [`ConnConfig::max_queue_bytes`] the connection is closed.
+pub const MAX_QUEUE_FRAMES: usize = 64;
+
 /// Per-connection tunables.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ConnConfig {
@@ -25,10 +29,8 @@ pub struct ConnConfig {
     pub read_timeout: Option<Duration>,
     /// Write deadline of a client connection.
     pub write_timeout: Option<Duration>,
-    /// Maximum reply frames a shard queues for a peer that is not
-    /// reading; past either bound the connection is closed.
-    pub max_queue_frames: usize,
-    /// Maximum queued-but-unwritten reply bytes.
+    /// Maximum queued-but-unwritten reply bytes; past it or
+    /// [`MAX_QUEUE_FRAMES`] the connection is closed.
     pub max_queue_bytes: usize,
 }
 
@@ -38,7 +40,6 @@ impl Default for ConnConfig {
             max_frame: DEFAULT_MAX_FRAME,
             read_timeout: Some(Duration::from_secs(5)),
             write_timeout: Some(Duration::from_secs(5)),
-            max_queue_frames: 64,
             max_queue_bytes: 4 << 20,
         }
     }

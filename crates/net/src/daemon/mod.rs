@@ -32,10 +32,6 @@ pub struct DaemonConfig {
     pub connect_timeout: Duration,
     /// How long shutdown waits for in-flight handlers.
     pub drain: Duration,
-    /// Cap on a router's pending-transcript outbox: after a failed report
-    /// requeue, the oldest overflow is dropped (and counted) so a long NO
-    /// outage cannot grow router memory without limit.
-    pub max_pending_transcripts: usize,
     /// I/O shard threads of the event loop (see `crate::reactor`). `0`
     /// (the default) means one per available processor, as the verify
     /// pool is sized.
@@ -49,7 +45,6 @@ impl Default for DaemonConfig {
             max_connections: 64,
             connect_timeout: Duration::from_secs(5),
             drain: Duration::from_secs(2),
-            max_pending_transcripts: 1024,
             shards: 0,
         }
     }

@@ -28,6 +28,11 @@ use peace_telemetry::Snapshot;
 
 use super::{lock_recover, DaemonConfig};
 
+/// Cap on a router's pending-transcript outbox: after a failed report
+/// requeue, the oldest overflow is dropped (and counted) so a long NO
+/// outage cannot grow router memory without limit.
+const MAX_PENDING_TRANSCRIPTS: usize = 1024;
+
 /// A running mesh-router daemon.
 pub struct RouterDaemon {
     router: Arc<Mutex<MeshRouter>>,
@@ -276,7 +281,7 @@ impl RouterDaemon {
     }
 
     /// Requeues a failed batch at the front of the outbox, then enforces
-    /// the [`DaemonConfig::max_pending_transcripts`] cap by dropping the
+    /// the [`MAX_PENDING_TRANSCRIPTS`] cap by dropping the
     /// oldest overflow (counted in `net.transcripts_dropped`): a long NO
     /// outage trades the stalest evidence away instead of growing router
     /// memory without bound.
@@ -284,7 +289,7 @@ impl RouterDaemon {
         let dropped = {
             let mut r = lock_recover(&self.router);
             r.requeue_log(sessions);
-            r.cap_log(self.cfg.max_pending_transcripts)
+            r.cap_log(MAX_PENDING_TRANSCRIPTS)
         };
         if dropped > 0 {
             self.metrics.transcripts_dropped.add(dropped as u64);

@@ -53,7 +53,7 @@ pub struct NetMetrics {
     /// counting a hard failure.
     pub conn_rejected: Arc<Counter>,
     /// Work refused at a full bounded queue, at either of two sites: a
-    /// reply past a connection's outbound bound (`max_queue_frames` /
+    /// reply past a connection's outbound bound (`MAX_QUEUE_FRAMES` /
     /// `max_queue_bytes` — the peer is not reading, and is dropped; pinned
     /// by `tests/event_loop.rs`), and an M.2 arriving at a full verify
     /// queue (answered BUSY; no recorded run has reached it, and its test

@@ -53,6 +53,7 @@ use peace_protocol::AccessRequest;
 use peace_telemetry::Snapshot;
 use peace_wire::{Decode as _, Encode as _};
 
+use crate::conn::MAX_QUEUE_FRAMES;
 use crate::daemon::DaemonConfig;
 use crate::envelope::{reject_code, NodeMessage};
 use crate::error::{NetError, Result};
@@ -174,7 +175,7 @@ impl Conn {
         if payload.len() > cfg.conn.max_frame {
             return false;
         }
-        if self.out.len() >= cfg.conn.max_queue_frames
+        if self.out.len() >= MAX_QUEUE_FRAMES
             || self.out_bytes + payload.len() > cfg.conn.max_queue_bytes
         {
             metrics.backpressure_events.inc();

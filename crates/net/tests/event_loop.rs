@@ -31,7 +31,6 @@ fn event_cfg(shards: usize) -> DaemonConfig {
         connect_timeout: Duration::from_secs(5),
         drain: Duration::from_secs(3),
         shards,
-        ..DaemonConfig::default()
     }
 }
 

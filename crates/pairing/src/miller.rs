@@ -494,10 +494,11 @@ pub struct MillerLines {
     /// built eight at a time ([`Self::new_many`]) derives them from `lanes`
     /// on its first scalar walk (`eval_at`, or a lone point), if any.
     lines: OnceLock<Vec<UnitLine>>,
-    /// The lines in the lane kernel's form where the CPU has one, else
-    /// empty.
+    /// The lines in the lane kernel's form. A table built eight at a time
+    /// keeps them; one built on its own derives them from `lines` on its
+    /// first lane walk, if any.
     #[cfg(target_arch = "x86_64")]
-    lanes: Vec<crate::lanes::LaneLine>,
+    lanes: OnceLock<Vec<crate::lanes::LaneLine>>,
 }
 
 /// Two tables are equal when they take the same steps with the same lines.
@@ -505,7 +506,7 @@ pub struct MillerLines {
 impl PartialEq for MillerLines {
     fn eq(&self, other: &Self) -> bool {
         #[cfg(target_arch = "x86_64")]
-        if self.lanes != other.lanes {
+        if self.lane_lines() != other.lane_lines() {
             return false;
         }
         self.steps == other.steps && self.unit_lines() == other.unit_lines()
@@ -551,11 +552,7 @@ impl MillerLines {
     fn from_lines(steps: Vec<Step>, lines: Vec<UnitLine>) -> Self {
         Self {
             #[cfg(target_arch = "x86_64")]
-            lanes: if Ifma::detect().is_some() {
-                crate::lanes::lane_lines(&lines)
-            } else {
-                Vec::new()
-            },
+            lanes: OnceLock::new(),
             lines: OnceLock::from(lines),
             steps,
         }
@@ -564,11 +561,27 @@ impl MillerLines {
     /// The lines as field elements, in step order.
     fn unit_lines(&self) -> &[UnitLine] {
         #[cfg(target_arch = "x86_64")]
-        return self
-            .lines
-            .get_or_init(|| crate::lanes::unit_lines(&self.lanes));
+        return self.lines.get_or_init(|| {
+            crate::lanes::unit_lines(self.lanes.get().expect("built with one form"))
+        });
         #[cfg(not(target_arch = "x86_64"))]
         self.lines.get().expect("built with its lines")
+    }
+
+    /// The lines in the lane kernel's form, in step order.
+    #[cfg(target_arch = "x86_64")]
+    fn lane_lines(&self) -> &[crate::lanes::LaneLine] {
+        self.lanes
+            .get_or_init(|| crate::lanes::lane_lines(self.unit_lines()))
+    }
+
+    /// Whether the table holds its lines in the lane kernel's form: built
+    /// eight at a time, or walked in lanes since.
+    pub fn holds_lane_form(&self) -> bool {
+        #[cfg(target_arch = "x86_64")]
+        return self.lanes.get().is_some();
+        #[cfg(not(target_arch = "x86_64"))]
+        false
     }
 
     /// The table evaluated at `Q`, paying one field inversion for
@@ -655,7 +668,7 @@ impl MillerLines {
         shared: &MillerValue,
     ) -> Option<Vec<bool>> {
         let cap = Ifma::detect()?;
-        if self.lanes.is_empty() || at.len() < 2 {
+        if self.steps.is_empty() || at.len() < 2 {
             return None;
         }
         for _ in at.iter().flatten() {
@@ -663,7 +676,7 @@ impl MillerLines {
         }
         let kernel = crate::lanes::Kernel::Sweep {
             steps: &self.steps,
-            table: &self.lanes,
+            table: self.lane_lines(),
             at,
             shared: &shared.0,
         };
@@ -720,7 +733,7 @@ impl MillerLines {
                     Self {
                         steps: steps.clone(),
                         lines: OnceLock::new(),
-                        lanes,
+                        lanes: OnceLock::from(lanes),
                     }
                 })
                 .collect(),

@@ -14,7 +14,9 @@ use peace_wire::Writer;
 use rand::RngCore;
 
 use crate::audit::LoggedSession;
-use crate::config::ProtocolConfig;
+use crate::config::{
+    ProtocolConfig, BEACON_LIFETIME, DOS_THRESHOLD, DOS_WINDOW, MAX_ACTIVE_BEACONS,
+};
 use crate::error::{ProtocolError, Result};
 use crate::ids::{RouterId, SessionId};
 use crate::messages::{AccessConfirm, AccessRequest, Beacon};
@@ -118,8 +120,8 @@ pub struct MeshRouter {
     /// The staged revocation engine: epoch-partitioned list, and a sweep
     /// cache or (fixed bases) a revocation table.
     revocation: RevocationEngine,
-    /// Per-beacon DH state, bounded by `config.max_active_beacons` (LRU)
-    /// and expired after `config.beacon_lifetime`.
+    /// Per-beacon DH state, bounded by [`MAX_ACTIVE_BEACONS`] (LRU) and
+    /// expired after [`BEACON_LIFETIME`].
     active_beacons: PendingTable<BeaconState>,
     /// The beacon [`Self::current_beacon`] broadcasts until it ages out:
     /// never one with a puzzle, and dropped whenever the CRL or URL it
@@ -180,12 +182,9 @@ impl MeshRouter {
             url_section: UrlSection::from(&url),
             url,
             revocation,
-            active_beacons: PendingTable::new(config.max_active_beacons, config.beacon_lifetime),
+            active_beacons: PendingTable::new(MAX_ACTIVE_BEACONS, BEACON_LIFETIME),
             held_beacon: None,
-            recent_sessions: PendingTable::new(
-                config.max_active_beacons.saturating_mul(2),
-                config.beacon_lifetime,
-            ),
+            recent_sessions: PendingTable::new(2 * MAX_ACTIVE_BEACONS, BEACON_LIFETIME),
             under_attack: false,
             manual_attack_mode: None,
             recent_failures: std::collections::VecDeque::new(),
@@ -239,9 +238,8 @@ impl MeshRouter {
     }
 
     fn refresh_attack_state(&mut self, now: u64) {
-        let window = self.config.dos_window;
         while let Some(&t) = self.recent_failures.front() {
-            if now.saturating_sub(t) > window {
+            if now.saturating_sub(t) > DOS_WINDOW {
                 self.recent_failures.pop_front();
             } else {
                 break;
@@ -249,8 +247,8 @@ impl MeshRouter {
         }
         if let Some(forced) = self.manual_attack_mode {
             self.under_attack = forced;
-        } else if self.config.dos_auto_defense {
-            self.under_attack = self.recent_failures.len() >= self.config.dos_threshold;
+        } else {
+            self.under_attack = self.recent_failures.len() >= DOS_THRESHOLD;
         }
     }
 
@@ -384,7 +382,7 @@ impl MeshRouter {
     ///   has the other half for clock skew — and than half the beacon
     ///   lifetime, so its DH state outlives the M.2 round trip;
     /// * its DH state is live;
-    /// * it has admitted fewer than `max_active_beacons` sessions, so the
+    /// * it has admitted fewer than [`MAX_ACTIVE_BEACONS`] sessions, so the
     ///   replay records of its sessions and its predecessor's all fit in
     ///   the idempotency table (see [`Self::finish_access_request`]);
     /// * the router is not under attack, and its CRL and URL are the ones
@@ -395,15 +393,11 @@ impl MeshRouter {
     pub fn current_beacon(&mut self, now: u64, rng: &mut impl RngCore) -> Beacon {
         self.prune_beacons(now);
         self.refresh_attack_state(now);
-        let hold_for = self
-            .config
-            .timestamp_window
-            .min(self.config.beacon_lifetime)
-            / 2;
+        let hold_for = self.config.timestamp_window.min(BEACON_LIFETIME) / 2;
         if let Some(held) = &self.held_beacon {
             if !self.under_attack
                 && now.abs_diff(held.beacon.ts1) < hold_for
-                && held.sessions < self.config.max_active_beacons
+                && held.sessions < MAX_ACTIVE_BEACONS
                 && self.active_beacons.contains(held.beacon.g_rr.as_bytes())
             {
                 return held.beacon.clone();
@@ -642,7 +636,7 @@ impl MeshRouter {
         // replayed M.2 would pass the gate and be verified and admitted
         // again. So when the table sheds a record, the beacon goes with
         // it, and the replay is `UnknownBeacon`. A held beacon is retired
-        // after `max_active_beacons` sessions, half the table, so unless
+        // after `MAX_ACTIVE_BEACONS` sessions, half the table, so unless
         // sessions pile up on older beacons, what this drops is a beacon
         // no longer broadcast.
         let beacon_key = req.g_rr.to_bytes();

@@ -13,7 +13,7 @@ use peace_symmetric::{open_oneshot, seal_oneshot};
 use peace_wire::{Encode, Reader, WireError, Writer};
 use rand::RngCore;
 
-use crate::config::ProtocolConfig;
+use crate::config::{ProtocolConfig, HANDSHAKE_WINDOW, MAX_PENDING_HANDSHAKES};
 use crate::error::{ProtocolError, Result};
 use crate::ids::{SessionId, ShareIndex, UserId};
 use crate::messages::{
@@ -166,8 +166,7 @@ impl UserClient {
         config: ProtocolConfig,
         rng: &mut impl RngCore,
     ) -> Self {
-        let cap = config.max_pending_handshakes;
-        let ttl = config.handshake_window;
+        let (cap, ttl) = (MAX_PENDING_HANDSHAKES, HANDSHAKE_WINDOW);
         Self {
             uid,
             receipt_key: SigningKey::random(rng),
@@ -187,7 +186,7 @@ impl UserClient {
             pending_router: PendingTable::new(cap, ttl),
             pending_peer_init: PendingTable::new(cap, ttl),
             pending_peer_resp: PendingTable::new(cap, ttl),
-            completed_recent: PendingTable::new(cap.saturating_mul(2), ttl.saturating_mul(2)),
+            completed_recent: PendingTable::new(2 * cap, 2 * ttl),
         }
     }
 
@@ -654,7 +653,7 @@ impl UserClient {
     /// [`ProtocolError::DuplicateMessage`] on replay;
     /// [`ProtocolError::SessionMismatch`] when no matching half-open
     /// handshake exists — the state expires with the delay window, so this
-    /// is also the answer once `handshake_window` has passed; otherwise per
+    /// is also the answer once [`HANDSHAKE_WINDOW`] has passed; otherwise per
     /// §IV.C step 3: the `ts₂ − ts₁` delay-window check
     /// ([`ProtocolError::HandshakeTimeout`]), `ts₂`'s age, then the
     /// group-signature and URL checks.
@@ -675,7 +674,7 @@ impl UserClient {
             .pending_peer_init
             .get(&key)
             .ok_or(ProtocolError::SessionMismatch)?;
-        if resp.ts2.saturating_sub(ts1) > self.config.handshake_window {
+        if resp.ts2.saturating_sub(ts1) > HANDSHAKE_WINDOW {
             return Err(ProtocolError::HandshakeTimeout);
         }
         if now.saturating_sub(resp.ts2) > self.config.timestamp_window {

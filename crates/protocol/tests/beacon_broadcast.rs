@@ -4,6 +4,7 @@
 //! input throughout.
 
 use peace_groupsig::OpSnapshot;
+use peace_protocol::config::{BEACON_LIFETIME, MAX_ACTIVE_BEACONS};
 use peace_protocol::entities::{GroupManager, MeshRouter, NetworkOperator, Ttp, UserClient};
 use peace_protocol::ids::UserId;
 use peace_protocol::{Beacon, ProtocolConfig, ProtocolError};
@@ -205,32 +206,30 @@ fn users_on_one_beacon_get_distinct_sessions_and_a_replay_is_refused() {
 #[test]
 fn a_beacon_is_held_for_half_the_shorter_of_window_and_lifetime() {
     let config = ProtocolConfig {
-        beacon_lifetime: 2_000,
+        timestamp_window: 2 * BEACON_LIFETIME,
         ..ProtocolConfig::default()
     };
-    assert!(config.beacon_lifetime < config.timestamp_window);
+    assert!(BEACON_LIFETIME < config.timestamp_window);
     let mut n = net_with(11, config);
+    let end = 1_000 + BEACON_LIFETIME / 2;
     let first = n.router.current_beacon(1_000, &mut n.rng);
-    assert_eq!(n.router.current_beacon(1_999, &mut n.rng), first);
-    let next = n.router.current_beacon(2_000, &mut n.rng);
-    assert_eq!(next.ts1, 2_000);
+    assert_eq!(n.router.current_beacon(end - 1, &mut n.rng), first);
+    let next = n.router.current_beacon(end, &mut n.rng);
+    assert_eq!(next.ts1, end);
     assert_eq!(n.router.beacons_sent(), 2);
 }
 
-// The idempotency table holds 2 × `max_active_beacons` records. A beacon
+// The idempotency table holds 2 × `MAX_ACTIVE_BEACONS` records. A beacon
 // broadcast to more sessions than that would outlive the records of its
 // first sessions, and their replays would be verified and logged again.
 #[test]
 fn replays_are_refused_however_many_sessions_share_the_broadcast() {
     // Four beacons' DH state fits, so none of the four minted below is
     // shed for room: only the idempotency table decides what a replay gets.
-    let config = ProtocolConfig {
-        max_active_beacons: 4,
-        ..ProtocolConfig::default()
-    };
-    let mut n = net_with(12, config);
+    let cap = MAX_ACTIVE_BEACONS;
+    let mut n = net(12);
     let mut reqs = Vec::new();
-    for i in 0..13u64 {
+    for i in 0..(3 * cap + 1) as u64 {
         let now = 1_000 + 10 * i;
         let beacon = n.poll(now);
         let req = n
@@ -240,18 +239,19 @@ fn replays_are_refused_however_many_sessions_share_the_broadcast() {
         n.router.process_access_request(&req, now + 2).unwrap();
         reqs.push(req);
     }
-    // A broadcast serves `max_active_beacons` sessions, then a new one is
+    // A broadcast serves `MAX_ACTIVE_BEACONS` sessions, then a new one is
     // minted.
     assert_eq!(n.router.beacons_sent(), 4);
-    assert_eq!(reqs[0].g_rr, reqs[3].g_rr);
-    assert_ne!(reqs[3].g_rr, reqs[4].g_rr);
+    assert_eq!(reqs[0].g_rr, reqs[cap - 1].g_rr);
+    assert_ne!(reqs[cap - 1].g_rr, reqs[cap].g_rr);
 
     // Every replay inside the window is refused before any pairing and
-    // logs nothing. Shedding the records of sessions 0–4 dropped the first
-    // two beacons' DH state; the sessions on the last two are on record.
-    let now = 1_000 + 10 * 13;
+    // logs nothing. Shedding the records of sessions 0 to `cap` dropped the
+    // first two beacons' DH state; the sessions on the last two are on
+    // record.
+    let now = 1_000 + 10 * reqs.len() as u64;
     for (i, req) in reqs.iter().enumerate() {
-        let expected = if i < 8 {
+        let expected = if i < 2 * cap {
             ProtocolError::UnknownBeacon
         } else {
             ProtocolError::DuplicateMessage
@@ -262,11 +262,11 @@ fn replays_are_refused_however_many_sessions_share_the_broadcast() {
             "replay of session {i}"
         );
     }
-    assert_eq!(n.router.pending_log_len(), 13);
+    assert_eq!(n.router.pending_log_len(), reqs.len());
     assert!(!n.router.is_under_attack(), "no replay counts as a failure");
 
     // The broadcast still in force was not dropped.
-    assert_eq!(n.poll(now).g_rr, reqs[12].g_rr);
+    assert_eq!(n.poll(now).g_rr, reqs[3 * cap].g_rr);
 }
 
 // §V.A: a beacon minted before an attack began carries no puzzle. Were its

@@ -4,6 +4,7 @@
 //! [`ProtocolError::DuplicateMessage`] — and half-open state stays bounded
 //! under floods and drains on expiry.
 
+use peace_protocol::config::{HANDSHAKE_WINDOW, MAX_ACTIVE_BEACONS, MAX_PENDING_HANDSHAKES};
 use peace_protocol::entities::{GroupManager, MeshRouter, NetworkOperator, Ttp, UserClient};
 use peace_protocol::ids::UserId;
 use peace_protocol::{ProtocolConfig, ProtocolError};
@@ -18,9 +19,9 @@ struct Net {
     rng: StdRng,
 }
 
-fn net(config: ProtocolConfig) -> Net {
+fn net() -> Net {
     let mut rng = StdRng::seed_from_u64(0xD0_D0);
-    let mut no = NetworkOperator::new(config, &mut rng);
+    let mut no = NetworkOperator::new(ProtocolConfig::default(), &mut rng);
     let gid = no.register_group("org", &mut rng);
     let (gm_bundle, ttp_bundle) = no.issue_shares(gid, 4, &mut rng).unwrap();
     let mut gm = GroupManager::new(gid);
@@ -49,7 +50,7 @@ fn net(config: ProtocolConfig) -> Net {
 
 #[test]
 fn replayed_access_request_mints_one_session() {
-    let mut n = net(ProtocolConfig::default());
+    let mut n = net();
     let beacon = n.router.beacon(1_000, &mut n.rng);
     let req = n.alice.request_access(&beacon, 1_000, &mut n.rng).unwrap();
 
@@ -66,7 +67,7 @@ fn replayed_access_request_mints_one_session() {
 
 #[test]
 fn replayed_access_confirm_mints_one_session() {
-    let mut n = net(ProtocolConfig::default());
+    let mut n = net();
     let beacon = n.router.beacon(1_000, &mut n.rng);
     let req = n.alice.request_access(&beacon, 1_000, &mut n.rng).unwrap();
     let (confirm, _router_sess) = n.router.process_access_request(&req, 1_010).unwrap();
@@ -81,7 +82,7 @@ fn replayed_access_confirm_mints_one_session() {
 
 #[test]
 fn replayed_peer_response_and_confirm_mint_one_session() {
-    let mut n = net(ProtocolConfig::default());
+    let mut n = net();
     let beacon = n.router.beacon(1_000, &mut n.rng);
     let hello = n
         .alice
@@ -106,50 +107,40 @@ fn replayed_peer_response_and_confirm_mint_one_session() {
 
 #[test]
 fn half_open_flood_is_lru_bounded() {
-    let config = ProtocolConfig {
-        max_pending_handshakes: 8,
-        ..ProtocolConfig::default()
-    };
-    let mut n = net(config);
+    let mut n = net();
     let beacon = n.router.beacon(1_000, &mut n.rng);
-    // Far more M.2s than the table holds, none ever confirmed.
-    for i in 0..20u64 {
+    // More M.2s than the table holds, none ever confirmed.
+    for i in 0..(MAX_PENDING_HANDSHAKES + 12) as u64 {
         n.alice
             .request_access(&beacon, 1_000 + i, &mut n.rng)
             .unwrap();
     }
-    assert!(n.alice.pending_handshakes() <= 8);
-    assert!(n.alice.pending_high_water() <= 8);
+    assert!(n.alice.pending_handshakes() <= MAX_PENDING_HANDSHAKES);
+    assert!(n.alice.pending_high_water() <= MAX_PENDING_HANDSHAKES);
     assert!(n.alice.pending_evictions() >= 12);
 }
 
 #[test]
 fn router_beacon_state_is_lru_bounded() {
-    let config = ProtocolConfig {
-        max_active_beacons: 6,
-        ..ProtocolConfig::default()
-    };
-    let mut n = net(config);
-    for i in 0..15u64 {
+    let mut n = net();
+    for i in 0..(MAX_ACTIVE_BEACONS + 9) as u64 {
         n.router.beacon(1_000 + i, &mut n.rng);
     }
-    assert!(n.router.active_beacon_count() <= 6);
-    assert!(n.router.pending_state_high_water() <= 12); // beacons + dedup table
+    assert!(n.router.active_beacon_count() <= MAX_ACTIVE_BEACONS);
+    assert!(n.router.pending_state_high_water() <= 2 * MAX_ACTIVE_BEACONS); // beacons + dedup table
     assert!(n.router.pending_evictions() >= 9);
 }
 
 #[test]
 fn expired_half_open_state_drains_and_rejects_late_confirm() {
-    let config = ProtocolConfig::default();
-    let window = config.handshake_window;
-    let mut n = net(config);
+    let mut n = net();
     let beacon = n.router.beacon(1_000, &mut n.rng);
     let req = n.alice.request_access(&beacon, 1_000, &mut n.rng).unwrap();
     let (confirm, _router_sess) = n.router.process_access_request(&req, 1_010).unwrap();
 
     // M.3 arrives long after the handshake window: the half-open state has
     // expired, so the confirm no longer matches anything.
-    let late = 1_000 + window + 1_000;
+    let late = 1_000 + HANDSHAKE_WINDOW + 1_000;
     let result = n.alice.handle_access_confirm(&confirm, late);
     assert!(matches!(result, Err(ProtocolError::SessionMismatch)));
     n.alice.expire_pending(late);
@@ -158,7 +149,7 @@ fn expired_half_open_state_drains_and_rejects_late_confirm() {
 
 #[test]
 fn epoch_rotation_clears_pending_state() {
-    let mut n = net(ProtocolConfig::default());
+    let mut n = net();
     let beacon = n.router.beacon(1_000, &mut n.rng);
     let req = n.alice.request_access(&beacon, 1_000, &mut n.rng).unwrap();
     let (confirm, _router_sess) = n.router.process_access_request(&req, 1_010).unwrap();

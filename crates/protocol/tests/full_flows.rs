@@ -4,6 +4,7 @@
 use std::collections::HashMap;
 
 use peace_groupsig::OpSnapshot;
+use peace_protocol::config::{DOS_THRESHOLD, DOS_WINDOW, HANDSHAKE_WINDOW};
 use peace_protocol::entities::*;
 use peace_protocol::ids::{GroupId, UserId};
 use peace_protocol::{AccessConfirm, AccessRequest, Beacon, ProtocolConfig, ProtocolError};
@@ -482,8 +483,7 @@ fn peer_handshake_window_enforced() {
         .start_peer_handshake(&beacon.g, 1_000, &mut w.rng)
         .unwrap();
     // Bob answers absurdly late (forged ts2 far in the future).
-    let hw = w.no.config().handshake_window;
-    let late_ts = 1_000 + hw + 5_000;
+    let late_ts = 1_000 + HANDSHAKE_WINDOW + 5_000;
     let mut resp = bob.handle_peer_hello(&hello, 1_010, &mut w.rng).unwrap();
     resp.ts2 = late_ts; // tamper: claim a late ts2
                         // Delivered inside the window, the delay check refuses it before the
@@ -592,8 +592,7 @@ fn automatic_dos_detection_toggles_puzzles() {
     let gid = w.add_group("org", 1);
     let mut alice = w.enroll_user("alice", gid);
     let mut router = w.router("MR-1");
-    let threshold = w.no.config().dos_threshold;
-    let window = w.no.config().dos_window;
+    let (threshold, window) = (DOS_THRESHOLD, DOS_WINDOW);
 
     // Quiet network: no puzzles.
     let b = router.beacon(1_000, &mut w.rng);
@@ -822,7 +821,7 @@ fn forgeries_finishing_out_of_line_still_arm_dos_defense() {
     let gid = w.add_group("org", 1);
     let mut alice = w.enroll_user("alice", gid);
     let mut router = w.router("MR-1");
-    let threshold = w.no.config().dos_threshold;
+    let threshold = DOS_THRESHOLD;
 
     let beacon = router.beacon(2_000, &mut w.rng);
     let template = alice.request_access(&beacon, 2_010, &mut w.rng).unwrap();

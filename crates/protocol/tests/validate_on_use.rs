@@ -7,6 +7,7 @@
 //! behind.
 
 use peace_curve::{AffinePoint, G1Wire, PointError, G1};
+use peace_protocol::config::DOS_THRESHOLD;
 use peace_protocol::entities::{GroupManager, MeshRouter, NetworkOperator, Ttp, UserClient};
 use peace_protocol::ids::UserId;
 use peace_protocol::{
@@ -97,7 +98,7 @@ const M2_T2: usize = M2_T1 + 65;
 #[test]
 fn a_bad_point_in_m2_is_a_failed_verification() {
     let mut w = world(1);
-    let threshold = w.no.config().dos_threshold;
+    let threshold = DOS_THRESHOLD;
     let beacon = w.router.beacon(1_000, &mut w.rng);
     let req = w.alice.request_access(&beacon, 1_010, &mut w.rng).unwrap();
     let wire = req.to_wire();

@@ -29,7 +29,7 @@ mod store;
 pub use cache::{CacheKey, SweepCache, Verdict};
 pub use engine::{EngineConfig, ListChanged, RevocationCheck, RevocationEngine};
 pub use store::{
-    digest_of, DeltaError, DeltaOutcome, DeltaPlan, EpochUrlStore, UrlDelta, DEFAULT_DELTA_LOG_CAP,
+    digest_of, DeltaError, DeltaOutcome, DeltaPlan, EpochUrlStore, UrlDelta, DELTA_LOG_CAP,
 };
 
 #[cfg(test)]
@@ -112,12 +112,11 @@ mod tests {
             Err(DeltaError::EpochMismatch)
         );
         // Consumer behind the retained log → full fetch.
-        let mut tiny = EpochUrlStore::new(0);
-        tiny.set_log_cap(1);
-        for t in &toks {
-            tiny.record_add(t);
+        let mut full = EpochUrlStore::new(0);
+        for t in &tokens(DELTA_LOG_CAP + 1, 4) {
+            full.record_add(t);
         }
-        assert_eq!(tiny.delta_since(0, 0), DeltaPlan::NeedFull);
+        assert_eq!(full.delta_since(0, 0), DeltaPlan::NeedFull);
     }
 
     #[test]

@@ -27,7 +27,7 @@ use peace_wire::{Decode, Encode, Reader, Writer};
 /// How many coalesced log entries the operator side retains. A consumer
 /// further behind than this falls back to a full fetch — the log bounds
 /// operator memory, not correctness.
-pub const DEFAULT_DELTA_LOG_CAP: usize = 1024;
+pub const DELTA_LOG_CAP: usize = 1024;
 
 /// A delta-compressed URL diff: the tokens revoked (and un-revoked)
 /// between two versions of one epoch's list.
@@ -136,7 +136,6 @@ pub struct EpochUrlStore {
     /// Operator-side per-change log, oldest first; each entry advances
     /// exactly one version.
     log: VecDeque<UrlDelta>,
-    log_cap: usize,
 }
 
 impl EpochUrlStore {
@@ -148,15 +147,6 @@ impl EpochUrlStore {
             tokens: Vec::new(),
             index: HashMap::new(),
             log: VecDeque::new(),
-            log_cap: DEFAULT_DELTA_LOG_CAP,
-        }
-    }
-
-    /// Caps the retained delta log (operator-side memory bound).
-    pub fn set_log_cap(&mut self, cap: usize) {
-        self.log_cap = cap;
-        while self.log.len() > self.log_cap {
-            self.log.pop_front();
         }
     }
 
@@ -246,7 +236,7 @@ impl EpochUrlStore {
 
     fn push_log(&mut self, d: UrlDelta) {
         self.log.push_back(d);
-        while self.log.len() > self.log_cap {
+        while self.log.len() > DELTA_LOG_CAP {
             self.log.pop_front();
         }
     }

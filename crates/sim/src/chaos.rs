@@ -7,7 +7,8 @@
 //! and measures whether the network heals: no panics, pending-state tables
 //! bounded, and (nearly) every user re-authenticating on a clean wire.
 
-use peace_protocol::{FaultPlan, ProtocolConfig};
+use peace_protocol::config::{MAX_ACTIVE_BEACONS, MAX_PENDING_HANDSHAKES};
+use peace_protocol::FaultPlan;
 
 use crate::metrics::SimMetrics;
 use crate::topology::TopologyConfig;
@@ -100,14 +101,10 @@ pub fn run_chaos_soak(cfg: &ChaosConfig) -> ChaosReport {
         .iter()
         .filter(|t| t.is_some_and(|t| t >= cfg.fault_until))
         .count();
-    // Endpoint tables are capped at `max_pending_handshakes` /
-    // `max_active_beacons` entries, with the dedup (recently-completed)
+    // Endpoint tables are capped at `MAX_PENDING_HANDSHAKES` /
+    // `MAX_ACTIVE_BEACONS` entries, with the dedup (recently-completed)
     // tables at twice that.
-    let pc = ProtocolConfig::default();
-    let pending_bound = pc
-        .max_active_beacons
-        .saturating_mul(2)
-        .max(pc.max_pending_handshakes.saturating_mul(2));
+    let pending_bound = 2 * MAX_ACTIVE_BEACONS.max(MAX_PENDING_HANDSHAKES);
     ChaosReport {
         metrics: world.metrics.clone(),
         users: cfg.users,

@@ -79,6 +79,28 @@ pub enum Scenario {
     },
 }
 
+/// City edge length in metres.
+pub const CITY_SIZE_M: f32 = 4_000.0;
+
+/// Mean interval between a user's re-authentications (sim ms).
+pub const AUTH_INTERVAL_MS: u64 = 5_000;
+
+/// Mobility step per epoch in metres.
+pub const MOVE_STEP_M: f32 = 25.0;
+
+/// Handshakes one router can admit per epoch before overload.
+pub const ROUTER_CAPACITY: u32 = 64;
+
+/// Base verify service time per handshake (µs). A model constant: the
+/// traced `protocol.process_access_request_us` measures 1.6–2.3 ms on a
+/// 2-vCPU Xeon with AVX-512 IFMA (ROADMAP item 9(b) re-derives it).
+pub const SERVICE_US: u64 = 3_700;
+
+/// Added verify cost per URL entry (µs) — models the 2|URL| pairing
+/// scan. A model constant: the revocation sweep measures 28–37 µs a token
+/// on the same machine (ROADMAP item 9(b) re-derives it).
+pub const URL_SCAN_US: u64 = 2;
+
 /// Configuration for one city run.
 #[derive(Clone, Copy, Debug)]
 pub struct CityConfig {
@@ -86,8 +108,6 @@ pub struct CityConfig {
     pub users: u32,
     /// Mesh routers form a `routers_per_side²` uniform grid.
     pub routers_per_side: u32,
-    /// City edge length in metres.
-    pub city_size_m: f32,
     /// Number of parallel world shards (≥ 1). Any value yields identical
     /// results; more shards step the epoch on more threads.
     pub shards: usize,
@@ -95,17 +115,6 @@ pub struct CityConfig {
     pub epoch_ms: u64,
     /// Total simulated duration in milliseconds.
     pub end_ms: u64,
-    /// Mean interval between a user's re-authentications (sim ms).
-    pub auth_interval_ms: u64,
-    /// Mobility step per epoch in metres.
-    pub move_step_m: f32,
-    /// Handshakes one router can admit per epoch before overload.
-    pub router_capacity: u32,
-    /// Base verify service time per handshake (µs).
-    pub service_us: u64,
-    /// Added verify cost per URL entry (µs) — models the 2|URL| pairing
-    /// scan.
-    pub url_scan_us: u64,
     /// Master seed; every stochastic choice derives from it.
     pub seed: u64,
     /// The workload script.
@@ -117,15 +126,9 @@ impl Default for CityConfig {
         Self {
             users: 10_000,
             routers_per_side: 8,
-            city_size_m: 4_000.0,
             shards: 4,
             epoch_ms: 1_000,
             end_ms: 30_000,
-            auth_interval_ms: 5_000,
-            move_step_m: 25.0,
-            router_capacity: 64,
-            service_us: 3_700, // ≈ measured per-request access verify on the reference host
-            url_scan_us: 2,
             seed: 0xC17F_5EED,
             scenario: Scenario::Steady,
         }
@@ -354,21 +357,21 @@ fn pass_intent(ctx: &EpochCtx<'_>, base: u64, chunk: &mut [UserState]) -> Intent
         roams: 0,
         disconnected: 0,
     };
-    let half = f64::from(cfg.city_size_m) as f32 * 0.5;
+    let half = CITY_SIZE_M * 0.5;
     for (i, u) in chunk.iter_mut().enumerate() {
         let uid = base + i as u64;
         // Mobility: a bounded random walk; crowd members drift to centre.
         let hx = h4(cfg.seed, uid, ctx.epoch, salt::MOVE_X);
         let hy = h4(cfg.seed, uid, ctx.epoch, salt::MOVE_Y);
         if ctx.crowd_active && u.flags & F_HOTSPOT != 0 {
-            u.x += (half - u.x) * 0.25 + signed_unit(hx) * cfg.move_step_m * 0.2;
-            u.y += (half - u.y) * 0.25 + signed_unit(hy) * cfg.move_step_m * 0.2;
+            u.x += (half - u.x) * 0.25 + signed_unit(hx) * MOVE_STEP_M * 0.2;
+            u.y += (half - u.y) * 0.25 + signed_unit(hy) * MOVE_STEP_M * 0.2;
         } else {
-            u.x += signed_unit(hx) * cfg.move_step_m;
-            u.y += signed_unit(hy) * cfg.move_step_m;
+            u.x += signed_unit(hx) * MOVE_STEP_M;
+            u.y += signed_unit(hy) * MOVE_STEP_M;
         }
-        u.x = u.x.clamp(0.0, cfg.city_size_m);
-        u.y = u.y.clamp(0.0, cfg.city_size_m);
+        u.x = u.x.clamp(0.0, CITY_SIZE_M);
+        u.y = u.y.clamp(0.0, CITY_SIZE_M);
 
         u.flags &= !F_WANTS;
         let Some(r) = nearest_router(u.x, u.y, cfg.routers_per_side, ctx.spacing, ctx.alive) else {
@@ -380,7 +383,7 @@ fn pass_intent(ctx: &EpochCtx<'_>, base: u64, chunk: &mut [UserState]) -> Intent
         }
         u.router = r;
 
-        // Auth intent: epoch_ms / auth_interval_ms chance per epoch,
+        // Auth intent: epoch_ms / AUTH_INTERVAL_MS chance per epoch,
         // scaled up for crowd members; a rollover storm re-auths everyone.
         let mult = if ctx.crowd_active && u.flags & F_HOTSPOT != 0 {
             ctx.crowd_mult
@@ -388,7 +391,7 @@ fn pass_intent(ctx: &EpochCtx<'_>, base: u64, chunk: &mut [UserState]) -> Intent
             1
         };
         let ha = h4(cfg.seed, uid, ctx.epoch, salt::AUTH);
-        let wants = ctx.storm || (ha % cfg.auth_interval_ms) < cfg.epoch_ms.saturating_mul(mult);
+        let wants = ctx.storm || (ha % AUTH_INTERVAL_MS) < cfg.epoch_ms.saturating_mul(mult);
         if wants {
             u.flags |= F_WANTS;
             out.demand[r as usize] += 1;
@@ -407,7 +410,7 @@ fn pass_outcome(
     ctrs: &[&PhaseCtrs],
 ) -> OutcomeOut {
     let cfg = ctx.cfg;
-    let cap = u64::from(cfg.router_capacity);
+    let cap = u64::from(ROUTER_CAPACITY);
     let mut out = OutcomeOut::default();
     for (i, u) in chunk.iter().enumerate() {
         let uid = base + i as u64;
@@ -469,7 +472,7 @@ pub fn run_city(cfg: &CityConfig) -> CityReport {
     assert!(cfg.shards > 0, "shards must be >= 1");
     assert!(cfg.epoch_ms > 0, "epoch_ms must be >= 1");
     let routers = (cfg.routers_per_side * cfg.routers_per_side) as usize;
-    let spacing = cfg.city_size_m / cfg.routers_per_side as f32;
+    let spacing = CITY_SIZE_M / cfg.routers_per_side as f32;
 
     // Deterministic initial placement + hotspot membership.
     let hotspot_frac = match cfg.scenario {
@@ -479,8 +482,8 @@ pub fn run_city(cfg: &CityConfig) -> CityReport {
     let all_alive = vec![true; routers];
     let mut users: Vec<UserState> = (0..u64::from(cfg.users))
         .map(|uid| {
-            let x = frac_of(h4(cfg.seed, uid, 0, salt::INIT_X)) as f32 * cfg.city_size_m;
-            let y = frac_of(h4(cfg.seed, uid, 0, salt::INIT_Y)) as f32 * cfg.city_size_m;
+            let x = frac_of(h4(cfg.seed, uid, 0, salt::INIT_X)) as f32 * CITY_SIZE_M;
+            let y = frac_of(h4(cfg.seed, uid, 0, salt::INIT_Y)) as f32 * CITY_SIZE_M;
             let mut flags = 0;
             if frac_of(h4(cfg.seed, uid, 0, salt::HOTSPOT)) < hotspot_frac {
                 flags |= F_HOTSPOT;
@@ -586,7 +589,7 @@ pub fn run_city(cfg: &CityConfig) -> CityReport {
             crowd_active,
             crowd_mult,
             storm,
-            service_eff_us: cfg.service_us + cfg.url_scan_us * url_len,
+            service_eff_us: SERVICE_US + URL_SCAN_US * url_len,
         };
 
         // ---- Pass A (parallel): mobility + intent -------------------
@@ -620,7 +623,7 @@ pub fn run_city(cfg: &CityConfig) -> CityReport {
             for c in [&ctrs_phase, &ctrs_total] {
                 c.router_demand.record(d);
                 c.router_util_pct
-                    .record(d * 100 / u64::from(cfg.router_capacity.max(1)));
+                    .record(d * 100 / u64::from(ROUTER_CAPACITY));
             }
         }
         for c in [&ctrs_phase, &ctrs_total] {

@@ -33,13 +33,14 @@ pub mod world;
 
 pub use attacks::{
     run_dos_experiment, run_injection_matrix, run_linking_game, run_phishing_experiment,
-    run_url_growth, DosCostModel, DosReport, InjectionOutcome, LinkingReport, PhishingReport,
-    UrlGrowthPoint,
+    run_url_growth, DosReport, InjectionOutcome, LinkingReport, PhishingReport, UrlGrowthPoint,
+    DOS_ATTACKER_HASHES_PER_S, DOS_PUZZLE_CHECK_COST_MS, DOS_PUZZLE_DIFFICULTY,
+    DOS_ROUTER_BUDGET_MS_PER_S, DOS_SUB_PUZZLES, DOS_VERIFY_COST_MS,
 };
 pub use chaos::{run_chaos_soak, ChaosConfig, ChaosReport};
 pub use city::{run_city, CityConfig, CityReport, CityTotals, Scenario};
 pub use metrics::SimMetrics;
-pub use topology::{Position, Topology, TopologyConfig};
+pub use topology::{Position, Topology, TopologyConfig, AP_FRACTION, CITY_SIZE};
 pub use world::{Event, SimConfig, SimWorld};
 
 #[cfg(test)]
@@ -83,7 +84,6 @@ mod tests {
                 router_range: 220.0,
                 user_range: 260.0,
                 routers_per_side: 2,
-                ..TopologyConfig::default()
             },
             end_time: 8_000,
             ..SimConfig::default()
@@ -99,11 +99,10 @@ mod tests {
 
     #[test]
     fn dos_experiment_puzzle_shape() {
-        let model = DosCostModel::default();
         // Without puzzles, a heavy flood starves legitimate users.
-        let without = run_dos_experiment(&model, 500.0, 5.0, 10, false, 1);
+        let without = run_dos_experiment(500.0, 5.0, 10, false, 1);
         // With puzzles, the same flood is shed cheaply.
-        let with = run_dos_experiment(&model, 500.0, 5.0, 10, true, 1);
+        let with = run_dos_experiment(500.0, 5.0, 10, true, 1);
         assert!(
             with.legit_success_rate > without.legit_success_rate,
             "with: {with:?}, without: {without:?}"
@@ -115,9 +114,8 @@ mod tests {
 
     #[test]
     fn dos_no_flood_baseline_perfect() {
-        let model = DosCostModel::default();
         for puzzles in [false, true] {
-            let r = run_dos_experiment(&model, 0.0, 5.0, 10, puzzles, 2);
+            let r = run_dos_experiment(0.0, 5.0, 10, puzzles, 2);
             assert!((r.legit_success_rate - 1.0).abs() < 1e-9, "{r:?}");
         }
     }

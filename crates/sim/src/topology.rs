@@ -20,15 +20,17 @@ impl Position {
     }
 }
 
+/// City side length (m).
+pub const CITY_SIZE: f64 = 2_000.0;
+
+/// Fraction of routers that are wired access points.
+pub const AP_FRACTION: f64 = 0.25;
+
 /// Static topology parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct TopologyConfig {
-    /// City side length (m).
-    pub city_size: f64,
     /// Routers per grid row/column (total `routers_per_side²`).
     pub routers_per_side: usize,
-    /// Fraction of routers that are wired access points.
-    pub ap_fraction: f64,
     /// Router radio range (m) — downlink is one hop inside this radius.
     pub router_range: f64,
     /// User-to-user radio range (m) for relaying.
@@ -38,9 +40,7 @@ pub struct TopologyConfig {
 impl Default for TopologyConfig {
     fn default() -> Self {
         Self {
-            city_size: 2_000.0,
             routers_per_side: 4,
-            ap_fraction: 0.25,
             router_range: 350.0,
             user_range: 150.0,
         }
@@ -64,7 +64,7 @@ impl Topology {
     /// Lays out `user_count` users uniformly at random over a router grid.
     pub fn generate(config: TopologyConfig, user_count: usize, rng: &mut impl Rng) -> Self {
         let n = config.routers_per_side;
-        let spacing = config.city_size / n as f64;
+        let spacing = CITY_SIZE / n as f64;
         let mut router_positions = Vec::with_capacity(n * n);
         let mut is_access_point = Vec::with_capacity(n * n);
         for row in 0..n {
@@ -75,13 +75,13 @@ impl Topology {
                 });
                 // Deterministic striping + configured fraction.
                 let idx = row * n + col;
-                is_access_point.push((idx as f64 + 0.5) / (n * n) as f64 <= config.ap_fraction);
+                is_access_point.push((idx as f64 + 0.5) / (n * n) as f64 <= AP_FRACTION);
             }
         }
         let user_positions = (0..user_count)
             .map(|_| Position {
-                x: rng.gen_range(0.0..config.city_size),
-                y: rng.gen_range(0.0..config.city_size),
+                x: rng.gen_range(0.0..CITY_SIZE),
+                y: rng.gen_range(0.0..CITY_SIZE),
             })
             .collect();
         Self {
@@ -178,8 +178,8 @@ impl Topology {
     /// clamped to the city.
     pub fn move_user(&mut self, user: usize, step: f64, rng: &mut impl Rng) {
         let p = &mut self.user_positions[user];
-        p.x = (p.x + rng.gen_range(-step..=step)).clamp(0.0, self.config.city_size);
-        p.y = (p.y + rng.gen_range(-step..=step)).clamp(0.0, self.config.city_size);
+        p.x = (p.x + rng.gen_range(-step..=step)).clamp(0.0, CITY_SIZE);
+        p.y = (p.y + rng.gen_range(-step..=step)).clamp(0.0, CITY_SIZE);
     }
 }
 
@@ -206,7 +206,7 @@ mod tests {
         for u in 0..10 {
             let (r, d) = t.nearest_router(u);
             assert!(r < t.router_count());
-            assert!(d <= t.config.city_size * 1.5);
+            assert!(d <= CITY_SIZE * 1.5);
         }
     }
 
@@ -241,17 +241,17 @@ mod tests {
     fn multi_hop_path_found_when_needed() {
         let mut rng = StdRng::seed_from_u64(5);
         let cfg = TopologyConfig {
-            city_size: 1000.0,
             routers_per_side: 1,
-            ap_fraction: 1.0,
             router_range: 200.0,
             user_range: 250.0,
         };
         let mut t = Topology::generate(cfg, 3, &mut rng);
-        // Place router at (500, 500); user 0 far away, users 1, 2 as relays.
-        t.user_positions[0] = Position { x: 20.0, y: 500.0 };
-        t.user_positions[1] = Position { x: 250.0, y: 500.0 };
-        t.user_positions[2] = Position { x: 450.0, y: 500.0 };
+        // The router sits at the centre (c, c); user 0 far away, users 1, 2
+        // as relays.
+        let c = CITY_SIZE / 2.0;
+        t.user_positions[0] = Position { x: c - 480.0, y: c };
+        t.user_positions[1] = Position { x: c - 250.0, y: c };
+        t.user_positions[2] = Position { x: c - 50.0, y: c };
         let (chain, router) = t.uplink_path(0).expect("relayed path exists");
         assert_eq!(router, 0);
         assert!(!chain.is_empty());
@@ -265,8 +265,8 @@ mod tests {
         for _ in 0..100 {
             t.move_user(0, 500.0, &mut rng);
             let p = t.user_positions[0];
-            assert!(p.x >= 0.0 && p.x <= t.config.city_size);
-            assert!(p.y >= 0.0 && p.y <= t.config.city_size);
+            assert!(p.x >= 0.0 && p.x <= CITY_SIZE);
+            assert!(p.y >= 0.0 && p.y <= CITY_SIZE);
         }
     }
 }

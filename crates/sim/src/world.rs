@@ -8,7 +8,7 @@ use peace_protocol::entities::{GroupManager, MeshRouter, NetworkOperator, Ttp, U
 use peace_protocol::ids::{GroupId, UserId};
 use peace_protocol::{
     AccessConfirm, AccessRequest, Beacon, Channel, FaultPlan, PeerConfirm, PeerHello, PeerResponse,
-    ProtocolConfig, ProtocolError, Transient,
+    ProtocolConfig, ProtocolError, RetryPolicy, Transient,
 };
 use peace_wire::{Decode, Encode};
 use rand::rngs::StdRng;
@@ -66,6 +66,21 @@ enum AttemptOutcome {
     Skipped,
 }
 
+/// Beacon period (ms).
+pub const BEACON_INTERVAL: u64 = 1_000;
+
+/// Revocation-list push period (ms).
+pub const LIST_UPDATE_INTERVAL: u64 = 10_000;
+
+/// Per-user re-authentication period (ms).
+pub const AUTH_INTERVAL: u64 = 4_000;
+
+/// Maximum movement step (m).
+pub const MOVE_STEP: f64 = 60.0;
+
+/// Probability per auth event that the user also chats with a peer.
+pub const PEER_CHAT_PROB: f64 = 0.25;
+
 /// Simulation parameters.
 #[derive(Clone, Copy, Debug)]
 pub struct SimConfig {
@@ -75,18 +90,8 @@ pub struct SimConfig {
     pub users: usize,
     /// Number of user groups (users enroll round-robin).
     pub groups: usize,
-    /// Beacon period (ms).
-    pub beacon_interval: u64,
-    /// Revocation-list push period (ms).
-    pub list_update_interval: u64,
-    /// Per-user re-authentication period (ms).
-    pub auth_interval: u64,
     /// Per-user movement period (ms).
     pub move_interval: u64,
-    /// Maximum movement step (m).
-    pub move_step: f64,
-    /// Probability per auth event that the user also chats with a peer.
-    pub peer_chat_prob: f64,
     /// Simulation end time (ms).
     pub end_time: u64,
     /// Adversarial-channel fault plan applied to every wire-encoded
@@ -106,12 +111,7 @@ impl Default for SimConfig {
             topology: TopologyConfig::default(),
             users: 24,
             groups: 3,
-            beacon_interval: 1_000,
-            list_update_interval: 10_000,
-            auth_interval: 4_000,
             move_interval: 2_000,
-            move_step: 60.0,
-            peer_chat_prob: 0.25,
             end_time: 30_000,
             fault: FaultPlan::NONE,
             fault_until: u64::MAX,
@@ -230,14 +230,11 @@ impl SimWorld {
         for r in 0..self.routers.len() {
             self.schedule(0, Event::BeaconTick { router: r });
         }
-        self.schedule(self.config.list_update_interval, Event::ListPush);
+        self.schedule(LIST_UPDATE_INTERVAL, Event::ListPush);
         for u in 0..self.users.len() {
             // Stagger user activity.
-            let jitter = self.rng.gen_range(0..self.config.auth_interval.max(1));
-            self.schedule(
-                self.config.beacon_interval + jitter,
-                Event::UserAuth { user: u },
-            );
+            let jitter = self.rng.gen_range(0..AUTH_INTERVAL);
+            self.schedule(BEACON_INTERVAL + jitter, Event::UserAuth { user: u });
             let mj = self.rng.gen_range(0..self.config.move_interval.max(1));
             self.schedule(self.config.move_interval + mj, Event::UserMove { user: u });
         }
@@ -297,10 +294,7 @@ impl SimWorld {
             Event::BeaconTick { router } => {
                 let beacon = self.routers[router].beacon(self.now, &mut self.rng);
                 self.last_beacon[router] = Some(beacon);
-                self.schedule(
-                    self.now + self.config.beacon_interval,
-                    Event::BeaconTick { router },
-                );
+                self.schedule(self.now + BEACON_INTERVAL, Event::BeaconTick { router });
             }
             Event::ListPush => {
                 let crl = self.no.publish_crl(self.now);
@@ -308,11 +302,10 @@ impl SimWorld {
                 for r in &mut self.routers {
                     r.update_lists(crl.clone(), url.clone());
                 }
-                self.schedule(self.now + self.config.list_update_interval, Event::ListPush);
+                self.schedule(self.now + LIST_UPDATE_INTERVAL, Event::ListPush);
             }
             Event::UserMove { user } => {
-                self.topology
-                    .move_user(user, self.config.move_step, &mut self.rng);
+                self.topology.move_user(user, MOVE_STEP, &mut self.rng);
                 self.schedule(
                     self.now + self.config.move_interval,
                     Event::UserMove { user },
@@ -320,11 +313,8 @@ impl SimWorld {
             }
             Event::UserAuth { user } => {
                 self.run_auth_attempt(user, 1);
-                self.schedule(
-                    self.now + self.config.auth_interval,
-                    Event::UserAuth { user },
-                );
-                if self.rng.gen_bool(self.config.peer_chat_prob) {
+                self.schedule(self.now + AUTH_INTERVAL, Event::UserAuth { user });
+                if self.rng.gen_bool(PEER_CHAT_PROB) {
                     let peers = self.topology.peers_in_range(user);
                     if let Some(&b) = peers.first() {
                         self.schedule(self.now + 10, Event::PeerChat { a: user, b });
@@ -341,10 +331,10 @@ impl SimWorld {
     }
 
     /// Runs one authentication attempt and, on transient failure, schedules
-    /// a retry per the protocol's backoff policy ([`peace_protocol::RetryPolicy`]).
+    /// a retry per the protocol's backoff policy ([`RetryPolicy`]).
     fn run_auth_attempt(&mut self, user: usize, attempt: u32) {
         if self.do_user_auth(user) == AttemptOutcome::Transient {
-            let policy = self.no.config().retry;
+            let policy = RetryPolicy::default();
             if policy.should_retry(attempt) {
                 // Jitter seed mixes user and time so synchronized losers
                 // fan out, yet every run replays from the sim seed.

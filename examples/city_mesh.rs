@@ -7,27 +7,20 @@
 //! Run with: `cargo run --release --example city_mesh`
 
 use peace::protocol::FaultPlan;
-use peace::sim::{SimConfig, SimWorld, TopologyConfig};
+use peace::sim::{SimConfig, SimWorld, TopologyConfig, AP_FRACTION, CITY_SIZE};
 
 fn main() {
     println!("== PEACE metropolitan mesh simulation ==\n");
 
     let config = SimConfig {
         topology: TopologyConfig {
-            city_size: 2_000.0,
             routers_per_side: 4,
-            ap_fraction: 0.25,
             router_range: 310.0,
             user_range: 240.0,
         },
         users: 40,
         groups: 4,
-        beacon_interval: 1_000,
-        list_update_interval: 10_000,
-        auth_interval: 5_000,
         move_interval: 2_000,
-        move_step: 80.0,
-        peer_chat_prob: 0.3,
         end_time: 60_000,
         // A mildly hostile wire for the first 30 s: every fault class at
         // 5% (drops at 7%: 2% of plain radio loss on top), then the channel
@@ -41,11 +34,11 @@ fn main() {
     };
     println!(
         "city: {:.0}m × {:.0}m, {} routers ({} APs), {} users in {} groups",
-        config.topology.city_size,
-        config.topology.city_size,
+        CITY_SIZE,
+        CITY_SIZE,
         config.topology.routers_per_side * config.topology.routers_per_side,
         ((config.topology.routers_per_side * config.topology.routers_per_side) as f64
-            * config.topology.ap_fraction)
+            * AP_FRACTION)
             .round(),
         config.users,
         config.groups,

@@ -5,7 +5,10 @@
 //! Run with: `cargo run --release --example dos_defense`
 
 use peace::protocol::{entities::*, ids::UserId, ProtocolConfig};
-use peace::sim::{run_dos_experiment, DosCostModel};
+use peace::sim::{
+    run_dos_experiment, DOS_ATTACKER_HASHES_PER_S, DOS_PUZZLE_CHECK_COST_MS, DOS_PUZZLE_DIFFICULTY,
+    DOS_ROUTER_BUDGET_MS_PER_S, DOS_SUB_PUZZLES, DOS_VERIFY_COST_MS,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -13,23 +16,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== PEACE DoS defense (client puzzles) ==\n");
 
     // ------- cost-model sweep (E5) -------------------------------------
-    let model = DosCostModel::default();
     println!(
         "router budget {:.0} ms/s, verify {:.0} ms, puzzle check {:.2} ms,",
-        model.router_budget_ms_per_s, model.verify_cost_ms, model.puzzle_check_cost_ms
+        DOS_ROUTER_BUDGET_MS_PER_S, DOS_VERIFY_COST_MS, DOS_PUZZLE_CHECK_COST_MS
     );
     println!(
         "attacker {:.0} Mhash/s vs {}×{}-bit puzzles (expected work 2^{})\n",
-        model.attacker_hashes_per_s / 1e6,
-        model.sub_puzzles,
-        model.puzzle_difficulty,
-        model.puzzle_difficulty as u32 + (model.sub_puzzles as f64).log2() as u32 - 1,
+        DOS_ATTACKER_HASHES_PER_S / 1e6,
+        DOS_SUB_PUZZLES,
+        DOS_PUZZLE_DIFFICULTY,
+        DOS_PUZZLE_DIFFICULTY as u32 + (DOS_SUB_PUZZLES as f64).log2() as u32 - 1,
     );
     println!("flood req/s | legit success (no puzzles) | legit success (puzzles)");
     println!("----------- | -------------------------- | -----------------------");
     for flood in [0.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0] {
-        let off = run_dos_experiment(&model, flood, 5.0, 20, false, 42);
-        let on = run_dos_experiment(&model, flood, 5.0, 20, true, 42);
+        let off = run_dos_experiment(flood, 5.0, 20, false, 42);
+        let on = run_dos_experiment(flood, 5.0, 20, true, 42);
         println!(
             "{:>11.0} | {:>26.1}% | {:>22.1}%",
             flood,

@@ -14,7 +14,7 @@ use std::time::Instant;
 
 use peace::groupsig::GroupSignature;
 use peace::protocol::{entities::*, ids::UserId, ProtocolConfig};
-use peace::sim::{run_dos_experiment, run_phishing_experiment, run_url_growth, DosCostModel};
+use peace::sim::{run_dos_experiment, run_phishing_experiment, run_url_growth};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -186,10 +186,9 @@ fn audit() {
 }
 
 fn dos(flood: u64) {
-    let model = DosCostModel::default();
     println!("flood {flood} bogus req/s against 5 legit req/s, 20 s:");
     for puzzles in [false, true] {
-        let r = run_dos_experiment(&model, flood as f64, 5.0, 20, puzzles, 1);
+        let r = run_dos_experiment(flood as f64, 5.0, 20, puzzles, 1);
         println!(
             "  puzzles {:>3}: legit success {:>5.1}%  (shed {} bogus cheaply)",
             if puzzles { "on" } else { "off" },

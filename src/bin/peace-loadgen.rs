@@ -206,7 +206,6 @@ fn daemon_cfg(max_connections: usize, io_shards: usize, read_timeout: Duration) 
         connect_timeout: Duration::from_secs(5),
         drain: Duration::from_secs(3),
         shards: io_shards,
-        ..DaemonConfig::default()
     }
 }
 
@@ -448,7 +447,6 @@ fn ramp_cfg(args: &[String]) -> RampConfig {
         min_rate: flag_f64(args, "--min-rate", 20.0),
         max_rate: flag_f64(args, "--max-rate", 400.0),
         probes: flag(args, "--probes", 4) as u32,
-        ..RampConfig::default()
     }
 }
 

@@ -192,7 +192,6 @@ fn daemon_cfg(shards: usize) -> DaemonConfig {
         connect_timeout: Duration::from_secs(5),
         drain: Duration::from_secs(3),
         shards,
-        ..DaemonConfig::default()
     }
 }
 

@@ -3,7 +3,10 @@
 //! wire-level malleability.
 
 use peace::protocol::{entities::*, ids::UserId, ProtocolConfig, ProtocolError};
-use peace::sim::{run_dos_experiment, run_injection_matrix, DosCostModel};
+use peace::sim::{
+    run_dos_experiment, run_injection_matrix, DOS_ATTACKER_HASHES_PER_S, DOS_PUZZLE_DIFFICULTY,
+    DOS_SUB_PUZZLES,
+};
 use peace::wire::{Decode, Encode};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -41,12 +44,11 @@ fn dos_crossover_shape() {
     // accesses regardless of the existence of the attack" with puzzles.
     // Check the crossover: without puzzles the success rate degrades with
     // flood rate; with puzzles it stays flat.
-    let model = DosCostModel::default();
     let rates = [10.0, 50.0, 200.0, 1000.0];
     let mut prev_without = 1.1f64;
     for &rate in &rates {
-        let without = run_dos_experiment(&model, rate, 5.0, 15, false, 9);
-        let with = run_dos_experiment(&model, rate, 5.0, 15, true, 9);
+        let without = run_dos_experiment(rate, 5.0, 15, false, 9);
+        let with = run_dos_experiment(rate, 5.0, 15, true, 9);
         assert!(
             without.legit_success_rate <= prev_without + 0.05,
             "no-puzzle success should be non-increasing-ish"
@@ -59,9 +61,9 @@ fn dos_crossover_shape() {
     }
     // Attacker CPU is the binding constraint under puzzles: the number of
     // full verifications forced is bounded by the attacker's hash budget.
-    let with = run_dos_experiment(&model, 1_000.0, 5.0, 15, true, 9);
-    let max_solutions_per_s = model.attacker_hashes_per_s
-        / ((model.sub_puzzles as f64) * 2f64.powi(model.puzzle_difficulty as i32 - 1));
+    let with = run_dos_experiment(1_000.0, 5.0, 15, true, 9);
+    let max_solutions_per_s = DOS_ATTACKER_HASHES_PER_S
+        / ((DOS_SUB_PUZZLES as f64) * 2f64.powi(DOS_PUZZLE_DIFFICULTY as i32 - 1));
     assert!(
         (with.flood_verified as f64) <= max_solutions_per_s * 15.0 + 1.0,
         "attacker cannot force more verifications than puzzle budget allows"
@@ -118,13 +120,9 @@ fn message_malleability_rejected_at_decode_or_verify() {
     // be a clean rejection (never a panic, never acceptance). The mutants
     // are forgeries, and enough of them would arm the §V.A flood detector,
     // under which the puzzle-free beacon below admits no one; this test is
-    // about malleability, so the detector stays off.
+    // about malleability, so the detector is held off.
     let mut rng = StdRng::seed_from_u64(78);
-    let config = ProtocolConfig {
-        dos_auto_defense: false,
-        ..ProtocolConfig::default()
-    };
-    let mut no = NetworkOperator::new(config, &mut rng);
+    let mut no = NetworkOperator::new(ProtocolConfig::default(), &mut rng);
     let gid = no.register_group("org", &mut rng);
     let (gm_b, ttp_b) = no.issue_shares(gid, 2, &mut rng).unwrap();
     let mut gm = GroupManager::new(gid);
@@ -137,6 +135,7 @@ fn message_malleability_rejected_at_decode_or_verify() {
     let d = ttp.deliver(a.index, &uid).unwrap();
     alice.enroll(&a, &d).unwrap();
     let mut router = no.provision_router("MR-1", u64::MAX / 2, &mut rng);
+    router.set_under_attack(false);
 
     let beacon = router.beacon(1_000, &mut rng);
     let req = alice.request_access(&beacon, 1_010, &mut rng).unwrap();
