@@ -256,26 +256,32 @@ impl Candidate {
     }
 }
 
-/// [`hash_to_g2`] of each message under one label: what a batch of
-/// signatures' H₀ bases `û` cost. With AVX-512 IFMA, eight square roots
-/// and eight cofactor ladders run at once; elsewhere, and for a lone
-/// message, one by one. Byte for byte the same points, counted the same.
-pub fn hash_to_g2_many(label: &[u8], msgs: &[&[u8]]) -> Vec<G2> {
+/// H₀ of many inputs at once: [`hash_to_g2`] of each `(label, msg)` of
+/// `cleared`, and [`hash_to_g2_preimage`] of each of `preimages`. What a
+/// signature's bases cost (a signer's `û` and `v̂`, a verifier's `û` and
+/// `Q_v`), or a batch of signatures' bases. With AVX-512 IFMA, eight square
+/// roots of either kind and eight cofactor ladders run at once; elsewhere,
+/// and for a lone input, one by one. Byte for byte the same points,
+/// counted the same.
+pub fn hash_to_g2_many(
+    cleared: &[(&[u8], &[u8])],
+    preimages: &[(&[u8], &[u8])],
+) -> (Vec<G2>, Vec<G2Preimage>) {
     #[cfg(target_arch = "x86_64")]
-    if let Some(points) = crate::lanes::hash_to_points(label, msgs) {
-        return points.into_iter().map(G2).collect();
+    if let Some((cleared, preimages)) = crate::lanes::hash_to_points(cleared, preimages) {
+        return (
+            cleared.into_iter().map(G2).collect(),
+            preimages.into_iter().map(G2Preimage).collect(),
+        );
     }
-    msgs.iter().map(|msg| hash_to_g2(label, msg)).collect()
-}
-
-/// [`hash_to_g2_preimage`] of each message under one label, its square
-/// roots eight at a time as in [`hash_to_g2_many`].
-pub fn hash_to_g2_preimage_many(label: &[u8], msgs: &[&[u8]]) -> Vec<G2Preimage> {
-    #[cfg(target_arch = "x86_64")]
-    if let Some(points) = crate::lanes::preimages(label, msgs) {
-        return points.into_iter().map(G2Preimage).collect();
-    }
-    msgs.iter()
-        .map(|msg| hash_to_g2_preimage(label, msg))
-        .collect()
+    (
+        cleared
+            .iter()
+            .map(|(label, msg)| hash_to_g2(label, msg))
+            .collect(),
+        preimages
+            .iter()
+            .map(|(label, msg)| hash_to_g2_preimage(label, msg))
+            .collect(),
+    )
 }

@@ -62,18 +62,20 @@ fn x_ladder(x: &Fp8, k: &Uint<6>) -> [Fp8; 4] {
     [x0, z0, x1, z1]
 }
 
-/// For each value: `rhs^((p+1)/4)`, and given `k` the ladder's ends
-/// `([k]P, [k+1]P)` at `x` (one per root); eight values per chain, the
-/// last group padded.
+/// `rhs^((p+1)/4)` for each value, and given `k` the ladder's ends
+/// `([k]P, [k+1]P)` at each `x`; eight values per chain and per ladder,
+/// each list's last group padded. The two lists need not line up: a
+/// caller ladders only the roots it clears.
 #[target_feature(enable = "avx512ifma")]
 fn roots_and_ends(rhs: &[Fp], x: &[Fp], k: Option<&Uint<6>>) -> (Vec<Fp>, Vec<(XOnly, XOnly)>) {
     let e = sqrt_exponent();
     let mut roots = Vec::with_capacity(rhs.len());
-    let mut ends = Vec::with_capacity(x.len());
-    for (g, group) in rhs.chunks(LANES).enumerate() {
+    for group in rhs.chunks(LANES) {
         roots.extend_from_slice(&to_fps(&pow(&from_fps(group), e.as_limbs()))[..group.len()]);
-        if let Some(k) = k {
-            let xs = &x[g * LANES..][..group.len()];
+    }
+    let mut ends = Vec::with_capacity(x.len());
+    if let Some(k) = k {
+        for xs in x.chunks(LANES) {
             let [x0, z0, x1, z1] = x_ladder(&from_fps(xs), k).map(|v| to_fps(&v));
             ends.extend((0..xs.len()).map(|j| {
                 let end = |x: &[Fp; LANES], z: &[Fp; LANES]| XOnly { x: x[j], z: z[j] };
@@ -144,35 +146,37 @@ pub(crate) fn decompress(
     )
 }
 
-/// H₀'s pre-image of each message: one root chain per eight.
-pub(crate) fn preimages(label: &[u8], msgs: &[&[u8]]) -> Option<Vec<AffinePoint>> {
-    let cap = lanes_for(msgs.len())?;
-    let found: Vec<Candidate> = msgs.iter().map(|m| Candidate::first(label, m, 0)).collect();
-    let rhs: Vec<Fp> = found.iter().map(|c| c.rhs).collect();
-    let (roots, _) = in_lanes(cap, &rhs, &[], None);
-    Some(found.iter().zip(&roots).map(|(c, r)| c.point(r)).collect())
-}
-
-/// H₀ of each message: one root chain and one cofactor ladder per eight,
-/// and one inversion for every `y` recovered. A candidate at `x = 0`, or
-/// one that clears to `O`, is hashed again on the scalar path.
-pub(crate) fn hash_to_points(label: &[u8], msgs: &[&[u8]]) -> Option<Vec<AffinePoint>> {
-    let cap = lanes_for(msgs.len())?;
-    let found: Vec<Candidate> = msgs.iter().map(|m| Candidate::first(label, m, 0)).collect();
-    let rhs: Vec<Fp> = found.iter().map(|c| c.rhs).collect();
-    let xs: Vec<Fp> = found.iter().map(|c| c.x).collect();
-    let (roots, ends) = in_lanes(cap, &rhs, &xs, Some(&cofactor()));
-    let mut out: Vec<LadderEnd> = found
+/// H₀ of each `(label, msg)` of `cleared` and H₀'s pre-image of each of
+/// `preimages`: one root chain per eight roots of either kind, one
+/// cofactor ladder per eight of `cleared`, and one inversion for every `y`
+/// recovered. A candidate at `x = 0`, or one that clears to `O`, is hashed
+/// again on the scalar path.
+pub(crate) fn hash_to_points(
+    cleared: &[(&[u8], &[u8])],
+    preimages: &[(&[u8], &[u8])],
+) -> Option<(Vec<AffinePoint>, Vec<AffinePoint>)> {
+    let cap = lanes_for(cleared.len() + preimages.len())?;
+    let found: Vec<Candidate> = cleared
         .iter()
-        .zip(&roots)
+        .chain(preimages)
+        .map(|(label, msg)| Candidate::first(label, msg, 0))
+        .collect();
+    let rhs: Vec<Fp> = found.iter().map(|c| c.rhs).collect();
+    let xs: Vec<Fp> = found[..cleared.len()].iter().map(|c| c.x).collect();
+    let (roots, ends) = in_lanes(cap, &rhs, &xs, Some(&cofactor()));
+    let mut points: Vec<AffinePoint> = found.iter().zip(&roots).map(|(c, r)| c.point(r)).collect();
+    let preimages = points.split_off(cleared.len());
+    let mut out: Vec<LadderEnd> = points
+        .iter()
+        .zip(&found)
         .zip(&ends)
-        .zip(msgs)
-        .map(|(((c, root), (kp, next)), msg)| {
+        .zip(cleared)
+        .map(|(((p, c), (kp, next)), (label, msg))| {
             let scalar = || LadderEnd::Point(hash_to_point(label, msg));
             if c.x.is_zero() {
                 return scalar();
             }
-            match LadderEnd::of(&c.point(root), kp, next) {
+            match LadderEnd::of(p, kp, next) {
                 LadderEnd::Point(p) if p.is_identity() => scalar(),
                 end => {
                     // The clearing the scalar hash counts.
@@ -190,13 +194,13 @@ pub(crate) fn hash_to_points(label: &[u8], msgs: &[&[u8]]) -> Option<Vec<AffineP
         })
         .collect();
     Fp::batch_invert(&mut dens);
-    Some(
-        out.drain(..)
-            .zip(&dens)
-            .map(|(end, inv)| match end {
-                LadderEnd::Scaled { x, y, .. } => LadderEnd::finish(&x, &y, inv),
-                LadderEnd::Point(p) => p,
-            })
-            .collect(),
-    )
+    let cleared = out
+        .drain(..)
+        .zip(&dens)
+        .map(|(end, inv)| match end {
+            LadderEnd::Scaled { x, y, .. } => LadderEnd::finish(&x, &y, inv),
+            LadderEnd::Point(p) => p,
+        })
+        .collect();
+    Some((cleared, preimages))
 }

@@ -39,8 +39,7 @@ mod wire;
 
 pub use fixed_base::mul_generator;
 pub use groups::{
-    hash_to_g1, hash_to_g2, hash_to_g2_many, hash_to_g2_preimage, hash_to_g2_preimage_many, psi,
-    G2Preimage, G1, G2,
+    hash_to_g1, hash_to_g2, hash_to_g2_many, hash_to_g2_preimage, psi, G2Preimage, G1, G2,
 };
 pub use point::{generator, AffinePoint, ProjectivePoint};
 pub use wire::{G1Encoded, G1Wire, PointError};
@@ -770,9 +769,10 @@ mod tests {
             }
         }
 
-        /// Batch H₀ is `hash_to_g2` and `hash_to_g2_preimage`, message by
-        /// message, byte for byte and count for count; the two-counter
-        /// input among them.
+        /// Batch H₀ is `hash_to_g2` and `hash_to_g2_preimage`, input by
+        /// input, byte for byte and count for count: under a label per
+        /// input, with the cleared points and the pre-images of one batch
+        /// split anywhere; the two-counter input among them.
         #[test]
         fn prop_batch_h0_is_h0(
             seed in any::<u64>(),
@@ -784,19 +784,28 @@ mod tests {
                 .map(|&len| (0..len).map(|_| rand::Rng::gen::<u8>(&mut r)).collect())
                 .collect();
             msgs[3] = b"two-counters-0".to_vec();
+            let labels: [&[u8]; 2] = [b"other", b"test"];
             for n in BATCH_SIZES {
-                println!("hash_to_g2_many over {n}: {}", batch_path(n));
-                let batch: Vec<&[u8]> = msgs[..n].iter().map(Vec::as_slice).collect();
-                let before = ops::g1_mul_count();
-                let want: Vec<G2> = batch.iter().map(|m| hash_to_g2(b"test", m)).collect();
-                let scalar_muls = ops::g1_mul_count() - before;
-                let before = ops::g1_mul_count();
-                let got = hash_to_g2_many(b"test", &batch);
-                prop_assert_eq!(ops::g1_mul_count() - before, scalar_muls);
-                let bytes = |v: &[G2]| -> Vec<Vec<u8>> { v.iter().map(G2::to_bytes).collect() };
-                prop_assert_eq!(bytes(&got), bytes(&want), "n = {}", n);
-                let pre: Vec<G2Preimage> = batch.iter().map(|m| hash_to_g2_preimage(b"test", m)).collect();
-                prop_assert_eq!(hash_to_g2_preimage_many(b"test", &batch), pre, "n = {}", n);
+                let items: Vec<(&[u8], &[u8])> = msgs[..n]
+                    .iter()
+                    .enumerate()
+                    .map(|(k, m)| (labels[k % 2], m.as_slice()))
+                    .collect();
+                for split in [0, n / 2, n] {
+                    println!("hash_to_g2_many over {n}, {split} cleared: {}", batch_path(n));
+                    let (cleared, preimages) = items.split_at(split);
+                    let before = ops::g1_mul_count();
+                    let want: Vec<G2> = cleared.iter().map(|(l, m)| hash_to_g2(l, m)).collect();
+                    let want_pre: Vec<G2Preimage> =
+                        preimages.iter().map(|(l, m)| hash_to_g2_preimage(l, m)).collect();
+                    let scalar_muls = ops::g1_mul_count() - before;
+                    let before = ops::g1_mul_count();
+                    let (got, got_pre) = hash_to_g2_many(cleared, preimages);
+                    prop_assert_eq!(ops::g1_mul_count() - before, scalar_muls);
+                    let bytes = |v: &[G2]| -> Vec<Vec<u8>> { v.iter().map(G2::to_bytes).collect() };
+                    prop_assert_eq!(bytes(&got), bytes(&want), "n = {}, split {}", n, split);
+                    prop_assert_eq!(got_pre, want_pre, "n = {}, split {}", n, split);
+                }
             }
         }
     }

@@ -78,6 +78,21 @@ impl GroupSignature {
     pub fn commitments(&self) -> Result<(G1, G1), PointError> {
         Ok((self.t1.decompress()?, self.t2.decompress()?))
     }
+
+    /// Readies [`Self::commitments`] of every signature at once: the `T₁`s
+    /// in one batch ([`G1Wire::decompress_all`]), then the `T₂`s of the
+    /// signatures whose `T₁` is a group element, as `commitments` stops at
+    /// the first failure. Each later call is a lookup that answers, and
+    /// was counted, as it would have computed.
+    pub fn decompress_all(sigs: &[&GroupSignature]) {
+        G1Wire::decompress_all(&sigs.iter().map(|sig| &sig.t1).collect::<Vec<_>>());
+        let t2s: Vec<&G1Wire> = sigs
+            .iter()
+            .filter(|sig| sig.t1.decompress().is_ok())
+            .map(|sig| &sig.t2)
+            .collect();
+        G1Wire::decompress_all(&t2s);
+    }
 }
 
 impl Encode for GroupSignature {
@@ -140,19 +155,21 @@ impl fmt::Display for VerifyError {
 impl std::error::Error for VerifyError {}
 
 /// Derives the bases `(û, v̂) ∈ 𝔾₂²` per Eq.1 (or the fixed variant): what
-/// a signer uses, since `T₂ = A·v^α` needs `v` as a point.
+/// a signer uses, since `T₂ = A·v^α` needs `v` as a point. Both bases in
+/// one batch ([`peace_curve::hash_to_g2_many`]): one square-root chain and
+/// one cofactor ladder for the two, where the CPU has IFMA lanes.
 pub fn h0_bases(gpk: &GroupPublicKey, msg: &[u8], r: &Fq, mode: BasesMode) -> (G2, G2) {
     let input = h0_input(gpk, msg, r, mode);
-    let u_hat = peace_curve::hash_to_g2(H0_U, &input);
-    let v_hat = peace_curve::hash_to_g2(H0_V, &input);
-    (u_hat, v_hat)
+    let (bases, _) = peace_curve::hash_to_g2_many(&[(H0_U, &input), (H0_V, &input)], &[]);
+    (bases[0], bases[1])
 }
 
 /// The same bases as a verifier takes them: `û` as the 𝔾₂ point (`R₁`,
 /// `R₃` and the sweep's line table use it as one) and `v̂` as its H₀
 /// pre-image, whose cofactor is never cleared — every verifier path uses
 /// `v̂` only as a pairing's second argument, where the cofactor rides in an
-/// exponent ([`G2Preimage`]). One cofactor ladder instead of two.
+/// exponent ([`G2Preimage`]). One cofactor ladder instead of two, and the
+/// two square roots in one batch, as in [`h0_bases`].
 pub fn h0_verify_bases(
     gpk: &GroupPublicKey,
     msg: &[u8],
@@ -160,9 +177,8 @@ pub fn h0_verify_bases(
     mode: BasesMode,
 ) -> (G2, G2Preimage) {
     let input = h0_input(gpk, msg, r, mode);
-    let u_hat = peace_curve::hash_to_g2(H0_U, &input);
-    let v_pre = peace_curve::hash_to_g2_preimage(H0_V, &input);
-    (u_hat, v_pre)
+    let (u_hat, v_pre) = peace_curve::hash_to_g2_many(&[(H0_U, &input)], &[(H0_V, &input)]);
+    (u_hat[0], v_pre[0])
 }
 
 /// H₀'s domain labels for `û` and `v̂`.
@@ -264,10 +280,12 @@ pub fn sign(
 /// reduced once ([`MillerValue::reduce_powers`]).
 ///
 /// One table set (≈ 142 KB: the 77 KB `𝔾_T` table and two ≈ 33 KB line
-/// tables; ≈ 1.2 ms to build on the reference box) serves every signer and
-/// verifier of a gpk epoch in a process: whoever mints the key builds it
-/// once and hands out `Arc<PreparedGpk>` clones. It is deliberately not
-/// `Clone` — a second copy of the tables is never what a caller wants.
+/// tables, ≈ 1.2 ms to build; ≈ 210 KB once a signature has walked the
+/// line tables in lanes, each adding its ≈ 34 KB lane form) serves every
+/// signer and verifier of a gpk epoch in a process: whoever mints the key
+/// builds it once and hands out `Arc<PreparedGpk>` clones. It is
+/// deliberately not `Clone` — a second copy of the tables is never what a
+/// caller wants.
 #[derive(Debug)]
 pub struct PreparedGpk {
     gpk: GroupPublicKey,
@@ -295,10 +313,18 @@ impl PreparedGpk {
         &self.gpk
     }
 
-    /// `ê(P, g₂)` and `ê(P, w)` unreduced, for `P` given as its `(x/y, 1/y)`
-    /// ([`xy_ratios`]): one evaluation of each table.
-    fn key_values(&self, at: Option<&(Fp, Fp)>) -> (MillerValue, MillerValue) {
-        (self.g2_lines.eval_at(at), self.w_lines.eval_at(at))
+    /// `ê(P, g₂)` and `ê(P, w)` unreduced for each `P` given as its
+    /// `(x/y, 1/y)` ([`xy_ratios`]): one evaluation of each table per
+    /// point, all of them side by side ([`MillerLines::eval_many`]).
+    fn key_values(&self, at: &[Option<(Fp, Fp)>]) -> Vec<(MillerValue, MillerValue)> {
+        let evals: Vec<(&MillerLines, Option<&(Fp, Fp)>)> = at
+            .iter()
+            .flat_map(|p| [(&self.g2_lines, p.as_ref()), (&self.w_lines, p.as_ref())])
+            .collect();
+        MillerLines::eval_many(&evals)
+            .chunks(2)
+            .map(|pair| (pair[0], pair[1]))
+            .collect()
     }
 
     /// Checks the SDH relation `ê(A, w)·ê(A, g₂)^(grp+x) = ê(g₁, g₂)` of a
@@ -313,7 +339,7 @@ impl PreparedGpk {
     pub fn member_pairing(&self, gsk: &MemberKey) -> Option<Gt> {
         ops::record_pairing();
         ops::record_pairing();
-        let (a_g2, a_w) = self.key_values(xy_ratios(&[gsk.a.point()])[0].as_ref());
+        let (a_g2, a_w) = self.key_values(&xy_ratios(&[gsk.a.point()]))[0];
         let reduced = MillerValue::finalize_batch(&[a_g2, a_w]);
         let (e_a_g2, e_a_w) = (reduced[0]?, reduced[1]?);
         let lhs = e_a_w.mul(&e_a_g2.pow(&gsk.exponent()));
@@ -379,7 +405,7 @@ impl PreparedGpk {
         let (t1, r1, r3) = (powers[0], powers[1], powers[2]);
         let t2 = gsk.a.add(&v.mul(&alpha));
         ops::record_pairing();
-        let (g2_v, w_v) = self.key_values(xy_ratios(&[v.point()])[0].as_ref());
+        let (g2_v, w_v) = self.key_values(&xy_ratios(&[v.point()]))[0];
         // v is a subgroup point, so no value is zero (see `pairing_with`).
         let r2 = MillerValue::reduce_powers(&[(g2_v, e, false), (w_v, r_alpha, true)])
             .unwrap_or(Gt::ONE);
@@ -496,9 +522,8 @@ impl PreparedGpk {
     fn r2(&self, sig: &GroupSignature, t2: &G1, v_pre: &G2Preimage) -> Result<Gt, VerifyError> {
         ops::record_pairing();
         ops::record_pairing();
-        let at = xy_ratios(&[t2.point(), v_pre.point()]);
-        let (g2_t2, w_t2) = self.key_values(at[0].as_ref());
-        let (g2_v, w_v) = self.key_values(at[1].as_ref());
+        let values = self.key_values(&xy_ratios(&[t2.point(), v_pre.point()]));
+        let ((g2_t2, w_t2), (g2_v, w_v)) = (values[0], values[1]);
         let c_bar = G2Preimage::exponent();
         let r2 = MillerValue::reduce_powers(&[
             (g2_t2, sig.s_x, false),
@@ -551,11 +576,14 @@ fn pairing_with(lines: &MillerLines, p: &G1) -> Gt {
 }
 
 /// The commitments a verifier computes with: neither the identity (checked
-/// on the bytes, before any arithmetic), both in 𝔾₁.
+/// on the bytes, before any arithmetic), both in 𝔾₁. Both are decoded in
+/// one batch ([`G1Wire::decompress_all`]) and read in order, so `T₁` is
+/// the refusal when neither names a group element.
 fn checked_commitments(sig: &GroupSignature) -> Result<(G1, G1), VerifyError> {
     if sig.t1.is_identity() || sig.t2.is_identity() {
         return Err(VerifyError::DegenerateCommitment);
     }
+    G1Wire::decompress_all(&[&sig.t1, &sig.t2]);
     sig.commitments().map_err(VerifyError::InvalidPoint)
 }
 
@@ -855,9 +883,9 @@ pub fn open_batch(
 
 /// [`SweepRow::new`] on the verifier's bases ([`h0_verify_bases`]) for
 /// each record of one lane group, eight of a kind at once: `û` and `Q_v`;
-/// the `T₁`s, then the `T₂`s of records whose `T₁` is a group element (as
-/// [`GroupSignature::commitments`] stops at the first failure); then the
-/// line tables and shared values of records whose commitments both are.
+/// the commitments ([`GroupSignature::decompress_all`]); then the line
+/// tables and shared values of records whose commitments both are group
+/// elements.
 /// `None` for a record that matches no token.
 fn sweep_rows(
     gpk: &GroupPublicKey,
@@ -868,16 +896,14 @@ fn sweep_rows(
         .iter()
         .map(|(msg, sig)| h0_input(gpk, msg, &sig.r, mode))
         .collect();
-    let inputs: Vec<&[u8]> = inputs.iter().map(Vec::as_slice).collect();
-    let u_hats = peace_curve::hash_to_g2_many(H0_U, &inputs);
-    let v_pres = peace_curve::hash_to_g2_preimage_many(H0_V, &inputs);
-    G1Wire::decompress_all(&group.iter().map(|(_, sig)| &sig.t1).collect::<Vec<_>>());
-    let t2s: Vec<&G1Wire> = group
-        .iter()
-        .filter(|(_, sig)| sig.t1.decompress().is_ok())
-        .map(|(_, sig)| &sig.t2)
-        .collect();
-    G1Wire::decompress_all(&t2s);
+    let labelled = |label| -> Vec<(&[u8], &[u8])> {
+        inputs
+            .iter()
+            .map(|input| (label, input.as_slice()))
+            .collect()
+    };
+    let (u_hats, v_pres) = peace_curve::hash_to_g2_many(&labelled(H0_U), &labelled(H0_V));
+    GroupSignature::decompress_all(&group.iter().map(|(_, sig)| *sig).collect::<Vec<_>>());
     let admitted: Vec<(G1, G1, G2, G2Preimage)> = group
         .iter()
         .zip(u_hats.iter().zip(&v_pres))
@@ -1241,11 +1267,28 @@ mod lane_open {
     }
 
     /// A signature's bytes with `T₁` (`slot` 0) or `T₂` (1) replaced.
-    fn with_commitment(sig: &GroupSignature, slot: usize, encoding: &[u8]) -> Vec<u8> {
+    pub(super) fn with_commitment(sig: &GroupSignature, slot: usize, encoding: &[u8]) -> Vec<u8> {
         let mut bytes = sig.to_bytes();
         let at = 20 + slot * G1::ENCODED_LEN;
         bytes[at..at + G1::ENCODED_LEN].copy_from_slice(encoding);
         bytes
+    }
+
+    /// Canonical encodings that name no element of 𝔾₁: a point off the
+    /// curve, one outside the subgroup, and the identity.
+    pub(super) fn bad_encodings(seed: u64) -> [Vec<u8>; 3] {
+        let off_curve = (1u8..)
+            .map(|x| {
+                let mut bytes = vec![0u8; G1::ENCODED_LEN];
+                (bytes[0], bytes[64]) = (2, x);
+                bytes
+            })
+            .find(|b| AffinePoint::from_compressed(b).is_none())
+            .unwrap();
+        let outside = peace_curve::hash_to_g2_preimage(b"outside", &seed.to_be_bytes())
+            .point()
+            .to_compressed();
+        [off_curve, outside, G1::IDENTITY.to_bytes()]
     }
 
     proptest::proptest! {
@@ -1269,18 +1312,7 @@ mod lane_open {
             let members: Vec<_> = (0..OPEN_BLOCK + 1).map(|_| issuer.issue(&grp, &mut rng)).collect();
             let grt: Vec<RevocationToken> = members.iter().map(|m| m.revocation_token()).collect();
             let stranger = issuer.issue(&grp, &mut rng);
-            let off_curve = (1u8..)
-                .map(|x| {
-                    let mut bytes = [0u8; G1::ENCODED_LEN];
-                    (bytes[0], bytes[64]) = (2, x);
-                    bytes
-                })
-                .find(|b| AffinePoint::from_compressed(b).is_none())
-                .unwrap();
-            let outside = peace_curve::hash_to_g2_preimage(b"outside", &seed.to_be_bytes())
-                .point()
-                .to_compressed();
-            let identity = G1::IDENTITY.to_bytes();
+            let bad = bad_encodings(seed);
             let msgs: Vec<Vec<u8>> = (0..17).map(|k| format!("record {k}").into_bytes()).collect();
             for mode in [BasesMode::PerMessage, BasesMode::FixedBases] {
                 let mut sign_as = |k: usize, signer: &MemberKey| sign(&gpk, signer, &msgs[k], mode, &mut rng);
@@ -1289,7 +1321,6 @@ mod lane_open {
                     .enumerate()
                     .map(|(k, m)| (k, sign_as(k, m).to_bytes()))
                     .collect();
-                let bad = [&off_curve[..], &outside, &identity];
                 for (j, encoding) in bad.iter().enumerate() {
                     for slot in 0..2 {
                         let k = records.len();
@@ -1341,9 +1372,9 @@ mod lane_open {
     }
 
     /// Only a table walked in lanes holds the lane form: the group key's
-    /// g₂ and w tables, which sign and verify evaluate one point at a
-    /// time, never build it, and a sweep row's û table builds it on its
-    /// first lane walk.
+    /// g₂ and w tables build it on the first paired evaluation (sign and
+    /// verify walk them side by side), not before, and a sweep row's û
+    /// table builds it on its first lane walk.
     #[test]
     fn only_lane_walked_tables_hold_the_lane_form() {
         let mut rng = StdRng::seed_from_u64(7);
@@ -1355,6 +1386,8 @@ mod lane_open {
             .map(|_| issuer.issue(&grp, &mut rng).revocation_token())
             .collect();
         let prepared = PreparedGpk::new(&gpk);
+        assert!(!prepared.g2_lines.holds_lane_form());
+        assert!(!prepared.w_lines.holds_lane_form());
         let lanes = peace_field::lanes::Ifma::detect().is_some();
         println!(
             "sweep over {}: {}",
@@ -1374,8 +1407,172 @@ mod lane_open {
             assert_eq!(row.matches(&url), vec![false; url.len()]);
             assert_eq!(row.lines.holds_lane_form(), lanes, "{mode:?}");
         }
-        assert!(!prepared.g2_lines.holds_lane_form());
-        assert!(!prepared.w_lines.holds_lane_form());
+        assert_eq!(prepared.g2_lines.holds_lane_form(), lanes);
+        assert_eq!(prepared.w_lines.holds_lane_form(), lanes);
+    }
+}
+
+#[cfg(test)]
+mod lane_sigma {
+    use super::lane_open::{bad_encodings, with_commitment};
+    use super::*;
+    use crate::keys::IssuerKey;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    /// What [`PreparedGpk::sign_as`] computes, one item at a time: H₀'s
+    /// bases one after the other, each table evaluated on its own. What a
+    /// CPU without IFMA runs.
+    fn sign_one_by_one(
+        prepared: &PreparedGpk,
+        gsk: &MemberKey,
+        e_a_g2: &Gt,
+        msg: &[u8],
+        mode: BasesMode,
+        rng: &mut impl RngCore,
+    ) -> GroupSignature {
+        let r = Fq::random(rng);
+        let input = h0_input(&prepared.gpk, msg, &r, mode);
+        let u = psi(&peace_curve::hash_to_g2(H0_U, &input));
+        let v = psi(&peace_curve::hash_to_g2(H0_V, &input));
+        let alpha = Fq::random(rng);
+        let x_eff = gsk.exponent();
+        let (r_alpha, r_x, r_delta) = (Fq::random(rng), Fq::random(rng), Fq::random(rng));
+        let e = alpha.mul(&r_x).sub(&r_delta);
+        let powers = u.mul_many(&[alpha, r_alpha, e]);
+        let t2 = gsk.a.add(&v.mul(&alpha));
+        ops::record_pairing();
+        let at = xy_ratios(&[v.point()]);
+        let r2 = MillerValue::reduce_powers(&[
+            (prepared.g2_lines.eval_at(at[0].as_ref()), e, false),
+            (prepared.w_lines.eval_at(at[0].as_ref()), r_alpha, true),
+        ])
+        .unwrap_or(Gt::ONE);
+        let r2 = e_a_g2.pow(&r_x).mul(&r2);
+        let (t1, t2) = (G1Wire::from(powers[0]), G1Wire::from(t2));
+        let c = challenge(
+            &prepared.gpk,
+            msg,
+            &r,
+            &t1,
+            &t2,
+            &powers[1],
+            &r2,
+            &powers[2],
+        );
+        GroupSignature {
+            r,
+            t1,
+            t2,
+            c,
+            s_alpha: r_alpha.add(&c.mul(&alpha)),
+            s_x: r_x.add(&c.mul(&x_eff)),
+            s_delta: r_delta.add(&c.mul(&x_eff.mul(&alpha))),
+        }
+    }
+
+    /// What [`PreparedGpk::verify`] computes, one item at a time.
+    fn verify_one_by_one(
+        prepared: &PreparedGpk,
+        msg: &[u8],
+        sig: &GroupSignature,
+        mode: BasesMode,
+    ) -> Result<(), VerifyError> {
+        let input = h0_input(&prepared.gpk, msg, &sig.r, mode);
+        let u_hat = peace_curve::hash_to_g2(H0_U, &input);
+        let v_pre = peace_curve::hash_to_g2_preimage(H0_V, &input);
+        if sig.t1.is_identity() || sig.t2.is_identity() {
+            return Err(VerifyError::DegenerateCommitment);
+        }
+        let (t1, t2) = sig.commitments().map_err(VerifyError::InvalidPoint)?;
+        let u = psi(&u_hat);
+        let r1 = u.mul_mul(&sig.s_alpha, &t1, &sig.c.neg());
+        ops::record_pairing();
+        ops::record_pairing();
+        let at = xy_ratios(&[t2.point(), v_pre.point()]);
+        let c_bar = G2Preimage::exponent();
+        let r2 = MillerValue::reduce_powers(&[
+            (prepared.g2_lines.eval_at(at[0].as_ref()), sig.s_x, false),
+            (prepared.w_lines.eval_at(at[0].as_ref()), sig.c, false),
+            (
+                prepared.w_lines.eval_at(at[1].as_ref()),
+                sig.s_alpha.mul(c_bar),
+                true,
+            ),
+            (
+                prepared.g2_lines.eval_at(at[1].as_ref()),
+                sig.s_delta.mul(c_bar),
+                true,
+            ),
+        ])
+        .ok_or(VerifyError::DegenerateCommitment)?
+        .mul(&prepared.e_g1_g2_table.pow(&sig.c).invert());
+        let r3 = t1.mul_mul(&sig.s_x, &u, &sig.s_delta.neg());
+        if challenge(&prepared.gpk, msg, &sig.r, &sig.t1, &sig.t2, &r1, &r2, &r3) == sig.c {
+            Ok(())
+        } else {
+            Err(VerifyError::BadChallenge)
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2))]
+
+        /// A signature's paired work in lanes (H₀'s two bases in one batch,
+        /// the key tables side by side, `T₁` and `T₂` decoded together)
+        /// against the same work one item at a time: byte-identical
+        /// signatures with the same op tallies, and on freshly decoded bytes
+        /// the same verdict and refusal — and for an accepted signature the
+        /// same op tallies — for honest signatures, forged challenges, and
+        /// `T₁` or `T₂` off the curve, outside the subgroup or at the
+        /// identity.
+        #[test]
+        fn prop_lane_sigma_check_is_the_scalar_one(
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let issuer = IssuerKey::generate(&mut rng);
+            let member = issuer.issue(&issuer.new_group_secret(&mut rng), &mut rng);
+            let prepared = PreparedGpk::new(issuer.public_key());
+            let e_a_g2 = prepared.member_pairing(&member).expect("issued key");
+            let lanes = peace_field::lanes::Ifma::detect().is_some();
+            println!("sign and verify: {}", if lanes { "avx512ifma lanes" } else { "scalar" });
+            let msg: &[u8] = b"sigma";
+            for mode in [BasesMode::PerMessage, BasesMode::FixedBases] {
+                let mut oracle_rng = rng.clone();
+                let scope = OpSnapshot::scope();
+                let sig = prepared.sign_as(&member, &e_a_g2, msg, mode, &mut rng);
+                let lane_cost = scope.counts();
+                drop(scope);
+                let scope = OpSnapshot::scope();
+                let want = sign_one_by_one(&prepared, &member, &e_a_g2, msg, mode, &mut oracle_rng);
+                proptest::prop_assert_eq!(sig.to_bytes(), want.to_bytes(), "{:?}", mode);
+                proptest::prop_assert_eq!(lane_cost, scope.counts(), "{:?}", mode);
+                drop(scope);
+
+                let forged = GroupSignature { c: sig.c.add(&Fq::ONE), ..sig.clone() };
+                let mut cases = vec![("honest", sig.to_bytes()), ("forged c", forged.to_bytes())];
+                for (kind, encoding) in ["off the curve", "outside", "identity"].iter().zip(bad_encodings(seed)) {
+                    cases.push((kind, with_commitment(&sig, 0, &encoding)));
+                    cases.push((kind, with_commitment(&sig, 1, &encoding)));
+                }
+                for (k, (kind, bytes)) in cases.iter().enumerate() {
+                    let at = format!("{mode:?}, {kind} (case {k})");
+                    let decode = || GroupSignature::from_wire(bytes).unwrap();
+                    let scope = OpSnapshot::scope();
+                    let got = prepared.verify(msg, &decode(), mode);
+                    let lane_cost = scope.counts();
+                    drop(scope);
+                    let scope = OpSnapshot::scope();
+                    let want = verify_one_by_one(&prepared, msg, &decode(), mode);
+                    proptest::prop_assert_eq!(got, want, "{}", at);
+                    proptest::prop_assert_eq!(got.is_ok(), k == 0, "{}", at);
+                    if got.is_ok() {
+                        proptest::prop_assert_eq!(lane_cost, scope.counts(), "{}", at);
+                    }
+                }
+            }
+        }
     }
 }
 

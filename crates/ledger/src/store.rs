@@ -7,6 +7,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use peace_ecdsa::{SigningKey, VerifyingKey};
+use peace_groupsig::GroupSignature;
 use peace_wire::{Decode, Encode, Reader, Writer};
 
 use crate::checkpoint::Checkpoint;
@@ -176,6 +177,22 @@ fn list_segments(dir: &Path) -> Result<Vec<SegmentMeta>> {
     }
     out.sort_by_key(|s| s.base_seq);
     Ok(out)
+}
+
+/// A crash between segment-file creation and the (synced) header write
+/// can leave a final segment with a *short* header. It holds no records, so
+/// every reader takes it as a torn tail: this takes it off `segments`, with
+/// its length. A full-length header that fails its CRC is damage, not a
+/// crash artifact — that case stays for the strict pass, which refuses it.
+fn pop_partial_segment(segments: &mut Vec<SegmentMeta>) -> Result<Option<(SegmentMeta, u64)>> {
+    let Some(last) = segments.last() else {
+        return Ok(None);
+    };
+    let len = std::fs::metadata(&last.path)?.len();
+    if len >= SEGMENT_HEADER_LEN as u64 {
+        return Ok(None);
+    }
+    Ok(segments.pop().map(|seg| (seg, len)))
 }
 
 /// One segment read: parsed header, the walk of its frames, file size.
@@ -426,19 +443,10 @@ impl Ledger {
         let mut segments = list_segments(&dir)?;
         let mut report = RecoveryReport::default();
 
-        // A crash between segment-file creation and the (synced) header
-        // write can leave a final segment with a *short* header; it holds
-        // no records, so recovery discards it. A full-length header that
-        // fails its CRC is damage, not a crash artifact — that case falls
-        // through to the strict pass below and errors.
-        if let Some(last) = segments.last() {
-            let len = std::fs::metadata(&last.path)?.len();
-            if len < SEGMENT_HEADER_LEN as u64 {
-                report.torn_bytes += len;
-                report.tail_flaw = Some("partial segment header");
-                std::fs::remove_file(&last.path)?;
-                segments.pop();
-            }
+        if let Some((partial, len)) = pop_partial_segment(&mut segments)? {
+            report.torn_bytes += len;
+            report.tail_flaw = Some("partial segment header");
+            std::fs::remove_file(&partial.path)?;
         }
 
         if segments.is_empty() {
@@ -994,7 +1002,7 @@ fn index_shallow(
 /// Offline chain verification report.
 #[derive(Clone, Debug)]
 pub struct ChainReport {
-    /// Segment files examined.
+    /// Segment files examined, a last one shorter than its header aside.
     pub segments: usize,
     /// Records whose frames and chain replayed cleanly.
     pub records: u64,
@@ -1004,7 +1012,8 @@ pub struct ChainReport {
     pub next_seq: u64,
     /// The replayed chain value.
     pub chain: [u8; 32],
-    /// Bytes of torn tail found (and ignored) in the last segment.
+    /// Bytes of torn tail found (and ignored): the last segment's, and a
+    /// whole segment shorter than its header after it.
     pub torn_bytes: u64,
     /// Whether the newest checkpoint covers every record before the head
     /// (i.e. the final record is a checkpoint over the rest).
@@ -1022,22 +1031,36 @@ pub struct ChainReport {
 /// point outside the group are errors; so is a flaw in the last segment
 /// that a whole frame follows, which [`Ledger::open`] refuses too. A torn
 /// tail there, a zero-filled one included, is reported but tolerated, as
-/// [`Ledger::open`] truncates it.
+/// [`Ledger::open`] truncates it; so is a last segment shorter than its
+/// header, which [`Ledger::open`] discards and this leaves in place.
 pub fn verify_chain(
     dir: impl AsRef<Path>,
     resolve: impl Fn(&str) -> Option<VerifyingKey>,
 ) -> Result<ChainReport> {
     let dir = dir.as_ref();
-    let segments = list_segments(dir)?;
+    let mut segments = list_segments(dir)?;
+    // Read, never removed: this reader changes nothing.
+    let partial = pop_partial_segment(&mut segments)?;
     let mut stitch = Stitch::new();
     let mut records = 0u64;
     let mut checkpoints_verified = 0usize;
-    let mut torn_bytes = 0u64;
+    let mut torn_bytes = partial.map_or(0, |(_, len)| len);
     let mut last_ck_seq = None;
     let count = segments.len();
     for (i, seg) in segments.iter().enumerate() {
         let scan = scan_segment::<Entry>(seg, ChainMode::Replay)?;
         stitch.start(&scan)?;
+        let sigs: Vec<&GroupSignature> = scan
+            .walk
+            .entries
+            .iter()
+            .filter_map(|se| match &se.entry.record {
+                LedgerRecord::Access(a) => Some(&a.session.gsig),
+                _ => None,
+            })
+            .collect();
+        // The segment's points in one batch; the walk below reads verdicts.
+        GroupSignature::decompress_all(&sigs);
         for se in &scan.walk.entries {
             if let LedgerRecord::Access(a) = &se.entry.record {
                 // The one reader that needs no point still checks them all.
@@ -1070,7 +1093,7 @@ pub fn verify_chain(
         // Every accepted entry has been checked; what stopped the walk, if
         // anything, comes after them all.
         if stitch.end(&scan, i + 1 == count)?.is_some() {
-            torn_bytes = scan.file_len - scan.walk.valid_len as u64;
+            torn_bytes += scan.file_len - scan.walk.valid_len as u64;
         }
         records += scan.walk.entries.len() as u64;
     }

@@ -306,6 +306,56 @@ fn zero_filled_tail_is_a_torn_tail() {
     assert_eq!(fs::metadata(seg0(&dir)).unwrap().len(), intact as u64);
 }
 
+/// A crash between creating the next segment file and writing its header
+/// leaves a few bytes under the next name. Every reader keeps every record
+/// and counts the stub as torn bytes, with the live segment whole and with
+/// its last frame torn too: `verify_chain` reads both files as they are,
+/// and `open` and `open_resumed` discard the stub.
+#[test]
+fn a_four_byte_last_segment_is_a_torn_tail_for_every_reader() {
+    let dir = tmpdir("crash-stub-segment");
+    let (key, starts) = fsynced_log_with_checkpoint(&dir);
+    let vk: VerifyingKey = *key.verifying_key();
+    let resolve = |s: &str| (s == "NO").then_some(vk);
+    let pristine = fs::read(seg0(&dir)).unwrap();
+    let stub = dir.join(format!("seg-{:016x}.pls", 0xff));
+    // (live segment's length, records kept, bytes of its torn last frame)
+    for (cut, records, torn_frame) in [(pristine.len(), 9u64, 0u64), (starts[8] + 3, 8, 3)] {
+        let torn = 4 + torn_frame;
+        let reset = || {
+            fs::write(seg0(&dir), &pristine[..cut]).unwrap();
+            fs::write(&stub, [0xAA; 4]).unwrap();
+        };
+        let case = format!("live segment cut at {cut}");
+
+        reset();
+        let chain = verify_chain(&dir, resolve).unwrap();
+        assert_eq!((chain.records, chain.torn_bytes), (records, torn), "{case}");
+        assert_eq!(chain.segments, 1, "{case}");
+        assert_eq!(fs::metadata(&stub).unwrap().len(), 4, "{case}: stub kept");
+        assert_eq!(fs::read(seg0(&dir)).unwrap(), &pristine[..cut], "{case}");
+
+        let (ledger, report) = Ledger::open(&dir, cfg()).unwrap();
+        assert_eq!(
+            (ledger.len(), report.torn_bytes),
+            (records, torn),
+            "open, {case}"
+        );
+        drop(ledger);
+        assert!(!stub.exists(), "open, {case}: stub discarded");
+
+        reset();
+        let (ledger, report) = Ledger::open_resumed(&dir, cfg(), resolve).unwrap();
+        assert_eq!(
+            (ledger.len(), report.torn_bytes),
+            (records, torn),
+            "open_resumed, {case}"
+        );
+        drop(ledger);
+        assert!(!stub.exists(), "open_resumed, {case}: stub discarded");
+    }
+}
+
 /// How a reader took a damaged log: the records it kept past a torn tail,
 /// or where it found the log corrupt.
 #[derive(Debug, PartialEq, Eq)]

@@ -4,6 +4,8 @@
 //!   [`MillerLines`](crate::MillerLines) walk at eight points at once, the
 //!   product with the shared value, and the Lucas trace test of
 //!   [`MillerValue::reduces_to_one`](crate::MillerValue::reduces_to_one);
+//! * a few evaluations of two tables side by side, a lane each — a
+//!   signature's `R₂` from the group key's `g₂` and `w` tables;
 //! * eight Miller loops `f_{q,P}(φ(Q))` at once, each raised to one
 //!   exponent — an Open's shared values `f_{q,−T₁}(φ(Q_v))^c̄`;
 //! * eight prepared tables at once, their lines scaled in lanes and kept
@@ -35,6 +37,12 @@ pub(crate) enum Kernel<'a> {
         table: &'a [LaneLine],
         at: &'a [Option<(Fp, Fp)>],
         shared: &'a Fp2,
+    },
+    /// [`values_at`].
+    Values {
+        steps: &'a [Step],
+        tables: [&'a [LaneLine]; 2],
+        at: &'a [(bool, (Fp, Fp))],
     },
     /// [`miller_powers`].
     MillerPowers {
@@ -68,6 +76,7 @@ pub(crate) fn run(kernel: Kernel<'_>) -> Output {
             at,
             shared,
         } => Output::Hits(reduces_to_one_at(steps, table, at, shared)),
+        Kernel::Values { steps, tables, at } => Output::Values(values_at(steps, tables, at)),
         Kernel::MillerPowers { ps, qs, naf, e } => Output::Values(miller_powers(ps, qs, naf, e)),
         Kernel::LineTables { ps, naf } => {
             let (steps, tables) = line_tables(ps, naf);
@@ -82,26 +91,40 @@ pub(crate) type LaneLine = [Limbs; 2];
 
 /// `f ← f·(b + i) = (re·b − im) + (im·b + re)·i`, `b = c0·(1/y) + c1·(x/y)`.
 #[target_feature(enable = "avx512ifma")]
-fn line(re: &Fp8, im: &Fp8, l: &LaneLine, x_over_y: &Fp8, inv_y: &Fp8) -> (Fp8, Fp8) {
-    let b = dot([(&splat(&l[0]), inv_y), (&splat(&l[1]), x_over_y)]);
+fn line(re: &Fp8, im: &Fp8, [c0, c1]: &[Fp8; 2], x_over_y: &Fp8, inv_y: &Fp8) -> (Fp8, Fp8) {
+    let b = dot([(c0, inv_y), (c1, x_over_y)]);
     (
         reduce(&sub(&mul(re, &b), im), &P2),
         reduce(&add(&mul(im, &b), re), &P2),
     )
 }
 
-/// The table at eight points, step for step the arithmetic of `eval_at`.
+/// Two tables of the same steps at eight points, step for step the
+/// arithmetic of `eval_at`: a lane in `second` takes `tables[1]`'s lines,
+/// the others `tables[0]`'s. A line is broadcast from the table it is
+/// stored in, or picked from both broadcasts by the mask, so no table is
+/// copied per lane.
 #[target_feature(enable = "avx512ifma")]
-fn walk(steps: &[Step], table: &[LaneLine], x_over_y: &Fp8, inv_y: &Fp8) -> (Fp8, Fp8) {
-    let mut lines = table.iter();
+fn walk(
+    steps: &[Step],
+    tables: [&[LaneLine]; 2],
+    second: Mask,
+    x_over_y: &Fp8,
+    inv_y: &Fp8,
+) -> (Fp8, Fp8) {
+    let mut lines = tables[0].iter().zip(tables[1]);
     let (mut re, mut im) = (one(), zero());
     for step in steps {
         if *step != Step::Mul {
             (re, im) = square2(&re, &im);
         }
         if *step != Step::Square {
-            let l = lines.next().expect("one lane line per table line");
-            (re, im) = line(&re, &im, l, x_over_y, inv_y);
+            let (l0, l1) = lines.next().expect("one lane line per table line");
+            let coefficient = |c: usize| match second {
+                0 => splat(&l0[c]),
+                _ => select(second, &splat(&l1[c]), &splat(&l0[c])),
+            };
+            (re, im) = line(&re, &im, &[coefficient(0), coefficient(1)], x_over_y, inv_y);
         }
     }
     (re, im)
@@ -169,9 +192,47 @@ fn group_values(
             live |= 1 << k;
         }
     }
-    let (re, im) = walk(steps, table, &from_fps(&x_over_y), &from_fps(&inv_y));
+    let (re, im) = walk(
+        steps,
+        [table; 2],
+        0,
+        &from_fps(&x_over_y),
+        &from_fps(&inv_y),
+    );
     let value = (select(live, &re, &one()), select(live, &im, &zero()));
     mul2(&value, shared)
+}
+
+/// The value at `P` of `tables[1]` where the flag is set and of
+/// `tables[0]` where it is not, for each `(flag, P)` of `at`, `P` given as
+/// `(x/y, 1/y)`: eight evaluations per walk, the last group padded with its
+/// first. Every slot is `Some`: a walk at a point cannot leave its shape.
+#[target_feature(enable = "avx512ifma")]
+fn values_at(
+    steps: &[Step],
+    tables: [&[LaneLine]; 2],
+    at: &[(bool, (Fp, Fp))],
+) -> Vec<Option<Fp2>> {
+    let mut out = Vec::with_capacity(at.len());
+    for group in at.chunks(LANES) {
+        let (_, first) = group[0];
+        let (mut x_over_y, mut inv_y) = ([first.0; LANES], [first.1; LANES]);
+        let mut second: Mask = 0;
+        for (k, &(flag, (x, y))) in group.iter().enumerate() {
+            (x_over_y[k], inv_y[k]) = (x, y);
+            second |= Mask::from(flag) << k;
+        }
+        let (re, im) = walk(
+            steps,
+            tables,
+            second,
+            &from_fps(&x_over_y),
+            &from_fps(&inv_y),
+        );
+        let (re, im) = (to_fps(&re), to_fps(&im));
+        out.extend((0..group.len()).map(|k| Some(Fp2::new(re[k], im[k]))));
+    }
+    out
 }
 
 /// What `reduces_to_one` says of `eval_at(p)·shared` for each point `p`:

@@ -662,6 +662,68 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(3))]
+
+        /// Paired evaluations against [`MillerLines::eval_at`] one by one,
+        /// value for value and count for count: two tables side by side (one
+        /// built alone, one eight at a time), one table alone, three tables,
+        /// and a table of another shape (a stray's) beside one of the usual,
+        /// at points on the curve, random `(x/y, 1/y)` and the identity, at
+        /// sizes around a lane group's edges.
+        #[test]
+        fn prop_lane_evaluations_are_eval_at(
+            seed in proptest::prelude::any::<u64>(),
+            identities in proptest::collection::vec(0usize..17, 0..3),
+        ) {
+            use peace_field::Fp;
+            let mut r = StdRng::seed_from_u64(seed);
+            let g2 = MillerLines::new(&G1::random(&mut r));
+            let mut built = MillerLines::new_many(&[G1::random(&mut r), G1::random(&mut r)]);
+            let (w, third) = (built.remove(0), built.remove(0));
+            let stray = MillerLines::new(&strays(seed).1);
+            let curve: Vec<_> = (0..17).map(|_| G2::random(&mut r).point().to_projective()).collect();
+            let mut at = peace_curve::ProjectivePoint::batch_to_xy_ratios(&curve);
+            for (k, a) in at.iter_mut().enumerate() {
+                if k % 5 == 3 {
+                    *a = Some((Fp::random(&mut r), Fp::random(&mut r)));
+                }
+                if identities.contains(&k) {
+                    *a = None;
+                }
+            }
+            let shapes: [(&str, [&MillerLines; 3]); 4] = [
+                ("g2 and w", [&g2, &w, &g2]),
+                ("w alone", [&w, &w, &w]),
+                ("three tables", [&g2, &w, &third]),
+                ("a stray's beside g2", [&g2, &stray, &stray]),
+            ];
+            for (shape, tables) in shapes {
+                for n in [1, 2, 3, 4, 7, 8, 9, 16, 17] {
+                    let evals: Vec<(&MillerLines, Option<&(Fp, Fp)>)> =
+                        (0..n).map(|k| (tables[k % 3], at[k].as_ref())).collect();
+                    let mut used: Vec<&MillerLines> =
+                        evals.iter().filter(|(_, a)| a.is_some()).map(|(t, _)| *t).collect();
+                    let live = used.len();
+                    used.sort_by_key(|t| *t as *const MillerLines);
+                    used.dedup_by(|a, b| core::ptr::eq(*a, *b));
+                    // Lanes take at most two tables, of one shape.
+                    let one_shape = used.len() == 1 || !used.iter().any(|t| core::ptr::eq(*t, &stray));
+                    let lanes = lanes_available() && live >= 2 && used.len() <= 2 && one_shape;
+                    println!("eval_many, {shape}, over {n}: {}", if lanes { "avx512ifma lanes" } else { "scalar" });
+                    let scope = OpSnapshot::scope();
+                    let got = MillerLines::eval_many(&evals);
+                    let lane_cost = scope.counts();
+                    drop(scope);
+                    let scope = OpSnapshot::scope();
+                    let want: Vec<MillerValue> = evals.iter().map(|(t, a)| t.eval_at(*a)).collect();
+                    proptest::prop_assert_eq!(lane_cost, scope.counts(), "{}, n = {}", shape, n);
+                    proptest::prop_assert_eq!(got, want, "{}, n = {}", shape, n);
+                }
+            }
+        }
+    }
+
     /// A curve point outside the order-`q` subgroup and the 2-torsion
     /// point `(0, 0)`, wrapped unchecked: a first argument of either leaves
     /// the schedule every lane shares.

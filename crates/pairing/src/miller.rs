@@ -632,6 +632,72 @@ impl MillerLines {
         MillerValue(Fp2::new(re, im))
     }
 
+    /// `table.eval_at(at)` for each `(table, at)` of `evals`, counted as
+    /// those calls count: the few evaluations one signature's `R₂` makes of
+    /// the group key's two tables.
+    ///
+    /// On an x86-64 CPU with AVX-512 IFMA, where at least two evaluations
+    /// are at a point and they use at most two tables, both taking the same
+    /// steps, they run a lane each, eight per walk, each lane picking its
+    /// table's lines; a walk costs about one scalar walk. Every other call
+    /// is a loop of [`Self::eval_at`], which is what the lanes are tested
+    /// against. The values are the same field elements either way.
+    pub fn eval_many(evals: &[(&MillerLines, Option<&(Fp, Fp)>)]) -> Vec<MillerValue> {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(values) = Self::eval_many_in_lanes(evals) {
+            return values;
+        }
+        evals.iter().map(|(table, at)| table.eval_at(*at)).collect()
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    fn eval_many_in_lanes(evals: &[(&MillerLines, Option<&(Fp, Fp)>)]) -> Option<Vec<MillerValue>> {
+        let cap = Ifma::detect()?;
+        let live: Vec<(&MillerLines, &(Fp, Fp))> = evals
+            .iter()
+            .filter_map(|&(table, at)| Some((table, at?)))
+            .filter(|(table, _)| !table.steps.is_empty())
+            .collect();
+        let first = live.first()?.0;
+        let second = live
+            .iter()
+            .map(|&(table, _)| table)
+            .find(|&table| !core::ptr::eq(table, first))
+            .unwrap_or(first);
+        let two_tables = live
+            .iter()
+            .all(|&(table, _)| core::ptr::eq(table, first) || core::ptr::eq(table, second));
+        if live.len() < 2 || !two_tables || second.steps != first.steps {
+            return None;
+        }
+        let at: Vec<(bool, (Fp, Fp))> = live
+            .iter()
+            .map(|&(table, at)| (!core::ptr::eq(table, first), *at))
+            .collect();
+        let kernel = crate::lanes::Kernel::Values {
+            steps: &first.steps,
+            tables: [first.lane_lines(), second.lane_lines()],
+            at: &at,
+        };
+        let crate::lanes::Output::Values(values) = in_lanes(cap, kernel) else {
+            unreachable!("evaluations return values");
+        };
+        let mut values = values.into_iter();
+        Some(
+            evals
+                .iter()
+                .map(|&(table, at)| match at {
+                    Some(_) if !table.steps.is_empty() => {
+                        ops::record_miller_loop();
+                        let value = values.next().flatten();
+                        MillerValue(value.expect("a lane per live evaluation"))
+                    }
+                    _ => MillerValue::ONE,
+                })
+                .collect(),
+        )
+    }
+
     /// Points [`Self::reduces_to_one_at`] evaluates per instruction on a CPU
     /// with AVX-512 IFMA. A caller that splits a batch rounds its blocks to
     /// whole groups of this many: a short group costs as much as a full one.

@@ -67,15 +67,18 @@ impl<'a> PendingAccess<'a> {
         }
     }
 
+    /// `g^{r_j}`, `T₁` and `T₂` are decompressed together
+    /// ([`G1Wire::decompress_all`]), then checked in that order, so the
+    /// first that names no group element is the refusal.
     fn sigma(&self) -> std::result::Result<(G1, G2, G2Preimage), VerifyError> {
+        let gsig = &self.req.gsig;
+        G1Wire::decompress_all(&[&self.req.g_rj, &gsig.t1, &gsig.t2]);
         let g_rj = self
             .req
             .g_rj
             .decompress()
             .map_err(VerifyError::InvalidPoint)?;
-        let (u_hat, v_hat) =
-            self.prepared
-                .verify_bases(&self.payload, &self.req.gsig, self.mode)?;
+        let (u_hat, v_hat) = self.prepared.verify_bases(&self.payload, gsig, self.mode)?;
         Ok((g_rj, u_hat, v_hat))
     }
 }

@@ -1217,3 +1217,84 @@ fn a_beacon_refused_on_its_envelope_decompresses_neither_share() {
     assert_eq!(scope.counts().g1_decompressions, 0);
     assert_eq!(alice.pending_handshakes(), 0);
 }
+
+/// One router and one M.2 for it: the same bytes and state for the same
+/// seed.
+fn router_and_request(seed: u64) -> (MeshRouter, AccessRequest) {
+    let mut w = World::new(seed);
+    let gid = w.add_group("org", 1);
+    let mut alice = w.enroll_user("alice", gid);
+    let mut router = w.router("MR-1");
+    let beacon = router.beacon(1_000, &mut w.rng);
+    let req = alice.request_access(&beacon, 1_010, &mut w.rng).unwrap();
+    (router, req)
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2))]
+
+    /// Router admission with `g^{r_j}`, `T₁` and `T₂` decoded in one batch
+    /// against the same request with its points decoded one at a time
+    /// before it arrives, each on a router in the same state: the same
+    /// confirmation or the same coded refusal, and for an accepted request
+    /// the same op tallies. Over an honest request, a forged challenge, and
+    /// each point off the curve, outside the subgroup or at the identity.
+    #[test]
+    fn prop_lane_admission_check_is_the_scalar_one(seed in 0u64..1 << 32) {
+        let lanes = peace_field::lanes::Ifma::detect().is_some();
+        println!("admission decode: {}", if lanes { "avx512ifma lanes" } else { "scalar" });
+        let (_, honest) = router_and_request(seed);
+        let off_curve = (1u8..)
+            .map(|x| {
+                let mut bytes = vec![0u8; 65];
+                (bytes[0], bytes[64]) = (2, x);
+                bytes
+            })
+            .find(|b| peace_curve::AffinePoint::from_compressed(b).is_none())
+            .unwrap();
+        let outside = peace_curve::hash_to_g2_preimage(b"outside", &seed.to_be_bytes())
+            .point()
+            .to_compressed();
+        let identity = vec![0u8; 65];
+        let forged = AccessRequest {
+            gsig: peace_groupsig::GroupSignature {
+                c: honest.gsig.c.add(&peace_field::Fq::ONE),
+                ..honest.gsig.clone()
+            },
+            ..honest.clone()
+        };
+        let mut cases = vec![("honest", honest.to_wire()), ("forged c", forged.to_wire())];
+        let bytes = honest.to_wire();
+        // g^{r_j} leads the encoding; T₁ and T₂ follow g^{r_R}, ts₂ and r.
+        for (slot, at) in [("g^{r_j}", 0), ("T1", 65 + 65 + 8 + 20), ("T2", 65 + 65 + 8 + 20 + 65)] {
+            for (kind, encoding) in [("off the curve", &off_curve), ("outside", &outside), ("identity", &identity)] {
+                let mut tampered = bytes.clone();
+                tampered[at..at + 65].copy_from_slice(encoding);
+                proptest::prop_assert!(AccessRequest::from_wire(&tampered).is_ok(), "{} {}", slot, kind);
+                cases.push((kind, tampered));
+            }
+        }
+        for (k, (kind, bytes)) in cases.iter().enumerate() {
+            let (mut lane_router, _) = router_and_request(seed);
+            let (mut scalar_router, _) = router_and_request(seed);
+            let lane_req = AccessRequest::from_wire(bytes).unwrap();
+            let scope = OpSnapshot::scope();
+            let lane = lane_router.process_access_request(&lane_req, 1_020).map(|(m3, _)| m3.to_wire());
+            let lane_cost = scope.counts();
+            drop(scope);
+            let scalar_req = AccessRequest::from_wire(bytes).unwrap();
+            let scope = OpSnapshot::scope();
+            if scalar_req.g_rj.decompress().is_ok() && !scalar_req.gsig.t1.is_identity() {
+                let _ = scalar_req.gsig.commitments();
+            }
+            let scalar = scalar_router.process_access_request(&scalar_req, 1_020).map(|(m3, _)| m3.to_wire());
+            let at = format!("{kind} (case {k})");
+            proptest::prop_assert_eq!(lane.as_ref().err().map(|e| e.code()), scalar.as_ref().err().map(|e| e.code()), "{}", at);
+            proptest::prop_assert_eq!(&lane, &scalar, "{}", at);
+            proptest::prop_assert_eq!(lane.is_ok(), k == 0, "{}", at);
+            if lane.is_ok() {
+                proptest::prop_assert_eq!(lane_cost, scope.counts(), "{}", at);
+            }
+        }
+    }
+}
