@@ -174,18 +174,6 @@ impl NoDaemon {
         *lock_recover(&self.ledger) = Some(replica);
     }
 
-    /// Detaches the whole replica store (flushed), stopping federation
-    /// behavior.
-    pub fn detach_replica(&self) -> Option<ReplicatedLedger> {
-        self.auto_checkpoint.store(false, Ordering::Relaxed);
-        *lock_recover(&self.resolver) = None;
-        let mut slot = lock_recover(&self.ledger);
-        if let Some(rl) = slot.as_mut() {
-            let _ = rl.flush();
-        }
-        slot.take()
-    }
-
     /// Runs `f` against the writable local ledger shard, if attached.
     pub fn with_ledger<R>(&self, f: impl FnOnce(&mut Ledger) -> R) -> Option<R> {
         lock_recover(&self.ledger)

@@ -13,7 +13,7 @@ use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
 
 use peace_protocol::entities::MeshRouter;
-use peace_protocol::{LoggedSession, ReplicaSet};
+use peace_protocol::ReplicaSet;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -27,11 +27,6 @@ use crate::session::{RouterShared, Service};
 use peace_telemetry::Snapshot;
 
 use super::{lock_recover, DaemonConfig};
-
-/// Cap on a router's pending-transcript outbox: after a failed report
-/// requeue, the oldest overflow is dropped (and counted) so a long NO
-/// outage cannot grow router memory without limit.
-const MAX_PENDING_TRANSCRIPTS: usize = 1024;
 
 /// A running mesh-router daemon.
 pub struct RouterDaemon {
@@ -188,51 +183,39 @@ impl RouterDaemon {
         f(&mut lock_recover(&self.router))
     }
 
-    /// Drains the router's session log and reports it to the NO daemon for
+    /// Drains the router's session log and reports it to the NO for
     /// durable ledger persistence (§IV.D step 1: routers hand transcripts
-    /// to NO). Returns how many transcripts NO newly accepted; `Ok(0)`
-    /// without dialing when the log is empty. On any transport failure the
-    /// drained transcripts are requeued, so nothing is lost — the next
-    /// report retries them, and NO deduplicates by session id.
+    /// to NO), trying the replicas of `set` in its priority order (alive
+    /// first, benched last; one NO is a one-element set) until one acks
+    /// the batch. A success or failure is recorded back into the set, and
+    /// a success on a non-primary replica counts as a failover. Returns
+    /// how many transcripts NO newly accepted; `Ok(0)` without dialing
+    /// when the log is empty. If no replica acks, the batch goes back to
+    /// the front of the outbox, whose bound drops (and counts) what no
+    /// longer fits; the next report retries the rest, and NO deduplicates
+    /// by session id.
     ///
     /// # Errors
     ///
-    /// Transport errors from the dial/send/recv; [`NetError::Unexpected`]
-    /// if NO replies with something other than an ack.
-    pub fn report_sessions(&self, no_addr: SocketAddr) -> Result<u32> {
-        let Some((router_name, sessions)) = self.drain_report() else {
-            return Ok(0);
-        };
-        let attempt = self.ship(no_addr, &router_name, &sessions);
-        if attempt.is_err() {
-            self.requeue_bounded(sessions);
-        }
-        attempt
-    }
-
-    /// Like [`report_sessions`](Self::report_sessions), but against a
-    /// health-tracked NO replica set: tries each candidate in the set's
-    /// priority order (alive first, benched last) until one accepts the
-    /// batch, recording success/failure back into the set so the next call
-    /// prefers proven-alive replicas. A success on a non-primary replica
-    /// counts as a failover. Only if *every* replica refuses is the batch
-    /// requeued (bounded) and the last error returned.
-    ///
-    /// # Errors
-    ///
-    /// The last replica's transport error when all candidates failed;
-    /// [`NetError::Unexpected`] for an empty replica set.
-    pub fn report_sessions_failover(&self, set: &mut ReplicaSet<SocketAddr>) -> Result<u32> {
-        if set.is_empty() {
-            return Err(NetError::Unexpected("empty NO replica set"));
-        }
-        let Some((router_name, sessions)) = self.drain_report() else {
-            return Ok(0);
+    /// The last replica's error when none acked: transport errors,
+    /// [`NetError::Rejected`] (NO could not persist the batch),
+    /// [`NetError::Unexpected`] for a non-ack reply or an empty set.
+    pub fn report_sessions(&self, set: &mut ReplicaSet<SocketAddr>) -> Result<u32> {
+        let report = {
+            let mut router = lock_recover(&self.router);
+            let sessions = router.drain_log();
+            if sessions.is_empty() {
+                return Ok(0);
+            }
+            NodeMessage::ReportSessions {
+                router: router.id().0.clone(),
+                sessions,
+            }
         };
         let mut last_err = NetError::Unexpected("empty NO replica set");
         for (i, addr) in set.candidates(wall_ms()) {
-            match self.ship(addr, &router_name, &sessions) {
-                Ok(accepted) => {
+            let e = match Connection::ask(addr, &self.cfg, &self.metrics, &report) {
+                Ok(NodeMessage::ReportAck { accepted }) => {
                     set.report_ok(i);
                     if i != 0 {
                         // The primary was skipped or had failed: this batch
@@ -243,59 +226,22 @@ impl RouterDaemon {
                     }
                     return Ok(accepted);
                 }
-                Err(e) => {
-                    set.report_failure(i, wall_ms());
-                    self.metrics.event("report_fail", e.code());
-                    last_err = e;
-                }
-            }
+                Ok(_) => NetError::Unexpected("NO replied with a non-ack"),
+                Err(e) => e,
+            };
+            set.report_failure(i, wall_ms());
+            self.metrics.event("report_fail", e.code());
+            last_err = e;
         }
-        self.requeue_bounded(sessions);
+        if let NodeMessage::ReportSessions { sessions, .. } = report {
+            let dropped = {
+                let mut router = lock_recover(&self.router);
+                router.requeue_log(sessions);
+                router.take_log_dropped()
+            };
+            self.metrics.transcripts_dropped.add(dropped);
+        }
         Err(last_err)
-    }
-
-    /// The router's name and the transcripts logged since the last report,
-    /// drained from the outbox; `None` when there are none to ship.
-    fn drain_report(&self) -> Option<(String, Vec<LoggedSession>)> {
-        let mut router = lock_recover(&self.router);
-        let sessions = router.drain_log();
-        (!sessions.is_empty()).then(|| (router.id().0.clone(), sessions))
-    }
-
-    /// One report exchange with one NO replica: dial, send the batch, wait
-    /// for the ack.
-    fn ship(
-        &self,
-        no_addr: SocketAddr,
-        router_name: &str,
-        sessions: &[LoggedSession],
-    ) -> Result<u32> {
-        let report = NodeMessage::ReportSessions {
-            router: router_name.to_owned(),
-            sessions: sessions.to_vec(),
-        };
-        match Connection::ask(no_addr, &self.cfg, &self.metrics, &report)? {
-            NodeMessage::ReportAck { accepted } => Ok(accepted),
-            _ => Err(NetError::Unexpected("NO replied with a non-ack")),
-        }
-    }
-
-    /// Requeues a failed batch at the front of the outbox, then enforces
-    /// the [`MAX_PENDING_TRANSCRIPTS`] cap by dropping the
-    /// oldest overflow (counted in `net.transcripts_dropped`): a long NO
-    /// outage trades the stalest evidence away instead of growing router
-    /// memory without bound.
-    fn requeue_bounded(&self, sessions: Vec<LoggedSession>) {
-        let dropped = {
-            let mut r = lock_recover(&self.router);
-            r.requeue_log(sessions);
-            r.cap_log(MAX_PENDING_TRANSCRIPTS)
-        };
-        if dropped > 0 {
-            self.metrics.transcripts_dropped.add(dropped as u64);
-            self.metrics
-                .event("transcripts_dropped", &format!("{dropped}"));
-        }
     }
 
     /// Graceful shutdown; hands the router entity back.

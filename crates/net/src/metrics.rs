@@ -73,8 +73,8 @@ pub struct NetMetrics {
     pub repl_records_in: Arc<Counter>,
     /// Transcript reports that succeeded only on a non-primary NO replica.
     pub failovers: Arc<Counter>,
-    /// Pending transcripts dropped (oldest-first) at the outbox cap after
-    /// every configured NO replica refused a report.
+    /// Unreported transcripts dropped, oldest first, at the router
+    /// outbox's bound (an admission or a failed report's requeue past it).
     pub transcripts_dropped: Arc<Counter>,
     /// Signed URL deltas served (NO side) or applied (router side).
     pub url_deltas_out: Arc<Counter>,

@@ -110,10 +110,12 @@ impl RouterShared {
         let mut router = lock_recover(&self.router);
         let t1 = Instant::now();
         let outcome = router.finish_access_request(checked, wall_ms());
+        let dropped = router.take_log_dropped();
         drop(router);
         let hold = t1.elapsed();
         metrics.router_hold_us.record_duration(hold);
         metrics.access_verify_us.record_duration(unlocked + hold);
+        metrics.transcripts_dropped.add(dropped);
         outcome
     }
 }
@@ -386,6 +388,7 @@ impl NoSm {
             NodeMessage::ReportSessions { router, sessions } => {
                 let now = wall_ms();
                 let mut accepted: u32 = 0;
+                let mut failed = None;
                 {
                     // Lock order: operator, then ledger (same as the
                     // daemon-side methods).
@@ -402,10 +405,10 @@ impl NoSm {
                             continue;
                         };
                         // Idempotent ingestion: a router that retries a
-                        // report after a lost ack — or fails over to this
-                        // replica with a batch another replica already
-                        // mirrored here — must not duplicate transcripts.
-                        // Checked across every shard.
+                        // report after a lost ack or a refusal — or fails
+                        // over to this replica with a batch another
+                        // replica already mirrored here — must not
+                        // duplicate transcripts. Checked across every shard.
                         if rl.find_session(&session.session_id.to_bytes()).is_some() {
                             continue;
                         }
@@ -414,9 +417,8 @@ impl NoSm {
                             session,
                         });
                         if let Err(e) = rl.local_mut().append(rec, now) {
-                            metrics.ledger_errors.inc();
-                            metrics.event("ledger_error", e.code());
-                            continue;
+                            failed = Some(e);
+                            break;
                         }
                         metrics.ledger_sessions.inc();
                         accepted += 1;
@@ -424,13 +426,15 @@ impl NoSm {
                     if let Some(rl) = slot.as_mut() {
                         // One durability point per report, not per record.
                         if let Err(e) = rl.flush() {
-                            metrics.ledger_errors.inc();
-                            metrics.event("ledger_error", e.code());
+                            failed.get_or_insert(e);
                         }
                         // Federated mode: checkpoint the accepted batch so
                         // peers can pull it on the next gossip round
                         // (ranges only travel up to a signed checkpoint).
-                        if accepted > 0 && self.shared.auto_checkpoint.load(Ordering::Relaxed) {
+                        if failed.is_none()
+                            && accepted > 0
+                            && self.shared.auto_checkpoint.load(Ordering::Relaxed)
+                        {
                             let signer = rl.local_id().to_owned();
                             if let Err(e) =
                                 rl.local_mut().checkpoint(op.signing_key(), &signer, now)
@@ -441,7 +445,19 @@ impl NoSm {
                         }
                     }
                 }
-                Step::Reply(NodeMessage::ReportAck { accepted })
+                // Only what reached the disk is acknowledged: on a refusal
+                // the router keeps the batch and retries it whole.
+                Step::Reply(match failed {
+                    None => NodeMessage::ReportAck { accepted },
+                    Some(e) => {
+                        metrics.ledger_errors.inc();
+                        metrics.event("ledger_error", e.code());
+                        NodeMessage::Reject {
+                            code: reject_code::INTERNAL,
+                            detail: e.code().to_owned(),
+                        }
+                    }
+                })
             }
             NodeMessage::CkptGossip { .. } => {
                 let digests = {

@@ -18,6 +18,7 @@ use peace_net::{
     build_world, read_frame, reject_code, write_frame, ConnConfig, DaemonConfig, NetError,
     NoDaemon, NodeMessage, RouterDaemon, Transient, UserAgent, WorldSpec, DEFAULT_MAX_FRAME,
 };
+use peace_protocol::{ReplicaSet, RetryPolicy};
 use peace_wire::{Decode, Encode};
 
 fn event_cfg(shards: usize) -> DaemonConfig {
@@ -315,8 +316,9 @@ fn no_daemon_served_by_event_loop() {
     // Session transcripts flow router → NO across the reactor as well.
     let deadline = Instant::now() + Duration::from_secs(5);
     let mut accepted = 0;
+    let mut nos = ReplicaSet::new([no.addr()], RetryPolicy::default());
     while accepted == 0 && Instant::now() < deadline {
-        accepted = daemon.report_sessions(no.addr()).expect("report");
+        accepted = daemon.report_sessions(&mut nos).expect("report");
         if accepted == 0 {
             std::thread::sleep(Duration::from_millis(20));
         }

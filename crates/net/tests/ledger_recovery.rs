@@ -11,6 +11,7 @@
 //! router.
 
 use std::fs;
+use std::net::SocketAddr;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -18,10 +19,12 @@ use peace_ledger::{
     attribute_sweep, audit_sweep, verify_chain, Ledger, LedgerConfig, LedgerQuery, LedgerRecord,
     RecordKind, SyncPolicy,
 };
-use peace_net::{ConnConfig, DaemonConfig, NoDaemon, RouterDaemon, UserAgent};
+use peace_net::{
+    reject_code, ConnConfig, DaemonConfig, NetError, NoDaemon, RouterDaemon, UserAgent,
+};
 use peace_protocol::entities::{GroupManager, MeshRouter, NetworkOperator, Ttp, UserClient};
 use peace_protocol::ids::{GroupId, UserId};
-use peace_protocol::ProtocolConfig;
+use peace_protocol::{ProtocolConfig, ReplicaSet, RetryPolicy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -37,6 +40,11 @@ fn test_cfg() -> DaemonConfig {
         drain: Duration::from_secs(3),
         ..DaemonConfig::default()
     }
+}
+
+/// A lone NO as the one-element replica set routers report through.
+fn one_no(addr: SocketAddr) -> ReplicaSet<SocketAddr> {
+    ReplicaSet::new([addr], RetryPolicy::default())
 }
 
 fn tmpdir(name: &str) -> PathBuf {
@@ -173,11 +181,19 @@ fn kill_recover_verify_and_batch_audit() {
     }
     let reported: u32 = router_daemons
         .iter()
-        .map(|r| r.report_sessions(no_addr).expect("session report"))
+        .map(|r| {
+            r.report_sessions(&mut one_no(no_addr))
+                .expect("session report")
+        })
         .sum();
     assert_eq!(reported, 4, "every transcript accepted by NO");
     // A duplicate report is idempotent: nothing to drain, nothing re-accepted.
-    assert_eq!(router_daemons[0].report_sessions(no_addr).unwrap(), 0);
+    assert_eq!(
+        router_daemons[0]
+            .report_sessions(&mut one_no(no_addr))
+            .unwrap(),
+        0
+    );
 
     // Runtime revocation + an epoch rollover also land in the ledger, and
     // the rollover forces the later batch audit through `gpk_history`.
@@ -228,7 +244,7 @@ fn kill_recover_verify_and_batch_audit() {
     let mut sess = agents[0].connect(router0.addr()).expect("a-0 reconnects");
     assert_eq!(sess.echo(b"back online").unwrap(), b"back online");
     sess.close();
-    assert_eq!(router0.report_sessions(no_addr).unwrap(), 1);
+    assert_eq!(router0.report_sessions(&mut one_no(no_addr)).unwrap(), 1);
     router0.shutdown().unwrap();
 
     let mut ledger = no_daemon.detach_ledger().expect("still attached");
@@ -333,7 +349,7 @@ fn an_attached_ledger_is_the_one_session_store() {
     no.attach_ledger(ledger);
     let daemon = RouterDaemon::spawn(router, 0x5E55, "127.0.0.1:0", test_cfg()).unwrap();
     assert_eq!(
-        daemon.report_sessions(no.addr()).unwrap() as usize,
+        daemon.report_sessions(&mut one_no(no.addr())).unwrap() as usize,
         sessions.len()
     );
     daemon.shutdown().unwrap();
@@ -354,6 +370,79 @@ fn an_attached_ledger_is_the_one_session_store() {
             .with_operator(|op| op.audit_raw(&access.session.signed_payload, &access.session.gsig))
             .unwrap();
         assert_eq!(finding.group, *gid);
+    }
+    drop(no.detach_ledger());
+    no.shutdown().unwrap();
+}
+
+/// NO acknowledges only transcripts it persisted: when the ledger cannot
+/// append the batch (its directory is gone, so the next segment rotation
+/// fails, whoever runs the test), the report is refused with the ledger's
+/// error code and the router keeps the whole batch. Once a working ledger
+/// is attached, one retry lands every transcript exactly once.
+#[test]
+fn a_report_the_ledger_cannot_persist_is_refused_and_kept() {
+    let mut w = build_two_groups(0xFA11ED);
+    let mut router = w.routers.remove(0);
+    for (user, _) in &mut w.users {
+        let now = 1_000;
+        let beacon = router.beacon(now, &mut w.rng);
+        let req = user.request_access(&beacon, now, &mut w.rng).unwrap();
+        router.process_access_request(&req, now).unwrap();
+    }
+    let sessions = router.drain_log();
+    let batch = sessions.len();
+    assert_eq!(batch, w.users.len());
+    router.requeue_log(sessions.clone());
+
+    let broken_dir = tmpdir("ledger-cannot-persist");
+    let tiny = LedgerConfig {
+        segment_max_bytes: 128,
+        ..LedgerConfig::default()
+    };
+    let (broken, _) = Ledger::open(&broken_dir, tiny).unwrap();
+    fs::remove_dir_all(&broken_dir).unwrap();
+    let no = NoDaemon::spawn(w.no, "127.0.0.1:0", test_cfg()).unwrap();
+    no.attach_ledger(broken);
+    let daemon = RouterDaemon::spawn(router, 0xFA11, "127.0.0.1:0", test_cfg()).unwrap();
+    let mut nos = one_no(no.addr());
+
+    match daemon.report_sessions(&mut nos) {
+        Err(NetError::Rejected { code, detail }) => {
+            assert_eq!(code, reject_code::INTERNAL);
+            assert_eq!(detail, "io", "the reject carries the ledger error's code");
+        }
+        other => panic!("an unpersisted batch must be refused, got {other:?}"),
+    }
+    assert_eq!(
+        daemon.with_router(|r| r.pending_log_len()),
+        batch,
+        "the router kept the refused batch"
+    );
+    assert!(no.telemetry().counters["net.ledger_errors"] >= 1);
+
+    drop(no.detach_ledger());
+    let (good, _) = Ledger::open(tmpdir("ledger-persists-retry"), LedgerConfig::default()).unwrap();
+    no.attach_ledger(good);
+    assert_eq!(daemon.report_sessions(&mut nos).unwrap() as usize, batch);
+    assert_eq!(daemon.with_router(|r| r.pending_log_len()), 0);
+    let mut kept = daemon.shutdown().unwrap();
+    assert!(kept.drain_log().is_empty());
+    let access = LedgerQuery {
+        kind: Some(RecordKind::Access),
+        ..LedgerQuery::default()
+    };
+    let stored = no
+        .with_ledger(|l| l.query(&access).unwrap())
+        .expect("ledger attached");
+    assert_eq!(stored.len(), batch, "every transcript landed exactly once");
+    for session in &sessions {
+        let id = session.session_id.to_bytes();
+        let copies = stored
+            .iter()
+            .filter(|e| matches!(&e.record, LedgerRecord::Access(a) if a.session.session_id.to_bytes() == id))
+            .count();
+        assert_eq!(copies, 1);
     }
     drop(no.detach_ledger());
     no.shutdown().unwrap();

@@ -4,7 +4,8 @@
 //! transcripts may be lost on the survivors, the routers must fail over,
 //! and the rejoined replica must catch up to a byte-identical merged
 //! view, with every shard chain and cross-replica checkpoint verifying
-//! offline.
+//! offline. A replica stopped with half a frame on its live segment
+//! resumes and converges the same way.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -128,7 +129,7 @@ fn kill_one_of_three_replicas_loses_nothing() {
     }
     let reported: u32 = router_daemons
         .iter()
-        .map(|r| r.report_sessions_failover(&mut set).expect("report"))
+        .map(|r| r.report_sessions(&mut set).expect("report"))
         .sum();
     assert_eq!(reported, 4);
     assert_eq!(
@@ -162,10 +163,7 @@ fn kill_one_of_three_replicas_loses_nothing() {
     }
     let reported: u32 = router_daemons
         .iter()
-        .map(|r| {
-            r.report_sessions_failover(&mut set)
-                .expect("failover report")
-        })
+        .map(|r| r.report_sessions(&mut set).expect("failover report"))
         .sum();
     assert_eq!(reported, 2, "no transcript lost with the primary dead");
     let failovers: u64 = router_daemons
@@ -216,6 +214,108 @@ fn kill_one_of_three_replicas_loses_nothing() {
             report.checkpoints_verified() >= 2,
             "{dir:?}: cross-replica checkpoints verify"
         );
+        assert!(report.records() >= 6, "{dir:?}: transcripts present");
+    }
+}
+
+/// Path of the highest-numbered (live) segment of `shard`.
+fn live_segment(shard: &Path) -> PathBuf {
+    let mut segs: Vec<PathBuf> = fs::read_dir(shard)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "pls"))
+        .collect();
+    segs.sort();
+    segs.pop().expect("shard has a segment")
+}
+
+/// A replica stopped mid-write resumes: a partial frame on its local
+/// shard's live segment is shed as a torn tail when it reopens, it
+/// catches up by gossip, and its merged view equals the survivor's byte
+/// for byte, with `verify_replica` passing on its directory.
+#[test]
+fn a_replica_with_a_torn_tail_resumes_and_converges() {
+    let w = build_world(&SPEC).unwrap();
+    let npk = *w.no.npk();
+    let resolve: PeerKeyResolver =
+        Arc::new(move |s: &str| (s == "NO" || s.starts_with("NO-")).then_some(npk));
+    let cfg = test_cfg();
+    let dirs: Vec<PathBuf> = (0..2).map(|i| tmpdir(&format!("torn-no-{i}"))).collect();
+    let survivor = spawn_replica(0, &dirs[0], Arc::clone(&resolve)).0;
+    let torn = spawn_replica(1, &dirs[1], Arc::clone(&resolve)).0;
+
+    // Each replica takes one router's reports, so each writes a shard of
+    // its own; then they mirror each other.
+    let mut agents = Vec::new();
+    let mut routers = Vec::new();
+    for (i, r) in w.routers.into_iter().enumerate() {
+        let d = RouterDaemon::spawn(r, 0x70 + i as u64, "127.0.0.1:0", cfg).unwrap();
+        d.refresh_lists(survivor.addr())
+            .expect("bootstrap list sync");
+        routers.push(d);
+    }
+    for (i, user) in w.users.into_iter().enumerate() {
+        let mut agent = UserAgent::new(user, 0x7EA2 + i as u64, cfg);
+        agent.poll_bulletin(survivor.addr()).expect("bulletin poll");
+        let sess = agent.connect(routers[i % 2].addr()).expect("handshake");
+        sess.close();
+        agents.push(agent);
+    }
+    let retry = RetryPolicy::default();
+    let mut to_survivor = ReplicaSet::new([survivor.addr()], retry);
+    let mut to_torn = ReplicaSet::new([torn.addr()], retry);
+    assert_eq!(routers[0].report_sessions(&mut to_survivor).unwrap(), 2);
+    assert_eq!(routers[1].report_sessions(&mut to_torn).unwrap(), 2);
+    assert!(torn.sync_once(survivor.addr()).unwrap() > 0);
+    assert!(survivor.sync_once(torn.addr()).unwrap() > 0);
+    assert_eq!(merged_digest(&survivor), merged_digest(&torn));
+
+    // Stop the replica and leave half a frame on its live segment: the
+    // header promises 64 payload bytes, five made it to disk.
+    torn.shutdown().unwrap();
+    let seg = live_segment(&dirs[1].join("shard-NO-1"));
+    let mut bytes = fs::read(&seg).unwrap();
+    bytes.extend_from_slice(&64u32.to_be_bytes());
+    bytes.extend_from_slice(&[0xDE, 0xAD, 0xBE, 0xEF, 0x05, 0x01, 0x02]);
+    fs::write(&seg, &bytes).unwrap();
+
+    // While it is down the survivor takes two more sessions.
+    for agent in agents.iter_mut().take(2) {
+        let sess = agent.connect(routers[0].addr()).expect("reconnect");
+        sess.close();
+    }
+    assert_eq!(routers[0].report_sessions(&mut to_survivor).unwrap(), 2);
+
+    let (rejoined, recovery) = spawn_replica(1, &dirs[1], Arc::clone(&resolve));
+    let (_, local) = recovery
+        .shards
+        .iter()
+        .find(|(writer, _)| writer == "NO-1")
+        .expect("local shard recovered");
+    assert!(
+        local.tail_flaw.is_some(),
+        "the partial frame is a torn tail"
+    );
+    assert_eq!(local.torn_bytes, 11);
+    assert!(
+        rejoined.sync_once(survivor.addr()).unwrap() > 0,
+        "caught up"
+    );
+    assert_eq!(
+        survivor.sync_once(rejoined.addr()).unwrap(),
+        0,
+        "nothing new"
+    );
+    assert_eq!(access_count(&rejoined), 6);
+    assert_eq!(merged_digest(&rejoined), merged_digest(&survivor));
+
+    for r in routers {
+        r.shutdown().unwrap();
+    }
+    rejoined.shutdown().unwrap();
+    survivor.shutdown().unwrap();
+    for dir in &dirs {
+        let report = verify_replica(dir, &|s| resolve(s)).unwrap();
         assert!(report.records() >= 6, "{dir:?}: transcripts present");
     }
 }

@@ -26,7 +26,18 @@ pub const MAX_PENDING_HANDSHAKES: usize = 64;
 /// LRU-evicted before the lifetime prune would reach them.
 pub const MAX_ACTIVE_BEACONS: usize = 128;
 
+/// Bound on a router's outbox of transcripts not yet reported to the NO
+/// (§IV.D step 1). Every push past it drops the oldest, so the outbox
+/// holds at most ≈ 1 MiB whatever the handshake rate or NO outage, and a
+/// full outbox (≈ 533 B per encoded transcript) fits one report frame.
+pub const MAX_PENDING_TRANSCRIPTS: usize = 1024;
+
+/// Transcripts a router daemon reports as soon as its outbox holds them,
+/// besides its periodic report: a lane group's multiple, below the cap.
+pub const REPORT_BATCH: usize = 256;
+
 const _: () = assert!(MAX_PENDING_HANDSHAKES > 0 && MAX_ACTIVE_BEACONS > 0);
+const _: () = assert!(REPORT_BATCH.is_multiple_of(8) && REPORT_BATCH < MAX_PENDING_TRANSCRIPTS);
 
 /// Tunable parameters shared by users and routers.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -1,6 +1,7 @@
 //! Mesh routers (`MR_k`): beacon generation and the router side of the
 //! user↔router authentication and key agreement protocol (§IV.B).
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use peace_curve::{G1Encoded, G1Wire, G2Preimage, G1, G2};
@@ -16,6 +17,7 @@ use rand::RngCore;
 use crate::audit::LoggedSession;
 use crate::config::{
     ProtocolConfig, BEACON_LIFETIME, DOS_THRESHOLD, DOS_WINDOW, MAX_ACTIVE_BEACONS,
+    MAX_PENDING_TRANSCRIPTS,
 };
 use crate::error::{ProtocolError, Result};
 use crate::ids::{RouterId, SessionId};
@@ -136,8 +138,12 @@ pub struct MeshRouter {
     recent_sessions: PendingTable<Vec<u8>>,
     under_attack: bool,
     manual_attack_mode: Option<bool>,
-    recent_failures: std::collections::VecDeque<u64>,
-    log_outbox: Vec<LoggedSession>,
+    recent_failures: VecDeque<u64>,
+    /// Transcripts not yet reported to the NO, oldest first, bounded by
+    /// [`MAX_PENDING_TRANSCRIPTS`].
+    log_outbox: VecDeque<LoggedSession>,
+    /// Transcripts the bound has dropped since [`Self::take_log_dropped`].
+    log_dropped: u64,
     beacons_sent: u64,
 }
 
@@ -190,8 +196,9 @@ impl MeshRouter {
             recent_sessions: PendingTable::new(2 * MAX_ACTIVE_BEACONS, BEACON_LIFETIME),
             under_attack: false,
             manual_attack_mode: None,
-            recent_failures: std::collections::VecDeque::new(),
-            log_outbox: Vec::new(),
+            recent_failures: VecDeque::new(),
+            log_outbox: VecDeque::new(),
+            log_dropped: 0,
             beacons_sent: 0,
         }
     }
@@ -663,7 +670,11 @@ impl MeshRouter {
             confirm_payload.as_bytes(),
         );
         // Log M.2 for audit (§IV.D step 1).
-        self.log_outbox.push(LoggedSession {
+        if self.log_outbox.len() == MAX_PENDING_TRANSCRIPTS {
+            self.log_outbox.pop_front();
+            self.log_dropped += 1;
+        }
+        self.log_outbox.push_back(LoggedSession {
             session_id,
             signed_payload: payload,
             gsig: req.gsig.clone(),
@@ -679,29 +690,26 @@ impl MeshRouter {
         ))
     }
 
-    /// Drains the session log (router → NO reporting).
+    /// Drains the session log, oldest first (router → NO reporting).
     pub fn drain_log(&mut self) -> Vec<LoggedSession> {
-        std::mem::take(&mut self.log_outbox)
+        std::mem::take(&mut self.log_outbox).into()
     }
 
-    /// Puts drained log entries back at the front of the outbox — used when
-    /// a report to NO fails in flight, so transcripts are never lost.
+    /// Puts drained log entries back at the front of the outbox, as older
+    /// than anything logged since: a report to NO failed in flight. Those
+    /// past [`MAX_PENDING_TRANSCRIPTS`] are dropped, oldest first.
     pub fn requeue_log(&mut self, entries: Vec<LoggedSession>) {
-        let tail = std::mem::replace(&mut self.log_outbox, entries);
-        self.log_outbox.extend(tail);
+        let room = MAX_PENDING_TRANSCRIPTS - self.log_outbox.len();
+        let skip = entries.len().saturating_sub(room);
+        self.log_dropped += skip as u64;
+        for entry in entries.into_iter().skip(skip).rev() {
+            self.log_outbox.push_front(entry);
+        }
     }
 
-    /// Bounds the pending transcript outbox to `cap` entries by dropping
-    /// the *oldest* (front) overflow, returning how many were dropped.
-    /// Applied after a failed report requeue so a long NO outage trades
-    /// the stalest evidence away instead of growing router memory without
-    /// limit.
-    pub fn cap_log(&mut self, cap: usize) -> usize {
-        let over = self.log_outbox.len().saturating_sub(cap);
-        if over > 0 {
-            self.log_outbox.drain(..over);
-        }
-        over
+    /// How many transcripts the outbox bound dropped since the last call.
+    pub fn take_log_dropped(&mut self) -> u64 {
+        std::mem::take(&mut self.log_dropped)
     }
 
     /// Number of transcripts waiting to be reported to NO.

@@ -14,8 +14,9 @@
 //! so daemons started in separate processes share trust material without
 //! any key ever crossing a socket (see `peace::net::world`). `demo` runs
 //! the whole deployment — NO, two routers, `U` users — inside one process
-//! on loopback, revokes the last user and checks its router refuses it,
-//! and publishes the merged telemetry of every daemon.
+//! on loopback, checks that every admitted session's transcript reaches
+//! NO, revokes the last user and checks its router refuses it, and
+//! publishes the merged telemetry of every daemon.
 //!
 //! With `--peers`, the NO role joins a replica federation: its ledger
 //! becomes a per-writer shard store (`--no-id` names the local shard),
@@ -36,11 +37,12 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use peace::groupsig::BasesMode;
-use peace::ledger::{Ledger, LedgerConfig, ReplicatedLedger};
+use peace::ledger::{Ledger, LedgerConfig, LedgerQuery, RecordKind, ReplicatedLedger};
 use peace::net::{
     build_world_with, clock::wall_ms, reject_code, ConnConfig, DaemonConfig, NetError, NoDaemon,
     PeerKeyResolver, RouterDaemon, UserAgent, WorldSpec,
 };
+use peace::protocol::config::REPORT_BATCH;
 use peace::protocol::{ProtocolConfig, ReplicaSet, RetryPolicy};
 use peace::telemetry::{global, Snapshot};
 
@@ -308,10 +310,40 @@ fn run_no(
     }
 }
 
+/// How often a router refreshes its lists from NO and reports whatever
+/// transcripts its outbox holds.
+const REFRESH_EVERY: Duration = Duration::from_secs(15);
+
+/// How often a router looks whether its outbox holds [`REPORT_BATCH`]
+/// transcripts.
+const BATCH_POLL: Duration = Duration::from_millis(100);
+
+/// Reports `daemon`'s outbox through `replicas`, printing the outcome;
+/// whether a replica acked.
+fn report(daemon: &RouterDaemon, replicas: &mut ReplicaSet<SocketAddr>) -> bool {
+    match daemon.report_sessions(replicas) {
+        Ok(0) => true,
+        Ok(n) => {
+            println!("reported {n} session transcript(s)");
+            true
+        }
+        Err(e) => {
+            eprintln!("session report failed on every replica (will retry): {e}");
+            false
+        }
+    }
+}
+
+/// Whether `daemon`'s outbox holds a [`REPORT_BATCH`] of transcripts.
+fn batch_ready(daemon: &RouterDaemon) -> bool {
+    daemon.with_router(|r| r.pending_log_len()) >= REPORT_BATCH
+}
+
 /// Runs router `--index` from the replayed world, refreshing lists from NO
-/// and reporting accumulated session transcripts every 15 seconds. With a
-/// comma-separated `--no` list, reports fail over across the NO replicas
-/// (primary first, then the next alive one).
+/// and reporting its transcripts every [`REFRESH_EVERY`], and at once
+/// whenever its outbox holds a [`REPORT_BATCH`] while NO is reachable.
+/// With a comma-separated `--no` list, reports fail over across the NO
+/// replicas (primary first, then the next alive one).
 fn run_router(
     spec: &WorldSpec,
     config: ProtocolConfig,
@@ -341,6 +373,7 @@ fn run_router(
     )
     .map_err(|e| e.to_string())?;
     println!("peace-noded: router MR-{index} on {}", daemon.addr());
+    let mut reachable = true;
     loop {
         // Lists come from whichever replica answers first — every replica
         // replays the same ceremony, so the bulletin is identical. The
@@ -361,15 +394,18 @@ fn run_router(
         if !refreshed {
             eprintln!("no NO replica reachable for lists (will retry)");
         }
-        std::thread::sleep(Duration::from_secs(15));
-        // Ship accumulated transcripts with failover; unreported sessions
-        // are requeued (bounded) on total failure, so the next cycle
-        // retries them.
-        match daemon.report_sessions_failover(&mut replicas) {
-            Ok(0) => {}
-            Ok(n) => println!("reported {n} session transcript(s)"),
-            Err(e) => eprintln!("session report failed on every replica (will retry): {e}"),
+        // A batch goes out as soon as it is ready, so a reachable NO loses
+        // nothing to the outbox bound; after a failed report only the
+        // periodic one retries, and unreported transcripts wait in the
+        // (bounded) outbox.
+        let cycle = std::time::Instant::now();
+        while cycle.elapsed() < REFRESH_EVERY {
+            std::thread::sleep(BATCH_POLL);
+            if reachable && batch_ready(&daemon) {
+                reachable = report(&daemon, &mut replicas);
+            }
         }
+        reachable = report(&daemon, &mut replicas);
         dump_metrics(metrics_json, &[("router", daemon.telemetry())]);
     }
 }
@@ -421,7 +457,21 @@ fn run_user(
     Ok(())
 }
 
-/// The whole deployment in one process on loopback.
+/// Session transcripts NO holds: access records in its ledger when one is
+/// attached, else its in-memory log.
+fn landed_sessions(no: &NoDaemon) -> Result<u64, String> {
+    let access = LedgerQuery {
+        kind: Some(RecordKind::Access),
+        ..LedgerQuery::default()
+    };
+    match no.with_ledger(|l| l.query(&access).map(|e| e.len() as u64)) {
+        Some(n) => n.map_err(|e| e.to_string()),
+        None => Ok(no.with_operator(|op| op.logged_session_count()) as u64),
+    }
+}
+
+/// The whole deployment in one process on loopback. Fails unless every
+/// admitted session lands at NO as a new record.
 fn run_demo(
     spec: &WorldSpec,
     config: ProtocolConfig,
@@ -438,6 +488,8 @@ fn run_demo(
         no.attach_ledger(open_ledger(dir, npk)?);
     }
     println!("NO bulletin daemon on {}", no.addr());
+    let mut replicas = ReplicaSet::new([no.addr()], RetryPolicy::default());
+    let landed_before = landed_sessions(&no)?;
 
     let mut routers = Vec::new();
     for (i, r) in w.routers.into_iter().enumerate() {
@@ -448,10 +500,15 @@ fn run_demo(
         routers.push(d);
     }
 
+    // Routers hand their session transcripts to NO (§IV.D step 1) as
+    // soon as a batch is ready and once more at the end; with a ledger
+    // attached these become durable chained access records.
+    let mut reported = vec![0u32; routers.len()];
     let mut user_metrics: Vec<(String, Snapshot)> = Vec::new();
     let mut last_agent = None;
     for (i, user) in w.users.into_iter().enumerate() {
-        let addr = routers[i % routers.len()].addr();
+        let k = i % routers.len();
+        let addr = routers[k].addr();
         let mut agent = UserAgent::new(user, spec.seed ^ 0xA6E0 ^ i as u64, cfg);
         agent.poll_bulletin(no.addr()).map_err(|e| e.to_string())?;
         let mut sess = agent
@@ -467,13 +524,40 @@ fn run_demo(
         sess.close();
         user_metrics.push((format!("user-{i}"), agent.telemetry()));
         last_agent = Some((i, agent));
+        if batch_ready(&routers[k]) {
+            reported[k] += routers[k]
+                .report_sessions(&mut replicas)
+                .map_err(|e| e.to_string())?;
+        }
     }
-
-    // Routers hand their session transcripts to NO (§IV.D step 1); with a
-    // ledger attached these become durable chained access records.
     for (i, r) in routers.iter().enumerate() {
-        let accepted = r.report_sessions(no.addr()).map_err(|e| e.to_string())?;
-        println!("router MR-{i}: reported {accepted} session transcript(s) to NO");
+        reported[i] += r
+            .report_sessions(&mut replicas)
+            .map_err(|e| e.to_string())?;
+        println!(
+            "router MR-{i}: reported {} session transcript(s) to NO",
+            reported[i]
+        );
+    }
+    // Every admitted session is a new record in NO's store, and no outbox
+    // dropped one. (A replayed world replays its sessions too, and NO
+    // stores each once: a --ledger DIR that holds this seed's sessions
+    // already gains none.)
+    let counter = |name: &str| -> u64 {
+        routers
+            .iter()
+            .map(|r| r.telemetry().counters.get(name).copied().unwrap_or(0))
+            .sum()
+    };
+    let (admitted, dropped) = (
+        counter("net.handshakes_ok"),
+        counter("net.transcripts_dropped"),
+    );
+    let landed = landed_sessions(&no)? - landed_before;
+    if landed != admitted || dropped != 0 {
+        return Err(format!(
+            "{admitted} session(s) admitted, {landed} new at NO, {dropped} dropped"
+        ));
     }
     // Runtime revocation: NO revokes the last user, its router refreshes,
     // and the user's next handshake must be refused by the router's
