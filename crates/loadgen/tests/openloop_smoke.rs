@@ -34,7 +34,9 @@ fn open_loop_drives_real_daemon() {
     let cfg = test_cfg();
     let mut router = w.routers.into_iter().next().unwrap();
     let now = peace_net::clock::wall_ms();
-    router.update_lists(w.no.publish_crl(now), w.no.publish_url(now));
+    router
+        .update_lists(w.no.publish_crl(now), w.no.publish_url(now))
+        .expect("lists admitted");
     let daemon = RouterDaemon::spawn(router, 1, "127.0.0.1:0", cfg).unwrap();
     let routers = vec![daemon.addr()];
 
@@ -98,7 +100,9 @@ fn hold_mode_tracks_peak_concurrency() {
     let cfg = test_cfg();
     let mut router = w.routers.into_iter().next().unwrap();
     let now = peace_net::clock::wall_ms();
-    router.update_lists(w.no.publish_crl(now), w.no.publish_url(now));
+    router
+        .update_lists(w.no.publish_crl(now), w.no.publish_url(now))
+        .expect("lists admitted");
     let daemon = RouterDaemon::spawn(router, 2, "127.0.0.1:0", cfg).unwrap();
     let routers = vec![daemon.addr()];
 

@@ -14,7 +14,7 @@ use std::time::Duration;
 
 use peace_ecdsa::VerifyingKey;
 use peace_groupsig::RevocationToken;
-use peace_ledger::{Checkpoint, Ledger, LedgerRecord, ReplicatedLedger};
+use peace_ledger::{Checkpoint, Ledger, LedgerQuery, LedgerRecord, RecordKind, ReplicatedLedger};
 use peace_protocol::entities::NetworkOperator;
 
 use crate::clock::wall_ms;
@@ -98,47 +98,69 @@ impl NoDaemon {
     }
 
     /// Revokes a member key at runtime; subsequent bulletins carry the
-    /// bumped URL. Returns `false` for a token outside `grt`. With a
-    /// ledger attached, the revocation is durably recorded.
+    /// bumped URL. `false` for a token outside `grt`, and for a revocation
+    /// the attached ledger could not persist: nothing changed, and the
+    /// `ledger_error` event carries the ledger's code.
     pub fn revoke_user(&self, token: &RevocationToken) -> bool {
-        let (ok, url_version) = {
-            let mut op = lock_recover(&self.no);
-            (op.revoke_member(token), op.url_version())
-        };
-        if ok {
-            self.ledger_append(LedgerRecord::UserRevocation {
-                token: *token,
-                url_version,
-            });
-        }
-        ok
+        let (mut op, token) = (lock_recover(&self.no), *token);
+        op.url_version_after(&token).is_some_and(|url_version| {
+            self.commit(&mut op, LedgerRecord::UserRevocation { token, url_version })
+                .is_ok()
+        })
     }
 
-    /// Revokes a router certificate at runtime. With a ledger attached,
-    /// the revocation is durably recorded.
-    pub fn revoke_router(&self, serial: u64) {
-        let crl_version = {
-            let mut op = lock_recover(&self.no);
-            op.revoke_router(serial);
-            op.crl_version()
-        };
-        self.ledger_append(LedgerRecord::RouterRevocation {
-            serial,
-            crl_version,
-        });
+    /// Revokes a router certificate at runtime, as [`Self::revoke_user`].
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Ledger`] with the ledger's code when the attached
+    /// ledger could not persist the revocation; nothing changed.
+    pub fn revoke_router(&self, serial: u64) -> Result<()> {
+        let mut op = lock_recover(&self.no);
+        let crl_version = op.crl_version_after(serial);
+        self.commit(
+            &mut op,
+            LedgerRecord::RouterRevocation {
+                serial,
+                crl_version,
+            },
+        )
     }
 
-    /// Rotates the system key (epoch rollover, §V.A) and records the
-    /// rollover in the attached ledger so that epoch-scoped audit queries
-    /// know where the boundary falls.
-    pub fn rotate_epoch(&self, rng: &mut impl rand::RngCore) -> u64 {
-        let epoch = {
-            let mut op = lock_recover(&self.no);
-            op.rotate_system_key(rng);
-            op.epoch()
+    /// Rotates the system key (epoch rollover, §V.A) once the attached
+    /// ledger holds the rollover, which bounds epoch-scoped audit queries.
+    /// Returns the new epoch. γ is in no record, so no replay passes it.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Ledger`] as [`Self::revoke_router`]; the key is unchanged.
+    pub fn rotate_epoch(&self, rng: &mut impl rand::RngCore) -> Result<u64> {
+        let mut op = lock_recover(&self.no);
+        let epoch = op.epoch() + 1;
+        self.persist(LedgerRecord::EpochRollover { epoch })?;
+        op.rotate_system_key(rng);
+        Ok(epoch)
+    }
+
+    /// Appends `record` to the attached ledger, if any, then [`apply`]s it.
+    fn commit(&self, op: &mut NetworkOperator, record: LedgerRecord) -> Result<()> {
+        self.persist(record.clone())?;
+        apply(op, &record)
+    }
+
+    /// Appends and flushes `record` to the attached ledger, if any.
+    fn persist(&self, record: LedgerRecord) -> Result<()> {
+        let mut slot = lock_recover(&self.ledger);
+        let Some(l) = slot.as_mut().map(ReplicatedLedger::local_mut) else {
+            return Ok(());
         };
-        self.ledger_append(LedgerRecord::EpochRollover { epoch });
-        epoch
+        l.append(record, wall_ms())
+            .and_then(|_| l.flush())
+            .map_err(|e| {
+                self.metrics.ledger_errors.inc();
+                self.metrics.event("ledger_error", e.code());
+                e.into()
+            })
     }
 
     /// Runs `f` against the live operator (audits, log ingestion).
@@ -147,10 +169,23 @@ impl NoDaemon {
     }
 
     /// Attaches a durable accountability ledger as a single-writer
-    /// replica store (writer id `"NO"`). Session reports, revocations,
-    /// and epoch rollovers are persisted from now on.
-    pub fn attach_ledger(&self, ledger: Ledger) {
+    /// replica store (writer id `"NO"`) once the revocation records of the
+    /// operator's epoch in it are replayed into the operator, each by the
+    /// step a live revocation takes. Session reports, revocations, and
+    /// epoch rollovers are persisted from now on.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Ledger`]: `ledger_disagrees` for a record naming a token
+    /// outside `grt` or a version the operator does not reach,
+    /// `epoch_ahead` for a ledger whose last rollover is past the
+    /// operator's epoch (γ is never logged, so no rollover is replayed), or
+    /// a read error's code. The ledger is not attached, and the operator
+    /// keeps what was replayed before the refusal.
+    pub fn attach_ledger(&self, ledger: Ledger) -> Result<()> {
+        replay(&mut lock_recover(&self.no), &ledger)?;
         *lock_recover(&self.ledger) = Some(ReplicatedLedger::from_single(ledger, "NO"));
+        Ok(())
     }
 
     /// Detaches the ledger (flushed), handing back the writable local
@@ -168,10 +203,18 @@ impl NoDaemon {
     /// checkpoint verification uses, enabling federation: gossip
     /// endpoints answer, report batches are checkpointed for prompt
     /// replication, and [`sync_once`](Self::sync_once) can pull peers.
-    pub fn attach_replica(&self, replica: ReplicatedLedger, resolve: PeerKeyResolver) {
+    /// The local shard is replayed first, with
+    /// [`Self::attach_ledger`]'s errors.
+    pub fn attach_replica(
+        &self,
+        replica: ReplicatedLedger,
+        resolve: PeerKeyResolver,
+    ) -> Result<()> {
+        replay(&mut lock_recover(&self.no), replica.local())?;
         *lock_recover(&self.resolver) = Some(resolve);
         self.auto_checkpoint.store(true, Ordering::Relaxed);
         *lock_recover(&self.ledger) = Some(replica);
+        Ok(())
     }
 
     /// Runs `f` against the writable local ledger shard, if attached.
@@ -264,19 +307,6 @@ impl NoDaemon {
         }
     }
 
-    /// Best-effort ledger append (errors are counted, not fatal: losing a
-    /// revocation *record* must not block the revocation itself).
-    fn ledger_append(&self, record: LedgerRecord) {
-        let mut slot = lock_recover(&self.ledger);
-        if let Some(rl) = slot.as_mut() {
-            let l = rl.local_mut();
-            if let Err(e) = l.append(record, wall_ms()).and_then(|_| l.flush()) {
-                self.metrics.ledger_errors.inc();
-                self.metrics.event("ledger_error", e.code());
-            }
-        }
-    }
-
     /// Graceful shutdown: stop accepting, drain in-flight requests, flush
     /// the attached ledger to stable storage, and hand the operator back.
     /// Detach the ledger first (or after) to reclaim it; if left attached
@@ -303,6 +333,51 @@ impl NoDaemon {
                 Err(p) => p.into_inner(),
             })
     }
+}
+
+/// Rebuilds the lists `ledger`'s writer held by [`apply`]ing the
+/// revocation records of `op`'s epoch, as [`NoDaemon::attach_ledger`] says.
+fn replay(op: &mut NetworkOperator, ledger: &Ledger) -> Result<()> {
+    if ledger.epoch_of(u64::MAX) > op.epoch() {
+        return Err(NetError::Ledger {
+            code: "epoch_ahead",
+            detail: format!("ledger past the operator's epoch {}", op.epoch()),
+        });
+    }
+    for kind in [RecordKind::UserRevocation, RecordKind::RouterRevocation] {
+        let records = LedgerQuery {
+            epoch: Some(op.epoch()),
+            kind: Some(kind),
+            ..LedgerQuery::default()
+        };
+        for entry in ledger.query(&records)? {
+            apply(op, &entry.record)?;
+        }
+    }
+    Ok(())
+}
+
+/// Applies a revocation record to `op`, refused (`ledger_disagrees`) if it
+/// names a token outside `grt` or a version `op` does not reach. A record
+/// `op` already holds (the ledger attached again) applies as a no-op.
+fn apply(op: &mut NetworkOperator, record: &LedgerRecord) -> Result<()> {
+    let agrees = match record {
+        LedgerRecord::UserRevocation { token, url_version } => {
+            op.revoke_member(token) && op.url_version() >= *url_version
+        }
+        LedgerRecord::RouterRevocation {
+            serial,
+            crl_version,
+        } => {
+            op.revoke_router(*serial);
+            op.crl_version() >= *crl_version
+        }
+        _ => false,
+    };
+    agrees.then_some(()).ok_or_else(|| NetError::Ledger {
+        code: "ledger_disagrees",
+        detail: format!("{:?} against the operator's lists", record.kind()),
+    })
 }
 
 /// One pull-based gossip round against `peer`.
@@ -394,12 +469,7 @@ fn sync_with_peer(
                             metrics.event("repl_refuse", e.code());
                             continue 'writers;
                         }
-                        Err(e) => {
-                            return Err(NetError::Ledger {
-                                code: e.code(),
-                                detail: e.to_string(),
-                            });
-                        }
+                        Err(e) => return Err(e.into()),
                     }
                 }
                 // Peer has nothing (more) attested to serve from here.

@@ -81,50 +81,39 @@ impl RouterDaemon {
         self.runtime.live_connections()
     }
 
-    /// Polls the NO bulletin server once and installs the served lists,
-    /// after verifying NO's signatures and freshness locally (the daemon
-    /// does not blindly trust the transport). Returns the installed URL
-    /// version.
+    /// Polls the NO bulletin server once and installs the served lists
+    /// ([`MeshRouter::update_lists`]: the daemon does not trust the
+    /// transport). Returns the installed URL version.
     ///
     /// # Errors
     ///
     /// Transport errors from the poll; [`NetError::ConnLimit`] (transient)
     /// when the NO is at its connection cap and [`NetError::Rejected`] for
     /// any other refusal — here and in every other exchange with the NO
-    /// below; [`NetError::Protocol`] if either list fails validation;
+    /// below; [`NetError::Protocol`] if the router refuses the lists;
     /// [`NetError::Unexpected`] on a non-bulletin reply.
     pub fn refresh_lists(&self, no_addr: SocketAddr) -> Result<u64> {
         let reply = Connection::ask(no_addr, &self.cfg, &self.metrics, &NodeMessage::GetBulletin)?;
         let NodeMessage::Bulletin(b) = reply else {
             return Err(NetError::Unexpected("NO replied with a non-bulletin"));
         };
-        let now = wall_ms();
-        let mut router = lock_recover(&self.router);
-        let max_age = router.config().list_max_age;
-        let npk = *router.npk();
-        b.crl
-            .validate(&npk, now, max_age)
-            .map_err(NetError::Protocol)?;
-        b.url
-            .validate(&npk, now, max_age)
-            .map_err(NetError::Protocol)?;
         let version = b.url.version;
-        router.update_lists(b.crl, b.url);
+        lock_recover(&self.router).update_lists(b.crl, b.url)?;
         Ok(version)
     }
 
-    /// Refreshes the router's URL by the O(churn) delta path: asks NO for
-    /// a signed diff from the router's current `(epoch, version)` and
-    /// chains it onto the enforcement engine. Falls back to a full
+    /// Refreshes the router's lists by the O(churn) delta path: asks NO
+    /// for the diff from the router's current `(epoch, version)` and
+    /// installs it with the CRL and URL re-stamp that travel with it
+    /// ([`MeshRouter::update_lists_by_delta`]). Falls back to a full
     /// [`Self::refresh_lists`] when NO cannot serve a chaining delta, or
     /// when the served delta fails to chain locally (both counted in
     /// `url_delta_fallbacks`). Returns the URL version now in force.
     ///
     /// # Errors
     ///
-    /// Transport errors from the poll; [`NetError::Protocol`] if the delta
-    /// signature/freshness check fails; [`NetError::Unexpected`] on a
-    /// non-delta reply.
+    /// Transport errors from the poll; [`NetError::Protocol`] if the router
+    /// refuses the lists; [`NetError::Unexpected`] on a non-delta reply.
     pub fn refresh_lists_delta(&self, no_addr: SocketAddr) -> Result<u64> {
         let (epoch, have_version) = {
             let router = lock_recover(&self.router);
@@ -145,23 +134,11 @@ impl RouterDaemon {
         else {
             return Err(NetError::Unexpected("NO replied with a non-delta"));
         };
-        let Some(signed) = delta else {
+        let applied = match delta {
+            Some(delta) => lock_recover(&self.router).update_lists_by_delta(*crl, &delta, &restamp),
             // NO cannot chain from our state (epoch rotated away, or we
-            // are behind the retained diff log): full fetch.
-            self.metrics.url_delta_fallbacks.inc();
-            return self.refresh_lists(no_addr);
-        };
-        let applied = {
-            let now = wall_ms();
-            let mut router = lock_recover(&self.router);
-            // The piggybacked CRL and URL re-stamp keep beacons fresh
-            // across delta-only refresh cycles; without them clients
-            // reject beacons as stale once the provisioning lists age
-            // past list_max_age.
-            router.update_crl(*crl, now).map_err(NetError::Protocol)?;
-            router
-                .apply_url_delta(&signed, now)
-                .and_then(|outcome| router.adopt_url_restamp(&restamp, now).map(|()| outcome))
+            // are behind the retained diff log).
+            None => Err(peace_protocol::ProtocolError::UrlDeltaChain),
         };
         match applied {
             Ok(_) => {

@@ -1,5 +1,5 @@
 //! The user agent: the client side of the runtime. Polls the NO bulletin
-//! (with freshness and version-monotonicity enforcement), dials routers,
+//! (adopting lists by the protocol's one install rule), dials routers,
 //! runs the anonymous access handshake, and carries AEAD traffic.
 
 use std::net::SocketAddr;
@@ -28,7 +28,6 @@ pub struct UserAgent {
     rng_seed: u64,
     cfg: DaemonConfig,
     metrics: Arc<NetMetrics>,
-    last_epoch: u64,
 }
 
 /// An established, authenticated session to a router.
@@ -47,7 +46,6 @@ impl UserAgent {
             rng_seed,
             cfg,
             metrics: Arc::new(NetMetrics::default()),
-            last_epoch: 0,
         }
     }
 
@@ -63,16 +61,9 @@ impl UserAgent {
         &self.user
     }
 
-    /// The highest key epoch seen in a bulletin.
-    pub fn last_epoch(&self) -> u64 {
-        self.last_epoch
-    }
-
     /// Polls the NO bulletin server once and adopts the served revocation
-    /// lists — *only* if they pass [`UserClient::adopt_lists`]: NO's
-    /// signature, the `list_max_age` freshness bound, and version
-    /// monotonicity. A stale or regressing bulletin is rejected and the
-    /// previously adopted lists stay in force. Returns the adopted URL
+    /// lists — *only* if they pass [`UserClient::adopt_lists`]; a refused
+    /// bulletin leaves the adopted lists in force. Returns the held URL
     /// version.
     ///
     /// # Errors
@@ -89,7 +80,6 @@ impl UserAgent {
         self.user
             .adopt_lists(&b.crl, &b.url, wall_ms())
             .map_err(NetError::Protocol)?;
-        self.last_epoch = self.last_epoch.max(b.epoch);
         Ok(self.user.list_versions().1)
     }
 

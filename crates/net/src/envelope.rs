@@ -8,9 +8,8 @@
 
 use peace_ledger::{RangeData, WriterDigest};
 use peace_protocol::audit::LoggedSession;
-use peace_protocol::{
-    AccessConfirm, AccessRequest, Beacon, SignedCrl, SignedUrl, SignedUrlDelta, UrlRestamp,
-};
+use peace_protocol::{AccessConfirm, AccessRequest, Beacon, SignedCrl, SignedUrl, UrlRestamp};
+use peace_revoke::UrlDelta;
 use peace_wire::{Decode, Encode, Reader, WireError, Writer};
 
 use crate::error::{NetError, Result};
@@ -165,7 +164,7 @@ pub enum NodeMessage {
         /// The caller's current URL version.
         have_version: u64,
     },
-    /// The NO daemon's delta response: a signed diff, or `None` when no
+    /// The NO daemon's delta response: the diff, or `None` when no
     /// delta can chain from the requested point (wrong epoch or behind
     /// the retained diff log) — fall back to a full bulletin fetch.
     UrlDelta {
@@ -178,8 +177,8 @@ pub enum NodeMessage {
         /// materializes a fresh beacon-carried `SignedUrl` from its
         /// delta-synced token set plus this signature.
         restamp: UrlRestamp,
-        /// The signed diff (boxed: carries token lists).
-        delta: Option<Box<SignedUrlDelta>>,
+        /// The diff (boxed: carries token lists), attested by `restamp`.
+        delta: Option<Box<UrlDelta>>,
     },
 }
 
@@ -383,7 +382,7 @@ impl Decode for NodeMessage {
                 let restamp = UrlRestamp::decode(r)?;
                 let delta = match r.get_u8()? {
                     0 => None,
-                    1 => Some(Box::new(SignedUrlDelta::decode(r)?)),
+                    1 => Some(Box::new(UrlDelta::decode(r)?)),
                     _ => return Err(WireError::Invalid("envelope.delta flag")),
                 };
                 Ok(NodeMessage::UrlDelta {
@@ -473,27 +472,29 @@ mod tests {
         let key = peace_ecdsa::SigningKey::random(&mut rng);
         let crl = SignedCrl::issue(&key, 3, 1_200, vec![9, 11]);
         let tok = peace_groupsig::RevocationToken(peace_curve::G1::random(&mut rng));
-        let restamp = UrlRestamp::issue(&key, 43, 1_200, std::slice::from_ref(&tok));
+        let gpk = peace_groupsig::IssuerKey::generate(&mut rng);
+        let restamp = UrlRestamp::issue(
+            &key,
+            gpk.public_key(),
+            43,
+            1_200,
+            std::slice::from_ref(&tok),
+        );
         roundtrip(&NodeMessage::UrlDelta {
             crl: Box::new(crl.clone()),
             restamp: restamp.clone(),
             delta: None,
         });
-        let signed = SignedUrlDelta::issue(
-            &key,
-            peace_revoke::UrlDelta {
+        roundtrip(&NodeMessage::UrlDelta {
+            crl: Box::new(crl),
+            restamp,
+            delta: Some(Box::new(UrlDelta {
                 epoch: 2,
                 from_version: 41,
                 to_version: 43,
                 added: vec![tok],
                 removed: vec![],
-            },
-            1_234,
-        );
-        roundtrip(&NodeMessage::UrlDelta {
-            crl: Box::new(crl),
-            restamp,
-            delta: Some(Box::new(signed)),
+            })),
         });
     }
 
@@ -561,12 +562,12 @@ mod tests {
                 have_version: 0,
             },
             {
-                let key = peace_ecdsa::SigningKey::random(
-                    &mut <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(7),
-                );
+                let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(7);
+                let key = peace_ecdsa::SigningKey::random(&mut rng);
+                let gpk = peace_groupsig::IssuerKey::generate(&mut rng);
                 NodeMessage::UrlDelta {
                     crl: Box::new(SignedCrl::issue(&key, 0, 0, vec![])),
-                    restamp: UrlRestamp::issue(&key, 0, 0, &[]),
+                    restamp: UrlRestamp::issue(&key, gpk.public_key(), 0, 0, &[]),
                     delta: None,
                 }
             },

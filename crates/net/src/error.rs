@@ -157,6 +157,15 @@ impl From<WireError> for NetError {
     }
 }
 
+impl From<peace_ledger::LedgerError> for NetError {
+    fn from(e: peace_ledger::LedgerError) -> Self {
+        NetError::Ledger {
+            code: e.code(),
+            detail: e.to_string(),
+        }
+    }
+}
+
 impl From<ProtocolError> for NetError {
     fn from(e: ProtocolError) -> Self {
         NetError::Protocol(e)

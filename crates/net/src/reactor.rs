@@ -802,7 +802,9 @@ mod tests {
         .unwrap();
         let mut router = w.routers.remove(0);
         let mut user = w.users.remove(0);
-        router.update_lists(w.no.publish_crl(wall_ms()), w.no.publish_url(wall_ms()));
+        router
+            .update_lists(w.no.publish_crl(wall_ms()), w.no.publish_url(wall_ms()))
+            .expect("lists admitted");
         let router = Arc::new(Mutex::new(router));
         let panic_at = Arc::new(AtomicU8::new(0));
         let shared = RouterShared {

@@ -504,20 +504,20 @@ impl NoSm {
                 epoch,
                 have_version,
             } => {
-                // O(churn) fast lane: a signed diff when one chains from
-                // the caller's (epoch, version), else None → full bulletin.
+                // O(churn) fast lane: a diff when one chains from the
+                // caller's (epoch, version), else None → full bulletin.
                 // A freshly-signed CRL and a detached URL re-stamp ride
-                // along either way: the CRL is router-scale (small) and
-                // the re-stamp is O(1), and the caller's beacons need
-                // both lists younger than list_max_age between full
-                // fetches.
+                // along either way: the CRL is router-scale (small), the
+                // re-stamp is O(1) and attests the list the diff leads
+                // to, and the caller's beacons need both lists younger
+                // than list_max_age between full fetches.
                 let now = wall_ms();
                 let (crl, restamp, delta) = {
                     let op = lock_recover(&self.shared.no);
                     (
                         op.publish_crl(now),
                         op.restamp_url(now),
-                        op.publish_url_delta(epoch, have_version, now),
+                        op.publish_url_delta(epoch, have_version),
                     )
                 };
                 if delta.is_some() {

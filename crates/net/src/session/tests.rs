@@ -37,7 +37,9 @@ fn fixture(seed: u64) -> Fixture {
         url: w.no.publish_url(T0),
     };
     let mut router = w.routers.remove(0);
-    router.update_lists(bulletin.crl.clone(), bulletin.url.clone());
+    router
+        .update_lists(bulletin.crl.clone(), bulletin.url.clone())
+        .expect("lists admitted");
     Fixture {
         router,
         users: w.users,
@@ -263,7 +265,9 @@ fn blocking_driver_records_the_same_legs_and_counts() {
     .unwrap();
     let mut router = w.routers.remove(0);
     let now = wall_ms();
-    router.update_lists(w.no.publish_crl(now), w.no.publish_url(now));
+    router
+        .update_lists(w.no.publish_crl(now), w.no.publish_url(now))
+        .expect("lists admitted");
     let daemon = RouterDaemon::spawn(router, 3, "127.0.0.1:0", cfg).unwrap();
     let mut agent = UserAgent::new(w.users.remove(0), 5, cfg);
 

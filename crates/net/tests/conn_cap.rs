@@ -43,7 +43,9 @@ fn conn_cap_rejection_is_transient_and_counted() {
     let cfg = test_cfg();
     let mut router = w.routers.into_iter().next().unwrap();
     let now = peace_net::clock::wall_ms();
-    router.update_lists(w.no.publish_crl(now), w.no.publish_url(now));
+    router
+        .update_lists(w.no.publish_crl(now), w.no.publish_url(now))
+        .expect("lists admitted");
     let daemon = RouterDaemon::spawn(router, 1, "127.0.0.1:0", cfg).unwrap();
     let addr = daemon.addr();
 
@@ -155,7 +157,9 @@ fn reject_storm_is_bounded() {
     let cfg = test_cfg();
     let mut router = w.routers.into_iter().next().unwrap();
     let now = peace_net::clock::wall_ms();
-    router.update_lists(w.no.publish_crl(now), w.no.publish_url(now));
+    router
+        .update_lists(w.no.publish_crl(now), w.no.publish_url(now))
+        .expect("lists admitted");
     let daemon = RouterDaemon::spawn(router, 1, "127.0.0.1:0", cfg).unwrap();
     let mut holder = UserAgent::new(w.users.into_iter().next().unwrap(), 13, cfg);
     let sess = holder.connect(daemon.addr()).expect("the one slot");

@@ -120,7 +120,9 @@ fn over_cap_rejected_with_busy_by_the_loop() {
     cfg.max_connections = 1;
     let mut router = w.routers.into_iter().next().unwrap();
     let now = peace_net::clock::wall_ms();
-    router.update_lists(w.no.publish_crl(now), w.no.publish_url(now));
+    router
+        .update_lists(w.no.publish_crl(now), w.no.publish_url(now))
+        .expect("lists admitted");
     let daemon = RouterDaemon::spawn(router, 1, "127.0.0.1:0", cfg).unwrap();
     let addr = daemon.addr();
 
@@ -168,7 +170,9 @@ fn malformed_frame_gets_reject_and_connection_survives() {
     let cfg = event_cfg(1);
     let mut router = w.routers.into_iter().next().unwrap();
     let now = peace_net::clock::wall_ms();
-    router.update_lists(w.no.publish_crl(now), w.no.publish_url(now));
+    router
+        .update_lists(w.no.publish_crl(now), w.no.publish_url(now))
+        .expect("lists admitted");
     let daemon = RouterDaemon::spawn(router, 1, "127.0.0.1:0", cfg).unwrap();
 
     let mut stream = TcpStream::connect(daemon.addr()).unwrap();
@@ -212,7 +216,9 @@ fn a_peer_that_never_reads_is_dropped_at_the_queue_bound() {
     cfg.conn.max_queue_bytes = 2048; // a beacon or two
     let mut router = w.routers.into_iter().next().unwrap();
     let now = peace_net::clock::wall_ms();
-    router.update_lists(w.no.publish_crl(now), w.no.publish_url(now));
+    router
+        .update_lists(w.no.publish_crl(now), w.no.publish_url(now))
+        .expect("lists admitted");
     let daemon = RouterDaemon::spawn(router, 1, "127.0.0.1:0", cfg).unwrap();
 
     // Sixty-four beacon requests per write, so a single read hands the
@@ -375,7 +381,9 @@ fn a_quiet_session_is_answered_promptly() {
     let cfg = event_cfg(1);
     let mut router = w.routers.into_iter().next().unwrap();
     let now = peace_net::clock::wall_ms();
-    router.update_lists(w.no.publish_crl(now), w.no.publish_url(now));
+    router
+        .update_lists(w.no.publish_crl(now), w.no.publish_url(now))
+        .expect("lists admitted");
     let daemon = RouterDaemon::spawn(router, 1, "127.0.0.1:0", cfg).unwrap();
 
     let mut agent = UserAgent::new(w.users.into_iter().next().unwrap(), 41, cfg);
@@ -422,7 +430,9 @@ fn a_sweep_holds_the_router_for_a_fraction_of_its_own_time() {
     let cfg = event_cfg(2);
     let mut router = w.routers.remove(0);
     let now = peace_net::clock::wall_ms();
-    router.update_lists(w.no.publish_crl(now), w.no.publish_url(now));
+    router
+        .update_lists(w.no.publish_crl(now), w.no.publish_url(now))
+        .expect("lists admitted");
     assert_eq!(router.revocation().url_len(), URL);
     let daemon = RouterDaemon::spawn(router, 1, "127.0.0.1:0", cfg).unwrap();
     let addr = daemon.addr();
@@ -488,7 +498,9 @@ fn peer_hangup_mid_verify_frees_the_slot() {
     let cfg = event_cfg(1);
     let mut router = w.routers.remove(0);
     let now = peace_net::clock::wall_ms();
-    router.update_lists(w.no.publish_crl(now), w.no.publish_url(now));
+    router
+        .update_lists(w.no.publish_crl(now), w.no.publish_url(now))
+        .expect("lists admitted");
     let daemon = RouterDaemon::spawn(router, 1, "127.0.0.1:0", cfg).unwrap();
 
     let mut stream = TcpStream::connect(daemon.addr()).unwrap();

@@ -36,7 +36,9 @@ fn spawn_router(seed: u64) -> (RouterDaemon, UserAgent) {
     .unwrap();
     let mut router = w.routers.into_iter().next().unwrap();
     let now = wall_ms();
-    router.update_lists(w.no.publish_crl(now), w.no.publish_url(now));
+    router
+        .update_lists(w.no.publish_crl(now), w.no.publish_url(now))
+        .expect("lists admitted");
     let daemon = RouterDaemon::spawn(router, seed ^ 0xDAE, "127.0.0.1:0", fast_cfg()).unwrap();
     let agent = UserAgent::new(
         w.users.into_iter().next().unwrap(),
@@ -146,7 +148,7 @@ fn url_delta_sync_converges_through_lossy_channel() {
     let daemon =
         RouterDaemon::spawn(delta_router, 0x0DE17A ^ 0xDAE, "127.0.0.1:0", fast_cfg()).unwrap();
     // Drop/duplicate/reorder only: corruption is covered by the handshake
-    // test above, and a flipped bit inside a signed delta is *supposed* to
+    // test above, and a flipped bit inside a delta or its re-stamp is *supposed* to
     // surface as a hard signature error, not converge.
     let mut proxy = FaultProxy::spawn(
         no_daemon.addr(),
@@ -180,7 +182,7 @@ fn url_delta_sync_converges_through_lossy_channel() {
         // Full-fetch control path, straight from the operator.
         let now = wall_ms();
         let (crl, url) = no_daemon.with_operator(|op| (op.publish_crl(now), op.publish_url(now)));
-        control.update_lists(crl, url);
+        control.update_lists(crl, url).expect("lists admitted");
     }
 
     assert_eq!(
@@ -190,7 +192,7 @@ fn url_delta_sync_converges_through_lossy_channel() {
     );
     // The channel really was hostile, the delta fast lane really ran (any
     // fallback to a full fetch still converges — that is the point — but at
-    // least one signed diff must have chained), and nothing panicked.
+    // least one diff must have chained), and nothing panicked.
     assert!(proxy.stats().total_faults() > 0, "plan must have fired");
     assert!(
         daemon.telemetry().counters["net.url_deltas_out"] >= 1,

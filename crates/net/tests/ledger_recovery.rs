@@ -156,7 +156,7 @@ fn kill_recover_verify_and_batch_audit() {
     .unwrap();
     assert!(report.tail_flaw.is_none());
     let no_daemon = NoDaemon::spawn(w.no, "127.0.0.1:0", cfg).unwrap();
-    no_daemon.attach_ledger(ledger);
+    no_daemon.attach_ledger(ledger).expect("ledger replayed");
     let no_addr = no_daemon.addr();
 
     let mut router_daemons = Vec::new();
@@ -198,7 +198,9 @@ fn kill_recover_verify_and_batch_audit() {
     // Runtime revocation + an epoch rollover also land in the ledger, and
     // the rollover forces the later batch audit through `gpk_history`.
     assert!(no_daemon.revoke_user(&w.tokens[3]), "b-1 revoked");
-    let epoch = no_daemon.rotate_epoch(&mut w.rng);
+    let epoch = no_daemon
+        .rotate_epoch(&mut w.rng)
+        .expect("rollover recorded");
     assert_eq!(epoch, 1);
     let ck = no_daemon
         .checkpoint_now()
@@ -237,10 +239,15 @@ fn kill_recover_verify_and_batch_audit() {
     assert_eq!(ledger.len(), 7, "every completed record survived");
 
     let no_daemon = NoDaemon::spawn(operator, "127.0.0.1:0", cfg).unwrap();
-    no_daemon.attach_ledger(ledger);
+    no_daemon.attach_ledger(ledger).expect("ledger replayed");
     let no_addr = no_daemon.addr();
     let router0 = RouterDaemon::spawn(routers_back.remove(0), 0xF00D, "127.0.0.1:0", cfg).unwrap();
-    router0.refresh_lists(no_addr).expect("post-recovery sync");
+    // The rotated operator serves lists for the new key, which a router
+    // still on the old one refuses: it keeps its lists and serves on.
+    assert_eq!(
+        router0.refresh_lists(no_addr).unwrap_err().code(),
+        "bad_url_signature"
+    );
     let mut sess = agents[0].connect(router0.addr()).expect("a-0 reconnects");
     assert_eq!(sess.echo(b"back online").unwrap(), b"back online");
     sess.close();
@@ -346,7 +353,7 @@ fn an_attached_ledger_is_the_one_session_store() {
 
     let (ledger, _) = Ledger::open(tmpdir("ledger-one-store"), LedgerConfig::default()).unwrap();
     let no = NoDaemon::spawn(w.no, "127.0.0.1:0", test_cfg()).unwrap();
-    no.attach_ledger(ledger);
+    no.attach_ledger(ledger).expect("ledger replayed");
     let daemon = RouterDaemon::spawn(router, 0x5E55, "127.0.0.1:0", test_cfg()).unwrap();
     assert_eq!(
         daemon.report_sessions(&mut one_no(no.addr())).unwrap() as usize,
@@ -403,7 +410,7 @@ fn a_report_the_ledger_cannot_persist_is_refused_and_kept() {
     let (broken, _) = Ledger::open(&broken_dir, tiny).unwrap();
     fs::remove_dir_all(&broken_dir).unwrap();
     let no = NoDaemon::spawn(w.no, "127.0.0.1:0", test_cfg()).unwrap();
-    no.attach_ledger(broken);
+    no.attach_ledger(broken).expect("ledger replayed");
     let daemon = RouterDaemon::spawn(router, 0xFA11, "127.0.0.1:0", test_cfg()).unwrap();
     let mut nos = one_no(no.addr());
 
@@ -423,7 +430,7 @@ fn a_report_the_ledger_cannot_persist_is_refused_and_kept() {
 
     drop(no.detach_ledger());
     let (good, _) = Ledger::open(tmpdir("ledger-persists-retry"), LedgerConfig::default()).unwrap();
-    no.attach_ledger(good);
+    no.attach_ledger(good).expect("ledger replayed");
     assert_eq!(daemon.report_sessions(&mut nos).unwrap() as usize, batch);
     assert_eq!(daemon.with_router(|r| r.pending_log_len()), 0);
     let mut kept = daemon.shutdown().unwrap();
@@ -444,6 +451,46 @@ fn a_report_the_ledger_cannot_persist_is_refused_and_kept() {
             .count();
         assert_eq!(copies, 1);
     }
+    drop(no.detach_ledger());
+    no.shutdown().unwrap();
+}
+
+/// A revocation is durable or it did not happen: the operator's lists
+/// change only once the ledger holds the record. With the ledger directory
+/// gone (so the next segment rotation fails), a user or router revocation
+/// and a key rollover are refused with the ledger's error code, and the
+/// URL, the CRL and the epoch stay as they were.
+#[test]
+fn a_revocation_the_ledger_cannot_persist_changes_nothing() {
+    let mut w = build_two_groups(0xD0_4AB1E);
+    let dir = tmpdir("ledger-cannot-persist-revocation");
+    let tiny = LedgerConfig {
+        segment_max_bytes: 128,
+        ..LedgerConfig::default()
+    };
+    let (ledger, _) = Ledger::open(&dir, tiny).unwrap();
+    let no = NoDaemon::spawn(w.no, "127.0.0.1:0", test_cfg()).unwrap();
+    no.attach_ledger(ledger).expect("ledger replayed");
+    // The first record fills the live segment; the next needs a new one.
+    assert!(no.revoke_user(&w.tokens[0]));
+    fs::remove_dir_all(&dir).unwrap();
+
+    let lists = || no.with_operator(|op| (op.url_version(), op.crl_version(), op.epoch()));
+    let before = lists();
+    assert!(!no.revoke_user(&w.tokens[1]), "not recorded, not revoked");
+    match no.revoke_router(7) {
+        Err(NetError::Ledger { code, .. }) => assert_eq!(code, "io"),
+        other => panic!("an unpersisted revocation must be refused, got {other:?}"),
+    }
+    assert_eq!(no.rotate_epoch(&mut w.rng).unwrap_err().code(), "io");
+    assert_eq!(lists(), before);
+    assert_eq!(no.with_operator(|op| op.revoked_member_count()), 1);
+    let telemetry = no.telemetry();
+    assert_eq!(telemetry.counters["net.ledger_errors"], 3);
+    assert!(telemetry
+        .events
+        .iter()
+        .any(|e| e.code == "ledger_error" && e.detail == "io"));
     drop(no.detach_ledger());
     no.shutdown().unwrap();
 }

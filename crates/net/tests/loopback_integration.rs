@@ -203,7 +203,9 @@ fn sequential_connections_inside_one_window_share_one_beacon() {
     let cfg = test_cfg();
     let mut router = w.routers.into_iter().next().unwrap();
     let now = peace_net::clock::wall_ms();
-    router.update_lists(w.no.publish_crl(now), w.no.publish_url(now));
+    router
+        .update_lists(w.no.publish_crl(now), w.no.publish_url(now))
+        .expect("lists admitted");
     let daemon = RouterDaemon::spawn(router, 11, "127.0.0.1:0", cfg).unwrap();
     let addr = daemon.addr();
 
@@ -258,7 +260,9 @@ fn connection_limit_and_oversize_frames_policed() {
     let mut router = w.routers.into_iter().next().unwrap();
     // No NO daemon in this test: install wall-clock-fresh lists directly.
     let now = peace_net::clock::wall_ms();
-    router.update_lists(w.no.publish_crl(now), w.no.publish_url(now));
+    router
+        .update_lists(w.no.publish_crl(now), w.no.publish_url(now))
+        .expect("lists admitted");
     let daemon = RouterDaemon::spawn(router, 1, "127.0.0.1:0", cfg).unwrap();
     let addr = daemon.addr();
 

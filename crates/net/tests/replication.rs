@@ -65,7 +65,9 @@ fn spawn_replica(idx: usize, dir: &Path, resolve: PeerKeyResolver) -> (NoDaemon,
     let (replica, recovery) =
         ReplicatedLedger::open(dir, &id, ledger_cfg(), &|s| resolve(s)).unwrap();
     let daemon = NoDaemon::spawn(no, "127.0.0.1:0", test_cfg()).unwrap();
-    daemon.attach_replica(replica, resolve);
+    daemon
+        .attach_replica(replica, resolve)
+        .expect("replica replayed");
     (daemon, recovery)
 }
 

@@ -158,7 +158,7 @@ fn a_full_outbox_is_reported_in_one_exchange() {
     let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("outbox-full-report");
     let _ = std::fs::remove_dir_all(&dir);
     let (ledger, _) = Ledger::open(&dir, LedgerConfig::default()).unwrap();
-    no.attach_ledger(ledger);
+    no.attach_ledger(ledger).expect("ledger replayed");
 
     // One exchange: the report frame out, one ack frame back.
     let frames = |d: &RouterDaemon| d.telemetry().counters["net.frames_in"];

@@ -62,7 +62,9 @@ fn event_loop_router_refuses_a_bad_commitment_at_the_sigma_check() {
     let mut alice = w.users.remove(0);
     let mut router = w.routers.remove(0);
     let now = peace_net::clock::wall_ms();
-    router.update_lists(w.no.publish_crl(now), w.no.publish_url(now));
+    router
+        .update_lists(w.no.publish_crl(now), w.no.publish_url(now))
+        .expect("lists admitted");
     let daemon = RouterDaemon::spawn(router, 1, "127.0.0.1:0", cfg()).unwrap();
 
     let mut stream = TcpStream::connect(daemon.addr()).unwrap();

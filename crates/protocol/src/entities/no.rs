@@ -9,14 +9,14 @@ use peace_ecdsa::{Certificate, SigningKey, VerifyingKey};
 use peace_groupsig::{
     open, GroupPublicKey, GroupSecret, IssuerKey, MemberKey, PreparedGpk, RevocationToken,
 };
-use peace_revoke::{DeltaPlan, EpochUrlStore};
+use peace_revoke::{DeltaPlan, EpochUrlStore, UrlDelta};
 use rand::RngCore;
 
 use crate::audit::{AuditFinding, LoggedSession, NetworkLog};
 use crate::config::ProtocolConfig;
 use crate::error::{ProtocolError, Result};
 use crate::ids::{GroupId, RouterId, SessionId, ShareIndex};
-use crate::revocation::{SignedCrl, SignedUrl, SignedUrlDelta};
+use crate::revocation::{SignedCrl, SignedUrl, UrlRestamp};
 use crate::setup::{blind_a, GmBundle, GmShare, TtpBundle, TtpShare};
 
 use super::router::MeshRouter;
@@ -209,10 +209,11 @@ impl NetworkOperator {
         )
     }
 
-    /// Publishes the current signed URL.
+    /// Publishes the current signed URL, for holders of the current gpk.
     pub fn publish_url(&self, now: u64) -> SignedUrl {
         SignedUrl::issue(
             &self.signing,
+            self.gpk(),
             self.url.version(),
             now,
             self.url.tokens().to_vec(),
@@ -224,40 +225,32 @@ impl NetworkOperator {
     /// which a delta-synced consumer materializes a fresh
     /// [`SignedUrl`](crate::revocation::SignedUrl) without the token
     /// list crossing the wire.
-    pub fn restamp_url(&self, now: u64) -> crate::revocation::UrlRestamp {
-        crate::revocation::UrlRestamp::issue(
+    pub fn restamp_url(&self, now: u64) -> UrlRestamp {
+        UrlRestamp::issue(
             &self.signing,
+            self.gpk(),
             self.url.version(),
             now,
             self.url.tokens(),
         )
     }
 
-    /// Publishes a signed delta bringing a consumer at
-    /// `(epoch, have_version)` up to the current URL, containing only the
-    /// churn since then. Returns `None` when no delta can chain (wrong
-    /// epoch or the consumer is behind the retained diff log) — the caller
-    /// must fall back to [`Self::publish_url`]. A consumer that is already
-    /// current receives an empty delta (applies as a no-op), so the reply
-    /// is still operator-authenticated.
-    pub fn publish_url_delta(
-        &self,
-        epoch: u64,
-        have_version: u64,
-        now: u64,
-    ) -> Option<SignedUrlDelta> {
-        let delta = match self.url.delta_since(epoch, have_version) {
-            DeltaPlan::Delta(d) => d,
-            DeltaPlan::UpToDate => peace_revoke::UrlDelta {
+    /// The churn since `(epoch, have_version)` (empty for a consumer already
+    /// current), or `None` when no delta can chain (wrong epoch, or behind
+    /// the retained diff log): then the consumer needs [`Self::publish_url`].
+    /// Unsigned: [`Self::restamp_url`] attests the list it leads to.
+    pub fn publish_url_delta(&self, epoch: u64, have_version: u64) -> Option<UrlDelta> {
+        match self.url.delta_since(epoch, have_version) {
+            DeltaPlan::Delta(d) => Some(d),
+            DeltaPlan::UpToDate => Some(UrlDelta {
                 epoch: self.url.epoch(),
                 from_version: self.url.version(),
                 to_version: self.url.version(),
                 added: Vec::new(),
                 removed: Vec::new(),
-            },
-            DeltaPlan::NeedFull => return None,
-        };
-        Some(SignedUrlDelta::issue(&self.signing, delta, now))
+            }),
+            DeltaPlan::NeedFull => None,
+        }
     }
 
     /// Revokes a member key by its revocation token (dynamic user
@@ -270,10 +263,16 @@ impl NetworkOperator {
         true
     }
 
-    /// Lifts a member revocation (e.g. a resolved dispute), removing the
-    /// token from the URL. Returns `false` if it was not listed.
-    pub fn reinstate_member(&mut self, token: &RevocationToken) -> bool {
-        self.url.record_remove(token)
+    /// The URL version [`Self::revoke_member`] leads to (`None` for a
+    /// token outside `grt`).
+    pub fn url_version_after(&self, token: &RevocationToken) -> Option<u64> {
+        let known = self.grt.contains_key(&token.to_bytes());
+        known.then(|| self.url.version() + u64::from(!self.url.contains(token)))
+    }
+
+    /// The CRL version [`Self::revoke_router`] leads to.
+    pub fn crl_version_after(&self, serial: u64) -> u64 {
+        self.crl_version + u64::from(!self.crl_serials.contains(&serial))
     }
 
     /// Revokes a router certificate by serial.

@@ -7,9 +7,11 @@ use std::sync::Arc;
 use peace_curve::{G1Encoded, G1Wire, G2Preimage, G1, G2};
 use peace_ecdsa::{Certificate, SigningKey, VerifyingKey};
 use peace_field::Fq;
-use peace_groupsig::{BasesMode, PreparedGpk, VerifyError};
+use peace_groupsig::{BasesMode, GroupPublicKey, PreparedGpk, VerifyError};
 use peace_puzzle::Puzzle;
-use peace_revoke::{DeltaOutcome, EngineConfig, ListChanged, RevocationCheck, RevocationEngine};
+use peace_revoke::{
+    EngineConfig, EpochUrlStore, ListChanged, RevocationCheck, RevocationEngine, UrlDelta,
+};
 use peace_symmetric::seal_oneshot;
 use peace_wire::Writer;
 use rand::RngCore;
@@ -23,7 +25,7 @@ use crate::error::{ProtocolError, Result};
 use crate::ids::{RouterId, SessionId};
 use crate::messages::{AccessConfirm, AccessRequest, Beacon};
 use crate::pending::PendingTable;
-use crate::revocation::{SignedCrl, SignedUrl, SignedUrlDelta, UrlSection};
+use crate::revocation::{admit, SignedCrl, SignedUrl, UrlRestamp, UrlSection};
 use crate::session::{Role, Session};
 
 /// Per-beacon DH state retained until the beacon expires (the expiry clock
@@ -219,11 +221,6 @@ impl MeshRouter {
         &self.signing
     }
 
-    /// The protocol configuration this router runs under.
-    pub fn config(&self) -> &ProtocolConfig {
-        &self.config
-    }
-
     /// Forces DoS-defense mode on or off, overriding automatic detection.
     pub fn set_under_attack(&mut self, on: bool) {
         self.manual_attack_mode = Some(on);
@@ -262,90 +259,71 @@ impl MeshRouter {
         }
     }
 
-    /// Installs fresh revocation lists pushed by NO over the pre-established
+    /// Installs revocation lists pushed by NO over the pre-established
     /// secure channel (a full resync — the enforcement engine adopts the
-    /// list and its sweep cache invalidates on any version change).
-    pub fn update_lists(&mut self, crl: SignedCrl, url: SignedUrl) {
-        self.crl = crl;
+    /// list and its sweep cache invalidates on any version change), if
+    /// both pass [`admit`] against the lists in force.
+    ///
+    /// # Errors
+    ///
+    /// [`admit`]'s refusal of the CRL, else of the URL; nothing changes.
+    pub fn update_lists(&mut self, crl: SignedCrl, url: SignedUrl) -> Result<()> {
+        let section = UrlSection::from(&url);
+        self.admit_lists(&crl, &section, self.prepared_gpk.gpk())?;
         self.revocation
             .install_full(self.revocation.epoch(), url.version, &url.tokens);
-        self.set_url(url);
-    }
-
-    /// Installs the URL beacons carry. Like every list change (see
-    /// [`Self::update_crl`]), it ends the held beacon, so the next poll
-    /// carries the new list.
-    fn set_url(&mut self, url: SignedUrl) {
-        self.url_section = UrlSection::from(&url);
-        self.url = url;
-        self.held_beacon = None;
-    }
-
-    /// Installs a freshly-signed CRL alone, validating signature and
-    /// freshness. The delta refresh path uses this: URL churn travels as
-    /// an O(churn) diff, but beacons must still carry a CRL younger than
-    /// `list_max_age` or every client rejects them as stale — and the
-    /// CRL (revoked *routers*) is small enough to re-ship whole.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::BadCrlSignature`] / [`ProtocolError::StaleCrl`]
-    /// from validation; version regressions are refused the same way the
-    /// full bulletin path refuses them (the stored CRL is unchanged).
-    pub fn update_crl(&mut self, crl: SignedCrl, now: u64) -> Result<()> {
-        crl.validate(&self.npk, now, self.config.list_max_age)?;
-        if crl.version < self.crl.version {
-            return Err(ProtocolError::StaleCrl);
-        }
-        self.crl = crl;
-        self.held_beacon = None;
+        self.set_lists(crl, url, section);
         Ok(())
     }
 
-    /// Adopts a detached URL freshness re-stamp: materializes a fresh
-    /// [`SignedUrl`] from the engine's current token set plus the
-    /// operator's O(1)-size canonical-order signature, and installs it
-    /// as the list beacons carry. This is the delta refresh path's
-    /// answer to beacon URL freshness — the full list never re-crosses
-    /// the wire.
+    /// The delta refresh: chains `delta` (O(churn) tokens on the wire) onto
+    /// the enforced list and installs `crl` and the URL `restamp` attests
+    /// over the result, so beacons stay fresh without the full list
+    /// crossing the wire. Nothing changes unless the CRL passes [`admit`],
+    /// the delta chains, the re-stamp names the version it reaches, and
+    /// that URL passes [`admit`].
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::UrlDeltaChain`] when the re-stamp attests a
-    /// version other than the engine's (caller should resync);
-    /// [`ProtocolError::BadUrlSignature`] when the signature does not
-    /// cover the engine's set; [`ProtocolError::StaleUrl`] on expiry.
-    /// The stored URL is unchanged on any error.
-    pub fn adopt_url_restamp(
+    /// [`admit`]'s refusal, or [`ProtocolError::UrlDeltaChain`] when the
+    /// delta does not chain or the re-stamp names another version (the
+    /// caller falls back to [`Self::update_lists`]).
+    pub fn update_lists_by_delta(
         &mut self,
-        restamp: &crate::revocation::UrlRestamp,
-        now: u64,
+        crl: SignedCrl,
+        delta: &UrlDelta,
+        restamp: &UrlRestamp,
     ) -> Result<()> {
-        if restamp.version != self.revocation.url_version() {
+        let gpk = self.prepared_gpk.gpk();
+        admit(&crl, self.crl.version, &self.npk, gpk)?;
+        let (epoch, version) = (self.revocation.epoch(), self.revocation.url_version());
+        let mut next = EpochUrlStore::new(epoch);
+        next.install_full(epoch, version, self.revocation.tokens());
+        if next.apply_delta(delta).is_err() || restamp.version != next.version() {
             return Err(ProtocolError::UrlDeltaChain);
         }
-        let url = restamp.into_signed_url(self.revocation.tokens());
-        UrlSection::from(&url).validate(&self.npk, now, self.config.list_max_age)?;
-        self.set_url(url);
+        let url = restamp.into_signed_url(next.tokens());
+        let section = UrlSection::from(&url);
+        admit(&section, self.url.version, &self.npk, gpk)?;
+        self.revocation
+            .apply_delta(delta)
+            .map_err(|_| ProtocolError::UrlDeltaChain)?;
+        self.set_lists(crl, url, section);
         Ok(())
     }
 
-    /// Applies an operator-signed delta-compressed URL diff — the
-    /// O(churn) fast lane between full list refreshes. Validates the
-    /// operator signature and freshness, then chains the diff onto the
-    /// engine's list (a version advance invalidates the sweep cache).
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::BadUrlSignature`] / [`ProtocolError::StaleUrl`]
-    /// from validation, or [`ProtocolError::UrlDeltaChain`] when the diff
-    /// does not chain onto the local state — the caller falls back to a
-    /// full fetch ([`Self::update_lists`]); the engine is unchanged.
-    pub fn apply_url_delta(&mut self, signed: &SignedUrlDelta, now: u64) -> Result<DeltaOutcome> {
-        signed.validate(&self.npk, now, self.config.list_max_age)?;
-        self.revocation
-            .apply_delta(&signed.delta)
-            .map_err(|_| ProtocolError::UrlDeltaChain)
+    /// [`admit`] for both lists against those in force, under `gpk`.
+    fn admit_lists(&self, crl: &SignedCrl, url: &UrlSection, gpk: &GroupPublicKey) -> Result<()> {
+        admit(crl, self.crl.version, &self.npk, gpk)?;
+        admit(url, self.url.version, &self.npk, gpk)
+    }
+
+    /// Puts the lists in force; the held beacon ends, so the next poll carries them.
+    fn set_lists(&mut self, crl: SignedCrl, url: SignedUrl, section: UrlSection) {
+        self.crl = crl;
+        self.url = url;
+        self.url_section = section;
+        self.held_beacon = None;
     }
 
     /// The staged revocation engine (observability: URL version, cache
@@ -355,28 +333,36 @@ impl MeshRouter {
     }
 
     /// Installs a new-epoch group public key (after
-    /// [`NetworkOperator::rotate_system_key`](super::NetworkOperator::rotate_system_key)):
-    /// the operator's [`prepared_gpk`](super::NetworkOperator::prepared_gpk)
+    /// [`NetworkOperator::rotate_system_key`](super::NetworkOperator::rotate_system_key))
+    /// with the new epoch's lists, if they pass [`admit`] under it: the
+    /// operator's [`prepared_gpk`](super::NetworkOperator::prepared_gpk)
     /// handle, or the bare key, which is then prepared here.
     /// All pending beacon DH state is dropped: in-flight handshakes from
     /// the old epoch cannot complete against the new key.
+    ///
+    /// # Errors
+    ///
+    /// [`admit`]'s refusal; nothing changes.
     pub fn install_epoch(
         &mut self,
         gpk: impl Into<Arc<PreparedGpk>>,
         crl: SignedCrl,
         url: SignedUrl,
-    ) {
-        self.prepared_gpk = gpk.into();
-        self.crl = crl;
+    ) -> Result<()> {
+        let prepared = gpk.into();
+        let section = UrlSection::from(&url);
+        self.admit_lists(&crl, &section, prepared.gpk())?;
+        self.prepared_gpk = prepared;
         // New epoch partition: fixed bases, table, and cache all derive
         // from the gpk and reset with it.
         let epoch = self.revocation.epoch() + 1;
         self.revocation.install_gpk(self.prepared_gpk.gpk());
         self.revocation
             .install_full(epoch, url.version, &url.tokens);
-        self.set_url(url);
+        self.set_lists(crl, url, section);
         self.active_beacons.clear();
         self.recent_sessions.clear();
+        Ok(())
     }
 
     /// The URL currently broadcast by this router.
@@ -749,10 +735,5 @@ impl MeshRouter {
     /// The prepared gpk this router verifies under.
     pub fn prepared_gpk(&self) -> &Arc<PreparedGpk> {
         &self.prepared_gpk
-    }
-
-    /// Verification key of NO as known to this router.
-    pub fn npk(&self) -> &VerifyingKey {
-        &self.npk
     }
 }

@@ -20,7 +20,7 @@ use crate::messages::{
     point, AccessConfirm, AccessRequest, Beacon, PeerConfirm, PeerHello, PeerResponse,
 };
 use crate::pending::PendingTable;
-use crate::revocation::{SignedCrl, SignedUrl, UrlSection};
+use crate::revocation::{admit, SignedCrl, SignedUrl, UrlSection};
 use crate::session::{Role, Session};
 use crate::setup::{unblind_a, Receipt};
 
@@ -114,24 +114,23 @@ pub struct UserClient {
     credentials: Vec<Credential>,
     active_role: usize,
     /// Latest URL accepted from a beacon or bulletin (used for peer
-    /// revocation checks).
+    /// revocation checks): the floor [`admit`] holds offered URLs to.
     current_url: Option<HeldUrl>,
     /// URL tokens decoded from beacons, and beacons whose URL section
     /// listed the tokens already held (see [`Self::url_decode_counts`]).
     url_tokens_decoded: u64,
     url_sections_reused: u64,
-    /// The certificate and CRL of the last accepted beacon, signatures
-    /// included. NO's signature on a beacon's copy that equals one of them
-    /// was verified when it was accepted; only what time changes (expiry,
-    /// age, and whether the serial is listed) is checked again.
+    /// The certificate of the last accepted beacon and the last accepted
+    /// CRL (from a beacon or bulletin), signatures included. NO's signature
+    /// on a beacon's copy that equals one of them was verified when it was
+    /// accepted; only what time changes (expiry, age, and whether the
+    /// serial is listed) is checked again.
     held_cert: Option<Certificate>,
     held_crl: Option<SignedCrl>,
     /// The last accepted beacon, verified under `held_cert`: routers
     /// broadcast one beacon for half a timestamp window, so a repeat is
     /// common (every check that time can change still runs on it).
     held_beacon: Option<HeldBeacon>,
-    highest_crl_version: u64,
-    highest_url_version: u64,
     /// Half-open user↔router handshakes awaiting M.3, keyed by session id.
     pending_router: PendingTable<PendingSession>,
     /// Half-open peer handshakes we initiated (awaiting M̃.2): our exponent
@@ -181,8 +180,6 @@ impl UserClient {
             held_cert: None,
             held_crl: None,
             held_beacon: None,
-            highest_crl_version: 0,
-            highest_url_version: 0,
             pending_router: PendingTable::new(cap, ttl),
             pending_peer_init: PendingTable::new(cap, ttl),
             pending_peer_resp: PendingTable::new(cap, ttl),
@@ -301,44 +298,35 @@ impl UserClient {
         (self.url_tokens_decoded, self.url_sections_reused)
     }
 
-    /// The highest (CRL, URL) versions this client has accepted — the
-    /// floor below which [`Self::adopt_lists`] rejects regressions.
+    /// The (CRL, URL) versions this client holds — the floor below which
+    /// [`admit`] refuses a list — 0 for none.
     pub fn list_versions(&self) -> (u64, u64) {
-        (self.highest_crl_version, self.highest_url_version)
+        (
+            self.held_crl.as_ref().map_or(0, |crl| crl.version),
+            self.current_url.as_ref().map_or(0, |held| held.url.version),
+        )
     }
 
     /// Adopts revocation lists served outside a beacon (e.g. polled from
-    /// the NO bulletin), enforcing the same rules as beacon processing:
-    /// NO's signature, the `list_max_age` freshness bound, and version
-    /// monotonicity. A stale or version-regressing list is rejected and
-    /// the previously adopted lists stay in force — without this check a
+    /// the NO bulletin) under the rules beacon processing applies: each
+    /// list passes [`admit`] and is within `list_max_age` at `now`. A
+    /// refused list leaves the held lists in force — without this check a
     /// phishing mesh router (§V.A) could feed a client an old URL that
     /// omits freshly revoked members.
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::BadCrlSignature`] / [`ProtocolError::BadUrlSignature`]
-    /// / expiry errors from [`SignedCrl::validate`](crate::revocation::SignedCrl::validate)
-    /// and [`SignedUrl::validate`];
-    /// [`ProtocolError::StaleCrl`] / [`ProtocolError::StaleUrl`] on a
-    /// version regression.
-    pub fn adopt_lists(
-        &mut self,
-        crl: &crate::revocation::SignedCrl,
-        url: &SignedUrl,
-        now: u64,
-    ) -> Result<()> {
-        crl.validate(&self.npk, now, self.config.list_max_age)?;
-        if crl.version < self.highest_crl_version {
-            return Err(ProtocolError::StaleCrl);
-        }
+    /// [`admit`]'s refusal or [`ProtocolError::StaleCrl`] /
+    /// [`ProtocolError::StaleUrl`] on age, the CRL's first.
+    pub fn adopt_lists(&mut self, crl: &SignedCrl, url: &SignedUrl, now: u64) -> Result<()> {
+        let (max_age, gpk) = (self.config.list_max_age, self.prepared_gpk.gpk());
+        let (crl_version, url_version) = self.list_versions();
+        admit(crl, crl_version, &self.npk, gpk)?;
+        crl.check_fresh(now, max_age)?;
         let section = UrlSection::from(url);
-        section.validate(&self.npk, now, self.config.list_max_age)?;
-        if url.version < self.highest_url_version {
-            return Err(ProtocolError::StaleUrl);
-        }
-        self.highest_crl_version = crl.version;
-        self.highest_url_version = url.version;
+        admit(&section, url_version, &self.npk, gpk)?;
+        section.check_fresh(now, max_age)?;
+        self.held_crl = Some(crl.clone());
         self.current_url = Some(HeldUrl {
             url: url.clone(),
             section,
@@ -375,39 +363,29 @@ impl UserClient {
             beacon.cert.validate(&self.npk, now)
         }
         .map_err(|_| ProtocolError::CertificateInvalid)?;
-        // CRL: signed by NO, fresh, and not listing this cert
+        // CRL: admitted (a held one was), fresh, and not listing this cert
+        let (max_age, gpk) = (self.config.list_max_age, self.prepared_gpk.gpk());
+        let (crl_version, url_version) = self.list_versions();
         let crl_held = self.held_crl.as_ref() == Some(&beacon.crl);
-        if crl_held {
-            beacon.crl.check_fresh(now, self.config.list_max_age)?;
-        } else {
-            beacon
-                .crl
-                .validate(&self.npk, now, self.config.list_max_age)?;
+        if !crl_held {
+            admit(&beacon.crl, crl_version, &self.npk, gpk)?;
         }
-        if beacon.crl.version < self.highest_crl_version {
-            return Err(ProtocolError::StaleCrl);
-        }
+        beacon.crl.check_fresh(now, max_age)?;
         if beacon.crl.contains(beacon.cert.serial) {
             return Err(ProtocolError::CertificateRevoked);
         }
-        // URL: signed by NO and fresh. A section byte-identical to the one
-        // held (signature included) passed the signature check when it was
-        // adopted; only its age can have changed. One that lists the same
-        // token bytes under a new stamp (an operator restamp) needs its
-        // signature checked but none of its tokens decoded again.
+        // URL: admitted and fresh. A section byte-identical to the one
+        // held (signature included) was admitted when it was adopted; only
+        // its age can have changed. One that lists the same token bytes
+        // under a new stamp (an operator restamp) needs admitting but none
+        // of its tokens decoded again.
         let held = self.current_url.as_ref();
         let same_tokens = held.is_some_and(|held| held.section.same_tokens(&beacon.url));
         let url_held = held.is_some_and(|held| held.section == beacon.url);
-        if url_held {
-            beacon.url.check_fresh(now, self.config.list_max_age)?;
-        } else {
-            beacon
-                .url
-                .validate(&self.npk, now, self.config.list_max_age)?;
+        if !url_held {
+            admit(&beacon.url, url_version, &self.npk, gpk)?;
         }
-        if beacon.url.version < self.highest_url_version {
-            return Err(ProtocolError::StaleUrl);
-        }
+        beacon.url.check_fresh(now, max_age)?;
         // beacon signature and points: those of the held beacon if this one
         // is the same broadcast under the same certificate (see
         // `held_beacon`), else checked now.
@@ -456,8 +434,6 @@ impl UserClient {
                 points: (g, g_rr),
             });
         }
-        self.highest_crl_version = beacon.crl.version;
-        self.highest_url_version = beacon.url.version;
 
         // 2.2: build M.2
         let r_j = Fq::random_nonzero(rng);

@@ -31,16 +31,17 @@ pub enum ProtocolError {
     CertificateInvalid,
     /// The router certificate appears on the CRL.
     CertificateRevoked,
-    /// The CRL attached to a beacon is older than the acceptable age
-    /// (a revoked router replaying a stale CRL — the phishing window).
+    /// A CRL older than the acceptable age or than the one held (a revoked
+    /// router replaying a stale CRL — the phishing window).
     StaleCrl,
-    /// The URL attached to a beacon is older than the acceptable age.
+    /// A URL older than the acceptable age or than the one held.
     StaleUrl,
     /// The ECDSA beacon signature did not verify.
     BadRouterSignature,
     /// The operator signature on the CRL failed.
     BadCrlSignature,
-    /// The operator signature on the URL failed.
+    /// The operator signature on the URL failed: a forged list, or one
+    /// issued for another epoch's key.
     BadUrlSignature,
     /// An access request referenced an unknown or expired beacon exchange.
     UnknownBeacon,

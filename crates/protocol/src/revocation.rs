@@ -6,6 +6,8 @@
 //! phishing analysis bounds the window in which a freshly revoked router
 //! can still phish by the CRL update period.
 //!
+//! Routers and clients install lists by one rule, [`admit`].
+//!
 //! The URL has two forms. [`SignedUrl`] holds decoded tokens, each checked
 //! to lie on the curve and in the subgroup: the form a list is enforced
 //! from. [`UrlSection`] holds the same list as the bytes the operator
@@ -13,11 +15,47 @@
 //! point decompression and a client decodes a list once, when it changes.
 
 use peace_ecdsa::{Signature, SigningKey, VerifyingKey};
-use peace_groupsig::RevocationToken;
-use peace_revoke::UrlDelta;
+use peace_groupsig::{GroupPublicKey, RevocationToken};
 use peace_wire::{Decode, Encode, Reader, Writer};
 
 use crate::error::{ProtocolError, Result};
+
+/// A list a holder installs by [`admit`]: the CRL or the URL.
+pub trait SignedList {
+    /// What [`admit`] refuses the list with: a signature the operator did
+    /// not make over this holder's transcript, and an older version.
+    const REFUSALS: (ProtocolError, ProtocolError);
+    /// The list's version.
+    fn version(&self) -> u64;
+    /// Whether `npk` signed this list for holders of `gpk`'s epoch.
+    fn signed_by(&self, npk: &VerifyingKey, gpk: &GroupPublicKey) -> bool;
+}
+
+/// The one rule by which a router or a client installs `offered` in place
+/// of the list it holds at version `held` (0 for none): `npk` signed it —
+/// a URL over a transcript naming `gpk`, so a list issued for another
+/// epoch verifies for no holder of this one — and its version is not
+/// older. A refusal leaves the held list in force. Age is not part of it:
+/// a client checks that where it uses a list.
+///
+/// # Errors
+///
+/// `L::REFUSALS`: `Bad{Crl,Url}Signature`, then `Stale{Crl,Url}`.
+pub fn admit<L: SignedList>(
+    offered: &L,
+    held: u64,
+    npk: &VerifyingKey,
+    gpk: &GroupPublicKey,
+) -> Result<()> {
+    let (forged, older) = L::REFUSALS;
+    if !offered.signed_by(npk, gpk) {
+        return Err(forged);
+    }
+    if offered.version() < held {
+        return Err(older);
+    }
+    Ok(())
+}
 
 /// Signed certificate revocation list (revoked router certificate serials).
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -53,19 +91,8 @@ impl SignedCrl {
         }
     }
 
-    /// Validates signature and freshness at time `now` with maximum age
-    /// `max_age` (the CRL update period).
-    pub fn validate(&self, issuer: &VerifyingKey, now: u64, max_age: u64) -> Result<()> {
-        if !issuer.verify(
-            &Self::tbs(self.version, self.issued_at, &self.serials),
-            &self.signature,
-        ) {
-            return Err(ProtocolError::BadCrlSignature);
-        }
-        self.check_fresh(now, max_age)
-    }
-
-    /// Whether the list is still within `max_age` at `now`.
+    /// Whether the list is still within `max_age` (the CRL update period)
+    /// at `now`.
     pub(crate) fn check_fresh(&self, now: u64, max_age: u64) -> Result<()> {
         if now > self.issued_at.saturating_add(max_age) {
             return Err(ProtocolError::StaleCrl);
@@ -76,6 +103,22 @@ impl SignedCrl {
     /// Whether a certificate serial has been revoked.
     pub fn contains(&self, serial: u64) -> bool {
         self.serials.contains(&serial)
+    }
+}
+
+impl SignedList for SignedCrl {
+    const REFUSALS: (ProtocolError, ProtocolError) =
+        (ProtocolError::BadCrlSignature, ProtocolError::StaleCrl);
+
+    fn version(&self) -> u64 {
+        self.version
+    }
+
+    fn signed_by(&self, npk: &VerifyingKey, _: &GroupPublicKey) -> bool {
+        npk.verify(
+            &Self::tbs(self.version, self.issued_at, &self.serials),
+            &self.signature,
+        )
     }
 }
 
@@ -126,12 +169,19 @@ fn encode_tokens(tokens: &[RevocationToken]) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// The transcript the operator signs: the list's wire encoding (minus the
-/// signature) behind a domain label. `token_bytes` is a whole number of
-/// token encodings.
-fn url_tbs(version: u64, issued_at: u64, token_bytes: &[u8]) -> Vec<u8> {
-    let mut w = Writer::with_capacity(40 + token_bytes.len());
-    w.put_str("peace-url-v1");
+/// The digest of `gpk` a URL's transcript names.
+pub fn gpk_digest(gpk: &GroupPublicKey) -> [u8; 32] {
+    peace_hash::sha256(&gpk.to_bytes())
+}
+
+/// The transcript the operator signs: behind a domain label, the digest of
+/// the group key the list is issued for, then the list's wire encoding
+/// (minus the signature). `token_bytes` is a whole number of token
+/// encodings.
+fn url_tbs(gpk: &GroupPublicKey, version: u64, issued_at: u64, token_bytes: &[u8]) -> Vec<u8> {
+    let mut w = Writer::with_capacity(72 + token_bytes.len());
+    w.put_str("peace-url-v2");
+    w.put_fixed(&gpk_digest(gpk));
     w.put_u64(version);
     w.put_u64(issued_at);
     w.put_len(token_bytes.len() / TOKEN_LEN);
@@ -140,25 +190,21 @@ fn url_tbs(version: u64, issued_at: u64, token_bytes: &[u8]) -> Vec<u8> {
 }
 
 impl SignedUrl {
-    /// Issues a signed URL.
+    /// Issues a signed URL for holders of `gpk`.
     pub fn issue(
         signer: &SigningKey,
+        gpk: &GroupPublicKey,
         version: u64,
         issued_at: u64,
         tokens: Vec<RevocationToken>,
     ) -> Self {
-        let signature = signer.sign(&url_tbs(version, issued_at, &encode_tokens(&tokens)));
+        let signature = signer.sign(&url_tbs(gpk, version, issued_at, &encode_tokens(&tokens)));
         Self {
             version,
             issued_at,
             tokens,
             signature,
         }
-    }
-
-    /// Validates signature and freshness.
-    pub fn validate(&self, issuer: &VerifyingKey, now: u64, max_age: u64) -> Result<()> {
-        UrlSection::from(self).validate(issuer, now, max_age)
     }
 }
 
@@ -211,17 +257,6 @@ impl UrlSection {
         Ok(())
     }
 
-    /// Validates signature and freshness. Decodes no token.
-    pub fn validate(&self, issuer: &VerifyingKey, now: u64, max_age: u64) -> Result<()> {
-        if !issuer.verify(
-            &url_tbs(self.version, self.issued_at, &self.token_bytes),
-            &self.signature,
-        ) {
-            return Err(ProtocolError::BadUrlSignature);
-        }
-        self.check_fresh(now, max_age)
-    }
-
     /// Decodes the list, checking every token for canonical encoding, curve
     /// and subgroup membership.
     ///
@@ -257,6 +292,23 @@ impl UrlSection {
             tokens,
             signature: self.signature,
         }
+    }
+}
+
+/// Checks the operator's signature over the token bytes: decodes no token.
+impl SignedList for UrlSection {
+    const REFUSALS: (ProtocolError, ProtocolError) =
+        (ProtocolError::BadUrlSignature, ProtocolError::StaleUrl);
+
+    fn version(&self) -> u64 {
+        self.version
+    }
+
+    fn signed_by(&self, npk: &VerifyingKey, gpk: &GroupPublicKey) -> bool {
+        npk.verify(
+            &url_tbs(gpk, self.version, self.issued_at, &self.token_bytes),
+            &self.signature,
+        )
     }
 }
 
@@ -308,70 +360,6 @@ impl Decode for UrlSection {
     }
 }
 
-/// Signed delta-compressed URL diff (the O(churn) alternative to
-/// re-broadcasting the full [`SignedUrl`]): an operator-signed
-/// [`UrlDelta`] that advances a consumer from `delta.from_version` to
-/// `delta.to_version` within one epoch.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct SignedUrlDelta {
-    /// The version-chained diff.
-    pub delta: UrlDelta,
-    /// Issue time (protocol ms).
-    pub issued_at: u64,
-    /// Operator signature over the diff.
-    pub signature: Signature,
-}
-
-impl SignedUrlDelta {
-    fn tbs(delta: &UrlDelta, issued_at: u64) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.put_str("peace-url-delta-v1");
-        w.put_u64(issued_at);
-        delta.encode(&mut w);
-        w.into_bytes()
-    }
-
-    /// Issues a signed URL delta.
-    pub fn issue(signer: &SigningKey, delta: UrlDelta, issued_at: u64) -> Self {
-        let signature = signer.sign(&Self::tbs(&delta, issued_at));
-        Self {
-            delta,
-            issued_at,
-            signature,
-        }
-    }
-
-    /// Validates signature and freshness (same `max_age` discipline as the
-    /// full lists: a delta is a list update and ages the same way).
-    pub fn validate(&self, issuer: &VerifyingKey, now: u64, max_age: u64) -> Result<()> {
-        if !issuer.verify(&Self::tbs(&self.delta, self.issued_at), &self.signature) {
-            return Err(ProtocolError::BadUrlSignature);
-        }
-        if now > self.issued_at.saturating_add(max_age) {
-            return Err(ProtocolError::StaleUrl);
-        }
-        Ok(())
-    }
-}
-
-impl Encode for SignedUrlDelta {
-    fn encode(&self, w: &mut Writer) {
-        self.delta.encode(w);
-        w.put_u64(self.issued_at);
-        self.signature.encode(w);
-    }
-}
-
-impl Decode for SignedUrlDelta {
-    fn decode(r: &mut Reader<'_>) -> peace_wire::Result<Self> {
-        Ok(Self {
-            delta: UrlDelta::decode(r)?,
-            issued_at: r.get_u64()?,
-            signature: Signature::decode(r)?,
-        })
-    }
-}
-
 /// The canonical (sorted-by-encoding) ordering of a token set — the
 /// order-insensitive form both sides of a re-stamp can reconstruct.
 fn canonical_tokens(tokens: &[RevocationToken]) -> Vec<RevocationToken> {
@@ -399,14 +387,17 @@ pub struct UrlRestamp {
 }
 
 impl UrlRestamp {
-    /// Issues a re-stamp over the canonical ordering of `tokens`.
+    /// Issues a re-stamp over the canonical ordering of `tokens`, for
+    /// holders of `gpk`.
     pub fn issue(
         signer: &SigningKey,
+        gpk: &GroupPublicKey,
         version: u64,
         issued_at: u64,
         tokens: &[RevocationToken],
     ) -> Self {
         let signature = signer.sign(&url_tbs(
+            gpk,
             version,
             issued_at,
             &encode_tokens(&canonical_tokens(tokens)),
@@ -419,9 +410,8 @@ impl UrlRestamp {
     }
 
     /// Materializes the full [`SignedUrl`] this re-stamp attests, given
-    /// the token set the consumer holds (any order). The result verifies
-    /// under [`SignedUrl::validate`] iff the set matches what the
-    /// operator signed.
+    /// the token set the consumer holds (any order). The result passes
+    /// [`admit`] iff the set matches what the operator signed.
     pub fn into_signed_url(&self, tokens: &[RevocationToken]) -> SignedUrl {
         SignedUrl {
             version: self.version,
@@ -453,6 +443,7 @@ impl Decode for UrlRestamp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use peace_groupsig::IssuerKey;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -461,11 +452,16 @@ mod tests {
         SigningKey::random(&mut rng)
     }
 
+    fn gpk(seed: u64) -> GroupPublicKey {
+        *IssuerKey::generate(&mut StdRng::seed_from_u64(seed)).public_key()
+    }
+
     #[test]
     fn crl_validate_and_lookup() {
         let sk = signer();
         let crl = SignedCrl::issue(&sk, 1, 100, vec![5, 9]);
-        assert!(crl.validate(sk.verifying_key(), 150, 1000).is_ok());
+        assert!(admit(&crl, 1, sk.verifying_key(), &gpk(1)).is_ok());
+        assert!(crl.check_fresh(150, 1000).is_ok());
         assert!(crl.contains(5));
         assert!(!crl.contains(6));
     }
@@ -475,11 +471,16 @@ mod tests {
         let sk = signer();
         let crl = SignedCrl::issue(&sk, 1, 100, vec![]);
         assert_eq!(
-            crl.validate(sk.verifying_key(), 100 + 1001, 1000),
+            crl.check_fresh(100 + 1001, 1000),
             Err(ProtocolError::StaleCrl)
         );
         // boundary: exactly max_age old is acceptable
-        assert!(crl.validate(sk.verifying_key(), 1100, 1000).is_ok());
+        assert!(crl.check_fresh(1100, 1000).is_ok());
+        // older than the held list: refused whatever its age
+        assert_eq!(
+            admit(&crl, 2, sk.verifying_key(), &gpk(1)),
+            Err(ProtocolError::StaleCrl)
+        );
     }
 
     #[test]
@@ -488,7 +489,7 @@ mod tests {
         let mut crl = SignedCrl::issue(&sk, 1, 100, vec![5]);
         crl.serials.push(6);
         assert_eq!(
-            crl.validate(sk.verifying_key(), 150, 1000),
+            admit(&crl, 0, sk.verifying_key(), &gpk(1)),
             Err(ProtocolError::BadCrlSignature)
         );
     }
@@ -501,44 +502,17 @@ mod tests {
     }
 
     #[test]
-    fn url_delta_validate_tamper_and_roundtrip() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let sk = signer();
-        let tok = peace_groupsig::RevocationToken(peace_curve::G1::random(&mut rng));
-        let delta = UrlDelta {
-            epoch: 0,
-            from_version: 3,
-            to_version: 4,
-            added: vec![tok],
-            removed: vec![],
-        };
-        let signed = SignedUrlDelta::issue(&sk, delta, 200);
-        assert!(signed.validate(sk.verifying_key(), 250, 1000).is_ok());
-        assert_eq!(
-            SignedUrlDelta::from_wire(&signed.to_wire()).unwrap(),
-            signed
-        );
-        let mut bad = signed.clone();
-        bad.delta.to_version = 9;
-        assert_eq!(
-            bad.validate(sk.verifying_key(), 250, 1000),
-            Err(ProtocolError::BadUrlSignature)
-        );
-        assert_eq!(
-            signed.validate(sk.verifying_key(), 200 + 1001, 1000),
-            Err(ProtocolError::StaleUrl)
-        );
-    }
-
-    #[test]
     fn url_restamp_order_insensitive_and_set_bound() {
         let mut rng = StdRng::seed_from_u64(8);
         let sk = signer();
+        let gpk = gpk(1);
         let tokens: Vec<RevocationToken> = (0..5)
             .map(|_| RevocationToken(peace_curve::G1::random(&mut rng)))
             .collect();
-        let restamp = UrlRestamp::issue(&sk, 7, 500, &tokens);
+        let restamp = UrlRestamp::issue(&sk, &gpk, 7, 500, &tokens);
         assert_eq!(UrlRestamp::from_wire(&restamp.to_wire()).unwrap(), restamp);
+        let admit_url =
+            |url: &SignedUrl| admit(&UrlSection::from(url), 7, sk.verifying_key(), &gpk);
 
         // The consumer may hold the same set in any order (swap_remove
         // divergence): the materialized SignedUrl still verifies.
@@ -546,16 +520,14 @@ mod tests {
         shuffled.reverse();
         shuffled.swap(0, 2);
         let url = restamp.into_signed_url(&shuffled);
-        assert!(url.validate(sk.verifying_key(), 600, 1_000).is_ok());
+        assert!(admit_url(&url).is_ok());
         assert_eq!(url.version, 7);
 
         // A different set must not verify — the re-stamp binds the set.
         let mut other = tokens.clone();
         other[0] = RevocationToken(peace_curve::G1::random(&mut rng));
         assert_eq!(
-            restamp
-                .into_signed_url(&other)
-                .validate(sk.verifying_key(), 600, 1_000),
+            admit_url(&restamp.into_signed_url(&other)),
             Err(ProtocolError::BadUrlSignature)
         );
     }
@@ -564,21 +536,29 @@ mod tests {
     fn url_validate_tamper_and_roundtrip() {
         let mut rng = StdRng::seed_from_u64(4);
         let sk = signer();
-        let issuer = peace_groupsig::IssuerKey::generate(&mut rng);
+        let issuer = IssuerKey::generate(&mut rng);
         let grp = issuer.new_group_secret(&mut rng);
         let tok = issuer.issue(&grp, &mut rng).revocation_token();
-        let url = SignedUrl::issue(&sk, 2, 50, vec![tok]);
-        assert!(url.validate(sk.verifying_key(), 60, 500).is_ok());
+        let gpk = issuer.public_key();
+        let url = SignedUrl::issue(&sk, gpk, 2, 50, vec![tok]);
+        let section = UrlSection::from(&url);
+        assert!(admit(&section, 2, sk.verifying_key(), gpk).is_ok());
+        assert!(section.check_fresh(60, 500).is_ok());
         assert_eq!(SignedUrl::from_wire(&url.to_wire()).unwrap(), url);
 
         let mut bad = url.clone();
         bad.version = 3;
         assert_eq!(
-            bad.validate(sk.verifying_key(), 60, 500),
+            admit(&UrlSection::from(&bad), 0, sk.verifying_key(), gpk),
+            Err(ProtocolError::BadUrlSignature)
+        );
+        // Issued for another epoch's key: verifies for no holder of this one.
+        assert_eq!(
+            admit(&section, 0, sk.verifying_key(), &super::tests::gpk(9)),
             Err(ProtocolError::BadUrlSignature)
         );
         assert_eq!(
-            url.validate(sk.verifying_key(), 551 + 50, 500),
+            section.check_fresh(551 + 50, 500),
             Err(ProtocolError::StaleUrl)
         );
     }

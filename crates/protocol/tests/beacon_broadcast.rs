@@ -123,28 +123,36 @@ fn each_list_update_reaches_the_next_poll() {
     // A full resync.
     assert!(n.no.revoke_member(&token));
     n.router
-        .update_lists(n.no.publish_crl(now), n.no.publish_url(now));
+        .update_lists(n.no.publish_crl(now), n.no.publish_url(now))
+        .expect("lists admitted");
     step(&mut n, &mut now, &mut held, "update_lists");
     assert_eq!(held.url.version, n.no.url_version());
     assert_eq!(tokens(&held), 1);
 
-    // A CRL alone.
+    // A delta refresh bringing a new CRL.
     n.no.revoke_router(0xBAD);
-    n.router.update_crl(n.no.publish_crl(now), now).unwrap();
-    step(&mut n, &mut now, &mut held, "update_crl");
+    let empty = n.no.publish_url_delta(0, n.no.url_version()).unwrap();
+    let restamp = n.no.restamp_url(now);
+    n.router
+        .update_lists_by_delta(n.no.publish_crl(now), &empty, &restamp)
+        .unwrap();
+    step(&mut n, &mut now, &mut held, "a new CRL");
     assert_eq!(held.crl.version, n.no.crl_version());
     assert!(held.crl.contains(0xBAD));
 
-    // A URL re-stamp.
+    // A delta refresh bringing a URL re-stamp.
     let restamp = n.no.restamp_url(now);
-    n.router.adopt_url_restamp(&restamp, now).unwrap();
-    step(&mut n, &mut now, &mut held, "adopt_url_restamp");
+    n.router
+        .update_lists_by_delta(n.no.publish_crl(now), &empty, &restamp)
+        .unwrap();
+    step(&mut n, &mut now, &mut held, "a URL re-stamp");
     assert_eq!(held.url.issued_at, restamp.issued_at);
 
     // A new epoch.
     let gpk = n.no.rotate_system_key(&mut n.rng);
     n.router
-        .install_epoch(gpk, n.no.publish_crl(now), n.no.publish_url(now));
+        .install_epoch(gpk, n.no.publish_crl(now), n.no.publish_url(now))
+        .expect("epoch lists admitted");
     step(&mut n, &mut now, &mut held, "install_epoch");
     assert_eq!(held.url.version, n.no.url_version());
     assert_eq!(tokens(&held), 0);

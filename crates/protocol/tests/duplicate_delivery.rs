@@ -160,7 +160,9 @@ fn epoch_rotation_clears_pending_state() {
     let gpk = n.no.rotate_system_key(&mut rng);
     let (crl, url) = (n.no.publish_crl(1_020), n.no.publish_url(1_020));
     n.alice.install_epoch(gpk);
-    n.router.install_epoch(gpk, crl, url);
+    n.router
+        .install_epoch(gpk, crl, url)
+        .expect("epoch lists admitted");
     assert_eq!(n.alice.pending_handshakes(), 0);
     assert_eq!(n.router.active_beacon_count(), 0);
     let stale = n.alice.handle_access_confirm(&confirm, 1_030);

@@ -7,7 +7,9 @@ use peace_groupsig::OpSnapshot;
 use peace_protocol::config::{DOS_THRESHOLD, DOS_WINDOW, HANDSHAKE_WINDOW};
 use peace_protocol::entities::*;
 use peace_protocol::ids::{GroupId, UserId};
-use peace_protocol::{AccessConfirm, AccessRequest, Beacon, ProtocolConfig, ProtocolError};
+use peace_protocol::{
+    AccessConfirm, AccessRequest, Beacon, ProtocolConfig, ProtocolError, SignedUrl, UrlRestamp,
+};
 use peace_wire::{Decode, Encode};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -170,7 +172,9 @@ fn revoked_user_rejected_by_router_and_peers() {
     assert!(w.no.revoke_member(&finding.token));
 
     // NO pushes fresh lists; router beacons carry the new URL.
-    router.update_lists(w.no.publish_crl(2_000), w.no.publish_url(2_000));
+    router
+        .update_lists(w.no.publish_crl(2_000), w.no.publish_url(2_000))
+        .expect("lists admitted");
     let beacon = router.beacon(2_000, &mut w.rng);
 
     // Alice can still *build* a request, but the router rejects it.
@@ -213,7 +217,9 @@ fn revoked_router_rejected_via_crl() {
 
     // The revoked router keeps broadcasting with the fresh lists (it cannot
     // avoid including the CRL listing itself — any honest copy lists it).
-    bad_router.update_lists(fresh_crl, fresh_url);
+    bad_router
+        .update_lists(fresh_crl, fresh_url)
+        .expect("lists admitted");
     let beacon = bad_router.beacon(3_010, &mut w.rng);
     assert_eq!(
         alice
@@ -235,7 +241,9 @@ fn phishing_with_stale_crl_bounded_by_list_age() {
     let stale_crl = w.no.publish_crl(1_000);
     let stale_url = w.no.publish_url(1_000);
     w.no.revoke_router(serial);
-    rogue.update_lists(stale_crl, stale_url);
+    rogue
+        .update_lists(stale_crl, stale_url)
+        .expect("lists admitted");
 
     // Within the list_max_age window the phish SUCCEEDS — this is exactly
     // the §V.A exposure window.
@@ -652,7 +660,9 @@ fn batched_access_requests_match_sequential_semantics() {
     let sid = peace_protocol::SessionId::from_points(&req0.g_rr, &req0.g_rj);
     let finding = w.no.audit(&sid).unwrap();
     assert!(w.no.revoke_member(&finding.token));
-    router.update_lists(w.no.publish_crl(2_000), w.no.publish_url(2_000));
+    router
+        .update_lists(w.no.publish_crl(2_000), w.no.publish_url(2_000))
+        .expect("lists admitted");
 
     // One beacon serves the whole burst.
     let beacon = router.beacon(2_000, &mut w.rng);
@@ -776,7 +786,9 @@ fn revocation_landing_before_finish_is_enforced() {
     let req = mallory.request_access(&beacon, 2_010, &mut w.rng).unwrap();
     let checked = router.begin_access_request(&req, 2_020).unwrap().verify();
     assert!(w.no.revoke_member(&token));
-    router.update_lists(w.no.publish_crl(2_025), w.no.publish_url(2_025));
+    router
+        .update_lists(w.no.publish_crl(2_025), w.no.publish_url(2_025))
+        .expect("lists admitted");
 
     assert_eq!(
         router.finish_access_request(checked, 2_030).unwrap_err(),
@@ -798,7 +810,9 @@ fn epoch_installed_before_finish_refuses_the_request() {
 
     // The key the Σ-check ran under is retired mid-flight.
     let new_gpk = w.no.rotate_system_key(&mut w.rng);
-    router.install_epoch(new_gpk, w.no.publish_crl(1_025), w.no.publish_url(1_025));
+    router
+        .install_epoch(new_gpk, w.no.publish_crl(1_025), w.no.publish_url(1_025))
+        .expect("epoch lists admitted");
 
     // Same verdict as the same request arriving after the rotation, which
     // dropped its beacon state: coded, transient, nothing admitted, and not
@@ -870,7 +884,9 @@ fn world_with_url(seed: u64, bystanders: usize) -> (World, UserClient, MeshRoute
     }
     let user = w.enroll_user("mallory", gid);
     let mut router = w.router("MR-1");
-    router.update_lists(w.no.publish_crl(500), w.no.publish_url(500));
+    router
+        .update_lists(w.no.publish_crl(500), w.no.publish_url(500))
+        .expect("lists admitted");
     assert_eq!(router.revocation().url_len(), bystanders);
     (w, user, router)
 }
@@ -906,7 +922,9 @@ fn the_pairings_of_a_handshake_all_run_between_begin_and_finish() {
     let beacon = router.beacon(2_000, &mut w.rng);
     let req = mallory.request_access(&beacon, 2_010, &mut w.rng).unwrap();
     let checked = router.begin_access_request(&req, 2_020).unwrap().verify();
-    router.update_lists(w.no.publish_crl(2_025), w.no.publish_url(2_025));
+    router
+        .update_lists(w.no.publish_crl(2_025), w.no.publish_url(2_025))
+        .expect("lists admitted");
     let scope = OpSnapshot::scope();
     router.finish_access_request(checked, 2_030).unwrap();
     assert_eq!(pairing_work(scope.counts()), (URL + 1, 1, 1));
@@ -925,9 +943,11 @@ fn a_delta_listing_the_signer_before_finish_is_enforced() {
         router.revocation().url_version(),
     );
     assert!(w.no.revoke_member(&token_of(&mallory)));
-    let delta = w.no.publish_url_delta(epoch, have, 1_025).unwrap();
-    assert_eq!(delta.delta.added.len(), 1);
-    router.apply_url_delta(&delta, 1_026).unwrap();
+    let delta = w.no.publish_url_delta(epoch, have).unwrap();
+    assert_eq!(delta.added.len(), 1);
+    router
+        .update_lists_by_delta(w.no.publish_crl(1_025), &delta, &w.no.restamp_url(1_025))
+        .unwrap();
 
     assert_eq!(
         router.finish_access_request(checked, 1_030).unwrap_err(),
@@ -940,7 +960,9 @@ fn a_delta_listing_the_signer_before_finish_is_enforced() {
 fn a_delta_reinstating_the_signer_before_finish_admits_her() {
     let (mut w, mut mallory, mut router) = world_with_url(50, 2);
     assert!(w.no.revoke_member(&token_of(&mallory)));
-    router.update_lists(w.no.publish_crl(900), w.no.publish_url(900));
+    router
+        .update_lists(w.no.publish_crl(900), w.no.publish_url(900))
+        .expect("lists admitted");
     let beacon = router.beacon(1_000, &mut w.rng);
     let req = mallory.request_access(&beacon, 1_010, &mut w.rng).unwrap();
     // Swept against the list that names her.
@@ -950,10 +972,27 @@ fn a_delta_reinstating_the_signer_before_finish_admits_her() {
         router.revocation().epoch(),
         router.revocation().url_version(),
     );
-    assert!(w.no.reinstate_member(&token_of(&mallory)));
-    let delta = w.no.publish_url_delta(epoch, have, 1_025).unwrap();
-    assert_eq!(delta.delta.removed.len(), 1);
-    router.apply_url_delta(&delta, 1_026).unwrap();
+    // The operator lifts her revocation: a delta removing her token, under
+    // its re-stamp of the list that leaves.
+    let token = token_of(&mallory);
+    let delta = peace_revoke::UrlDelta {
+        epoch,
+        from_version: have,
+        to_version: have + 1,
+        added: vec![],
+        removed: vec![token],
+    };
+    let left: Vec<_> = router
+        .revocation()
+        .tokens()
+        .iter()
+        .filter(|t| **t != token)
+        .copied()
+        .collect();
+    let restamp = UrlRestamp::issue(w.no.signing_key(), w.no.gpk(), have + 1, 1_025, &left);
+    router
+        .update_lists_by_delta(w.no.publish_crl(1_025), &delta, &restamp)
+        .unwrap();
 
     let (confirm, _) = router.finish_access_request(checked, 1_030).unwrap();
     assert!(mallory.handle_access_confirm(&confirm, 1_030).is_ok());
@@ -966,7 +1005,9 @@ fn a_restamp_before_finish_leaves_the_verdict_as_it_was() {
     let gid = *w.gms.keys().next().unwrap();
     let mut mallory = w.enroll_user("on-the-list", gid);
     assert!(w.no.revoke_member(&token_of(&mallory)));
-    router.update_lists(w.no.publish_crl(900), w.no.publish_url(900));
+    router
+        .update_lists(w.no.publish_crl(900), w.no.publish_url(900))
+        .expect("lists admitted");
 
     let beacon = router.beacon(1_000, &mut w.rng);
     let req_a = alice.request_access(&beacon, 1_010, &mut w.rng).unwrap();
@@ -977,9 +1018,12 @@ fn a_restamp_before_finish_leaves_the_verdict_as_it_was() {
     // The operator's list moves two versions on and back to the same
     // tokens; the router installs it as a new list all the same.
     let listed_before = router.revocation().digest();
-    let bystander = router.revocation().tokens()[0];
-    assert!(w.no.reinstate_member(&bystander) && w.no.revoke_member(&bystander));
-    router.update_lists(w.no.publish_crl(1_025), w.no.publish_url(1_025));
+    let same = router.current_url().tokens.clone();
+    let version = router.current_url().version + 2;
+    let url = SignedUrl::issue(w.no.signing_key(), w.no.gpk(), version, 1_025, same);
+    router
+        .update_lists(w.no.publish_crl(1_025), url)
+        .expect("lists admitted");
     assert_ne!(router.revocation().digest(), listed_before, "a new version");
     assert_eq!(router.revocation().url_len(), 4);
 
@@ -1095,7 +1139,9 @@ fn an_accepted_beacon_costs_the_client_one_pairing_and_a_refused_one_none() {
     // Refused, for each reason a beacon can be: no pairing work at all.
     let mut revoked = w.router("MR-rogue");
     w.no.revoke_router(revoked.cert().serial);
-    revoked.update_lists(w.no.publish_crl(1_000), w.no.publish_url(1_000));
+    revoked
+        .update_lists(w.no.publish_crl(1_000), w.no.publish_url(1_000))
+        .expect("lists admitted");
     let listed = revoked.beacon(1_000, &mut w.rng);
     let mut resigned = beacon.clone();
     resigned.ts1 += 1;

@@ -198,7 +198,9 @@ fn beacon_and_bulletin_paths_share_the_version_floor() {
     assert_eq!(err, ProtocolError::StaleUrl);
 
     // Once the router refreshes its lists, the beacon is accepted again.
-    router.update_lists(w.no.publish_crl(50_300), w.no.publish_url(50_300));
+    router
+        .update_lists(w.no.publish_crl(50_300), w.no.publish_url(50_300))
+        .expect("lists admitted");
     let beacon = router.beacon(50_400, &mut w.rng);
     assert!(alice.request_access(&beacon, 50_450, &mut w.rng).is_ok());
 }

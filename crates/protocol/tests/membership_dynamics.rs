@@ -79,11 +79,21 @@ fn epoch_rotation_invalidates_all_old_credentials() {
     assert_eq!(w.no.epoch(), 0);
     let new_gpk = w.no.rotate_system_key(&mut w.rng);
     assert_eq!(w.no.epoch(), 1);
-    router.install_epoch(new_gpk, w.no.publish_crl(2_000), w.no.publish_url(2_000));
+    router
+        .install_epoch(new_gpk, w.no.publish_crl(2_000), w.no.publish_url(2_000))
+        .expect("epoch lists admitted");
 
-    // Alice's stale credential signs against the OLD gpk: the router (new
-    // gpk) rejects the signature.
-    let b2 = router.beacon(2_000, &mut w.rng);
+    // Alice, still on the old gpk, refuses the new epoch's beacon: its URL
+    // is issued for a key she does not hold.
+    let mut b2 = router.beacon(2_000, &mut w.rng);
+    assert_eq!(
+        alice.request_access(&b2, 2_010, &mut w.rng).unwrap_err(),
+        ProtocolError::BadUrlSignature
+    );
+    // Handed the old lists instead, her stale credential signs against the
+    // OLD gpk: the router (new gpk) rejects the signature.
+    b2.crl = b.crl.clone();
+    b2.url = b.url.clone();
     let stale_req = alice.request_access(&b2, 2_010, &mut w.rng).unwrap();
     assert_eq!(
         router
@@ -234,11 +244,13 @@ fn renewal_cycle_stress() {
         // renew
         w.no.rotate_system_key(&mut w.rng);
         assert_eq!(w.no.epoch(), epoch + 1);
-        router.install_epoch(
-            w.no.prepared_gpk(),
-            w.no.publish_crl(t + 100),
-            w.no.publish_url(t + 100),
-        );
+        router
+            .install_epoch(
+                w.no.prepared_gpk(),
+                w.no.publish_crl(t + 100),
+                w.no.publish_url(t + 100),
+            )
+            .expect("epoch lists admitted");
         bob.install_epoch(w.no.prepared_gpk());
         w.refill_group(gid, 2);
         w.enroll(&mut bob, gid);
@@ -294,11 +306,13 @@ fn a_rotated_epoch_is_one_new_table_set_for_the_whole_world() {
     drop(held);
 
     for router in &mut routers {
-        router.install_epoch(
-            w.no.prepared_gpk(),
-            w.no.publish_crl(1_025),
-            w.no.publish_url(1_025),
-        );
+        router
+            .install_epoch(
+                w.no.prepared_gpk(),
+                w.no.publish_crl(1_025),
+                w.no.publish_url(1_025),
+            )
+            .expect("epoch lists admitted");
     }
     w.refill_group(gid, 2);
     for user in &mut users {

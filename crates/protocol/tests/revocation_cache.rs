@@ -7,7 +7,6 @@ use std::collections::HashMap;
 use peace_protocol::entities::*;
 use peace_protocol::ids::{GroupId, UserId};
 use peace_protocol::{ProtocolConfig, ProtocolError, SessionId};
-use peace_revoke::DeltaOutcome;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -76,7 +75,7 @@ fn authenticate(
 }
 
 /// The ISSUE's pinned regression: a user verified clean (verdict cached),
-/// *then revoked via a signed delta*, must be rejected on their next
+/// *then revoked via a delta*, must be rejected on their next
 /// attempt — the delta's version bump flushes the stale "unrevoked" cache
 /// entry rather than letting it be served again.
 #[test]
@@ -93,7 +92,9 @@ fn revoked_then_reused_is_rejected_after_delta() {
     w.no.ingest_router_log(&mut router);
     let bob_token = w.no.audit(&bob_sid).unwrap().token;
     assert!(w.no.revoke_member(&bob_token));
-    router.update_lists(w.no.publish_crl(800), w.no.publish_url(800));
+    router
+        .update_lists(w.no.publish_crl(800), w.no.publish_url(800))
+        .expect("lists admitted");
 
     // Clean authentication; the router's engine caches the verdict.
     let sid = authenticate(&mut alice, &mut router, 1_000, &mut w.rng).unwrap();
@@ -105,15 +106,16 @@ fn revoked_then_reused_is_rejected_after_delta() {
     let token = w.no.audit(&sid).unwrap().token;
     assert!(w.no.revoke_member(&token));
 
-    // The O(churn) delta path: NO signs the diff, the router chains it.
-    let signed =
-        w.no.publish_url_delta(router.revocation().epoch(), v0, 2_000)
+    // The O(churn) delta path: NO serves the diff and re-stamps the list
+    // it leads to, the router chains it.
+    let delta =
+        w.no.publish_url_delta(router.revocation().epoch(), v0)
             .unwrap();
-    assert_eq!(signed.delta.added.len(), 1, "delta carries only the churn");
-    assert_eq!(
-        router.apply_url_delta(&signed, 2_050).unwrap(),
-        DeltaOutcome::Applied
-    );
+    assert_eq!(delta.added.len(), 1, "delta carries only the churn");
+    let (crl, restamp) = (w.no.publish_crl(2_000), w.no.restamp_url(2_000));
+    router
+        .update_lists_by_delta(crl.clone(), &delta, &restamp)
+        .unwrap();
     assert_eq!(router.revocation().url_version(), w.no.url_version());
     assert_eq!(
         router.revocation().cache_len(),
@@ -128,10 +130,9 @@ fn revoked_then_reused_is_rejected_after_delta() {
     );
 
     // A duplicated delta frame is idempotent.
-    assert_eq!(
-        router.apply_url_delta(&signed, 2_100).unwrap(),
-        DeltaOutcome::AlreadyCurrent
-    );
+    let digest = router.revocation().digest();
+    router.update_lists_by_delta(crl, &delta, &restamp).unwrap();
+    assert_eq!(router.revocation().digest(), digest);
 }
 
 /// Delta and full-fetch paths converge to the same enforced list.
@@ -154,11 +155,16 @@ fn delta_sync_matches_full_fetch() {
         assert!(w.no.revoke_member(&token));
 
         let have = delta_router.revocation().url_version();
-        let signed =
-            w.no.publish_url_delta(delta_router.revocation().epoch(), have, t + 500)
+        let delta =
+            w.no.publish_url_delta(delta_router.revocation().epoch(), have)
                 .unwrap();
-        delta_router.apply_url_delta(&signed, t + 550).unwrap();
-        full_router.update_lists(w.no.publish_crl(t + 500), w.no.publish_url(t + 500));
+        let (crl, restamp) = (w.no.publish_crl(t + 500), w.no.restamp_url(t + 500));
+        delta_router
+            .update_lists_by_delta(crl, &delta, &restamp)
+            .unwrap();
+        full_router
+            .update_lists(w.no.publish_crl(t + 500), w.no.publish_url(t + 500))
+            .expect("lists admitted");
     }
     assert_eq!(
         delta_router.revocation().digest(),
@@ -178,36 +184,49 @@ fn epoch_rotation_forces_full_fetch() {
     let _user = w.enroll("u", gid);
     let mut router = w.no.provision_router("MR-1", 10_000_000, &mut w.rng);
 
-    // Current consumer: empty, still operator-signed, applies as a no-op.
-    let signed =
+    // Current consumer: empty, under an operator re-stamp, applies as a
+    // no-op.
+    let delta =
         w.no.publish_url_delta(
             router.revocation().epoch(),
             router.revocation().url_version(),
-            1_000,
         )
         .unwrap();
-    assert!(signed.delta.is_empty());
-    assert_eq!(
-        router.apply_url_delta(&signed, 1_050).unwrap(),
-        DeltaOutcome::AlreadyCurrent
-    );
+    assert!(delta.is_empty());
+    let (crl, restamp) = (w.no.publish_crl(1_000), w.no.restamp_url(1_000));
+    let digest = router.revocation().digest();
+    router
+        .update_lists_by_delta(crl.clone(), &delta, &restamp)
+        .unwrap();
+    assert_eq!(router.revocation().digest(), digest);
 
-    // Tampered delta: signature check fires before any state change.
-    let mut forged = signed.clone();
-    forged.delta.to_version += 10;
+    // Tampered delta: refused before any state change — it reaches a
+    // version the re-stamp does not name, and a re-stamp altered to name
+    // it no longer verifies.
+    let mut forged = delta.clone();
+    forged.to_version += 10;
     assert_eq!(
-        router.apply_url_delta(&forged, 1_060),
+        router.update_lists_by_delta(crl.clone(), &forged, &restamp),
+        Err(ProtocolError::UrlDeltaChain)
+    );
+    let mut forged_restamp = restamp.clone();
+    forged_restamp.version = forged.to_version;
+    assert_eq!(
+        router.update_lists_by_delta(crl, &forged, &forged_restamp),
         Err(ProtocolError::BadUrlSignature)
     );
+    assert_eq!(router.revocation().digest(), digest);
 
     // Rotation moves the epoch partition: the old epoch cannot delta.
     let old_epoch = router.revocation().epoch();
     let gpk = w.no.rotate_system_key(&mut w.rng);
     assert!(w
         .no
-        .publish_url_delta(old_epoch, router.revocation().url_version(), 2_000)
+        .publish_url_delta(old_epoch, router.revocation().url_version())
         .is_none());
-    router.install_epoch(gpk, w.no.publish_crl(2_000), w.no.publish_url(2_000));
+    router
+        .install_epoch(gpk, w.no.publish_crl(2_000), w.no.publish_url(2_000))
+        .expect("epoch lists admitted");
     assert_eq!(router.revocation().url_len(), 0);
     assert_eq!(
         router.revocation().cache_len(),

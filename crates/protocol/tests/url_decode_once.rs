@@ -18,6 +18,7 @@ use peace_ecdsa::{Certificate, SigningKey};
 use peace_groupsig::{IssuerKey, MemberKey, OpSnapshot, RevocationToken};
 use peace_protocol::entities::{GmAssignment, TtpDelivery, UserClient};
 use peace_protocol::ids::{GroupId, UserId};
+use peace_protocol::revocation::gpk_digest;
 use peace_protocol::setup::blind_a;
 use peace_protocol::{
     Beacon, ProtocolConfig, ProtocolError, ShareIndex, SignedCrl, SignedUrl, UrlSection,
@@ -98,12 +99,13 @@ impl World {
     }
 
     fn url(&self, version: u64, now: u64, tokens: Vec<RevocationToken>) -> UrlSection {
-        UrlSection::from(&SignedUrl::issue(&self.operator, version, now, tokens))
+        let gpk = self.issuer.public_key();
+        UrlSection::from(&SignedUrl::issue(&self.operator, gpk, version, now, tokens))
     }
 
     /// An operator-signed URL section over arbitrary token bytes, built on
     /// the wire: `version ‖ issued_at ‖ count ‖ tokens ‖ signature`, signed
-    /// behind the `peace-url-v1` label.
+    /// behind the `peace-url-v2` label and the digest of the group key.
     fn url_of_bytes(&self, version: u64, now: u64, token_bytes: &[u8]) -> UrlSection {
         let mut body = Writer::new();
         body.put_u64(version);
@@ -111,7 +113,8 @@ impl World {
         body.put_len(token_bytes.len() / G1::ENCODED_LEN);
         body.put_fixed(token_bytes);
         let mut tbs = Writer::new();
-        tbs.put_str("peace-url-v1");
+        tbs.put_str("peace-url-v2");
+        tbs.put_fixed(&gpk_digest(self.issuer.public_key()));
         tbs.put_fixed(body.as_bytes());
         self.operator.sign(tbs.as_bytes()).encode(&mut body);
         UrlSection::from_wire(body.as_bytes()).unwrap()
@@ -245,7 +248,7 @@ fn a_list_adopted_from_the_bulletin_is_reused_by_beacons() {
     let mut w = World::new(4);
     let (mut alice, _) = w.user("alice");
     let tokens = w.tokens(4);
-    let url = SignedUrl::issue(&w.operator, 2, 1_000, tokens);
+    let url = SignedUrl::issue(&w.operator, w.issuer.public_key(), 2, 1_000, tokens);
     let crl = SignedCrl::issue(&w.operator, 0, 1_000, vec![]);
     alice.adopt_lists(&crl, &url, 1_000).unwrap();
     let beacon = w.beacon(1_100, UrlSection::from(&url));

@@ -167,7 +167,7 @@ fn a_bad_point_in_a_beacon_refuses_it_with_nothing_adopted() {
     // The operator publishes newer lists; a beacon carrying them — and a
     // bad share, under the router's genuine signature — is refused whole.
     let (crl, url) = (w.no.publish_crl(1_050), w.no.publish_url(1_050));
-    w.router.update_lists(crl, url);
+    w.router.update_lists(crl, url).expect("lists admitted");
     let honest = w.router.beacon(1_100, &mut w.rng);
     let wire = honest.to_wire();
     for (field, at) in [("beacon.g", 0), ("beacon.g_rr", 65)] {

@@ -280,7 +280,9 @@ pub fn run_phishing_experiment(
     let captured_crl = no.publish_crl(revoked_at.saturating_sub(1));
     let captured_url = no.publish_url(revoked_at.saturating_sub(1));
     no.revoke_router(rogue.cert().serial);
-    rogue.update_lists(captured_crl, captured_url);
+    rogue
+        .update_lists(captured_crl, captured_url)
+        .expect("lists admitted");
 
     let mut attempts = Vec::new();
     let mut last_success = None;
@@ -359,7 +361,9 @@ pub fn run_injection_matrix(seed: u64) -> Vec<InjectionOutcome> {
     let sid = peace_protocol::SessionId::from_points(&req0.g_rr, &req0.g_rj);
     let finding = no.audit(&sid).expect("audit");
     no.revoke_member(&finding.token);
-    router.update_lists(no.publish_crl(1_000), no.publish_url(1_000));
+    router
+        .update_lists(no.publish_crl(1_000), no.publish_url(1_000))
+        .expect("lists admitted");
 
     let mut outcomes = Vec::new();
     let now = 1_100u64;
@@ -427,7 +431,9 @@ pub fn run_injection_matrix(seed: u64) -> Vec<InjectionOutcome> {
     {
         let mut bad_router = no.provision_router("MR-bad", u64::MAX / 2, &mut rng);
         no.revoke_router(bad_router.cert().serial);
-        bad_router.update_lists(no.publish_crl(now + 30), no.publish_url(now + 30));
+        bad_router
+            .update_lists(no.publish_crl(now + 30), no.publish_url(now + 30))
+            .expect("lists admitted");
         let bb = bad_router.beacon(now + 40, &mut rng);
         let res = honest.request_access(&bb, now + 50, &mut rng);
         outcomes.push(InjectionOutcome {
@@ -440,7 +446,9 @@ pub fn run_injection_matrix(seed: u64) -> Vec<InjectionOutcome> {
     // 4. Honest control.
     {
         // refresh router lists/beacon after the CRL bump in step 3
-        router.update_lists(no.publish_crl(now + 60), no.publish_url(now + 60));
+        router
+            .update_lists(no.publish_crl(now + 60), no.publish_url(now + 60))
+            .expect("lists admitted");
         let fresh = router.beacon(now + 70, &mut rng);
         let res = honest
             .request_access(&fresh, now + 80, &mut rng)
@@ -580,7 +588,7 @@ pub fn run_url_growth(
     let acc_group = accumulating.register_group("org", &mut rng);
     let rot_group = rotating.register_group("org", &mut rng);
 
-    // Router-side mirrors that follow each operator by signed URL deltas
+    // Router-side mirrors that follow each operator by URL deltas
     // (the O(churn) bulletin path), falling back to a full fetch only when
     // an epoch rotation makes chaining impossible.
     let mut acc_mirror = EpochUrlStore::new(accumulating.epoch());
@@ -627,10 +635,10 @@ fn sync_by_delta(
     mirror: &mut peace_revoke::EpochUrlStore,
     now: u64,
 ) -> Option<usize> {
-    let fetched = match no.publish_url_delta(mirror.epoch(), mirror.version(), now) {
-        Some(signed) => {
-            let n = signed.delta.added.len() + signed.delta.removed.len();
-            mirror.apply_delta(&signed.delta).expect("delta chains");
+    let fetched = match no.publish_url_delta(mirror.epoch(), mirror.version()) {
+        Some(delta) => {
+            let n = delta.added.len() + delta.removed.len();
+            mirror.apply_delta(&delta).expect("delta chains");
             Some(n)
         }
         None => {

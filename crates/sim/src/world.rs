@@ -300,7 +300,8 @@ impl SimWorld {
                 let crl = self.no.publish_crl(self.now);
                 let url = self.no.publish_url(self.now);
                 for r in &mut self.routers {
-                    r.update_lists(crl.clone(), url.clone());
+                    r.update_lists(crl.clone(), url.clone())
+                        .expect("lists admitted");
                 }
                 self.schedule(self.now + LIST_UPDATE_INTERVAL, Event::ListPush);
             }

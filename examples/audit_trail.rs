@@ -95,7 +95,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Accountability follow-up: revoke the key used in the first session.
     let bad = no.audit(&session_ids[0])?;
     no.revoke_member(&bad.token);
-    router.update_lists(no.publish_crl(5_000), no.publish_url(5_000));
+    router
+        .update_lists(no.publish_crl(5_000), no.publish_url(5_000))
+        .expect("lists admitted");
     dave.set_active_role(0)?;
     let beacon = router.beacon(5_100, &mut rng);
     let req = dave.request_access(&beacon, 5_110, &mut rng)?;

@@ -268,10 +268,11 @@ impl Fleet {
             let now = peace::net::clock::wall_ms();
             let crl = w.no.publish_crl(now);
             let url = w.no.publish_url(now);
-            for (i, mut r) in w.routers.into_iter().enumerate() {
-                r.update_lists(crl.clone(), url.clone());
+            for mut r in w.routers {
+                r.update_lists(crl.clone(), url.clone())
+                    .expect("lists admitted");
                 daemons.push(
-                    RouterDaemon::spawn(r, world_seed ^ (i as u64 + 1), "127.0.0.1:0", server_cfg)
+                    RouterDaemon::spawn(r, peace::os_seed(), "127.0.0.1:0", server_cfg)
                         .expect("router daemon spawn"),
                 );
             }
@@ -283,8 +284,7 @@ impl Fleet {
         let agents: Vec<UserAgent> = w
             .users
             .into_iter()
-            .enumerate()
-            .map(|(i, u)| UserAgent::new(u, load.seed ^ (0xA6E57 + i as u64), cfg))
+            .map(|u| UserAgent::new(u, peace::os_seed(), cfg))
             .collect();
         Fleet {
             daemons,

@@ -12,11 +12,20 @@
 //!
 //! All roles replay the same deterministic setup ceremony from `--seed`,
 //! so daemons started in separate processes share trust material without
-//! any key ever crossing a socket (see `peace::net::world`). `demo` runs
-//! the whole deployment — NO, two routers, `U` users — inside one process
-//! on loopback, checks that every admitted session's transcript reaches
-//! NO, revokes the last user and checks its router refuses it, and
-//! publishes the merged telemetry of every daemon.
+//! any key ever crossing a socket (see `peace::net::world`). `--seed`
+//! drives that ceremony only: each daemon's and agent's own randomness
+//! comes from the OS ([`peace::os_seed`]), so a restarted process never
+//! replays a nonce or a session id. `demo` runs the whole deployment —
+//! NO, two routers, `U` users — inside one process on loopback, checks
+//! that every admitted session's transcript reaches NO as a new record,
+//! that every user NO already lists is refused, revokes the last admitted
+//! user and checks its router refuses it, and publishes the merged
+//! telemetry of every daemon.
+//!
+//! With `--ledger DIR`, the NO replays the revocations DIR holds before it
+//! serves, so a restart keeps every revoked member out; it refuses, and
+//! the process exits non-zero, a DIR whose records disagree with the
+//! ceremony (another `--seed`) or that holds a key rollover.
 //!
 //! With `--peers`, the NO role joins a replica federation: its ledger
 //! becomes a per-writer shard store (`--no-id` names the local shard),
@@ -235,6 +244,11 @@ fn open_ledger(dir: &str, npk: peace::ecdsa::VerifyingKey) -> Result<Ledger, Str
     Ok(ledger)
 }
 
+/// Why NO refused the ledger it was given.
+fn refused(e: NetError) -> String {
+    format!("ledger refused ({}): {e}", e.code())
+}
+
 /// Runs the NO bulletin daemon until the process is killed. With
 /// `--ledger DIR`, session reports and revocations are durably chained;
 /// periodic signed checkpoints make the log offline-verifiable. A hard
@@ -276,7 +290,8 @@ fn run_no(
             };
             println!("replica shard {writer}: {} record(s), {how}", rep.records);
         }
-        no.attach_replica(replica, std::sync::Arc::new(resolve) as PeerKeyResolver);
+        no.attach_replica(replica, std::sync::Arc::new(resolve) as PeerKeyResolver)
+            .map_err(refused)?;
         let peer_addrs = match peers {
             Some(p) => parse_addr_list("--peers", Some(p))?,
             None => Vec::new(),
@@ -291,7 +306,7 @@ fn run_no(
             no.start_gossip(peer_addrs, Duration::from_millis(gossip_ms));
         }
     } else if let Some(dir) = ledger_dir {
-        no.attach_ledger(open_ledger(dir, npk)?);
+        no.attach_ledger(open_ledger(dir, npk)?).map_err(refused)?;
     }
     println!("peace-noded: NO bulletin daemon on {}", no.addr());
     println!(
@@ -365,13 +380,8 @@ fn run_router(
             spec.routers
         )
     })?;
-    let daemon = RouterDaemon::spawn(
-        router,
-        spec.seed ^ (index as u64 + 1),
-        bind,
-        daemon_cfg(shards),
-    )
-    .map_err(|e| e.to_string())?;
+    let daemon = RouterDaemon::spawn(router, peace::os_seed(), bind, daemon_cfg(shards))
+        .map_err(|e| e.to_string())?;
     println!("peace-noded: router MR-{index} on {}", daemon.addr());
     let mut reachable = true;
     loop {
@@ -430,10 +440,10 @@ fn run_user(
             spec.users
         )
     })?;
-    let mut agent = UserAgent::new(user, spec.seed ^ 0xA6E0 ^ index as u64, daemon_cfg(0));
+    let mut agent = UserAgent::new(user, peace::os_seed(), daemon_cfg(0));
 
     let v = agent.poll_bulletin(no_addr).map_err(|e| e.to_string())?;
-    println!("bulletin adopted: URL v{v}, epoch {}", agent.last_epoch());
+    println!("bulletin adopted: URL v{v}");
 
     let mut sess = agent
         .connect_with_retry(router_addr, &RetryPolicy::default())
@@ -470,6 +480,23 @@ fn landed_sessions(no: &NoDaemon) -> Result<u64, String> {
     }
 }
 
+/// Checks that `router` (MR-`k`) refuses user-`i` as revoked.
+fn refused_as_revoked(
+    agent: &mut UserAgent,
+    router: &RouterDaemon,
+    i: usize,
+    k: usize,
+) -> Result<(), String> {
+    match agent.connect(router.addr()) {
+        Err(NetError::Rejected { code, .. }) if code == reject_code::REVOKED => {
+            println!("user-{i} revoked: refused by MR-{k}");
+            Ok(())
+        }
+        Ok(_) => Err(format!("revoked user-{i} was admitted")),
+        Err(e) => Err(e.to_string()),
+    }
+}
+
 /// The whole deployment in one process on loopback. Fails unless every
 /// admitted session lands at NO as a new record.
 fn run_demo(
@@ -485,7 +512,7 @@ fn run_demo(
     let cfg = daemon_cfg(shards);
     let no = NoDaemon::spawn(w.no, "127.0.0.1:0", cfg).map_err(|e| e.to_string())?;
     if let Some(dir) = ledger_dir {
-        no.attach_ledger(open_ledger(dir, npk)?);
+        no.attach_ledger(open_ledger(dir, npk)?).map_err(refused)?;
     }
     println!("NO bulletin daemon on {}", no.addr());
     let mut replicas = ReplicaSet::new([no.addr()], RetryPolicy::default());
@@ -493,7 +520,7 @@ fn run_demo(
 
     let mut routers = Vec::new();
     for (i, r) in w.routers.into_iter().enumerate() {
-        let d = RouterDaemon::spawn(r, spec.seed ^ (i as u64 + 1), "127.0.0.1:0", cfg)
+        let d = RouterDaemon::spawn(r, peace::os_seed(), "127.0.0.1:0", cfg)
             .map_err(|e| e.to_string())?;
         d.refresh_lists(no.addr()).map_err(|e| e.to_string())?;
         println!("router MR-{i} on {}", d.addr());
@@ -509,8 +536,16 @@ fn run_demo(
     for (i, user) in w.users.into_iter().enumerate() {
         let k = i % routers.len();
         let addr = routers[k].addr();
-        let mut agent = UserAgent::new(user, spec.seed ^ 0xA6E0 ^ i as u64, cfg);
+        let mut agent = UserAgent::new(user, peace::os_seed(), cfg);
         agent.poll_bulletin(no.addr()).map_err(|e| e.to_string())?;
+        // A user NO already lists (revoked by an earlier run on this
+        // --ledger DIR, replayed on attach) is refused from the start.
+        let url = agent.user().current_url();
+        if url.is_some_and(|url| url.tokens.contains(&w.tokens[i])) {
+            refused_as_revoked(&mut agent, &routers[k], i, k)?;
+            user_metrics.push((format!("user-{i}"), agent.telemetry()));
+            continue;
+        }
         let mut sess = agent
             .connect_with_retry(addr, &RetryPolicy::default())
             .map_err(|e| e.to_string())?;
@@ -540,9 +575,7 @@ fn run_demo(
         );
     }
     // Every admitted session is a new record in NO's store, and no outbox
-    // dropped one. (A replayed world replays its sessions too, and NO
-    // stores each once: a --ledger DIR that holds this seed's sessions
-    // already gains none.)
+    // dropped one.
     let counter = |name: &str| -> u64 {
         routers
             .iter()
@@ -559,20 +592,18 @@ fn run_demo(
             "{admitted} session(s) admitted, {landed} new at NO, {dropped} dropped"
         ));
     }
-    // Runtime revocation: NO revokes the last user, its router refreshes,
-    // and the user's next handshake must be refused by the router's
-    // revocation check (a table lookup under --fixed-bases).
+    // Runtime revocation: NO revokes the last admitted user, its router
+    // refreshes, and the user's next handshake must be refused by the
+    // router's revocation check (a table lookup under --fixed-bases).
     if let Some((i, mut agent)) = last_agent {
-        let router = &routers[i % routers.len()];
-        no.revoke_user(&w.tokens[i]);
-        router.refresh_lists(no.addr()).map_err(|e| e.to_string())?;
-        match agent.connect(router.addr()) {
-            Err(NetError::Rejected { code, .. }) if code == reject_code::REVOKED => {
-                println!("user-{i} revoked: refused by MR-{}", i % routers.len());
-            }
-            Ok(_) => return Err(format!("revoked user-{i} was admitted")),
-            Err(e) => return Err(e.to_string()),
+        let k = i % routers.len();
+        if !no.revoke_user(&w.tokens[i]) {
+            return Err(format!("NO did not record the revocation of user-{i}"));
         }
+        routers[k]
+            .refresh_lists(no.addr())
+            .map_err(|e| e.to_string())?;
+        refused_as_revoked(&mut agent, &routers[k], i, k)?;
     }
     if ledger_dir.is_some() {
         if let Some(ck) = no.checkpoint_now() {

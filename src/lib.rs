@@ -83,3 +83,37 @@ pub use peace_sim as sim;
 pub use peace_symmetric as symmetric;
 pub use peace_telemetry as telemetry;
 pub use peace_wire as wire;
+
+/// A seed for one daemon's or agent's own randomness — beacon and DH
+/// exponents, signature nonces, session ids — read from `/dev/urandom`.
+/// The binaries seed `RouterDaemon::spawn` and `UserAgent::new` with it,
+/// never with the world seed: a restarted or duplicated process that
+/// replayed a signature's randomness under a new challenge would give its
+/// member key away, and one that replayed session ids would have its
+/// transcripts dropped as duplicates.
+///
+/// # Panics
+///
+/// If `/dev/urandom` cannot be read.
+pub fn os_seed() -> u64 {
+    use std::io::Read;
+    let mut bytes = [0u8; 8];
+    std::fs::File::open("/dev/urandom")
+        .and_then(|mut f| f.read_exact(&mut bytes))
+        .expect("/dev/urandom is readable");
+    u64::from_le_bytes(bytes)
+}
+
+#[cfg(test)]
+mod tests {
+    use rand::rngs::StdRng;
+    use rand::{RngCore, SeedableRng};
+
+    /// Two processes started for the same (world seed, role, index) draw
+    /// different randomness.
+    #[test]
+    fn two_rngs_for_one_seed_role_and_index_differ() {
+        let draw = || StdRng::seed_from_u64(super::os_seed()).next_u64();
+        assert_ne!(draw(), draw());
+    }
+}

@@ -202,7 +202,9 @@ fn revocation_is_per_credential_and_complete() {
         assert!(net.no.revoke_member(&finding.token));
     }
     assert_eq!(net.no.revoked_member_count(), 2);
-    router.update_lists(net.no.publish_crl(t), net.no.publish_url(t));
+    router
+        .update_lists(net.no.publish_crl(t), net.no.publish_url(t))
+        .expect("lists admitted");
 
     // round 2
     for (i, user) in users.iter_mut().enumerate() {
