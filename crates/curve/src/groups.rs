@@ -85,17 +85,13 @@ macro_rules! group_impl {
 
             /// Simultaneous `self^a · other^b` via a shared doubling chain
             /// (Shamir's trick) — cheaper than two separate exponentiations.
+            ///
+            /// Variable-time (its wNAF skips zero digits): for public
+            /// scalars only, as in ECDSA verification and a verifier's
+            /// scalar path. The free `sign`, kept as the paper's reference
+            /// shape, is the one exception.
             pub fn mul_mul(&self, a: &Fq, other: &Self, b: &Fq) -> Self {
                 Self(self.0.double_mul_scalar(a, &other.0, b))
-            }
-
-            /// `self^k` for every `k` in `scalars` over one shared doubling
-            /// chain and one normalization — cheaper than `scalars.len()`
-            /// separate exponentiations from the second scalar on, and
-            /// counted as that many.
-            pub fn mul_many(&self, scalars: &[Fq]) -> Vec<Self> {
-                let powers = self.0.to_projective().mul_many(scalars);
-                powers.into_iter().map(Self).collect()
             }
 
             /// `g^k` for the fixed generator `g`, from the process-wide
@@ -137,6 +133,27 @@ macro_rules! group_impl {
 
 group_impl!(G1, "The fixed generator `g₁ = ψ(g₂)`.");
 group_impl!(G2, "The fixed generator `g₂`.");
+
+impl G1 {
+    /// `[kᵢ]Pᵢ` for each `(Pᵢ, kᵢ)` of `pairs` — what [`Self::mul`] gives
+    /// pair by pair — as x-only ladders in AVX-512 IFMA lanes, a scalar
+    /// per lane, eight per lane group, every lane over the same steps
+    /// whatever its scalar. `None` without IFMA or for fewer than two
+    /// pairs: the caller's scalar path.
+    ///
+    /// Not counted: a caller records the exponentiations the group stands
+    /// for (four lanes of `u^{s_α}·T₁^{−c}`, `T₁^{s_x}·u^{−s_δ}` are the two
+    /// double exponentiations they replace).
+    pub fn mul_each(pairs: &[(Self, Fq)]) -> Option<Vec<Self>> {
+        #[cfg(target_arch = "x86_64")]
+        return crate::lanes::mul_each(pairs);
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            let _ = pairs;
+            None
+        }
+    }
+}
 
 /// The isomorphism `ψ : 𝔾₂ → 𝔾₁` with `ψ(g₂) = g₁`.
 ///

@@ -564,35 +564,6 @@ mod tests {
         }
     }
 
-    /// The shared-chain entry is `mul`, scalar by scalar — results and
-    /// the E2 counter both.
-    fn assert_mul_many_is_mul(base: &G1, scalars: &[Fq]) {
-        let before = ops::g1_mul_count();
-        let many = base.mul_many(scalars);
-        assert_eq!(ops::g1_mul_count() - before, scalars.len() as u64);
-        let each: Vec<G1> = scalars.iter().map(|k| base.mul(k)).collect();
-        assert_eq!(many, each, "{scalars:?}");
-    }
-
-    #[test]
-    fn mul_many_edge_scalars() {
-        let mut r = rng();
-        let base = G1::random(&mut r);
-        let q_minus_1 = Fq::ZERO.sub(&Fq::ONE);
-        let k = Fq::random(&mut r);
-        assert_mul_many_is_mul(&base, &[]);
-        assert_mul_many_is_mul(&base, &[Fq::ZERO]);
-        assert_mul_many_is_mul(&base, &[Fq::ZERO, Fq::ONE, q_minus_1]);
-        assert_mul_many_is_mul(&base, &[k, k, k.neg(), k]);
-        // Every digit magnitude of the recoding, and 2¹⁵⁹ (a lone top bit).
-        let small: Vec<Fq> = (0..=16).map(Fq::from_u64).collect();
-        assert_mul_many_is_mul(&base, &small);
-        let top_bit = Fq::from_u64(1 << 63).square().mul(&Fq::from_u64(1 << 33));
-        assert_mul_many_is_mul(&base, &[top_bit, Fq::ONE]);
-        assert_mul_many_is_mul(&G1::IDENTITY, &[Fq::ZERO, Fq::ONE, k]);
-        assert_eq!(G2::generator().mul_many(&[k]), [G2::mul_generator(&k)]);
-    }
-
     #[test]
     fn fixed_base_table_matches_generic_mul() {
         let mut r = rng();
@@ -878,14 +849,6 @@ mod tests {
                 ProjectivePoint::double_mul(&p, &a, &q, &b).to_affine(),
                 ProjectivePoint::double_mul_binary(&p, &a, &q, &b).to_affine()
             );
-        }
-
-        #[test]
-        fn prop_mul_many_matches_mul(seed in any::<u64>(), n in 1usize..5) {
-            let mut r = StdRng::seed_from_u64(seed);
-            let base = G1::random(&mut r);
-            let scalars: Vec<Fq> = (0..n).map(|_| Fq::random(&mut r)).collect();
-            assert_mul_many_is_mul(&base, &scalars);
         }
 
         #[test]

@@ -2,8 +2,8 @@
 //!
 //! Affine and Jacobian-projective representations with complete-by-case
 //! addition and doubling. One scalar times a variable base is an x-only
-//! Montgomery ladder; two scalars, or several powers of one base, are wNAF
-//! over Jacobian points. The curve coefficient is `a = 1, b = 0`.
+//! Montgomery ladder; `a·P + b·Q` for public scalars is wNAF over Jacobian
+//! points. The curve coefficient is `a = 1, b = 0`.
 
 use core::fmt;
 
@@ -132,6 +132,12 @@ impl AffinePoint {
     /// experiment (`ops::g1_mul_count`).
     pub fn mul_uint<const M: usize>(&self, k: &Uint<M>) -> Self {
         ops::record_g1_mul();
+        self.ladder_mul(k)
+    }
+
+    /// [`Self::mul_uint`], not counted: for a caller that records the
+    /// exponentiation this stands in for.
+    pub(crate) fn ladder_mul<const M: usize>(&self, k: &Uint<M>) -> Self {
         if self.infinity {
             return Self::IDENTITY;
         }
@@ -151,7 +157,8 @@ impl AffinePoint {
     }
 
     /// Simultaneous `a·self + b·other` (Shamir's trick; see
-    /// [`ProjectivePoint::double_mul`]).
+    /// [`ProjectivePoint::double_mul`]). Variable-time: for public scalars
+    /// only.
     pub fn double_mul_scalar(&self, a: &Fq, other: &Self, b: &Fq) -> Self {
         ProjectivePoint::double_mul(
             &self.to_projective(),
@@ -500,46 +507,6 @@ impl ProjectivePoint {
         acc
     }
 
-    /// `k·self` for every `k` in `scalars`, over **one** doubling chain of
-    /// `self` — the shape of a signer's `T₁ = u^α`, `R₁ = u^{r_α}`,
-    /// `R₃ = u^{α·r_x − r_δ}`, three powers of one fresh base.
-    ///
-    /// Right to left: the running base `2ⁱ·self` is doubled once per bit
-    /// whatever the number of scalars, and each scalar's width-4 signed
-    /// digit at position `i` adds `±2ⁱ·self` into that scalar's bucket for
-    /// `|digit|` (four buckets: 1, 3, 5, 7); a scalar's result is the
-    /// weighted sum of its buckets. Per scalar that is ≈ 32 + 9 additions
-    /// and no doublings of its own. The results are normalized together
-    /// (one field inversion), and each is recorded as one 𝔾₁ exponentiation
-    /// — it replaces one.
-    pub fn mul_many(&self, scalars: &[Fq]) -> Vec<AffinePoint> {
-        let digits: Vec<Vec<i8>> = scalars
-            .iter()
-            .map(|k| {
-                ops::record_g1_mul();
-                k.to_uint().wnaf(MUL_MANY_WIDTH)
-            })
-            .collect();
-        let len = digits.iter().map(Vec::len).max().unwrap_or(0);
-        let mut buckets = vec![[Self::IDENTITY; MUL_MANY_BUCKETS]; scalars.len()];
-        let mut base = *self;
-        for i in 0..len {
-            if i > 0 {
-                base = base.double();
-            }
-            for (digits, buckets) in digits.iter().zip(&mut buckets) {
-                let d = digits.get(i).copied().unwrap_or(0);
-                if d != 0 {
-                    let signed = if d > 0 { base } else { base.neg() };
-                    let bucket = &mut buckets[(d.unsigned_abs() as usize) >> 1];
-                    *bucket = bucket.add(&signed);
-                }
-            }
-        }
-        let sums: Vec<Self> = buckets.iter().map(odd_weighted_sum).collect();
-        Self::batch_to_affine(&sums)
-    }
-
     /// Binary Shamir ladder: the oracle [`Self::double_mul`] is tested
     /// against, built for tests only.
     #[cfg(test)]
@@ -669,24 +636,6 @@ pub(crate) fn x_ladder<const M: usize>(x: &Fp, k: &Uint<M>) -> (XOnly, XOnly) {
 /// wNAF window width per scalar in interleaved double-mul (smaller: two
 /// tables are built per call).
 const DOUBLE_MUL_WIDTH: u32 = 4;
-
-/// wNAF window width per scalar in [`ProjectivePoint::mul_many`], and the
-/// buckets it needs (one per odd digit magnitude). Width 4 is where the
-/// digit additions (≈ bits/5) and the bucket sum (≈ 2 per bucket) balance.
-const MUL_MANY_WIDTH: u32 = 4;
-const MUL_MANY_BUCKETS: usize = 1 << (MUL_MANY_WIDTH - 2);
-
-/// `Σⱼ (2j+1)·buckets[j]` by running sums: `2·Σⱼ j·buckets[j]` comes from
-/// adding the suffix sums, the rest is the sum of all buckets.
-fn odd_weighted_sum(buckets: &[ProjectivePoint; MUL_MANY_BUCKETS]) -> ProjectivePoint {
-    let mut suffix = ProjectivePoint::IDENTITY;
-    let mut weighted = ProjectivePoint::IDENTITY;
-    for bucket in buckets[1..].iter().rev() {
-        suffix = suffix.add(bucket);
-        weighted = weighted.add(&suffix);
-    }
-    weighted.double().add(&suffix).add(&buckets[0])
-}
 
 /// Adds the table entry for a signed wNAF digit (`d` odd, `|d| < 2T`);
 /// zero digits are a no-op.

@@ -6,9 +6,9 @@
 //! 512-bit register, in Montgomery form with `R = 2^520`. `vpmadd52luq` and
 //! `vpmadd52huq` add the low and the high 52 bits of a 104-bit product to a
 //! 64-bit accumulator, so a product is a 10×10 schoolbook of 200 of them
-//! with no carry handling until the end. The reduction adds `m·p` limb by
-//! limb per row and skips `p`'s five zero limbs (4 to 8), as the scalar
-//! CIOS kernel skips its zero words.
+//! (a square, 110) with no carry handling until the end. The reduction
+//! adds `m·p` limb by limb per row and skips `p`'s five zero limbs (4 to
+//! 8), as the scalar CIOS kernel skips its zero words.
 //!
 //! Bounds. A product of two inputs below `16p` is below `2p` with no final
 //! subtraction: `p < 2^512`, so `R > 256p` and the result `a·b/R + m·p/R`
@@ -127,8 +127,13 @@ pub struct Ifma(());
 
 impl Ifma {
     /// The capability, where the CPU has the features; `None` elsewhere,
-    /// where every caller takes its scalar path.
+    /// where every caller takes its scalar path. A build with
+    /// `RUSTFLAGS='--cfg peace_scalar'` takes the scalar path on every CPU,
+    /// so that path can be tested whole where the lanes would run.
     pub fn detect() -> Option<Self> {
+        if cfg!(peace_scalar) {
+            return None;
+        }
         (std::is_x86_feature_detected!("avx512f") && std::is_x86_feature_detected!("avx512ifma"))
             .then_some(Self(()))
     }
@@ -401,6 +406,44 @@ pub fn dot<const N: usize>(terms: [(&Fp8, &Fp8); N]) -> Fp8 {
     carry(out)
 }
 
+/// `a²/R mod p` of an input below `16p`: below `2p`, the value of
+/// [`mul`]`(a, a)`, with each cross product `aᵢ·aⱼ` formed once and the
+/// sum doubled (55 products, not 100) before the same reduction. A limb
+/// receives at most 32 halves of products, below `2^57`.
+#[target_feature(enable = "avx512ifma")]
+#[inline]
+pub fn square(a: &Fp8) -> Fp8 {
+    let zero = _mm512_setzero_si512();
+    let inv = _mm512_set1_epi64(INV as i64);
+    let p = splat(&P).0;
+    let a = &a.0;
+    let mut t = [zero; 2 * LIMBS];
+    for i in 0..LIMBS {
+        for j in i + 1..LIMBS {
+            t[i + j] = _mm512_madd52lo_epu64(t[i + j], a[i], a[j]);
+            t[i + j + 1] = _mm512_madd52hi_epu64(t[i + j + 1], a[i], a[j]);
+        }
+    }
+    for t in t.iter_mut() {
+        *t = _mm512_add_epi64(*t, *t);
+    }
+    for i in 0..LIMBS {
+        t[2 * i] = _mm512_madd52lo_epu64(t[2 * i], a[i], a[i]);
+        t[2 * i + 1] = _mm512_madd52hi_epu64(t[2 * i + 1], a[i], a[i]);
+    }
+    for i in 0..LIMBS {
+        let m = _mm512_madd52lo_epu64(zero, t[i], inv);
+        for j in P_NONZERO {
+            t[i + j] = _mm512_madd52lo_epu64(t[i + j], m, p[j]);
+            t[i + j + 1] = _mm512_madd52hi_epu64(t[i + j + 1], m, p[j]);
+        }
+        t[i + 1] = _mm512_add_epi64(t[i + 1], _mm512_srli_epi64::<52>(t[i]));
+    }
+    let mut out = [zero; LIMBS];
+    out.copy_from_slice(&t[LIMBS..]);
+    carry(out)
+}
+
 /// `x^e` in every lane for one exponent `e` (little-endian limbs), by the
 /// sliding window of [`Fp::pow_limbs`](crate::Fe::pow_limbs): the window
 /// boundaries depend on `e` alone, so every lane takes the same steps.
@@ -411,7 +454,7 @@ pub fn pow(x: &Fp8, e: &[u64]) -> Fp8 {
     let Some(top) = (0..64 * e.len()).rev().find(|&i| bit(i)) else {
         return one();
     };
-    let sq = mul(x, x);
+    let sq = square(x);
     let mut odd = [*x; 8];
     for i in 1..8 {
         odd[i] = mul(&odd[i - 1], &sq);
@@ -420,7 +463,7 @@ pub fn pow(x: &Fp8, e: &[u64]) -> Fp8 {
     let mut i = top as isize;
     while i >= 0 {
         if !bit(i as usize) {
-            acc = mul(&acc, &acc);
+            acc = square(&acc);
             i -= 1;
             continue;
         }
@@ -430,7 +473,7 @@ pub fn pow(x: &Fp8, e: &[u64]) -> Fp8 {
         }
         let mut window = 0;
         for k in (j..=i).rev() {
-            acc = mul(&acc, &acc);
+            acc = square(&acc);
             window = (window << 1) | usize::from(bit(k as usize));
         }
         acc = mul(&acc, &odd[window >> 1]);
@@ -566,6 +609,8 @@ mod tests {
     /// What the kernels make of them, as limbs.
     struct Outputs {
         product: [Limbs; LANES],
+        /// `square` of the first factor.
+        squared: [Limbs; LANES],
         sum: [Limbs; LANES],
         difference: [Limbs; LANES],
         square: ([Limbs; LANES], [Limbs; LANES]),
@@ -596,6 +641,7 @@ mod tests {
         let zeros = [0, 1, 2, 3].map(|k| is_zero(&splat(&p_times(k))));
         Outputs {
             product: unpack(&mul(&pack(&i.a16), &pack(&i.b16))),
+            squared: unpack(&square(&pack(&i.a16))),
             sum: unpack(&sum),
             difference: unpack(&difference),
             square: (unpack(&re), unpack(&im)),
@@ -612,7 +658,7 @@ mod tests {
     }
 
     /// The kernels against the scalar field at their stated bounds:
-    /// products of inputs just below `16p`, sums and differences up to
+    /// products and squares of inputs just below `16p`, sums and differences up to
     /// `8p` and their `tidy`, `reduce` by `k` just below `2k`, `is_zero`
     /// of multiples of `p` below `4p`. Each result is the field's
     /// answer and within its bound. A one-bit change to `INV`, `P_NONZERO`
@@ -643,6 +689,9 @@ mod tests {
                 let product = element(&i.a16[k]).mul(&element(&i.b16[k]));
                 assert_eq!(element(&got.product[k]), product, "lane {k}");
                 assert!(below(&got.product[k], &p2), "a product is below 2p");
+                let squared = element(&i.a16[k]).square();
+                assert_eq!(element(&got.squared[k]), squared, "lane {k}");
+                assert!(below(&got.squared[k], &p2), "a square is below 2p");
                 let sum = element(&i.a4[k]).add(&element(&i.b4[k]));
                 assert_eq!(element(&got.sum[k]), sum, "lane {k}");
                 assert!(below(&got.sum[k], &p8), "a sum is below 8p");

@@ -346,10 +346,11 @@ impl PreparedGpk {
         (lhs == self.e_g1_g2_table.base()).then_some(e_a_g2)
     }
 
-    /// Signs `msg` under `gsk`, paying for `ê(A, g₂)` here (one table
-    /// evaluation and its reduction): what a caller without the value from
-    /// [`Self::member_pairing`] uses. Two bilinear maps, as the paper
-    /// counts them.
+    /// Signs `msg` under `gsk`, paying for `ê(A, g₂)` here: what a caller
+    /// without the value from [`Self::member_pairing`] uses. Two bilinear
+    /// maps, as the paper counts them, paid as one more table evaluation
+    /// (at `A`, beside the two at `v`) and one more term of `R₂`'s one
+    /// reduction: `ê(A, g₂)^{r_x}` is never reduced on its own.
     ///
     /// Draws from `rng` in exactly the same order as the free-standing
     /// [`sign`] and computes identical values, so the produced signature is
@@ -362,7 +363,7 @@ impl PreparedGpk {
         mode: BasesMode,
         rng: &mut impl RngCore,
     ) -> GroupSignature {
-        self.sign_as(gsk, &pairing_with(&self.g2_lines, &gsk.a), msg, mode, rng)
+        self.sign_with(gsk, None, msg, mode, rng)
     }
 
     /// Signs `msg` under `gsk`, given `e_a_g2 = ê(A, g₂)` for that key
@@ -376,12 +377,28 @@ impl PreparedGpk {
     ///   table evaluations at `v` and one reduction, not two pairings;
     /// * `T₁ = u^α`, so `R₃ = T₁^{r_x}·u^{−r_δ} = u^{α·r_x − r_δ}` — one
     ///   exponentiation, not a double one;
-    /// * `T₁`, `R₁ = u^{r_α}` and `R₃` are then three powers of `u`, and
-    ///   share its doubling chain ([`G1::mul_many`]).
+    /// * `T₁`, `R₁ = u^{r_α}`, `R₃` and `v^α` are then four ladders, one
+    ///   lane group where the CPU has IFMA ([`G1::mul_each`]). Every lane
+    ///   and every scalar ladder takes the same steps whatever its secret
+    ///   scalar.
     pub fn sign_as(
         &self,
         gsk: &MemberKey,
         e_a_g2: &Gt,
+        msg: &[u8],
+        mode: BasesMode,
+        rng: &mut impl RngCore,
+    ) -> GroupSignature {
+        self.sign_with(gsk, Some(e_a_g2), msg, mode, rng)
+    }
+
+    /// [`Self::sign_as`], with `ê(A, g₂)` given or, for `None`, evaluated
+    /// at `A` beside the evaluations at `v` and raised to `r_x` inside
+    /// `R₂`'s reduction.
+    fn sign_with(
+        &self,
+        gsk: &MemberKey,
+        e_a_g2: Option<&Gt>,
         msg: &[u8],
         mode: BasesMode,
         rng: &mut impl RngCore,
@@ -401,15 +418,34 @@ impl PreparedGpk {
 
         // 2.2.2–2.2.3, with every exponent of u and of ê(v, ·) collected.
         let e = alpha.mul(&r_x).sub(&r_delta);
-        let powers = u.mul_many(&[alpha, r_alpha, e]);
+        let pairs = [(u, alpha), (u, r_alpha), (u, e), (v, alpha)];
+        let powers = match G1::mul_each(&pairs) {
+            Some(powers) => {
+                pairs.iter().for_each(|_| peace_curve::ops::record_g1_mul());
+                powers
+            }
+            None => pairs.iter().map(|(p, k)| p.mul(k)).collect(),
+        };
         let (t1, r1, r3) = (powers[0], powers[1], powers[2]);
-        let t2 = gsk.a.add(&v.mul(&alpha));
+        let t2 = gsk.a.add(&powers[3]);
         ops::record_pairing();
-        let (g2_v, w_v) = self.key_values(&xy_ratios(&[v.point()]))[0];
-        // v is a subgroup point, so no value is zero (see `pairing_with`).
-        let r2 = MillerValue::reduce_powers(&[(g2_v, e, false), (w_v, r_alpha, true)])
-            .unwrap_or(Gt::ONE);
-        let r2 = e_a_g2.pow(&r_x).mul(&r2);
+        let mut points = vec![v.point()];
+        if e_a_g2.is_none() {
+            ops::record_pairing();
+            points.push(gsk.a.point());
+        }
+        let at = xy_ratios(&points);
+        let mut evals = vec![
+            (&self.g2_lines, at[0].as_ref()),
+            (&self.w_lines, at[0].as_ref()),
+        ];
+        evals.extend(at.get(1).map(|a| (&self.g2_lines, a.as_ref())));
+        let values = MillerLines::eval_many(&evals);
+        let mut terms = vec![(values[0], e, false), (values[1], r_alpha, true)];
+        terms.extend(values.get(2).map(|&e_a| (e_a, r_x, false)));
+        // v and A are subgroup points, so no value is zero (see `pairing_with`).
+        let r2 = MillerValue::reduce_powers(&terms).unwrap_or(Gt::ONE);
+        let r2 = e_a_g2.map_or(r2, |e_a_g2| e_a_g2.pow(&r_x).mul(&r2));
         let (t1, t2) = (G1Wire::from(t1), G1Wire::from(t2));
         let c = challenge(&self.gpk, msg, &r, &t1, &t2, &r1, &r2, &r3);
 
@@ -493,12 +529,35 @@ impl PreparedGpk {
     ) -> Result<(), VerifyError> {
         let (t1, t2) = checked_commitments(sig)?;
         let u = psi(u_hat);
-        // Same equations as the free `verify`, with R₂ from the tables.
-        let neg_c = sig.c.neg();
-        let r1 = u.mul_mul(&sig.s_alpha, &t1, &neg_c);
+        // Same equations as the free `verify`, with R₂ from the tables, and
+        // R₁ = u^{s_α}·T₁^{−c}, R₃ = T₁^{s_x}·u^{−s_δ} as four ladders in
+        // one lane group where the CPU has IFMA.
         let r2 = self.r2(sig, &t2, v_pre)?;
-        let neg_s_delta = sig.s_delta.neg();
-        let r3 = t1.mul_mul(&sig.s_x, &u, &neg_s_delta);
+        let (neg_c, neg_s_delta) = (sig.c.neg(), sig.s_delta.neg());
+        let pairs = [
+            (u, sig.s_alpha),
+            (t1, neg_c),
+            (t1, sig.s_x),
+            (u, neg_s_delta),
+        ];
+        let (r1, r3) = match G1::mul_each(&pairs) {
+            Some(p) => {
+                // The two double exponentiations the four ladders replace.
+                peace_curve::ops::record_g1_mul();
+                peace_curve::ops::record_g1_mul();
+                let sum = |a: &G1, b: &G1| a.point().to_projective().add_affine(b.point());
+                let sums =
+                    ProjectivePoint::batch_to_affine(&[sum(&p[0], &p[1]), sum(&p[2], &p[3])]);
+                (
+                    G1::from_point_unchecked(sums[0]),
+                    G1::from_point_unchecked(sums[1]),
+                )
+            }
+            None => (
+                u.mul_mul(&sig.s_alpha, &t1, &neg_c),
+                t1.mul_mul(&sig.s_x, &u, &neg_s_delta),
+            ),
+        };
         if challenge(&self.gpk, msg, &sig.r, &sig.t1, &sig.t2, &r1, &r2, &r3) == sig.c {
             Ok(())
         } else {
@@ -1421,8 +1480,9 @@ mod lane_sigma {
     use rand::SeedableRng;
 
     /// What [`PreparedGpk::sign_as`] computes, one item at a time: H₀'s
-    /// bases one after the other, each table evaluated on its own. What a
-    /// CPU without IFMA runs.
+    /// bases one after the other, each power of `u` and `v` by its own
+    /// ladder, each table evaluated on its own. What a CPU without IFMA
+    /// runs.
     fn sign_one_by_one(
         prepared: &PreparedGpk,
         gsk: &MemberKey,
@@ -1439,7 +1499,7 @@ mod lane_sigma {
         let x_eff = gsk.exponent();
         let (r_alpha, r_x, r_delta) = (Fq::random(rng), Fq::random(rng), Fq::random(rng));
         let e = alpha.mul(&r_x).sub(&r_delta);
-        let powers = u.mul_many(&[alpha, r_alpha, e]);
+        let powers = [u.mul(&alpha), u.mul(&r_alpha), u.mul(&e)];
         let t2 = gsk.a.add(&v.mul(&alpha));
         ops::record_pairing();
         let at = xy_ratios(&[v.point()]);
@@ -1519,11 +1579,15 @@ mod lane_sigma {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2))]
 
         /// A signature's paired work in lanes (H₀'s two bases in one batch,
-        /// the key tables side by side, `T₁` and `T₂` decoded together)
-        /// against the same work one item at a time: byte-identical
-        /// signatures with the same op tallies, and on freshly decoded bytes
-        /// the same verdict and refusal — and for an accepted signature the
-        /// same op tallies — for honest signatures, forged challenges, and
+        /// the key tables side by side, `T₁` and `T₂` decoded together, the
+        /// signer's four powers and the verifier's `R₁`, `R₃` as one ladder
+        /// group each) against the same work one item at a time:
+        /// byte-identical signatures with the same op tallies — from
+        /// `sign_as`, and from `sign`, whose `ê(A, g₂)` rides in `R₂`'s one
+        /// reduction (one final exponentiation fewer than reducing it
+        /// alone) — and on freshly decoded bytes the same verdict and
+        /// refusal — and for an accepted signature the same op tallies —
+        /// for honest signatures, a forged challenge, a flipped `s_x`, and
         /// `T₁` or `T₂` off the curve, outside the subgroup or at the
         /// identity.
         #[test]
@@ -1539,7 +1603,7 @@ mod lane_sigma {
             println!("sign and verify: {}", if lanes { "avx512ifma lanes" } else { "scalar" });
             let msg: &[u8] = b"sigma";
             for mode in [BasesMode::PerMessage, BasesMode::FixedBases] {
-                let mut oracle_rng = rng.clone();
+                let (mut oracle_rng, mut full_rng, mut alone_rng) = (rng.clone(), rng.clone(), rng.clone());
                 let scope = OpSnapshot::scope();
                 let sig = prepared.sign_as(&member, &e_a_g2, msg, mode, &mut rng);
                 let lane_cost = scope.counts();
@@ -1550,8 +1614,26 @@ mod lane_sigma {
                 proptest::prop_assert_eq!(lane_cost, scope.counts(), "{:?}", mode);
                 drop(scope);
 
+                let scope = OpSnapshot::scope();
+                let full = prepared.sign(&member, msg, mode, &mut full_rng);
+                let full_cost = scope.counts();
+                drop(scope);
+                let scope = OpSnapshot::scope();
+                let paid = pairing_with(&prepared.g2_lines, &member.a);
+                let _ = sign_one_by_one(&prepared, &member, &paid, msg, mode, &mut alone_rng);
+                let alone = scope.counts();
+                drop(scope);
+                proptest::prop_assert_eq!(full.to_bytes(), sig.to_bytes(), "{:?}", mode);
+                let fused = OpSnapshot { final_exps: alone.final_exps - 1, ..alone };
+                proptest::prop_assert_eq!(full_cost, fused, "{:?}", mode);
+
                 let forged = GroupSignature { c: sig.c.add(&Fq::ONE), ..sig.clone() };
-                let mut cases = vec![("honest", sig.to_bytes()), ("forged c", forged.to_bytes())];
+                let flipped = GroupSignature { s_x: sig.s_x.add(&Fq::ONE), ..sig.clone() };
+                let mut cases = vec![
+                    ("honest", sig.to_bytes()),
+                    ("forged c", forged.to_bytes()),
+                    ("flipped s_x", flipped.to_bytes()),
+                ];
                 for (kind, encoding) in ["off the curve", "outside", "identity"].iter().zip(bad_encodings(seed)) {
                     cases.push((kind, with_commitment(&sig, 0, &encoding)));
                     cases.push((kind, with_commitment(&sig, 1, &encoding)));
