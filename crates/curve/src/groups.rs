@@ -14,7 +14,7 @@ use peace_field::Fq;
 use rand::RngCore;
 
 use crate::point::{generator, AffinePoint};
-use crate::wire::G1Wire;
+use crate::wire::{decompress_and_hash, G1Wire};
 
 /// An element of 𝔾₁ (order-`q` subgroup of `E(F_p)`).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -89,7 +89,8 @@ macro_rules! group_impl {
             /// Variable-time (its wNAF skips zero digits): for public
             /// scalars only, as in ECDSA verification and a verifier's
             /// scalar path. The free `sign`, kept as the paper's reference
-            /// shape, is the one exception.
+            /// shape for tests and examples, is the one exception: every
+            /// other signer signs through the prepared key's ladders.
             pub fn mul_mul(&self, a: &Fq, other: &Self, b: &Fq) -> Self {
                 Self(self.0.double_mul_scalar(a, &other.0, b))
             }
@@ -181,7 +182,7 @@ pub fn hash_to_g2(label: &[u8], msg: &[u8]) -> G2 {
 /// pairing's second argument, where by bilinearity
 /// `ê(P, [c]Q) = ê(P, Q)^c̄` with `c̄ = c mod q` ([`Self::exponent`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct G2Preimage(AffinePoint);
+pub struct G2Preimage(pub(crate) AffinePoint);
 
 impl G2Preimage {
     /// The curve point `Q`.
@@ -276,29 +277,11 @@ impl Candidate {
 /// H₀ of many inputs at once: [`hash_to_g2`] of each `(label, msg)` of
 /// `cleared`, and [`hash_to_g2_preimage`] of each of `preimages`. What a
 /// signature's bases cost (a signer's `û` and `v̂`, a verifier's `û` and
-/// `Q_v`), or a batch of signatures' bases. With AVX-512 IFMA, eight square
-/// roots of either kind and eight cofactor ladders run at once; elsewhere,
-/// and for a lone input, one by one. Byte for byte the same points,
-/// counted the same.
+/// `Q_v`), or a batch of signatures' bases: [`decompress_and_hash`] with no
+/// point to decompress.
 pub fn hash_to_g2_many(
     cleared: &[(&[u8], &[u8])],
     preimages: &[(&[u8], &[u8])],
 ) -> (Vec<G2>, Vec<G2Preimage>) {
-    #[cfg(target_arch = "x86_64")]
-    if let Some((cleared, preimages)) = crate::lanes::hash_to_points(cleared, preimages) {
-        return (
-            cleared.into_iter().map(G2).collect(),
-            preimages.into_iter().map(G2Preimage).collect(),
-        );
-    }
-    (
-        cleared
-            .iter()
-            .map(|(label, msg)| hash_to_g2(label, msg))
-            .collect(),
-        preimages
-            .iter()
-            .map(|(label, msg)| hash_to_g2_preimage(label, msg))
-            .collect(),
-    )
+    decompress_and_hash(&[], cleared, preimages)
 }

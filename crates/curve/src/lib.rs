@@ -9,7 +9,8 @@
 //! * [`hash_to_g1`] / [`hash_to_g2`] — deterministic hash-to-subgroup, and
 //!   [`hash_to_g2_preimage`] — the same hash before its cofactor clearing;
 //! * compressed 65-byte point encodings, and [`G1Wire`] — that encoding
-//!   as a value, validated when the point is first needed.
+//!   as a value, validated when the point is first needed; and
+//!   [`decompress_and_hash`] — a request's decodes and H₀ as one batch.
 //!
 //! # Examples
 //!
@@ -42,7 +43,7 @@ pub use groups::{
     hash_to_g1, hash_to_g2, hash_to_g2_many, hash_to_g2_preimage, psi, G2Preimage, G1, G2,
 };
 pub use point::{generator, AffinePoint, ProjectivePoint};
-pub use wire::{G1Encoded, G1Wire, PointError};
+pub use wire::{decompress_and_hash, G1Encoded, G1Wire, PointError};
 
 #[cfg(test)]
 mod tests {
@@ -667,7 +668,7 @@ mod tests {
     /// Which path a batch of `n` takes here, printed by the tests that hold
     /// the lanes to the scalar path (a CPU without IFMA runs both sides on
     /// the scalar one).
-    fn batch_path(n: usize) -> &'static str {
+    pub(crate) fn batch_path(n: usize) -> &'static str {
         #[cfg(target_arch = "x86_64")]
         if n >= 2 && peace_field::lanes::Ifma::detect().is_some() {
             return "avx512ifma lanes";
@@ -681,7 +682,7 @@ mod tests {
     /// Canonical encodings of every kind, cycled: subgroup points (either
     /// sign), an x with no curve point, a curve point outside the
     /// subgroup, and the identity.
-    fn mixed_encodings(n: usize, r: &mut StdRng) -> Vec<Vec<u8>> {
+    pub(crate) fn mixed_encodings(n: usize, r: &mut StdRng) -> Vec<Vec<u8>> {
         let encode = |x: u64, tag: u8| {
             let mut bytes = vec![0u8; 65];
             bytes[0] = tag;

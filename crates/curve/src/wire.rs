@@ -17,7 +17,7 @@ use std::sync::OnceLock;
 
 use peace_field::Fp;
 
-use crate::groups::G1;
+use crate::groups::{hash_to_g2, hash_to_g2_preimage, G2Preimage, G1, G2};
 use crate::point::AffinePoint;
 
 /// Why canonical bytes do not name a group element.
@@ -122,29 +122,10 @@ impl G1Wire {
 
     /// Decompresses every encoding not yet decompressed, so that each
     /// later [`Self::decompress`] is a lookup giving what it would have
-    /// computed, counted as it would have counted. With AVX-512 IFMA the
-    /// square roots and subgroup checks run eight at a time; elsewhere, and
-    /// for a lone encoding, one by one.
+    /// computed, counted as it would have counted: [`decompress_and_hash`]
+    /// with nothing to hash.
     pub fn decompress_all(wires: &[&G1Wire]) {
-        let pending: Vec<&G1Wire> = wires
-            .iter()
-            .copied()
-            .filter(|w| w.point.get().is_none() && !w.is_identity())
-            .collect();
-        #[cfg(target_arch = "x86_64")]
-        {
-            let encodings: Vec<&[u8; G1::ENCODED_LEN]> = pending.iter().map(|w| &w.bytes).collect();
-            if let Some(points) = crate::lanes::decompress(&encodings) {
-                for (w, point) in pending.iter().zip(points) {
-                    // Another thread may have decided first: same answer.
-                    let _ = w.point.set(point);
-                }
-                return;
-            }
-        }
-        for w in pending {
-            let _ = w.decompress();
-        }
+        decompress_and_hash(wires, &[], &[]);
     }
 
     /// The encoding.
@@ -194,6 +175,56 @@ impl fmt::Debug for G1Wire {
         }
         write!(f, "…)")
     }
+}
+
+/// What admitting a request's points costs, in one call: every wire of
+/// `wires` not yet decompressed is decompressed ([`G1Wire::decompress_all`]:
+/// each later [`G1Wire::decompress`] is a lookup), and H₀ is taken of
+/// each input ([`hash_to_g2_many`](crate::hash_to_g2_many): [`hash_to_g2`]
+/// of each of `cleared`, [`hash_to_g2_preimage`] of each of `preimages`).
+/// With AVX-512 IFMA the square roots of both kinds share one chain per
+/// eight, and the subgroup checks and cofactor clearings one ladder per
+/// eight; elsewhere, and for a lone value, they run one by one. Byte for
+/// byte the same points and refusals, counted the same.
+pub fn decompress_and_hash(
+    wires: &[&G1Wire],
+    cleared: &[(&[u8], &[u8])],
+    preimages: &[(&[u8], &[u8])],
+) -> (Vec<G2>, Vec<G2Preimage>) {
+    let pending: Vec<&G1Wire> = wires
+        .iter()
+        .copied()
+        .filter(|w| w.point.get().is_none() && !w.is_identity())
+        .collect();
+    #[cfg(target_arch = "x86_64")]
+    {
+        let encodings: Vec<&[u8; G1::ENCODED_LEN]> = pending.iter().map(|w| &w.bytes).collect();
+        if let Some((points, cleared, preimages)) =
+            crate::lanes::admit(&encodings, cleared, preimages)
+        {
+            for (w, point) in pending.iter().zip(points) {
+                // Another thread may have decided first: same answer.
+                let _ = w.point.set(point);
+            }
+            return (
+                cleared.into_iter().map(G2).collect(),
+                preimages.into_iter().map(G2Preimage).collect(),
+            );
+        }
+    }
+    for w in pending {
+        let _ = w.decompress();
+    }
+    (
+        cleared
+            .iter()
+            .map(|(label, msg)| hash_to_g2(label, msg))
+            .collect(),
+        preimages
+            .iter()
+            .map(|(label, msg)| hash_to_g2_preimage(label, msg))
+            .collect(),
+    )
 }
 
 /// A 𝔾₁ element that can state its 65-byte encoding without any validation

@@ -5,7 +5,9 @@ use core::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use peace_curve::{psi, AffinePoint, G1Wire, G2Preimage, PointError, ProjectivePoint, G1, G2};
+use peace_curve::{
+    decompress_and_hash, psi, AffinePoint, G1Wire, G2Preimage, PointError, ProjectivePoint, G1, G2,
+};
 use peace_field::{Fp, Fq};
 use peace_pairing::{
     miller, ops, pairing, pairing_pair, pairing_product, pairing_ratio, G2Arg, Gt, GtPowTable,
@@ -176,8 +178,21 @@ pub fn h0_verify_bases(
     r: &Fq,
     mode: BasesMode,
 ) -> (G2, G2Preimage) {
+    decoding_verify_bases(gpk, msg, r, mode, &[])
+}
+
+/// [`h0_verify_bases`], with `wires` decompressed in the same batch
+/// ([`decompress_and_hash`]): a verifier's `T₁`, `T₂` and any point that
+/// rode in with the signature.
+fn decoding_verify_bases(
+    gpk: &GroupPublicKey,
+    msg: &[u8],
+    r: &Fq,
+    mode: BasesMode,
+    wires: &[&G1Wire],
+) -> (G2, G2Preimage) {
     let input = h0_input(gpk, msg, r, mode);
-    let (u_hat, v_pre) = peace_curve::hash_to_g2_many(&[(H0_U, &input)], &[(H0_V, &input)]);
+    let (u_hat, v_pre) = decompress_and_hash(wires, &[(H0_U, &input)], &[(H0_V, &input)]);
     (u_hat[0], v_pre[0])
 }
 
@@ -474,8 +489,7 @@ impl PreparedGpk {
         sig: &GroupSignature,
         mode: BasesMode,
     ) -> Result<(), VerifyError> {
-        let (u_hat, v_pre) = h0_verify_bases(&self.gpk, msg, &sig.r, mode);
-        self.verify_with_bases(msg, sig, &u_hat, &v_pre)
+        self.verify_with_rider(msg, sig, mode, None).map(|_| ())
     }
 
     /// Verification + revocation check with one shared `(û, v̂)` derivation
@@ -496,8 +510,7 @@ impl PreparedGpk {
         url: &[RevocationToken],
         mode: BasesMode,
     ) -> Result<Option<usize>, VerifyError> {
-        let (u_hat, v_pre) = h0_verify_bases(&self.gpk, msg, &sig.r, mode);
-        self.verify_with_bases(msg, sig, &u_hat, &v_pre)?;
+        let (u_hat, v_pre) = self.verify_bases(msg, sig, mode)?;
         Ok(revocation_sweep(sig, url, &u_hat, &v_pre))
     }
 
@@ -515,9 +528,58 @@ impl PreparedGpk {
         sig: &GroupSignature,
         mode: BasesMode,
     ) -> Result<(G2, G2Preimage), VerifyError> {
-        let (u_hat, v_pre) = h0_verify_bases(&self.gpk, msg, &sig.r, mode);
-        self.verify_with_bases(msg, sig, &u_hat, &v_pre)?;
+        let (u_hat, v_pre, _) = self.verify_with_rider(msg, sig, mode, None)?;
         Ok((u_hat, v_pre))
+    }
+
+    /// [`Self::verify_bases`] with one more exponentiation riding along:
+    /// `[k]·share` for a point that arrived beside the signature, such as
+    /// the DH share of the request it signs. The share is decompressed in
+    /// the batch that decompresses `T₁`, `T₂` and takes H₀
+    /// ([`decompress_and_hash`]), and its power is a fifth lane of `R₁`'s
+    /// and `R₃`'s lane group ([`G1::mul_each`]); on the scalar path it is
+    /// one [`G1::mul`] once the signature holds. Recorded as one 𝔾₁
+    /// exponentiation, on success only.
+    ///
+    /// # Errors
+    ///
+    /// [`VerifyError::InvalidPoint`] first if `share` names no group
+    /// element; else the contract of [`Self::verify`].
+    pub fn verify_bases_and_mul(
+        &self,
+        msg: &[u8],
+        sig: &GroupSignature,
+        mode: BasesMode,
+        share: &G1Wire,
+        k: &Fq,
+    ) -> Result<(G2, G2Preimage, G1), VerifyError> {
+        let (u_hat, v_pre, power) = self.verify_with_rider(msg, sig, mode, Some((share, k)))?;
+        Ok((u_hat, v_pre, power.expect("a rider is multiplied")))
+    }
+
+    /// The one verifier body: decompresses the rider's share, `T₁` and
+    /// `T₂` and takes the verifier's H₀ bases ([`h0_verify_bases`]) as one
+    /// batch, refuses a share that is not a group element, then checks the
+    /// signature and returns the bases and the rider's power.
+    fn verify_with_rider(
+        &self,
+        msg: &[u8],
+        sig: &GroupSignature,
+        mode: BasesMode,
+        rider: Option<(&G1Wire, &Fq)>,
+    ) -> Result<(G2, G2Preimage, Option<G1>), VerifyError> {
+        let wires: Vec<&G1Wire> = rider
+            .map(|(share, _)| share)
+            .into_iter()
+            .chain([&sig.t1, &sig.t2])
+            .collect();
+        let (u_hat, v_pre) = decoding_verify_bases(&self.gpk, msg, &sig.r, mode, &wires);
+        let rider = rider
+            .map(|(share, k)| share.decompress().map(|p| (p, *k)))
+            .transpose()
+            .map_err(VerifyError::InvalidPoint)?;
+        let power = self.verify_with_bases(msg, sig, &u_hat, &v_pre, rider)?;
+        Ok((u_hat, v_pre, power))
     }
 
     fn verify_with_bases(
@@ -526,21 +588,23 @@ impl PreparedGpk {
         sig: &GroupSignature,
         u_hat: &G2,
         v_pre: &G2Preimage,
-    ) -> Result<(), VerifyError> {
+        rider: Option<(G1, Fq)>,
+    ) -> Result<Option<G1>, VerifyError> {
         let (t1, t2) = checked_commitments(sig)?;
         let u = psi(u_hat);
         // Same equations as the free `verify`, with R₂ from the tables, and
         // R₁ = u^{s_α}·T₁^{−c}, R₃ = T₁^{s_x}·u^{−s_δ} as four ladders in
-        // one lane group where the CPU has IFMA.
+        // one lane group where the CPU has IFMA, the rider's a fifth.
         let r2 = self.r2(sig, &t2, v_pre)?;
         let (neg_c, neg_s_delta) = (sig.c.neg(), sig.s_delta.neg());
-        let pairs = [
+        let mut pairs = vec![
             (u, sig.s_alpha),
             (t1, neg_c),
             (t1, sig.s_x),
             (u, neg_s_delta),
         ];
-        let (r1, r3) = match G1::mul_each(&pairs) {
+        pairs.extend(rider);
+        let (r1, r3, lane_power) = match G1::mul_each(&pairs) {
             Some(p) => {
                 // The two double exponentiations the four ladders replace.
                 peace_curve::ops::record_g1_mul();
@@ -551,18 +615,25 @@ impl PreparedGpk {
                 (
                     G1::from_point_unchecked(sums[0]),
                     G1::from_point_unchecked(sums[1]),
+                    p.get(4).copied(),
                 )
             }
             None => (
                 u.mul_mul(&sig.s_alpha, &t1, &neg_c),
                 t1.mul_mul(&sig.s_x, &u, &neg_s_delta),
+                None,
             ),
         };
-        if challenge(&self.gpk, msg, &sig.r, &sig.t1, &sig.t2, &r1, &r2, &r3) == sig.c {
-            Ok(())
-        } else {
-            Err(VerifyError::BadChallenge)
+        if challenge(&self.gpk, msg, &sig.r, &sig.t1, &sig.t2, &r1, &r2, &r3) != sig.c {
+            return Err(VerifyError::BadChallenge);
         }
+        Ok(rider.map(|(share, k)| match lane_power {
+            Some(power) => {
+                peace_curve::ops::record_g1_mul();
+                power
+            }
+            None => share.mul(&k),
+        }))
     }
 
     /// The verifier's `R̃₂`, which the free [`verify`] computes as

@@ -59,7 +59,9 @@ impl<'a> PendingAccess<'a> {
     /// This is also where the request's points are validated — `g^{r_j}`,
     /// then `T₁` and `T₂` inside the Σ-check — after every gate that could
     /// refuse the request on its bytes alone. A point that is not a group
-    /// element fails the check like any forgery.
+    /// element fails the check like any forgery. The session's DH secret
+    /// is computed here too, so admission, under the router's lock, runs
+    /// no group operation.
     pub fn verify(mut self) -> CheckedAccess<'a> {
         let sigma = self.sigma();
         if let Ok((_, u_hat, v_hat)) = &sigma {
@@ -71,19 +73,19 @@ impl<'a> PendingAccess<'a> {
         }
     }
 
-    /// `g^{r_j}`, `T₁` and `T₂` are decompressed together
-    /// ([`G1Wire::decompress_all`]), then checked in that order, so the
-    /// first that names no group element is the refusal.
+    /// `g^{r_j}`, `T₁` and `T₂` are decompressed together with the H₀
+    /// bases, then checked in that order, so the first that names no group
+    /// element is the refusal; the DH secret `(g^{r_j})^{r_R}` rides in the
+    /// Σ-check's ladder group ([`PreparedGpk::verify_bases_and_mul`]).
     fn sigma(&self) -> std::result::Result<(G1, G2, G2Preimage), VerifyError> {
-        let gsig = &self.req.gsig;
-        G1Wire::decompress_all(&[&self.req.g_rj, &gsig.t1, &gsig.t2]);
-        let g_rj = self
-            .req
-            .g_rj
-            .decompress()
-            .map_err(VerifyError::InvalidPoint)?;
-        let (u_hat, v_hat) = self.prepared.verify_bases(&self.payload, gsig, self.mode)?;
-        Ok((g_rj, u_hat, v_hat))
+        let (u_hat, v_hat, dh_secret) = self.prepared.verify_bases_and_mul(
+            &self.payload,
+            &self.req.gsig,
+            self.mode,
+            &self.req.g_rj,
+            &self.state.r_r,
+        )?;
+        Ok((dh_secret, u_hat, v_hat))
     }
 }
 
@@ -91,7 +93,7 @@ impl<'a> PendingAccess<'a> {
 /// [`MeshRouter::finish_access_request`].
 pub struct CheckedAccess<'a> {
     pending: PendingAccess<'a>,
-    /// The user's DH share and the H₀ bases the check derived (reused by
+    /// The DH secret and the H₀ bases the check derived (reused by
     /// admission and, if the list changed meanwhile, by the revocation
     /// stage), or why the request was refused.
     sigma: std::result::Result<(G1, G2, G2Preimage), VerifyError>,
@@ -465,7 +467,8 @@ impl MeshRouter {
     /// [`Self::finish_access_request`] in one call, for callers that own
     /// the router outright. A caller sharing the router behind a lock takes
     /// the three steps itself and holds the lock only for the first and
-    /// last, neither of which runs a pairing.
+    /// last: the Σ-check, the revocation sweep and the session key's
+    /// ladder run in the middle one.
     ///
     /// # Errors
     ///
@@ -589,7 +592,7 @@ impl MeshRouter {
         if !Arc::ptr_eq(&pending.prepared, &self.prepared_gpk) {
             return Err(ProtocolError::UnknownBeacon);
         }
-        let Ok((g_rj, u_hat, v_hat)) = sigma else {
+        let Ok((dh_secret, u_hat, v_hat)) = sigma else {
             self.record_failure(now);
             return Err(ProtocolError::BadGroupSignature);
         };
@@ -605,18 +608,17 @@ impl MeshRouter {
         if revoked.is_some() {
             return Err(ProtocolError::SignerRevoked);
         }
-        self.admit_access_request(pending.req, &g_rj, &pending.state, pending.payload, now)
+        self.admit_access_request(pending.req, &dh_secret, pending.payload, now)
     }
 
-    /// §IV.B 3.4 for an authenticated request: derives the session key,
-    /// mints M.3, and logs the transcript for NO's audit. Re-checks the
-    /// idempotency table so the same M.2 begun twice cannot mint two
-    /// sessions.
+    /// §IV.B 3.4 for an authenticated request: establishes the session
+    /// on the DH secret [`PendingAccess::verify`] computed, mints M.3, and
+    /// logs the transcript for NO's audit. Re-checks the idempotency table
+    /// so the same M.2 begun twice cannot mint two sessions.
     fn admit_access_request(
         &mut self,
         req: &AccessRequest,
-        g_rj: &G1,
-        state: &BeaconState,
+        dh_secret: &G1,
         payload: Vec<u8>,
         now: u64,
     ) -> Result<(AccessConfirm, Session)> {
@@ -626,8 +628,7 @@ impl MeshRouter {
             return Err(ProtocolError::DuplicateMessage);
         }
         // 3.4 session key and confirmation
-        let dh_secret = g_rj.mul(&state.r_r);
-        let session = Session::establish(&dh_secret, session_id.clone(), Role::Responder);
+        let session = Session::establish(dh_secret, session_id.clone(), Role::Responder);
         // A replay record must live as long as its beacon's DH state, or a
         // replayed M.2 would pass the gate and be verified and admitted
         // again. So when the table sheds a record, the beacon goes with

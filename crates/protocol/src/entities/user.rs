@@ -435,9 +435,10 @@ impl UserClient {
             });
         }
 
-        // 2.2: build M.2
+        // 2.2: build M.2, and 2.2.5's session key K = (g^{r_R})^{r_j}
         let r_j = Fq::random_nonzero(rng);
-        let g_rj = G1Wire::from(g.mul(&r_j));
+        let (g_rj, dh_secret) = share_and_secret(&g, &g_rr, &r_j);
+        let g_rj = G1Wire::from(g_rj);
         let ts2 = now;
         let payload = AccessRequest::signed_payload(&g_rj, &beacon.g_rr, ts2);
         let gsig = self.prepared_gpk.sign_as(
@@ -448,8 +449,6 @@ impl UserClient {
             rng,
         );
         let puzzle_solution = beacon.puzzle.as_ref().map(|p| p.solve());
-        // 2.2.5: session key K = (g^{r_R})^{r_j}
-        let dh_secret = g_rr.mul(&r_j);
         let id = SessionId::from_points(&beacon.g_rr, &g_rj);
         self.pending_router
             .insert(id.to_bytes(), PendingSession { dh_secret, id }, now);
@@ -592,7 +591,12 @@ impl UserClient {
         self.verify_and_check_peer(&payload, &hello.gsig)?;
 
         let r_l = Fq::random_nonzero(rng);
-        let g_rl = G1Wire::from(point(&hello.g, "peer1.g")?.mul(&r_l));
+        let (g_rl, dh_secret) = share_and_secret(
+            &point(&hello.g, "peer1.g")?,
+            &point(&hello.g_rj, "peer1.g_rj")?,
+            &r_l,
+        );
+        let g_rl = G1Wire::from(g_rl);
         let resp_payload = PeerResponse::signed_payload(&hello.g_rj, &g_rl, now);
         let gsig = self.prepared_gpk.sign_as(
             &cred.key,
@@ -601,7 +605,6 @@ impl UserClient {
             self.config.bases_mode,
             rng,
         );
-        let dh_secret = point(&hello.g_rj, "peer1.g_rj")?.mul(&r_l);
         let id = SessionId::from_points(&hello.g_rj, &g_rl);
         let pending = PeerResponderPending {
             dh_secret,
@@ -770,6 +773,21 @@ impl UserClient {
             Ok(Some(_)) => Err(ProtocolError::SignerRevoked),
             Ok(None) => Ok(()),
         }
+    }
+}
+
+/// A responder's or an initiator's DH leg: its share `g^r` and the secret
+/// `(g^{r_peer})^r`, as one lane group where the CPU has IFMA
+/// ([`G1::mul_each`]) and two ladders elsewhere; two 𝔾₁ exponentiations
+/// on the books either way.
+fn share_and_secret(g: &G1, peer_share: &G1, r: &Fq) -> (G1, G1) {
+    let pairs = [(*g, *r), (*peer_share, *r)];
+    match G1::mul_each(&pairs) {
+        Some(powers) => {
+            pairs.iter().for_each(|_| peace_curve::ops::record_g1_mul());
+            (powers[0], powers[1])
+        }
+        None => (g.mul(r), peer_share.mul(r)),
     }
 }
 

@@ -393,8 +393,7 @@ pub fn run_injection_matrix(seed: u64) -> Vec<InjectionOutcome> {
         let r_j = peace_field::Fq::random_nonzero(&mut rng);
         let g_rj: peace_curve::G1Wire = beacon.g.decompress().expect("router's g").mul(&r_j).into();
         let payload = peace_protocol::AccessRequest::signed_payload(&g_rj, &beacon.g_rr, now + 10);
-        let gsig = peace_groupsig::sign(
-            foreign_no.gpk(),
+        let gsig = foreign_no.prepared_gpk().sign(
             &cred.key,
             &payload,
             peace_groupsig::BasesMode::PerMessage,
@@ -679,7 +678,9 @@ fn revoke_fresh_members(
         let cred = user.active_credential().expect("cred").clone();
         let g = peace_curve::G1::generator();
         let payload = AccessRequest::signed_payload(&g, &g, 0);
-        let sig = peace_groupsig::sign(no.gpk(), &cred.key, &payload, no.config().bases_mode, rng);
+        let sig = no
+            .prepared_gpk()
+            .sign(&cred.key, &payload, no.config().bases_mode, rng);
         let finding = no.audit_raw(&payload, &sig).expect("audit");
         no.revoke_member(&finding.token);
     }
