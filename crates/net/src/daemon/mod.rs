@@ -16,10 +16,11 @@ pub use no::{NoDaemon, PeerKeyResolver};
 pub use router::RouterDaemon;
 pub use user::{UserAgent, UserSession};
 
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use crate::conn::ConnConfig;
+use crate::error::{NetError, Result};
 
 /// Shared daemon tunables.
 #[derive(Clone, Copy, Debug)]
@@ -58,4 +59,16 @@ pub(crate) fn lock_recover<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
         Ok(g) => g,
         Err(poisoned) => poisoned.into_inner(),
     }
+}
+
+/// Takes a daemon's state back out of its mutex once the event loop has
+/// shut down, recovering it on poisoning as [`lock_recover`] does.
+///
+/// # Errors
+///
+/// [`NetError::Unexpected`] with `shared` if another handle still holds it.
+pub(crate) fn take_back<T>(m: Arc<Mutex<T>>, shared: &'static str) -> Result<T> {
+    Arc::try_unwrap(m)
+        .map_err(|_| NetError::Unexpected(shared))
+        .map(|m| m.into_inner().unwrap_or_else(|p| p.into_inner()))
 }

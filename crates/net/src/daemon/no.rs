@@ -1,6 +1,7 @@
 //! The network-operator daemon: serves the signed bulletin (current CRL +
-//! URL + key epoch) to polling routers and users, and applies dynamic
-//! revocations at runtime.
+//! URL) to polling routers and users, applies dynamic revocations at
+//! runtime, and keeps every reported session and revocation in its
+//! accountability ledger, whose revocations it replays before it binds.
 //!
 //! The paper's NO pushes list updates to routers over pre-established
 //! secure channels; the runtime inverts this into a poll (`GetBulletin` →
@@ -23,9 +24,9 @@ use crate::envelope::NodeMessage;
 use crate::error::{NetError, Result};
 use crate::metrics::NetMetrics;
 use crate::reactor::EventLoop;
-use crate::session::{NoShared, Service};
+use crate::session::{checkpoint, NoShared, Service};
 
-use super::{lock_recover, DaemonConfig};
+use super::{lock_recover, take_back, DaemonConfig};
 
 /// Shared, thread-safe map from a checkpoint-signer / writer name to its
 /// trusted verifying key, used by replication ingest and gossip.
@@ -37,15 +38,12 @@ struct GossipLoop {
     handle: std::thread::JoinHandle<()>,
 }
 
-/// A running NO bulletin server.
+/// A running NO bulletin server on its accountability ledger.
 pub struct NoDaemon {
     no: Arc<Mutex<NetworkOperator>>,
-    ledger: Arc<Mutex<Option<ReplicatedLedger>>>,
-    resolver: Arc<Mutex<Option<PeerKeyResolver>>>,
-    /// When replication is attached: checkpoint the local shard after each
-    /// accepted report batch, so peers can pull it promptly (ranges only
-    /// travel up to a signed checkpoint).
-    auto_checkpoint: Arc<AtomicBool>,
+    ledger: Arc<Mutex<ReplicatedLedger>>,
+    /// The trusted-key map of a federated NO, fixed at spawn.
+    resolver: Option<PeerKeyResolver>,
     gossip: Mutex<Option<GossipLoop>>,
     runtime: EventLoop,
     metrics: Arc<NetMetrics>,
@@ -53,28 +51,47 @@ pub struct NoDaemon {
 }
 
 impl NoDaemon {
-    /// Takes ownership of the operator and starts serving bulletins on
-    /// `bind` (use `"127.0.0.1:0"` for an ephemeral port).
+    /// Replays the revocation records of `no`'s epoch in `ledger`'s local
+    /// shard into `no`, each by the step a live revocation takes, then
+    /// starts serving bulletins on `bind` (use `"127.0.0.1:0"` for an
+    /// ephemeral port): the first bulletin already carries the ledger's
+    /// lists. Session reports, revocations and epoch rollovers are
+    /// persisted to `ledger`. A single-writer NO passes
+    /// `ReplicatedLedger::from_single(ledger, "NO")` and no resolver;
+    /// with `resolver` (the trusted-key map checkpoint verification
+    /// uses) the NO is federated: every report batch is checkpointed for
+    /// prompt replication, and [`sync_once`](Self::sync_once) can pull
+    /// peers.
     ///
     /// # Errors
     ///
-    /// [`NetError::Io`] if the listener cannot bind.
-    pub fn spawn(no: NetworkOperator, bind: &str, cfg: DaemonConfig) -> Result<Self> {
+    /// [`NetError::Ledger`]: `ledger_disagrees` for a record naming a token
+    /// outside `grt` or a version the operator does not reach,
+    /// `epoch_ahead` for a ledger whose last rollover is past the
+    /// operator's epoch (γ is never logged, so no rollover is replayed), or
+    /// a read error's code; no port is bound. [`NetError::Io`] if the
+    /// listener cannot bind.
+    pub fn spawn(
+        mut no: NetworkOperator,
+        ledger: ReplicatedLedger,
+        resolver: Option<PeerKeyResolver>,
+        bind: &str,
+        cfg: DaemonConfig,
+    ) -> Result<Self> {
+        replay(&mut no, ledger.local())?;
         let no = Arc::new(Mutex::new(no));
-        let ledger: Arc<Mutex<Option<ReplicatedLedger>>> = Arc::new(Mutex::new(None));
-        let auto_checkpoint = Arc::new(AtomicBool::new(false));
+        let ledger = Arc::new(Mutex::new(ledger));
         let shared = NoShared {
             no: Arc::clone(&no),
             ledger: Arc::clone(&ledger),
-            auto_checkpoint: Arc::clone(&auto_checkpoint),
+            federated: resolver.is_some(),
         };
         let metrics = Arc::new(NetMetrics::default());
         Ok(Self {
             runtime: EventLoop::spawn(bind, cfg, Service::No(shared), Arc::clone(&metrics))?,
             no,
             ledger,
-            resolver: Arc::new(Mutex::new(None)),
-            auto_checkpoint,
+            resolver,
             gossip: Mutex::new(None),
             metrics,
             cfg,
@@ -99,7 +116,7 @@ impl NoDaemon {
 
     /// Revokes a member key at runtime; subsequent bulletins carry the
     /// bumped URL. `false` for a token outside `grt`, and for a revocation
-    /// the attached ledger could not persist: nothing changed, and the
+    /// the ledger could not persist: nothing changed, and the
     /// `ledger_error` event carries the ledger's code.
     pub fn revoke_user(&self, token: &RevocationToken) -> bool {
         let (mut op, token) = (lock_recover(&self.no), *token);
@@ -113,8 +130,8 @@ impl NoDaemon {
     ///
     /// # Errors
     ///
-    /// [`NetError::Ledger`] with the ledger's code when the attached
-    /// ledger could not persist the revocation; nothing changed.
+    /// [`NetError::Ledger`] with the ledger's code when the ledger could
+    /// not persist the revocation; nothing changed.
     pub fn revoke_router(&self, serial: u64) -> Result<()> {
         let mut op = lock_recover(&self.no);
         let crl_version = op.crl_version_after(serial);
@@ -127,8 +144,8 @@ impl NoDaemon {
         )
     }
 
-    /// Rotates the system key (epoch rollover, §V.A) once the attached
-    /// ledger holds the rollover, which bounds epoch-scoped audit queries.
+    /// Rotates the system key (epoch rollover, §V.A) once the ledger
+    /// holds the rollover, which bounds epoch-scoped audit queries.
     /// Returns the new epoch. γ is in no record, so no replay passes it.
     ///
     /// # Errors
@@ -142,18 +159,16 @@ impl NoDaemon {
         Ok(epoch)
     }
 
-    /// Appends `record` to the attached ledger, if any, then [`apply`]s it.
+    /// Appends `record` to the ledger, then [`apply`]s it.
     fn commit(&self, op: &mut NetworkOperator, record: LedgerRecord) -> Result<()> {
         self.persist(record.clone())?;
         apply(op, &record)
     }
 
-    /// Appends and flushes `record` to the attached ledger, if any.
+    /// Appends and flushes `record` to the ledger's local shard.
     fn persist(&self, record: LedgerRecord) -> Result<()> {
-        let mut slot = lock_recover(&self.ledger);
-        let Some(l) = slot.as_mut().map(ReplicatedLedger::local_mut) else {
-            return Ok(());
-        };
+        let mut rl = lock_recover(&self.ledger);
+        let l = rl.local_mut();
         l.append(record, wall_ms())
             .and_then(|_| l.flush())
             .map_err(|e| {
@@ -168,79 +183,22 @@ impl NoDaemon {
         f(&mut lock_recover(&self.no))
     }
 
-    /// Attaches a durable accountability ledger as a single-writer
-    /// replica store (writer id `"NO"`) once the revocation records of the
-    /// operator's epoch in it are replayed into the operator, each by the
-    /// step a live revocation takes. Session reports, revocations, and
-    /// epoch rollovers are persisted from now on.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Ledger`]: `ledger_disagrees` for a record naming a token
-    /// outside `grt` or a version the operator does not reach,
-    /// `epoch_ahead` for a ledger whose last rollover is past the
-    /// operator's epoch (γ is never logged, so no rollover is replayed), or
-    /// a read error's code. The ledger is not attached, and the operator
-    /// keeps what was replayed before the refusal.
-    pub fn attach_ledger(&self, ledger: Ledger) -> Result<()> {
-        replay(&mut lock_recover(&self.no), &ledger)?;
-        *lock_recover(&self.ledger) = Some(ReplicatedLedger::from_single(ledger, "NO"));
-        Ok(())
-    }
-
-    /// Detaches the ledger (flushed), handing back the writable local
-    /// shard. Mirror shards, if any, stay on disk and reopen with the
-    /// replica store.
-    pub fn detach_ledger(&self) -> Option<Ledger> {
-        let mut slot = lock_recover(&self.ledger);
-        if let Some(rl) = slot.as_mut() {
-            let _ = rl.flush();
-        }
-        slot.take().map(ReplicatedLedger::into_local)
-    }
-
-    /// Attaches a multi-writer replica store plus the trusted-key map its
-    /// checkpoint verification uses, enabling federation: gossip
-    /// endpoints answer, report batches are checkpointed for prompt
-    /// replication, and [`sync_once`](Self::sync_once) can pull peers.
-    /// The local shard is replayed first, with
-    /// [`Self::attach_ledger`]'s errors.
-    pub fn attach_replica(
-        &self,
-        replica: ReplicatedLedger,
-        resolve: PeerKeyResolver,
-    ) -> Result<()> {
-        replay(&mut lock_recover(&self.no), replica.local())?;
-        *lock_recover(&self.resolver) = Some(resolve);
-        self.auto_checkpoint.store(true, Ordering::Relaxed);
-        *lock_recover(&self.ledger) = Some(replica);
-        Ok(())
-    }
-
-    /// Runs `f` against the writable local ledger shard, if attached.
-    pub fn with_ledger<R>(&self, f: impl FnOnce(&mut Ledger) -> R) -> Option<R> {
-        lock_recover(&self.ledger)
-            .as_mut()
-            .map(|rl| f(rl.local_mut()))
-    }
-
-    /// Runs `f` against the whole replica store, if attached.
-    pub fn with_replica<R>(&self, f: impl FnOnce(&mut ReplicatedLedger) -> R) -> Option<R> {
-        lock_recover(&self.ledger).as_mut().map(f)
+    /// Runs `f` against the ledger: the writable local shard and, when
+    /// federated, the mirrored shards of the peers.
+    pub fn with_ledger<R>(&self, f: impl FnOnce(&mut ReplicatedLedger) -> R) -> R {
+        f(&mut lock_recover(&self.ledger))
     }
 
     /// Appends a signed checkpoint over the local shard head using the
     /// operator's certified signing key (signer = the replica's writer
-    /// id), then syncs it to disk. Returns `None` when no ledger is
-    /// attached.
-    pub fn checkpoint_now(&self) -> Option<peace_ledger::Result<Checkpoint>> {
+    /// id), then syncs it to disk.
+    ///
+    /// # Errors
+    ///
+    /// The ledger's error when the checkpoint cannot be written.
+    pub fn checkpoint_now(&self) -> peace_ledger::Result<Checkpoint> {
         let op = lock_recover(&self.no);
-        let mut slot = lock_recover(&self.ledger);
-        slot.as_mut().map(|rl| {
-            let signer = rl.local_id().to_owned();
-            rl.local_mut()
-                .checkpoint(op.signing_key(), &signer, wall_ms())
-        })
+        checkpoint(&op, &mut lock_recover(&self.ledger), wall_ms())
     }
 
     /// One pull-based gossip round with a peer replica: exchange
@@ -251,9 +209,15 @@ impl NoDaemon {
     /// # Errors
     ///
     /// Transport errors from the dial/exchange; [`NetError::Unexpected`]
-    /// when no replica or resolver is attached.
+    /// when the NO was spawned without a resolver.
     pub fn sync_once(&self, peer: SocketAddr) -> Result<u64> {
-        sync_with_peer(&self.ledger, &self.resolver, &self.metrics, self.cfg, peer)
+        sync_with_peer(
+            &self.ledger,
+            self.resolver.as_ref(),
+            &self.metrics,
+            self.cfg,
+            peer,
+        )
     }
 
     /// Starts the background gossip loop: every `every`, one
@@ -265,7 +229,7 @@ impl NoDaemon {
         let stop = Arc::new(AtomicBool::new(false));
         let t_stop = Arc::clone(&stop);
         let t_ledger = Arc::clone(&self.ledger);
-        let t_resolver = Arc::clone(&self.resolver);
+        let t_resolver = self.resolver.clone();
         let t_metrics = Arc::clone(&self.metrics);
         let cfg = self.cfg;
         let handle = std::thread::spawn(move || {
@@ -285,7 +249,9 @@ impl NoDaemon {
                     if t_stop.load(Ordering::Relaxed) {
                         return;
                     }
-                    if let Err(e) = sync_with_peer(&t_ledger, &t_resolver, &t_metrics, cfg, peer) {
+                    let synced =
+                        sync_with_peer(&t_ledger, t_resolver.as_ref(), &t_metrics, cfg, peer);
+                    if let Err(e) = synced {
                         t_metrics.event("gossip_fail", e.code());
                     }
                 }
@@ -308,35 +274,29 @@ impl NoDaemon {
     }
 
     /// Graceful shutdown: stop accepting, drain in-flight requests, flush
-    /// the attached ledger to stable storage, and hand the operator back.
-    /// Detach the ledger first (or after) to reclaim it; if left attached
-    /// it is flushed and closed here.
+    /// the ledger to stable storage, and hand the operator and the ledger
+    /// back. A failed flush is counted in `net.ledger_errors`.
     ///
     /// # Errors
     ///
     /// [`NetError::Unexpected`] if another handle still holds the operator
-    /// (cannot happen through this API).
-    pub fn shutdown(mut self) -> Result<NetworkOperator> {
+    /// or the ledger (cannot happen through this API).
+    pub fn shutdown(mut self) -> Result<(NetworkOperator, ReplicatedLedger)> {
         self.stop_gossip();
         self.runtime.shutdown(self.cfg.drain);
         // In-flight handlers have drained: make their appends durable
         // before the daemon disappears.
-        if let Some(rl) = lock_recover(&self.ledger).as_mut() {
-            if rl.flush().is_err() {
-                self.metrics.ledger_errors.inc();
-            }
+        let no = take_back(self.no, "operator still shared at shutdown")?;
+        let mut ledger = take_back(self.ledger, "ledger still shared at shutdown")?;
+        if ledger.flush().is_err() {
+            self.metrics.ledger_errors.inc();
         }
-        Arc::try_unwrap(self.no)
-            .map_err(|_| NetError::Unexpected("operator still shared at shutdown"))
-            .map(|m| match m.into_inner() {
-                Ok(no) => no,
-                Err(p) => p.into_inner(),
-            })
+        Ok((no, ledger))
     }
 }
 
 /// Rebuilds the lists `ledger`'s writer held by [`apply`]ing the
-/// revocation records of `op`'s epoch, as [`NoDaemon::attach_ledger`] says.
+/// revocation records of `op`'s epoch, as [`NoDaemon::spawn`] says.
 fn replay(op: &mut NetworkOperator, ledger: &Ledger) -> Result<()> {
     if ledger.epoch_of(u64::MAX) > op.epoch() {
         return Err(NetError::Ledger {
@@ -359,7 +319,7 @@ fn replay(op: &mut NetworkOperator, ledger: &Ledger) -> Result<()> {
 
 /// Applies a revocation record to `op`, refused (`ledger_disagrees`) if it
 /// names a token outside `grt` or a version `op` does not reach. A record
-/// `op` already holds (the ledger attached again) applies as a no-op.
+/// `op` already holds (a duplicate record) applies as a no-op.
 fn apply(op: &mut NetworkOperator, record: &LedgerRecord) -> Result<()> {
     let agrees = match record {
         LedgerRecord::UserRevocation { token, url_version } => {
@@ -391,20 +351,15 @@ fn apply(op: &mut NetworkOperator, record: &LedgerRecord) -> Result<()> {
 /// [`ReplicatedLedger::pull_from`], the same walk between two ledgers in
 /// one process: that one holds both for the whole round.
 fn sync_with_peer(
-    ledger: &Mutex<Option<ReplicatedLedger>>,
-    resolver: &Mutex<Option<PeerKeyResolver>>,
+    ledger: &Mutex<ReplicatedLedger>,
+    resolver: Option<&PeerKeyResolver>,
     metrics: &Arc<NetMetrics>,
     cfg: DaemonConfig,
     peer: SocketAddr,
 ) -> Result<u64> {
-    let resolve = lock_recover(resolver)
-        .clone()
-        .ok_or(NetError::Unexpected("no replica key resolver attached"))?;
+    let resolve = resolver.ok_or(NetError::Unexpected("no peer key resolver given at spawn"))?;
     let (local_id, my_digests) = {
-        let slot = lock_recover(ledger);
-        let rl = slot
-            .as_ref()
-            .ok_or(NetError::Unexpected("no replica ledger attached"))?;
+        let rl = lock_recover(ledger);
         (rl.local_id().to_owned(), rl.digests())
     };
 
@@ -431,10 +386,7 @@ fn sync_with_peer(
         let Some(target) = d.ckpt_seq else { continue };
         loop {
             let from_seq = {
-                let slot = lock_recover(ledger);
-                let rl = slot
-                    .as_ref()
-                    .ok_or(NetError::Unexpected("replica ledger detached mid-sync"))?;
+                let rl = lock_recover(ledger);
                 if rl.is_quarantined(&d.writer) {
                     continue 'writers;
                 }
@@ -449,13 +401,7 @@ fn sync_with_peer(
             })?;
             match conn.recv()? {
                 NodeMessage::RangePush { range: Some(range) } => {
-                    let ingested = {
-                        let mut slot = lock_recover(ledger);
-                        let rl = slot
-                            .as_mut()
-                            .ok_or(NetError::Unexpected("replica ledger detached mid-sync"))?;
-                        rl.ingest_range(&range, &|s| resolve(s))
-                    };
+                    let ingested = lock_recover(ledger).ingest_range(&range, &|s| resolve(s));
                     match ingested {
                         Ok(n) => {
                             metrics.repl_records_in.add(n);

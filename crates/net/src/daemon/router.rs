@@ -26,7 +26,7 @@ use crate::reactor::EventLoop;
 use crate::session::{RouterShared, Service};
 use peace_telemetry::Snapshot;
 
-use super::{lock_recover, DaemonConfig};
+use super::{lock_recover, take_back, DaemonConfig};
 
 /// A running mesh-router daemon.
 pub struct RouterDaemon {
@@ -231,11 +231,6 @@ impl RouterDaemon {
         // Joins the accept thread, every shard, and the verify pool —
         // after which no shard-held RouterShared survives.
         self.runtime.shutdown(self.cfg.drain);
-        Arc::try_unwrap(self.router)
-            .map_err(|_| NetError::Unexpected("router still shared at shutdown"))
-            .map(|m| match m.into_inner() {
-                Ok(r) => r,
-                Err(p) => p.into_inner(),
-            })
+        take_back(self.router, "router still shared at shutdown")
     }
 }

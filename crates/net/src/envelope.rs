@@ -56,14 +56,12 @@ mod kind {
     pub const URL_DELTA: u8 = 16;
 }
 
-/// The revocation bulletin served by the NO daemon: epoch number plus the
-/// currently signed CRL and URL. Routers poll it to refresh the lists they
-/// re-broadcast in beacons; users may poll it directly to tighten their
-/// freshness floor between beacons.
+/// The revocation bulletin served by the NO daemon: the currently signed
+/// CRL and URL. Routers poll it to refresh the lists they re-broadcast in
+/// beacons; users may poll it directly to tighten their freshness floor
+/// between beacons.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Bulletin {
-    /// The operator's key epoch at publication.
-    pub epoch: u64,
     /// Current signed certificate revocation list.
     pub crl: SignedCrl,
     /// Current signed user revocation list.
@@ -72,7 +70,6 @@ pub struct Bulletin {
 
 impl Encode for Bulletin {
     fn encode(&self, w: &mut Writer) {
-        w.put_u64(self.epoch);
         self.crl.encode(w);
         self.url.encode(w);
     }
@@ -81,7 +78,6 @@ impl Encode for Bulletin {
 impl Decode for Bulletin {
     fn decode(r: &mut Reader<'_>) -> peace_wire::Result<Self> {
         Ok(Self {
-            epoch: r.get_u64()?,
             crl: SignedCrl::decode(r)?,
             url: SignedUrl::decode(r)?,
         })

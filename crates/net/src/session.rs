@@ -28,11 +28,10 @@
 //! beacon in, M.2 out → M.3 accepted, and attempt begun (before the dial)
 //! → session established.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use peace_ledger::{AccessRecord, LedgerRecord, ReplicatedLedger};
+use peace_ledger::{AccessRecord, Checkpoint, LedgerRecord, ReplicatedLedger};
 use peace_protocol::entities::{MeshRouter, NetworkOperator, UserClient};
 use peace_protocol::{AccessConfirm, AccessRequest, ProtocolError, Session};
 use rand::rngs::StdRng;
@@ -83,9 +82,8 @@ impl RouterShared {
     pub(crate) const PANIC_ON_VERIFY: u8 = 2;
 
     fn trip(&self, point: u8) {
-        let armed = self
-            .panic_at
-            .compare_exchange(point, 0, Ordering::SeqCst, Ordering::SeqCst);
+        use std::sync::atomic::Ordering::SeqCst;
+        let armed = self.panic_at.compare_exchange(point, 0, SeqCst, SeqCst);
         assert!(armed.is_err(), "injected panic at point {point}");
     }
 }
@@ -349,8 +347,22 @@ impl UserSm {
 #[derive(Clone)]
 pub(crate) struct NoShared {
     pub(crate) no: Arc<Mutex<NetworkOperator>>,
-    pub(crate) ledger: Arc<Mutex<Option<ReplicatedLedger>>>,
-    pub(crate) auto_checkpoint: Arc<AtomicBool>,
+    pub(crate) ledger: Arc<Mutex<ReplicatedLedger>>,
+    /// Spawned with a peer-key resolver: each accepted report batch is
+    /// checkpointed so peers can pull it promptly (ranges only travel up
+    /// to a signed checkpoint).
+    pub(crate) federated: bool,
+}
+
+/// Appends a signed checkpoint over `rl`'s local shard head with `op`'s
+/// certified signing key (signer = the replica's writer id).
+pub(crate) fn checkpoint(
+    op: &NetworkOperator,
+    rl: &mut ReplicatedLedger,
+    now_ms: u64,
+) -> peace_ledger::Result<Checkpoint> {
+    let signer = rl.local_id().to_owned();
+    rl.local_mut().checkpoint(op.signing_key(), &signer, now_ms)
 }
 
 /// NO-side per-connection machine: any number of bulletin requests,
@@ -378,7 +390,6 @@ impl NoSm {
                     let op = lock_recover(&self.shared.no);
                     let now = wall_ms();
                     Bulletin {
-                        epoch: op.epoch(),
                         crl: op.publish_crl(now),
                         url: op.publish_url(now),
                     }
@@ -392,18 +403,9 @@ impl NoSm {
                 {
                     // Lock order: operator, then ledger (same as the
                     // daemon-side methods).
-                    let mut op = lock_recover(&self.shared.no);
-                    let mut slot = lock_recover(&self.shared.ledger);
+                    let op = lock_recover(&self.shared.no);
+                    let mut rl = lock_recover(&self.shared.ledger);
                     for session in sessions {
-                        // With a ledger attached it is the one session
-                        // store (audit by `find_session` → `audit_raw`);
-                        // the operator's in-memory log serves only a NO
-                        // without one.
-                        let Some(rl) = slot.as_mut() else {
-                            op.record_session(session);
-                            accepted += 1;
-                            continue;
-                        };
                         // Idempotent ingestion: a router that retries a
                         // report after a lost ack or a refusal — or fails
                         // over to this replica with a batch another
@@ -423,25 +425,14 @@ impl NoSm {
                         metrics.ledger_sessions.inc();
                         accepted += 1;
                     }
-                    if let Some(rl) = slot.as_mut() {
-                        // One durability point per report, not per record.
-                        if let Err(e) = rl.flush() {
-                            failed.get_or_insert(e);
-                        }
-                        // Federated mode: checkpoint the accepted batch so
-                        // peers can pull it on the next gossip round
-                        // (ranges only travel up to a signed checkpoint).
-                        if failed.is_none()
-                            && accepted > 0
-                            && self.shared.auto_checkpoint.load(Ordering::Relaxed)
-                        {
-                            let signer = rl.local_id().to_owned();
-                            if let Err(e) =
-                                rl.local_mut().checkpoint(op.signing_key(), &signer, now)
-                            {
-                                metrics.ledger_errors.inc();
-                                metrics.event("ledger_error", e.code());
-                            }
+                    // One durability point per report, not per record.
+                    if let Err(e) = rl.flush() {
+                        failed.get_or_insert(e);
+                    }
+                    if failed.is_none() && accepted > 0 && self.shared.federated {
+                        if let Err(e) = checkpoint(&op, &mut rl, now) {
+                            metrics.ledger_errors.inc();
+                            metrics.event("ledger_error", e.code());
                         }
                     }
                 }
@@ -460,26 +451,16 @@ impl NoSm {
                 })
             }
             NodeMessage::CkptGossip { .. } => {
-                let digests = {
-                    let slot = lock_recover(&self.shared.ledger);
-                    slot.as_ref()
-                        .map(|rl| (rl.local_id().to_owned(), rl.digests()))
-                };
-                Step::Reply(match digests {
-                    Some((from_no, digests)) => NodeMessage::CkptGossip { from_no, digests },
-                    None => NodeMessage::Reject {
-                        code: reject_code::INTERNAL,
-                        detail: "no replica ledger attached".to_owned(),
-                    },
+                let rl = lock_recover(&self.shared.ledger);
+                Step::Reply(NodeMessage::CkptGossip {
+                    from_no: rl.local_id().to_owned(),
+                    digests: rl.digests(),
                 })
             }
             NodeMessage::RangePull { writer, from_seq } => {
-                let served = {
-                    let slot = lock_recover(&self.shared.ledger);
-                    slot.as_ref().map(|rl| rl.serve_range(&writer, from_seq))
-                };
+                let served = lock_recover(&self.shared.ledger).serve_range(&writer, from_seq);
                 Step::Reply(match served {
-                    Some(Ok(range)) => {
+                    Ok(range) => {
                         if range.is_some() {
                             metrics.repl_ranges_out.inc();
                         }
@@ -487,17 +468,13 @@ impl NoSm {
                             range: range.map(Box::new),
                         }
                     }
-                    Some(Err(e)) => {
+                    Err(e) => {
                         metrics.event("repl_refuse", e.code());
                         NodeMessage::Reject {
                             code: reject_code::INTERNAL,
                             detail: e.code().to_owned(),
                         }
                     }
-                    None => NodeMessage::Reject {
-                        code: reject_code::INTERNAL,
-                        detail: "no replica ledger attached".to_owned(),
-                    },
                 })
             }
             NodeMessage::GetUrlDelta {

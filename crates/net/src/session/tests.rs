@@ -32,7 +32,6 @@ fn fixture(seed: u64) -> Fixture {
     })
     .unwrap();
     let bulletin = Bulletin {
-        epoch: w.no.epoch(),
         crl: w.no.publish_crl(T0),
         url: w.no.publish_url(T0),
     };

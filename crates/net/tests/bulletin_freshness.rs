@@ -3,6 +3,8 @@
 //! revocation lists — otherwise a phishing "NO" (§V.A) could serve a
 //! pre-revocation URL and keep a revoked credential alive.
 
+mod common;
+
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -13,6 +15,8 @@ use peace_net::{
     NetMetrics, NoDaemon, NodeMessage, UserAgent, WorldSpec,
 };
 use peace_protocol::ProtocolError;
+
+use common::fresh_ledger;
 
 /// A hostile bulletin server: answers every `GetBulletin` with the same
 /// canned bulletin, whatever its age or version.
@@ -69,7 +73,6 @@ fn stale_bulletin_rejected_by_max_age() {
     let max_age = w.no.config().list_max_age;
     let old = wall_ms().saturating_sub(max_age + 10_000);
     let stale = Bulletin {
-        epoch: 0,
         crl: w.no.publish_crl(old),
         url: w.no.publish_url(old),
     };
@@ -97,7 +100,6 @@ fn version_regressing_bulletin_rejected_and_revocation_sticks() {
     // The phishing server captured a *freshly timestamped* pre-revocation
     // bulletin (version 0, empty URL).
     let pre_revocation = Bulletin {
-        epoch: 0,
         crl: w.no.publish_crl(wall_ms()),
         url: w.no.publish_url(wall_ms()),
     };
@@ -105,7 +107,14 @@ fn version_regressing_bulletin_rejected_and_revocation_sticks() {
     let (phish_addr, phish) = spawn_canned_server(pre_revocation);
 
     // The genuine NO revokes user 1 and serves the bumped URL.
-    let no = NoDaemon::spawn(w.no, "127.0.0.1:0", agent_cfg()).unwrap();
+    let no = NoDaemon::spawn(
+        w.no,
+        fresh_ledger("bulletin-freshness"),
+        None,
+        "127.0.0.1:0",
+        agent_cfg(),
+    )
+    .unwrap();
     assert!(no.revoke_user(&victim_token));
 
     let mut agent = UserAgent::new(w.users.into_iter().next().unwrap(), 6, agent_cfg());
@@ -146,7 +155,6 @@ fn forged_bulletin_rejected_by_signature() {
     })
     .unwrap();
     let forged = Bulletin {
-        epoch: 0,
         crl: impostor.no.publish_crl(wall_ms()),
         url: impostor.no.publish_url(wall_ms()),
     };

@@ -7,6 +7,8 @@
 //! courtesy is bounded: at most 64 turned-away connections are held for
 //! their reject at once, and a storm past that is simply closed.
 
+mod common;
+
 use std::io::ErrorKind;
 use std::net::TcpStream;
 use std::time::Duration;
@@ -17,6 +19,8 @@ use peace_net::{
 };
 use peace_protocol::RetryPolicy;
 use peace_wire::{Decode, Encode};
+
+use common::fresh_ledger;
 
 fn test_cfg() -> DaemonConfig {
     DaemonConfig {
@@ -109,7 +113,7 @@ fn a_router_refreshing_from_a_no_at_its_cap_is_told_conn_limit() {
     })
     .unwrap();
     let cfg = test_cfg();
-    let no = NoDaemon::spawn(w.no, "127.0.0.1:0", cfg).unwrap();
+    let no = NoDaemon::spawn(w.no, fresh_ledger("conn-cap-no"), None, "127.0.0.1:0", cfg).unwrap();
     let router = w.routers.into_iter().next().unwrap();
     let daemon = RouterDaemon::spawn(router, 1, "127.0.0.1:0", cfg).unwrap();
 

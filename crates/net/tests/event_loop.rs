@@ -8,6 +8,8 @@
 //! its verify is in flight frees its slot — and the outbound queue bound: a
 //! peer that never reads is dropped and counted, not queued for.
 
+mod common;
+
 use std::io::Read;
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -20,6 +22,8 @@ use peace_net::{
 };
 use peace_protocol::{ReplicaSet, RetryPolicy};
 use peace_wire::{Decode, Encode};
+
+use common::fresh_ledger;
 
 fn event_cfg(shards: usize) -> DaemonConfig {
     DaemonConfig {
@@ -48,7 +52,14 @@ fn concurrent_handshakes_and_echo_across_shards() {
     let w = build_world(&spec).unwrap();
     let cfg = event_cfg(2);
 
-    let no = NoDaemon::spawn(w.no, "127.0.0.1:0", cfg).unwrap();
+    let no = NoDaemon::spawn(
+        w.no,
+        fresh_ledger("event-loop-no-1"),
+        None,
+        "127.0.0.1:0",
+        cfg,
+    )
+    .unwrap();
     let no_addr = no.addr();
     let router = w.routers.into_iter().next().unwrap();
     let daemon = RouterDaemon::spawn(router, spec.seed ^ 1, "127.0.0.1:0", cfg).unwrap();
@@ -301,7 +312,14 @@ fn no_daemon_served_by_event_loop() {
     };
     let w = build_world(&spec).unwrap();
     let cfg = event_cfg(1);
-    let no = NoDaemon::spawn(w.no, "127.0.0.1:0", cfg).unwrap();
+    let no = NoDaemon::spawn(
+        w.no,
+        fresh_ledger("event-loop-no-2"),
+        None,
+        "127.0.0.1:0",
+        cfg,
+    )
+    .unwrap();
     let daemon = RouterDaemon::spawn(
         w.routers.into_iter().next().unwrap(),
         spec.seed ^ 1,

@@ -3,6 +3,8 @@
 //! pattern panics the stack — re-validated over real TCP through the
 //! frame-aware fault proxy.
 
+mod common;
+
 use std::time::Duration;
 
 use peace_net::{
@@ -10,6 +12,8 @@ use peace_net::{
     ProxyConfig, RouterDaemon, Transient, UserAgent, WorldSpec,
 };
 use peace_protocol::{FaultPlan, RetryPolicy};
+
+use common::fresh_ledger;
 
 fn fast_cfg() -> DaemonConfig {
     DaemonConfig {
@@ -144,7 +148,14 @@ fn url_delta_sync_converges_through_lossy_channel() {
     // Control router stays in-process and syncs by full signed bulletins.
     let mut control = routers.next().unwrap();
 
-    let no_daemon = NoDaemon::spawn(w.no, "127.0.0.1:0", fast_cfg()).unwrap();
+    let no_daemon = NoDaemon::spawn(
+        w.no,
+        fresh_ledger("fault-proxy-no"),
+        None,
+        "127.0.0.1:0",
+        fast_cfg(),
+    )
+    .unwrap();
     let daemon =
         RouterDaemon::spawn(delta_router, 0x0DE17A ^ 0xDAE, "127.0.0.1:0", fast_cfg()).unwrap();
     // Drop/duplicate/reorder only: corruption is covered by the handshake

@@ -32,7 +32,6 @@ fn sample_envelopes() -> &'static Vec<NodeMessage> {
         vec![
             NodeMessage::GetBulletin,
             NodeMessage::Bulletin(Bulletin {
-                epoch: 3,
                 crl: w.no.publish_crl(10_000),
                 url: w.no.publish_url(10_000),
             }),

@@ -17,7 +17,7 @@ use std::time::Duration;
 
 use peace_ledger::{
     attribute_sweep, audit_sweep, verify_chain, Ledger, LedgerConfig, LedgerQuery, LedgerRecord,
-    RecordKind, SyncPolicy,
+    RecordKind, ReplicatedLedger, SyncPolicy,
 };
 use peace_net::{
     reject_code, ConnConfig, DaemonConfig, NetError, NoDaemon, RouterDaemon, UserAgent,
@@ -40,6 +40,11 @@ fn test_cfg() -> DaemonConfig {
         drain: Duration::from_secs(3),
         ..DaemonConfig::default()
     }
+}
+
+/// `ledger` as a single-writer NO's store.
+fn single(ledger: Ledger) -> ReplicatedLedger {
+    ReplicatedLedger::from_single(ledger, "NO")
 }
 
 /// A lone NO as the one-element replica set routers report through.
@@ -155,8 +160,7 @@ fn kill_recover_verify_and_batch_audit() {
     )
     .unwrap();
     assert!(report.tail_flaw.is_none());
-    let no_daemon = NoDaemon::spawn(w.no, "127.0.0.1:0", cfg).unwrap();
-    no_daemon.attach_ledger(ledger).expect("ledger replayed");
+    let no_daemon = NoDaemon::spawn(w.no, single(ledger), None, "127.0.0.1:0", cfg).unwrap();
     let no_addr = no_daemon.addr();
 
     let mut router_daemons = Vec::new();
@@ -202,10 +206,7 @@ fn kill_recover_verify_and_batch_audit() {
         .rotate_epoch(&mut w.rng)
         .expect("rollover recorded");
     assert_eq!(epoch, 1);
-    let ck = no_daemon
-        .checkpoint_now()
-        .expect("ledger attached")
-        .expect("checkpoint signs");
+    let ck = no_daemon.checkpoint_now().expect("checkpoint signs");
     assert_eq!(ck.seq, 6, "4 access + revocation + rollover");
 
     // ------------------------------------------------------------------
@@ -217,8 +218,7 @@ fn kill_recover_verify_and_batch_audit() {
     for r in router_daemons {
         routers_back.push(r.shutdown().unwrap());
     }
-    drop(no_daemon.detach_ledger());
-    let operator = no_daemon.shutdown().unwrap();
+    let (operator, _) = no_daemon.shutdown().unwrap();
 
     let seg = last_segment(&ledger_dir);
     let mut bytes = fs::read(&seg).unwrap();
@@ -238,8 +238,7 @@ fn kill_recover_verify_and_batch_audit() {
     assert_eq!(report.torn_bytes, torn as u64);
     assert_eq!(ledger.len(), 7, "every completed record survived");
 
-    let no_daemon = NoDaemon::spawn(operator, "127.0.0.1:0", cfg).unwrap();
-    no_daemon.attach_ledger(ledger).expect("ledger replayed");
+    let no_daemon = NoDaemon::spawn(operator, single(ledger), None, "127.0.0.1:0", cfg).unwrap();
     let no_addr = no_daemon.addr();
     let router0 = RouterDaemon::spawn(routers_back.remove(0), 0xF00D, "127.0.0.1:0", cfg).unwrap();
     // The rotated operator serves lists for the new key, which a router
@@ -254,8 +253,8 @@ fn kill_recover_verify_and_batch_audit() {
     assert_eq!(router0.report_sessions(&mut one_no(no_addr)).unwrap(), 1);
     router0.shutdown().unwrap();
 
-    let mut ledger = no_daemon.detach_ledger().expect("still attached");
-    let operator = no_daemon.shutdown().unwrap();
+    let (operator, ledger) = no_daemon.shutdown().unwrap();
+    let mut ledger = ledger.into_local();
     assert_eq!(ledger.len(), 8, "recovered chain kept appending");
 
     // ------------------------------------------------------------------
@@ -330,9 +329,9 @@ fn kill_recover_verify_and_batch_audit() {
     assert_eq!(chain.torn_bytes, 0, "recovery already shed the torn tail");
 }
 
-/// With a ledger attached it is the NO daemon's one session store: reported
-/// transcripts go to the ledger and not to the operator's in-memory log,
-/// and each one is found by session id and audits to its signer's group.
+/// The ledger is the NO daemon's one session store: each reported
+/// transcript is one record in it, found by session id, and audits to its
+/// signer's group.
 #[test]
 fn an_attached_ledger_is_the_one_session_store() {
     let mut w = build_two_groups(0x0E5_5709);
@@ -352,8 +351,7 @@ fn an_attached_ledger_is_the_one_session_store() {
     router.requeue_log(sessions.clone());
 
     let (ledger, _) = Ledger::open(tmpdir("ledger-one-store"), LedgerConfig::default()).unwrap();
-    let no = NoDaemon::spawn(w.no, "127.0.0.1:0", test_cfg()).unwrap();
-    no.attach_ledger(ledger).expect("ledger replayed");
+    let no = NoDaemon::spawn(w.no, single(ledger), None, "127.0.0.1:0", test_cfg()).unwrap();
     let daemon = RouterDaemon::spawn(router, 0x5E55, "127.0.0.1:0", test_cfg()).unwrap();
     assert_eq!(
         daemon.report_sessions(&mut one_no(no.addr())).unwrap() as usize,
@@ -361,14 +359,16 @@ fn an_attached_ledger_is_the_one_session_store() {
     );
     daemon.shutdown().unwrap();
 
-    assert_eq!(no.with_operator(|op| op.logged_session_count()), 0);
+    assert_eq!(
+        no.with_ledger(|rl| rl.total_records()),
+        sessions.len() as u64
+    );
     for (session, gid) in sessions.iter().zip(&groups) {
         let entry = no
-            .with_ledger(|l| {
-                let seq = l.find_session(&session.session_id.to_bytes())?;
-                l.get(seq).unwrap()
+            .with_ledger(|rl| {
+                let (_, seq) = rl.find_session(&session.session_id.to_bytes())?;
+                rl.local().get(seq).unwrap()
             })
-            .expect("ledger attached")
             .expect("every reported session is in the ledger");
         let LedgerRecord::Access(access) = entry.record else {
             panic!("session id found on a non-access record");
@@ -378,15 +378,14 @@ fn an_attached_ledger_is_the_one_session_store() {
             .unwrap();
         assert_eq!(finding.group, *gid);
     }
-    drop(no.detach_ledger());
     no.shutdown().unwrap();
 }
 
 /// NO acknowledges only transcripts it persisted: when the ledger cannot
 /// append the batch (its directory is gone, so the next segment rotation
 /// fails, whoever runs the test), the report is refused with the ledger's
-/// error code and the router keeps the whole batch. Once a working ledger
-/// is attached, one retry lands every transcript exactly once.
+/// error code and the router keeps the whole batch. Once NO restarts on a
+/// working ledger, one retry lands every transcript exactly once.
 #[test]
 fn a_report_the_ledger_cannot_persist_is_refused_and_kept() {
     let mut w = build_two_groups(0xFA11ED);
@@ -409,8 +408,7 @@ fn a_report_the_ledger_cannot_persist_is_refused_and_kept() {
     };
     let (broken, _) = Ledger::open(&broken_dir, tiny).unwrap();
     fs::remove_dir_all(&broken_dir).unwrap();
-    let no = NoDaemon::spawn(w.no, "127.0.0.1:0", test_cfg()).unwrap();
-    no.attach_ledger(broken).expect("ledger replayed");
+    let no = NoDaemon::spawn(w.no, single(broken), None, "127.0.0.1:0", test_cfg()).unwrap();
     let daemon = RouterDaemon::spawn(router, 0xFA11, "127.0.0.1:0", test_cfg()).unwrap();
     let mut nos = one_no(no.addr());
 
@@ -428,9 +426,10 @@ fn a_report_the_ledger_cannot_persist_is_refused_and_kept() {
     );
     assert!(no.telemetry().counters["net.ledger_errors"] >= 1);
 
-    drop(no.detach_ledger());
+    let (operator, _) = no.shutdown().unwrap();
     let (good, _) = Ledger::open(tmpdir("ledger-persists-retry"), LedgerConfig::default()).unwrap();
-    no.attach_ledger(good).expect("ledger replayed");
+    let no = NoDaemon::spawn(operator, single(good), None, "127.0.0.1:0", test_cfg()).unwrap();
+    let mut nos = one_no(no.addr());
     assert_eq!(daemon.report_sessions(&mut nos).unwrap() as usize, batch);
     assert_eq!(daemon.with_router(|r| r.pending_log_len()), 0);
     let mut kept = daemon.shutdown().unwrap();
@@ -439,9 +438,7 @@ fn a_report_the_ledger_cannot_persist_is_refused_and_kept() {
         kind: Some(RecordKind::Access),
         ..LedgerQuery::default()
     };
-    let stored = no
-        .with_ledger(|l| l.query(&access).unwrap())
-        .expect("ledger attached");
+    let stored = no.with_ledger(|rl| rl.local().query(&access).unwrap());
     assert_eq!(stored.len(), batch, "every transcript landed exactly once");
     for session in &sessions {
         let id = session.session_id.to_bytes();
@@ -451,7 +448,6 @@ fn a_report_the_ledger_cannot_persist_is_refused_and_kept() {
             .count();
         assert_eq!(copies, 1);
     }
-    drop(no.detach_ledger());
     no.shutdown().unwrap();
 }
 
@@ -469,8 +465,7 @@ fn a_revocation_the_ledger_cannot_persist_changes_nothing() {
         ..LedgerConfig::default()
     };
     let (ledger, _) = Ledger::open(&dir, tiny).unwrap();
-    let no = NoDaemon::spawn(w.no, "127.0.0.1:0", test_cfg()).unwrap();
-    no.attach_ledger(ledger).expect("ledger replayed");
+    let no = NoDaemon::spawn(w.no, single(ledger), None, "127.0.0.1:0", test_cfg()).unwrap();
     // The first record fills the live segment; the next needs a new one.
     assert!(no.revoke_user(&w.tokens[0]));
     fs::remove_dir_all(&dir).unwrap();
@@ -491,6 +486,5 @@ fn a_revocation_the_ledger_cannot_persist_changes_nothing() {
         .events
         .iter()
         .any(|e| e.code == "ledger_error" && e.detail == "io"));
-    drop(no.detach_ledger());
     no.shutdown().unwrap();
 }

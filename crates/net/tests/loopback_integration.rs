@@ -5,6 +5,8 @@
 //! propagation through list refresh + beacon re-broadcast, and graceful
 //! shutdown, with zero handler panics anywhere.
 
+mod common;
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -16,6 +18,8 @@ use peace_net::{
 };
 use peace_protocol::ProtocolConfig;
 use peace_wire::{Decode, Encode};
+
+use common::fresh_ledger;
 
 fn test_cfg() -> DaemonConfig {
     DaemonConfig {
@@ -52,7 +56,14 @@ fn full_mesh_with_revocation(mode: BasesMode) {
     let tokens = w.tokens.clone();
     let cfg = test_cfg();
 
-    let no = NoDaemon::spawn(w.no, "127.0.0.1:0", cfg).unwrap();
+    let no = NoDaemon::spawn(
+        w.no,
+        fresh_ledger(&format!("loopback-{mode:?}")),
+        None,
+        "127.0.0.1:0",
+        cfg,
+    )
+    .unwrap();
     let no_addr = no.addr();
     let mut routers = Vec::new();
     for (i, r) in w.routers.into_iter().enumerate() {
@@ -180,7 +191,7 @@ fn full_mesh_with_revocation(mode: BasesMode) {
         sessions_logged += entity.drain_log().len();
     }
     assert_eq!(sessions_logged, 6, "5 initial + 1 survivor session logged");
-    let operator = no.shutdown().expect("NO shutdown");
+    let (operator, _) = no.shutdown().expect("NO shutdown");
     assert_eq!(operator.revoked_member_count(), 1);
 }
 

@@ -1,20 +1,21 @@
 //! The operator's ledger is the one owner of its lists: a NO that restarts
-//! from the same setup ceremony and attaches the same ledger directory
-//! serves the lists it served before, so every member revoked before the
-//! restart stays out — at a router that refreshes by delta and at one that
-//! fetches the full list. A key rollover is never replayed (γ is in no
-//! record): routers keep the lists of the key they hold, and a ledger past
-//! the operator's epoch, or one whose records the operator does not
-//! reach, is refused at attach with a code.
+//! from the same setup ceremony on the same ledger directory serves the
+//! lists it served before, from its first bulletin, so every member
+//! revoked before the restart stays out — at a router that refreshes by
+//! delta and at one that fetches the full list. A key rollover is never
+//! replayed (γ is in no record): routers keep the lists of the key they
+//! hold, and a ledger past the operator's epoch, or one whose records the
+//! operator does not reach, is refused at spawn with a code.
 
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 use std::time::Duration;
 
 use peace_groupsig::RevocationToken;
-use peace_ledger::{Ledger, LedgerConfig};
+use peace_ledger::{Ledger, LedgerConfig, LedgerQuery, LedgerRecord, RecordKind, ReplicatedLedger};
 use peace_net::{
-    build_world, reject_code, BuiltWorld, ConnConfig, DaemonConfig, NetError, NoDaemon,
-    RouterDaemon, UserAgent, WorldSpec,
+    build_world, clock::wall_ms, reject_code, BuiltWorld, ConnConfig, Connection, DaemonConfig,
+    NetError, NetMetrics, NoDaemon, NodeMessage, RouterDaemon, UserAgent, WorldSpec,
 };
 use peace_protocol::entities::{MeshRouter, UserClient};
 use rand::rngs::StdRng;
@@ -42,8 +43,8 @@ fn tmpdir(name: &str) -> PathBuf {
     dir
 }
 
-fn open(dir: &Path) -> Ledger {
-    Ledger::open(dir, LedgerConfig::default()).unwrap().0
+fn open(dir: &Path) -> ReplicatedLedger {
+    ReplicatedLedger::from_single(Ledger::open(dir, LedgerConfig::default()).unwrap().0, "NO")
 }
 
 /// What a ceremony hands out besides the operator.
@@ -54,8 +55,8 @@ struct Rest {
     rng: StdRng,
 }
 
-/// A NO from `spec`'s ceremony with the ledger at `dir` attached, and the
-/// rest of its world.
+/// A NO from `spec`'s ceremony on the ledger at `dir`, and the rest of its
+/// world.
 fn operator(spec: &WorldSpec, dir: &Path) -> (NoDaemon, Rest) {
     let BuiltWorld {
         no,
@@ -65,8 +66,8 @@ fn operator(spec: &WorldSpec, dir: &Path) -> (NoDaemon, Rest) {
         rng,
         ..
     } = build_world(spec).unwrap();
-    let no = NoDaemon::spawn(no, "127.0.0.1:0", test_cfg()).unwrap();
-    no.attach_ledger(open(dir)).expect("the ledger replays");
+    let no = NoDaemon::spawn(no, open(dir), None, "127.0.0.1:0", test_cfg())
+        .unwrap_or_else(|e| panic!("the ledger replays: {e}"));
     let rest = Rest {
         routers,
         users,
@@ -94,22 +95,26 @@ fn a_restarted_operator_keeps_revoked_members_out() {
     let dir = tmpdir("operator-restart");
     let revoked = 3;
 
-    // First life: revoke, then shut down.
+    // First life: revoke, then shut down. A duplicate of the first
+    // revocation's record follows the two.
     let (no, w) = operator(&SPEC, &dir);
     assert!(no.revoke_user(&w.tokens[revoked]));
     assert!(no.revoke_user(&w.tokens[0]));
-    // Attached again to the operator that wrote it, the ledger changes nothing.
-    let ledger = no.detach_ledger().unwrap();
-    no.attach_ledger(ledger)
-        .expect("records the operator holds");
-    assert_eq!(no.with_operator(|op| op.url_version()), 2);
-    drop(no.detach_ledger());
-    drop(no.shutdown().unwrap());
+    let (_, mut ledger) = no.shutdown().unwrap();
+    let duplicate = LedgerRecord::UserRevocation {
+        token: w.tokens[revoked],
+        url_version: 1,
+    };
+    ledger.local_mut().append(duplicate, wall_ms()).unwrap();
+    ledger.flush().unwrap();
+    drop(ledger);
 
     // Second life: the same ceremony, the same directory, fresh routers
-    // still holding the provisioning lists (version 0).
+    // still holding the provisioning lists (version 0). The duplicate
+    // replays as a no-op.
     let (no, mut w) = operator(&SPEC, &dir);
     assert_eq!(no.with_operator(|op| op.url_version()), 2, "replayed");
+    assert_eq!(no.with_operator(|op| op.revoked_member_count()), 2);
     let routers: Vec<RouterDaemon> = w
         .routers
         .drain(..)
@@ -146,7 +151,60 @@ fn a_restarted_operator_keeps_revoked_members_out() {
     for r in routers {
         r.shutdown().unwrap();
     }
-    drop(no.detach_ledger());
+    no.shutdown().unwrap();
+}
+
+/// The restart leaves no window: the very first bulletin a restarted NO
+/// serves carries the revocation its ledger holds, and the very first
+/// report it takes lands in that ledger.
+#[test]
+fn a_restarted_operator_serves_its_ledger_from_the_first_bulletin() {
+    let dir = tmpdir("operator-restart-window");
+    let revoked = 1;
+    let (no, w) = operator(&SPEC, &dir);
+    assert!(no.revoke_user(&w.tokens[revoked]));
+    no.shutdown().unwrap();
+
+    // A transcript for the second life to take: user 0 at router 0, in
+    // protocol time its provisioning lists are fresh at.
+    let (no, mut w) = operator(&SPEC, &dir);
+    let beacon = w.routers[0].beacon(1_000, &mut w.rng);
+    let req = w.users[0]
+        .request_access(&beacon, 1_000, &mut w.rng)
+        .unwrap();
+    w.routers[0].process_access_request(&req, 1_000).unwrap();
+    let session = w.routers[0].drain_log().remove(0);
+
+    let cfg = test_cfg();
+    let metrics = Arc::new(NetMetrics::default());
+    let mut conn = Connection::dial(no.addr(), cfg.connect_timeout, cfg.conn, metrics).unwrap();
+    conn.send(&NodeMessage::GetBulletin).unwrap();
+    let NodeMessage::Bulletin(bulletin) = conn.recv().unwrap() else {
+        panic!("expected the bulletin");
+    };
+    assert_eq!(bulletin.url.version, 1);
+    assert_eq!(bulletin.url.tokens, vec![w.tokens[revoked]]);
+
+    conn.send(&NodeMessage::ReportSessions {
+        router: "MR-0".into(),
+        sessions: vec![session.clone()],
+    })
+    .unwrap();
+    assert!(matches!(
+        conn.recv().unwrap(),
+        NodeMessage::ReportAck { accepted: 1 }
+    ));
+    conn.close();
+    let access = LedgerQuery {
+        kind: Some(RecordKind::Access),
+        ..LedgerQuery::default()
+    };
+    let stored = no.with_ledger(|rl| rl.local().query(&access).unwrap());
+    assert_eq!(stored.len(), 1);
+    let LedgerRecord::Access(record) = &stored[0].record else {
+        unreachable!()
+    };
+    assert_eq!(record.session, session);
     no.shutdown().unwrap();
 }
 
@@ -183,17 +241,15 @@ fn after_a_rotation_routers_keep_the_lists_of_their_key() {
     for r in routers {
         r.shutdown().unwrap();
     }
-    drop(no.detach_ledger());
     no.shutdown().unwrap();
 
     // A restarted operator is at epoch 0, and γ is in no record: a ledger
     // past its epoch is refused.
     let fresh = build_world(&SPEC).unwrap().no;
-    let no = NoDaemon::spawn(fresh, "127.0.0.1:0", test_cfg()).unwrap();
-    let refused = no.attach_ledger(open(&dir)).unwrap_err();
+    let Err(refused) = NoDaemon::spawn(fresh, open(&dir), None, "127.0.0.1:0", test_cfg()) else {
+        panic!("a ledger past the operator's epoch must be refused");
+    };
     assert_eq!(refused.code(), "epoch_ahead");
-    assert!(no.with_ledger(|_| ()).is_none(), "not attached");
-    no.shutdown().unwrap();
 }
 
 #[test]
@@ -201,7 +257,6 @@ fn a_ledger_written_under_another_ceremony_is_refused() {
     let dir = tmpdir("operator-other-seed");
     let (no, w) = operator(&SPEC, &dir);
     assert!(no.revoke_user(&w.tokens[0]));
-    drop(no.detach_ledger());
     no.shutdown().unwrap();
 
     let other = WorldSpec {
@@ -209,9 +264,8 @@ fn a_ledger_written_under_another_ceremony_is_refused() {
         ..SPEC
     };
     let w = build_world(&other).unwrap();
-    let no = NoDaemon::spawn(w.no, "127.0.0.1:0", test_cfg()).unwrap();
-    let refused = no.attach_ledger(open(&dir)).unwrap_err();
+    let Err(refused) = NoDaemon::spawn(w.no, open(&dir), None, "127.0.0.1:0", test_cfg()) else {
+        panic!("a ledger of another ceremony must be refused");
+    };
     assert_eq!(refused.code(), "ledger_disagrees");
-    assert!(no.with_ledger(|_| ()).is_none(), "not attached");
-    no.shutdown().unwrap();
 }

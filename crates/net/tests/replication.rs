@@ -64,26 +64,23 @@ fn spawn_replica(idx: usize, dir: &Path, resolve: PeerKeyResolver) -> (NoDaemon,
     let id = format!("NO-{idx}");
     let (replica, recovery) =
         ReplicatedLedger::open(dir, &id, ledger_cfg(), &|s| resolve(s)).unwrap();
-    let daemon = NoDaemon::spawn(no, "127.0.0.1:0", test_cfg()).unwrap();
-    daemon
-        .attach_replica(replica, resolve)
-        .expect("replica replayed");
+    let daemon = NoDaemon::spawn(no, replica, Some(resolve), "127.0.0.1:0", test_cfg())
+        .unwrap_or_else(|e| panic!("replica replayed: {e}"));
     (daemon, recovery)
 }
 
 fn merged_digest(d: &NoDaemon) -> [u8; 32] {
-    d.with_replica(|rl| rl.merged_digest().unwrap()).unwrap()
+    d.with_ledger(|rl| rl.merged_digest().unwrap())
 }
 
 fn access_count(d: &NoDaemon) -> usize {
-    d.with_replica(|rl| {
+    d.with_ledger(|rl| {
         rl.merged()
             .unwrap()
             .iter()
             .filter(|m| matches!(m.entry.record, LedgerRecord::Access(_)))
             .count()
     })
-    .unwrap()
 }
 
 #[test]

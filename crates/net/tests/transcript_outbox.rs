@@ -8,16 +8,19 @@
 //! place in line, so that admissions over TCP can push it past the bound
 //! in a few handshakes.
 
+mod common;
+
 use std::net::{SocketAddr, TcpListener};
-use std::path::Path;
 use std::time::{Duration, Instant};
 
-use peace_ledger::{Ledger, LedgerConfig, LedgerQuery, RecordKind};
+use peace_ledger::{LedgerQuery, RecordKind};
 use peace_net::{
     build_world, ConnConfig, DaemonConfig, NoDaemon, RouterDaemon, UserAgent, WorldSpec,
 };
 use peace_protocol::config::MAX_PENDING_TRANSCRIPTS;
 use peace_protocol::{LoggedSession, ReplicaSet, RetryPolicy};
+
+use common::fresh_ledger;
 
 /// Short I/O timeouts: a report to a peer that never answers gives up
 /// after one second.
@@ -36,9 +39,14 @@ fn test_cfg() -> DaemonConfig {
 }
 
 /// A router daemon with fresh lists, an agent that can handshake with it,
-/// the NO that served both lists (reports never go to it unless a test
-/// says so) and `n` filler transcripts, tagged `0..n`.
-fn setup(seed: u64, n: usize) -> (NoDaemon, RouterDaemon, UserAgent, Vec<LoggedSession>) {
+/// the NO that served both lists, on a fresh ledger in `dir` (reports
+/// never go to it unless a test says so), and `n` filler transcripts,
+/// tagged `0..n`.
+fn setup(
+    seed: u64,
+    n: usize,
+    dir: &str,
+) -> (NoDaemon, RouterDaemon, UserAgent, Vec<LoggedSession>) {
     let mut w = build_world(&WorldSpec {
         seed,
         users: 1,
@@ -61,7 +69,7 @@ fn setup(seed: u64, n: usize) -> (NoDaemon, RouterDaemon, UserAgent, Vec<LoggedS
         .collect();
 
     let cfg = test_cfg();
-    let no = NoDaemon::spawn(w.no, "127.0.0.1:0", cfg).unwrap();
+    let no = NoDaemon::spawn(w.no, fresh_ledger(dir), None, "127.0.0.1:0", cfg).unwrap();
     let daemon = RouterDaemon::spawn(router, seed ^ 1, "127.0.0.1:0", cfg).unwrap();
     daemon
         .refresh_lists(no.addr())
@@ -93,7 +101,8 @@ fn dead_addr() -> SocketAddr {
 
 #[test]
 fn with_no_reachable_the_outbox_keeps_the_newest_cap_transcripts() {
-    let (no, daemon, mut agent, fillers) = setup(0x0B01, MAX_PENDING_TRANSCRIPTS - 2);
+    let (no, daemon, mut agent, fillers) =
+        setup(0x0B01, MAX_PENDING_TRANSCRIPTS - 2, "outbox-unreachable");
     daemon.with_router(|r| r.requeue_log(fillers.clone()));
 
     // Four admissions past a bound two short: the two oldest go.
@@ -153,12 +162,9 @@ fn with_no_reachable_the_outbox_keeps_the_newest_cap_transcripts() {
 
 #[test]
 fn a_full_outbox_is_reported_in_one_exchange() {
-    let (no, daemon, _agent, fillers) = setup(0x0B02, MAX_PENDING_TRANSCRIPTS);
+    let (no, daemon, _agent, fillers) =
+        setup(0x0B02, MAX_PENDING_TRANSCRIPTS, "outbox-full-report");
     daemon.with_router(|r| r.requeue_log(fillers));
-    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("outbox-full-report");
-    let _ = std::fs::remove_dir_all(&dir);
-    let (ledger, _) = Ledger::open(&dir, LedgerConfig::default()).unwrap();
-    no.attach_ledger(ledger).expect("ledger replayed");
 
     // One exchange: the report frame out, one ack frame back.
     let frames = |d: &RouterDaemon| d.telemetry().counters["net.frames_in"];
@@ -176,9 +182,8 @@ fn a_full_outbox_is_reported_in_one_exchange() {
         kind: Some(RecordKind::Access),
         ..LedgerQuery::default()
     };
-    let stored = no.with_ledger(|l| l.query(&access).unwrap().len());
-    assert_eq!(stored, Some(MAX_PENDING_TRANSCRIPTS));
+    let stored = no.with_ledger(|rl| rl.local().query(&access).unwrap().len());
+    assert_eq!(stored, MAX_PENDING_TRANSCRIPTS);
     daemon.shutdown().unwrap();
-    drop(no.detach_ledger());
     no.shutdown().unwrap();
 }

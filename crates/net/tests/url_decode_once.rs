@@ -3,11 +3,15 @@
 //! time, and its telemetry says so — in counts, and in nothing that names
 //! a list, a version or a session.
 
+mod common;
+
 use std::time::Duration;
 
 use peace_net::{
     build_world, ConnConfig, DaemonConfig, NoDaemon, RouterDaemon, UserAgent, WorldSpec,
 };
+
+use common::fresh_ledger;
 
 fn test_cfg() -> DaemonConfig {
     DaemonConfig {
@@ -32,7 +36,14 @@ fn second_beacon_of_an_unchanged_list_decodes_no_token() {
     let alice = w.users.remove(0);
     let router = w.routers.remove(0);
 
-    let no = NoDaemon::spawn(w.no, "127.0.0.1:0", test_cfg()).unwrap();
+    let no = NoDaemon::spawn(
+        w.no,
+        fresh_ledger("url-decode-once"),
+        None,
+        "127.0.0.1:0",
+        test_cfg(),
+    )
+    .unwrap();
     for token in &revoked {
         assert!(no.revoke_user(token));
     }

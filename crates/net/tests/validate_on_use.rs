@@ -6,17 +6,22 @@
 //! audit as a transcript nobody can be found for. A non-canonical point is
 //! still a MALFORMED frame.
 
+mod common;
+
 use std::net::TcpStream;
 use std::time::Duration;
 
 use peace_curve::{AffinePoint, G1};
 use peace_groupsig::GroupSignature;
+use peace_ledger::LedgerRecord;
 use peace_net::{
     build_world, read_frame, reject_code, write_frame, ConnConfig, DaemonConfig, NoDaemon,
     NodeMessage, RouterDaemon, WorldSpec, DEFAULT_MAX_FRAME,
 };
 use peace_protocol::{AccessRequest, LoggedSession};
 use peace_wire::{Decode, Encode};
+
+use common::fresh_ledger;
 
 fn cfg() -> DaemonConfig {
     DaemonConfig {
@@ -140,7 +145,14 @@ fn a_reported_transcript_with_a_bad_point_is_stored_and_never_opens() {
         ..honest.clone()
     };
 
-    let no = NoDaemon::spawn(w.no, "127.0.0.1:0", cfg()).unwrap();
+    let no = NoDaemon::spawn(
+        w.no,
+        fresh_ledger("validate-on-use"),
+        None,
+        "127.0.0.1:0",
+        cfg(),
+    )
+    .unwrap();
     let mut stream = TcpStream::connect(no.addr()).unwrap();
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
@@ -155,12 +167,24 @@ fn a_reported_transcript_with_a_bad_point_is_stored_and_never_opens() {
     }
     assert_eq!(no.telemetry().counters["net.decode_failures"], 0);
     drop(stream);
-    // The operator holds the transcript as reported; auditing it finds
+    // The ledger holds the transcript as reported; auditing it finds
     // nobody (its T₁ names no curve point, so it opens against no token)
     // and does not panic.
+    let stored = no.with_ledger(|rl| {
+        assert_eq!(rl.total_records(), 1);
+        let (_, seq) = rl
+            .find_session(&forged.session_id.to_bytes())
+            .expect("the transcript is in the ledger");
+        rl.local().get(seq).unwrap().expect("its record")
+    });
+    let LedgerRecord::Access(access) = stored.record else {
+        panic!("session id found on a non-access record");
+    };
+    assert_eq!(access.session, forged);
     no.with_operator(|op| {
-        assert_eq!(op.logged_session_count(), 1);
-        assert!(op.audit(&forged.session_id).is_err());
+        assert!(op
+            .audit_raw(&access.session.signed_payload, &access.session.gsig)
+            .is_err());
         assert!(op.audit_raw(&honest.signed_payload, &honest.gsig).is_ok());
     });
     no.shutdown().unwrap();

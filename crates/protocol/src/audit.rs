@@ -46,7 +46,11 @@ impl Decode for LoggedSession {
     }
 }
 
-/// The operator-side log of authentication sessions, keyed by session id.
+/// The operator-side log of authentication sessions, keyed by session id,
+/// filled by in-process [`ingest_router_log`] callers (tests, simulators,
+/// examples). A NO daemon keeps reported sessions in its ledger instead.
+///
+/// [`ingest_router_log`]: crate::entities::NetworkOperator::ingest_router_log
 #[derive(Clone, Debug, Default)]
 pub struct NetworkLog {
     entries: HashMap<Vec<u8>, LoggedSession>,

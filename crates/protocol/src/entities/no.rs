@@ -12,7 +12,7 @@ use peace_groupsig::{
 use peace_revoke::{DeltaPlan, EpochUrlStore, UrlDelta};
 use rand::RngCore;
 
-use crate::audit::{AuditFinding, LoggedSession, NetworkLog};
+use crate::audit::{AuditFinding, NetworkLog};
 use crate::config::ProtocolConfig;
 use crate::error::{ProtocolError, Result};
 use crate::ids::{GroupId, RouterId, SessionId, ShareIndex};
@@ -291,11 +291,6 @@ impl NetworkOperator {
     /// Total issued member keys (|grt|).
     pub fn issued_member_count(&self) -> usize {
         self.grt_order.len()
-    }
-
-    /// Records a session reported by a mesh router.
-    pub fn record_session(&mut self, entry: LoggedSession) {
-        self.log.record(entry);
     }
 
     /// Ingests all sessions a router has logged since the last report.

@@ -1,12 +1,12 @@
 //! The PEACE node daemon: runs any of the three node roles over real TCP.
 //!
 //! ```text
-//! peace-noded no     --bind 127.0.0.1:7100 [--seed N --users U --routers R --ledger DIR]
+//! peace-noded no     --bind 127.0.0.1:7100 --ledger DIR [--seed N --users U --routers R]
 //!                    [--no-id NO-0 --peers ADDR,ADDR --gossip-ms N]
 //! peace-noded router --bind 127.0.0.1:7200 --no ADDR[,ADDR...] --index K [--seed N ...]
 //!                    [--shards S]   # I/O threads (no/router/demo; 0 = one per processor)
 //! peace-noded user   --no ADDR --router ADDR --index J [--seed N ...]
-//! peace-noded demo   [--users U --rounds N --ledger DIR]
+//! peace-noded demo   --ledger DIR [--users U --rounds N]
 //! # every role also takes --fixed-bases (§V.C), which all must agree on
 //! ```
 //!
@@ -22,10 +22,12 @@
 //! user and checks its router refuses it, and publishes the merged
 //! telemetry of every daemon.
 //!
-//! With `--ledger DIR`, the NO replays the revocations DIR holds before it
-//! serves, so a restart keeps every revoked member out; it refuses, and
-//! the process exits non-zero, a DIR whose records disagree with the
-//! ceremony (another `--seed`) or that holds a key rollover.
+//! The NO runs on the accountability ledger at `--ledger DIR`, which `no`
+//! and `demo` require: it replays the revocations DIR holds before it
+//! binds, so a restart keeps every revoked member out from its first
+//! bulletin; it refuses, and the process exits non-zero, a DIR whose
+//! records disagree with the ceremony (another `--seed`) or that holds a
+//! key rollover.
 //!
 //! With `--peers`, the NO role joins a replica federation: its ledger
 //! becomes a per-writer shard store (`--no-id` names the local shard),
@@ -43,6 +45,7 @@
 
 use std::net::SocketAddr;
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::Duration;
 
 use peace::groupsig::BasesMode;
@@ -147,10 +150,10 @@ fn main() -> ExitCode {
 fn print_help() {
     println!("PEACE node daemon — framed TCP runtime for the three node roles\n");
     println!("commands:");
-    println!("  no     --bind A                  serve the revocation bulletin");
+    println!("  no     --bind A --ledger DIR     serve the revocation bulletin");
     println!("  router --bind A --no A[,A] --index K  serve beacons + access protocol");
     println!("  user   --no A --router A         poll bulletin, authenticate, echo");
-    println!("  demo   [--users U --rounds N]    full deployment on loopback");
+    println!("  demo   --ledger DIR [--users U --rounds N]  full deployment on loopback");
     println!("\nshared flags: --seed N --users U --routers R (world replay spec)");
     println!("              --shards S   no/router/demo: I/O threads of the event loop");
     println!("                           (default 0 = one per available processor)");
@@ -158,7 +161,7 @@ fn print_help() {
     println!("              lookups at metropolitan URL sizes, at the cost of");
     println!("              linkability of every member's sessions in an epoch.");
     println!("              Every role in a deployment must pass the same flag.");
-    println!("ledger flags: --ledger DIR (no/demo: durable accountability ledger)");
+    println!("ledger flag:  --ledger DIR (required by no/demo: the NO's accountability ledger)");
     println!("replica flags (no): --no-id NO-k --peers A,A --gossip-ms N");
     println!("               joins a replica federation: per-writer shard store,");
     println!("               background checkpoint gossip against each peer");
@@ -220,10 +223,11 @@ fn parse_addr_list(label: &str, s: Option<&str>) -> Result<Vec<SocketAddr>, Stri
         .collect()
 }
 
-/// Opens (recovering) a ledger at `dir`, reporting what recovery found.
-/// NO's own key resolves its signed checkpoints, so the chain replay
-/// resumes from the latest one instead of the log head (O(tail) opens).
-fn open_ledger(dir: &str, npk: peace::ecdsa::VerifyingKey) -> Result<Ledger, String> {
+/// Opens (recovering) a single-writer ledger at `dir`, reporting what
+/// recovery found. NO's own key resolves its signed checkpoints, so the
+/// chain replay resumes from the latest one instead of the log head
+/// (O(tail) opens).
+fn open_ledger(dir: &str, npk: peace::ecdsa::VerifyingKey) -> Result<ReplicatedLedger, String> {
     let (ledger, report) = Ledger::open_resumed(dir, LedgerConfig::default(), move |s| {
         (s == "NO").then_some(npk)
     })
@@ -241,20 +245,28 @@ fn open_ledger(dir: &str, npk: peace::ecdsa::VerifyingKey) -> Result<Ledger, Str
             report.torn_bytes
         );
     }
-    Ok(ledger)
+    Ok(ReplicatedLedger::from_single(ledger, "NO"))
 }
 
-/// Why NO refused the ledger it was given.
+/// The `--ledger DIR` NO runs on, which `no` and `demo` require.
+fn required_ledger(dir: Option<&str>) -> Result<&str, String> {
+    dir.ok_or_else(|| "the NO needs --ledger DIR (its accountability ledger)".into())
+}
+
+/// Why NO did not start: a refused ledger, or a listener that would not bind.
 fn refused(e: NetError) -> String {
-    format!("ledger refused ({}): {e}", e.code())
+    match e {
+        NetError::Ledger { .. } => format!("ledger refused ({}): {e}", e.code()),
+        e => e.to_string(),
+    }
 }
 
-/// Runs the NO bulletin daemon until the process is killed. With
-/// `--ledger DIR`, session reports and revocations are durably chained;
-/// periodic signed checkpoints make the log offline-verifiable. A hard
-/// kill mid-write is safe: each record is one `write(2)`, so recovery on
-/// the next start can only find (and discard) a torn tail, never a
-/// half-frame it would silently skip records over.
+/// Runs the NO bulletin daemon on the ledger at `--ledger DIR` until the
+/// process is killed: session reports and revocations are durably
+/// chained, and periodic signed checkpoints make the log
+/// offline-verifiable. A hard kill mid-write is safe: each record is one
+/// `write(2)`, so recovery on the next start can only find (and discard) a
+/// torn tail, never a half-frame it would silently skip records over.
 #[allow(clippy::too_many_arguments)]
 fn run_no(
     spec: &WorldSpec,
@@ -267,18 +279,17 @@ fn run_no(
     shards: usize,
     metrics_json: Option<&str>,
 ) -> Result<(), String> {
+    let dir = required_ledger(ledger_dir)?;
+    let peer_addrs = peers.map_or(Ok(Vec::new()), |p| parse_addr_list("--peers", Some(p)))?;
     let w = build_world_with(spec, config).map_err(|e| e.to_string())?;
     let npk = *w.no.npk();
-    let no = NoDaemon::spawn(w.no, bind, daemon_cfg(shards)).map_err(|e| e.to_string())?;
     let federated = no_id.is_some() || peers.is_some();
-    if federated {
-        // Replica federation: the ledger becomes a per-writer shard
-        // store, peers gossip checkpoint-attested ranges in the
-        // background. All replicas replay the same ceremony, so NO's
-        // certified key verifies every writer's checkpoints.
-        let dir =
-            ledger_dir.ok_or("replication (--no-id/--peers) requires --ledger DIR".to_string())?;
-        let id = no_id.unwrap_or("NO-0");
+    let id = no_id.unwrap_or("NO-0");
+    let (ledger, resolver) = if federated {
+        // Replica federation: the ledger is a per-writer shard store, and
+        // peers gossip checkpoint-attested ranges in the background. All
+        // replicas replay the same ceremony, so NO's certified key
+        // verifies every writer's checkpoints.
         let resolve = move |s: &str| (s == "NO" || s.starts_with("NO-")).then_some(npk);
         let (replica, recovery) =
             ReplicatedLedger::open(dir, id, LedgerConfig::default(), &resolve)
@@ -290,23 +301,19 @@ fn run_no(
             };
             println!("replica shard {writer}: {} record(s), {how}", rep.records);
         }
-        no.attach_replica(replica, std::sync::Arc::new(resolve) as PeerKeyResolver)
-            .map_err(refused)?;
-        let peer_addrs = match peers {
-            Some(p) => parse_addr_list("--peers", Some(p))?,
-            None => Vec::new(),
-        };
-        if peer_addrs.is_empty() {
-            println!("replica {id}: no peers yet (standalone shard store)");
-        } else {
-            println!(
-                "replica {id}: gossiping with {} peer(s) every {gossip_ms} ms",
-                peer_addrs.len()
-            );
-            no.start_gossip(peer_addrs, Duration::from_millis(gossip_ms));
-        }
-    } else if let Some(dir) = ledger_dir {
-        no.attach_ledger(open_ledger(dir, npk)?).map_err(refused)?;
+        (replica, Some(Arc::new(resolve) as PeerKeyResolver))
+    } else {
+        (open_ledger(dir, npk)?, None)
+    };
+    let no = NoDaemon::spawn(w.no, ledger, resolver, bind, daemon_cfg(shards)).map_err(refused)?;
+    if !peer_addrs.is_empty() {
+        println!(
+            "replica {id}: gossiping with {} peer(s) every {gossip_ms} ms",
+            peer_addrs.len()
+        );
+        no.start_gossip(peer_addrs, Duration::from_millis(gossip_ms));
+    } else if federated {
+        println!("replica {id}: no peers yet (standalone shard store)");
     }
     println!("peace-noded: NO bulletin daemon on {}", no.addr());
     println!(
@@ -315,11 +322,9 @@ fn run_no(
     );
     loop {
         std::thread::sleep(Duration::from_secs(30));
-        if ledger_dir.is_some() {
-            // Periodic durability + audit anchor: flush and checkpoint.
-            if let Some(Err(e)) = no.checkpoint_now() {
-                eprintln!("ledger checkpoint failed: {e}");
-            }
+        // Periodic durability + audit anchor: flush and checkpoint.
+        if let Err(e) = no.checkpoint_now() {
+            eprintln!("ledger checkpoint failed: {e}");
         }
         dump_metrics(metrics_json, &[("no", no.telemetry())]);
     }
@@ -467,17 +472,14 @@ fn run_user(
     Ok(())
 }
 
-/// Session transcripts NO holds: access records in its ledger when one is
-/// attached, else its in-memory log.
+/// Session transcripts NO holds: the access records in its ledger.
 fn landed_sessions(no: &NoDaemon) -> Result<u64, String> {
     let access = LedgerQuery {
         kind: Some(RecordKind::Access),
         ..LedgerQuery::default()
     };
-    match no.with_ledger(|l| l.query(&access).map(|e| e.len() as u64)) {
-        Some(n) => n.map_err(|e| e.to_string()),
-        None => Ok(no.with_operator(|op| op.logged_session_count()) as u64),
-    }
+    no.with_ledger(|rl| rl.local().query(&access).map(|e| e.len() as u64))
+        .map_err(|e| e.to_string())
 }
 
 /// Checks that `router` (MR-`k`) refuses user-`i` as revoked.
@@ -507,13 +509,11 @@ fn run_demo(
     shards: usize,
     metrics_json: Option<&str>,
 ) -> Result<(), String> {
+    let dir = required_ledger(ledger_dir)?;
     let w = build_world_with(spec, config).map_err(|e| e.to_string())?;
-    let npk = *w.no.npk();
+    let ledger = open_ledger(dir, *w.no.npk())?;
     let cfg = daemon_cfg(shards);
-    let no = NoDaemon::spawn(w.no, "127.0.0.1:0", cfg).map_err(|e| e.to_string())?;
-    if let Some(dir) = ledger_dir {
-        no.attach_ledger(open_ledger(dir, npk)?).map_err(refused)?;
-    }
+    let no = NoDaemon::spawn(w.no, ledger, None, "127.0.0.1:0", cfg).map_err(refused)?;
     println!("NO bulletin daemon on {}", no.addr());
     let mut replicas = ReplicaSet::new([no.addr()], RetryPolicy::default());
     let landed_before = landed_sessions(&no)?;
@@ -528,8 +528,8 @@ fn run_demo(
     }
 
     // Routers hand their session transcripts to NO (§IV.D step 1) as
-    // soon as a batch is ready and once more at the end; with a ledger
-    // attached these become durable chained access records.
+    // soon as a batch is ready and once more at the end, and they become
+    // durable chained access records.
     let mut reported = vec![0u32; routers.len()];
     let mut user_metrics: Vec<(String, Snapshot)> = Vec::new();
     let mut last_agent = None;
@@ -539,7 +539,7 @@ fn run_demo(
         let mut agent = UserAgent::new(user, peace::os_seed(), cfg);
         agent.poll_bulletin(no.addr()).map_err(|e| e.to_string())?;
         // A user NO already lists (revoked by an earlier run on this
-        // --ledger DIR, replayed on attach) is refused from the start.
+        // --ledger DIR, replayed at spawn) is refused from the start.
         let url = agent.user().current_url();
         if url.is_some_and(|url| url.tokens.contains(&w.tokens[i])) {
             refused_as_revoked(&mut agent, &routers[k], i, k)?;
@@ -605,18 +605,13 @@ fn run_demo(
             .map_err(|e| e.to_string())?;
         refused_as_revoked(&mut agent, &routers[k], i, k)?;
     }
-    if ledger_dir.is_some() {
-        if let Some(ck) = no.checkpoint_now() {
-            let ck = ck.map_err(|e| e.to_string())?;
-            println!("ledger checkpoint: seq {} signed by {}", ck.seq, ck.signer);
-        }
-        if let Some(head) = no.with_ledger(|l| l.head()) {
-            println!(
-                "ledger head: {} records, {} segment(s)",
-                head.next_seq, head.segments
-            );
-        }
-    }
+    let ck = no.checkpoint_now().map_err(|e| e.to_string())?;
+    println!("ledger checkpoint: seq {} signed by {}", ck.seq, ck.signer);
+    let head = no.with_ledger(|rl| rl.local().head());
+    println!(
+        "ledger head: {} records, {} segment(s)",
+        head.next_seq, head.segments
+    );
 
     // One merged document: crypto.* + ledger.* from the global registry,
     // every daemon's registry under its own prefix.
