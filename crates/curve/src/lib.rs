@@ -665,12 +665,12 @@ mod tests {
         assert_eq!(ProjectivePoint::IDENTITY.add_affine(&a).to_affine(), a);
     }
 
-    /// Which path a batch of `n` takes here, printed by the tests that hold
-    /// the lanes to the scalar path (a CPU without IFMA runs both sides on
-    /// the scalar one).
-    pub(crate) fn batch_path(n: usize) -> &'static str {
+    /// Which path a batch of `roots` square roots and `ladders` ladders
+    /// takes here, printed by the tests that hold the lanes to the scalar
+    /// path (a CPU without IFMA runs both sides on the scalar one).
+    pub(crate) fn batch_path(roots: usize, ladders: usize) -> &'static str {
         #[cfg(target_arch = "x86_64")]
-        if n >= 2 && peace_field::lanes::Ifma::detect().is_some() {
+        if crate::lanes::lanes_for(roots, ladders).is_some() {
             return "avx512ifma lanes";
         }
         "scalar"
@@ -721,7 +721,7 @@ mod tests {
                 let mut bytes = mixed_encodings(n, &mut r);
                 bytes.rotate_left(n % 6);
                 let pending = bytes.iter().filter(|b| b[0] != 0).count();
-                println!("decompress_all over {pending}: {}", batch_path(pending));
+                println!("decompress_all over {pending}: {}", batch_path(pending, pending));
                 let parse = || -> Vec<G1Wire> { bytes.iter().map(|b| G1Wire::parse(b).unwrap()).collect() };
                 let (one_by_one, batch) = (parse(), parse());
                 let counts = || (ops::g1_decompress_count(), ops::g1_mul_count());
@@ -764,7 +764,7 @@ mod tests {
                     .map(|(k, m)| (labels[k % 2], m.as_slice()))
                     .collect();
                 for split in [0, n / 2, n] {
-                    println!("hash_to_g2_many over {n}, {split} cleared: {}", batch_path(n));
+                    println!("hash_to_g2_many over {n}, {split} cleared: {}", batch_path(n, split));
                     let (cleared, preimages) = items.split_at(split);
                     let before = ops::g1_mul_count();
                     let want: Vec<G2> = cleared.iter().map(|(l, m)| hash_to_g2(l, m)).collect();

@@ -31,8 +31,8 @@
 use core::arch::x86_64::{
     __m512i, _mm256_extract_epi64, _mm512_add_epi64, _mm512_and_si512, _mm512_cmpeq_epi64_mask,
     _mm512_cmplt_epi64_mask, _mm512_extracti64x4_epi64, _mm512_madd52hi_epu64,
-    _mm512_madd52lo_epu64, _mm512_mask_blend_epi64, _mm512_set1_epi64, _mm512_set_epi64,
-    _mm512_setzero_si512, _mm512_srai_epi64, _mm512_srli_epi64, _mm512_sub_epi64,
+    _mm512_madd52lo_epu64, _mm512_mask_blend_epi64, _mm512_permutexvar_epi64, _mm512_set1_epi64,
+    _mm512_set_epi64, _mm512_setzero_si512, _mm512_srai_epi64, _mm512_srli_epi64, _mm512_sub_epi64,
 };
 use std::sync::OnceLock;
 
@@ -329,6 +329,20 @@ pub fn select(mask: Mask, if_set: &Fp8, otherwise: &Fp8) -> Fp8 {
     Fp8(out)
 }
 
+/// Lane `k` of the result is lane `idx[k]` of `x`: how a lane group moves
+/// one ladder's values between the lanes it spans.
+#[target_feature(enable = "avx512ifma")]
+#[inline]
+pub fn permute(x: &Fp8, idx: &[u8; LANES]) -> Fp8 {
+    let i = |k: usize| i64::from(idx[k]);
+    let idx = _mm512_set_epi64(i(7), i(6), i(5), i(4), i(3), i(2), i(1), i(0));
+    let mut out = x.0;
+    for o in &mut out {
+        *o = _mm512_permutexvar_epi64(idx, *o);
+    }
+    Fp8(out)
+}
+
 /// The lanes where `a` and `b`, both canonical, are equal.
 #[target_feature(enable = "avx512ifma")]
 #[inline]
@@ -620,6 +634,8 @@ mod tests {
         zeros: [Mask; 5],
         /// `reduce` by `p` and by `2p` of `2k − 1`, `k`, `k − 1` and 0.
         reduced: [[[Limbs; LANES]; 4]; 2],
+        /// The first factor with its lanes rotated by three.
+        rotated: [Limbs; LANES],
     }
 
     #[target_feature(enable = "avx512ifma")]
@@ -654,13 +670,15 @@ mod tests {
                 is_zero(&splat(&minus(&P, &UNIT))),
             ],
             reduced,
+            rotated: unpack(&permute(&pack(&i.a16), &[3, 4, 5, 6, 7, 0, 1, 2])),
         }
     }
 
     /// The kernels against the scalar field at their stated bounds:
     /// products and squares of inputs just below `16p`, sums and differences up to
     /// `8p` and their `tidy`, `reduce` by `k` just below `2k`, `is_zero`
-    /// of multiples of `p` below `4p`. Each result is the field's
+    /// of multiples of `p` below `4p`, and a `permute` moves whole lanes.
+    /// Each result is the field's
     /// answer and within its bound. A one-bit change to `INV`, `P_NONZERO`
     /// or `P2` fails here.
     #[test]
@@ -707,6 +725,9 @@ mod tests {
                 assert_eq!(square, (z.c0, z.c1), "lane {k}");
             }
             assert_eq!(got.zeros, [0xff, 0xff, 0xff, 0xff, 0]);
+            for (k, lane) in got.rotated.iter().enumerate() {
+                assert_eq!(lane, &i.a16[(k + 3) % LANES], "lane {k}");
+            }
             for ((k, twice), got) in [(P, 2), (P2, 4)].into_iter().zip(&got.reduced) {
                 let top = minus(&p_times(twice), &UNIT);
                 let want = [minus(&top, &k), [0; LIMBS], minus(&k, &UNIT), [0; LIMBS]];

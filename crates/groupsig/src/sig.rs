@@ -903,7 +903,7 @@ impl SweepRow {
 }
 
 /// Shared-Miller revocation sweep over a whole URL (paper step 3.3,
-/// restructured; see [`SweepRow`]). `v_hat` is `v̂` or, as every verifier
+/// restructured; see `SweepRow`). `v_hat` is `v̂` or, as every verifier
 /// derives it ([`h0_verify_bases`]), its pre-image.
 ///
 /// Total cost for `n` tokens: one line table, `n + 1` Miller loops (`n` of
@@ -968,12 +968,12 @@ const OPEN_BLOCK: usize = MillerLines::LANES;
 /// audit sweep).
 ///
 /// Records are readied a lane group ([`MillerLines::LANES`]) at a time
-/// ([`sweep_rows`]): for eight records, H₀'s bases cost one square-root
+/// (`sweep_rows`): for eight records, H₀'s bases cost one square-root
 /// chain per base and one cofactor ladder, the commitments one chain and
 /// one subgroup ladder per eight, and the line tables and shared values
 /// eight Miller loops each — in AVX-512 IFMA lanes where the CPU has them,
 /// one record at a time elsewhere. Each record then walks `grt` in blocks
-/// of [`OPEN_BLOCK`] tokens, **stopping at the first block that matches**.
+/// of [`MillerLines::LANES`] tokens, **stopping at the first block that matches**.
 /// Since an honest transcript matches exactly one `grt` row, a record
 /// whose signer sits at column `m` pays for `m + 1` tokens rounded up to a
 /// block instead of the full `n` a per-record [`open`] pays — about half
@@ -982,7 +982,7 @@ const OPEN_BLOCK: usize = MillerLines::LANES;
 ///
 /// With `G` groups, group `g` holds records `g, g + G, g + 2G, …`, so a
 /// time-ordered ledger, whose later records walk further, spreads its dear
-/// records over every group; workers claim whole groups ([`fill_indexed`])
+/// records over every group; workers claim whole groups (`fill_indexed`)
 /// and each holds one group's tables at a time. Verdicts and op tallies
 /// are per record those of [`open`]'s path, every block recorded as one
 /// final exponentiation. Output is positionally ordered: `out[k]` is the

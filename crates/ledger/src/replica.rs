@@ -1,6 +1,6 @@
 //! Multi-writer ledger replication: the substrate of the federated NO.
 //!
-//! A single [`Ledger`](crate::Ledger) is one writer's hash chain. A
+//! A single [`Ledger`] is one writer's hash chain. A
 //! federation of NO replicas needs every replica to hold everybody's
 //! records without ever merging two writers into one chain (that would
 //! destroy the per-writer tamper evidence the checkpoints sign). This

@@ -542,16 +542,11 @@ impl Ledger {
                 f.set_len(scan.walk.valid_len as u64)?;
                 f.sync_data()?;
             }
-            for se in &scan.walk.entries {
-                index_shallow(
-                    &se.entry,
-                    &mut by_router,
-                    &mut by_group,
-                    &mut by_session,
-                    &mut epoch_marks,
-                    &mut attributed,
-                    &mut last_checkpoint,
-                );
+            if i + 1 == count {
+                seg_bytes = scan.walk.valid_len as u64;
+            }
+            // Consumed: each entry's keys move into the indexes.
+            for se in scan.walk.entries {
                 locs.push(EntryMeta {
                     at_ms: se.entry.at_ms,
                     kind: se.entry.kind,
@@ -559,9 +554,15 @@ impl Ledger {
                     offset: se.offset as u64,
                     frame_len: se.frame_len,
                 });
-            }
-            if i + 1 == count {
-                seg_bytes = scan.walk.valid_len as u64;
+                index_shallow(
+                    se.entry,
+                    &mut by_router,
+                    &mut by_group,
+                    &mut by_session,
+                    &mut epoch_marks,
+                    &mut attributed,
+                    &mut last_checkpoint,
+                );
             }
         }
         let first_seq = segments[0].base_seq;
@@ -675,7 +676,7 @@ impl Ledger {
         }
         let seq = entry.seq;
         index_shallow(
-            &entry.to_shallow(),
+            entry.to_shallow(),
             &mut self.by_router,
             &mut self.by_group,
             &mut self.by_session,
@@ -975,8 +976,9 @@ impl Drop for Ledger {
     }
 }
 
+/// Files one entry in the recovery indexes, taking its keys by move.
 fn index_shallow(
-    entry: &ShallowEntry,
+    entry: ShallowEntry,
     by_router: &mut HashMap<String, Vec<u64>>,
     by_group: &mut HashMap<u32, Vec<u64>>,
     by_session: &mut HashMap<Vec<u8>, u64>,
@@ -984,16 +986,16 @@ fn index_shallow(
     attributed: &mut HashSet<u64>,
     last_checkpoint: &mut Option<(u64, [u8; 32])>,
 ) {
-    match &entry.facts {
+    match entry.facts {
         IndexFacts::Access { router, session_id } => {
-            by_router.entry(router.clone()).or_default().push(entry.seq);
-            by_session.insert(session_id.clone(), entry.seq);
+            by_router.entry(router).or_default().push(entry.seq);
+            by_session.insert(session_id, entry.seq);
         }
-        IndexFacts::EpochRollover { epoch } => epoch_marks.push((entry.seq, *epoch)),
+        IndexFacts::EpochRollover { epoch } => epoch_marks.push((entry.seq, epoch)),
         IndexFacts::Checkpoint(ck) => *last_checkpoint = Some((ck.seq, ck.chain)),
         IndexFacts::Attribution { session_seq, group } => {
-            by_group.entry(*group).or_default().push(*session_seq);
-            attributed.insert(*session_seq);
+            by_group.entry(group).or_default().push(session_seq);
+            attributed.insert(session_seq);
         }
         IndexFacts::Revocation => {}
     }

@@ -69,8 +69,8 @@ pub fn read_frame(r: &mut impl Read, max_frame: usize) -> Result<Vec<u8>> {
 
 /// Incremental frame decoder: arbitrary byte fragments in, whole frames
 /// out. This is the transport-agnostic framing core shared by the
-/// blocking [`Connection`](crate::conn::Connection) and the sharded
-/// [event loop](crate::reactor): both feed whatever the socket produced
+/// blocking [`Connection`](crate::conn::Connection) and the sharded event
+/// loop behind [`RouterDaemon`](crate::RouterDaemon): both feed whatever the socket produced
 /// (a 1-byte read, a split length prefix, three coalesced frames) and
 /// pull complete payloads, so framing behaves identically no matter how
 /// the kernel fragments the stream (property-tested in

@@ -484,7 +484,7 @@ fn miller_loop(p: &Affine, q: &Affine) -> Fp2 {
 /// point arithmetic. Two `F_p` coefficients per step, ~29 KB; building the
 /// table costs one loop's point arithmetic and one field inversion.
 ///
-/// An evaluation reduces to what [`miller`] reduces to. The unreduced
+/// An evaluation reduces to what [`miller`](fn@crate::miller) reduces to. The unreduced
 /// values differ by the product of the scale factors, which lies in `F_p*`.
 #[derive(Clone, Debug)]
 pub struct MillerLines {
@@ -597,7 +597,7 @@ impl MillerLines {
     /// point that has no such form — the identity — where every line's
     /// value lies in `F_p`. Counts as one Miller loop; the identity in
     /// either slot yields [`MillerValue::ONE`] and is not counted, as in
-    /// [`miller`].
+    /// [`miller`](fn@crate::miller).
     pub fn eval_at(&self, at: Option<&(Fp, Fp)>) -> MillerValue {
         let Some((x_over_y, inv_y)) = at else {
             return MillerValue::ONE;

@@ -3,7 +3,7 @@
 //! A federated deployment runs several NO replicas; a router ships its
 //! transcript batches to whichever replica is alive, preferring the
 //! configured primary. [`ReplicaSet`] tracks per-target health with the
-//! same capped-exponential [`RetryPolicy`](crate::transport::RetryPolicy)
+//! same capped-exponential [`RetryPolicy`]
 //! backoff the handshake layer uses: a failed target is benched for a
 //! deterministic-jittered cooldown that doubles with consecutive
 //! failures, and a success resets it. The set is transport-agnostic —
