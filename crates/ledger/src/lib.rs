@@ -48,8 +48,9 @@ pub mod timing;
 pub use checkpoint::Checkpoint;
 pub use record::{AccessRecord, Entry, IndexFacts, LedgerRecord, RecordKind, ShallowEntry};
 pub use replica::{
-    valid_writer_id, verify_replica, MergedEntry, RangeData, ReplicaRecovery, ReplicaVerifyReport,
-    ReplicatedLedger, WriterDigest, MAX_RANGE_BYTES,
+    pull_round, valid_writer_id, verify_replica, LocalReplica, MergedEntry, Pulled, RangeData,
+    RangeSource, ReplicaRecovery, ReplicaVerifyReport, ReplicatedLedger, WriterDigest,
+    MAX_RANGE_BYTES,
 };
 pub use segment::{SegmentHeader, FRAME_OVERHEAD, MAX_RECORD_BYTES, SEGMENT_HEADER_LEN};
 pub use store::{

@@ -35,7 +35,9 @@
 //!   interleaved — pinned by a proptest in `tests/replica_merge.rs`.
 
 use std::collections::{BTreeMap, HashSet};
+use std::convert::Infallible;
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, PoisonError};
 
 use peace_ecdsa::VerifyingKey;
 use peace_hash::sha256;
@@ -630,47 +632,15 @@ impl ReplicatedLedger {
         Ok(appended)
     }
 
-    /// One in-process pull round: for every writer `src` holds a signed
-    /// checkpoint for, pulls checkpoint-bounded ranges until this replica
-    /// reaches that checkpoint, each range verified by
-    /// [`Self::ingest_range`] before it lands. Mirrors re-serve, so
-    /// knowledge spreads transitively. A writer quarantined on either side
-    /// is skipped; a refusal (to serve or to ingest) ends that writer's
-    /// pull and is returned, the other writers still sync. Returns the
-    /// records newly appended and the refusals.
+    /// One in-process [`pull_round`] from `src`: returns the records newly
+    /// appended and the refusals.
     pub fn pull_from(
         &mut self,
         src: &ReplicatedLedger,
         resolve: WriterKeyResolver<'_>,
     ) -> (u64, Vec<LedgerError>) {
-        let mut total = 0;
-        let mut refused = Vec::new();
-        for d in src.digests() {
-            if d.writer == self.local_id || d.quarantined || self.is_quarantined(&d.writer) {
-                continue;
-            }
-            // Only attested history travels.
-            let Some(target) = d.ckpt_seq else { continue };
-            loop {
-                let from = self.shard_next_seq(&d.writer);
-                if from > target {
-                    break;
-                }
-                let pulled = match src.serve_range(&d.writer, from) {
-                    Ok(Some(range)) => self.ingest_range(&range, resolve),
-                    Ok(None) => break,
-                    Err(e) => Err(e),
-                };
-                match pulled {
-                    Ok(n) => total += n,
-                    Err(e) => {
-                        refused.push(e);
-                        break;
-                    }
-                }
-            }
-        }
-        (total, refused)
+        let Ok(round) = pull_round(self, &mut { src }, resolve);
+        round
     }
 
     /// The deterministic merged view: every non-quarantined shard's
@@ -727,6 +697,108 @@ impl ReplicatedLedger {
     pub fn flush(&mut self) -> Result<()> {
         self.local.flush()
     }
+}
+
+/// Where a [`pull_round`]'s ranges come from: another replica in this
+/// process, or a peer replica across a socket.
+pub trait RangeSource {
+    /// What ends a whole round, such as a dropped connection. A refusal to
+    /// serve one writer is an inner [`LedgerError`] and ends only that
+    /// writer's pull.
+    type Error;
+
+    /// The source's replication digests.
+    fn digests(&mut self) -> std::result::Result<Vec<WriterDigest>, Self::Error>;
+
+    /// `writer`'s next range from `from_seq`, cut as
+    /// [`ReplicatedLedger::serve_range`] cuts it.
+    fn pull_range(&mut self, writer: &str, from_seq: u64) -> Pulled<Self::Error>;
+}
+
+/// A [`RangeSource`]'s answer to one pull: a range, nothing more to
+/// serve (`None`), a refusal, or an error that ends the round.
+pub type Pulled<E> = std::result::Result<Result<Option<RangeData>>, E>;
+
+impl RangeSource for &ReplicatedLedger {
+    type Error = Infallible;
+
+    fn digests(&mut self) -> std::result::Result<Vec<WriterDigest>, Infallible> {
+        Ok(ReplicatedLedger::digests(self))
+    }
+
+    fn pull_range(&mut self, writer: &str, from_seq: u64) -> Pulled<Infallible> {
+        Ok(self.serve_range(writer, from_seq))
+    }
+}
+
+/// The replica a [`pull_round`] writes into. The round enters it for one
+/// short step at a time (a head read, one ingest), so a replica behind a
+/// mutex is never locked across the source's I/O.
+pub trait LocalReplica {
+    /// Runs `f` on the replica.
+    fn enter<R>(&mut self, f: impl FnOnce(&mut ReplicatedLedger) -> R) -> R;
+}
+
+impl LocalReplica for ReplicatedLedger {
+    fn enter<R>(&mut self, f: impl FnOnce(&mut ReplicatedLedger) -> R) -> R {
+        f(self)
+    }
+}
+
+impl LocalReplica for &Mutex<ReplicatedLedger> {
+    fn enter<R>(&mut self, f: impl FnOnce(&mut ReplicatedLedger) -> R) -> R {
+        f(&mut self.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+}
+
+/// One pull round, the walk both replication paths run: for every writer
+/// `src` holds a signed checkpoint for, pulls checkpoint-bounded ranges
+/// until `local` reaches that checkpoint, each range verified by
+/// [`ReplicatedLedger::ingest_range`] before it lands. Mirrors re-serve,
+/// so knowledge spreads transitively. A writer quarantined on either side
+/// is skipped; a refusal (to serve or to ingest) ends that writer's pull
+/// and is returned, the other writers still sync. Returns the records
+/// newly appended and the refusals.
+///
+/// # Errors
+///
+/// The source's error, which ends the round.
+pub fn pull_round<S: RangeSource>(
+    local: &mut impl LocalReplica,
+    src: &mut S,
+    resolve: WriterKeyResolver<'_>,
+) -> std::result::Result<(u64, Vec<LedgerError>), S::Error> {
+    let local_id = local.enter(|l| l.local_id().to_owned());
+    let mut total = 0;
+    let mut refused = Vec::new();
+    for d in src.digests()? {
+        if d.writer == local_id || d.quarantined {
+            continue;
+        }
+        // Only attested history travels.
+        let Some(target) = d.ckpt_seq else { continue };
+        loop {
+            // Re-read each step: a concurrent round may quarantine it.
+            let next = local
+                .enter(|l| (!l.is_quarantined(&d.writer)).then(|| l.shard_next_seq(&d.writer)));
+            let Some(from) = next.filter(|&from| from <= target) else {
+                break;
+            };
+            let pulled = match src.pull_range(&d.writer, from)? {
+                Ok(Some(range)) => local.enter(|l| l.ingest_range(&range, resolve)),
+                Ok(None) => break,
+                Err(e) => Err(e),
+            };
+            match pulled {
+                Ok(n) => total += n,
+                Err(e) => {
+                    refused.push(e);
+                    break;
+                }
+            }
+        }
+    }
+    Ok((total, refused))
 }
 
 /// Per-writer chain verification of one replica directory.

@@ -12,8 +12,8 @@
 //!
 //! The sweep verifies no signature: it opens what the ledger logged, and
 //! a transcript a router reported is taken as verified. One that does not
-//! verify but matches a published token is attributed here, where the
-//! single-session [`NetworkOperator::audit`] refuses it.
+//! verify but matches a published token is attributed here, where
+//! [`NetworkOperator::audit`] of that one transcript refuses it.
 
 use peace_protocol::audit::AuditFinding;
 use peace_protocol::entities::NetworkOperator;

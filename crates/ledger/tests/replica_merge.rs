@@ -14,7 +14,7 @@ use peace_ledger::{
     AccessRecord, Ledger, LedgerConfig, LedgerRecord, RangeData, ReplicatedLedger, SyncPolicy,
 };
 use peace_protocol::audit::LoggedSession;
-use peace_protocol::entities::{GroupManager, NetworkOperator, Ttp, UserClient};
+use peace_protocol::entities::{NetworkOperator, Ttp, UserClient};
 use peace_protocol::ids::UserId;
 use peace_protocol::ProtocolConfig;
 use proptest::prelude::*;
@@ -154,23 +154,11 @@ proptest! {
 fn real_session() -> LoggedSession {
     let mut rng = StdRng::seed_from_u64(0x5E55);
     let mut no = NetworkOperator::new(ProtocolConfig::default(), &mut rng);
-    let gid = no.register_group("org", &mut rng);
-    let (gm_bundle, ttp_bundle) = no.issue_shares(gid, 2, &mut rng).unwrap();
-    let mut gm = GroupManager::new(gid);
-    gm.receive_bundle(&gm_bundle, no.npk()).unwrap();
     let mut ttp = Ttp::new();
-    ttp.receive_bundle(&ttp_bundle, no.npk()).unwrap();
+    let mut gm = no.found_group("org", 2, &mut ttp, &mut rng).unwrap();
     let uid = UserId("alice".into());
-    let mut alice = UserClient::new(
-        uid.clone(),
-        no.prepared_gpk(),
-        *no.npk(),
-        *no.config(),
-        &mut rng,
-    );
-    let assignment = gm.assign(&uid).unwrap();
-    let delivery = ttp.deliver(assignment.index, &uid).unwrap();
-    alice.enroll(&assignment, &delivery).unwrap();
+    let mut alice = UserClient::new(uid, no.prepared_gpk(), *no.npk(), *no.config(), &mut rng);
+    gm.enroll(&mut ttp, &mut alice).unwrap();
     let mut router = no.provision_router("MR-1", u64::MAX / 2, &mut rng);
     let beacon = router.beacon(1_000, &mut rng);
     let req = alice.request_access(&beacon, 1_050, &mut rng).unwrap();

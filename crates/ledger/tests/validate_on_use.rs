@@ -22,7 +22,7 @@ use peace_ledger::{
     SEGMENT_HEADER_LEN,
 };
 use peace_protocol::audit::LoggedSession;
-use peace_protocol::entities::{GroupManager, NetworkOperator, Ttp, UserClient};
+use peace_protocol::entities::{NetworkOperator, Ttp, UserClient};
 use peace_protocol::ids::UserId;
 use peace_protocol::ProtocolConfig;
 use peace_wire::{Decode, Encode};
@@ -44,23 +44,11 @@ fn seg0(dir: &Path) -> PathBuf {
 fn real_sessions(n: usize) -> (Vec<LoggedSession>, NetworkOperator) {
     let mut rng = StdRng::seed_from_u64(0x0B5E_55ED);
     let mut no = NetworkOperator::new(ProtocolConfig::default(), &mut rng);
-    let gid = no.register_group("org", &mut rng);
-    let (gm_bundle, ttp_bundle) = no.issue_shares(gid, 2, &mut rng).unwrap();
-    let mut gm = GroupManager::new(gid);
-    gm.receive_bundle(&gm_bundle, no.npk()).unwrap();
     let mut ttp = Ttp::new();
-    ttp.receive_bundle(&ttp_bundle, no.npk()).unwrap();
+    let mut gm = no.found_group("org", 2, &mut ttp, &mut rng).unwrap();
     let uid = UserId("alice".into());
-    let mut alice = UserClient::new(
-        uid.clone(),
-        no.prepared_gpk(),
-        *no.npk(),
-        *no.config(),
-        &mut rng,
-    );
-    let assignment = gm.assign(&uid).unwrap();
-    let delivery = ttp.deliver(assignment.index, &uid).unwrap();
-    alice.enroll(&assignment, &delivery).unwrap();
+    let mut alice = UserClient::new(uid, no.prepared_gpk(), *no.npk(), *no.config(), &mut rng);
+    gm.enroll(&mut ttp, &mut alice).unwrap();
     let mut router = no.provision_router("MR-1", u64::MAX / 2, &mut rng);
     for i in 0..n as u64 {
         let beacon = router.beacon(1_000 + i, &mut rng);

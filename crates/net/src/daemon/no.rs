@@ -15,7 +15,10 @@ use std::time::Duration;
 
 use peace_ecdsa::VerifyingKey;
 use peace_groupsig::RevocationToken;
-use peace_ledger::{Checkpoint, Ledger, LedgerQuery, LedgerRecord, RecordKind, ReplicatedLedger};
+use peace_ledger::{
+    pull_round, Checkpoint, Ledger, LedgerError, LedgerQuery, LedgerRecord, Pulled, RangeSource,
+    RecordKind, ReplicatedLedger, WriterDigest,
+};
 use peace_protocol::entities::NetworkOperator;
 
 use crate::clock::wall_ms;
@@ -208,12 +211,12 @@ impl NoDaemon {
     ///
     /// # Errors
     ///
-    /// Transport errors from the dial/exchange; [`NetError::Unexpected`]
-    /// when the NO was spawned without a resolver.
+    /// Transport errors from the dial/exchange; [`NetError::Ledger`]
+    /// `not_federated` when the NO was spawned without a resolver.
     pub fn sync_once(&self, peer: SocketAddr) -> Result<u64> {
         sync_with_peer(
             &self.ledger,
-            self.resolver.as_ref(),
+            self.resolver()?,
             &self.metrics,
             self.cfg,
             peer,
@@ -225,11 +228,16 @@ impl NoDaemon {
     /// are counted and retried next tick — a dead peer never stops the
     /// loop). Stopped and joined by [`shutdown`](Self::shutdown);
     /// starting twice replaces the previous loop.
-    pub fn start_gossip(&self, peers: Vec<SocketAddr>, every: Duration) {
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Ledger`] `not_federated` when the NO was spawned
+    /// without a resolver; no loop starts.
+    pub fn start_gossip(&self, peers: Vec<SocketAddr>, every: Duration) -> Result<()> {
+        let t_resolver = Arc::clone(self.resolver()?);
         let stop = Arc::new(AtomicBool::new(false));
         let t_stop = Arc::clone(&stop);
         let t_ledger = Arc::clone(&self.ledger);
-        let t_resolver = self.resolver.clone();
         let t_metrics = Arc::clone(&self.metrics);
         let cfg = self.cfg;
         let handle = std::thread::spawn(move || {
@@ -249,8 +257,7 @@ impl NoDaemon {
                     if t_stop.load(Ordering::Relaxed) {
                         return;
                     }
-                    let synced =
-                        sync_with_peer(&t_ledger, t_resolver.as_ref(), &t_metrics, cfg, peer);
+                    let synced = sync_with_peer(&t_ledger, &t_resolver, &t_metrics, cfg, peer);
                     if let Err(e) = synced {
                         t_metrics.event("gossip_fail", e.code());
                     }
@@ -263,6 +270,16 @@ impl NoDaemon {
             let _ = old.handle.join();
         }
         *slot = Some(GossipLoop { stop, handle });
+        Ok(())
+    }
+
+    /// The trusted-key map of a federated NO, refused (`not_federated`)
+    /// for one spawned without it.
+    fn resolver(&self) -> Result<&PeerKeyResolver> {
+        self.resolver.as_ref().ok_or_else(|| NetError::Ledger {
+            code: "not_federated",
+            detail: "no peer key resolver given at spawn".into(),
+        })
     }
 
     /// Stops the background gossip loop, if running.
@@ -340,97 +357,77 @@ fn apply(op: &mut NetworkOperator, record: &LedgerRecord) -> Result<()> {
     })
 }
 
-/// One pull-based gossip round against `peer`.
-///
-/// Exchanges checkpoint digests, then for every writer the peer holds a
-/// signed checkpoint for, pulls checkpoint-bounded ranges until local
-/// state reaches the advertised checkpoint. The ledger mutex is held only
-/// in short scopes (digest snapshot, head read, ingest) — never across
-/// network I/O — so two replicas gossiping at each other concurrently
-/// cannot deadlock. That is also why this loop is not
-/// [`ReplicatedLedger::pull_from`], the same walk between two ledgers in
-/// one process: that one holds both for the whole round.
+/// One pull-based gossip round against `peer`: the digest exchange, then
+/// [`pull_round`] with the peer as its range source. The ledger mutex is
+/// held only in short scopes (digest snapshot, head read, ingest), never
+/// across network I/O, so two replicas gossiping at each other
+/// concurrently cannot deadlock.
 fn sync_with_peer(
     ledger: &Mutex<ReplicatedLedger>,
-    resolver: Option<&PeerKeyResolver>,
+    resolve: &PeerKeyResolver,
     metrics: &Arc<NetMetrics>,
     cfg: DaemonConfig,
     peer: SocketAddr,
 ) -> Result<u64> {
-    let resolve = resolver.ok_or(NetError::Unexpected("no peer key resolver given at spawn"))?;
-    let (local_id, my_digests) = {
+    let hello = {
         let rl = lock_recover(ledger);
-        (rl.local_id().to_owned(), rl.digests())
-    };
-
-    let mut conn = Connection::dial(peer, cfg.connect_timeout, cfg.conn, Arc::clone(metrics))?;
-    conn.send(&NodeMessage::CkptGossip {
-        from_no: local_id.clone(),
-        digests: my_digests,
-    })?;
-    let NodeMessage::CkptGossip {
-        digests: peer_digests,
-        ..
-    } = conn.recv()?.into_reply(metrics)?
-    else {
-        return Err(NetError::Unexpected("expected CkptGossip reply"));
-    };
-
-    let mut total: u64 = 0;
-    'writers: for d in peer_digests {
-        if d.writer == local_id || d.quarantined {
-            continue;
+        NodeMessage::CkptGossip {
+            from_no: rl.local_id().to_owned(),
+            digests: rl.digests(),
         }
-        // Only attested history travels: nothing to pull until the peer
-        // holds a signed checkpoint for this writer.
-        let Some(target) = d.ckpt_seq else { continue };
-        loop {
-            let from_seq = {
-                let rl = lock_recover(ledger);
-                if rl.is_quarantined(&d.writer) {
-                    continue 'writers;
-                }
-                rl.shard_next_seq(&d.writer)
-            };
-            if from_seq > target {
-                break;
-            }
-            conn.send(&NodeMessage::RangePull {
-                writer: d.writer.clone(),
-                from_seq,
-            })?;
-            match conn.recv()? {
-                NodeMessage::RangePush { range: Some(range) } => {
-                    let ingested = lock_recover(ledger).ingest_range(&range, &|s| resolve(s));
-                    match ingested {
-                        Ok(n) => {
-                            metrics.repl_records_in.add(n);
-                            total += n;
-                        }
-                        Err(e) if matches!(e.code(), "replication" | "quarantined") => {
-                            // Deterministic refusal or equivocation
-                            // evidence: skip this writer, keep syncing the
-                            // rest. The quarantine (if any) is already
-                            // recorded in the replica store.
-                            metrics.event("repl_refuse", e.code());
-                            continue 'writers;
-                        }
-                        Err(e) => return Err(e.into()),
-                    }
-                }
-                // Peer has nothing (more) attested to serve from here.
-                NodeMessage::RangePush { range: None } => continue 'writers,
-                NodeMessage::Reject { .. } => {
-                    // Compacted-away range, transient refusal, …: skip the
-                    // writer this round rather than failing the whole sync.
-                    metrics.event("repl_refuse", "peer_rejected_pull");
-                    continue 'writers;
-                }
-                _ => return Err(NetError::Unexpected("expected RangePush reply")),
-            }
-        }
+    };
+    let conn = Connection::dial(peer, cfg.connect_timeout, cfg.conn, Arc::clone(metrics))?;
+    let mut src = PeerRanges {
+        conn,
+        metrics,
+        hello,
+    };
+    let (total, refused) = pull_round(&mut { ledger }, &mut src, &|s| resolve(s))?;
+    for e in refused {
+        // Deterministic refusal or equivocation evidence (the quarantine
+        // is already recorded in the replica store): that writer waits
+        // for the next round, the rest synced.
+        metrics.event("repl_refuse", e.code());
     }
-    conn.close();
+    src.conn.close();
+    metrics.repl_records_in.add(total);
     metrics.repl_rounds.inc();
     Ok(total)
+}
+
+/// A peer replica as a [`pull_round`]'s range source, over one connection.
+struct PeerRanges<'a> {
+    conn: Connection,
+    metrics: &'a Arc<NetMetrics>,
+    /// The local digests, sent to open the exchange.
+    hello: NodeMessage,
+}
+
+impl RangeSource for PeerRanges<'_> {
+    type Error = NetError;
+
+    fn digests(&mut self) -> Result<Vec<WriterDigest>> {
+        self.conn.send(&self.hello)?;
+        match self.conn.recv()?.into_reply(self.metrics)? {
+            NodeMessage::CkptGossip { digests, .. } => Ok(digests),
+            _ => Err(NetError::Unexpected("expected CkptGossip reply")),
+        }
+    }
+
+    fn pull_range(&mut self, writer: &str, from_seq: u64) -> Pulled<NetError> {
+        self.conn.send(&NodeMessage::RangePull {
+            writer: writer.to_owned(),
+            from_seq,
+        })?;
+        match self.conn.recv()? {
+            NodeMessage::RangePush { range } => Ok(Ok(range.map(|r| *r))),
+            // Compacted-away range, transient refusal, …: that writer
+            // waits for the next round.
+            NodeMessage::Reject { .. } => Ok(Err(LedgerError::Replication {
+                writer: writer.to_owned(),
+                what: "peer refused the pull",
+            })),
+            _ => Err(NetError::Unexpected("expected RangePush reply")),
+        }
+    }
 }

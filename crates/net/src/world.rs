@@ -11,7 +11,7 @@
 
 use peace_groupsig::RevocationToken;
 use peace_protocol::entities::{GroupManager, MeshRouter, NetworkOperator, Ttp, UserClient};
-use peace_protocol::ids::{GroupId, UserId};
+use peace_protocol::ids::UserId;
 use peace_protocol::ProtocolConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -82,38 +82,18 @@ pub fn build_world_with(spec: &WorldSpec, config: ProtocolConfig) -> Result<Buil
     let mut rng = StdRng::seed_from_u64(spec.seed);
     let mut no = NetworkOperator::new(config, &mut rng);
 
-    let gid: GroupId = no.register_group("metro-users", &mut rng);
-    let (gm_bundle, ttp_bundle) = no
-        .issue_shares(gid, spec.users, &mut rng)
-        .map_err(|_| NetError::Unexpected("share issuance failed"))?;
-    let mut gm = GroupManager::new(gid);
-    gm.receive_bundle(&gm_bundle, no.npk())
-        .map_err(|_| NetError::Unexpected("GM bundle rejected"))?;
     let mut ttp = Ttp::new();
-    ttp.receive_bundle(&ttp_bundle, no.npk())
-        .map_err(|_| NetError::Unexpected("TTP bundle rejected"))?;
+    let mut gm = no
+        .found_group("metro-users", spec.users, &mut ttp, &mut rng)
+        .map_err(|_| NetError::Unexpected("group founding failed"))?;
 
     let mut users = Vec::with_capacity(spec.users);
     let mut tokens = Vec::with_capacity(spec.users);
     for n in 0..spec.users {
         let uid = UserId(format!("user-{n}"));
-        let mut user = UserClient::new(
-            uid.clone(),
-            no.prepared_gpk(),
-            *no.npk(),
-            *no.config(),
-            &mut rng,
-        );
-        let assignment = gm
-            .assign(&uid)
-            .map_err(|_| NetError::Unexpected("GM out of shares"))?;
-        let delivery = ttp
-            .deliver(assignment.index, &uid)
-            .map_err(|_| NetError::Unexpected("TTP delivery failed"))?;
-        let receipt = user
-            .enroll(&assignment, &delivery)
+        let mut user = UserClient::new(uid, no.prepared_gpk(), *no.npk(), *no.config(), &mut rng);
+        gm.enroll(&mut ttp, &mut user)
             .map_err(|_| NetError::Unexpected("enrollment failed"))?;
-        gm.store_receipt(&uid, receipt);
         let token = user
             .active_credential()
             .map_err(|_| NetError::Unexpected("no credential after enrollment"))?
@@ -143,6 +123,10 @@ pub fn build_world_with(spec: &WorldSpec, config: ProtocolConfig) -> Result<Buil
 mod tests {
     use std::sync::Arc;
 
+    use peace_groupsig::BasesMode;
+    use peace_wire::Encode;
+    use rand::RngCore;
+
     use super::*;
 
     #[test]
@@ -170,6 +154,54 @@ mod tests {
             .all(|r| Arc::ptr_eq(r.prepared_gpk(), &set)));
         // The operator, its handle here, four users, two routers.
         assert_eq!(Arc::strong_count(&set), 2 + 4 + 2);
+    }
+
+    /// SHA-256 over everything a replay must reproduce: npk, every
+    /// revocation token, each router's certificate, each user's `A` and
+    /// `x`, then the returned rng's next draw.
+    fn ceremony_digest(spec: &WorldSpec, bases_mode: BasesMode) -> String {
+        let config = ProtocolConfig {
+            bases_mode,
+            ..ProtocolConfig::default()
+        };
+        let mut w = build_world_with(spec, config).unwrap();
+        let mut bytes = w.no.npk().to_bytes();
+        for token in &w.tokens {
+            bytes.extend(token.to_bytes());
+        }
+        for router in &w.routers {
+            bytes.extend(router.cert().to_wire());
+        }
+        for user in &w.users {
+            let key = &user.active_credential().unwrap().key;
+            bytes.extend(key.a.to_bytes());
+            bytes.extend(key.x.to_canonical_bytes());
+        }
+        bytes.extend(w.rng.next_u64().to_le_bytes());
+        peace_hash::sha256(&bytes)
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect()
+    }
+
+    /// The ceremony's draw order is what every replaying process, and the
+    /// benchmark's worlds, agree on: these digests must never move.
+    #[test]
+    fn the_ceremony_replays_byte_for_byte() {
+        let wide = WorldSpec {
+            seed: 1,
+            users: 16,
+            routers: 3,
+        };
+        let digests = [WorldSpec::default(), wide].map(|spec| {
+            [BasesMode::PerMessage, BasesMode::FixedBases].map(|mode| ceremony_digest(&spec, mode))
+        });
+        // The bases mode feeds no draw, so both columns agree.
+        let (small, large) = (
+            "2dd5b255623e4b9d203bb5bea2ba5db457ba638e3431a5ee58fe8273f319c8cd",
+            "e6667990140a97c66dd20950ec6331d11f0837907fb493c81c000203af7ed37a",
+        );
+        assert_eq!(digests, [[small; 2], [large; 2]]);
     }
 
     #[test]

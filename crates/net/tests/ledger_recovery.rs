@@ -22,7 +22,7 @@ use peace_ledger::{
 use peace_net::{
     reject_code, ConnConfig, DaemonConfig, NetError, NoDaemon, RouterDaemon, UserAgent,
 };
-use peace_protocol::entities::{GroupManager, MeshRouter, NetworkOperator, Ttp, UserClient};
+use peace_protocol::entities::{MeshRouter, NetworkOperator, Ttp, UserClient};
 use peace_protocol::ids::{GroupId, UserId};
 use peace_protocol::{ProtocolConfig, ReplicaSet, RetryPolicy};
 use rand::rngs::StdRng;
@@ -76,26 +76,14 @@ fn build_two_groups(seed: u64) -> TwoGroupWorld {
     let mut users = Vec::new();
     let mut tokens = Vec::new();
     for (tag, name) in [("a", "metro-a"), ("b", "metro-b")] {
-        let gid = no.register_group(name, &mut rng);
-        let (gm_bundle, ttp_bundle) = no.issue_shares(gid, 2, &mut rng).unwrap();
-        let mut gm = GroupManager::new(gid);
-        gm.receive_bundle(&gm_bundle, no.npk()).unwrap();
-        ttp.receive_bundle(&ttp_bundle, no.npk()).unwrap();
+        let mut gm = no.found_group(name, 2, &mut ttp, &mut rng).unwrap();
         for n in 0..2 {
             let uid = UserId(format!("{tag}-{n}"));
-            let mut user = UserClient::new(
-                uid.clone(),
-                no.prepared_gpk(),
-                *no.npk(),
-                *no.config(),
-                &mut rng,
-            );
-            let assignment = gm.assign(&uid).unwrap();
-            let delivery = ttp.deliver(assignment.index, &uid).unwrap();
-            let receipt = user.enroll(&assignment, &delivery).unwrap();
-            gm.store_receipt(&uid, receipt);
+            let mut user =
+                UserClient::new(uid, no.prepared_gpk(), *no.npk(), *no.config(), &mut rng);
+            gm.enroll(&mut ttp, &mut user).unwrap();
             tokens.push(user.active_credential().unwrap().key.revocation_token());
-            users.push((user, gid));
+            users.push((user, gm.id()));
         }
     }
     let routers = (0..2)
@@ -374,7 +362,7 @@ fn an_attached_ledger_is_the_one_session_store() {
             panic!("session id found on a non-access record");
         };
         let finding = no
-            .with_operator(|op| op.audit_raw(&access.session.signed_payload, &access.session.gsig))
+            .with_operator(|op| op.audit(&access.session.signed_payload, &access.session.gsig))
             .unwrap();
         assert_eq!(finding.group, *gid);
     }

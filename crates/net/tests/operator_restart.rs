@@ -269,3 +269,16 @@ fn a_ledger_written_under_another_ceremony_is_refused() {
     };
     assert_eq!(refused.code(), "ledger_disagrees");
 }
+
+/// A NO spawned without a peer-key resolver is no replica: it refuses to
+/// gossip, or to sync once, with a code and before any dial.
+#[test]
+fn an_operator_without_a_resolver_refuses_federation() {
+    let (no, _) = operator(&SPEC, &tmpdir("restart-unfederated"));
+    let peer = "127.0.0.1:9".parse().unwrap();
+    let gossip = no.start_gossip(vec![peer], Duration::from_millis(1));
+    for refused in [gossip.map(|()| 0), no.sync_once(peer)] {
+        assert_eq!(refused.unwrap_err().code(), "not_federated");
+    }
+    no.shutdown().unwrap();
+}

@@ -183,9 +183,9 @@ fn a_reported_transcript_with_a_bad_point_is_stored_and_never_opens() {
     assert_eq!(access.session, forged);
     no.with_operator(|op| {
         assert!(op
-            .audit_raw(&access.session.signed_payload, &access.session.gsig)
+            .audit(&access.session.signed_payload, &access.session.gsig)
             .is_err());
-        assert!(op.audit_raw(&honest.signed_payload, &honest.gsig).is_ok());
+        assert!(op.audit(&honest.signed_payload, &honest.gsig).is_ok());
     });
     no.shutdown().unwrap();
 }

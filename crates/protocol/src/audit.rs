@@ -1,12 +1,11 @@
 //! Network logging and the privacy-preserving audit of §IV.D.
 //!
 //! Mesh routers log the authentication message (M.2) of every session and
-//! report it to NO. Given a disputed session identifier, NO scans its full
-//! revocation-token set `grt` with Eq.3 and learns *which user group* the
-//! signer belongs to — nothing more. Full identification requires the group
-//! manager's cooperation (see [`crate::entities::LawAuthority`]).
-
-use std::collections::HashMap;
+//! report it to NO, whose daemon keeps it in the accountability ledger.
+//! Given a disputed transcript, NO scans its full revocation-token set
+//! `grt` with Eq.3 and learns *which user group* the signer belongs to —
+//! nothing more. Full identification requires the group manager's
+//! cooperation (see [`crate::entities::LawAuthority`]).
 
 use peace_groupsig::{GroupSignature, RevocationToken};
 use peace_wire::{Decode, Encode, Reader, Writer};
@@ -43,49 +42,6 @@ impl Decode for LoggedSession {
             gsig: GroupSignature::decode(r)?,
             established_at: r.get_u64()?,
         })
-    }
-}
-
-/// The operator-side log of authentication sessions, keyed by session id,
-/// filled by in-process [`ingest_router_log`] callers (tests, simulators,
-/// examples). A NO daemon keeps reported sessions in its ledger instead.
-///
-/// [`ingest_router_log`]: crate::entities::NetworkOperator::ingest_router_log
-#[derive(Clone, Debug, Default)]
-pub struct NetworkLog {
-    entries: HashMap<Vec<u8>, LoggedSession>,
-}
-
-impl NetworkLog {
-    /// Creates an empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records a session (overwrites a duplicate id, which cannot occur for
-    /// honest parties since ids contain fresh DH shares).
-    pub fn record(&mut self, entry: LoggedSession) {
-        self.entries.insert(entry.session_id.to_bytes(), entry);
-    }
-
-    /// Looks up a session record.
-    pub fn find(&self, id: &SessionId) -> Option<&LoggedSession> {
-        self.entries.get(&id.to_bytes())
-    }
-
-    /// Number of logged sessions.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Iterates over all records.
-    pub fn iter(&self) -> impl Iterator<Item = &LoggedSession> {
-        self.entries.values()
     }
 }
 

@@ -14,6 +14,9 @@ use crate::error::{ProtocolError, Result};
 use crate::ids::{GroupId, ShareIndex, UserId};
 use crate::setup::{GmBundle, GmShare, Receipt};
 
+use super::ttp::Ttp;
+use super::user::UserClient;
+
 /// The GM→user part of a credential assignment (sent over the
 /// pre-established GM↔user trust channel).
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -95,6 +98,28 @@ impl GroupManager {
     /// Stores a user's signed delivery receipt (non-repudiation, §IV.D).
     pub fn store_receipt(&mut self, uid: &UserId, receipt: Receipt) {
         self.receipts.push((uid.clone(), receipt));
+    }
+
+    /// Enrolls `user` on this group's next slot, the user's half of the
+    /// off-line setup (§IV.A) in one process. The GM assigns the slot and
+    /// sends `(grp_i, x_j)`, keeping `uid ↔ slot`; `ttp` delivers the
+    /// slot's blinded point, keeping `uid ↔ blinded share`; the user
+    /// unblinds it with `x_j`, checks the assembled
+    /// `gsk[i,j] = (A_{i,j}, grp_i, x_j)` and signs a receipt over both
+    /// parts, which the GM keeps for the non-repudiation of §IV.D. A user
+    /// with several roles enrolls once per group.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::Setup`] if the pool is exhausted, the TTP holds no
+    /// share for the slot, or the assembled key fails its check.
+    pub fn enroll(&mut self, ttp: &mut Ttp, user: &mut UserClient) -> Result<()> {
+        let uid = user.uid().clone();
+        let assignment = self.assign(&uid)?;
+        let delivery = ttp.deliver(assignment.index, &uid)?;
+        let receipt = user.enroll(&assignment, &delivery)?;
+        self.store_receipt(&uid, receipt);
+        Ok(())
     }
 
     /// Law-authority trace (§IV.D): maps a share slot back to the member.

@@ -3,8 +3,9 @@
 
 use std::collections::HashMap;
 
+use crate::audit::LoggedSession;
 use crate::error::{ProtocolError, Result};
-use crate::ids::{GroupId, SessionId, UserId};
+use crate::ids::{GroupId, UserId};
 
 use super::gm::GroupManager;
 use super::no::NetworkOperator;
@@ -32,21 +33,22 @@ impl LawAuthority {
         Self
     }
 
-    /// Traces a disputed session to a user: NO audits the session (learning
-    /// the group and share index), then the group's manager resolves the
-    /// index to the member.
+    /// Traces a disputed transcript to a user: NO audits it (learning the
+    /// group and share index), then the group's manager resolves the index
+    /// to the member.
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::Setup`] if the session is unknown, no GM exists for
-    /// the audited group, or the GM has no record for the share.
+    /// As [`NetworkOperator::audit`]; [`ProtocolError::Setup`] also if no
+    /// GM exists for the audited group or the GM has no record for the
+    /// share.
     pub fn trace(
         &self,
         no: &NetworkOperator,
         managers: &HashMap<GroupId, GroupManager>,
-        session: &SessionId,
+        session: &LoggedSession,
     ) -> Result<TraceResult> {
-        let finding = no.audit(session)?;
+        let finding = no.audit(&session.signed_payload, &session.gsig)?;
         let gm = managers
             .get(&finding.group)
             .ok_or(ProtocolError::Setup("no manager for audited group"))?;

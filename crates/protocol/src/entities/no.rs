@@ -12,20 +12,23 @@ use peace_groupsig::{
 use peace_revoke::{DeltaPlan, EpochUrlStore, UrlDelta};
 use rand::RngCore;
 
-use crate::audit::{AuditFinding, NetworkLog};
+use crate::audit::AuditFinding;
 use crate::config::ProtocolConfig;
 use crate::error::{ProtocolError, Result};
-use crate::ids::{GroupId, RouterId, SessionId, ShareIndex};
+use crate::ids::{GroupId, RouterId, ShareIndex};
 use crate::revocation::{SignedCrl, SignedUrl, UrlRestamp};
 use crate::setup::{blind_a, GmBundle, GmShare, TtpBundle, TtpShare};
 
+use super::gm::GroupManager;
 use super::router::MeshRouter;
+use super::ttp::Ttp;
 
 /// The network operator.
 ///
 /// Holds the system secret `γ` (inside [`IssuerKey`]), the signing key
 /// `NSK`, the full revocation-token registry `grt` with its
-/// `token → [i,j] → group` mapping, and the session log used for audits.
+/// `token → [i,j] → group` mapping. The transcripts it audits are kept by
+/// whoever holds them (a daemon's ledger, a test's drained router log).
 pub struct NetworkOperator {
     issuer: IssuerKey,
     /// The current epoch's gpk with its tables, built when the key is
@@ -47,7 +50,6 @@ pub struct NetworkOperator {
     next_serial: u64,
     epoch: u64,
     gpk_history: Vec<GroupPublicKey>,
-    log: NetworkLog,
 }
 
 impl std::fmt::Debug for NetworkOperator {
@@ -82,7 +84,6 @@ impl NetworkOperator {
             next_serial: 1,
             epoch: 0,
             gpk_history: Vec::new(),
-            log: NetworkLog::new(),
         }
     }
 
@@ -166,6 +167,33 @@ impl NetworkOperator {
             GmBundle::issue(&self.signing, gm_shares),
             TtpBundle::issue(&self.signing, ttp_shares),
         ))
+    }
+
+    /// Founds a user group with `keys` member-key slots, the operator's
+    /// half of the off-line setup (§IV.A) in one process. NO picks the
+    /// group secret `grp_i` and issues `(A_{i,j}, grp_i, x_j)` per slot,
+    /// registering each token in `grt`. The group's manager takes the
+    /// scalar parts `(grp_i, x_j)` and never sees `A_{i,j}`; `ttp` takes
+    /// the blinded points `A_{i,j} ⊕ pad(x_j)` and can compute neither
+    /// part. Each checks NO's ECDSA signature on its bundle. Members then
+    /// join through [`GroupManager::enroll`].
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::Setup`] if either bundle is refused.
+    pub fn found_group(
+        &mut self,
+        name: &str,
+        keys: usize,
+        ttp: &mut Ttp,
+        rng: &mut impl RngCore,
+    ) -> Result<GroupManager> {
+        let id = self.register_group(name, rng);
+        let (gm_bundle, ttp_bundle) = self.issue_shares(id, keys, rng)?;
+        let mut gm = GroupManager::new(id);
+        gm.receive_bundle(&gm_bundle, self.npk())?;
+        ttp.receive_bundle(&ttp_bundle, self.npk())?;
+        Ok(gm)
     }
 
     /// Provisions a mesh router: fresh ECDSA key pair plus a certificate
@@ -293,54 +321,26 @@ impl NetworkOperator {
         self.grt_order.len()
     }
 
-    /// Ingests all sessions a router has logged since the last report.
-    pub fn ingest_router_log(&mut self, router: &mut MeshRouter) {
-        for entry in router.drain_log() {
-            self.log.record(entry);
-        }
-    }
-
-    /// Number of sessions in the operator log.
-    pub fn logged_session_count(&self) -> usize {
-        self.log.len()
-    }
-
-    /// The session identifiers currently in the operator log.
-    pub fn logged_session_ids(&self) -> Vec<SessionId> {
-        self.log.iter().map(|e| e.session_id.clone()).collect()
-    }
-
-    /// The privacy-preserving audit of §IV.D: given a session id, scan the
-    /// logged M.2 with every token in `grt` (Eq.3) and return the matching
-    /// group — never the user.
+    /// The privacy-preserving audit of §IV.D: given a disputed transcript
+    /// (a router's [`LoggedSession`](crate::audit::LoggedSession), as
+    /// [`MeshRouter::drain_log`] hands it over and a NO daemon keeps it in
+    /// its ledger), scan the M.2 signature with every token in `grt`
+    /// (Eq.3) and return the matching group — never the user.
     ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::Setup`] if the session is not in the log or no
-    /// token matches (signature from outside the registry — impossible for
-    /// sessions that passed verification);
-    /// [`ProtocolError::BadGroupSignature`] if a token matches a signature
-    /// that does not verify, which is attributed to nobody.
-    pub fn audit(&self, session: &SessionId) -> Result<AuditFinding> {
-        let entry = self
-            .log
-            .find(session)
-            .ok_or(ProtocolError::Setup("session not in log"))?;
-        self.open_against_all_epochs(&entry.signed_payload, &entry.gsig)
-    }
-
-    /// Opens `gsig` under the first epoch key (current, then archived,
-    /// newest first) whose `grt` holds a matching token, and attributes it
-    /// only if it verifies under that key. A match alone proves nothing:
+    /// Tokens are tried under the current epoch key, then the archived
+    /// ones, newest first, and the signature is attributed only if it
+    /// verifies under the key that matched. A match alone proves nothing:
     /// `T₁ = ψ(û)^α, T₂ = A·ψ(v̂)^α` with every other field random matches
     /// the token `A`, and a URL publishes exactly such tokens.
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::Setup`] if no token matches in any epoch,
-    /// [`ProtocolError::BadGroupSignature`] if the signature that matched
-    /// does not verify under the key it was opened with.
-    fn open_against_all_epochs(
+    /// [`ProtocolError::Setup`] if no token matches in any epoch (a
+    /// signature from outside the registry — impossible for sessions that
+    /// passed verification); [`ProtocolError::BadGroupSignature`] if a
+    /// token matches a signature that does not verify, which is attributed
+    /// to nobody.
+    pub fn audit(
         &self,
         signed_payload: &[u8],
         gsig: &peace_groupsig::GroupSignature,
@@ -390,8 +390,8 @@ impl NetworkOperator {
     /// [`Self::prepared_gpk`], a new table set) to routers
     /// ([`MeshRouter::install_epoch`](super::MeshRouter::install_epoch))
     /// and user groups must re-run the share-issuance and enrollment flow.
-    /// The session log is retained: disputes from the previous epoch can
-    /// still be audited against the archived token registry.
+    /// Disputes from the previous epoch can still be audited against the
+    /// archived token registry.
     pub fn rotate_system_key(&mut self, rng: &mut impl RngCore) -> GroupPublicKey {
         self.epoch += 1;
         // Old tokens stay in `grt` and the old gpk is archived so that
@@ -412,20 +412,6 @@ impl NetworkOperator {
         *self.gpk()
     }
 
-    /// Direct audit of a raw (payload, signature) pair — used when the
-    /// disputed message is available but was never logged.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::audit`], but for the log lookup.
-    pub fn audit_raw(
-        &self,
-        signed_payload: &[u8],
-        gsig: &peace_groupsig::GroupSignature,
-    ) -> Result<AuditFinding> {
-        self.open_against_all_epochs(signed_payload, gsig)
-    }
-
     /// Batch audit of many (payload, signature) pairs at once — the
     /// ledger's audit-sweep entry point. Runs [`peace_groupsig::open_batch`]
     /// against the current `gpk` (records readied a lane group at a time,
@@ -434,8 +420,8 @@ impl NetworkOperator {
     /// `out[k]` is `None` when no `grt` token matches `items[k]` in any
     /// epoch (a signature from outside the registry).
     ///
-    /// Unlike [`Self::audit`] it verifies nothing: its records are taken to
-    /// have been verified before they were logged. A transcript reported by
+    /// Unlike [`Self::audit`] of one transcript it verifies nothing: its
+    /// records are taken to have been verified before they were logged. A transcript reported by
     /// a router is not yet checked at ingest, so a forged one that matches
     /// a published token is attributed here.
     pub fn audit_batch(

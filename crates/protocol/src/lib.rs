@@ -5,7 +5,9 @@
 //!
 //! * **Setup** ([`setup`], [`entities::NetworkOperator`], [`entities::Ttp`],
 //!   [`entities::GroupManager`]) — three-party distribution of group
-//!   private keys with late user binding;
+//!   private keys with late user binding, run in one process by
+//!   [`entities::NetworkOperator::found_group`] and
+//!   [`entities::GroupManager::enroll`];
 //! * **User↔router AKA** (§IV.B) — beacons (M.1), anonymous access
 //!   requests (M.2), confirmations (M.3);
 //! * **User↔user AKA** (§IV.C) — M̃.1/M̃.2/M̃.3 pairwise handshakes;
@@ -28,20 +30,12 @@
 //! let mut rng = StdRng::seed_from_u64(7);
 //! let mut no = NetworkOperator::new(ProtocolConfig::default(), &mut rng);
 //!
-//! // Register a user group and run the three-party key distribution.
-//! let group = no.register_group("Company XYZ", &mut rng);
-//! let (gm_bundle, ttp_bundle) = no.issue_shares(group, 4, &mut rng)?;
-//! let mut gm = GroupManager::new(group);
-//! gm.receive_bundle(&gm_bundle, no.npk())?;
+//! // Found a user group (NO → GM, TTP) and enroll a user on it.
 //! let mut ttp = Ttp::new();
-//! ttp.receive_bundle(&ttp_bundle, no.npk())?;
-//!
-//! // Enroll a user.
+//! let mut gm = no.found_group("Company XYZ", 4, &mut ttp, &mut rng)?;
 //! let uid = UserId("alice".into());
-//! let mut alice = UserClient::new(uid.clone(), no.prepared_gpk(), *no.npk(), *no.config(), &mut rng);
-//! let assignment = gm.assign(&uid)?;
-//! let delivery = ttp.deliver(assignment.index, &uid)?;
-//! alice.enroll(&assignment, &delivery)?;
+//! let mut alice = UserClient::new(uid, no.prepared_gpk(), *no.npk(), *no.config(), &mut rng);
+//! gm.enroll(&mut ttp, &mut alice)?;
 //!
 //! // Authenticate to a router and exchange data.
 //! let mut router = no.provision_router("MR-1", 1_000_000, &mut rng);
@@ -74,7 +68,7 @@ pub mod session;
 pub mod setup;
 pub mod transport;
 
-pub use audit::{AuditFinding, LoggedSession, NetworkLog};
+pub use audit::{AuditFinding, LoggedSession};
 pub use config::ProtocolConfig;
 pub use error::{ProtocolError, Result, Transient};
 pub use ids::{GroupId, RouterId, SessionId, ShareIndex, UserId};

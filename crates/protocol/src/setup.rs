@@ -1,18 +1,11 @@
 //! The off-line system setup of §IV.A: three-party distribution of group
-//! private keys such that no single party can link a key to a user.
+//! private keys such that no single party can link a key to a user. This
+//! module holds the signed bundles, deliveries and receipts; the hand-off
+//! runs in [`NetworkOperator::found_group`] and [`GroupManager::enroll`],
+//! whose docs say who holds what.
 //!
-//! * **NO** generates `(A_{i,j}, grp_i, x_j)` tuples, sends `GM_i` the
-//!   scalar parts `(grp_i, x_j)` and the TTP the blinded point
-//!   `A_{i,j} ⊕ x_j`;
-//! * **GM_i** assigns slots to users and keeps `(uid_j ↔ (grp_i, x_j))` —
-//!   it never sees `A_{i,j}`;
-//! * **TTP** delivers `A_{i,j} ⊕ x_j` to the user and keeps
-//!   `(uid_j ↔ blinded share)` — it can compute neither `x_j` nor `A_{i,j}`;
-//! * the **user** unblinds with `x_j` and assembles
-//!   `gsk[i,j] = (A_{i,j}, grp_i, x_j)`.
-//!
-//! Every hand-off is signed (ECDSA) for the non-repudiation property used
-//! by the tracing procedure of §IV.D.
+//! [`NetworkOperator::found_group`]: crate::entities::NetworkOperator::found_group
+//! [`GroupManager::enroll`]: crate::entities::GroupManager::enroll
 //!
 //! The paper XORs `x_j` directly into the point encoding; we expand `x_j`
 //! through the domain-separated XOF first so the pad covers the full

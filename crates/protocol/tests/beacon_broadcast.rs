@@ -5,7 +5,7 @@
 
 use peace_groupsig::OpSnapshot;
 use peace_protocol::config::{BEACON_LIFETIME, MAX_ACTIVE_BEACONS};
-use peace_protocol::entities::{GroupManager, MeshRouter, NetworkOperator, Ttp, UserClient};
+use peace_protocol::entities::{MeshRouter, NetworkOperator, Ttp, UserClient};
 use peace_protocol::ids::UserId;
 use peace_protocol::{Beacon, ProtocolConfig, ProtocolError};
 use peace_wire::{Decode, Encode};
@@ -29,18 +29,12 @@ fn net(seed: u64) -> Net {
 fn net_with(seed: u64, config: ProtocolConfig) -> Net {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut no = NetworkOperator::new(config, &mut rng);
-    let gid = no.register_group("org", &mut rng);
-    let (gm_bundle, ttp_bundle) = no.issue_shares(gid, 2, &mut rng).unwrap();
-    let mut gm = GroupManager::new(gid);
-    gm.receive_bundle(&gm_bundle, no.npk()).unwrap();
     let mut ttp = Ttp::new();
-    ttp.receive_bundle(&ttp_bundle, no.npk()).unwrap();
+    let mut gm = no.found_group("org", 2, &mut ttp, &mut rng).unwrap();
     let mut enroll = |name: &str, rng: &mut StdRng| {
         let uid = UserId(name.into());
-        let mut c = UserClient::new(uid.clone(), no.prepared_gpk(), *no.npk(), *no.config(), rng);
-        let assignment = gm.assign(&uid).unwrap();
-        let delivery = ttp.deliver(assignment.index, &uid).unwrap();
-        c.enroll(&assignment, &delivery).unwrap();
+        let mut c = UserClient::new(uid, no.prepared_gpk(), *no.npk(), *no.config(), rng);
+        gm.enroll(&mut ttp, &mut c).unwrap();
         c
     };
     let alice = enroll("alice", &mut rng);

@@ -5,7 +5,7 @@
 //! under floods and drains on expiry.
 
 use peace_protocol::config::{HANDSHAKE_WINDOW, MAX_ACTIVE_BEACONS, MAX_PENDING_HANDSHAKES};
-use peace_protocol::entities::{GroupManager, MeshRouter, NetworkOperator, Ttp, UserClient};
+use peace_protocol::entities::{MeshRouter, NetworkOperator, Ttp, UserClient};
 use peace_protocol::ids::UserId;
 use peace_protocol::{ProtocolConfig, ProtocolError};
 use rand::rngs::StdRng;
@@ -22,18 +22,12 @@ struct Net {
 fn net() -> Net {
     let mut rng = StdRng::seed_from_u64(0xD0_D0);
     let mut no = NetworkOperator::new(ProtocolConfig::default(), &mut rng);
-    let gid = no.register_group("org", &mut rng);
-    let (gm_bundle, ttp_bundle) = no.issue_shares(gid, 4, &mut rng).unwrap();
-    let mut gm = GroupManager::new(gid);
-    gm.receive_bundle(&gm_bundle, no.npk()).unwrap();
     let mut ttp = Ttp::new();
-    ttp.receive_bundle(&ttp_bundle, no.npk()).unwrap();
+    let mut gm = no.found_group("org", 4, &mut ttp, &mut rng).unwrap();
     let mut enroll = |name: &str, rng: &mut StdRng| {
         let uid = UserId(name.into());
-        let mut c = UserClient::new(uid.clone(), no.prepared_gpk(), *no.npk(), *no.config(), rng);
-        let assignment = gm.assign(&uid).unwrap();
-        let delivery = ttp.deliver(assignment.index, &uid).unwrap();
-        c.enroll(&assignment, &delivery).unwrap();
+        let mut c = UserClient::new(uid, no.prepared_gpk(), *no.npk(), *no.config(), rng);
+        gm.enroll(&mut ttp, &mut c).unwrap();
         c
     };
     let alice = enroll("alice", &mut rng);

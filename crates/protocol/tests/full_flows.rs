@@ -34,11 +34,11 @@ impl World {
     }
 
     fn add_group(&mut self, name: &str, keys: usize) -> GroupId {
-        let gid = self.no.register_group(name, &mut self.rng);
-        let (gm_bundle, ttp_bundle) = self.no.issue_shares(gid, keys, &mut self.rng).unwrap();
-        let mut gm = GroupManager::new(gid);
-        gm.receive_bundle(&gm_bundle, self.no.npk()).unwrap();
-        self.ttp.receive_bundle(&ttp_bundle, self.no.npk()).unwrap();
+        let gm = self
+            .no
+            .found_group(name, keys, &mut self.ttp, &mut self.rng)
+            .unwrap();
+        let gid = gm.id();
         self.gms.insert(gid, gm);
         gid
     }
@@ -46,17 +46,14 @@ impl World {
     fn enroll_user(&mut self, name: &str, gid: GroupId) -> UserClient {
         let uid = UserId(name.to_owned());
         let mut user = UserClient::new(
-            uid.clone(),
+            uid,
             self.no.prepared_gpk(),
             *self.no.npk(),
             *self.no.config(),
             &mut self.rng,
         );
         let gm = self.gms.get_mut(&gid).unwrap();
-        let assignment = gm.assign(&uid).unwrap();
-        let delivery = self.ttp.deliver(assignment.index, &uid).unwrap();
-        let receipt = user.enroll(&assignment, &delivery).unwrap();
-        gm.store_receipt(&uid, receipt);
+        gm.enroll(&mut self.ttp, &mut user).unwrap();
         user
     }
 
@@ -166,9 +163,8 @@ fn revoked_user_rejected_by_router_and_peers() {
     let beacon0 = router.beacon(1_000, &mut w.rng);
     let req = alice.request_access(&beacon0, 1_010, &mut w.rng).unwrap();
     let _ = router.process_access_request(&req, 1_020).unwrap();
-    w.no.ingest_router_log(&mut router);
-    let session_id = peace_protocol::SessionId::from_points(&req.g_rr, &req.g_rj);
-    let finding = w.no.audit(&session_id).unwrap();
+    let logged = router.drain_log().remove(0);
+    let finding = w.no.audit(&logged.signed_payload, &logged.gsig).unwrap();
     assert!(w.no.revoke_member(&finding.token));
 
     // NO pushes fresh lists; router beacons carry the new URL.
@@ -374,29 +370,26 @@ fn audit_reveals_group_only_and_trace_reveals_user() {
     let b2 = router.beacon(1_100, &mut w.rng);
     let req_c = carol.request_access(&b2, 1_110, &mut w.rng).unwrap();
     router.process_access_request(&req_c, 1_120).unwrap();
-    w.no.ingest_router_log(&mut router);
-    assert_eq!(w.no.logged_session_count(), 2);
+    let [log_a, log_c] = <[_; 2]>::try_from(router.drain_log()).unwrap();
 
     // NO's audit: group-level attribution only.
-    let sid_a = peace_protocol::SessionId::from_points(&req_a.g_rr, &req_a.g_rj);
-    let sid_c = peace_protocol::SessionId::from_points(&req_c.g_rr, &req_c.g_rj);
-    let f_a = w.no.audit(&sid_a).unwrap();
-    let f_c = w.no.audit(&sid_c).unwrap();
+    let f_a = w.no.audit(&log_a.signed_payload, &log_a.gsig).unwrap();
+    let f_c = w.no.audit(&log_c.signed_payload, &log_c.gsig).unwrap();
     assert_eq!(f_a.group, g_company);
     assert_eq!(f_c.group, g_university);
     assert_eq!(w.no.group_name(f_a.group), Some("Company XYZ"));
 
     // Law authority: full trace with GM cooperation.
     let law = LawAuthority::new();
-    let t_a = law.trace(&w.no, &w.gms, &sid_a).unwrap();
+    let t_a = law.trace(&w.no, &w.gms, &log_a).unwrap();
     assert_eq!(t_a.uid, UserId("alice".into()));
     assert_eq!(t_a.group, g_company);
-    let t_c = law.trace(&w.no, &w.gms, &sid_c).unwrap();
+    let t_c = law.trace(&w.no, &w.gms, &log_c).unwrap();
     assert_eq!(t_c.uid, UserId("carol".into()));
 
-    // Unknown session: audit fails cleanly.
-    let bogus = peace_protocol::SessionId::from_points(&req_a.g_rj, &req_a.g_rr);
-    assert!(w.no.audit(&bogus).is_err());
+    // Carol's signature moved onto Alice's transcript: its bases follow
+    // the payload, so no token matches and nobody is attributed.
+    assert!(w.no.audit(&log_a.signed_payload, &log_c.gsig).is_err());
 }
 
 #[test]
@@ -416,14 +409,11 @@ fn multi_role_user_audits_to_different_groups() {
     );
     for gid in [g_company, g_golf] {
         let gm = w.gms.get_mut(&gid).unwrap();
-        let assignment = gm.assign(&uid).unwrap();
-        let delivery = w.ttp.deliver(assignment.index, &uid).unwrap();
-        dave.enroll(&assignment, &delivery).unwrap();
+        gm.enroll(&mut w.ttp, &mut dave).unwrap();
     }
     assert_eq!(dave.credential_count(), 2);
 
     let mut router = w.router("MR-1");
-    let mut session_ids = Vec::new();
     for role in 0..2 {
         dave.set_active_role(role).unwrap();
         let b = router.beacon(1_000 + role as u64 * 100, &mut w.rng);
@@ -433,21 +423,22 @@ fn multi_role_user_audits_to_different_groups() {
         router
             .process_access_request(&req, 1_020 + role as u64 * 100)
             .unwrap();
-        session_ids.push(peace_protocol::SessionId::from_points(&req.g_rr, &req.g_rj));
     }
-    w.no.ingest_router_log(&mut router);
+    let transcripts = router.drain_log();
 
     // The same person audits to different nonessential attributes
     // depending on which role signed — the paper's sophisticated privacy.
-    let f0 = w.no.audit(&session_ids[0]).unwrap();
-    let f1 = w.no.audit(&session_ids[1]).unwrap();
-    assert_eq!(f0.group, g_company);
-    assert_eq!(f1.group, g_golf);
+    let f0 =
+        w.no.audit(&transcripts[0].signed_payload, &transcripts[0].gsig);
+    let f1 =
+        w.no.audit(&transcripts[1].signed_payload, &transcripts[1].gsig);
+    assert_eq!(f0.unwrap().group, g_company);
+    assert_eq!(f1.unwrap().group, g_golf);
 
     // And the law authority maps both back to dave.
     let law = LawAuthority::new();
-    assert_eq!(law.trace(&w.no, &w.gms, &session_ids[0]).unwrap().uid, uid);
-    assert_eq!(law.trace(&w.no, &w.gms, &session_ids[1]).unwrap().uid, uid);
+    assert_eq!(law.trace(&w.no, &w.gms, &transcripts[0]).unwrap().uid, uid);
+    assert_eq!(law.trace(&w.no, &w.gms, &transcripts[1]).unwrap().uid, uid);
 }
 
 #[test]
@@ -515,7 +506,7 @@ fn roaming_across_routers() {
     let mut routers: Vec<MeshRouter> = (0..3).map(|i| w.router(&format!("MR-{i}"))).collect();
 
     let mut t = 1_000u64;
-    let mut sids = Vec::new();
+    let mut transcripts = Vec::new();
     for router in routers.iter_mut() {
         let beacon = router.beacon(t, &mut w.rng);
         let req = alice.request_access(&beacon, t + 5, &mut w.rng).unwrap();
@@ -523,17 +514,17 @@ fn roaming_across_routers() {
         let mut a_sess = alice.handle_access_confirm(&confirm, t + 10).unwrap();
         let pkt = a_sess.seal_data(b"roam");
         assert!(r_sess.open_data(&pkt).is_ok());
-        w.no.ingest_router_log(router);
-        sids.push(peace_protocol::SessionId::from_points(&req.g_rr, &req.g_rj));
+        transcripts.extend(router.drain_log());
         t += 500;
     }
     // All three sessions attribute to the same group.
-    for sid in &sids {
-        assert_eq!(w.no.audit(sid).unwrap().group, gid);
+    for logged in &transcripts {
+        let finding = w.no.audit(&logged.signed_payload, &logged.gsig);
+        assert_eq!(finding.unwrap().group, gid);
     }
     // Distinct session identifiers (no cross-router linkage material).
-    assert_ne!(sids[0], sids[1]);
-    assert_ne!(sids[1], sids[2]);
+    assert_ne!(transcripts[0].session_id, transcripts[1].session_id);
+    assert_ne!(transcripts[1].session_id, transcripts[2].session_id);
 }
 
 #[test]
@@ -589,9 +580,13 @@ fn compromised_router_cannot_identify_or_frame_users() {
 
     // NO's audit of the genuine logged sessions still works (the evidence
     // trail survives router compromise because M.2 is self-authenticating).
-    w.no.ingest_router_log(&mut rogue);
-    let sid = peace_protocol::SessionId::from_points(&req_a.g_rr, &req_a.g_rj);
-    assert_eq!(w.no.audit(&sid).unwrap().group, gid);
+    let logged = rogue.drain_log().remove(0);
+    assert_eq!(
+        w.no.audit(&logged.signed_payload, &logged.gsig)
+            .unwrap()
+            .group,
+        gid
+    );
 }
 
 #[test]
@@ -656,9 +651,8 @@ fn batched_access_requests_match_sequential_semantics() {
     let beacon0 = router.beacon(1_000, &mut w.rng);
     let req0 = mallory.request_access(&beacon0, 1_010, &mut w.rng).unwrap();
     let _ = router.process_access_request(&req0, 1_020).unwrap();
-    w.no.ingest_router_log(&mut router);
-    let sid = peace_protocol::SessionId::from_points(&req0.g_rr, &req0.g_rj);
-    let finding = w.no.audit(&sid).unwrap();
+    let logged = router.drain_log().remove(0);
+    let finding = w.no.audit(&logged.signed_payload, &logged.gsig).unwrap();
     assert!(w.no.revoke_member(&finding.token));
     router
         .update_lists(w.no.publish_crl(2_000), w.no.publish_url(2_000))
@@ -776,9 +770,11 @@ fn revocation_landing_before_finish_is_enforced() {
     let beacon = router.beacon(1_000, &mut w.rng);
     let req0 = mallory.request_access(&beacon, 1_010, &mut w.rng).unwrap();
     router.process_access_request(&req0, 1_020).unwrap();
-    w.no.ingest_router_log(&mut router);
-    let sid = peace_protocol::SessionId::from_points(&req0.g_rr, &req0.g_rj);
-    let token = w.no.audit(&sid).unwrap().token;
+    let logged = router.drain_log().remove(0);
+    let token =
+        w.no.audit(&logged.signed_payload, &logged.gsig)
+            .unwrap()
+            .token;
 
     // Her next request begins, and verifies, while she is still in good
     // standing; the revocation reaches the router before it finishes.

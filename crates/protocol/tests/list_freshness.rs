@@ -32,11 +32,11 @@ impl World {
     }
 
     fn add_group(&mut self, name: &str, keys: usize) -> GroupId {
-        let gid = self.no.register_group(name, &mut self.rng);
-        let (gm_bundle, ttp_bundle) = self.no.issue_shares(gid, keys, &mut self.rng).unwrap();
-        let mut gm = GroupManager::new(gid);
-        gm.receive_bundle(&gm_bundle, self.no.npk()).unwrap();
-        self.ttp.receive_bundle(&ttp_bundle, self.no.npk()).unwrap();
+        let gm = self
+            .no
+            .found_group(name, keys, &mut self.ttp, &mut self.rng);
+        let gm = gm.unwrap();
+        let gid = gm.id();
         self.gms.insert(gid, gm);
         gid
     }
@@ -44,17 +44,14 @@ impl World {
     fn enroll_user(&mut self, name: &str, gid: GroupId) -> UserClient {
         let uid = UserId(name.to_owned());
         let mut user = UserClient::new(
-            uid.clone(),
+            uid,
             self.no.prepared_gpk(),
             *self.no.npk(),
             *self.no.config(),
             &mut self.rng,
         );
         let gm = self.gms.get_mut(&gid).unwrap();
-        let assignment = gm.assign(&uid).unwrap();
-        let delivery = self.ttp.deliver(assignment.index, &uid).unwrap();
-        let receipt = user.enroll(&assignment, &delivery).unwrap();
-        gm.store_receipt(&uid, receipt);
+        gm.enroll(&mut self.ttp, &mut user).unwrap();
         user
     }
 }

@@ -44,15 +44,13 @@ impl World {
         let uid = UserId(format!("user-{}", self.users));
         self.users += 1;
         let mut user = UserClient::new(
-            uid.clone(),
+            uid,
             self.no.prepared_gpk(),
             *self.no.npk(),
             *self.no.config(),
             &mut self.rng,
         );
-        let assignment = self.gm.assign(&uid).unwrap();
-        let delivery = self.ttp.deliver(assignment.index, &uid).unwrap();
-        user.enroll(&assignment, &delivery).unwrap();
+        self.gm.enroll(&mut self.ttp, &mut user).unwrap();
         user
     }
 
@@ -98,12 +96,8 @@ fn router_state(router: &mut MeshRouter, rng: &mut StdRng) -> (Beacon, [u8; 32],
 fn every_holder_gives_each_offer_the_same_verdict() {
     let mut rng = StdRng::seed_from_u64(0x11E5);
     let mut no = NetworkOperator::new(ProtocolConfig::default(), &mut rng);
-    let gid = no.register_group("org", &mut rng);
-    let (gm_bundle, ttp_bundle) = no.issue_shares(gid, 10, &mut rng).unwrap();
-    let mut gm = GroupManager::new(gid);
-    gm.receive_bundle(&gm_bundle, no.npk()).unwrap();
     let mut ttp = Ttp::new();
-    ttp.receive_bundle(&ttp_bundle, no.npk()).unwrap();
+    let gm = no.found_group("org", 10, &mut ttp, &mut rng).unwrap();
     let mut w = World {
         no,
         gm,

@@ -31,27 +31,27 @@ impl World {
     }
 
     fn add_group(&mut self, name: &str, keys: usize) -> GroupId {
-        let gid = self.no.register_group(name, &mut self.rng);
-        self.refill_group(gid, keys);
+        let gm = self
+            .no
+            .found_group(name, keys, &mut self.ttp, &mut self.rng)
+            .unwrap();
+        let gid = gm.id();
+        self.gms.insert(gid, gm);
         gid
     }
 
+    /// Re-issues `keys` shares for an existing group, as user groups must
+    /// after a system-key rotation.
     fn refill_group(&mut self, gid: GroupId, keys: usize) {
         let (gm_bundle, ttp_bundle) = self.no.issue_shares(gid, keys, &mut self.rng).unwrap();
-        let gm = self
-            .gms
-            .entry(gid)
-            .or_insert_with(|| GroupManager::new(gid));
+        let gm = self.gms.get_mut(&gid).unwrap();
         gm.receive_bundle(&gm_bundle, self.no.npk()).unwrap();
         self.ttp.receive_bundle(&ttp_bundle, self.no.npk()).unwrap();
     }
 
     fn enroll(&mut self, user: &mut UserClient, gid: GroupId) {
         let gm = self.gms.get_mut(&gid).unwrap();
-        let assignment = gm.assign(user.uid()).unwrap();
-        let delivery = self.ttp.deliver(assignment.index, user.uid()).unwrap();
-        let receipt = user.enroll(&assignment, &delivery).unwrap();
-        gm.store_receipt(&user.uid().clone(), receipt);
+        gm.enroll(&mut self.ttp, user).unwrap();
     }
 }
 
@@ -132,9 +132,11 @@ fn rotation_empties_url() {
     let b = router.beacon(1_000, &mut w.rng);
     let req = mallory.request_access(&b, 1_010, &mut w.rng).unwrap();
     router.process_access_request(&req, 1_020).unwrap();
-    w.no.ingest_router_log(&mut router);
-    let sid = SessionId::from_points(&req.g_rr, &req.g_rj);
-    let token = w.no.audit(&sid).unwrap().token;
+    let logged = router.drain_log().remove(0);
+    let token =
+        w.no.audit(&logged.signed_payload, &logged.gsig)
+            .unwrap()
+            .token;
     w.no.revoke_member(&token);
     assert_eq!(w.no.revoked_member_count(), 1);
     assert_eq!(w.no.publish_url(1_500).tokens.len(), 1);
@@ -164,14 +166,13 @@ fn old_epoch_sessions_remain_auditable() {
     let b = router.beacon(1_000, &mut w.rng);
     let req = alice.request_access(&b, 1_010, &mut w.rng).unwrap();
     router.process_access_request(&req, 1_020).unwrap();
-    w.no.ingest_router_log(&mut router);
-    let sid = SessionId::from_points(&req.g_rr, &req.g_rj);
+    let logged = router.drain_log().remove(0);
 
     // Rotate twice; the pre-rotation session must still audit to the
     // correct group (disputes can surface long after renewal).
     w.no.rotate_system_key(&mut w.rng);
     w.no.rotate_system_key(&mut w.rng);
-    let finding = w.no.audit(&sid).unwrap();
+    let finding = w.no.audit(&logged.signed_payload, &logged.gsig).unwrap();
     assert_eq!(finding.group, gid);
 }
 
@@ -237,9 +238,13 @@ fn renewal_cycle_stress() {
         let req = bob.request_access(&b, t + 10, &mut w.rng).unwrap();
         let (confirm, _) = router.process_access_request(&req, t + 20).unwrap();
         assert!(bob.handle_access_confirm(&confirm, t + 20).is_ok());
-        w.no.ingest_router_log(&mut router);
-        let sid = SessionId::from_points(&req.g_rr, &req.g_rj);
-        assert_eq!(w.no.audit(&sid).unwrap().group, gid);
+        let logged = router.drain_log().remove(0);
+        assert_eq!(
+            w.no.audit(&logged.signed_payload, &logged.gsig)
+                .unwrap()
+                .group,
+            gid
+        );
 
         // renew
         w.no.rotate_system_key(&mut w.rng);

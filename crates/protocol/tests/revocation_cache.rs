@@ -6,7 +6,7 @@ use std::collections::HashMap;
 
 use peace_protocol::entities::*;
 use peace_protocol::ids::{GroupId, UserId};
-use peace_protocol::{ProtocolConfig, ProtocolError, SessionId};
+use peace_protocol::{LoggedSession, ProtocolConfig, ProtocolError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -30,48 +30,46 @@ impl World {
     }
 
     fn add_group(&mut self, name: &str, keys: usize) -> GroupId {
-        let gid = self.no.register_group(name, &mut self.rng);
-        let (gm_bundle, ttp_bundle) = self.no.issue_shares(gid, keys, &mut self.rng).unwrap();
         let gm = self
-            .gms
-            .entry(gid)
-            .or_insert_with(|| GroupManager::new(gid));
-        gm.receive_bundle(&gm_bundle, self.no.npk()).unwrap();
-        self.ttp.receive_bundle(&ttp_bundle, self.no.npk()).unwrap();
+            .no
+            .found_group(name, keys, &mut self.ttp, &mut self.rng);
+        let gm = gm.unwrap();
+        let gid = gm.id();
+        self.gms.insert(gid, gm);
         gid
     }
 
     fn enroll(&mut self, name: &str, gid: GroupId) -> UserClient {
         let uid = UserId(name.to_owned());
         let mut user = UserClient::new(
-            uid.clone(),
+            uid,
             self.no.prepared_gpk(),
             *self.no.npk(),
             *self.no.config(),
             &mut self.rng,
         );
         let gm = self.gms.get_mut(&gid).unwrap();
-        let assignment = gm.assign(&uid).unwrap();
-        let delivery = self.ttp.deliver(assignment.index, &uid).unwrap();
-        let receipt = user.enroll(&assignment, &delivery).unwrap();
-        gm.store_receipt(&uid, receipt);
+        gm.enroll(&mut self.ttp, &mut user).unwrap();
         user
     }
 }
 
 /// One user↔router authentication round at time `t`; returns the
-/// established session id (the audit handle).
+/// transcript the router logged for it (what NO audits).
 fn authenticate(
     user: &mut UserClient,
     router: &mut MeshRouter,
     t: u64,
     rng: &mut StdRng,
-) -> Result<SessionId, ProtocolError> {
+) -> Result<LoggedSession, ProtocolError> {
     let beacon = router.beacon(t, rng);
     let req = user.request_access(&beacon, t + 50, rng)?;
-    let (confirm, router_sess) = router.process_access_request(&req, t + 100)?;
+    let (confirm, _) = router.process_access_request(&req, t + 100)?;
     user.handle_access_confirm(&confirm, t + 100)?;
-    Ok(router_sess.id().clone())
+    Ok(router
+        .drain_log()
+        .pop()
+        .expect("an admitted session is logged"))
 }
 
 /// The ISSUE's pinned regression: a user verified clean (verdict cached),
@@ -88,22 +86,22 @@ fn revoked_then_reused_is_rejected_after_delta() {
 
     // Seed a non-empty URL (an empty list short-circuits before the cache):
     // bob gets revoked the hard way, via the audit.
-    let bob_sid = authenticate(&mut bob, &mut router, 500, &mut w.rng).unwrap();
-    w.no.ingest_router_log(&mut router);
-    let bob_token = w.no.audit(&bob_sid).unwrap().token;
+    let bob_log = authenticate(&mut bob, &mut router, 500, &mut w.rng).unwrap();
+    let bob_token = w.no.audit(&bob_log.signed_payload, &bob_log.gsig);
+    let bob_token = bob_token.unwrap().token;
     assert!(w.no.revoke_member(&bob_token));
     router
         .update_lists(w.no.publish_crl(800), w.no.publish_url(800))
         .expect("lists admitted");
 
     // Clean authentication; the router's engine caches the verdict.
-    let sid = authenticate(&mut alice, &mut router, 1_000, &mut w.rng).unwrap();
+    let logged = authenticate(&mut alice, &mut router, 1_000, &mut w.rng).unwrap();
     assert!(router.revocation().cache_len() > 0);
     let v0 = router.revocation().url_version();
 
     // NO learns alice's token (privacy-preserving audit) and revokes her.
-    w.no.ingest_router_log(&mut router);
-    let token = w.no.audit(&sid).unwrap().token;
+    let token = w.no.audit(&logged.signed_payload, &logged.gsig);
+    let token = token.unwrap().token;
     assert!(w.no.revoke_member(&token));
 
     // The O(churn) delta path: NO serves the diff and re-stamps the list
@@ -149,9 +147,9 @@ fn delta_sync_matches_full_fetch() {
     for (i, u) in users.iter_mut().enumerate() {
         // Learn each token by auditing a session from that user.
         let t = 1_000 * (i as u64 + 1);
-        let sid = authenticate(u, &mut delta_router, t, &mut w.rng).unwrap();
-        w.no.ingest_router_log(&mut delta_router);
-        let token = w.no.audit(&sid).unwrap().token;
+        let logged = authenticate(u, &mut delta_router, t, &mut w.rng).unwrap();
+        let token = w.no.audit(&logged.signed_payload, &logged.gsig);
+        let token = token.unwrap().token;
         assert!(w.no.revoke_member(&token));
 
         let have = delta_router.revocation().url_version();

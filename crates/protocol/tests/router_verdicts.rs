@@ -7,7 +7,7 @@
 use peace_curve::{AffinePoint, G1Wire, G1};
 use peace_field::Fq;
 use peace_groupsig::OpSnapshot;
-use peace_protocol::entities::{GroupManager, MeshRouter, NetworkOperator, Ttp, UserClient};
+use peace_protocol::entities::{MeshRouter, NetworkOperator, Ttp, UserClient};
 use peace_protocol::ids::UserId;
 use peace_protocol::{AccessRequest, ProtocolConfig, ProtocolError};
 use peace_wire::{Decode, Encode};
@@ -23,23 +23,11 @@ struct World {
 fn world(seed: u64) -> World {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut no = NetworkOperator::new(ProtocolConfig::default(), &mut rng);
-    let gid = no.register_group("org", &mut rng);
-    let (gm_bundle, ttp_bundle) = no.issue_shares(gid, 1, &mut rng).unwrap();
-    let mut gm = GroupManager::new(gid);
-    gm.receive_bundle(&gm_bundle, no.npk()).unwrap();
     let mut ttp = Ttp::new();
-    ttp.receive_bundle(&ttp_bundle, no.npk()).unwrap();
+    let mut gm = no.found_group("org", 1, &mut ttp, &mut rng).unwrap();
     let uid = UserId("alice".into());
-    let mut alice = UserClient::new(
-        uid.clone(),
-        no.prepared_gpk(),
-        *no.npk(),
-        *no.config(),
-        &mut rng,
-    );
-    let assignment = gm.assign(&uid).unwrap();
-    let delivery = ttp.deliver(assignment.index, &uid).unwrap();
-    alice.enroll(&assignment, &delivery).unwrap();
+    let mut alice = UserClient::new(uid, no.prepared_gpk(), *no.npk(), *no.config(), &mut rng);
+    gm.enroll(&mut ttp, &mut alice).unwrap();
     let router = no.provision_router("MR-1", u64::MAX / 2, &mut rng);
     World { router, alice, rng }
 }

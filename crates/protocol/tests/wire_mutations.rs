@@ -10,7 +10,7 @@
 
 use std::sync::{Mutex, OnceLock};
 
-use peace_protocol::entities::{GroupManager, MeshRouter, NetworkOperator, Ttp, UserClient};
+use peace_protocol::entities::{MeshRouter, NetworkOperator, Ttp, UserClient};
 use peace_protocol::ids::UserId;
 use peace_protocol::{
     AccessConfirm, AccessRequest, Beacon, PeerConfirm, PeerHello, PeerResponse, ProtocolConfig,
@@ -38,20 +38,13 @@ fn fixture() -> &'static Fixture {
     FIXTURE.get_or_init(|| {
         let mut rng = StdRng::seed_from_u64(0xFA57_F00D);
         let mut no = NetworkOperator::new(ProtocolConfig::default(), &mut rng);
-        let gid = no.register_group("org", &mut rng);
-        let (gm_bundle, ttp_bundle) = no.issue_shares(gid, 4, &mut rng).unwrap();
-        let mut gm = GroupManager::new(gid);
-        gm.receive_bundle(&gm_bundle, no.npk()).unwrap();
         let mut ttp = Ttp::new();
-        ttp.receive_bundle(&ttp_bundle, no.npk()).unwrap();
+        let mut gm = no.found_group("org", 4, &mut ttp, &mut rng).unwrap();
 
         let mut enroll = |name: &str, rng: &mut StdRng| {
             let uid = UserId(name.into());
-            let mut c =
-                UserClient::new(uid.clone(), no.prepared_gpk(), *no.npk(), *no.config(), rng);
-            let assignment = gm.assign(&uid).unwrap();
-            let delivery = ttp.deliver(assignment.index, &uid).unwrap();
-            c.enroll(&assignment, &delivery).unwrap();
+            let mut c = UserClient::new(uid, no.prepared_gpk(), *no.npk(), *no.config(), rng);
+            gm.enroll(&mut ttp, &mut c).unwrap();
             c
         };
         let mut alice = enroll("alice", &mut rng);

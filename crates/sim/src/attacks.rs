@@ -262,18 +262,13 @@ pub fn run_phishing_experiment(
         ..ProtocolConfig::default()
     };
     let mut no = NetworkOperator::new(config, &mut rng);
-    let gid = no.register_group("victims", &mut rng);
-    let (gm_bundle, ttp_bundle) = no.issue_shares(gid, 2, &mut rng).expect("group registered");
-    let mut gm = GroupManager::new(gid);
-    gm.receive_bundle(&gm_bundle, no.npk()).expect("bundle");
     let mut ttp = Ttp::new();
-    ttp.receive_bundle(&ttp_bundle, no.npk()).expect("bundle");
-
+    let mut gm = no
+        .found_group("victims", 2, &mut ttp, &mut rng)
+        .expect("bundles");
     let uid = UserId("victim".into());
-    let mut user = UserClient::new(uid.clone(), *no.gpk(), *no.npk(), *no.config(), &mut rng);
-    let assignment = gm.assign(&uid).expect("share");
-    let delivery = ttp.deliver(assignment.index, &uid).expect("delivery");
-    user.enroll(&assignment, &delivery).expect("enroll");
+    let mut user = UserClient::new(uid, *no.gpk(), *no.npk(), *no.config(), &mut rng);
+    gm.enroll(&mut ttp, &mut user).expect("enroll");
 
     let mut rogue = no.provision_router("MR-rogue", u64::MAX / 2, &mut rng);
     // Rogue captures the lists at the moment just before revocation.
@@ -324,25 +319,10 @@ pub fn run_injection_matrix(seed: u64) -> Vec<InjectionOutcome> {
     let mut rng = StdRng::seed_from_u64(seed);
     let config = ProtocolConfig::default();
     let mut no = NetworkOperator::new(config, &mut rng);
-    let gid = no.register_group("org", &mut rng);
-    let (gm_bundle, ttp_bundle) = no.issue_shares(gid, 4, &mut rng).expect("group");
-    let mut gm = GroupManager::new(gid);
-    gm.receive_bundle(&gm_bundle, no.npk()).expect("bundle");
     let mut ttp = Ttp::new();
-    ttp.receive_bundle(&ttp_bundle, no.npk()).expect("bundle");
-
-    let enroll = |name: &str,
-                  gm: &mut GroupManager,
-                  ttp: &mut Ttp,
-                  no: &NetworkOperator,
-                  rng: &mut StdRng| {
-        let uid = UserId(name.to_owned());
-        let mut u = UserClient::new(uid.clone(), no.prepared_gpk(), *no.npk(), *no.config(), rng);
-        let a = gm.assign(&uid).expect("share");
-        let d = ttp.deliver(a.index, &uid).expect("delivery");
-        u.enroll(&a, &d).expect("enroll");
-        u
-    };
+    let mut gm = no
+        .found_group("org", 4, &mut ttp, &mut rng)
+        .expect("bundles");
 
     let mut honest = enroll("honest", &mut gm, &mut ttp, &no, &mut rng);
     let mut revoked_user = enroll("revoked", &mut gm, &mut ttp, &no, &mut rng);
@@ -357,9 +337,10 @@ pub fn run_injection_matrix(seed: u64) -> Vec<InjectionOutcome> {
     router
         .process_access_request(&req0, 520)
         .expect("pre-revocation session");
-    no.ingest_router_log(&mut router);
-    let sid = peace_protocol::SessionId::from_points(&req0.g_rr, &req0.g_rj);
-    let finding = no.audit(&sid).expect("audit");
+    let logged = router.drain_log().remove(0);
+    let finding = no
+        .audit(&logged.signed_payload, &logged.gsig)
+        .expect("audit");
     no.revoke_member(&finding.token);
     router
         .update_lists(no.publish_crl(1_000), no.publish_url(1_000))
@@ -371,23 +352,13 @@ pub fn run_injection_matrix(seed: u64) -> Vec<InjectionOutcome> {
 
     // 1. Outsider: foreign-operator credential.
     {
-        let mut foreign_rng = StdRng::seed_from_u64(seed ^ 0xF0F0);
-        let mut foreign_no = NetworkOperator::new(config, &mut foreign_rng);
-        let fgid = foreign_no.register_group("evil", &mut foreign_rng);
-        let (fgm_b, fttp_b) = foreign_no
-            .issue_shares(fgid, 1, &mut foreign_rng)
-            .expect("g");
-        let mut fgm = GroupManager::new(fgid);
-        fgm.receive_bundle(&fgm_b, foreign_no.npk()).expect("b");
+        let mut frng = StdRng::seed_from_u64(seed ^ 0xF0F0);
+        let mut foreign_no = NetworkOperator::new(config, &mut frng);
         let mut fttp = Ttp::new();
-        fttp.receive_bundle(&fttp_b, foreign_no.npk()).expect("b");
-        let outsider = enroll(
-            "outsider",
-            &mut fgm,
-            &mut fttp,
-            &foreign_no,
-            &mut foreign_rng,
-        );
+        let mut fgm = foreign_no
+            .found_group("evil", 1, &mut fttp, &mut frng)
+            .expect("bundles");
+        let outsider = enroll("outsider", &mut fgm, &mut fttp, &foreign_no, &mut frng);
         // Craft an M.2 signed under the foreign gpk.
         let cred = outsider.active_credential().expect("cred").clone();
         let r_j = peace_field::Fq::random_nonzero(&mut rng);
@@ -491,23 +462,12 @@ pub fn run_linking_game(trials: u32, seed: u64) -> LinkingReport {
     let mut rng = StdRng::seed_from_u64(seed);
     let config = ProtocolConfig::default();
     let mut no = NetworkOperator::new(config, &mut rng);
-    let gid = no.register_group("org", &mut rng);
-    let (gm_b, ttp_b) = no.issue_shares(gid, 2, &mut rng).expect("group");
-    let mut gm = GroupManager::new(gid);
-    gm.receive_bundle(&gm_b, no.npk()).expect("bundle");
     let mut ttp = Ttp::new();
-    ttp.receive_bundle(&ttp_b, no.npk()).expect("bundle");
-
-    let enroll = |name: &str, gm: &mut GroupManager, ttp: &mut Ttp, rng: &mut StdRng| {
-        let uid = UserId(name.to_owned());
-        let mut u = UserClient::new(uid.clone(), no.prepared_gpk(), *no.npk(), *no.config(), rng);
-        let a = gm.assign(&uid).expect("share");
-        let d = ttp.deliver(a.index, &uid).expect("delivery");
-        u.enroll(&a, &d).expect("enroll");
-        u
-    };
-    let mut alice = enroll("alice", &mut gm, &mut ttp, &mut rng);
-    let mut bob = enroll("bob", &mut gm, &mut ttp, &mut rng);
+    let mut gm = no
+        .found_group("org", 2, &mut ttp, &mut rng)
+        .expect("bundles");
+    let mut alice = enroll("alice", &mut gm, &mut ttp, &no, &mut rng);
+    let mut bob = enroll("bob", &mut gm, &mut ttp, &no, &mut rng);
     let mut router = no.provision_router("MR-1", u64::MAX / 2, &mut rng);
 
     let similarity =
@@ -584,8 +544,6 @@ pub fn run_url_growth(
     let config = ProtocolConfig::default();
     let mut accumulating = NetworkOperator::new(config, &mut rng);
     let mut rotating = NetworkOperator::new(config, &mut rng);
-    let acc_group = accumulating.register_group("org", &mut rng);
-    let rot_group = rotating.register_group("org", &mut rng);
 
     // Router-side mirrors that follow each operator by URL deltas
     // (the O(churn) bulletin path), falling back to a full fetch only when
@@ -599,8 +557,8 @@ pub fn run_url_growth(
         // Fresh members join, misbehave, and are revoked the same day —
         // each revocation goes through the public flow (enroll → sign →
         // audit → revoke), so grt bookkeeping is exercised end to end.
-        revoke_fresh_members(&mut accumulating, acc_group, revocations_per_day, &mut rng);
-        revoke_fresh_members(&mut rotating, rot_group, revocations_per_day, &mut rng);
+        revoke_fresh_members(&mut accumulating, day, revocations_per_day, &mut rng);
+        revoke_fresh_members(&mut rotating, day, revocations_per_day, &mut rng);
 
         if day % rotation_period_days == 0 {
             rotating.rotate_system_key(&mut rng);
@@ -655,25 +613,17 @@ fn sync_by_delta(
     fetched
 }
 
-fn revoke_fresh_members(
-    no: &mut NetworkOperator,
-    gid: peace_protocol::GroupId,
-    count: usize,
-    rng: &mut StdRng,
-) {
+/// Founds day `day`'s group of `count` members, each of whom signs once
+/// and is audited and revoked.
+fn revoke_fresh_members(no: &mut NetworkOperator, day: u64, count: usize, rng: &mut StdRng) {
     use peace_protocol::AccessRequest;
-    let (gm_bundle, ttp_bundle) = no.issue_shares(gid, count, rng).expect("issue");
-    let mut gm = GroupManager::new(gid);
-    gm.receive_bundle(&gm_bundle, no.npk()).expect("bundle");
     let mut ttp = Ttp::new();
-    ttp.receive_bundle(&ttp_bundle, no.npk()).expect("bundle");
+    let name = format!("churn-day-{day}");
+    let mut gm = no
+        .found_group(&name, count, &mut ttp, rng)
+        .expect("bundles");
     for i in 0..count {
-        let uid = UserId(format!("churn-{i}"));
-        let mut user =
-            UserClient::new(uid.clone(), no.prepared_gpk(), *no.npk(), *no.config(), rng);
-        let a = gm.assign(&uid).expect("share");
-        let d = ttp.deliver(a.index, &uid).expect("delivery");
-        user.enroll(&a, &d).expect("enroll");
+        let user = enroll(&format!("churn-{i}"), &mut gm, &mut ttp, no, rng);
         // One signed message is enough for NO to open and revoke.
         let cred = user.active_credential().expect("cred").clone();
         let g = peace_curve::G1::generator();
@@ -681,7 +631,21 @@ fn revoke_fresh_members(
         let sig = no
             .prepared_gpk()
             .sign(&cred.key, &payload, no.config().bases_mode, rng);
-        let finding = no.audit_raw(&payload, &sig).expect("audit");
+        let finding = no.audit(&payload, &sig).expect("audit");
         no.revoke_member(&finding.token);
     }
+}
+
+/// A user `name` enrolled on `gm`'s next slot.
+fn enroll(
+    name: &str,
+    gm: &mut GroupManager,
+    ttp: &mut Ttp,
+    no: &NetworkOperator,
+    rng: &mut StdRng,
+) -> UserClient {
+    let uid = UserId(name.to_owned());
+    let mut user = UserClient::new(uid, no.prepared_gpk(), *no.npk(), *no.config(), rng);
+    gm.enroll(ttp, &mut user).expect("share available");
+    user
 }

@@ -2,10 +2,10 @@
 //! cryptography running at every handshake.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 
 use peace_protocol::entities::{GroupManager, MeshRouter, NetworkOperator, Ttp, UserClient};
-use peace_protocol::ids::{GroupId, UserId};
+use peace_protocol::ids::UserId;
 use peace_protocol::{
     AccessConfirm, AccessRequest, Beacon, Channel, FaultPlan, PeerConfirm, PeerHello, PeerResponse,
     ProtocolConfig, ProtocolError, RetryPolicy, Transient,
@@ -128,8 +128,8 @@ pub struct SimWorld {
     pub topology: Topology,
     /// The network operator.
     pub no: NetworkOperator,
-    /// Group managers by group id.
-    pub gms: HashMap<GroupId, GroupManager>,
+    /// Group managers, in founding order.
+    pub gms: Vec<GroupManager>,
     /// The trusted third party.
     pub ttp: Ttp,
     /// Mesh routers, index-aligned with `topology.router_positions`.
@@ -160,43 +160,25 @@ impl SimWorld {
         let mut no = NetworkOperator::new(ProtocolConfig::default(), &mut rng);
         let topology = Topology::generate(config.topology, config.users, &mut rng);
 
-        // Groups and key shares.
-        let mut gms = HashMap::new();
+        // Groups and key shares; users enroll round-robin across groups.
         let mut ttp = Ttp::new();
-        let mut group_ids = Vec::new();
         let per_group = config.users / config.groups.max(1) + 2;
-        for gi in 0..config.groups.max(1) {
-            let gid = no.register_group(&format!("org-{gi}"), &mut rng);
-            let (gm_bundle, ttp_bundle) = no
-                .issue_shares(gid, per_group, &mut rng)
-                .expect("registered group");
-            let mut gm = GroupManager::new(gid);
-            gm.receive_bundle(&gm_bundle, no.npk()).expect("bundle ok");
-            ttp.receive_bundle(&ttp_bundle, no.npk())
-                .expect("bundle ok");
-            gms.insert(gid, gm);
-            group_ids.push(gid);
-        }
-
-        // Users enroll round-robin across groups.
-        let mut users = Vec::with_capacity(config.users);
-        for ui in 0..config.users {
-            let uid = UserId(format!("user-{ui}"));
-            let mut client = UserClient::new(
-                uid.clone(),
-                no.prepared_gpk(),
-                *no.npk(),
-                *no.config(),
-                &mut rng,
-            );
-            let gid = group_ids[ui % group_ids.len()];
-            let gm = gms.get_mut(&gid).expect("group exists");
-            let assignment = gm.assign(&uid).expect("share available");
-            let delivery = ttp.deliver(assignment.index, &uid).expect("ttp share");
-            let receipt = client.enroll(&assignment, &delivery).expect("valid key");
-            gm.store_receipt(&uid, receipt);
-            users.push(client);
-        }
+        let mut gms: Vec<GroupManager> = (0..config.groups.max(1))
+            .map(|gi| no.found_group(&format!("org-{gi}"), per_group, &mut ttp, &mut rng))
+            .collect::<Result<_, _>>()
+            .expect("bundles from this operator");
+        let users: Vec<UserClient> = (0..config.users)
+            .map(|ui| {
+                let uid = UserId(format!("user-{ui}"));
+                let mut client =
+                    UserClient::new(uid, no.prepared_gpk(), *no.npk(), *no.config(), &mut rng);
+                let group = ui % gms.len();
+                gms[group]
+                    .enroll(&mut ttp, &mut client)
+                    .expect("share available");
+                client
+            })
+            .collect();
 
         // Routers on the grid.
         let routers: Vec<MeshRouter> = (0..topology.router_count())
@@ -379,7 +361,7 @@ impl SimWorld {
             prev = relay;
         }
         // M.1 over the wire: the user only sees what the channel delivers.
-        let (heard, _) = self.deliver("M1", &beacon.to_wire(), |_, b: Beacon, at| Ok((b, at)));
+        let (heard, _) = self.carry("M1", &beacon.to_wire(), |_, b: Beacon, at| Ok((b, at)));
         let Some((beacon, m1_at)) = heard else {
             self.metrics.record_auth_fail(reasons::CHANNEL_LOSS_M1);
             return AttemptOutcome::Transient;
@@ -397,18 +379,17 @@ impl SimWorld {
         };
         // M.2 over the wire: the router processes every delivery — mangled
         // copies fail checks, replayed copies are rejected idempotently.
-        let (established, errs) = self.deliver("M2", &req.to_wire(), |w, r: AccessRequest, at| {
+        let (established, errs) = self.carry("M2", &req.to_wire(), |w, r: AccessRequest, at| {
             w.routers[router_idx].process_access_request(&r, at)
         });
         let Some((confirm, mut router_sess)) = established else {
             return self.record_leg_failure(errs, reasons::CHANNEL_LOSS_M2);
         };
         // M.3 back over the wire to the user.
-        let (user_sess, errs) =
-            self.deliver("M3", &confirm.to_wire(), |w, c: AccessConfirm, at| {
-                w.users[user].handle_access_confirm(&c, at)
-            });
-        let outcome = match user_sess {
+        let (user_sess, errs) = self.carry("M3", &confirm.to_wire(), |w, c: AccessConfirm, at| {
+            w.users[user].handle_access_confirm(&c, at)
+        });
+        match user_sess {
             Some(mut user_sess) => {
                 self.metrics.auth_success += 1;
                 *self
@@ -426,10 +407,7 @@ impl SimWorld {
                 AttemptOutcome::Success
             }
             None => self.record_leg_failure(errs, reasons::CHANNEL_LOSS_M3),
-        };
-        // Routers report their logs to NO opportunistically.
-        self.no.ingest_router_log(&mut self.routers[router_idx]);
-        outcome
+        }
     }
 
     /// Classifies a protocol error for the retry state machine.
@@ -518,7 +496,7 @@ impl SimWorld {
         wire: &[u8],
         on_msg: impl FnMut(&mut Self, M, u64) -> Result<T, ProtocolError>,
     ) -> Option<T> {
-        let (got, errs) = self.deliver(kind, wire, on_msg);
+        let (got, errs) = self.carry(kind, wire, on_msg);
         for e in errs {
             self.metrics.record_peer_fail(e.code());
         }
@@ -534,7 +512,7 @@ impl SimWorld {
     /// `on_msg` with their arrival time. The first success wins; a replay
     /// the receiver refuses as [`ProtocolError::DuplicateMessage`] is
     /// counted as such; every other refusal is returned, in arrival order.
-    fn deliver<M: Decode, T>(
+    fn carry<M: Decode, T>(
         &mut self,
         kind: &str,
         wire: &[u8],

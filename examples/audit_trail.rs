@@ -18,34 +18,22 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== PEACE audit & tracing demo ==\n");
 
     // Setup: two society entities subscribe on behalf of their members.
+    // Dave is both an engineer at Company XYZ and a member of Golf Club V:
+    // he enrolls once per group.
     let mut no = NetworkOperator::new(ProtocolConfig::default(), &mut rng);
-    let company = no.register_group("Company XYZ", &mut rng);
-    let golf = no.register_group("Golf Club V", &mut rng);
-    let mut gms: HashMap<_, _> = HashMap::new();
-    let mut ttp = Ttp::new();
-    for gid in [company, golf] {
-        let (gm_b, ttp_b) = no.issue_shares(gid, 4, &mut rng)?;
-        let mut gm = GroupManager::new(gid);
-        gm.receive_bundle(&gm_b, no.npk())?;
-        ttp.receive_bundle(&ttp_b, no.npk())?;
-        gms.insert(gid, gm);
-    }
-
-    // Dave is both an engineer at Company XYZ and a member of Golf Club V.
     let uid = UserId("dave".into());
-    let mut dave = UserClient::new(uid.clone(), *no.gpk(), *no.npk(), *no.config(), &mut rng);
-    for gid in [company, golf] {
-        let gm = gms.get_mut(&gid).unwrap();
-        let assignment = gm.assign(&uid)?;
-        let delivery = ttp.deliver(assignment.index, &uid)?;
-        let receipt = dave.enroll(&assignment, &delivery)?;
-        gm.store_receipt(&uid, receipt);
+    let mut dave = UserClient::new(uid, *no.gpk(), *no.npk(), *no.config(), &mut rng);
+    let mut ttp = Ttp::new();
+    let mut gms = HashMap::new();
+    for name in ["Company XYZ", "Golf Club V"] {
+        let mut gm = no.found_group(name, 4, &mut ttp, &mut rng)?;
+        gm.enroll(&mut ttp, &mut dave)?;
+        gms.insert(gm.id(), gm);
     }
     println!("dave enrolled in: Company XYZ (role 0), Golf Club V (role 1)\n");
 
     // Dave opens sessions under each role.
     let mut router = no.provision_router("MR-5", u64::MAX / 2, &mut rng);
-    let mut session_ids = Vec::new();
     for (role, label) in [(0usize, "from the office"), (1, "from the golf club")] {
         dave.set_active_role(role)?;
         let now = 1_000 + role as u64 * 500;
@@ -55,24 +43,25 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         dave.handle_access_confirm(&confirm, now + 20)?;
         let sid = SessionId::from_points(&req.g_rr, &req.g_rj);
         println!("session {} opened {label}", sid);
-        session_ids.push(sid);
     }
-    no.ingest_router_log(&mut router);
+    // The router reports both transcripts, in session order.
+    let transcripts = router.drain_log();
 
     // A dispute arises over each session. NO audits.
     println!("\n-- operator audit (learns the GROUP, not the person) --");
-    for sid in &session_ids {
-        let finding = no.audit(sid)?;
+    let mut findings = Vec::new();
+    for t in &transcripts {
+        let finding = no.audit(&t.signed_payload, &t.gsig)?;
         println!(
             "session {} → responsible entity: '{}'",
-            sid,
+            t.session_id,
             no.group_name(finding.group).unwrap()
         );
+        findings.push(finding);
     }
 
     // The sessions are unlinkable to each other at the operator.
-    let f0 = no.audit(&session_ids[0])?;
-    let f1 = no.audit(&session_ids[1])?;
+    let (f0, f1) = (&findings[0], &findings[1]);
     assert_ne!(
         f0.token, f1.token,
         "different roles leave unlinkable tokens"
@@ -82,19 +71,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Severe case: the law authority compels a full trace.
     println!("\n-- law-authority trace (NO + GM cooperation) --");
     let law = LawAuthority::new();
-    for sid in &session_ids {
-        let trace = law.trace(&no, &gms, sid)?;
+    for t in &transcripts {
+        let trace = law.trace(&no, &gms, t)?;
         println!(
             "session {} → {} (via {})",
-            sid,
+            t.session_id,
             trace.uid,
             no.group_name(trace.group).unwrap()
         );
     }
 
     // Accountability follow-up: revoke the key used in the first session.
-    let bad = no.audit(&session_ids[0])?;
-    no.revoke_member(&bad.token);
+    no.revoke_member(&f0.token);
     router
         .update_lists(no.publish_crl(5_000), no.publish_url(5_000))
         .expect("lists admitted");

@@ -97,10 +97,13 @@ fn main() {
         "  pending-state high water        : {}",
         m.pending_high_water
     );
-    println!(
-        "  sessions logged at the operator : {}",
-        world.no.logged_session_count()
-    );
+    // Each router holds the transcripts it has yet to report to NO.
+    let transcripts: Vec<_> = world
+        .routers
+        .iter_mut()
+        .flat_map(|r| r.drain_log())
+        .collect();
+    println!("  transcripts reported to NO      : {}", transcripts.len());
     println!("  busiest routers                 : {}", {
         let mut loads: Vec<_> = m.auths_by_router.iter().collect();
         loads.sort_by(|a, b| b.1.cmp(a.1));
@@ -112,12 +115,15 @@ fn main() {
             .join(", ")
     });
 
-    // Show the privacy property at scale: audit a random logged session.
-    if let Some(sid) = world.no.logged_session_ids().first() {
-        let finding = world.no.audit(sid).expect("logged session audits");
+    // Show the privacy property at scale: audit a reported transcript.
+    if let Some(t) = transcripts.first() {
+        let finding = world
+            .no
+            .audit(&t.signed_payload, &t.gsig)
+            .expect("reported transcript audits");
         println!(
             "\naudit sample: session {} resolves to '{}' — and nothing more",
-            sid,
+            t.session_id,
             world.no.group_name(finding.group).unwrap_or("?")
         );
     }

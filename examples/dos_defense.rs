@@ -44,17 +44,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n== protocol-level puzzle gate (real crypto) ==");
     let mut rng = StdRng::seed_from_u64(5);
     let mut no = NetworkOperator::new(ProtocolConfig::default(), &mut rng);
-    let gid = no.register_group("org", &mut rng);
-    let (gm_b, ttp_b) = no.issue_shares(gid, 2, &mut rng)?;
-    let mut gm = GroupManager::new(gid);
-    gm.receive_bundle(&gm_b, no.npk())?;
     let mut ttp = Ttp::new();
-    ttp.receive_bundle(&ttp_b, no.npk())?;
+    let mut gm = no.found_group("org", 2, &mut ttp, &mut rng)?;
     let uid = UserId("alice".into());
-    let mut alice = UserClient::new(uid.clone(), *no.gpk(), *no.npk(), *no.config(), &mut rng);
-    let a = gm.assign(&uid)?;
-    let d = ttp.deliver(a.index, &uid)?;
-    alice.enroll(&a, &d)?;
+    let mut alice = UserClient::new(uid, *no.gpk(), *no.npk(), *no.config(), &mut rng);
+    gm.enroll(&mut ttp, &mut alice)?;
     let mut router = no.provision_router("MR-1", u64::MAX / 2, &mut rng);
 
     router.set_under_attack(true);

@@ -20,22 +20,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Standard setup with two users.
     let mut no = NetworkOperator::new(ProtocolConfig::default(), &mut rng);
-    let gid = no.register_group("Neighborhood", &mut rng);
-    let (gm_b, ttp_b) = no.issue_shares(gid, 4, &mut rng)?;
-    let mut gm = GroupManager::new(gid);
-    gm.receive_bundle(&gm_b, no.npk())?;
     let mut ttp = Ttp::new();
-    ttp.receive_bundle(&ttp_b, no.npk())?;
-    let enroll = |name: &str, gm: &mut GroupManager, ttp: &mut Ttp, rng: &mut StdRng| {
-        let uid = UserId(name.to_owned());
-        let mut u = UserClient::new(uid.clone(), no.prepared_gpk(), *no.npk(), *no.config(), rng);
-        let a = gm.assign(&uid).expect("share");
-        let d = ttp.deliver(a.index, &uid).expect("delivery");
-        u.enroll(&a, &d).expect("enroll");
-        u
-    };
-    let mut alice = enroll("alice", &mut gm, &mut ttp, &mut rng);
-    let mut bob = enroll("bob", &mut gm, &mut ttp, &mut rng);
+    let mut gm = no.found_group("Neighborhood", 4, &mut ttp, &mut rng)?;
+    let [mut alice, mut bob] = ["alice", "bob"].map(|name| {
+        let uid = UserId(name.into());
+        UserClient::new(uid, no.prepared_gpk(), *no.npk(), *no.config(), &mut rng)
+    });
+    gm.enroll(&mut ttp, &mut alice)?;
+    gm.enroll(&mut ttp, &mut bob)?;
     let mut router = no.provision_router("MR-9", u64::MAX / 2, &mut rng);
 
     // Layer 1 (inner): Alice ↔ router end-to-end session. Out of radio

@@ -16,30 +16,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // --- System setup (paper §IV.A) -----------------------------------
     let mut no = NetworkOperator::new(ProtocolConfig::default(), &mut rng);
-    let company = no.register_group("Company XYZ", &mut rng);
-    let (gm_bundle, ttp_bundle) = no.issue_shares(company, 8, &mut rng)?;
-
-    let mut gm = GroupManager::new(company);
-    gm.receive_bundle(&gm_bundle, no.npk())?;
     let mut ttp = Ttp::new();
-    ttp.receive_bundle(&ttp_bundle, no.npk())?;
+    let mut gm = no.found_group("Company XYZ", 8, &mut ttp, &mut rng)?;
     println!("setup: operator, group manager (Company XYZ), TTP ready");
 
     // --- User enrollment (three-party key assembly) --------------------
-    let enroll = |name: &str, gm: &mut GroupManager, ttp: &mut Ttp, rng: &mut StdRng| {
-        let uid = UserId(name.to_owned());
-        let mut user =
-            UserClient::new(uid.clone(), no.prepared_gpk(), *no.npk(), *no.config(), rng);
-        let assignment = gm.assign(&uid).expect("share available");
-        let delivery = ttp.deliver(assignment.index, &uid).expect("ttp delivery");
-        let receipt = user
-            .enroll(&assignment, &delivery)
-            .expect("valid credential");
-        gm.store_receipt(&uid, receipt);
-        user
-    };
-    let mut alice = enroll("alice", &mut gm, &mut ttp, &mut rng);
-    let mut bob = enroll("bob", &mut gm, &mut ttp, &mut rng);
+    let [mut alice, mut bob] = ["alice", "bob"].map(|name| {
+        let uid = UserId(name.into());
+        UserClient::new(uid, no.prepared_gpk(), *no.npk(), *no.config(), &mut rng)
+    });
+    gm.enroll(&mut ttp, &mut alice)?;
+    gm.enroll(&mut ttp, &mut bob)?;
     println!("enrolled: alice, bob (group manager never saw their A_ij points)");
 
     // --- User ↔ router handshake (paper §IV.B) -------------------------
@@ -86,12 +73,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  access confirm M.3: {}", confirm.to_wire().len());
 
     // --- Audit teaser (paper §IV.D) -------------------------------------
-    no.ingest_router_log(&mut router);
-    let sid = peace::protocol::SessionId::from_points(&request.g_rr, &request.g_rj);
-    let finding = no.audit(&sid)?;
+    // The router reports each M.2 transcript; NO opens the disputed one.
+    let logged = router.drain_log().remove(0);
+    let finding = no.audit(&logged.signed_payload, &logged.gsig)?;
     println!(
         "\naudit: session {} attributed to '{}' — and nothing more",
-        sid,
+        logged.session_id,
         no.group_name(finding.group).unwrap_or("?")
     );
     println!("done.");

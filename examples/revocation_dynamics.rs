@@ -1,11 +1,12 @@
 //! Membership dynamics and the phishing window (paper §V.A, experiments
-//! E6/E7): user revocation propagating through beacons, the bogus-data
-//! injection matrix, and the measured phishing window as a function of the
-//! revocation-list update period.
+//! E6/E7/X2): user revocation propagating through beacons, the bogus-data
+//! injection matrix, the measured phishing window as a function of the
+//! revocation-list update period, and |URL| growth with and without
+//! periodic key renewal (§V.C).
 //!
 //! Run with: `cargo run --release --example revocation_dynamics`
 
-use peace::sim::{run_injection_matrix, run_phishing_experiment};
+use peace::sim::{run_injection_matrix, run_phishing_experiment, run_url_growth};
 
 fn main() {
     println!("== PEACE revocation dynamics ==\n");
@@ -50,5 +51,19 @@ fn main() {
         );
     }
     println!("\nthe measured window tracks the update period — matching §V.A's bound.");
+
+    // ------- X2: |URL| growth vs periodic renewal ----------------------
+    println!("\n-- |URL| growth: 2 revocations/day, rotation every 4 days --");
+    println!("day | |URL| no renewal | |URL| with renewal | delta fetch");
+    for p in run_url_growth(12, 2, 4, 5) {
+        let delta = p
+            .delta_tokens_with_rotation
+            .map_or("full (epoch rotated)".into(), |n| format!("{n} tokens"));
+        println!(
+            "{:>3} | {:>15} | {:>17} | {delta}",
+            p.day, p.url_len_accumulating, p.url_len_with_rotation
+        );
+    }
+    println!("\nwith renewal |URL| stays capped at revocations/day × rotation period (§V.C).");
     println!("done.");
 }

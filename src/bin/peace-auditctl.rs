@@ -21,8 +21,8 @@
 use std::process::ExitCode;
 
 use peace::ledger::{
-    attribute_sweep, audit_sweep, verify_chain, Entry, Ledger, LedgerConfig, LedgerQuery,
-    LedgerRecord, RecordKind,
+    attribute_sweep, audit_sweep, verify_chain, AccessRecord, Entry, Ledger, LedgerConfig,
+    LedgerQuery, LedgerRecord, RecordKind,
 };
 use peace::net::{build_world, clock::wall_ms, BuiltWorld, WorldSpec};
 
@@ -316,32 +316,11 @@ fn cmd_gen_fixture(
     if !ledger.is_empty() {
         return Err("fixture dir already holds a ledger; use an empty dir".into());
     }
-    let mut now = 1_000u64;
-    for s in 0..sessions as usize {
-        let router = &mut w.routers[s % spec.routers];
-        let user = &mut w.users[s % spec.users];
-        let beacon = router.beacon(now, &mut w.rng);
-        let req = user
-            .request_access(&beacon, now + 50, &mut w.rng)
-            .map_err(|e| format!("fixture handshake failed: {e:?}"))?;
-        router
-            .process_access_request(&req, now + 100)
-            .map_err(|e| format!("fixture handshake rejected: {e:?}"))?;
-        now += 1_000;
-    }
-    for router in &mut w.routers {
-        let name = router.id().0.clone();
-        for session in router.drain_log() {
-            ledger
-                .append(
-                    LedgerRecord::Access(peace::ledger::AccessRecord {
-                        router: name.clone(),
-                        session,
-                    }),
-                    now,
-                )
-                .map_err(|e| e.to_string())?;
-        }
+    let (records, now) = fixture_sessions(&mut w, spec, sessions)?;
+    for record in records {
+        ledger
+            .append(LedgerRecord::Access(record), now)
+            .map_err(|e| e.to_string())?;
     }
     // A revocation record and the anchoring checkpoint.
     let url_version = {
@@ -367,6 +346,41 @@ fn cmd_gen_fixture(
         ck.seq
     );
     Ok(())
+}
+
+/// Runs `sessions` real handshakes round-robin over `w`'s routers and
+/// users, then drains each router's transcripts in router order: the
+/// access records a NO would log, and the time after the last session.
+fn fixture_sessions(
+    w: &mut BuiltWorld,
+    spec: &WorldSpec,
+    sessions: u64,
+) -> Result<(Vec<AccessRecord>, u64), String> {
+    let mut now = 1_000u64;
+    for s in 0..sessions as usize {
+        let router = &mut w.routers[s % spec.routers];
+        let user = &mut w.users[s % spec.users];
+        let beacon = router.beacon(now, &mut w.rng);
+        let req = user
+            .request_access(&beacon, now + 50, &mut w.rng)
+            .map_err(|e| format!("fixture handshake failed: {e:?}"))?;
+        router
+            .process_access_request(&req, now + 100)
+            .map_err(|e| format!("fixture handshake rejected: {e:?}"))?;
+        now += 1_000;
+    }
+    let records = w
+        .routers
+        .iter_mut()
+        .flat_map(|r| {
+            let router = r.id().0.clone();
+            r.drain_log().into_iter().map(move |session| AccessRecord {
+                router: router.clone(),
+                session,
+            })
+        })
+        .collect();
+    Ok((records, now))
 }
 
 /// Builds `replicate` gossip-converged replica directories under `dir`:
@@ -404,33 +418,11 @@ fn gen_replicated_fixture(
     }
 
     // Real transcripts, accepted round-robin across the replicas.
-    let mut now = 1_000u64;
-    for s in 0..sessions as usize {
-        let router = &mut w.routers[s % spec.routers];
-        let user = &mut w.users[s % spec.users];
-        let beacon = router.beacon(now, &mut w.rng);
-        let req = user
-            .request_access(&beacon, now + 50, &mut w.rng)
-            .map_err(|e| format!("fixture handshake failed: {e:?}"))?;
-        router
-            .process_access_request(&req, now + 100)
-            .map_err(|e| format!("fixture handshake rejected: {e:?}"))?;
-        now += 1_000;
-    }
-    let mut transcripts = Vec::new();
-    for router in &mut w.routers {
-        let name = router.id().0.clone();
-        for session in router.drain_log() {
-            transcripts.push((name.clone(), session));
-        }
-    }
-    for (i, (router, session)) in transcripts.into_iter().enumerate() {
-        let rl = &mut replicas[i % replicate];
-        rl.local_mut()
-            .append(
-                LedgerRecord::Access(peace::ledger::AccessRecord { router, session }),
-                now,
-            )
+    let (records, now) = fixture_sessions(&mut w, spec, sessions)?;
+    for (i, record) in records.into_iter().enumerate() {
+        replicas[i % replicate]
+            .local_mut()
+            .append(LedgerRecord::Access(record), now)
             .map_err(|e| e.to_string())?;
     }
     for rl in &mut replicas {

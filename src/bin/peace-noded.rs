@@ -311,7 +311,8 @@ fn run_no(
             "replica {id}: gossiping with {} peer(s) every {gossip_ms} ms",
             peer_addrs.len()
         );
-        no.start_gossip(peer_addrs, Duration::from_millis(gossip_ms));
+        no.start_gossip(peer_addrs, Duration::from_millis(gossip_ms))
+            .map_err(refused)?;
     } else if federated {
         println!("replica {id}: no peers yet (standalone shard store)");
     }

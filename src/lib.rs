@@ -34,19 +34,11 @@
 //! # fn main() -> Result<(), peace::protocol::ProtocolError> {
 //! let mut rng = StdRng::seed_from_u64(7);
 //! let mut no = NetworkOperator::new(ProtocolConfig::default(), &mut rng);
-//! let group = no.register_group("Company XYZ", &mut rng);
-//! let (gm_bundle, ttp_bundle) = no.issue_shares(group, 4, &mut rng)?;
-//!
-//! let mut gm = GroupManager::new(group);
-//! gm.receive_bundle(&gm_bundle, no.npk())?;
 //! let mut ttp = Ttp::new();
-//! ttp.receive_bundle(&ttp_bundle, no.npk())?;
-//!
+//! let mut gm = no.found_group("Company XYZ", 4, &mut ttp, &mut rng)?;
 //! let uid = UserId("alice".into());
-//! let mut alice = UserClient::new(uid.clone(), no.prepared_gpk(), *no.npk(), *no.config(), &mut rng);
-//! let assignment = gm.assign(&uid)?;
-//! let delivery = ttp.deliver(assignment.index, &uid)?;
-//! alice.enroll(&assignment, &delivery)?;
+//! let mut alice = UserClient::new(uid, no.prepared_gpk(), *no.npk(), *no.config(), &mut rng);
+//! gm.enroll(&mut ttp, &mut alice)?;
 //!
 //! let mut router = no.provision_router("MR-1", 1_000_000, &mut rng);
 //! let beacon = router.beacon(1_000, &mut rng);

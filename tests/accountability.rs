@@ -4,7 +4,9 @@
 
 use std::collections::HashMap;
 
-use peace::protocol::{entities::*, ids::*, ProtocolConfig, ProtocolError};
+use peace::protocol::{
+    entities::*, ids::*, AuditFinding, LoggedSession, ProtocolConfig, ProtocolError,
+};
 use peace::wire::{Encode, Writer};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -22,12 +24,11 @@ fn build_net(seed: u64, groups: usize, keys_per_group: usize) -> Net {
     let mut gms = HashMap::new();
     let mut ttp = Ttp::new();
     for i in 0..groups {
-        let gid = no.register_group(&format!("org-{i}"), &mut rng);
-        let (gm_b, ttp_b) = no.issue_shares(gid, keys_per_group, &mut rng).unwrap();
-        let mut gm = GroupManager::new(gid);
-        gm.receive_bundle(&gm_b, no.npk()).unwrap();
-        ttp.receive_bundle(&ttp_b, no.npk()).unwrap();
-        gms.insert(gid, gm);
+        let name = format!("org-{i}");
+        let gm = no
+            .found_group(&name, keys_per_group, &mut ttp, &mut rng)
+            .unwrap();
+        gms.insert(gm.id(), gm);
     }
     Net { no, gms, ttp, rng }
 }
@@ -35,18 +36,20 @@ fn build_net(seed: u64, groups: usize, keys_per_group: usize) -> Net {
 fn enroll(net: &mut Net, name: &str, gid: GroupId) -> UserClient {
     let uid = UserId(name.to_owned());
     let mut user = UserClient::new(
-        uid.clone(),
+        uid,
         net.no.prepared_gpk(),
         *net.no.npk(),
         *net.no.config(),
         &mut net.rng,
     );
     let gm = net.gms.get_mut(&gid).unwrap();
-    let assignment = gm.assign(&uid).unwrap();
-    let delivery = net.ttp.deliver(assignment.index, &uid).unwrap();
-    let receipt = user.enroll(&assignment, &delivery).unwrap();
-    gm.store_receipt(&uid, receipt);
+    gm.enroll(&mut net.ttp, &mut user).unwrap();
     user
+}
+
+/// NO's audit of a transcript the router reported.
+fn audit(no: &NetworkOperator, t: &LoggedSession) -> peace::protocol::Result<AuditFinding> {
+    no.audit(&t.signed_payload, &t.gsig)
 }
 
 #[test]
@@ -82,16 +85,17 @@ fn bulk_audit_attributes_every_session_correctly() {
             t += 50;
         }
     }
-    net.no.ingest_router_log(&mut router);
-    assert_eq!(net.no.logged_session_count(), truth.len());
+    let transcripts = router.drain_log();
+    assert_eq!(transcripts.len(), truth.len());
 
     // NO audit: group attribution is exact for all 36 sessions.
     let law = LawAuthority::new();
-    for (sid, gid, uid) in &truth {
-        let finding = net.no.audit(sid).unwrap();
+    for (logged, (sid, gid, uid)) in transcripts.iter().zip(&truth) {
+        assert_eq!(&logged.session_id, sid);
+        let finding = audit(&net.no, logged).unwrap();
         assert_eq!(finding.group, *gid, "audit must find the right group");
         // law trace: exact user
-        let trace = law.trace(&net.no, &net.gms, sid).unwrap();
+        let trace = law.trace(&net.no, &net.gms, logged).unwrap();
         assert_eq!(&trace.uid, uid, "trace must find the right user");
     }
 }
@@ -109,9 +113,7 @@ fn audit_never_frames_an_uninvolved_group() {
     let beacon = router.beacon(1_000, &mut net.rng);
     let req = alice.request_access(&beacon, 1_005, &mut net.rng).unwrap();
     router.process_access_request(&req, 1_010).unwrap();
-    net.no.ingest_router_log(&mut router);
-    let sid = SessionId::from_points(&req.g_rr, &req.g_rj);
-    let finding = net.no.audit(&sid).unwrap();
+    let finding = audit(&net.no, &router.drain_log()[0]).unwrap();
     assert_eq!(finding.group, gids[0]);
     assert_ne!(finding.group, gids[1]);
     assert_ne!(finding.group, gids[2]);
@@ -129,6 +131,7 @@ fn receipts_provide_non_repudiation() {
         *net.no.config(),
         &mut net.rng,
     );
+    // Enrollment step by step: the receipt covers the parts handed over.
     let gm = net.gms.get_mut(&gid).unwrap();
     let assignment = gm.assign(&uid).unwrap();
     let delivery = net.ttp.deliver(assignment.index, &uid).unwrap();
@@ -157,15 +160,27 @@ fn receipts_provide_non_repudiation() {
     assert!(!receipts[0].verify(alice.receipt_vk(), &changed));
 }
 
+/// A transcript signed under another operator's key matches no `grt`
+/// token: the audit says so with a code and attributes nothing.
 #[test]
 fn audit_of_unknown_session_fails_cleanly() {
-    let mut net = build_net(63, 1, 1);
+    use peace::groupsig::{sign, BasesMode, IssuerKey};
+
+    let net = build_net(63, 1, 1);
     let mut rng = StdRng::seed_from_u64(1);
-    let p = peace::curve::G1::random(&mut rng);
-    let q = peace::curve::G1::random(&mut rng);
-    let bogus = SessionId::from_points(&p, &q);
-    assert!(net.no.audit(&bogus).is_err());
-    let _ = &mut net.rng;
+    let foreign = IssuerKey::generate(&mut rng);
+    let key = foreign.issue(&foreign.new_group_secret(&mut rng), &mut rng);
+    let gsig = sign(
+        foreign.public_key(),
+        &key,
+        b"m",
+        BasesMode::PerMessage,
+        &mut rng,
+    );
+    assert_eq!(
+        net.no.audit(b"m", &gsig),
+        Err(ProtocolError::Setup("no grt token matches session"))
+    );
 }
 
 #[test]
@@ -183,22 +198,20 @@ fn revocation_is_per_credential_and_complete() {
         .collect();
     let mut router = net.no.provision_router("MR-1", u64::MAX / 2, &mut net.rng);
 
-    // round 1: everyone connects; collect session ids
-    let mut sids = Vec::new();
+    // round 1: everyone connects; the router logs one transcript each
     let mut t = 1_000;
     for user in users.iter_mut() {
         let beacon = router.beacon(t, &mut net.rng);
         let req = user.request_access(&beacon, t + 5, &mut net.rng).unwrap();
         router.process_access_request(&req, t + 10).unwrap();
-        sids.push(SessionId::from_points(&req.g_rr, &req.g_rj));
         t += 50;
     }
-    net.no.ingest_router_log(&mut router);
+    let transcripts = router.drain_log();
 
     // revoke users 1 and 4
     let revoked_set = [1usize, 4];
     for &i in &revoked_set {
-        let finding = net.no.audit(&sids[i]).unwrap();
+        let finding = audit(&net.no, &transcripts[i]).unwrap();
         assert!(net.no.revoke_member(&finding.token));
     }
     assert_eq!(net.no.revoked_member_count(), 2);
@@ -230,9 +243,7 @@ fn double_revocation_is_idempotent() {
     let beacon = router.beacon(1_000, &mut net.rng);
     let req = alice.request_access(&beacon, 1_005, &mut net.rng).unwrap();
     router.process_access_request(&req, 1_010).unwrap();
-    net.no.ingest_router_log(&mut router);
-    let sid = SessionId::from_points(&req.g_rr, &req.g_rj);
-    let token = net.no.audit(&sid).unwrap().token;
+    let token = audit(&net.no, &router.drain_log()[0]).unwrap().token;
     assert!(net.no.revoke_member(&token));
     assert!(net.no.revoke_member(&token)); // second call: still "known token"
     assert_eq!(net.no.revoked_member_count(), 1);
@@ -261,9 +272,8 @@ fn randomized_group_assignment_audits_correctly() {
         let beacon = router.beacon(t, &mut net.rng);
         let req = user.request_access(&beacon, t + 5, &mut net.rng).unwrap();
         router.process_access_request(&req, t + 10).unwrap();
-        net.no.ingest_router_log(&mut router);
-        let sid = SessionId::from_points(&req.g_rr, &req.g_rj);
-        assert_eq!(net.no.audit(&sid).unwrap().group, gid);
+        let logged = router.drain_log().remove(0);
+        assert_eq!(audit(&net.no, &logged).unwrap().group, gid);
         t += 100;
     }
 }
@@ -323,9 +333,7 @@ fn baseline_plain_bs04_reveals_the_user_at_the_operator() {
     let beacon = router.beacon(1_000, &mut net.rng);
     let req = bob.request_access(&beacon, 1_005, &mut net.rng).unwrap();
     router.process_access_request(&req, 1_010).unwrap();
-    net.no.ingest_router_log(&mut router);
-    let sid = SessionId::from_points(&req.g_rr, &req.g_rj);
-    let finding = net.no.audit(&sid).unwrap();
+    let finding = audit(&net.no, &router.drain_log()[0]).unwrap();
     // PEACE's operator learns a GroupId — a nonessential attribute. The
     // uid exists nowhere in its state; resolving it requires the GM.
     assert_eq!(finding.group, gids[0]);
@@ -337,8 +345,8 @@ fn baseline_plain_bs04_reveals_the_user_at_the_operator() {
 
 /// A token match is not a signature: anyone holding `gpk` and one published
 /// URL token `A` builds `T₁ = ψ(û)^α, T₂ = A·ψ(v̂)^α` on H₀'s bases with the
-/// other fields random, and Eq.3 matches `A`. The single-session audit
-/// verifies before it attributes, so it refuses the forgery with a code
+/// other fields random, and Eq.3 matches `A`. The audit verifies before it
+/// attributes, so it refuses the forgery with a code
 /// and frames no one; the honest session still opens.
 #[test]
 fn a_forgery_from_a_published_token_is_refused_not_attributed() {
@@ -353,9 +361,8 @@ fn a_forgery_from_a_published_token_is_refused_not_attributed() {
     let beacon = router.beacon(1_000, &mut net.rng);
     let req = alice.request_access(&beacon, 1_005, &mut net.rng).unwrap();
     router.process_access_request(&req, 1_010).unwrap();
-    net.no.ingest_router_log(&mut router);
-    let sid = SessionId::from_points(&req.g_rr, &req.g_rj);
-    let finding = net.no.audit(&sid).unwrap();
+    let logged = router.drain_log().remove(0);
+    let finding = audit(&net.no, &logged).unwrap();
     assert!(net.no.revoke_member(&finding.token));
     let url = net.no.publish_url(2_000);
     assert_eq!(url.tokens, vec![finding.token]);
@@ -384,9 +391,9 @@ fn a_forgery_from_a_published_token_is_refused_not_attributed() {
     let grt_index = open(&gpk, msg, &forged, &url.tokens, mode);
     assert_eq!(grt_index, Some(0));
     // ...and the audit refuses to attribute what does not verify.
-    let refused = net.no.audit_raw(msg, &forged).unwrap_err();
+    let refused = net.no.audit(msg, &forged).unwrap_err();
     assert_eq!(refused, ProtocolError::BadGroupSignature);
     assert_eq!(refused.code(), "bad_group_signature");
-    let honest = net.no.audit(&sid).unwrap();
+    let honest = audit(&net.no, &logged).unwrap();
     assert_eq!((honest.group, honest.token), (finding.group, finding.token));
 }

@@ -76,17 +76,11 @@ fn intercepted_confirmation_useless_without_dh_secret() {
     // network traffic … it will not be able to decrypt the message".
     let mut rng = StdRng::seed_from_u64(77);
     let mut no = NetworkOperator::new(ProtocolConfig::default(), &mut rng);
-    let gid = no.register_group("org", &mut rng);
-    let (gm_b, ttp_b) = no.issue_shares(gid, 2, &mut rng).unwrap();
-    let mut gm = GroupManager::new(gid);
-    gm.receive_bundle(&gm_b, no.npk()).unwrap();
     let mut ttp = Ttp::new();
-    ttp.receive_bundle(&ttp_b, no.npk()).unwrap();
+    let mut gm = no.found_group("org", 2, &mut ttp, &mut rng).unwrap();
     let uid = UserId("alice".into());
-    let mut alice = UserClient::new(uid.clone(), *no.gpk(), *no.npk(), *no.config(), &mut rng);
-    let a = gm.assign(&uid).unwrap();
-    let d = ttp.deliver(a.index, &uid).unwrap();
-    alice.enroll(&a, &d).unwrap();
+    let mut alice = UserClient::new(uid, *no.gpk(), *no.npk(), *no.config(), &mut rng);
+    gm.enroll(&mut ttp, &mut alice).unwrap();
     let mut router = no.provision_router("MR-1", u64::MAX / 2, &mut rng);
 
     let beacon = router.beacon(1_000, &mut rng);
@@ -123,17 +117,11 @@ fn message_malleability_rejected_at_decode_or_verify() {
     // about malleability, so the detector is held off.
     let mut rng = StdRng::seed_from_u64(78);
     let mut no = NetworkOperator::new(ProtocolConfig::default(), &mut rng);
-    let gid = no.register_group("org", &mut rng);
-    let (gm_b, ttp_b) = no.issue_shares(gid, 2, &mut rng).unwrap();
-    let mut gm = GroupManager::new(gid);
-    gm.receive_bundle(&gm_b, no.npk()).unwrap();
     let mut ttp = Ttp::new();
-    ttp.receive_bundle(&ttp_b, no.npk()).unwrap();
+    let mut gm = no.found_group("org", 2, &mut ttp, &mut rng).unwrap();
     let uid = UserId("alice".into());
-    let mut alice = UserClient::new(uid.clone(), *no.gpk(), *no.npk(), *no.config(), &mut rng);
-    let a = gm.assign(&uid).unwrap();
-    let d = ttp.deliver(a.index, &uid).unwrap();
-    alice.enroll(&a, &d).unwrap();
+    let mut alice = UserClient::new(uid, *no.gpk(), *no.npk(), *no.config(), &mut rng);
+    gm.enroll(&mut ttp, &mut alice).unwrap();
     let mut router = no.provision_router("MR-1", u64::MAX / 2, &mut rng);
     router.set_under_attack(false);
 
@@ -195,17 +183,11 @@ fn beacon_signature_covers_dh_share() {
     // Active MITM: swap g^{r_R} inside a beacon → signature must fail.
     let mut rng = StdRng::seed_from_u64(81);
     let mut no = NetworkOperator::new(ProtocolConfig::default(), &mut rng);
-    let gid = no.register_group("org", &mut rng);
-    let (gm_b, ttp_b) = no.issue_shares(gid, 1, &mut rng).unwrap();
-    let mut gm = GroupManager::new(gid);
-    gm.receive_bundle(&gm_b, no.npk()).unwrap();
     let mut ttp = Ttp::new();
-    ttp.receive_bundle(&ttp_b, no.npk()).unwrap();
+    let mut gm = no.found_group("org", 1, &mut ttp, &mut rng).unwrap();
     let uid = UserId("alice".into());
-    let mut alice = UserClient::new(uid.clone(), *no.gpk(), *no.npk(), *no.config(), &mut rng);
-    let a = gm.assign(&uid).unwrap();
-    let d = ttp.deliver(a.index, &uid).unwrap();
-    alice.enroll(&a, &d).unwrap();
+    let mut alice = UserClient::new(uid, *no.gpk(), *no.npk(), *no.config(), &mut rng);
+    gm.enroll(&mut ttp, &mut alice).unwrap();
     let mut router = no.provision_router("MR-1", u64::MAX / 2, &mut rng);
 
     let mut beacon = router.beacon(1_000, &mut rng);
@@ -223,17 +205,11 @@ fn cross_protocol_signature_replay_rejected() {
     // the signed payloads are domain-separated.
     let mut rng = StdRng::seed_from_u64(90);
     let mut no = NetworkOperator::new(ProtocolConfig::default(), &mut rng);
-    let gid = no.register_group("org", &mut rng);
-    let (gm_b, ttp_b) = no.issue_shares(gid, 1, &mut rng).unwrap();
-    let mut gm = GroupManager::new(gid);
-    gm.receive_bundle(&gm_b, no.npk()).unwrap();
     let mut ttp = Ttp::new();
-    ttp.receive_bundle(&ttp_b, no.npk()).unwrap();
+    let mut gm = no.found_group("org", 1, &mut ttp, &mut rng).unwrap();
     let uid = UserId("alice".into());
-    let mut alice = UserClient::new(uid.clone(), *no.gpk(), *no.npk(), *no.config(), &mut rng);
-    let a = gm.assign(&uid).unwrap();
-    let d = ttp.deliver(a.index, &uid).unwrap();
-    alice.enroll(&a, &d).unwrap();
+    let mut alice = UserClient::new(uid, *no.gpk(), *no.npk(), *no.config(), &mut rng);
+    gm.enroll(&mut ttp, &mut alice).unwrap();
     let mut router = no.provision_router("MR-1", u64::MAX / 2, &mut rng);
 
     let beacon = router.beacon(1_000, &mut rng);

@@ -67,23 +67,11 @@ fn two_sessions_by_same_user_share_no_observable_state() {
     // ids. (Information-theoretic components are re-randomized per session.)
     let mut rng = StdRng::seed_from_u64(82);
     let mut no = NetworkOperator::new(ProtocolConfig::default(), &mut rng);
-    let gid = no.register_group("org", &mut rng);
-    let (gm_b, ttp_b) = no.issue_shares(gid, 2, &mut rng).unwrap();
-    let mut gm = GroupManager::new(gid);
-    gm.receive_bundle(&gm_b, no.npk()).unwrap();
     let mut ttp = Ttp::new();
-    ttp.receive_bundle(&ttp_b, no.npk()).unwrap();
+    let mut gm = no.found_group("org", 2, &mut ttp, &mut rng).unwrap();
     let uid = UserId("alice".into());
-    let mut alice = UserClient::new(
-        uid.clone(),
-        no.prepared_gpk(),
-        *no.npk(),
-        *no.config(),
-        &mut rng,
-    );
-    let a = gm.assign(&uid).unwrap();
-    let d = ttp.deliver(a.index, &uid).unwrap();
-    alice.enroll(&a, &d).unwrap();
+    let mut alice = UserClient::new(uid, no.prepared_gpk(), *no.npk(), *no.config(), &mut rng);
+    gm.enroll(&mut ttp, &mut alice).unwrap();
     let mut router = no.provision_router("MR-1", u64::MAX / 2, &mut rng);
 
     let b1 = router.beacon(1_000, &mut rng);
@@ -168,35 +156,24 @@ fn operator_audit_stops_at_group_boundary() {
     // lives only at the GM.
     let mut rng = StdRng::seed_from_u64(85);
     let mut no = NetworkOperator::new(ProtocolConfig::default(), &mut rng);
-    let gid = no.register_group("Company XYZ", &mut rng);
-    let (gm_b, ttp_b) = no.issue_shares(gid, 2, &mut rng).unwrap();
-    let mut gm = GroupManager::new(gid);
-    gm.receive_bundle(&gm_b, no.npk()).unwrap();
     let mut ttp = Ttp::new();
-    ttp.receive_bundle(&ttp_b, no.npk()).unwrap();
+    let mut gm = no
+        .found_group("Company XYZ", 2, &mut ttp, &mut rng)
+        .unwrap();
     let uid = UserId("alice".into());
-    let mut alice = UserClient::new(
-        uid.clone(),
-        no.prepared_gpk(),
-        *no.npk(),
-        *no.config(),
-        &mut rng,
-    );
-    let assign = gm.assign(&uid).unwrap();
-    let deliver = ttp.deliver(assign.index, &uid).unwrap();
-    alice.enroll(&assign, &deliver).unwrap();
+    let mut alice = UserClient::new(uid, no.prepared_gpk(), *no.npk(), *no.config(), &mut rng);
+    gm.enroll(&mut ttp, &mut alice).unwrap();
 
     let mut router = no.provision_router("MR-1", u64::MAX / 2, &mut rng);
     let beacon = router.beacon(1_000, &mut rng);
     let req = alice.request_access(&beacon, 1_010, &mut rng).unwrap();
     router.process_access_request(&req, 1_020).unwrap();
-    no.ingest_router_log(&mut router);
 
-    let sid = peace::protocol::SessionId::from_points(&req.g_rr, &req.g_rj);
-    let finding = no.audit(&sid).unwrap();
-    assert_eq!(finding.group, gid);
+    let logged = router.drain_log().remove(0);
+    let finding = no.audit(&logged.signed_payload, &logged.gsig).unwrap();
+    assert_eq!(finding.group, gm.id());
     // The finding maps to the GM's slot — only the GM can resolve it.
-    assert_eq!(gm.identify(finding.index), Some(&uid));
+    assert_eq!(gm.identify(finding.index), Some(alice.uid()));
     // A *different* group's manager cannot resolve it.
     let other_gm = GroupManager::new(peace::protocol::GroupId(999));
     assert_eq!(other_gm.identify(finding.index), None);
@@ -291,19 +268,12 @@ fn the_signers_cached_pairing_never_leaves_the_credential() {
     use peace::wire::Encode;
     let mut rng = StdRng::seed_from_u64(89);
     let mut no = NetworkOperator::new(ProtocolConfig::default(), &mut rng);
-    let gid = no.register_group("org", &mut rng);
-    let (gm_b, ttp_b) = no.issue_shares(gid, 2, &mut rng).unwrap();
-    let mut gm = GroupManager::new(gid);
-    gm.receive_bundle(&gm_b, no.npk()).unwrap();
     let mut ttp = Ttp::new();
-    ttp.receive_bundle(&ttp_b, no.npk()).unwrap();
+    let mut gm = no.found_group("org", 2, &mut ttp, &mut rng).unwrap();
     let mut enroll = |name: &str, rng: &mut StdRng| {
         let uid = UserId(name.into());
-        let mut user =
-            UserClient::new(uid.clone(), no.prepared_gpk(), *no.npk(), *no.config(), rng);
-        let a = gm.assign(&uid).unwrap();
-        let d = ttp.deliver(a.index, &uid).unwrap();
-        user.enroll(&a, &d).unwrap();
+        let mut user = UserClient::new(uid, no.prepared_gpk(), *no.npk(), *no.config(), rng);
+        gm.enroll(&mut ttp, &mut user).unwrap();
         user
     };
     let mut alice = enroll("alice", &mut rng);
